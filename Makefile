@@ -1,6 +1,8 @@
 # ClassMiner reproduction — developer entry points.
 
-.PHONY: install test bench bench-kernels examples report ingest-smoke serve-smoke obs-smoke chaos-smoke storage-smoke net-smoke obs-net-smoke chaos-net-smoke ann-smoke all clean
+SMOKES = ingest-smoke serve-smoke obs-smoke chaos-smoke storage-smoke net-smoke obs-net-smoke chaos-net-smoke ann-smoke
+
+.PHONY: install test bench bench-kernels examples report smoke $(SMOKES) all clean
 
 install:
 	pip install -e .
@@ -13,6 +15,9 @@ bench:
 
 bench-kernels:
 	pytest benchmarks/bench_similarity_kernels.py --benchmark-only
+
+# Every self-checking smoke run, in sequence (CI runs them as one matrix).
+smoke: $(SMOKES)
 
 ingest-smoke:
 	python -m repro.ingest.smoke

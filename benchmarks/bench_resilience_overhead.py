@@ -49,7 +49,7 @@ _HOOK_MODULES = (
     "repro.ingest.executor",
     "repro.ingest.artifacts",
     "repro.ingest.runner",
-    "repro.serving.server",
+    "repro.serving.engine",
     "repro.serving.snapshot",
 )
 

@@ -570,19 +570,7 @@ def _cmd_obs_slow(args: argparse.Namespace) -> int:
         payload = json.loads(response.read().decode("utf-8"))
     log = SlowQueryLog(capacity=max(1, int(payload.get("capacity", 32))))
     for entry in payload.get("slow", []):
-        log.record(
-            SlowQuery(
-                kind=str(entry.get("kind", "?")),
-                elapsed_seconds=float(entry.get("elapsed_ms", 0.0)) / 1e3,
-                backend=str(entry.get("backend", "?")),
-                comparisons=int(entry.get("comparisons", 0)),
-                approx_comparisons=int(entry.get("approx_comparisons", 0)),
-                cache_hit=bool(entry.get("cache_hit", False)),
-                degraded=bool(entry.get("degraded", False)),
-                shards_missing=tuple(entry.get("shards_missing", ())),
-                trace_id=entry.get("trace_id"),
-            )
-        )
+        log.record(SlowQuery.from_json(entry))
     print(f"{target}: {payload.get('recorded', 0)} queries recorded")
     print(log.render())
     return 0
@@ -660,8 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Mine each title (shots, scenes, cues, audio, events) into a "
             "content-addressed artifact cache under --db-dir, then build "
-            "the queryable catalog (catalog.sqlite + features/, or "
-            "database.json with CLASSMINER_CATALOG_BACKEND=json) from the "
+            "the queryable catalog (catalog.sqlite + features/) from the "
             "artifacts. Finished jobs are recorded "
             "in manifest.jsonl, so an interrupted ingest resumes without "
             "redoing work, and a re-run hits the cache entirely."
@@ -711,8 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
         "migrate",
         help="convert a JSON-era database directory to the SQL catalog",
         description=(
-            "One-shot migration: read database.json (or rebuild from the "
-            "artifact store) and write catalog.sqlite plus the "
+            "One-shot migration of a directory written before ingest "
+            "switched to SQLite: read its database.json (or rebuild from "
+            "the artifact store) and write catalog.sqlite plus the "
             "content-addressed feature blocks under features/. Idempotent; "
             "query results are identical before and after."
         ),

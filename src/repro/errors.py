@@ -16,6 +16,9 @@ fans out by subsystem:
     │   └── ``IntegrityError`` — a stored artifact failed checksum
     │       verification (corrupt on disk; quarantined by the store).
     ├── ``ServingError`` — the concurrent query-serving runtime.
+    │   ├── ``BadRequestError`` — the request itself is malformed
+    │   │   (unknown kind, missing features, ``k < 1``, …); the HTTP
+    │   │   gateway maps the *type* to 400.
     │   ├── ``OverloadedError`` — bounded admission queue full; shed
     │   │   and retry instead of queueing without bound.
     │   ├── ``CircuitOpenError`` — a circuit breaker is open; the
@@ -107,6 +110,16 @@ class IntegrityError(IngestError):
 
 class ServingError(ReproError):
     """Problems in the concurrent query-serving runtime."""
+
+
+class BadRequestError(ServingError):
+    """The query request is malformed; retrying it unchanged cannot help.
+
+    Raised only by :func:`repro.serving.engine.validate_request`, the
+    one request validator both query fronts share.  The HTTP gateway
+    maps this type to 400 (every other :class:`ServingError` is the
+    server's fault: 500/503/504).
+    """
 
 
 class OverloadedError(ServingError):

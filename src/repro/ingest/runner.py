@@ -6,25 +6,23 @@ use.  It lays out a database directory::
     <db_dir>/
         artifacts/       content-addressed mined results (the cache)
         manifest.jsonl   job journal (resume state)
-        catalog.sqlite   the registered, queryable catalog (default
-                         backend; see repro.storage)
+        catalog.sqlite   the registered, queryable catalog (see
+                         repro.storage)
         features/        memory-mapped feature blocks the catalog
                          refers to
-        database.json    legacy JSON catalog (written only with
-                         CLASSMINER_CATALOG_BACKEND=json)
 
 The artifacts are the source of truth: every run rebuilds the catalog
 from the successful artifacts, so a resumed or partially failed ingest
 still leaves a consistent, loadable database covering everything that
-was mined.  :func:`load_database` auto-detects the backend: a SQL
-catalog opens lazily (out-of-core feature blocks), the JSON fallback
-loads eagerly.
+was mined.  :func:`load_database` opens the SQL catalog lazily
+(out-of-core feature blocks); a directory holding only a legacy
+``database.json`` still loads, eagerly (``classminer migrate`` converts
+it).
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,21 +46,6 @@ _LOGGER = logging.getLogger(__name__)
 ARTIFACTS_DIR = "artifacts"
 MANIFEST_NAME = "manifest.jsonl"
 DATABASE_NAME = "database.json"
-
-#: Environment variable selecting the catalog backend ingest writes
-#: (and load_database prefers): ``sqlite`` (default) or ``json``.
-BACKEND_ENV = "CLASSMINER_CATALOG_BACKEND"
-
-
-def catalog_backend() -> str:
-    """The configured catalog backend (``sqlite`` or ``json``)."""
-    backend = os.environ.get(BACKEND_ENV, "sqlite").strip().lower()
-    if backend not in ("sqlite", "json"):
-        raise IngestError(
-            f"unknown catalog backend {backend!r} in ${BACKEND_ENV} "
-            f"(expected 'sqlite' or 'json')"
-        )
-    return backend
 
 #: A corpus hook receives ``(db_dir, database)`` after an ingest run has
 #: rebuilt the database from its artifacts.
@@ -106,9 +89,8 @@ class IngestReport:
     db_dir:
         The database directory.
     database_path:
-        The written catalog inside it — ``catalog.sqlite`` on the
-        default backend, ``database.json`` on the JSON fallback (None
-        when nothing succeeded).
+        The written ``catalog.sqlite`` inside it (None when nothing
+        succeeded).
     outcomes:
         Per-job terminal outcomes, in job order.
     registered:
@@ -229,13 +211,9 @@ def ingest_jobs(
 
     database_path: Path | None = None
     if registered:
-        if catalog_backend() == "sqlite":
-            from repro.storage.sqlcatalog import save_database as _save_sql
+        from repro.storage.sqlcatalog import save_database
 
-            database_path = _save_sql(database, db_dir)
-        else:
-            database_path = db_dir / DATABASE_NAME
-            database.save(database_path)
+        database_path = save_database(database, db_dir)
         _notify_corpus_hooks(db_dir, database)
         get_registry().counter(
             "ingest_corpus_rebuilds_total",
@@ -295,18 +273,14 @@ def load_database(db_dir: str | Path) -> VideoDatabase:
 
     A SQL catalog (``catalog.sqlite``) opens *lazily*: registration
     records and routing metadata load eagerly, feature blocks stay
-    memory-mapped on disk until a query routes into them.  The JSON
-    fallback (``database.json``) deserialises everything up front.
-    ``CLASSMINER_CATALOG_BACKEND=json`` prefers the JSON file when both
-    exist; whichever backend is present is used when only one is.
+    memory-mapped on disk until a query routes into them.  A directory
+    holding only a legacy ``database.json`` deserialises it up front.
     """
     db_dir = Path(db_dir)
     json_path = db_dir / DATABASE_NAME
     from repro.storage.schema import catalog_path
 
-    sql_path = catalog_path(db_dir)
-    prefer_json = catalog_backend() == "json"
-    if sql_path.exists() and not (prefer_json and json_path.exists()):
+    if catalog_path(db_dir).exists():
         from repro.storage.lazy import SQLVideoDatabase
 
         return SQLVideoDatabase.open(db_dir)

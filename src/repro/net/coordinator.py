@@ -1,10 +1,11 @@
 """Scatter-gather coordinator over shard workers.
 
 :class:`ShardedQueryService` is the sharded counterpart of the
-in-process :class:`~repro.serving.server.QueryServer`: same request
-type, same result type, same cache/scope/deadline semantics — but the
-corpus lives in N shard worker processes and every feature query is a
-scatter-gather.
+in-process :class:`~repro.serving.server.QueryServer`: the same
+:class:`~repro.serving.engine.QueryEngine` lifecycle (validation,
+scope, cache, accounting, explain) — but the service is the engine's
+scatter-gather :class:`~repro.serving.engine.QueryBackend`: the corpus
+lives in N shard worker processes and every feature query fans out.
 
 **Exactness.**  With all shards healthy, results are bit-identical to
 the single-process path (ids, scores, tie-break order):
@@ -38,7 +39,7 @@ deduplicated candidates; ``shot_flat`` = Σ shard entry counts;
 **Degradation.**  Each shard sits behind a circuit breaker; a shard
 that fails or is skipped by an open breaker is reported in
 ``ServingResult.shards_missing`` with ``degraded=True`` and the answer
-covers the reachable shards.  Degraded results are never cached.
+covers the reachable shards.  The engine never caches such an answer.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from concurrent.futures import (
     TimeoutError as FutureTimeout,
     wait as wait_futures,
 )
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,19 +74,20 @@ from repro.errors import (
 from repro.ingest.executor import RetryPolicy
 from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
 from repro.net.shard import ShardSpec, build_routing_tree
-from repro.obs.slowlog import SlowQuery, get_slow_log
-from repro.obs.trace import (
-    Span,
-    active_tracer,
-    current_trace_id,
-    new_trace_id,
-    span as obs_span,
-)
+from repro.obs.trace import Span, active_tracer, new_trace_id, span as obs_span
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.health import HealthCheck, HealthReport
-from repro.serving.cache import CacheKey, ResultCache, request_digest, scope_token
-from repro.serving.metrics import QUERY_KINDS, ServingMetrics
-from repro.serving.server import QueryRequest, ServingResult
+from repro.serving.cache import ResultCache
+from repro.serving.engine import (
+    BackendAnswer,
+    ExplainSink,
+    QueryEngine,
+    QueryRequest,
+    ServingResult,
+    validate_front_config,
+    validate_request,
+)
+from repro.serving.metrics import ServingMetrics
 from repro.types import EventKind
 
 
@@ -148,47 +150,15 @@ class CoordinatorConfig:
     hedge_after_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.queue_depth < 1:
-            raise ServingError("queue depth must be >= 1")
+        validate_front_config(self)
         if self.beam < 1:
             raise ServingError("beam must be >= 1")
-        if self.ann_nprobe is not None and self.ann_nprobe < 1:
-            raise ServingError("ann_nprobe must be >= 1 (or None for exact)")
-        if self.ann_rerank_k is not None and self.ann_rerank_k < 1:
-            raise ServingError("ann_rerank_k must be >= 1 (or None for all)")
         if self.rpc_retries < 0:
             raise ServingError("rpc_retries must be >= 0")
         if self.rpc_backoff <= 0 or self.rpc_max_delay <= 0:
             raise ServingError("rpc backoff/max delay must be > 0")
         if self.hedge_after_ms is not None and self.hedge_after_ms < 0:
             raise ServingError("hedge_after_ms must be >= 0 (or None to disable)")
-
-
-class _ExplainSink:
-    """Accumulates the per-query evidence an ``explain`` response ships.
-
-    ``phases`` maps phase name -> seconds; ``shard_ops`` records one
-    entry per shard RPC (appended from scatter threads — list.append is
-    atomic, and the sink is sorted once at assembly).
-    """
-
-    __slots__ = ("phases", "shard_ops")
-
-    def __init__(self) -> None:
-        self.phases: dict[str, float] = {}
-        self.shard_ops: list[dict] = []
-
-    def phases_ms(self, total: float) -> dict[str, float]:
-        """Phase timings in milliseconds, plus the end-to-end total."""
-        out = {name: round(secs * 1e3, 3) for name, secs in self.phases.items()}
-        out["total"] = round(total * 1e3, 3)
-        return out
-
-    def ops(self) -> list[dict]:
-        """Shard RPC records, deterministically ordered."""
-        return sorted(
-            self.shard_ops, key=lambda op: (op["shard"], op["op"], op["ms"])
-        )
 
 
 class _Phase:
@@ -200,7 +170,7 @@ class _Phase:
 
     __slots__ = ("_name", "_sink", "_span", "_start")
 
-    def __init__(self, name: str, sink: _ExplainSink | None) -> None:
+    def __init__(self, name: str, sink: ExplainSink | None) -> None:
         self._name = name
         self._sink = sink
         self._span = obs_span(f"coord.{name}")
@@ -222,11 +192,18 @@ class _Phase:
 class ShardedQueryService:
     """Scatter-gather query front over a set of shard endpoints.
 
+    Also the :class:`~repro.serving.engine.QueryBackend` its own engine
+    runs: ``generation`` / ``degraded`` / :meth:`permitted_leaves` /
+    :meth:`run` / :meth:`explain_fragment` are that seam.
+
     The service does not own the worker processes — pass a
     :class:`~repro.net.cluster.ShardCluster`'s ``endpoints`` (or any
     other list of live :class:`~repro.net.protocol.ShardEndpoint`\\ s)
     and manage their lifecycle outside.
     """
+
+    name = "sharded"
+    span = "net.query"
 
     def __init__(
         self,
@@ -245,8 +222,7 @@ class ShardedQueryService:
         self._endpoints = {ep.shard_id: ep for ep in endpoints}
         self._metrics = metrics if metrics is not None else ServingMetrics()
         self._hierarchy, self._root, self._controller = build_routing_tree(spec)
-        self._cache = ResultCache(self.config.cache_capacity)
-        self._metrics.registry.register_collector(self._cache.metrics_snapshot)
+        self._engine = QueryEngine(lambda: self, self.config, self._metrics)
         self._breakers = {
             ep.shard_id: CircuitBreaker(
                 name=f"shard-{ep.shard_id}",
@@ -290,13 +266,14 @@ class ShardedQueryService:
         )
         self._admission = threading.BoundedSemaphore(self.config.queue_depth)
         self._generation = 1
-        self._scope_lock = threading.Lock()
-        self._scopes: dict[tuple[User, int], frozenset[str]] = {}
         self._records_lock = threading.Lock()
         self._records: dict[str, RegisteredVideo] = {}
         self._records_missing: set[int] = set(self._endpoints)
+        # Maintained under ``_records_lock`` where records are merged,
+        # so query threads read a flag instead of iterating a dict that
+        # another thread's ``_ensure_records`` may be growing.
+        self._degraded_videos = False
         self._last_errors: dict[int, str] = {}
-        self._slow_log = get_slow_log()
         self._closed = False
         # Prime registration records (event queries, skims, degradation
         # flags).  Per-shard failures are tolerated here — the fetch
@@ -326,6 +303,11 @@ class ShardedQueryService:
         return self._generation
 
     @property
+    def degraded(self) -> bool:
+        """Whether any known video's mining fell back somewhere."""
+        return self._degraded_videos
+
+    @property
     def metrics(self) -> ServingMetrics:
         """Live serving metrics."""
         return self._metrics
@@ -333,7 +315,12 @@ class ShardedQueryService:
     @property
     def cache(self) -> ResultCache:
         """The result cache."""
-        return self._cache
+        return self._engine.cache
+
+    @property
+    def cache_breaker(self) -> CircuitBreaker:
+        """The breaker guarding result-cache access."""
+        return self._engine.cache_breaker
 
     @property
     def breakers(self) -> dict[int, CircuitBreaker]:
@@ -360,7 +347,7 @@ class ShardedQueryService:
         deadline: float | None,
         trace_parent: int | None,
         trace_id: str | None,
-        sink: _ExplainSink | None,
+        sink: ExplainSink | None,
     ) -> dict:
         """One shard RPC on a scatter thread: retry + trace + stitch.
 
@@ -390,14 +377,7 @@ class ShardedQueryService:
             except RpcTransportError as exc:
                 elapsed = time.perf_counter() - started
                 if sink is not None:
-                    sink.shard_ops.append(
-                        {
-                            "shard": shard_id,
-                            "op": op,
-                            "ms": round(elapsed * 1e3, 3),
-                            "ok": False,
-                        }
-                    )
+                    sink.record_op(shard_id, op, elapsed, ok=False)
                 if tracer.enabled:
                     tracer.add_span_at(
                         f"rpc.retry.{op}",
@@ -425,26 +405,14 @@ class ShardedQueryService:
                 continue
             except Exception:
                 if sink is not None:
-                    sink.shard_ops.append(
-                        {
-                            "shard": shard_id,
-                            "op": op,
-                            "ms": round((time.perf_counter() - started) * 1e3, 3),
-                            "ok": False,
-                        }
+                    sink.record_op(
+                        shard_id, op, time.perf_counter() - started, ok=False
                     )
                 raise
             break
         elapsed = time.perf_counter() - started
         if sink is not None:
-            sink.shard_ops.append(
-                {
-                    "shard": shard_id,
-                    "op": op,
-                    "ms": round(elapsed * 1e3, 3),
-                    "ok": True,
-                }
-            )
+            sink.record_op(shard_id, op, elapsed, ok=True)
         if tracer.enabled:
             start_rel = tracer.now() - elapsed
             attrs: dict = {"shard": shard_id}
@@ -487,35 +455,23 @@ class ShardedQueryService:
         so the result is bit-identical either way.
         """
         endpoint = self._endpoints[shard_id]
+        # Trace kwargs ride only on traced calls, so an untraced scatter
+        # exercises the exact historic endpoint.call shape (and
+        # duck-typed call wrappers keep working).
+        traced = (
+            {}
+            if trace_id is None
+            else {"trace_id": trace_id, "parent_span": trace_parent}
+        )
         hedge_after = self.config.hedge_after_ms
         if hedge_after is None or self._hedge_pool is None:
             # Disarmed fast path: call directly, no closure, no future —
             # this is every RPC in the default config, and
-            # bench_net_resilience gates its overhead.  Trace kwargs
-            # ride only on traced calls, so an untraced scatter
-            # exercises the exact historic endpoint.call shape (and
-            # duck-typed call wrappers keep working).
-            if trace_id is not None:
-                return (
-                    endpoint.call(
-                        request,
-                        deadline,
-                        trace_id=trace_id,
-                        parent_span=trace_parent,
-                    ),
-                    False,
-                )
-            return endpoint.call(request, deadline), False
+            # bench_net_resilience gates its overhead.
+            return endpoint.call(request, deadline, **traced), False
 
         def once() -> dict:
-            if trace_id is not None:
-                return endpoint.call(
-                    request,
-                    deadline,
-                    trace_id=trace_id,
-                    parent_span=trace_parent,
-                )
-            return endpoint.call(request, deadline)
+            return endpoint.call(request, deadline, **traced)
 
         primary = self._hedge_pool.submit(once)
         try:
@@ -546,7 +502,7 @@ class ShardedQueryService:
         request: dict,
         deadline: float | None,
         shard_ids: "list[int] | None" = None,
-        sink: _ExplainSink | None = None,
+        sink: ExplainSink | None = None,
     ) -> tuple[dict[int, dict], set[int]]:
         """Send one op to shards; returns (responses, missing shard ids)."""
         targets = sorted(self._endpoints) if shard_ids is None else shard_ids
@@ -638,71 +594,11 @@ class ShardedQueryService:
                             ),
                         )
                     self._records_missing.discard(shard_id)
+                self._degraded_videos = any(
+                    record.degraded_stages for record in self._records.values()
+                )
         with self._records_lock:
             return set(self._records_missing)
-
-    # -- request validation / scope (mirrors QueryServer) --------------
-
-    def _validate(self, request: QueryRequest) -> None:
-        if request.kind not in QUERY_KINDS:
-            raise ServingError(
-                f"unknown query kind {request.kind!r}; "
-                f"expected one of {QUERY_KINDS}"
-            )
-        if request.kind == "event":
-            if request.event is None:
-                raise ServingError("event queries need an EventKind")
-        elif request.features is None:
-            raise ServingError(f"{request.kind} queries need a feature vector")
-        if request.kind == "shot_flat" and request.user is not None:
-            raise ServingError(
-                "the flat baseline does not support per-user access filtering"
-            )
-        if request.k < 1:
-            raise ServingError("k must be >= 1")
-        if request.nprobe is not None or request.rerank_k is not None:
-            if request.kind != "shot":
-                raise ServingError(
-                    "nprobe/rerank_k only apply to hierarchical shot queries"
-                )
-            if request.nprobe is not None and request.nprobe < 1:
-                raise ServingError("nprobe must be >= 1 (or None for exact)")
-            if request.rerank_k is not None and request.rerank_k < 1:
-                raise ServingError("rerank_k must be >= 1 (or None for all)")
-
-    def _effective_request(self, request: QueryRequest) -> QueryRequest:
-        """Fold the configured ANN defaults into the request.
-
-        Mirrors :meth:`QueryServer._effective_request
-        <repro.serving.server.QueryServer>`: resolved before the cache
-        key so a configured default and an explicit per-request knob
-        with the same values share entries.
-        """
-        if request.kind != "shot" or request.nprobe is not None:
-            return request
-        if self.config.ann_nprobe is None:
-            return request
-        return replace(
-            request,
-            nprobe=self.config.ann_nprobe,
-            rerank_k=(
-                request.rerank_k
-                if request.rerank_k is not None
-                else self.config.ann_rerank_k
-            ),
-        )
-
-    def _scope(self, user: User | None) -> tuple[frozenset[str] | None, str]:
-        if user is None:
-            return None, scope_token(None, None)
-        key = (user, self._generation)
-        with self._scope_lock:
-            leaves = self._scopes.get(key)
-        if leaves is None:
-            leaves = frozenset(self._controller.permitted_leaves(user))
-            with self._scope_lock:
-                self._scopes[key] = leaves
-        return leaves, scope_token(user, leaves)
 
     # -- the public query path -----------------------------------------
 
@@ -713,7 +609,7 @@ class ShardedQueryService:
         ``queue_depth`` concurrent queries, and typed errors exactly
         like the single-process server for malformed requests.
         """
-        self._validate(request)
+        validate_request(request)
         if self._closed:
             raise ServingError("sharded service is closed")
         if not self._admission.acquire(blocking=False):
@@ -732,61 +628,26 @@ class ShardedQueryService:
                 else None
             )
             with tracer.adopt(None, trace_id):
-                with obs_span("net.query", kind=request.kind) as sp:
-                    if trace_id is not None:
-                        sp.set(trace_id=trace_id)
-                    result = self._execute(request)
-                    sp.set(
-                        cache_hit=result.cache_hit,
-                        generation=result.generation,
-                        hits=len(result.hits),
-                        shards_missing=len(result.shards_missing),
-                    )
-                    return result
+                return self._engine.execute(
+                    request, self._deadline(request.timeout)
+                )
         finally:
             self._admission.release()
 
-    def _execute(self, request: QueryRequest) -> ServingResult:
-        start = time.perf_counter()
-        request = self._effective_request(request)
-        deadline = self._deadline(request.timeout)
-        leaves, scope = self._scope(request.user)
-        key = CacheKey(
-            kind=request.kind,
-            digest=request_digest(request),
-            k=request.k,
-            scope=scope,
-            generation=self._generation,
-        )
-        explain = _ExplainSink() if request.explain else None
-        if explain is None:
-            # Explain queries bypass the cache in both directions: the
-            # evidence must describe *this* execution, and an explain
-            # payload must never be replayed to a non-explain caller.
-            cached = self._cache.get(key)
-            if cached is not None:
-                elapsed = time.perf_counter() - start
-                self._metrics.record_query(
-                    request.kind, elapsed, cache_hit=True
-                )
-                self._slow_log.record(
-                    SlowQuery(
-                        kind=request.kind,
-                        elapsed_seconds=elapsed,
-                        backend="sharded",
-                        comparisons=cached.comparisons,
-                        approx_comparisons=cached.approx_comparisons,
-                        cache_hit=True,
-                        degraded=cached.degraded,
-                        shards_missing=cached.shards_missing,
-                        trace_id=current_trace_id(),
-                    )
-                )
-                return replace(cached, cache_hit=True, elapsed_seconds=elapsed)
+    # -- the engine's backend seam -------------------------------------
 
-        approx_comparisons = 0
-        reranked = 0
-        ann_degraded = False
+    def permitted_leaves(self, user: User) -> frozenset[str]:
+        """Leaf concepts ``user`` may enter (the routing tree's rules)."""
+        return frozenset(self._controller.permitted_leaves(user))
+
+    def run(
+        self,
+        request: QueryRequest,
+        leaves: frozenset[str] | None,
+        deadline: float | None,
+        explain: ExplainSink | None,
+    ) -> BackendAnswer:
+        """Scatter one request to the shards and merge per its kind."""
 
         def _dispatch():
             if request.kind == "shot":
@@ -798,7 +659,7 @@ class ShardedQueryService:
             return self._event(request, deadline, explain)
 
         try:
-            outcome = _dispatch()
+            answer = _dispatch()
         except NoShardAnsweredError:
             # A multi-phase query can straddle a rolling restart: its
             # first scatter answered by the shard that drained before
@@ -808,98 +669,25 @@ class ShardedQueryService:
             # workers); a genuine full outage fails identically here.
             if deadline is not None and time.perf_counter() >= deadline:
                 raise
-            outcome = _dispatch()
-        if request.kind == "shot":
-            hits, comparisons, missing, ann_stats = outcome
-            approx_comparisons, reranked, ann_degraded = ann_stats
-        else:
-            hits, comparisons, missing = outcome
-
-        degraded_videos = any(
-            record.degraded_stages for record in self._records.values()
-        )
-        degraded = bool(missing) or degraded_videos or ann_degraded
-        elapsed = time.perf_counter() - start
-        result = ServingResult(
-            kind=request.kind,
-            hits=hits,
-            generation=self._generation,
-            cache_hit=False,
-            elapsed_seconds=elapsed,
-            comparisons=comparisons,
-            degraded=degraded,
-            shards_missing=tuple(sorted(missing)),
-            approx_comparisons=approx_comparisons,
-            reranked=reranked,
-        )
-        if missing:
+            answer = _dispatch()
+        if answer.shards_missing:
             self._metrics.registry.counter(
                 "net_degraded_responses_total",
                 "Answers computed with at least one shard missing.",
             ).inc()
-        elif explain is None and not ann_degraded:
-            # Cache only full-strength answers: a degraded answer served
-            # from cache after the shard recovered (or its ANN block was
-            # restored) would silently keep returning weakened results.
-            self._cache.put(key, result)
-        self._metrics.record_query(
-            request.kind, elapsed, comparisons=comparisons, cache_hit=False
-        )
-        self._slow_log.record(
-            SlowQuery(
-                kind=request.kind,
-                elapsed_seconds=elapsed,
-                backend="sharded",
-                comparisons=comparisons,
-                approx_comparisons=approx_comparisons,
-                cache_hit=False,
-                degraded=degraded,
-                shards_missing=tuple(sorted(missing)),
-                trace_id=current_trace_id(),
-            )
-        )
-        if explain is not None:
-            result = replace(result, explain=self._explain_payload(
-                request, key, explain, result
-            ))
-        return result
+        return answer
 
-    def _explain_payload(
-        self,
-        request: QueryRequest,
-        key: CacheKey,
-        explain: _ExplainSink,
-        result: ServingResult,
+    def explain_fragment(
+        self, sink: ExplainSink, result: ServingResult, cache_breaker: str
     ) -> dict:
-        """Assemble the evidence dict attached to an explain response."""
+        """Per-shard RPC evidence and the fleet's breaker states."""
         return {
-            "backend": "sharded",
-            "kind": request.kind,
-            "generation": self._generation,
-            "phases_ms": explain.phases_ms(result.elapsed_seconds),
-            "shards": explain.ops(),
-            "counts": {
-                "comparisons": result.comparisons,
-                "approx_comparisons": result.approx_comparisons,
-                "reranked": result.reranked,
-            },
-            "cache": {
-                "disposition": "bypassed (explain)",
-                "would_hit": self._cache.peek(key) is not None,
-                "entries": len(self._cache),
-                "capacity": self._cache.capacity,
-            },
+            "shards": sink.ops(),
             "breakers": {
                 str(sid): self._breakers[sid].state.value
                 for sid in sorted(self._breakers)
             },
             "shards_missing": sorted(result.shards_missing),
-            "degraded": result.degraded,
-            "ann": {
-                "nprobe": request.nprobe,
-                "rerank_k": request.rerank_k,
-            },
-            "trace_id": current_trace_id(),
         }
 
     def _require_responses(self, responses: dict, missing: set[int]) -> None:
@@ -918,8 +706,8 @@ class ShardedQueryService:
         request: QueryRequest,
         scope_leaves: frozenset[str] | None,
         deadline: float | None,
-        explain: _ExplainSink | None = None,
-    ) -> tuple[tuple, int, set[int], tuple[int, int, bool]]:
+        explain: ExplainSink | None = None,
+    ) -> BackendAnswer:
         stats = QueryStats()
         allowed = set(scope_leaves) if scope_leaves is not None else None
         with _Phase("descend", explain):
@@ -929,7 +717,7 @@ class ShardedQueryService:
         ann_active = request.nprobe is not None
         if not leaves:
             if allowed is not None:
-                return (), stats.comparisons, set(), (0, 0, False)
+                return BackendAnswer((), stats.comparisons)
             raise DatabaseError("descent reached no populated leaf")
         names = [leaf.name for leaf in leaves]
         base = {
@@ -1010,35 +798,26 @@ class ShardedQueryService:
                     kept += 1
                 comparisons += kept
             merged.sort(key=lambda item: item[4], reverse=True)  # stable
-            hits = tuple(
-                RankedShot(
-                    entry=ShotEntry(
-                        video_title=item[1],
-                        shot_id=int(item[2]),
-                        scene_id=int(item[3]),
-                        features=self._shipped(features_by_ord, item[0]),
-                    ),
-                    score=float(item[4]),
-                )
-                for item in merged[: request.k]
-            )
+            hits = self._ranked_shots(merged[: request.k], features_by_ord)
         # ``reranked`` is computed at merge (deduplicated kept
         # candidates = the exact tail's scored rows), matching the
         # single-process QueryStats contract.
         reranked = comparisons - stats.comparisons if ann_active else 0
-        return (
+        return BackendAnswer(
             hits,
             comparisons,
-            missing,
-            (approx_comparisons, reranked, ann_degraded),
+            approx_comparisons,
+            reranked,
+            ann_degraded,
+            tuple(sorted(missing)),
         )
 
     def _flat(
         self,
         request: QueryRequest,
         deadline: float | None,
-        explain: _ExplainSink | None = None,
-    ) -> tuple[tuple, int, set[int]]:
+        explain: ExplainSink | None = None,
+    ) -> BackendAnswer:
         with _Phase("scatter", explain):
             responses, missing = self._scatter(
                 {
@@ -1061,27 +840,16 @@ class ShardedQueryService:
         # The flat baseline's stable sort over registration order is
         # exactly (-score, global ordinal).
         candidates.sort(key=lambda item: (-item[4], item[0]))
-        hits = tuple(
-            RankedShot(
-                entry=ShotEntry(
-                    video_title=item[1],
-                    shot_id=int(item[2]),
-                    scene_id=int(item[3]),
-                    features=self._shipped(features_by_ord, item[0]),
-                ),
-                score=float(item[4]),
-            )
-            for item in candidates[: request.k]
-        )
-        return hits, total, missing
+        hits = self._ranked_shots(candidates[: request.k], features_by_ord)
+        return BackendAnswer(hits, total, shards_missing=tuple(sorted(missing)))
 
     def _scene(
         self,
         request: QueryRequest,
         scope_leaves: frozenset[str] | None,
         deadline: float | None,
-        explain: _ExplainSink | None = None,
-    ) -> tuple[tuple, int, set[int]]:
+        explain: ExplainSink | None = None,
+    ) -> BackendAnswer:
         message = {
             "op": "scene",
             "features": pack_array(request.features),
@@ -1122,14 +890,16 @@ class ShardedQueryService:
                 if event_concept(hit.entry.video_title, hit.entry.event)
                 in scope_leaves
             ]
-        return tuple(hits), count, missing
+        return BackendAnswer(
+            tuple(hits), count, shards_missing=tuple(sorted(missing))
+        )
 
     def _event(
         self,
         request: QueryRequest,
         deadline: float | None,
-        explain: _ExplainSink | None = None,
-    ) -> tuple[tuple, int, set[int]]:
+        explain: ExplainSink | None = None,
+    ) -> BackendAnswer:
         with _Phase("records", explain):
             missing = self._ensure_records(deadline)
         with self._records_lock:
@@ -1143,18 +913,28 @@ class ShardedQueryService:
                 video_title=request.video_title,
             )
         )
-        return hits, 0, missing
+        return BackendAnswer(hits, shards_missing=tuple(sorted(missing)))
 
     @staticmethod
-    def _shipped(
-        features_by_ord: dict[str, np.ndarray], ordinal: int
-    ) -> np.ndarray:
-        payload = features_by_ord.get(str(ordinal))
-        if payload is None:
-            raise ServingError(
-                f"shard shipped no features for winning candidate {ordinal}"
+    def _ranked_shots(
+        winners: list[list], features_by_ord: dict[str, np.ndarray]
+    ) -> tuple[RankedShot, ...]:
+        """Wire candidates ``[ordinal, title, shot, scene, score]`` -> hits."""
+        hits = []
+        for ordinal, title, shot_id, scene_id, score in winners:
+            features = features_by_ord.get(str(ordinal))
+            if features is None:
+                raise ServingError(
+                    f"shard shipped no features for winning candidate {ordinal}"
+                )
+            entry = ShotEntry(
+                video_title=title,
+                shot_id=int(shot_id),
+                scene_id=int(scene_id),
+                features=features,
             )
-        return payload
+            hits.append(RankedShot(entry=entry, score=float(score)))
+        return tuple(hits)
 
     # -- maintenance ---------------------------------------------------
 
@@ -1170,14 +950,12 @@ class ShardedQueryService:
         responses, missing = self._scatter({"op": "reload"}, deadline)
         self._require_responses(responses, missing)
         self._generation += 1
-        self._cache.evict_other_generations(self._generation)
-        with self._scope_lock:
-            self._scopes = {}
         with self._records_lock:
             self._records = {}
             self._records_missing = set(self._endpoints)
+            self._degraded_videos = False
         self._ensure_records(deadline)
-        self._metrics.record_generation_swap()
+        self._engine.advance(self._generation)
         return self._generation
 
     def sample_features(self, n: int = 16) -> list[np.ndarray]:
@@ -1261,37 +1039,25 @@ class ShardedQueryService:
             endpoint = self._endpoints[shard_id]
             host, port = endpoint.address
             breaker_state = self._breakers[shard_id].state.value
-            if shard_id in responses:
+            ok = shard_id in responses
+            if ok:
                 generation = responses[shard_id].get("generation")
-                checks.append(
-                    HealthCheck(
-                        name=f"shard-{shard_id}",
-                        ok=True,
-                        detail=(
-                            f"{host}:{port} generation {generation}, "
-                            f"breaker {breaker_state}"
-                        ),
-                    )
+                detail = (
+                    f"{host}:{port} generation {generation}, "
+                    f"breaker {breaker_state}"
                 )
             else:
-                checks.append(
-                    HealthCheck(
-                        name=f"shard-{shard_id}",
-                        ok=False,
-                        detail=(
-                            f"breaker {breaker_state}: "
-                            + self._last_errors.get(shard_id, "breaker open")
-                        ),
-                    )
+                detail = f"breaker {breaker_state}: " + self._last_errors.get(
+                    shard_id, "breaker open"
                 )
-        degraded_videos = any(
-            record.degraded_stages for record in self._records.values()
-        )
+            checks.append(HealthCheck(name=f"shard-{shard_id}", ok=ok, detail=detail))
+        with self._records_lock:
+            known, degraded_videos = len(self._records), self._degraded_videos
         checks.append(
             HealthCheck(
                 name="corpus",
                 ok=not degraded_videos,
-                detail=f"{len(self._records)} videos known",
+                detail=f"{known} videos known",
             )
         )
         return HealthReport(
@@ -1300,29 +1066,3 @@ class ShardedQueryService:
             degraded=bool(missing) or degraded_videos,
             checks=checks,
         )
-
-    def describe(self) -> str:
-        """Plain-text status: shards, breakers, cache, metrics."""
-        report = self.health_report()
-        stats = self._cache.stats()
-        lines = [
-            f"sharded service: {self.spec.num_shards} shards, "
-            f"generation {self._generation}, status {report.status}",
-        ]
-        for check in report.checks:
-            lines.append(
-                f"  {check.name}: {'ok' if check.ok else 'FAIL'} "
-                f"({check.detail})"
-            )
-        lines.append(
-            f"  cache: {len(self._cache)}/{self._cache.capacity} entries, "
-            f"hit rate {stats.hit_rate * 100:.1f}%"
-        )
-        lines.append(
-            "  breakers: "
-            + "; ".join(
-                self._breakers[sid].describe() for sid in sorted(self._breakers)
-            )
-        )
-        lines.append(self._metrics.render())
-        return "\n".join(lines)

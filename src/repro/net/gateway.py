@@ -64,6 +64,7 @@ import numpy as np
 
 from repro.database.access import User
 from repro.errors import (
+    BadRequestError,
     DatabaseError,
     OverloadedError,
     ReproError,
@@ -88,22 +89,6 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
-
-#: Validation-failure message prefixes the backend raises as
-#: :class:`ServingError`; the gateway maps these to 400, everything
-#: else to 500/504.
-_CLIENT_ERRORS = (
-    "unknown query kind",
-    "event queries need",
-    "shot queries need",
-    "shot_flat queries need",
-    "scene queries need",
-    "the flat baseline does not support",
-    "k must be",
-    "nprobe must be",
-    "rerank_k must be",
-    "nprobe/rerank_k only apply",
-)
 
 
 @dataclass(frozen=True)
@@ -783,12 +768,12 @@ class HttpGateway:
         ctx.fanout = self._backend.shard_count()
         try:
             result = await self._offload(self._backend.query, request, ctx=ctx)
+        except BadRequestError as exc:
+            raise _HttpError(400, str(exc)) from None
         except OverloadedError as exc:
             raise _HttpError(503, str(exc), retry_after=1.0) from None
         except ServingError as exc:
             message = str(exc)
-            if message.startswith(_CLIENT_ERRORS):
-                raise _HttpError(400, message) from None
             if "deadline" in message:
                 raise _HttpError(504, message) from None
             raise _HttpError(500, message) from None

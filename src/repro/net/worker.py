@@ -176,23 +176,27 @@ class ShardWorker:
                         return  # connection closed or garbage: drop it
                     with worker._inflight_lock:
                         worker._inflight += 1
+                    # In flight until the response is *written*: a drain
+                    # that severed the connection between dispatch and
+                    # send would drop a finished answer (or its own ack).
                     try:
-                        response = worker._dispatch(request)
-                    except ReproError as exc:
-                        response = {"ok": False, "error": str(exc)}
-                    except Exception as exc:  # never kill the connection
-                        response = {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
+                        try:
+                            response = worker._dispatch(request)
+                        except ReproError as exc:
+                            response = {"ok": False, "error": str(exc)}
+                        except Exception as exc:  # never kill the connection
+                            response = {
+                                "ok": False,
+                                "error": f"{type(exc).__name__}: {exc}",
+                            }
+                        try:
+                            send_frame(self.request, response)
+                        except (ReproError, OSError):
+                            return
                     finally:
                         with worker._inflight_lock:
                             worker._inflight -= 1
                             worker._inflight_idle.notify_all()
-                    try:
-                        send_frame(self.request, response)
-                    except (ReproError, OSError):
-                        return
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True

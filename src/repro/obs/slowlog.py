@@ -52,6 +52,21 @@ class SlowQuery:
             "wall_time": self.wall_time,
         }
 
+    @classmethod
+    def from_json(cls, entry: dict) -> "SlowQuery":
+        """Inverse of :meth:`to_json` (tolerant of missing keys)."""
+        return cls(
+            kind=str(entry.get("kind", "?")),
+            elapsed_seconds=float(entry.get("elapsed_ms", 0.0)) / 1e3,
+            backend=str(entry.get("backend", "?")),
+            comparisons=int(entry.get("comparisons", 0)),
+            approx_comparisons=int(entry.get("approx_comparisons", 0)),
+            cache_hit=bool(entry.get("cache_hit", False)),
+            degraded=bool(entry.get("degraded", False)),
+            shards_missing=tuple(entry.get("shards_missing", ())),
+            trace_id=entry.get("trace_id"),
+        )
+
 
 class SlowQueryLog:
     """Thread-safe bounded buffer retaining the slowest queries seen."""

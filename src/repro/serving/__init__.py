@@ -8,6 +8,9 @@ access" requirement at many-user scale):
 * :mod:`repro.serving.cache` — bounded LRU result cache keyed on query
   digest, principal scope and generation (access resolved *before*
   lookup, never after);
+* :mod:`repro.serving.engine` — the one request lifecycle (validate,
+  scope, cache, execute, account, explain) shared with the sharded
+  front in :mod:`repro.net.coordinator`;
 * :mod:`repro.serving.server` — worker pool, bounded admission queue,
   per-query deadlines, typed overload rejection;
 * :mod:`repro.serving.metrics` — counters and latency histograms with
@@ -32,12 +35,7 @@ from repro.serving.loadgen import (
     build_query_pool,
     run_load,
 )
-from repro.serving.metrics import (
-    QUERY_KINDS,
-    LatencyHistogram,
-    ServingMetrics,
-    format_seconds,
-)
+from repro.serving.metrics import QUERY_KINDS, ServingMetrics
 from repro.serving.server import (
     QueryRequest,
     QueryServer,
@@ -55,7 +53,6 @@ __all__ = [
     "CacheKey",
     "CacheStats",
     "DEFAULT_MIX",
-    "LatencyHistogram",
     "LoadReport",
     "LoadgenConfig",
     "QUERY_KINDS",
@@ -71,7 +68,6 @@ __all__ = [
     "build_snapshot",
     "feature_digest",
     "request_digest",
-    "format_seconds",
     "run_load",
     "scope_token",
 ]

@@ -64,11 +64,9 @@ def request_digest(request) -> str:
     """Kind-specific content digest of one query request.
 
     Accepts any object shaped like
-    :class:`repro.serving.server.QueryRequest` (duck-typed to avoid an
-    import cycle).  Both the in-process :class:`QueryServer` and the
-    sharded :class:`repro.net.coordinator.ShardedQueryService` build
-    their cache keys through this one function, so the two paths can
-    never drift into keying the same logical query differently.
+    :class:`repro.serving.engine.QueryRequest` (duck-typed to avoid an
+    import cycle); the engine builds every cache key — for both query
+    fronts — through this one function.
     """
     if request.kind == "event":
         assert request.event is not None

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.database.access import User
 from repro.errors import OverloadedError, ServingError
-from repro.serving.metrics import format_seconds
+from repro.obs.metrics import format_seconds
 from repro.serving.server import QueryRequest, QueryServer, ServingResult
 from repro.serving.snapshot import Snapshot
 from repro.types import EventKind

@@ -9,21 +9,13 @@ in a :class:`~repro.obs.registry.MetricsRegistry`: counters in the
 process-global registry in (``ServingMetrics(registry=obs.get_registry())``,
 what ``classminer serve`` does) makes the same numbers available to the
 Prometheus/JSON exporters without changing the plain-text dump.
-
-:class:`LatencyHistogram` and :func:`format_seconds` are re-exported
-from their new home in :mod:`repro.obs.metrics` for backward
-compatibility.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.obs.metrics import (  # noqa: F401  (compatibility re-exports)
-    BUCKET_BOUNDS as _BUCKET_BOUNDS,
-    LatencyHistogram,
-    format_seconds,
-)
+from repro.obs.metrics import format_seconds
 from repro.obs.registry import MetricsRegistry
 
 #: Query kinds the serving runtime distinguishes.

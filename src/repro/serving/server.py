@@ -1,8 +1,10 @@
 """The concurrent in-process query server.
 
-:class:`QueryServer` puts a worker pool, a bounded admission queue,
-per-query deadlines, an access-scope-aware result cache and metrics in
-front of the snapshot layer:
+:class:`QueryServer` puts a worker pool, a bounded admission queue and
+per-query deadlines in front of the snapshot layer; everything a query
+does once a worker picks it up — scope, cache, execution, accounting —
+is the shared :class:`~repro.serving.engine.QueryEngine` lifecycle run
+over a :class:`SnapshotBackend`:
 
 * **Admission** — ``submit`` enqueues onto a bounded queue and raises
   :class:`~repro.errors.OverloadedError` when it is full, so overload
@@ -12,9 +14,6 @@ front of the snapshot layer:
   that expires while still queued is failed without executing, and
   :meth:`query` raises :class:`~repro.errors.ServingError` when the
   deadline passes while waiting.
-* **Access before cache** — the caller's permitted-leaf scope is
-  resolved *before* the cache lookup and is part of the key, so a
-  cached result can never cross a clearance boundary.
 * **Generations** — results carry the snapshot generation they were
   computed against; a generation swap (manual ``refresh`` or the ingest
   hook) invalidates the cache structurally.
@@ -26,7 +25,8 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,20 +34,21 @@ from repro.database.access import User
 from repro.database.catalog import VideoDatabase
 from repro.database.events_query import event_concept
 from repro.errors import OverloadedError, ReproError, ServingError
-from repro.obs.slowlog import SlowQuery, get_slow_log
-from repro.obs.trace import active_tracer, current_trace_id, span as obs_span
+from repro.obs.trace import active_tracer
 from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.faults import fault_point
 from repro.resilience.watchdog import Watchdog
-from repro.serving.cache import (
-    CacheKey,
-    ResultCache,
-    request_digest,
-    scope_token,
+from repro.serving.cache import ResultCache
+from repro.serving.engine import (
+    BackendAnswer,
+    ExplainSink,
+    QueryEngine,
+    QueryRequest,
+    ServingResult,
+    validate_front_config,
+    validate_request,
 )
-from repro.serving.metrics import QUERY_KINDS, ServingMetrics
-from repro.serving.snapshot import Snapshot, SnapshotManager
-from repro.types import EventKind
+from repro.serving.metrics import ServingMetrics
+from repro.serving.snapshot import Snapshot, SnapshotManager, warm_ann_indexes
 
 
 @dataclass(frozen=True)
@@ -90,97 +91,94 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServingError("a server needs at least one worker")
-        if self.queue_depth < 1:
-            raise ServingError("queue depth must be >= 1")
         if self.watchdog_interval is not None and self.watchdog_interval <= 0:
             raise ServingError("watchdog interval must be > 0 (or None)")
-        if self.ann_nprobe is not None and self.ann_nprobe < 1:
-            raise ServingError("ann_nprobe must be >= 1 (or None for exact)")
-        if self.ann_rerank_k is not None and self.ann_rerank_k < 1:
-            raise ServingError("ann_rerank_k must be >= 1 (or None for all)")
+        validate_front_config(self)
 
 
-@dataclass(frozen=True)
-class QueryRequest:
-    """One query submitted to the server.
+class SnapshotBackend:
+    """The in-process :class:`~repro.serving.engine.QueryBackend`.
 
-    ``kind`` selects the execution path: ``shot`` (hierarchical
-    descent), ``shot_flat`` (Eq. 24 linear-scan baseline), ``scene``
-    (centroid search) or ``event`` (registration-record walk).  Shot and
-    scene kinds need ``features``; event kind needs ``event``.
-
-    ``nprobe`` / ``rerank_k`` (``shot`` kind only) opt this query into
-    the approximate leaf tier; unset, the server's configured defaults
-    apply, and with neither the scan stays exact.
-
-    ``explain`` asks for per-phase timings and execution metadata on
-    the result.  An explain query computes the same answer (the result
-    fields are bit-identical) but bypasses the result cache in both
-    directions — it is never served from cache and never written to it
-    — so the reported timings describe a real execution.  ``explain``
-    is deliberately *not* part of the cache identity
-    (:func:`~repro.serving.cache.request_digest` ignores it).
+    Pins the manager's current snapshot for one request, so scope
+    resolution, the cache key and the scan all see one generation.
     """
 
-    kind: str
-    features: np.ndarray | None = field(default=None, repr=False)
-    k: int = 10
-    user: User | None = None
-    event: EventKind | None = None
-    video_title: str | None = None
-    timeout: float | None = None
-    nprobe: int | None = None
-    rerank_k: int | None = None
-    explain: bool = False
+    __slots__ = ("_manager", "_snapshot", "generation")
 
+    name = "single"
+    span = "serve.query"
 
-@dataclass(frozen=True)
-class ServingResult:
-    """What the server hands back for one query.
+    def __init__(self, manager: SnapshotManager) -> None:
+        self._manager = manager
+        self._snapshot = manager.current()
+        self.generation = self._snapshot.generation
 
-    ``hits`` is the kind-specific payload (``RankedShot`` /
-    ``RankedScene`` / ``EventHit`` lists); ``generation`` names the
-    snapshot the answer was computed against; ``elapsed_seconds`` is the
-    worker-side execution time (queue wait excluded), measured on the
-    monotonic clock.
+    @property
+    def degraded(self) -> bool:
+        """Stale generation, or a corpus with degraded videos."""
+        return self._manager.degraded or bool(self._snapshot.degraded_videos)
 
-    ``degraded`` is True when the answer comes from a weakened
-    position: the last snapshot rebuild failed (so the generation is
-    stale) or the corpus contains videos whose mining fell back
-    somewhere (see :attr:`Snapshot.degraded_videos
-    <repro.serving.snapshot.Snapshot>`).  The answer is still correct
-    for the data the snapshot holds — the flag tells the caller the
-    evidence is not at full strength.
+    def permitted_leaves(self, user: User) -> frozenset[str]:
+        """Leaf concepts ``user`` may enter in the pinned snapshot."""
+        return self._snapshot.permitted_leaves(user)
 
-    ``shards_missing`` is only ever non-empty on answers produced by
-    the sharded scatter-gather path
-    (:class:`repro.net.coordinator.ShardedQueryService`): it lists the
-    shard ids whose worker could not contribute, in which case
-    ``degraded`` is also True and the hits cover the reachable shards
-    only.  The single-process server always leaves it empty.
+    def run(
+        self,
+        request: QueryRequest,
+        leaves: frozenset[str] | None,
+        deadline: float | None,
+        sink: ExplainSink | None,
+    ) -> BackendAnswer:
+        """Execute against the pinned snapshot (deadlines end at admission)."""
+        snapshot = self._snapshot
+        if request.kind == "shot":
+            result = snapshot.search(
+                request.features,
+                user=request.user,
+                k=request.k,
+                allowed_leaves=leaves,
+                nprobe=request.nprobe,
+                rerank_k=request.rerank_k,
+            )
+            stats = result.stats
+            return BackendAnswer(
+                tuple(result.hits),
+                stats.comparisons,
+                stats.approx_comparisons,
+                stats.reranked,
+                stats.ann_degraded,
+            )
+        if request.kind == "shot_flat":
+            result = snapshot.search_flat(request.features, k=request.k)
+            return BackendAnswer(tuple(result.hits), result.stats.comparisons)
+        if request.kind == "scene":
+            scenes = snapshot.search_scenes(
+                request.features, k=request.k, event=request.event
+            )
+            if leaves is not None:
+                # Scope resolved before the cache key: filtering here is
+                # part of computing the answer, not a post-cache patch.
+                scenes = [
+                    hit
+                    for hit in scenes
+                    if event_concept(hit.entry.video_title, hit.entry.event) in leaves
+                ]
+            return BackendAnswer(tuple(scenes), len(snapshot.scenes))
+        events = snapshot.query_events(
+            request.event, user=request.user, video_title=request.video_title
+        )
+        return BackendAnswer(tuple(events))
 
-    ``approx_comparisons`` counts quantized-code (uint8) evaluations the
-    ANN tier performed and ``reranked`` the candidates its exact tail
-    scored; both stay 0 on exact queries.
-
-    ``explain`` is populated only on ``explain=True`` requests: a plain
-    dict of per-phase timings, comparison counts, cache disposition and
-    breaker states.  It is metadata *about* the execution — the other
-    fields are bit-identical to what the same request would return
-    without explain.
-    """
-
-    kind: str
-    hits: tuple
-    generation: int
-    cache_hit: bool
-    elapsed_seconds: float
-    comparisons: int = 0
-    degraded: bool = False
-    shards_missing: tuple[int, ...] = ()
-    approx_comparisons: int = 0
-    reranked: int = 0
-    explain: dict | None = None
+    def explain_fragment(
+        self, sink: ExplainSink, result: ServingResult, cache_breaker: str
+    ) -> dict:
+        """The two breakers an in-process answer can sit behind."""
+        return {
+            "breakers": {
+                "result-cache": cache_breaker,
+                "snapshot": self._manager.breaker.state.value,
+            }
+        }
 
 
 _SENTINEL = object()
@@ -200,28 +198,20 @@ class QueryServer:
             raise ServingError("pass exactly one of database or manager")
         self.config = config if config is not None else ServerConfig()
         self._manager = manager if manager is not None else SnapshotManager(database)
-        self._cache = ResultCache(self.config.cache_capacity)
         # Default: metrics on a private registry, so independent servers
         # never mix counts.  ``classminer serve`` passes
         # ``ServingMetrics(registry=repro.obs.get_registry())`` to make
         # the same numbers visible to the Prometheus/JSON exporters.
         self._metrics = metrics if metrics is not None else ServingMetrics()
-        self._metrics.registry.register_collector(self._cache.metrics_snapshot)
+        self.engine = QueryEngine(
+            partial(SnapshotBackend, self._manager), self.config, self._metrics
+        )
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_depth)
         self._threads: list[threading.Thread] = []
         self._running = False
         self._lifecycle = threading.Lock()
-        self._scope_lock = threading.Lock()
-        self._scopes: dict[tuple[User, int], frozenset[str]] = {}
-        # A flaky cache must not take queries down with it: get/put run
-        # through this breaker and an open breaker simply bypasses the
-        # cache (answers recompute against the snapshot).
-        self._cache_breaker = CircuitBreaker(
-            name="result-cache", registry=self._metrics.registry
-        )
         self._watchdog: Watchdog | None = None
         self._worker_serial = 0
-        self._slow_log = get_slow_log()
         self._manager.subscribe(self._on_snapshot)
 
     # ------------------------------------------------------------------
@@ -329,12 +319,12 @@ class QueryServer:
     @property
     def cache(self) -> ResultCache:
         """The result cache."""
-        return self._cache
+        return self.engine.cache
 
     @property
     def cache_breaker(self) -> CircuitBreaker:
         """The breaker guarding result-cache access."""
-        return self._cache_breaker
+        return self.engine.cache_breaker
 
     @property
     def watchdog(self) -> Watchdog | None:
@@ -362,17 +352,8 @@ class QueryServer:
 
     def _on_snapshot(self, snapshot: Snapshot) -> None:
         if self.config.ann_nprobe is not None:
-            from repro.serving.snapshot import warm_ann_indexes
-
             warm_ann_indexes(snapshot)
-        self._cache.evict_other_generations(snapshot.generation)
-        with self._scope_lock:
-            self._scopes = {
-                key: value
-                for key, value in self._scopes.items()
-                if key[1] == snapshot.generation
-            }
-        self._metrics.record_generation_swap()
+        self.engine.advance(snapshot.generation)
 
     # ------------------------------------------------------------------
     # Submission.
@@ -381,19 +362,15 @@ class QueryServer:
     def submit(self, request: QueryRequest) -> "Future[ServingResult]":
         """Admit one query; returns a future resolving to its result.
 
-        Raises :class:`~repro.errors.ServingError` for malformed
-        requests or a stopped server, and
-        :class:`~repro.errors.OverloadedError` when the admission queue
-        is full.
+        Raises :class:`~repro.errors.BadRequestError` for malformed
+        requests, :class:`~repro.errors.ServingError` for a stopped
+        server, and :class:`~repro.errors.OverloadedError` when the
+        admission queue is full.
         """
-        self._validate(request)
+        validate_request(request)
         if not self._running:
             raise ServingError("server is not running (call start())")
-        timeout = (
-            request.timeout
-            if request.timeout is not None
-            else self.config.default_timeout
-        )
+        timeout = self._timeout(request)
         deadline = None if timeout is None else time.perf_counter() + timeout
         future: Future[ServingResult] = Future()
         # Trace context is captured on the *submitting* thread: the
@@ -413,13 +390,14 @@ class QueryServer:
             ) from None
         return future
 
+    def _timeout(self, request: QueryRequest) -> float | None:
+        if request.timeout is not None:
+            return request.timeout
+        return self.config.default_timeout
+
     def query(self, request: QueryRequest) -> ServingResult:
         """Blocking convenience: submit and wait out the deadline."""
-        timeout = (
-            request.timeout
-            if request.timeout is not None
-            else self.config.default_timeout
-        )
+        timeout = self._timeout(request)
         future = self.submit(request)
         try:
             return future.result(timeout=timeout)
@@ -439,35 +417,6 @@ class QueryServer:
     ) -> ServingResult:
         """Shorthand for a blocking shot (or flat) search."""
         return self.query(QueryRequest(kind=kind, features=features, k=k, user=user))
-
-    def _validate(self, request: QueryRequest) -> None:
-        if request.kind not in QUERY_KINDS:
-            raise ServingError(
-                f"unknown query kind {request.kind!r}; expected one of {QUERY_KINDS}"
-            )
-        if request.kind == "event":
-            if request.event is None:
-                raise ServingError("event queries need an EventKind")
-        elif request.features is None:
-            raise ServingError(f"{request.kind} queries need a feature vector")
-        if request.kind == "shot_flat" and request.user is not None:
-            # The flat baseline has no concept structure to filter on;
-            # silently post-filtering would apply access control after
-            # ranking, which the serving layer forbids.
-            raise ServingError(
-                "the flat baseline does not support per-user access filtering"
-            )
-        if request.k < 1:
-            raise ServingError("k must be >= 1")
-        if request.nprobe is not None or request.rerank_k is not None:
-            if request.kind != "shot":
-                raise ServingError(
-                    "nprobe/rerank_k only apply to hierarchical shot queries"
-                )
-            if request.nprobe is not None and request.nprobe < 1:
-                raise ServingError("nprobe must be >= 1 (or None for exact)")
-            if request.rerank_k is not None and request.rerank_k < 1:
-                raise ServingError("rerank_k must be >= 1 (or None for all)")
 
     # ------------------------------------------------------------------
     # Execution (worker side).
@@ -518,7 +467,7 @@ class QueryServer:
             return
         try:
             with active_tracer().adopt(trace_parent, trace_id):
-                result = self._execute(request)
+                result = self.engine.execute(request, deadline)
         except ReproError as exc:
             self._metrics.record_error()
             self._fail(future, exc)
@@ -532,249 +481,6 @@ class QueryServer:
         except Exception:  # future cancelled while we computed
             pass
 
-    def _scope(
-        self, user: User | None, snapshot: Snapshot
-    ) -> tuple[frozenset[str] | None, str]:
-        """Resolve (permitted leaves, scope token) for the cache key.
-
-        Leaf sets are memoised per (user, generation); the audit log
-        records the resolution once per generation rather than once per
-        query.
-        """
-        if user is None:
-            return None, scope_token(None, None)
-        cache_key = (user, snapshot.generation)
-        with self._scope_lock:
-            leaves = self._scopes.get(cache_key)
-        if leaves is None:
-            leaves = snapshot.permitted_leaves(user)
-            with self._scope_lock:
-                self._scopes[cache_key] = leaves
-        return leaves, scope_token(user, leaves)
-
-    def _request_digest(self, request: QueryRequest) -> str:
-        return request_digest(request)
-
-    def _execute(self, request: QueryRequest) -> ServingResult:
-        with obs_span("serve.query", kind=request.kind) as sp:
-            result = self._execute_unspanned(request)
-            sp.set(
-                cache_hit=result.cache_hit,
-                generation=result.generation,
-                hits=len(result.hits),
-                comparisons=result.comparisons,
-            )
-            trace_id = current_trace_id()
-            if trace_id is not None:
-                sp.set(trace_id=trace_id)
-            return result
-
-    def _cache_get(self, key: CacheKey) -> ServingResult | None:
-        """Cache lookup through the breaker (miss when open or failing)."""
-        if not self._cache_breaker.allow():
-            return None
-        try:
-            fault_point("serve.cache")
-            cached = self._cache.get(key)
-        except Exception:
-            self._cache_breaker.record_failure()
-            return None
-        self._cache_breaker.record_success()
-        return cached
-
-    def _cache_put(self, key: CacheKey, result: ServingResult) -> None:
-        """Cache store through the breaker (dropped when open or failing)."""
-        if not self._cache_breaker.allow():
-            return
-        try:
-            fault_point("serve.cache")
-            self._cache.put(key, result)
-        except Exception:
-            self._cache_breaker.record_failure()
-            return
-        self._cache_breaker.record_success()
-
-    def _effective_request(self, request: QueryRequest) -> QueryRequest:
-        """Fold the server's configured ANN defaults into the request.
-
-        Resolved *before* the cache key is computed, so a configured
-        default and an explicit per-request knob with the same values
-        share cache entries (and an exact query never collides with an
-        approximate one).
-        """
-        if request.kind != "shot" or request.nprobe is not None:
-            return request
-        if self.config.ann_nprobe is None:
-            return request
-        return replace(
-            request,
-            nprobe=self.config.ann_nprobe,
-            rerank_k=(
-                request.rerank_k
-                if request.rerank_k is not None
-                else self.config.ann_rerank_k
-            ),
-        )
-
-    def _record_slow(self, result: ServingResult) -> None:
-        self._slow_log.record(
-            SlowQuery(
-                kind=result.kind,
-                elapsed_seconds=result.elapsed_seconds,
-                backend="single",
-                comparisons=result.comparisons,
-                approx_comparisons=result.approx_comparisons,
-                cache_hit=result.cache_hit,
-                degraded=result.degraded,
-                shards_missing=result.shards_missing,
-                trace_id=current_trace_id(),
-            )
-        )
-
-    def _explain_payload(
-        self,
-        request: QueryRequest,
-        key: CacheKey,
-        result: ServingResult,
-        scope_seconds: float,
-        search_seconds: float,
-    ) -> dict:
-        """Execution metadata for one explain query (never cached)."""
-        return {
-            "backend": "single",
-            "kind": request.kind,
-            "generation": result.generation,
-            "phases_ms": {
-                "scope": round(scope_seconds * 1e3, 3),
-                "search": round(search_seconds * 1e3, 3),
-                "total": round(result.elapsed_seconds * 1e3, 3),
-            },
-            "counts": {
-                "comparisons": result.comparisons,
-                "approx_comparisons": result.approx_comparisons,
-                "reranked": result.reranked,
-            },
-            "cache": {
-                "disposition": "bypassed (explain)",
-                "would_hit": self._cache.peek(key) is not None,
-                "entries": len(self._cache),
-                "capacity": self._cache.capacity,
-            },
-            "breakers": {
-                "result-cache": self._cache_breaker.state.value,
-                "snapshot": self._manager.breaker.state.value,
-            },
-            "degraded": result.degraded,
-            "ann": {"nprobe": request.nprobe, "rerank_k": request.rerank_k},
-            "trace_id": current_trace_id(),
-        }
-
-    def _execute_unspanned(self, request: QueryRequest) -> ServingResult:
-        start = time.perf_counter()
-        fault_point("serve.query")
-        request = self._effective_request(request)
-        snapshot = self._manager.current()
-        degraded = self._manager.degraded or bool(snapshot.degraded_videos)
-        leaves, scope = self._scope(request.user, snapshot)
-        scope_seconds = time.perf_counter() - start
-        key = CacheKey(
-            kind=request.kind,
-            digest=self._request_digest(request),
-            k=request.k,
-            scope=scope,
-            generation=snapshot.generation,
-        )
-        # Explain queries bypass the cache in both directions: the
-        # reported timings must describe a real execution, and a result
-        # carrying explain metadata must never be served to a caller
-        # that did not ask for it.
-        cached = None if request.explain else self._cache_get(key)
-        if cached is not None:
-            elapsed = time.perf_counter() - start
-            self._metrics.record_query(request.kind, elapsed, cache_hit=True)
-            result = replace(
-                cached, cache_hit=True, elapsed_seconds=elapsed, degraded=degraded
-            )
-            self._record_slow(result)
-            return result
-
-        search_start = time.perf_counter()
-        hits: tuple
-        comparisons = 0
-        approx_comparisons = 0
-        reranked = 0
-        ann_degraded = False
-        if request.kind == "shot":
-            result = snapshot.search(
-                request.features,
-                user=request.user,
-                k=request.k,
-                allowed_leaves=leaves,
-                nprobe=request.nprobe,
-                rerank_k=request.rerank_k,
-            )
-            hits = tuple(result.hits)
-            comparisons = result.stats.comparisons
-            approx_comparisons = result.stats.approx_comparisons
-            reranked = result.stats.reranked
-            ann_degraded = result.stats.ann_degraded
-            degraded = degraded or ann_degraded
-        elif request.kind == "shot_flat":
-            result = snapshot.search_flat(request.features, k=request.k)
-            hits = tuple(result.hits)
-            comparisons = result.stats.comparisons
-        elif request.kind == "scene":
-            scenes = snapshot.search_scenes(
-                request.features, k=request.k, event=request.event
-            )
-            if leaves is not None:
-                # Scope resolved before the cache key: filtering here is
-                # part of computing the answer, not a post-cache patch.
-                scenes = [
-                    hit
-                    for hit in scenes
-                    if event_concept(hit.entry.video_title, hit.entry.event) in leaves
-                ]
-            hits = tuple(scenes)
-            comparisons = len(snapshot.scenes)
-        else:  # event
-            hits = tuple(
-                snapshot.query_events(
-                    request.event, user=request.user, video_title=request.video_title
-                )
-            )
-
-        search_seconds = time.perf_counter() - search_start
-        elapsed = time.perf_counter() - start
-        result = ServingResult(
-            kind=request.kind,
-            hits=hits,
-            generation=snapshot.generation,
-            cache_hit=False,
-            elapsed_seconds=elapsed,
-            comparisons=comparisons,
-            degraded=degraded,
-            approx_comparisons=approx_comparisons,
-            reranked=reranked,
-        )
-        if request.explain:
-            result = replace(
-                result,
-                explain=self._explain_payload(
-                    request, key, result, scope_seconds, search_seconds
-                ),
-            )
-        elif not ann_degraded:
-            # An ANN-degraded answer came from a fallback scan that may
-            # heal on the very next query (the loader thunk is retried);
-            # caching it would pin the weakened answer for a generation.
-            self._cache_put(key, result)
-        self._metrics.record_query(
-            request.kind, elapsed, comparisons=comparisons, cache_hit=False
-        )
-        self._record_slow(result)
-        return result
-
     # ------------------------------------------------------------------
     # Reporting.
     # ------------------------------------------------------------------
@@ -782,7 +488,8 @@ class QueryServer:
     def describe(self) -> str:
         """One-stop plain-text status: snapshot, cache, metrics."""
         snapshot = self._manager.current()
-        stats = self._cache.stats()
+        cache, cache_breaker = self.engine.cache, self.engine.cache_breaker
+        stats = cache.stats()
         degraded_videos = snapshot.degraded_videos
         lines = [
             f"query server: {self.alive_workers}/{self.config.workers} workers, "
@@ -800,16 +507,16 @@ class QueryServer:
                 if self._manager.degraded
                 else ""
             ),
-            f"  cache: {len(self._cache)}/{self._cache.capacity} entries, "
+            f"  cache: {len(cache)}/{cache.capacity} entries, "
             f"hit rate {stats.hit_rate * 100:.1f}%, "
             f"{stats.stale_evictions} stale evicted"
             + (
                 ""
-                if self._cache_breaker.state is BreakerState.CLOSED
-                else f" [{self._cache_breaker.describe()}]"
+                if cache_breaker.state is BreakerState.CLOSED
+                else f" [{cache_breaker.describe()}]"
             ),
             f"  breakers: {self._manager.breaker.describe()}; "
-            f"{self._cache_breaker.describe()}",
+            f"{cache_breaker.describe()}",
             self._metrics.render(),
         ]
         return "\n".join(lines)

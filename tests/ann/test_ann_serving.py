@@ -6,7 +6,6 @@ import pytest
 
 from repro.database.query import search_hierarchical
 from repro.errors import ServingError
-from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving.server import QueryRequest, QueryServer, ServerConfig
 from repro.storage import SQLVideoDatabase, save_database
 
@@ -80,32 +79,6 @@ class TestServerKnobs:
 
 
 class TestDegradedNotCached:
-    def test_degraded_answer_recomputes_until_healthy(
-        self, ann_db, probes, tmp_path
-    ):
-        save_database(ann_db, tmp_path)
-        lazy = SQLVideoDatabase.open(tmp_path)
-        try:
-            with QueryServer(lazy, ServerConfig(workers=1)) as server:
-                plan = FaultPlan(
-                    [FaultSpec(point="storage.ann_block_missing", kind="error")],
-                    seed=0,
-                )
-                request = QueryRequest(
-                    kind="shot", features=probes[0], nprobe=NPROBE_ALL
-                )
-                with inject(plan):
-                    degraded = server.query(request)
-                assert degraded.degraded
-                healthy = server.query(request)
-                # Not served from cache: the degraded answer was never
-                # stored, and the healed path drops the flag.
-                assert not healthy.cache_hit
-                assert not healthy.degraded
-                assert result_keys(healthy) == result_keys(degraded)
-        finally:
-            lazy.close()
-
     def test_prewarm_resolves_ann_on_generation_install(self, ann_db, tmp_path):
         save_database(ann_db, tmp_path)
         lazy = SQLVideoDatabase.open(tmp_path)

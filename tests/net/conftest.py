@@ -7,6 +7,8 @@ smoke and the cluster test cover the real-subprocess path.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -94,8 +96,9 @@ def make_harness(tmp_path_factory, net_db):
         return harness
 
     yield _make
-    for harness in created:
-        harness.close()
+    # Each worker stop blocks on socketserver's poll interval; overlap them.
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(NetHarness.close, created))
 
 
 @pytest.fixture(scope="module")

@@ -161,6 +161,20 @@ class TestProtocolEdges:
         status, _, _ = post_query(gw.url, {"kind": "sideways", "features": [0.0]})
         assert status == 400
 
+    def test_every_bad_request_is_400_with_the_engine_message(self, gw, probes):
+        features = [float(x) for x in probes[0]]
+        for fields, message in (
+            ({"k": 0}, "k must be >= 1"),
+            ({"nprobe": 0}, "nprobe must be >= 1"),
+            ({"rerank_k": 0}, "rerank_k must be >= 1"),
+            ({"kind": "scene", "nprobe": 2}, "nprobe/rerank_k only apply"),
+        ):
+            status, body, _ = post_query(
+                gw.url, {"kind": "shot", "features": features, **fields}
+            )
+            assert status == 400
+            assert message in body["error"]
+
 
 class TestAuthScoping:
     def test_unknown_token_is_401(self, gw, probes):

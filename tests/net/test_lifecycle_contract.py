@@ -1,0 +1,254 @@
+"""One request lifecycle, two backends: the engine's contract.
+
+Every case runs against the in-process :class:`QueryServer` *and* a
+2-shard in-process cluster.  Both fronts hand their queries to the same
+:class:`~repro.serving.engine.QueryEngine`, so validation, ANN-default
+folding, cache identity, explain bypass, the cache breaker and the
+never-cache-a-weakened-answer policy must read the same on each.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.database.access import User
+from repro.errors import BadRequestError, FaultInjectedError
+from repro.resilience.breaker import BreakerState
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.serving.server import QueryRequest, QueryServer, ServerConfig
+from repro.storage.lazy import SQLVideoDatabase
+from repro.types import EventKind
+
+from . import test_degraded as shard_loss
+from .test_equivalence import keys
+
+NPROBE_ALL = 1_000_000
+
+
+@pytest.fixture(params=["single", "sharded"])
+def make_front(request, make_harness, single_dir):
+    """Factory for a fresh query front of the parametrised backend.
+
+    ``make_front(**knobs)`` returns ``(front, harness)``; ``harness`` is
+    None for the in-process server.  Knobs are the config fields both
+    ``ServerConfig`` and ``CoordinatorConfig`` carry.
+    """
+    opened = []
+
+    def _make(**knobs):
+        if request.param == "sharded":
+            harness = make_harness(2, breaker_threshold=2, breaker_reset=0.2, **knobs)
+            return harness.service, harness
+        database = SQLVideoDatabase.open(single_dir)
+        server = QueryServer(database, ServerConfig(workers=2, **knobs)).start()
+        opened.append((server, database))
+        return server, None
+
+    yield _make
+    for server, database in opened:
+        server.stop()
+        database.close()
+
+
+MALFORMED = [
+    (dict(kind="nope"), "unknown query kind 'nope'"),
+    (dict(kind="shot", features=None), "shot queries need a feature vector"),
+    (dict(kind="scene", features=None), "scene queries need a feature vector"),
+    (dict(kind="event", features=None), "event queries need an EventKind"),
+    (
+        dict(kind="shot_flat", user=User("u", clearance=3)),
+        "the flat baseline does not support per-user access filtering",
+    ),
+    (dict(kind="shot", k=0), r"k must be >= 1"),
+    (dict(kind="scene", nprobe=2), "nprobe/rerank_k only apply to hierarchical shot"),
+    (dict(kind="shot_flat", rerank_k=2), "nprobe/rerank_k only apply"),
+    (dict(kind="shot", nprobe=0), r"nprobe must be >= 1 \(or None for exact\)"),
+    (dict(kind="shot", rerank_k=0), r"rerank_k must be >= 1 \(or None for all\)"),
+]
+
+
+class TestLifecycleContract:
+    def test_malformed_is_bad_request(self, make_front, probes):
+        front, _ = make_front()
+        for fields, message in MALFORMED:
+            fields = {"features": probes[0], **fields}
+            with pytest.raises(BadRequestError, match=message):
+                front.query(QueryRequest(**fields))
+        # Rejected at admission: nothing executed, nothing was cached.
+        assert front.metrics.counter("queries_total") == 0
+        assert len(front.cache) == 0
+
+    def test_ann_default_shares_cache(self, make_front, probes):
+        front, _ = make_front(ann_nprobe=4, ann_rerank_k=8)
+        implicit = front.query(QueryRequest(kind="shot", features=probes[2]))
+        assert implicit.reranked > 0  # the configured default applied
+        explicit = front.query(
+            QueryRequest(kind="shot", features=probes[2], nprobe=4, rerank_k=8)
+        )
+        assert explicit.cache_hit  # same resolved identity
+        assert keys(explicit) == keys(implicit)
+        assert len(front.cache) == 1
+        # A partial override folds the remaining default in as well.
+        partial = front.query(QueryRequest(kind="shot", features=probes[2], rerank_k=8))
+        assert partial.cache_hit
+
+    def test_explain_bypasses_the_cache(self, make_front, probes):
+        front, _ = make_front()
+        request = QueryRequest(kind="shot", features=probes[4], k=5, explain=True)
+        first = front.query(request)
+        second = front.query(request)
+        assert first.cache_hit is False and second.cache_hit is False
+        assert second.explain["cache"]["would_hit"] is False
+        assert second.explain["cache"]["entries"] == 0
+        assert len(front.cache) == 0
+        # ...and a warm entry is not *read* either: explain re-executes.
+        plain = front.query(QueryRequest(kind="shot", features=probes[4], k=5))
+        third = front.query(request)
+        assert third.cache_hit is False
+        assert third.explain["cache"]["would_hit"] is True
+        assert keys(third) == keys(plain)
+        assert third.comparisons == plain.comparisons
+
+    def test_cache_faults_open_the_breaker(self, make_front, probes):
+        front, _ = make_front()
+        request = QueryRequest(kind="shot", features=probes[1], k=3)
+        plan = FaultPlan([FaultSpec(point="serve.cache", kind="error")])
+        with inject(plan):
+            results = [front.query(request) for _ in range(4)]
+        assert all(r.hits for r in results)
+        assert not any(r.cache_hit for r in results)  # cache never engaged
+        assert front.cache_breaker.state is BreakerState.OPEN
+        assert front.cache_breaker.trips >= 1
+        # Queries still answer fine with the breaker open.
+        assert front.query(request).hits
+
+    def test_query_fault_is_survivable(self, make_front, probes):
+        front, _ = make_front()
+        request = QueryRequest(kind="shot", features=probes[0], k=3)
+        plan = FaultPlan([FaultSpec(point="serve.query", kind="error", limit=2)])
+        with inject(plan):
+            for _ in range(2):
+                with pytest.raises(FaultInjectedError):
+                    front.query(request)
+        assert front.query(request).hits
+
+    def test_ann_degraded_is_not_cached(self, make_front, probes):
+        front, _ = make_front()
+        request = QueryRequest(kind="shot", features=probes[0], nprobe=NPROBE_ALL)
+        plan = FaultPlan(
+            [FaultSpec(point="storage.ann_block_missing", kind="error")], seed=0
+        )
+        with inject(plan):
+            degraded = front.query(request)
+        assert degraded.degraded
+        assert len(front.cache) == 0
+        healthy = front.query(request)
+        # Not served from cache: the degraded answer was never stored,
+        # and the healed path drops the flag.
+        assert not healthy.cache_hit
+        assert not healthy.degraded
+        assert keys(healthy) == keys(degraded)
+        assert front.query(request).cache_hit  # the healthy answer was
+
+    def test_degraded_recomputed_on_hit(self, make_front, probes):
+        front, harness = make_front()
+        request = QueryRequest(kind="shot", features=probes[3], k=4)
+        assert not front.query(request).degraded
+        # A standing weakness appearing *after* the answer was cached
+        # must show on the hit, not be replayed from the entry.
+        if harness is None:
+            plan = FaultPlan([FaultSpec(point="serve.rebuild", kind="error", limit=1)])
+            with inject(plan), pytest.raises(FaultInjectedError):
+                front.refresh()
+        else:
+            front._degraded_videos = True
+        hit = front.query(request)
+        assert hit.cache_hit and hit.degraded
+
+
+class TestShardedOnly:
+    """The sharded-only half of the cache-put policy."""
+
+    def test_shard_missing_is_not_cached(self, make_harness, reference):
+        pair = make_harness(2, breaker_threshold=2, breaker_reset=0.2)
+        victim = 0
+        request = QueryRequest(kind="shot", features=shard_loss.fresh_probe(pair, 3), k=10)
+        pair.workers[victim].stop()
+        partial = pair.service.query(request)
+        assert partial.shards_missing and partial.degraded
+        assert len(pair.service.cache) == 0
+        shard_loss.TestShardLoss._revive(pair, victim)
+        healed = shard_loss.TestShardLoss._query_until_full(pair, request)
+        # A cached degraded answer would keep reporting partial hits
+        # after recovery; instead the healed answer matches the
+        # single-process reference exactly.
+        assert keys(healed) == keys(reference.query(request))
+
+
+class TestRecordsRace:
+    def test_healing_records_race_queries(self, make_harness, net_db):
+        """``_ensure_records`` merging a healed shard's records must not
+        race the queries (or health probes) that read the degraded flag."""
+        import sys
+
+        from repro.database.catalog import RegisteredVideo
+
+        harness = make_harness(2)
+        service = harness.service
+        shape = net_db.flat_index.entries[0].features.shape
+        healed_titles = list(harness.spec.shards[0].titles)
+        # Pad the record table so a reader iterating it (what the parent
+        # commit did, unlocked) is all but certain to overlap a merge.
+        with service._records_lock:
+            for i in range(100_000):
+                service._records[f"pad-{i}"] = RegisteredVideo(
+                    title=f"pad-{i}", shot_count=0, scene_count=0, events={}
+                )
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def heal_loop():
+            while not stop.is_set():
+                with service._records_lock:
+                    for title in healed_titles:
+                        service._records.pop(title, None)
+                    service._records_missing.add(0)
+                service._ensure_records(None)
+
+        def query_loop(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(25):
+                    result = service.query(
+                        QueryRequest(kind="shot", features=rng.random(shape), k=3)
+                    )
+                    assert not result.degraded
+                    service.health_report()
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        healer = threading.Thread(target=heal_loop, daemon=True)
+        readers = [
+            threading.Thread(target=query_loop, args=(seed,), daemon=True)
+            for seed in range(4)
+        ]
+        try:
+            healer.start()
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            healer.join(timeout=10)
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not healer.is_alive()
+        assert errors == []
+        assert set(healed_titles) <= set(service.records())
+        assert service.query(QueryRequest(kind="event", event=EventKind.DIALOG)).hits

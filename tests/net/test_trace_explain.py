@@ -133,15 +133,6 @@ class TestExplain:
         assert explained.explain["cache"]["would_hit"] is True
         assert explained.explain["cache"]["disposition"] == "bypassed (explain)"
 
-    def test_explain_never_populates_the_cache(self, make_harness, probes):
-        harness = make_harness(1)
-        req = QueryRequest(kind="shot", features=probes[4], k=5, explain=True)
-        first = harness.service.query(req)
-        second = harness.service.query(req)
-        assert first.cache_hit is False and second.cache_hit is False
-        assert second.explain["cache"]["would_hit"] is False
-        assert second.explain["cache"]["entries"] == 0
-
     def test_sharded_explain_payload_shape(self, make_harness, probes):
         harness = make_harness(3)
         result = harness.service.query(

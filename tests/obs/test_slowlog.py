@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -70,6 +71,11 @@ class TestSlowQueryLog:
         assert data["trace_id"] == "abc123"
         assert data["cache_hit"] is True
         assert data["degraded"] is True
+        # from_json inverts it (wall_time is stamped afresh on decode).
+        decoded = dataclasses.replace(
+            SlowQuery.from_json(data), wall_time=entry.wall_time
+        )
+        assert decoded == entry
 
     def test_render_mentions_slowest(self):
         log = SlowQueryLog(capacity=2)

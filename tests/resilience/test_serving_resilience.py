@@ -108,21 +108,6 @@ class TestRebuildResilience:
             assert not server.query(request).degraded
 
 
-class TestCacheResilience:
-    def test_cache_faults_bypass_the_cache_not_the_query(self, serving_db):
-        with QueryServer(serving_db, _CONFIG) as server:
-            request = _request(server)
-            plan = FaultPlan([FaultSpec(point="serve.cache", kind="error")])
-            with inject(plan):
-                results = [server.query(request) for _ in range(4)]
-            assert all(r.hits for r in results)
-            assert not any(r.cache_hit for r in results)  # cache never engaged
-            assert server.cache_breaker.state is BreakerState.OPEN
-            assert server.cache_breaker.trips >= 1
-            # Queries still answer fine with the breaker open.
-            assert server.query(request).hits
-
-
 class TestWatchdog:
     def test_watchdog_resurrects_a_killed_worker(self, serving_db):
         config = ServerConfig(workers=2, watchdog_interval=0.05)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serving.metrics import LatencyHistogram, ServingMetrics, format_seconds
+from repro.obs.metrics import LatencyHistogram, format_seconds
+from repro.serving.metrics import ServingMetrics
 
 
 class TestLatencyHistogram:

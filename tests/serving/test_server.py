@@ -121,14 +121,14 @@ def _block_execution(server):
     """Patch the server so every query blocks until the gate opens."""
     gate = threading.Event()
     entered = threading.Event()
-    original = server._execute
+    original = server.engine.execute
 
-    def blocked(request):
+    def blocked(request, deadline=None):
         entered.set()
         assert gate.wait(timeout=10), "test gate never opened"
-        return original(request)
+        return original(request, deadline)
 
-    server._execute = blocked
+    server.engine.execute = blocked
     return gate, entered
 
 
