@@ -31,14 +31,23 @@ Quickstart::
     print(result.structure.level_sizes())
 """
 
-from repro.core.pipeline import ClassMiner, ClassMinerResult
-from repro.core.structure import ContentStructure, MiningConfig
-from repro.database.catalog import VideoDatabase
+from repro._lazy import lazy_exports
 from repro.errors import ReproError
-from repro.skimming.skim import ScalableSkim, build_skim
 from repro.types import EventKind
 
 __version__ = "1.0.0"
+
+# Exported lazily (PEP 562): ``import repro.<anything>`` runs this file,
+# and the serving processes must not load the mining stack to do so.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.pipeline": ("ClassMiner", "ClassMinerResult"),
+        "repro.core.structure": ("ContentStructure", "MiningConfig"),
+        "repro.database.catalog": ("VideoDatabase",),
+        "repro.skimming.skim": ("ScalableSkim", "build_skim"),
+    },
+)
 
 __all__ = [
     "ClassMiner",

@@ -21,7 +21,9 @@ comparison method (beyond the paper's A/B/C):
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import deque
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.baselines.rui_toc import BaselineScenes
@@ -90,15 +92,61 @@ def time_constrained_clusters(
     return clusters
 
 
+class TransitionGraph:
+    """A small directed graph: ``graph[u][v]`` is the edge's attribute dict.
+
+    Adjacency dicts in insertion order — all the STG needs of a graph
+    container, with the method names of the usual graph libraries.
+    """
+
+    def __init__(self) -> None:
+        self._successors: dict[int, dict[int, dict]] = {}
+
+    def add_nodes_from(self, nodes: Iterable[int]) -> None:
+        """Add isolated nodes (known nodes are left alone)."""
+        for node in nodes:
+            self._successors.setdefault(node, {})
+
+    def add_edge(self, u: int, v: int, weight: int = 1) -> None:
+        """Add (or overwrite) the edge ``u -> v``, adding missing nodes."""
+        self.add_nodes_from((u, v))
+        self._successors[u][v] = {"weight": weight}
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """True when the edge ``u -> v`` exists."""
+        return v in self._successors.get(u, ())
+
+    def __getitem__(self, node: int) -> dict[int, dict]:
+        return self._successors[node]
+
+    @property
+    def nodes(self) -> list[int]:
+        """Nodes, in insertion order."""
+        return list(self._successors)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Directed edges ``(u, v)``, grouped by source in insertion order."""
+        return [(u, v) for u, targets in self._successors.items() for v in targets]
+
+    def number_of_nodes(self) -> int:
+        """Node count."""
+        return len(self._successors)
+
+    def number_of_edges(self) -> int:
+        """Directed edge count."""
+        return sum(len(targets) for targets in self._successors.values())
+
+
 def build_transition_graph(
     shots: list[Shot], clusters: list[list[Shot]]
-) -> nx.DiGraph:
+) -> TransitionGraph:
     """The STG: cluster nodes, edges for consecutive-shot transitions."""
     cluster_of: dict[int, int] = {}
     for index, cluster in enumerate(clusters):
         for shot in cluster:
             cluster_of[shot.shot_id] = index
-    graph = nx.DiGraph()
+    graph = TransitionGraph()
     graph.add_nodes_from(range(len(clusters)))
     ordered = sorted(shots, key=lambda shot: shot.shot_id)
     for a, b in zip(ordered, ordered[1:]):
@@ -111,7 +159,61 @@ def build_transition_graph(
     return graph
 
 
-def story_units_from_graph(graph: nx.DiGraph) -> list[set[int]]:
+def _bridges(adjacency: dict[int, set[int]]) -> list[tuple[int, int]]:
+    """Bridges of a simple undirected graph (iterative low-link DFS).
+
+    An edge ``(parent, child)`` of the DFS tree is a bridge exactly when
+    no back edge from the child's subtree reaches the parent or above:
+    ``low[child] > order[parent]``.
+    """
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    bridges: list[tuple[int, int]] = []
+    for root in adjacency:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, None, iter(adjacency[root]))]
+        while stack:
+            node, parent, neighbours = stack[-1]
+            for neighbour in neighbours:
+                if neighbour == parent:
+                    continue  # the tree edge itself (the graph is simple)
+                if neighbour in order:
+                    low[node] = min(low[node], order[neighbour])
+                    continue
+                order[neighbour] = low[neighbour] = len(order)
+                stack.append((neighbour, node, iter(adjacency[neighbour])))
+                break
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[node])
+                    if low[node] > order[parent]:
+                        bridges.append((parent, node))
+    return bridges
+
+
+def _components(adjacency: dict[int, set[int]]) -> list[set[int]]:
+    """Connected components (BFS), each found from its first node."""
+    seen: set[int] = set()
+    components: list[set[int]] = []
+    for root in adjacency:
+        if root in seen:
+            continue
+        component = {root}
+        queue = deque([root])
+        while queue:
+            for neighbour in adjacency[queue.popleft()]:
+                if neighbour not in component:
+                    component.add(neighbour)
+                    queue.append(neighbour)
+        seen |= component
+        components.append(component)
+    return components
+
+
+def story_units_from_graph(graph: TransitionGraph) -> list[set[int]]:
     """Partition the STG into story units by removing cut edges.
 
     A *cut edge* is a bridge of the undirected projection whose
@@ -121,18 +223,15 @@ def story_units_from_graph(graph: nx.DiGraph) -> list[set[int]]:
     A <-> B transitions) are not one-way, so they survive and the
     dialog stays one unit.
     """
-    undirected = nx.Graph()
-    undirected.add_nodes_from(graph.nodes)
-    undirected.add_edges_from(graph.edges)
-    bridges = set(nx.bridges(undirected)) if undirected.number_of_edges() else set()
-    cut_edges = [
-        (u, v)
-        for u, v in bridges
-        if not (graph.has_edge(u, v) and graph.has_edge(v, u))
-    ]
-    pruned = undirected.copy()
-    pruned.remove_edges_from(cut_edges)
-    return [set(component) for component in nx.connected_components(pruned)]
+    undirected: dict[int, set[int]] = {node: set() for node in graph.nodes}
+    for u, v in graph.edges:
+        undirected[u].add(v)
+        undirected[v].add(u)
+    for u, v in _bridges(undirected):
+        if not (graph.has_edge(u, v) and graph.has_edge(v, u)):
+            undirected[u].discard(v)
+            undirected[v].discard(u)
+    return _components(undirected)
 
 
 def stg_detect_scenes(

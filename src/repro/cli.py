@@ -32,25 +32,29 @@ import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 
-from repro.baselines import lin_detect_scenes, rui_detect_scenes
-from repro.core import ClassMiner
 from repro.errors import ReproError
-from repro.evaluation import evaluate_scene_partition
-from repro.evaluation.report import render_table
-from repro.skimming import build_color_bar, build_skim, render_storyboard, render_text_bar
-from repro.video.io import save_stream
-from repro.video.synthesis import (
-    CORPUS_TITLES,
-    demo_screenplay,
-    generate_video,
-    load_video,
-)
+from repro.tables import render_table
+
+# Everything else is imported by the command that uses it: the serving
+# commands (serve, shard, health, loadtest, obs) must start without
+# loading the mining stack, and the mining commands without the servers
+# (DESIGN.md §3, "Import layering"; tests/test_import_layers.py).
 
 
 def _load(title: str, with_audio: bool = True):
+    from repro.video.synthesis import demo_screenplay, generate_video, load_video
+
     if title == "demo":
         return generate_video(demo_screenplay(), seed=0, with_audio=with_audio)
     return load_video(title, with_audio=with_audio)
+
+
+def _mine(title: str, mine_events: bool = True):
+    """Render ``title`` and mine it; returns ``(video, result)``."""
+    from repro.core import ClassMiner
+
+    video = _load(title)
+    return video, ClassMiner().mine(video.stream, mine_events=mine_events)
 
 
 @contextmanager
@@ -77,6 +81,8 @@ def _tracing(args: argparse.Namespace):
 
 
 def _cmd_corpus(_args: argparse.Namespace) -> int:
+    from repro.video.synthesis import CORPUS_TITLES
+
     print("Available videos (synthetic corpus, Sec. 6.1 titles):")
     for title in ("demo",) + CORPUS_TITLES:
         print(f"  {title}")
@@ -85,8 +91,7 @@ def _cmd_corpus(_args: argparse.Namespace) -> int:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     with _tracing(args) as tracer:
-        video = _load(args.title)
-        result = ClassMiner().mine(video.stream)
+        video, result = _mine(args.title)
     if tracer is not None:
         from repro.obs import render_spans
 
@@ -103,8 +108,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
-    video = _load(args.title)
-    result = ClassMiner().mine(video.stream)
+    video, result = _mine(args.title)
     rows = []
     for scene in result.structure.scenes:
         event = result.event_of_scene(scene.scene_id)
@@ -122,8 +126,14 @@ def _cmd_events(args: argparse.Namespace) -> int:
 
 
 def _cmd_skim(args: argparse.Namespace) -> int:
-    video = _load(args.title)
-    result = ClassMiner().mine(video.stream)
+    from repro.skimming import (
+        build_color_bar,
+        build_skim,
+        render_storyboard,
+        render_text_bar,
+    )
+
+    _video, result = _mine(args.title)
     skim = build_skim(result.structure, result.events.events)
     bar = build_color_bar(result.structure, result.events.events)
     print(render_text_bar(bar, width=args.width))
@@ -133,8 +143,10 @@ def _cmd_skim(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    video = _load(args.title)
-    result = ClassMiner().mine(video.stream, mine_events=False)
+    from repro.baselines import lin_detect_scenes, rui_detect_scenes
+    from repro.evaluation import evaluate_scene_partition
+
+    video, result = _mine(args.title, mine_events=False)
     structure = result.structure
     rows = []
     for label, scenes in (
@@ -159,18 +171,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.skimming.report_html import save_report
 
-    video = _load(args.title)
-    result = ClassMiner().mine(video.stream)
+    _video, result = _mine(args.title)
     save_report(result, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_poster(args: argparse.Namespace) -> int:
+    from repro.skimming import build_skim
     from repro.skimming.poster import save_poster
 
-    video = _load(args.title)
-    result = ClassMiner().mine(video.stream)
+    _video, result = _mine(args.title)
     skim = build_skim(result.structure, result.events.events)
     image = save_poster(skim, args.output, level=args.level, columns=args.columns)
     print(f"wrote {args.output}: {image.shape[1]}x{image.shape[0]} PPM")
@@ -220,7 +231,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.evaluation.report import render_table as _table
     from repro.storage import SQLCatalog, catalog_path
 
     if not catalog_path(args.db_dir).exists():
@@ -237,12 +247,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"no matches for {args.text!r} ({surface})")
         return 0
     rows = [[hit.kind, hit.title, hit.body] for hit in hits]
-    print(_table(["kind", "title", "matched text"], rows, title=f"search ({surface})"))
+    print(
+        render_table(
+            ["kind", "title", "matched text"], rows, title=f"search ({surface})"
+        )
+    )
     return 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.evaluation.report import render_table as _table
     from repro.ingest import manifest_for, store_for
 
     store = store_for(args.db_dir)
@@ -255,7 +268,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             [info.title, info.key[:12], f"{info.size_bytes / 1024:.0f} KiB"]
             for info in infos
         ]
-        print(_table(["title", "key", "size"], rows, title="artifact cache"))
+        print(render_table(["title", "key", "size"], rows, title="artifact cache"))
         total = sum(info.size_bytes for info in infos)
         print(f"\n{len(infos)} artifacts, {total / 1024:.0f} KiB total")
         return 0
@@ -274,9 +287,9 @@ def _require_db_dir(args: argparse.Namespace) -> None:
 
 
 def _serving_server(args: argparse.Namespace):
-    from repro.ingest import load_database
     from repro.obs import get_registry
     from repro.serving import QueryServer, ServerConfig, ServingMetrics
+    from repro.storage import load_database
 
     database = load_database(args.db_dir)
     config = ServerConfig(
@@ -353,7 +366,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
                 print(f"loaded {spec.num_shards}-shard manifest from {shards_dir}")
             else:
                 _require_db_dir(args)
-                from repro.ingest import load_database
+                from repro.storage import load_database
 
                 num_shards = args.shards or 2
                 spec = build_shards(
@@ -418,7 +431,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     from repro.net import build_shards, load_manifest
 
     if args.shard_command == "build":
-        from repro.ingest import load_database
+        from repro.storage import load_database
 
         spec = build_shards(
             load_database(args.db_dir), Path(args.out), args.num
@@ -577,6 +590,8 @@ def _cmd_obs_slow(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from repro.video.io import save_stream
+
     video = _load(args.title)
     save_stream(video.stream, args.output)
     print(

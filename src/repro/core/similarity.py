@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.features import Shot
 from repro.core.kernels import (
     DEFAULT_COLOR_WEIGHT,
     DEFAULT_TEXTURE_WEIGHT,
@@ -29,6 +29,9 @@ from repro.core.kernels import (
     pairwise_stsim,
 )
 from repro.errors import MiningError
+
+if TYPE_CHECKING:
+    from repro.core.features import Shot
 
 
 @dataclass(frozen=True)

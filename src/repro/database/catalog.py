@@ -15,10 +15,10 @@ import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.pipeline import ClassMinerResult
 from repro.database.access import AccessController, User
 from repro.database.flat import FlatIndex
 from repro.database.hierarchy import (
@@ -37,6 +37,9 @@ from repro.database.index import (
 from repro.database.query import QueryResult, search_hierarchical
 from repro.errors import DatabaseError
 from repro.types import EventKind
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import ClassMinerResult
 
 
 @dataclass

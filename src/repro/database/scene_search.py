@@ -11,16 +11,19 @@ by Eq. (1)-style similarity to that centroid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.pipeline import ClassMinerResult
 from repro.database.index import (
     combine_features,
     feature_similarity_batch,
 )
 from repro.errors import DatabaseError
 from repro.types import EventKind
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import ClassMinerResult
 
 
 @dataclass(frozen=True)

@@ -13,27 +13,41 @@ database directory (Sec. 5-6's corpus-scale story):
 * :mod:`repro.ingest.runner` — the end-to-end ``ingest_corpus`` entry.
 """
 
-from repro.ingest.artifacts import (
-    ArtifactInfo,
-    ArtifactStore,
-    decode_result,
-    encode_result,
-    results_equal,
-)
-from repro.ingest.executor import JobOutcome, RetryPolicy, run_jobs
-from repro.ingest.jobs import IngestJob, cache_key, jobs_for_titles
-from repro.ingest.manifest import JobManifest, JobRecord
-from repro.ingest.progress import JobEvent, ProgressTracker
-from repro.ingest.runner import (
-    CorpusHook,
-    IngestReport,
-    ingest_corpus,
-    ingest_jobs,
-    load_database,
-    manifest_for,
-    register_corpus_hook,
-    store_for,
-    unregister_corpus_hook,
+from repro._lazy import lazy_exports
+
+# Exported lazily (PEP 562): the executor and runner import the miners,
+# and ``from repro.ingest import load_database`` (the serving entry
+# points' historical spelling) must not pay for them.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ingest.artifacts": (
+            "ArtifactInfo",
+            "ArtifactStore",
+            "decode_result",
+            "encode_result",
+            "results_equal",
+        ),
+        "repro.ingest.executor": ("JobOutcome", "run_jobs"),
+        "repro.ingest.jobs": ("IngestJob", "cache_key", "jobs_for_titles"),
+        "repro.ingest.manifest": ("JobManifest", "JobRecord"),
+        "repro.ingest.progress": ("JobEvent", "ProgressTracker"),
+        "repro.ingest.runner": (
+            "CorpusHook",
+            "IngestReport",
+            "ingest_corpus",
+            "ingest_jobs",
+            "manifest_for",
+            "register_corpus_hook",
+            "store_for",
+            "unregister_corpus_hook",
+        ),
+        # Moved out so the query stack can use them without this package's
+        # mining imports; re-exported here because this is where callers
+        # learned to find them.
+        "repro.resilience.retry": ("RetryPolicy",),
+        "repro.storage.lazy": ("load_database",),
+    },
 )
 
 __all__ = [

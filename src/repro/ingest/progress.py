@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.evaluation.report import render_table
+from repro.tables import render_table
 
 #: Event kinds, in rough lifecycle order.
 EVENT_KINDS = ("queued", "started", "cached", "retried", "finished", "failed")

@@ -14,7 +14,8 @@ use.  It lays out a database directory::
 The artifacts are the source of truth: every run rebuilds the catalog
 from the successful artifacts, so a resumed or partially failed ingest
 still leaves a consistent, loadable database covering everything that
-was mined.  :func:`load_database` opens the SQL catalog lazily
+was mined.  :func:`~repro.storage.lazy.load_database` (re-exported
+here and from :mod:`repro.ingest`) opens the SQL catalog lazily
 (out-of-core feature blocks); a directory holding only a legacy
 ``database.json`` still loads, eagerly (``classminer migrate`` converts
 it).
@@ -39,13 +40,13 @@ from repro.obs.bridge import JobEventBridge
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
 from repro.resilience.faults import fault_point
+from repro.storage.lazy import load_database  # noqa: F401  (re-export)
 
 _LOGGER = logging.getLogger(__name__)
 
 #: File names inside a database directory.
 ARTIFACTS_DIR = "artifacts"
 MANIFEST_NAME = "manifest.jsonl"
-DATABASE_NAME = "database.json"
 
 #: A corpus hook receives ``(db_dir, database)`` after an ingest run has
 #: rebuilt the database from its artifacts.
@@ -266,24 +267,3 @@ def ingest_corpus(
         progress=progress,
         strict=strict,
     )
-
-
-def load_database(db_dir: str | Path) -> VideoDatabase:
-    """Load the queryable database an ingest run wrote into ``db_dir``.
-
-    A SQL catalog (``catalog.sqlite``) opens *lazily*: registration
-    records and routing metadata load eagerly, feature blocks stay
-    memory-mapped on disk until a query routes into them.  A directory
-    holding only a legacy ``database.json`` deserialises it up front.
-    """
-    db_dir = Path(db_dir)
-    json_path = db_dir / DATABASE_NAME
-    from repro.storage.schema import catalog_path
-
-    if catalog_path(db_dir).exists():
-        from repro.storage.lazy import SQLVideoDatabase
-
-        return SQLVideoDatabase.open(db_dir)
-    if json_path.exists():
-        return VideoDatabase.load(json_path)
-    raise IngestError(f"no ingested database in {db_dir}")

@@ -31,6 +31,7 @@ See ``docs/SHARDING.md`` for the wire protocol, the manifest format
 and the exactness argument behind the merge.
 """
 
+from repro._lazy import lazy_exports
 from repro.net.cluster import RestartReport, ShardCluster
 from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
 from repro.net.gateway import (
@@ -42,7 +43,12 @@ from repro.net.gateway import (
 from repro.net.httpload import HttpLoadConfig, HttpLoadReport, run_http_load
 from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
 from repro.net.shard import ShardSpec, build_shards, load_manifest
-from repro.net.worker import ShardWorker
+
+# ``ShardWorker`` is exported lazily (PEP 562): ``python -m
+# repro.net.worker`` imports this package before it runs the module as
+# ``__main__``, and an eager import here would execute the module body
+# twice (runpy's "found in sys.modules" RuntimeWarning).
+__getattr__, __dir__ = lazy_exports(__name__, {"repro.net.worker": ("ShardWorker",)})
 
 __all__ = [
     "CoordinatorConfig",

@@ -5,7 +5,11 @@
 worker processes, one per shard, each bound to an ephemeral localhost
 port.  Every worker announces itself with a ``READY <port>`` line on
 stdout; the cluster wraps each one in a
-:class:`~repro.net.protocol.ShardEndpoint`.
+:class:`~repro.net.protocol.ShardEndpoint`.  :meth:`ShardCluster.start`
+launches every worker before it waits for any of them, so a cluster
+comes up in the time of its slowest worker, and the wait for ``READY``
+is bounded on the pipe itself: a worker that hangs silently is killed
+at ``spawn_timeout``.
 
 A :class:`~repro.resilience.watchdog.Watchdog` polls the processes: a
 worker that died (crash, ``die`` fault op, OOM kill) is respawned on a
@@ -26,6 +30,7 @@ coordinator retrying around the one-shard gap serves every query.
 from __future__ import annotations
 
 import os
+import selectors
 import signal
 import subprocess
 import sys
@@ -112,13 +117,19 @@ class ShardCluster:
             return self
         self._running = True
         try:
-            for info in self.spec.shards:
-                port = self._spawn(info.shard_id)
+            # Launch everything, then wait: the workers import and open
+            # their catalogs side by side under one shared deadline.
+            deadline = time.perf_counter() + self._spawn_timeout
+            launched = [
+                (info.shard_id, self._launch(info.shard_id))
+                for info in self.spec.shards
+            ]
+            for shard_id, proc in launched:
                 self.endpoints.append(
                     ShardEndpoint(
-                        shard_id=info.shard_id,
+                        shard_id=shard_id,
                         host=self._host,
-                        port=port,
+                        port=self._await_ready(proc, shard_id, deadline),
                         pool_size=self._pool_size,
                         default_timeout=self._default_timeout,
                     )
@@ -165,8 +176,12 @@ class ShardCluster:
 
     # -- process management --------------------------------------------
 
-    def _spawn(self, shard_id: int) -> int:
-        """Launch one worker and wait for its ``READY <port>`` line."""
+    def _launch(self, shard_id: int) -> subprocess.Popen:
+        """Start one worker process, without waiting for it.
+
+        Registered at once, so :meth:`stop` reaps it even when it never
+        reports ready.
+        """
         shard_dir = self.spec.shard_dir(self._root, shard_id)
         proc = subprocess.Popen(
             [
@@ -184,44 +199,70 @@ class ShardCluster:
             stdout=subprocess.PIPE,
             stderr=self._stderr,
             env=_worker_env(),
-            text=True,
         )
+        self._procs[shard_id] = proc
+        return proc
+
+    def _spawn(self, shard_id: int) -> int:
+        """Launch one worker and wait for its ``READY <port>`` line."""
+        deadline = time.perf_counter() + self._spawn_timeout
+        return self._await_ready(self._launch(shard_id), shard_id, deadline)
+
+    def _await_ready(
+        self, proc: subprocess.Popen, shard_id: int, deadline: float
+    ) -> int:
+        """The port on the worker's ``READY <port>`` line, read by ``deadline``.
+
+        The wait is on the pipe itself, not on a blocking ``readline``,
+        so a worker that hangs without printing or exiting cannot hold
+        the caller past the deadline.  Any failure kills and reaps the
+        process before raising :class:`~repro.errors.ServingError`.
+        """
         try:
-            port = self._await_ready(proc, shard_id)
+            return self._read_ready(proc, shard_id, deadline)
         except BaseException:
             if proc.poll() is None:
                 proc.kill()
-                proc.wait()
+            proc.wait()
             raise
-        self._procs[shard_id] = proc
-        return port
 
-    def _await_ready(self, proc: subprocess.Popen, shard_id: int) -> int:
-        # The worker writes exactly one line to stdout; a blocking
-        # readline is bounded by SIGALRM-free polling on the process
-        # itself plus the spawn timeout enforced by the caller's clock.
-        deadline = time.perf_counter() + self._spawn_timeout
+    def _read_ready(
+        self, proc: subprocess.Popen, shard_id: int, deadline: float
+    ) -> int:
         assert proc.stdout is not None
-        while True:
-            if time.perf_counter() > deadline:
-                raise ServingError(
-                    f"shard {shard_id} worker did not report READY within "
-                    f"{self._spawn_timeout}s"
-                )
-            line = proc.stdout.readline()
-            if not line:
-                code = proc.poll()
-                raise ServingError(
-                    f"shard {shard_id} worker exited (code {code}) before READY"
-                )
-            line = line.strip()
-            if line.startswith("READY "):
-                try:
-                    return int(line.split(" ", 1)[1])
-                except ValueError as exc:
+        fd = proc.stdout.fileno()
+        pending = b""
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while True:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0 or not selector.select(remaining):
                     raise ServingError(
-                        f"shard {shard_id} worker sent malformed READY: {line!r}"
-                    ) from exc
+                        f"shard {shard_id} worker did not report READY within "
+                        f"{self._spawn_timeout}s"
+                    )
+                chunk = os.read(fd, 4096)
+                if not chunk:
+                    try:
+                        code = proc.wait(timeout=1.0)
+                    except subprocess.TimeoutExpired:
+                        code = None  # closed stdout but still running
+                    raise ServingError(
+                        f"shard {shard_id} worker exited (code {code}) before READY"
+                    )
+                pending += chunk
+                while b"\n" in pending:
+                    raw, pending = pending.split(b"\n", 1)
+                    line = raw.decode("utf-8", "replace").strip()
+                    if not line.startswith("READY "):
+                        continue
+                    try:
+                        return int(line.split(" ", 1)[1])
+                    except ValueError as exc:
+                        raise ServingError(
+                            f"shard {shard_id} worker sent malformed READY: "
+                            f"{line!r}"
+                        ) from exc
 
     def _repair(self) -> int:
         """Watchdog check: respawn dead workers on fresh ports."""

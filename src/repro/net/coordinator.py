@@ -71,12 +71,12 @@ from repro.errors import (
     RpcTransportError,
     ServingError,
 )
-from repro.ingest.executor import RetryPolicy
 from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
 from repro.net.shard import ShardSpec, build_routing_tree
 from repro.obs.trace import Span, active_tracer, new_trace_id, span as obs_span
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.health import HealthCheck, HealthReport
+from repro.resilience.retry import RetryPolicy
 from repro.serving.cache import ResultCache
 from repro.serving.engine import (
     BackendAnswer,

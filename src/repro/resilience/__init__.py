@@ -16,6 +16,9 @@ injectable, contained, observable and recoverable by design:
 * :mod:`repro.resilience.integrity` — per-artifact content checksums,
   read-time verification, quarantine of corrupt entries
   (:class:`~repro.errors.IntegrityError`), transparent re-mine.
+* :mod:`repro.resilience.retry` — :class:`RetryPolicy`, the bounded
+  decorrelated-jitter backoff shared by the ingest executor and the
+  coordinator's shard-RPC retry loop.
 * :mod:`repro.resilience.health` — liveness / readiness / degradation
   :class:`HealthReport` behind the ``classminer health`` CLI.
 * :mod:`repro.resilience.smoke` — the seeded fault-matrix chaos smoke
@@ -49,6 +52,7 @@ from repro.resilience.integrity import (
     verify_checksums,
     write_checksums,
 )
+from repro.resilience.retry import RetryPolicy
 from repro.resilience.watchdog import Watchdog
 
 __all__ = [
@@ -66,6 +70,7 @@ __all__ = [
     "NULL_PLAN",
     "NullFaultPlan",
     "QUARANTINE_DIR",
+    "RetryPolicy",
     "Watchdog",
     "active_plan",
     "corrupt_payload",

@@ -41,10 +41,10 @@ import warnings
 from pathlib import Path
 
 from repro.errors import DegradedResultWarning, ReproError
-from repro.ingest.executor import RetryPolicy
 from repro.ingest.runner import ingest_corpus, load_database, store_for
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.resilience.retry import RetryPolicy
 from repro.serving.server import QueryRequest, QueryServer, ServerConfig
 from repro.serving.snapshot import SnapshotManager
 

@@ -15,7 +15,8 @@ their access patterns:
 :class:`SQLVideoDatabase` serves the ordinary
 :class:`~repro.database.catalog.VideoDatabase` API out-of-core on top
 of both, bit-identical to the in-RAM query paths;
-:func:`save_database` persists a database,
+:func:`save_database` persists a database, :func:`load_database`
+opens a database directory (lazily; a legacy JSON one eagerly),
 :func:`migrate_db_dir` converts a JSON-era directory, and
 :mod:`repro.storage.smoke` (``make storage-smoke``) checks the whole
 contract at corpus scale.  See ``docs/STORAGE.md``.
@@ -27,6 +28,7 @@ from repro.storage.lazy import (
     LazySceneIndex,
     OutOfCoreFlatIndex,
     SQLVideoDatabase,
+    load_database,
 )
 from repro.storage.migrate import MigrationReport, migrate_db_dir
 from repro.storage.schema import (
@@ -68,6 +70,7 @@ __all__ = [
     "catalog_path",
     "features_path",
     "fts5_available",
+    "load_database",
     "migrate_db_dir",
     "save_database",
 ]

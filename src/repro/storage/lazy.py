@@ -49,9 +49,10 @@ from repro.database.index import (
 )
 from repro.database.query import QueryResult, QueryStats, RankedShot
 from repro.database.scene_search import SceneEntry, SceneIndex
-from repro.errors import StorageError
+from repro.errors import IngestError, StorageError
 from repro.resilience.faults import fault_point
 from repro.storage.featurestore import DEFAULT_MAX_OPEN
+from repro.storage.schema import DATABASE_NAME, catalog_path
 from repro.storage.sqlcatalog import LeafInfo, SQLCatalog
 from repro.types import EventKind
 
@@ -497,3 +498,22 @@ class SQLVideoDatabase(VideoDatabase):
     def save(self, path) -> None:
         self._materialize()
         super().save(path)
+
+
+def load_database(db_dir: str | Path) -> VideoDatabase:
+    """Load the queryable database an ingest run wrote into ``db_dir``.
+
+    A SQL catalog (``catalog.sqlite``) opens *lazily*: registration
+    records and routing metadata load eagerly, feature blocks stay
+    memory-mapped on disk until a query routes into them.  A directory
+    holding only a legacy ``database.json`` deserialises it up front.
+    Raises :class:`~repro.errors.IngestError` when the directory holds
+    neither.  Also exported as ``repro.ingest.load_database``.
+    """
+    db_dir = Path(db_dir)
+    if catalog_path(db_dir).exists():
+        return SQLVideoDatabase.open(db_dir)
+    json_path = db_dir / DATABASE_NAME
+    if json_path.exists():
+        return VideoDatabase.load(json_path)
+    raise IngestError(f"no ingested database in {db_dir}")

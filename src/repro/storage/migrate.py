@@ -27,6 +27,7 @@ from pathlib import Path
 from repro.database.catalog import VideoDatabase
 from repro.errors import IngestError, StorageError
 from repro.obs.trace import span as obs_span
+from repro.storage.schema import DATABASE_NAME
 from repro.storage.sqlcatalog import save_database
 
 _LOGGER = logging.getLogger(__name__)
@@ -82,9 +83,19 @@ class MigrationReport:
 def _database_from_artifacts(
     db_dir: Path, skipped: list[str]
 ) -> VideoDatabase:
-    """Rebuild the corpus from the artifact store (ingest's own path)."""
-    from repro.ingest.runner import store_for
+    """Rebuild the corpus from the artifact store (ingest's own path).
 
+    The only branch that needs the ingest stack (artifacts decode into
+    mined results), so the only one that imports it: migrating a
+    ``database.json`` stays inside the query stack's import layer.
+    """
+    from repro.ingest.runner import ARTIFACTS_DIR, store_for
+
+    if not (db_dir / ARTIFACTS_DIR).exists():
+        raise StorageError(
+            f"nothing to migrate in {db_dir}: no {DATABASE_NAME} and "
+            f"no {ARTIFACTS_DIR}/ store"
+        )
     store = store_for(db_dir)
 
     def loadable():
@@ -113,8 +124,6 @@ def migrate_db_dir(
     ``remove_json`` the legacy JSON file is deleted *after* the SQL
     catalog has been durably written.
     """
-    from repro.ingest.runner import ARTIFACTS_DIR, DATABASE_NAME
-
     db_dir = Path(db_dir)
     json_path = db_dir / DATABASE_NAME
     skipped: list[str] = []
@@ -122,14 +131,9 @@ def migrate_db_dir(
         if json_path.exists():
             source = "json"
             database = VideoDatabase.load(json_path)
-        elif (db_dir / ARTIFACTS_DIR).exists():
+        else:
             source = "artifacts"
             database = _database_from_artifacts(db_dir, skipped)
-        else:
-            raise StorageError(
-                f"nothing to migrate in {db_dir}: no {DATABASE_NAME} and "
-                f"no {ARTIFACTS_DIR}/ store"
-            )
         if not database.videos:
             raise StorageError(f"{db_dir} migration found no registered videos")
         catalog_path = save_database(database, db_dir)

@@ -1,10 +1,10 @@
 """Tests for the Scene Transition Graph method."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.baselines.stg import (
+    TransitionGraph,
     build_transition_graph,
     stg_detect_scenes,
     story_units_from_graph,
@@ -77,7 +77,7 @@ class TestTransitionGraph:
 
 class TestStoryUnits:
     def test_bridge_separates_units(self):
-        graph = nx.DiGraph()
+        graph = TransitionGraph()
         graph.add_edge(0, 1)
         graph.add_edge(1, 0)  # dialog cycle
         graph.add_edge(1, 2)  # one-way bridge to new content
@@ -85,7 +85,7 @@ class TestStoryUnits:
         assert {frozenset(u) for u in units} == {frozenset({0, 1}), frozenset({2})}
 
     def test_empty_graph(self):
-        graph = nx.DiGraph()
+        graph = TransitionGraph()
         graph.add_nodes_from([0, 1])
         units = story_units_from_graph(graph)
         assert len(units) == 2

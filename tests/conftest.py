@@ -3,6 +3,10 @@
 Generating and mining video is the expensive part of this suite, so the
 demo screenplay is rendered once per session and every mined artefact
 (structure, cues, audio, events) is derived from that single run.
+
+The mining stack is imported by the fixtures that need it, not by this
+file: pytest loads it for every test, and the query-stack tests must
+run on a serving-only install (no scipy; see the CI job of that name).
 """
 
 from __future__ import annotations
@@ -10,13 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ClassMiner
-from repro.video.synthesis import demo_screenplay, generate_video
-
 
 @pytest.fixture(scope="session")
 def demo_video():
     """The rendered demo video (3 content scenes + separators)."""
+    from repro.video.synthesis import demo_screenplay, generate_video
+
     return generate_video(demo_screenplay(), seed=0)
 
 
@@ -35,6 +38,8 @@ def demo_truth(demo_video):
 @pytest.fixture(scope="session")
 def demo_result(demo_video):
     """Full ClassMiner output (structure + cues + audio + events)."""
+    from repro.core import ClassMiner
+
     return ClassMiner().mine(demo_video.stream)
 
 

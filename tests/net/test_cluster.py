@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 import pytest
 
+from repro.errors import ServingError
 from repro.net.cluster import ShardCluster
 from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
 from repro.net.shard import build_shards
@@ -58,3 +60,86 @@ class TestCluster:
         assert not result.shards_missing, "watchdog never restored the shard"
         assert cluster.respawns > before
         assert sorted(cluster.alive()) == [0, 1]
+
+
+# A stand-in for ``repro.net.worker``: the cluster runs ``python -m
+# repro.net.worker`` with the PYTHONPATH of ``_worker_env``, so a stub
+# ``repro`` package placed first on that path is what gets executed.  It
+# records its pid, then either stays silent forever or reports READY
+# once every sibling shard has been launched too.
+_STAND_IN_WORKER = """
+import os, sys, time
+from pathlib import Path
+
+shard_dir = Path(sys.argv[1])
+(shard_dir / "pid").write_text(str(os.getpid()))
+if (shard_dir.parent / "silent").exists():
+    time.sleep(600)
+siblings = [d for d in shard_dir.parent.iterdir() if d.name.startswith("shard-")]
+while not all((d / "pid").exists() for d in siblings):
+    time.sleep(0.01)
+print("READY 1", flush=True)
+time.sleep(600)
+"""
+
+
+@pytest.fixture()
+def stand_in_root(tmp_path, net_db, monkeypatch):
+    """A 3-shard root whose workers are the stand-in above."""
+    package = tmp_path / "stub" / "repro" / "net"
+    package.mkdir(parents=True)
+    (package.parent / "__init__.py").write_text("")
+    (package / "__init__.py").write_text("")
+    (package / "worker.py").write_text(_STAND_IN_WORKER)
+    monkeypatch.setattr(
+        "repro.net.cluster._worker_env",
+        lambda: {**os.environ, "PYTHONPATH": str(tmp_path / "stub")},
+    )
+    root = tmp_path / "shards"
+    return root, build_shards(net_db, root, 3)
+
+
+def _worker_pids(root, spec) -> list[int]:
+    return [
+        int((spec.shard_dir(root, info.shard_id) / "pid").read_text())
+        for info in spec.shards
+    ]
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestSpawn:
+    def test_silent_worker_fails_start_within_spawn_timeout(self, stand_in_root):
+        root, spec = stand_in_root
+        (root / "silent").touch()
+        cluster = ShardCluster(
+            root, spec=spec, spawn_timeout=1.0, watchdog_interval=None
+        )
+        started = time.perf_counter()
+        with pytest.raises(ServingError, match="did not report READY within"):
+            cluster.start()
+        assert time.perf_counter() - started < 2.0
+        assert not cluster.running and cluster.alive() == []
+        assert all(_gone(pid) for pid in _worker_pids(root, spec))
+
+    def test_every_worker_is_launched_before_any_is_awaited(self, stand_in_root):
+        # Each stand-in reports READY only once all three are running: a
+        # cluster that spawned them one after the other would wait on
+        # the first forever.
+        root, spec = stand_in_root
+        cluster = ShardCluster(
+            root, spec=spec, spawn_timeout=10.0, watchdog_interval=None
+        )
+        try:
+            cluster.start()
+            assert cluster.alive() == [0, 1, 2]
+            assert len(cluster.endpoints) == 3
+        finally:
+            cluster.stop()
+        assert all(_gone(pid) for pid in _worker_pids(root, spec))

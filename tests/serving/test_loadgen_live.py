@@ -121,7 +121,9 @@ class TestLiveGenerationBump:
                     server,
                     LoadgenConfig(
                         clients=4,
-                        duration=1.2,
+                        # The bump starts at 0.25 s and takes 0.6-1.0 s
+                        # beside four busy clients; leave it room to land.
+                        duration=2.5,
                         timeout=5.0,
                         unique_fraction=0.0,
                         k=12,

@@ -1,0 +1,225 @@
+"""The import graph follows the architecture (DESIGN.md §3).
+
+A serving process — the gateway, a shard worker, ``classminer serve`` —
+must not load the mining stack to start: that costs every such process
+about a second and ~90 MiB.  Each query-stack module is imported in a
+fresh interpreter here and must leave ``sys.modules`` free of the
+miners, ``scipy`` and ``networkx``.  The lazily exporting packages keep
+their public surface: same ``__all__``, every name resolves, star
+imports work.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: The query stack: everything a serving process imports.
+SERVING_MODULES = (
+    "repro.cli",
+    "repro.database",
+    "repro.ann",
+    "repro.storage",
+    "repro.serving",
+    "repro.net",
+    "repro.net.worker",
+    "repro.resilience",
+    "repro.obs",
+)
+
+#: What none of them may pull in at import time (a name or a prefix).
+FORBIDDEN = (
+    "scipy",
+    "networkx",
+    "repro.video",
+    "repro.audio",
+    "repro.vision",
+    "repro.events",
+    "repro.skimming",
+    "repro.evaluation",
+    "repro.baselines",
+    "repro.ingest.executor",
+)
+
+_LEAK_SCRIPT = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+forbidden = sys.argv[2:]
+print("\\n".join(sorted(
+    name for name in sys.modules
+    if any(name == f or name.startswith(f + ".") for f in forbidden)
+)))
+"""
+
+#: The public surfaces as they were while these packages imported eagerly.
+PUBLIC_NAMES = {
+    "repro": [
+        "ClassMiner",
+        "ClassMinerResult",
+        "ContentStructure",
+        "EventKind",
+        "MiningConfig",
+        "ReproError",
+        "ScalableSkim",
+        "VideoDatabase",
+        "build_skim",
+        "__version__",
+    ],
+    "repro.core": [
+        "ClassMiner",
+        "ClassMinerResult",
+        "ClusteredScene",
+        "ContentStructure",
+        "FeatureMatrix",
+        "Group",
+        "GroupKind",
+        "GroupThresholds",
+        "MiningConfig",
+        "Scene",
+        "SceneClusteringResult",
+        "SceneDetectionResult",
+        "Shot",
+        "ShotDetectionResult",
+        "SimilarityWeights",
+        "adaptive_local_threshold",
+        "banded_stsim",
+        "boundary_spans",
+        "build_shot",
+        "classify_group",
+        "cluster_scenes",
+        "cross_stsim",
+        "detect_boundaries",
+        "detect_group_boundaries",
+        "detect_groups",
+        "detect_scenes",
+        "detect_shots",
+        "entropy_threshold",
+        "group_similarity",
+        "group_similarity_matrix",
+        "group_similarity_to_many",
+        "group_stsim",
+        "mine_content_structure",
+        "pairwise_stsim",
+        "representative_frame_index",
+        "search_range",
+        "select_representative_group",
+        "select_representative_shot",
+        "shot_group_similarity",
+        "shot_similarity",
+        "shots_from_ground_truth",
+        "similarity_matrix",
+        "validity_index",
+    ],
+    "repro.ingest": [
+        "ArtifactInfo",
+        "ArtifactStore",
+        "CorpusHook",
+        "IngestJob",
+        "IngestReport",
+        "JobEvent",
+        "JobManifest",
+        "JobOutcome",
+        "JobRecord",
+        "ProgressTracker",
+        "RetryPolicy",
+        "cache_key",
+        "decode_result",
+        "encode_result",
+        "ingest_corpus",
+        "ingest_jobs",
+        "jobs_for_titles",
+        "load_database",
+        "manifest_for",
+        "register_corpus_hook",
+        "results_equal",
+        "run_jobs",
+        "store_for",
+        "unregister_corpus_hook",
+    ],
+}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+@pytest.mark.parametrize("module", SERVING_MODULES)
+def test_serving_module_imports_no_mining_code(module):
+    done = _python("-c", _LEAK_SCRIPT, module, *FORBIDDEN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"import {module} loaded mining modules"
+
+
+def test_old_homes_of_moved_names_stay_cheap():
+    # ``from repro.ingest import load_database, RetryPolicy`` is how
+    # serving callers spelled it before the names moved.
+    script = "from repro.ingest import load_database, RetryPolicy\n" + _LEAK_SCRIPT
+    done = _python("-c", script, "repro.ingest", *FORBIDDEN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+def test_worker_module_runs_once_under_dash_m():
+    # An eager ``ShardWorker`` export from ``repro.net`` made ``python
+    # -m repro.net.worker`` execute the module body twice; runpy warns.
+    done = _python("-W", "error::RuntimeWarning", "-m", "repro.net.worker", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "shard_dir" in done.stdout
+
+
+@pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))
+def test_lazy_package_keeps_its_public_surface(package):
+    pytest.importorskip("scipy")  # resolving every name loads the miners
+    done = _python(
+        "-c",
+        "import importlib, sys\n"
+        "package = importlib.import_module(sys.argv[1])\n"
+        "print(repr(list(package.__all__)))\n"
+        "missing = [n for n in package.__all__ if n not in dir(package)]\n"
+        "assert not missing, missing\n"
+        "namespace = {}\n"
+        "exec(f'from {sys.argv[1]} import *', namespace)\n"
+        "unresolved = [n for n in package.__all__\n"
+        "              if namespace.get(n) is not getattr(package, n)]\n"
+        "assert not unresolved, unresolved\n"
+        "try:\n"
+        "    package.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')\n",
+        package,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == repr(PUBLIC_NAMES[package])
+
+
+def test_lazy_names_are_the_objects_their_home_modules_define():
+    pytest.importorskip("scipy")
+    import repro.core
+    import repro.ingest
+    from repro.core.pipeline import ClassMiner
+    from repro.ingest import executor, runner
+    from repro.resilience.retry import RetryPolicy
+    from repro.storage.lazy import load_database
+
+    assert repro.ClassMiner is ClassMiner
+    assert repro.core.ClassMiner is ClassMiner
+    assert repro.ingest.RetryPolicy is RetryPolicy
+    assert executor.RetryPolicy is RetryPolicy
+    assert repro.ingest.load_database is load_database
+    assert runner.load_database is load_database
