@@ -2,7 +2,7 @@
 
 SMOKES = ingest-smoke serve-smoke obs-smoke chaos-smoke storage-smoke net-smoke obs-net-smoke chaos-net-smoke ann-smoke
 
-.PHONY: install test bench bench-kernels examples report smoke $(SMOKES) all clean
+.PHONY: install test bench bench-kernels bench-quick examples report smoke $(SMOKES) all clean
 
 install:
 	pip install -e .
@@ -15,6 +15,12 @@ bench:
 
 bench-kernels:
 	pytest benchmarks/bench_similarity_kernels.py --benchmark-only
+
+# The layered benchmark, as a smoke: its own selftest, then one quick
+# (1 x 1 s, never for numbers) verified run of the in-RAM scan workload.
+bench-quick:
+	python -m benchmarks.e2e selftest
+	python -m benchmarks.e2e run --workload inram_scan --quick
 
 # Every self-checking smoke run, in sequence (CI runs them as one matrix).
 smoke: $(SMOKES)

@@ -80,7 +80,7 @@ def _probe_pool(database, seed=7):
 
 def _leaf_scan_speedup(node, probes, repeats=20, best_of=3):
     """Exact full-block scan vs quantized scan + exact tail, best-of."""
-    _entries, matrix = node.leaf.fallback_block()
+    matrix = np.stack([entry.features for entry in node.leaf.entries])
     ann, degraded = resolve_ann(node)
     assert ann is not None and not degraded
 

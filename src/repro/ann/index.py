@@ -2,8 +2,8 @@
 
 One :class:`AnnLeafIndex` shadows one scene-concept leaf.  It is built
 over the leaf's packed population in **insertion order** (the same row
-order :meth:`~repro.database.index.LeafHashIndex.fallback_block`
-serves), restricted to the leaf's discriminating sub-space:
+order of :attr:`~repro.database.index.LeafHashIndex.reduced`),
+restricted to the leaf's discriminating sub-space:
 
 * ``centroids`` — seeded k-means cells over the reduced rows;
 * ``assign`` — each row's cell (the inverted lists, kept as one flat
@@ -44,7 +44,7 @@ from repro.core.kernels import (
     intersection_to_many,
     quantized_intersection_to_many,
 )
-from repro.database.index import leaf_signature
+from repro.database.index import leaf_signature, leaf_signatures, rows_by_signature
 from repro.errors import (
     DatabaseError,
     FaultInjectedError,
@@ -77,6 +77,7 @@ class AnnLeafIndex:
         "sigs",
         "seed",
         "_bucket_rows",
+        "_all_rows",
     )
 
     def __init__(
@@ -101,6 +102,7 @@ class AnnLeafIndex:
         self.seed = int(seed)
         self._bucket_rows: dict[tuple[int, ...], np.ndarray] | None = None
         rows, width = self.codes.shape
+        self._all_rows = np.arange(rows, dtype=np.intp)
         if (
             self.assign.shape != (rows,)
             or self.sigs.shape[0] != rows
@@ -135,33 +137,22 @@ class AnnLeafIndex:
             hasher.update(np.ascontiguousarray(array).tobytes())
         return hasher.hexdigest()
 
-    def _buckets(self) -> dict[tuple[int, ...], np.ndarray]:
-        if self._bucket_rows is None:
-            grouped: dict[tuple[int, ...], list[int]] = {}
-            for row, sig in enumerate(self.sigs):
-                grouped.setdefault(
-                    tuple(int(v) for v in sig), []
-                ).append(row)
-            self._bucket_rows = {
-                key: np.asarray(rows, dtype=np.intp)
-                for key, rows in grouped.items()
-            }
-        return self._bucket_rows
-
     def bucket_rows(self, signature: tuple[int, ...]) -> np.ndarray:
         """Row indices of one hash bucket, ascending (empty when absent)."""
-        return self._buckets().get(tuple(signature), _EMPTY_ROWS)
+        if self._bucket_rows is None:
+            self._bucket_rows = rows_by_signature(self.sigs)
+        return self._bucket_rows.get(tuple(signature), _EMPTY_ROWS)
 
     def _base_rows(self, features: np.ndarray, mode: str) -> np.ndarray:
         if mode == "all":
-            return np.arange(self.n_rows, dtype=np.intp)
+            return self._all_rows
         rows = self.bucket_rows(leaf_signature(features))
         if mode == "bucket":
             return rows
         if mode != "auto":
             raise DatabaseError(f"unknown ANN scan mode {mode!r}")
-        # Mirrors probe_block: an empty bucket falls back to all rows.
-        return rows if rows.size else np.arange(self.n_rows, dtype=np.intp)
+        # Mirrors candidate_rows: an empty bucket falls back to all rows.
+        return rows if rows.size else self._all_rows
 
     def search_rows(
         self,
@@ -176,7 +167,7 @@ class AnnLeafIndex:
         tail must score, plus the number of quantized-code evaluations
         performed (0 when the uint8 scan could not prune anything and
         was skipped).  ``mode`` picks the base row set: ``auto`` mirrors
-        :meth:`~repro.database.index.LeafHashIndex.probe_block`
+        :meth:`~repro.database.index.LeafHashIndex.candidate_rows`
         (bucket, else all rows), ``bucket``/``all`` serve the sharded
         probe/scan phases, whose empty-bucket decision is global.
         """
@@ -216,23 +207,23 @@ def build_leaf_ann(
 ) -> AnnLeafIndex:
     """Train one leaf's ANN index from its packed ``(N, 266)`` rows.
 
-    ``population`` must be in leaf insertion order (the fallback-block
-    order); ``dims`` is the leaf's discriminating sub-space.  Fully
-    deterministic: same rows, dims, cells and seed give byte-identical
-    state in any process (see ``AnnLeafIndex.digest``).
+    ``population`` must be in leaf insertion order; ``dims`` is the
+    leaf's discriminating sub-space.  Fully deterministic: same rows,
+    dims, cells and seed give byte-identical state in any process (see
+    ``AnnLeafIndex.digest``).
     """
-    population = np.ascontiguousarray(
-        np.atleast_2d(population), dtype=np.float64
-    )
+    population = np.atleast_2d(np.asarray(population, dtype=np.float64))
     dims = np.asarray(dims, dtype=np.int64)
-    reduced = np.ascontiguousarray(population[:, dims])
+    return _train(population[:, dims], leaf_signatures(population), dims, cells, seed)
+
+
+def _train(
+    reduced: np.ndarray, sigs: np.ndarray, dims: np.ndarray, cells: int, seed: int
+) -> AnnLeafIndex:
+    """Cells and codes over a leaf's reduced rows and row signatures."""
+    reduced = np.ascontiguousarray(reduced, dtype=np.float64)
     centroids, assign = kmeans_cells(reduced, cells=cells, seed=seed)
     codes, scale, offset = scalar_quantize(reduced)
-    # Per-row signatures go through the scalar leaf_signature so bucket
-    # membership is bit-identical to the hash index's own buckets.
-    sigs = np.asarray(
-        [leaf_signature(row) for row in population], dtype=np.int64
-    ).reshape(population.shape[0], -1)
     return AnnLeafIndex(
         dims=dims,
         centroids=centroids,
@@ -279,7 +270,10 @@ def resolve_ann(node) -> tuple[AnnLeafIndex | None, bool]:
     leaf = getattr(node, "leaf", None)
     if leaf is None or node.dims is None or len(leaf) == 0:
         return None, False
-    _entries, matrix = leaf.fallback_block()
-    index = build_leaf_ann(np.asarray(matrix, dtype=np.float64), node.dims)
+    # The leaf already holds what training reads: its reduced block and
+    # its row signatures.
+    index = _train(
+        leaf.reduced, leaf.signatures, node.dims, DEFAULT_ANN_CELLS, ANN_SEED
+    )
     node.ann = index
     return index, False

@@ -13,9 +13,15 @@ arithmetic.  This module packs shots into contiguous arrays
 * the texture term uses the ``‖a‖² + ‖b‖² − 2·a·b`` expansion so a
   block of squared distances is one BLAS matmul plus two rank-1 adds,
   clamped at 0 exactly as the scalar oracle clamps;
-* blocks are chunked (:data:`DEFAULT_BLOCK_PAIRS` pair evaluations per
-  broadcast) so temporary memory stays bounded no matter how many
-  shots are packed.
+* the pairwise kernels are chunked (:data:`DEFAULT_BLOCK_PAIRS` pair
+  evaluations per broadcast) and the one-to-many scans evaluate the
+  ``min``-sum in row chunks of :data:`SCAN_SCRATCH_ELEMS` elements into
+  one reused per-thread scratch, so no call allocates more than a few
+  hundred KB however many rows are packed.  Rows are independent, so a
+  chunked scan is bit-identical to an unchunked one.  The exception is
+  :func:`quantized_intersection_to_many`: its BLAS matvec is *not*
+  row-independent in the last bit, so it stays one block (its input is
+  one leaf's candidates, never the corpus).
 
 The scalar implementations in :mod:`repro.core.similarity` remain the
 reference oracle; every kernel here matches them to ``<= 1e-9``
@@ -34,6 +40,7 @@ in each other.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -57,6 +64,14 @@ TEXTURE_DIM = 10
 #: what the memory-bound ``min``-sum wants (measured ~4x faster than
 #: 64 MB blocks on a 200-shot matrix).
 DEFAULT_BLOCK_PAIRS = 4096
+
+#: float64 elements of the per-thread scratch the one-to-many scans
+#: write their ``min`` rows into: 512 KB, i.e. 256 rows of a 256-bin
+#: histogram or 1024 rows of a 64-d reduced block per chunk.  Measured
+#: on 3 000- and 12 000-row blocks, 256-512 KB chunks scan as fast as
+#: or faster than one unchunked temporary (which misses cache from a
+#: few thousand rows on); a constant, not a knob.
+SCAN_SCRATCH_ELEMS = 65536
 
 
 class KernelStats:
@@ -101,6 +116,64 @@ def _resolve_weights(weights) -> tuple[float, float]:
     if weights is None:
         return DEFAULT_COLOR_WEIGHT, DEFAULT_TEXTURE_WEIGHT
     return float(weights.color), float(weights.texture)
+
+
+_SCRATCH = threading.local()
+
+
+def _scan_chunks(count: int, width: int):
+    """``(start, stop, scratch)`` over ``count`` rows of ``width`` columns.
+
+    ``scratch`` is a ``(stop - start, width)`` view of this thread's
+    reused buffer; the chunks evaluated are counted into
+    :data:`KERNEL_STATS`.
+    """
+    size = max(SCAN_SCRATCH_ELEMS, width)
+    step = max(1, size // max(width, 1))
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _SCRATCH.buffer = np.empty(size)
+    KERNEL_STATS.chunks += -(-count // step)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        yield start, stop, buffer[: (stop - start) * width].reshape(-1, width)
+
+
+def _min_sums(query: np.ndarray, matrix: np.ndarray, rows) -> np.ndarray:
+    """``sum_k min(query_k, row_k)`` per row of ``matrix`` (or of ``rows``)."""
+    count = matrix.shape[0] if rows is None else rows.shape[0]
+    out = np.empty(count, dtype=np.float64)
+    for start, stop, scratch in _scan_chunks(count, matrix.shape[1]):
+        if rows is None:
+            mins = np.minimum(query, matrix[start:stop], out=scratch)
+        else:
+            mins = matrix[rows[start:stop]]
+            np.minimum(query, mins, out=mins)
+        mins.sum(axis=1, out=out[start:stop])
+    return out
+
+
+def _squared_distances(query: np.ndarray, matrix: np.ndarray, rows) -> np.ndarray:
+    """``sum_k (row_k - query_k)^2`` per row of ``matrix`` (or of ``rows``)."""
+    count = matrix.shape[0] if rows is None else rows.shape[0]
+    out = np.empty(count, dtype=np.float64)
+    for start, stop, scratch in _scan_chunks(count, matrix.shape[1]):
+        if rows is None:
+            diff = np.subtract(matrix[start:stop], query, out=scratch)
+        else:
+            diff = matrix[rows[start:stop]]
+            diff -= query
+        np.multiply(diff, diff, out=diff).sum(axis=1, out=out[start:stop])
+    return out
+
+
+def _stsim_rows(q_hist, q_tex, hists, texs, weights, rows) -> np.ndarray:
+    """Eq. (1) of one shot against ``hists``/``texs`` rows (or ``rows`` of them)."""
+    wc, wt = _resolve_weights(weights)
+    color = _min_sums(q_hist, hists, rows)
+    KERNEL_STATS.pair_evals += color.shape[0]
+    texture_term = np.maximum(1.0 - _squared_distances(q_tex, texs, rows), 0.0)
+    return wc * color + wt * texture_term
 
 
 class FeatureMatrix:
@@ -267,15 +340,11 @@ def stsim_to_many(
     query row that is as fast as the norm expansion and matches the
     scalar oracle bit-for-bit.
     """
-    wc, wt = _resolve_weights(weights)
-    KERNEL_STATS.chunks += 1
-    KERNEL_STATS.pair_evals += len(fm)
     histogram = np.asarray(histogram, dtype=np.float64)
     texture = np.asarray(texture, dtype=np.float64)
-    color = np.minimum(histogram[None, :], fm.histograms).sum(axis=1)
-    diff = fm.textures - texture[None, :]
-    texture_term = np.maximum(1.0 - (diff * diff).sum(axis=1), 0.0)
-    return wc * color + wt * texture_term
+    return _stsim_rows(
+        histogram, texture, fm.histograms, fm.textures, weights, None
+    )
 
 
 def banded_stsim(fm: FeatureMatrix, offset: int, weights=None) -> np.ndarray:
@@ -411,37 +480,65 @@ def combined_stsim_to_many(
     matrix: np.ndarray,
     weights=None,
     histogram_dim: int = HISTOGRAM_DIM,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eq. (1) of one combined 266-d query against stacked entries.
 
     Mirrors :func:`repro.database.index.feature_similarity` without the
     per-entry Python dispatch: one call scores a whole candidate block.
+    ``rows`` restricts the scan to those row indices of ``matrix`` (in
+    the given order), gathered chunk by chunk.
     """
-    wc, wt = _resolve_weights(weights)
     query = np.asarray(query, dtype=np.float64)
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    KERNEL_STATS.chunks += 1
-    KERNEL_STATS.pair_evals += matrix.shape[0]
-    color = np.minimum(query[None, :histogram_dim], matrix[:, :histogram_dim]).sum(
-        axis=1
+    return _stsim_rows(
+        query[:histogram_dim],
+        query[histogram_dim:],
+        matrix[:, :histogram_dim],
+        matrix[:, histogram_dim:],
+        weights,
+        rows,
     )
-    diff = matrix[:, histogram_dim:] - query[None, histogram_dim:]
-    texture_term = np.maximum(1.0 - (diff * diff).sum(axis=1), 0.0)
-    return wc * color + wt * texture_term
 
 
-def intersection_to_many(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def intersection_to_many(
+    query: np.ndarray, matrix: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Plain ``min``-sum of a query against stacked (already-reduced) rows.
 
     The reduced-sub-space branch of ``feature_similarity``: both sides
     are restricted to a node's discriminating dimensions before the
-    call.
+    call.  ``rows`` restricts the scan to those row indices of
+    ``matrix`` (in the given order), gathered chunk by chunk.
     """
     query = np.asarray(query, dtype=np.float64)
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    KERNEL_STATS.chunks += 1
-    KERNEL_STATS.pair_evals += matrix.shape[0]
-    return np.minimum(query[None, :], matrix).sum(axis=1)
+    out = _min_sums(query, matrix, rows)
+    KERNEL_STATS.pair_evals += out.shape[0]
+    return out
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` best scores, best first, ties by index.
+
+    Exactly the first ``k`` positions ``list.sort(key=score,
+    reverse=True)`` leaves at the head of a list held in index order (a
+    stable descending sort), without sorting more than the winners and
+    the ties at the cut.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    count = scores.shape[0]
+    k = max(0, min(int(k), count))
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    if k < count:
+        cut = np.partition(scores, count - k)[count - k]
+        above = np.flatnonzero(scores > cut)
+        tied = np.flatnonzero(scores == cut)[: k - above.size]
+        keep = np.sort(np.concatenate([above, tied]))
+    else:
+        keep = np.arange(count)
+    return keep[np.argsort(-scores[keep], kind="stable")]
 
 
 def quantized_intersection_to_many(

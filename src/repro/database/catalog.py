@@ -310,16 +310,28 @@ class VideoDatabase:
         self._index_root = root
         return root
 
-    def _build_subtree(self, concept: ConceptNode) -> IndexNode | None:
+    def _build_subtree(
+        self, concept: ConceptNode, ordinal_of: dict | None = None
+    ) -> IndexNode | None:
+        if ordinal_of is None:
+            # Flat ordinals, the identity leaves dedup on across a search.
+            # Keyed by object: the leaf lists and the flat index file the
+            # same entry objects, and int keys cost the collector nothing.
+            ordinal_of = {id(entry): i for i, entry in enumerate(self._flat.entries)}
         if concept.level is ConceptLevel.SCENE or not concept.children:
             entries = self._leaf_entries.get(concept.name, [])
             if not entries:
                 return None
-            return build_node(concept.name, concept.level.depth, entries=entries)
+            return build_node(
+                concept.name,
+                concept.level.depth,
+                entries=entries,
+                ordinals=np.array([ordinal_of[id(entry)] for entry in entries]),
+            )
         children = [
             child_node
             for child in concept.children
-            if (child_node := self._build_subtree(child)) is not None
+            if (child_node := self._build_subtree(child, ordinal_of)) is not None
         ]
         if not children:
             return None

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from repro.core.kernels import top_k
 from repro.database.index import ShotEntry, feature_similarity_batch
 from repro.database.query import QueryResult, QueryStats, RankedShot
 
@@ -19,9 +20,10 @@ from repro.database.query import QueryResult, QueryStats, RankedShot
 class FlatIndex:
     """A plain list of shot entries, scanned in full per query.
 
-    The scan itself is one batched kernel call over a cached stacked
+    The scan itself is one blocked kernel call over a cached stacked
     feature matrix (rebuilt lazily after inserts); every entry still
-    counts as one logical comparison, exactly the Eq. (24) cost.
+    counts as one logical comparison, exactly the Eq. (24) cost, but
+    only the ``k`` winners become :class:`RankedShot` objects.
     """
 
     def __init__(self, entries: list[ShotEntry] | None = None) -> None:
@@ -51,23 +53,39 @@ class FlatIndex:
             )
         return self._matrix
 
-    def warm(self) -> None:
-        """Pre-build the stacked matrix (snapshot construction)."""
-        self.feature_matrix()
+    def frozen(self) -> "FlatIndex":
+        """A private view for a snapshot: own entry list, shared matrix.
+
+        An insert replaces the stacked matrix and never writes into it,
+        so the copy can share this index's (warmed) matrix instead of
+        stacking a second one.
+        """
+        copy = FlatIndex(self._entries)
+        copy._matrix = self.feature_matrix()
+        return copy
+
+    def scores(self, features: np.ndarray) -> np.ndarray:
+        """Eq. (1) against every entry, in flat-ordinal order."""
+        return feature_similarity_batch(features, self.feature_matrix())
+
+    def entries_at(self, ordinals: list[int]) -> list[ShotEntry]:
+        """The entries at the given flat ordinals."""
+        return [self._entries[ordinal] for ordinal in ordinals]
+
+    def rank(self, features: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
+        """``(top-k flat ordinals best first, every entry's score)``."""
+        scores = self.scores(features)
+        return top_k(scores, k).tolist(), scores
 
     def search(self, features: np.ndarray, k: int = 10) -> QueryResult:
         """Compare against everything, rank everything (Eq. 24)."""
         start = time.perf_counter()
         stats = QueryStats(visited_path=["flat_scan"])
-        scored: list[RankedShot] = []
-        if self._entries:
-            scores = feature_similarity_batch(features, self.feature_matrix())
-            scored = [
-                RankedShot(entry=entry, score=float(score))
-                for entry, score in zip(self._entries, scores)
-            ]
-            stats.comparisons += len(scored)
-        scored.sort(key=lambda hit: hit.score, reverse=True)
-        stats.ranked = len(scored)
+        top, scores = self.rank(features, k)
+        hits = [
+            RankedShot(entry=entry, score=float(scores[ordinal]))
+            for ordinal, entry in zip(top, self.entries_at(top))
+        ]
+        stats.comparisons = stats.ranked = scores.size
         stats.elapsed_seconds = time.perf_counter() - start
-        return QueryResult(hits=scored[:k], stats=stats)
+        return QueryResult(hits=hits, stats=stats)

@@ -40,19 +40,12 @@ class IndexStats:
     """Lock-free hot-path counters for the hierarchical index.
 
     Plain attribute increments (same GIL-approximate trade as
-    :class:`repro.core.kernels.KernelStats`): the descent and the leaf
-    feature-block cache must not pay a lock per query.  Published as
-    read-time gauges through
+    :class:`repro.core.kernels.KernelStats`): the descent must not pay
+    a lock per query.  Published as read-time gauges through
     :func:`repro.obs.bridge.index_stats_collector`.
     """
 
-    __slots__ = (
-        "descents",
-        "routes",
-        "center_block_builds",
-        "block_hits",
-        "block_misses",
-    )
+    __slots__ = ("descents", "routes", "center_block_builds")
 
     def __init__(self) -> None:
         self.reset()
@@ -62,8 +55,6 @@ class IndexStats:
         self.descents = 0
         self.routes = 0
         self.center_block_builds = 0
-        self.block_hits = 0
-        self.block_misses = 0
 
     def snapshot(self) -> dict[str, int]:
         """Point-in-time copy of the counters."""
@@ -71,8 +62,6 @@ class IndexStats:
             "descents": self.descents,
             "routes": self.routes,
             "center_block_builds": self.center_block_builds,
-            "block_hits": self.block_hits,
-            "block_misses": self.block_misses,
         }
 
 
@@ -185,111 +174,146 @@ def leaf_signature(features: np.ndarray, bins: int = SIGNATURE_BINS) -> tuple[in
     return tuple(signature)
 
 
+def leaf_signatures(matrix: np.ndarray, bins: int = SIGNATURE_BINS) -> np.ndarray:
+    """:func:`leaf_signature` of every row of ``matrix`` in one pass.
+
+    Returns ``(N, 2)`` int64 with ``out[i] == leaf_signature(matrix[i])``
+    (``tests/database/test_leaf_arrays.py`` holds the two together row
+    by row, near-empty and exactly tied super-bins included): each
+    super-bin is summed over its own contiguous columns and the ranks
+    come from the same per-row ``argsort``.
+    """
+    matrix = np.atleast_2d(matrix)
+    width = 256 // bins
+    folded = np.stack(
+        [matrix[:, b * width : (b + 1) * width].sum(axis=1) for b in range(bins)],
+        axis=1,
+    )
+    top = np.argsort(folded, axis=1)[:, ::-1][:, :2]
+    mass = np.take_along_axis(folded, top, axis=1)
+    return np.where(mass > 0.1, top, -1)
+
+
+def rows_by_signature(signatures: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Hash buckets as ascending row-index arrays, keyed by signature."""
+    if not signatures.shape[0]:
+        return {}
+    keys, inverse = np.unique(signatures, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=keys.shape[0]))[:-1]
+    return {
+        tuple(int(v) for v in key): rows
+        for key, rows in zip(keys, np.split(order, bounds))
+    }
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
 class LeafHashIndex:
-    """Hash-table shot index used at scene-concept leaves."""
+    """Array-backed hash-table shot index used at scene-concept leaves.
 
-    def __init__(self) -> None:
-        self._buckets: dict[tuple[int, ...], list[ShotEntry]] = {}
-        # Parallel insertion-order list: the all-entries fallback must
-        # rank in registration order so a sharded merge by global
-        # ordinal reproduces the single-process tie-break exactly.
-        self._order: list[ShotEntry] = []
-        # signature -> (entries, stacked features); None keys the
-        # all-entries fallback block.  Rebuilt lazily, dropped on insert.
-        self._blocks: dict[
-            tuple[int, ...] | None, tuple[list[ShotEntry], np.ndarray]
-        ] = {}
+    Everything a query reads is an array in insertion order, built once
+    and read-only afterwards:
 
-    def insert(self, entry: ShotEntry) -> None:
-        """Add one shot to its signature bucket."""
-        signature = leaf_signature(entry.features)
-        self._buckets.setdefault(signature, []).append(entry)
-        self._order.append(entry)
-        self._blocks.clear()
+    ``reduced``
+        ``(N, |dims|)`` float64 — every row restricted to the leaf's
+        discriminating dimensions, the only feature bytes an exact scan
+        touches (the paper's per-node reduced features, stored rather
+        than gathered per query).
+    ``signatures`` / ``buckets``
+        each row's hash signature, and the ascending row indices of
+        every non-empty bucket.
+    ``ordinals``
+        each row's flat ordinal, the identity a search dedups on when
+        it visits several leaves.  ``None`` promises that no shot of
+        this leaf is filed under another leaf (the catalog's own
+        invariant); a hand-built tree that files one shot twice passes
+        ordinals.
 
-    def probe(self, features: np.ndarray) -> list[ShotEntry]:
-        """Candidates in the query's bucket; falls back to all entries
-        when the bucket is empty (small leaves)."""
-        signature = leaf_signature(features)
-        bucket = self._buckets.get(signature, [])
-        if bucket:
-            return list(bucket)
-        return self.all_entries()
+    :meth:`scan` is the one leaf scan every consumer runs (exact
+    search, the ANN re-rank tail, shard workers); a :class:`ShotEntry`
+    is needed only for the rows that win (:meth:`entry`).
+    """
 
-    def _block(
-        self, key: tuple[int, ...] | None
-    ) -> tuple[list[ShotEntry], np.ndarray]:
-        cached = self._blocks.get(key)
-        if cached is None:
-            INDEX_STATS.block_misses += 1
-            entries = list(self._buckets.get(key, ())) if key is not None else (
-                self.all_entries()
-            )
-            matrix = (
-                np.stack([entry.features for entry in entries])
-                if entries
+    def __init__(
+        self,
+        entries: list[ShotEntry] | None = None,
+        dims: np.ndarray | None = None,
+        ordinals: np.ndarray | None = None,
+        population: np.ndarray | None = None,
+    ) -> None:
+        self._entries: list[ShotEntry] = list(entries or [])
+        if population is None:
+            population = (
+                np.stack([entry.features for entry in self._entries])
+                if self._entries
                 else np.empty((0, 0))
             )
-            cached = (entries, matrix)
-            self._blocks[key] = cached
-        else:
-            INDEX_STATS.block_hits += 1
-        return cached
+        self._install(population, dims, ordinals)
 
-    def probe_block(
-        self, features: np.ndarray
-    ) -> tuple[list[ShotEntry], np.ndarray]:
-        """Like :meth:`probe`, plus the candidates' stacked features.
-
-        The stacked ``(M, 266)`` matrix is cached per bucket signature,
-        so repeated queries (the serving hot path) never re-stack
-        entry features.  Callers must treat both values as read-only.
-        """
-        signature = leaf_signature(features)
-        key = signature if self._buckets.get(signature) else None
-        return self._block(key)
-
-    def bucket_block(
-        self, features: np.ndarray
-    ) -> tuple[list[ShotEntry], np.ndarray]:
-        """Signature-bucket block only — never the all-entries fallback.
-
-        A sharded probe must decide *globally* whether the bucket is
-        empty: one shard's empty bucket may be populated on another, so
-        each shard first reports just its own bucket and the coordinator
-        asks for a full leaf scan only when every shard came back empty.
-        """
-        signature = leaf_signature(features)
-        if not self._buckets.get(signature):
-            return [], np.empty((0, 0))
-        return self._block(signature)
-
-    def fallback_block(self) -> tuple[list[ShotEntry], np.ndarray]:
-        """The all-entries block, in insertion order.
-
-        What :meth:`probe_block` falls back to on an empty bucket; shard
-        workers serve it when the coordinator has established that a
-        query's bucket is empty on *every* shard.
-        """
-        return self._block(None)
-
-    def warm(self) -> None:
-        """Pre-build every bucket block plus the all-entries fallback."""
-        for signature in self._buckets:
-            self._block(signature)
-        self._block(None)
-
-    def all_entries(self) -> list[ShotEntry]:
-        """Every indexed shot, in insertion order."""
-        return list(self._order)
+    def _install(self, population: np.ndarray, dims, ordinals) -> None:
+        """Derive the array state from the ``(N, 266)`` rows (any array,
+        a read-only mmap included; only ``reduced`` copies out of it)."""
+        if population.shape[0] and dims is None:
+            raise DatabaseError("a populated leaf needs its discriminating dims")
+        self.dims = dims
+        self.reduced = population if dims is None else population[:, dims]
+        self.signatures = leaf_signatures(population)
+        self.buckets = rows_by_signature(self.signatures)
+        self.ordinals = (
+            None if ordinals is None else np.asarray(ordinals, dtype=np.int64)
+        )
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._entries)
+
+    @property
+    def entries(self) -> list[ShotEntry]:
+        """Every indexed shot, in insertion order (read-only)."""
+        return self._entries
+
+    def entry(self, row: int) -> ShotEntry:
+        """The shot stored at ``row``."""
+        return self._entries[row]
 
     @property
     def bucket_count(self) -> int:
         """Number of non-empty buckets."""
-        return len(self._buckets)
+        return len(self.buckets)
+
+    def bucket_rows(self, features: np.ndarray) -> np.ndarray:
+        """Rows of the query's signature bucket, ascending (maybe none).
+
+        A sharded probe must decide *globally* whether the bucket is
+        empty — one shard's empty bucket may be populated on another —
+        so shard workers report this and scan every row only when the
+        coordinator found the bucket empty on *every* shard.
+        """
+        return self.buckets.get(leaf_signature(features), _NO_ROWS)
+
+    def candidate_rows(self, features: np.ndarray) -> np.ndarray | None:
+        """Rows an exact probe ranks: the query's bucket, or ``None``
+        (every row, in insertion order) when that bucket is empty."""
+        rows = self.bucket_rows(features)
+        return rows if rows.size else None
+
+    def scan(self, features: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Exact scores of ``rows`` (``None``: every row) for a 266-d query.
+
+        The leaf scan entry point: one blocked ``min``-sum over the
+        reduced block, bit-identical row by row to
+        ``feature_similarity(features, row, dims=dims)``.
+        """
+        return intersection_to_many(features[self.dims], self.reduced, rows)
+
+    def probe(self, features: np.ndarray) -> list[ShotEntry]:
+        """Candidate entries of an exact probe (the scalar oracle's view)."""
+        rows = self.candidate_rows(features)
+        if rows is None:
+            rows = range(len(self))
+        return [self.entry(int(row)) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -361,6 +385,18 @@ class IndexNode:
         return self._center_block
 
 
+def _squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``out[i, c] = ‖features_i − centers_c‖²``, one centre at a time.
+
+    The same bits as the ``(N, c, 266)`` broadcast, whose temporaries
+    (2 x 25 MB for a 3 000-shot leaf) used to be the largest transient
+    of an index build.
+    """
+    return np.stack(
+        [((features - center) ** 2).sum(axis=1) for center in centers], axis=1
+    )
+
+
 def _kcenters(features: np.ndarray, k: int) -> np.ndarray:
     """Greedy k-centre selection (farthest-point), then mean refinement.
 
@@ -372,16 +408,11 @@ def _kcenters(features: np.ndarray, k: int) -> np.ndarray:
     k = max(1, min(k, n))
     chosen = [0]
     for _ in range(1, k):
-        distances = np.min(
-            ((features[:, None, :] - features[None, chosen, :]) ** 2).sum(axis=2),
-            axis=1,
-        )
+        distances = np.min(_squared_distances(features, features[chosen]), axis=1)
         chosen.append(int(np.argmax(distances)))
     centers = features[chosen].copy()
     # One Lloyd step: assign and average.
-    assignment = np.argmin(
-        ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1
-    )
+    assignment = np.argmin(_squared_distances(features, centers), axis=1)
     for c in range(k):
         members = features[assignment == c]
         if members.shape[0]:
@@ -396,20 +427,27 @@ def build_node(
     entries: list[ShotEntry] | None = None,
     num_centers: int = DEFAULT_CENTERS,
     reduced_dim: int = DEFAULT_REDUCED_DIM,
+    ordinals: np.ndarray | None = None,
 ) -> IndexNode:
-    """Construct a leaf (from entries) or internal node (from children)."""
+    """Construct a leaf (from entries) or internal node (from children).
+
+    ``ordinals`` are a leaf's per-entry flat ordinals (see
+    :class:`LeafHashIndex`).
+    """
     if (children is None) == (entries is None):
         raise DatabaseError("a node needs either children or entries, not both")
     if entries is not None:
-        leaf = LeafHashIndex()
-        for entry in entries:
-            leaf.insert(entry)
-        node = IndexNode(name=name, depth=depth, leaf=leaf)
-        if entries:
-            population = np.stack([entry.features for entry in entries])
-            node.centers = _kcenters(population, num_centers)
-            node.dims = discriminating_dimensions(population, reduced_dim)
-        return node
+        if not entries:
+            return IndexNode(name=name, depth=depth, leaf=LeafHashIndex())
+        population = np.stack([entry.features for entry in entries])
+        dims = discriminating_dimensions(population, reduced_dim)
+        return IndexNode(
+            name=name,
+            depth=depth,
+            centers=_kcenters(population, num_centers),
+            dims=dims,
+            leaf=LeafHashIndex(entries, dims, ordinals, population),
+        )
 
     node = IndexNode(name=name, depth=depth, children=list(children or []))
     populations = []

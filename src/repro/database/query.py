@@ -9,14 +9,18 @@ cost model can be verified against the implementation.
 
 from __future__ import annotations
 
+import bisect
 import time
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.kernels import top_k
 from repro.database.index import (
     INDEX_STATS,
     IndexNode,
+    LeafHashIndex,
     ShotEntry,
     feature_similarity_batch,
 )
@@ -103,75 +107,60 @@ def _child_scores(
     ]
 
 
-def _rank_leaf_exact(
-    leaf: IndexNode,
-    features: np.ndarray,
-    scored: list[RankedShot],
-    seen: set[tuple[str, int]],
-    stats: QueryStats,
-) -> None:
-    """Exact leaf ranking: probe the bucket, dedup, batch-score."""
-    # One kernel call ranks the whole candidate block of this leaf
-    # (in its discriminating sub-space); each scored entry still
-    # counts as one logical comparison.
-    entries, matrix = leaf.leaf.probe_block(features)  # type: ignore[union-attr]
-    keep = [i for i, entry in enumerate(entries) if entry.key not in seen]
-    if not keep:
-        return
-    seen.update(entries[i].key for i in keep)
-    block = matrix if len(keep) == len(entries) else matrix[keep]
-    scores = feature_similarity_batch(features, block, dims=leaf.dims)
-    scored.extend(
-        RankedShot(entry=entries[i], score=float(score))
-        for i, score in zip(keep, scores)
-    )
-    stats.comparisons += len(keep)
+def _unseen(
+    leaf: LeafHashIndex, rows: np.ndarray | None, seen: list[np.ndarray]
+) -> np.ndarray | None:
+    """``rows`` minus the shots an earlier leaf already ranked.
 
-
-def _rank_leaf_ann(
-    leaf: IndexNode,
-    ann,
-    features: np.ndarray,
-    nprobe: int,
-    rerank_k: int | None,
-    scored: list[RankedShot],
-    seen: set[tuple[str, int]],
-    stats: QueryStats,
-) -> None:
-    """ANN leaf ranking: IVF-pruned candidates, exact re-rank tail.
-
-    Survivor rows arrive in ascending row order — the same sequence the
-    exact probe visits — so dedup order, exact scores (computed by the
-    same kernel over the same stored float64 rows) and the global
-    stable sort reproduce the exact path bit-identically whenever no
-    cell or survivor was pruned (``nprobe >= cells``, unbounded tail).
+    Dedup runs on flat ordinals (first-visited leaf wins); a leaf
+    without ordinals shares no shot with any other leaf.
     """
-    rows, approx_evals = ann.search_rows(
-        features, nprobe=nprobe, rerank_k=rerank_k, mode="auto"
-    )
-    stats.approx_comparisons += approx_evals
-    if rows.size == 0:
-        return
-    entries = leaf.leaf.all_entries()  # type: ignore[union-attr]
-    _all_entries, matrix = leaf.leaf.fallback_block()  # type: ignore[union-attr]
-    kept = [int(row) for row in rows if entries[int(row)].key not in seen]
-    if not kept:
-        return
-    seen.update(entries[row].key for row in kept)
-    scores = feature_similarity_batch(features, matrix[kept], dims=leaf.dims)
-    scored.extend(
-        RankedShot(entry=entries[row], score=float(score))
-        for row, score in zip(kept, scores)
-    )
-    stats.comparisons += len(kept)
-    stats.reranked += len(kept)
+    if leaf.ordinals is None:
+        return rows
+    ordinals = leaf.ordinals if rows is None else leaf.ordinals[rows]
+    if seen:
+        fresh = ~np.isin(ordinals, np.concatenate(seen))
+        if not fresh.all():
+            rows = np.flatnonzero(fresh) if rows is None else rows[fresh]
+            ordinals = ordinals[fresh]
+    seen.append(ordinals)
+    return rows
+
+
+#: One scanned leaf: ``(leaf, rows or None for every row, their scores)``.
+ScannedLeaf = tuple[LeafHashIndex, np.ndarray | None, np.ndarray]
+
+
+def top_candidates(
+    scanned: list[ScannedLeaf], k: int
+) -> list[tuple[LeafHashIndex, int, float]]:
+    """The ``k`` best ``(leaf, row, score)`` of the scanned leaves.
+
+    Candidates rank in visit order (leaf by leaf, row by row), so the
+    stable :func:`~repro.core.kernels.top_k` reproduces the tie order of
+    sorting one object per candidate.
+    """
+    if not scanned:
+        return []
+    scores = np.concatenate([part[2] for part in scanned])
+    starts = [0]
+    for part in scanned:
+        starts.append(starts[-1] + part[2].size)
+    best = []
+    for position in top_k(scores, k).tolist():
+        index = bisect.bisect_right(starts, position) - 1
+        leaf, rows, _scores = scanned[index]
+        local = position - starts[index]
+        row = local if rows is None else int(rows[local])
+        best.append((leaf, row, float(scores[position])))
+    return best
 
 
 def search_hierarchical(
     root: IndexNode,
     features: np.ndarray,
     k: int = 10,
-    allowed_leaves: set[str] | None = None,
+    allowed_leaves: AbstractSet[str] | None = None,
     beam: int = 2,
     nprobe: int | None = None,
     rerank_k: int | None = None,
@@ -228,33 +217,49 @@ def search_hierarchical(
             return QueryResult(hits=[], stats=stats)
         raise DatabaseError("descent reached no populated leaf")
 
-    scored: list[RankedShot] = []
-    seen: set[tuple[str, int]] = set()
-    for leaf in leaves:
+    scanned: list[ScannedLeaf] = []
+    seen: list[np.ndarray] = []
+    for node in leaves:
+        leaf = node.leaf
+        assert leaf is not None
         ann = None
         if nprobe is not None:
             from repro.ann.index import resolve_ann
 
-            ann, degraded = resolve_ann(leaf)
+            ann, degraded = resolve_ann(node)
             if degraded:
                 stats.ann_degraded = True
         if ann is None:
-            _rank_leaf_exact(leaf, features, scored, seen, stats)
+            rows = leaf.candidate_rows(features)
         else:
-            _rank_leaf_ann(
-                leaf, ann, features, nprobe, rerank_k, scored, seen, stats
+            # Survivors arrive in ascending row order — the sequence the
+            # exact probe visits — so with nothing pruned (``nprobe >=
+            # cells``, unbounded tail) the ANN path is the exact path.
+            rows, approx_evals = ann.search_rows(
+                features, nprobe=nprobe, rerank_k=rerank_k, mode="auto"
             )
-    scored.sort(key=lambda hit: hit.score, reverse=True)
-    stats.ranked = len(scored)
+            stats.approx_comparisons += approx_evals
+        rows = _unseen(leaf, rows, seen)
+        scores = leaf.scan(features, rows)
+        stats.comparisons += scores.size
+        if ann is not None:
+            stats.reranked += scores.size
+        scanned.append((leaf, rows, scores))
+    # Only the winners become objects.
+    hits = [
+        RankedShot(entry=leaf.entry(row), score=score)
+        for leaf, row, score in top_candidates(scanned, k)
+    ]
+    stats.ranked = sum(part[2].size for part in scanned)
     stats.elapsed_seconds = time.perf_counter() - start
-    return QueryResult(hits=scored[:k], stats=stats)
+    return QueryResult(hits=hits, stats=stats)
 
 
 def descend_to_leaves(
     root: IndexNode,
     features: np.ndarray,
     stats: QueryStats,
-    allowed_leaves: set[str] | None = None,
+    allowed_leaves: AbstractSet[str] | None = None,
     beam: int = 2,
 ) -> list[IndexNode]:
     """The Eq. (25) beam descent, separated from leaf ranking.
@@ -300,7 +305,7 @@ def descend_to_leaves(
 def _best_permitted_leaf(
     root: IndexNode,
     features: np.ndarray,
-    allowed: set[str],
+    allowed: AbstractSet[str],
     stats: QueryStats,
 ) -> IndexNode | None:
     """Fallback: the permitted leaf whose centres best match the query.

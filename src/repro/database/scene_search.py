@@ -15,10 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.database.index import (
-    combine_features,
-    feature_similarity_batch,
-)
+from repro.core.kernels import combined_stsim_to_many, top_k
+from repro.database.index import combine_features
 from repro.errors import DatabaseError
 from repro.types import EventKind
 
@@ -60,13 +58,16 @@ class RankedScene:
 class SceneIndex:
     """Flat index of scene centroids with optional event filtering.
 
-    Centroids are stacked into one cached matrix (rebuilt lazily after
-    inserts) so a search is one batched kernel call.
+    Centroids are stacked into one cached matrix and each event's row
+    indices into one cached array (both rebuilt lazily after inserts),
+    so a search is one blocked kernel call and only the ``k`` winners
+    become :class:`RankedScene` objects.
     """
 
     def __init__(self) -> None:
         self._entries: list[SceneEntry] = []
         self._matrix: np.ndarray | None = None
+        self._event_rows: dict[EventKind, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -80,6 +81,7 @@ class SceneIndex:
         """Add one pre-built scene entry (the snapshot-rebuild path)."""
         self._entries.append(entry)
         self._matrix = None
+        self._event_rows = None
 
     def centroid_matrix(self) -> np.ndarray:
         """Cached ``(N, 266)`` stack of every entry's centroid."""
@@ -92,8 +94,10 @@ class SceneIndex:
         return self._matrix
 
     def warm(self) -> None:
-        """Pre-build the stacked matrix (snapshot construction)."""
+        """Pre-build the stacked matrix and the per-event rows
+        (snapshot construction)."""
         self.centroid_matrix()
+        self._rows_of(EventKind.UNKNOWN)
 
     def register(self, result: ClassMinerResult) -> int:
         """Index every kept scene of a mined video; returns scenes added."""
@@ -130,22 +134,31 @@ class SceneIndex:
         """
         if not self._entries:
             raise DatabaseError("scene index is empty")
-        matrix = self.centroid_matrix()
+        rows = None
         if event is not None:
-            keep = [i for i, entry in enumerate(self._entries) if entry.event is event]
-            if not keep:
+            rows = self._rows_of(event)
+            if rows is None:
                 return []
-            candidates = [self._entries[i] for i in keep]
-            matrix = matrix[keep]
-        else:
-            candidates = self._entries
-        scores = feature_similarity_batch(features, matrix)
-        hits = [
-            RankedScene(entry=entry, score=float(score))
-            for entry, score in zip(candidates, scores)
-        ]
-        hits.sort(key=lambda hit: hit.score, reverse=True)
-        return hits[:k]
+        scores = combined_stsim_to_many(features, self.centroid_matrix(), rows=rows)
+        hits = []
+        for position in top_k(scores, k).tolist():
+            row = position if rows is None else int(rows[position])
+            hits.append(
+                RankedScene(entry=self._entries[row], score=float(scores[position]))
+            )
+        return hits
+
+    def _rows_of(self, event: EventKind) -> np.ndarray | None:
+        """Ascending rows of the scenes mined as ``event`` (None: none)."""
+        if self._event_rows is None:
+            grouped: dict[EventKind, list[int]] = {}
+            for row, entry in enumerate(self._entries):
+                grouped.setdefault(entry.event, []).append(row)
+            self._event_rows = {
+                kind: np.asarray(rows, dtype=np.intp)
+                for kind, rows in grouped.items()
+            }
+        return self._event_rows.get(event)
 
     def similar_scenes(
         self, video_title: str, scene_id: int, k: int = 5

@@ -18,7 +18,7 @@ the single-process path (ids, scores, tie-break order):
   leaf's *signature bucket* candidates; only when a leaf's bucket is
   empty on **every** responding shard does the coordinator ask for that
   leaf's all-entries scan — reproducing
-  :meth:`~repro.database.index.LeafHashIndex.probe_block`'s per-leaf
+  :meth:`~repro.database.index.LeafHashIndex.candidate_rows`'s per-leaf
   fallback decision at global scope.
 * Candidates carry global flat ordinals; within each leaf the shards'
   sub-lists are merged by ascending ordinal, which reconstructs the
@@ -737,7 +737,7 @@ class ShardedQueryService:
 
         # Per-leaf fallback decision at *global* scope: a leaf scans all
         # entries only when its signature bucket is empty on every
-        # responding shard — the sharded equivalent of probe_block.
+        # responding shard — the sharded equivalent of candidate_rows.
         empty = [
             name
             for name in names

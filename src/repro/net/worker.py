@@ -63,11 +63,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.ann.index import resolve_ann
-from repro.database.index import (
-    IndexNode,
-    feature_similarity_batch,
-    leaf_signature,
-)
+from repro.database.index import IndexNode
+from repro.database.query import ScannedLeaf, top_candidates
 from repro.errors import DatabaseError, ReproError
 from repro.resilience.faults import fault_point
 from repro.net.protocol import (
@@ -95,13 +92,6 @@ class _ShardState:
             self.global_ords = np.arange(
                 self.database.catalog.entry_count(), dtype=np.int64
             )
-        catalog = self.database.catalog
-        self.global_ord_of: dict[tuple[str, int], int] = {}
-        for info in catalog.leaf_infos():
-            for row in catalog.leaf_rows(info.name):
-                self.global_ord_of[(row.video_title, row.shot_id)] = int(
-                    self.global_ords[row.ord]
-                )
         self.leaves: dict[str, IndexNode] = {}
         if self.database.videos:
             self._collect(self.database.index_root)
@@ -409,7 +399,7 @@ class ShardWorker:
         approx_comparisons = 0
         ann_degraded = False
         per_leaf: dict[str, dict] = {}
-        combined: list[tuple[int, object, float]] = []
+        scanned: list[ScannedLeaf] = []
         for name in request.get("leaves", []):
             node = state.leaves.get(name)
             if node is None:
@@ -418,8 +408,10 @@ class ShardWorker:
             with tracer.span("worker.leaf", leaf=name) as leaf_span:
                 leaf = node.leaf
                 assert leaf is not None
-                entries = matrix = None
-                bucket_size = None
+                # None scans every row: the coordinator found the
+                # query's bucket empty on every shard.
+                rows = None if fallback else leaf.bucket_rows(features)
+                bucket_size = len(leaf) if rows is None else int(rows.size)
                 if nprobe is not None:
                     ann, degraded = resolve_ann(node)
                     ann_degraded = ann_degraded or degraded
@@ -435,54 +427,31 @@ class ShardWorker:
                             )
                             prune_span.set(evals=evals, survivors=len(rows))
                         approx_comparisons += evals
-                        if fallback:
-                            bucket_size = ann.n_rows
-                        else:
-                            bucket_size = int(
-                                ann.bucket_rows(leaf_signature(features)).size
-                            )
-                        all_entries, block = leaf.fallback_block()
-                        picked = [int(row) for row in rows]
-                        entries = [all_entries[row] for row in picked]
-                        matrix = block[picked]
-                if bucket_size is None:
-                    if fallback:
-                        entries, matrix = leaf.fallback_block()
-                    else:
-                        entries, matrix = leaf.bucket_block(features)
-                    bucket_size = len(entries)
-                leaf_span.set(bucket=int(bucket_size))
-                if not entries:
-                    per_leaf[name] = {
-                        "bucket": int(bucket_size),
-                        "candidates": [],
-                    }
+                leaf_span.set(bucket=bucket_size)
+                count = len(leaf) if rows is None else int(rows.size)
+                if not count:
+                    per_leaf[name] = {"bucket": bucket_size, "candidates": []}
                     continue
-                with tracer.span("score.exact", rows=len(entries)):
-                    scores = feature_similarity_batch(
-                        features, matrix, dims=node.dims
-                    )
-                candidates = []
-                for entry, score in zip(entries, scores):
-                    global_ord = state.global_ord_of[entry.key]
-                    candidates.append(
-                        [
-                            global_ord,
-                            entry.video_title,
-                            entry.shot_id,
-                            entry.scene_id,
-                            float(score),
-                        ]
-                    )
-                    combined.append((global_ord, entry, float(score)))
+                with tracer.span("score.exact", rows=count):
+                    scores = leaf.scan(features, rows)
+                pick = slice(None) if rows is None else rows
                 per_leaf[name] = {
-                    "bucket": int(bucket_size),
-                    "candidates": candidates,
+                    "bucket": bucket_size,
+                    "candidates": list(
+                        zip(
+                            state.global_ords[leaf.ordinals[pick]].tolist(),
+                            leaf.titles[pick].tolist(),
+                            leaf.shot_ids[pick].tolist(),
+                            leaf.scene_ids[pick].tolist(),
+                            scores.tolist(),
+                        )
+                    ),
                 }
-        top = sorted(combined, key=lambda item: item[2], reverse=True)[:k]
+                scanned.append((leaf, rows, scores))
+        # Feature payloads ship for the shard-local top-k only.
         payload = {
-            str(global_ord): pack_array(entry.features)
-            for global_ord, entry, _score in top
+            str(int(state.global_ords[leaf.ordinals[row]])): pack_array(leaf.block[row])
+            for leaf, row, _score in top_candidates(scanned, k)
         }
         return {
             "ok": True,
@@ -497,21 +466,21 @@ class ShardWorker:
         state = self._state
         features = unpack_array(request["features"])
         k = int(request.get("k", 10))
-        total = len(state.database.flat_index)
+        flat = state.database.flat_index
+        total = len(flat)
         with tracer.span("score.exact", rows=total):
-            result = state.database.search_flat(features, k=k)
+            top, scores = flat.rank(features, k)
         candidates = []
         payload = {}
-        for hit in result.hits:
-            entry = hit.entry
-            global_ord = state.global_ord_of[entry.key]
+        for ordinal, entry in zip(top, flat.entries_at(top)):
+            global_ord = int(state.global_ords[ordinal])
             candidates.append(
                 [
                     global_ord,
                     entry.video_title,
                     entry.shot_id,
                     entry.scene_id,
-                    float(hit.score),
+                    float(scores[ordinal]),
                 ]
             )
             payload[str(global_ord)] = pack_array(entry.features)

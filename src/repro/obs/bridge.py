@@ -109,8 +109,6 @@ def index_stats_collector() -> dict[str, float]:
         "index_descents_total": float(INDEX_STATS.descents),
         "index_routes_total": float(INDEX_STATS.routes),
         "index_center_block_builds_total": float(INDEX_STATS.center_block_builds),
-        "index_block_cache_hits_total": float(INDEX_STATS.block_hits),
-        "index_block_cache_misses_total": float(INDEX_STATS.block_misses),
     }
 
 

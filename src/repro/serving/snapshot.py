@@ -118,12 +118,11 @@ class Snapshot:
         """
         if user is not None and allowed_leaves is None:
             allowed_leaves = self.permitted_leaves(user)
-        allowed = set(allowed_leaves) if allowed_leaves is not None else None
         return search_hierarchical(
             self.index_root,
             features,
             k=k,
-            allowed_leaves=allowed,
+            allowed_leaves=allowed_leaves,
             nprobe=nprobe,
             rerank_k=rerank_k,
         )
@@ -195,21 +194,17 @@ def _derive_scene_index(database: VideoDatabase) -> SceneIndex:
     return index
 
 
-def _warm_feature_blocks(root: IndexNode) -> None:
-    """Pre-build every cached feature block of an index tree.
+def _warm_center_blocks(root: IndexNode) -> None:
+    """Pre-stack the routing centres of every non-leaf node.
 
-    Walks the tree once: non-leaf nodes stack their children's routing
-    centres (:meth:`~repro.database.index.IndexNode.center_block`),
-    leaves stack each hash bucket plus the all-entries fallback.  The
-    serving hot path then never re-stacks features — every batched
-    kernel call hits a per-generation matrix built here.
+    Leaves need no warming: an in-RAM leaf's reduced block and bucket
+    rows are built with the index tree.
     """
     if root.is_leaf:
-        root.leaf.warm()  # type: ignore[union-attr]
         return
     root.center_block()
     for child in root.children:
-        _warm_feature_blocks(child)
+        _warm_center_blocks(child)
 
 
 def warm_ann_indexes(snapshot: Snapshot) -> int:
@@ -239,9 +234,10 @@ def build_snapshot(database: VideoDatabase, generation: int) -> Snapshot:
     """Freeze the database's current state as one generation.
 
     Raises :class:`~repro.errors.ServingError` for an empty database —
-    a server has nothing to serve.  All kernel feature blocks (index
-    centre stacks, leaf bucket stacks, flat and scene matrices) are
-    precomputed here, off the query path.
+    a server has nothing to serve.  Every array a query reads (index
+    centre stacks, the leaves' reduced blocks, flat and scene matrices)
+    exists once this returns, off the query path; the flat matrix is
+    the database's own, shared rather than copied.
     """
     if not database.videos:
         raise ServingError("cannot snapshot an empty database")
@@ -260,11 +256,13 @@ def build_snapshot(database: VideoDatabase, generation: int) -> Snapshot:
             controller=database.controller,
             shot_count=database.shot_count,
         )
-    flat = FlatIndex(database.flat_index.entries)
-    flat.warm()
+    # The index first: its build leaves tens of MB of freed temporaries
+    # in the allocator, which the long-lived matrices below then reuse
+    # instead of growing the process on top of them.
+    _warm_center_blocks(database.index_root)
+    flat = database.flat_index.frozen()
     scenes = _derive_scene_index(database)
     scenes.warm()
-    _warm_feature_blocks(database.index_root)
     return Snapshot(
         generation=generation,
         index_root=database.index_root,

@@ -5,15 +5,15 @@ before the first query can run.  This module gives the same
 :class:`~repro.database.catalog.VideoDatabase` API a lazy spine:
 
 * :class:`LazyLeafHashIndex` — a :class:`~repro.database.index.LeafHashIndex`
-  that materialises its hash buckets from the leaf's memory-mapped
-  feature block on first probe.  Rows are replayed through the parent's
-  ``insert`` in stored row order, so buckets, cached blocks and
-  fallback ordering are *identical* to an eager build.
+  whose array state (reduced block, hash buckets, flat ordinals) is
+  derived from the leaf's memory-mapped feature block on first touch,
+  in stored row order, so buckets and scan order are *identical* to an
+  eager build; the 266-d rows themselves stay on the mmap.
 * :class:`OutOfCoreFlatIndex` — the Eq. (24) linear scan executed
   leaf-block by leaf-block: per-block batch scores scatter into one
-  score vector by stored flat ordinal, and the ranking reproduces the
-  eager stable sort (``np.lexsort`` with an insertion-order tiebreak)
-  bit for bit.  Only the top-``k`` rows ever become Python objects.
+  score vector by stored flat ordinal, ranked by the same
+  :func:`~repro.core.kernels.top_k` as the in-RAM scan.  Only the
+  top-``k`` rows ever become Python objects.
 * :class:`LazySceneIndex` — scene-centroid search fed from the stored
   centroid block on first use.
 * :class:`SQLVideoDatabase` — a :class:`VideoDatabase` subclass opened
@@ -32,7 +32,6 @@ replayed here.
 from __future__ import annotations
 
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,6 @@ from repro.database.index import (
     build_node,
     feature_similarity_batch,
 )
-from repro.database.query import QueryResult, QueryStats, RankedShot
 from repro.database.scene_search import SceneEntry, SceneIndex
 from repro.errors import IngestError, StorageError
 from repro.resilience.faults import fault_point
@@ -58,78 +56,75 @@ from repro.types import EventKind
 
 
 class LazyLeafHashIndex(LeafHashIndex):
-    """A leaf hash index whose entries load from the feature store on demand.
+    """A leaf hash index whose arrays load from the feature store on demand.
 
-    Until the first probe the index knows only its entry count; the
-    loader then yields :class:`ShotEntry` rows in stored row order and
-    each is inserted through the base class, reproducing the eager
-    bucket layout exactly.
+    Until the first touch the index knows only its entry count and its
+    discriminating dims.  The first read of any other attribute derives
+    the whole array state (reduced block, signatures, buckets) straight
+    from the leaf's memory-mapped block plus one columnar SQL read of
+    the row identities — the state an eager build over the same rows
+    holds, without one Python object per row.  A :class:`ShotEntry` is
+    built (its features a view of the mmap row) only for rows that win.
 
-    Materialisation is guarded by a lock: serving worker threads share
-    one index per leaf, so the first prober loads while later arrivals
-    wait, and ``_loaded`` flips only after every row is in place —
-    nobody ever probes a partially populated bucket.
+    Serving worker threads share one index per leaf: the first prober
+    loads under a lock while later arrivals wait on it.
     """
 
-    def __init__(self, count: int, loader) -> None:
-        super().__init__()
-        self._loader = loader
-        self._stored_count = count
-        self._loaded = False
+    _ON_DEMAND = frozenset(
+        {
+            "reduced", "signatures", "buckets", "ordinals",
+            "block", "titles", "shot_ids", "scene_ids",
+        }
+    )
+
+    def __init__(self, catalog: SQLCatalog, info: LeafInfo) -> None:
+        # No base-class state yet: ``__getattr__`` loads it on first use.
+        self._catalog = catalog
+        self._info = info
         self._load_lock = threading.Lock()
+        self.dims = info.dims
 
-    def _ensure(self) -> None:
-        if self._loaded:
-            return
+    def __getattr__(self, name: str):
+        # Reached only while ``name`` is not set yet.
+        if name not in self._ON_DEMAND:
+            raise AttributeError(name)
         with self._load_lock:
-            if self._loaded:
-                return
-            for entry in self._loader():
-                super().insert(entry)
-            self._loaded = True
+            if name not in self.__dict__:
+                self._load()
+        return self.__dict__[name]
 
-    def insert(self, entry: ShotEntry) -> None:
-        """Insert after loading, so stored rows keep their bucket order."""
-        self._ensure()
-        super().insert(entry)
-
-    def probe(self, features: np.ndarray) -> list[ShotEntry]:
-        self._ensure()
-        return super().probe(features)
-
-    def probe_block(self, features: np.ndarray):
-        self._ensure()
-        return super().probe_block(features)
-
-    def bucket_block(self, features: np.ndarray):
-        self._ensure()
-        return super().bucket_block(features)
-
-    def fallback_block(self):
-        self._ensure()
-        return super().fallback_block()
-
-    def warm(self) -> None:
-        self._ensure()
-        super().warm()
-
-    def all_entries(self) -> list[ShotEntry]:
-        self._ensure()
-        return super().all_entries()
+    def _load(self) -> None:
+        info = self._info
+        block = self._catalog.features.open(info.block.sha)
+        ordinals, titles, shot_ids, scene_ids = self._catalog.leaf_columns(info.name)
+        if not ordinals.shape[0] == block.shape[0] == info.entry_count:
+            raise StorageError(
+                f"leaf {info.name!r} changed generation under this reader: "
+                f"opened with {info.entry_count} entries over a block of "
+                f"{block.shape[0]} rows, the catalog now lists "
+                f"{ordinals.shape[0]} — the directory was re-saved; reopen it"
+            )
+        self.block = block
+        self.titles = np.array(titles, dtype=object)
+        self.shot_ids = shot_ids
+        self.scene_ids = scene_ids
+        self._install(block, info.dims, ordinals)
 
     def __len__(self) -> int:
-        return self._stored_count if not self._loaded else super().__len__()
+        return self._info.entry_count
+
+    def entry(self, row: int) -> ShotEntry:
+        return ShotEntry(
+            video_title=self.titles[row],
+            shot_id=int(self.shot_ids[row]),
+            scene_id=int(self.scene_ids[row]),
+            features=self.block[row],
+        )
 
     @property
-    def bucket_count(self) -> int:
-        """Number of populated hash buckets (materialises)."""
-        self._ensure()
-        return LeafHashIndex.bucket_count.fget(self)  # type: ignore[attr-defined]
-
-    @property
-    def loaded(self) -> bool:
-        """Whether the entries have been materialised yet."""
-        return self._loaded
+    def entries(self) -> list[ShotEntry]:
+        """Every stored shot in row order (materialises one object each)."""
+        return [self.entry(row) for row in range(len(self))]
 
 
 def _ann_index_for(catalog: SQLCatalog, info: LeafInfo):
@@ -161,20 +156,6 @@ def _ann_index_for(catalog: SQLCatalog, info: LeafInfo):
     )
 
 
-def _leaf_entries_for(catalog: SQLCatalog, info: LeafInfo) -> list[ShotEntry]:
-    """Materialise one leaf's entries (features are mmap row views)."""
-    block = catalog.features.open(info.block.sha)
-    return [
-        ShotEntry(
-            video_title=row.video_title,
-            shot_id=row.shot_id,
-            scene_id=row.scene_id,
-            features=block[row.row],
-        )
-        for row in catalog.leaf_rows(info.name)
-    ]
-
-
 class OutOfCoreFlatIndex(FlatIndex):
     """The Eq. (24) linear scan, executed block-by-block over mmaps.
 
@@ -182,8 +163,8 @@ class OutOfCoreFlatIndex(FlatIndex):
     the batched kernel scores it, and the per-row results scatter into
     one score vector by flat ordinal — so peak resident memory is one
     block plus the score vector, independent of corpus size.  Ranking
-    then reproduces the eager stable sort exactly and only the top
-    ``k`` rows are fetched back from SQL as entry objects.
+    is the base class's (:meth:`FlatIndex.rank`); only the top ``k``
+    rows are fetched back from SQL as entry objects.
     """
 
     def __init__(self, catalog: SQLCatalog) -> None:
@@ -201,14 +182,10 @@ class OutOfCoreFlatIndex(FlatIndex):
     def _scan_plan(self) -> list[tuple[LeafInfo, np.ndarray]]:
         """Per-leaf (info, flat-ordinal vector) in stored row order."""
         if self._plan is None:
-            plan = []
-            for info in self._leaf_infos().values():
-                ords = np.array(
-                    [row.ord for row in self._catalog.leaf_rows(info.name)],
-                    dtype=np.intp,
-                )
-                plan.append((info, ords))
-            self._plan = plan
+            self._plan = [
+                (info, self._catalog.leaf_columns(info.name)[0])
+                for info in self._leaf_infos().values()
+            ]
         return self._plan
 
     def insert(self, entry: ShotEntry) -> None:
@@ -249,48 +226,32 @@ class OutOfCoreFlatIndex(FlatIndex):
                 self._matrix = matrix
         return self._matrix
 
-    def warm(self) -> None:
-        """No-op: the out-of-core scan stays cold by design."""
-        return None
-
-    def search(self, features: np.ndarray, k: int = 10) -> QueryResult:
-        """Block-wise Eq. (24) scan, bit-identical to the in-RAM result."""
-        start = time.perf_counter()
-        stats = QueryStats(visited_path=["flat_scan"])
-        n = self._total
-        if not n:
-            stats.elapsed_seconds = time.perf_counter() - start
-            return QueryResult(hits=[], stats=stats)
-        scores = np.empty(n, dtype=np.float64)
+    def scores(self, features: np.ndarray) -> np.ndarray:
+        """Block-wise Eq. (24) scan, scattered into flat-ordinal order."""
+        scores = np.empty(self._total, dtype=np.float64)
         for info, ords in self._scan_plan():
             block = self._catalog.features.open(info.block.sha)
             scores[ords] = feature_similarity_batch(features, block)
-        stats.comparisons += n
-        # Stable descending sort with insertion-order tiebreak — the
-        # exact ordering list.sort(key=score, reverse=True) produces.
-        order = np.lexsort((np.arange(n), -scores))
-        top = [int(i) for i in order[:k]]
-        rows = self._catalog.entries_by_ord(top)
-        hits = []
-        for ordinal in top:
+        return scores
+
+    def entries_at(self, ordinals: list[int]) -> list[ShotEntry]:
+        """Fetch just these rows back from SQL as entry objects."""
+        rows = self._catalog.entries_by_ord(ordinals)
+        entries = []
+        for ordinal in ordinals:
             row = rows[ordinal]
             block = self._catalog.features.open(
                 self._leaf_infos()[row.leaf].block.sha
             )
-            hits.append(
-                RankedShot(
-                    entry=ShotEntry(
-                        video_title=row.video_title,
-                        shot_id=row.shot_id,
-                        scene_id=row.scene_id,
-                        features=block[row.row],
-                    ),
-                    score=float(scores[ordinal]),
+            entries.append(
+                ShotEntry(
+                    video_title=row.video_title,
+                    shot_id=row.shot_id,
+                    scene_id=row.scene_id,
+                    features=block[row.row],
                 )
             )
-        stats.ranked = n
-        stats.elapsed_seconds = time.perf_counter() - start
-        return QueryResult(hits=hits, stats=stats)
+        return entries
 
 
 class LazySceneIndex(SceneIndex):
@@ -330,6 +291,10 @@ class LazySceneIndex(SceneIndex):
                             centroid=block[row.row],
                         ),
                     )
+                if len(self._entries) == block.shape[0]:
+                    # Rows are stored in entry order: the mmap block
+                    # *is* the centroid matrix, no stacked copy.
+                    self._matrix = block
             self._loaded = True
 
     def __len__(self) -> int:
@@ -416,9 +381,11 @@ class SQLVideoDatabase(VideoDatabase):
             return self._catalog.describe()
         return super().describe()
 
-    def _build_subtree(self, concept: ConceptNode) -> IndexNode | None:
+    def _build_subtree(
+        self, concept: ConceptNode, ordinal_of: dict | None = None
+    ) -> IndexNode | None:
         if not self.out_of_core:
-            return super()._build_subtree(concept)
+            return super()._build_subtree(concept, ordinal_of)
         if concept.level is ConceptLevel.SCENE or not concept.children:
             info = self._leaf_infos.get(concept.name)
             if info is None:
@@ -427,10 +394,7 @@ class SQLVideoDatabase(VideoDatabase):
             node = IndexNode(
                 name=concept.name,
                 depth=concept.level.depth,
-                leaf=LazyLeafHashIndex(
-                    info.entry_count,
-                    lambda info=info: _leaf_entries_for(catalog, info),
-                ),
+                leaf=LazyLeafHashIndex(catalog, info),
             )
             node.centers = info.centers
             node.dims = info.dims

@@ -414,6 +414,31 @@ class SQLCatalog:
 
         return self._run(op)
 
+    def leaf_columns(
+        self, name: str
+    ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
+        """A leaf's entries in block-row order, as columns.
+
+        ``(flat ordinals, titles, shot ids, scene ids)`` — what an
+        array-backed leaf holds per row; no per-row objects are built.
+        """
+        def op(conn: sqlite3.Connection):
+            return conn.execute(
+                "SELECT ord, video_title, shot_id, scene_id "
+                "FROM entries WHERE leaf = ? ORDER BY row",
+                (name,),
+            ).fetchall()
+
+        rows = self._run(op)
+        ords, titles, shots, scenes = zip(*rows) if rows else ((), (), (), ())
+        shared: dict[str, str] = {}  # one str per title, not one per row
+        return (
+            np.array(ords, dtype=np.int64),
+            [shared.setdefault(title, title) for title in titles],
+            np.array(shots, dtype=np.int64),
+            np.array(scenes, dtype=np.int64),
+        )
+
     def entries_by_ord(self, ords: list[int]) -> dict[int, EntryRow]:
         """Entry metadata for specific flat ordinals (batched IN query)."""
         result: dict[int, EntryRow] = {}

@@ -185,7 +185,7 @@ class TestResolveAnn:
             for node in _iter_leaves(ann_db.index_root)
             if node.leaf is not None and len(node.leaf) > 0
         )
-        _entries, matrix = leaf.leaf.fallback_block()
+        matrix = np.stack([entry.features for entry in leaf.leaf.entries])
         a = build_leaf_ann(matrix, leaf.dims)
         b = build_leaf_ann(matrix, leaf.dims)
         assert a.digest() == b.digest()
@@ -197,13 +197,13 @@ class TestResolveAnn:
             if node.leaf is not None and len(node.leaf) > 2
         )
         index, _ = resolve_ann(leaf)
-        entries = leaf.leaf.all_entries()
+        entries = leaf.leaf.entries
         from repro.database.index import leaf_signature
 
         for probe in probes:
             sig = leaf_signature(probe)
             expected = [
-                e.key for e in leaf.leaf.bucket_block(probe)[0]
+                entries[int(r)].key for r in leaf.leaf.bucket_rows(probe)
             ]
             got = [entries[int(r)].key for r in index.bucket_rows(sig)]
             assert got == expected

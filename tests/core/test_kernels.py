@@ -342,3 +342,79 @@ class TestFeatureMatrix:
     def test_concatenate_empty(self):
         fm = FeatureMatrix.concatenate([])
         assert len(fm) == 0
+
+
+class TestBlockedScans:
+    """The one-to-many scans walk rows in chunks: same bits, bounded temporaries."""
+
+    ROWS = 20_000  # ~80 chunks of a 266-d scan; the unchunked temporary would be 41 MB
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        rng = np.random.default_rng(11)
+        return rng.random((self.ROWS, 266)), rng.random(266)
+
+    def test_chunked_scan_is_bit_identical_to_one_block(self, block):
+        from repro.core.kernels import combined_stsim_to_many, intersection_to_many
+
+        matrix, query = block
+        color = np.minimum(query[None, :256], matrix[:, :256]).sum(axis=1)
+        diff = matrix[:, 256:] - query[None, 256:]
+        whole = 0.7 * color + 0.3 * np.maximum(1.0 - (diff * diff).sum(axis=1), 0.0)
+        assert np.array_equal(combined_stsim_to_many(query, matrix), whole)
+        reduced = np.ascontiguousarray(matrix[:, ::4])
+        assert np.array_equal(
+            intersection_to_many(query[::4], reduced),
+            np.minimum(query[None, ::4], reduced).sum(axis=1),
+        )
+
+    def test_row_subset_equals_scanning_then_selecting(self, block):
+        from repro.core.kernels import combined_stsim_to_many, intersection_to_many
+
+        matrix, query = block
+        rows = np.random.default_rng(12).permutation(self.ROWS)[:7001]
+        assert np.array_equal(
+            combined_stsim_to_many(query, matrix, rows=rows),
+            combined_stsim_to_many(query, matrix)[rows],
+        )
+        assert np.array_equal(
+            intersection_to_many(query, matrix, rows), intersection_to_many(query, matrix)[rows]
+        )
+        assert intersection_to_many(query, matrix, rows[:0]).shape == (0,)
+
+    def test_chunk_counter_counts_chunks_evaluated(self, block):
+        from repro.core.kernels import (
+            KERNEL_STATS,
+            SCAN_SCRATCH_ELEMS,
+            combined_stsim_to_many,
+            intersection_to_many,
+        )
+
+        matrix, query = block
+        before = KERNEL_STATS.chunks
+        combined_stsim_to_many(query, matrix)
+        # One pass of 256-row chunks over the histograms, one of 6553-row
+        # chunks over the 10-d textures.
+        color, texture = SCAN_SCRATCH_ELEMS // 256, SCAN_SCRATCH_ELEMS // 10
+        assert KERNEL_STATS.chunks - before == -(-self.ROWS // color) + -(-self.ROWS // texture)
+        before = KERNEL_STATS.chunks
+        intersection_to_many(query[:64], matrix[:100, :64])
+        assert KERNEL_STATS.chunks - before == 1
+
+    def test_no_scan_allocates_more_than_a_chunk_or_two(self, block):
+        import tracemalloc
+
+        from repro.core.kernels import SCAN_SCRATCH_ELEMS, combined_stsim_to_many
+
+        matrix, query = block
+        rows = np.arange(0, self.ROWS, 2)
+        combined_stsim_to_many(query, matrix)  # this thread's scratch exists from here on
+        tracemalloc.start()
+        try:
+            combined_stsim_to_many(query, matrix)
+            combined_stsim_to_many(query, matrix, rows=rows)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result_bytes = 8 * self.ROWS
+        assert peak <= result_bytes + 2 * 8 * SCAN_SCRATCH_ELEMS

@@ -63,19 +63,16 @@ class TestDiscriminatingDimensions:
 
 class TestLeafHashIndex:
     def test_probe_returns_same_bucket(self):
-        leaf = LeafHashIndex()
         same = [_entry("v", i, 3) for i in range(4)]
         other = [_entry("v", 10 + i, 200) for i in range(4)]
-        for entry in same + other:
-            leaf.insert(entry)
+        leaf = LeafHashIndex(same + other, dims=np.arange(64))
         hits = leaf.probe(same[0].features)
         assert {h.shot_id for h in hits} == {0, 1, 2, 3}
         assert leaf.bucket_count == 2
         assert len(leaf) == 8
 
     def test_probe_falls_back_when_bucket_empty(self):
-        leaf = LeafHashIndex()
-        leaf.insert(_entry("v", 0, 3))
+        leaf = LeafHashIndex([_entry("v", 0, 3)], dims=np.arange(64))
         # Query signature that matches no bucket.
         query = _entry("v", 99, 150).features
         assert len(leaf.probe(query)) == 1

@@ -116,9 +116,11 @@ class TestHotPathCollectors:
             "kernel_packs_total",
             "kernel_pair_evals_total",
             "index_descents_total",
-            "index_block_cache_hits_total",
+            "index_center_block_builds_total",
         ):
             assert name in view
+        # The leaf block cache is gone, and so are its gauges.
+        assert not any("block_cache" in name for name in view)
 
     def test_stats_reset_and_snapshot(self):
         KERNEL_STATS.reset()
@@ -133,6 +135,4 @@ class TestHotPathCollectors:
             "descents",
             "routes",
             "center_block_builds",
-            "block_hits",
-            "block_misses",
         }

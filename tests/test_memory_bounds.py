@@ -1,0 +1,114 @@
+"""Resident memory of a built snapshot, as a multiple of the raw feature bytes.
+
+An in-RAM server used to hold every 266-d vector four times (the entry,
+one stacked block per hash bucket, one all-entries block per leaf, the
+flat matrix) and every flat scan left an un-chunked ``(N, 256)``
+temporary in its worker thread's malloc arena.  Now a snapshot adds one
+flat matrix plus the leaves' 64-d reduced blocks, and no scan allocates
+more than one chunk.  Both are measured in a fresh interpreter — the
+ndarray bytes a snapshot pins beyond the database it was built from
+(tracemalloc, NumPy's domain), and the peak-RSS growth of building it and
+serving shot / shot_flat / scene queries from two threads — with bounds
+the commit before the array-native leaves fails (measured there: 3.5 x
+and 5.7 x the raw feature bytes; now 1.8 x and 2.0 x).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Snapshot-held ndarray bytes / raw feature bytes: one flat matrix (1.0),
+#: reduced leaf blocks (64/266 = 0.24), scene centroids as entries and as
+#: one matrix (2 x 0.25 at four shots a scene), routing centres.
+HELD_BOUND = 2.2
+#: Peak-RSS growth / raw feature bytes over build + two serving threads:
+#: the above plus Python objects, allocator slack and one scan chunk a thread.
+GROWN_BOUND = 3.0
+
+_SCRIPT = r"""
+import json, re, sys, threading, tracemalloc
+import numpy as np
+from repro.serving import build_snapshot
+from repro.storage import build_synthetic_database
+
+TRACE = sys.argv[1] == "held"
+
+
+def hwm_bytes():
+    status = open("/proc/self/status").read()
+    return 1024 * int(re.search(r"VmHWM:\s+(\d+) kB", status).group(1))
+
+
+def array_bytes():
+    # NumPy reports its data buffers to tracemalloc under its own domain.
+    numpy_only = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    traced = tracemalloc.take_snapshot().filter_traces([numpy_only])
+    return sum(trace.size for trace in traced.traces)
+
+
+database = build_synthetic_database(videos=1000, shots_per_video=12, seed=5)
+raw = len(database.flat_index) * 266 * 8
+probes = np.stack([e.features for e in database.flat_index.entries[::97]])
+probes = np.roll(probes, 3, axis=1)  # novel: not a stored row
+if TRACE:
+    tracemalloc.start()
+    before = array_bytes()
+else:
+    with open("/proc/self/clear_refs", "w") as handle:
+        handle.write("5")  # reset VmHWM to the current RSS
+    before = hwm_bytes()
+
+snapshot = build_snapshot(database, 1)
+if TRACE:
+    print(json.dumps({"raw": raw, "held": array_bytes() - before}))
+    sys.exit(0)
+
+
+def serve():
+    for probe in probes:
+        assert snapshot.search(probe, k=10).hits
+        assert snapshot.search_flat(probe, k=10).hits
+        assert snapshot.search_scenes(probe, k=10)
+
+
+threads = [threading.Thread(target=serve) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(120)
+assert not any(thread.is_alive() for thread in threads)
+print(json.dumps({"raw": raw, "grown": hwm_bytes() - before}))
+"""
+
+
+def _measure(mode: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, mode],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_snapshot_holds_little_more_than_one_matrix():
+    """ndarray bytes alive after ``build_snapshot`` that were not before."""
+    figures = _measure("held")
+    assert figures["held"] <= HELD_BOUND * figures["raw"], figures
+
+
+def test_building_and_serving_grow_rss_by_a_bounded_multiple():
+    """``VmHWM`` growth over build + shot / shot_flat / scene queries, 2 threads."""
+    figures = _measure("grown")
+    assert figures["grown"] <= GROWN_BOUND * figures["raw"], figures
