@@ -4,10 +4,10 @@ A package that re-exports names from its submodules eagerly makes every
 ``import package.anything`` pay for all of them.  For :mod:`repro`,
 :mod:`repro.core` and :mod:`repro.ingest` that meant each serving
 process (gateway, shard worker, ``classminer serve``) loaded the whole
-mining stack — scipy included — before answering anything (DESIGN.md
-§3, "Import layering").  Those packages export through
-:func:`lazy_exports` instead: the public names and ``__all__`` are
-unchanged, but a name's home module is imported on first access.
+mining stack before answering anything (DESIGN.md §3, "Import
+layering").  Those packages export through :func:`lazy_exports` instead:
+the public names and ``__all__`` are unchanged, but a name's home module
+is imported on first access.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ gives both: each :class:`SpeakerVoice` is a vocal-tract configuration
 (fundamental pitch + formant resonances) driving a glottal pulse train.
 Different configurations produce clearly different spectral envelopes —
 exactly what MFCCs measure.
+
+Both filters here are all-pole with their poles well inside the unit
+circle, so each is applied as a convolution with its impulse response,
+written in closed form and cut where it has decayed past any effect on a
+float64 sum (:data:`TAIL_CUTOFF`); numpy's FFT does the convolution.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.audio.waveform import DEFAULT_SAMPLE_RATE, Waveform
 from repro.errors import AudioError
@@ -52,6 +56,8 @@ class SpeakerVoice:
             raise AudioError("formants and bandwidths must align")
         if not self.formants_hz:
             raise AudioError("a voice needs at least one formant")
+        if min(self.formants_hz) <= 0 or min(self.bandwidths_hz) <= 0:
+            raise AudioError("formant frequencies and bandwidths must be positive")
 
 
 #: A small cast of clearly distinct voices for the synthetic corpus.
@@ -109,6 +115,63 @@ def _glottal_pulse_train(
     return excitation
 
 
+#: An impulse response is cut at the tap where its envelope has fallen to
+#: this fraction of its first tap: what is dropped is far below one ulp of
+#: any output sample the kept taps produce.
+TAIL_CUTOFF = 1e-18
+
+
+def _tap_count(radius: float, envelope: float, limit: int) -> int:
+    """Taps until ``envelope * radius**n`` falls below the cutoff, at most ``limit``."""
+    return min(limit, int(np.log(TAIL_CUTOFF / envelope) / np.log(radius)) + 1)
+
+
+def fir_filter(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Causal convolution ``signal * taps`` cut to ``signal.size`` samples.
+
+    Overlap-add over real FFTs: the signal is cut into blocks a few times
+    the tap count, so the work is ``O(n log taps)`` and the scratch memory
+    is one block whatever the signal's length.
+    """
+    count = signal.size
+    taps = taps[:count]
+    if count == 0 or taps.size == 0:
+        return np.zeros(count, dtype=np.float64)
+    # Seven taps' worth of samples plus the tail: 7/8 of each transform is payload.
+    block = min(count, 7 * taps.size)
+    fft_size = 1 << (block + taps.size - 2).bit_length()
+    spectrum = np.fft.rfft(taps, fft_size)
+    output = np.zeros(count + taps.size - 1, dtype=np.float64)
+    for start in range(0, count, block):
+        piece = signal[start : start + block]
+        span = piece.size + taps.size - 1
+        output[start : start + span] += np.fft.irfft(
+            np.fft.rfft(piece, fft_size) * spectrum, fft_size
+        )[:span]
+    return output[:count]
+
+
+def resonator(
+    signal: np.ndarray, freq_hz: float, bandwidth_hz: float, sample_rate: int
+) -> np.ndarray:
+    """Two-pole resonator ``1 / (1 - 2 r cos(theta) z^-1 + r^2 z^-2)``.
+
+    With ``r = exp(-pi * bandwidth / sample_rate)`` and ``theta`` the
+    centre frequency in radians per sample, its impulse response is
+    ``r^n * sin((n + 1) theta) / sin(theta)``.
+    """
+    r = np.exp(-np.pi * bandwidth_hz / sample_rate)
+    theta = 2.0 * np.pi * freq_hz / sample_rate
+    n = np.arange(_tap_count(r, 1.0 / abs(np.sin(theta)), signal.size))
+    return fir_filter(signal, r**n * np.sin((n + 1) * theta) / np.sin(theta))
+
+
+def one_pole(signal: np.ndarray, gain: float, pole: float) -> np.ndarray:
+    """One-pole low-pass ``gain / (1 - pole z^-1)``: impulse response ``gain * pole^n``."""
+    n = np.arange(_tap_count(pole, 1.0, signal.size))
+    return fir_filter(signal, gain * pole**n)
+
+
 def _formant_filter(
     excitation: np.ndarray, voice: SpeakerVoice, sample_rate: int
 ) -> np.ndarray:
@@ -117,11 +180,7 @@ def _formant_filter(
     for freq, bandwidth in zip(voice.formants_hz, voice.bandwidths_hz):
         if freq >= sample_rate / 2:
             continue  # resonance above Nyquist contributes nothing
-        r = np.exp(-np.pi * bandwidth / sample_rate)
-        theta = 2.0 * np.pi * freq / sample_rate
-        # H(z) = 1 / (1 - 2 r cos(theta) z^-1 + r^2 z^-2)
-        a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
-        output = sp_signal.lfilter([1.0], a, output)
+        output = resonator(output, freq, bandwidth, sample_rate)
     return output
 
 
@@ -197,7 +256,7 @@ def synthesize_ambient(
     count = int(round(duration * sample_rate))
     noise = rng.normal(0.0, 1.0, count)
     # One-pole low-pass to make it a dull rumble rather than white noise.
-    smooth = sp_signal.lfilter([0.08], [1.0, -0.92], noise)
+    smooth = one_pole(noise, gain=0.08, pole=0.92)
     t = np.arange(count) / sample_rate
     beep_gate = (np.sin(2.0 * np.pi * 1.1 * t) > 0.995).astype(float)
     beep = 0.5 * np.sin(2.0 * np.pi * 880.0 * t) * beep_gate

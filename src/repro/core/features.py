@@ -84,17 +84,29 @@ def representative_frame_index(start: int, stop: int) -> int:
     return start + (stop - start) // 2
 
 
-def build_shot(stream: VideoStream, shot_id: int, start: int, stop: int) -> Shot:
-    """Construct a :class:`Shot` with features from a frame span."""
+def build_shot(
+    stream: VideoStream,
+    shot_id: int,
+    start: int,
+    stop: int,
+    histograms: np.ndarray | None = None,
+) -> Shot:
+    """Construct a :class:`Shot` with features from a frame span.
+
+    ``histograms`` is the stream's per-frame histogram matrix when the
+    caller already has it (the shot detector does); the shot then takes
+    its representative frame's row instead of computing it again.
+    """
     if stop > len(stream):
         raise MiningError(f"shot span [{start}, {stop}) exceeds stream length")
-    frame = stream[representative_frame_index(start, stop)]
+    index = representative_frame_index(start, stop)
+    frame = stream[index]
     return Shot(
         shot_id=shot_id,
         start=start,
         stop=stop,
         fps=stream.fps,
         representative_frame=frame,
-        histogram=hsv_histogram(frame),
+        histogram=hsv_histogram(frame) if histograms is None else histograms[index].copy(),
         texture=tamura_coarseness(frame),
     )

@@ -21,7 +21,8 @@ from repro.core.features import Shot, build_shot
 from repro.core.threshold import adaptive_local_threshold
 from repro.errors import MiningError
 from repro.video.stream import VideoStream
-from repro.vision.difference import difference_signal
+from repro.vision.difference import signal_from_histograms
+from repro.vision.histogram import frame_histograms
 
 #: Paper window size: "a small window (e.g., 30 frames in our current work)".
 DEFAULT_WINDOW = 30
@@ -115,8 +116,11 @@ def detect_shots(
     domain DC-coefficient differences, as the paper's MPEG detector
     [10] used — much cheaper, slightly less colour-sensitive).
     """
+    histograms = None
     if mode == "histogram":
-        differences = difference_signal(stream)
+        # The one pass over every frame; each shot's feature is a row of it.
+        histograms = frame_histograms(stream)
+        differences = signal_from_histograms(histograms)
     elif mode == "dc":
         from repro.vision.compressed import dc_difference_signal
 
@@ -128,7 +132,7 @@ def detect_shots(
     )
     spans = boundary_spans(boundaries, len(stream))
     shots = [
-        build_shot(stream, shot_id, start, stop)
+        build_shot(stream, shot_id, start, stop, histograms)
         for shot_id, (start, stop) in enumerate(spans)
     ]
     return ShotDetectionResult(

@@ -310,8 +310,14 @@ def _run_pool(
 
         while pending:
             inflight.set(len(pending))
+            # Sleep until a job completes or the nearest deadline passes.
+            deadlines = [
+                slot.deadline for slot in pending.values() if slot.deadline is not None
+            ]
             completed, _ = wait(
-                list(pending), timeout=0.05, return_when=FIRST_COMPLETED
+                list(pending),
+                timeout=max(0.0, min(deadlines) - time.monotonic()) if deadlines else None,
+                return_when=FIRST_COMPLETED,
             )
             for future in completed:
                 slot = pending.pop(future)

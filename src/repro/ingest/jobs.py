@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from repro.core.structure import MiningConfig
 from repro.errors import IngestError
@@ -114,9 +115,13 @@ class IngestJob:
         """The screenplay title."""
         return self.screenplay.title
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """The job's deterministic artifact cache key."""
+        """The job's deterministic artifact cache key.
+
+        Hashed once per job: the fields it covers are frozen, and the
+        screenplay fingerprint is the costly part of a warm ingest.
+        """
         return cache_key(self.screenplay, self.seed, self.config, self.mine_events)
 
 

@@ -1,7 +1,13 @@
 """Vision substrate: colour, histograms, texture, regions, and cue detectors."""
 
 from repro.vision.blood import BloodDetection, detect_blood
-from repro.vision.color import hsv_to_rgb, quantize_hsv, rgb_to_hsv
+from repro.vision.color import (
+    hsv_bins,
+    hsv_histograms,
+    hsv_to_rgb,
+    quantize_hsv,
+    rgb_to_hsv,
+)
 from repro.vision.colormodel import GaussianColorModel, chromaticity
 from repro.vision.cues import VisualCues, extract_cues
 from repro.vision.difference import (
@@ -12,6 +18,7 @@ from repro.vision.difference import (
 from repro.vision.face import FaceDetection, detect_faces
 from repro.vision.frames import SpecialFrameKind, classify_special_frame
 from repro.vision.histogram import (
+    frame_histograms,
     histogram_intersection,
     histogram_l1_distance,
     hsv_histogram,
@@ -57,11 +64,14 @@ __all__ = [
     "extract_cues",
     "extract_rois",
     "filter_regions",
+    "frame_histograms",
     "has_video_text",
     "histogram_difference",
     "histogram_intersection",
     "histogram_l1_distance",
+    "hsv_bins",
     "hsv_histogram",
+    "hsv_histograms",
     "hsv_to_rgb",
     "label_regions",
     "match_rois",

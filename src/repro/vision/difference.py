@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import VisionError
 from repro.video.frame import Frame
 from repro.video.stream import VideoStream
-from repro.vision.color import TOTAL_BINS, quantize_hsv, rgb_to_hsv
+from repro.vision.histogram import frame_histograms
 
 
 def pixel_difference(a: Frame, b: Frame) -> float:
@@ -31,41 +31,18 @@ def histogram_difference(a: Frame, b: Frame) -> float:
     0 means identical colour content; 1 means disjoint content.  This is
     the statistic the shot detector thresholds.
     """
-    hist_a = _frame_histogram(a)
-    hist_b = _frame_histogram(b)
-    return 0.5 * float(np.abs(hist_a - hist_b).sum())
+    return float(difference_signal([a, b])[0])
 
 
-def _frame_histogram(frame: Frame) -> np.ndarray:
-    hsv = rgb_to_hsv(frame.pixels)
-    bins = quantize_hsv(hsv)
-    counts = np.bincount(bins.ravel(), minlength=TOTAL_BINS).astype(np.float64)
-    return counts / counts.sum()
-
-
-def difference_signal(stream: VideoStream) -> np.ndarray:
+def difference_signal(frames: VideoStream | Sequence[Frame]) -> np.ndarray:
     """Inter-frame histogram difference ``d[i] = diff(frame_i, frame_{i+1})``.
 
-    Returns an array of length ``len(stream) - 1``; element ``i`` is the
+    Returns an array of length ``len(frames) - 1``; element ``i`` is the
     difference across the boundary between frames ``i`` and ``i + 1``.
     """
-    if len(stream) < 2:
-        return np.zeros(0, dtype=np.float64)
-    histograms = [_frame_histogram(frame) for frame in stream]
-    diffs = np.empty(len(histograms) - 1, dtype=np.float64)
-    for i in range(len(histograms) - 1):
-        diffs[i] = 0.5 * float(np.abs(histograms[i] - histograms[i + 1]).sum())
-    return diffs
+    return signal_from_histograms(frame_histograms(frames))
 
 
-def signal_from_frames(frames: Sequence[Frame]) -> np.ndarray:
-    """Same as :func:`difference_signal` but for a bare frame sequence."""
-    if len(frames) < 2:
-        return np.zeros(0, dtype=np.float64)
-    histograms = [_frame_histogram(frame) for frame in frames]
-    return np.array(
-        [
-            0.5 * float(np.abs(histograms[i] - histograms[i + 1]).sum())
-            for i in range(len(histograms) - 1)
-        ]
-    )
+def signal_from_histograms(histograms: np.ndarray) -> np.ndarray:
+    """:func:`difference_signal` of frames whose ``(N, 256)`` histograms are at hand."""
+    return 0.5 * np.abs(histograms[:-1] - histograms[1:]).sum(axis=1)

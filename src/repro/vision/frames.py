@@ -23,7 +23,8 @@ from enum import Enum
 import numpy as np
 
 from repro.video.frame import Frame
-from repro.vision.color import TOTAL_BINS, quantize_hsv, rgb_to_hsv
+from repro.vision.color import saturation
+from repro.vision.histogram import hsv_histogram
 
 
 class SpecialFrameKind(str, Enum):
@@ -56,22 +57,19 @@ CLIPART_SATURATION = 0.15
 SLIDE_DARK_FRACTION = 0.06
 
 
+def _entropy(histogram: np.ndarray) -> float:
+    nonzero = histogram[histogram > 0]
+    return float(-(nonzero * np.log2(nonzero)).sum())
+
+
 def histogram_entropy(frame: Frame) -> float:
     """Shannon entropy (bits) of the 256-bin HSV histogram."""
-    hsv = rgb_to_hsv(frame.pixels)
-    bins = quantize_hsv(hsv)
-    counts = np.bincount(bins.ravel(), minlength=TOTAL_BINS).astype(np.float64)
-    probabilities = counts / counts.sum()
-    nonzero = probabilities[probabilities > 0]
-    return float(-(nonzero * np.log2(nonzero)).sum())
+    return _entropy(hsv_histogram(frame))
 
 
 def dominant_color_fraction(frame: Frame) -> float:
     """Fraction of pixels in the single most common HSV bin."""
-    hsv = rgb_to_hsv(frame.pixels)
-    bins = quantize_hsv(hsv)
-    counts = np.bincount(bins.ravel(), minlength=TOTAL_BINS)
-    return float(counts.max() / counts.sum())
+    return float(hsv_histogram(frame).max())
 
 
 def text_band_count(frame: Frame, dark_threshold: float = 0.5) -> int:
@@ -108,16 +106,16 @@ def classify_special_frame(frame: Frame) -> SpecialFrameKind:
     if mean_luma < BLACK_LUMA and float(gray.std()) < 0.05:
         return SpecialFrameKind.BLACK
 
-    entropy = histogram_entropy(frame)
-    background = dominant_color_fraction(frame)
+    histogram = hsv_histogram(frame)
+    entropy = _entropy(histogram)
+    background = float(histogram.max())
     man_made = mean_luma > MANMADE_LUMA and (
         background >= MANMADE_BACKGROUND or entropy <= MANMADE_ENTROPY
     )
     if not man_made:
         return SpecialFrameKind.NATURAL
 
-    saturation = rgb_to_hsv(frame.pixels)[:, :, 1]
-    saturated_fraction = float((saturation > 0.4).mean())
+    saturated_fraction = float((saturation(frame.pixels) > 0.4).mean())
     if saturated_fraction > CLIPART_SATURATION:
         return SpecialFrameKind.CLIPART
 

@@ -8,11 +8,13 @@ provided here as :func:`histogram_intersection`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import VisionError
 from repro.video.frame import Frame
-from repro.vision.color import TOTAL_BINS, quantize_hsv, rgb_to_hsv
+from repro.vision.color import hsv_histograms
 
 
 def hsv_histogram(frame: Frame | np.ndarray) -> np.ndarray:
@@ -21,14 +23,14 @@ def hsv_histogram(frame: Frame | np.ndarray) -> np.ndarray:
     The histogram sums to 1 (L1-normalised), matching the ``min``-based
     intersection term of Eq. (1).
     """
-    pixels = frame.pixels if isinstance(frame, Frame) else frame
-    hsv = rgb_to_hsv(pixels)
-    bins = quantize_hsv(hsv)
-    counts = np.bincount(bins.ravel(), minlength=TOTAL_BINS).astype(np.float64)
-    total = counts.sum()
-    if total == 0:
-        raise VisionError("cannot build a histogram from an empty frame")
-    return counts / total
+    return frame_histograms([frame])[0]
+
+
+def frame_histograms(frames: Sequence[Frame | np.ndarray]) -> np.ndarray:
+    """``(N, 256)`` matrix of the frames' histograms, row ``i`` for frame ``i``."""
+    return hsv_histograms(
+        [frame.pixels if isinstance(frame, Frame) else frame for frame in frames]
+    )
 
 
 def histogram_intersection(h1: np.ndarray, h2: np.ndarray) -> float:

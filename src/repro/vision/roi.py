@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import VisionError
 from repro.video.frame import Frame
-from repro.vision.color import quantize_hsv, rgb_to_hsv
+from repro.vision.color import TOTAL_BINS, hsv_bins
 from repro.vision.morphology import close_mask, open_mask
 from repro.vision.regions import Region, label_regions
 
@@ -75,8 +75,8 @@ def background_mask(frame: Frame, background_mass: float = BACKGROUND_MASS) -> n
     """
     if not 0.0 < background_mass < 1.0:
         raise VisionError("background_mass must be in (0, 1)")
-    bins = quantize_hsv(rgb_to_hsv(frame.pixels))
-    counts = np.bincount(bins.ravel(), minlength=256).astype(np.float64)
+    bins = hsv_bins(frame.pixels)
+    counts = np.bincount(bins.ravel(), minlength=TOTAL_BINS).astype(np.float64)
     order = np.argsort(counts)[::-1]
     total = counts.sum()
     background_bins = []
@@ -88,7 +88,7 @@ def background_mask(frame: Frame, background_mass: float = BACKGROUND_MASS) -> n
             break
         background_bins.append(bin_index)
         mass += counts[bin_index]
-    lookup = np.zeros(256, dtype=bool)
+    lookup = np.zeros(TOTAL_BINS, dtype=bool)
     lookup[background_bins] = True
     return lookup[bins]
 

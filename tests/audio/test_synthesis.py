@@ -25,6 +25,11 @@ class TestSpeakerVoice:
             SpeakerVoice(name="x", pitch_hz=100, formants_hz=(500,), bandwidths_hz=())
         with pytest.raises(AudioError):
             SpeakerVoice(name="x", pitch_hz=100, formants_hz=(), bandwidths_hz=())
+        # A resonator needs a pole strictly inside the unit circle, off the real axis.
+        with pytest.raises(AudioError):
+            SpeakerVoice(name="x", pitch_hz=100, formants_hz=(0,), bandwidths_hz=(80,))
+        with pytest.raises(AudioError):
+            SpeakerVoice(name="x", pitch_hz=100, formants_hz=(500,), bandwidths_hz=(0,))
 
 
 class TestSynthesizeSpeech:

@@ -5,8 +5,8 @@ demo screenplay is rendered once per session and every mined artefact
 (structure, cues, audio, events) is derived from that single run.
 
 The mining stack is imported by the fixtures that need it, not by this
-file: pytest loads it for every test, and the query-stack tests must
-run on a serving-only install (no scipy; see the CI job of that name).
+file: pytest loads it for every test, and the query-stack tests check
+that they run without it (``tests/test_import_layers.py``).
 """
 
 from __future__ import annotations

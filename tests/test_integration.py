@@ -28,6 +28,22 @@ class TestFullPipeline:
         mined_kinds = set(demo_result.scene_events().values())
         assert mined_kinds & set(EventKind.known_kinds())
 
+    def test_mined_fingerprint_is_pinned(self, demo_result):
+        # (shots, scenes, event per scene) at render seed 0, the same tuple
+        # benchmarks/e2e/verify.py freezes for the five corpus titles (one of
+        # which tests/test_memory_bounds.py pins from a real ingest job): a
+        # kernel or filter change that moves anything mined moves this.
+        structure = demo_result.structure
+        events = demo_result.scene_events()
+        assert (
+            structure.shot_count,
+            structure.scene_count,
+            [events[scene].value for scene in sorted(events)],
+        ) == (16, 3, ["presentation", "dialog", "clinical_operation"])
+        assert [shot.start for shot in structure.shots[1:]] == [
+            30, 65, 95, 130, 160, 170, 200, 230, 260, 290, 320, 330, 360, 395, 430
+        ]
+
     def test_scene_precision_against_truth(self, demo_video, demo_result):
         structure = demo_result.structure
         evaluation = evaluate_scene_partition(

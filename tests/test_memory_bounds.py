@@ -11,6 +11,11 @@ ndarray bytes a snapshot pins beyond the database it was built from
 serving shot / shot_flat / scene queries from two threads — with bounds
 the commit before the array-native leaves fails (measured there: 3.5 x
 and 5.7 x the raw feature bytes; now 1.8 x and 2.0 x).
+
+The write path has its own bound: one ingest worker's job — render a
+corpus title, mine it, save the artifact — in a fresh interpreter, by
+``VmHWM``.  It was 157 MiB while ``scipy.signal`` rode along for two
+filter calls; on numpy alone it is ~92 MiB.
 """
 
 from __future__ import annotations
@@ -89,10 +94,11 @@ print(json.dumps({"raw": raw, "grown": hwm_bytes() - before}))
 """
 
 
-def _measure(mode: str) -> dict:
+def _measure(*args: str, script: str = _SCRIPT) -> dict:
+    """Run ``script`` in a fresh interpreter; its last output line is the figures."""
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, mode],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -112,3 +118,46 @@ def test_building_and_serving_grow_rss_by_a_bounded_multiple():
     """``VmHWM`` growth over build + shot / shot_flat / scene queries, 2 threads."""
     figures = _measure("grown")
     assert figures["grown"] <= GROWN_BOUND * figures["raw"], figures
+
+
+#: ``VmHWM`` of one ingest job on ``face_repair`` (1 365 frames): the
+#: interpreter with numpy and the mining stack (~40 MiB), the rendered
+#: stream and its audio (~25 MiB), the miner's scratch.
+JOB_RSS_BOUND_MIB = 120
+
+_JOB_SCRIPT = r"""
+import json, re, sys, tempfile
+from repro.ingest import store_for
+from repro.ingest.executor import _execute_job
+from repro.ingest.jobs import IngestJob
+
+with tempfile.TemporaryDirectory() as root:
+    job = IngestJob.for_title("face_repair")
+    _execute_job(job, str(store_for(root).root))
+    status = open("/proc/self/status").read()
+    result = store_for(root).load(job.key)
+    events = result.scene_events()
+    print(json.dumps({
+        "hwm_mib": int(re.search(r"VmHWM:\s+(\d+) kB", status).group(1)) / 1024,
+        "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+        "fingerprint": [
+            result.structure.shot_count,
+            result.structure.scene_count,
+            [events[scene].value for scene in sorted(events)],
+        ],
+    }))
+"""
+
+
+def test_one_ingest_job_stays_small_and_loads_no_scipy():
+    """Render + mine + save one corpus title: peak RSS, imports, what was mined."""
+    figures = _measure(script=_JOB_SCRIPT)
+    assert figures["scipy"] == []
+    assert figures["hwm_mib"] <= JOB_RSS_BOUND_MIB, figures
+    # The tuple benchmarks/e2e/verify.py freezes for this title at render seed 0.
+    assert figures["fingerprint"] == [
+        52,
+        6,
+        ["presentation", "dialog", "presentation",
+         "clinical_operation", "presentation", "clinical_operation"],
+    ]
