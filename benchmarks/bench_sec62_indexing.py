@@ -33,7 +33,8 @@ def _corpus_database(corpus_runs) -> VideoDatabase:
 def _replicated_index(corpus_runs, factor: int):
     """Scale the database by tiling every video's entries ``factor`` times."""
     leaves = {}
-    flat = FlatIndex()
+    ordinals = {}
+    total = 0
     rng = np.random.default_rng(42)
     for _, run in corpus_runs:
         events = run.scene_events()
@@ -49,11 +50,14 @@ def _replicated_index(corpus_runs, factor: int):
                         scene_id=scene.scene_id,
                         features=noisy,
                     )
+                    ordinals.setdefault(event.value, []).append(total)
+                    total += 1
                     leaves.setdefault(event.value, []).append(entry)
-                    flat.insert(entry)
     children = [
-        build_node(name, 1, entries=entries) for name, entries in leaves.items()
+        build_node(name, 1, entries=entries, ordinals=np.array(ordinals[name]))
+        for name, entries in leaves.items()
     ]
+    flat = FlatIndex([child.leaf for child in children])
     return build_node("root", 0, children=children), flat
 
 

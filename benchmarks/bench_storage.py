@@ -32,6 +32,7 @@ import numpy as np
 from benchmarks.conftest import RESULTS_DIR, save_result
 from repro.evaluation.report import render_table
 from repro.storage import build_synthetic_database, save_database
+from repro.storage.migrate import legacy_json_payload
 
 #: Required cold-start advantage of the SQL catalog (ISSUE criterion).
 MIN_COLD_SPEEDUP = 10.0
@@ -59,8 +60,8 @@ def peak_rss_kb():
         pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-from repro.database.catalog import VideoDatabase
 from repro.storage import SQLVideoDatabase
+from repro.storage.migrate import load_legacy_json
 
 backend, db_dir, probes_path, out_path = sys.argv[1:5]
 probes = np.load(probes_path)
@@ -72,7 +73,7 @@ start = time.perf_counter()
 if backend == "sqlite":
     database = SQLVideoDatabase.open(db_dir)
 else:
-    database = VideoDatabase.load(Path(db_dir) / "database.json")
+    database = load_legacy_json(Path(db_dir) / "database.json")
 database.search(probes[0], k=5)  # first answer: builds the index tree
 cold_seconds = time.perf_counter() - start
 
@@ -123,7 +124,7 @@ def _prepare(tmp: Path, videos: int) -> tuple[Path, Path]:
     db_dir = tmp / f"corpus-{videos}"
     db_dir.mkdir()
     database = build_synthetic_database(videos=videos, shots_per_video=12, seed=0)
-    database.save(db_dir / "database.json")
+    (db_dir / "database.json").write_text(json.dumps(legacy_json_payload(database)))
     save_database(database, db_dir)
     entries = database.flat_index.entries
     picks = np.linspace(0, len(entries) - 1, 8).astype(int)

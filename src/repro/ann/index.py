@@ -236,44 +236,54 @@ def _train(
     )
 
 
+def train_leaf_ann(leaf) -> AnnLeafIndex:
+    """Train the ANN index of a :class:`~repro.database.index.LeafHashIndex`.
+
+    The leaf already holds what training reads — its reduced block and
+    its row signatures — so the state equals
+    ``build_leaf_ann(leaf.block, leaf.dims)`` without gathering either
+    again.
+    """
+    return _train(
+        leaf.reduced, leaf.signatures, leaf.dims, DEFAULT_ANN_CELLS, ANN_SEED
+    )
+
+
 def resolve_ann(node) -> tuple[AnnLeafIndex | None, bool]:
     """The leaf node's ANN index: ``(index or None, degraded)``.
 
-    Resolution order:
+    The tier lives on the leaf (``node.leaf.ann``), so it outlives the
+    tree.  Resolution order:
 
-    * an already-resolved :class:`AnnLeafIndex` on ``node.ann``;
-    * a loader thunk (the SQL catalog's lazy path) — a storage failure
+    * an already-resolved :class:`AnnLeafIndex`;
+    * a loader (an opened store's persisted tier) — a storage failure
       (missing/truncated code block, or the
       ``storage.ann_block_missing`` fault point) returns
-      ``(None, True)`` and *keeps* the thunk so a later query can
+      ``(None, True)`` and *keeps* the loader so a later query can
       recover once the block is restored;
-    * an eager populated leaf with no persisted index builds one
-      deterministically on first use and caches it on the node (a
-      concurrent build races benignly — both produce identical state).
+    * a populated leaf with no persisted index builds one
+      deterministically on first use and caches it (a concurrent build
+      races benignly — both produce identical state).
 
     ``(None, False)`` means the leaf simply has no ANN tier (empty
     leaf, routing-metadata tree); the caller scans exactly.
     """
-    ann = getattr(node, "ann", None)
-    if isinstance(ann, AnnLeafIndex):
-        return ann, False
-    if ann is not None:
+    leaf = node.leaf
+    if leaf is None:
+        return None, False
+    if isinstance(leaf.ann, AnnLeafIndex):
+        return leaf.ann, False
+    index = None
+    if leaf.ann is not None:
         try:
-            index = ann()
+            index = leaf.ann()
         except (StorageError, IntegrityError, FaultInjectedError):
             return None, True
-        if index is not None:
-            node.ann = index
-            return index, False
-        # No persisted row (e.g. a catalog written before the ANN
-        # schema): fall through to the deterministic eager build.
-    leaf = getattr(node, "leaf", None)
-    if leaf is None or node.dims is None or len(leaf) == 0:
-        return None, False
-    # The leaf already holds what training reads: its reduced block and
-    # its row signatures.
-    index = _train(
-        leaf.reduced, leaf.signatures, node.dims, DEFAULT_ANN_CELLS, ANN_SEED
-    )
-    node.ann = index
+    if index is None:
+        # No persisted tier (a registered corpus, or a catalog written
+        # before the ANN schema): the deterministic build.
+        if leaf.dims is None or len(leaf) == 0:
+            return None, False
+        index = train_leaf_ann(leaf)
+    leaf.ann = index
     return index, False

@@ -313,8 +313,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _require_db_dir(args)
     with _tracing(args), _serving_server(args) as server:
         snapshot = server.manager.current()
-        entries = snapshot.flat.entries
-        canary = entries[0].features
+        canary = snapshot.flat.entries_at([0])[0].features
         cold = server.query(QueryRequest(kind="shot", features=canary, k=5))
         warm = server.query(QueryRequest(kind="shot", features=canary, k=5))
         print(

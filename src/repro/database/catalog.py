@@ -9,12 +9,9 @@ access controller.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
+import mmap
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,7 +19,6 @@ import numpy as np
 from repro.database.access import AccessController, User
 from repro.database.flat import FlatIndex
 from repro.database.hierarchy import (
-    ConceptLevel,
     ConceptNode,
     build_medical_hierarchy,
     ensure_subject_area,
@@ -30,12 +26,14 @@ from repro.database.hierarchy import (
 )
 from repro.database.index import (
     IndexNode,
-    ShotEntry,
-    build_node,
+    LeafHashIndex,
+    LeafRows,
+    build_index_tree,
     combine_features,
 )
 from repro.database.query import QueryResult, search_hierarchical
-from repro.errors import DatabaseError
+from repro.database.scene_search import SceneIndex, corpus_scenes
+from repro.errors import DatabaseError, UnknownVideoError
 from repro.types import EventKind
 
 if TYPE_CHECKING:
@@ -64,18 +62,71 @@ class RegisteredVideo:
         return bool(self.degraded_stages)
 
 
+class _LeafBuffer:
+    """One leaf's columns while videos are being filed under it.
+
+    Rows are written in place, with amortised doubling, and never
+    rewritten: the :class:`LeafRows` cut earlier (``[:count]`` views, held
+    by a sealed leaf, an index tree, a snapshot) stay valid through later
+    appends, and the corpus is held once — not as chunks plus a copy.
+    """
+
+    def __init__(self, rows: LeafRows) -> None:
+        self._columns = list(rows)
+        self._count = rows.block.shape[0]
+
+    def append(self, features, ordinal: int, title: str, shot_ids, scene_id: int) -> None:
+        """File one scene's shots: ``features`` is ``(m, width)`` rows, or a list of them."""
+        end = self._count + len(shot_ids)
+        capacity = self._columns[0].shape[0]
+        if end > capacity:  # also the first append over a stored leaf's mmap
+            capacity = max(end, 2 * capacity, 4096)
+            grown = [np.empty((capacity, *c.shape[1:]), c.dtype) for c in self._columns]
+            # The block goes on plain anonymous pages, sized generously
+            # (they cost nothing until written): NumPy hints MADV_HUGEPAGE
+            # on allocations of 4 MiB and up, and faulting 2 MiB pages in
+            # at every doubling made the corpus build 40 % slower.
+            width = self._columns[0].shape[1]
+            pages = mmap.mmap(-1, 8 * capacity * width, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            grown[0] = np.frombuffer(pages).reshape(capacity, width)
+            for new, column in zip(grown, self._columns):
+                new[: self._count] = column[: self._count]
+            self._columns = grown
+        values = (features, range(ordinal, ordinal + len(shot_ids)), title, shot_ids, scene_id)
+        for column, value in zip(self._columns, values):
+            column[self._count : end] = value
+        self._count = end
+
+    def rows(self) -> LeafRows:
+        return LeafRows(*(column[: self._count] for column in self._columns))
+
+
 class VideoDatabase:
-    """Hierarchical, access-controlled shot database."""
+    """Hierarchical, access-controlled shot database.
+
+    The corpus is an ordered map of scene-concept leaf name ->
+    :class:`~repro.database.index.LeafHashIndex` (the leaf's rows as
+    columns, its routing, its hash table), the registration records and
+    the scene-centroid table derived from the leaves.  Registration
+    appends rows to the leaves' buffers; the next read seals new leaves
+    over them — a sealed leaf never sees a row change, so an index tree,
+    a flat view or a snapshot handed out earlier keeps answering from
+    the rows it was built over.
+    """
 
     def __init__(self, controller: AccessController | None = None) -> None:
         self._hierarchy = build_medical_hierarchy()
         self._controller = (
             controller if controller is not None else AccessController(self._hierarchy)
         )
-        self._leaf_entries: dict[str, list[ShotEntry]] = {}
+        self._leaves: dict[str, LeafHashIndex] = {}
+        self._buffers: dict[str, _LeafBuffer] = {}
+        self._unsealed: dict[str, None] = {}  # leaf names, in filing order
+        self._total = 0
         self._videos: dict[str, RegisteredVideo] = {}
         self._index_root: IndexNode | None = None
-        self._flat = FlatIndex()
+        self._flat: FlatIndex | None = None
+        self._scenes: SceneIndex | None = None
 
     @property
     def hierarchy(self) -> ConceptNode:
@@ -95,7 +146,25 @@ class VideoDatabase:
     @property
     def shot_count(self) -> int:
         """Total indexed shots."""
-        return len(self._flat)
+        return self._total
+
+    def close(self) -> None:
+        """Release storage handles (a registered corpus holds none)."""
+
+    def _file(self, leaf: str, title: str, features, shot_ids: list[int], scene_id: int) -> None:
+        """Append one scene's shots to a leaf, in flat-ordinal order."""
+        if leaf not in self._buffers:
+            if leaf in self._leaves:
+                rows = self._leaves[leaf].rows
+            else:
+                rows = LeafRows.from_entries([], [])._replace(block=np.empty((0, len(features[0]))))
+            self._buffers[leaf] = _LeafBuffer(rows)
+        self._buffers[leaf].append(features, self._total, title, shot_ids, scene_id)
+        self._unsealed[leaf] = None
+        self._total += len(shot_ids)
+
+    def _changed(self) -> None:
+        self._index_root = self._flat = self._scenes = None
 
     def register(self, result: ClassMinerResult) -> RegisteredVideo:
         """Register one mined video.
@@ -110,6 +179,9 @@ class VideoDatabase:
             raise DatabaseError(f"video {title!r} already registered")
         events = result.scene_events()
 
+        def features_of(shots) -> list[np.ndarray]:
+            return [combine_features(shot.histogram, shot.texture) for shot in shots]
+
         record = RegisteredVideo(
             title=title,
             shot_count=result.structure.shot_count,
@@ -121,32 +193,23 @@ class VideoDatabase:
             event = events.get(scene.scene_id, EventKind.UNKNOWN)
             record.events[scene.scene_id] = event.value
             node = scene_node_for(self._hierarchy, title, event)
-            for shot in scene.shots:
-                entry = ShotEntry(
-                    video_title=title,
-                    shot_id=shot.shot_id,
-                    scene_id=scene.scene_id,
-                    features=combine_features(shot.histogram, shot.texture),
-                )
-                self._leaf_entries.setdefault(node.name, []).append(entry)
-                self._flat.insert(entry)
-                assigned.add(shot.shot_id)
+            if scene.shots:
+                shot_ids = [shot.shot_id for shot in scene.shots]
+                self._file(node.name, title, features_of(scene.shots), shot_ids, scene.scene_id)
+                assigned.update(shot_ids)
         # Shots whose scene was eliminated: file under 'unknown'.
         node = scene_node_for(self._hierarchy, title, EventKind.UNKNOWN)
-        for shot in result.structure.shots:
-            if shot.shot_id in assigned:
-                continue
-            entry = ShotEntry(
-                video_title=title,
-                shot_id=shot.shot_id,
-                scene_id=-1,
-                features=combine_features(shot.histogram, shot.texture),
+        orphans = [
+            shot for shot in result.structure.shots if shot.shot_id not in assigned
+        ]
+        if orphans:
+            self._file(
+                node.name, title, features_of(orphans),
+                [shot.shot_id for shot in orphans], -1,
             )
-            self._leaf_entries.setdefault(node.name, []).append(entry)
-            self._flat.insert(entry)
 
         self._videos[title] = record
-        self._index_root = None  # force rebuild
+        self._changed()
         return record
 
     def register_bulk(
@@ -192,79 +255,103 @@ class VideoDatabase:
             scene_count=0,
             degraded_stages=tuple(degraded_stages),
         )
-        shot_id = 0
         for scene_id, event, feature_vectors in scenes:
             record.scene_count += 1
             record.events[int(scene_id)] = event.value
             node = scene_node_for(self._hierarchy, title, event)
-            for features in feature_vectors:
-                entry = ShotEntry(
-                    video_title=title,
-                    shot_id=shot_id,
-                    scene_id=int(scene_id),
-                    features=np.asarray(features, dtype=np.float64),
-                )
-                self._leaf_entries.setdefault(node.name, []).append(entry)
-                self._flat.insert(entry)
-                shot_id += 1
-        record.shot_count = shot_id
+            features = list(feature_vectors)
+            if features:
+                shot_ids = range(record.shot_count, record.shot_count + len(features))
+                self._file(node.name, title, features, shot_ids, int(scene_id))
+                record.shot_count += len(features)
         self._videos[title] = record
-        self._index_root = None
+        self._changed()
         return record
+
+    @property
+    def leaves(self) -> dict[str, LeafHashIndex]:
+        """The corpus: leaf name -> leaf, in leaf creation order.
+
+        The ordering is load-bearing: the durable storage layer persists
+        leaves in this order so an opened store rebuilds its index tree
+        bit-identically.  Rows registered since the last read are
+        sealed into their leaves here.
+        """
+        for name in self._unsealed:
+            self._leaves[name] = LeafHashIndex(self._buffers[name].rows())
+        self._unsealed = {}
+        return self._leaves
+
+    def ordinals_of(self, titles: "Iterable[str]") -> np.ndarray:
+        """Flat ordinals of the given videos' shots, ascending."""
+        wanted = set(titles)
+        found = [np.empty(0, dtype=np.int64)]
+        for leaf in self.leaves.values():
+            mask = np.fromiter(
+                map(wanted.__contains__, leaf.titles.tolist()), bool, len(leaf)
+            )
+            found.append(leaf.ordinals[mask])
+        return np.sort(np.concatenate(found))
+
+    def _keep(
+        self, titles: "Iterable[str]", pin_routing: bool
+    ) -> tuple[dict[str, LeafHashIndex], int]:
+        """The leaves restricted to the given videos, and how many rows that is.
+
+        Relative order is preserved, within each leaf and across the
+        corpus (ordinals are renumbered by rank); emptied leaves are
+        dropped.  A leaf that loses no row keeps its arrays, its routing
+        and its persisted ANN tier; one that loses some keeps its routing
+        only when ``pin_routing`` says so (a shard routes like the corpus
+        it was cut from).
+        """
+        kept = self.ordinals_of(titles)
+        leaves: dict[str, LeafHashIndex] = {}
+        for name, leaf in self.leaves.items():
+            keep = np.isin(leaf.ordinals, kept)
+            if not keep.any():
+                continue
+            whole = bool(keep.all())
+            rows = leaf.rows if whole else LeafRows(*(column[keep] for column in leaf.rows))
+            leaves[name] = LeafHashIndex(
+                rows._replace(ordinals=np.searchsorted(kept, rows.ordinals)),
+                *((leaf.centers, leaf.dims) if whole or pin_routing else ()),
+                ann=leaf.ann if whole else None,
+            )
+        return leaves, int(kept.size)
 
     def unregister(self, title: str) -> int:
         """Remove a video and all its shots; returns entries removed.
 
-        Raises :class:`DatabaseError` for unknown titles.  The
+        Raises :class:`UnknownVideoError` for unknown titles.  The
         hierarchical index is invalidated and rebuilt on next use.
         """
         if title not in self._videos:
-            raise DatabaseError(f"video {title!r} is not registered")
-        removed = 0
-        for leaf, entries in list(self._leaf_entries.items()):
-            kept = [entry for entry in entries if entry.video_title != title]
-            removed += len(entries) - len(kept)
-            if kept:
-                self._leaf_entries[leaf] = kept
-            else:
-                del self._leaf_entries[leaf]
-        remaining = [
-            entry for entry in self._flat.entries if entry.video_title != title
-        ]
-        self._flat = FlatIndex(remaining)
+            raise UnknownVideoError(f"video {title!r} is not registered")
+        before = self._total
         del self._videos[title]
-        self._index_root = None
-        return removed
+        self._leaves, self._total = self._keep(self._videos, pin_routing=False)
+        self._buffers = {}  # the kept rows are new arrays
+        self._changed()
+        return before - self._total
 
     def describe(self) -> dict[str, int]:
         """Shot counts per scene-concept leaf (catalog statistics)."""
-        return {
-            leaf: len(entries)
-            for leaf, entries in sorted(self._leaf_entries.items())
-        }
-
-    def leaf_entries(self) -> dict[str, list[ShotEntry]]:
-        """Per-leaf shot entries, in leaf creation order (copied lists).
-
-        The ordering is load-bearing: the durable storage layer persists
-        leaves in this order so a lazily opened catalog rebuilds its
-        index tree and hash buckets bit-identically.
-        """
-        return {
-            leaf: list(entries) for leaf, entries in self._leaf_entries.items()
-        }
+        return {name: len(leaf) for name, leaf in sorted(self.leaves.items())}
 
     def clone_subset(self, titles: "Iterable[str]") -> "VideoDatabase":
-        """A new in-RAM database holding only the given videos.
+        """A new database holding only the given videos.
 
         The shard builder's partitioning primitive.  Orderings are
-        preserved, not recomputed: each leaf keeps its surviving entries
-        in the original creation order and the flat index keeps the
-        original registration (global-ordinal) order, so within-shard
-        relative order always equals the unsharded relative order — the
-        invariant the scatter-gather merge relies on for bit-identical
-        tie-breaks.  Unknown titles raise :class:`DatabaseError`;
-        registration records (events, degradation flags) are copied.
+        preserved, not recomputed: each leaf keeps its surviving rows
+        in the original creation order and flat ordinals keep the
+        original registration order, so within-shard relative order
+        always equals the unsharded relative order — the invariant the
+        scatter-gather merge relies on for bit-identical tie-breaks.
+        Leaves keep the routing of the full corpus, so the clone's index
+        descends, and scores in the same sub-spaces, as this one.
+        Unknown titles raise :class:`DatabaseError`; registration
+        records (events, degradation flags) are copied.
         """
         wanted = set(titles)
         missing = wanted - set(self._videos)
@@ -273,69 +360,24 @@ class VideoDatabase:
                 f"cannot clone unregistered videos: {sorted(missing)}"
             )
         clone = VideoDatabase()
-        for leaf, entries in self._leaf_entries.items():
-            kept = [entry for entry in entries if entry.video_title in wanted]
-            if not kept:
-                continue
+        clone._leaves, clone._total = self._keep(wanted, pin_routing=True)
+        for leaf in clone._leaves:
             if "/" in leaf:
                 ensure_subject_area(clone._hierarchy, leaf.split("/", 1)[0])
-            clone._leaf_entries[leaf] = kept
-        clone._flat = FlatIndex(
-            [
-                entry
-                for entry in self._flat.entries
-                if entry.video_title in wanted
-            ]
-        )
-        for title in self._videos:
-            if title not in wanted:
-                continue
-            record = self._videos[title]
-            clone._videos[title] = RegisteredVideo(
-                title=record.title,
-                shot_count=record.shot_count,
-                scene_count=record.scene_count,
-                events=dict(record.events),
-                degraded_stages=record.degraded_stages,
-            )
+        for title, record in self._videos.items():
+            if title in wanted:
+                clone._videos[title] = replace(record, events=dict(record.events))
         return clone
 
     def build_index(self) -> IndexNode:
         """(Re)build the hierarchical index mirroring the concept tree."""
         if not self._videos:
             raise DatabaseError("no videos registered")
-        root = self._build_subtree(self._hierarchy)
+        root = build_index_tree(self._hierarchy, self.leaves)
         if root is None:
             raise DatabaseError("index is empty after build")
         self._index_root = root
         return root
-
-    def _build_subtree(
-        self, concept: ConceptNode, ordinal_of: dict | None = None
-    ) -> IndexNode | None:
-        if ordinal_of is None:
-            # Flat ordinals, the identity leaves dedup on across a search.
-            # Keyed by object: the leaf lists and the flat index file the
-            # same entry objects, and int keys cost the collector nothing.
-            ordinal_of = {id(entry): i for i, entry in enumerate(self._flat.entries)}
-        if concept.level is ConceptLevel.SCENE or not concept.children:
-            entries = self._leaf_entries.get(concept.name, [])
-            if not entries:
-                return None
-            return build_node(
-                concept.name,
-                concept.level.depth,
-                entries=entries,
-                ordinals=np.array([ordinal_of[id(entry)] for entry in entries]),
-            )
-        children = [
-            child_node
-            for child in concept.children
-            if (child_node := self._build_subtree(child, ordinal_of)) is not None
-        ]
-        if not children:
-            return None
-        return build_node(concept.name, concept.level.depth, children=children)
 
     @property
     def index_root(self) -> IndexNode:
@@ -347,8 +389,17 @@ class VideoDatabase:
 
     @property
     def flat_index(self) -> FlatIndex:
-        """The Eq. (24) linear-scan baseline over the same entries."""
+        """The Eq. (24) linear-scan baseline over the same leaves."""
+        if self._flat is None:
+            self._flat = FlatIndex(self.leaves.values())
         return self._flat
+
+    @property
+    def scene_index(self) -> SceneIndex:
+        """Scene-centroid search over the corpus's kept scenes."""
+        if self._scenes is None:
+            self._scenes = SceneIndex(corpus_scenes(self.leaves.values(), self._videos))
+        return self._scenes
 
     def search(
         self,
@@ -364,82 +415,4 @@ class VideoDatabase:
 
     def search_flat(self, features: np.ndarray, k: int = 10) -> QueryResult:
         """Baseline linear scan (no hierarchy, no access filter)."""
-        return self._flat.search(features, k=k)
-
-    # ------------------------------------------------------------------
-    # Persistence.
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Serialise the catalog (entries + registrations) to JSON.
-
-        The write is atomic: the payload lands in a temp file in the
-        target directory and is renamed into place, so a crash (or a
-        serialisation error) mid-save can never leave a truncated
-        catalog where a valid one stood.
-        """
-        payload = {
-            "videos": {
-                title: {
-                    "shot_count": video.shot_count,
-                    "scene_count": video.scene_count,
-                    "events": video.events,
-                    "degraded_stages": list(video.degraded_stages),
-                }
-                for title, video in self._videos.items()
-            },
-            "leaves": {
-                leaf: [
-                    {
-                        "video_title": entry.video_title,
-                        "shot_id": entry.shot_id,
-                        "scene_id": entry.scene_id,
-                        "features": entry.features.tolist(),
-                    }
-                    for entry in entries
-                ]
-                for leaf, entries in self._leaf_entries.items()
-            },
-        }
-        target = Path(path)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{target.name}.", suffix=".tmp", dir=target.parent or "."
-        )
-        tmp = Path(tmp_name)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(payload))
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "VideoDatabase":
-        """Restore a catalog written by :meth:`save`."""
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DatabaseError(f"cannot load database from {path}: {exc}") from exc
-        db = cls()
-        for leaf, entries in payload.get("leaves", {}).items():
-            if "/" in leaf:
-                # Recreate on-demand subject areas ('general/...').
-                ensure_subject_area(db._hierarchy, leaf.split("/", 1)[0])
-            for raw in entries:
-                entry = ShotEntry(
-                    video_title=raw["video_title"],
-                    shot_id=int(raw["shot_id"]),
-                    scene_id=int(raw["scene_id"]),
-                    features=np.asarray(raw["features"], dtype=np.float64),
-                )
-                db._leaf_entries.setdefault(leaf, []).append(entry)
-                db._flat.insert(entry)
-        for title, raw in payload.get("videos", {}).items():
-            db._videos[title] = RegisteredVideo(
-                title=title,
-                shot_count=int(raw["shot_count"]),
-                scene_count=int(raw["scene_count"]),
-                events={int(k): v for k, v in raw.get("events", {}).items()},
-                degraded_stages=tuple(raw.get("degraded_stages", ())),
-            )
-        return db
+        return self.flat_index.search(features, k=k)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.database.access import AccessController, User
 from repro.database.hierarchy import VIDEO_SUBJECT_AREAS
-from repro.errors import DatabaseError
+from repro.errors import UnknownVideoError
 from repro.types import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,7 +63,7 @@ def query_event_records(
     videos = dict(records)
     if video_title is not None:
         if video_title not in videos:
-            raise DatabaseError(f"video {video_title!r} is not registered")
+            raise UnknownVideoError(f"video {video_title!r} is not registered")
         videos = {video_title: videos[video_title]}
 
     hits: list[EventHit] = []

@@ -9,68 +9,75 @@ the database and ranks all of them:
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.kernels import top_k
-from repro.database.index import ShotEntry, feature_similarity_batch
+from repro.database.index import LeafHashIndex, ShotEntry, feature_similarity_batch
 from repro.database.query import QueryResult, QueryStats, RankedShot
 
 
 class FlatIndex:
-    """A plain list of shot entries, scanned in full per query.
+    """Every shot of the corpus, scanned in full per query.
 
-    The scan itself is one blocked kernel call over a cached stacked
-    feature matrix (rebuilt lazily after inserts); every entry still
-    counts as one logical comparison, exactly the Eq. (24) cost, but
-    only the ``k`` winners become :class:`RankedShot` objects.
+    A view over the corpus's leaves, not a second copy of it: the scan
+    walks the leaf blocks — one blocked kernel call per leaf, RAM array
+    or mmap alike — and scatters each block's scores into one vector by
+    flat ordinal.  Every row still counts as one logical comparison,
+    exactly the Eq. (24) cost, but only the ``k`` winners become
+    :class:`RankedShot` objects.  ``leaves`` must carry ordinals that
+    together cover ``range(total)``.
     """
 
-    def __init__(self, entries: list[ShotEntry] | None = None) -> None:
-        self._entries: list[ShotEntry] = list(entries or [])
-        self._matrix: np.ndarray | None = None
-
-    def insert(self, entry: ShotEntry) -> None:
-        """Append one shot."""
-        self._entries.append(entry)
-        self._matrix = None
+    def __init__(self, leaves: Sequence[LeafHashIndex] = ()) -> None:
+        self._leaves = tuple(leaves)
+        self._total = sum(len(leaf) for leaf in self._leaves)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._total
 
     @property
     def entries(self) -> list[ShotEntry]:
-        """All indexed shots."""
-        return list(self._entries)
-
-    def feature_matrix(self) -> np.ndarray:
-        """Cached ``(N, 266)`` stack of every entry's features."""
-        if self._matrix is None:
-            self._matrix = (
-                np.stack([entry.features for entry in self._entries])
-                if self._entries
-                else np.empty((0, 0))
-            )
-        return self._matrix
-
-    def frozen(self) -> "FlatIndex":
-        """A private view for a snapshot: own entry list, shared matrix.
-
-        An insert replaces the stacked matrix and never writes into it,
-        so the copy can share this index's (warmed) matrix instead of
-        stacking a second one.
-        """
-        copy = FlatIndex(self._entries)
-        copy._matrix = self.feature_matrix()
-        return copy
+        """Every shot in flat-ordinal order (materialises one object each)."""
+        flat: list[ShotEntry | None] = [None] * self._total
+        for leaf in self._leaves:
+            for ordinal, entry in zip(leaf.ordinals.tolist(), leaf.entries):
+                flat[ordinal] = entry
+        return flat
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        """Eq. (1) against every entry, in flat-ordinal order."""
-        return feature_similarity_batch(features, self.feature_matrix())
+        """Eq. (1) against every row, in flat-ordinal order."""
+        scores = np.empty(self._total, dtype=np.float64)
+        for leaf in self._leaves:
+            scores[leaf.ordinals] = feature_similarity_batch(features, leaf.block)
+        return scores
 
-    def entries_at(self, ordinals: list[int]) -> list[ShotEntry]:
-        """The entries at the given flat ordinals."""
-        return [self._entries[ordinal] for ordinal in ordinals]
+    def entries_at(self, ordinals: Sequence[int]) -> list[ShotEntry]:
+        """The entries at the given flat ordinals.
+
+        Leaves are consulted in corpus order and only until every
+        ordinal is found, so a pick from the head of the corpus loads
+        one leaf of an opened store, not all of them.
+        """
+        wanted = np.asarray(ordinals, dtype=np.int64)
+        found: dict[int, ShotEntry] = {}
+        missing = len(set(wanted.tolist()))
+        for leaf in self._leaves:
+            if not missing:
+                break
+            for row in np.flatnonzero(np.isin(leaf.ordinals, wanted)).tolist():
+                found[int(leaf.ordinals[row])] = leaf.entry(row)
+                missing -= 1
+        return [found[ordinal] for ordinal in wanted.tolist()]
+
+    def sample(self, n: int) -> list[np.ndarray]:
+        """Feature vectors of ``n`` evenly spaced rows (load-generator pools)."""
+        picks = np.linspace(0, self._total - 1, min(n, self._total))
+        return [
+            entry.features
+            for entry in self.entries_at(sorted({int(pick) for pick in picks}))
+        ]
 
     def rank(self, features: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
         """``(top-k flat ordinals best first, every entry's score)``."""

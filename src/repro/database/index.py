@@ -16,12 +16,16 @@ computed on a sub-space: the paper's ``T_c, T_sc, T_s, T_o <= T_m``.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.kernels import combined_stsim_to_many, intersection_to_many
 from repro.core.similarity import SimilarityWeights
+from repro.database.hierarchy import ConceptLevel, ConceptNode
 from repro.errors import DatabaseError
 
 #: Shared Eq. (1) weights: resolved from the core defaults so the index
@@ -211,72 +215,156 @@ def rows_by_signature(signatures: np.ndarray) -> dict[tuple[int, ...], np.ndarra
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
+class LeafRows(NamedTuple):
+    """One leaf's rows as columns, in insertion (= stored block-row) order.
+
+    ``block`` is ``(n, 266)`` float64 — a RAM array for a registered
+    corpus, a read-only mmap for an opened store; ``ordinals`` are the
+    rows' flat ordinals (``None`` only in a hand-built tree whose leaves
+    share no shot); ``titles`` is an object array, one ``str`` per video.
+    """
+
+    block: np.ndarray
+    ordinals: np.ndarray | None
+    titles: np.ndarray
+    shot_ids: np.ndarray
+    scene_ids: np.ndarray
+
+    @classmethod
+    def from_entries(
+        cls, entries: Sequence[ShotEntry], ordinals: np.ndarray | None = None
+    ) -> "LeafRows":
+        """Columns of a list of entries (hand-built trees in tests and benches)."""
+        return cls(
+            block=np.stack([e.features for e in entries]) if entries else np.empty((0, 0)),
+            ordinals=None if ordinals is None else np.asarray(ordinals, dtype=np.int64),
+            titles=np.array([entry.video_title for entry in entries], dtype=object),
+            shot_ids=np.array([entry.shot_id for entry in entries], dtype=np.int64),
+            scene_ids=np.array([entry.scene_id for entry in entries], dtype=np.int64),
+        )
+
+
+def leaf_routing(
+    block: np.ndarray,
+    num_centers: int = DEFAULT_CENTERS,
+    reduced_dim: int = DEFAULT_REDUCED_DIM,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A leaf's routing ``(centers, dims)`` from its ``(n, 266)`` rows.
+
+    The one place a leaf population is clustered and reduced: the index
+    build, the SQL writer, the shard manifest and the coordinator's
+    routing tree all read what this returned, off the leaf.
+    """
+    return (
+        _kcenters(block, num_centers),
+        discriminating_dimensions(block, reduced_dim).astype(np.int64),
+    )
+
+
 class LeafHashIndex:
-    """Array-backed hash-table shot index used at scene-concept leaves.
+    """One scene-concept leaf of the corpus: rows, routing, hash table.
 
-    Everything a query reads is an array in insertion order, built once
-    and read-only afterwards:
+    ``len()`` is known from construction, and so is ``ann`` — the leaf's
+    approximate tier: an ``AnnLeafIndex``, the loader of a persisted one,
+    or ``None`` (resolved through ``repro.ann.index.resolve_ann``; untyped
+    so this layer does not import the ANN package).  Everything else is
+    an array in insertion order, read-only once set:
 
+    ``rows``: ``block`` / ``ordinals`` / ``titles`` / ``shot_ids`` / ``scene_ids``
+        the :class:`LeafRows` columns — given (a registered corpus) or
+        loaded by the ``rows`` callable (an opened store);
+    ``centers`` / ``dims``
+        the routing — :func:`leaf_routing` of the block unless the
+        caller pins stored or full-corpus values;
     ``reduced``
         ``(N, |dims|)`` float64 — every row restricted to the leaf's
         discriminating dimensions, the only feature bytes an exact scan
         touches (the paper's per-node reduced features, stored rather
-        than gathered per query).
+        than gathered per query);
     ``signatures`` / ``buckets``
         each row's hash signature, and the ascending row indices of
         every non-empty bucket.
-    ``ordinals``
-        each row's flat ordinal, the identity a search dedups on when
-        it visits several leaves.  ``None`` promises that no shot of
-        this leaf is filed under another leaf (the catalog's own
-        invariant); a hand-built tree that files one shot twice passes
-        ordinals.
+
+    Whatever was not given is made on its first read, once, under a
+    lock, while racing readers wait: the columns by running ``rows``,
+    the routing and hash state from the columns.  A flat scan therefore
+    reads blocks and ordinals without clustering anything, and opening a
+    store reads no row.
 
     :meth:`scan` is the one leaf scan every consumer runs (exact
     search, the ANN re-rank tail, shard workers); a :class:`ShotEntry`
-    is needed only for the rows that win (:meth:`entry`).
+    is built only for the rows that win (:meth:`entry`).
     """
+
+    _COLUMNS = frozenset({"rows", "block", "ordinals", "titles", "shot_ids", "scene_ids"})
+    _DERIVED = frozenset({"centers", "dims", "reduced", "signatures", "buckets"})
 
     def __init__(
         self,
-        entries: list[ShotEntry] | None = None,
+        rows: LeafRows | Callable[[], LeafRows] | None = None,
+        centers: np.ndarray | None = None,
         dims: np.ndarray | None = None,
-        ordinals: np.ndarray | None = None,
-        population: np.ndarray | None = None,
+        count: int | None = None,
+        ann: Callable[[], object] | None = None,
     ) -> None:
-        self._entries: list[ShotEntry] = list(entries or [])
-        if population is None:
-            population = (
-                np.stack([entry.features for entry in self._entries])
-                if self._entries
-                else np.empty((0, 0))
-            )
-        self._install(population, dims, ordinals)
+        self.ann = ann
+        self._load_lock = threading.Lock()
+        if dims is not None:
+            self.centers, self.dims = centers, dims
+        if callable(rows):
+            self._count = count
+            self._source = rows
+        else:
+            self._set_columns(LeafRows.from_entries([]) if rows is None else rows)
 
-    def _install(self, population: np.ndarray, dims, ordinals) -> None:
-        """Derive the array state from the ``(N, 266)`` rows (any array,
-        a read-only mmap included; only ``reduced`` copies out of it)."""
-        if population.shape[0] and dims is None:
-            raise DatabaseError("a populated leaf needs its discriminating dims")
-        self.dims = dims
-        self.reduced = population if dims is None else population[:, dims]
-        self.signatures = leaf_signatures(population)
+    def _set_columns(self, rows: LeafRows) -> None:
+        self._count = rows.block.shape[0]
+        self.rows = rows
+        self.block, self.ordinals, self.titles, self.shot_ids, self.scene_ids = rows
+
+    def _derive(self) -> None:
+        """Routing (unless pinned) and hash state from the block, which
+        may be a read-only mmap: only ``reduced`` copies out of it."""
+        block = self.block
+        if "dims" not in self.__dict__:
+            self.centers, self.dims = leaf_routing(block) if len(self) else (None, None)
+        self.reduced = block if self.dims is None or not len(self) else block[:, self.dims]
+        self.signatures = leaf_signatures(block)
         self.buckets = rows_by_signature(self.signatures)
-        self.ordinals = (
-            None if ordinals is None else np.asarray(ordinals, dtype=np.int64)
-        )
+
+    def __getattr__(self, name: str):
+        # Reached only while ``name`` is not set: its first touch.
+        if name not in self._COLUMNS and name not in self._DERIVED:
+            raise AttributeError(name)
+        with self._load_lock:
+            if "block" not in self.__dict__:
+                self._set_columns(self._source())
+            if name not in self.__dict__:
+                self._derive()
+        return self.__dict__[name]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
+
+    def entry(self, row: int) -> ShotEntry:
+        """The shot stored at ``row`` (its features a view of the block)."""
+        return ShotEntry(
+            video_title=self.titles[row],
+            shot_id=int(self.shot_ids[row]),
+            scene_id=int(self.scene_ids[row]),
+            features=self.block[row],
+        )
 
     @property
     def entries(self) -> list[ShotEntry]:
-        """Every indexed shot, in insertion order (read-only)."""
-        return self._entries
-
-    def entry(self, row: int) -> ShotEntry:
-        """The shot stored at ``row``."""
-        return self._entries[row]
+        """Every shot in row order (materialises one object each)."""
+        return [
+            ShotEntry(*columns)
+            for columns in zip(
+                self.titles.tolist(), self.shot_ids.tolist(),
+                self.scene_ids.tolist(), self.block,
+            )
+        ]
 
     @property
     def bucket_count(self) -> int:
@@ -344,11 +432,6 @@ class IndexNode:
     dims: np.ndarray | None = field(default=None, repr=False)
     leaf: LeafHashIndex | None = None
     _center_block: CenterBlock | None = field(default=None, repr=False, compare=False)
-    # The leaf's approximate-retrieval tier: an AnnLeafIndex, a loader
-    # thunk (the SQL catalog's lazy path), or None.  Resolved through
-    # repro.ann.index.resolve_ann; kept untyped so the database layer
-    # does not import the ANN package at module load.
-    ann: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -360,6 +443,13 @@ class IndexNode:
         if self.is_leaf:
             return len(self.leaf)  # type: ignore[arg-type]
         return sum(child.shot_count() for child in self.children)
+
+    def iter_leaves(self):
+        """Every leaf node under (or at) this node, left to right."""
+        if self.is_leaf:
+            yield self
+        for child in self.children:
+            yield from child.iter_leaves()
 
     def center_block(self) -> CenterBlock | None:
         """Cached stacked centres of populated children (None if none).
@@ -420,6 +510,11 @@ def _kcenters(features: np.ndarray, k: int) -> np.ndarray:
     return centers
 
 
+def leaf_node(name: str, depth: int, leaf: LeafHashIndex) -> IndexNode:
+    """The index node of a leaf (its routing rides along)."""
+    return IndexNode(name, depth, centers=leaf.centers, dims=leaf.dims, leaf=leaf)
+
+
 def build_node(
     name: str,
     depth: int,
@@ -432,22 +527,18 @@ def build_node(
     """Construct a leaf (from entries) or internal node (from children).
 
     ``ordinals`` are a leaf's per-entry flat ordinals (see
-    :class:`LeafHashIndex`).
+    :class:`LeafRows`).  The catalog builds its leaves from columns, not
+    entries (:func:`build_index_tree`); the entry form is for hand-built
+    trees.
     """
     if (children is None) == (entries is None):
         raise DatabaseError("a node needs either children or entries, not both")
     if entries is not None:
-        if not entries:
-            return IndexNode(name=name, depth=depth, leaf=LeafHashIndex())
-        population = np.stack([entry.features for entry in entries])
-        dims = discriminating_dimensions(population, reduced_dim)
-        return IndexNode(
-            name=name,
-            depth=depth,
-            centers=_kcenters(population, num_centers),
-            dims=dims,
-            leaf=LeafHashIndex(entries, dims, ordinals, population),
+        rows = LeafRows.from_entries(entries, ordinals)
+        centers, dims = (
+            leaf_routing(rows.block, num_centers, reduced_dim) if entries else (None, None)
         )
+        return leaf_node(name, depth, LeafHashIndex(rows, centers, dims))
 
     node = IndexNode(name=name, depth=depth, children=list(children or []))
     populations = []
@@ -459,6 +550,28 @@ def build_node(
         node.centers = _kcenters(stacked, num_centers)
         node.dims = discriminating_dimensions(stacked, reduced_dim)
     return node
+
+
+def build_index_tree(
+    concept: ConceptNode, leaves: Mapping[str, LeafHashIndex]
+) -> IndexNode | None:
+    """The index tree mirroring the concept hierarchy over ``leaves``.
+
+    The one concept-tree walk: a registered corpus, an opened store and
+    the coordinator's routing tree differ only in what their leaves
+    hold.  Concepts with no leaf below them are left out (``None``).
+    """
+    if concept.level is ConceptLevel.SCENE or not concept.children:
+        leaf = leaves.get(concept.name)
+        return None if leaf is None else leaf_node(concept.name, concept.level.depth, leaf)
+    children = [
+        node
+        for child in concept.children
+        if (node := build_index_tree(child, leaves)) is not None
+    ]
+    if not children:
+        return None
+    return build_node(concept.name, concept.level.depth, children=children)
 
 
 def route_child(node: IndexNode, features: np.ndarray) -> tuple[IndexNode, int]:

@@ -315,7 +315,7 @@ def _best_permitted_leaf(
     """
     leaves = [
         leaf
-        for leaf in _iter_leaves(root)
+        for leaf in root.iter_leaves()
         if leaf.name in allowed and leaf.centers is not None
     ]
     if not leaves:
@@ -328,11 +328,3 @@ def _best_permitted_leaf(
     stats.comparisons += int(scores.shape[0])
     best = int(np.argmax(scores))
     return leaves[int(np.searchsorted(offsets, best, side="right") - 1)]
-
-
-def _iter_leaves(node: IndexNode):
-    if node.is_leaf:
-        yield node
-        return
-    for child in node.children:
-        yield from _iter_leaves(child)

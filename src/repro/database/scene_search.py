@@ -10,18 +10,20 @@ by Eq. (1)-style similarity to that centroid.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core.kernels import combined_stsim_to_many, top_k
-from repro.database.index import combine_features
+from repro.database.index import LeafHashIndex
 from repro.errors import DatabaseError
 from repro.types import EventKind
 
 if TYPE_CHECKING:
-    from repro.core.pipeline import ClassMinerResult
+    from repro.database.catalog import RegisteredVideo
 
 
 @dataclass(frozen=True)
@@ -55,72 +57,131 @@ class RankedScene:
     score: float
 
 
+class SceneTable(NamedTuple):
+    """Every indexed scene as columns, one row per scene.
+
+    ``centroids`` is ``(S, 266)`` float64 (a RAM array, or the stored
+    centroid block's read-only mmap); ``events`` holds
+    :class:`~repro.types.EventKind` members.
+    """
+
+    titles: np.ndarray
+    scene_ids: np.ndarray
+    events: np.ndarray
+    shot_counts: np.ndarray
+    centroids: np.ndarray
+
+
+_NO_SCENES = SceneTable(
+    np.empty(0, dtype=object), np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=object), np.empty(0, dtype=np.int64), np.empty((0, 0)),
+)
+
+
+def corpus_scenes(
+    leaves: "Iterable[LeafHashIndex]", records: "Mapping[str, RegisteredVideo]"
+) -> SceneTable:
+    """Scene centroids of a corpus, from its leaves' rows.
+
+    The one place a scene centroid is computed.  The catalog indexes
+    shots, not scenes; grouping a leaf's rows by ``(title, scene_id)``
+    recovers each kept scene's member shots (a scene is filed whole
+    under one leaf, its shots in flat-ordinal order), the centroid is
+    the mean of their ``(m, 266)`` rows, and the registration record
+    supplies the mined event.  Shots of an eliminated scene
+    (``scene_id == -1``) carry no scene identity and are skipped.
+    Scenes come out sorted by ``(title, scene_id)`` — the stored row
+    order.
+    """
+    members: dict[tuple[str, int], tuple[np.ndarray, list[int]]] = {}
+    for leaf in leaves:
+        kept = np.flatnonzero(leaf.scene_ids >= 0)
+        for row, title, scene_id in zip(
+            kept.tolist(), leaf.titles[kept].tolist(), leaf.scene_ids[kept].tolist()
+        ):
+            if (title, scene_id) not in members:
+                members[title, scene_id] = (leaf.block, [])
+            members[title, scene_id][1].append(row)
+    if not members:
+        return _NO_SCENES
+    scenes = sorted(members.items())
+    events = []
+    for (title, scene_id), _ in scenes:
+        record = records.get(title)
+        events.append(
+            EventKind(record.events.get(scene_id, EventKind.UNKNOWN.value))
+            if record
+            else EventKind.UNKNOWN
+        )
+    return SceneTable(
+        titles=np.array([title for (title, _), _ in scenes], dtype=object),
+        scene_ids=np.array([scene_id for (_, scene_id), _ in scenes], dtype=np.int64),
+        events=np.array(events, dtype=object),
+        shot_counts=np.array([len(rows) for _, (_, rows) in scenes], dtype=np.int64),
+        centroids=np.stack([block[rows].mean(axis=0) for _, (block, rows) in scenes]),
+    )
+
+
 class SceneIndex:
     """Flat index of scene centroids with optional event filtering.
 
-    Centroids are stacked into one cached matrix and each event's row
-    indices into one cached array (both rebuilt lazily after inserts),
-    so a search is one blocked kernel call and only the ``k`` winners
+    One :class:`SceneTable` — the columns themselves, or a callable
+    that loads them on the first search (an opened store; once, under a
+    lock) — plus each event's row indices.  A search is one blocked
+    kernel call over the centroid matrix and only the ``k`` winners
     become :class:`RankedScene` objects.
     """
 
-    def __init__(self) -> None:
-        self._entries: list[SceneEntry] = []
-        self._matrix: np.ndarray | None = None
-        self._event_rows: dict[EventKind, np.ndarray] | None = None
+    def __init__(
+        self,
+        table: "SceneTable | Callable[[], SceneTable]" = _NO_SCENES,
+        count: int | None = None,
+    ) -> None:
+        if callable(table):
+            self._count = count
+            self._source = table
+            self._load_lock = threading.Lock()
+        else:
+            self._install(table)
+
+    def _install(self, table: SceneTable) -> None:
+        self._count = table.titles.shape[0]
+        grouped: dict[EventKind, list[int]] = {}
+        for row, event in enumerate(table.events.tolist()):
+            grouped.setdefault(event, []).append(row)
+        self._event_rows = {
+            kind: np.asarray(rows, dtype=np.intp) for kind, rows in grouped.items()
+        }
+        self.table = table
+
+    def __getattr__(self, name: str):
+        # Reached only while ``table`` is not set: the first touch of an
+        # index whose columns are still behind their source.
+        if name != "table" or "_source" not in self.__dict__:
+            raise AttributeError(name)
+        with self._load_lock:
+            if "table" not in self.__dict__:
+                self._install(self._source())
+        return self.__dict__["table"]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
+
+    def entry(self, row: int) -> SceneEntry:
+        """The scene stored at ``row``."""
+        table = self.table
+        return SceneEntry(
+            video_title=table.titles[row],
+            scene_id=int(table.scene_ids[row]),
+            event=table.events[row],
+            shot_count=int(table.shot_counts[row]),
+            centroid=table.centroids[row],
+        )
 
     @property
     def entries(self) -> list[SceneEntry]:
-        """All indexed scenes."""
-        return list(self._entries)
-
-    def insert(self, entry: SceneEntry) -> None:
-        """Add one pre-built scene entry (the snapshot-rebuild path)."""
-        self._entries.append(entry)
-        self._matrix = None
-        self._event_rows = None
-
-    def centroid_matrix(self) -> np.ndarray:
-        """Cached ``(N, 266)`` stack of every entry's centroid."""
-        if self._matrix is None:
-            self._matrix = (
-                np.stack([entry.centroid for entry in self._entries])
-                if self._entries
-                else np.empty((0, 0))
-            )
-        return self._matrix
-
-    def warm(self) -> None:
-        """Pre-build the stacked matrix and the per-event rows
-        (snapshot construction)."""
-        self.centroid_matrix()
-        self._rows_of(EventKind.UNKNOWN)
-
-    def register(self, result: ClassMinerResult) -> int:
-        """Index every kept scene of a mined video; returns scenes added."""
-        events = result.scene_events()
-        added = 0
-        for scene in result.structure.scenes:
-            features = np.stack(
-                [
-                    combine_features(shot.histogram, shot.texture)
-                    for shot in scene.shots
-                ]
-            )
-            self.insert(
-                SceneEntry(
-                    video_title=result.title,
-                    scene_id=scene.scene_id,
-                    event=events.get(scene.scene_id, EventKind.UNKNOWN),
-                    shot_count=scene.shot_count,
-                    centroid=features.mean(axis=0),
-                )
-            )
-            added += 1
-        return added
+        """Every indexed scene in row order (materialises one object each)."""
+        return [self.entry(row) for row in range(len(self))]
 
     def search(
         self,
@@ -132,49 +193,32 @@ class SceneIndex:
 
         Raises :class:`DatabaseError` when the index is empty.
         """
-        if not self._entries:
+        if not len(self):
             raise DatabaseError("scene index is empty")
+        table = self.table
         rows = None
         if event is not None:
-            rows = self._rows_of(event)
+            rows = self._event_rows.get(event)
             if rows is None:
                 return []
-        scores = combined_stsim_to_many(features, self.centroid_matrix(), rows=rows)
+        scores = combined_stsim_to_many(features, table.centroids, rows=rows)
         hits = []
         for position in top_k(scores, k).tolist():
             row = position if rows is None else int(rows[position])
-            hits.append(
-                RankedScene(entry=self._entries[row], score=float(scores[position]))
-            )
+            hits.append(RankedScene(entry=self.entry(row), score=float(scores[position])))
         return hits
-
-    def _rows_of(self, event: EventKind) -> np.ndarray | None:
-        """Ascending rows of the scenes mined as ``event`` (None: none)."""
-        if self._event_rows is None:
-            grouped: dict[EventKind, list[int]] = {}
-            for row, entry in enumerate(self._entries):
-                grouped.setdefault(entry.event, []).append(row)
-            self._event_rows = {
-                kind: np.asarray(rows, dtype=np.intp)
-                for kind, rows in grouped.items()
-            }
-        return self._event_rows.get(event)
 
     def similar_scenes(
         self, video_title: str, scene_id: int, k: int = 5
     ) -> list[RankedScene]:
         """Scenes most similar to an indexed scene (itself excluded)."""
-        query = next(
-            (
-                entry
-                for entry in self._entries
-                if entry.video_title == video_title and entry.scene_id == scene_id
-            ),
-            None,
+        table = self.table
+        found = np.flatnonzero(
+            (table.titles == video_title) & (table.scene_ids == scene_id)
         )
-        if query is None:
+        if not found.size:
             raise DatabaseError(f"scene {video_title}/{scene_id} is not indexed")
-        hits = self.search(query.centroid, k=k + 1)
+        hits = self.search(table.centroids[found[0]], k=k + 1)
         return [
             hit
             for hit in hits

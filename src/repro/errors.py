@@ -10,6 +10,8 @@ fans out by subsystem:
     ├── ``MiningError`` / ``EventMiningError`` — the Sec. 3/4 pipeline.
     ├── ``DatabaseError``
     │   ├── ``AccessDeniedError`` — an access rule denied the request.
+    │   ├── ``UnknownVideoError`` — the request names an unregistered
+    │   │   video; the HTTP gateway maps the *type* to 404.
     │   └── ``StorageError`` — the durable storage subsystem (SQL
     │       catalog schema/locking, feature-store bookkeeping).
     ├── ``IngestError`` — the corpus ingestion runtime.
@@ -32,8 +34,9 @@ fans out by subsystem:
     │   │   └── ``WorkerDrainingError`` — the worker is draining and
     │   │       refused new work; retry lands on its replacement.
     │   ├── ``DeadlineExpiredError`` — the query's deadline ran out
-    │   │   before (or during) a shard call.  *Not* transient: there
-    │   │   is no budget left to retry with.
+    │   │   (queued for admission, waiting for the answer, before or
+    │   │   during a shard call).  *Not* transient: there is no budget
+    │   │   left to retry with; the gateway maps the *type* to 504.
     │   └── ``NoShardAnsweredError`` — a scatter phase got no response
     │       from any shard; the coordinator re-executes the query once
     │       before letting it propagate.
@@ -83,6 +86,10 @@ class DatabaseError(ReproError):
 
 class AccessDeniedError(DatabaseError):
     """An access-control rule denied the requested operation."""
+
+
+class UnknownVideoError(DatabaseError):
+    """The request names a video that is not registered (HTTP 404)."""
 
 
 class StorageError(DatabaseError):
@@ -163,7 +170,8 @@ class WorkerDrainingError(RpcTransportError):
 
 
 class DeadlineExpiredError(ServingError):
-    """The query deadline ran out before (or during) a shard call.
+    """The query deadline ran out: queued for admission, waiting for the
+    answer, or before (or during) a shard call.
 
     Deliberately *not* an :class:`RpcTransportError`: with no budget
     left there is nothing to retry with, so the coordinator fails the

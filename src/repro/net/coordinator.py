@@ -66,6 +66,7 @@ from repro.database.query import QueryStats, RankedShot, descend_to_leaves
 from repro.database.scene_search import RankedScene, SceneEntry
 from repro.errors import (
     DatabaseError,
+    DeadlineExpiredError,
     NoShardAnsweredError,
     OverloadedError,
     RpcTransportError,
@@ -660,7 +661,7 @@ class ShardedQueryService:
 
         try:
             answer = _dispatch()
-        except NoShardAnsweredError:
+        except NoShardAnsweredError as exc:
             # A multi-phase query can straddle a rolling restart: its
             # first scatter answered by the shard that drained before
             # the second scatter ran, while the restarted shard is
@@ -668,7 +669,9 @@ class ShardedQueryService:
             # current cluster (endpoints re-pointed at respawned
             # workers); a genuine full outage fails identically here.
             if deadline is not None and time.perf_counter() >= deadline:
-                raise
+                # Out of budget, not out of shards: typed so the gateway
+                # answers 504, as the in-process front does.
+                raise DeadlineExpiredError(str(exc)) from exc
             answer = _dispatch()
         if answer.shards_missing:
             self._metrics.registry.counter(

@@ -65,10 +65,11 @@ import numpy as np
 from repro.database.access import User
 from repro.errors import (
     BadRequestError,
-    DatabaseError,
+    DeadlineExpiredError,
     OverloadedError,
     ReproError,
     ServingError,
+    UnknownVideoError,
 )
 from repro.obs.export import render_prometheus, render_prometheus_dumps
 from repro.obs.slowlog import get_slow_log
@@ -194,13 +195,7 @@ class _LocalBackend(_Backend):
 
     def sample_features(self, n: int) -> list[np.ndarray]:
         """Evenly spaced entries of the snapshot's flat index."""
-        entries = self._server.manager.current().flat.entries
-        if not entries:
-            return []
-        picks = sorted(
-            {int(i) for i in np.linspace(0, len(entries) - 1, min(n, len(entries)))}
-        )
-        return [entries[i].features for i in picks]
+        return self._server.manager.current().flat.sample(n)
 
     def metrics_registry(self):
         """The server's metrics registry."""
@@ -772,16 +767,10 @@ class HttpGateway:
             raise _HttpError(400, str(exc)) from None
         except OverloadedError as exc:
             raise _HttpError(503, str(exc), retry_after=1.0) from None
-        except ServingError as exc:
-            message = str(exc)
-            if "deadline" in message:
-                raise _HttpError(504, message) from None
-            raise _HttpError(500, message) from None
-        except DatabaseError as exc:
-            message = str(exc)
-            if "not registered" in message:
-                raise _HttpError(404, message) from None
-            raise _HttpError(500, message) from None
+        except DeadlineExpiredError as exc:
+            raise _HttpError(504, str(exc)) from None
+        except UnknownVideoError as exc:
+            raise _HttpError(404, str(exc)) from None
         except ReproError as exc:
             raise _HttpError(500, str(exc)) from None
         return 200, _serialize_result(result), {}

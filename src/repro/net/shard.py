@@ -9,11 +9,14 @@ bit for bit (see ``docs/SHARDING.md``).
 
 The ``ShardSpec`` manifest written next to the shard directories also
 replicates the *routing metadata of the full corpus*: every leaf's
-k-centres and discriminating dimensions.  Shard catalogs are saved with
-those values pinned (``routing_override``), so a shard's index tree
-descends and scores in the same sub-spaces as the unsharded tree even
-though its local population differs; the coordinator rebuilds the same
-tree from the manifest and runs the descent itself.
+k-centres and discriminating dimensions, read off the corpus's leaves
+(:func:`~repro.database.index.leaf_routing` ran once per leaf, when the
+leaf was sealed).  A shard is cut with
+:meth:`~repro.database.catalog.VideoDatabase.clone_subset`, whose
+leaves keep that routing, so a shard's index tree descends and scores
+in the same sub-spaces as the unsharded tree even though its local
+population differs; the coordinator builds the same tree from the
+manifest and runs the descent itself.
 
 Each shard directory additionally carries ``global_ords.npy``: the
 unsharded flat ordinal of every local flat position, letting workers
@@ -35,20 +38,11 @@ import numpy as np
 from repro.database.access import AccessController
 from repro.database.catalog import VideoDatabase
 from repro.database.hierarchy import (
-    ConceptLevel,
     ConceptNode,
     build_medical_hierarchy,
     ensure_subject_area,
 )
-from repro.database.index import (
-    DEFAULT_CENTERS,
-    DEFAULT_REDUCED_DIM,
-    IndexNode,
-    LeafHashIndex,
-    _kcenters,
-    build_node,
-    discriminating_dimensions,
-)
+from repro.database.index import IndexNode, LeafHashIndex, build_index_tree
 from repro.errors import StorageError
 from repro.net.protocol import pack_array, unpack_array
 from repro.storage.sqlcatalog import save_database
@@ -215,27 +209,6 @@ def load_manifest(root: str | Path) -> ShardSpec:
     return ShardSpec.from_json(payload)
 
 
-def _full_corpus_routing(
-    database: VideoDatabase,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-leaf (centers, dims) of the *whole* corpus.
-
-    Computed exactly as :func:`~repro.database.index.build_node` and the
-    SQL writer compute them, so coordinator, shard catalogs and the
-    unsharded index all route identically.
-    """
-    routing: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, entries in database.leaf_entries().items():
-        population = np.stack([entry.features for entry in entries])
-        routing[name] = (
-            _kcenters(population, DEFAULT_CENTERS),
-            discriminating_dimensions(population, DEFAULT_REDUCED_DIM).astype(
-                np.int64
-            ),
-        )
-    return routing
-
-
 def build_shards(
     database: VideoDatabase, out_dir: str | Path, num_shards: int
 ) -> ShardSpec:
@@ -264,24 +237,9 @@ def build_shards(
             "use fewer shards"
         )
 
-    if hasattr(database, "materialize"):
-        database.materialize()
-    routing = _full_corpus_routing(database)
-    flat_entries = database.flat_index.entries
-    ord_of = {entry.key: i for i, entry in enumerate(flat_entries)}
-    scene_keys = {
-        (entry.video_title, entry.scene_id)
-        for entry in flat_entries
-        if entry.scene_id >= 0
-    }
     leaves = tuple(
-        ShardLeaf(
-            name=name,
-            position=position,
-            centers=routing[name][0],
-            dims=routing[name][1],
-        )
-        for position, name in enumerate(database.leaf_entries())
+        ShardLeaf(name=name, position=position, centers=leaf.centers, dims=leaf.dims)
+        for position, (name, leaf) in enumerate(database.leaves.items())
     )
     education = database.hierarchy.find("medical_education")
     areas = (
@@ -293,15 +251,8 @@ def build_shards(
         members = assignment[sid]
         directory = f"shard-{sid:04d}"
         shard_dir = out_dir / directory
-        clone = database.clone_subset(members)
-        override = {
-            name: routing[name] for name in clone.leaf_entries()
-        }
-        save_database(clone, shard_dir, routing_override=override)
-        global_ords = np.asarray(
-            [ord_of[entry.key] for entry in clone.flat_index.entries],
-            dtype=np.int64,
-        )
+        save_database(database.clone_subset(members), shard_dir)
+        global_ords = database.ordinals_of(members)
         np.save(shard_dir / GLOBAL_ORDS_NAME, global_ords)
         infos.append(
             ShardInfo(
@@ -316,8 +267,8 @@ def build_shards(
     spec = ShardSpec(
         num_shards=num_shards,
         partitioning="hash_title",
-        entry_count=len(flat_entries),
-        scene_count=len(scene_keys),
+        entry_count=database.shot_count,
+        scene_count=len(database.scene_index),
         video_count=len(titles),
         subject_areas=areas,
         leaves=leaves,
@@ -332,12 +283,10 @@ def build_routing_tree(
 ) -> tuple[ConceptNode, IndexNode, AccessController]:
     """Rebuild (hierarchy, index tree, controller) from a manifest.
 
-    The tree mirrors what :class:`~repro.storage.lazy.SQLVideoDatabase`
-    builds from its stored leaf metadata: leaves carry the manifest's
-    full-corpus centres/dims (their hash indexes stay empty — the
-    coordinator only descends, it never probes locally) and internal
-    nodes are derived with :func:`~repro.database.index.build_node`,
-    which is deterministic in the leaf centres.  The controller over the
+    The same walk (:func:`~repro.database.index.build_index_tree`) every
+    database builds its tree with, over leaves that carry the manifest's
+    full-corpus centres/dims and no rows — the coordinator only
+    descends, it never probes locally.  The controller over the
     same hierarchy resolves the same permitted-leaf scopes as the
     unsharded server, so cache keys and access decisions match exactly.
     """
@@ -345,31 +294,10 @@ def build_routing_tree(
     for area in spec.subject_areas:
         ensure_subject_area(hierarchy, area)
     controller = AccessController(hierarchy)
-    leaf_meta = {leaf.name: leaf for leaf in spec.leaves}
-
-    def build(concept: ConceptNode) -> IndexNode | None:
-        if concept.level is ConceptLevel.SCENE or not concept.children:
-            meta = leaf_meta.get(concept.name)
-            if meta is None:
-                return None
-            node = IndexNode(
-                name=concept.name,
-                depth=concept.level.depth,
-                leaf=LeafHashIndex(),
-            )
-            node.centers = meta.centers
-            node.dims = meta.dims
-            return node
-        children = [
-            child_node
-            for child in concept.children
-            if (child_node := build(child)) is not None
-        ]
-        if not children:
-            return None
-        return build_node(concept.name, concept.level.depth, children=children)
-
-    root = build(hierarchy)
+    root = build_index_tree(
+        hierarchy,
+        {leaf.name: LeafHashIndex(centers=leaf.centers, dims=leaf.dims) for leaf in spec.leaves},
+    )
     if root is None:
         raise StorageError("shard manifest describes no populated leaves")
     return hierarchy, root, controller

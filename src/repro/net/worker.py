@@ -1,6 +1,6 @@
 """Shard worker: serves one shard's database over local TCP.
 
-A worker owns one out-of-core
+A worker owns one opened
 :class:`~repro.storage.lazy.SQLVideoDatabase` (plus the shard's
 ``global_ords.npy`` sidecar) and answers framed JSON requests:
 
@@ -89,19 +89,12 @@ class _ShardState:
         if ords_path.exists():
             self.global_ords = np.load(ords_path)
         else:  # an unsharded dir served as a single "shard"
-            self.global_ords = np.arange(
-                self.database.catalog.entry_count(), dtype=np.int64
-            )
+            self.global_ords = np.arange(self.database.shot_count, dtype=np.int64)
         self.leaves: dict[str, IndexNode] = {}
         if self.database.videos:
-            self._collect(self.database.index_root)
-
-    def _collect(self, node: IndexNode) -> None:
-        if node.is_leaf:
-            self.leaves[node.name] = node
-            return
-        for child in node.children:
-            self._collect(child)
+            self.leaves = {
+                node.name: node for node in self.database.index_root.iter_leaves()
+            }
 
 
 class ShardWorker:
@@ -530,23 +523,8 @@ class ShardWorker:
         }
 
     def _op_sample(self, request: dict, tracer=NULL_TRACER) -> dict:
-        state = self._state
-        n = max(1, int(request.get("n", 16)))
-        total = int(state.global_ords.shape[0])
-        if not total:
-            return {"ok": True, "features": []}
-        catalog = state.database.catalog
-        infos = {info.name: info for info in catalog.leaf_infos()}
-        ords = sorted(
-            {int(i) for i in np.linspace(0, total - 1, min(n, total))}
-        )
-        rows = catalog.entries_by_ord(ords)
-        payload = []
-        for ordinal in ords:
-            row = rows[ordinal]
-            block = catalog.features.open(infos[row.leaf].block.sha)
-            payload.append(pack_array(block[row.row]))
-        return {"ok": True, "features": payload}
+        sample = self._state.database.flat_index.sample(max(1, int(request.get("n", 16))))
+        return {"ok": True, "features": [pack_array(features) for features in sample]}
 
     def _op_reload(self, request: dict, tracer=NULL_TRACER) -> dict:
         fresh = _ShardState(self._shard_dir)

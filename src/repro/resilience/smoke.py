@@ -262,13 +262,14 @@ def _storage_mmap_truncated(db_dir: Path, seed: int) -> bool:
     from repro.storage import SQLVideoDatabase
 
     database = SQLVideoDatabase.open(db_dir)
-    probe = database.flat_index.entries[0].features
+    probe = database.flat_index.entries_at([0])[0].features
     plan = FaultPlan(
         [FaultSpec(point="storage.mmap_truncated", kind="error")], seed=seed
     )
     typed = False
     with inject(plan):
         try:
+            # The scan maps the blocks of leaves nothing has touched yet.
             database.search_flat(probe, k=3)
         except ReproError:
             typed = True

@@ -33,7 +33,7 @@ import numpy as np
 from repro.database.access import User
 from repro.database.catalog import VideoDatabase
 from repro.database.events_query import event_concept
-from repro.errors import OverloadedError, ReproError, ServingError
+from repro.errors import DeadlineExpiredError, OverloadedError, ReproError, ServingError
 from repro.obs.trace import active_tracer
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.watchdog import Watchdog
@@ -404,7 +404,7 @@ class QueryServer:
         except FutureTimeoutError:
             future.cancel()
             self._metrics.record_timeout()
-            raise ServingError(
+            raise DeadlineExpiredError(
                 f"query deadline of {timeout}s exceeded while waiting"
             ) from None
 
@@ -462,7 +462,7 @@ class QueryServer:
             self._metrics.record_timeout()
             self._fail(
                 future,
-                ServingError("deadline expired while queued for admission"),
+                DeadlineExpiredError("deadline expired while queued for admission"),
             )
             return
         try:

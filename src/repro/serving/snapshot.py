@@ -38,7 +38,7 @@ from repro.database.events_query import EventHit, query_event_records
 from repro.database.flat import FlatIndex
 from repro.database.index import IndexNode
 from repro.database.query import QueryResult, search_hierarchical
-from repro.database.scene_search import RankedScene, SceneEntry, SceneIndex
+from repro.database.scene_search import RankedScene, SceneIndex
 from repro.errors import CircuitOpenError, ReproError, ServingError
 from repro.obs.registry import get_registry
 from repro.resilience.breaker import CircuitBreaker
@@ -61,9 +61,9 @@ class Snapshot:
         never mutates a built tree in place (registration invalidates
         and rebuilds), so holding the root pins the whole structure.
     flat:
-        Private copy of the Eq. (24) linear-scan baseline.
+        The Eq. (24) linear-scan baseline over this generation's leaves.
     scenes:
-        Scene-centroid index derived from the shot entries.
+        Scene-centroid index of this generation.
     records:
         Registration records by title (for event queries).
     controller:
@@ -159,46 +159,12 @@ class Snapshot:
         return record.events.get(scene_id, EventKind.UNKNOWN.value)
 
 
-def _derive_scene_index(database: VideoDatabase) -> SceneIndex:
-    """Rebuild scene centroids from the catalog's shot entries.
-
-    The catalog indexes shots, not scenes; grouping its flat entries by
-    ``(title, scene_id)`` recovers each kept scene's member shots, and
-    the registration record supplies the mined event.  Shots filed under
-    an eliminated scene (``scene_id == -1``) carry no scene identity and
-    are skipped.
-    """
-    groups: dict[tuple[str, int], list[np.ndarray]] = {}
-    for entry in database.flat_index.entries:
-        if entry.scene_id < 0:
-            continue
-        groups.setdefault((entry.video_title, entry.scene_id), []).append(
-            entry.features
-        )
-    records = database.videos
-    index = SceneIndex()
-    for (title, scene_id), features in sorted(groups.items()):
-        record = records.get(title)
-        value = record.events.get(scene_id, EventKind.UNKNOWN.value) if record else (
-            EventKind.UNKNOWN.value
-        )
-        index.insert(
-            SceneEntry(
-                video_title=title,
-                scene_id=scene_id,
-                event=EventKind(value),
-                shot_count=len(features),
-                centroid=np.stack(features).mean(axis=0),
-            )
-        )
-    return index
-
-
 def _warm_center_blocks(root: IndexNode) -> None:
     """Pre-stack the routing centres of every non-leaf node.
 
-    Leaves need no warming: an in-RAM leaf's reduced block and bucket
-    rows are built with the index tree.
+    Leaves are left alone: a registered corpus's made their hash state
+    when the tree read their routing, an opened store's load when a query
+    first routes into them — the point of not reading the corpus at open.
     """
     if root.is_leaf:
         return
@@ -219,14 +185,9 @@ def warm_ann_indexes(snapshot: Snapshot) -> int:
     from repro.ann.index import resolve_ann
 
     ready = 0
-    stack = [snapshot.index_root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            index, _degraded = resolve_ann(node)
-            ready += index is not None
-        else:
-            stack.extend(node.children)
+    for node in snapshot.index_root.iter_leaves():
+        index, _degraded = resolve_ann(node)
+        ready += index is not None
     return ready
 
 
@@ -234,40 +195,20 @@ def build_snapshot(database: VideoDatabase, generation: int) -> Snapshot:
     """Freeze the database's current state as one generation.
 
     Raises :class:`~repro.errors.ServingError` for an empty database —
-    a server has nothing to serve.  Every array a query reads (index
-    centre stacks, the leaves' reduced blocks, flat and scene matrices)
-    exists once this returns, off the query path; the flat matrix is
-    the database's own, shared rather than copied.
+    a server has nothing to serve.  Nothing is copied: the index tree,
+    the flat view and the scene index are the database's own, all three
+    over leaves that are never written to once built (a registration
+    seals *new* leaves), so the snapshot keeps answering from its rows
+    while the database moves on.
     """
     if not database.videos:
         raise ServingError("cannot snapshot an empty database")
-    if getattr(database, "out_of_core", False):
-        # An out-of-core database (repro.storage) is already immutable
-        # from the reader's side: its flat scan, lazy leaves and stored
-        # scene centroids serve straight from memory-mapped blocks, and
-        # copying or pre-warming them would defeat the whole point of
-        # not materialising the corpus.
-        return Snapshot(
-            generation=generation,
-            index_root=database.index_root,
-            flat=database.flat_index,
-            scenes=database.scene_index,
-            records=database.videos,
-            controller=database.controller,
-            shot_count=database.shot_count,
-        )
-    # The index first: its build leaves tens of MB of freed temporaries
-    # in the allocator, which the long-lived matrices below then reuse
-    # instead of growing the process on top of them.
     _warm_center_blocks(database.index_root)
-    flat = database.flat_index.frozen()
-    scenes = _derive_scene_index(database)
-    scenes.warm()
     return Snapshot(
         generation=generation,
         index_root=database.index_root,
-        flat=flat,
-        scenes=scenes,
+        flat=database.flat_index,
+        scenes=database.scene_index,
         records=database.videos,
         controller=database.controller,
         shot_count=database.shot_count,
@@ -275,12 +216,9 @@ def build_snapshot(database: VideoDatabase, generation: int) -> Snapshot:
 
 
 def _close_quietly(database: VideoDatabase) -> None:
-    """Close a database's storage handles if it has any; never raise."""
-    close = getattr(database, "close", None)
-    if close is None:
-        return
+    """Close a database's storage handles; never raise."""
     try:
-        close()
+        database.close()
     except Exception:  # pragma: no cover - best-effort cleanup
         _LOGGER.warning("retired database close failed", exc_info=True)
 

@@ -12,10 +12,11 @@ their access patterns:
   content-addressed, memory-mapped ``.npy`` blocks behind a bounded
   LRU of open handles.
 
-:class:`SQLVideoDatabase` serves the ordinary
-:class:`~repro.database.catalog.VideoDatabase` API out-of-core on top
-of both, bit-identical to the in-RAM query paths;
-:func:`save_database` persists a database, :func:`load_database`
+:class:`SQLVideoDatabase` is the ordinary
+:class:`~repro.database.catalog.VideoDatabase` opened over both — the
+same leaf, flat, scene and database classes, their rows loaded from the
+store on first touch, answering bit-identically to the corpus that was
+saved; :func:`save_database` persists a database, :func:`load_database`
 opens a database directory (lazily; a legacy JSON one eagerly),
 :func:`migrate_db_dir` converts a JSON-era directory, and
 :mod:`repro.storage.smoke` (``make storage-smoke``) checks the whole
@@ -23,13 +24,7 @@ contract at corpus scale.  See ``docs/STORAGE.md``.
 """
 
 from repro.storage.featurestore import DEFAULT_MAX_OPEN, BlockRef, FeatureStore
-from repro.storage.lazy import (
-    LazyLeafHashIndex,
-    LazySceneIndex,
-    OutOfCoreFlatIndex,
-    SQLVideoDatabase,
-    load_database,
-)
+from repro.storage.lazy import SQLVideoDatabase, load_database
 from repro.storage.migrate import MigrationReport, migrate_db_dir
 from repro.storage.schema import (
     CATALOG_NAME,
@@ -56,11 +51,8 @@ __all__ = [
     "EntryRow",
     "FEATURES_DIR",
     "FeatureStore",
-    "LazyLeafHashIndex",
-    "LazySceneIndex",
     "LeafInfo",
     "MigrationReport",
-    "OutOfCoreFlatIndex",
     "SCHEMA_VERSION",
     "SQLCatalog",
     "SQLVideoDatabase",

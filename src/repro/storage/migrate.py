@@ -20,12 +20,14 @@ searches bit-identically to loading the original JSON.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.database.catalog import VideoDatabase
-from repro.errors import IngestError, StorageError
+from repro.database.catalog import RegisteredVideo, VideoDatabase
+from repro.database.hierarchy import ensure_subject_area
+from repro.errors import DatabaseError, IngestError, StorageError
 from repro.obs.trace import span as obs_span
 from repro.storage.schema import DATABASE_NAME
 from repro.storage.sqlcatalog import save_database
@@ -80,6 +82,77 @@ class MigrationReport:
         return "\n".join(lines)
 
 
+def legacy_json_payload(database: VideoDatabase) -> dict:
+    """``database`` in the shape of a JSON-era ``database.json``.
+
+    Nothing in production writes this any more; the storage smoke and
+    the migration tests build their legacy fixture from it, beside the
+    reader that must keep understanding it.
+    """
+    return {
+        "videos": {
+            title: {
+                "shot_count": video.shot_count,
+                "scene_count": video.scene_count,
+                "events": video.events,
+                "degraded_stages": list(video.degraded_stages),
+            }
+            for title, video in database.videos.items()
+        },
+        "leaves": {
+            name: [
+                {
+                    "video_title": title,
+                    "shot_id": shot_id,
+                    "scene_id": scene_id,
+                    "features": features,
+                }
+                for title, shot_id, scene_id, features in zip(
+                    leaf.titles.tolist(), leaf.shot_ids.tolist(),
+                    leaf.scene_ids.tolist(), leaf.block.tolist(),
+                )
+            ]
+            for name, leaf in database.leaves.items()
+        },
+    }
+
+
+def load_legacy_json(path: str | Path) -> VideoDatabase:
+    """Restore the database a JSON-era ``database.json`` holds.
+
+    The file lists shots leaf by leaf, so flat ordinals are assigned in
+    that order (as the JSON-era loader did).  Raises
+    :class:`~repro.errors.DatabaseError` for a missing or unparsable
+    file.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+        database = VideoDatabase()
+        for leaf, entries in payload.get("leaves", {}).items():
+            if "/" in leaf:
+                # Recreate on-demand subject areas ('general/...').
+                ensure_subject_area(database.hierarchy, leaf.split("/", 1)[0])
+            for raw in entries:
+                database._file(
+                    leaf,
+                    raw["video_title"],
+                    [raw["features"]],
+                    [int(raw["shot_id"])],
+                    int(raw["scene_id"]),
+                )
+        for title, raw in payload.get("videos", {}).items():
+            database._videos[title] = RegisteredVideo(
+                title=title,
+                shot_count=int(raw["shot_count"]),
+                scene_count=int(raw["scene_count"]),
+                events={int(k): v for k, v in raw.get("events", {}).items()},
+                degraded_stages=tuple(raw.get("degraded_stages", ())),
+            )
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DatabaseError(f"cannot load database from {path}: {exc}") from exc
+    return database
+
+
 def _database_from_artifacts(
     db_dir: Path, skipped: list[str]
 ) -> VideoDatabase:
@@ -130,7 +203,7 @@ def migrate_db_dir(
     with obs_span("storage.migrate") as sp:
         if json_path.exists():
             source = "json"
-            database = VideoDatabase.load(json_path)
+            database = load_legacy_json(json_path)
         else:
             source = "artifacts"
             database = _database_from_artifacts(db_dir, skipped)

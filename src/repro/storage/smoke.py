@@ -39,9 +39,8 @@ import numpy as np
 
 from repro.database.catalog import VideoDatabase
 from repro.errors import ReproError
-from repro.serving.snapshot import _derive_scene_index
 from repro.storage.lazy import SQLVideoDatabase
-from repro.storage.migrate import migrate_db_dir
+from repro.storage.migrate import legacy_json_payload, load_legacy_json, migrate_db_dir
 from repro.storage.sqlcatalog import save_database
 from repro.storage.synthetic import build_synthetic_database
 
@@ -63,7 +62,7 @@ def _queries_equal(
     eager: VideoDatabase, lazy: SQLVideoDatabase, probes: list[np.ndarray]
 ) -> tuple[bool, str]:
     """Flat + hierarchical + scene results must match bit for bit."""
-    eager_scenes = _derive_scene_index(eager)
+    eager_scenes = eager.scene_index
     lazy_scenes = lazy.scene_index
     for probe in probes:
         flat_a = eager.search_flat(probe, k=10)
@@ -94,7 +93,7 @@ def run_smoke(videos: int = 1000, shots: int = 12, seed: int = 0) -> int:
         db_dir = root / "db"
         db_dir.mkdir()
         json_path = db_dir / "database.json"
-        database.save(json_path)
+        json_path.write_text(json.dumps(legacy_json_payload(database)))
         catalog_path = save_database(database, db_dir)
 
         # 1. round-trip bookkeeping.
@@ -113,7 +112,7 @@ def run_smoke(videos: int = 1000, shots: int = 12, seed: int = 0) -> int:
 
         # 2. cold-start: parse-everything JSON vs open-lazily SQL.
         start = time.perf_counter()
-        eager = VideoDatabase.load(json_path)
+        eager = load_legacy_json(json_path)
         json_seconds = time.perf_counter() - start
         start = time.perf_counter()
         cold = SQLVideoDatabase.open(db_dir)
@@ -158,7 +157,7 @@ def run_smoke(videos: int = 1000, shots: int = 12, seed: int = 0) -> int:
         # 5. migration from a JSON-only directory.
         legacy = root / "legacy"
         legacy.mkdir()
-        database.save(legacy / "database.json")
+        shutil.copy(json_path, legacy / "database.json")
         migration = migrate_db_dir(legacy, remove_json=True)
         migrated = SQLVideoDatabase.open(legacy)
         ok, detail = _queries_equal(eager, migrated, probes[:2])

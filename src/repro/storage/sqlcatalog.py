@@ -18,19 +18,17 @@ half-replaced catalog.  A successful commit garbage-collects the
 blocks only the superseded generation referenced (both cleanup paths
 re-check the live catalog's references before unlinking, so a block a
 concurrent writer just committed stays).  :meth:`SQLCatalog.register_bulk`
-layers the incremental API on top: materialise, register, replace —
-still one transaction.
+layers the incremental API on top: open, register, replace — still one
+transaction.
 
 Determinism contract
 --------------------
-Everything derived here (leaf routing centres via
-:func:`~repro.database.index._kcenters`, discriminating dimensions,
-scene centroids via ``np.stack(...).mean(axis=0)``) is computed with
-the *identical* operations and input orderings the in-RAM
-:meth:`~repro.database.catalog.VideoDatabase.build_index` and
-:func:`~repro.serving.snapshot._derive_scene_index` paths use, which is
-what lets :mod:`repro.storage.lazy` reproduce query results
-bit-for-bit.
+Nothing is derived here.  The writer stores what the database hands
+it — each leaf's block, columns and routing ``(centers, dims)``
+(:func:`~repro.database.index.leaf_routing`, computed once per leaf),
+the scene table (:func:`~repro.database.scene_search.corpus_scenes`) —
+so an opened store (:mod:`repro.storage.lazy`) answers from the very
+arrays the saved corpus answered from, bit for bit.
 
 Resilience + observability
 --------------------------
@@ -43,6 +41,7 @@ lands in the ``storage_catalog_query_seconds`` histogram.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sqlite3
 import threading
@@ -52,15 +51,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ann.index import build_leaf_ann
-from repro.ann.quantizer import ANN_SEED, DEFAULT_ANN_CELLS
+from repro.ann.index import train_leaf_ann
+from repro.ann.quantizer import ANN_SEED
 from repro.database.catalog import RegisteredVideo, VideoDatabase
-from repro.database.index import (
-    DEFAULT_CENTERS,
-    DEFAULT_REDUCED_DIM,
-    _kcenters,
-    discriminating_dimensions,
-)
 from repro.errors import FaultInjectedError, StorageError
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
@@ -76,14 +69,10 @@ from repro.storage.schema import (
     connect,
     features_path,
 )
-from repro.types import EventKind
 
 #: Locked-database retry budget and base backoff.
 LOCK_RETRIES = 5
 LOCK_BACKOFF = 0.01
-
-#: sqlite bind-variable batches stay under the historic 999 limit.
-_BATCH = 500
 
 
 def _pack(array: np.ndarray) -> bytes:
@@ -326,18 +315,6 @@ class SQLCatalog:
             ).fetchone()[0])
         )
 
-    def describe(self) -> dict[str, int]:
-        """Shot counts per scene-concept leaf (catalog statistics)."""
-        def op(conn: sqlite3.Connection):
-            return {
-                str(leaf): int(count)
-                for leaf, count in conn.execute(
-                    "SELECT leaf, COUNT(*) FROM entries GROUP BY leaf ORDER BY leaf"
-                )
-            }
-
-        return self._run(op)
-
     def leaf_infos(self) -> list[LeafInfo]:
         """Every stored leaf, in hierarchy creation order."""
         def op(conn: sqlite3.Connection):
@@ -438,31 +415,6 @@ class SQLCatalog:
             np.array(shots, dtype=np.int64),
             np.array(scenes, dtype=np.int64),
         )
-
-    def entries_by_ord(self, ords: list[int]) -> dict[int, EntryRow]:
-        """Entry metadata for specific flat ordinals (batched IN query)."""
-        result: dict[int, EntryRow] = {}
-
-        def op_for(chunk: list[int]):
-            marks = ",".join("?" * len(chunk))
-
-            def op(conn: sqlite3.Connection):
-                return conn.execute(
-                    "SELECT ord, leaf, row, video_title, shot_id, scene_id "
-                    f"FROM entries WHERE ord IN ({marks})",
-                    chunk,
-                ).fetchall()
-
-            return op
-
-        for i in range(0, len(ords), _BATCH):
-            chunk = [int(o) for o in ords[i : i + _BATCH]]
-            for ordinal, leaf, row, title, shot, scene in self._run(op_for(chunk)):
-                result[int(ordinal)] = EntryRow(
-                    ord=int(ordinal), leaf=str(leaf), row=int(row),
-                    video_title=str(title), shot_id=int(shot), scene_id=int(scene),
-                )
-        return result
 
     def scene_rows(self, event: str | None = None) -> list[SceneRow]:
         """Scene centroid rows in block-row order, optionally per event."""
@@ -576,11 +528,7 @@ class SQLCatalog:
 
     # -- writer --------------------------------------------------------
 
-    def replace_from(
-        self,
-        database: VideoDatabase,
-        routing_override: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
-    ) -> int:
+    def replace_from(self, database: VideoDatabase) -> int:
         """Replace the whole catalog with ``database``'s state.
 
         Feature blocks are written (content-addressed, so re-saving an
@@ -595,25 +543,19 @@ class SQLCatalog:
         a concurrent writer just published and committed a reference to
         is never removed.  Returns the number of shot entries stored.
 
-        ``routing_override`` maps a leaf name to the ``(centers, dims)``
-        pair to store for it instead of recomputing them from the local
-        population.  Shard builders pass the *full-corpus* routing
-        metadata here so every shard's index tree routes — and scores
-        leaves in the same discriminating sub-space — exactly like the
-        unsharded catalog.
+        Each leaf is stored with the routing it carries — a shard cut
+        by :meth:`~repro.database.catalog.VideoDatabase.clone_subset`
+        carries the *full-corpus* ``(centers, dims)``, so its index
+        tree routes, and scores leaves in the same discriminating
+        sub-space, exactly like the unsharded catalog.
         """
-        flat_entries = database.flat_index.entries
-        if not flat_entries:
+        if not database.shot_count:
             raise StorageError("cannot store an empty database")
-        ord_of = {entry.key: i for i, entry in enumerate(flat_entries)}
 
         before = self._referenced_blocks()
         new_blocks: set[str] = set()
         try:
-            count = self._replace_from(
-                database, flat_entries, ord_of, before, new_blocks,
-                routing_override or {},
-            )
+            count = self._replace_from(database, before, new_blocks)
         except BaseException:
             # The relational state rolled back (or was never touched);
             # drop the blocks only this aborted write introduced.
@@ -641,52 +583,43 @@ class SQLCatalog:
         for sha in candidates - self._referenced_blocks():
             self._features.delete(sha)
 
-    def _replace_from(
-        self, database, flat_entries, ord_of, before, new_blocks, routing_override
-    ) -> int:
-        # Leaf blocks + routing metadata, in leaf creation order.  The
-        # centres and dims are computed exactly as build_node() would,
-        # so the lazy index tree routes identically to the eager one.
+    def _replace_from(self, database, before, new_blocks) -> int:
+        def put(matrix: np.ndarray, **kwargs) -> BlockRef:
+            ref = self._features.put(matrix, **kwargs)
+            if ref.sha not in before:
+                new_blocks.add(ref.sha)
+            return ref
+
+        # Leaf blocks, columns and routing, in leaf creation order,
+        # straight from the arrays the leaves hold.
+        leaves = database.leaves
         leaves_payload = []
         entry_payload = []
         ann_payload = []
-        for position, (name, entries) in enumerate(database.leaf_entries().items()):
-            population = np.stack([entry.features for entry in entries])
-            ref = self._features.put(population)
-            if ref.sha not in before:
-                new_blocks.add(ref.sha)
-            if name in routing_override:
-                centers, dims = routing_override[name]
-                centers = np.asarray(centers, dtype=np.float64)
-                dims = np.asarray(dims, dtype=np.int64)
-            else:
-                centers = _kcenters(population, DEFAULT_CENTERS)
-                dims = discriminating_dimensions(population, DEFAULT_REDUCED_DIM)
+        for position, (name, leaf) in enumerate(leaves.items()):
+            ref = put(leaf.block)
             leaves_payload.append(
                 (
-                    name, position, len(entries), ref.sha, ref.rows, ref.cols,
-                    _pack(centers), int(centers.shape[0]),
-                    _pack(dims.astype(np.int64)), int(dims.shape[0]),
+                    name, position, len(leaf), ref.sha, ref.rows, ref.cols,
+                    _pack(np.asarray(leaf.centers, dtype=np.float64)),
+                    int(leaf.centers.shape[0]),
+                    _pack(np.asarray(leaf.dims, dtype=np.int64)),
+                    int(leaf.dims.shape[0]),
                 )
             )
             entry_payload.extend(
-                (
-                    ord_of[entry.key], name, row,
-                    entry.video_title, entry.shot_id, entry.scene_id,
+                zip(
+                    leaf.ordinals.tolist(), itertools.repeat(name), range(len(leaf)),
+                    leaf.titles.tolist(), leaf.shot_ids.tolist(), leaf.scene_ids.tolist(),
                 )
-                for row, entry in enumerate(entries)
             )
             # ANN tier: train this leaf's quantizer here so every saved
             # catalog (including each shard's, which trains over its own
             # rows) carries a ready index.  Deterministic in the leaf
             # population, so re-saving an unchanged corpus re-derives
             # the same codes block and content addressing dedups it.
-            ann = build_leaf_ann(
-                population, dims, cells=DEFAULT_ANN_CELLS, seed=ANN_SEED
-            )
-            code_ref = self._features.put(ann.codes, dtype=np.uint8)
-            if code_ref.sha not in before:
-                new_blocks.add(code_ref.sha)
+            ann = train_leaf_ann(leaf)
+            code_ref = put(ann.codes, dtype=np.uint8)
             ann_payload.append(
                 (
                     name, ann.n_cells, ANN_SEED, code_ref.sha,
@@ -696,32 +629,17 @@ class SQLCatalog:
                 )
             )
 
-        # Scene centroids: same grouping, ordering and mean() op as the
-        # serving layer's _derive_scene_index, for bit-identical scores.
         records = database.videos
-        groups: dict[tuple[str, int], list[np.ndarray]] = {}
-        for entry in flat_entries:
-            if entry.scene_id < 0:
-                continue
-            groups.setdefault((entry.video_title, entry.scene_id), []).append(
-                entry.features
+        scenes = database.scene_index.table
+        scene_payload = list(
+            zip(
+                range(len(scenes.titles)), scenes.titles.tolist(),
+                scenes.scene_ids.tolist(),
+                [event.value for event in scenes.events.tolist()],
+                scenes.shot_counts.tolist(),
             )
-        scene_payload = []
-        centroids = []
-        for row, ((title, scene_id), features) in enumerate(sorted(groups.items())):
-            record = records.get(title)
-            value = (
-                record.events.get(scene_id, EventKind.UNKNOWN.value)
-                if record
-                else EventKind.UNKNOWN.value
-            )
-            scene_payload.append((row, title, scene_id, value, len(features)))
-            centroids.append(np.stack(features).mean(axis=0))
-        scene_ref: BlockRef | None = None
-        if centroids:
-            scene_ref = self._features.put(np.stack(centroids))
-            if scene_ref.sha not in before:
-                new_blocks.add(scene_ref.sha)
+        )
+        scene_ref = put(scenes.centroids) if scene_payload else None
 
         video_payload = [
             (
@@ -737,7 +655,7 @@ class SQLCatalog:
         ]
         education = database.hierarchy.find("medical_education")
         areas = [child.name for child in education.children] if education else []
-        docs = _search_documents(records, scene_payload, database.leaf_entries())
+        docs = _search_documents(records, scene_payload, leaves)
 
         def op(conn: sqlite3.Connection):
             conn.execute("BEGIN IMMEDIATE")
@@ -813,20 +731,16 @@ class SQLCatalog:
     def register_bulk(self, results, skip_registered: bool = False) -> list[RegisteredVideo]:
         """Transactionally register mined results into the stored catalog.
 
-        Materialises the current catalog into an in-memory
-        :class:`VideoDatabase`, registers the new results, then replaces
-        the stored catalog in one transaction — a failure anywhere
-        leaves the previous generation untouched.  Returns the records
-        added by this call (mirroring
+        Opens the current catalog as a database over this connection,
+        registers the new results (leaves they do not touch stay on
+        their mmaps), then replaces the stored catalog in one
+        transaction — a failure anywhere leaves the previous generation
+        untouched.  Returns the records added by this call (mirroring
         :meth:`VideoDatabase.register_bulk`).
         """
         from repro.storage.lazy import SQLVideoDatabase
 
-        staging = (
-            SQLVideoDatabase(self).materialize()
-            if self.entry_count()
-            else VideoDatabase()
-        )
+        staging = SQLVideoDatabase(self) if self.entry_count() else VideoDatabase()
         added = staging.register_bulk(results, skip_registered=skip_registered)
         if added:
             self.replace_from(staging)
@@ -855,7 +769,7 @@ class SQLCatalog:
 def _search_documents(
     records: dict[str, RegisteredVideo],
     scene_payload: list[tuple],
-    leaf_entries: dict,
+    leaves: dict,
 ) -> list[tuple[str, str, str]]:
     """Flatten the corpus into (kind, title, body) FTS documents."""
     docs: list[tuple[str, str, str]] = []
@@ -876,24 +790,17 @@ def _search_documents(
                 f"{shot_count} shots",
             )
         )
-    for leaf in leaf_entries:
+    for leaf in leaves:
         docs.append(("concept", leaf, leaf.replace("/", " ").replace("_", " ")))
     return docs
 
 
-def save_database(
-    database: VideoDatabase,
-    db_dir: str | Path,
-    routing_override: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
-) -> Path:
+def save_database(database: VideoDatabase, db_dir: str | Path) -> Path:
     """Persist ``database`` as ``<db_dir>/catalog.sqlite`` + feature blocks.
 
-    The SQLite counterpart of :meth:`VideoDatabase.save`; returns the
-    catalog path.  Creates the schema on first use.  ``routing_override``
-    is forwarded to :meth:`SQLCatalog.replace_from` (shard builders use
-    it to pin full-corpus routing metadata).
+    Returns the catalog path.  Creates the schema on first use.
     """
     with obs_span("storage.save", videos=len(database.videos)):
         with SQLCatalog(db_dir, create=True) as catalog:
-            catalog.replace_from(database, routing_override=routing_override)
+            catalog.replace_from(database)
     return catalog_path(db_dir)

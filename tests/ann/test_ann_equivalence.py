@@ -172,7 +172,7 @@ class TestResolveAnn:
             for node in _iter_leaves(ann_db.index_root)
             if node.leaf is not None and len(node.leaf) > 0
         )
-        leaf.ann = None
+        leaf.leaf.ann = None
         first, degraded = resolve_ann(leaf)
         assert isinstance(first, AnnLeafIndex)
         assert not degraded

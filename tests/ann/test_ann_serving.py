@@ -93,7 +93,7 @@ class TestDegradedNotCached:
                 leaves = list(_iter_leaves(snapshot.index_root))
                 assert leaves
                 assert all(
-                    isinstance(leaf.ann, AnnLeafIndex) for leaf in leaves
+                    isinstance(node.leaf.ann, AnnLeafIndex) for node in leaves
                 )
         finally:
             lazy.close()

@@ -70,7 +70,6 @@ class TestSearch:
 
         rng = np.random.default_rng(0)
         leaves = []
-        flat = FlatIndex()
         for leaf_idx in range(4):
             entries = []
             for i in range(50):
@@ -84,9 +83,12 @@ class TestSearch:
                     features=np.concatenate([hist, np.full(10, 0.5)]),
                 )
                 entries.append(entry)
-                flat.insert(entry)
-            leaves.append(build_node(f"leaf{leaf_idx}", 1, entries=entries))
+            ordinals = np.arange(50 * leaf_idx, 50 * (leaf_idx + 1))
+            leaves.append(
+                build_node(f"leaf{leaf_idx}", 1, entries=entries, ordinals=ordinals)
+            )
         root = build_node("root", 0, children=leaves)
+        flat = FlatIndex([node.leaf for node in leaves])
         query = flat.entries[10].features
         hier = search_hierarchical(root, query, k=5)
         scan = flat.search(query, k=5)
@@ -117,9 +119,10 @@ class TestSearch:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, database, demo_result):
-        path = tmp_path / "db.json"
-        database.save(path)
-        restored = VideoDatabase.load(path)
+        from repro.storage import load_database, save_database
+
+        save_database(database, tmp_path)
+        restored = load_database(tmp_path)
         assert restored.shot_count == database.shot_count
         assert set(restored.videos) == {"demo"}
         features = _query_features(demo_result, 2)
@@ -129,35 +132,21 @@ class TestPersistence:
         # Hierarchical search works on the restored catalog too.
         restored.build_index()
         assert restored.search(features, k=1).top.entry.key == original.top.entry.key
+        restored.close()
 
     def test_load_missing_file_raises(self, tmp_path):
+        from repro.storage.migrate import load_legacy_json
+
         with pytest.raises(DatabaseError):
-            VideoDatabase.load(tmp_path / "nope.json")
+            load_legacy_json(tmp_path / "nope.json")
 
     def test_load_corrupt_file_raises(self, tmp_path):
+        from repro.storage.migrate import load_legacy_json
+
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(DatabaseError):
-            VideoDatabase.load(bad)
-
-    def test_save_is_atomic(self, tmp_path, database, monkeypatch):
-        # A serialisation failure mid-save must leave the previous
-        # catalog intact and no temp file behind.
-        path = tmp_path / "db.json"
-        database.save(path)
-        before = path.read_bytes()
-
-        import json as json_module
-
-        def boom(*_args, **_kwargs):
-            raise RuntimeError("serialisation exploded")
-
-        monkeypatch.setattr(json_module, "dump", boom)
-        monkeypatch.setattr(json_module, "dumps", boom)
-        with pytest.raises(RuntimeError):
-            database.save(path)
-        assert path.read_bytes() == before
-        assert not list(tmp_path.glob(".*tmp*"))
+            load_legacy_json(bad)
 
 
 class TestBeamDescent:

@@ -6,6 +6,7 @@ import pytest
 from repro.database.index import (
     IndexNode,
     LeafHashIndex,
+    LeafRows,
     ShotEntry,
     build_node,
     combine_features,
@@ -65,14 +66,14 @@ class TestLeafHashIndex:
     def test_probe_returns_same_bucket(self):
         same = [_entry("v", i, 3) for i in range(4)]
         other = [_entry("v", 10 + i, 200) for i in range(4)]
-        leaf = LeafHashIndex(same + other, dims=np.arange(64))
+        leaf = LeafHashIndex(LeafRows.from_entries(same + other), dims=np.arange(64))
         hits = leaf.probe(same[0].features)
         assert {h.shot_id for h in hits} == {0, 1, 2, 3}
         assert leaf.bucket_count == 2
         assert len(leaf) == 8
 
     def test_probe_falls_back_when_bucket_empty(self):
-        leaf = LeafHashIndex([_entry("v", 0, 3)], dims=np.arange(64))
+        leaf = LeafHashIndex(LeafRows.from_entries([_entry("v", 0, 3)]), dims=np.arange(64))
         # Query signature that matches no bucket.
         query = _entry("v", 99, 150).features
         assert len(leaf.probe(query)) == 1

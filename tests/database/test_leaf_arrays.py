@@ -10,6 +10,7 @@ scalar code it replaced — ``leaf_signature`` row by row, the stable
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,12 @@ from repro.database.index import (
     rows_by_signature,
 )
 from repro.database.query import search_hierarchical
+from repro.storage import (
+    SQLCatalog,
+    SQLVideoDatabase,
+    build_synthetic_database,
+    save_database,
+)
 from tests.database.test_query_batched import _scalar_search
 
 #: Super-bin masses around the 0.1 threshold, with exact repeats so two
@@ -162,3 +169,154 @@ class TestCrossLeafDedup:
             for entry in entries
         ]
         assert leaf.scan(query, rows).tolist() == everything[rows].tolist()
+
+
+@pytest.fixture(scope="module")
+def registered():
+    """The corpus as registered (leaves sealed in RAM)."""
+    return build_synthetic_database(videos=16, shots_per_video=8, seed=3)
+
+
+@pytest.fixture(scope="module", params=["ram", "stored"])
+def corpus(request, registered, tmp_path_factory):
+    """The same corpus behind each leaf source: built in RAM / opened from a saved store."""
+    if request.param == "ram":
+        yield registered
+        return
+    db_dir = tmp_path_factory.mktemp("leaf-contract")
+    save_database(registered, db_dir)
+    opened = SQLVideoDatabase.open(db_dir)
+    yield opened
+    opened.close()
+
+
+class TestLeafContractBothSources:
+    """One leaf contract: what ``query.py``, ``net/worker.py`` and
+    ``ann/index.py`` read off a leaf, held to the scalar oracle and to the
+    registered corpus's arrays whichever source the rows came from."""
+
+    def test_columns_block_and_ordinals(self, corpus, registered):
+        assert list(corpus.leaves) == list(registered.leaves)
+        covered = []
+        for name, leaf in corpus.leaves.items():
+            want = registered.leaves[name]
+            assert len(leaf) == len(want) == leaf.block.shape[0]
+            assert leaf.block.dtype == np.float64 and leaf.block.shape[1] == 266
+            for column in ("ordinals", "shot_ids", "scene_ids"):
+                got = getattr(leaf, column)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, getattr(want, column)), column
+            assert leaf.titles.dtype == object
+            assert leaf.titles.tolist() == want.titles.tolist()
+            assert np.array_equal(leaf.block, want.block)
+            assert np.array_equal(leaf.centers, want.centers)
+            assert np.array_equal(leaf.dims, want.dims)
+            covered.extend(leaf.ordinals.tolist())
+        assert sorted(covered) == list(range(corpus.shot_count))
+
+    def test_entry_is_the_row(self, corpus):
+        for leaf in corpus.leaves.values():
+            for row in (0, len(leaf) // 2, len(leaf) - 1):
+                entry = leaf.entry(row)
+                assert entry.key == (leaf.titles[row], int(leaf.shot_ids[row]))
+                assert entry.scene_id == int(leaf.scene_ids[row])
+                assert np.array_equal(entry.features, leaf.block[row])
+            assert [e.key for e in leaf.entries] == list(
+                zip(leaf.titles.tolist(), leaf.shot_ids.tolist())
+            )
+
+    def test_scan_and_buckets_match_the_scalar_oracle(self, corpus, rng):
+        from repro.database.index import feature_similarity
+
+        queries = [corpus.leaves["general/dialog"].block[5], rng.random(266)]
+        for leaf in corpus.leaves.values():
+            assert np.array_equal(leaf.reduced, np.asarray(leaf.block)[:, leaf.dims])
+            assert [tuple(s) for s in leaf.signatures.tolist()] == [
+                leaf_signature(row) for row in leaf.block
+            ]
+            for query in queries:
+                scores = leaf.scan(query)
+                assert scores.tolist() == [
+                    feature_similarity(query, row, dims=leaf.dims) for row in leaf.block
+                ]
+                bucket = [
+                    row for row in range(len(leaf))
+                    if leaf_signature(leaf.block[row]) == leaf_signature(query)
+                ]
+                assert leaf.bucket_rows(query).tolist() == bucket
+                candidates = leaf.candidate_rows(query)
+                assert (candidates is None) == (not bucket)
+                probed = leaf.probe(query)  # test_index's two probe cases, on both sources
+                assert [e.key for e in probed] == [
+                    leaf.entry(row).key for row in (bucket or range(len(leaf)))
+                ]
+                rows = np.array([len(leaf) - 1, 0, 3])
+                assert leaf.scan(query, rows).tolist() == scores[rows].tolist()
+
+    def test_what_a_shard_worker_ships(self, corpus, registered):
+        """``net/worker.py``: candidates by fancy-indexed columns, payloads by block row."""
+        leaf = next(iter(corpus.leaves.values()))
+        want = next(iter(registered.leaves.values()))
+        pick = np.array([4, 1, 7])
+        for rows in (pick, slice(None)):
+            assert list(
+                zip(leaf.ordinals[rows].tolist(), leaf.titles[rows].tolist(),
+                    leaf.shot_ids[rows].tolist(), leaf.scene_ids[rows].tolist())
+            ) == [
+                (int(want.ordinals[r]), want.titles[r], int(want.shot_ids[r]), int(want.scene_ids[r]))
+                for r in (np.arange(len(want))[rows]).tolist()
+            ]
+        assert np.array_equal(leaf.block[4], want.block[4])
+
+    def test_ann_trains_from_what_the_leaf_holds(self, corpus):
+        from repro.ann.index import build_leaf_ann, train_leaf_ann
+
+        for leaf in corpus.leaves.values():
+            assert (
+                train_leaf_ann(leaf).digest()
+                == build_leaf_ann(np.asarray(leaf.block), leaf.dims).digest()
+            )
+
+
+def test_routing_has_one_owner_and_runs_once_per_leaf(registered, tmp_path, monkeypatch):
+    """``(centers, dims)`` of a hand ``build_node``, the stored ``LeafInfo`` and
+    ``ShardSpec.leaves`` are the same arrays, and nothing clusters a leaf twice."""
+    import repro.database.index as index_module
+    from repro.net import build_shards
+    from repro.serving import build_snapshot
+
+    fresh = build_synthetic_database(videos=16, shots_per_video=8, seed=3)
+    clustered = []
+    kcenters = index_module._kcenters
+
+    def spy(features, k):
+        clustered.append(features.shape[0])
+        return kcenters(features, k)
+
+    monkeypatch.setattr(index_module, "_kcenters", spy)
+    build_snapshot(fresh, 1)
+    save_database(fresh, tmp_path / "db")
+    spec = build_shards(fresh, tmp_path / "shards", 2)
+    monkeypatch.undo()
+
+    sizes = [len(leaf) for leaf in fresh.leaves.values()]
+    assert min(sizes) > 16  # a leaf population, not a stack of child centres
+    assert sorted(n for n in clustered if n > 16) == sorted(sizes)
+
+    with SQLCatalog(tmp_path / "db") as catalog:
+        stored = {info.name: info for info in catalog.leaf_infos()}
+    manifest = {leaf.name: leaf for leaf in spec.leaves}
+    for name, leaf in registered.leaves.items():
+        by_hand = build_node(name, 3, entries=leaf.entries)
+        for centers, dims in (
+            (by_hand.centers, by_hand.dims),
+            (stored[name].centers, stored[name].dims),
+            (manifest[name].centers, manifest[name].dims),
+        ):
+            assert np.array_equal(centers, leaf.centers)
+            assert np.array_equal(dims, leaf.dims)
+    for info in spec.shards:  # every shard catalog stores the full-corpus routing
+        with SQLCatalog(spec.shard_dir(tmp_path / "shards", info.shard_id)) as catalog:
+            for shard_leaf in catalog.leaf_infos():
+                assert np.array_equal(shard_leaf.centers, manifest[shard_leaf.name].centers)
+                assert np.array_equal(shard_leaf.dims, manifest[shard_leaf.name].dims)

@@ -16,6 +16,8 @@ import pytest
 from repro.database.flat import FlatIndex
 from repro.database.index import (
     IndexNode,
+    LeafHashIndex,
+    LeafRows,
     ShotEntry,
     build_node,
     combine_features,
@@ -179,7 +181,13 @@ class TestRouteChildRegression:
 class TestFlatScanRegression:
     def test_same_counts_and_ordering(self, rng):
         entries = _random_entries(rng, "v", 0, 30)
-        flat = FlatIndex(entries)
+        # Two leaves, interleaved ordinals: the scan scatters by ordinal.
+        flat = FlatIndex(
+            [
+                LeafHashIndex(LeafRows.from_entries(entries[0::2], np.arange(0, 30, 2))),
+                LeafHashIndex(LeafRows.from_entries(entries[1::2], np.arange(1, 30, 2))),
+            ]
+        )
         features = _query(rng)
         result = flat.search(features, k=10)
         assert result.stats.comparisons == len(entries)
@@ -199,9 +207,18 @@ class TestFlatScanRegression:
             assert got.score == pytest.approx(want.score, abs=TOLERANCE)
 
     def test_insert_invalidates_cached_matrix(self, rng):
+        # A flat index is a view over sealed leaves: a registration gives
+        # the database a new one, the view handed out before keeps its rows.
+        from repro.database.catalog import VideoDatabase
+        from repro.types import EventKind
+
         entries = _random_entries(rng, "v", 0, 6)
-        flat = FlatIndex(entries[:5])
-        flat.search(_query(rng))  # builds the cache
-        flat.insert(entries[5])
-        result = flat.search(_query(rng))
-        assert result.stats.comparisons == 6
+        database = VideoDatabase()
+        database.register_entries(
+            "first", [(0, EventKind.DIALOG, [e.features for e in entries[:5]])]
+        )
+        before = database.flat_index
+        assert before.search(_query(rng)).stats.comparisons == 5
+        database.register_entries("second", [(0, EventKind.DIALOG, [entries[5].features])])
+        assert database.flat_index.search(_query(rng)).stats.comparisons == 6
+        assert before.search(_query(rng)).stats.comparisons == 5

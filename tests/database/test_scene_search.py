@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.database.index import combine_features
+from repro.database.catalog import VideoDatabase
 from repro.database.scene_search import SceneIndex
 from repro.errors import DatabaseError
 from repro.types import EventKind
@@ -11,9 +12,9 @@ from repro.types import EventKind
 
 @pytest.fixture(scope="module")
 def index(demo_result):
-    scene_index = SceneIndex()
-    scene_index.register(demo_result)
-    return scene_index
+    database = VideoDatabase()
+    database.register(demo_result)
+    return database.scene_index
 
 
 class TestSceneIndex:

@@ -10,6 +10,13 @@ import urllib.request
 import pytest
 
 from repro.database.access import User
+from repro.errors import (
+    DatabaseError,
+    DeadlineExpiredError,
+    NoShardAnsweredError,
+    ServingError,
+    UnknownVideoError,
+)
 from repro.net.gateway import GatewayConfig, HttpGateway, _Backend, probe_health
 from repro.obs import get_registry
 from repro.obs.export import validate_prometheus_text
@@ -260,6 +267,61 @@ class TestSaturation:
         finally:
             backend.release.set()
             gateway.stop()
+
+
+class _RaisingBackend(_Backend):
+    """Backend whose queries raise whatever the test loaded."""
+
+    error: Exception
+
+    def query(self, request):
+        raise self.error
+
+    def metrics_registry(self):
+        return get_registry()
+
+
+class TestStatusByErrorType:
+    """The status follows the error's type; its text is free to say anything."""
+
+    @pytest.fixture(scope="class")
+    def raising(self):
+        backend = _RaisingBackend()
+        gateway = HttpGateway(backend, GatewayConfig()).start()
+        yield backend, gateway
+        gateway.stop()
+
+    @pytest.mark.parametrize(
+        "error, status",
+        [
+            (DeadlineExpiredError("ran out of budget"), 504),
+            (ServingError("the deadline scheduler crashed"), 500),
+            (NoShardAnsweredError("no shard responded (deadline expired)"), 500),
+            (UnknownVideoError("video 'x' is not registered"), 404),
+            (DatabaseError("leaf 'x' is not registered with the index"), 500),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+    )
+    def test_status_is_mapped_by_type(self, raising, error, status):
+        backend, gateway = raising
+        backend.error = error
+        got, body, _ = post_query(gateway.url, {"kind": "shot", "features": [0.0]})
+        assert got == status
+        assert body["error"] == str(error)
+
+    def test_server_deadline_sites_raise_the_typed_error(self, reference, probes):
+        # Whichever site sees the spent budget first: queue admission or the wait.
+        with pytest.raises(DeadlineExpiredError, match="deadline"):
+            reference.query(
+                QueryRequest(kind="shot_flat", features=probes[0], timeout=1e-9)
+            )
+
+    def test_unknown_title_event_query_is_404(self, gw):
+        status, body, _ = post_query(
+            gw.url, {"kind": "event", "event": "dialog", "video_title": "no-such"}
+        )
+        assert status == 404
+        assert "not registered" in body["error"]
 
 
 class _FakeEndpoint:

@@ -16,8 +16,8 @@ import pytest
 from repro.audio.speaker import SpeakerAnalyzer, default_speech_classifier
 from repro.audio.waveform import Waveform
 from repro.core.structure import mine_content_structure
-from repro.database.catalog import VideoDatabase
 from repro.errors import DatabaseError, ReproError
+from repro.storage.migrate import load_legacy_json
 from repro.video.frame import Frame
 from repro.video.stream import VideoStream
 
@@ -97,7 +97,7 @@ class TestCorruptPersistence:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"leaves": {"x/unknown": [{"shot_id": 1}]}}))
         with pytest.raises((DatabaseError, KeyError)) as excinfo:
-            VideoDatabase.load(path)
+            load_legacy_json(path)
         # The error must be typed (our hierarchy) or clearly about data.
         assert excinfo.type is not Exception
 
@@ -105,7 +105,7 @@ class TestCorruptPersistence:
         path = tmp_path / "types.json"
         path.write_text(json.dumps({"leaves": "not-a-dict", "videos": {}}))
         with pytest.raises((DatabaseError, AttributeError, TypeError)):
-            VideoDatabase.load(path)
+            load_legacy_json(path)
 
     def test_repro_error_is_catchable_base(self, demo_stream):
         from repro.errors import MiningError

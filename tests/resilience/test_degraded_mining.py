@@ -111,9 +111,12 @@ class TestFlagPersistence:
         record = db.register(flagged)
         assert record.degraded_stages == ("audio",)
         assert record.degraded
-        db.save(tmp_path / "database.json")
-        restored = VideoDatabase.load(tmp_path / "database.json")
+        from repro.storage import load_database, save_database
+
+        save_database(db, tmp_path)
+        restored = load_database(tmp_path)
         reloaded = restored.videos[record.title]
+        restored.close()
         assert reloaded.degraded_stages == ("audio",)
 
     def test_clean_result_has_no_flags(self, demo_result):

@@ -169,7 +169,9 @@ class TestHealth:
         assert report.exit_code == 2
 
     def test_health_cli_on_an_ingested_directory(self, tmp_path, serving_db, capsys):
-        serving_db.save(tmp_path / "database.json")
+        from repro.storage import save_database
+
+        save_database(serving_db, tmp_path)
         code = main(["health", "--db-dir", str(tmp_path), "--workers", "2"])
         out = capsys.readouterr().out
         assert code == 0

@@ -7,10 +7,19 @@ that mutate state make their own copies.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.storage import SQLVideoDatabase, build_synthetic_database, save_database
+from repro.storage.migrate import legacy_json_payload
+
+
+def write_legacy_json(database, path: Path) -> None:
+    """A JSON-era ``database.json`` holding ``database`` (nothing in src writes one)."""
+    Path(path).write_text(json.dumps(legacy_json_payload(database)))
 
 
 @pytest.fixture(scope="module")

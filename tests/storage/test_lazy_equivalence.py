@@ -18,11 +18,17 @@ import numpy as np
 import pytest
 
 from repro.database.access import User
-from repro.database.catalog import VideoDatabase
 from repro.errors import StorageError
-from repro.serving.snapshot import _derive_scene_index, build_snapshot
-from repro.storage import SQLVideoDatabase, build_synthetic_database, migrate_db_dir
+from repro.serving.snapshot import build_snapshot
+from repro.storage import (
+    SQLVideoDatabase,
+    build_synthetic_database,
+    migrate_db_dir,
+    save_database,
+)
+from repro.storage.migrate import load_legacy_json
 from repro.types import EventKind
+from tests.storage.conftest import write_legacy_json
 
 
 def shot_hits(result):
@@ -58,10 +64,16 @@ class TestFlatEquivalence:
         for i in (0, len(eager) // 2, len(eager) - 1):
             np.testing.assert_array_equal(eager[i].features, lazy[i].features)
 
-    def test_out_of_core_flat_is_read_only(self, lazy_db, source_db):
-        entry = source_db.flat_index.entries[0]
-        with pytest.raises(StorageError, match="read-only"):
-            lazy_db.flat_index.insert(entry)
+    def test_out_of_core_flat_is_read_only(self, lazy_db):
+        # A flat index is a view over the leaves: there is nothing to
+        # insert into (mutation goes through the database, which seals
+        # new leaves — TestMutation) and a stored row
+        # cannot be written through it.
+        flat = lazy_db.flat_index
+        assert not hasattr(flat, "insert")
+        row = flat.entries_at([0])[0].features
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
 
 
 class TestHierarchicalEquivalence:
@@ -96,7 +108,7 @@ class TestHierarchicalEquivalence:
 
 class TestSceneEquivalence:
     def test_scene_search_matches_derived_index(self, source_db, lazy_db, probes):
-        eager = _derive_scene_index(source_db)
+        eager = source_db.scene_index
         lazy = lazy_db.scene_index
         assert len(lazy) == len(eager)
         for probe in probes:
@@ -105,7 +117,7 @@ class TestSceneEquivalence:
             )
 
     def test_event_filter_and_similar_scenes_match(self, source_db, lazy_db, probes):
-        eager = _derive_scene_index(source_db)
+        eager = source_db.scene_index
         lazy = lazy_db.scene_index
         kind = EventKind.PRESENTATION
         assert scene_hits(eager.search(probes[0], k=5, event=kind)) == scene_hits(
@@ -130,7 +142,7 @@ class TestConcurrentColdProbes:
         """
         expected_shots = shot_hits(source_db.search(probes[0], k=10))
         expected_scenes = scene_hits(
-            _derive_scene_index(source_db).search(probes[1], k=5)
+            source_db.scene_index.search(probes[1], k=5)
         )
         workers = 8
         for _round in range(3):  # fresh cold view each round
@@ -187,8 +199,8 @@ class TestMigrationRoundTrip:
     def migrated_pair(self, tmp_path_factory, source_db):
         """(eager JSON-loaded db, lazy db migrated from the same JSON)."""
         legacy = tmp_path_factory.mktemp("legacy")
-        source_db.save(legacy / "database.json")
-        eager = VideoDatabase.load(legacy / "database.json")
+        write_legacy_json(source_db, legacy / "database.json")
+        eager = load_legacy_json(legacy / "database.json")
         report = migrate_db_dir(legacy, remove_json=True)
         migrated = SQLVideoDatabase.open(legacy)
         yield eager, migrated, report, legacy
@@ -237,17 +249,142 @@ class TestMigrationRoundTrip:
             migrate_db_dir(tmp_path)
 
 
-class TestMaterialize:
-    def test_materialized_database_matches_source(self, stored_dir, source_db, probes):
-        lazy = SQLVideoDatabase.open(stored_dir)
-        try:
-            lazy.materialize()
-            assert lazy.out_of_core is False
-            assert [e.key for e in lazy.flat_index.entries] == [
-                e.key for e in source_db.flat_index.entries
-            ]
-            assert shot_hits(lazy.search(probes[0], k=5)) == shot_hits(
-                source_db.search(probes[0], k=5)
+class TestPicksBuildOnlyThePickedRows:
+    """Picking a probe off an opened store must not turn the corpus into
+    objects: ``classminer serve``'s canary and the gateway's ``/workload``
+    sample used to build a ``ShotEntry`` for every stored row (one
+    ``leaf_rows`` read per leaf) to keep one, or sixteen."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        from repro.database.index import LeafHashIndex
+        from repro.storage import SQLCatalog
+
+        calls = {"entry": 0, "leaf_rows": 0, "columns": 0}
+        entry, columns = LeafHashIndex.entry, SQLCatalog.leaf_columns
+
+        def counting_entry(self, row):
+            calls["entry"] += 1
+            return entry(self, row)
+
+        def counting_columns(self, name):
+            calls["columns"] += 1
+            return columns(self, name)
+
+        def no_leaf_rows(self, name):
+            calls["leaf_rows"] += 1
+            raise AssertionError("per-row read of a whole leaf")
+
+        monkeypatch.setattr(LeafHashIndex, "entry", counting_entry)
+        monkeypatch.setattr(SQLCatalog, "leaf_columns", counting_columns)
+        monkeypatch.setattr(SQLCatalog, "leaf_rows", no_leaf_rows)
+        return calls
+
+    def test_first_row_loads_one_leaf_and_builds_one_entry(self, lazy_db, counted):
+        (entry,) = lazy_db.flat_index.entries_at([0])
+        assert entry.key == ("synthetic_00000", 0)
+        assert counted == {"entry": 1, "leaf_rows": 0, "columns": 1}
+
+    def test_serve_canary(self, stored_dir, counted, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--db-dir", str(stored_dir)]) == 0
+        assert "canary query" in capsys.readouterr().out
+        # The pick, plus the five hits of the one query that missed the cache.
+        assert counted["entry"] <= 1 + 5
+        assert counted["leaf_rows"] == 0
+
+    def test_workload_sample(self, lazy_db, counted):
+        from repro.net.gateway import _LocalBackend
+        from repro.serving import QueryServer
+
+        with QueryServer(lazy_db) as server:
+            sample = _LocalBackend(server).sample_features(16)
+        assert len(sample) == 16
+        assert counted["entry"] == 16
+        assert counted["leaf_rows"] == 0
+        everything = lazy_db.flat_index.entries
+        assert np.array_equal(sample[0], everything[0].features)
+        assert np.array_equal(sample[-1], everything[-1].features)
+
+
+def stored_state(db_dir) -> dict:
+    """Every row of every catalog table, plus the feature-block digests on disk."""
+    import sqlite3
+
+    conn = sqlite3.connect(db_dir / "catalog.sqlite")
+    try:
+        tables = [
+            name
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
             )
+            if not name.startswith(("search_fts_", "sqlite_"))
+        ]
+        state = {t: conn.execute(f"SELECT * FROM {t}").fetchall() for t in tables}
+    finally:
+        conn.close()
+    state["blocks"] = sorted(p.name for p in (db_dir / "features").rglob("*.npy"))
+    return state
+
+
+def _extra_video(database, title: str, seed: int) -> None:
+    rows = np.random.default_rng(seed).random((6, 266))
+    database.register_entries(
+        title,
+        [(0, EventKind.DIALOG, list(rows[:3])), (1, EventKind.UNKNOWN, list(rows[3:]))],
+    )
+
+
+class TestMutation:
+    """Registering / unregistering on an opened store is the same operation,
+    on the same columns, as on the registered corpus: saved afterwards,
+    both give the same stored rows, block digests and answers."""
+
+    def test_opened_store_matches_in_ram_source(
+        self, stored_dir, probes, tmp_path
+    ):
+        opened = SQLVideoDatabase.open(stored_dir)
+        in_ram = build_synthetic_database(videos=24, shots_per_video=8, seed=0)
+        try:
+            for database in (opened, in_ram):
+                _extra_video(database, "late_arrival", seed=11)
+                assert database.unregister("synthetic_00007") == 8
+                _extra_video(database, "later_still", seed=12)
+            # Untouched leaves of the opened store never left their mmaps.
+            assert shot_hits(opened.search_flat(probes[3], k=10)) == shot_hits(
+                in_ram.search_flat(probes[3], k=10)
+            )
+            for probe in probes:
+                a, b = in_ram.search(probe, k=10), opened.search(probe, k=10)
+                assert shot_hits(a) == shot_hits(b)
+                assert a.stats.visited_path == b.stats.visited_path
+                assert a.stats.comparisons == b.stats.comparisons
+                assert scene_hits(in_ram.scene_index.search(probe, k=5)) == scene_hits(
+                    opened.scene_index.search(probe, k=5)
+                )
+            save_database(opened, tmp_path / "from-opened")
+            save_database(in_ram, tmp_path / "from-ram")
         finally:
-            lazy.close()
+            opened.close()
+        assert stored_state(tmp_path / "from-opened") == stored_state(
+            tmp_path / "from-ram"
+        )
+
+    def test_catalog_register_bulk_reads_columns_not_rows(
+        self, tmp_path, demo_result
+    ):
+        """``SQLCatalog.register_bulk`` registers on the opened catalog itself:
+        no per-row read, and the same stored state as registering in RAM."""
+        from repro.storage import SQLCatalog
+
+        in_ram = build_synthetic_database(videos=6, shots_per_video=8, seed=4)
+        save_database(in_ram, tmp_path / "bulk")
+        with SQLCatalog(tmp_path / "bulk") as catalog:
+            catalog.leaf_rows = None  # the per-row reader: calling it would raise
+            added = catalog.register_bulk([demo_result])
+            assert [record.title for record in added] == [demo_result.title]
+            assert catalog.register_bulk([demo_result], skip_registered=True) == []
+        in_ram.register(demo_result)
+        save_database(in_ram, tmp_path / "ram")
+        assert stored_state(tmp_path / "bulk") == stored_state(tmp_path / "ram")

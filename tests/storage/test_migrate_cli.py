@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.storage import build_synthetic_database, catalog_path
+from tests.storage.conftest import write_legacy_json
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +16,7 @@ def legacy_dir(tmp_path_factory):
     """A JSON-era database directory (no SQL catalog yet)."""
     directory = tmp_path_factory.mktemp("cli-legacy")
     database = build_synthetic_database(videos=6, shots_per_video=4, seed=1)
-    database.save(directory / "database.json")
+    write_legacy_json(database, directory / "database.json")
     return directory
 
 
@@ -30,7 +31,7 @@ class TestMigrateCommand:
 
     def test_remove_json_flag(self, tmp_path, capsys):
         database = build_synthetic_database(videos=3, shots_per_video=4, seed=2)
-        database.save(tmp_path / "database.json")
+        write_legacy_json(database, tmp_path / "database.json")
         assert main(["migrate", "--db-dir", str(tmp_path), "--remove-json"]) == 0
         assert catalog_path(tmp_path).exists()
         assert not (tmp_path / "database.json").exists()

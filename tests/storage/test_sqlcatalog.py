@@ -58,7 +58,6 @@ class TestReaders:
 
     def test_counts_and_describe(self, catalog, source_db):
         assert catalog.entry_count() == source_db.shot_count
-        assert catalog.describe() == source_db.describe()
         assert catalog.scene_count() == sum(
             r.scene_count for r in source_db.videos.values()
         )
@@ -75,13 +74,6 @@ class TestReaders:
             rows = catalog.leaf_rows(info.name)
             assert [r.row for r in rows] == list(range(info.entry_count))
             assert info.block.rows == info.entry_count
-
-    def test_entries_by_ord_batches_over_bind_limit(self, catalog, source_db):
-        ords = list(range(source_db.shot_count))
-        found = catalog.entries_by_ord(ords)
-        assert sorted(found) == ords  # > _BATCH ordinals, chunked IN queries
-        entry = source_db.flat_index.entries[0]
-        assert (found[0].video_title, found[0].shot_id) == entry.key
 
     def test_scene_row_lookup(self, catalog):
         rows = catalog.scene_rows()

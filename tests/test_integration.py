@@ -63,9 +63,12 @@ class TestFullPipeline:
         hit = db.search(features, k=1).top
         assert hit.entry.shot_id == shot.shot_id
 
-        db.save(tmp_path / "catalog.json")
-        restored = VideoDatabase.load(tmp_path / "catalog.json")
+        from repro.storage import load_database, save_database
+
+        save_database(db, tmp_path)
+        restored = load_database(tmp_path)
         assert restored.search_flat(features, k=1).top.entry.shot_id == shot.shot_id
+        restored.close()
 
     def test_access_controlled_query(self, demo_result):
         db = VideoDatabase()
