@@ -28,6 +28,7 @@ corpus plus the demo.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -39,6 +40,17 @@ from repro.tables import render_table
 # commands (serve, shard, health, loadtest, obs) must start without
 # loading the mining stack, and the mining commands without the servers
 # (DESIGN.md §3, "Import layering"; tests/test_import_layers.py).
+
+
+def _one_blas_thread_each() -> None:
+    """One BLAS thread in this process and those it spawns, unless the user said otherwise.
+
+    N worker processes that each start a machine-wide BLAS pool run
+    several times slower than one thread apiece (docs/INGESTION.md).
+    Must run before anything imports numpy.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
 
 
 def _load(title: str, with_audio: bool = True):
@@ -189,6 +201,8 @@ def _cmd_poster(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    if args.workers > 1:
+        _one_blas_thread_each()
     from repro.ingest import ProgressTracker, RetryPolicy, ingest_corpus
 
     tracker = ProgressTracker()
@@ -306,6 +320,8 @@ def _serving_server(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.shards or args.shards_dir:
+        _one_blas_thread_each()
     from repro.serving import QueryRequest
 
     if args.http is not None:

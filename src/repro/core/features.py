@@ -68,10 +68,6 @@ class Shot:
         """``(start, stop)`` in seconds."""
         return (self.start / self.fps, self.stop / self.fps)
 
-    def frame_range(self) -> range:
-        """Frame indices covered by the shot."""
-        return range(self.start, self.stop)
-
 
 def representative_frame_index(start: int, stop: int) -> int:
     """Pick the representative frame index for a shot span.
@@ -84,29 +80,34 @@ def representative_frame_index(start: int, stop: int) -> int:
     return start + (stop - start) // 2
 
 
-def build_shot(
-    stream: VideoStream,
+def shot_from_frame(
+    frame: Frame,
     shot_id: int,
     start: int,
     stop: int,
-    histograms: np.ndarray | None = None,
+    fps: float,
+    histogram: np.ndarray | None = None,
 ) -> Shot:
-    """Construct a :class:`Shot` with features from a frame span.
+    """A :class:`Shot` over ``[start, stop)`` with ``frame`` as its representative.
 
-    ``histograms`` is the stream's per-frame histogram matrix when the
-    caller already has it (the shot detector does); the shot then takes
-    its representative frame's row instead of computing it again.
+    ``histogram`` is the frame's histogram row when the caller already
+    has it (the shot detector does); the shot keeps a copy instead of
+    computing it again.
     """
-    if stop > len(stream):
-        raise MiningError(f"shot span [{start}, {stop}) exceeds stream length")
-    index = representative_frame_index(start, stop)
-    frame = stream[index]
     return Shot(
         shot_id=shot_id,
         start=start,
         stop=stop,
-        fps=stream.fps,
+        fps=fps,
         representative_frame=frame,
-        histogram=hsv_histogram(frame) if histograms is None else histograms[index].copy(),
+        histogram=hsv_histogram(frame) if histogram is None else histogram.copy(),
         texture=tamura_coarseness(frame),
     )
+
+
+def build_shot(stream: VideoStream, shot_id: int, start: int, stop: int) -> Shot:
+    """Construct a :class:`Shot` with features from a span of an indexable stream."""
+    if stop > len(stream):
+        raise MiningError(f"shot span [{start}, {stop}) exceeds stream length")
+    frame = stream[representative_frame_index(start, stop)]
+    return shot_from_frame(frame, shot_id, start, stop, stream.fps)

@@ -23,7 +23,7 @@ from repro.events.model import SceneEvent
 from repro.obs.trace import span as obs_span
 from repro.resilience.faults import fault_point
 from repro.types import EventKind
-from repro.video.stream import VideoStream
+from repro.video.stream import FrameStream
 from repro.vision.cues import VisualCues
 
 
@@ -95,7 +95,7 @@ class ClassMiner:
 
     def mine(
         self,
-        stream: VideoStream,
+        stream: FrameStream,
         mine_events: bool = True,
         oracle_shot_spans: list[tuple[int, int]] | None = None,
     ) -> ClassMinerResult:
@@ -104,7 +104,8 @@ class ClassMiner:
         Parameters
         ----------
         stream:
-            The video (audio attached when speaker tests are wanted).
+            The video (audio attached when speaker tests are wanted);
+            its frames are read once, so it need not be held whole.
         mine_events:
             Disable to skip cue extraction and audio analysis (cheaper,
             used when only the structure is needed).
@@ -119,13 +120,12 @@ class ClassMiner:
         fallback is named in :attr:`ClassMinerResult.degraded_stages`
         and announced with a :class:`~repro.errors.DegradedResultWarning`.
         """
-        with obs_span(
-            "mine", title=stream.title, frames=len(stream)
-        ) as root:
+        with obs_span("mine", title=stream.title) as root:
             structure = mine_content_structure(
                 stream, self._config, oracle_shot_spans=oracle_shot_spans
             )
             root.set(
+                frames=structure.shots[-1].stop,
                 shots=structure.shot_count,
                 scenes=structure.scene_count,
             )

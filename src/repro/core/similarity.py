@@ -24,7 +24,6 @@ from repro.core.kernels import (
     DEFAULT_TEXTURE_WEIGHT,
     FeatureMatrix,
     group_pairwise_matrix,
-    group_stsim,
     group_stsim_row,
     pairwise_stsim,
 )
@@ -145,19 +144,4 @@ def group_similarity_matrix(
     """
     return group_pairwise_matrix(
         [FeatureMatrix.from_shots(g) for g in groups], weights=weights
-    )
-
-
-def batched_group_similarity(
-    group_a: Sequence[Shot],
-    group_b: Sequence[Shot],
-    weights: SimilarityWeights = SimilarityWeights(),
-) -> float:
-    """Vectorized Eq. (9) for one pair (kernel-backed ``group_similarity``)."""
-    if not group_a or not group_b:
-        raise MiningError("cannot compare empty groups")
-    return group_stsim(
-        FeatureMatrix.from_shots(group_a),
-        FeatureMatrix.from_shots(group_b),
-        weights=weights,
     )

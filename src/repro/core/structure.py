@@ -34,7 +34,7 @@ from repro.core.similarity import SimilarityWeights
 from repro.errors import DegradedResultWarning, MiningError
 from repro.obs.trace import span as obs_span
 from repro.resilience.faults import fault_point
-from repro.video.stream import VideoStream
+from repro.video.stream import FrameStream
 
 
 @dataclass(frozen=True)
@@ -206,12 +206,14 @@ def _fallback_groups(shots: list[Shot]) -> list[Group]:
 
 
 def mine_content_structure(
-    stream: VideoStream,
+    stream: FrameStream,
     config: MiningConfig | None = None,
     oracle_shot_spans: list[tuple[int, int]] | None = None,
 ) -> ContentStructure:
     """Run the Sec. 3 pipeline on a video stream.
 
+    The stream's frames are read once, by the shot stage; every later
+    stage works from the shots' representative frames.
     ``oracle_shot_spans`` bypasses shot detection with known spans so
     downstream stages can be evaluated in isolation.
 
@@ -239,7 +241,7 @@ def mine_content_structure(
             shots = shot_detection.shots
         if not shots:
             raise MiningError("no shots detected")
-        sp.set(frames=len(stream), shots=len(shots))
+        sp.set(frames=shots[-1].stop, shots=len(shots))
     logger.info("%s: %d shots detected", stream.title, len(shots))
 
     with obs_span("mine.groups") as sp:

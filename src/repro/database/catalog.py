@@ -10,7 +10,7 @@ access controller.
 from __future__ import annotations
 
 import mmap
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -167,46 +167,62 @@ class VideoDatabase:
         self._index_root = self._flat = self._scenes = None
 
     def register(self, result: ClassMinerResult) -> RegisteredVideo:
-        """Register one mined video.
+        """Register one mined video (see :meth:`register_shots` for the filing rule)."""
+        shots = result.structure.shots
+        events = result.scene_events()
+        return self.register_shots(
+            result.title,
+            [shot.shot_id for shot in shots],
+            np.array([combine_features(shot.histogram, shot.texture) for shot in shots]),
+            [
+                (scene.scene_id, events.get(scene.scene_id, EventKind.UNKNOWN), scene.shot_ids)
+                for scene in result.structure.scenes
+            ],
+            result.degraded_stages,
+        )
 
-        Every shot of every kept scene is filed under the scene-level
-        concept of the scene's mined event.  Shots from eliminated
-        scenes are filed under the ``unknown`` concept so nothing is
-        lost.  Re-registering a title raises :class:`DatabaseError`.
+    def register_shots(
+        self,
+        title: str,
+        shot_ids: "Sequence[int]",
+        features: np.ndarray,
+        scenes: "Iterable[tuple[int, EventKind, Sequence[int]]]",
+        degraded_stages: "Iterable[str]" = (),
+    ) -> RegisteredVideo:
+        """File one video's shots by scene: the one filing rule.
+
+        ``features[i]`` is the 266-d row of shot ``shot_ids[i]``;
+        ``scenes`` yields ``(scene_id, event, member shot ids)`` for the
+        kept scenes.  Every member shot is filed under the scene-level
+        concept of the scene's mined event; shots no kept scene names
+        (their scene was eliminated) are filed under the ``unknown``
+        concept so nothing is lost.  Re-registering a title raises
+        :class:`DatabaseError`.
         """
-        title = result.title
         if title in self._videos:
             raise DatabaseError(f"video {title!r} already registered")
-        events = result.scene_events()
-
-        def features_of(shots) -> list[np.ndarray]:
-            return [combine_features(shot.histogram, shot.texture) for shot in shots]
-
+        row_of = {shot_id: row for row, shot_id in enumerate(shot_ids)}
         record = RegisteredVideo(
             title=title,
-            shot_count=result.structure.shot_count,
-            scene_count=result.structure.scene_count,
-            degraded_stages=tuple(result.degraded_stages),
+            shot_count=len(shot_ids),
+            scene_count=0,
+            degraded_stages=tuple(degraded_stages),
         )
         assigned: set[int] = set()
-        for scene in result.structure.scenes:
-            event = events.get(scene.scene_id, EventKind.UNKNOWN)
-            record.events[scene.scene_id] = event.value
-            node = scene_node_for(self._hierarchy, title, event)
-            if scene.shots:
-                shot_ids = [shot.shot_id for shot in scene.shots]
-                self._file(node.name, title, features_of(scene.shots), shot_ids, scene.scene_id)
-                assigned.update(shot_ids)
-        # Shots whose scene was eliminated: file under 'unknown'.
-        node = scene_node_for(self._hierarchy, title, EventKind.UNKNOWN)
-        orphans = [
-            shot for shot in result.structure.shots if shot.shot_id not in assigned
-        ]
-        if orphans:
-            self._file(
-                node.name, title, features_of(orphans),
-                [shot.shot_id for shot in orphans], -1,
-            )
+
+        def file(event: EventKind, members: "Sequence[int]", scene_id: int) -> None:
+            # Looked up even for no members: the first lookup creates the subject area.
+            leaf = scene_node_for(self._hierarchy, title, event).name
+            if members:
+                rows = features[[row_of[shot_id] for shot_id in members]]
+                self._file(leaf, title, rows, list(members), scene_id)
+                assigned.update(members)
+
+        for scene_id, event, members in scenes:
+            record.scene_count += 1
+            record.events[scene_id] = event.value
+            file(event, members, scene_id)
+        file(EventKind.UNKNOWN, [s for s in shot_ids if s not in assigned], -1)
 
         self._videos[title] = record
         self._changed()

@@ -51,7 +51,9 @@ class EventMiner:
         """Extract (and cache) visual cues for each shot's rep frame."""
         for shot in shots:
             if shot.shot_id not in self._cue_cache:
-                self._cue_cache[shot.shot_id] = extract_cues(shot.representative_frame)
+                self._cue_cache[shot.shot_id] = extract_cues(
+                    shot.representative_frame, shot.histogram
+                )
         return {shot.shot_id: self._cue_cache[shot.shot_id] for shot in shots}
 
     def shot_audio(

@@ -12,6 +12,10 @@ losslessly to one directory per cache key::
 Numeric payloads live in the ``.npz`` (exact float64/uint8 round-trip);
 everything relational — which shots form which groups, which groups
 form which scenes, rule evidence, detections — lives in ``meta.json``.
+The audio members (``clip_*``, ``mfcc_*``: nearly all of the bytes, and
+incompressible) are stored, the rest deflated; a catalog rebuild reads
+``meta.json`` plus the ``histograms`` and ``textures`` members only
+(:meth:`ArtifactStore.load_columns`).
 Objects are written to a temporary directory first and moved into place
 atomically, so concurrent workers racing on the same key cannot leave a
 half-written artifact behind.
@@ -31,8 +35,11 @@ import os
 import shutil
 import tempfile
 import time
+import zipfile
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -451,6 +458,60 @@ def decode_result(meta: dict, arrays: dict[str, np.ndarray]) -> ClassMinerResult
     )
 
 
+class CatalogColumns(NamedTuple):
+    """The catalog's share of one mined video: ``VideoDatabase.register_shots``'s arguments.
+
+    ``database.register_shots(*columns)`` registers the video exactly as
+    ``database.register(result)`` does.
+    """
+
+    title: str
+    shot_ids: list[int]
+    features: np.ndarray
+    scenes: list[tuple[int, EventKind, list[int]]]
+    degraded_stages: tuple[str, ...]
+
+
+def catalog_columns(meta: dict, arrays: Mapping[str, np.ndarray]) -> CatalogColumns:
+    """Read the catalog's share of a serialised result: two arrays and the scene table."""
+    group_shots = {
+        int(raw["group_id"]): [int(i) for i in raw["shot_ids"]] for raw in meta["groups"]
+    }
+    events = {
+        int(raw["scene_index"]): EventKind(raw["kind"])
+        for raw in (meta.get("events") or {"events": ()})["events"]
+    }
+    return CatalogColumns(
+        title=str(meta["title"]),
+        shot_ids=[int(raw["shot_id"]) for raw in meta["shots"]],
+        features=np.concatenate([arrays["histograms"], arrays["textures"]], axis=1),
+        scenes=[
+            (
+                int(raw["scene_id"]),
+                events.get(int(raw["scene_id"]), EventKind.UNKNOWN),
+                [shot for group in raw["group_ids"] for shot in group_shots[int(group)]],
+            )
+            for raw in meta["scenes"]
+        ],
+        degraded_stages=tuple(meta.get("degraded_stages", ())),
+    )
+
+
+def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """``np.savez`` with the compression chosen member by member.
+
+    Waveform clips and MFCC matrices deflate to 0.96 of their size for
+    most of the write time, so they are stored; the rest is deflated.
+    """
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in arrays.items():
+            member = zipfile.ZipInfo(f"{name}.npy")
+            if not name.startswith(("clip_", "mfcc_")):
+                member.compress_type = zipfile.ZIP_DEFLATED
+            with archive.open(member, "w", force_zip64=True) as handle:
+                np.lib.format.write_array(handle, np.asanyarray(value), allow_pickle=False)
+
+
 # ---------------------------------------------------------------------------
 # The store itself.
 # ---------------------------------------------------------------------------
@@ -511,7 +572,7 @@ class ArtifactStore:
         try:
             meta_bytes = json.dumps(meta).encode()
             (tmp / _META_NAME).write_bytes(meta_bytes)
-            np.savez_compressed(tmp / _ARRAYS_NAME, **arrays)
+            _write_npz(tmp / _ARRAYS_NAME, arrays)
             # Checksums cover the intended content; a corruption fault
             # (or real disk corruption) lands after they are computed,
             # which is exactly what read-time verification must catch.
@@ -545,6 +606,20 @@ class ArtifactStore:
         quarantined and :class:`IntegrityError` raised.  Other missing
         or corrupt artifacts raise :class:`IngestError`.
         """
+        return self._read(
+            key, lambda meta, data: decode_result(meta, {name: data[name] for name in data.files})
+        )
+
+    def load_columns(self, key: str) -> CatalogColumns:
+        """The catalog's share of ``key``'s artifact (the rebuild path).
+
+        Verified and quarantined like :meth:`load` — the checksums cover
+        both files whole — but only two ``.npz`` members are decoded.
+        """
+        return self._read(key, catalog_columns)
+
+    def _read(self, key: str, decode: Callable[[dict, Mapping[str, np.ndarray]], Any]) -> Any:
+        """Verify ``key``'s artifact, then ``decode(meta, open npz)``."""
         fault_point("ingest.artifact.read")
         path = self.path_for(key)
         if not self.has(key):
@@ -562,8 +637,7 @@ class ArtifactStore:
                     f"expected {FORMAT_VERSION}"
                 )
             with np.load(path / _ARRAYS_NAME, allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
-            return decode_result(meta, arrays)
+                return decode(meta, data)
         except IngestError:
             raise
         except Exception as exc:  # corrupt json/zip/missing keys
@@ -644,8 +718,8 @@ class ArtifactStore:
         for meta_path in sorted(self._root.glob(f"*/*/{_META_NAME}")):
             directory = meta_path.parent
             key = directory.name
-            if not self.has(key):
-                continue
+            if directory != self.path_for(key) or not self.has(key):
+                continue  # incomplete, or the quarantined copy of a key since re-mined
             try:
                 title = str(json.loads(meta_path.read_text()).get("title", "?"))
             except (OSError, ValueError):  # unreadable or corrupt bytes

@@ -41,7 +41,7 @@ from repro.ingest.progress import JobEvent, ProgressCallback
 from repro.obs.registry import get_registry
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
-from repro.video.synthesis import generate_video
+from repro.video.synthesis import stream_video
 
 
 @dataclass
@@ -84,10 +84,13 @@ class JobOutcome:
 
 
 def _mine_job(job: IngestJob) -> ClassMinerResult:
-    """Render and mine one job's video (the fault-injection choke point)."""
+    """Render and mine one job's video (the fault-injection choke point).
+
+    The frames are rendered as the miner reads them, never held whole.
+    """
     fault_point("ingest.mine")
-    video = generate_video(job.screenplay, seed=job.seed, with_audio=job.mine_events)
-    return ClassMiner(config=job.config).mine(video.stream, mine_events=job.mine_events)
+    stream = stream_video(job.screenplay, seed=job.seed, with_audio=job.mine_events)
+    return ClassMiner(config=job.config).mine(stream, mine_events=job.mine_events)
 
 
 def _execute_job(job: IngestJob, store_root: str) -> dict:
@@ -157,16 +160,50 @@ def _cached_outcome(
     return outcome
 
 
-def _outcome_from_summary(summary: dict, attempts: int) -> JobOutcome:
-    return JobOutcome(
+def _finished(
+    summary: dict, attempt: int, manifest: JobManifest, progress: ProgressCallback | None
+) -> JobOutcome:
+    """Journal and announce a mined job; returns its outcome."""
+    outcome = JobOutcome(
         key=summary["key"],
         title=summary["title"],
         state="done",
-        attempts=attempts,
+        attempts=attempt,
         wall_time=summary["wall"],
         shots=summary["shots"],
         scenes=summary["scenes"],
         artifact_path=Path(summary["path"]),
+    )
+    manifest.record(outcome.key, outcome.title, "done", attempt=attempt)
+    _emit(
+        progress,
+        JobEvent(
+            "finished", outcome.title, outcome.key, attempt=attempt,
+            wall_time=outcome.wall_time, shots=outcome.shots, scenes=outcome.scenes,
+        ),
+    )
+    return outcome
+
+
+def _failed(
+    job: IngestJob,
+    attempt: int,
+    error: str,
+    wall_time: float,
+    manifest: JobManifest,
+    progress: ProgressCallback | None,
+) -> JobOutcome:
+    """Journal and announce a job that is out of attempts (or time); returns its outcome."""
+    manifest.record(job.key, job.title, "failed", attempt=attempt, error=error)
+    _emit(
+        progress,
+        JobEvent(
+            "failed", job.title, job.key, attempt=attempt, wall_time=wall_time, message=error
+        ),
+    )
+    return JobOutcome(
+        key=job.key, title=job.title, state="failed",
+        attempts=attempt, wall_time=wall_time, error=error,
     )
 
 
@@ -210,44 +247,11 @@ def _run_serial(
                     last_delay = policy.next_delay(attempt, last_delay, rng)
                     time.sleep(last_delay)
                 continue
-            outcome = _outcome_from_summary(summary, attempt)
+            outcome = _finished(summary, attempt, manifest, progress)
             break
         if outcome is None:
-            outcome = JobOutcome(
-                key=job.key,
-                title=job.title,
-                state="failed",
-                attempts=attempt,
-                wall_time=time.perf_counter() - start,
-                error=error,
-            )
-            manifest.record(
-                job.key, job.title, "failed", attempt=attempt, error=error
-            )
-            _emit(
-                progress,
-                JobEvent(
-                    "failed",
-                    job.title,
-                    job.key,
-                    attempt=attempt,
-                    wall_time=outcome.wall_time,
-                    message=error,
-                ),
-            )
-        else:
-            manifest.record(job.key, job.title, "done", attempt=attempt)
-            _emit(
-                progress,
-                JobEvent(
-                    "finished",
-                    job.title,
-                    job.key,
-                    attempt=attempt,
-                    wall_time=outcome.wall_time,
-                    shots=outcome.shots,
-                    scenes=outcome.scenes,
-                ),
+            outcome = _failed(
+                job, attempt, error, time.perf_counter() - start, manifest, progress
             )
         outcomes.append(outcome)
     return outcomes
@@ -324,21 +328,7 @@ def _run_pool(
                 job, attempt = slot.job, slot.attempt
                 exc = future.exception()
                 if exc is None:
-                    summary = future.result()
-                    outcomes[job.key] = _outcome_from_summary(summary, attempt)
-                    manifest.record(job.key, job.title, "done", attempt=attempt)
-                    _emit(
-                        progress,
-                        JobEvent(
-                            "finished",
-                            job.title,
-                            job.key,
-                            attempt=attempt,
-                            wall_time=summary["wall"],
-                            shots=summary["shots"],
-                            scenes=summary["scenes"],
-                        ),
-                    )
+                    outcomes[job.key] = _finished(future.result(), attempt, manifest, progress)
                     continue
                 error = f"{type(exc).__name__}: {exc}"
                 if attempt < policy.max_attempts:
@@ -361,23 +351,7 @@ def _run_pool(
                     )
                     pending[future] = slot
                 else:
-                    outcomes[job.key] = JobOutcome(
-                        key=job.key,
-                        title=job.title,
-                        state="failed",
-                        attempts=attempt,
-                        error=error,
-                    )
-                    manifest.record(
-                        job.key, job.title, "failed", attempt=attempt, error=error
-                    )
-                    _emit(
-                        progress,
-                        JobEvent(
-                            "failed", job.title, job.key, attempt=attempt,
-                            message=error,
-                        ),
-                    )
+                    outcomes[job.key] = _failed(job, attempt, error, 0.0, manifest, progress)
             # Enforce per-job deadlines on whatever is still running.
             now = time.monotonic()
             for future, slot in list(pending.items()):
@@ -386,25 +360,9 @@ def _run_pool(
                 future.cancel()
                 timed_out = True
                 del pending[future]
-                job = slot.job
-                error = f"timed out after {timeout:.1f}s"
-                outcomes[job.key] = JobOutcome(
-                    key=job.key,
-                    title=job.title,
-                    state="failed",
-                    attempts=slot.attempt,
-                    wall_time=timeout or 0.0,
-                    error=error,
-                )
-                manifest.record(
-                    job.key, job.title, "failed", attempt=slot.attempt, error=error
-                )
-                _emit(
-                    progress,
-                    JobEvent(
-                        "failed", job.title, job.key, attempt=slot.attempt,
-                        wall_time=timeout or 0.0, message=error,
-                    ),
+                outcomes[slot.job.key] = _failed(
+                    slot.job, slot.attempt, f"timed out after {timeout:.1f}s",
+                    timeout or 0.0, manifest, progress,
                 )
     finally:
         inflight.set(0)

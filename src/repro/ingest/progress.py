@@ -92,14 +92,6 @@ class ProgressTracker:
         """Number of recorded events of ``kind``."""
         return sum(1 for event in self.events if event.kind == kind)
 
-    def titles_with(self, kind: str) -> list[str]:
-        """Titles that emitted at least one event of ``kind``."""
-        seen: list[str] = []
-        for event in self.events:
-            if event.kind == kind and event.title not in seen:
-                seen.append(event.title)
-        return seen
-
     def final_events(self) -> list[JobEvent]:
         """The terminal event (cached/finished/failed) of each job."""
         finals: dict[str, JobEvent] = {}

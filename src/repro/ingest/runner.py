@@ -24,7 +24,7 @@ it).
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,6 +135,37 @@ def manifest_for(db_dir: str | Path) -> JobManifest:
     return JobManifest(Path(db_dir) / MANIFEST_NAME)
 
 
+def rebuild_database(
+    store: ArtifactStore, first: Sequence[str] = ()
+) -> tuple[VideoDatabase, list[str]]:
+    """Register every artifact of ``store``, the keys in ``first`` ahead of the rest.
+
+    Only each artifact's catalog columns are read
+    (:meth:`ArtifactStore.load_columns`); a title already registered by
+    an earlier key is skipped.  One corrupt (or vanished) artifact must
+    not take the whole rebuild down with it: the entry is quarantined by
+    the store, counted and logged here, and the remaining corpus
+    registers.  Returns the database and the keys that were skipped.
+    """
+    database = VideoDatabase()
+    skipped: list[str] = []
+    ahead = set(first)
+    for key in [*first, *(info.key for info in store.list() if info.key not in ahead)]:
+        try:
+            columns = store.load_columns(key)
+        except IngestError as exc:
+            skipped.append(key)
+            get_registry().counter(
+                "ingest_rebuild_artifacts_skipped_total",
+                "Artifacts skipped during database rebuilds.",
+            ).inc()
+            _LOGGER.warning("rebuild skipping artifact %s: %s", key[:12], exc)
+            continue
+        if columns.title not in database.videos:
+            database.register_shots(*columns)
+    return database, skipped
+
+
 def ingest_jobs(
     jobs: list[IngestJob],
     db_dir: str | Path,
@@ -179,35 +210,16 @@ def ingest_jobs(
             failed=sum(1 for o in outcomes if o.state == "failed"),
         )
 
-    database = VideoDatabase()
-    registered: list[str] = []
-    skipped: list[str] = []
     with obs_span("ingest.rebuild") as sp:
         fault_point("ingest.rebuild")
         # This run's results first, then every other artifact already in
         # the store: the cache is the source of truth, so ingesting a
         # disjoint title set must not drop previously ingested videos
         # from the DB.
-        run_keys = [outcome.key for outcome in outcomes if outcome.ok]
-        stored = [info.key for info in store.list() if info.key not in set(run_keys)]
-
-        def loadable():
-            # One corrupt (or vanished) artifact must not take the whole
-            # rebuild down with it: the entry is quarantined by the
-            # store, counted here, and the remaining corpus registers.
-            for key in run_keys + stored:
-                try:
-                    yield store.load(key)
-                except IngestError as exc:
-                    skipped.append(key)
-                    get_registry().counter(
-                        "ingest_rebuild_artifacts_skipped_total",
-                        "Artifacts skipped during database rebuilds.",
-                    ).inc()
-                    _LOGGER.warning("rebuild skipping artifact %s: %s", key[:12], exc)
-
-        for record in database.register_bulk(loadable(), skip_registered=True):
-            registered.append(record.title)
+        database, skipped = rebuild_database(
+            store, first=[outcome.key for outcome in outcomes if outcome.ok]
+        )
+        registered = list(database.videos)
         sp.set(registered=len(registered), skipped=len(skipped))
 
     database_path: Path | None = None

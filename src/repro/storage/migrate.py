@@ -21,18 +21,15 @@ searches bit-identically to loading the original JSON.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.database.catalog import RegisteredVideo, VideoDatabase
 from repro.database.hierarchy import ensure_subject_area
-from repro.errors import DatabaseError, IngestError, StorageError
+from repro.errors import DatabaseError, StorageError
 from repro.obs.trace import span as obs_span
 from repro.storage.schema import DATABASE_NAME
 from repro.storage.sqlcatalog import save_database
-
-_LOGGER = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -153,37 +150,21 @@ def load_legacy_json(path: str | Path) -> VideoDatabase:
     return database
 
 
-def _database_from_artifacts(
-    db_dir: Path, skipped: list[str]
-) -> VideoDatabase:
+def _database_from_artifacts(db_dir: Path) -> tuple[VideoDatabase, list[str]]:
     """Rebuild the corpus from the artifact store (ingest's own path).
 
-    The only branch that needs the ingest stack (artifacts decode into
-    mined results), so the only one that imports it: migrating a
-    ``database.json`` stays inside the query stack's import layer.
+    The only branch that needs the ingest stack, so the only one that
+    imports it: migrating a ``database.json`` stays inside the query
+    stack's import layer.
     """
-    from repro.ingest.runner import ARTIFACTS_DIR, store_for
+    from repro.ingest.runner import ARTIFACTS_DIR, rebuild_database, store_for
 
     if not (db_dir / ARTIFACTS_DIR).exists():
         raise StorageError(
             f"nothing to migrate in {db_dir}: no {DATABASE_NAME} and "
             f"no {ARTIFACTS_DIR}/ store"
         )
-    store = store_for(db_dir)
-
-    def loadable():
-        for info in store.list():
-            try:
-                yield store.load(info.key)
-            except IngestError as exc:
-                skipped.append(info.key)
-                _LOGGER.warning(
-                    "migration skipping artifact %s: %s", info.key[:12], exc
-                )
-
-    database = VideoDatabase()
-    database.register_bulk(loadable(), skip_registered=True)
-    return database
+    return rebuild_database(store_for(db_dir))
 
 
 def migrate_db_dir(
@@ -206,7 +187,7 @@ def migrate_db_dir(
             database = load_legacy_json(json_path)
         else:
             source = "artifacts"
-            database = _database_from_artifacts(db_dir, skipped)
+            database, skipped = _database_from_artifacts(db_dir)
         if not database.videos:
             raise StorageError(f"{db_dir} migration found no registered videos")
         catalog_path = save_database(database, db_dir)

@@ -1,8 +1,10 @@
-"""Video stream model: an in-memory sequence of frames with optional audio.
+"""Video stream model: a sequence of frames with optional audio.
 
-A :class:`VideoStream` is what the shot detector consumes and what the
-synthetic generator produces.  It owns the frame list, the frame rate, and
-(optionally) a synchronised :class:`~repro.audio.waveform.Waveform`.
+The shot detector reads any source that iterates :class:`Frame` objects
+and carries ``fps``, ``title`` and ``audio``.  A :class:`VideoStream` is one
+that owns its frame list (indexable, re-readable); a :class:`FrameStream`
+is one read front to back from an iterator, so a video never has to be
+resident whole.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 
 @dataclass
-class VideoStream:
-    """A decoded video: ordered frames at a fixed frame rate.
+class FrameStream:
+    """A video read front to back: frames from any iterable, audio whole.
 
     Attributes
     ----------
     frames:
-        Frames in presentation order.  Indices and timestamps are
-        re-stamped on construction so they are always consistent.
+        Frames in presentation order.  May be a generator (a decoder, a
+        renderer): it is consumed by its one reading, and its frames
+        carry their own index and timestamp.
     fps:
         Frames per second; must be positive.
     title:
@@ -37,7 +40,7 @@ class VideoStream:
         Optional synchronised audio track.
     """
 
-    frames: list[Frame]
+    frames: Iterable[Frame]
     fps: float = 10.0
     title: str = "untitled"
     audio: Optional["Waveform"] = field(default=None, repr=False)
@@ -45,6 +48,23 @@ class VideoStream:
     def __post_init__(self) -> None:
         if self.fps <= 0:
             raise VideoError(f"fps must be positive, got {self.fps}")
+
+    def __iter__(self) -> Iterator[Frame]:
+        return iter(self.frames)
+
+
+@dataclass
+class VideoStream(FrameStream):
+    """A decoded video held whole: an indexable, re-readable frame list.
+
+    Frame indices and timestamps are re-stamped on construction so they
+    are always consistent.
+    """
+
+    frames: list[Frame]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.frames:
             raise VideoError("a VideoStream needs at least one frame")
         shape = self.frames[0].shape
@@ -59,9 +79,6 @@ class VideoStream:
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    def __iter__(self) -> Iterator[Frame]:
-        return iter(self.frames)
 
     def __getitem__(self, index: int) -> Frame:
         return self.frames[index]

@@ -12,7 +12,12 @@ from repro.video.synthesis.corpus import (
     load_corpus,
     load_video,
 )
-from repro.video.synthesis.generator import GeneratedVideo, generate_video
+from repro.video.synthesis.generator import (
+    GeneratedVideo,
+    generate_video,
+    render_frames,
+    stream_video,
+)
 from repro.video.synthesis.script import (
     SceneSpec,
     Screenplay,
@@ -42,5 +47,7 @@ __all__ = [
     "load_video",
     "presentation_scene",
     "render_composition",
+    "render_frames",
     "separator_scene",
+    "stream_video",
 ]

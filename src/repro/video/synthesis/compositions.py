@@ -53,20 +53,32 @@ def _person_look(index: int) -> tuple[tuple[float, float, float], tuple[float, f
     return skin, shirt
 
 
-def _podium_speaker(canvas, rng, params: ShotParams, t: float) -> None:
-    """Lecture hall, presenter in face close-up at the podium."""
-    render_set("lecture_hall", canvas, rng, params.variant)
-    skin, shirt = _person_look(params.actor)
-    phase = t * 7.0 if params.talking else 0.0
-    actors.draw_person(canvas, 0.42, 0.34, 0.27, skin, shirt, talking_phase=phase)
+#: Scrubs worn by everyone in the operating room.
+_SCRUBS = (0.25, 0.45, 0.30)
 
 
-def _podium_wide(canvas, rng, params: ShotParams, t: float) -> None:
-    """Lecture hall, wide framing: presenter small on stage."""
-    render_set("lecture_hall", canvas, rng, params.variant)
-    skin, shirt = _person_look(params.actor)
-    phase = t * 7.0 if params.talking else 0.0
-    actors.draw_person(canvas, 0.30, 0.48, 0.10, skin, shirt, talking_phase=phase)
+def _talking_head(
+    set_name: str,
+    cx: float,
+    head_cy: float,
+    head_ry: float,
+    rate: float,
+    facing: float = 0.0,
+    person_b: bool = False,
+    scrubs: bool = False,
+) -> Renderer:
+    """One person in front of a set, mouth moving ``rate`` cycles a shot while talking."""
+
+    def render(canvas, rng, params: ShotParams, t: float) -> None:
+        render_set(set_name, canvas, rng, params.variant)
+        skin, shirt = _person_look(params.actor_b if person_b else params.actor)
+        phase = t * rate if params.talking else 0.0
+        actors.draw_person(
+            canvas, cx, head_cy, head_ry, skin, _SCRUBS if scrubs else shirt,
+            talking_phase=phase, facing=facing,
+        )
+
+    return render
 
 
 def _slide_fullscreen(canvas, rng, params: ShotParams, t: float) -> None:
@@ -91,22 +103,6 @@ def _black(canvas, rng, params: ShotParams, t: float) -> None:
     """Editing black frame."""
     slides.draw_black_frame(canvas)
     del rng, params, t
-
-
-def _interview_a(canvas, rng, params: ShotParams, t: float) -> None:
-    """Exam room, face close-up of person A looking right."""
-    render_set("exam_room", canvas, rng, params.variant)
-    skin, shirt = _person_look(params.actor)
-    phase = t * 6.0 if params.talking else 0.0
-    actors.draw_person(canvas, 0.38, 0.40, 0.25, skin, shirt, talking_phase=phase, facing=0.2)
-
-
-def _interview_b(canvas, rng, params: ShotParams, t: float) -> None:
-    """Exam room, reverse shot: face close-up of person B looking left."""
-    render_set("exam_room", canvas, rng, params.variant)
-    skin, shirt = _person_look(params.actor_b)
-    phase = t * 6.0 if params.talking else 0.0
-    actors.draw_person(canvas, 0.60, 0.40, 0.25, skin, shirt, talking_phase=phase, facing=-0.2)
 
 
 def _two_shot(canvas, rng, params: ShotParams, t: float) -> None:
@@ -143,29 +139,13 @@ def _surgical_wide(canvas, rng, params: ShotParams, t: float) -> None:
     # Draped table across the lower third.
     fill_rect(canvas, 0.55, 0.10, 0.70, 0.95, (0.16, 0.50, 0.52))
     # Surgeon and assistant in scrubs behind the table.
-    actors.draw_person(canvas, 0.30, 0.40, 0.09, skin, (0.25, 0.45, 0.30))
-    actors.draw_person(canvas, 0.66, 0.42, 0.08, actors.SKIN_TONES[(params.actor + 1) % len(actors.SKIN_TONES)], (0.25, 0.45, 0.30))
+    actors.draw_person(canvas, 0.30, 0.40, 0.09, skin, _SCRUBS)
+    actors.draw_person(canvas, 0.66, 0.42, 0.08, actors.SKIN_TONES[(params.actor + 1) % len(actors.SKIN_TONES)], _SCRUBS)
     # Exposed sterile window on the drape.
     actors.draw_surgical_field(
         canvas, rng, skin, incision=False, coverage=0.06, center=(0.62, 0.55)
     )
     del t
-
-
-def _surgeon_face_a(canvas, rng, params: ShotParams, t: float) -> None:
-    """Operating room, masked-cap surgeon face close-up (camera A)."""
-    render_set("operating_room", canvas, rng, params.variant)
-    skin, _ = _person_look(params.actor)
-    phase = t * 6.0 if params.talking else 0.0
-    actors.draw_person(canvas, 0.38, 0.40, 0.25, skin, (0.25, 0.45, 0.30), talking_phase=phase, facing=0.2)
-
-
-def _surgeon_face_b(canvas, rng, params: ShotParams, t: float) -> None:
-    """Operating room, reverse angle on the assisting surgeon (camera B)."""
-    render_set("operating_room", canvas, rng, params.variant)
-    skin, _ = _person_look(params.actor_b)
-    phase = t * 6.0 if params.talking else 0.0
-    actors.draw_person(canvas, 0.60, 0.40, 0.25, skin, (0.25, 0.45, 0.30), talking_phase=phase, facing=-0.2)
 
 
 def _organ_still(canvas, rng, params: ShotParams, t: float) -> None:
@@ -229,17 +209,22 @@ def _corridor_walk(canvas, rng, params: ShotParams, t: float) -> None:
 
 
 COMPOSITION_REGISTRY: dict[str, Renderer] = {
-    "podium_speaker": _podium_speaker,
-    "podium_wide": _podium_wide,
+    # Lecture hall: the presenter in face close-up at the podium, and small on stage.
+    "podium_speaker": _talking_head("lecture_hall", 0.42, 0.34, 0.27, 7.0),
+    "podium_wide": _talking_head("lecture_hall", 0.30, 0.48, 0.10, 7.0),
     "slide_fullscreen": _slide_fullscreen,
     "clipart_fullscreen": _clipart_fullscreen,
     "sketch_fullscreen": _sketch_fullscreen,
     "black": _black,
-    "interview_a": _interview_a,
-    "interview_b": _interview_b,
+    # Exam room: person A looking right, and the reverse shot on person B.
+    "interview_a": _talking_head("exam_room", 0.38, 0.40, 0.25, 6.0, facing=0.2),
+    "interview_b": _talking_head("exam_room", 0.60, 0.40, 0.25, 6.0, facing=-0.2, person_b=True),
     "two_shot": _two_shot,
-    "surgeon_face_a": _surgeon_face_a,
-    "surgeon_face_b": _surgeon_face_b,
+    # Operating room: the same two cameras on the surgeon and the assistant, in scrubs.
+    "surgeon_face_a": _talking_head("operating_room", 0.38, 0.40, 0.25, 6.0, facing=0.2, scrubs=True),
+    "surgeon_face_b": _talking_head(
+        "operating_room", 0.60, 0.40, 0.25, 6.0, facing=-0.2, person_b=True, scrubs=True
+    ),
     "surgical_closeup": _surgical_closeup,
     "surgical_zoom": _surgical_zoom,
     "surgical_wide": _surgical_wide,

@@ -25,7 +25,7 @@ def new_canvas(height: int, width: int, color: Color = (0.0, 0.0, 0.0)) -> np.nd
 
 
 def _to_px(value: float, limit: int) -> int:
-    return int(round(np.clip(value, 0.0, 1.0) * limit))
+    return int(round(min(max(value, 0.0), 1.0) * limit))
 
 
 def fill_rect(

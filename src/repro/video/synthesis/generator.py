@@ -12,6 +12,7 @@ Produces the three artefacts the rest of the system consumes:
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,10 @@ from repro.audio.waveform import DEFAULT_SAMPLE_RATE, Waveform
 from repro.errors import VideoError
 from repro.video.frame import Frame
 from repro.video.ground_truth import GroundTruth, SceneSpan, ShotSpan
-from repro.video.stream import VideoStream
+from repro.video.stream import FrameStream, VideoStream
 from repro.video.synthesis.compositions import render_composition
 from repro.video.synthesis.draw import add_noise, adjust_brightness, camera_jitter
-from repro.video.synthesis.script import Screenplay
+from repro.video.synthesis.script import Screenplay, ShotSpec
 
 
 @dataclass
@@ -69,6 +70,111 @@ def _shot_audio(
     return samples[:sample_count]
 
 
+def _shot_spans(screenplay: Screenplay) -> Iterator[tuple[int, int, ShotSpec, int, int]]:
+    """Every scripted shot in order: ``(scene, local index, shot, start, stop)`` in frames."""
+    cursor = 0
+    for scene_index, scene in enumerate(screenplay.scenes):
+        for local_index, shot in enumerate(scene.shots):
+            stop = cursor + max(2, int(round(shot.seconds * screenplay.fps)))
+            yield scene_index, local_index, shot, cursor, stop
+            cursor = stop
+
+
+def render_frames(screenplay: Screenplay, seed: int = 0) -> Iterator[Frame]:
+    """Render the screenplay's frames one at a time, in presentation order.
+
+    Scenes that share a ``repeat_key`` re-render from identical scenery
+    seeds, making them near-duplicates (ground truth for clustering).
+    """
+    fps = screenplay.fps
+    for scene_index, local_index, shot, start, stop in _shot_spans(screenplay):
+        # Scenery identity: repeats reuse the repeat key, so their camera
+        # seeds (and therefore their rendered pixels) match.
+        scenery_key = screenplay.scenes[scene_index].repeat_key or f"scene{scene_index}"
+        camera = shot.camera_id if shot.camera_id else f"shot{local_index}"
+        static_seed = _stable_seed(screenplay.title, scenery_key, camera)
+        motion_rng = np.random.default_rng(
+            _stable_seed(screenplay.title, seed, scene_index, local_index)
+        )
+        for index in range(start, stop):
+            canvas = render_composition(
+                shot.composition, screenplay.height, screenplay.width,
+                static_seed, shot.params, (index - start) / (stop - start),
+            )
+            canvas = camera_jitter(canvas, motion_rng, max_shift=1)
+            adjust_brightness(canvas, 1.0 + float(motion_rng.normal(0.0, 0.005)))
+            add_noise(canvas, motion_rng, sigma=0.008)
+            yield Frame(pixels=canvas, index=index, timestamp=index / fps)
+
+
+def _render_audio(screenplay: Screenplay, seed: int, sample_rate: int) -> Waveform:
+    """The soundtrack, each shot's samples clipped straight into one buffer."""
+    spans = list(_shot_spans(screenplay))
+    samples = np.empty(int(round(spans[-1][-1] / screenplay.fps * sample_rate)))
+    cursor = 0
+    for scene_index, local_index, shot, _, stop in spans:
+        next_sample = int(round(stop / screenplay.fps * sample_rate))
+        audio_seed = _stable_seed(screenplay.title, seed, "audio", scene_index, local_index)
+        np.clip(
+            _shot_audio(shot.speaker, next_sample - cursor, audio_seed, sample_rate),
+            -1.0, 1.0, out=samples[cursor:next_sample],
+        )
+        cursor = next_sample
+    return Waveform(samples=samples, sample_rate=sample_rate)
+
+
+def _ground_truth(screenplay: Screenplay) -> GroundTruth:
+    """The annotations the screenplay implies (no pixel is rendered for them)."""
+    shots = [
+        ShotSpan(shot_id=shot_id, start=start, stop=stop, speaker=shot.speaker, scene_id=scene_index)
+        for shot_id, (scene_index, _, shot, start, stop) in enumerate(_shot_spans(screenplay))
+    ]
+    groups: list[list[int]] = []
+    scenes: list[SceneSpan] = []
+    repeat_members: dict[str, list[int]] = {}
+    first_shot = 0
+    for scene_index, scene in enumerate(screenplay.scenes):
+        if scene.repeat_key:
+            repeat_members.setdefault(scene.repeat_key, []).append(scene_index)
+        groups.extend([first_shot + i for i in local_group] for local_group in scene.groups)
+        scenes.append(
+            SceneSpan(
+                scene_id=scene_index,
+                first_shot=first_shot,
+                last_shot=first_shot + len(scene.shots) - 1,
+                event=scene.event,
+                subject=scene.subject,
+                topic_relevant=scene.topic_relevant,
+            )
+        )
+        first_shot += len(scene.shots)
+    return GroundTruth(
+        shots=shots,
+        groups=groups,
+        scenes=scenes,
+        duplicate_scene_sets=[ids for ids in repeat_members.values() if len(ids) > 1],
+    )
+
+
+def stream_video(
+    screenplay: Screenplay,
+    seed: int = 0,
+    sample_rate: int = DEFAULT_SAMPLE_RATE,
+    with_audio: bool = True,
+) -> FrameStream:
+    """The video as a read-once stream: frames are rendered as they are consumed.
+
+    The soundtrack is rendered whole (64 KB/s against 154 KB/s of pixels,
+    and the speaker analysis needs each detected shot's whole window).
+    """
+    return FrameStream(
+        frames=render_frames(screenplay, seed),
+        fps=screenplay.fps,
+        title=screenplay.title,
+        audio=_render_audio(screenplay, seed, sample_rate) if with_audio else None,
+    )
+
+
 def generate_video(
     screenplay: Screenplay,
     seed: int = 0,
@@ -78,101 +184,11 @@ def generate_video(
     """Render a screenplay into frames, audio and ground truth.
 
     Determinism: the result depends only on ``(screenplay, seed)``.
-    Scenes that share a ``repeat_key`` re-render from identical scenery
-    seeds, making them near-duplicates (ground truth for clustering).
     """
-    fps = screenplay.fps
-    height, width = screenplay.height, screenplay.width
-
-    frames: list[Frame] = []
-    shots: list[ShotSpan] = []
-    groups: list[list[int]] = []
-    scenes: list[SceneSpan] = []
-    audio_parts: list[np.ndarray] = []
-    repeat_members: dict[str, list[int]] = {}
-
-    global_shot = 0
-    frame_cursor = 0
-    sample_cursor = 0
-
-    for scene_index, scene in enumerate(screenplay.scenes):
-        scene_first_shot = global_shot
-        # Scenery identity: repeats reuse the repeat key, so their camera
-        # seeds (and therefore their rendered pixels) match.
-        scenery_key = scene.repeat_key if scene.repeat_key else f"scene{scene_index}"
-        if scene.repeat_key:
-            repeat_members.setdefault(scene.repeat_key, []).append(scene_index)
-
-        local_spans: list[tuple[int, int]] = []
-        for local_index, shot in enumerate(scene.shots):
-            frame_count = max(2, int(round(shot.seconds * fps)))
-            camera = shot.camera_id if shot.camera_id else f"shot{local_index}"
-            static_seed = _stable_seed(screenplay.title, scenery_key, camera)
-            motion_rng = np.random.default_rng(
-                _stable_seed(screenplay.title, seed, scene_index, local_index)
-            )
-
-            for k in range(frame_count):
-                t = k / frame_count
-                canvas = render_composition(
-                    shot.composition, height, width, static_seed, shot.params, t
-                )
-                canvas = camera_jitter(canvas, motion_rng, max_shift=1)
-                adjust_brightness(canvas, 1.0 + float(motion_rng.normal(0.0, 0.005)))
-                add_noise(canvas, motion_rng, sigma=0.008)
-                frames.append(Frame(pixels=canvas, index=frame_cursor + k))
-
-            start = frame_cursor
-            stop = frame_cursor + frame_count
-            shots.append(
-                ShotSpan(
-                    shot_id=global_shot,
-                    start=start,
-                    stop=stop,
-                    speaker=shot.speaker,
-                    scene_id=scene_index,
-                )
-            )
-            local_spans.append((start, stop))
-
-            if with_audio:
-                next_sample = int(round(stop / fps * sample_rate))
-                count = next_sample - sample_cursor
-                audio_seed = _stable_seed(screenplay.title, seed, "audio", scene_index, local_index)
-                audio_parts.append(
-                    _shot_audio(shot.speaker, count, audio_seed, sample_rate)
-                )
-                sample_cursor = next_sample
-
-            frame_cursor = stop
-            global_shot += 1
-
-        for local_group in scene.groups:
-            groups.append([scene_first_shot + i for i in local_group])
-        scenes.append(
-            SceneSpan(
-                scene_id=scene_index,
-                first_shot=scene_first_shot,
-                last_shot=global_shot - 1,
-                event=scene.event,
-                subject=scene.subject,
-                topic_relevant=scene.topic_relevant,
-            )
-        )
-
-    audio = None
-    if with_audio:
-        audio = Waveform(
-            samples=np.clip(np.concatenate(audio_parts), -1.0, 1.0),
-            sample_rate=sample_rate,
-        )
-
-    stream = VideoStream(frames=frames, fps=fps, title=screenplay.title, audio=audio)
-    truth = GroundTruth(
-        shots=shots,
-        groups=groups,
-        scenes=scenes,
-        duplicate_scene_sets=[ids for ids in repeat_members.values() if len(ids) > 1],
+    source = stream_video(screenplay, seed, sample_rate, with_audio)
+    stream = VideoStream(
+        frames=list(source), fps=source.fps, title=source.title, audio=source.audio
     )
-    truth.validate(len(frames))
+    truth = _ground_truth(screenplay)
+    truth.validate(len(stream))
     return GeneratedVideo(stream=stream, truth=truth, screenplay=screenplay)

@@ -131,6 +131,13 @@ class Screenplay:
 # ---------------------------------------------------------------------------
 
 
+def _shot(
+    composition: str, seconds: float, speaker: str | None, camera_id: str, **params
+) -> ShotSpec:
+    """One scripted shot; ``params`` are :class:`ShotParams` fields."""
+    return ShotSpec(composition, seconds, speaker, ShotParams(**params), camera_id)
+
+
 def presentation_scene(
     subject: str,
     speaker: str = "narrator",
@@ -150,41 +157,18 @@ def presentation_scene(
     """
     if cycles < 2:
         raise VideoError("a presentation needs at least 2 cycles")
-    shots: list[ShotSpec] = [
-        ShotSpec(
-            composition="podium_wide",
-            seconds=3.0,
-            speaker=speaker,
-            params=ShotParams(actor=actor, variant=variant),
-            camera_id="wide",
-        )
-    ]
+    shots = [_shot("podium_wide", 3.0, speaker, "wide", actor=actor, variant=variant)]
     slide_comp = "clipart_fullscreen" if use_clipart else "slide_fullscreen"
     for i in range(cycles):
+        shots.append(_shot("podium_speaker", 3.5, speaker, "podium", actor=actor, variant=variant))
         shots.append(
-            ShotSpec(
-                composition="podium_speaker",
-                seconds=3.5,
-                speaker=speaker,
-                params=ShotParams(actor=actor, variant=variant),
-                camera_id="podium",
-            )
+            _shot(slide_comp, 3.0, speaker, f"slide{i}", slide_id=slide_base + i, variant=variant + i)
         )
-        shots.append(
-            ShotSpec(
-                composition=slide_comp,
-                seconds=3.0,
-                speaker=speaker,
-                params=ShotParams(slide_id=slide_base + i, variant=variant + i),
-                camera_id=f"slide{i}",
-            )
-        )
-    groups = ((0,), tuple(range(1, len(shots))))
     return SceneSpec(
         subject=subject,
         event=EventKind.PRESENTATION,
         shots=tuple(shots),
-        groups=groups,
+        groups=((0,), tuple(range(1, len(shots)))),
         topic_relevant=True,
         repeat_key=repeat_key,
     )
@@ -208,41 +192,16 @@ def dialog_scene(
     """
     if exchanges < 2:
         raise VideoError("a dialog needs at least 2 exchanges")
-    params = ShotParams(actor=actor_a, actor_b=actor_b, variant=variant)
-    shots: list[ShotSpec] = [
-        ShotSpec(
-            composition="two_shot",
-            seconds=3.0,
-            speaker=speaker_a,
-            params=params,
-            camera_id="two",
-        )
-    ]
+    people = {"actor": actor_a, "actor_b": actor_b, "variant": variant}
+    shots = [_shot("two_shot", 3.0, speaker_a, "two", **people)]
     for _ in range(exchanges):
-        shots.append(
-            ShotSpec(
-                composition="interview_a",
-                seconds=3.0,
-                speaker=speaker_a,
-                params=params,
-                camera_id="cam_a",
-            )
-        )
-        shots.append(
-            ShotSpec(
-                composition="interview_b",
-                seconds=3.0,
-                speaker=speaker_b,
-                params=params,
-                camera_id="cam_b",
-            )
-        )
-    groups = ((0,), tuple(range(1, len(shots))))
+        shots.append(_shot("interview_a", 3.0, speaker_a, "cam_a", **people))
+        shots.append(_shot("interview_b", 3.0, speaker_b, "cam_b", **people))
     return SceneSpec(
         subject=subject,
         event=EventKind.DIALOG,
         shots=tuple(shots),
-        groups=groups,
+        groups=((0,), tuple(range(1, len(shots)))),
         topic_relevant=True,
         repeat_key=repeat_key,
     )
@@ -268,69 +227,33 @@ def clinical_scene(
         raise VideoError("a clinical scene needs at least 2 steps")
     shots: list[ShotSpec] = []
     if style == "surgery":
-        shots.append(
-            ShotSpec(
-                composition="surgical_wide",
-                seconds=3.0,
-                speaker=narrator,
-                params=ShotParams(actor=actor, variant=variant),
-                camera_id="or_wide",
-            )
-        )
+        shots.append(_shot("surgical_wide", 3.0, narrator, "or_wide", actor=actor, variant=variant))
         for i in range(steps):
             shots.append(
-                ShotSpec(
-                    composition="surgical_closeup",
-                    seconds=3.5,
-                    speaker=narrator,
-                    params=ShotParams(
-                        actor=actor if i % 2 == 0 else actor + 2,
-                        variant=variant + i,
-                        coverage=0.40 + 0.10 * (i % 3),
-                    ),
-                    camera_id=f"or_close{i}",
+                _shot(
+                    "surgical_closeup", 3.5, narrator, f"or_close{i}",
+                    actor=actor if i % 2 == 0 else actor + 2,
+                    variant=variant + i,
+                    coverage=0.40 + 0.10 * (i % 3),
                 )
             )
         if include_organ:
-            shots.append(
-                ShotSpec(
-                    composition="organ_still",
-                    seconds=2.5,
-                    speaker=narrator,
-                    params=ShotParams(variant=variant),
-                    camera_id="organ",
-                )
-            )
+            shots.append(_shot("organ_still", 2.5, narrator, "organ", variant=variant))
     elif style == "dermatology":
         for i in range(steps + 1):
             shots.append(
-                ShotSpec(
-                    composition="limb_exam",
-                    seconds=3.0,
-                    speaker=narrator,
-                    params=ShotParams(actor=actor, variant=variant + i),
-                    camera_id=f"limb{i % 2}",
-                )
+                _shot("limb_exam", 3.0, narrator, f"limb{i % 2}", actor=actor, variant=variant + i)
             )
     elif style == "imaging":
         for i in range(steps + 1):
-            shots.append(
-                ShotSpec(
-                    composition="scan_display",
-                    seconds=3.0,
-                    speaker=narrator,
-                    params=ShotParams(variant=variant + i),
-                    camera_id=f"scan{i % 2}",
-                )
-            )
+            shots.append(_shot("scan_display", 3.0, narrator, f"scan{i % 2}", variant=variant + i))
     else:
         raise VideoError(f"unknown clinical style {style!r}")
-    groups = (tuple(range(len(shots))),)
     return SceneSpec(
         subject=subject,
         event=EventKind.CLINICAL_OPERATION,
         shots=tuple(shots),
-        groups=groups,
+        groups=(tuple(range(len(shots))),),
         topic_relevant=True,
         repeat_key=repeat_key,
     )
@@ -353,31 +276,15 @@ def or_consultation_scene(
     dialog.  One of the confuser scenes that reproduces Table 1's
     cross-category errors.
     """
-    params = ShotParams(actor=actor_a, actor_b=actor_b, variant=variant)
-    shots: list[ShotSpec] = [
-        ShotSpec(
-            composition="surgical_wide", seconds=3.0, speaker=speaker_a,
-            params=params, camera_id="or_wide",
-        )
-    ]
+    people = {"actor": actor_a, "actor_b": actor_b, "variant": variant}
+    shots = [_shot("surgical_wide", 3.0, speaker_a, "or_wide", **people)]
     for _ in range(exchanges):
-        shots.append(
-            ShotSpec(
-                composition="surgeon_face_a", seconds=3.0, speaker=speaker_a,
-                params=params, camera_id="sf_a",
-            )
-        )
-        shots.append(
-            ShotSpec(
-                composition="surgeon_face_b", seconds=3.0, speaker=speaker_b,
-                params=params, camera_id="sf_b",
-            )
-        )
+        shots.append(_shot("surgeon_face_a", 3.0, speaker_a, "sf_a", **people))
+        shots.append(_shot("surgeon_face_b", 3.0, speaker_b, "sf_b", **people))
     shots.append(
-        ShotSpec(
-            composition="surgical_closeup", seconds=3.0, speaker=speaker_a,
-            params=ShotParams(actor=actor_a + 2, variant=variant, coverage=0.5),
-            camera_id="or_close_end",
+        _shot(
+            "surgical_closeup", 3.0, speaker_a, "or_close_end",
+            actor=actor_a + 2, variant=variant, coverage=0.5,
         )
     )
     return SceneSpec(
@@ -404,24 +311,11 @@ def planning_session_scene(
     """
     shots: list[ShotSpec] = []
     for i in range(cycles):
+        shots.append(_shot("surgeon_face_a", 3.0, narrator, "plan_face", actor=actor, variant=variant))
         shots.append(
-            ShotSpec(
-                composition="surgeon_face_a", seconds=3.0, speaker=narrator,
-                params=ShotParams(actor=actor, variant=variant), camera_id="plan_face",
-            )
+            _shot("clipart_fullscreen", 3.0, narrator, f"plan_art{i}", variant=variant + 10 + i)
         )
-        shots.append(
-            ShotSpec(
-                composition="clipart_fullscreen", seconds=3.0, speaker=narrator,
-                params=ShotParams(variant=variant + 10 + i), camera_id=f"plan_art{i}",
-            )
-        )
-    shots.append(
-        ShotSpec(
-            composition="organ_still", seconds=2.5, speaker=narrator,
-            params=ShotParams(variant=variant), camera_id="plan_organ",
-        )
-    )
+    shots.append(_shot("organ_still", 2.5, narrator, "plan_organ", variant=variant))
     return SceneSpec(
         subject=subject,
         event=EventKind.CLINICAL_OPERATION,
@@ -447,18 +341,8 @@ def atlas_lecture_scene(
     """
     shots: list[ShotSpec] = []
     for i in range(cycles):
-        shots.append(
-            ShotSpec(
-                composition="podium_speaker", seconds=3.0, speaker=speaker,
-                params=ShotParams(actor=actor, variant=variant), camera_id="podium",
-            )
-        )
-        shots.append(
-            ShotSpec(
-                composition="organ_still", seconds=3.0, speaker=speaker,
-                params=ShotParams(variant=variant + i), camera_id=f"atlas{i}",
-            )
-        )
+        shots.append(_shot("podium_speaker", 3.0, speaker, "podium", actor=actor, variant=variant))
+        shots.append(_shot("organ_still", 3.0, speaker, f"atlas{i}", variant=variant + i))
     return SceneSpec(
         subject=subject,
         event=EventKind.PRESENTATION,
@@ -483,21 +367,11 @@ def voiceover_interview_scene(
     comes from one person only and the exam close-ups in between break
     the face adjacency, so the miner usually abstains.
     """
-    params = ShotParams(actor=actor, variant=variant)
     shots: list[ShotSpec] = []
     for i in range(exchanges):
+        shots.append(_shot("interview_a", 3.0, on_camera, "vo_face", actor=actor, variant=variant))
         shots.append(
-            ShotSpec(
-                composition="interview_a", seconds=3.0, speaker=on_camera,
-                params=params, camera_id="vo_face",
-            )
-        )
-        shots.append(
-            ShotSpec(
-                composition="limb_exam", seconds=3.0, speaker=off_camera,
-                params=ShotParams(actor=actor, variant=variant + i),
-                camera_id=f"vo_exam{i}",
-            )
+            _shot("limb_exam", 3.0, off_camera, f"vo_exam{i}", actor=actor, variant=variant + i)
         )
     return SceneSpec(
         subject=subject,
@@ -517,20 +391,13 @@ def filler_scene(
     """Establishing / transition footage with no mineable event."""
     if shots_count < 1:
         raise VideoError("filler needs at least one shot")
-    shots = tuple(
-        ShotSpec(
-            composition="corridor_walk",
-            seconds=2.5,
-            speaker=None,
-            params=ShotParams(actor=actor + i, variant=variant),
-            camera_id=f"walk{i}",
-        )
-        for i in range(shots_count)
-    )
     return SceneSpec(
         subject=subject,
         event=EventKind.UNKNOWN,
-        shots=shots,
+        shots=tuple(
+            _shot("corridor_walk", 2.5, None, f"walk{i}", actor=actor + i, variant=variant)
+            for i in range(shots_count)
+        ),
         groups=(tuple(range(shots_count)),),
         topic_relevant=False,
     )
@@ -538,13 +405,10 @@ def filler_scene(
 
 def separator_scene() -> SceneSpec:
     """A short black editing separator (eliminated by scene filtering)."""
-    shots = (
-        ShotSpec(composition="black", seconds=1.0, speaker=None, camera_id="black"),
-    )
     return SceneSpec(
         subject="black separator",
         event=EventKind.UNKNOWN,
-        shots=shots,
+        shots=(_shot("black", 1.0, None, "black"),),
         groups=((0,),),
         topic_relevant=False,
     )

@@ -10,6 +10,8 @@ not exact — copies.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 
 from repro.errors import VideoError
@@ -106,10 +108,26 @@ SET_REGISTRY = {
 }
 
 
+#: The last few sets painted: ``(name, variant, shape, generator state on
+#: entry) -> (pixels, generator state on exit)``.  Every frame of a shot
+#: repaints the same set from the same seed; restoring pixels *and* state
+#: leaves canvas and ``rng`` exactly as painting would.
+_PAINTED: dict[tuple, tuple[np.ndarray, dict]] = {}
+
+
 def render_set(name: str, canvas: np.ndarray, rng: np.random.Generator, variant: int = 0) -> None:
-    """Paint the named background set onto ``canvas``."""
+    """Paint the named background set onto ``canvas`` (the whole of it)."""
     try:
         painter = SET_REGISTRY[name]
     except KeyError:
         raise VideoError(f"unknown set {name!r}; known: {sorted(SET_REGISTRY)}") from None
-    painter(canvas, rng, variant)
+    key = (name, variant, canvas.shape, pickle.dumps(rng.bit_generator.state))
+    painted = _PAINTED.get(key)
+    if painted is None:
+        painter(canvas, rng, variant)
+        if len(_PAINTED) >= 4:
+            del _PAINTED[next(iter(_PAINTED))]
+        _PAINTED[key] = (canvas.copy(), rng.bit_generator.state)
+    else:
+        canvas[...] = painted[0]
+        rng.bit_generator.state = painted[1]

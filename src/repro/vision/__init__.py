@@ -1,13 +1,7 @@
 """Vision substrate: colour, histograms, texture, regions, and cue detectors."""
 
 from repro.vision.blood import BloodDetection, detect_blood
-from repro.vision.color import (
-    hsv_bins,
-    hsv_histograms,
-    hsv_to_rgb,
-    quantize_hsv,
-    rgb_to_hsv,
-)
+from repro.vision.color import hsv_bins, hsv_histograms
 from repro.vision.colormodel import GaussianColorModel, chromaticity
 from repro.vision.cues import VisualCues, extract_cues
 from repro.vision.difference import (
@@ -72,14 +66,11 @@ __all__ = [
     "hsv_bins",
     "hsv_histogram",
     "hsv_histograms",
-    "hsv_to_rgb",
     "label_regions",
     "match_rois",
     "motion_profile",
     "open_mask",
     "pixel_difference",
-    "quantize_hsv",
-    "rgb_to_hsv",
     "roi_similarity",
     "shot_motion_profiles",
     "tamura_coarseness",

@@ -6,9 +6,9 @@ is vectorised over whole frames.
 
 :func:`hsv_bins` / :func:`hsv_histograms` are the frame-feature kernel:
 the one place a per-frame histogram is computed (shot detection, shot
-features, the special-frame and ROI cues all go through it).
-:func:`rgb_to_hsv` and :func:`quantize_hsv` stay as the scalar oracle
-the kernel is held to, bin for bin (``tests/vision/test_color_kernel.py``).
+features, the special-frame and ROI cues all go through it).  The scalar
+conversion it is held to, bin for bin, lives with the tests
+(``tests/vision/oracles.py``).
 """
 
 from __future__ import annotations
@@ -18,83 +18,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import VisionError
-
-
-def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
-    """Convert an RGB image to HSV.
-
-    Parameters
-    ----------
-    rgb:
-        ``(H, W, 3)`` array, ``uint8`` in ``[0, 255]`` or float in ``[0, 1]``.
-
-    Returns
-    -------
-    ``(H, W, 3)`` float array with hue in ``[0, 1)``, saturation and value
-    in ``[0, 1]``.
-    """
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise VisionError(f"expected (H, W, 3) image, got {rgb.shape}")
-    if rgb.dtype == np.uint8:
-        rgb = rgb.astype(np.float64) / 255.0
-    else:
-        rgb = np.clip(rgb.astype(np.float64), 0.0, 1.0)
-
-    r, g, b = rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
-    maxc = rgb.max(axis=2)
-    minc = rgb.min(axis=2)
-    value = maxc
-    delta = maxc - minc
-
-    saturation = np.zeros_like(maxc)
-    nonzero = maxc > 0
-    saturation[nonzero] = delta[nonzero] / maxc[nonzero]
-
-    hue = np.zeros_like(maxc)
-    has_delta = delta > 0
-    # Avoid divide-by-zero; only has_delta pixels are kept.
-    safe_delta = np.where(has_delta, delta, 1.0)
-    r_max = has_delta & (maxc == r)
-    g_max = has_delta & (maxc == g) & ~r_max
-    b_max = has_delta & ~r_max & ~g_max
-    hue[r_max] = ((g - b)[r_max] / safe_delta[r_max]) % 6.0
-    hue[g_max] = (b - r)[g_max] / safe_delta[g_max] + 2.0
-    hue[b_max] = (r - g)[b_max] / safe_delta[b_max] + 4.0
-    hue = hue / 6.0
-
-    return np.stack([hue, saturation, value], axis=2)
-
-
-def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
-    """Convert an HSV image (all channels in ``[0, 1]``) back to float RGB."""
-    if hsv.ndim != 3 or hsv.shape[2] != 3:
-        raise VisionError(f"expected (H, W, 3) image, got {hsv.shape}")
-    h = (hsv[:, :, 0] % 1.0) * 6.0
-    s = np.clip(hsv[:, :, 1], 0.0, 1.0)
-    v = np.clip(hsv[:, :, 2], 0.0, 1.0)
-
-    i = np.floor(h).astype(int)
-    f = h - i
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-
-    rgb = np.zeros_like(hsv)
-    conditions = [i % 6 == k for k in range(6)]
-    channels = [
-        (v, t, p),
-        (q, v, p),
-        (p, v, t),
-        (p, q, v),
-        (t, p, v),
-        (v, p, q),
-    ]
-    for cond, (rr, gg, bb) in zip(conditions, channels):
-        rgb[:, :, 0] = np.where(cond, rr, rgb[:, :, 0])
-        rgb[:, :, 1] = np.where(cond, gg, rgb[:, :, 1])
-        rgb[:, :, 2] = np.where(cond, bb, rgb[:, :, 2])
-    return rgb
-
 
 # Quantisation layout for the 256-bin HSV histogram: 16 hue x 4 sat x 4 val.
 HUE_BINS = 16
@@ -106,27 +29,6 @@ TOTAL_BINS = HUE_BINS * SAT_BINS * VAL_BINS
 #: Below this saturation hue is numerically meaningless (sensor noise
 #: flips it arbitrarily), so such pixels share a canonical hue bin.
 ACHROMATIC_SATURATION = 0.08
-
-
-def quantize_hsv(hsv: np.ndarray) -> np.ndarray:
-    """Map each HSV pixel to one of 256 bins (16H x 4S x 4V).
-
-    Near-achromatic pixels (S < 0.08) are forced into hue bin 0 so that
-    grays and whites land in stable bins regardless of the random hue
-    their noise happens to produce.
-
-    Returns an integer array of shape ``(H, W)`` with values in
-    ``[0, 255]``.
-    """
-    if hsv.ndim != 3 or hsv.shape[2] != 3:
-        raise VisionError(f"expected (H, W, 3) image, got {hsv.shape}")
-    saturation = np.clip(hsv[:, :, 1], 0, 1)
-    h_idx = np.minimum((hsv[:, :, 0] % 1.0 * HUE_BINS).astype(int), HUE_BINS - 1)
-    h_idx = np.where(saturation < ACHROMATIC_SATURATION, 0, h_idx)
-    s_idx = np.minimum((saturation * SAT_BINS).astype(int), SAT_BINS - 1)
-    v_idx = np.minimum((np.clip(hsv[:, :, 2], 0, 1) * VAL_BINS).astype(int), VAL_BINS - 1)
-    return (h_idx * SAT_BINS + s_idx) * VAL_BINS + v_idx
-
 
 #: Frames per kernel pass.  Sixteen 64x80 planes are 640 KiB of float64,
 #: so a stream's scratch memory is a few such planes however long it is.
@@ -172,7 +74,8 @@ def saturation(pixels: np.ndarray) -> np.ndarray:
 def hsv_bins(pixels: np.ndarray) -> np.ndarray:
     """Map each RGB pixel of a ``(..., 3)`` block to its 256-bin HSV index.
 
-    Bin for bin the same as ``quantize_hsv(rgb_to_hsv(pixels))``, for
+    Bin for bin the same as the scalar ``quantize_hsv(rgb_to_hsv(pixels))``
+    of ``tests/vision/oracles.py``, for
     ``uint8`` or float input of any leading shape, but computed on three
     contiguous channel planes: no reductions over a length-3 axis, no
     boolean scatter assignments, no float ``%``.

@@ -10,11 +10,12 @@ frames or the 64x-smaller DC stream, exactly like the reference.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.errors import VisionError
 from repro.video.frame import Frame
-from repro.video.stream import VideoStream
 
 #: MPEG macro-block DCT size.
 DEFAULT_BLOCK = 8
@@ -54,8 +55,18 @@ def dc_difference(a: Frame, b: Frame, block: int = DEFAULT_BLOCK) -> float:
     return float(np.abs(dc_image(a, block) - dc_image(b, block)).mean())
 
 
+def dc_images(frames: Iterable[Frame], block: int = DEFAULT_BLOCK) -> np.ndarray:
+    """``(N, h, w)`` stack of the frames' DC images."""
+    return np.stack([dc_image(frame, block) for frame in frames])
+
+
+def signal_from_dc_images(images: np.ndarray) -> np.ndarray:
+    """Mean absolute difference between each DC image and the next."""
+    return np.array([float(np.abs(a - b).mean()) for a, b in zip(images[:-1], images[1:])])
+
+
 def dc_difference_signal(
-    stream: VideoStream, block: int = DEFAULT_BLOCK
+    stream: Iterable[Frame], block: int = DEFAULT_BLOCK
 ) -> np.ndarray:
     """Inter-frame DC difference signal (compressed-domain Fig. 5 input).
 
@@ -63,12 +74,4 @@ def dc_difference_signal(
     histogram signal needs, which is the whole point of compressed-
     domain detection.
     """
-    if len(stream) < 2:
-        return np.zeros(0)
-    images = [dc_image(frame, block) for frame in stream]
-    return np.array(
-        [
-            float(np.abs(images[i] - images[i + 1]).mean())
-            for i in range(len(images) - 1)
-        ]
-    )
+    return signal_from_dc_images(dc_images(stream, block))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.video.frame import Frame
 from repro.vision.blood import BloodDetection, detect_blood
 from repro.vision.face import FaceDetection, detect_faces
@@ -57,14 +59,16 @@ class VisualCues:
         return self.blood.has_blood
 
 
-def extract_cues(frame: Frame) -> VisualCues:
+def extract_cues(frame: Frame, histogram: np.ndarray | None = None) -> VisualCues:
     """Run all visual detectors on one representative frame.
+
+    ``histogram`` is the frame's HSV histogram when the caller holds it.
 
     Man-made frames (slides, clip art, black) skip the region detectors:
     they cannot contain faces, skin or blood, and the colour models would
     only produce noise on them.
     """
-    special = classify_special_frame(frame)
+    special = classify_special_frame(frame, histogram)
     if special.is_man_made:
         empty_face = FaceDetection(
             faces=(), has_face=False, has_closeup=False, largest_fraction=0.0

@@ -91,8 +91,13 @@ def text_band_count(frame: Frame, dark_threshold: float = 0.5) -> int:
     return bands
 
 
-def classify_special_frame(frame: Frame) -> SpecialFrameKind:
+def classify_special_frame(
+    frame: Frame, histogram: np.ndarray | None = None
+) -> SpecialFrameKind:
     """Classify one representative frame.
+
+    ``histogram`` is the frame's 256-bin HSV histogram when the caller
+    holds it already (a :class:`~repro.core.features.Shot` does).
 
     Man-made graphics are *bright* frames dominated by a single flat
     background colour (or with almost no colour diversity).  Among
@@ -106,7 +111,8 @@ def classify_special_frame(frame: Frame) -> SpecialFrameKind:
     if mean_luma < BLACK_LUMA and float(gray.std()) < 0.05:
         return SpecialFrameKind.BLACK
 
-    histogram = hsv_histogram(frame)
+    if histogram is None:
+        histogram = hsv_histogram(frame)
     entropy = _entropy(histogram)
     background = float(histogram.max())
     man_made = mean_luma > MANMADE_LUMA and (

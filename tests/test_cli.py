@@ -73,3 +73,52 @@ class TestCommands:
         assert main(["poster", "demo", "-o", str(target), "--level", "4"]) == 0
         assert target.read_bytes().startswith(b"P6")
         capsys.readouterr()
+
+
+class TestBlasThreads:
+    """Commands that fan out over processes default BLAS to one thread each."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    UNTOUCHED = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": None}
+
+    def _threads(self, env):
+        return {name: env.get(name) for name in self.VARS}
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        """A scratch ``os.environ`` and an ingest that stops before mining."""
+        import os
+
+        from repro.errors import IngestError
+
+        def refuse(*args, **kwargs):
+            raise IngestError("stubbed out")
+
+        monkeypatch.setattr("repro.ingest.ingest_corpus", refuse)
+        scratch = {"OMP_NUM_THREADS": "4"}
+        monkeypatch.setattr(os, "environ", scratch)
+        return scratch
+
+    def test_pool_ingest_sets_defaults_and_keeps_explicit_values(self, env, tmp_path, capsys):
+        assert main(["ingest", "demo", "--db-dir", str(tmp_path), "--workers", "2"]) == 1
+        capsys.readouterr()
+        assert self._threads(env) == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "4",  # what the user exported wins
+            "MKL_NUM_THREADS": "1",
+        }
+
+    def test_serial_ingest_leaves_the_environment_alone(self, env, tmp_path, capsys):
+        assert main(["ingest", "demo", "--db-dir", str(tmp_path), "--workers", "1"]) == 1
+        capsys.readouterr()
+        assert self._threads(env) == self.UNTOUCHED
+
+    def test_sharded_serve_sets_defaults(self, env, tmp_path, capsys):
+        assert main(["serve", "--db-dir", str(tmp_path), "--shards", "2"]) != 0
+        capsys.readouterr()
+        assert self._threads(env) == dict.fromkeys(self.VARS, "1") | {"OMP_NUM_THREADS": "4"}
+
+    def test_single_process_serve_leaves_the_environment_alone(self, env, tmp_path, capsys):
+        assert main(["serve", "--db-dir", str(tmp_path)]) != 0
+        capsys.readouterr()
+        assert self._threads(env) == self.UNTOUCHED

@@ -15,7 +15,8 @@ and 5.7 x the raw feature bytes; now 1.8 x and 2.0 x).
 The write path has its own bound: one ingest worker's job — render a
 corpus title, mine it, save the artifact — in a fresh interpreter, by
 ``VmHWM``.  It was 157 MiB while ``scipy.signal`` rode along for two
-filter calls; on numpy alone it is ~92 MiB.
+filter calls, ~91 MiB on numpy alone with the video held as a frame
+list, and is ~67 MiB now that mining reads the frames as a stream.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def test_building_and_serving_grow_rss_by_a_bounded_multiple():
 
 
 #: ``VmHWM`` of one ingest job on ``face_repair`` (1 365 frames): the
-#: interpreter with numpy and the mining stack (~40 MiB), the rendered
-#: stream and its audio (~25 MiB), the miner's scratch.
-JOB_RSS_BOUND_MIB = 120
+#: interpreter with numpy and the mining stack (~42 MiB), the soundtrack
+#: (8.7 MB, whole) and the miner's scratch.  The frames are streamed —
+#: held whole they were another 21 MB and the job peaked at ~91 MiB.
+JOB_RSS_BOUND_MIB = 80
 
 _JOB_SCRIPT = r"""
 import json, re, sys, tempfile

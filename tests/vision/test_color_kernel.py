@@ -23,12 +23,11 @@ from repro.vision.color import (
     TOTAL_BINS,
     hsv_bins,
     hsv_histograms,
-    quantize_hsv,
-    rgb_to_hsv,
     saturation,
 )
 from repro.vision.difference import difference_signal, histogram_difference
 from repro.vision.histogram import frame_histograms, hsv_histogram
+from tests.vision.oracles import quantize_hsv, rgb_to_hsv
 
 
 def oracle_bins(pixels: np.ndarray) -> np.ndarray:

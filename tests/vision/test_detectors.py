@@ -127,6 +127,20 @@ class TestSpecialFrames:
     def test_black_frame_shortcut(self):
         assert classify_special_frame(blank_frame(64, 80)) is SpecialFrameKind.BLACK
 
+    @pytest.mark.parametrize("composition", ["slide_fullscreen", "clipart_fullscreen", "organ_still"])
+    def test_a_histogram_at_hand_is_used_not_recomputed(self, composition, monkeypatch):
+        """``EventMiner.visual_cues`` passes the row each ``Shot`` already holds."""
+        from repro.vision import frames
+        from repro.vision.histogram import hsv_histogram
+
+        frame = _frame(composition)
+        histogram = hsv_histogram(frame)
+        expected = classify_special_frame(frame)
+        cues = extract_cues(frame)
+        monkeypatch.setattr(frames, "hsv_histogram", None)  # calling it would raise
+        assert classify_special_frame(frame, histogram) is expected
+        assert extract_cues(frame, histogram) == cues
+
     def test_slide_has_text_bands(self):
         assert text_band_count(_frame("slide_fullscreen")) >= 2
 
