@@ -1,8 +1,6 @@
 # ClassMiner reproduction — developer entry points.
 
-SMOKES = ingest-smoke serve-smoke obs-smoke chaos-smoke storage-smoke net-smoke obs-net-smoke chaos-net-smoke ann-smoke
-
-.PHONY: install test bench bench-kernels bench-quick line-ratchet examples report smoke $(SMOKES) all clean
+.PHONY: install test bench line-ratchet examples report smoke all clean
 
 install:
 	pip install -e .
@@ -10,17 +8,9 @@ install:
 test:
 	pytest tests/
 
+# The paper's figures and tables; timings are `python -m benchmarks.e2e`.
 bench:
-	pytest benchmarks/ --benchmark-only
-
-bench-kernels:
-	pytest benchmarks/bench_similarity_kernels.py --benchmark-only
-
-# The layered benchmark, as a smoke: its own selftest, then one quick
-# (1 x 1 s, never for numbers) verified run of the in-RAM scan workload.
-bench-quick:
-	python -m benchmarks.e2e selftest
-	python -m benchmarks.e2e run --workload inram_scan --quick
+	pytest benchmarks/bench_*.py --benchmark-only
 
 # ROADMAP's "net line count in src/ should go down", enforced instead of
 # re-measured: LINE_CEILINGS holds "<dir> <max lines of *.py>" per line.
@@ -36,35 +26,13 @@ line-ratchet:
 		fi; \
 	done < LINE_CEILINGS
 
-# Every self-checking smoke run, in sequence (CI runs them as one matrix).
-smoke: $(SMOKES)
-
-ingest-smoke:
-	python -m repro.ingest.smoke
-
-serve-smoke:
-	python -m repro.serving.smoke
-
-obs-smoke:
-	python -m repro.obs.smoke
-
-chaos-smoke:
-	python -m repro.resilience.smoke
-
-storage-smoke:
-	python -m repro.storage.smoke
-
-net-smoke:
-	python -m repro.net.smoke
-
-obs-net-smoke:
-	python -m repro.net.obs_smoke
-
-chaos-net-smoke:
-	python -m repro.net.chaos_smoke
-
-ann-smoke:
-	python -m repro.ann.smoke
+# The one end-to-end run: the layered benchmark's selftest, then a quick
+# (1 x 1 s, never for numbers) run of all seven workloads - real shard
+# workers, `classminer serve --http`, a cold and a warm ingest - that
+# exits 1 on any answer its oracle refuses.  Contracts live in tests/.
+smoke:
+	python -m benchmarks.e2e selftest
+	python -m benchmarks.e2e run --workload all --quick
 
 examples:
 	@for ex in examples/*.py; do \
@@ -73,10 +41,12 @@ examples:
 
 report:
 	pytest tests/ 2>&1 | tee test_output.txt
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	pytest benchmarks/bench_*.py --benchmark-only 2>&1 | tee bench_output.txt
 
 all: install test bench examples
 
+# Only what .gitignore lists: benchmarks/results/ is tracked (the paper
+# tables PRs regenerate as their byte-identity proof).
 clean:
-	rm -rf .pytest_cache .benchmarks benchmarks/results
+	rm -rf .pytest_cache .benchmarks .hypothesis benchmarks/e2e/results
 	find . -name __pycache__ -type d -exec rm -rf {} +

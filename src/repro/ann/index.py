@@ -53,8 +53,8 @@ from repro.errors import (
 )
 
 #: Default cells probed per leaf when a query enables the ANN tier.
-#: Half the trained cells: measured recall@10 on the synthetic bench
-#: corpus is ~0.97 here vs ~0.81 at 4 of 16 (``bench_ann.py``).
+#: Half the trained cells: recall@10 on the synthetic corpus is ~0.97 here
+#: (``recall_at_10`` on the layered benchmark's ``ann_probe`` workload).
 DEFAULT_NPROBE = 8
 
 #: Default exact-re-rank tail length (None would mean "all survivors").
@@ -115,11 +115,6 @@ class AnnLeafIndex:
                 "ANN leaf index state is inconsistent (truncated or mismatched "
                 f"arrays for {rows} rows x {width} dims)"
             )
-
-    @property
-    def n_rows(self) -> int:
-        """Indexed leaf rows."""
-        return int(self.codes.shape[0])
 
     @property
     def n_cells(self) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.features import Shot
 from repro.core.kernels import FeatureMatrix, banded_stsim, pairwise_stsim
-from repro.core.similarity import SimilarityWeights, shot_similarity
+from repro.core.similarity import SimilarityWeights
 from repro.core.threshold import entropy_threshold
 from repro.errors import MiningError
 

@@ -12,8 +12,6 @@ import logging
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 logger = logging.getLogger(__name__)
 
 from repro.core.clustering import (

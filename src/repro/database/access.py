@@ -16,7 +16,7 @@ All decisions are appended to an audit log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.database.hierarchy import ConceptNode

@@ -259,9 +259,9 @@ class VideoDatabase:
 
         ``scenes`` yields ``(scene_id, event, feature_vectors)``; shots
         receive sequential ids in iteration order and are filed exactly
-        as :meth:`register` files mined scenes.  Used by synthetic
-        corpus builders (storage smoke and benchmarks) and migration
-        tooling; re-registering a title raises :class:`DatabaseError`.
+        as :meth:`register` files mined scenes.  Used by the synthetic
+        corpus builder (``storage/synthetic.py``); re-registering a
+        title raises :class:`DatabaseError`.
         """
         if title in self._videos:
             raise DatabaseError(f"video {title!r} already registered")

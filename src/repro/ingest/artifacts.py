@@ -60,7 +60,6 @@ from repro.events.model import SceneEvent
 from repro.events.rules import SceneEvidence
 from repro.resilience.faults import corrupt_payload, fault_point
 from repro.resilience.integrity import (
-    CHECKSUMS_NAME,
     QUARANTINE_DIR,
     verify_checksums,
     write_checksums,

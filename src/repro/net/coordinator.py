@@ -467,8 +467,7 @@ class ShardedQueryService:
         hedge_after = self.config.hedge_after_ms
         if hedge_after is None or self._hedge_pool is None:
             # Disarmed fast path: call directly, no closure, no future —
-            # this is every RPC in the default config, and
-            # bench_net_resilience gates its overhead.
+            # this is every RPC in the default config.
             return endpoint.call(request, deadline, **traced), False
 
         def once() -> dict:

@@ -34,8 +34,7 @@ Instrumented call sites write::
         shots = detect_shots(stream)
         sp.set(shots=len(shots))
 
-which is a no-op while no tracer is installed (see
-``benchmarks/bench_obs_overhead.py`` for the measured bound).
+which is a no-op while no tracer is installed.
 """
 
 from repro.obs.bridge import JobEventBridge, register_default_collectors

@@ -12,8 +12,8 @@ Tracing is **zero-cost when disabled**: the module-level
 :func:`span` helper dispatches to the installed tracer, which defaults
 to :data:`NULL_TRACER` — its ``span()`` returns one shared no-op
 handle, so a disabled call is a dict build and two no-op methods, no
-locks, no clock reads, no allocation per span
-(``benchmarks/bench_obs_overhead.py`` pins the end-to-end overhead).
+locks, no clock reads, no allocation per span (the enabled cost is
+the layered benchmark's ``obs.trace_overhead_pct``).
 
 Finished traces serialise one JSON object per span to a JSONL file and
 render as a flame-style text tree (:func:`render_spans`), with each

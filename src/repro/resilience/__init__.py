@@ -21,8 +21,6 @@ injectable, contained, observable and recoverable by design:
   coordinator's shard-RPC retry loop.
 * :mod:`repro.resilience.health` — liveness / readiness / degradation
   :class:`HealthReport` behind the ``classminer health`` CLI.
-* :mod:`repro.resilience.smoke` — the seeded fault-matrix chaos smoke
-  (``make chaos-smoke``).
 
 See ``docs/RELIABILITY.md`` for the fault-point catalog and the
 behaviour each layer guarantees under injection.

@@ -12,8 +12,7 @@ Every runtime layer instruments its failure-relevant sites with a
 When no plan is armed (the shipped default), :func:`fault_point`
 dispatches to :data:`NULL_PLAN` — one attribute read plus a no-op
 method, mirroring the :class:`~repro.obs.trace.NullTracer` pattern, so
-instrumentation is zero-cost in production
-(``benchmarks/bench_resilience_overhead.py`` pins the bound).
+instrumentation is zero-cost in production.
 
 An armed :class:`FaultPlan` is **seeded and deterministic**: firing
 decisions come from one :class:`random.Random` stream plus per-point
@@ -38,7 +37,7 @@ import random
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import FaultInjectedError, ReproError
 

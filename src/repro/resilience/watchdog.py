@@ -8,8 +8,8 @@ hands it :meth:`QueryServer._repair_workers
 resurrectable threads can use it the same way.
 
 The check itself must be safe to call at any time (the watchdog holds
-no locks for it) and must never raise — a raising check is caught,
-counted against the watchdog, and does not kill it.
+no locks for it) and must never raise — a raising check is caught and
+does not kill the watchdog.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class Watchdog:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._repairs = 0
-        self._check_errors = 0
         self._lock = threading.Lock()
 
     @property
@@ -52,12 +51,6 @@ class Watchdog:
         """Total repairs reported by the check."""
         with self._lock:
             return self._repairs
-
-    @property
-    def check_errors(self) -> int:
-        """Times the check itself raised (caught, never fatal)."""
-        with self._lock:
-            return self._check_errors
 
     def start(self) -> "Watchdog":
         """Start the loop (idempotent while running)."""
@@ -86,8 +79,6 @@ class Watchdog:
         try:
             repaired = int(self._check())
         except Exception:
-            with self._lock:
-                self._check_errors += 1
             return 0
         if repaired:
             with self._lock:

@@ -9,7 +9,7 @@ whose position maps to shot positions in the full video.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.features import Shot
 from repro.core.structure import ContentStructure

@@ -18,9 +18,8 @@ same leaf, flat, scene and database classes, their rows loaded from the
 store on first touch, answering bit-identically to the corpus that was
 saved; :func:`save_database` persists a database, :func:`load_database`
 opens a database directory (lazily; a legacy JSON one eagerly),
-:func:`migrate_db_dir` converts a JSON-era directory, and
-:mod:`repro.storage.smoke` (``make storage-smoke``) checks the whole
-contract at corpus scale.  See ``docs/STORAGE.md``.
+:func:`migrate_db_dir` converts a JSON-era directory.  See
+``docs/STORAGE.md``.
 """
 
 from repro.storage.featurestore import DEFAULT_MAX_OPEN, BlockRef, FeatureStore

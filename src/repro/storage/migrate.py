@@ -79,41 +79,6 @@ class MigrationReport:
         return "\n".join(lines)
 
 
-def legacy_json_payload(database: VideoDatabase) -> dict:
-    """``database`` in the shape of a JSON-era ``database.json``.
-
-    Nothing in production writes this any more; the storage smoke and
-    the migration tests build their legacy fixture from it, beside the
-    reader that must keep understanding it.
-    """
-    return {
-        "videos": {
-            title: {
-                "shot_count": video.shot_count,
-                "scene_count": video.scene_count,
-                "events": video.events,
-                "degraded_stages": list(video.degraded_stages),
-            }
-            for title, video in database.videos.items()
-        },
-        "leaves": {
-            name: [
-                {
-                    "video_title": title,
-                    "shot_id": shot_id,
-                    "scene_id": scene_id,
-                    "features": features,
-                }
-                for title, shot_id, scene_id, features in zip(
-                    leaf.titles.tolist(), leaf.shot_ids.tolist(),
-                    leaf.scene_ids.tolist(), leaf.block.tolist(),
-                )
-            ]
-            for name, leaf in database.leaves.items()
-        },
-    }
-
-
 def load_legacy_json(path: str | Path) -> VideoDatabase:
     """Restore the database a JSON-era ``database.json`` holds.
 

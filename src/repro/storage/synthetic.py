@@ -1,4 +1,4 @@
-"""Synthetic corpora for storage smoke tests and benchmarks.
+"""Synthetic corpora for the storage tests and the layered benchmark.
 
 The real miner takes seconds per video; exercising a thousand-video
 catalog needs registrations that cost microseconds instead.

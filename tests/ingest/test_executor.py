@@ -20,6 +20,7 @@ from repro.ingest.executor import RetryPolicy, run_jobs
 from repro.ingest.jobs import IngestJob
 from repro.ingest.manifest import JobManifest
 from repro.ingest.progress import ProgressTracker
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 
 #: Fast-failing policy so retry tests do not sleep for real.
 FAST = RetryPolicy(retries=2, backoff=0.01, backoff_factor=1.0)
@@ -75,6 +76,15 @@ class TestRetries:
         assert tracker.count("finished") == 1
         assert manifest.state_of(job.key) == "done"
         assert store.has(job.key)
+
+    def test_injected_mine_fault_is_absorbed_by_one_retry(self, env, job):
+        # The real ``_mine_job`` this time: the fault point sits inside it.
+        store, manifest = env
+        with inject(FaultPlan([FaultSpec("ingest.mine", limit=1)])) as plan:
+            outcomes = run_jobs([job], store, manifest, policy=FAST)
+        assert plan.fired("ingest.mine") == 1
+        assert (outcomes[0].state, outcomes[0].attempts) == ("done", 2)
+        assert store.has_valid(job.key)
 
     def test_exhaustion_raises_typed_error(self, env, job, monkeypatch):
         store, manifest = env

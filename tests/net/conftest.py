@@ -1,8 +1,8 @@
 """Shared net fixtures: one corpus, served sharded and unsharded.
 
 Workers run in-process (daemon threads over real localhost sockets) so
-the equivalence and degradation tests pay no subprocess spawn cost; the
-smoke and the cluster test cover the real-subprocess path.
+the equivalence and degradation tests pay no subprocess spawn cost;
+``test_cluster.py`` and ``test_drain.py`` cover the real-subprocess path.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from repro.net.cluster import ShardCluster
 from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
 from repro.net.shard import build_shards
 from repro.serving.server import QueryRequest
+from tests.net.test_equivalence import keys
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ class TestCluster:
         report = service.health_report()
         assert report.exit_code == 0
 
-    def test_kill_then_watchdog_respawn(self, live_cluster, net_db):
+    def test_kill_then_watchdog_respawn(self, live_cluster, net_db, reference):
         cluster, service = live_cluster
         rng = np.random.default_rng(5)
         shape = net_db.flat_index.entries[0].features.shape
@@ -48,18 +49,22 @@ class TestCluster:
         saw_degraded = False
         deadline = time.perf_counter() + 20.0
         while time.perf_counter() < deadline:
-            result = service.query(
-                QueryRequest(kind="shot", features=rng.random(shape), k=5)
-            )
+            request = QueryRequest(kind="shot", features=rng.random(shape), k=5)
+            result = service.query(request)
             if 0 in result.shards_missing:
                 saw_degraded = True
+                # Asked again, a degraded answer is recomputed, never replayed.
+                assert not service.query(request).cache_hit
             if saw_degraded and not result.shards_missing:
                 break
             time.sleep(0.05)
         assert saw_degraded, "killed shard never surfaced in shards_missing"
         assert not result.shards_missing, "watchdog never restored the shard"
+        # Full strength means bit-identical, not merely every shard present.
+        assert keys(result) == keys(reference.query(request))
         assert cluster.respawns > before
         assert sorted(cluster.alive()) == [0, 1]
+        assert service.health_report().exit_code == 0
 
 
 # A stand-in for ``repro.net.worker``: the cluster runs ``python -m

@@ -25,6 +25,7 @@ from repro.net.worker import ShardWorker
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving.server import QueryRequest
+from tests.net.test_equivalence import keys
 
 
 def _swallow(endpoint, request) -> None:
@@ -164,7 +165,7 @@ class TestClusterRestart:
             cluster.restart(99)
 
     def test_rolling_restart_under_light_load(
-        self, restart_cluster, net_db
+        self, restart_cluster, net_db, reference
     ):
         cluster, service = restart_cluster
         rng = np.random.default_rng(9)
@@ -176,14 +177,17 @@ class TestClusterRestart:
         def _client():
             local = np.random.default_rng(10)
             while not stop.is_set():
-                try:
-                    service.query(
-                        QueryRequest(
-                            kind="shot", features=local.random(shape), k=5
-                        )
-                    )
-                except Exception as exc:
-                    failures.append(f"{type(exc).__name__}: {exc}")
+                request = QueryRequest(
+                    kind="shot", features=local.random(shape), k=5
+                )
+                for _ in range(2):  # the repeat may hit the cache
+                    try:
+                        result = service.query(request)
+                    except Exception as exc:
+                        failures.append(f"{type(exc).__name__}: {exc}")
+                        continue
+                    if result.shards_missing and result.cache_hit:
+                        failures.append("a degraded answer was served from the cache")
 
         client = threading.Thread(target=_client)
         client.start()
@@ -195,13 +199,13 @@ class TestClusterRestart:
         assert [r.shard_id for r in reports] == [0, 1]
         assert all(r.graceful for r in reports)
         assert not failures, f"queries failed during the cycle: {failures[:3]}"
-        # Full strength again: the next query sees every shard.
+        # Full strength again: the next query sees every shard, bit for bit.
+        request = QueryRequest(kind="shot", features=probe, k=5)
         deadline = time.perf_counter() + 20.0
         while time.perf_counter() < deadline:
-            result = service.query(
-                QueryRequest(kind="shot", features=probe, k=5)
-            )
+            result = service.query(request)
             if not result.shards_missing:
+                assert keys(result) == keys(reference.query(request))
                 return
             time.sleep(0.1)
         pytest.fail("cluster never returned to full strength after the cycle")

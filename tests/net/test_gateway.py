@@ -108,7 +108,7 @@ class TestEndpoints:
         assert status == 200 and body["status"] == "ok"
         status, text, _ = request(f"{gw.url}/metrics")
         assert status == 200
-        validate_prometheus_text(text.decode("utf-8"))
+        assert validate_prometheus_text(text.decode("utf-8")) == []
 
     def test_workload_pool(self, gw):
         status, body, _ = request(f"{gw.url}/workload?n=5")

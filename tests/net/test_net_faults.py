@@ -37,21 +37,27 @@ def _hedges(service) -> float:
 
 class TestTransientFaultsAreAbsorbed:
     @pytest.mark.parametrize(
-        "spec",
+        "specs",
         [
-            FaultSpec(
-                "net.frame_corrupt", kind="corruption", every_nth=1, limit=2
-            ),
-            FaultSpec("net.frame_truncated", every_nth=1, limit=2),
-            FaultSpec("net.conn_reset", every_nth=1, limit=2),
-            FaultSpec("net.connect_refused", every_nth=1, limit=2),
+            [FaultSpec("net.frame_corrupt", kind="corruption", every_nth=1, limit=2)],
+            [FaultSpec("net.frame_truncated", every_nth=1, limit=2)],
+            [FaultSpec("net.conn_reset", every_nth=1, limit=2)],
+            [FaultSpec("net.connect_refused", every_nth=1, limit=2)],
+            # One of each in a single plan: the kinds share one retry budget.
+            [
+                FaultSpec("net.connect_refused", every_nth=1, limit=1),
+                FaultSpec("net.frame_corrupt", kind="corruption", every_nth=2, limit=1),
+                FaultSpec("net.frame_truncated", every_nth=3, limit=1),
+                FaultSpec("net.conn_reset", every_nth=2, limit=1),
+            ],
         ],
-        ids=["corrupt", "truncated", "reset", "refused"],
+        ids=["corrupt", "truncated", "reset", "refused", "all-four"],
     )
     def test_each_fault_kind_retries_to_bit_identical(
-        self, make_harness, reference, probes, spec
+        self, make_harness, reference, probes, specs
     ):
-        harness = make_harness(2, rpc_retries=3)
+        # Four retries: at worst all of a plan's faults land on one RPC.
+        harness = make_harness(2, rpc_retries=4)
         request = QueryRequest(kind="shot", features=probes[0], k=10)
         expected = reference.query(request)
         # Drop pooled connections so connect-time faults have a connect
@@ -59,9 +65,9 @@ class TestTransientFaultsAreAbsorbed:
         for endpoint in harness.endpoints:
             endpoint.close()
         before = _retries(harness.service)
-        with inject(FaultPlan([spec], seed=3)) as plan:
+        with inject(FaultPlan(specs, seed=3)) as plan:
             result = harness.service.query(request)
-        assert plan.fired() == 2, "both budgeted faults should have fired"
+        assert plan.fired() == sum(spec.limit for spec in specs), "every budgeted fault should have fired"
         assert keys(result) == keys(expected)
         assert result.comparisons == expected.comparisons
         assert not result.shards_missing and not result.degraded
@@ -107,6 +113,23 @@ class TestRetryExhaustion:
         second = harness.service.query(request)
         assert second.shards_missing == (0,)
         assert not second.cache_hit
+
+    def test_generic_rpc_fault_is_not_retried_and_costs_one_shard_one_query(
+        self, make_harness, reference, probes
+    ):
+        # ``net.rpc`` raises FaultInjectedError, not a transport error:
+        # nothing says the call is safe to repeat, so the shard just fails.
+        harness = make_harness(2, rpc_retries=3, breaker_threshold=100)
+        request = QueryRequest(kind="shot", features=probes[5], k=10)
+        before = _retries(harness.service)
+        with inject(FaultPlan([FaultSpec("net.rpc", limit=1)])) as plan:
+            hurt = harness.service.query(request)
+        assert plan.fired("net.rpc") == 1
+        assert len(hurt.shards_missing) == 1 and hurt.degraded
+        assert _retries(harness.service) == before
+        healed = harness.service.query(request)
+        assert not healed.shards_missing and not healed.cache_hit
+        assert keys(healed) == keys(reference.query(request))
 
     def test_full_outage_raises_typed_error(self, make_harness, probes):
         harness = make_harness(2, rpc_retries=1, breaker_threshold=100)

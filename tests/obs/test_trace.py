@@ -13,8 +13,11 @@ from repro.obs import (
     Span,
     Tracer,
     active_tracer,
+    check_prometheus_text,
+    get_registry,
     install_tracer,
     load_trace,
+    render_prometheus,
     render_spans,
 )
 from repro.obs import trace as trace_module
@@ -107,6 +110,24 @@ class TestJsonl:
         assert [s.to_json() for s in loaded] == [
             s.to_json() for s in tracer.spans()
         ]
+
+    def test_traced_demo_mine_round_trips_every_stage(self, tmp_path, demo_stream):
+        from repro.core import ClassMiner
+
+        tracer = Tracer()
+        previous = install_tracer(tracer)
+        try:
+            ClassMiner().mine(demo_stream)
+        finally:
+            install_tracer(previous)
+        stages = ("shots", "groups", "scenes", "clustering", "cues", "audio", "events")
+        assert {span.name for span in tracer.spans()} >= {"mine", *(f"mine.{s}" for s in stages)}
+        loaded = load_trace(tracer.write_jsonl(tmp_path / "mine.jsonl"))
+        assert [s.to_json() for s in loaded] == [s.to_json() for s in tracer.spans()]
+        assert "mine.shots" in render_spans(loaded)
+        # The mine fed the process-wide registry, and what it exports parses.
+        assert get_registry().snapshot()["kernel_packs_total"] > 0
+        check_prometheus_text(render_prometheus(get_registry()))
 
     def test_empty_trace_round_trip(self, tmp_path):
         path = Tracer().write_jsonl(tmp_path / "empty.jsonl")

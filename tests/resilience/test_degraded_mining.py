@@ -113,11 +113,17 @@ class TestFlagPersistence:
         assert record.degraded
         from repro.storage import load_database, save_database
 
+        from repro.serving.server import QueryRequest, QueryServer
+
         save_database(db, tmp_path)
         restored = load_database(tmp_path)
         reloaded = restored.videos[record.title]
+        with QueryServer(restored) as server:  # ...and into every answer served from it
+            features = server.manager.current().flat.entries[0].features
+            answer = server.query(QueryRequest(kind="shot", features=features, k=3))
         restored.close()
         assert reloaded.degraded_stages == ("audio",)
+        assert answer.degraded and answer.hits
 
     def test_clean_result_has_no_flags(self, demo_result):
         assert demo_result.degraded_stages == ()

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import FaultInjectedError, ReproError
 from repro.resilience.faults import (
+    KNOWN_FAULT_POINTS,
     NULL_PLAN,
     FaultPlan,
     FaultSpec,
@@ -174,3 +178,37 @@ class TestArming:
         assert NULL_PLAN.fired() == 0
         assert NULL_PLAN.events() == []
         assert "disarmed" in NULL_PLAN.report()
+
+
+class TestCatalogue:
+    """One list of fault points: the code's, the docs' and the tests'."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def _trees(self, folder):
+        for path in sorted((self.ROOT / folder).rglob("*.py")):
+            if path != Path(__file__).resolve():
+                yield ast.parse(path.read_text())
+
+    def test_code_and_docs_list_the_same_points(self):
+        instrumented = {
+            node.args[0].value
+            for tree in self._trees("src")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("fault_point", "corrupt_payload")
+        }
+        tables = (self.ROOT / "docs" / "RELIABILITY.md").read_text()
+        documented = re.findall(r"^\| `([a-z_.]+)` \|", tables, re.MULTILINE)
+        assert instrumented == set(KNOWN_FAULT_POINTS)
+        assert sorted(documented) == sorted(KNOWN_FAULT_POINTS)
+
+    def test_every_point_is_armed_by_some_other_test(self):
+        # A point's name, spelled out in a test file other than this one.
+        named = {
+            node.value
+            for tree in self._trees("tests")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert set(KNOWN_FAULT_POINTS) - named == set()

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.errors import IngestError, IntegrityError
+from repro.errors import FaultInjectedError, IngestError, IntegrityError
 from repro.ingest.artifacts import ArtifactStore
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.integrity import (
@@ -102,6 +102,14 @@ class TestStoreVerification:
         with pytest.raises(IntegrityError, match="arrays.npz"):
             store.load(KEY)
         assert store.quarantined() == [KEY]
+
+    def test_injected_read_fault_is_typed_and_quarantines_nothing(self, store, demo_result):
+        with inject(FaultPlan([FaultSpec("ingest.artifact.read", limit=1)])):
+            with pytest.raises(FaultInjectedError, match="ingest.artifact.read"):
+                store.load(KEY)
+            # The artifact was never the problem: still there, and the next read works.
+            assert store.quarantined() == [] and store.has(KEY)
+            assert store.load_columns(KEY).title == demo_result.structure.title
 
     def test_verify_reports_without_quarantining(self, store):
         (store.path_for(KEY) / "meta.json").write_bytes(b"{}")

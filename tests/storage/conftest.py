@@ -14,12 +14,37 @@ import numpy as np
 import pytest
 
 from repro.storage import SQLVideoDatabase, build_synthetic_database, save_database
-from repro.storage.migrate import legacy_json_payload
 
 
 def write_legacy_json(database, path: Path) -> None:
     """A JSON-era ``database.json`` holding ``database`` (nothing in src writes one)."""
-    Path(path).write_text(json.dumps(legacy_json_payload(database)))
+    payload = {
+        "videos": {
+            title: {
+                "shot_count": video.shot_count,
+                "scene_count": video.scene_count,
+                "events": video.events,
+                "degraded_stages": list(video.degraded_stages),
+            }
+            for title, video in database.videos.items()
+        },
+        "leaves": {
+            name: [
+                {
+                    "video_title": title,
+                    "shot_id": shot_id,
+                    "scene_id": scene_id,
+                    "features": features,
+                }
+                for title, shot_id, scene_id, features in zip(
+                    leaf.titles.tolist(), leaf.shot_ids.tolist(),
+                    leaf.scene_ids.tolist(), leaf.block.tolist(),
+                )
+            ]
+            for name, leaf in database.leaves.items()
+        },
+    }
+    Path(path).write_text(json.dumps(payload))
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import IntegrityError, StorageError
+from repro.errors import IntegrityError, ReproError, StorageError
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.storage import FeatureStore
 
 
@@ -60,6 +61,14 @@ class TestOpen:
         path.write_bytes(path.read_bytes()[:16])
         with pytest.raises(IntegrityError):
             store.open(ref.sha)
+
+    def test_injected_read_fault_is_typed_and_the_next_read_recovers(self, lazy_db, probes):
+        # The scan maps the blocks of leaves nothing has touched yet.
+        with inject(FaultPlan([FaultSpec("storage.mmap_truncated")])) as plan:
+            with pytest.raises(ReproError, match="storage.mmap_truncated"):
+                lazy_db.search_flat(probes[0], k=3)
+        assert plan.fired("storage.mmap_truncated") >= 1
+        assert lazy_db.search_flat(probes[0], k=3).hits
 
     def test_open_returns_readonly_mmap(self, store):
         ref = store.put(_block(5))

@@ -56,11 +56,12 @@ class TestReaders:
             assert record.degraded_stages == source.degraded_stages
             assert record.events == source.events
 
-    def test_counts_and_describe(self, catalog, source_db):
+    def test_counts_and_describe(self, catalog, source_db, lazy_db):
         assert catalog.entry_count() == source_db.shot_count
         assert catalog.scene_count() == sum(
             r.scene_count for r in source_db.videos.values()
         )
+        assert lazy_db.describe() == source_db.describe()
 
     def test_subject_areas_preserve_order(self, catalog, source_db):
         education = source_db.hierarchy.find("medical_education")

@@ -8,11 +8,14 @@ interpreter here and must leave ``sys.modules`` free of the miners and
 ``networkx``.  ``scipy`` is forbidden to the whole
 program, miners included: numpy is the only runtime dependency.  The
 lazily exporting packages keep their public surface: same ``__all__``,
-every name resolves, star imports work.
+every name resolves, star imports work.  No linter runs here (neither
+``pyflakes`` nor ``ruff`` is installed), so an ``ast`` pass also refuses
+an import nothing in its module uses.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -166,6 +169,20 @@ def test_serving_module_imports_no_mining_code(module):
     assert done.stdout.split() == [], f"import {module} loaded mining modules"
 
 
+def test_no_module_inside_the_query_stack_imports_mining_code():
+    # Every module of those packages, not only the roots a server starts from.
+    packages = [m for m in SERVING_MODULES if m.count(".") == 1 and m != "repro.cli"]
+    walk = (
+        "import importlib, pkgutil, sys\n"
+        f"for name in {packages!r}:\n"
+        "    for found in pkgutil.walk_packages(importlib.import_module(name).__path__, name + '.'):\n"
+        "        importlib.import_module(found.name)\n"
+    )
+    done = _python("-c", walk + _LEAK_SCRIPT, "repro", *FORBIDDEN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 def test_no_module_and_no_mining_run_loads_scipy():
     # Every ``repro.*`` module imported, then the demo video rendered and
     # mined end to end (audio synthesis and analysis included).
@@ -242,3 +259,34 @@ def test_lazy_names_are_the_objects_their_home_modules_define():
     assert executor.RetryPolicy is RetryPolicy
     assert repro.ingest.load_database is load_database
     assert runner.load_database is load_database
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # A quoted annotation or an ``__all__`` entry; prose does not parse.
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [
+        f"{path}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in used and name != "*"
+    ]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = [hit for path in sorted(Path(SRC).rglob("*.py")) for hit in _unused_imports(path)]
+    assert unused == []

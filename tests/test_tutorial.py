@@ -1,8 +1,9 @@
-"""The tutorial must stay executable.
+"""The documentation must stay true.
 
 Extracts every python block from docs/TUTORIAL.md and runs them in
-order in one namespace — documentation that breaks with the code fails
-the build.
+order in one namespace, and checks that every file, ``make`` target,
+``python -m`` module and ``bench_*.py`` script the prose names exists —
+documentation that breaks with the code fails the build.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-TUTORIAL = Path(__file__).parent.parent / "docs" / "TUTORIAL.md"
+ROOT = Path(__file__).parent.parent
+TUTORIAL = ROOT / "docs" / "TUTORIAL.md"
 
 
 def test_tutorial_snippets_run(capsys):
@@ -21,3 +23,36 @@ def test_tutorial_snippets_run(capsys):
     exec(compile(code, str(TUTORIAL), "exec"), {})  # noqa: S102 - docs test
     out = capsys.readouterr().out
     assert "shots" in out
+
+
+#: Everything that documents the tree, except benchmarks/e2e/README.md
+#: (its legacy map names the retired files on purpose).
+PROSE = (
+    "README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md", "Makefile",
+    ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md", "src/**/*.py",
+)
+
+
+def test_everything_the_docs_name_exists():
+    targets = set(re.findall(r"^([a-z-]+):", (ROOT / "Makefile").read_text(), re.M))
+    ignored = [entry for entry in (ROOT / ".gitignore").read_text().replace("/\n", "\n").split() if "/" in entry]
+    missing = []
+    for doc in (path for pattern in PROSE for path in ROOT.glob(pattern)):
+        text = doc.read_text()
+        for match in re.finditer(r"\b(?:src|tests|benchmarks|examples|docs)/[\w./-]*", text):
+            path = match.group().rstrip(".")
+            if text[match.end() : match.end() + 1] in "{*<":  # a prefix of several names
+                path += "*"
+            if not any(path.startswith(entry) for entry in ignored) and not any(ROOT.glob(path)):
+                missing.append(f"{doc.relative_to(ROOT)}: {path}")
+        for target in re.findall(r"(?:`|^|=src |run: )make\s+([a-z][a-z-]+)", text, re.M):
+            if target not in targets:
+                missing.append(f"{doc.relative_to(ROOT)}: make {target}")
+        for module in re.findall(r"python3? -m\s+((?:repro|benchmarks)[\w.]*)", text):
+            base = (ROOT if module.startswith("benchmarks") else ROOT / "src") / module.rstrip(".").replace(".", "/")
+            if not (base.with_suffix(".py").exists() or (base / "__init__.py").exists()):
+                missing.append(f"{doc.relative_to(ROOT)}: python -m {module}")
+        for script in re.findall(r"\bbench_\w+\.py", text):
+            if not (ROOT / "benchmarks" / script).exists():
+                missing.append(f"{doc.relative_to(ROOT)}: {script}")
+    assert not missing, "\n".join(missing)
