@@ -7,8 +7,6 @@ asserted.
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchmarks.conftest import save_result
 from repro.evaluation.report import render_series, render_table
 from repro.skimming import build_skim, fcr_by_level

@@ -79,7 +79,7 @@ def main() -> None:
 def _print_tree(node, indent: int = 1) -> None:
     pad = "  " * indent
     if node.is_leaf:
-        print(f"{pad}{node.name}  [{len(node.leaf)} shots, {node.leaf.bucket_count} buckets]")
+        print(f"{pad}{node.name}  [{len(node.leaf)} shots, {len(node.leaf.buckets)} buckets]")
         return
     print(f"{pad}{node.name}")
     for child in node.children:

@@ -328,8 +328,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _cmd_serve_http(args)
     _require_db_dir(args)
     with _tracing(args), _serving_server(args) as server:
-        snapshot = server.manager.current()
-        canary = snapshot.flat.entries_at([0])[0].features
+        canary = server.sample_features(1)[0]
         cold = server.query(QueryRequest(kind="shot", features=canary, k=5))
         warm = server.query(QueryRequest(kind="shot", features=canary, k=5))
         print(
@@ -419,7 +418,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
                 backend,
                 GatewayConfig(
                     port=args.http,
-                    default_timeout=args.timeout,
                     access_log=getattr(args, "access_log", False),
                 ),
                 cluster=cluster,
@@ -454,18 +452,15 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         print(spec.describe())
         return 0
     if args.shard_command == "restart":
-        from repro.net import request_restart
+        from repro.net import HttpFront
 
         if args.rolling == (args.shard is not None):
             raise ReproError(
                 "pick exactly one of --rolling or --shard N"
             )
-        result = request_restart(
-            args.url,
-            rolling=args.rolling,
-            shard=args.shard,
-            graceful=not args.hard,
-            token=args.token,
+        # A rolling restart waits for every replacement to answer pings.
+        result = HttpFront(args.url, args.token, timeout=120.0).restart(
+            rolling=args.rolling, shard=args.shard, graceful=not args.hard
         )
         for entry in result.get("restarted", []):
             mode = "graceful" if entry.get("graceful") else "hard"
@@ -479,76 +474,62 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.resilience import server_health
-
     if args.url:
-        from repro.net import probe_health
+        from repro.net import HttpFront
 
-        report = probe_health(args.url)
-        print(report.render())
-        return report.exit_code
-    _require_db_dir(args)
-    with _serving_server(args) as server:
-        # Exercise the snapshot build so readiness reflects reality.
-        server.manager.current()
-        report = server_health(server)
-        print(report.render())
-        return report.exit_code
+        report = HttpFront(args.url).health_report()
+    else:
+        _require_db_dir(args)
+        with _serving_server(args) as server:
+            # Exercise the snapshot build so readiness reflects reality.
+            server.manager.current()
+            report = server.health_report()
+    print(report.render())
+    return report.exit_code
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
+    from contextlib import ExitStack
+
     from repro.serving import LoadgenConfig, run_load
 
-    if args.http:
-        return _cmd_loadtest_http(args)
-    _require_db_dir(args)
-    with _tracing(args), _serving_server(args) as server:
-        config = LoadgenConfig(
-            clients=args.clients,
-            duration=args.duration,
-            k=args.k,
-            timeout=args.timeout,
-            unique_fraction=args.unique_fraction,
-            seed=args.seed,
-            nprobe=getattr(args, "nprobe", None),
-            rerank_k=getattr(args, "rerank_k", None),
-        )
-        report = run_load(server, config)
-        text = report.render(f"loadtest against {args.db_dir}")
+    timeout = args.timeout if args.deadline_ms is None else args.deadline_ms / 1000.0
+    config = LoadgenConfig(
+        clients=args.clients,
+        duration=args.duration,
+        k=args.k,
+        timeout=timeout,
+        unique_fraction=args.unique_fraction,
+        seed=args.seed,
+        nprobe=getattr(args, "nprobe", None),
+        rerank_k=getattr(args, "rerank_k", None),
+    )
+    with ExitStack() as stack:
+        stack.enter_context(_tracing(args))
+        if args.http:
+            from repro.net import HttpFront
+
+            # The socket outlasts the deadline: the gateway answers 504 first.
+            front, target = HttpFront(args.http, args.token, timeout + 5.0), args.http
+        else:
+            _require_db_dir(args)
+            front, target = stack.enter_context(_serving_server(args)), args.db_dir
+        report = run_load(front, config)
+        text = report.render(f"loadtest against {target}")
         print(text)
-        print()
-        print(server.metrics.render())
+        if not args.http:
+            metrics = front.metrics.render()
+            print()
+            print(metrics)
+            text += "\n" + metrics
         if args.output:
             from pathlib import Path
 
-            Path(args.output).write_text(text + "\n" + server.metrics.render() + "\n")
+            Path(args.output).write_text(text + "\n")
             print(f"\nwrote {args.output}")
         for failure in report.failures:
-            print(f"invariant failure: {failure}", file=sys.stderr)
-    return 0 if not report.failures and report.completed else 1
-
-
-def _cmd_loadtest_http(args: argparse.Namespace) -> int:
-    from repro.net import HttpLoadConfig, run_http_load
-
-    config = HttpLoadConfig(
-        url=args.http,
-        duration_seconds=args.duration,
-        concurrency=args.clients,
-        k=args.k,
-        deadline_ms=args.deadline_ms,
-        seed=args.seed,
-        token=args.token,
-    )
-    report = run_http_load(config)
-    text = report.render()
-    print(text)
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(text + "\n")
-        print(f"\nwrote {args.output}")
-    return 0 if report.ok > 0 and report.server_errors_5xx == 0 else 1
+            print(f"failure: {failure}", file=sys.stderr)
+    return 0 if report.completed and not report.errors and not report.failures else 1
 
 
 def _cmd_obs_dump(args: argparse.Namespace) -> int:
@@ -590,16 +571,14 @@ def _cmd_obs_slow(args: argparse.Namespace) -> int:
     if not args.url:
         print(get_slow_log().render())
         return 0
-    import json
-    import urllib.request
+    from repro.net import HttpFront
 
-    target = args.url.rstrip("/") + "/debug/slow"
-    with urllib.request.urlopen(target, timeout=5.0) as response:
-        payload = json.loads(response.read().decode("utf-8"))
+    front = HttpFront(args.url)
+    payload = front.slow_log()
     log = SlowQueryLog(capacity=max(1, int(payload.get("capacity", 32))))
     for entry in payload.get("slow", []):
         log.record(SlowQuery.from_json(entry))
-    print(f"{target}: {payload.get('recorded', 0)} queries recorded")
+    print(f"{front.url}/debug/slow: {payload.get('recorded', 0)} queries recorded")
     print(log.render())
     return 0
 
@@ -961,7 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-ms",
         type=float,
         default=None,
-        help="X-Deadline-Ms to send with every HTTP request",
+        help="per-query deadline in milliseconds (overrides --timeout; "
+        "travels as X-Deadline-Ms with --http)",
     )
     loadtest.add_argument(
         "--token", default=None, help="X-Auth-Token for scoped HTTP access"

@@ -61,6 +61,27 @@ class RegisteredVideo:
         """True when any mining stage fell back for this video."""
         return bool(self.degraded_stages)
 
+    def to_json(self) -> dict:
+        """The record without its title (the ``records`` wire op and a
+        JSON-era ``database.json`` both key it by title)."""
+        return {
+            "shot_count": self.shot_count,
+            "scene_count": self.scene_count,
+            "events": {str(scene_id): event for scene_id, event in self.events.items()},
+            "degraded_stages": list(self.degraded_stages),
+        }
+
+    @classmethod
+    def from_json(cls, title: str, payload: dict) -> "RegisteredVideo":
+        """Inverse of :meth:`to_json`."""
+        return cls(
+            title=title,
+            shot_count=int(payload["shot_count"]),
+            scene_count=int(payload["scene_count"]),
+            events={int(k): str(v) for k, v in payload.get("events", {}).items()},
+            degraded_stages=tuple(payload.get("degraded_stages", ())),
+        )
+
 
 class _LeafBuffer:
     """One leaf's columns while videos are being filed under it.

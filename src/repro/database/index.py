@@ -49,7 +49,7 @@ class IndexStats:
     :func:`repro.obs.bridge.index_stats_collector`.
     """
 
-    __slots__ = ("descents", "routes", "center_block_builds")
+    __slots__ = ("descents", "center_block_builds")
 
     def __init__(self) -> None:
         self.reset()
@@ -57,14 +57,12 @@ class IndexStats:
     def reset(self) -> None:
         """Zero every counter."""
         self.descents = 0
-        self.routes = 0
         self.center_block_builds = 0
 
     def snapshot(self) -> dict[str, int]:
         """Point-in-time copy of the counters."""
         return {
             "descents": self.descents,
-            "routes": self.routes,
             "center_block_builds": self.center_block_builds,
         }
 
@@ -366,11 +364,6 @@ class LeafHashIndex:
             )
         ]
 
-    @property
-    def bucket_count(self) -> int:
-        """Number of non-empty buckets."""
-        return len(self.buckets)
-
     def bucket_rows(self, features: np.ndarray) -> np.ndarray:
         """Rows of the query's signature bucket, ascending (maybe none).
 
@@ -395,13 +388,6 @@ class LeafHashIndex:
         ``feature_similarity(features, row, dims=dims)``.
         """
         return intersection_to_many(features[self.dims], self.reduced, rows)
-
-    def probe(self, features: np.ndarray) -> list[ShotEntry]:
-        """Candidate entries of an exact probe (the scalar oracle's view)."""
-        rows = self.candidate_rows(features)
-        if rows is None:
-            rows = range(len(self))
-        return [self.entry(int(row)) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -572,23 +558,3 @@ def build_index_tree(
     if not children:
         return None
     return build_node(concept.name, concept.level.depth, children=children)
-
-
-def route_child(node: IndexNode, features: np.ndarray) -> tuple[IndexNode, int]:
-    """Pick the child whose best centre matches the query best.
-
-    Returns ``(child, comparisons_made)``.  All centres of all
-    populated children are scored in one batched kernel call;
-    ``comparisons`` still counts every logical centre evaluation, and
-    the first-best tie-break matches the scalar scan.
-    """
-    if node.is_leaf or not node.children:
-        raise DatabaseError(f"cannot route inside leaf node {node.name!r}")
-    block = node.center_block()
-    if block is None:
-        raise DatabaseError(f"node {node.name!r} has no populated children")
-    INDEX_STATS.routes += 1
-    scores = feature_similarity_batch(features, block.centers)
-    best = int(np.argmax(scores))
-    child_index = int(np.searchsorted(block.offsets, best, side="right") - 1)
-    return block.children[child_index], int(scores.shape[0])

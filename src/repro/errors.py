@@ -9,7 +9,8 @@ fans out by subsystem:
     │   failures (streams, waveforms, visual features).
     ├── ``MiningError`` / ``EventMiningError`` — the Sec. 3/4 pipeline.
     ├── ``DatabaseError``
-    │   ├── ``AccessDeniedError`` — an access rule denied the request.
+    │   ├── ``AccessDeniedError`` — an access rule denied the request;
+    │   │   the HTTP gateway answers an unknown token with it (401).
     │   ├── ``UnknownVideoError`` — the request names an unregistered
     │   │   video; the HTTP gateway maps the *type* to 404.
     │   └── ``StorageError`` — the durable storage subsystem (SQL
@@ -122,10 +123,12 @@ class ServingError(ReproError):
 class BadRequestError(ServingError):
     """The query request is malformed; retrying it unchanged cannot help.
 
-    Raised only by :func:`repro.serving.engine.validate_request`, the
-    one request validator both query fronts share.  The HTTP gateway
-    maps this type to 400 (every other :class:`ServingError` is the
-    server's fault: 500/503/504).
+    Raised by :func:`repro.serving.engine.validate_request`, the one
+    request validator both query fronts share, and by the HTTP gateway
+    for a body or header it cannot parse.  The gateway maps this type to
+    400 (every other :class:`ServingError` is the server's fault:
+    500/503/504), and :class:`~repro.net.client.HttpFront` raises it
+    back from a 400.
     """
 
 

@@ -22,25 +22,24 @@ item 2) using nothing but the standard library:
   circuit breakers instead of failing;
 * :mod:`repro.net.gateway` — the asyncio HTTP/1.1 JSON API
   (``/query``, ``/scene_search``, ``/skim/{id}``, ``/health``,
-  ``/metrics``) with deadline propagation, bounded admission mapped to
-  503 + ``Retry-After``, and token auth resolved before the cache;
-* :mod:`repro.net.httpload` — a closed-loop load generator for the
-  HTTP path reporting latency percentiles and error classes.
+  ``/metrics``), an HTTP codec over whichever
+  :class:`~repro.serving.engine.QueryFront` it was handed: deadline
+  propagation, bounded admission mapped to 503 + ``Retry-After``,
+  token auth resolved before the cache, one error-type -> status table;
+* :mod:`repro.net.client` — :class:`HttpFront`, the same codec from the
+  other end and the program's only HTTP client: a running gateway
+  called like the front behind it (so
+  :func:`repro.serving.loadgen.run_load` drives it over real sockets).
 
 See ``docs/SHARDING.md`` for the wire protocol, the manifest format
 and the exactness argument behind the merge.
 """
 
 from repro._lazy import lazy_exports
+from repro.net.client import HttpFront
 from repro.net.cluster import RestartReport, ShardCluster
 from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
-from repro.net.gateway import (
-    GatewayConfig,
-    HttpGateway,
-    probe_health,
-    request_restart,
-)
-from repro.net.httpload import HttpLoadConfig, HttpLoadReport, run_http_load
+from repro.net.gateway import GatewayConfig, HttpGateway
 from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
 from repro.net.shard import ShardSpec, build_shards, load_manifest
 
@@ -53,9 +52,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {"repro.net.worker": ("ShardWorker
 __all__ = [
     "CoordinatorConfig",
     "GatewayConfig",
+    "HttpFront",
     "HttpGateway",
-    "HttpLoadConfig",
-    "HttpLoadReport",
     "RestartReport",
     "ShardCluster",
     "ShardEndpoint",
@@ -65,8 +63,5 @@ __all__ = [
     "build_shards",
     "load_manifest",
     "pack_array",
-    "probe_health",
-    "request_restart",
-    "run_http_load",
     "unpack_array",
 ]

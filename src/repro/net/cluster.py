@@ -12,7 +12,7 @@ is bounded on the pipe itself: a worker that hangs silently is killed
 at ``spawn_timeout``.
 
 A :class:`~repro.resilience.watchdog.Watchdog` polls the processes: a
-worker that died (crash, ``die`` fault op, OOM kill) is respawned on a
+worker that died (crash, SIGKILL, OOM kill) is respawned on a
 fresh port and its endpoint re-pointed with
 :meth:`~repro.net.protocol.ShardEndpoint.reset` — the coordinator keeps
 running throughout and only sees the shard as missing while the

@@ -74,6 +74,7 @@ from repro.errors import (
 )
 from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
 from repro.net.shard import ShardSpec, build_routing_tree
+from repro.obs.export import render_prometheus_dumps
 from repro.obs.trace import Span, active_tracer, new_trace_id, span as obs_span
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.health import HealthCheck, HealthReport
@@ -255,6 +256,11 @@ class ShardedQueryService:
             "Backup shard calls launched against slow primaries, by op.",
             labelnames=("op",),
         )
+        self._shard_up = self._metrics.registry.gauge(
+            "net_shard_up",
+            "1 when the shard's metrics scrape succeeded.",
+            labelnames=("shard",),
+        )
         # The hedge pool exists only when hedging is armed, so the
         # default path stays a plain direct call (no future, no queue).
         self._hedge_pool = (
@@ -307,6 +313,11 @@ class ShardedQueryService:
     def degraded(self) -> bool:
         """Whether any known video's mining fell back somewhere."""
         return self._degraded_videos
+
+    @property
+    def fanout(self) -> int:
+        """The fleet width queries scatter across."""
+        return self.spec.num_shards
 
     @property
     def metrics(self) -> ServingMetrics:
@@ -581,17 +592,8 @@ class ShardedQueryService:
             with self._records_lock:
                 for shard_id, response in responses.items():
                     for title, payload in response["records"].items():
-                        self._records[title] = RegisteredVideo(
-                            title=title,
-                            shot_count=int(payload["shot_count"]),
-                            scene_count=int(payload["scene_count"]),
-                            events={
-                                int(k): str(v)
-                                for k, v in payload["events"].items()
-                            },
-                            degraded_stages=tuple(
-                                payload["degraded_stages"]
-                            ),
+                        self._records[title] = RegisteredVideo.from_json(
+                            title, payload
                         )
                     self._records_missing.discard(shard_id)
                 self._degraded_videos = any(
@@ -992,44 +994,29 @@ class ShardedQueryService:
             shard_id: response.get("metrics", {})
             for shard_id, response in responses.items()
         }
+        for shard_id in self._endpoints:
+            self._shard_up.labels(shard=shard_id).set(shard_id in dumps)
         return dumps, missing
 
     def metrics_dumps(self) -> list[tuple[dict[str, str], dict]]:
         """The ``(extra_labels, dump)`` pairs behind merged ``/metrics``.
 
-        The coordinator's own registry comes first (no extra labels);
-        every shard contributes a ``net_shard_up`` gauge and — when its
-        scrape succeeded — its registry dump under ``shard="<id>"``.
-        Feed to :func:`repro.obs.export.render_prometheus_dumps`.
+        The coordinator's own registry comes first (no extra labels; its
+        ``net_shard_up`` gauge says which scrapes succeeded), then each
+        scraped worker's dump under ``shard="<id>"``.
         """
         dumps, _missing = self.scrape_metrics()
-        items: list[tuple[dict[str, str], dict]] = [
-            ({}, self._metrics.registry.dump())
+        return [({}, self._metrics.registry.dump())] + [
+            ({"shard": str(shard_id)}, dumps[shard_id]) for shard_id in sorted(dumps)
         ]
-        for shard_id in sorted(self._endpoints):
-            label = {"shard": str(shard_id)}
-            up = 1.0 if shard_id in dumps else 0.0
-            items.append(
-                (
-                    label,
-                    {
-                        "families": [
-                            {
-                                "name": "net_shard_up",
-                                "kind": "gauge",
-                                "help": "1 when the shard's metrics "
-                                "scrape succeeded.",
-                                "labelnames": [],
-                                "samples": [{"labels": [], "value": up}],
-                            }
-                        ],
-                        "collected": {},
-                    },
-                )
-            )
-            if shard_id in dumps:
-                items.append((label, dumps[shard_id]))
-        return items
+
+    def metrics_text(self) -> str:
+        """Coordinator registry merged with every worker's scrape.
+
+        A shard whose scrape failed reads ``net_shard_up 0`` instead of
+        taking the exposition down.
+        """
+        return render_prometheus_dumps(self.metrics_dumps())
 
     def health_report(self) -> HealthReport:
         """Live/ready/degraded verdict over the shard fleet."""

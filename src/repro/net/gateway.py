@@ -1,11 +1,13 @@
-"""Asyncio HTTP/1.1 JSON gateway over a query backend.
+"""Asyncio HTTP/1.1 JSON gateway: an HTTP codec over a query front.
 
 Pure standard library: one daemon thread runs an asyncio event loop
-with :func:`asyncio.start_server`; blocking backend calls are pushed to
-a bounded thread pool so the loop itself never stalls.  The gateway can
-front either the in-process :class:`~repro.serving.server.QueryServer`
-or the sharded :class:`~repro.net.coordinator.ShardedQueryService` —
-both are wrapped in a tiny backend adapter.
+with :func:`asyncio.start_server`; blocking front calls are pushed to
+a bounded thread pool so the loop itself never stalls.  The gateway
+calls whatever :class:`~repro.serving.engine.QueryFront` it was handed
+— the in-process :class:`~repro.serving.server.QueryServer` or the
+sharded :class:`~repro.net.coordinator.ShardedQueryService` — and
+:class:`~repro.net.client.HttpFront` is the same codec read from the
+other end.
 
 Endpoints (all JSON):
 
@@ -17,7 +19,7 @@ Endpoints (all JSON):
 ``POST /scene_search``         shorthand for ``kind: scene``
 ``GET  /skim/{video_id}``      a video's scene/event outline
 ``GET  /health``               200 ok / 207 degraded / 503 down
-``GET  /metrics``              Prometheus text; a sharded backend
+``GET  /metrics``              Prometheus text; a sharded front
                                merges every worker's registry with a
                                ``shard`` label per family
 ``GET  /debug/slow``           the slow-query log, slowest first
@@ -29,13 +31,17 @@ Endpoints (all JSON):
 
 Contract details the tests pin down:
 
-* ``X-Deadline-Ms`` propagates a per-request deadline; a request whose
-  deadline is already spent on arrival gets 504 without executing.
+* Every typed failure is answered from one table, :data:`ERROR_STATUS`
+  (error type -> status), whether the gateway or the front raised it;
+  the client rebuilds the type by reading the same table backwards.
+* ``X-Deadline-Ms`` propagates a per-request deadline (without it the
+  front's own default applies); a request whose deadline is already
+  spent on arrival gets 504 without executing.
 * Admission is bounded (``max_inflight``); beyond it the gateway sheds
   load with 503 + ``Retry-After`` instead of queueing unboundedly.
-  Backend :class:`~repro.errors.OverloadedError` maps to the same 503.
+  The front's :class:`~repro.errors.OverloadedError` maps to the same 503.
 * ``X-Auth-Token`` resolves to a :class:`~repro.database.access.User`
-  *before* any cache interaction (the scope is part of the backend's
+  *before* any cache interaction (the scope is part of the front's
   cache key, so cached results can never cross tokens).  Unknown
   tokens get 401; no token means anonymous.
 * Bodies above ``max_body`` get 413; malformed JSON gets 400; unknown
@@ -55,8 +61,6 @@ import json
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -64,6 +68,7 @@ import numpy as np
 
 from repro.database.access import User
 from repro.errors import (
+    AccessDeniedError,
     BadRequestError,
     DeadlineExpiredError,
     OverloadedError,
@@ -71,12 +76,23 @@ from repro.errors import (
     ServingError,
     UnknownVideoError,
 )
-from repro.obs.export import render_prometheus, render_prometheus_dumps
 from repro.obs.slowlog import get_slow_log
 from repro.obs.trace import active_tracer, new_trace_id
-from repro.resilience.health import HealthCheck, HealthReport, server_health
-from repro.serving.server import QueryRequest, QueryServer, ServingResult
+from repro.resilience.health import HealthCheck, HealthReport
+from repro.serving.engine import QueryFront, QueryRequest, ServingResult
 from repro.types import EventKind
+
+#: The one error-type -> status table.  The gateway answers the first
+#: row the raised error is an instance of (any other error: 500);
+#: :class:`~repro.net.client.HttpFront` raises the type of the first row
+#: carrying the status it was sent (any other: ``ServingError``).
+ERROR_STATUS: tuple[tuple[type[ReproError], int], ...] = (
+    (BadRequestError, 400),
+    (AccessDeniedError, 401),
+    (UnknownVideoError, 404),
+    (OverloadedError, 503),
+    (DeadlineExpiredError, 504),
+)
 
 _REASONS = {
     200: "OK",
@@ -107,7 +123,6 @@ class GatewayConfig:
     tokens: dict[str, User] = field(default_factory=dict)
     max_body: int = 1024 * 1024
     max_inflight: int = 64
-    default_timeout: float | None = 5.0
     access_log: bool = False
 
     def __post_init__(self) -> None:
@@ -118,15 +133,13 @@ class GatewayConfig:
 
 
 class _HttpError(Exception):
-    """Internal: carries an HTTP status + JSON error payload."""
+    """Internal: an HTTP-level refusal no error type stands for (an
+    unknown endpoint, a wrong method)."""
 
-    def __init__(
-        self, status: int, message: str, retry_after: float | None = None
-    ) -> None:
+    def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
-        self.retry_after = retry_after
 
 
 class _RequestContext:
@@ -141,113 +154,6 @@ class _RequestContext:
         self.span_id = span_id  # reserved gateway span (None: tracing off)
         self.start_rel = start_rel
         self.fanout = 0  # shards the request fanned out to (access log)
-
-
-class _Backend:
-    """Adapter surface the gateway needs from a query backend."""
-
-    def query(self, request: QueryRequest) -> ServingResult:
-        """Execute one blocking query."""
-        raise NotImplementedError
-
-    def records(self) -> dict:
-        """Registration records by title (skim endpoint)."""
-        raise NotImplementedError
-
-    def health(self) -> HealthReport:
-        """Current health verdict."""
-        raise NotImplementedError
-
-    def sample_features(self, n: int) -> list[np.ndarray]:
-        """Corpus feature vectors (workload endpoint)."""
-        raise NotImplementedError
-
-    def metrics_registry(self):
-        """The metrics registry to expose on ``/metrics``."""
-        raise NotImplementedError
-
-    def metrics_text(self) -> str:
-        """Prometheus text for ``GET /metrics``."""
-        return render_prometheus(self.metrics_registry())
-
-    def shard_count(self) -> int:
-        """Shards a query fans out to (1 for the in-process server)."""
-        return 1
-
-
-class _LocalBackend(_Backend):
-    """Adapter over the in-process :class:`QueryServer`."""
-
-    def __init__(self, server: QueryServer) -> None:
-        self._server = server
-
-    def query(self, request: QueryRequest) -> ServingResult:
-        """Delegate to :meth:`QueryServer.query`."""
-        return self._server.query(request)
-
-    def records(self) -> dict:
-        """Records of the current snapshot."""
-        return dict(self._server.manager.current().records)
-
-    def health(self) -> HealthReport:
-        """Standard single-server health probe."""
-        return server_health(self._server)
-
-    def sample_features(self, n: int) -> list[np.ndarray]:
-        """Evenly spaced entries of the snapshot's flat index."""
-        return self._server.manager.current().flat.sample(n)
-
-    def metrics_registry(self):
-        """The server's metrics registry."""
-        return self._server.metrics.registry
-
-
-class _ShardedBackend(_Backend):
-    """Adapter over the scatter-gather coordinator."""
-
-    def __init__(self, service) -> None:
-        self._service = service
-
-    def query(self, request: QueryRequest) -> ServingResult:
-        """Delegate to :meth:`ShardedQueryService.query`."""
-        return self._service.query(request)
-
-    def records(self) -> dict:
-        """Merged shard records."""
-        return self._service.records()
-
-    def health(self) -> HealthReport:
-        """Fleet health verdict."""
-        return self._service.health_report()
-
-    def sample_features(self, n: int) -> list[np.ndarray]:
-        """Cross-shard feature sample."""
-        return self._service.sample_features(n)
-
-    def metrics_registry(self):
-        """The coordinator's metrics registry."""
-        return self._service.metrics.registry
-
-    def metrics_text(self) -> str:
-        """Coordinator registry merged with every worker's scrape.
-
-        Each worker family arrives with a ``shard`` label; a shard
-        whose scrape failed contributes ``net_shard_up 0`` instead of
-        taking the endpoint down.
-        """
-        return render_prometheus_dumps(self._service.metrics_dumps())
-
-    def shard_count(self) -> int:
-        """The fleet width queries scatter across."""
-        return self._service.spec.num_shards
-
-
-def _wrap_backend(backend) -> _Backend:
-    if isinstance(backend, _Backend):
-        return backend
-    if isinstance(backend, QueryServer):
-        return _LocalBackend(backend)
-    return _ShardedBackend(backend)
 
 
 def _serialize_hit(kind: str, hit) -> dict:
@@ -297,12 +203,12 @@ class HttpGateway:
 
     def __init__(
         self,
-        backend,
+        front: QueryFront,
         config: GatewayConfig | None = None,
         access_sink=None,
         cluster=None,
     ) -> None:
-        self._backend = _wrap_backend(backend)
+        self._front = front
         # The owning ShardCluster, when the caller runs one: enables
         # POST /admin/restart and per-shard respawn counts in /health.
         self._cluster = cluster
@@ -611,7 +517,7 @@ class HttpGateway:
                 return await self._ep_health(ctx)
             if path == "/metrics":
                 self._require_method(method, "GET")
-                text = await self._offload(self._backend.metrics_text, ctx=ctx)
+                text = await self._offload(self._front.metrics_text, ctx=ctx)
                 return (
                     200,
                     text,
@@ -634,15 +540,28 @@ class HttpGateway:
                 return await self._ep_admin_restart(headers, body, ctx)
             raise _HttpError(404, f"no such endpoint: {path}")
         except _HttpError as exc:
-            extra = {}
-            if exc.retry_after is not None:
-                extra["Retry-After"] = f"{exc.retry_after:g}"
-            return exc.status, {"error": exc.message}, extra
+            return exc.status, {"error": exc.message}, {}
+        except ReproError as exc:
+            status = next(
+                (code for kind, code in ERROR_STATUS if isinstance(exc, kind)), 500
+            )
+            extra = {"Retry-After": "1"} if status == 503 else {}
+            return status, {"error": str(exc)}, extra
 
     @staticmethod
     def _require_method(method: str, expected: str) -> None:
         if method.upper() != expected:
             raise _HttpError(405, f"use {expected}")
+
+    @staticmethod
+    def _json_object(body: bytes) -> dict:
+        try:
+            payload = json.loads(body.decode("utf-8")) if body else {}
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise BadRequestError(f"malformed JSON body: {exc}") from None
+        if not isinstance(payload, dict):
+            raise BadRequestError("request body must be a JSON object")
+        return payload
 
     def _resolve_user(self, headers: dict[str, str]) -> User | None:
         token = headers.get("x-auth-token")
@@ -650,33 +569,31 @@ class HttpGateway:
             return None
         user = self.config.tokens.get(token)
         if user is None:
-            raise _HttpError(401, "unknown auth token")
+            raise AccessDeniedError("unknown auth token")
         return user
 
     def _resolve_timeout(self, headers: dict[str, str]) -> float | None:
         raw = headers.get("x-deadline-ms")
         if raw is None:
-            return self.config.default_timeout
+            return None  # the front's own default applies
         try:
             deadline_ms = float(raw)
         except ValueError:
-            raise _HttpError(400, f"invalid X-Deadline-Ms: {raw!r}") from None
+            raise BadRequestError(f"invalid X-Deadline-Ms: {raw!r}") from None
         if deadline_ms <= 0:
-            raise _HttpError(504, "deadline expired on arrival")
+            raise DeadlineExpiredError("deadline expired on arrival")
         return deadline_ms / 1000.0
 
     async def _offload(self, fn, *args, ctx: _RequestContext | None = None):
-        """Run a blocking backend call on the bounded gateway pool.
+        """Run a blocking front call on the bounded gateway pool.
 
         With ``ctx`` the executor thread adopts the request's gateway
-        span and trace id for the duration of the call, so backend
+        span and trace id for the duration of the call, so the front's
         spans nest under the gateway span despite the thread hop.
         """
         if not self._inflight.acquire(blocking=False):
-            raise _HttpError(
-                503,
-                f"gateway at capacity ({self.config.max_inflight} in flight)",
-                retry_after=1.0,
+            raise OverloadedError(
+                f"gateway at capacity ({self.config.max_inflight} in flight)"
             )
         loop = asyncio.get_running_loop()
         if ctx is not None:
@@ -706,12 +623,7 @@ class HttpGateway:
         body: bytes,
         ctx: _RequestContext,
     ) -> tuple[int, dict, dict]:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(400, f"malformed JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _HttpError(400, "request body must be a JSON object")
+        payload = self._json_object(body)
         user = self._resolve_user(headers)
         timeout = self._resolve_timeout(headers)
 
@@ -723,21 +635,21 @@ class HttpGateway:
             try:
                 features = np.asarray(payload["features"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
-                raise _HttpError(400, f"invalid features: {exc}") from None
+                raise BadRequestError(f"invalid features: {exc}") from None
             if features.ndim != 1:
-                raise _HttpError(400, "features must be a flat number list")
+                raise BadRequestError("features must be a flat number list")
         event = None
         if payload.get("event") is not None:
             try:
                 event = EventKind(payload["event"])
             except ValueError:
-                raise _HttpError(
-                    400, f"unknown event kind: {payload['event']!r}"
+                raise BadRequestError(
+                    f"unknown event kind: {payload['event']!r}"
                 ) from None
         try:
             k = int(payload.get("k", 10))
         except (TypeError, ValueError):
-            raise _HttpError(400, "k must be an integer") from None
+            raise BadRequestError("k must be an integer") from None
 
         def _int_knob(name: str) -> int | None:
             value = payload.get(name)
@@ -746,7 +658,7 @@ class HttpGateway:
             try:
                 return int(value)
             except (TypeError, ValueError):
-                raise _HttpError(400, f"{name} must be an integer") from None
+                raise BadRequestError(f"{name} must be an integer") from None
 
         request = QueryRequest(
             kind=str(kind),
@@ -760,19 +672,8 @@ class HttpGateway:
             rerank_k=_int_knob("rerank_k"),
             explain=bool(payload.get("explain", False)),
         )
-        ctx.fanout = self._backend.shard_count()
-        try:
-            result = await self._offload(self._backend.query, request, ctx=ctx)
-        except BadRequestError as exc:
-            raise _HttpError(400, str(exc)) from None
-        except OverloadedError as exc:
-            raise _HttpError(503, str(exc), retry_after=1.0) from None
-        except DeadlineExpiredError as exc:
-            raise _HttpError(504, str(exc)) from None
-        except UnknownVideoError as exc:
-            raise _HttpError(404, str(exc)) from None
-        except ReproError as exc:
-            raise _HttpError(500, str(exc)) from None
+        ctx.fanout = self._front.fanout
+        result = await self._offload(self._front.query, request, ctx=ctx)
         return 200, _serialize_result(result), {}
 
     async def _ep_skim(
@@ -781,11 +682,11 @@ class HttpGateway:
         self._resolve_user(headers)  # auth applies, scope does not: skims
         # expose only registration metadata, never feature content.
         if not video_id:
-            raise _HttpError(404, "missing video id")
-        records = await self._offload(self._backend.records, ctx=ctx)
+            raise UnknownVideoError("missing video id")
+        records = await self._offload(self._front.records, ctx=ctx)
         record = records.get(video_id)
         if record is None:
-            raise _HttpError(404, f"video {video_id!r} is not registered")
+            raise UnknownVideoError(f"video {video_id!r} is not registered")
         scenes = [
             {"scene_id": scene_id, "event": value}
             for scene_id, value in sorted(record.events.items())
@@ -820,19 +721,14 @@ class HttpGateway:
         if self._cluster is None:
             raise _HttpError(404, "no shard cluster attached to this gateway")
         self._resolve_user(headers)  # admin rides the same token auth
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(400, f"malformed JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _HttpError(400, "request body must be a JSON object")
+        payload = self._json_object(body)
         rolling = bool(payload.get("rolling", False))
         shard = payload.get("shard")
         graceful = bool(payload.get("graceful", True))
         if not rolling and shard is None:
-            raise _HttpError(400, "pass \"rolling\": true or a \"shard\" id")
+            raise BadRequestError("pass \"rolling\": true or a \"shard\" id")
         if rolling and shard is not None:
-            raise _HttpError(400, "rolling and shard are mutually exclusive")
+            raise BadRequestError("rolling and shard are mutually exclusive")
 
         def work():
             if rolling:
@@ -842,9 +738,7 @@ class HttpGateway:
         try:
             reports = await self._offload(work, ctx=ctx)
         except (TypeError, ValueError) as exc:
-            raise _HttpError(400, f"invalid shard id: {exc}") from None
-        except ServingError as exc:
-            raise _HttpError(500, str(exc)) from None
+            raise BadRequestError(f"invalid shard id: {exc}") from None
         return (
             200,
             {
@@ -880,7 +774,7 @@ class HttpGateway:
         return report
 
     async def _ep_health(self, ctx: _RequestContext) -> tuple[int, dict, dict]:
-        report = await self._offload(self._backend.health, ctx=ctx)
+        report = await self._offload(self._front.health_report, ctx=ctx)
         if self._cluster is not None:
             report = self._augment_cluster_health(report)
         status_code = {"ok": 200, "degraded": 207, "down": 503}[report.status]
@@ -909,110 +803,10 @@ class HttpGateway:
                 try:
                     n = max(1, min(int(part[2:]), 512))
                 except ValueError:
-                    raise _HttpError(400, "n must be an integer") from None
-        pool = await self._offload(self._backend.sample_features, n, ctx=ctx)
+                    raise BadRequestError("n must be an integer") from None
+        pool = await self._offload(self._front.sample_features, n, ctx=ctx)
         return (
             200,
             {"features": [[float(x) for x in vector] for vector in pool]},
             {},
         )
-
-
-def probe_health(url: str, timeout: float = 5.0) -> HealthReport:
-    """Probe a running gateway's ``/health`` (``classminer health --url``).
-
-    Maps transport failures to a ``down`` report rather than raising,
-    so the CLI's 0/1/2 exit-code contract holds for dead servers too.
-    """
-    target = url.rstrip("/") + "/health"
-    try:
-        with urllib.request.urlopen(target, timeout=timeout) as response:
-            payload = json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        # 503 carries the JSON verdict too; other codes mean "down".
-        try:
-            payload = json.loads(exc.read().decode("utf-8"))
-        except Exception:
-            return HealthReport(
-                live=False,
-                ready=False,
-                degraded=True,
-                checks=[
-                    HealthCheck("http", False, f"HTTP {exc.code} from {target}")
-                ],
-            )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return HealthReport(
-            live=False,
-            ready=False,
-            degraded=True,
-            checks=[HealthCheck("http", False, f"unreachable: {exc}")],
-        )
-    try:
-        return HealthReport(
-            live=bool(payload["live"]),
-            ready=bool(payload["ready"]),
-            degraded=bool(payload["degraded"]),
-            checks=[
-                HealthCheck(
-                    name=str(check["name"]),
-                    ok=bool(check["ok"]),
-                    detail=str(check.get("detail", "")),
-                )
-                for check in payload.get("checks", [])
-            ],
-        )
-    except (KeyError, TypeError) as exc:
-        return HealthReport(
-            live=False,
-            ready=False,
-            degraded=True,
-            checks=[HealthCheck("http", False, f"malformed health body: {exc}")],
-        )
-
-
-def request_restart(
-    url: str,
-    *,
-    rolling: bool = False,
-    shard: int | None = None,
-    graceful: bool = True,
-    token: str | None = None,
-    timeout: float = 120.0,
-) -> dict:
-    """POST ``/admin/restart`` on a running gateway.
-
-    Backs ``classminer shard restart --url``.  A rolling restart waits
-    for each worker to answer pings before the next is cycled, so the
-    default timeout is generous.  Raises
-    :class:`~repro.errors.ServingError` on transport failure or a
-    non-2xx response (with the server's error detail when it sent one).
-    """
-    body: dict = {"graceful": graceful}
-    if rolling:
-        body["rolling"] = True
-    if shard is not None:
-        body["shard"] = int(shard)
-    headers = {"Content-Type": "application/json"}
-    if token is not None:
-        headers["X-Auth-Token"] = token
-    request = urllib.request.Request(
-        url.rstrip("/") + "/admin/restart",
-        data=json.dumps(body).encode("utf-8"),
-        headers=headers,
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        try:
-            detail = json.loads(exc.read().decode("utf-8")).get("error", "")
-        except Exception:
-            detail = ""
-        suffix = f": {detail}" if detail else ""
-        raise ServingError(
-            f"restart request failed with HTTP {exc.code}{suffix}"
-        ) from exc
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise ServingError(f"restart request failed: {exc}") from exc

@@ -8,7 +8,6 @@ A worker owns one opened
 op          semantics
 ========== =========================================================
 ``ping``    liveness probe
-``health``  entry/video counts + generation
 ``records`` the shard's registration records (coordinator metadata)
 ``probe``   per-leaf *bucket-only* candidates for a query vector
 ``scan``    per-leaf *all-entries* candidates (global bucket fallback)
@@ -18,13 +17,11 @@ op          semantics
 ``metrics`` the worker registry's wire dump (cluster-metrics scrape)
 ``reload``  reopen the shard database (new generation on disk)
 ``drain``   finish in-flight requests, refuse new ones, exit cleanly
-``stop``    shut the worker down
-``die``     ``os._exit`` hard-kill (fault injection only)
 ========== =========================================================
 
 ``drain`` is the graceful half of a rolling restart: the worker stops
 accepting connections, keeps answering introspection ops (``ping``,
-``health``, ``metrics``) on existing connections, rejects query work
+``metrics``) on existing connections, rejects query work
 with a typed ``draining`` error response (the coordinator retries it
 as transient), waits for in-flight requests to finish, then severs
 connections and — in subprocess mode — exits 0.
@@ -52,7 +49,6 @@ can be embedded in-process for tests or launched as
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import socketserver
 import sys
@@ -278,7 +274,7 @@ class ShardWorker:
 
     #: Ops still answered on live connections while draining — pure
     #: introspection plus the (idempotent) drain itself.
-    _DRAIN_SAFE_OPS = frozenset({"ping", "health", "metrics", "drain", "stop"})
+    _DRAIN_SAFE_OPS = frozenset({"ping", "metrics", "drain"})
 
     def _dispatch(self, request: dict) -> dict:
         fault_point("net.slow_shard")  # latency faults: a slow worker
@@ -335,24 +331,9 @@ class ShardWorker:
             "metrics": self._registry.dump(),
         }
 
-    def _op_health(self, request: dict, tracer=NULL_TRACER) -> dict:
-        state = self._state
-        return {
-            "ok": True,
-            "generation": self._generation,
-            "videos": len(state.database.videos),
-            "entries": int(state.global_ords.shape[0]),
-            "scenes": len(state.database.scene_index),
-        }
-
     def _op_records(self, request: dict, tracer=NULL_TRACER) -> dict:
         records = {
-            title: {
-                "shot_count": record.shot_count,
-                "scene_count": record.scene_count,
-                "events": {str(k): v for k, v in record.events.items()},
-                "degraded_stages": list(record.degraded_stages),
-            }
+            title: record.to_json()
             for title, record in self._state.database.videos.items()
         }
         return {"ok": True, "generation": self._generation, "records": records}
@@ -551,15 +532,6 @@ class ShardWorker:
             ).start()
         return {"ok": True, "draining": True, "generation": self._generation}
 
-    def _op_stop(self, request: dict, tracer=NULL_TRACER) -> dict:
-        threading.Thread(target=self._server.shutdown, daemon=True).start()
-        return {"ok": True}
-
-    def _op_die(self, request: dict, tracer=NULL_TRACER) -> dict:
-        # Fault injection: simulate a crashed worker process.  Flushing
-        # nothing is the point — the coordinator must cope.
-        os._exit(17)
-
 
 class _PrefixWriter:
     """Wraps a text stream, prefixing every line with a shard tag.
@@ -621,8 +593,8 @@ def main(argv: list[str] | None = None) -> int:
         worker.serve_forever()
     except KeyboardInterrupt:
         pass
-    # serve_forever returns when a ``drain`` (or ``stop``) op shut the
-    # server down; let any drain finish quiescing, then exit cleanly.
+    # serve_forever returns when a ``drain`` op shut the server down;
+    # let the drain finish quiescing, then exit cleanly.
     if worker.draining:
         worker.join_drained(timeout=15.0)
     worker._close_database()

@@ -107,7 +107,6 @@ def index_stats_collector() -> dict[str, float]:
 
     return {
         "index_descents_total": float(INDEX_STATS.descents),
-        "index_routes_total": float(INDEX_STATS.routes),
         "index_center_block_builds_total": float(INDEX_STATS.center_block_builds),
     }
 

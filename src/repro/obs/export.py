@@ -3,7 +3,8 @@
 :func:`render_prometheus` emits the classic text exposition format —
 ``# HELP`` / ``# TYPE`` headers, ``name{label="value"} sample`` lines,
 histograms as cumulative ``_bucket{le=…}`` series plus ``_sum`` and
-``_count``.  :func:`render_prometheus_dumps` renders the *merged* view
+``_count``.  It is the one-source case of the only renderer,
+:func:`render_prometheus_dumps`, which renders the *merged* view
 of several registry :meth:`~repro.obs.registry.MetricsRegistry.dump`
 payloads (the coordinator's own registry plus one scrape per shard
 worker), tagging each source's samples with extra labels such as
@@ -64,33 +65,7 @@ def _histogram_lines(
 
 def render_prometheus(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format."""
-    lines: list[str] = []
-    for family in registry.families():
-        samples = family.samples()
-        if not samples:
-            continue
-        if family.help:
-            lines.append(f"# HELP {family.name} {family.help}")
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for pairs, child in samples:
-            if family.kind == "histogram":
-                lines.extend(
-                    _histogram_lines(
-                        family.name, tuple(pairs), child.bucket_counts(), child.total
-                    )
-                )
-            else:
-                lines.append(
-                    f"{family.name}{_labels_text(pairs)} "
-                    f"{_format_value(child.value)}"
-                )
-    collected = registry.collect()
-    if collected:
-        lines.append("# collected gauges (read-time collectors)")
-        for name in sorted(collected):
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_format_value(collected[name])}")
-    return "\n".join(lines) + "\n" if lines else ""
+    return render_prometheus_dumps([({}, registry.dump())])
 
 
 def render_prometheus_dumps(

@@ -10,13 +10,16 @@ access" requirement at many-user scale):
   lookup, never after);
 * :mod:`repro.serving.engine` — the one request lifecycle (validate,
   scope, cache, execute, account, explain) shared with the sharded
-  front in :mod:`repro.net.coordinator`;
+  front in :mod:`repro.net.coordinator`, and ``QueryFront``, the one
+  surface everything above a front (gateway, load generator, health)
+  is written against;
 * :mod:`repro.serving.server` — worker pool, bounded admission queue,
   per-query deadlines, typed overload rejection;
 * :mod:`repro.serving.metrics` — counters and latency histograms with
   a plain-text dump;
-* :mod:`repro.serving.loadgen` — closed-loop multi-threaded load
-  generator for benchmarks and the ``classminer loadtest`` command.
+* :mod:`repro.serving.loadgen` — the closed-loop multi-threaded load
+  generator behind ``classminer loadtest``; drives any front, a remote
+  one (:class:`repro.net.client.HttpFront`) included.
 """
 
 from repro.serving.cache import (
@@ -35,6 +38,7 @@ from repro.serving.loadgen import (
     build_query_pool,
     run_load,
 )
+from repro.serving.engine import QueryFront
 from repro.serving.metrics import QUERY_KINDS, ServingMetrics
 from repro.serving.server import (
     QueryRequest,
@@ -56,6 +60,7 @@ __all__ = [
     "LoadReport",
     "LoadgenConfig",
     "QUERY_KINDS",
+    "QueryFront",
     "QueryRequest",
     "QueryServer",
     "ResultCache",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -36,6 +36,10 @@ from repro.resilience.faults import fault_point
 from repro.serving.cache import CacheKey, ResultCache, request_digest, scope_token
 from repro.serving.metrics import QUERY_KINDS, ServingMetrics
 from repro.types import EventKind
+
+if TYPE_CHECKING:  # names the front surface only, never called here
+    from repro.database.catalog import RegisteredVideo
+    from repro.resilience.health import HealthReport
 
 
 @dataclass(frozen=True)
@@ -242,6 +246,45 @@ class QueryBackend(Protocol):
         self, sink: ExplainSink, result: ServingResult, cache_breaker: str
     ) -> dict:
         """Backend-specific explain keys (``breakers``, ``shards``, …)."""
+
+
+class QueryFront(Protocol):
+    """What everything *above* a query front is written against.
+
+    The engine's other seam: :class:`QueryBackend` is where the leaves
+    are scanned, this is who answers.  The in-process
+    :class:`~repro.serving.server.QueryServer` and the sharded
+    :class:`~repro.net.coordinator.ShardedQueryService` implement all of
+    it, so the HTTP gateway, the load generator and the health command
+    call whichever they were handed.  A remote caller holds the client
+    half only — :meth:`query`, :meth:`health_report`,
+    :meth:`sample_features` — as
+    :class:`~repro.net.client.HttpFront` over a running gateway.
+    """
+
+    fanout: int  #: shards one query scatters to (1 in process)
+    generation: int
+    metrics: ServingMetrics
+    cache: ResultCache
+    cache_breaker: CircuitBreaker
+
+    def query(self, request: QueryRequest) -> ServingResult:
+        """Answer one request, blocking; typed errors on every failure."""
+
+    def records(self) -> dict[str, RegisteredVideo]:
+        """Registration records by video title."""
+
+    def health_report(self) -> HealthReport:
+        """The live / ready / degraded verdict."""
+
+    def sample_features(self, n: int) -> list[np.ndarray]:
+        """Up to ``n`` stored feature vectors, spread over the corpus."""
+
+    def metrics_text(self) -> str:
+        """Prometheus exposition of everything this front counts."""
+
+    def refresh(self) -> object:
+        """Re-read the corpus and start a new generation."""
 
 
 class QueryEngine:

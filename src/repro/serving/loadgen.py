@@ -1,13 +1,20 @@
-"""Closed-loop multi-threaded load generator for the query server.
+"""Closed-loop multi-threaded load generator for any query front.
 
 Each client thread issues one query at a time (closed loop: think time
 zero, next request only after the previous response), drawn from a
 deterministic mixed workload of shot, flat-baseline, scene and event
-queries sampled from the server's own snapshot.  Rejections
-(:class:`~repro.errors.OverloadedError`) and deadline misses
-(:class:`~repro.errors.ServingError`) are counted, backed off, and the
-loop continues — exactly how a well-behaved caller treats an overloaded
-server.
+queries over feature vectors the front itself hands out
+(``front.sample_features``) — so the same generator drives the
+in-process :class:`~repro.serving.server.QueryServer`, the sharded
+:class:`~repro.net.coordinator.ShardedQueryService` and, through
+:class:`~repro.net.client.HttpFront`, a running gateway over real
+sockets.
+
+Failures are counted by what they mean under saturation:
+:class:`~repro.errors.OverloadedError` is admission control working
+(``rejected``: back off, carry on), :class:`~repro.errors.DeadlineExpiredError`
+is the latency budget failing (``timeouts``), and anything else is the
+front actually breaking (``errors``, with its text in ``failures``).
 
 An ``on_result`` callback sees every successful ``(request, result)``
 pair; tests use it to assert invariants (no cross-clearance hit, no
@@ -24,10 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.database.access import User
-from repro.errors import OverloadedError, ServingError
+from repro.errors import DeadlineExpiredError, OverloadedError, ServingError
 from repro.obs.metrics import format_seconds
-from repro.serving.server import QueryRequest, QueryServer, ServingResult
-from repro.serving.snapshot import Snapshot
+from repro.serving.engine import QueryFront, QueryRequest, ServingResult
 from repro.types import EventKind
 
 #: Workload mix: (kind, weight).  Flat-scan baseline traffic is kept
@@ -75,6 +81,7 @@ class LoadReport:
     issued: int = 0
     completed: int = 0
     cache_hits: int = 0
+    degraded: int = 0
     rejected: int = 0
     timeouts: int = 0
     errors: int = 0
@@ -106,7 +113,8 @@ class LoadReport:
                 f"  clients {self.clients}, elapsed {self.elapsed:.2f}s",
                 f"  completed {self.completed}/{self.issued}"
                 f" ({self.qps:.1f} qps sustained)",
-                f"  cache hit rate {self.cache_hit_rate * 100:.1f}%",
+                f"  cache hit rate {self.cache_hit_rate * 100:.1f}%,"
+                f" {self.degraded} degraded answers",
                 f"  rejected {self.rejected} overload, {self.timeouts} deadline,"
                 f" {self.errors} errors",
                 f"  generations seen {sorted(self.generations)}",
@@ -120,20 +128,19 @@ class LoadReport:
 
 
 def build_query_pool(
-    snapshot: Snapshot,
+    stored: Sequence[np.ndarray],
     config: LoadgenConfig,
     users: Sequence[User | None] = (None,),
 ) -> list[QueryRequest]:
-    """Sample a deterministic mixed workload from a snapshot.
+    """A deterministic mixed workload over ``stored`` feature vectors.
 
-    Shot/scene queries replay indexed feature vectors (guaranteed to
-    have matches); event queries sweep the event kinds.  Users are
-    assigned round-robin, except the flat baseline which always runs
-    anonymously (it supports no access filtering).
+    Shot/scene queries replay the stored vectors (guaranteed to have
+    matches); event queries sweep the event kinds.  Users are assigned
+    round-robin, except the flat baseline which always runs anonymously
+    (it supports no access filtering).
     """
-    entries = snapshot.flat.entries
-    if not entries:
-        raise ServingError("cannot build a workload over an empty snapshot")
+    if not len(stored):
+        raise ServingError("cannot build a workload over an empty corpus")
     rng = np.random.default_rng(config.seed)
     kinds = [kind for kind, _ in config.mix]
     weights = np.asarray([weight for _, weight in config.mix], dtype=np.float64)
@@ -153,7 +160,7 @@ def build_query_pool(
                 )
             )
             continue
-        features = entries[int(rng.integers(len(entries)))].features
+        features = stored[int(rng.integers(len(stored)))]
         if rng.random() < config.unique_fraction:
             features = np.clip(
                 features + rng.normal(0.0, 1e-4, features.shape), 0.0, None
@@ -173,19 +180,21 @@ def build_query_pool(
 
 
 def run_load(
-    server: QueryServer,
+    front: QueryFront,
     config: LoadgenConfig | None = None,
     users: Sequence[User | None] = (None,),
     on_result: Callable[[QueryRequest, ServingResult], None] | None = None,
 ) -> LoadReport:
-    """Drive a closed-loop load against a running server.
+    """Drive a closed-loop load against a running query front.
 
     ``on_result`` runs on the client thread for every success; anything
     it raises is captured into ``report.failures`` (the run keeps
     going, the caller asserts the list is empty).
     """
     config = config if config is not None else LoadgenConfig()
-    pool = build_query_pool(server.manager.current(), config, users=users)
+    pool = build_query_pool(
+        front.sample_features(config.pool_size), config, users=users
+    )
     report = LoadReport(clients=config.clients)
     lock = threading.Lock()
     deadline_holder: list[float] = [0.0]
@@ -193,7 +202,7 @@ def run_load(
 
     def client(client_id: int) -> None:
         rng = np.random.default_rng(config.seed + 1000 + client_id)
-        issued = completed = hits = rejected = timeouts = errors = 0
+        issued = completed = hits = degraded = rejected = timeouts = errors = 0
         latencies: list[float] = []
         generations: set[int] = set()
         failures: list[str] = []
@@ -209,21 +218,25 @@ def run_load(
             issued += 1
             start = time.perf_counter()
             try:
-                result = server.query(request)
+                result = front.query(request)
             except OverloadedError:
                 rejected += 1
                 time.sleep(config.backoff)
                 continue
-            except ServingError:
+            except DeadlineExpiredError:
                 timeouts += 1
                 continue
             except Exception as exc:  # noqa: BLE001 - surfaced via report
                 errors += 1
-                failures.append(f"client {client_id}: {type(exc).__name__}: {exc}")
+                text = f"client {client_id}: {type(exc).__name__}: {exc}"
+                if text not in failures:  # a dead front fails every attempt alike
+                    failures.append(text)
+                time.sleep(config.backoff)
                 continue
             latencies.append(time.perf_counter() - start)
             completed += 1
             hits += int(result.cache_hit)
+            degraded += int(result.degraded)
             generations.add(result.generation)
             if on_result is not None:
                 try:
@@ -236,6 +249,7 @@ def run_load(
             report.issued += issued
             report.completed += completed
             report.cache_hits += hits
+            report.degraded += degraded
             report.rejected += rejected
             report.timeouts += timeouts
             report.errors += errors

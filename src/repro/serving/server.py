@@ -31,11 +31,13 @@ from functools import partial
 import numpy as np
 
 from repro.database.access import User
-from repro.database.catalog import VideoDatabase
+from repro.database.catalog import RegisteredVideo, VideoDatabase
 from repro.database.events_query import event_concept
 from repro.errors import DeadlineExpiredError, OverloadedError, ReproError, ServingError
+from repro.obs.export import render_prometheus
 from repro.obs.trace import active_tracer
 from repro.resilience.breaker import BreakerState, CircuitBreaker
+from repro.resilience.health import HealthReport, server_health
 from repro.resilience.watchdog import Watchdog
 from repro.serving.cache import ResultCache
 from repro.serving.engine import (
@@ -339,6 +341,24 @@ class QueryServer:
     def refresh(self) -> Snapshot:
         """Rebuild the snapshot from the live database (generation bump)."""
         return self._manager.refresh()
+
+    fanout = 1  #: one process answers; nothing scatters
+
+    def records(self) -> dict[str, RegisteredVideo]:
+        """Registration records of the current snapshot, by title."""
+        return dict(self._manager.current().records)
+
+    def health_report(self) -> HealthReport:
+        """The live / ready / degraded verdict (cheap state only)."""
+        return server_health(self)
+
+    def sample_features(self, n: int = 16) -> list[np.ndarray]:
+        """Evenly spaced stored feature vectors (loadgen pools)."""
+        return self._manager.current().flat.sample(n)
+
+    def metrics_text(self) -> str:
+        """Prometheus exposition of this server's registry."""
+        return render_prometheus(self._metrics.registry)
 
     def attach_ingest(self):
         """Register this server's manager on the ingest corpus hook.

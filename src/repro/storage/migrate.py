@@ -103,13 +103,7 @@ def load_legacy_json(path: str | Path) -> VideoDatabase:
                     int(raw["scene_id"]),
                 )
         for title, raw in payload.get("videos", {}).items():
-            database._videos[title] = RegisteredVideo(
-                title=title,
-                shot_count=int(raw["shot_count"]),
-                scene_count=int(raw["scene_count"]),
-                events={int(k): v for k, v in raw.get("events", {}).items()},
-                degraded_stages=tuple(raw.get("degraded_stages", ())),
-            )
+            database._videos[title] = RegisteredVideo.from_json(title, raw)
     except (OSError, json.JSONDecodeError) as exc:
         raise DatabaseError(f"cannot load database from {path}: {exc}") from exc
     return database

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.audio.diarization import Diarization, diarize_shots
+from repro.audio.diarization import diarize_shots
 from repro.audio.speaker import SpeakerAnalyzer, default_speech_classifier
 from repro.audio.synthesis import VOICE_BANK, synthesize_ambient, synthesize_speech
 from repro.audio.waveform import Waveform

@@ -1,6 +1,5 @@
 """Tests for per-shot speaker analysis."""
 
-import numpy as np
 import pytest
 
 from repro.audio.speaker import (

@@ -13,9 +13,9 @@ from repro.database.index import (
     discriminating_dimensions,
     feature_similarity,
     leaf_signature,
-    route_child,
 )
 from repro.errors import DatabaseError
+from tests.database.oracles import bucket_count, probe, route_child
 
 
 def _entry(video: str, shot_id: int, hot_bin: int) -> ShotEntry:
@@ -67,16 +67,16 @@ class TestLeafHashIndex:
         same = [_entry("v", i, 3) for i in range(4)]
         other = [_entry("v", 10 + i, 200) for i in range(4)]
         leaf = LeafHashIndex(LeafRows.from_entries(same + other), dims=np.arange(64))
-        hits = leaf.probe(same[0].features)
+        hits = probe(leaf, same[0].features)
         assert {h.shot_id for h in hits} == {0, 1, 2, 3}
-        assert leaf.bucket_count == 2
+        assert bucket_count(leaf) == 2
         assert len(leaf) == 8
 
     def test_probe_falls_back_when_bucket_empty(self):
         leaf = LeafHashIndex(LeafRows.from_entries([_entry("v", 0, 3)]), dims=np.arange(64))
         # Query signature that matches no bucket.
         query = _entry("v", 99, 150).features
-        assert len(leaf.probe(query)) == 1
+        assert len(probe(leaf, query)) == 1
 
     def test_signature_stable_under_noise(self, rng):
         entry = _entry("v", 0, 3)

@@ -31,6 +31,7 @@ from repro.storage import (
     build_synthetic_database,
     save_database,
 )
+from tests.database.oracles import probe
 from tests.database.test_query_batched import _scalar_search
 
 #: Super-bin masses around the 0.1 threshold, with exact repeats so two
@@ -246,7 +247,7 @@ class TestLeafContractBothSources:
                 assert leaf.bucket_rows(query).tolist() == bucket
                 candidates = leaf.candidate_rows(query)
                 assert (candidates is None) == (not bucket)
-                probed = leaf.probe(query)  # test_index's two probe cases, on both sources
+                probed = probe(leaf, query)  # test_index's two probe cases, on both sources
                 assert [e.key for e in probed] == [
                     leaf.entry(row).key for row in (bucket or range(len(leaf)))
                 ]

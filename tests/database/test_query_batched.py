@@ -22,13 +22,13 @@ from repro.database.index import (
     build_node,
     combine_features,
     feature_similarity,
-    route_child,
 )
 from repro.database.query import (
     QueryStats,
     RankedShot,
     search_hierarchical,
 )
+from tests.database.oracles import probe, route_child
 
 TOLERANCE = 1e-9
 
@@ -105,7 +105,7 @@ def _scalar_search(root, features, k=10, allowed_leaves=None, beam=2):
     scored = []
     seen = set()
     for leaf in leaves:
-        for entry in leaf.leaf.probe(features):
+        for entry in probe(leaf.leaf, features):
             if entry.key in seen:
                 continue
             seen.add(entry.key)

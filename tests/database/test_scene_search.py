@@ -7,7 +7,6 @@ from repro.database.index import combine_features
 from repro.database.catalog import VideoDatabase
 from repro.database.scene_search import SceneIndex
 from repro.errors import DatabaseError
-from repro.types import EventKind
 
 
 @pytest.fixture(scope="module")

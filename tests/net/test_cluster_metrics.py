@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.net.cluster import ShardCluster

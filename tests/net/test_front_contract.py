@@ -1,0 +1,229 @@
+"""One front surface, three fronts: in-process, sharded, remote.
+
+Everything above a query front — the gateway, the load generator, the
+health command — is written once against
+:class:`~repro.serving.engine.QueryFront`.  Each case here runs against
+the in-process :class:`QueryServer`, a 2-shard in-process cluster and an
+:class:`HttpFront` on a gateway over that same server, and must read
+the same on all three: answers, samples, health, typed errors, load.
+"""
+
+from __future__ import annotations
+
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
+import numpy as np
+import pytest
+
+from repro.cli import main
+from repro.database.access import User
+from repro.errors import (
+    AccessDeniedError,
+    BadRequestError,
+    DeadlineExpiredError,
+    OverloadedError,
+    ServingError,
+    UnknownVideoError,
+)
+from repro.net.client import HttpFront
+from repro.net.gateway import GatewayConfig, HttpGateway
+from repro.obs.export import validate_prometheus_text
+from repro.serving.loadgen import LoadgenConfig, run_load
+from repro.serving.server import QueryRequest
+from repro.types import EventKind
+
+from .test_equivalence import keys
+from .test_gateway import _StallBackend
+from .test_lifecycle_contract import MALFORMED
+
+
+@pytest.fixture(scope="module")
+def gateway(reference):
+    config = GatewayConfig(tokens={"tok-surgeon": User("surgeon", clearance=3)})
+    with HttpGateway(reference, config) as running:
+        yield running
+
+
+@pytest.fixture(scope="module", params=["single", "sharded", "http"])
+def front(request, reference, make_harness, gateway):
+    if request.param == "single":
+        return reference
+    if request.param == "sharded":
+        return make_harness(2).service
+    return HttpFront(gateway.url)
+
+
+def test_stored_probes_answer_alike(front, reference):
+    stored = reference.sample_features(8)
+    assert len(stored) == 8
+    requests = [
+        QueryRequest(kind=kind, features=probe, k=10)
+        for probe in stored
+        for kind in ("shot", "shot_flat", "scene")
+    ]
+    requests.append(QueryRequest(kind="event", event=EventKind.DIALOG))
+    for request in requests:
+        mine, theirs = front.query(request), reference.query(request)
+        assert keys(mine) == keys(theirs) and mine.hits
+        assert mine.comparisons == theirs.comparisons
+        assert not mine.degraded and not mine.shards_missing
+
+
+def test_samples_health_records_and_metrics(front, reference, net_db):
+    corpus = {entry.features.tobytes() for entry in net_db.flat_index.entries}
+    sample = front.sample_features(8)
+    assert len(sample) == 8
+    assert all(v.shape == (266,) and v.tobytes() in corpus for v in sample)
+    report = front.health_report()
+    assert report.exit_code == 0, report.render()
+    if not isinstance(front, HttpFront):  # the serving half of the surface
+        assert sorted(front.records()) == sorted(reference.records())
+        assert front.metrics_text().startswith("#")
+        assert validate_prometheus_text(front.metrics_text()) == []
+        assert front.fanout == (1 if front is reference else 2)
+
+
+def test_typed_errors_are_the_same_type(front, reference):
+    probe = reference.sample_features(1)[0]
+    for fields, message in (MALFORMED[0], MALFORMED[5], MALFORMED[6]):
+        with pytest.raises(BadRequestError, match=message):
+            front.query(QueryRequest(**{"features": probe, **fields}))
+    with pytest.raises(UnknownVideoError, match="not registered"):
+        front.query(
+            QueryRequest(kind="event", event=EventKind.DIALOG, video_title="no-such")
+        )
+    with pytest.raises(DeadlineExpiredError, match="deadline"):
+        # Nothing cached answers this one: the sharded front looks a hit
+        # up before it looks at the clock.
+        front.query(QueryRequest(kind="shot_flat", features=probe * 0.5, timeout=1e-9))
+    # The spent deadline cost each shard one breaker failure; one answer heals it.
+    assert front.query(QueryRequest(kind="shot_flat", features=probe)).hits
+
+
+def test_http_only_errors(gateway, reference):
+    probe = reference.sample_features(1)[0]
+    request = QueryRequest(kind="shot", features=probe, k=3)
+    known = HttpFront(gateway.url, token="tok-surgeon").query(request)
+    assert keys(known) == keys(reference.query(request))
+    with pytest.raises(AccessDeniedError, match="unknown auth token"):
+        HttpFront(gateway.url, token="intruder").query(request)
+    # One identity per front: a per-request user is refused, not dropped.
+    with pytest.raises(BadRequestError, match="one identity"):
+        HttpFront(gateway.url).query(
+            QueryRequest(kind="shot", features=probe, user=User("u", clearance=3))
+        )
+
+
+def test_http_front_rebuilds_the_type_from_the_status():
+    """Against literal statuses, not the gateway's table: the two must agree."""
+
+    class Canned(BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802 - http.server's naming
+            status = int(self.headers["X-Deadline-Ms"].split(".")[0])
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = b'{"error": "canned"}'
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *_args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Canned)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        front = HttpFront(f"http://127.0.0.1:{server.server_port}")
+        for status, kind in (
+            (400, BadRequestError),
+            (401, AccessDeniedError),
+            (404, UnknownVideoError),
+            (503, OverloadedError),
+            (504, DeadlineExpiredError),
+            (500, ServingError),
+            (502, ServingError),
+        ):
+            with pytest.raises(kind, match=f"HTTP {status}: canned") as raised:
+                # The stub answers the status it finds in the deadline header.
+                front.query(QueryRequest(kind="event", timeout=status / 1e3))
+            assert type(raised.value) is kind
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_saturated_gateway_is_overloaded():
+    stalled = _StallBackend()
+    with HttpGateway(stalled, GatewayConfig(max_inflight=1)) as gateway:
+        front = HttpFront(gateway.url)
+        request = QueryRequest(kind="shot", features=np.zeros(1))
+        occupant = threading.Thread(target=front.query, args=(request,), daemon=True)
+        occupant.start()
+        try:
+            for _ in range(200):  # until the stalled request holds the only slot
+                if gateway._inflight._value == 0:  # noqa: SLF001
+                    break
+                threading.Event().wait(0.01)
+            with pytest.raises(OverloadedError, match="capacity"):
+                front.query(request)
+        finally:
+            stalled.release.set()
+            occupant.join(timeout=5.0)
+        assert not occupant.is_alive()
+
+
+def test_one_load_generator_drives_every_front(front):
+    report = run_load(front, LoadgenConfig(clients=2, duration=0.3, timeout=5.0))
+    assert report.failures == []
+    assert report.errors == 0
+    assert report.completed > 0
+    assert report.generations == {1}
+
+
+def test_http_load_honours_the_ann_knobs(gateway):
+    reranked = []
+
+    def on_result(request, result):
+        if request.kind == "shot":
+            reranked.append(result.reranked)
+
+    report = run_load(
+        HttpFront(gateway.url),
+        LoadgenConfig(clients=2, duration=0.3, timeout=5.0, nprobe=4),
+        on_result=on_result,
+    )
+    assert report.failures == [] and report.errors == 0
+    assert reranked and all(count > 0 for count in reranked)
+    argv = ["loadtest", "--http", gateway.url, "--nprobe", "4", "--duration", "0.3"]
+    assert main(argv) == 0
+
+
+def test_load_report_classifies_by_error_type(reference):
+    """Overload is ``rejected``, a spent deadline ``timeouts``, the rest ``errors``."""
+
+    class Flaky:
+        calls = 0
+
+        def sample_features(self, n):
+            return reference.sample_features(n)
+
+        def query(self, request):
+            self.calls += 1  # one client: no lock
+            turn = self.calls % 4
+            if turn == 0:
+                raise OverloadedError("queue full")
+            if turn == 1:
+                raise DeadlineExpiredError("deadline spent")
+            if turn == 2:
+                raise UnknownVideoError("the front broke")
+            return reference.query(request)
+
+    report = run_load(
+        Flaky(), LoadgenConfig(clients=1, duration=5.0, requests_per_client=8)
+    )
+    assert (report.rejected, report.timeouts, report.errors, report.completed) == (
+        2, 2, 2, 2
+    )
+    assert report.failures == ["client 0: UnknownVideoError: the front broke"]
+    assert report.degraded == 0

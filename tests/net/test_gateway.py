@@ -17,8 +17,8 @@ from repro.errors import (
     ServingError,
     UnknownVideoError,
 )
-from repro.net.gateway import GatewayConfig, HttpGateway, _Backend, probe_health
-from repro.obs import get_registry
+from repro.net.client import HttpFront
+from repro.net.gateway import GatewayConfig, HttpGateway
 from repro.obs.export import validate_prometheus_text
 from repro.serving.server import QueryRequest, ServingResult
 
@@ -116,12 +116,12 @@ class TestEndpoints:
         assert 1 <= len(body["features"]) <= 5
 
     def test_probe_health_helper(self, gw):
-        report = probe_health(gw.url)
+        report = HttpFront(gw.url).health_report()
         assert report.live and report.ready
         assert report.exit_code == 0
 
     def test_probe_health_reports_down_on_dead_server(self):
-        report = probe_health("http://127.0.0.1:9")  # discard port
+        report = HttpFront("http://127.0.0.1:9").health_report()  # discard port
         assert not report.live and not report.ready
         assert report.exit_code == 2
 
@@ -213,8 +213,10 @@ class TestAuthScoping:
             ] == [(h.entry.video_title, h.entry.shot_id) for h in direct.hits]
 
 
-class _StallBackend(_Backend):
-    """Backend whose queries park until released (saturation tests)."""
+class _StallBackend:
+    """Front whose queries park until released (saturation tests)."""
+
+    fanout = 1
 
     def __init__(self):
         self.release = threading.Event()
@@ -228,9 +230,6 @@ class _StallBackend(_Backend):
             cache_hit=False,
             elapsed_seconds=0.0,
         )
-
-    def metrics_registry(self):
-        return get_registry()
 
 
 class TestSaturation:
@@ -269,16 +268,14 @@ class TestSaturation:
             gateway.stop()
 
 
-class _RaisingBackend(_Backend):
-    """Backend whose queries raise whatever the test loaded."""
+class _RaisingBackend:
+    """Front whose queries raise whatever the test loaded."""
 
+    fanout = 1
     error: Exception
 
     def query(self, request):
         raise self.error
-
-    def metrics_registry(self):
-        return get_registry()
 
 
 class TestStatusByErrorType:
@@ -385,9 +382,7 @@ class TestAdminRestart:
 
     def test_single_shard_restart(self, clustered):
         gateway, cluster = clustered
-        from repro.net.gateway import request_restart
-
-        result = request_restart(gateway.url, shard=1, graceful=True)
+        result = HttpFront(gateway.url).restart(shard=1, graceful=True)
         assert result["rolling"] is False
         assert result["restarted"] == [
             {"shard": 1, "graceful": True, "seconds": 0.1}
@@ -396,9 +391,7 @@ class TestAdminRestart:
 
     def test_rolling_restart(self, clustered):
         gateway, cluster = clustered
-        from repro.net.gateway import request_restart
-
-        result = request_restart(gateway.url, rolling=True, graceful=False)
+        result = HttpFront(gateway.url).restart(rolling=True, graceful=False)
         assert result["rolling"] is True
         assert [r["shard"] for r in result["restarted"]] == [0, 1]
         assert cluster.calls == [("rolling", False)]
@@ -415,11 +408,8 @@ class TestAdminRestart:
 
     def test_neither_rolling_nor_shard_is_400(self, clustered):
         gateway, _ = clustered
-        from repro.errors import ServingError
-        from repro.net.gateway import request_restart
-
         with pytest.raises(ServingError, match="HTTP 400"):
-            request_restart(gateway.url)
+            HttpFront(gateway.url).restart()
 
     def test_health_reports_cluster_fleet(self, clustered):
         gateway, _ = clustered

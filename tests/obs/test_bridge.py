@@ -133,6 +133,5 @@ class TestHotPathCollectors:
         INDEX_STATS.reset()
         assert set(INDEX_STATS.snapshot()) == {
             "descents",
-            "routes",
             "center_block_builds",
         }

@@ -99,18 +99,70 @@ class TestMergedRender:
         assert "# TYPE worker_cache_entries gauge" in text
 
     def test_single_unlabelled_dump_matches_direct_render(self):
-        registry = _worker_registry(4, 0.25)
-        direct = render_prometheus(registry)
-        merged = render_prometheus_dumps([({}, registry.dump())])
-        # Same families, samples and values; both validate.
-        assert validate_prometheus_text(merged) == []
-        direct_samples = sorted(
-            line for line in direct.splitlines() if not line.startswith("#")
-        )
-        merged_samples = sorted(
-            line for line in merged.splitlines() if not line.startswith("#")
-        )
-        assert direct_samples == merged_samples
+        # ``render_prometheus`` is the one-source case of the merged
+        # renderer; GOLDEN is what the separate direct renderer it
+        # replaced printed for this registry, byte for byte.
+        registry = MetricsRegistry()
+        registry.counter("requests_total", "Requests served.").inc(3)
+        depth = registry.gauge("queue_depth", 'Pending "items".', labelnames=("pool",))
+        depth.labels(pool="a\\b").set(2.5)
+        depth.labels(pool="z").set(-1)
+        latency = registry.histogram("latency_seconds", "Latency.", labelnames=("op",))
+        for value in (0.0001, 0.003, 0.2, 7.5, 1e6):
+            latency.labels(op="probe").record(value)
+        registry.histogram("empty_seconds", "Never observed.")
+        registry.register_collector(lambda: {"kernel_chunks_total": 12.0, "a_gauge": 0.5})
+        assert render_prometheus(registry) == GOLDEN
+        assert render_prometheus_dumps([({}, registry.dump())]) == GOLDEN
+        assert validate_prometheus_text(GOLDEN) == []
 
     def test_empty_input_renders_empty(self):
         assert render_prometheus_dumps([]) == ""
+
+
+GOLDEN = """\
+# HELP latency_seconds Latency.
+# TYPE latency_seconds histogram
+latency_seconds_bucket{op="probe",le="1e-06"} 0
+latency_seconds_bucket{op="probe",le="2e-06"} 0
+latency_seconds_bucket{op="probe",le="4e-06"} 0
+latency_seconds_bucket{op="probe",le="8e-06"} 0
+latency_seconds_bucket{op="probe",le="1.6e-05"} 0
+latency_seconds_bucket{op="probe",le="3.2e-05"} 0
+latency_seconds_bucket{op="probe",le="6.4e-05"} 0
+latency_seconds_bucket{op="probe",le="0.000128"} 1
+latency_seconds_bucket{op="probe",le="0.000256"} 1
+latency_seconds_bucket{op="probe",le="0.000512"} 1
+latency_seconds_bucket{op="probe",le="0.001024"} 1
+latency_seconds_bucket{op="probe",le="0.002048"} 1
+latency_seconds_bucket{op="probe",le="0.004096"} 2
+latency_seconds_bucket{op="probe",le="0.008192"} 2
+latency_seconds_bucket{op="probe",le="0.016384"} 2
+latency_seconds_bucket{op="probe",le="0.032768"} 2
+latency_seconds_bucket{op="probe",le="0.065536"} 2
+latency_seconds_bucket{op="probe",le="0.131072"} 2
+latency_seconds_bucket{op="probe",le="0.262144"} 3
+latency_seconds_bucket{op="probe",le="0.524288"} 3
+latency_seconds_bucket{op="probe",le="1.048576"} 3
+latency_seconds_bucket{op="probe",le="2.097152"} 3
+latency_seconds_bucket{op="probe",le="4.194304"} 3
+latency_seconds_bucket{op="probe",le="8.388608"} 4
+latency_seconds_bucket{op="probe",le="16.777216"} 4
+latency_seconds_bucket{op="probe",le="33.554432"} 4
+latency_seconds_bucket{op="probe",le="67.108864"} 4
+latency_seconds_bucket{op="probe",le="+Inf"} 5
+latency_seconds_sum{op="probe"} 1000007.7031
+latency_seconds_count{op="probe"} 5
+# HELP queue_depth Pending "items".
+# TYPE queue_depth gauge
+queue_depth{pool="a\\\\b"} 2.5
+queue_depth{pool="z"} -1.0
+# HELP requests_total Requests served.
+# TYPE requests_total counter
+requests_total 3.0
+# collected gauges (read-time collectors)
+# TYPE a_gauge gauge
+a_gauge 0.5
+# TYPE kernel_chunks_total gauge
+kernel_chunks_total 12.0
+"""

@@ -20,10 +20,10 @@ from repro.types import EventKind
 class TestPool:
     def test_pool_is_deterministic_and_mixed(self, serving_db):
         with QueryServer(serving_db) as server:
-            snapshot = server.manager.current()
+            stored = server.sample_features(64)
             config = LoadgenConfig(pool_size=64, seed=7)
-            first = build_query_pool(snapshot, config)
-            second = build_query_pool(snapshot, config)
+            first = build_query_pool(stored, config)
+            second = build_query_pool(stored, config)
             assert [r.kind for r in first] == [r.kind for r in second]
             kinds = {r.kind for r in first}
             assert {"shot", "scene"} <= kinds
@@ -32,7 +32,7 @@ class TestPool:
         surgeon = User("surgeon", clearance=3)
         with QueryServer(serving_db) as server:
             pool = build_query_pool(
-                server.manager.current(),
+                server.sample_features(64),
                 LoadgenConfig(pool_size=64, seed=3),
                 users=(surgeon,),
             )

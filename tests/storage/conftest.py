@@ -19,15 +19,7 @@ from repro.storage import SQLVideoDatabase, build_synthetic_database, save_datab
 def write_legacy_json(database, path: Path) -> None:
     """A JSON-era ``database.json`` holding ``database`` (nothing in src writes one)."""
     payload = {
-        "videos": {
-            title: {
-                "shot_count": video.shot_count,
-                "scene_count": video.scene_count,
-                "events": video.events,
-                "degraded_stages": list(video.degraded_stages),
-            }
-            for title, video in database.videos.items()
-        },
+        "videos": {title: video.to_json() for title, video in database.videos.items()},
         "leaves": {
             name: [
                 {

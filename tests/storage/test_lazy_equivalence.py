@@ -295,11 +295,10 @@ class TestPicksBuildOnlyThePickedRows:
         assert counted["leaf_rows"] == 0
 
     def test_workload_sample(self, lazy_db, counted):
-        from repro.net.gateway import _LocalBackend
         from repro.serving import QueryServer
 
         with QueryServer(lazy_db) as server:
-            sample = _LocalBackend(server).sample_features(16)
+            sample = server.sample_features(16)
         assert len(sample) == 16
         assert counted["entry"] == 16
         assert counted["leaf_rows"] == 0

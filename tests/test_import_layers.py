@@ -10,7 +10,8 @@ program, miners included: numpy is the only runtime dependency.  The
 lazily exporting packages keep their public surface: same ``__all__``,
 every name resolves, star imports work.  No linter runs here (neither
 ``pyflakes`` nor ``ruff`` is installed), so an ``ast`` pass also refuses
-an import nothing in its module uses.
+an import nothing in its module uses — in ``src/``, the tests, the
+examples and the paper benchmarks alike.
 """
 
 from __future__ import annotations
@@ -288,5 +289,12 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    unused = [hit for path in sorted(Path(SRC).rglob("*.py")) for hit in _unused_imports(path)]
+    root = Path(SRC).parent
+    scanned = [
+        *Path(SRC).rglob("*.py"),
+        *(root / "tests").rglob("*.py"),
+        *(root / "examples").glob("*.py"),
+        *(root / "benchmarks").glob("bench_*.py"),
+    ]
+    unused = [hit for path in sorted(scanned) for hit in _unused_imports(path)]
     assert unused == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import VisionError
-from repro.vision.regions import Region, filter_regions, label_regions
+from repro.vision.regions import filter_regions, label_regions
 
 
 class TestLabelRegions:

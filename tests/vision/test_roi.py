@@ -7,7 +7,6 @@ from repro.errors import VisionError
 from repro.video.frame import Frame, blank_frame
 from repro.video.synthesis.compositions import ShotParams, render_composition
 from repro.vision.roi import (
-    RegionOfInterest,
     background_mask,
     extract_rois,
     match_rois,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import VisionError
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
 from repro.vision.texture import (
     TEXTURE_DIM,
     coarseness_map,
