@@ -300,23 +300,26 @@ def _require_db_dir(args: argparse.Namespace) -> None:
         )
 
 
+def _front_knobs(args: argparse.Namespace) -> dict:
+    """The ``ServerConfig`` fields the serving flags set, on either front."""
+    return dict(
+        queue_depth=args.queue_depth,
+        default_timeout=args.timeout,
+        ann_nprobe=args.nprobe,
+        ann_rerank_k=args.rerank_k,
+    )
+
+
 def _serving_server(args: argparse.Namespace):
     from repro.obs import get_registry
     from repro.serving import QueryServer, ServerConfig, ServingMetrics
     from repro.storage import load_database
 
     database = load_database(args.db_dir)
-    config = ServerConfig(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        default_timeout=args.timeout,
-        ann_nprobe=getattr(args, "nprobe", None),
-        ann_rerank_k=getattr(args, "rerank_k", None),
-    )
     # CLI servers report through the process-global registry so
     # ``classminer obs export`` and the Prometheus text cover them.
     metrics = ServingMetrics(registry=get_registry())
-    return QueryServer(database, config, metrics=metrics)
+    return QueryServer(database, ServerConfig(**_front_knobs(args)), metrics=metrics)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -400,12 +403,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             backend = ShardedQueryService(
                 spec,
                 cluster.endpoints,
-                config=CoordinatorConfig(
-                    queue_depth=args.queue_depth,
-                    default_timeout=args.timeout,
-                    ann_nprobe=getattr(args, "nprobe", None),
-                    ann_rerank_k=getattr(args, "rerank_k", None),
-                ),
+                config=CoordinatorConfig(**_front_knobs(args)),
                 metrics=ServingMetrics(registry=get_registry()),
             )
             stack.callback(backend.close)
@@ -753,13 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
             "a running server via --url/--http)",
         )
         sub_parser.add_argument(
-            "--workers", type=int, default=4, help="worker threads (default: 4)"
-        )
-        sub_parser.add_argument(
             "--queue-depth",
             type=int,
             default=64,
-            help="bounded admission queue depth (default: 64)",
+            help="concurrent queries admitted (default: 64)",
         )
         sub_parser.add_argument(
             "--timeout",

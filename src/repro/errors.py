@@ -22,8 +22,8 @@ fans out by subsystem:
     │   ├── ``BadRequestError`` — the request itself is malformed
     │   │   (unknown kind, missing features, ``k < 1``, …); the HTTP
     │   │   gateway maps the *type* to 400.
-    │   ├── ``OverloadedError`` — bounded admission queue full; shed
-    │   │   and retry instead of queueing without bound.
+    │   ├── ``OverloadedError`` — ``queue_depth`` queries are already in
+    │   │   flight; shed and retry instead of queueing without bound.
     │   ├── ``CircuitOpenError`` — a circuit breaker is open; the
     │   │   protected operation was not attempted (fail fast, retry
     │   │   after the breaker's reset timeout).
@@ -35,7 +35,7 @@ fans out by subsystem:
     │   │   └── ``WorkerDrainingError`` — the worker is draining and
     │   │       refused new work; retry lands on its replacement.
     │   ├── ``DeadlineExpiredError`` — the query's deadline ran out
-    │   │   (queued for admission, waiting for the answer, before or
+    │   │   (spent on arrival, answer ready too late, before or
     │   │   during a shard call).  *Not* transient: there is no budget
     │   │   left to retry with; the gateway maps the *type* to 504.
     │   └── ``NoShardAnsweredError`` — a scatter phase got no response
@@ -133,7 +133,7 @@ class BadRequestError(ServingError):
 
 
 class OverloadedError(ServingError):
-    """The server's bounded admission queue rejected the request."""
+    """Bounded admission refused the request: too many queries in flight."""
 
 
 class CircuitOpenError(ServingError):
@@ -173,8 +173,8 @@ class WorkerDrainingError(RpcTransportError):
 
 
 class DeadlineExpiredError(ServingError):
-    """The query deadline ran out: queued for admission, waiting for the
-    answer, or before (or during) a shard call.
+    """The query deadline ran out: spent on arrival, spent by the time the
+    answer was ready, or before (or during) a shard call.
 
     Deliberately *not* an :class:`RpcTransportError`: with no budget
     left there is nothing to retry with, so the coordinator fails the

@@ -68,14 +68,13 @@ from repro.errors import (
     DatabaseError,
     DeadlineExpiredError,
     NoShardAnsweredError,
-    OverloadedError,
     RpcTransportError,
     ServingError,
 )
 from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
 from repro.net.shard import ShardSpec, build_routing_tree
 from repro.obs.export import render_prometheus_dumps
-from repro.obs.trace import Span, active_tracer, new_trace_id, span as obs_span
+from repro.obs.trace import Span, active_tracer, span as obs_span
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.health import HealthCheck, HealthReport
 from repro.resilience.retry import RetryPolicy
@@ -85,27 +84,19 @@ from repro.serving.engine import (
     ExplainSink,
     QueryEngine,
     QueryRequest,
+    ServerConfig,
     ServingResult,
-    validate_front_config,
-    validate_request,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.types import EventKind
 
 
 @dataclass(frozen=True)
-class CoordinatorConfig:
-    """Tuning knobs of one :class:`ShardedQueryService`.
+class CoordinatorConfig(ServerConfig):
+    """:class:`~repro.serving.engine.ServerConfig` plus the fleet's knobs.
 
     Attributes
     ----------
-    queue_depth:
-        Concurrent queries admitted; beyond it, callers get
-        :class:`~repro.errors.OverloadedError` (HTTP 503 upstream).
-    default_timeout:
-        Per-query deadline when the request carries none.
-    cache_capacity:
-        Resident entries in the LRU result cache.
     beam:
         Descent width (must match the single-process server for
         bit-identical results; both default to 2).
@@ -113,14 +104,6 @@ class CoordinatorConfig:
         Per-shard circuit breaker: consecutive failures to open, and
         seconds until a half-open retry.  The reset is deliberately
         short — a respawned worker should be folded back in quickly.
-    ann_nprobe / ann_rerank_k:
-        Default ANN knobs folded into ``shot`` requests that carry no
-        ``nprobe`` of their own — the sharded mirror of
-        :class:`~repro.serving.server.ServerConfig`'s knobs.  Each
-        shard prunes with its *own* trained quantizer; candidate
-        scores stay kernel-exact, so ``nprobe`` covering every cell
-        with an unbounded re-rank tail reproduces the exact answer
-        bit for bit.
     rpc_retries / rpc_backoff / rpc_max_delay:
         Retry budget for *transient* shard-call failures
         (:class:`~repro.errors.RpcTransportError`: reset, refused
@@ -138,21 +121,16 @@ class CoordinatorConfig:
         executor entirely — the disarmed path is the plain direct call.
     """
 
-    queue_depth: int = 64
-    default_timeout: float | None = 5.0
-    cache_capacity: int = 512
     beam: int = 2
     breaker_threshold: int = 3
     breaker_reset: float = 1.0
-    ann_nprobe: int | None = None
-    ann_rerank_k: int | None = None
     rpc_retries: int = 2
     rpc_backoff: float = 0.02
     rpc_max_delay: float = 0.25
     hedge_after_ms: float | None = None
 
     def __post_init__(self) -> None:
-        validate_front_config(self)
+        super().__post_init__()
         if self.beam < 1:
             raise ServingError("beam must be >= 1")
         if self.rpc_retries < 0:
@@ -271,7 +249,6 @@ class ShardedQueryService:
             if self.config.hedge_after_ms is not None
             else None
         )
-        self._admission = threading.BoundedSemaphore(self.config.queue_depth)
         self._generation = 1
         self._records_lock = threading.Lock()
         self._records: dict[str, RegisteredVideo] = {}
@@ -281,17 +258,17 @@ class ShardedQueryService:
         # another thread's ``_ensure_records`` may be growing.
         self._degraded_videos = False
         self._last_errors: dict[int, str] = {}
-        self._closed = False
         # Prime registration records (event queries, skims, degradation
         # flags).  Per-shard failures are tolerated here — the fetch
         # retries lazily once the shard comes back.
-        self._ensure_records(self._deadline(None))
+        self._ensure_records(self._deadline())
+        self._engine.open()
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut the scatter pool down (endpoints are the caller's)."""
-        self._closed = True
+        """Drain the engine, then shut the pools down (endpoints are the caller's)."""
+        self._engine.close()
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self._hedge_pool is not None:
             self._hedge_pool.shutdown(wait=False, cancel_futures=True)
@@ -341,15 +318,15 @@ class ShardedQueryService:
 
     def records(self) -> dict[str, RegisteredVideo]:
         """Merged registration records of every reachable shard."""
-        self._ensure_records(self._deadline(None))
+        self._ensure_records(self._deadline())
         with self._records_lock:
             return dict(self._records)
 
     # -- scatter plumbing ----------------------------------------------
 
-    def _deadline(self, timeout: float | None) -> float | None:
-        if timeout is None:
-            timeout = self.config.default_timeout
+    def _deadline(self) -> float | None:
+        """When a maintenance scatter (records, reload, ping) gives up."""
+        timeout = self.config.default_timeout
         return None if timeout is None else time.perf_counter() + timeout
 
     def _shard_call(
@@ -605,36 +582,8 @@ class ShardedQueryService:
     # -- the public query path -----------------------------------------
 
     def query(self, request: QueryRequest) -> ServingResult:
-        """Execute one query with scatter-gather; blocking.
-
-        Raises :class:`~repro.errors.OverloadedError` beyond
-        ``queue_depth`` concurrent queries, and typed errors exactly
-        like the single-process server for malformed requests.
-        """
-        validate_request(request)
-        if self._closed:
-            raise ServingError("sharded service is closed")
-        if not self._admission.acquire(blocking=False):
-            self._metrics.record_rejection()
-            raise OverloadedError(
-                f"coordinator at capacity ({self.config.queue_depth} "
-                "in flight); back off and retry"
-            )
-        try:
-            # Inside an adopted trace (the gateway's) keep its id; as
-            # the entry point, mint one so worker spans stay consistent.
-            tracer = active_tracer()
-            trace_id = (
-                (tracer.current_trace_id() or new_trace_id())
-                if tracer.enabled
-                else None
-            )
-            with tracer.adopt(None, trace_id):
-                return self._engine.execute(
-                    request, self._deadline(request.timeout)
-                )
-        finally:
-            self._admission.release()
+        """Answer one request on the calling thread (see the engine)."""
+        return self._engine.query(request)
 
     # -- the engine's backend seam -------------------------------------
 
@@ -950,7 +899,7 @@ class ShardedQueryService:
         catalogs, the coordinator's cache drops the old generation, and
         registration records are re-fetched.
         """
-        deadline = self._deadline(None)
+        deadline = self._deadline()
         responses, missing = self._scatter({"op": "reload"}, deadline)
         self._require_responses(responses, missing)
         self._generation += 1
@@ -966,7 +915,7 @@ class ShardedQueryService:
         """Corpus feature vectors sampled across shards (loadgen pools)."""
         per_shard = max(1, -(-n // max(1, len(self._endpoints))))
         responses, _missing = self._scatter(
-            {"op": "sample", "n": per_shard}, self._deadline(None)
+            {"op": "sample", "n": per_shard}, self._deadline()
         )
         pools = [
             [unpack_array(packed) for packed in response["features"]]
@@ -987,9 +936,7 @@ class ShardedQueryService:
         breaker-open shard is simply missing — the merged view degrades
         instead of failing.
         """
-        responses, missing = self._scatter(
-            {"op": "metrics"}, self._deadline(None)
-        )
+        responses, missing = self._scatter({"op": "metrics"}, self._deadline())
         dumps = {
             shard_id: response.get("metrics", {})
             for shard_id, response in responses.items()
@@ -1020,9 +967,10 @@ class ShardedQueryService:
 
     def health_report(self) -> HealthReport:
         """Live/ready/degraded verdict over the shard fleet."""
-        responses, missing = self._scatter(
-            {"op": "ping"}, self._deadline(None)
-        )
+        if not self._engine.is_open:  # the scatter pool went with close()
+            stopped = [HealthCheck("front", False, "stopped")]
+            return HealthReport(live=False, ready=False, degraded=False, checks=stopped)
+        responses, missing = self._scatter({"op": "ping"}, self._deadline())
         checks = []
         for shard_id in sorted(self._endpoints):
             endpoint = self._endpoints[shard_id]

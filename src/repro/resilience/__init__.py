@@ -6,13 +6,13 @@ injectable, contained, observable and recoverable by design:
 * :mod:`repro.resilience.faults` — seeded, deterministic
   :class:`FaultPlan` (error / latency / corruption faults) armed at
   named fault points instrumented through the mine pipeline, ingest
-  executor, artifact store, snapshot rebuild and serving workers;
+  executor, artifact store, snapshot rebuild and query engine;
   zero-cost when disarmed (the :data:`NULL_PLAN` default).
 * :mod:`repro.resilience.breaker` — closed/open/half-open
   :class:`CircuitBreaker` guarding snapshot rebuilds and the result
   cache, failing fast with :class:`~repro.errors.CircuitOpenError`.
 * :mod:`repro.resilience.watchdog` — :class:`Watchdog` repair loop the
-  query server uses to resurrect dead worker threads.
+  shard cluster uses to respawn dead worker processes.
 * :mod:`repro.resilience.integrity` — per-artifact content checksums,
   read-time verification, quarantine of corrupt entries
   (:class:`~repro.errors.IntegrityError`), transparent re-mine.

@@ -3,9 +3,8 @@
 :func:`server_health` distils one :class:`~repro.serving.server.QueryServer`
 into the three answers an orchestrator asks:
 
-* **live** — is the process serving at all?  The worker pool is running
-  and every configured worker thread is alive (the watchdog repairs
-  stragglers; a dead pool is dead).
+* **live** — is the front accepting queries?  Its engine is open
+  (started, not stopped); the same test the sharded front applies.
 * **ready** — can it answer correctly?  A snapshot generation exists
   and indexes at least one shot.
 * **degraded** — is it answering from a weakened position?  True when
@@ -13,9 +12,9 @@ into the three answers an orchestrator asks:
   generation), a circuit breaker is not closed, the result cache has
   been bypassed, or the corpus contains degraded mine results.
 
-The report also folds in process-wide registry gauges (quarantined
-artifacts, worker resurrections) so ``classminer health`` gives one
-combined view.  Exit-code mapping: ``ok`` 0, ``degraded`` 1, ``down`` 2.
+The report also folds in the process-wide count of quarantined
+artifacts so ``classminer health`` gives one combined view.  Exit-code
+mapping: ``ok`` 0, ``degraded`` 1, ``down`` 2.
 """
 
 from __future__ import annotations
@@ -80,22 +79,18 @@ def _registry_value(name: str) -> float:
 def server_health(server) -> HealthReport:
     """Build a :class:`HealthReport` for one query server.
 
-    Reads only cheap state: thread liveness, the current snapshot's
-    bookkeeping, breaker states and registry gauges — never executes a
-    query, so it is safe to call from a tight probe loop.
+    Reads only cheap state: the engine's admission state, the current
+    snapshot's bookkeeping, breaker states and registry gauges — never
+    executes a query, so it is safe to call from a tight probe loop.
     """
     checks: list[HealthCheck] = []
 
-    alive = server.alive_workers
-    workers_ok = server.running and alive == server.config.workers
-    checks.append(
-        HealthCheck(
-            "workers",
-            workers_ok,
-            f"{alive}/{server.config.workers} alive"
-            + ("" if server.running else ", pool stopped"),
-        )
+    live = server.engine.is_open
+    accepting = (
+        f"accepting queries, {server.engine.in_flight} of "
+        f"{server.config.queue_depth} in flight"
     )
+    checks.append(HealthCheck("front", live, accepting if live else "stopped"))
 
     manager = server.manager
     generation = manager.generation
@@ -139,21 +134,17 @@ def server_health(server) -> HealthReport:
     )
 
     quarantined = _registry_value("ingest_artifacts_quarantined_total")
-    resurrections = server.metrics.registry.snapshot().get(
-        "serving_worker_resurrections_total", 0.0
-    )
     checks.append(
         HealthCheck(
             "history",
             True,
             f"{int(quarantined)} artifacts quarantined, "
-            f"{int(resurrections)} workers resurrected, "
             f"{server.metrics.counter('errors')} query errors",
         )
     )
 
     return HealthReport(
-        live=workers_ok,
+        live=live,
         ready=ready,
         degraded=stale or not cache_ok or not corpus_ok,
         checks=checks,

@@ -1,11 +1,11 @@
-"""Worker watchdog: detect and repair dead threads.
+"""Worker watchdog: detect and repair what died.
 
 A :class:`Watchdog` is a small daemon thread that periodically invokes
 a *repair check* — a callable that inspects some pool, resurrects
-whatever died, and returns how many repairs it made.  The serving layer
-hands it :meth:`QueryServer._repair_workers
-<repro.serving.server.QueryServer>`; anything long-running with
-resurrectable threads can use it the same way.
+whatever died, and returns how many repairs it made.
+:class:`~repro.net.cluster.ShardCluster` hands it the check that
+respawns dead shard worker processes; the in-process query front runs
+queries on their callers' threads and has nothing to watch.
 
 The check itself must be safe to call at any time (the watchdog holds
 no locks for it) and must never raise — a raising check is caught and

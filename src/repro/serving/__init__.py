@@ -9,12 +9,13 @@ access" requirement at many-user scale):
   digest, principal scope and generation (access resolved *before*
   lookup, never after);
 * :mod:`repro.serving.engine` — the one request lifecycle (validate,
-  scope, cache, execute, account, explain) shared with the sharded
-  front in :mod:`repro.net.coordinator`, and ``QueryFront``, the one
-  surface everything above a front (gateway, load generator, health)
-  is written against;
-* :mod:`repro.serving.server` — worker pool, bounded admission queue,
-  per-query deadlines, typed overload rejection;
+  admit, deadline, scope, cache, execute, account, explain), run on the
+  caller's thread and shared with the sharded front in
+  :mod:`repro.net.coordinator`; ``ServerConfig``, the knobs it reads;
+  and ``QueryFront``, the one surface everything above a front
+  (gateway, load generator, health) is written against;
+* :mod:`repro.serving.server` — the in-process front: snapshot manager,
+  per-request generation pinning, ingest hook, health and describe;
 * :mod:`repro.serving.metrics` — counters and latency histograms with
   a plain-text dump;
 * :mod:`repro.serving.loadgen` — the closed-loop multi-threaded load
@@ -38,14 +39,14 @@ from repro.serving.loadgen import (
     build_query_pool,
     run_load,
 )
-from repro.serving.engine import QueryFront
-from repro.serving.metrics import QUERY_KINDS, ServingMetrics
-from repro.serving.server import (
+from repro.serving.engine import (
+    QueryFront,
     QueryRequest,
-    QueryServer,
     ServerConfig,
     ServingResult,
 )
+from repro.serving.metrics import QUERY_KINDS, ServingMetrics
+from repro.serving.server import QueryServer
 from repro.serving.snapshot import (
     Snapshot,
     SnapshotManager,

@@ -1,21 +1,27 @@
 """The one request lifecycle behind both query fronts.
 
-:class:`QueryEngine` owns every step a query takes between admission
-and answer, for the in-process :class:`~repro.serving.server.QueryServer`
+:class:`QueryEngine` owns every step a query takes between arrival and
+answer, for the in-process :class:`~repro.serving.server.QueryServer`
 and the sharded :class:`~repro.net.coordinator.ShardedQueryService`
-alike::
+alike, and runs all of it on the thread that called
+:meth:`QueryEngine.query`::
 
-    validate -> fold ANN defaults -> resolve + memoise scope -> CacheKey
+    validate -> admission (queue_depth in flight, else OverloadedError)
+      -> absolute deadline; already spent = DeadlineExpiredError
+      -> fold ANN defaults -> resolve + memoise scope -> CacheKey
       -> breaker-guarded cache lookup (explain bypasses)
       -> backend.run(request, leaves, deadline, explain sink)
       -> assemble ServingResult -> cache-put policy -> metrics
       -> slow log -> explain envelope
+      -> deadline again: a late answer is DeadlineExpiredError
 
 The only variable is the :class:`QueryBackend` seam — *where* the
 leaves are scanned.  Access scope is resolved **before** the cache
 lookup and is part of the key, so a cached result can never cross a
 clearance boundary; answers weakened by a missing shard or an ANN
 fallback are never cached, and neither are explain executions.
+Rejections, missed deadlines and errors are counted here and nowhere
+else, so the two fronts cannot account for them differently.
 """
 
 from __future__ import annotations
@@ -28,9 +34,20 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 import numpy as np
 
 from repro.database.access import User
-from repro.errors import BadRequestError, ServingError
+from repro.errors import (
+    BadRequestError,
+    DeadlineExpiredError,
+    OverloadedError,
+    ReproError,
+    ServingError,
+)
 from repro.obs.slowlog import SlowQuery, get_slow_log
-from repro.obs.trace import current_trace_id, span as obs_span
+from repro.obs.trace import (
+    active_tracer,
+    current_trace_id,
+    new_trace_id,
+    span as obs_span,
+)
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_point
 from repro.serving.cache import CacheKey, ResultCache, request_digest, scope_token
@@ -83,8 +100,8 @@ class ServingResult:
     ``hits`` is the kind-specific payload (``RankedShot`` /
     ``RankedScene`` / ``EventHit`` lists); ``generation`` names the
     corpus generation the answer was computed against;
-    ``elapsed_seconds`` is the execution time (queue wait excluded),
-    measured on the monotonic clock.
+    ``elapsed_seconds`` is the execution time, measured on the
+    monotonic clock.
 
     ``degraded`` is True when the answer comes from a weakened
     position: the last snapshot rebuild failed (so the generation is
@@ -126,8 +143,8 @@ class ServingResult:
 def validate_request(request: QueryRequest) -> None:
     """Reject a malformed request with :class:`BadRequestError`.
 
-    Fronts call this at admission, on the caller's thread, so a bad
-    request never costs a queue slot or a scatter.
+    The first thing :meth:`QueryEngine.query` does, so a bad request
+    never costs an admission slot or a scatter.
     """
     if request.kind not in QUERY_KINDS:
         raise BadRequestError(
@@ -158,14 +175,49 @@ def validate_request(request: QueryRequest) -> None:
             raise BadRequestError("rerank_k must be >= 1 (or None for all)")
 
 
-def validate_front_config(config) -> None:
-    """The knobs ``ServerConfig`` and ``CoordinatorConfig`` share."""
-    if config.queue_depth < 1:
-        raise ServingError("queue depth must be >= 1")
-    if config.ann_nprobe is not None and config.ann_nprobe < 1:
-        raise ServingError("ann_nprobe must be >= 1 (or None for exact)")
-    if config.ann_rerank_k is not None and config.ann_rerank_k < 1:
-        raise ServingError("ann_rerank_k must be >= 1 (or None for all)")
+@dataclass(frozen=True)
+class ServerConfig:
+    """The knobs of one query front — what :class:`QueryEngine` reads.
+
+    :class:`~repro.net.coordinator.CoordinatorConfig` extends it with
+    the fleet's knobs; these five mean the same thing on both fronts.
+
+    Attributes
+    ----------
+    queue_depth:
+        Queries in flight at once, each on the thread that brought it;
+        one more is :class:`~repro.errors.OverloadedError` (HTTP 503).
+    default_timeout:
+        Per-query deadline in seconds when the request carries none
+        (``None``: no deadline unless the request sets one).
+    cache_capacity:
+        Resident entries in the LRU result cache.
+    ann_nprobe:
+        Default coarse cells probed per leaf for ``shot`` queries that
+        carry no ``nprobe`` of their own; ``None`` (the default) keeps
+        scans exact unless a request opts in.  Scores stay kernel-exact
+        (each shard prunes with its own quantizer), so ``nprobe`` over
+        every cell with an unbounded re-rank tail reproduces the exact
+        answer bit for bit.  In process, setting it also pre-warms the
+        per-leaf ANN indexes on every generation swap.
+    ann_rerank_k:
+        Default exact re-rank tail applied with :attr:`ann_nprobe`
+        (``None`` re-ranks every surviving candidate).
+    """
+
+    queue_depth: int = 64
+    default_timeout: float | None = 5.0
+    cache_capacity: int = 512
+    ann_nprobe: int | None = None
+    ann_rerank_k: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.queue_depth < 1:
+            raise ServingError("queue depth must be >= 1")
+        if self.ann_nprobe is not None and self.ann_nprobe < 1:
+            raise ServingError("ann_nprobe must be >= 1 (or None for exact)")
+        if self.ann_rerank_k is not None and self.ann_rerank_k < 1:
+            raise ServingError("ann_rerank_k must be >= 1 (or None for all)")
 
 
 class ExplainSink:
@@ -290,15 +342,16 @@ class QueryFront(Protocol):
 class QueryEngine:
     """Runs the request lifecycle over a pinned :class:`QueryBackend`.
 
-    ``pin`` returns the backend one request executes against; ``config``
-    is the front's config (``cache_capacity``, ``ann_nprobe``,
-    ``ann_rerank_k`` are read).
+    ``pin`` returns the backend one request executes against.  The
+    engine is built closed: a front calls :meth:`open` when it is ready
+    to answer and :meth:`close` before it lets go of what the backend
+    reads.
     """
 
     def __init__(
         self,
         pin: Callable[[], QueryBackend],
-        config,
+        config: ServerConfig,
         metrics: ServingMetrics,
     ) -> None:
         self._pin = pin
@@ -315,6 +368,109 @@ class QueryEngine:
         self._scope_lock = threading.Lock()
         self._scopes: dict[tuple[User, int], frozenset[str]] = {}
         self._slow_log = get_slow_log()
+        # Queries in flight, counted under one condition: admission is
+        # ``count < queue_depth`` while open, the drain waits for zero.
+        self._gate = threading.Condition(threading.Lock())
+        self._in_flight = 0
+        self._open = False
+
+    # -- lifecycle -----------------------------------------------------
+
+    def open(self) -> None:
+        """Start admitting queries (idempotent)."""
+        with self._gate:
+            self._open = True
+
+    def close(self) -> None:
+        """Refuse new queries; return once those in flight have finished.
+
+        Idempotent; :meth:`open` re-opens.
+        """
+        with self._gate:
+            self._open = False
+            self._gate.wait_for(lambda: self._in_flight == 0)
+
+    @property
+    def is_open(self) -> bool:
+        """True while queries are being admitted."""
+        return self._open
+
+    @property
+    def in_flight(self) -> int:
+        """Queries running right now (those draining after a close included)."""
+        return self._in_flight
+
+    # -- the one public query path -------------------------------------
+
+    def query(self, request: QueryRequest) -> ServingResult:
+        """Answer one request on the calling thread; typed errors only.
+
+        :class:`~repro.errors.BadRequestError` for a malformed request,
+        :class:`~repro.errors.ServingError` while closed,
+        :class:`~repro.errors.OverloadedError` beyond ``queue_depth``
+        queries in flight, :class:`~repro.errors.DeadlineExpiredError`
+        when the deadline (``request.timeout``, else ``default_timeout``)
+        is spent on arrival or by the time the answer is ready — a scan
+        cannot be interrupted, so a late answer is refused, not returned.
+        Whatever else fails surfaces as a :class:`~repro.errors.ReproError`.
+        """
+        arrived = time.perf_counter()
+        validate_request(request)
+        with self._gate:
+            if not self._open:
+                raise ServingError("query front is not running")
+            admitted = self._in_flight < self._config.queue_depth
+            if admitted:
+                self._in_flight += 1
+        if not admitted:
+            self.metrics.record_rejection()
+            raise OverloadedError(
+                f"{self._config.queue_depth} queries in flight; back off and retry"
+            )
+        try:
+            timeout = request.timeout
+            if timeout is None:
+                timeout = self._config.default_timeout
+            deadline = None if timeout is None else arrived + timeout
+            if deadline is not None and time.perf_counter() >= deadline:
+                raise DeadlineExpiredError(
+                    f"query deadline of {timeout}s was spent on arrival"
+                )
+            # Inside an adopted trace (the gateway's) keep its id; as the
+            # entry point, mint one so every span of the query shares it.
+            tracer = active_tracer()
+            trace_id = (
+                (tracer.current_trace_id() or new_trace_id())
+                if tracer.enabled
+                else None
+            )
+            with tracer.adopt(None, trace_id):
+                result = self.execute(request, deadline)
+            if deadline is not None and time.perf_counter() > deadline:
+                raise DeadlineExpiredError(
+                    f"query deadline of {timeout}s exceeded before the answer"
+                )
+            return result
+        except DeadlineExpiredError:
+            self.metrics.record_timeout()
+            raise
+        except ReproError:
+            self.metrics.record_error()
+            raise
+        except Exception as exc:
+            self.metrics.record_error()
+            raise ServingError(f"query execution failed: {exc}") from exc
+        finally:
+            with self._gate:
+                self._in_flight -= 1
+                if not self._in_flight:
+                    self._gate.notify_all()
+            # Block once per query (a zero sleep still parks the thread
+            # for a timer tick, ~70 us on Linux).  A closed-loop caller
+            # blocks nowhere else, and CPython lets such a thread keep
+            # the interpreter 5 ms at a time: a writer thread in this
+            # process (live ingest, a publish) waits that out per I/O call.
+            time.sleep(0)
 
     def advance(self, generation: int) -> None:
         """A new corpus generation is live: drop what the old one keyed."""

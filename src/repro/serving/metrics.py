@@ -45,11 +45,11 @@ class ServingMetrics:
         )
         self._latency = self._registry.histogram(
             "serving_latency_seconds",
-            "Worker-side query latency, all query kinds.",
+            "Query execution latency, all query kinds.",
         )
         self._by_kind = self._registry.histogram(
             "serving_kind_latency_seconds",
-            "Worker-side query latency, per query kind.",
+            "Query execution latency, per query kind.",
             labelnames=("kind",),
         )
 

@@ -1,19 +1,17 @@
-"""The concurrent in-process query server.
+"""The in-process query front.
 
-:class:`QueryServer` puts a worker pool, a bounded admission queue and
-per-query deadlines in front of the snapshot layer; everything a query
-does once a worker picks it up — scope, cache, execution, accounting —
-is the shared :class:`~repro.serving.engine.QueryEngine` lifecycle run
-over a :class:`SnapshotBackend`:
+:class:`QueryServer` is what is left of a server once a query runs on
+the thread that brought it: the :class:`SnapshotManager` it reads, the
+:class:`SnapshotBackend` that pins one generation per request, the
+ingest hook, and the health / describe / metrics views.  It owns no
+thread and no queue.  Everything a query does — validation, admission,
+deadline, scope, cache, execution, accounting — is
+:meth:`QueryEngine.query <repro.serving.engine.QueryEngine.query>`,
+the same call the sharded front makes:
 
-* **Admission** — ``submit`` enqueues onto a bounded queue and raises
-  :class:`~repro.errors.OverloadedError` when it is full, so overload
-  sheds load instead of growing an unbounded backlog (the caller can
-  back off and retry).
-* **Deadlines** — every request carries an absolute deadline; a request
-  that expires while still queued is failed without executing, and
-  :meth:`query` raises :class:`~repro.errors.ServingError` when the
-  deadline passes while waiting.
+* **Lifecycle** — :meth:`QueryServer.start` opens the engine;
+  :meth:`QueryServer.stop` closes it and returns once the queries in
+  flight have finished, so the database may be closed afterwards.
 * **Generations** — results carry the snapshot generation they were
   computed against; a generation swap (manual ``refresh`` or the ingest
   hook) invalidates the cache structurally.
@@ -21,11 +19,6 @@ over a :class:`SnapshotBackend`:
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
-from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -33,69 +26,21 @@ import numpy as np
 from repro.database.access import User
 from repro.database.catalog import RegisteredVideo, VideoDatabase
 from repro.database.events_query import event_concept
-from repro.errors import DeadlineExpiredError, OverloadedError, ReproError, ServingError
+from repro.errors import ServingError
 from repro.obs.export import render_prometheus
-from repro.obs.trace import active_tracer
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.health import HealthReport, server_health
-from repro.resilience.watchdog import Watchdog
 from repro.serving.cache import ResultCache
 from repro.serving.engine import (
     BackendAnswer,
     ExplainSink,
     QueryEngine,
     QueryRequest,
+    ServerConfig,
     ServingResult,
-    validate_front_config,
-    validate_request,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.serving.snapshot import Snapshot, SnapshotManager, warm_ann_indexes
-
-
-@dataclass(frozen=True)
-class ServerConfig:
-    """Tuning knobs of one :class:`QueryServer`.
-
-    Attributes
-    ----------
-    workers:
-        Worker threads executing queries.
-    queue_depth:
-        Bounded admission queue; a full queue rejects with
-        :class:`~repro.errors.OverloadedError`.
-    default_timeout:
-        Per-query deadline in seconds applied when the request carries
-        none (``None`` disables deadlines by default).
-    cache_capacity:
-        Resident entries in the LRU result cache.
-    watchdog_interval:
-        Seconds between worker-pool repair checks (a dead worker thread
-        is resurrected); ``None`` disables the watchdog.
-    ann_nprobe:
-        Default coarse cells probed per leaf for ``shot`` queries that
-        carry no ``nprobe`` of their own.  ``None`` (the default) keeps
-        leaf scans exact unless a request opts in.  Enabling this also
-        pre-warms per-leaf ANN indexes on every generation swap.
-    ann_rerank_k:
-        Default exact re-rank tail applied with :attr:`ann_nprobe`
-        (``None`` re-ranks every surviving candidate).
-    """
-
-    workers: int = 4
-    queue_depth: int = 64
-    default_timeout: float | None = 5.0
-    cache_capacity: int = 512
-    watchdog_interval: float | None = 0.2
-    ann_nprobe: int | None = None
-    ann_rerank_k: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ServingError("a server needs at least one worker")
-        if self.watchdog_interval is not None and self.watchdog_interval <= 0:
-            raise ServingError("watchdog interval must be > 0 (or None)")
-        validate_front_config(self)
 
 
 class SnapshotBackend:
@@ -131,7 +76,7 @@ class SnapshotBackend:
         deadline: float | None,
         sink: ExplainSink | None,
     ) -> BackendAnswer:
-        """Execute against the pinned snapshot (deadlines end at admission)."""
+        """Execute against the pinned snapshot (a scan cannot be interrupted)."""
         snapshot = self._snapshot
         if request.kind == "shot":
             result = snapshot.search(
@@ -183,11 +128,8 @@ class SnapshotBackend:
         }
 
 
-_SENTINEL = object()
-
-
 class QueryServer:
-    """Concurrent query-serving runtime over a :class:`SnapshotManager`."""
+    """In-process query front over a :class:`SnapshotManager`."""
 
     def __init__(
         self,
@@ -208,90 +150,20 @@ class QueryServer:
         self.engine = QueryEngine(
             partial(SnapshotBackend, self._manager), self.config, self._metrics
         )
-        self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_depth)
-        self._threads: list[threading.Thread] = []
-        self._running = False
-        self._lifecycle = threading.Lock()
-        self._watchdog: Watchdog | None = None
-        self._worker_serial = 0
         self._manager.subscribe(self._on_snapshot)
 
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
 
-    def _spawn_worker(self) -> threading.Thread:
-        self._worker_serial += 1
-        thread = threading.Thread(
-            target=self._worker_loop,
-            name=f"query-worker-{self._worker_serial}",
-            daemon=True,
-        )
-        thread.start()
-        return thread
-
     def start(self) -> "QueryServer":
-        """Spin up the worker pool (idempotent once running)."""
-        with self._lifecycle:
-            if self._running:
-                return self
-            self._running = True
-            self._threads = [
-                self._spawn_worker() for _ in range(self.config.workers)
-            ]
-            if self.config.watchdog_interval is not None:
-                self._watchdog = Watchdog(
-                    self._repair_workers,
-                    interval=self.config.watchdog_interval,
-                    name="query-server-watchdog",
-                ).start()
+        """Start accepting queries (idempotent once running)."""
+        self.engine.open()
         return self
 
     def stop(self) -> None:
-        """Drain the pool: in-flight and queued work finishes first."""
-        with self._lifecycle:
-            if not self._running:
-                return
-            self._running = False
-            watchdog, self._watchdog = self._watchdog, None
-        # Joined outside the lifecycle lock: its repair check takes the
-        # same lock, so stopping it under the lock could deadlock.  With
-        # ``_running`` already False the check is a no-op either way.
-        if watchdog is not None:
-            watchdog.stop()
-        with self._lifecycle:
-            for _ in self._threads:
-                self._queue.put(_SENTINEL)
-            for thread in self._threads:
-                thread.join()
-            self._threads = []
-
-    def _repair_workers(self) -> int:
-        """Resurrect dead worker threads (the watchdog's repair check).
-
-        The worker loop is hardened to survive anything short of a
-        process-killing condition, so this is the second line of
-        defence: whatever still manages to kill a thread gets replaced,
-        keeping the pool at its configured width.
-        """
-        with self._lifecycle:
-            if not self._running:
-                return 0
-            dead = [t for t in self._threads if not t.is_alive()]
-            if not dead:
-                return 0
-            alive = [t for t in self._threads if t.is_alive()]
-            self._threads = alive + [self._spawn_worker() for _ in dead]
-        self._metrics.registry.counter(
-            "serving_worker_resurrections_total",
-            "Dead query-worker threads replaced by the watchdog.",
-        ).inc(len(dead))
-        return len(dead)
-
-    @property
-    def alive_workers(self) -> int:
-        """Worker threads currently alive."""
-        return sum(1 for thread in self._threads if thread.is_alive())
+        """Refuse new queries and wait for those in flight (idempotent)."""
+        self.engine.close()
 
     def __enter__(self) -> "QueryServer":
         return self.start()
@@ -301,8 +173,8 @@ class QueryServer:
 
     @property
     def running(self) -> bool:
-        """True while the worker pool is accepting queries."""
-        return self._running
+        """True while the server is accepting queries."""
+        return self.engine.is_open
 
     # ------------------------------------------------------------------
     # State the outside world may inspect.
@@ -327,11 +199,6 @@ class QueryServer:
     def cache_breaker(self) -> CircuitBreaker:
         """The breaker guarding result-cache access."""
         return self.engine.cache_breaker
-
-    @property
-    def watchdog(self) -> Watchdog | None:
-        """The worker watchdog (None while stopped or disabled)."""
-        return self._watchdog
 
     @property
     def generation(self) -> int:
@@ -376,57 +243,12 @@ class QueryServer:
         self.engine.advance(snapshot.generation)
 
     # ------------------------------------------------------------------
-    # Submission.
+    # Queries.
     # ------------------------------------------------------------------
 
-    def submit(self, request: QueryRequest) -> "Future[ServingResult]":
-        """Admit one query; returns a future resolving to its result.
-
-        Raises :class:`~repro.errors.BadRequestError` for malformed
-        requests, :class:`~repro.errors.ServingError` for a stopped
-        server, and :class:`~repro.errors.OverloadedError` when the
-        admission queue is full.
-        """
-        validate_request(request)
-        if not self._running:
-            raise ServingError("server is not running (call start())")
-        timeout = self._timeout(request)
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        future: Future[ServingResult] = Future()
-        # Trace context is captured on the *submitting* thread: the
-        # worker that dequeues this request adopts the span/trace ids so
-        # the serve.query span nests under the caller (e.g. the HTTP
-        # gateway's request span) despite crossing the queue.
-        tracer = active_tracer()
-        trace_parent = tracer.current_span_id()
-        trace_id = tracer.current_trace_id()
-        try:
-            self._queue.put_nowait((request, future, deadline, trace_parent, trace_id))
-        except queue.Full:
-            self._metrics.record_rejection()
-            raise OverloadedError(
-                f"admission queue full ({self.config.queue_depth} pending); "
-                "back off and retry"
-            ) from None
-        return future
-
-    def _timeout(self, request: QueryRequest) -> float | None:
-        if request.timeout is not None:
-            return request.timeout
-        return self.config.default_timeout
-
     def query(self, request: QueryRequest) -> ServingResult:
-        """Blocking convenience: submit and wait out the deadline."""
-        timeout = self._timeout(request)
-        future = self.submit(request)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            self._metrics.record_timeout()
-            raise DeadlineExpiredError(
-                f"query deadline of {timeout}s exceeded while waiting"
-            ) from None
+        """Answer one request on the calling thread (see the engine)."""
+        return self.engine.query(request)
 
     def search(
         self,
@@ -439,69 +261,6 @@ class QueryServer:
         return self.query(QueryRequest(kind=kind, features=features, k=k, user=user))
 
     # ------------------------------------------------------------------
-    # Execution (worker side).
-    # ------------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        # Nothing a request does may kill this loop.  ``_process``
-        # already converts execution failures into typed errors on the
-        # future; the catch-all below covers the loop's own plumbing
-        # (e.g. resolving an already-cancelled future), counts the
-        # event, answers with a typed ServingError, and keeps going.
-        while True:
-            item = self._queue.get()
-            if item is _SENTINEL:
-                return
-            try:
-                self._process(item)
-            except Exception as exc:
-                self._metrics.registry.counter(
-                    "serving_worker_failures_total",
-                    "Unexpected exceptions survived by the worker loop.",
-                ).inc()
-                self._metrics.record_error()
-                try:
-                    future = item[1]
-                    self._fail(future, ServingError(f"worker failed: {exc}"))
-                except Exception:  # malformed item; nothing to answer
-                    pass
-
-    @staticmethod
-    def _fail(future: Future, exc: Exception) -> None:
-        """Fail a future that may already be cancelled or resolved."""
-        try:
-            future.set_exception(exc)
-        except Exception:
-            pass
-
-    def _process(self, item) -> None:
-        request, future, deadline, trace_parent, trace_id = item
-        if not future.set_running_or_notify_cancel():
-            return
-        if deadline is not None and time.perf_counter() > deadline:
-            self._metrics.record_timeout()
-            self._fail(
-                future,
-                DeadlineExpiredError("deadline expired while queued for admission"),
-            )
-            return
-        try:
-            with active_tracer().adopt(trace_parent, trace_id):
-                result = self.engine.execute(request, deadline)
-        except ReproError as exc:
-            self._metrics.record_error()
-            self._fail(future, exc)
-            return
-        except Exception as exc:
-            self._metrics.record_error()
-            self._fail(future, ServingError(f"query execution failed: {exc}"))
-            return
-        try:
-            future.set_result(result)
-        except Exception:  # future cancelled while we computed
-            pass
-
-    # ------------------------------------------------------------------
     # Reporting.
     # ------------------------------------------------------------------
 
@@ -512,9 +271,8 @@ class QueryServer:
         stats = cache.stats()
         degraded_videos = snapshot.degraded_videos
         lines = [
-            f"query server: {self.alive_workers}/{self.config.workers} workers, "
-            f"queue depth {self.config.queue_depth}, "
-            f"{'running' if self._running else 'stopped'}",
+            f"query server: {self.engine.in_flight}/{self.config.queue_depth} "
+            f"queries in flight, {'running' if self.running else 'stopped'}",
             f"  snapshot: generation {snapshot.generation}, "
             f"{len(snapshot.records)} videos, {snapshot.shot_count} shots"
             + (

@@ -7,7 +7,7 @@ snapshot layer makes that safe without read locks:
 * :class:`Snapshot` freezes one *generation* of the hierarchical index,
   the flat baseline, the derived scene index and the registration
   records.  Everything it holds is either immutable or privately
-  copied, so concurrent worker threads can search it freely while the
+  copied, so concurrent caller threads can search it freely while the
   live :class:`~repro.database.catalog.VideoDatabase` mutates.
 * :class:`SnapshotManager` owns the current snapshot and swaps it
   atomically (a single attribute store) when :meth:`~SnapshotManager.refresh`
@@ -272,7 +272,7 @@ class SnapshotManager:
         breaker: CircuitBreaker | None = None,
         reopen: Callable[[], VideoDatabase] | None = None,
     ) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # current() re-enters through refresh()
         self._state = _ManagerState(database=database)
         self._reopen = reopen
         self._retired: list[VideoDatabase] = []
@@ -319,7 +319,9 @@ class SnapshotManager:
         snapshot = self._state.snapshot
         if snapshot is not None:
             return snapshot
-        return self.refresh()
+        with self._lock:  # callers racing the first use build it once
+            snapshot = self._state.snapshot
+            return snapshot if snapshot is not None else self.refresh()
 
     def refresh(self) -> Snapshot:
         """Build the next generation from the live database and swap it in.
@@ -360,7 +362,7 @@ class SnapshotManager:
     def _retire(self, database: VideoDatabase) -> None:
         """Queue a superseded database's handles for closing.
 
-        The most recently retired database stays open — worker threads
+        The most recently retired database stays open — query threads
         racing the swap may still resolve lazy loaders against it —
         and is closed on the following retirement, by which point no
         reader can still reach its snapshot.

@@ -20,7 +20,7 @@ def result_keys(result):
 
 class TestServerKnobs:
     def test_request_nprobe_all_matches_exact(self, ann_db, probes):
-        with QueryServer(ann_db, ServerConfig(workers=2)) as server:
+        with QueryServer(ann_db, ServerConfig()) as server:
             exact = server.query(QueryRequest(kind="shot", features=probes[0]))
             ann = server.query(
                 QueryRequest(kind="shot", features=probes[0], nprobe=NPROBE_ALL)
@@ -39,7 +39,7 @@ class TestServerKnobs:
     def test_config_default_applies_and_shares_cache_with_explicit(
         self, ann_db, probes
     ):
-        config = ServerConfig(workers=2, ann_nprobe=4, ann_rerank_k=8)
+        config = ServerConfig(ann_nprobe=4, ann_rerank_k=8)
         with QueryServer(ann_db, config) as server:
             implicit = server.query(QueryRequest(kind="shot", features=probes[1]))
             assert implicit.reranked > 0  # the default really kicked in
@@ -52,7 +52,7 @@ class TestServerKnobs:
             assert result_keys(explicit) == result_keys(implicit)
 
     def test_config_default_matches_unserved_search(self, ann_db, probes):
-        config = ServerConfig(workers=1, ann_nprobe=4, ann_rerank_k=8)
+        config = ServerConfig(ann_nprobe=4, ann_rerank_k=8)
         with QueryServer(ann_db, config) as server:
             served = server.query(QueryRequest(kind="shot", features=probes[2]))
         direct = search_hierarchical(
@@ -63,7 +63,7 @@ class TestServerKnobs:
         ]
 
     def test_validation(self, ann_db, probes):
-        with QueryServer(ann_db, ServerConfig(workers=1)) as server:
+        with QueryServer(ann_db, ServerConfig()) as server:
             with pytest.raises(ServingError, match="shot"):
                 server.query(
                     QueryRequest(kind="scene", features=probes[0], nprobe=2)
@@ -83,7 +83,7 @@ class TestDegradedNotCached:
         save_database(ann_db, tmp_path)
         lazy = SQLVideoDatabase.open(tmp_path)
         try:
-            config = ServerConfig(workers=1, ann_nprobe=4)
+            config = ServerConfig(ann_nprobe=4)
             with QueryServer(lazy, config) as server:
                 # Installing the generation (no ANN query yet) resolves
                 # every leaf's index, so the first query pays no load.

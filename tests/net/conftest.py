@@ -44,7 +44,7 @@ def reference(single_dir):
     """The single-process QueryServer the merge must match bit for bit."""
     database = SQLVideoDatabase.open(single_dir)
     server = QueryServer(
-        database=database, config=ServerConfig(workers=2)
+        database=database, config=ServerConfig()
     ).start()
     yield server
     server.stop()

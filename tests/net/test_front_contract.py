@@ -11,6 +11,7 @@ the same on all three: answers, samples, health, typed errors, load.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.errors import (
     AccessDeniedError,
     BadRequestError,
     DeadlineExpiredError,
+    FaultInjectedError,
     OverloadedError,
     ServingError,
     UnknownVideoError,
@@ -29,6 +31,7 @@ from repro.errors import (
 from repro.net.client import HttpFront
 from repro.net.gateway import GatewayConfig, HttpGateway
 from repro.obs.export import validate_prometheus_text
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving.loadgen import LoadgenConfig, run_load
 from repro.serving.server import QueryRequest
 from repro.types import EventKind
@@ -45,13 +48,22 @@ def gateway(reference):
         yield running
 
 
+@pytest.fixture(scope="module")
+def sharded(make_harness):
+    return make_harness(2).service
+
+
 @pytest.fixture(scope="module", params=["single", "sharded", "http"])
-def front(request, reference, make_harness, gateway):
-    if request.param == "single":
-        return reference
-    if request.param == "sharded":
-        return make_harness(2).service
-    return HttpFront(gateway.url)
+def front(request, reference, sharded, gateway):
+    if request.param == "http":
+        return HttpFront(gateway.url)
+    return reference if request.param == "single" else sharded
+
+
+@pytest.fixture(scope="module", params=["single", "sharded"])
+def serving_front(request, reference, sharded):
+    """The fronts that hold an engine (the remote one is a client half)."""
+    return reference if request.param == "single" else sharded
 
 
 def test_stored_probes_answer_alike(front, reference):
@@ -93,12 +105,80 @@ def test_typed_errors_are_the_same_type(front, reference):
         front.query(
             QueryRequest(kind="event", event=EventKind.DIALOG, video_title="no-such")
         )
+    answered = QueryRequest(kind="shot_flat", features=probe)
+    assert front.query(answered).hits  # ...and so cached: the clock is read first
     with pytest.raises(DeadlineExpiredError, match="deadline"):
-        # Nothing cached answers this one: the sharded front looks a hit
-        # up before it looks at the clock.
-        front.query(QueryRequest(kind="shot_flat", features=probe * 0.5, timeout=1e-9))
-    # The spent deadline cost each shard one breaker failure; one answer heals it.
-    assert front.query(QueryRequest(kind="shot_flat", features=probe)).hits
+        front.query(replace(answered, timeout=1e-9))
+
+
+def test_errors_and_spent_deadlines_are_counted_once(serving_front, reference):
+    request = QueryRequest(kind="shot", features=reference.sample_features(1)[0])
+    counter = serving_front.metrics.counter
+    errors, timeouts = counter("errors"), counter("deadline_timeouts")
+    with inject(FaultPlan([FaultSpec(point="serve.query", kind="error", limit=1)])):
+        with pytest.raises(FaultInjectedError):
+            serving_front.query(request)
+    with pytest.raises(DeadlineExpiredError):
+        serving_front.query(replace(request, timeout=1e-9))
+    assert counter("errors") == errors + 1
+    assert counter("deadline_timeouts") == timeouts + 1
+
+
+def test_an_untyped_backend_failure_is_a_serving_error(
+    front, reference, sharded, monkeypatch
+):
+    engine = sharded._engine if front is sharded else reference.engine  # noqa: SLF001
+    pin = engine._pin  # noqa: SLF001
+
+    class Broken:
+        """The pinned backend, except that its scan raises a bare KeyError."""
+
+        def __init__(self):
+            self._backend = pin()
+
+        def __getattr__(self, name):
+            return getattr(self._backend, name)
+
+        def run(self, *_args):
+            raise KeyError("leaf-7")
+
+    monkeypatch.setattr(engine, "_pin", Broken)
+    probe = reference.sample_features(2)[1] * 0.25  # nothing cached answers it
+    # Over HTTP this is a 500 with a JSON body, not a dropped connection.
+    prefix = "HTTP 500: " if isinstance(front, HttpFront) else ""
+    expected = f"^{prefix}query execution failed: 'leaf-7'"
+    with pytest.raises(ServingError, match=expected) as raised:
+        front.query(QueryRequest(kind="shot", features=probe))
+    assert type(raised.value) is ServingError
+
+
+def test_closed_sharded_front_reports_down(make_harness, reference):
+    service = make_harness(2).service
+    assert service.health_report().live
+    service.close()
+    report = service.health_report()  # no scatter: the pool is shut
+    assert (report.live, report.status, report.exit_code) == (False, "down", 2)
+    probe = reference.sample_features(1)[0]
+    with pytest.raises(ServingError, match="not running"):
+        service.query(QueryRequest(kind="shot", features=probe))
+
+
+def test_a_shard_silent_past_the_deadline_fails_the_query(sharded, reference):
+    """The partial merge is ready at the deadline's far side: late, so refused."""
+    probe = reference.sample_features(3)[2] * 0.5  # nothing cached answers it
+    request = QueryRequest(kind="shot_flat", features=probe, timeout=0.2)
+    counter = sharded.metrics.counter
+    timeouts, errors = counter("deadline_timeouts"), counter("errors")
+    slow = FaultSpec("net.slow_shard", kind="latency", delay=0.6, limit=1)
+    with inject(FaultPlan([slow])) as plan:
+        with pytest.raises(DeadlineExpiredError, match="exceeded before the answer"):
+            sharded.query(request)
+    assert plan.fired() == 1
+    assert (counter("deadline_timeouts"), counter("errors")) == (timeouts + 1, errors)
+    # Nothing partial was cached, and the next query finds both shards.
+    healed = sharded.query(replace(request, timeout=None))
+    assert not healed.cache_hit and not healed.shards_missing
+    assert keys(healed) == keys(reference.query(replace(request, timeout=None)))
 
 
 def test_http_only_errors(gateway, reference):

@@ -43,7 +43,7 @@ def make_front(request, make_harness, single_dir):
             harness = make_harness(2, breaker_threshold=2, breaker_reset=0.2, **knobs)
             return harness.service, harness
         database = SQLVideoDatabase.open(single_dir)
-        server = QueryServer(database, ServerConfig(workers=2, **knobs)).start()
+        server = QueryServer(database, ServerConfig(**knobs)).start()
         opened.append((server, database))
         return server, None
 

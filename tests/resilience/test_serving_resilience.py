@@ -1,8 +1,6 @@
-"""Self-healing serving: fault survival, stale snapshots, watchdog, health."""
+"""Self-healing serving: fault survival, stale snapshots, health."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -10,11 +8,11 @@ from repro.cli import main
 from repro.errors import CircuitOpenError, FaultInjectedError, ReproError
 from repro.resilience import server_health
 from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.serving.server import _SENTINEL, QueryRequest, QueryServer, ServerConfig
+from repro.serving.server import QueryRequest, QueryServer, ServerConfig
 from repro.serving.snapshot import SnapshotManager
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 
-_CONFIG = ServerConfig(workers=2, default_timeout=10.0)
+_CONFIG = ServerConfig(default_timeout=10.0)
 
 
 def _request(server, k=3) -> QueryRequest:
@@ -33,7 +31,6 @@ class TestQueryFaults:
                         server.query(request)
             clean = server.query(request)
             assert clean.hits
-            assert server.alive_workers == _CONFIG.workers
 
     def test_injected_latency_only_slows_the_answer(self, serving_db):
         with QueryServer(serving_db, _CONFIG) as server:
@@ -108,35 +105,6 @@ class TestRebuildResilience:
             assert not server.query(request).degraded
 
 
-class TestWatchdog:
-    def test_watchdog_resurrects_a_killed_worker(self, serving_db):
-        config = ServerConfig(workers=2, watchdog_interval=0.05)
-        with QueryServer(serving_db, config) as server:
-            server._queue.put(_SENTINEL)  # assassinate one worker
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if (
-                    server.alive_workers == config.workers
-                    and server.metrics.registry.snapshot().get(
-                        "serving_worker_resurrections_total", 0.0
-                    )
-                    >= 1.0
-                ):
-                    break
-                time.sleep(0.02)
-            assert server.alive_workers == config.workers
-            snapshot = server.metrics.registry.snapshot()
-            assert snapshot["serving_worker_resurrections_total"] >= 1.0
-            assert server.query(_request(server)).hits
-
-    def test_watchdog_can_be_disabled(self, serving_db):
-        config = ServerConfig(workers=1, watchdog_interval=None)
-        with QueryServer(serving_db, config) as server:
-            assert server.watchdog is None
-            assert server.query(_request(server)).hits
-        assert server.watchdog is None
-
-
 class TestHealth:
     def test_healthy_server_reports_ok(self, serving_db):
         with QueryServer(serving_db, _CONFIG) as server:
@@ -172,7 +140,7 @@ class TestHealth:
         from repro.storage import save_database
 
         save_database(serving_db, tmp_path)
-        code = main(["health", "--db-dir", str(tmp_path), "--workers", "2"])
+        code = main(["health", "--db-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "health: OK" in out

@@ -17,7 +17,7 @@ from repro.types import EventKind
 
 @pytest.fixture()
 def server(serving_db):
-    with QueryServer(serving_db, ServerConfig(workers=2, queue_depth=16)) as srv:
+    with QueryServer(serving_db, ServerConfig(queue_depth=16)) as srv:
         yield srv
 
 

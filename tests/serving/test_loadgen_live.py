@@ -43,7 +43,7 @@ class TestPool:
 
 class TestSteadyState:
     def test_short_run_completes_cleanly(self, serving_db):
-        with QueryServer(serving_db, ServerConfig(workers=2, queue_depth=32)) as server:
+        with QueryServer(serving_db, ServerConfig(queue_depth=32)) as server:
             report = run_load(
                 server, LoadgenConfig(clients=2, duration=0.3, timeout=5.0)
             )
@@ -81,7 +81,7 @@ class TestLiveGenerationBump:
         store.save(IngestJob.for_title("face_repair").key, retitle("face_repair"))
 
         student = User("student", clearance=0)
-        config = ServerConfig(workers=4, queue_depth=64)
+        config = ServerConfig(queue_depth=64)
         with QueryServer(serving_db, config) as server:
             hook = server.attach_ingest()
 

@@ -34,7 +34,7 @@ def reopening_server(stored):
         reopen=lambda: SQLVideoDatabase.open(stored),
     )
     with QueryServer(
-        manager=manager, config=ServerConfig(workers=2)
+        manager=manager, config=ServerConfig()
     ) as server:
         yield server
 

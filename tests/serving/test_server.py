@@ -2,19 +2,34 @@
 
 from __future__ import annotations
 
+import sys
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
 
+import numpy as np
 import pytest
 
-from repro.errors import OverloadedError, ServingError
-from repro.serving.server import QueryRequest, QueryServer, ServerConfig
+from repro.database.query import search_hierarchical
+from repro.errors import DeadlineExpiredError, OverloadedError, ServingError
+from repro.serving.server import (
+    QueryRequest,
+    QueryServer,
+    ServerConfig,
+    ServingResult,
+)
 from repro.types import EventKind
 
 
 @pytest.fixture()
+def helper():
+    """Threads for the calls a test must hold in flight while it looks on."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+@pytest.fixture()
 def server(serving_db):
-    with QueryServer(serving_db, ServerConfig(workers=2, queue_depth=8)) as srv:
+    with QueryServer(serving_db, ServerConfig(queue_depth=8)) as srv:
         yield srv
 
 
@@ -52,10 +67,46 @@ class TestCorrectness:
         assert [h.entry.key for h in warm.hits] == [h.entry.key for h in cold.hits]
         assert server.metrics.counter("cache_hits") == 1
 
-    def test_submit_returns_a_future(self, server, demo_features):
-        future = server.submit(QueryRequest(kind="shot", features=demo_features(0)))
-        result = future.result(timeout=5)
-        assert result.hits
+    def test_eight_caller_threads_match_direct_search_across_a_refresh(
+        self, server, serving_db
+    ):
+        """The engine's shared state under callers that bring their own thread."""
+        entries = serving_db.flat_index.entries
+        rng = np.random.default_rng(7)
+        probes = [
+            entries[i % len(entries)].features + rng.normal(0.0, 0.01, 266)
+            for i in range(8 * 50)
+        ]
+        answers: dict[int, ServingResult] = {}
+
+        def caller(lane: int) -> None:
+            for i in range(lane, len(probes), 8):
+                if i == 8 * 20:  # lane 0, mid-run: same corpus, next generation
+                    server.refresh()
+                request = QueryRequest(kind="shot", features=probes[i], k=3)
+                answers[i] = server.query(request)
+
+        threads = [threading.Thread(target=caller, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(answers) == list(range(len(probes)))
+        for i, served in answers.items():
+            direct = search_hierarchical(serving_db.index_root, probes[i], k=3)
+            assert [(h.entry.key, h.score) for h in served.hits] == [
+                (h.entry.key, h.score) for h in direct.hits
+            ]
+            assert served.comparisons == direct.stats.comparisons
+        assert {served.generation for served in answers.values()} == {1, 2}
+        assert server.metrics.counter("queries_total") == len(probes)
+        assert server.engine.in_flight == 0
 
 
 class TestValidation:
@@ -97,8 +148,6 @@ class TestValidation:
 
     def test_bad_config(self):
         with pytest.raises(ServingError):
-            ServerConfig(workers=0)
-        with pytest.raises(ServingError):
             ServerConfig(queue_depth=0)
 
 
@@ -108,13 +157,35 @@ class TestLifecycle:
         with pytest.raises(ServingError, match="not running"):
             server.query(QueryRequest(kind="shot", features=demo_features(0)))
 
-    def test_stop_drains_and_is_idempotent(self, serving_db, demo_features):
+    def test_stop_drains_and_is_idempotent(self, serving_db, demo_features, helper):
         server = QueryServer(serving_db).start()
-        future = server.submit(QueryRequest(kind="shot", features=demo_features(0)))
+        gate, entered = _block_execution(server)
+        request = QueryRequest(kind="shot", features=demo_features(0))
+        held = helper.submit(server.query, request)
+        assert entered.wait(timeout=5)
+        stopping = helper.submit(server.stop)
+        with pytest.raises(FutureTimeout):  # stop() waits for the query in flight
+            stopping.result(timeout=0.2)
+        # ...refusing new ones meanwhile, and still counting the one it waits for.
+        assert not server.running and server.engine.in_flight == 1
+        assert server.health_report().status == "down"
+        gate.set()
+        stopping.result(timeout=5)
+        assert held.result(timeout=5).hits
         server.stop()
-        server.stop()
-        assert future.result(timeout=1).hits
         assert not server.running
+        with pytest.raises(ServingError, match="not running"):
+            server.query(request)
+
+    def test_the_front_owns_no_thread(self, serving_db, demo_features):
+        before = threading.active_count()
+        server = QueryServer(serving_db).start()
+        assert threading.active_count() == before
+        for index in range(50):
+            server.query(QueryRequest(kind="shot", features=demo_features(index % 4)))
+        assert threading.active_count() == before
+        server.stop()
+        assert threading.active_count() == before
 
 
 def _block_execution(server):
@@ -133,52 +204,38 @@ def _block_execution(server):
 
 
 class TestAdmissionControl:
-    def test_full_queue_raises_overloaded(self, serving_db, demo_features):
+    def test_full_queue_raises_overloaded(self, serving_db, demo_features, helper):
         with QueryServer(
-            serving_db, ServerConfig(workers=1, queue_depth=1, default_timeout=None)
+            serving_db, ServerConfig(queue_depth=1, default_timeout=None)
         ) as server:
             gate, entered = _block_execution(server)
             request = QueryRequest(kind="shot", features=demo_features(0))
-            in_flight = server.submit(request)
-            assert entered.wait(timeout=5)  # worker holds request 1
-            queued = server.submit(request)  # fills the only queue slot
+            in_flight = helper.submit(server.query, request)
+            assert entered.wait(timeout=5)  # holds the only permit
             with pytest.raises(OverloadedError):
-                server.submit(request)
+                server.query(request)
             assert server.metrics.counter("rejected_overload") == 1
             gate.set()
             assert in_flight.result(timeout=5).hits
-            assert queued.result(timeout=5).hits
 
-    def test_wait_deadline_raises_serving_error(self, serving_db, demo_features):
+    def test_wait_deadline_raises_serving_error(
+        self, serving_db, demo_features, helper
+    ):
         with QueryServer(
-            serving_db, ServerConfig(workers=1, queue_depth=4, default_timeout=None)
+            serving_db, ServerConfig(queue_depth=4, default_timeout=None)
         ) as server:
             gate, entered = _block_execution(server)
-            blocker = server.submit(QueryRequest(kind="shot", features=demo_features(0)))
-            assert entered.wait(timeout=5)
-            with pytest.raises(ServingError, match="deadline"):
-                server.query(
-                    QueryRequest(kind="shot", features=demo_features(1), timeout=0.05)
-                )
-            assert server.metrics.counter("deadline_timeouts") >= 1
-            gate.set()
-            assert blocker.result(timeout=5).hits
-
-    def test_queued_request_expires_without_executing(self, serving_db, demo_features):
-        with QueryServer(
-            serving_db, ServerConfig(workers=1, queue_depth=4, default_timeout=None)
-        ) as server:
-            gate, entered = _block_execution(server)
-            blocker = server.submit(QueryRequest(kind="shot", features=demo_features(0)))
-            assert entered.wait(timeout=5)
-            doomed = server.submit(
-                QueryRequest(kind="shot", features=demo_features(1), timeout=0.02)
+            late = helper.submit(
+                server.query,
+                QueryRequest(kind="shot", features=demo_features(1), timeout=0.05),
             )
-            time.sleep(0.1)  # let the deadline lapse while still queued
+            assert entered.wait(timeout=5)
+            threading.Event().wait(0.1)  # the deadline lapses mid-execution
             gate.set()
-            with pytest.raises(ServingError, match="queued"):
-                doomed.result(timeout=5)
-            assert blocker.result(timeout=5).hits
+            with pytest.raises(DeadlineExpiredError, match="deadline"):
+                late.result(timeout=5)
+            assert server.metrics.counter("deadline_timeouts") == 1
+            assert server.metrics.counter("errors") == 0
 
 
 class TestGenerationSwap:

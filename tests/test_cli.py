@@ -21,6 +21,13 @@ class TestParser:
             build_parser().parse_args(["render", "demo"])
         capsys.readouterr()
 
+    def test_serve_workers_is_gone_not_ignored(self, capsys):
+        """A stale script fails loudly: queries run on the caller's thread."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--db-dir", "db", "--workers", "4"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_corpus_lists_titles(self, capsys):
