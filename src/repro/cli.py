@@ -9,7 +9,7 @@ Installed as the ``classminer`` console script::
     classminer evaluate laparoscopy         # methods A/B/C vs ground truth
     classminer render demo -o demo.npz      # snapshot the rendered stream
     classminer ingest all --db-dir db/      # mine the corpus into a database
-    classminer migrate --db-dir db/         # JSON-era dir -> SQL catalog
+    classminer migrate --db-dir db/         # artifacts -> SQL catalog
     classminer search "laser surgery" --db-dir db/  # full-text metadata search
     classminer cache list --db-dir db/      # inspect the artifact cache
     classminer serve --db-dir db/           # serving health check + metrics
@@ -239,7 +239,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_migrate(args: argparse.Namespace) -> int:
     from repro.storage import migrate_db_dir
 
-    report = migrate_db_dir(args.db_dir, remove_json=args.remove_json)
+    report = migrate_db_dir(args.db_dir)
     print(report.render())
     return 0
 
@@ -346,6 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_http(args: argparse.Namespace) -> int:
+    import signal
     import time as _time
     from contextlib import ExitStack
     from pathlib import Path
@@ -363,6 +364,12 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     from repro.obs import get_registry
     from repro.serving import ServingMetrics
 
+    def _interrupt(_signum, _frame):
+        raise KeyboardInterrupt
+
+    # SIGTERM unwinds like Ctrl-C: the ExitStack below stops the gateway
+    # and the shard workers instead of leaving them orphaned.
+    signal.signal(signal.SIGTERM, _interrupt)
     sharded = bool(args.shards or args.shards_dir)
     with ExitStack() as stack:
         stack.enter_context(_tracing(args))
@@ -703,21 +710,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     migrate = sub.add_parser(
         "migrate",
-        help="convert a JSON-era database directory to the SQL catalog",
+        help="rebuild a database directory's SQL catalog from its artifacts",
         description=(
-            "One-shot migration of a directory written before ingest "
-            "switched to SQLite: read its database.json (or rebuild from "
-            "the artifact store) and write catalog.sqlite plus the "
-            "content-addressed feature blocks under features/. Idempotent; "
-            "query results are identical before and after."
+            "Rebuild the catalog of a directory that holds an artifact "
+            "store but no (or a lost) SQL catalog: write catalog.sqlite "
+            "plus the content-addressed feature blocks under features/. "
+            "Idempotent."
         ),
     )
     migrate.add_argument("--db-dir", required=True, help="database directory")
-    migrate.add_argument(
-        "--remove-json",
-        action="store_true",
-        help="delete the legacy database.json after a successful migration",
-    )
     migrate.set_defaults(func=_cmd_migrate)
 
     search = sub.add_parser(

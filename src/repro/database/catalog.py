@@ -62,8 +62,8 @@ class RegisteredVideo:
         return bool(self.degraded_stages)
 
     def to_json(self) -> dict:
-        """The record without its title (the ``records`` wire op and a
-        JSON-era ``database.json`` both key it by title)."""
+        """The record without its title (the ``records`` wire op keys
+        it by title)."""
         return {
             "shot_count": self.shot_count,
             "scene_count": self.scene_count,

@@ -16,9 +16,8 @@ from the successful artifacts, so a resumed or partially failed ingest
 still leaves a consistent, loadable database covering everything that
 was mined.  :func:`~repro.storage.lazy.load_database` (re-exported
 here and from :mod:`repro.ingest`) opens the SQL catalog lazily
-(out-of-core feature blocks); a directory holding only a legacy
-``database.json`` still loads, eagerly (``classminer migrate`` converts
-it).
+(out-of-core feature blocks); ``classminer migrate`` rebuilds a lost
+catalog from the artifacts.
 """
 
 from __future__ import annotations

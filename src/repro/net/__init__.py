@@ -20,10 +20,13 @@ item 2) using nothing but the standard library:
   and merges top-k **bit-identically** to the single-process
   :class:`~repro.serving.server.QueryServer`, degrading per-shard via
   circuit breakers instead of failing;
-* :mod:`repro.net.gateway` — the asyncio HTTP/1.1 JSON API
-  (``/query``, ``/scene_search``, ``/skim/{id}``, ``/health``,
-  ``/metrics``), an HTTP codec over whichever
-  :class:`~repro.serving.engine.QueryFront` it was handed: deadline
+* :mod:`repro.net.tcpserver` — the one server shape of this package:
+  a thread per accepted connection, live connections tracked so a stop
+  can sever them (the worker's RPC server and the gateway both);
+* :mod:`repro.net.gateway` — the HTTP/1.1 JSON API (``/query``,
+  ``/scene_search``, ``/skim/{id}``, ``/health``, ``/metrics``), an
+  HTTP codec over whichever :class:`~repro.serving.engine.QueryFront`
+  it was handed, called on the connection's own thread: deadline
   propagation, bounded admission mapped to 503 + ``Retry-After``,
   token auth resolved before the cache, one error-type -> status table;
 * :mod:`repro.net.client` — :class:`HttpFront`, the same codec from the

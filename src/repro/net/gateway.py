@@ -1,13 +1,14 @@
-"""Asyncio HTTP/1.1 JSON gateway: an HTTP codec over a query front.
+"""HTTP/1.1 JSON gateway: an HTTP codec over a query front.
 
-Pure standard library: one daemon thread runs an asyncio event loop
-with :func:`asyncio.start_server`; blocking front calls are pushed to
-a bounded thread pool so the loop itself never stalls.  The gateway
-calls whatever :class:`~repro.serving.engine.QueryFront` it was handed
-— the in-process :class:`~repro.serving.server.QueryServer` or the
-sharded :class:`~repro.net.coordinator.ShardedQueryService` — and
-:class:`~repro.net.client.HttpFront` is the same codec read from the
-other end.
+Pure standard library, and the shard worker's server shape
+(:class:`~repro.net.tcpserver.ConnectionServer`): the thread of a
+keep-alive connection reads a request, calls the front *itself* and
+writes the answer — no loop, pool or hand-off between socket and scan.
+The front is whatever :class:`~repro.serving.engine.QueryFront` was
+handed in — the in-process :class:`~repro.serving.server.QueryServer`
+or the sharded :class:`~repro.net.coordinator.ShardedQueryService` —
+and :class:`~repro.net.client.HttpFront` is the same codec read from
+the other end.
 
 Endpoints (all JSON):
 
@@ -45,7 +46,8 @@ Contract details the tests pin down:
   cache key, so cached results can never cross tokens).  Unknown
   tokens get 401; no token means anonymous.
 * Bodies above ``max_body`` get 413; malformed JSON gets 400; unknown
-  paths get 404.
+  paths get 404; malformed framing (a line over 64 KiB, too many
+  headers, a negative ``Content-Length``) gets 400 and a closed connection.
 * Every response carries ``X-Trace-Id`` — the value of the request's
   ``X-Trace-Id`` header if one came in, a fresh id otherwise.  When
   tracing is enabled the id rides the RPC frames to the shard workers
@@ -56,12 +58,11 @@ Contract details the tests pin down:
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,7 @@ from repro.errors import (
     ServingError,
     UnknownVideoError,
 )
+from repro.net.tcpserver import ConnectionServer
 from repro.obs.slowlog import get_slow_log
 from repro.obs.trace import active_tracer, new_trace_id
 from repro.resilience.health import HealthCheck, HealthReport
@@ -107,6 +109,11 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
+# Framing bounds of the request reader: one request or header line, and
+# the number of header lines, before the request is refused with 400.
+_MAX_LINE = 64 * 1024
+_MAX_HEADERS = 128
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -134,25 +141,22 @@ class GatewayConfig:
 
 class _HttpError(Exception):
     """Internal: an HTTP-level refusal no error type stands for (an
-    unknown endpoint, a wrong method)."""
+    unknown endpoint, a wrong method, unreadable framing).  ``drain`` is
+    the length of a refused body, which the client is still sending."""
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(self, status: int, message: str, drain: int = 0) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
+        self.drain = drain
 
 
 class _RequestContext:
-    """Per-request trace/accounting state threaded through routing."""
+    """Per-request accounting state threaded through routing."""
 
-    __slots__ = ("trace_id", "span_id", "start_rel", "fanout")
+    __slots__ = ("fanout",)
 
-    def __init__(
-        self, trace_id: str, span_id: int | None, start_rel: float
-    ) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id  # reserved gateway span (None: tracing off)
-        self.start_rel = start_rel
+    def __init__(self) -> None:
         self.fanout = 0  # shards the request fanned out to (access log)
 
 
@@ -199,7 +203,7 @@ def _serialize_result(result: ServingResult) -> dict:
 
 
 class HttpGateway:
-    """HTTP/1.1 JSON front-end on a dedicated asyncio thread."""
+    """HTTP/1.1 JSON front-end, one thread per keep-alive connection."""
 
     def __init__(
         self,
@@ -219,46 +223,43 @@ class HttpGateway:
         self._access_sink = (
             access_sink if access_sink is not None else self._stderr_access_line
         )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
+        self._server: ConnectionServer | None = None
         self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
         self._port: int | None = None
         self._inflight = threading.BoundedSemaphore(self.config.max_inflight)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_inflight,
-            thread_name_prefix="gateway",
-        )
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "HttpGateway":
         """Bind the socket and start serving (returns once listening)."""
-        if self._thread is not None:
+        if self._server is not None:
             return self
+        try:
+            self._server = ConnectionServer(
+                (self.config.host, self.config.port), self._serve_connection
+            )
+        except OSError as exc:
+            raise ServingError(f"gateway failed to start: {exc}") from exc
+        self._port = self._server.server_address[1]
+        # A short poll: stop() waits for the accept loop to notice.
         self._thread = threading.Thread(
-            target=self._run, name="http-gateway", daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name="http-gateway",
+            daemon=True,
         )
         self._thread.start()
-        self._started.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise ServingError(
-                f"gateway failed to start: {self._startup_error}"
-            )
-        if self._port is None:
-            raise ServingError("gateway did not come up within 10s")
         return self
 
     def stop(self) -> None:
-        """Stop serving and join the loop thread."""
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        """Stop accepting, sever open connections, join the accept thread."""
+        server, self._server = self._server, None
+        if server is None:
+            return
+        server.shutdown()
+        server.server_close()  # idle keep-alive clients read EOF
+        self._thread.join(timeout=5.0)
+        self._thread = None
 
     def __enter__(self) -> "HttpGateway":
         return self.start()
@@ -278,157 +279,110 @@ class HttpGateway:
         """Base URL of the gateway."""
         return f"http://{self.config.host}:{self.port}"
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(
-                asyncio.start_server(
-                    self._handle_connection,
-                    host=self.config.host,
-                    port=self.config.port,
-                )
-            )
-            self._server = server
-            self._port = server.sockets[0].getsockname()[1]
-            self._started.set()
-            loop.run_forever()
-        except BaseException as exc:  # surfaced to start()
-            self._startup_error = exc
-            self._started.set()
-        finally:
-            if self._server is not None:
-                self._server.close()
-                try:
-                    loop.run_until_complete(self._server.wait_closed())
-                except Exception:
-                    pass
-            # Idle keep-alive connections hold parked _handle_connection
-            # tasks; cancel them or loop.close() warns about pending tasks.
-            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                try:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                except Exception:
-                    pass
-            loop.close()
-
     # -- connection handling -------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """One client connection: its requests, in turn, on this thread."""
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        reader = sock.makefile("rb")
         try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
+            while self._handle_one(reader, sock):
                 pass
+        except OSError:
+            pass  # the peer went away, or stop() severed the connection
+        finally:
+            reader.close()
 
-    async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        try:
-            request_line = await reader.readline()
-        except (ValueError, ConnectionError):
-            return False
+    def _read_request(
+        self, reader
+    ) -> tuple[str, str, str, dict[str, str], bytes] | None:
+        """Parse one request off the wire; ``None`` when the client hung up."""
+
+        def read_line() -> bytes:
+            line = reader.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _HttpError(400, f"request or header line exceeds {_MAX_LINE} bytes")
+            return line
+
+        request_line = read_line()
         if not request_line or request_line.strip() == b"":
-            return False
+            return None
         try:
             method, target, version = (
                 request_line.decode("latin-1").strip().split(" ", 2)
             )
         except ValueError:
-            await self._respond(
-                writer, 400, {"error": "malformed request line"}, close=True
-            )
-            return False
+            raise _HttpError(400, "malformed request line") from None
 
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(_MAX_HEADERS + 1):
+            line = read_line()
             if line in (b"\r\n", b"\n", b""):
                 break
             if b":" in line:
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-
-        keep_alive = version.upper() != "HTTP/1.0" and (
-            headers.get("connection", "").lower() != "close"
-        )
+        else:
+            raise _HttpError(400, f"more than {_MAX_HEADERS} header lines")
 
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
-            await self._respond(
-                writer, 400, {"error": "invalid Content-Length"}, close=True
-            )
-            return False
+            length = -1
+        if length < 0:
+            raise _HttpError(400, "invalid Content-Length")
         if length > self.config.max_body:
-            await self._respond(
-                writer,
+            raise _HttpError(
                 413,
-                {
-                    "error": (
-                        f"body of {length} bytes exceeds limit of "
-                        f"{self.config.max_body}"
-                    )
-                },
-                close=True,
+                f"body of {length} bytes exceeds limit of {self.config.max_body}",
+                drain=length,
             )
-            # Drain what the client already committed to sending, so it
-            # can finish writing and read the 413 instead of an EPIPE;
-            # then close (unbounded keep-alive after a refused body
-            # would let a client stream forever).
-            drained = 0
-            while drained < length:
-                chunk = await reader.read(min(65536, length - drained))
+        body = reader.read(length) if length else b""
+        if len(body) < length:
+            return None
+        return method, target, version, headers, body
+
+    def _handle_one(self, reader, sock: socket.socket) -> bool:
+        """Read one request and answer it; ``False`` ends the connection."""
+        try:
+            parsed = self._read_request(reader)
+        except _HttpError as exc:
+            self._respond(sock, exc.status, {"error": exc.message}, close=True)
+            # Let the client finish writing what it committed to and read
+            # the refusal instead of an EPIPE: half-close, discard what is
+            # still arriving (a second of silence ends the wait), then
+            # close — keep-alive after a refused body would let a client
+            # stream forever.
+            sock.shutdown(socket.SHUT_WR)
+            sock.settimeout(1.0)
+            drain = exc.drain or self.config.max_body
+            while drain > 0:
+                chunk = reader.read1(min(65536, drain))
                 if not chunk:
                     break
-                drained += len(chunk)
+                drain -= len(chunk)
             return False
-        body = await reader.readexactly(length) if length else b""
+        if parsed is None:
+            return False
+        method, target, version, headers, body = parsed
+        keep_alive = version.upper() != "HTTP/1.0" and (
+            headers.get("connection", "").lower() != "close"
+        )
 
         start = time.perf_counter()
         tracer = active_tracer()
         trace_id = headers.get("x-trace-id", "").strip() or new_trace_id()
-        ctx = _RequestContext(
-            trace_id=trace_id,
-            # The gateway span's id is reserved up front so backend work
-            # offloaded mid-request can nest under it; the span itself
-            # is recorded once the response is ready (add_span_at).
-            span_id=tracer.new_span_id() if tracer.enabled else None,
-            start_rel=tracer.now(),
-        )
-        status, payload, extra = await self._route(
-            method, target, headers, body, ctx
-        )
-        extra = dict(extra)
-        extra.setdefault("X-Trace-Id", trace_id)
         path = target.partition("?")[0]
-        if ctx.span_id is not None:
-            tracer.add_span_at(
-                "gateway.request",
-                ctx.start_rel,
-                tracer.now() - ctx.start_rel,
-                span_id=ctx.span_id,
-                method=method,
-                path=path,
-                status=status,
-                trace_id=trace_id,
+        ctx = _RequestContext()
+        # The front is called on this thread, so its spans nest under the
+        # gateway span by the tracer's own stack; only the id is adopted.
+        with tracer.adopt(None, trace_id), tracer.span(
+            "gateway.request", method=method, path=path, trace_id=trace_id
+        ) as span:
+            status, payload, extra = self._route(
+                method, target, headers, body, ctx
             )
+            span.set(status=status)
         if self.config.access_log:
             self._access_log(
                 {
@@ -441,14 +395,8 @@ class HttpGateway:
                     "latency_ms": round((time.perf_counter() - start) * 1e3, 3),
                 }
             )
-        text = payload if isinstance(payload, str) else None
-        await self._respond(
-            writer,
-            status,
-            payload if text is None else None,
-            text=text,
-            extra=extra,
-            close=not keep_alive,
+        self._respond(
+            sock, status, payload, {"X-Trace-Id": trace_id, **extra}, close=not keep_alive
         )
         return keep_alive
 
@@ -462,47 +410,34 @@ class HttpGateway:
         except Exception:  # a broken sink must never fail the request
             pass
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
+    @staticmethod
+    def _respond(
+        sock: socket.socket,
         status: int,
-        payload: dict | None,
-        text: str | None = None,
+        payload: dict | str,
         extra: dict | None = None,
         close: bool = False,
     ) -> None:
-        if text is not None:
-            body = text.encode("utf-8")
+        """Write one response: a ``str`` payload is exposition text, a ``dict`` JSON."""
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            body = json.dumps(payload if payload is not None else {}).encode(
-                "utf-8"
-            )
+            body = json.dumps(payload).encode("utf-8")
             content_type = "application/json"
-        reason = _REASONS.get(status, "Unknown")
-        # Extra headers override the defaults (matched case-insensitively)
-        # instead of duplicating them — e.g. the /metrics route pins its
-        # own Content-Type.
-        header_map: dict[str, str] = {
+        headers = {
             "Content-Type": content_type,
-            "Content-Length": str(len(body)),
+            "Content-Length": len(body),
             "Connection": "close" if close else "keep-alive",
+            **(extra or {}),
         }
-        for name, value in (extra or {}).items():
-            for existing in list(header_map):
-                if existing.lower() == name.lower():
-                    del header_map[existing]
-            header_map[name] = str(value)
-        lines = [f"HTTP/1.1 {status} {reason}"]
-        for name, value in header_map.items():
-            lines.append(f"{name}: {value}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
+        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
 
     # -- routing -------------------------------------------------------
 
-    async def _route(
+    def _route(
         self,
         method: str,
         target: str,
@@ -514,30 +449,25 @@ class HttpGateway:
         try:
             if path == "/health":
                 self._require_method(method, "GET")
-                return await self._ep_health(ctx)
+                return self._ep_health()
             if path == "/metrics":
                 self._require_method(method, "GET")
-                text = await self._offload(self._front.metrics_text, ctx=ctx)
-                return (
-                    200,
-                    text,
-                    {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
-                )
+                return 200, self._admit(self._front.metrics_text), {}
             if path == "/debug/slow":
                 self._require_method(method, "GET")
                 return self._ep_slow()
             if path == "/workload":
                 self._require_method(method, "GET")
-                return await self._ep_workload(query_string, ctx)
+                return self._ep_workload(query_string)
             if path.startswith("/skim/"):
                 self._require_method(method, "GET")
-                return await self._ep_skim(path[len("/skim/") :], headers, ctx)
+                return self._ep_skim(path[len("/skim/") :], headers)
             if path in ("/query", "/scene_search"):
                 self._require_method(method, "POST")
-                return await self._ep_query(path, headers, body, ctx)
+                return self._ep_query(path, headers, body, ctx)
             if path == "/admin/restart":
                 self._require_method(method, "POST")
-                return await self._ep_admin_restart(headers, body, ctx)
+                return self._ep_admin_restart(headers, body)
             raise _HttpError(404, f"no such endpoint: {path}")
         except _HttpError as exc:
             return exc.status, {"error": exc.message}, {}
@@ -584,39 +514,24 @@ class HttpGateway:
             raise DeadlineExpiredError("deadline expired on arrival")
         return deadline_ms / 1000.0
 
-    async def _offload(self, fn, *args, ctx: _RequestContext | None = None):
-        """Run a blocking front call on the bounded gateway pool.
+    def _admit(self, fn, *args):
+        """Run a front call on this thread, inside the in-flight bound.
 
-        With ``ctx`` the executor thread adopts the request's gateway
-        span and trace id for the duration of the call, so the front's
-        spans nest under the gateway span despite the thread hop.
+        Beyond ``max_inflight`` the gateway sheds load (503) rather than
+        queueing the connection's thread behind the others.
         """
         if not self._inflight.acquire(blocking=False):
             raise OverloadedError(
                 f"gateway at capacity ({self.config.max_inflight} in flight)"
             )
-        loop = asyncio.get_running_loop()
-        if ctx is not None:
-            tracer = active_tracer()
-            span_id, trace_id = ctx.span_id, ctx.trace_id
-
-            def work():
-                with tracer.adopt(span_id, trace_id):
-                    return fn(*args)
-
-        else:
-
-            def work():
-                return fn(*args)
-
         try:
-            return await loop.run_in_executor(self._executor, work)
+            return fn(*args)
         finally:
             self._inflight.release()
 
     # -- endpoints -----------------------------------------------------
 
-    async def _ep_query(
+    def _ep_query(
         self,
         path: str,
         headers: dict[str, str],
@@ -673,17 +588,17 @@ class HttpGateway:
             explain=bool(payload.get("explain", False)),
         )
         ctx.fanout = self._front.fanout
-        result = await self._offload(self._front.query, request, ctx=ctx)
+        result = self._admit(self._front.query, request)
         return 200, _serialize_result(result), {}
 
-    async def _ep_skim(
-        self, video_id: str, headers: dict[str, str], ctx: _RequestContext
+    def _ep_skim(
+        self, video_id: str, headers: dict[str, str]
     ) -> tuple[int, dict, dict]:
         self._resolve_user(headers)  # auth applies, scope does not: skims
         # expose only registration metadata, never feature content.
         if not video_id:
             raise UnknownVideoError("missing video id")
-        records = await self._offload(self._front.records, ctx=ctx)
+        records = self._admit(self._front.records)
         record = records.get(video_id)
         if record is None:
             raise UnknownVideoError(f"video {video_id!r} is not registered")
@@ -715,8 +630,8 @@ class HttpGateway:
             {},
         )
 
-    async def _ep_admin_restart(
-        self, headers: dict[str, str], body: bytes, ctx: _RequestContext
+    def _ep_admin_restart(
+        self, headers: dict[str, str], body: bytes
     ) -> tuple[int, dict, dict]:
         if self._cluster is None:
             raise _HttpError(404, "no shard cluster attached to this gateway")
@@ -736,7 +651,7 @@ class HttpGateway:
             return [self._cluster.restart(int(shard), graceful=graceful)]
 
         try:
-            reports = await self._offload(work, ctx=ctx)
+            reports = self._admit(work)
         except (TypeError, ValueError) as exc:
             raise BadRequestError(f"invalid shard id: {exc}") from None
         return (
@@ -773,8 +688,8 @@ class HttpGateway:
             report.degraded = True
         return report
 
-    async def _ep_health(self, ctx: _RequestContext) -> tuple[int, dict, dict]:
-        report = await self._offload(self._front.health_report, ctx=ctx)
+    def _ep_health(self) -> tuple[int, dict, dict]:
+        report = self._admit(self._front.health_report)
         if self._cluster is not None:
             report = self._augment_cluster_health(report)
         status_code = {"ok": 200, "degraded": 207, "down": 503}[report.status]
@@ -794,9 +709,7 @@ class HttpGateway:
             {},
         )
 
-    async def _ep_workload(
-        self, query_string: str, ctx: _RequestContext
-    ) -> tuple[int, dict, dict]:
+    def _ep_workload(self, query_string: str) -> tuple[int, dict, dict]:
         n = 16
         for part in query_string.split("&"):
             if part.startswith("n="):
@@ -804,7 +717,7 @@ class HttpGateway:
                     n = max(1, min(int(part[2:]), 512))
                 except ValueError:
                     raise BadRequestError("n must be an integer") from None
-        pool = await self._offload(self._front.sample_features, n, ctx=ctx)
+        pool = self._admit(self._front.sample_features, n)
         return (
             200,
             {"features": [[float(x) for x in vector] for vector in pool]},

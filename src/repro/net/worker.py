@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import re
-import socketserver
 import sys
 import threading
 import time
@@ -70,6 +69,7 @@ from repro.net.protocol import (
     unpack_array,
 )
 from repro.net.shard import GLOBAL_ORDS_NAME
+from repro.net.tcpserver import ConnectionServer
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.lazy import SQLVideoDatabase
@@ -126,62 +126,13 @@ class ShardWorker:
         self._state = _ShardState(self._shard_dir)
         self._generation = 1
         self._state_lock = threading.Lock()
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
         self._draining = False
         self._drained = threading.Event()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._inflight_idle = threading.Condition(self._inflight_lock)
         self._db_closed = False
-        worker = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            """One coordinator connection: a loop of request frames."""
-
-            def setup(self) -> None:  # noqa: D102 - socketserver hook
-                with worker._connections_lock:
-                    worker._connections.add(self.request)
-
-            def finish(self) -> None:  # noqa: D102 - socketserver hook
-                with worker._connections_lock:
-                    worker._connections.discard(self.request)
-
-            def handle(self) -> None:  # noqa: D102 - socketserver hook
-                while True:
-                    try:
-                        request = recv_frame(self.request)
-                    except (ReproError, OSError):
-                        return  # connection closed or garbage: drop it
-                    with worker._inflight_lock:
-                        worker._inflight += 1
-                    # In flight until the response is *written*: a drain
-                    # that severed the connection between dispatch and
-                    # send would drop a finished answer (or its own ack).
-                    try:
-                        try:
-                            response = worker._dispatch(request)
-                        except ReproError as exc:
-                            response = {"ok": False, "error": str(exc)}
-                        except Exception as exc:  # never kill the connection
-                            response = {
-                                "ok": False,
-                                "error": f"{type(exc).__name__}: {exc}",
-                            }
-                        try:
-                            send_frame(self.request, response)
-                        except (ReproError, OSError):
-                            return
-                    finally:
-                        with worker._inflight_lock:
-                            worker._inflight -= 1
-                            worker._inflight_idle.notify_all()
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _Handler)
+        self._server = ConnectionServer((host, port), self._serve_connection)
         self._thread: threading.Thread | None = None
 
     @property
@@ -214,28 +165,45 @@ class ShardWorker:
         """Serve on the calling thread (the subprocess mode)."""
         self._server.serve_forever()
 
+    def _serve_connection(self, conn) -> None:
+        """One coordinator connection: a loop of request frames."""
+        while True:
+            try:
+                request = recv_frame(conn)
+            except (ReproError, OSError):
+                return  # connection closed or garbage: drop it
+            with self._inflight_lock:
+                self._inflight += 1
+            # In flight until the response is *written*: a drain that
+            # severed the connection between dispatch and send would
+            # drop a finished answer (or its own ack).
+            try:
+                try:
+                    response = self._dispatch(request)
+                except ReproError as exc:
+                    response = {"ok": False, "error": str(exc)}
+                except Exception as exc:  # never kill the connection
+                    response = {
+                        "ok": False,
+                        "error": f"{type(exc).__name__}: {exc}",
+                    }
+                try:
+                    send_frame(conn, response)
+                except (ReproError, OSError):
+                    return
+            finally:
+                with self._inflight_lock:
+                    self._inflight -= 1
+                    self._inflight_idle.notify_all()
+
     def stop(self) -> None:
         """Stop accepting connections and close the database."""
         self._server.shutdown()
         self._server.server_close()
-        self._sever_connections()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._close_database()
-
-    def _sever_connections(self) -> None:
-        # Sever live coordinator connections too: a SIGKILLed subprocess
-        # drops them implicitly, and the in-process mode must look the
-        # same to pooled clients (handler threads would otherwise keep
-        # answering a "stopped" worker).
-        with self._connections_lock:
-            live = list(self._connections)
-        for conn in live:
-            try:
-                conn.shutdown(2)  # socket.SHUT_RDWR
-            except OSError:
-                pass
 
     def _close_database(self) -> None:
         with self._state_lock:
@@ -266,7 +234,6 @@ class ShardWorker:
                     break  # grace exhausted: sever what is left
                 self._inflight_idle.wait(timeout=min(remaining, 0.1))
         self._server.server_close()
-        self._sever_connections()
         self._close_database()
         self._drained.set()
 

@@ -164,7 +164,7 @@ class _AdoptHandle:
 
     Pushing an existing span id onto the calling thread's stack makes
     subsequent spans on this thread nest under it — the glue that keeps
-    a trace connected across executor threads and worker queues.
+    a trace connected when work changes threads.
     """
 
     __slots__ = ("_tracer", "_parent_id", "_trace_id", "_pushed", "_previous")
@@ -258,16 +258,6 @@ class Tracer:
         """Seconds since this tracer's epoch, on its monotonic clock."""
         return self._clock() - self._epoch
 
-    def new_span_id(self) -> int:
-        """Reserve a span id without opening a span.
-
-        Callers that must hand out a parent id *before* the span's
-        timings are known (the gateway wraps async work it only times
-        at completion) reserve the id up front and record the span
-        later via :meth:`add_span_at`.
-        """
-        return next(self._ids)
-
     def current_span_id(self) -> int | None:
         """The calling thread's innermost open (or adopted) span id."""
         stack = getattr(self._local, "stack", None)
@@ -292,7 +282,6 @@ class Tracer:
         start: float,
         duration: float,
         parent_id: int | None = None,
-        span_id: int | None = None,
         **attributes,
     ) -> Span:
         """Record a finished span from epoch-relative timestamps.
@@ -303,7 +292,7 @@ class Tracer:
         cross-thread and cross-process stitching needs.
         """
         span = Span(
-            span_id=next(self._ids) if span_id is None else span_id,
+            span_id=next(self._ids),
             parent_id=parent_id,
             name=name,
             start=start,
@@ -381,10 +370,6 @@ class NullTracer:
     def now(self) -> float:
         """No clock while disabled."""
         return 0.0
-
-    def new_span_id(self) -> int:
-        """No ids while disabled."""
-        return 0
 
     def current_span_id(self) -> None:
         """No open spans while disabled."""

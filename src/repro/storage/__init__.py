@@ -1,9 +1,8 @@
 """Durable storage: SQL catalog + memory-mapped out-of-core features.
 
-The JSON-era persistence (one ``database.json`` holding every feature
-vector) forces a cold start to parse the whole corpus before the first
-query.  This subsystem splits durable state into two pieces sized for
-their access patterns:
+A single file holding every feature vector would force a cold start to
+parse the whole corpus before the first query.  This subsystem splits
+durable state into two pieces sized for their access patterns:
 
 * :class:`SQLCatalog` — everything *relational* (videos, events, leaf
   metadata, entry rows, scene bookkeeping, full-text search documents)
@@ -17,9 +16,8 @@ their access patterns:
 same leaf, flat, scene and database classes, their rows loaded from the
 store on first touch, answering bit-identically to the corpus that was
 saved; :func:`save_database` persists a database, :func:`load_database`
-opens a database directory (lazily; a legacy JSON one eagerly),
-:func:`migrate_db_dir` converts a JSON-era directory.  See
-``docs/STORAGE.md``.
+opens a database directory lazily, :func:`migrate_db_dir` rebuilds a
+directory's catalog from its artifact store.  See ``docs/STORAGE.md``.
 """
 
 from repro.storage.featurestore import DEFAULT_MAX_OPEN, BlockRef, FeatureStore

@@ -43,8 +43,7 @@ from repro.database.scene_search import SceneIndex, SceneTable
 from repro.errors import IngestError, StorageError
 from repro.resilience.faults import fault_point
 from repro.storage.featurestore import DEFAULT_MAX_OPEN
-from repro.storage.migrate import load_legacy_json
-from repro.storage.schema import DATABASE_NAME, catalog_path
+from repro.storage.schema import catalog_path
 from repro.storage.sqlcatalog import LeafInfo, SQLCatalog
 from repro.types import EventKind
 
@@ -163,15 +162,11 @@ def load_database(db_dir: str | Path) -> VideoDatabase:
 
     A SQL catalog (``catalog.sqlite``) opens *lazily*: registration
     records and routing metadata load at open, feature blocks stay
-    memory-mapped on disk until a query routes into them.  A directory
-    holding only a legacy ``database.json`` deserialises it up front.
-    Raises :class:`~repro.errors.IngestError` when the directory holds
-    neither.  Also exported as ``repro.ingest.load_database``.
+    memory-mapped on disk until a query routes into them.  Raises
+    :class:`~repro.errors.IngestError` when the directory holds no
+    catalog.  Also exported as ``repro.ingest.load_database``.
     """
     db_dir = Path(db_dir)
-    if catalog_path(db_dir).exists():
-        return SQLVideoDatabase.open(db_dir)
-    json_path = db_dir / DATABASE_NAME
-    if json_path.exists():
-        return load_legacy_json(json_path)
-    raise IngestError(f"no ingested database in {db_dir}")
+    if not catalog_path(db_dir).exists():
+        raise IngestError(f"no ingested database in {db_dir}")
+    return SQLVideoDatabase.open(db_dir)

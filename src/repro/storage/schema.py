@@ -42,10 +42,6 @@ CATALOG_NAME = "catalog.sqlite"
 #: Directory name of the feature-block store inside a database directory.
 FEATURES_DIR = "features"
 
-#: File name of the legacy JSON catalog (read-only: ``load_database``
-#: still opens a directory holding only this; ``migrate`` converts it).
-DATABASE_NAME = "database.json"
-
 #: Relational DDL, applied in order inside one transaction.
 SCHEMA_STATEMENTS = (
     """

@@ -135,18 +135,11 @@ class TestPersistence:
         restored.close()
 
     def test_load_missing_file_raises(self, tmp_path):
-        from repro.storage.migrate import load_legacy_json
+        from repro.errors import IngestError
+        from repro.storage import load_database
 
-        with pytest.raises(DatabaseError):
-            load_legacy_json(tmp_path / "nope.json")
-
-    def test_load_corrupt_file_raises(self, tmp_path):
-        from repro.storage.migrate import load_legacy_json
-
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(DatabaseError):
-            load_legacy_json(bad)
+        with pytest.raises(IngestError, match="no ingested database"):
+            load_database(tmp_path)
 
 
 class TestBeamDescent:

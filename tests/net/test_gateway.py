@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -53,6 +56,17 @@ def post_query(base, payload, headers=None):
     return request(
         f"{base}/query", "POST", json.dumps(payload).encode("utf-8"), merged
     )
+
+
+def raw_exchange(port, payload):
+    """Send raw bytes, half-close, return everything the gateway answers."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +195,109 @@ class TestProtocolEdges:
             )
             assert status == 400
             assert message in body["error"]
+
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n", "Content-Length"),
+            (b"POST /query HTTP/1.1\r\nContent-Length: five\r\n\r\n", "Content-Length"),
+            (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", "exceeds"),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", "exceeds"),
+            (b"GET /health HTTP/1.1\r\n" + b"X-Pad: a\r\n" * 500 + b"\r\n", "header lines"),
+            (b"GET /health\r\n\r\n", "malformed request line"),
+        ],
+        ids=["negative-length", "non-numeric-length", "long-header-line",
+             "long-request-line", "too-many-headers", "two-part-request-line"],
+    )
+    def test_malformed_framing_is_a_typed_400(self, gw, capfd, payload, message):
+        head, _, body = raw_exchange(gw.port, payload).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"Connection: close" in head
+        assert message in json.loads(body)["error"]
+        assert request(f"{gw.url}/health")[0] in (200, 207)
+        assert capfd.readouterr().err == ""
+
+    def test_short_body_closes_cleanly(self, gw, capfd):
+        answer = raw_exchange(
+            gw.port, b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}"
+        )
+        assert answer == b""
+        assert request(f"{gw.url}/health")[0] in (200, 207)
+        assert capfd.readouterr().err == ""
+
+
+class _RecordingBackend:
+    """Front that notes which thread each query ran on."""
+
+    fanout = 1
+
+    def __init__(self):
+        self.threads = []
+
+    def query(self, request):
+        self.threads.append(threading.current_thread())
+        return ServingResult(
+            kind=request.kind, hits=(), generation=1, cache_hit=False,
+            elapsed_seconds=0.0,
+        )
+
+
+def _post(conn):
+    """One query on a keep-alive ``http.client`` connection."""
+    conn.request("POST", "/query", b'{"kind": "shot", "features": [0.0]}')
+    response = conn.getresponse()
+    response.read()
+    assert response.status == 200
+
+
+class TestConnectionThread:
+    """A query runs on the thread of the connection that brought it."""
+
+    def test_front_runs_on_the_connections_own_thread(self):
+        backend = _RecordingBackend()
+        with HttpGateway(backend, GatewayConfig()) as gateway:
+            first = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10.0)
+            second = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10.0)
+            try:
+                _post(first)
+                _post(first)
+                _post(second)
+                a, b, c = backend.threads
+                assert a is b  # one keep-alive connection, one thread
+                assert c is not a  # another connection, another thread
+                for _ in range(97):
+                    _post(second)
+            finally:
+                first.close()
+                second.close()
+            assert len(backend.threads) == 100
+            assert set(backend.threads) == {a, c}
+            assert not [
+                t.name for t in threading.enumerate() if t.name.startswith("gateway")
+            ]  # no pool behind the connections
+
+
+class TestStop:
+    def test_stop_severs_idle_keepalive_connections_silently(self, capfd):
+        gateway = HttpGateway(_RecordingBackend(), GatewayConfig()).start()
+        idle = []
+        try:
+            for _ in range(8):
+                conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10.0)
+                _post(conn)  # now parked between requests
+                idle.append(conn)
+            started = time.perf_counter()
+            gateway.stop()
+            gateway.stop()  # idempotent
+            assert time.perf_counter() - started < 2.0
+            for conn in idle:
+                assert conn.sock.recv(1) == b""  # EOF, not a reset or a hang
+        finally:
+            for conn in idle:
+                conn.close()
+            gateway.stop()
+        assert capfd.readouterr().err == ""
 
 
 class TestAuthScoping:

@@ -93,11 +93,30 @@ class TestStitchedFlame:
         assert gateway_span.attributes["path"] == "/query"
         (net_query,) = grouped["net.query"]
         assert net_query.attributes["trace_id"] == supplied
-        # The coordinator runs on an offloaded thread yet still nests
-        # under the gateway's reserved span.
         assert net_query.parent_id == gateway_span.span_id
         for span in grouped["worker.probe"]:
             assert span.attributes["trace_id"] == supplied
+
+    @pytest.mark.parametrize("front_span", ["serve.query", "net.query"])
+    def test_front_span_nests_under_the_gateway_span_on_one_thread(
+        self, make_harness, reference, probes, tracer, front_span
+    ):
+        front = reference if front_span == "serve.query" else make_harness(2).service
+        with HttpGateway(front, GatewayConfig()) as gateway:
+            status, _, _ = post_query(
+                gateway.url,
+                {"kind": "shot", "features": _features(probes, 2), "k": 5},
+            )
+        assert status == 200
+        grouped = _by_name(tracer.spans())
+        (gateway_span,) = grouped["gateway.request"]
+        (query_span,) = grouped[front_span]
+        # Parent -> child by the tracer's own thread stack: the front ran
+        # on the connection's thread, nobody adopted a parent id.
+        assert query_span.parent_id == gateway_span.span_id
+        assert query_span.thread == gateway_span.thread
+        assert gateway_span.attributes["status"] == 200
+        assert query_span.attributes["trace_id"] == gateway_span.attributes["trace_id"]
 
     def test_missing_header_mints_an_id_even_untraced(self, reference, probes):
         # No tracer installed: the id is still generated and echoed

@@ -78,17 +78,6 @@ class TestExplicitSpans:
         assert span.parent_id is None
         assert span.attributes == {"shard": 1}
 
-    def test_reserved_span_id_round_trips(self):
-        tracer = Tracer()
-        reserved = tracer.new_span_id()
-        with tracer.adopt(reserved):
-            with tracer.span("under.reserved"):
-                pass
-        tracer.add_span_at("gateway.request", 0.0, 1.0, span_id=reserved)
-        spans = {sp.name: sp for sp in tracer.spans()}
-        assert spans["under.reserved"].parent_id == reserved
-        assert spans["gateway.request"].span_id == reserved
-
     def test_now_is_monotonic_from_epoch(self):
         tracer = Tracer()
         first = tracer.now()
@@ -167,7 +156,6 @@ class TestRemoteStitching:
 class TestNullTracerPropagation:
     def test_all_propagation_ops_are_noops(self):
         assert NULL_TRACER.now() == 0.0
-        assert NULL_TRACER.new_span_id() == 0
         assert NULL_TRACER.current_span_id() is None
         assert NULL_TRACER.current_trace_id() is None
         with NULL_TRACER.adopt(5, "deadbeefdeadbeef"):

@@ -8,16 +8,13 @@ its own typed error (never an unhandled numpy/KeyError surprise).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.audio.speaker import SpeakerAnalyzer, default_speech_classifier
 from repro.audio.waveform import Waveform
 from repro.core.structure import mine_content_structure
-from repro.errors import DatabaseError, ReproError
-from repro.storage.migrate import load_legacy_json
+from repro.errors import ReproError
 from repro.video.frame import Frame
 from repro.video.stream import VideoStream
 
@@ -93,20 +90,6 @@ class TestDegenerateAudio:
 
 
 class TestCorruptPersistence:
-    def test_database_load_missing_keys(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps({"leaves": {"x/unknown": [{"shot_id": 1}]}}))
-        with pytest.raises((DatabaseError, KeyError)) as excinfo:
-            load_legacy_json(path)
-        # The error must be typed (our hierarchy) or clearly about data.
-        assert excinfo.type is not Exception
-
-    def test_database_load_wrong_types(self, tmp_path):
-        path = tmp_path / "types.json"
-        path.write_text(json.dumps({"leaves": "not-a-dict", "videos": {}}))
-        with pytest.raises((DatabaseError, AttributeError, TypeError)):
-            load_legacy_json(path)
-
     def test_repro_error_is_catchable_base(self, demo_stream):
         from repro.errors import MiningError
 

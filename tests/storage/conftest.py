@@ -7,36 +7,10 @@ that mutate state make their own copies.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.storage import SQLVideoDatabase, build_synthetic_database, save_database
-
-
-def write_legacy_json(database, path: Path) -> None:
-    """A JSON-era ``database.json`` holding ``database`` (nothing in src writes one)."""
-    payload = {
-        "videos": {title: video.to_json() for title, video in database.videos.items()},
-        "leaves": {
-            name: [
-                {
-                    "video_title": title,
-                    "shot_id": shot_id,
-                    "scene_id": scene_id,
-                    "features": features,
-                }
-                for title, shot_id, scene_id, features in zip(
-                    leaf.titles.tolist(), leaf.shot_ids.tolist(),
-                    leaf.scene_ids.tolist(), leaf.block.tolist(),
-                )
-            ]
-            for name, leaf in database.leaves.items()
-        },
-    }
-    Path(path).write_text(json.dumps(payload))
 
 
 @pytest.fixture(scope="module")

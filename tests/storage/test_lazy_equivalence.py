@@ -4,9 +4,9 @@ The contract under test: a corpus saved through the SQL catalog and
 opened lazily answers every query surface — flat scan, hierarchical
 descent, scene search, access-scoped search — with *exactly* the
 results the in-RAM source database gives, including tie-break order
-and search statistics.  The JSON migration pair is checked against the
-eager JSON-loaded database (the legacy loader regroups the flat index
-by leaf, so it is its own consistent ordering).
+and search statistics.  The migration pair is a catalog rebuilt from an
+artifact store, checked against the in-RAM database the same artifacts
+register into.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from repro.storage import (
     migrate_db_dir,
     save_database,
 )
-from repro.storage.migrate import load_legacy_json
 from repro.types import EventKind
-from tests.storage.conftest import write_legacy_json
 
 
 def shot_hits(result):
@@ -196,24 +194,37 @@ class TestSnapshotIntegration:
 
 class TestMigrationRoundTrip:
     @pytest.fixture(scope="class")
-    def migrated_pair(self, tmp_path_factory, source_db):
-        """(eager JSON-loaded db, lazy db migrated from the same JSON)."""
-        legacy = tmp_path_factory.mktemp("legacy")
-        write_legacy_json(source_db, legacy / "database.json")
-        eager = load_legacy_json(legacy / "database.json")
-        report = migrate_db_dir(legacy, remove_json=True)
-        migrated = SQLVideoDatabase.open(legacy)
-        yield eager, migrated, report, legacy
+    def migrated_pair(self, tmp_path_factory, demo_result):
+        """(in-RAM db rebuilt from the artifacts, stored db migrated from them)."""
+        from repro.ingest.jobs import IngestJob
+        from repro.ingest.runner import rebuild_database, store_for
+
+        db_dir = tmp_path_factory.mktemp("artifacts-only")
+        store = store_for(db_dir)
+        store.save(IngestJob.for_title("demo").key, demo_result)
+        eager, skipped = rebuild_database(store)
+        assert skipped == []
+        report = migrate_db_dir(db_dir)
+        migrated = SQLVideoDatabase.open(db_dir)
+        yield eager, migrated, report, db_dir
         migrated.close()
 
-    def test_report_and_json_removal(self, migrated_pair, source_db):
-        _eager, _migrated, report, legacy = migrated_pair
-        assert report.source == "json"
-        assert report.videos == len(source_db.videos)
-        assert report.entries == source_db.shot_count
+    @pytest.fixture(scope="class")
+    def probes(self, migrated_pair):
+        entries = migrated_pair[0].flat_index.entries
+        rng = np.random.default_rng(7)
+        return [
+            entries[0].features,
+            entries[-1].features,
+            rng.random(entries[0].features.shape[0]),
+        ]
+
+    def test_report_counts_what_was_migrated(self, migrated_pair):
+        eager, _migrated, report, _db_dir = migrated_pair
+        assert report.videos == len(eager.videos) == 1
+        assert report.entries == eager.shot_count
         assert report.blocks > 0
-        assert report.removed_json
-        assert not (legacy / "database.json").exists()
+        assert report.skipped_artifacts == ()
         assert "migrated" in report.render()
 
     def test_registrations_identical(self, migrated_pair):

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -129,3 +137,58 @@ class TestBlasThreads:
         assert main(["serve", "--db-dir", str(tmp_path)]) != 0
         capsys.readouterr()
         assert self._threads(env) == self.UNTOUCHED
+
+
+def _stat(pid) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the command name (which may hold spaces): state, ppid, ..."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid: int) -> list[int]:
+    return [
+        int(entry.name)
+        for entry in Path("/proc").iterdir()
+        if entry.name.isdigit() and (fields := _stat(entry.name)) and int(fields[1]) == pid
+    ]
+
+
+def _alive(pid: int) -> bool:
+    fields = _stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigterm_unwinds_sharded_serve_and_its_workers(tmp_path):
+    from repro.storage.sqlcatalog import save_database
+    from repro.storage.synthetic import build_synthetic_database
+
+    save_database(build_synthetic_database(videos=6, shots_per_video=4, seed=3), tmp_path)
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--db-dir", str(tmp_path),
+         "--http", "0", "--shards", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    workers: list[int] = []
+    try:
+        for line in serve.stdout:
+            if line.startswith("serving on "):
+                break
+        else:
+            pytest.fail("serve exited before its banner")
+        workers = _children(serve.pid)
+        assert len(workers) == 2
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=10.0) == 0
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        for pid in [serve.pid, *workers]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        serve.wait()
+        serve.stdout.close()

@@ -4,8 +4,10 @@ A serving process — the gateway, a shard worker, ``classminer serve`` —
 must not load the mining stack to start: ~60 modules it never calls
 (0.15 s and ~5 MiB a process now; 1.3 s and ~70 MiB while ``scipy``
 came with them).  Each query-stack module is imported in a fresh
-interpreter here and must leave ``sys.modules`` free of the miners and
-``networkx``.  ``scipy`` is forbidden to the whole
+interpreter here and must leave ``sys.modules`` free of the miners,
+``networkx`` and ``asyncio`` (the gateway ran on a loop until PR 21; it
+cost every serving process, shard workers included, ~1.5 MiB and ~35 ms
+to import).  ``scipy`` is forbidden to the whole
 program, miners included: numpy is the only runtime dependency.  The
 lazily exporting packages keep their public surface: same ``__all__``,
 every name resolves, star imports work.  No linter runs here (neither
@@ -45,6 +47,7 @@ SERVING_MODULES = (
 FORBIDDEN = (
     "scipy",
     "networkx",
+    "asyncio",  # both servers in net/ are thread-per-connection
     "repro.video",
     "repro.audio",
     "repro.vision",
