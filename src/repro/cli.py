@@ -230,6 +230,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         f"\n{len(report.mined)} mined, {len(report.cached)} cached, "
         f"{len(report.failed)} failed; "
         f"{len(report.registered)} videos registered"
+        + (
+            f"; {len(report.skipped)} unreadable artifacts quarantined and left out"
+            if report.skipped
+            else ""
+        )
     )
     if report.database_path is not None:
         print(f"database: {report.database_path}")
@@ -237,10 +242,26 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.storage import migrate_db_dir
+    from repro.errors import StorageError
+    from repro.ingest.runner import publish_catalog, store_for
+    from repro.storage import SQLCatalog
 
-    report = migrate_db_dir(args.db_dir)
-    print(report.render())
+    db_dir, artifacts = args.db_dir, store_for(args.db_dir).root
+    if not artifacts.exists():
+        raise StorageError(f"nothing to migrate in {db_dir}: no {artifacts.name}/ store")
+    report = publish_catalog(db_dir)
+    if report.database_path is None:
+        raise StorageError(f"{db_dir} migration found no registered videos")
+    with SQLCatalog(db_dir) as catalog:
+        entries, blocks = catalog.entry_count(), len(catalog.features.list_blocks())
+    print(f"migrated {db_dir} from artifacts:")
+    print(f"  catalog: {report.database_path}")
+    print(
+        f"  {len(report.registered)} videos, {entries} shot entries, "
+        f"{blocks} feature blocks"
+    )
+    if report.skipped:
+        print(f"  skipped {len(report.skipped)} unreadable artifacts")
     return 0
 
 
@@ -270,7 +291,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.ingest import manifest_for, store_for
+    from repro.ingest import store_for
 
     store = store_for(args.db_dir)
     if args.action == "list":
@@ -287,7 +308,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"\n{len(infos)} artifacts, {total / 1024:.0f} KiB total")
         return 0
     removed = store.clear()
-    manifest_for(args.db_dir).clear()
     print(f"removed {removed} artifacts from {store.root}")
     return 0
 
@@ -663,9 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Mine each title (shots, scenes, cues, audio, events) into a "
             "content-addressed artifact cache under --db-dir, then build "
             "the queryable catalog (catalog.sqlite + features/) from the "
-            "artifacts. Finished jobs are recorded "
-            "in manifest.jsonl, so an interrupted ingest resumes without "
-            "redoing work, and a re-run hits the cache entirely."
+            "artifacts. A valid artifact is what marks its job done, so an "
+            "interrupted ingest resumes without redoing work, and a re-run "
+            "hits the cache entirely."
         ),
     )
     ingest.add_argument(
@@ -676,25 +696,34 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--db-dir",
         required=True,
-        help="database directory (artifacts/, manifest.jsonl, catalog.sqlite)",
+        help="database directory (artifacts/, catalog.sqlite, features/)",
     )
     ingest.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="worker processes; 1 mines serially in-process (default: 1)",
+        help=(
+            "jobs in flight at once, each in its own worker process; 1 mines "
+            "one job at a time on the calling thread (default: 1)"
+        ),
     )
     ingest.add_argument(
         "--force",
         action="store_true",
-        help="re-mine even when a cached artifact exists",
+        help=(
+            "skip the cache check and re-mine; an artifact is replaced when "
+            "its re-mine succeeds, never deleted first"
+        ),
     )
     ingest.add_argument("--seed", type=int, default=0, help="render seed (default: 0)")
     ingest.add_argument(
         "--timeout",
         type=float,
         default=None,
-        help="per-job wall-clock limit in seconds (pool mode only)",
+        help=(
+            "limit in seconds on each job's own running time, counted from "
+            "when a worker starts it (needs --workers > 1)"
+        ),
     )
     ingest.add_argument(
         "--retries",

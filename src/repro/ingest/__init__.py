@@ -1,16 +1,20 @@
 """Corpus ingestion runtime: parallel mining, artifact cache, resumable jobs.
 
 The batch layer that turns a set of titles into a persistent, queryable
-database directory (Sec. 5-6's corpus-scale story):
+database directory (Sec. 5-6's corpus-scale story) — the offline half
+of the paper's split; the query stack only reads what it writes.  One
+straight line, jobs → artifacts → catalog directory:
 
 * :mod:`repro.ingest.jobs` — jobs and deterministic cache keys;
-* :mod:`repro.ingest.manifest` — crash-tolerant JSON-lines job journal;
+* :mod:`repro.ingest.executor` — the one job loop: worker processes or
+  the calling thread, retry, backoff and per-job timeouts;
 * :mod:`repro.ingest.artifacts` — content-addressed ``.npz`` + JSON
   store for mined :class:`~repro.core.pipeline.ClassMinerResult`\\ s;
-* :mod:`repro.ingest.executor` — process-pool execution with retry,
-  backoff and per-job timeouts;
+  a valid artifact is what marks its job done (there is no second
+  journal), which is what makes an interrupted ingest resumable;
 * :mod:`repro.ingest.progress` — structured per-job progress events;
-* :mod:`repro.ingest.runner` — the end-to-end ``ingest_corpus`` entry.
+* :mod:`repro.ingest.runner` — ``ingest_corpus`` end to end, and
+  ``publish_catalog``, the one step from artifacts to catalog.
 """
 
 from repro._lazy import lazy_exports
@@ -30,17 +34,12 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.ingest.executor": ("JobOutcome", "run_jobs"),
         "repro.ingest.jobs": ("IngestJob", "cache_key", "jobs_for_titles"),
-        "repro.ingest.manifest": ("JobManifest", "JobRecord"),
         "repro.ingest.progress": ("JobEvent", "ProgressTracker"),
         "repro.ingest.runner": (
-            "CorpusHook",
             "IngestReport",
             "ingest_corpus",
             "ingest_jobs",
-            "manifest_for",
-            "register_corpus_hook",
             "store_for",
-            "unregister_corpus_hook",
         ),
         # Moved out so the query stack can use them without this package's
         # mining imports; re-exported here because this is where callers
@@ -53,13 +52,10 @@ __getattr__, __dir__ = lazy_exports(
 __all__ = [
     "ArtifactInfo",
     "ArtifactStore",
-    "CorpusHook",
     "IngestJob",
     "IngestReport",
     "JobEvent",
-    "JobManifest",
     "JobOutcome",
-    "JobRecord",
     "ProgressTracker",
     "RetryPolicy",
     "cache_key",
@@ -69,10 +65,7 @@ __all__ = [
     "ingest_jobs",
     "jobs_for_titles",
     "load_database",
-    "manifest_for",
-    "register_corpus_hook",
     "results_equal",
     "run_jobs",
     "store_for",
-    "unregister_corpus_hook",
 ]

@@ -1,26 +1,30 @@
-"""The ingest worker-pool executor.
+"""The ingest executor: one job loop, whatever ``workers`` is.
 
-Runs ingest jobs across processes via
-:class:`concurrent.futures.ProcessPoolExecutor` with a serial fallback
-(``workers <= 1``, or when the platform refuses to give us a pool).
 Each job:
 
-1. checks the artifact store — a cache hit skips mining entirely;
-2. renders and mines the video (inside the worker process);
+1. checks the artifact store — a valid artifact under the job's key is
+   a cache hit and mining is skipped entirely (the store is the only
+   record of what is done, which is also what makes an interrupted
+   ingest resume);
+2. renders and mines the video;
 3. serialises the result into the content-addressed store;
-4. reports back, and the parent records the manifest transition.
+4. reports back as a :class:`JobOutcome` and a
+   :class:`~repro.ingest.progress.JobEvent`.
 
-Failures are retried with exponential backoff up to a bounded attempt
-count; exhaustion (and per-job timeouts in pool mode) surface as a
-typed :class:`~repro.errors.IngestError`.  Tests inject faults by
-monkeypatching :func:`_mine_job`, the single choke point both the
-serial and pool paths go through.
+Steps 2–3 run in a :class:`~concurrent.futures.ProcessPoolExecutor`
+worker, or — ``workers <= 1``, or the platform refuses to give us a
+pool — on the calling thread, behind the same ``submit``; one loop
+(:func:`_run`) keeps ``workers`` jobs in flight, retries failures with
+exponential backoff up to a bounded attempt count and fails a job that
+outruns its timeout.  Tests inject faults by monkeypatching
+:func:`_mine_job`, the single choke point every job goes through.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -33,10 +37,8 @@ from pathlib import Path
 
 from repro.core import ClassMiner
 from repro.core.pipeline import ClassMinerResult
-from repro.errors import IngestError
 from repro.ingest.artifacts import ArtifactStore
 from repro.ingest.jobs import IngestJob
-from repro.ingest.manifest import JobManifest
 from repro.ingest.progress import JobEvent, ProgressCallback
 from repro.obs.registry import get_registry
 from repro.resilience.faults import fault_point
@@ -96,7 +98,7 @@ def _mine_job(job: IngestJob) -> ClassMinerResult:
 def _execute_job(job: IngestJob, store_root: str) -> dict:
     """Worker entry: mine ``job`` and persist its artifact.
 
-    Runs inside the pool worker (or inline in serial mode) and returns a
+    Runs inside the pool worker (or on the calling thread) and returns a
     small picklable summary — the heavy result stays on disk.
     """
     start = time.perf_counter()
@@ -130,14 +132,9 @@ def _emit(progress: ProgressCallback | None, event: JobEvent) -> None:
 
 
 def _cached_outcome(
-    job: IngestJob,
-    store: ArtifactStore,
-    manifest: JobManifest,
-    progress: ProgressCallback | None,
+    job: IngestJob, store: ArtifactStore, progress: ProgressCallback | None
 ) -> JobOutcome:
     """Outcome for a job whose artifact already exists on disk."""
-    if manifest.state_of(job.key) != "done":
-        manifest.record(job.key, job.title, "done")
     meta = store.read_meta(job.key)
     outcome = JobOutcome(
         key=job.key,
@@ -160,10 +157,8 @@ def _cached_outcome(
     return outcome
 
 
-def _finished(
-    summary: dict, attempt: int, manifest: JobManifest, progress: ProgressCallback | None
-) -> JobOutcome:
-    """Journal and announce a mined job; returns its outcome."""
+def _finished(summary: dict, attempt: int, progress: ProgressCallback | None) -> JobOutcome:
+    """Announce a mined job; returns its outcome."""
     outcome = JobOutcome(
         key=summary["key"],
         title=summary["title"],
@@ -174,7 +169,6 @@ def _finished(
         scenes=summary["scenes"],
         artifact_path=Path(summary["path"]),
     )
-    manifest.record(outcome.key, outcome.title, "done", attempt=attempt)
     _emit(
         progress,
         JobEvent(
@@ -190,11 +184,9 @@ def _failed(
     attempt: int,
     error: str,
     wall_time: float,
-    manifest: JobManifest,
     progress: ProgressCallback | None,
 ) -> JobOutcome:
-    """Journal and announce a job that is out of attempts (or time); returns its outcome."""
-    manifest.record(job.key, job.title, "failed", attempt=attempt, error=error)
+    """Announce a job that is out of attempts (or time); returns its outcome."""
     _emit(
         progress,
         JobEvent(
@@ -207,112 +199,89 @@ def _failed(
     )
 
 
-def _run_serial(
-    jobs: list[IngestJob],
-    store: ArtifactStore,
-    manifest: JobManifest,
-    policy: RetryPolicy,
-    progress: ProgressCallback | None,
-) -> list[JobOutcome]:
-    """Mine jobs one by one in this process (no preemptive timeout)."""
-    outcomes: list[JobOutcome] = []
-    for job in jobs:
-        error = ""
-        attempt = 0
-        outcome: JobOutcome | None = None
-        # Seeded per job key: deterministic for a given corpus, but
-        # decorrelated across jobs so retries do not synchronise.
-        rng = random.Random(job.key)
-        last_delay = 0.0
-        while attempt < policy.max_attempts:
-            attempt += 1
-            manifest.record(job.key, job.title, "running", attempt=attempt)
-            _emit(progress, JobEvent("started", job.title, job.key, attempt=attempt))
-            start = time.perf_counter()
-            try:
-                summary = _execute_job(job, str(store.root))
-            except Exception as exc:  # typed below; bounded by max_attempts
-                error = f"{type(exc).__name__}: {exc}"
-                if attempt < policy.max_attempts:
-                    _emit(
-                        progress,
-                        JobEvent(
-                            "retried",
-                            job.title,
-                            job.key,
-                            attempt=attempt,
-                            message=error,
-                        ),
-                    )
-                    last_delay = policy.next_delay(attempt, last_delay, rng)
-                    time.sleep(last_delay)
-                continue
-            outcome = _finished(summary, attempt, manifest, progress)
-            break
-        if outcome is None:
-            outcome = _failed(
-                job, attempt, error, time.perf_counter() - start, manifest, progress
-            )
-        outcomes.append(outcome)
-    return outcomes
+class _CallingThread:
+    """The executor of ``workers <= 1``: ``submit`` runs the job before it returns.
+
+    The future it hands back is already finished, so the loop sees the
+    job end on its next turn and a running job cannot be timed out.
+    Only :class:`Exception` is captured: a ``KeyboardInterrupt`` in the
+    job interrupts the run, as it would without an executor.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # read back by the loop, like a pool worker's
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
 @dataclass
 class _Slot:
-    """Bookkeeping for one in-flight pooled job."""
+    """One job's place in the loop: waiting for a worker, or in flight."""
 
     job: IngestJob
     attempt: int
-    deadline: float | None
-    # Retry-jitter state: one seeded stream per job, plus the delay the
-    # scheduler slept before this attempt (decorrelated jitter input).
-    rng: random.Random | None = None
+    # Retry-jitter state: one stream per job, seeded by its key
+    # (deterministic for a given corpus, decorrelated across jobs so
+    # retries do not synchronise), plus the delay slept before this
+    # attempt (decorrelated jitter input).
+    rng: random.Random
     last_delay: float = 0.0
+    started: float = 0.0
+    deadline: float | None = None
 
 
-def _run_pool(
+def _run(
     jobs: list[IngestJob],
     store: ArtifactStore,
-    manifest: JobManifest,
+    executor: ProcessPoolExecutor | _CallingThread,
     workers: int,
     timeout: float | None,
     policy: RetryPolicy,
     progress: ProgressCallback | None,
-) -> list[JobOutcome]:
-    """Mine jobs across a process pool with per-job deadlines."""
-    outcomes: dict[str, JobOutcome] = {}
-    timed_out = False
+    outcomes: dict[str, JobOutcome],
+) -> None:
+    """The job loop: submit, retry, time out and collect into ``outcomes``.
+
+    At most ``workers`` jobs are in flight, so a job is submitted only
+    when a worker is free to run it and ``timeout`` measures its own
+    running time, not its wait.  A worker still busy with a job that
+    timed out counts as in flight until it returns.  The executor is
+    shut down on the way out, whichever way that is.
+    """
+    waiting = deque(_Slot(job, 1, random.Random(job.key)) for job in jobs)
+    pending: dict[Future, _Slot] = {}
+    abandoned: list[Future] = []
     inflight = get_registry().gauge(
         "ingest_inflight_jobs",
-        "Jobs currently submitted to the ingest process pool.",
+        "Jobs currently submitted to the ingest executor.",
     )
-    pool = ProcessPoolExecutor(max_workers=workers)
     try:
-
-        def submit(
-            job: IngestJob,
-            attempt: int,
-            rng: random.Random | None = None,
-            last_delay: float = 0.0,
-        ) -> tuple[Future, _Slot]:
-            manifest.record(job.key, job.title, "running", attempt=attempt)
-            _emit(progress, JobEvent("started", job.title, job.key, attempt=attempt))
-            future = pool.submit(_execute_job, job, str(store.root))
-            deadline = None if timeout is None else time.monotonic() + timeout
-            return future, _Slot(
-                job=job,
-                attempt=attempt,
-                deadline=deadline,
-                rng=rng if rng is not None else random.Random(job.key),
-                last_delay=last_delay,
-            )
-
-        pending: dict[Future, _Slot] = {}
-        for job in jobs:
-            future, slot = submit(job, attempt=1)
-            pending[future] = slot
-
-        while pending:
+        while waiting or pending:
+            abandoned = [future for future in abandoned if not future.done()]
+            while waiting and len(pending) + len(abandoned) < workers:
+                slot = waiting.popleft()
+                job = slot.job
+                _emit(progress, JobEvent("started", job.title, job.key, attempt=slot.attempt))
+                slot.started = time.monotonic()
+                slot.deadline = None if timeout is None else slot.started + timeout
+                pending[executor.submit(_execute_job, job, str(store.root))] = slot
+            if not pending:
+                # Every worker is held by a job that ran past its
+                # deadline: nothing can start, and waiting on them is
+                # what the timeout was set to prevent.
+                for slot in waiting:
+                    outcomes[slot.job.key] = _failed(
+                        slot.job, slot.attempt - 1,
+                        f"not started: all {workers} workers are held by timed-out jobs",
+                        0.0, progress,
+                    )
+                break
             inflight.set(len(pending))
             # Sleep until a job completes or the nearest deadline passes.
             deadlines = [
@@ -328,131 +297,99 @@ def _run_pool(
                 job, attempt = slot.job, slot.attempt
                 exc = future.exception()
                 if exc is None:
-                    outcomes[job.key] = _finished(future.result(), attempt, manifest, progress)
+                    outcomes[job.key] = _finished(future.result(), attempt, progress)
                     continue
                 error = f"{type(exc).__name__}: {exc}"
-                if attempt < policy.max_attempts:
-                    _emit(
-                        progress,
-                        JobEvent(
-                            "retried", job.title, job.key, attempt=attempt,
-                            message=error,
-                        ),
+                if attempt >= policy.max_attempts:
+                    outcomes[job.key] = _failed(
+                        job, attempt, error, time.monotonic() - slot.started, progress
                     )
-                    retry_delay = policy.next_delay(
-                        attempt, slot.last_delay, slot.rng
-                    )
-                    time.sleep(retry_delay)
-                    future, slot = submit(
-                        job,
-                        attempt=attempt + 1,
-                        rng=slot.rng,
-                        last_delay=retry_delay,
-                    )
-                    pending[future] = slot
-                else:
-                    outcomes[job.key] = _failed(job, attempt, error, 0.0, manifest, progress)
+                    continue
+                _emit(
+                    progress,
+                    JobEvent("retried", job.title, job.key, attempt=attempt, message=error),
+                )
+                slot.last_delay = policy.next_delay(attempt, slot.last_delay, slot.rng)
+                time.sleep(slot.last_delay)
+                slot.attempt += 1
+                waiting.appendleft(slot)
             # Enforce per-job deadlines on whatever is still running.
             now = time.monotonic()
             for future, slot in list(pending.items()):
                 if slot.deadline is None or now <= slot.deadline:
                     continue
-                future.cancel()
-                timed_out = True
                 del pending[future]
+                if not future.cancel():
+                    abandoned.append(future)
                 outcomes[slot.job.key] = _failed(
-                    slot.job, slot.attempt, f"timed out after {timeout:.1f}s",
-                    timeout or 0.0, manifest, progress,
+                    slot.job, slot.attempt, f"timed out after {timeout:.1f}s", timeout, progress
                 )
     finally:
         inflight.set(0)
-        # After a timeout the stuck worker may never return; abandon it
+        # A worker stuck past its deadline may never return; abandon it
         # instead of blocking the whole ingest on its shutdown join.
-        pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
-    return [outcomes[job.key] for job in jobs if job.key in outcomes]
+        stuck = any(not future.done() for future in abandoned)
+        executor.shutdown(wait=not stuck, cancel_futures=stuck)
 
 
 def run_jobs(
     jobs: list[IngestJob],
     store: ArtifactStore,
-    manifest: JobManifest,
     workers: int = 1,
     force: bool = False,
     timeout: float | None = None,
     policy: RetryPolicy | None = None,
     progress: ProgressCallback | None = None,
-    raise_on_failure: bool = True,
 ) -> list[JobOutcome]:
     """Run a batch of ingest jobs and return one outcome per job.
+
+    The artifact store is the only record of what is done: a job whose
+    key holds a valid artifact is ``cached``, every other job runs.  A
+    failed job is reported on its outcome and its ``failed`` event,
+    never raised here (:func:`repro.ingest.runner.ingest_jobs` is where
+    failures become an :class:`~repro.errors.IngestError`).
 
     Parameters
     ----------
     jobs:
         The work list (see :func:`repro.ingest.jobs.jobs_for_titles`).
-    store / manifest:
-        The artifact store and job journal of the target database dir.
+    store:
+        The artifact store of the target database dir.
     workers:
-        Process count; ``<= 1`` runs serially in this process.
+        Jobs in flight at once: ``> 1`` mines in that many worker
+        processes, ``<= 1`` on the calling thread.
     force:
-        Re-mine even when a cached artifact exists.
+        Skip the cache check: every job is mined again, and its old
+        artifact stays until the new one replaces it.
     timeout:
-        Per-job wall-clock limit in seconds (pool mode only — serial
-        execution cannot preempt a running job).
+        Limit in seconds on each job's own running time (worker
+        processes only — a job on the calling thread cannot be
+        preempted).
     policy:
         Retry/backoff policy (defaults to :class:`RetryPolicy`).
     progress:
         Callback receiving a :class:`JobEvent` per state change.
-    raise_on_failure:
-        Raise :class:`IngestError` when any job exhausts its retries.
     """
     policy = policy if policy is not None else RetryPolicy()
-    outcomes: list[JobOutcome] = []
+    outcomes: dict[str, JobOutcome] = {}
     to_run: list[IngestJob] = []
     for job in jobs:
         _emit(progress, JobEvent("queued", job.title, job.key))
-        if force:
-            store.remove(job.key)
+        # A corrupt artifact fails verification here, gets quarantined,
+        # and the job falls through to a fresh mine.
         if not force and store.has_valid(job.key):
-            # Cache hit: mining is skipped entirely.  Covers both a
-            # resumed ingest (manifest already says done) and a manifest
-            # lost or cleared since the artifact was written.  A corrupt
-            # artifact fails verification here, gets quarantined, and
-            # the job falls through to a fresh mine.
-            outcomes.append(_cached_outcome(job, store, manifest, progress))
-            continue
-        manifest.record(job.key, job.title, "pending")
-        to_run.append(job)
-
-    if to_run:
-        if workers > 1:
-            try:
-                outcomes.extend(
-                    _run_pool(
-                        to_run, store, manifest, workers, timeout, policy, progress
-                    )
-                )
-            except (OSError, PermissionError, ImportError, BrokenExecutor):
-                # No process pool on this platform (or it broke mid
-                # run): degrade to serial, reusing whatever artifacts
-                # the pool managed to land before giving up.
-                remaining: list[IngestJob] = []
-                for job in to_run:
-                    if store.has(job.key):
-                        outcomes.append(
-                            _cached_outcome(job, store, manifest, progress)
-                        )
-                    else:
-                        remaining.append(job)
-                outcomes.extend(
-                    _run_serial(remaining, store, manifest, policy, progress)
-                )
+            outcomes[job.key] = _cached_outcome(job, store, progress)
         else:
-            outcomes.extend(_run_serial(to_run, store, manifest, policy, progress))
+            to_run.append(job)
 
-    failures = [o for o in outcomes if not o.ok]
-    if failures and raise_on_failure:
-        detail = "; ".join(f"{o.title}: {o.error}" for o in failures)
-        raise IngestError(
-            f"{len(failures)}/{len(jobs)} ingest jobs failed — {detail}"
-        )
-    return outcomes
+    if to_run and workers > 1:
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            _run(to_run, store, pool, workers, timeout, policy, progress, outcomes)
+        except (OSError, ImportError, BrokenExecutor):
+            pass  # no process pool on this platform, or it broke mid run
+    # One worker — or whatever a pool that gave up did not finish.
+    to_run = [job for job in to_run if job.key not in outcomes]
+    if to_run:
+        _run(to_run, store, _CallingThread(), 1, timeout, policy, progress, outcomes)
+    return [outcomes[job.key] for job in jobs]

@@ -78,7 +78,7 @@ class ProgressTracker:
     Usable directly as the executor's progress callback::
 
         tracker = ProgressTracker()
-        run_jobs(jobs, store, manifest, progress=tracker)
+        run_jobs(jobs, store, progress=tracker)
         print(tracker.render_summary())
     """
 

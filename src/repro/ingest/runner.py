@@ -1,29 +1,34 @@
 """End-to-end corpus ingestion: titles in, queryable database dir out.
 
 :func:`ingest_corpus` is the high-level entry the CLI and benchmarks
-use.  It lays out a database directory::
+use.  The write path is one straight line — jobs → artifacts → catalog
+— over a database directory::
 
     <db_dir>/
-        artifacts/       content-addressed mined results (the cache)
-        manifest.jsonl   job journal (resume state)
+        artifacts/       content-addressed mined results: the cache,
+                         and the only record of which jobs are done
         catalog.sqlite   the registered, queryable catalog (see
                          repro.storage)
         features/        memory-mapped feature blocks the catalog
                          refers to
 
-The artifacts are the source of truth: every run rebuilds the catalog
-from the successful artifacts, so a resumed or partially failed ingest
-still leaves a consistent, loadable database covering everything that
-was mined.  :func:`~repro.storage.lazy.load_database` (re-exported
-here and from :mod:`repro.ingest`) opens the SQL catalog lazily
-(out-of-core feature blocks); ``classminer migrate`` rebuilds a lost
-catalog from the artifacts.
+The artifacts are the source of truth: :func:`publish_catalog` — the
+one function that turns a directory's artifacts into its catalog —
+runs at the end of every ingest, so a resumed or partially failed
+ingest still leaves a consistent, loadable database covering
+everything that was mined, and ``classminer migrate`` is the same
+function run on its own to bring back a lost catalog.  A server is
+moved to the new corpus explicitly, after the ingest returns:
+``server.manager.install(load_database(db_dir))``
+(:func:`~repro.storage.lazy.load_database`, re-exported here and from
+:mod:`repro.ingest`, opens the SQL catalog lazily over out-of-core
+feature blocks).
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +37,6 @@ from repro.database.catalog import VideoDatabase
 from repro.errors import IngestError
 from repro.ingest.executor import JobOutcome, RetryPolicy, run_jobs
 from repro.ingest.jobs import IngestJob, jobs_for_titles
-from repro.ingest.manifest import JobManifest
 from repro.ingest.artifacts import ArtifactStore
 from repro.ingest.progress import ProgressCallback
 from repro.obs.bridge import JobEventBridge
@@ -40,44 +44,12 @@ from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
 from repro.resilience.faults import fault_point
 from repro.storage.lazy import load_database  # noqa: F401  (re-export)
+from repro.storage.sqlcatalog import save_database
 
 _LOGGER = logging.getLogger(__name__)
 
-#: File names inside a database directory.
+#: The artifact store's directory inside a database directory.
 ARTIFACTS_DIR = "artifacts"
-MANIFEST_NAME = "manifest.jsonl"
-
-#: A corpus hook receives ``(db_dir, database)`` after an ingest run has
-#: rebuilt the database from its artifacts.
-CorpusHook = Callable[[Path, VideoDatabase], None]
-
-_corpus_hooks: list[CorpusHook] = []
-
-
-def register_corpus_hook(hook: CorpusHook) -> CorpusHook:
-    """Subscribe to corpus rebuilds.
-
-    The serving layer uses this to bump its snapshot generation whenever
-    ingest lands new videos: every :func:`ingest_jobs` run calls each
-    registered hook with the database directory and the freshly rebuilt
-    :class:`~repro.database.catalog.VideoDatabase`.  Returns the hook so
-    it can be passed straight to :func:`unregister_corpus_hook`.
-    """
-    _corpus_hooks.append(hook)
-    return hook
-
-
-def unregister_corpus_hook(hook: CorpusHook) -> None:
-    """Remove a previously registered corpus hook (missing hooks are a no-op)."""
-    try:
-        _corpus_hooks.remove(hook)
-    except ValueError:
-        pass
-
-
-def _notify_corpus_hooks(db_dir: Path, database: VideoDatabase) -> None:
-    for hook in list(_corpus_hooks):
-        hook(db_dir, database)
 
 
 @dataclass
@@ -96,12 +68,17 @@ class IngestReport:
     registered:
         Titles registered into the rebuilt database (this run's jobs
         plus every earlier artifact still in the store).
+    skipped:
+        Keys of artifacts the rebuild could not read and left out of
+        the catalog (the store quarantined them; the next ingest of
+        their titles re-mines).
     """
 
     db_dir: Path
     database_path: Path | None
     outcomes: list[JobOutcome] = field(default_factory=list)
     registered: list[str] = field(default_factory=list)
+    skipped: list[str] = field(default_factory=list)
 
     @property
     def mined(self) -> list[JobOutcome]:
@@ -127,11 +104,6 @@ class IngestReport:
 def store_for(db_dir: str | Path) -> ArtifactStore:
     """The artifact store of a database directory."""
     return ArtifactStore(Path(db_dir) / ARTIFACTS_DIR)
-
-
-def manifest_for(db_dir: str | Path) -> JobManifest:
-    """The job manifest of a database directory."""
-    return JobManifest(Path(db_dir) / MANIFEST_NAME)
 
 
 def rebuild_database(
@@ -165,6 +137,43 @@ def rebuild_database(
     return database, skipped
 
 
+def publish_catalog(
+    db_dir: str | Path, outcomes: Sequence[JobOutcome] = ()
+) -> IngestReport:
+    """Turn ``db_dir``'s artifacts into its catalog — the one publish.
+
+    Every artifact in the store is registered, the ``outcomes`` of the
+    run that just ended first (the cache is the source of truth, so
+    ingesting a disjoint title set must not drop previously ingested
+    videos), and the catalog is saved when anything registered.  Called
+    with no outcomes this is ``classminer migrate``: the catalog of a
+    directory that holds only artifacts, or lost its own, comes back.
+    """
+    db_dir = Path(db_dir)
+    with obs_span("ingest.rebuild") as sp:
+        fault_point("ingest.rebuild")
+        database, skipped = rebuild_database(
+            store_for(db_dir), first=[outcome.key for outcome in outcomes if outcome.ok]
+        )
+        registered = list(database.videos)
+        sp.set(registered=len(registered), skipped=len(skipped))
+
+    database_path: Path | None = None
+    if registered:
+        database_path = save_database(database, db_dir)
+        get_registry().counter(
+            "ingest_corpus_rebuilds_total",
+            "Database rebuilds completed by ingest runs.",
+        ).inc()
+    return IngestReport(
+        db_dir=db_dir,
+        database_path=database_path,
+        outcomes=list(outcomes),
+        registered=registered,
+        skipped=skipped,
+    )
+
+
 def ingest_jobs(
     jobs: list[IngestJob],
     db_dir: str | Path,
@@ -175,17 +184,16 @@ def ingest_jobs(
     progress: ProgressCallback | None = None,
     strict: bool = True,
 ) -> IngestReport:
-    """Run prepared jobs into ``db_dir`` and (re)build its database.
+    """Run prepared jobs into ``db_dir`` and publish its catalog.
 
-    With ``strict`` (the default) any failed job raises
-    :class:`IngestError` *after* the database has been rebuilt from the
+    See :func:`repro.ingest.executor.run_jobs` for the execution
+    semantics.  With ``strict`` (the default) any failed job raises
+    :class:`IngestError` *after* the catalog has been rebuilt from the
     successful artifacts; pass ``strict=False`` to inspect failures on
     the returned report instead.
     """
     db_dir = Path(db_dir)
     db_dir.mkdir(parents=True, exist_ok=True)
-    store = store_for(db_dir)
-    manifest = manifest_for(db_dir)
 
     # Every run mirrors its job events into the shared registry (and,
     # when a tracer is installed, into back-dated job spans).
@@ -194,14 +202,12 @@ def ingest_jobs(
     with obs_span("ingest.run", jobs=len(jobs), workers=workers) as sp:
         outcomes = run_jobs(
             jobs,
-            store,
-            manifest,
+            store_for(db_dir),
             workers=workers,
             force=force,
             timeout=timeout,
             policy=policy,
             progress=progress,
-            raise_on_failure=False,
         )
         sp.set(
             mined=sum(1 for o in outcomes if o.state == "done"),
@@ -209,35 +215,7 @@ def ingest_jobs(
             failed=sum(1 for o in outcomes if o.state == "failed"),
         )
 
-    with obs_span("ingest.rebuild") as sp:
-        fault_point("ingest.rebuild")
-        # This run's results first, then every other artifact already in
-        # the store: the cache is the source of truth, so ingesting a
-        # disjoint title set must not drop previously ingested videos
-        # from the DB.
-        database, skipped = rebuild_database(
-            store, first=[outcome.key for outcome in outcomes if outcome.ok]
-        )
-        registered = list(database.videos)
-        sp.set(registered=len(registered), skipped=len(skipped))
-
-    database_path: Path | None = None
-    if registered:
-        from repro.storage.sqlcatalog import save_database
-
-        database_path = save_database(database, db_dir)
-        _notify_corpus_hooks(db_dir, database)
-        get_registry().counter(
-            "ingest_corpus_rebuilds_total",
-            "Database rebuilds completed by ingest runs.",
-        ).inc()
-
-    report = IngestReport(
-        db_dir=db_dir,
-        database_path=database_path,
-        outcomes=outcomes,
-        registered=registered,
-    )
+    report = publish_catalog(db_dir, outcomes)
     if strict and not report.ok:
         detail = "; ".join(f"{o.title}: {o.error}" for o in report.failed)
         raise IngestError(

@@ -154,7 +154,7 @@ class ShardWorker:
     def start(self) -> "ShardWorker":
         """Serve in a daemon thread (the in-process/test mode)."""
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self.serve_forever,
             name=f"shard-worker-{self.port}",
             daemon=True,
         )
@@ -162,8 +162,8 @@ class ShardWorker:
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread (the subprocess mode)."""
-        self._server.serve_forever()
+        """Serve on the calling thread (subprocess mode); a stop is noticed within 50 ms."""
+        self._server.serve_forever(poll_interval=0.05)
 
     def _serve_connection(self, conn) -> None:
         """One coordinator connection: a loop of request frames."""

@@ -33,7 +33,7 @@ class JobEventBridge:
     an existing callback::
 
         bridge = JobEventBridge(registry)
-        run_jobs(jobs, store, manifest, progress=bridge.wrap(tracker))
+        run_jobs(jobs, store, progress=bridge.wrap(tracker))
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:

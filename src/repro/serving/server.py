@@ -227,16 +227,6 @@ class QueryServer:
         """Prometheus exposition of this server's registry."""
         return render_prometheus(self._metrics.registry)
 
-    def attach_ingest(self):
-        """Register this server's manager on the ingest corpus hook.
-
-        Returns the hook so callers can pass it to
-        :func:`repro.ingest.runner.unregister_corpus_hook` on shutdown.
-        """
-        from repro.ingest.runner import register_corpus_hook
-
-        return register_corpus_hook(self._manager.ingest_hook())
-
     def _on_snapshot(self, snapshot: Snapshot) -> None:
         if self.config.ann_nprobe is not None:
             warm_ann_indexes(snapshot)

@@ -13,10 +13,10 @@ snapshot layer makes that safe without read locks:
   atomically (a single attribute store) when :meth:`~SnapshotManager.refresh`
   builds the next generation.  Readers never block: they either see the
   old generation or the new one, never a half-built index.
-* :meth:`SnapshotManager.ingest_hook` plugs into
-  :func:`repro.ingest.runner.register_corpus_hook`, so an ingest run
-  that rebuilds the corpus automatically installs the new database and
-  bumps the generation.
+* :meth:`SnapshotManager.install` hands the manager a new database
+  (after an ingest run: ``install(load_database(db_dir))``) and
+  :meth:`~SnapshotManager.refresh` re-reads the one it has; those are
+  the two ways a server is moved to a new generation, both explicit.
 
 Generations are strictly increasing integers; the result cache keys on
 them, which is what makes stale reads after an ingest impossible.
@@ -28,7 +28,6 @@ import logging
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -400,30 +399,3 @@ class SnapshotManager:
         for listener in listeners:
             listener(snapshot)
         return snapshot
-
-    def ingest_hook(self) -> Callable[[Path, VideoDatabase], None]:
-        """A :data:`repro.ingest.runner.CorpusHook` bound to this manager.
-
-        Register it with
-        :func:`repro.ingest.runner.register_corpus_hook` and every
-        ingest run that rebuilds the corpus installs the new database
-        here, bumping the generation (and, through listeners, letting
-        the server invalidate its result cache).  A failing install must
-        not take the *ingest* down with it: the error is swallowed here
-        (recorded on :attr:`last_error` and the metrics registry), the
-        server keeps answering from its last good snapshot.
-        """
-
-        def hook(_db_dir: Path, database: VideoDatabase) -> None:
-            try:
-                self.install(database)
-            except ReproError as exc:
-                get_registry().counter(
-                    "serving_ingest_hook_failures_total",
-                    "Corpus-hook snapshot installs that failed.",
-                ).inc()
-                _LOGGER.warning(
-                    "ingest hook could not install new snapshot: %s", exc
-                )
-
-        return hook

@@ -16,13 +16,14 @@ durable state into two pieces sized for their access patterns:
 same leaf, flat, scene and database classes, their rows loaded from the
 store on first touch, answering bit-identically to the corpus that was
 saved; :func:`save_database` persists a database, :func:`load_database`
-opens a database directory lazily, :func:`migrate_db_dir` rebuilds a
-directory's catalog from its artifact store.  See ``docs/STORAGE.md``.
+opens a database directory lazily.  (Rebuilding a directory's catalog
+from its artifact store — ``classminer migrate`` — is the ingest
+layer's :func:`repro.ingest.runner.publish_catalog`; nothing here
+imports upward.)  See ``docs/STORAGE.md``.
 """
 
 from repro.storage.featurestore import DEFAULT_MAX_OPEN, BlockRef, FeatureStore
 from repro.storage.lazy import SQLVideoDatabase, load_database
-from repro.storage.migrate import MigrationReport, migrate_db_dir
 from repro.storage.schema import (
     CATALOG_NAME,
     FEATURES_DIR,
@@ -49,7 +50,6 @@ __all__ = [
     "FEATURES_DIR",
     "FeatureStore",
     "LeafInfo",
-    "MigrationReport",
     "SCHEMA_VERSION",
     "SQLCatalog",
     "SQLVideoDatabase",
@@ -60,6 +60,5 @@ __all__ = [
     "features_path",
     "fts5_available",
     "load_database",
-    "migrate_db_dir",
     "save_database",
 ]

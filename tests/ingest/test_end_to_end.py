@@ -14,7 +14,6 @@ from repro.ingest.runner import (
     ingest_corpus,
     ingest_jobs,
     load_database,
-    manifest_for,
     store_for,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
@@ -36,7 +35,13 @@ class TestIngestToQuery:
         assert report.registered == ["demo"]
         assert report.database_path is not None
         assert report.database_path.exists()
-        assert manifest_for(db_dir).counts()["done"] == 1
+        assert report.skipped == []
+        # The artifact is the only record of the finished job.
+        assert sorted(path.name for path in db_dir.iterdir()) == [
+            "artifacts",
+            "catalog.sqlite",
+            "features",
+        ]
 
     def test_ingested_database_answers_queries(self, ingested):
         db_dir, _report = ingested

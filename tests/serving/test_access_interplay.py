@@ -125,21 +125,22 @@ class TestIngestInvalidation:
     def test_generation_bump_after_ingest_invalidates_cache(
         self, serving_db, demo_result, demo_features, tmp_path
     ):
-        from repro.ingest import IngestJob, ingest_corpus, store_for, unregister_corpus_hook
+        from repro.ingest import IngestJob, ingest_corpus, load_database, store_for
 
         db_dir = tmp_path / "db"
         store_for(db_dir).save(IngestJob.for_title("demo").key, demo_result)
 
         with QueryServer(serving_db) as server:
-            hook = server.attach_ingest()
-            try:
-                request = QueryRequest(kind="shot", features=demo_features(0), k=5)
-                cold = server.query(request)
-                assert server.query(request).cache_hit
-                assert len(server.cache) > 0
+            request = QueryRequest(kind="shot", features=demo_features(0), k=5)
+            cold = server.query(request)
+            assert server.query(request).cache_hit
+            assert len(server.cache) > 0
 
-                report = ingest_corpus(["demo"], db_dir, workers=1)
-                assert [o.state for o in report.outcomes] == ["cached"]
+            report = ingest_corpus(["demo"], db_dir, workers=1)
+            assert [o.state for o in report.outcomes] == ["cached"]
+            ingested = load_database(db_dir)
+            try:
+                server.manager.install(ingested)
 
                 fresh = server.query(request)
                 assert not fresh.cache_hit  # prior entry is gone, not stale-served
@@ -149,7 +150,7 @@ class TestIngestInvalidation:
                     h.entry.key for h in cold.hits
                 ]
             finally:
-                unregister_corpus_hook(hook)
+                ingested.close()
 
     def test_scope_memo_is_pruned_on_swap(self, serving_db, demo_features, retitle):
         surgeon = User("surgeon", clearance=3)

@@ -1,7 +1,7 @@
 """Load generation against a live server, including a mid-run ingest.
 
 The acceptance scenario: concurrent loadgen clients keep querying while
-an ingest run bumps the snapshot generation.  No client may ever see a
+an in-process ingest run lands and its corpus is installed (a generation bump).  No client may ever see a
 stale result (a new-generation result missing the new video, or an
 old-generation result containing it) or a cross-clearance hit.
 """
@@ -71,7 +71,7 @@ class TestLiveGenerationBump:
         self, serving_db, demo_result, retitle, tmp_path
     ):
         """The ISSUE acceptance run: loadgen + concurrent ingest."""
-        from repro.ingest import IngestJob, ingest_corpus, store_for, unregister_corpus_hook
+        from repro.ingest import IngestJob, ingest_corpus, load_database, store_for
 
         # Pre-seed artifacts so the mid-run ingest is fast and rebuilds a
         # two-video corpus ("demo" + re-titled clone "face_repair").
@@ -82,8 +82,8 @@ class TestLiveGenerationBump:
 
         student = User("student", clearance=0)
         config = ServerConfig(queue_depth=64)
+        installed = []
         with QueryServer(serving_db, config) as server:
-            hook = server.attach_ingest()
 
             def validate(request, result):
                 # Stale-read check: a result must be self-consistent with
@@ -112,9 +112,14 @@ class TestLiveGenerationBump:
                         for hit in result.hits:
                             assert hit.entry.event is EventKind.PRESENTATION
 
-            bump = threading.Timer(
-                0.25, lambda: ingest_corpus(["demo", "face_repair"], db_dir, workers=1)
-            )
+            def ingest_then_install():
+                # The writer shares the process (and the GIL) with the
+                # four clients: publish the catalog, then move the server.
+                ingest_corpus(["demo", "face_repair"], db_dir, workers=1)
+                installed.append(load_database(db_dir))
+                server.manager.install(installed[0])
+
+            bump = threading.Timer(0.25, ingest_then_install)
             bump.start()
             try:
                 report = run_load(
@@ -134,22 +139,25 @@ class TestLiveGenerationBump:
                 )
             finally:
                 bump.join()
-                unregister_corpus_hook(hook)
 
-            assert report.failures == [], "\n".join(report.failures)
-            assert report.errors == 0
-            assert report.completed > 0
-            # The run straddled the swap: both generations were observed,
-            # and post-swap queries really served the rebuilt corpus.
-            assert report.generations == {1, 2}, report.generations
-            assert server.generation == 2
-            assert "face_repair" in server.manager.current().videos
+            try:
+                assert report.failures == [], "\n".join(report.failures)
+                assert report.errors == 0
+                assert report.completed > 0
+                # The run straddled the swap: both generations were observed,
+                # and post-swap queries really served the rebuilt corpus.
+                assert report.generations == {1, 2}, report.generations
+                assert server.generation == 2
+                assert "face_repair" in server.manager.current().videos
+            finally:
+                for database in installed:
+                    database.close()
 
     def test_post_bump_queries_serve_the_new_corpus(
         self, serving_db, demo_result, retitle, tmp_path
     ):
         from repro.database.index import combine_features
-        from repro.ingest import IngestJob, ingest_corpus, store_for, unregister_corpus_hook
+        from repro.ingest import IngestJob, ingest_corpus, load_database, store_for
         from repro.serving.server import QueryRequest
 
         db_dir = tmp_path / "db"
@@ -160,14 +168,15 @@ class TestLiveGenerationBump:
         shot = demo_result.structure.shots[0]
         features = combine_features(shot.histogram, shot.texture)
         with QueryServer(serving_db) as server:
-            hook = server.attach_ingest()
+            before = server.query(QueryRequest(kind="shot", features=features, k=32))
+            assert {h.entry.video_title for h in before.hits} == {"demo"}
+            ingest_corpus(["demo", "face_repair"], db_dir, workers=1)
+            ingested = load_database(db_dir)
             try:
-                before = server.query(QueryRequest(kind="shot", features=features, k=32))
-                assert {h.entry.video_title for h in before.hits} == {"demo"}
-                ingest_corpus(["demo", "face_repair"], db_dir, workers=1)
+                server.manager.install(ingested)
                 after = server.query(QueryRequest(kind="shot", features=features, k=32))
                 assert not after.cache_hit
                 assert after.generation == before.generation + 1
                 assert {h.entry.video_title for h in after.hits} == {"demo", "face_repair"}
             finally:
-                unregister_corpus_hook(hook)
+                ingested.close()

@@ -93,13 +93,9 @@ class TestIngestHook:
     def test_cached_ingest_bumps_the_generation(
         self, serving_db, demo_result, tmp_path
     ):
-        from repro.ingest import (
-            IngestJob,
-            ingest_corpus,
-            register_corpus_hook,
-            store_for,
-            unregister_corpus_hook,
-        )
+        """A server moves to an ingested corpus when it is told to: the
+        ingest returns, then ``install(load_database(db_dir))``."""
+        from repro.ingest import IngestJob, ingest_corpus, load_database, store_for
 
         # Pre-seed the artifact store so the ingest run is pure cache.
         db_dir = tmp_path / "db"
@@ -107,32 +103,17 @@ class TestIngestHook:
 
         manager = SnapshotManager(serving_db)
         manager.current()
-        hook = register_corpus_hook(manager.ingest_hook())
-        try:
-            report = ingest_corpus(["demo"], db_dir, workers=1)
-        finally:
-            unregister_corpus_hook(hook)
+        report = ingest_corpus(["demo"], db_dir, workers=1)
         assert [o.state for o in report.outcomes] == ["cached"]
-        assert manager.generation == 2
-        # The manager now serves the freshly rebuilt ingest database.
-        assert manager.database is not serving_db
-        assert manager.current().videos == ("demo",)
-
-    def test_unregistered_hook_stays_silent(self, serving_db, demo_result, tmp_path):
-        from repro.ingest import (
-            IngestJob,
-            ingest_corpus,
-            register_corpus_hook,
-            store_for,
-            unregister_corpus_hook,
-        )
-
-        db_dir = tmp_path / "db"
-        store_for(db_dir).save(IngestJob.for_title("demo").key, demo_result)
-        manager = SnapshotManager(serving_db)
-        manager.current()
-        hook = register_corpus_hook(manager.ingest_hook())
-        unregister_corpus_hook(hook)
-        unregister_corpus_hook(hook)  # double-removal is a no-op
-        ingest_corpus(["demo"], db_dir, workers=1)
+        # An ingest into some directory moves no server by itself.
         assert manager.generation == 1
+        assert manager.database is serving_db
+        ingested = load_database(db_dir)
+        try:
+            manager.install(ingested)
+            assert manager.generation == 2
+            # The manager now serves the freshly rebuilt ingest database.
+            assert manager.database is ingested
+            assert manager.current().videos == ("demo",)
+        finally:
+            ingested.close()

@@ -23,7 +23,7 @@ from repro.serving.snapshot import build_snapshot
 from repro.storage import (
     SQLVideoDatabase,
     build_synthetic_database,
-    migrate_db_dir,
+    catalog_path,
     save_database,
 )
 from repro.types import EventKind
@@ -197,14 +197,14 @@ class TestMigrationRoundTrip:
     def migrated_pair(self, tmp_path_factory, demo_result):
         """(in-RAM db rebuilt from the artifacts, stored db migrated from them)."""
         from repro.ingest.jobs import IngestJob
-        from repro.ingest.runner import rebuild_database, store_for
+        from repro.ingest.runner import publish_catalog, rebuild_database, store_for
 
         db_dir = tmp_path_factory.mktemp("artifacts-only")
         store = store_for(db_dir)
         store.save(IngestJob.for_title("demo").key, demo_result)
         eager, skipped = rebuild_database(store)
         assert skipped == []
-        report = migrate_db_dir(db_dir)
+        report = publish_catalog(db_dir)
         migrated = SQLVideoDatabase.open(db_dir)
         yield eager, migrated, report, db_dir
         migrated.close()
@@ -220,12 +220,11 @@ class TestMigrationRoundTrip:
         ]
 
     def test_report_counts_what_was_migrated(self, migrated_pair):
-        eager, _migrated, report, _db_dir = migrated_pair
-        assert report.videos == len(eager.videos) == 1
-        assert report.entries == eager.shot_count
-        assert report.blocks > 0
-        assert report.skipped_artifacts == ()
-        assert "migrated" in report.render()
+        eager, migrated, report, db_dir = migrated_pair
+        assert report.registered == list(eager.videos) == ["demo"]
+        assert report.database_path == catalog_path(db_dir)
+        assert (report.outcomes, report.skipped) == ([], [])
+        assert migrated.shot_count == eager.shot_count
 
     def test_registrations_identical(self, migrated_pair):
         eager, migrated, _report, _legacy = migrated_pair
@@ -256,8 +255,20 @@ class TestMigrationRoundTrip:
             )
 
     def test_empty_dir_is_typed(self, tmp_path):
+        from repro.cli import build_parser
+        from repro.ingest.runner import publish_catalog, store_for
+
+        # Nothing to register: the publish writes nothing and says so ...
+        report = publish_catalog(tmp_path)
+        assert (report.database_path, report.registered) == (None, [])
+        assert list(tmp_path.iterdir()) == []
+        # ... and ``classminer migrate`` makes a typed error of it.
+        args = build_parser().parse_args(["migrate", "--db-dir", str(tmp_path)])
         with pytest.raises(StorageError, match="nothing to migrate"):
-            migrate_db_dir(tmp_path)
+            args.func(args)
+        store_for(tmp_path).root.mkdir()
+        with pytest.raises(StorageError, match="no registered videos"):
+            args.func(args)
 
 
 class TestPicksBuildOnlyThePickedRows:

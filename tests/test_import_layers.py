@@ -130,13 +130,10 @@ PUBLIC_NAMES = {
     "repro.ingest": [
         "ArtifactInfo",
         "ArtifactStore",
-        "CorpusHook",
         "IngestJob",
         "IngestReport",
         "JobEvent",
-        "JobManifest",
         "JobOutcome",
-        "JobRecord",
         "ProgressTracker",
         "RetryPolicy",
         "cache_key",
@@ -146,12 +143,9 @@ PUBLIC_NAMES = {
         "ingest_jobs",
         "jobs_for_titles",
         "load_database",
-        "manifest_for",
-        "register_corpus_hook",
         "results_equal",
         "run_jobs",
         "store_for",
-        "unregister_corpus_hook",
     ],
 }
 
@@ -185,6 +179,32 @@ def test_no_module_inside_the_query_stack_imports_mining_code():
     done = _python("-c", walk + _LEAK_SCRIPT, "repro", *FORBIDDEN)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_no_query_stack_module_imports_upward_at_any_depth():
+    # The fresh-interpreter cases above see module-level imports only.  An
+    # import inside a function body is the same edge taken later (the
+    # storage layer rebuilt catalogs through ``repro.ingest`` that way, the
+    # server registered itself on an ingest hook), so read the source.
+    upward = tuple(f for f in FORBIDDEN if f.startswith("repro.")) + ("repro.ingest",)
+    packages = [m for m in SERVING_MODULES if m.count(".") == 1 and m != "repro.cli"]
+    found = []
+    for package in packages:
+        for path in sorted((Path(SRC) / package.replace(".", "/")).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    assert node.level == 0, f"{path}:{node.lineno}: relative import"
+                    names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                found += [
+                    f"{path}:{node.lineno}: {name}"
+                    for name in names
+                    if any(name == f or name.startswith(f + ".") for f in upward)
+                ]
+    assert found == []
 
 
 def test_no_module_and_no_mining_run_loads_scipy():
