@@ -10,8 +10,9 @@ restricted to the leaf's discriminating sub-space:
   array so membership tests are a vectorised ``isin``);
 * ``codes`` + ``scale``/``offset`` — per-dim scalar-quantized uint8
   codes of the reduced rows;
-* ``sigs`` — each row's persisted leaf-hash signature, so the bucket
-  row sets rebuild without touching the float block.
+* ``sigs`` — each row's leaf-hash signature: the leaf's own
+  ``signatures`` array (stored once, shared by an opened store), so the
+  bucket row sets rebuild without touching the float block.
 
 Bit-identity contract
 ---------------------
@@ -271,7 +272,7 @@ def resolve_ann(node) -> tuple[AnnLeafIndex | None, bool]:
     index = None
     if leaf.ann is not None:
         try:
-            index = leaf.ann()
+            index = leaf.ann(leaf)
         except (StorageError, IntegrityError, FaultInjectedError):
             return None, True
     if index is None:

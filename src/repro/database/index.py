@@ -263,8 +263,9 @@ class LeafHashIndex:
     """One scene-concept leaf of the corpus: rows, routing, hash table.
 
     ``len()`` is known from construction, and so is ``ann`` — the leaf's
-    approximate tier: an ``AnnLeafIndex``, the loader of a persisted one,
-    or ``None`` (resolved through ``repro.ann.index.resolve_ann``; untyped
+    approximate tier: an ``AnnLeafIndex``, the loader of a persisted one
+    (called with the leaf, whose ``signatures`` the tier shares), or
+    ``None`` (resolved through ``repro.ann.index.resolve_ann``; untyped
     so this layer does not import the ANN package).  Everything else is
     an array in insertion order, read-only once set:
 
@@ -284,8 +285,11 @@ class LeafHashIndex:
         every non-empty bucket.
 
     Whatever was not given is made on its first read, once, under a
-    lock, while racing readers wait: the columns by running ``rows``,
-    the routing and hash state from the columns.  A flat scan therefore
+    lock, while racing readers wait: the columns by running ``rows``
+    (a source returns its :class:`LeafRows` and whichever derived arrays
+    it stores — an opened store maps ``reduced`` and reads ``signatures``
+    instead of paging every 266-d row in to make them), the rest of the
+    routing and hash state from the columns.  A flat scan therefore
     reads blocks and ordinals without clustering anything, and opening a
     store reads no row.
 
@@ -299,11 +303,11 @@ class LeafHashIndex:
 
     def __init__(
         self,
-        rows: LeafRows | Callable[[], LeafRows] | None = None,
+        rows: LeafRows | Callable[[], tuple[LeafRows, Mapping[str, np.ndarray]]] | None = None,
         centers: np.ndarray | None = None,
         dims: np.ndarray | None = None,
         count: int | None = None,
-        ann: Callable[[], object] | None = None,
+        ann: Callable[["LeafHashIndex"], object] | None = None,
     ) -> None:
         self.ann = ann
         self._load_lock = threading.Lock()
@@ -321,13 +325,16 @@ class LeafHashIndex:
         self.block, self.ordinals, self.titles, self.shot_ids, self.scene_ids = rows
 
     def _derive(self) -> None:
-        """Routing (unless pinned) and hash state from the block, which
-        may be a read-only mmap: only ``reduced`` copies out of it."""
-        block = self.block
-        if "dims" not in self.__dict__:
+        """Routing (unless pinned) and hash state: what the source gave
+        stays, the rest is made from the block, which may be a read-only
+        mmap (only ``reduced`` copies out of it)."""
+        block, given = self.block, self.__dict__
+        if "dims" not in given:
             self.centers, self.dims = leaf_routing(block) if len(self) else (None, None)
-        self.reduced = block if self.dims is None or not len(self) else block[:, self.dims]
-        self.signatures = leaf_signatures(block)
+        if "reduced" not in given:
+            self.reduced = block if self.dims is None or not len(self) else block[:, self.dims]
+        if "signatures" not in given:
+            self.signatures = leaf_signatures(block)
         self.buckets = rows_by_signature(self.signatures)
 
     def __getattr__(self, name: str):
@@ -336,7 +343,9 @@ class LeafHashIndex:
             raise AttributeError(name)
         with self._load_lock:
             if "block" not in self.__dict__:
-                self._set_columns(self._source())
+                rows, stored = self._source()
+                self._set_columns(rows)
+                self.__dict__.update(stored)
             if name not in self.__dict__:
                 self._derive()
         return self.__dict__[name]
@@ -423,12 +432,6 @@ class IndexNode:
     def is_leaf(self) -> bool:
         """True for scene-concept leaves."""
         return self.leaf is not None
-
-    def shot_count(self) -> int:
-        """Total shots indexed under this node."""
-        if self.is_leaf:
-            return len(self.leaf)  # type: ignore[arg-type]
-        return sum(child.shot_count() for child in self.children)
 
     def iter_leaves(self):
         """Every leaf node under (or at) this node, left to right."""

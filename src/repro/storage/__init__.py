@@ -35,7 +35,6 @@ from repro.storage.schema import (
 from repro.storage.sqlcatalog import (
     EntryRow,
     LeafInfo,
-    SceneRow,
     SearchHit,
     SQLCatalog,
     save_database,
@@ -53,7 +52,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SQLCatalog",
     "SQLVideoDatabase",
-    "SceneRow",
     "SearchHit",
     "build_synthetic_database",
     "catalog_path",

@@ -24,6 +24,8 @@ point lets chaos runs inject read failures here.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 import tempfile
 import threading
@@ -101,9 +103,13 @@ class FeatureStore:
 
         Idempotent: a block whose bytes are already stored is not
         rewritten (content addressing deduplicates identical leaf
-        populations for free).  The write is atomic — the bytes land in
-        a temp file first and are renamed into place — so a crash can
-        never leave a half-written block under a valid digest name.
+        populations for free) — the digest is taken over the ``.npy``
+        header and the array's own buffer, which is byte for byte what
+        :func:`~repro.resilience.integrity.file_digest` reads back from
+        the file, so an unchanged block costs one hash and no write.
+        The write is atomic — the bytes land in a temp file first and
+        are renamed into place — so a crash can never leave a
+        half-written block under a valid digest name.
         ``dtype`` defaults to the float64 feature-matrix layout; the ANN
         tier stores uint8 code blocks through the same path (``np.save``
         records the dtype, so :meth:`open` needs no hint).
@@ -113,22 +119,26 @@ class FeatureStore:
             raise StorageError(
                 f"feature blocks are 2-D, got shape {matrix.shape}"
             )
-        self._root.mkdir(parents=True, exist_ok=True)
+        header = io.BytesIO()  # what np.save writes ahead of the cells
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(matrix)
+        )
+        hasher = hashlib.sha256(header.getvalue())
+        hasher.update(matrix.reshape(-1).data)
+        ref = BlockRef(sha=hasher.hexdigest(), rows=int(matrix.shape[0]), cols=int(matrix.shape[1]))
+        final = self.path_for(ref.sha)
+        if final.exists():
+            return ref
+        final.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(prefix=".tmp-block-", suffix=".npy", dir=self._root)
-        tmp = Path(tmp_name)
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.save(handle, matrix)
-            sha = file_digest(tmp)
-            final = self.path_for(sha)
-            if final.exists():
-                tmp.unlink()
-            else:
-                final.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(tmp, final)
+                handle.write(header.getvalue())
+                matrix.tofile(handle)
+            os.replace(tmp_name, final)
         finally:
-            tmp.unlink(missing_ok=True)
-        return BlockRef(sha=sha, rows=int(matrix.shape[0]), cols=int(matrix.shape[1]))
+            Path(tmp_name).unlink(missing_ok=True)
+        return ref
 
     def open(self, sha: str) -> np.ndarray:
         """Memory-map the block addressed by ``sha`` (read-only).
@@ -187,12 +197,6 @@ class FeatureStore:
         if not self._root.exists():
             return []
         return sorted(p.stem for p in self._root.glob("*/*.npy"))
-
-    def total_bytes(self) -> int:
-        """On-disk footprint of every stored block."""
-        return sum(
-            self.path_for(sha).stat().st_size for sha in self.list_blocks()
-        )
 
     def delete(self, sha: str) -> bool:
         """Drop one block (and any open handle); True when removed."""

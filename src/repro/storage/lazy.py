@@ -4,11 +4,13 @@ A database is one set of classes (:mod:`repro.database`) over leaves
 whose rows are columns.  This module supplies the *sources* that put a
 stored catalog behind them, and nothing else:
 
-* :func:`_stored_rows` — a leaf's :class:`~repro.database.index.LeafRows`:
-  its memory-mapped feature block plus one columnar SQL read of the row
-  identities.  :class:`~repro.database.index.LeafHashIndex` runs it on
-  the first touch of the leaf, once, under a lock; the 266-d rows stay
-  on the mmap and no per-row object is built.
+* :func:`_stored_rows` — a leaf's :class:`~repro.database.index.LeafRows`
+  (its memory-mapped feature block plus one columnar SQL read of the row
+  identities) and the derived arrays the catalog stores: the mapped
+  ``reduced`` block a leaf scan reads and the row signatures.
+  :class:`~repro.database.index.LeafHashIndex` runs it on the first
+  touch of the leaf, once, under a lock; no per-row object is built and
+  no 266-d row is read — those page in for winners and flat scans only.
 * :func:`_stored_scenes` — the scene table: the stored centroid block
   (the mmap *is* the centroid matrix) plus its bookkeeping rows, loaded
   on the first scene search.
@@ -48,41 +50,64 @@ from repro.storage.sqlcatalog import LeafInfo, SQLCatalog
 from repro.types import EventKind
 
 
-def _stored_rows(catalog: SQLCatalog, info: LeafInfo) -> LeafRows:
-    """Load one stored leaf's columns (the block stays a read-only mmap)."""
-    block = catalog.features.open(info.block.sha)
+def _stored_rows(
+    catalog: SQLCatalog, info: LeafInfo
+) -> tuple[LeafRows, dict[str, np.ndarray]]:
+    """Load one stored leaf: its columns and the derived arrays stored with it.
+
+    Every block stays a read-only mmap.  The generation the directory
+    holds *now* is checked against the one ``info`` was read from before
+    a block is opened, so a block a re-save collected reads as that
+    re-save, not as a missing file.
+    """
     ordinals, titles, shot_ids, scene_ids = catalog.leaf_columns(info.name)
-    if not ordinals.shape[0] == block.shape[0] == info.entry_count:
+    block_sha, reduced_sha, signatures = catalog.leaf_stored(info.name)
+    stored = {}
+    fresh = (block_sha, reduced_sha) == (info.block.sha, info.reduced_sha)
+    if fresh:
+        block = catalog.features.open(block_sha)
+        if reduced_sha is not None:
+            stored["reduced"] = catalog.features.open(reduced_sha)
+        if signatures is not None:
+            stored["signatures"] = signatures
+        fresh = {len(a) for a in (ordinals, block, *stored.values())} == {info.entry_count}
+    if not fresh:
         raise StorageError(
-            f"leaf {info.name!r} changed generation under this reader: "
-            f"opened with {info.entry_count} entries over a block of "
-            f"{block.shape[0]} rows, the catalog now lists "
-            f"{ordinals.shape[0]} — the directory was re-saved; reopen it"
+            f"leaf {info.name!r} changed generation under this reader: opened "
+            f"with {info.entry_count} entries in block {info.block.sha[:12]}…, "
+            f"the catalog now lists {ordinals.shape[0]} in "
+            f"{str(block_sha)[:12]}… — the directory was re-saved; reopen it"
         )
-    return LeafRows(block, ordinals, np.array(titles, dtype=object), shot_ids, scene_ids)
+    rows = LeafRows(block, ordinals, np.array(titles, dtype=object), shot_ids, scene_ids)
+    return rows, stored
 
 
 def _stored_scenes(catalog: SQLCatalog) -> SceneTable:
     """Load the stored scene table, in stored row order."""
-    rows = catalog.scene_rows()
-    ref = catalog.scene_block_ref()
-    block = np.empty((0, 0)) if ref is None else catalog.features.open(ref.sha)
-    at = [row.row for row in rows]
+    sha, (titles, scene_ids, events, shot_counts) = catalog.scene_columns()
+    block = np.empty((0, 0)) if sha is None else catalog.features.open(sha)
+    if len(titles) != block.shape[0]:
+        raise StorageError(
+            f"the scene table lists {len(titles)} rows over a centroid block of "
+            f"{block.shape[0]} — the directory was re-saved; reopen it"
+        )
+    kinds = {kind.value: kind for kind in EventKind}
     return SceneTable(
-        titles=np.array([row.video_title for row in rows], dtype=object),
-        scene_ids=np.array([row.scene_id for row in rows], dtype=np.int64),
-        events=np.array([EventKind(row.event) for row in rows], dtype=object),
-        shot_counts=np.array([row.shot_count for row in rows], dtype=np.int64),
+        titles=np.array(titles, dtype=object),
+        scene_ids=np.array(scene_ids, dtype=np.int64),
+        events=np.array([kinds[event] for event in events], dtype=object),
+        shot_counts=np.array(shot_counts, dtype=np.int64),
         # Rows are stored in table order: the mmap block *is* the
         # centroid matrix, no stacked copy.
-        centroids=block if at == list(range(block.shape[0])) else block[at],
+        centroids=block,
     )
 
 
-def _ann_index_for(catalog: SQLCatalog, info: LeafInfo):
+def _ann_index_for(catalog: SQLCatalog, info: LeafInfo, leaf: LeafHashIndex):
     """Load one leaf's persisted ANN index out-of-core (None when absent).
 
-    The small trained arrays come from the catalog row; the uint8 code
+    The small trained arrays come from the catalog row and the row
+    signatures are the leaf's own (one array, stored once); the uint8 code
     matrix stays a read-only mmap from the feature store, so enabling
     the ANN tier adds ~1/8th of a leaf block's bytes to the working
     set, paged in on demand.  The ``storage.ann_block_missing`` fault
@@ -103,7 +128,7 @@ def _ann_index_for(catalog: SQLCatalog, info: LeafInfo):
         codes=codes,
         scale=row.scale,
         offset=row.offset,
-        sigs=row.sigs,
+        sigs=leaf.signatures,
         seed=row.seed,
     )
 
@@ -131,8 +156,9 @@ class SQLVideoDatabase(VideoDatabase):
                 info.centers,
                 info.dims,
                 count=info.entry_count,
-                # Resolved (and cached on the leaf) by the first ANN query;
-                # a load failure keeps the loader so a later query recovers.
+                # Resolved (and cached on the leaf) by the first ANN query,
+                # which hands the loader the leaf; a load failure keeps the
+                # loader so a later query recovers.
                 ann=partial(_ann_index_for, catalog, info),
             )
             self._total += info.entry_count

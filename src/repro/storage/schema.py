@@ -13,8 +13,8 @@ centroid bookkeeping and a full-text search surface — while the bulky
 ``(N, 266)`` float64 feature matrices live outside SQLite as
 memory-mapped ``.npy`` blocks referenced by sha256.
 
-Schema versioning uses ``PRAGMA user_version``: :func:`connect` refuses
-a catalog written by a different schema generation with a typed
+Schema versioning uses ``PRAGMA user_version``: :func:`connect` upgrades
+an older catalog additively and refuses a newer one with a typed
 :class:`~repro.errors.StorageError` instead of misreading it.  WAL mode
 keeps concurrent readers from blocking the (single) writer.
 
@@ -33,8 +33,10 @@ from repro.errors import StorageError
 
 #: Current on-disk schema generation (``PRAGMA user_version``).
 #: v2 added the additive ``ann_leaves`` table (per-leaf IVF quantizer
-#: state); v1 catalogs are upgraded in place on open.
-SCHEMA_VERSION = 2
+#: state), v3 the ``leaves.reduced_sha`` column (the leaf's reduced
+#: block, what a leaf scan reads); older catalogs are upgraded in place
+#: on open.
+SCHEMA_VERSION = 3
 
 #: File name of the SQL catalog inside a database directory.
 CATALOG_NAME = "catalog.sqlite"
@@ -77,7 +79,8 @@ SCHEMA_STATEMENTS = (
         centers      BLOB NOT NULL,
         centers_rows INTEGER NOT NULL,
         dims         BLOB NOT NULL,
-        dims_count   INTEGER NOT NULL
+        dims_count   INTEGER NOT NULL,
+        reduced_sha  TEXT
     )
     """,
     """
@@ -143,6 +146,8 @@ SCHEMA_STATEMENTS = (
 #: additively when :func:`connect` opens an older catalog.
 _UPGRADE_STATEMENTS: dict[int, tuple[str, ...]] = {
     2: (SCHEMA_STATEMENTS[-1],),
+    # NULL until the next save: such a leaf derives its reduced block.
+    3: ("ALTER TABLE leaves ADD COLUMN reduced_sha TEXT",),
 }
 
 #: Every data table, in deletion order for a full catalog replace.
@@ -194,7 +199,7 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
     access on its own lock instead of sqlite3's thread check.
 
     Raises :class:`~repro.errors.StorageError` when the file is missing
-    (without ``create``), unreadable, or carries a different
+    (without ``create``), unreadable, or carries a newer
     ``user_version`` than :data:`SCHEMA_VERSION`.
     """
     path = Path(path)
@@ -225,14 +230,18 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
                 conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
         elif 0 < version < SCHEMA_VERSION:
             # Forward upgrades are purely additive: apply each newer
-            # generation's DDL in order and stamp the new version.  A
-            # v1 catalog keeps serving (leaves without ann_leaves rows
-            # fall back to deterministic in-process ANN builds).
-            with conn:
-                for target in range(version + 1, SCHEMA_VERSION + 1):
-                    for statement in _UPGRADE_STATEMENTS.get(target, ()):
-                        conn.execute(statement)
-                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            # generation's DDL in order and stamp the new version.  An
+            # older catalog keeps serving (leaves without ann_leaves rows
+            # or a reduced block make them in process, deterministically).
+            # Two processes may open the same old catalog at once: take
+            # the write lock, then see what is still left to apply.
+            conn.execute("BEGIN IMMEDIATE")
+            version = int(conn.execute("PRAGMA user_version").fetchone()[0])
+            for target in range(version + 1, SCHEMA_VERSION + 1):
+                for statement in _UPGRADE_STATEMENTS.get(target, ()):
+                    conn.execute(statement)
+            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            conn.commit()
         elif version != SCHEMA_VERSION:
             raise StorageError(
                 f"catalog {path} has schema version {version}, "

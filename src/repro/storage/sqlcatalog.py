@@ -100,11 +100,14 @@ class LeafInfo:
     block: BlockRef
     centers: np.ndarray
     dims: np.ndarray
+    #: The ``(n, |dims|)`` reduced block (None: written before schema v3).
+    reduced_sha: str | None
 
 
 @dataclass(frozen=True)
 class AnnLeafRow:
-    """Stored ANN quantizer state of one leaf (codes live in a block)."""
+    """Stored ANN quantizer state of one leaf (codes live in a block; the
+    row signatures are the leaf's, see :meth:`SQLCatalog.leaf_stored`)."""
 
     leaf: str
     cells: int
@@ -116,7 +119,6 @@ class AnnLeafRow:
     assign: np.ndarray
     scale: np.ndarray
     offset: np.ndarray
-    sigs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,17 +131,6 @@ class EntryRow:
     video_title: str
     shot_id: int
     scene_id: int
-
-
-@dataclass(frozen=True)
-class SceneRow:
-    """Stored metadata of one indexed scene centroid."""
-
-    row: int
-    video_title: str
-    scene_id: int
-    event: str
-    shot_count: int
 
 
 @dataclass(frozen=True)
@@ -166,14 +157,12 @@ class SQLCatalog:
         create: bool = False,
         max_open: int = DEFAULT_MAX_OPEN,
     ) -> None:
-        self._db_dir = Path(db_dir)
-        self._path = catalog_path(self._db_dir)
         if create:
-            self._db_dir.mkdir(parents=True, exist_ok=True)
-        self._conn = connect(self._path, create=create)
+            Path(db_dir).mkdir(parents=True, exist_ok=True)
+        self._conn = connect(catalog_path(db_dir), create=create)
         self._conn.isolation_level = None  # explicit transactions only
         self._lock = threading.RLock()
-        self._features = FeatureStore(features_path(self._db_dir), max_open=max_open)
+        self._features = FeatureStore(features_path(db_dir), max_open=max_open)
         registry = get_registry()
         self._queries = registry.counter(
             "storage_catalog_queries_total",
@@ -189,16 +178,6 @@ class SQLCatalog:
         )
 
     # -- plumbing ------------------------------------------------------
-
-    @property
-    def path(self) -> Path:
-        """The ``catalog.sqlite`` file."""
-        return self._path
-
-    @property
-    def db_dir(self) -> Path:
-        """The database directory this catalog lives in."""
-        return self._db_dir
 
     @property
     def features(self) -> FeatureStore:
@@ -321,10 +300,10 @@ class SQLCatalog:
             infos = []
             for (
                 name, position, entry_count, sha, rows, cols,
-                centers, centers_rows, dims, dims_count,
+                centers, centers_rows, dims, dims_count, reduced_sha,
             ) in conn.execute(
                 "SELECT name, position, entry_count, block_sha, rows, cols, "
-                "centers, centers_rows, dims, dims_count "
+                "centers, centers_rows, dims, dims_count, reduced_sha "
                 "FROM leaves ORDER BY position"
             ):
                 infos.append(
@@ -335,6 +314,7 @@ class SQLCatalog:
                         block=BlockRef(sha=str(sha), rows=int(rows), cols=int(cols)),
                         centers=_unpack_f64(centers, int(centers_rows), int(cols)),
                         dims=_unpack_i64(dims, int(dims_count)),
+                        reduced_sha=reduced_sha,
                     )
                 )
             return infos
@@ -351,14 +331,14 @@ class SQLCatalog:
         def op(conn: sqlite3.Connection):
             return conn.execute(
                 "SELECT cells, seed, code_sha, rows, cols, centroids, "
-                '"assign", scale, "offset", sigs FROM ann_leaves WHERE leaf = ?',
+                '"assign", scale, "offset" FROM ann_leaves WHERE leaf = ?',
                 (name,),
             ).fetchone()
 
         row = self._run(op)
         if row is None:
             return None
-        cells, seed, code_sha, rows, cols, centroids, assign, scale, offset, sigs = row
+        cells, seed, code_sha, rows, cols, centroids, assign, scale, offset = row
         rows, cols, cells = int(rows), int(cols), int(cells)
         return AnnLeafRow(
             leaf=name,
@@ -371,8 +351,30 @@ class SQLCatalog:
             assign=_unpack_i64(assign, rows),
             scale=np.frombuffer(scale, dtype=np.float64).copy(),
             offset=np.frombuffer(offset, dtype=np.float64).copy(),
-            sigs=np.frombuffer(sigs, dtype=np.int64).reshape(rows, -1).copy(),
         )
+
+    def leaf_stored(self, name: str) -> tuple[str | None, str | None, np.ndarray | None]:
+        """What the catalog holds of a leaf *now*, in one statement.
+
+        ``(block digest, reduced-block digest, row signatures)``: the
+        digests say which generation the directory is at (a reader
+        compares them with the :class:`LeafInfo` it opened), and the
+        ``(n, 2)`` int64 signatures are ``LeafHashIndex.signatures`` —
+        stored once, in the leaf's ``ann_leaves`` row, for the hash
+        table and the ANN tier alike.  A part that is not stored (no
+        such leaf, a pre-v3 or pre-v2 catalog) is None.
+        """
+        def op(conn: sqlite3.Connection):
+            return conn.execute(
+                "SELECT l.block_sha, l.reduced_sha, a.sigs FROM leaves l "
+                "LEFT JOIN ann_leaves a ON a.leaf = l.name WHERE l.name = ?",
+                (name,),
+            ).fetchone()
+
+        block_sha, reduced_sha, sigs = self._run(op) or (None, None, None)
+        if sigs is not None:
+            sigs = np.frombuffer(sigs, dtype=np.int64).reshape(-1, 2)
+        return block_sha, reduced_sha, sigs
 
     def leaf_rows(self, name: str) -> list[EntryRow]:
         """A leaf's entries in block-row order."""
@@ -416,56 +418,16 @@ class SQLCatalog:
             np.array(scenes, dtype=np.int64),
         )
 
-    def scene_rows(self, event: str | None = None) -> list[SceneRow]:
-        """Scene centroid rows in block-row order, optionally per event."""
+    def scene_columns(self) -> tuple[str | None, list[tuple]]:
+        """The scene table: its centroid block's digest (None when there are
+        no scenes) and ``[titles, scene ids, event values, shot counts]``,
+        as columns in block-row order."""
         def op(conn: sqlite3.Connection):
-            if event is None:
-                cursor = conn.execute(
-                    "SELECT row, video_title, scene_id, event, shot_count "
-                    "FROM scenes ORDER BY row"
-                )
-            else:
-                cursor = conn.execute(
-                    "SELECT row, video_title, scene_id, event, shot_count "
-                    "FROM scenes WHERE event = ? ORDER BY row",
-                    (event,),
-                )
-            return [
-                SceneRow(
-                    row=int(row), video_title=str(title), scene_id=int(scene),
-                    event=str(kind), shot_count=int(shots),
-                )
-                for row, title, scene, kind, shots in cursor
-            ]
-
-        return self._run(op)
-
-    def scene_row_for(self, video_title: str, scene_id: int) -> SceneRow | None:
-        """One scene's centroid row (None when not indexed)."""
-        def op(conn: sqlite3.Connection):
-            row = conn.execute(
-                "SELECT row, video_title, scene_id, event, shot_count "
-                "FROM scenes WHERE video_title = ? AND scene_id = ?",
-                (video_title, int(scene_id)),
-            ).fetchone()
-            if row is None:
-                return None
-            return SceneRow(
-                row=int(row[0]), video_title=str(row[1]), scene_id=int(row[2]),
-                event=str(row[3]), shot_count=int(row[4]),
-            )
-
-        return self._run(op)
-
-    def scene_block_ref(self) -> BlockRef | None:
-        """Address of the scene-centroid block (None when no scenes)."""
-        def op(conn: sqlite3.Connection):
-            row = conn.execute(
-                "SELECT block_sha, rows, cols FROM scene_block WHERE id = 1"
-            ).fetchone()
-            if row is None:
-                return None
-            return BlockRef(sha=str(row[0]), rows=int(row[1]), cols=int(row[2]))
+            block = conn.execute("SELECT block_sha FROM scene_block").fetchone()
+            rows = conn.execute(
+                "SELECT video_title, scene_id, event, shot_count FROM scenes ORDER BY row"
+            ).fetchall()
+            return (block[0] if block else None), (list(zip(*rows)) or [()] * 4)
 
         return self._run(op)
 
@@ -598,6 +560,9 @@ class SQLCatalog:
         ann_payload = []
         for position, (name, leaf) in enumerate(leaves.items()):
             ref = put(leaf.block)
+            # What a leaf scan reads, so an opened store maps it instead
+            # of paging every 266-d row in to gather it again.
+            reduced_ref = put(leaf.reduced)
             leaves_payload.append(
                 (
                     name, position, len(leaf), ref.sha, ref.rows, ref.cols,
@@ -605,6 +570,7 @@ class SQLCatalog:
                     int(leaf.centers.shape[0]),
                     _pack(np.asarray(leaf.dims, dtype=np.int64)),
                     int(leaf.dims.shape[0]),
+                    reduced_ref.sha,
                 )
             )
             entry_payload.extend(
@@ -676,8 +642,8 @@ class SQLCatalog:
                 )
                 conn.executemany(
                     "INSERT INTO leaves (name, position, entry_count, block_sha, "
-                    "rows, cols, centers, centers_rows, dims, dims_count) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    "rows, cols, centers, centers_rows, dims, dims_count, "
+                    "reduced_sha) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     leaves_payload,
                 )
                 conn.executemany(
@@ -749,21 +715,13 @@ class SQLCatalog:
     def _referenced_blocks(self) -> set[str]:
         """Digests the current catalog generation refers to."""
         def op(conn: sqlite3.Connection):
-            shas = {
-                str(row[0])
-                for row in conn.execute("SELECT block_sha FROM leaves")
-            }
-            shas.update(
-                str(row[0])
-                for row in conn.execute("SELECT block_sha FROM scene_block")
-            )
-            shas.update(
-                str(row[0])
-                for row in conn.execute("SELECT code_sha FROM ann_leaves")
-            )
-            return shas
+            return conn.execute(
+                "SELECT block_sha FROM leaves UNION "
+                "SELECT reduced_sha FROM leaves WHERE reduced_sha IS NOT NULL UNION "
+                "SELECT block_sha FROM scene_block UNION SELECT code_sha FROM ann_leaves"
+            ).fetchall()
 
-        return self._run(op)
+        return {str(row[0]) for row in self._run(op)}
 
 
 def _search_documents(

@@ -18,7 +18,8 @@ import pytest
 from repro.ann.index import build_leaf_ann
 from repro.database.query import search_hierarchical
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
-from repro.storage import SQLVideoDatabase, save_database
+from repro.storage import SCHEMA_VERSION, SQLVideoDatabase, save_database
+from repro.storage.lazy import _ann_index_for
 from repro.storage.schema import catalog_path
 
 from .test_ann_equivalence import NPROBE_ALL, hits
@@ -69,8 +70,11 @@ class TestPersistedRoundTrip:
             # The stored state reproduces a fresh build bit for bit.
             population = catalog.features.open(info.block.sha)
             rebuilt = build_leaf_ann(np.asarray(population), info.dims)
-            loaded = _load_ann(catalog, info)
+            leaf = lazy_db.leaves[info.name]
+            loaded = _ann_index_for(catalog, info, leaf)
             assert loaded.digest() == rebuilt.digest()
+            # The signatures are the leaf's: stored once, loaded once.
+            assert loaded.sigs is leaf.signatures
 
     def test_code_blocks_are_uint8_and_gc_protected(self, lazy_db):
         catalog = lazy_db.catalog
@@ -131,6 +135,7 @@ class TestPreAnnCatalog:
         conn = sqlite3.connect(catalog_path(tmp_path))
         with conn:
             conn.execute("DROP TABLE ann_leaves")
+            conn.execute("ALTER TABLE leaves DROP COLUMN reduced_sha")
             conn.execute("PRAGMA user_version = 1")
         conn.close()
         lazy = SQLVideoDatabase.open(tmp_path)
@@ -138,7 +143,7 @@ class TestPreAnnCatalog:
             version = lazy.catalog._run(
                 lambda c: c.execute("PRAGMA user_version").fetchone()[0]
             )
-            assert int(version) == 2  # upgraded in place on open
+            assert int(version) == SCHEMA_VERSION  # upgraded in place on open
             exact = search_hierarchical(ann_db.index_root, probes[0], k=10)
             # No stored rows: resolve_ann falls through to the eager
             # deterministic build, not a degrade.
@@ -149,9 +154,3 @@ class TestPreAnnCatalog:
             assert hits(result) == hits(exact)
         finally:
             lazy.close()
-
-
-def _load_ann(catalog, info):
-    from repro.storage.lazy import _ann_index_for
-
-    return _ann_index_for(catalog, info)

@@ -89,7 +89,7 @@ class TestBuildNode:
         entries = [_entry("v", i, 3) for i in range(5)]
         node = build_node("leaf", 3, entries=entries)
         assert node.is_leaf
-        assert node.shot_count() == 5
+        assert len(node.leaf) == 5
         assert node.centers is not None
         assert node.dims is not None
 
@@ -98,7 +98,7 @@ class TestBuildNode:
         leaf_b = build_node("b", 3, entries=[_entry("v", 1, 200)])
         parent = build_node("p", 2, children=[leaf_a, leaf_b])
         assert not parent.is_leaf
-        assert parent.shot_count() == 2
+        assert sum(len(node.leaf) for node in parent.iter_leaves()) == 2
         assert parent.centers is not None
 
     def test_rejects_both_or_neither(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import IntegrityError, ReproError, StorageError
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.resilience.integrity import file_digest
 from repro.storage import FeatureStore
 
 
@@ -38,7 +39,6 @@ class TestPut:
         b = store.put(_block(2))
         assert a.sha != b.sha
         assert sorted(store.list_blocks()) == sorted([a.sha, b.sha])
-        assert store.total_bytes() > 0
 
     def test_rejects_non_2d(self, store):
         with pytest.raises(StorageError):
@@ -46,8 +46,43 @@ class TestPut:
 
     def test_no_temp_files_left_behind(self, store):
         store.put(_block(3))
-        store.put(_block(3))  # dedup path unlinks its temp file too
+        store.put(_block(3))  # the dedup path writes no temp file at all
         assert not list(store.root.glob(".tmp-*"))
+
+    def test_stored_bytes_are_not_rewritten(self, store, monkeypatch):
+        ref = store.put(_block(5))
+        before = store.path_for(ref.sha).stat()
+        # The second put must decide from the digest alone: no file is made.
+        monkeypatch.setattr(
+            "tempfile.mkstemp", lambda *a, **k: pytest.fail("put wrote stored bytes again")
+        )
+        assert store.put(_block(5)) == ref
+        after = store.path_for(ref.sha).stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert store.list_blocks() == [ref.sha]
+
+    @pytest.mark.parametrize(
+        "matrix, dtype",
+        [
+            (_block(6, 37, 64), np.float64),
+            ((_block(7, 9, 5) * 255).astype(np.uint8), np.uint8),
+            (_block(8, 50, 266)[:, ::4], np.float64),  # strided view
+            (_block(9, 50, 266)[:, np.arange(0, 266, 5)], np.float64),  # F-ordered gather
+            (np.empty((0, 6)), np.float64),
+        ],
+        ids=["float64", "uint8", "strided", "gathered", "empty"],
+    )
+    def test_digest_is_the_file_digest_of_np_save(self, store, tmp_path, matrix, dtype):
+        """The address is computed from memory, and ``verify`` (which
+        hashes the file) is the oracle that it names the stored bytes."""
+        ref = store.put(matrix, dtype=dtype)
+        np.save(tmp_path / "oracle.npy", np.ascontiguousarray(matrix, dtype=dtype))
+        assert ref.sha == file_digest(tmp_path / "oracle.npy")
+        assert store.path_for(ref.sha).read_bytes() == (tmp_path / "oracle.npy").read_bytes()
+        store.verify(ref.sha)
+        loaded = store.open(ref.sha)
+        assert loaded.dtype == dtype
+        np.testing.assert_array_equal(loaded, matrix)
 
 
 class TestOpen:

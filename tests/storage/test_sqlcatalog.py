@@ -76,15 +76,17 @@ class TestReaders:
             assert [r.row for r in rows] == list(range(info.entry_count))
             assert info.block.rows == info.entry_count
 
-    def test_scene_row_lookup(self, catalog):
-        rows = catalog.scene_rows()
-        first = rows[0]
-        hit = catalog.scene_row_for(first.video_title, first.scene_id)
-        assert hit == first
-        assert catalog.scene_row_for("nope", 0) is None
-        by_event = catalog.scene_rows(event=first.event)
-        assert all(r.event == first.event for r in by_event)
-        assert first in by_event
+    def test_scene_row_lookup(self, catalog, source_db):
+        block_sha, (titles, scene_ids, events, shot_counts) = catalog.scene_columns()
+        assert catalog.features.open(block_sha).shape[0] == catalog.scene_count()
+        table = source_db.scene_index.table
+        assert list(titles) == table.titles.tolist()
+        assert list(scene_ids) == table.scene_ids.tolist()
+        assert list(events) == [kind.value for kind in table.events]
+        assert list(shot_counts) == table.shot_counts.tolist()
+        # (title, scene id) is the stored order and identifies one row.
+        keys = list(zip(titles, scene_ids))
+        assert keys == sorted(set(keys))
 
 
 class TestSearchText:

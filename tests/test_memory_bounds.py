@@ -10,7 +10,13 @@ ndarray bytes a snapshot pins beyond the database it was built from
 (tracemalloc, NumPy's domain), and the peak-RSS growth of building it and
 serving shot / shot_flat / scene queries from two threads — with bounds
 the commit before the array-native leaves fails (measured there: 3.5 x
-and 5.7 x the raw feature bytes; now 1.8 x and 2.0 x).
+and 5.7 x the raw feature bytes; now 0.51 x and 0.89 x).
+
+An opened store has a third: open a saved catalog and serve shot and
+scene probes — no flat scan — from two threads.  ``VmHWM`` may grow by
+the reduced blocks, the scene centroids and the row columns, not by the
+corpus, and ``/proc/self/smaps`` must show the 266-d leaf blocks mapped
+but not resident until a flat scan reads them.
 
 The write path has its own bound: one ingest worker's job — render a
 corpus title, mine it, save the artifact — in a fresh interpreter, by
@@ -26,6 +32,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import repro
 
@@ -119,6 +127,97 @@ def test_building_and_serving_grow_rss_by_a_bounded_multiple():
     """``VmHWM`` growth over build + shot / shot_flat / scene queries, 2 threads."""
     figures = _measure("grown")
     assert figures["grown"] <= GROWN_BOUND * figures["raw"], figures
+
+
+#: An opened store serving non-flat traffic: ``VmHWM`` growth / raw feature
+#: bytes.  What the queries score is resident — the reduced blocks
+#: (64/266 = 0.24), the scene centroids (0.25 at four shots a scene), the
+#: row columns and signatures, the records — and the 266-d rows are not:
+#: measured 0.87 (1.86 while a leaf's first touch read every row to derive
+#: what is now stored).
+STORED_GROWN_BOUND = 1.0
+
+_STORED_SCRIPT = r"""
+import json, re, sys, threading
+import numpy as np
+from repro.storage import SQLVideoDatabase
+
+db_dir = sys.argv[1]
+probes = np.load(db_dir + "/probes.npy")
+
+
+def hwm_bytes():
+    status = open("/proc/self/status").read()
+    return 1024 * int(re.search(r"VmHWM:\s+(\d+) kB", status).group(1))
+
+
+def resident(shas):
+    # (mapped, resident) bytes of the feature-store files named by ``shas``.
+    size = rss = 0
+    ours = False
+    for line in open("/proc/self/smaps"):
+        head = line.split()
+        if "-" in head[0] and not head[0].endswith(":"):
+            ours = len(head) > 5 and head[5].rsplit("/", 1)[-1].removesuffix(".npy") in shas
+        elif ours and head[0] == "Size:":
+            size += 1024 * int(head[1])
+        elif ours and head[0] == "Rss:":
+            rss += 1024 * int(head[1])
+    return size, rss
+
+
+with open("/proc/self/clear_refs", "w") as handle:
+    handle.write("5")  # reset VmHWM to the current RSS
+before = hwm_bytes()
+database = SQLVideoDatabase.open(db_dir)
+infos = database.catalog.leaf_infos()
+blocks = {info.block.sha for info in infos}
+reduced = {info.reduced_sha for info in infos}
+
+
+def serve():
+    for probe in probes:
+        assert database.search(probe, k=10).hits
+        assert database.scene_index.search(probe, k=10)
+
+
+threads = [threading.Thread(target=serve) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(120)
+assert not any(thread.is_alive() for thread in threads)
+figures = {
+    "raw": database.shot_count * 266 * 8,
+    "grown": hwm_bytes() - before,
+    "blocks": resident(blocks),
+    "reduced": resident(reduced),
+}
+assert database.search_flat(probes[0], k=10).hits
+figures["blocks_after_flat"] = resident(blocks)
+print(json.dumps(figures))
+"""
+
+
+def test_an_opened_store_keeps_the_rows_it_never_scores_on_disk(tmp_path):
+    """Stored + novel shot and scene probes, 2 threads, no flat scan: ``VmHWM``
+    growth, and which feature-store mappings ``/proc/self/smaps`` shows resident."""
+    from repro.storage import build_synthetic_database, save_database
+
+    database = build_synthetic_database(videos=1000, shots_per_video=12, seed=5)
+    stored = np.stack([e.features for e in database.flat_index.entries_at(range(0, 12_000, 97))])
+    np.save(tmp_path / "probes.npy", np.concatenate([stored, np.roll(stored, 3, axis=1)]))
+    save_database(database, tmp_path)
+    del database
+    figures = _measure(str(tmp_path), script=_STORED_SCRIPT)
+    assert figures["grown"] <= STORED_GROWN_BOUND * figures["raw"], figures
+    mapped, in_ram = figures["blocks"]
+    assert mapped >= figures["raw"], figures  # every 266-d leaf block is mapped...
+    assert in_ram < 0.10 * mapped, figures  # ...and stayed on disk,
+    mapped, in_ram = figures["reduced"]
+    assert in_ram > 0.90 * mapped > 0, figures  # while what a scan reads is resident.
+    mapped, in_ram = figures["blocks_after_flat"]
+    assert in_ram > 0.90 * mapped, figures  # one flat scan reads them all (and smaps shows it)
 
 
 #: ``VmHWM`` of one ingest job on ``face_repair`` (1 365 frames): the
