@@ -17,7 +17,7 @@ Installed as the ``classminer`` console script::
     classminer loadtest --db-dir db/        # closed-loop load generator
     classminer mine demo --trace t.jsonl    # record a span trace while mining
     classminer obs render t.jsonl           # render a recorded trace
-    classminer obs export --format prometheus  # registry exposition text
+    classminer obs slow --url http://127.0.0.1:8080  # a gateway's slowest queries
 
 The special title ``demo`` refers to the compact demo screenplay; the
 five corpus titles come from the paper's dataset description.  For
@@ -336,8 +336,8 @@ def _serving_server(args: argparse.Namespace):
     from repro.storage import load_database
 
     database = load_database(args.db_dir)
-    # CLI servers report through the process-global registry so
-    # ``classminer obs export`` and the Prometheus text cover them.
+    # CLI servers report through the process-global registry, so the
+    # Prometheus text (``GET /metrics``) covers storage and kernels too.
     metrics = ServingMetrics(registry=get_registry())
     return QueryServer(database, ServerConfig(**_front_knobs(args)), metrics=metrics)
 
@@ -557,32 +557,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0 if report.completed and not report.errors and not report.failures else 1
 
 
-def _cmd_obs_dump(args: argparse.Namespace) -> int:
-    from repro.obs import get_registry
-
-    for name, value in sorted(get_registry().snapshot().items()):
-        print(f"{name} {value:g}")
-    return 0
-
-
-def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from repro.obs import get_registry, render_json, render_prometheus
-
-    registry = get_registry()
-    if args.format == "prometheus":
-        text = render_prometheus(registry)
-    else:
-        text = render_json(registry)
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
-    return 0
-
-
 def _cmd_obs_render(args: argparse.Namespace) -> int:
     from repro.obs import load_trace, render_spans
 
@@ -591,12 +565,8 @@ def _cmd_obs_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_slow(args: argparse.Namespace) -> int:
-    from repro.obs import SlowQuery, SlowQueryLog, get_slow_log
-
-    if not args.url:
-        print(get_slow_log().render())
-        return 0
     from repro.net import HttpFront
+    from repro.obs import SlowQuery, SlowQueryLog
 
     front = HttpFront(args.url)
     payload = front.slow_log()
@@ -979,31 +949,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser(
         "obs",
-        help="observability: metrics dump/export and trace rendering",
+        help="observability: trace rendering and a gateway's slow-query log",
         description=(
-            "Inspect the process-wide metrics registry (dump/export) or "
-            "render a JSONL trace file written by a --trace run as a "
-            "flame-style tree."
+            "Render a JSONL trace file written by a --trace run as a "
+            "flame-style tree, or list the slowest queries a running "
+            "gateway has answered.  (Metrics are read from the server that "
+            "counts them: GET /metrics.)"
         ),
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    obs_dump = obs_sub.add_parser(
-        "dump", help="flat name=value snapshot of the metrics registry"
-    )
-    obs_dump.set_defaults(func=_cmd_obs_dump)
-    obs_export = obs_sub.add_parser(
-        "export", help="export registry metrics as Prometheus text or JSON"
-    )
-    obs_export.add_argument(
-        "--format",
-        choices=("prometheus", "json"),
-        default="prometheus",
-        help="exposition format (default: prometheus)",
-    )
-    obs_export.add_argument(
-        "-o", "--output", default=None, help="write to a file instead of stdout"
-    )
-    obs_export.set_defaults(func=_cmd_obs_export)
     obs_render = obs_sub.add_parser(
         "render", help="render a --trace JSONL file as a span tree"
     )
@@ -1017,13 +971,13 @@ def build_parser() -> argparse.ArgumentParser:
     obs_render.set_defaults(func=_cmd_obs_render)
     obs_slow = obs_sub.add_parser(
         "slow",
-        help="show the slow-query log (this process, or a gateway via --url)",
+        help="show a running gateway's slow-query log",
     )
     obs_slow.add_argument(
         "--url",
-        default=None,
-        help="fetch GET /debug/slow from a running gateway "
-        "(e.g. http://127.0.0.1:8080) instead of the local process",
+        required=True,
+        help="the gateway whose GET /debug/slow to fetch "
+        "(e.g. http://127.0.0.1:8080)",
     )
     obs_slow.set_defaults(func=_cmd_obs_slow)
     return parser

@@ -82,13 +82,14 @@ class ShotEntry:
     scene_id:
         The mined scene it belongs to.
     features:
-        Concatenated 256-d histogram + 10-d texture (266-d).
+        Concatenated 256-d histogram + 10-d texture (266-d); ``None`` on
+        a hit that crossed a wire (:class:`~repro.serving.engine.QueryFront`).
     """
 
     video_title: str
     shot_id: int
     scene_id: int
-    features: np.ndarray = field(repr=False, hash=False, compare=False)
+    features: np.ndarray | None = field(repr=False, hash=False, compare=False)
 
     @property
     def key(self) -> tuple[str, int]:

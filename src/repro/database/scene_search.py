@@ -39,14 +39,15 @@ class SceneEntry:
     shot_count:
         Member shots.
     centroid:
-        Mean combined feature vector of the member shots.
+        Mean combined feature vector of the member shots; ``None`` on a
+        hit that crossed a wire (:class:`~repro.serving.engine.QueryFront`).
     """
 
     video_title: str
     scene_id: int
     event: EventKind
     shot_count: int
-    centroid: np.ndarray = field(repr=False, hash=False, compare=False)
+    centroid: np.ndarray | None = field(repr=False, hash=False, compare=False)
 
 
 @dataclass(frozen=True)

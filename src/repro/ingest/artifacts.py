@@ -22,10 +22,10 @@ half-written artifact behind.
 
 Integrity: every save also writes ``checksums.json`` (sha256 of both
 payload files, computed before the atomic rename) and every load
-verifies it.  A mismatch — torn write, bit rot, an injected corruption
-fault — raises :class:`~repro.errors.IntegrityError` after the corrupt
-entry is *quarantined* under ``<root>/.quarantine/``; ``has()`` then
-answers False, so the next ingest run re-mines the video transparently.
+verifies it.  A mismatch (torn write, bit rot, an injected corruption
+fault) or a missing manifest raises :class:`~repro.errors.IntegrityError`
+after the entry is *quarantined* under ``<root>/.quarantine/``; ``has()``
+then answers False, so the next ingest run re-mines the video.
 """
 
 from __future__ import annotations
@@ -645,17 +645,17 @@ class ArtifactStore:
     def verify(self, key: str) -> bool:
         """Verify ``key``'s checksum manifest without decoding.
 
-        Returns ``True`` when verified, ``False`` for a legacy artifact
-        with no manifest; raises :class:`IntegrityError` on corruption
-        (the entry is *not* quarantined — use :meth:`has_valid` for
-        that) and :class:`IngestError` when the artifact is missing.
+        Returns ``True`` when verified; raises :class:`IntegrityError` on
+        corruption or a missing manifest (*not* quarantining the entry:
+        :meth:`has_valid` does) and :class:`IngestError` when none exists.
         """
         if not self.has(key):
             raise IngestError(f"no artifact for key {key[:12]}… in {self._root}")
-        return verify_checksums(self.path_for(key))
+        verify_checksums(self.path_for(key))
+        return True
 
     def has_valid(self, key: str) -> bool:
-        """True when a verified (or legacy) artifact exists for ``key``.
+        """True when a verified artifact exists for ``key``.
 
         A present-but-corrupt artifact is quarantined as a side effect,
         so callers gating cache hits on this answer will re-mine it.

@@ -12,8 +12,9 @@ lists for that status, with the server's message.
 
 Answers are rebuilt into the same :class:`~repro.serving.engine.ServingResult`
 the in-process fronts return — ids and scores bit for bit (JSON floats
-round-trip exactly); feature payloads stay server-side, so a hit's
-``entry.features`` / ``entry.centroid`` is ``None``.
+round-trip exactly).  A hit is an identity and a score: like every hit
+that crossed a wire its ``entry.features`` / ``entry.centroid`` is
+``None`` (the :class:`~repro.serving.engine.QueryFront` contract).
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ the single-process path (ids, scores, tie-break order):
   every within-shard order an order-preserving subset of the global
   one.  The final stable sort by descending score then ties off exactly
   like the single-process ranking.
-* Workers ship feature payloads only for their *local* top-k: the
-  global comparator restricted to one shard's candidates equals that
-  shard's local order, so every global winner is inside its shard's
-  local top-k.
+* A candidate on the wire is an identity and a score — no 266-d row,
+  no scene centroid — and so is a merged hit: its ``entry.features`` /
+  ``entry.centroid`` is ``None``, the contract
+  :class:`~repro.serving.engine.QueryFront` states for every hit that
+  crossed a wire.
 
 **QueryStats aggregation** (documented contract, asserted by tests):
 ``shot`` comparisons = coordinator descent comparisons + Σ per-leaf
@@ -673,11 +674,7 @@ class ShardedQueryService:
                 return BackendAnswer((), stats.comparisons)
             raise DatabaseError("descent reached no populated leaf")
         names = [leaf.name for leaf in leaves]
-        base = {
-            "features": pack_array(request.features),
-            "k": int(request.k),
-            "leaves": names,
-        }
+        base = {"features": pack_array(request.features), "leaves": names}
         if ann_active:
             base["nprobe"] = int(request.nprobe)
             if request.rerank_k is not None:
@@ -715,7 +712,6 @@ class ShardedQueryService:
             self._require_responses(probe, missing)
 
         with _Phase("merge", explain):
-            features_by_ord: dict[str, np.ndarray] = {}
             approx_comparisons = 0
             ann_degraded = False
             for source in (probe, scan):
@@ -726,8 +722,6 @@ class ShardedQueryService:
                     ann_degraded = ann_degraded or bool(
                         response.get("ann_degraded", False)
                     )
-                    for ordinal, packed in response["features"].items():
-                        features_by_ord[ordinal] = unpack_array(packed)
 
             merged: list[list] = []
             seen: set[tuple[str, int]] = set()
@@ -751,7 +745,7 @@ class ShardedQueryService:
                     kept += 1
                 comparisons += kept
             merged.sort(key=lambda item: item[4], reverse=True)  # stable
-            hits = self._ranked_shots(merged[: request.k], features_by_ord)
+            hits = self._ranked_shots(merged[: request.k])
         # ``reranked`` is computed at merge (deduplicated kept
         # candidates = the exact tail's scored rows), matching the
         # single-process QueryStats contract.
@@ -783,17 +777,14 @@ class ShardedQueryService:
             )
         self._require_responses(responses, missing)
         candidates: list[list] = []
-        features_by_ord: dict[str, np.ndarray] = {}
         total = 0
         for response in responses.values():
             candidates.extend(response["candidates"])
             total += int(response["total"])
-            for ordinal, packed in response["features"].items():
-                features_by_ord[ordinal] = unpack_array(packed)
         # The flat baseline's stable sort over registration order is
         # exactly (-score, global ordinal).
         candidates.sort(key=lambda item: (-item[4], item[0]))
-        hits = self._ranked_shots(candidates[: request.k], features_by_ord)
+        hits = self._ranked_shots(candidates[: request.k])
         return BackendAnswer(hits, total, shards_missing=tuple(sorted(missing)))
 
     def _scene(
@@ -814,13 +805,10 @@ class ShardedQueryService:
             responses, missing = self._scatter(message, deadline, sink=explain)
         self._require_responses(responses, missing)
         candidates: list[list] = []
-        centroids: dict[str, np.ndarray] = {}
         count = 0
         for response in responses.values():
             candidates.extend(response["candidates"])
             count += int(response["count"])
-            for key, packed in response["centroids"].items():
-                centroids[key] = unpack_array(packed)
         if count == 0 and not missing:
             raise DatabaseError("scene index is empty")
         # Scene insertion order is sorted (title, scene_id) on every
@@ -833,7 +821,7 @@ class ShardedQueryService:
                 scene_id=int(item[1]),
                 event=EventKind(item[2]),
                 shot_count=int(item[3]),
-                centroid=centroids[f"{item[0]}\x00{int(item[1])}"],
+                centroid=None,
             )
             hits.append(RankedScene(entry=entry, score=float(item[4])))
         if scope_leaves is not None:
@@ -869,25 +857,15 @@ class ShardedQueryService:
         return BackendAnswer(hits, shards_missing=tuple(sorted(missing)))
 
     @staticmethod
-    def _ranked_shots(
-        winners: list[list], features_by_ord: dict[str, np.ndarray]
-    ) -> tuple[RankedShot, ...]:
+    def _ranked_shots(winners: list[list]) -> tuple[RankedShot, ...]:
         """Wire candidates ``[ordinal, title, shot, scene, score]`` -> hits."""
-        hits = []
-        for ordinal, title, shot_id, scene_id, score in winners:
-            features = features_by_ord.get(str(ordinal))
-            if features is None:
-                raise ServingError(
-                    f"shard shipped no features for winning candidate {ordinal}"
-                )
-            entry = ShotEntry(
-                video_title=title,
-                shot_id=int(shot_id),
-                scene_id=int(scene_id),
-                features=features,
+        return tuple(
+            RankedShot(
+                ShotEntry(title, int(shot_id), int(scene_id), features=None),
+                float(score),
             )
-            hits.append(RankedShot(entry=entry, score=float(score)))
-        return tuple(hits)
+            for _ordinal, title, shot_id, scene_id, score in winners
+        )
 
     # -- maintenance ---------------------------------------------------
 

@@ -36,9 +36,11 @@ registry (``net_worker_requests_total`` / ``net_worker_op_seconds``),
 which the ``metrics`` op exposes for cluster-wide scraping.
 
 Candidates always carry **global** identities (flat ordinal, title,
-shot/scene ids) and kernel-exact scores; feature payloads ship only for
-the shard-local top-k, which provably covers every global winner the
-shard can contribute (see ``docs/SHARDING.md``).
+shot/scene ids) and kernel-exact scores, and nothing else: no 266-d row
+or scene centroid crosses the shard wire in an answer, so a stored
+probe's ``probe`` / ``scan`` / ``scene`` reads no 266-d block (see
+``docs/SHARDING.md``).  Arrays cross it only as a *query* vector and as
+the ``sample`` op's pool.
 
 The worker runs threaded (one thread per coordinator connection) and
 can be embedded in-process for tests or launched as
@@ -59,7 +61,6 @@ import numpy as np
 
 from repro.ann.index import resolve_ann
 from repro.database.index import IndexNode
-from repro.database.query import ScannedLeaf, top_candidates
 from repro.errors import DatabaseError, ReproError
 from repro.resilience.faults import fault_point
 from repro.net.protocol import (
@@ -314,13 +315,11 @@ class ShardWorker:
     def _leaf_candidates(
         self, request: dict, fallback: bool, tracer=NULL_TRACER
     ) -> dict:
-        """Per-leaf candidates, plus features for the shard-local top-k.
+        """Per-leaf candidates: global identities and kernel-exact scores.
 
-        Leaves are processed in the coordinator's visit order and each
-        leaf's candidates in ascending global ordinal (the natural
-        local order), so the shard-local ranking used to pick which
-        feature payloads to ship is the exact restriction of the global
-        ranking to this shard.
+        Each leaf's candidates come in ascending global ordinal (the
+        natural local order), which is what the coordinator's per-leaf
+        merge relies on.
 
         When the request carries ``nprobe``, the per-shard ANN tier
         prunes the candidate set before exact scoring.  The reported
@@ -334,13 +333,11 @@ class ShardWorker:
         """
         state = self._state
         features = unpack_array(request["features"])
-        k = int(request.get("k", 10))
         nprobe = request.get("nprobe")
         rerank_k = request.get("rerank_k")
         approx_comparisons = 0
         ann_degraded = False
         per_leaf: dict[str, dict] = {}
-        scanned: list[ScannedLeaf] = []
         for name in request.get("leaves", []):
             node = state.leaves.get(name)
             if node is None:
@@ -388,17 +385,10 @@ class ShardWorker:
                         )
                     ),
                 }
-                scanned.append((leaf, rows, scores))
-        # Feature payloads ship for the shard-local top-k only.
-        payload = {
-            str(int(state.global_ords[leaf.ordinals[row]])): pack_array(leaf.block[row])
-            for leaf, row, _score in top_candidates(scanned, k)
-        }
         return {
             "ok": True,
             "generation": self._generation,
             "leaves": per_leaf,
-            "features": payload,
             "approx_comparisons": approx_comparisons,
             "ann_degraded": ann_degraded,
         }
@@ -411,26 +401,21 @@ class ShardWorker:
         total = len(flat)
         with tracer.span("score.exact", rows=total):
             top, scores = flat.rank(features, k)
-        candidates = []
-        payload = {}
-        for ordinal, entry in zip(top, flat.entries_at(top)):
-            global_ord = int(state.global_ords[ordinal])
-            candidates.append(
-                [
-                    global_ord,
-                    entry.video_title,
-                    entry.shot_id,
-                    entry.scene_id,
-                    float(scores[ordinal]),
-                ]
-            )
-            payload[str(global_ord)] = pack_array(entry.features)
+        candidates = [
+            [
+                int(state.global_ords[ordinal]),
+                entry.video_title,
+                entry.shot_id,
+                entry.scene_id,
+                float(scores[ordinal]),
+            ]
+            for ordinal, entry in zip(top, flat.entries_at(top))
+        ]
         return {
             "ok": True,
             "generation": self._generation,
             "total": total,
             "candidates": candidates,
-            "features": payload,
         }
 
     def _op_scene(self, request: dict, tracer=NULL_TRACER) -> dict:
@@ -446,28 +431,21 @@ class ShardWorker:
                 hits = index.search(features, k=k, event=kind)
         except DatabaseError:
             hits = []  # an empty local index is not an error under sharding
-        candidates = []
-        centroids = {}
-        for hit in hits:
-            entry = hit.entry
-            candidates.append(
-                [
-                    entry.video_title,
-                    entry.scene_id,
-                    entry.event.value,
-                    entry.shot_count,
-                    float(hit.score),
-                ]
-            )
-            centroids[f"{entry.video_title}\x00{entry.scene_id}"] = pack_array(
-                entry.centroid
-            )
+        candidates = [
+            [
+                hit.entry.video_title,
+                hit.entry.scene_id,
+                hit.entry.event.value,
+                hit.entry.shot_count,
+                float(hit.score),
+            ]
+            for hit in hits
+        ]
         return {
             "ok": True,
             "generation": self._generation,
             "count": count,
             "candidates": candidates,
-            "centroids": centroids,
         }
 
     def _op_sample(self, request: dict, tracer=NULL_TRACER) -> dict:

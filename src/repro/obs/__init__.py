@@ -14,12 +14,12 @@ reports through one surface:
   families under one lock, plus read-time collectors for the lock-free
   kernel and index hot-path stats.  :func:`get_registry` is the
   process-wide instance serving, ingest and mining all default to.
-* :mod:`repro.obs.export` — Prometheus text exposition and JSON
-  exporters (``classminer obs export``), with a line-format checker.
+* :mod:`repro.obs.export` — Prometheus text exposition (``GET
+  /metrics``), with a line-format checker.
 * :mod:`repro.obs.bridge` — ingest ``JobEvent`` → span/counter bridge
   and the default registry collectors.
 * :mod:`repro.obs.slowlog` — bounded slow-query log retaining the N
-  slowest queries (``GET /debug/slow``, ``classminer obs slow``).
+  slowest queries (``GET /debug/slow``, ``classminer obs slow --url``).
 
 Traces also cross process boundaries: the gateway accepts/generates
 ``X-Trace-Id``, RPC frames carry ``trace_id``/``parent_span``, workers
@@ -40,7 +40,6 @@ which is a no-op while no tracer is installed.
 from repro.obs.bridge import JobEventBridge, register_default_collectors
 from repro.obs.export import (
     check_prometheus_text,
-    render_json,
     render_prometheus,
     render_prometheus_dumps,
     validate_prometheus_text,
@@ -92,7 +91,6 @@ __all__ = [
     "load_trace",
     "new_trace_id",
     "register_default_collectors",
-    "render_json",
     "render_prometheus",
     "render_prometheus_dumps",
     "render_spans",

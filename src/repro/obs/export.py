@@ -1,4 +1,4 @@
-"""Metric exporters: Prometheus text format and JSON.
+"""Metric exporter: the Prometheus text format.
 
 :func:`render_prometheus` emits the classic text exposition format —
 ``# HELP`` / ``# TYPE`` headers, ``name{label="value"} sample`` lines,
@@ -17,7 +17,6 @@ and sample values without needing a real Prometheus server.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 
@@ -154,11 +153,6 @@ def render_prometheus_dumps(
                 emitted_type.add(name)
             lines.append(f"{name}{_labels_text(extra)} {_format_value(value)}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def render_json(registry: MetricsRegistry, indent: int = 2) -> str:
-    """The registry's flat snapshot as a JSON document."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
 
 
 #: One sample line: name, optional {labels}, one float value.

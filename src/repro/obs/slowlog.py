@@ -5,7 +5,7 @@ sharded :class:`~repro.net.coordinator.ShardedQueryService`) record
 every finished query here; the log keeps only the ``capacity`` slowest
 in a bounded min-heap, so memory stays flat under load and the fast
 path pays one lock plus a float compare per query. Exposed over HTTP
-at ``GET /debug/slow`` and on the CLI as ``classminer obs slow``.
+at ``GET /debug/slow`` and on the CLI as ``classminer obs slow --url``.
 """
 
 from __future__ import annotations

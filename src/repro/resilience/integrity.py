@@ -16,9 +16,11 @@ file.  The store then *quarantines* the entry (moves it under
 ``<root>/.quarantine/``) so ``has()`` turns False and the next ingest
 run re-mines the video transparently.
 
-Artifacts written before checksums existed carry no manifest; they are
-treated as legacy-valid (:func:`verify_checksums` returns ``False``)
-rather than quarantined wholesale.
+A directory with no manifest fails like one with an unreadable
+manifest: every artifact a save can produce carries it (it is written
+before the rename), so its absence means a file was lost — and were it
+read as "nothing to check", deleting one file would turn verification
+off.
 """
 
 from __future__ import annotations
@@ -64,20 +66,16 @@ def write_checksums(directory: str | Path, names: tuple[str, ...]) -> Path:
     return path
 
 
-def verify_checksums(directory: str | Path) -> bool:
+def verify_checksums(directory: str | Path) -> None:
     """Verify every checksummed file inside ``directory``.
 
-    Returns ``True`` when a manifest exists and everything matches,
-    ``False`` for a legacy artifact with no manifest.  Raises
+    Returns when everything matches.  Raises
     :class:`~repro.errors.IntegrityError` on the first mismatch, a
-    missing checksummed file, or an unreadable/garbled manifest.
+    missing checksummed file, or a missing/unreadable/garbled manifest.
     """
     directory = Path(directory)
-    manifest_path = directory / CHECKSUMS_NAME
-    if not manifest_path.exists():
-        return False
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads((directory / CHECKSUMS_NAME).read_text())
         files = dict(manifest["files"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(
@@ -98,4 +96,3 @@ def verify_checksums(directory: str | Path) -> bool:
                 f"artifact file {name} in {directory.name} failed verification: "
                 f"expected {expected[:12]}…, got {actual[:12]}…"
             )
-    return True

@@ -304,14 +304,14 @@ class QueryFront(Protocol):
     """What everything *above* a query front is written against.
 
     The engine's other seam: :class:`QueryBackend` is where the leaves
-    are scanned, this is who answers.  The in-process
-    :class:`~repro.serving.server.QueryServer` and the sharded
-    :class:`~repro.net.coordinator.ShardedQueryService` implement all of
-    it, so the HTTP gateway, the load generator and the health command
-    call whichever they were handed.  A remote caller holds the client
-    half only — :meth:`query`, :meth:`health_report`,
-    :meth:`sample_features` — as
-    :class:`~repro.net.client.HttpFront` over a running gateway.
+    are scanned, this is who answers.  The in-process ``QueryServer`` and
+    the sharded ``ShardedQueryService`` implement all of it, so the
+    gateway, the load generator and the health command call whichever
+    they were handed; :class:`~repro.net.client.HttpFront` is the client
+    half (``query`` / ``health_report`` / ``sample_features``) over a
+    running gateway.  A hit is an identity and a score: one that crossed
+    a wire (sharded or HTTP) carries ``entry.features`` /
+    ``entry.centroid`` ``None``, an in-process hit a lazy view of the row.
     """
 
     fanout: int  #: shards one query scatters to (1 in process)

@@ -8,7 +8,7 @@ in a :class:`~repro.obs.registry.MetricsRegistry`: counters in the
 ``serving_kind_latency_seconds{kind=…}`` histograms.  Handing the
 process-global registry in (``ServingMetrics(registry=obs.get_registry())``,
 what ``classminer serve`` does) makes the same numbers available to the
-Prometheus/JSON exporters without changing the plain-text dump.
+Prometheus exporter without changing the plain-text dump.
 """
 
 from __future__ import annotations

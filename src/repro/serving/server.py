@@ -143,9 +143,8 @@ class QueryServer:
         self.config = config if config is not None else ServerConfig()
         self._manager = manager if manager is not None else SnapshotManager(database)
         # Default: metrics on a private registry, so independent servers
-        # never mix counts.  ``classminer serve`` passes
-        # ``ServingMetrics(registry=repro.obs.get_registry())`` to make
-        # the same numbers visible to the Prometheus/JSON exporters.
+        # never mix counts.  ``classminer serve`` passes the process-wide
+        # one, so its ``GET /metrics`` carries these numbers too.
         self._metrics = metrics if metrics is not None else ServingMetrics()
         self.engine = QueryEngine(
             partial(SnapshotBackend, self._manager), self.config, self._metrics

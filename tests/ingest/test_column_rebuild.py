@@ -117,14 +117,19 @@ def test_corrupt_artifact_is_quarantined_and_skipped_on_the_column_path(store, v
 
 
 def test_unverifiable_garbage_is_a_typed_error_on_the_column_path(store):
-    """No checksum manifest (a legacy artifact) and a torn zip: IngestError, not a zip error."""
+    """No checksum manifest and a torn zip: quarantined unread, skipped by the rebuild."""
     directory = store.path_for(OTHER_KEY)
     (directory / "checksums.json").unlink()
     (directory / "arrays.npz").write_bytes(b"PK\x03\x04 torn")
-    with pytest.raises(IngestError, match="corrupt artifact"):
+    with pytest.raises(IntegrityError, match="unreadable checksum manifest"):
         store.load_columns(OTHER_KEY)
+    assert store.quarantined() == [OTHER_KEY] and not store.has(OTHER_KEY)
     with pytest.raises(IngestError):
         store.load_columns("00" * 32)
+    store.save(OTHER_KEY, store.load(DEMO_KEY))
+    (store.path_for(OTHER_KEY) / "checksums.json").unlink()  # intact files, no manifest
+    database, skipped = rebuild_database(store)
+    assert sorted(database.videos) == ["demo"] and skipped == [OTHER_KEY]
 
 
 def test_audio_members_are_stored_and_the_rest_deflated(store, demo_result):

@@ -170,6 +170,14 @@ class TestOneLoop:
         assert store.quarantined() == [job.key]
         assert store.verify(job.key)
 
+    def test_manifestless_artifact_is_quarantined_and_remined(self, store, job, mining, workers):
+        mined = mining()
+        run_jobs([job], store, workers=workers, policy=FAST)
+        (store.path_for(job.key) / "checksums.json").unlink()  # both payload files intact
+        (outcome,) = run_jobs([job], store, workers=workers, policy=FAST)
+        assert (outcome.state, mined.calls(job)) == ("done", 2)
+        assert store.quarantined() == [job.key] and store.verify(job.key)
+
 
 class TestEventOrder:
     def test_one_worker_reports_job_by_job(self, store, demo_result, monkeypatch):

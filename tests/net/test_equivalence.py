@@ -51,16 +51,6 @@ class TestBitIdentical:
             assert mine.comparisons == theirs.comparisons
             assert not mine.degraded and not mine.shards_missing
 
-    def test_shot_features_ship_bit_exact(self, harness, reference, probes):
-        mine = harness.service.query(
-            QueryRequest(kind="shot", features=probes[0], k=5)
-        )
-        theirs = reference.query(
-            QueryRequest(kind="shot", features=probes[0], k=5)
-        )
-        for a, b in zip(mine.hits, theirs.hits):
-            assert a.entry.features.tobytes() == b.entry.features.tobytes()
-
     def test_events_match(self, harness, reference):
         for event in EventKind.known_kinds():
             mine = harness.service.query(QueryRequest(kind="event", event=event))

@@ -30,6 +30,7 @@ from repro.errors import (
 )
 from repro.net.client import HttpFront
 from repro.net.gateway import GatewayConfig, HttpGateway
+from repro.net.protocol import pack_array
 from repro.obs.export import validate_prometheus_text
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving.loadgen import LoadgenConfig, run_load
@@ -49,8 +50,13 @@ def gateway(reference):
 
 
 @pytest.fixture(scope="module")
-def sharded(make_harness):
-    return make_harness(2).service
+def harness(make_harness):
+    return make_harness(2)
+
+
+@pytest.fixture(scope="module")
+def sharded(harness):
+    return harness.service
 
 
 @pytest.fixture(scope="module", params=["single", "sharded", "http"])
@@ -80,6 +86,41 @@ def test_stored_probes_answer_alike(front, reference):
         assert keys(mine) == keys(theirs) and mine.hits
         assert mine.comparisons == theirs.comparisons
         assert not mine.degraded and not mine.shards_missing
+
+
+def test_a_hit_is_an_identity_and_a_score(front, reference, net_db):
+    """Payloads: the corpus row in process, ``None`` once a wire was crossed."""
+    shots = {entry.key: entry.features for entry in net_db.flat_index.entries}
+    scenes = {
+        (entry.video_title, entry.scene_id): entry.centroid
+        for entry in net_db.scene_index.entries
+    }
+    for probe in reference.sample_features(4):
+        for kind in ("shot", "shot_flat", "scene"):
+            request = QueryRequest(kind=kind, features=probe, k=10)
+            mine = front.query(request)
+            assert keys(mine) == keys(reference.query(request)) and mine.hits
+            for hit in mine.hits:
+                if kind == "scene":
+                    payload = hit.entry.centroid
+                    row = scenes[hit.entry.video_title, hit.entry.scene_id]
+                else:
+                    payload, row = hit.entry.features, shots[hit.entry.key]
+                if front is reference:
+                    assert payload.tobytes() == row.tobytes()
+                else:
+                    assert payload is None
+
+
+def test_shard_answers_carry_no_feature_payload(harness, reference):
+    probe = reference.sample_features(1)[0]
+    worker = harness.workers[0]
+    leaves = list(worker._state.leaves)  # noqa: SLF001
+    for op in ("probe", "scan", "flat", "scene"):
+        request = {"op": op, "features": pack_array(probe), "k": 10, "leaves": leaves}
+        response = worker._dispatch(request)  # noqa: SLF001
+        assert response["ok"] and (response.get("candidates") or response["leaves"])
+        assert "features" not in response and "centroids" not in response
 
 
 def test_samples_health_records_and_metrics(front, reference, net_db):

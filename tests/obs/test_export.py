@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     MetricsRegistry,
     check_prometheus_text,
-    render_json,
     render_prometheus,
     validate_prometheus_text,
 )
@@ -101,13 +99,3 @@ class TestValidator:
     def test_check_raises_with_line_numbers(self):
         with pytest.raises(ObservabilityError, match="line 1"):
             check_prometheus_text("bad line here\n")
-
-
-class TestJson:
-    def test_render_json_is_the_snapshot(self):
-        registry = _sample_registry()
-        data = json.loads(render_json(registry))
-        assert data["jobs_total"] == 3.0
-        assert data["events_total{kind=done}"] == 2.0
-        assert data["hot_total"] == 9.0
-        assert data["latency_seconds_count"] == 1.0

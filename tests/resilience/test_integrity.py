@@ -33,11 +33,12 @@ class TestManifest:
         (tmp_path / "a.bin").write_bytes(b"alpha")
         (tmp_path / "b.bin").write_bytes(b"beta")
         write_checksums(tmp_path, ("a.bin", "b.bin"))
-        assert verify_checksums(tmp_path) is True
+        verify_checksums(tmp_path)  # raises on any mismatch
 
     def test_legacy_directory_without_manifest(self, tmp_path):
         (tmp_path / "a.bin").write_bytes(b"alpha")
-        assert verify_checksums(tmp_path) is False
+        with pytest.raises(IntegrityError, match="unreadable checksum manifest"):
+            verify_checksums(tmp_path)
 
     def test_mismatch_names_the_file(self, tmp_path):
         (tmp_path / "a.bin").write_bytes(b"alpha")
@@ -124,11 +125,16 @@ class TestStoreVerification:
         assert not store.has(KEY)
         assert store.quarantined() == [KEY]
 
-    def test_legacy_artifact_still_loads(self, store, demo_result):
+    def test_manifestless_artifact_is_quarantined_not_decoded(self, store):
+        """Deleting ``checksums.json`` must not turn verification off."""
         (store.path_for(KEY) / CHECKSUMS_NAME).unlink()
-        assert store.verify(KEY) is False
-        loaded = store.load(KEY)
-        assert loaded.structure.title == demo_result.structure.title
+        with pytest.raises(IntegrityError, match="unreadable checksum manifest"):
+            store.verify(KEY)
+        assert store.has(KEY) and store.quarantined() == []  # verify() only reports
+        with pytest.raises(IntegrityError):
+            store.load(KEY)
+        assert not store.has(KEY) and not store.has_valid(KEY)
+        assert store.quarantined() == [KEY]
 
     def test_verify_missing_artifact_is_typed(self, store):
         with pytest.raises(IngestError):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -160,35 +161,63 @@ def _alive(pid: int) -> bool:
     return fields is not None and fields[0] != "Z"
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_sigterm_unwinds_sharded_serve_and_its_workers(tmp_path):
+@contextlib.contextmanager
+def _live_serve(db_dir, *extra: str):
+    """``classminer serve --http 0`` over a small saved corpus: ``(process, url)``."""
     from repro.storage.sqlcatalog import save_database
     from repro.storage.synthetic import build_synthetic_database
 
-    save_database(build_synthetic_database(videos=6, shots_per_video=4, seed=3), tmp_path)
+    save_database(build_synthetic_database(videos=6, shots_per_video=4, seed=3), db_dir)
     serve = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--db-dir", str(tmp_path),
-         "--http", "0", "--shards", "2"],
+        [sys.executable, "-m", "repro.cli", "serve", "--db-dir", str(db_dir),
+         "--http", "0", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    workers: list[int] = []
     try:
         for line in serve.stdout:
             if line.startswith("serving on "):
                 break
         else:
             pytest.fail("serve exited before its banner")
-        workers = _children(serve.pid)
-        assert len(workers) == 2
-        serve.send_signal(signal.SIGTERM)
-        assert serve.wait(timeout=10.0) == 0
-        assert not [pid for pid in workers if _alive(pid)]
+        yield serve, line.split()[2]
     finally:
-        for pid in [serve.pid, *workers]:
-            if _alive(pid):
-                os.kill(pid, signal.SIGKILL)
+        if serve.poll() is None:
+            serve.kill()
         serve.wait()
         serve.stdout.close()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigterm_unwinds_sharded_serve_and_its_workers(tmp_path):
+    workers: list[int] = []
+    try:
+        with _live_serve(tmp_path, "--shards", "2") as (serve, _url):
+            workers = _children(serve.pid)
+            assert len(workers) == 2
+            serve.send_signal(signal.SIGTERM)
+            assert serve.wait(timeout=10.0) == 0
+            assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_obs_slow_lists_what_a_live_gateway_answered(tmp_path, capsys):
+    from repro.net import HttpFront
+    from repro.serving.engine import QueryRequest
+
+    with pytest.raises(SystemExit):  # the slow log it reads is a server's, never its own
+        main(["obs", "slow"])
+    assert "--url" in capsys.readouterr().err
+    with _live_serve(tmp_path) as (_serve, url):
+        front = HttpFront(url)
+        answer = front.query(QueryRequest("shot", front.sample_features(1)[0], k=3))
+        assert main(["obs", "slow", "--url", url]) == 0
+        out = capsys.readouterr().out
+        assert f"{url}/debug/slow: 1 queries recorded" in out
+        (row,) = [line.split() for line in out.splitlines() if " shot " in line]
+        assert row[1:4] == ["shot", "single", str(answer.comparisons)]

@@ -13,7 +13,9 @@ lazily exporting packages keep their public surface: same ``__all__``,
 every name resolves, star imports work.  No linter runs here (neither
 ``pyflakes`` nor ``ruff`` is installed), so an ``ast`` pass also refuses
 an import nothing in its module uses — in ``src/``, the tests, the
-examples and the paper benchmarks alike.
+examples and the paper benchmarks alike — and a module nothing that runs
+imports: every file under ``src/repro/`` must be reachable from the CLI,
+a ``python -m`` entry point, a benchmark or an example.
 """
 
 from __future__ import annotations
@@ -321,3 +323,99 @@ def test_no_module_imports_a_name_it_does_not_use():
     ]
     unused = [hit for path in sorted(scanned) for hit in _unused_imports(path)]
     assert unused == []
+
+
+#: Modules that feed no command, entry point, benchmark or example (a
+#: package ``__init__`` re-exporting them is a shop window, not a use).
+#: ROADMAP item 6 decides whether each is wired in or deleted; this list
+#: may only shrink.
+FEEDS_NOTHING = {
+    "repro.vision.motion",
+    "repro.vision.text",
+    "repro.baselines.visual_clustering",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _lazy_exports(tree: ast.Module) -> dict[str, str]:
+    """``name -> home module`` from a package's ``lazy_exports(__name__, {...})`` call."""
+    homes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+            for module, names in ast.literal_eval(node.args[1]).items():
+                homes.update(dict.fromkeys(names, module))
+    return homes
+
+
+def _reachable_modules() -> tuple[set[str], set[str]]:
+    """(every module under ``src/repro``, those some root's imports reach).
+
+    Roots: ``repro.cli``, every module with an ``if __name__ ==
+    "__main__"`` block, every file under ``benchmarks/`` and
+    ``examples/``.  ``from package import name`` reaches the package and
+    the *home* of ``name`` — the module the package's ``__init__`` takes
+    it from, eagerly or through ``lazy_exports`` — not everything the
+    ``__init__`` re-exports; an ``__init__``'s other imports (what it
+    uses itself) count like any module's.  A string constant that spells
+    a module (``[sys.executable, "-m", "repro.net.worker"]``) counts as
+    an import of it.
+    """
+    root = Path(SRC).parent
+    trees = {_module_name(path): ast.parse(path.read_text()) for path in Path(SRC).rglob("*.py")}
+    packages = {_module_name(path) for path in Path(SRC).rglob("__init__.py")}
+    exported = {}  # package -> {name: home module}, eager and lazy re-exports alike
+    for package in packages:
+        public = {
+            element.value
+            for node in ast.walk(trees[package])
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+            for element in node.value.elts
+        }
+        homes = _lazy_exports(trees[package])
+        for node in trees[package].body:
+            if isinstance(node, ast.ImportFrom):
+                homes.update({a.asname or a.name: node.module for a in node.names if a.name in public})
+        exported[package] = homes
+
+    def imports(name: str | None, tree: ast.Module) -> set[str]:
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if exported.get(name, {}).get(alias.asname or alias.name) == node.module:
+                        continue  # this __init__ re-exporting: a window, not a use
+                    if f"{node.module}.{alias.name}" in trees:
+                        found.add(f"{node.module}.{alias.name}")  # a submodule
+                    elif alias.name in exported.get(node.module, {}):
+                        found.add(exported[node.module][alias.name])
+                    else:
+                        found.add(node.module)
+            elif isinstance(node, ast.Constant) and node.value in trees:
+                found.add(node.value)
+        return {module for module in found if module in trees}
+
+    scripts = [*root.glob("benchmarks/**/*.py"), *root.glob("examples/**/*.py")]
+    frontier = set().union(*(imports(None, ast.parse(path.read_text())) for path in scripts))
+    frontier |= {"repro.cli"} | {
+        name for name, tree in trees.items() if '__name__ == "__main__"' in ast.unparse(tree)
+    }
+    reached: set[str] = set()
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        parent = name.rpartition(".")[0]
+        found = imports(name, trees[name]) | ({parent} if parent else set())
+        frontier |= found - reached
+    return set(trees), reached
+
+
+def test_every_module_feeds_something_that_runs():
+    modules, reached = _reachable_modules()
+    assert len(modules) > 100 and "repro.net.worker" in reached
+    assert modules - reached == FEEDS_NOTHING

@@ -16,7 +16,11 @@ An opened store has a third: open a saved catalog and serve shot and
 scene probes — no flat scan — from two threads.  ``VmHWM`` may grow by
 the reduced blocks, the scene centroids and the row columns, not by the
 corpus, and ``/proc/self/smaps`` must show the 266-d leaf blocks mapped
-but not resident until a flat scan reads them.
+but not resident until a flat scan reads them.  The same script over an
+embedded two-worker fleet — the probes go through ``ShardedQueryService``
+as ``probe`` / ``scan`` / ``scene`` ops — must read the same: a shard
+answer carries identities and scores, so a worker reads no 266-d row
+either.
 
 The write path has its own bound: one ingest worker's job — render a
 corpus title, mine it, save the artifact — in a fresh interpreter, by
@@ -142,7 +146,7 @@ import json, re, sys, threading
 import numpy as np
 from repro.storage import SQLVideoDatabase
 
-db_dir = sys.argv[1]
+db_dir, mode = sys.argv[1:3]
 probes = np.load(db_dir + "/probes.npy")
 
 
@@ -169,16 +173,44 @@ def resident(shas):
 with open("/proc/self/clear_refs", "w") as handle:
     handle.write("5")  # reset VmHWM to the current RSS
 before = hwm_bytes()
-database = SQLVideoDatabase.open(db_dir)
-infos = database.catalog.leaf_infos()
+if mode == "store":
+    database = SQLVideoDatabase.open(db_dir)
+    stores = [database]
+    shot = lambda probe: database.search(probe, k=10).hits
+    scene = lambda probe: database.scene_index.search(probe, k=10)
+    flat = lambda probe: database.search_flat(probe, k=10).hits
+else:  # the same store cut in two, each half behind an embedded shard worker
+    from repro.net.coordinator import ShardedQueryService
+    from repro.net.protocol import ShardEndpoint
+    from repro.net.shard import load_manifest
+    from repro.net.worker import ShardWorker
+    from repro.obs.registry import MetricsRegistry
+    from repro.serving.engine import QueryRequest
+
+    spec = load_manifest(db_dir)
+    workers = [
+        ShardWorker(spec.shard_dir(db_dir, info.shard_id), registry=MetricsRegistry()).start()
+        for info in spec.shards
+    ]
+    service = ShardedQueryService(
+        spec,
+        [ShardEndpoint(w.shard_id, "127.0.0.1", w.port) for w in workers],
+    )
+    stores = [worker._state.database for worker in workers]
+
+    def ask(kind):
+        return lambda probe: service.query(QueryRequest(kind, probe, k=10)).hits
+
+    shot, flat, scene = ask("shot"), ask("shot_flat"), ask("scene")
+infos = [info for store in stores for info in store.catalog.leaf_infos()]
 blocks = {info.block.sha for info in infos}
 reduced = {info.reduced_sha for info in infos}
 
 
 def serve():
     for probe in probes:
-        assert database.search(probe, k=10).hits
-        assert database.scene_index.search(probe, k=10)
+        assert shot(probe)
+        assert scene(probe)
 
 
 threads = [threading.Thread(target=serve) for _ in range(2)]
@@ -188,15 +220,36 @@ for thread in threads:
     thread.join(120)
 assert not any(thread.is_alive() for thread in threads)
 figures = {
-    "raw": database.shot_count * 266 * 8,
+    "raw": sum(store.shot_count for store in stores) * 266 * 8,
     "grown": hwm_bytes() - before,
     "blocks": resident(blocks),
     "reduced": resident(reduced),
 }
-assert database.search_flat(probes[0], k=10).hits
+if mode == "fleet":
+    figures["ops"] = {
+        op: sum(worker._op_requests.labels(op=op).value for worker in workers)
+        for op in ("probe", "scan", "scene", "flat")
+    }
+assert flat(probes[0])
 figures["blocks_after_flat"] = resident(blocks)
 print(json.dumps(figures))
 """
+
+
+def _stored_probes(database) -> np.ndarray:
+    """Every 97th stored row, then the same rows rolled into novel probes."""
+    stored = np.stack([e.features for e in database.flat_index.entries_at(range(0, 12_000, 97))])
+    return np.concatenate([stored, np.roll(stored, 3, axis=1)])
+
+
+def _assert_266d_rows_stayed_on_disk(figures: dict) -> None:
+    mapped, in_ram = figures["blocks"]
+    assert mapped >= figures["raw"], figures  # every 266-d leaf block is mapped...
+    assert in_ram < 0.10 * mapped, figures  # ...and stayed on disk,
+    mapped, in_ram = figures["reduced"]
+    assert in_ram > 0.90 * mapped > 0, figures  # while what a scan reads is resident.
+    mapped, in_ram = figures["blocks_after_flat"]
+    assert in_ram > 0.90 * mapped, figures  # one flat scan reads them all (and smaps shows it)
 
 
 def test_an_opened_store_keeps_the_rows_it_never_scores_on_disk(tmp_path):
@@ -205,19 +258,29 @@ def test_an_opened_store_keeps_the_rows_it_never_scores_on_disk(tmp_path):
     from repro.storage import build_synthetic_database, save_database
 
     database = build_synthetic_database(videos=1000, shots_per_video=12, seed=5)
-    stored = np.stack([e.features for e in database.flat_index.entries_at(range(0, 12_000, 97))])
-    np.save(tmp_path / "probes.npy", np.concatenate([stored, np.roll(stored, 3, axis=1)]))
+    np.save(tmp_path / "probes.npy", _stored_probes(database))
     save_database(database, tmp_path)
     del database
-    figures = _measure(str(tmp_path), script=_STORED_SCRIPT)
+    figures = _measure(str(tmp_path), "store", script=_STORED_SCRIPT)
     assert figures["grown"] <= STORED_GROWN_BOUND * figures["raw"], figures
-    mapped, in_ram = figures["blocks"]
-    assert mapped >= figures["raw"], figures  # every 266-d leaf block is mapped...
-    assert in_ram < 0.10 * mapped, figures  # ...and stayed on disk,
-    mapped, in_ram = figures["reduced"]
-    assert in_ram > 0.90 * mapped > 0, figures  # while what a scan reads is resident.
-    mapped, in_ram = figures["blocks_after_flat"]
-    assert in_ram > 0.90 * mapped, figures  # one flat scan reads them all (and smaps shows it)
+    _assert_266d_rows_stayed_on_disk(figures)
+
+
+def test_a_shard_worker_keeps_the_rows_it_never_scores_on_disk(tmp_path):
+    """The same probes through two embedded workers: ``probe`` / ``scan`` /
+    ``scene`` answers ship no row, so none is read (100 % resident while the
+    local top-k's 266-d rows were packed into every answer)."""
+    from repro.net.shard import build_shards
+    from repro.storage import build_synthetic_database
+
+    database = build_synthetic_database(videos=1000, shots_per_video=12, seed=5)
+    np.save(tmp_path / "probes.npy", _stored_probes(database))
+    build_shards(database, tmp_path, 2)
+    del database
+    figures = _measure(str(tmp_path), "fleet", script=_STORED_SCRIPT)
+    ops = figures["ops"]
+    assert ops["probe"] and ops["scan"] and ops["scene"] and not ops["flat"], figures
+    _assert_266d_rows_stayed_on_disk(figures)
 
 
 #: ``VmHWM`` of one ingest job on ``face_repair`` (1 365 frames): the

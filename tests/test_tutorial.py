@@ -2,12 +2,14 @@
 
 Extracts every python block from docs/TUTORIAL.md and runs them in
 order in one namespace, and checks that every file, ``make`` target,
-``python -m`` module and ``bench_*.py`` script the prose names exists —
+``python -m`` module, ``bench_*.py`` script and ``classminer`` command
+the prose names exists —
 documentation that breaks with the code fails the build.
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
@@ -33,9 +35,25 @@ PROSE = (
 )
 
 
+def _command_map() -> dict[str, set[str]]:
+    """``classminer`` command -> its subcommands (empty when it takes none)."""
+    from repro.cli import build_parser
+
+    def choices(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+        return {
+            name: sub
+            for action in parser._actions  # noqa: SLF001 - argparse has no public walk
+            if isinstance(action, argparse._SubParsersAction)  # noqa: SLF001
+            for name, sub in action.choices.items()
+        }
+
+    return {name: set(choices(sub)) for name, sub in choices(build_parser()).items()}
+
+
 def test_everything_the_docs_name_exists():
     targets = set(re.findall(r"^([a-z-]+):", (ROOT / "Makefile").read_text(), re.M))
     ignored = [entry for entry in (ROOT / ".gitignore").read_text().replace("/\n", "\n").split() if "/" in entry]
+    commands = _command_map()
     missing = []
     for doc in (path for pattern in PROSE for path in ROOT.glob(pattern)):
         text = doc.read_text()
@@ -55,4 +73,9 @@ def test_everything_the_docs_name_exists():
         for script in re.findall(r"\bbench_\w+\.py", text):
             if not (ROOT / "benchmarks" / script).exists():
                 missing.append(f"{doc.relative_to(ROOT)}: {script}")
+        for command, sub in re.findall(r"(?:`|^\s*|\$ )classminer +([a-z]+)(?: +([a-z]+)\b)?", text, re.M):
+            if command not in commands:
+                missing.append(f"{doc.relative_to(ROOT)}: classminer {command}")
+            elif commands[command] and sub and sub not in commands[command]:
+                missing.append(f"{doc.relative_to(ROOT)}: classminer {command} {sub}")
     assert not missing, "\n".join(missing)
