@@ -5,7 +5,9 @@ A package that re-exports names from its submodules eagerly makes every
 :mod:`repro.core` and :mod:`repro.ingest` that meant each serving
 process (gateway, shard worker, ``classminer serve``) loaded the whole
 mining stack before answering anything (DESIGN.md §3, "Import
-layering").  Those packages export through :func:`lazy_exports` instead:
+layering"); for :mod:`repro.net` it meant every shard worker loaded the
+gateway, the coordinator and an HTTP client it never calls.  Those
+packages export through :func:`lazy_exports` instead:
 the public names and ``__all__`` are unchanged, but a name's home module
 is imported on first access.
 """

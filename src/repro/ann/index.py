@@ -210,7 +210,7 @@ def build_leaf_ann(
     """
     population = np.atleast_2d(np.asarray(population, dtype=np.float64))
     dims = np.asarray(dims, dtype=np.int64)
-    return _train(population[:, dims], leaf_signatures(population), dims, cells, seed)
+    return _train(population.take(dims, axis=1), leaf_signatures(population), dims, cells, seed)
 
 
 def _train(

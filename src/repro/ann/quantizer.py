@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import column_sums, scan_chunks, squared_distances
 from repro.errors import DatabaseError
 
 #: Coarse cells trained per leaf (clamped to the leaf population).
@@ -61,14 +62,16 @@ def kmeans_cells(
     cells = max(1, min(int(cells), n))
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(n, size=cells, replace=False))
-    centroids = data[chosen].copy()
-    data_sq = (data * data).sum(axis=1)
+    centroids = data[chosen]
+    # ``(data * data).sum(axis=1)`` and ``data[members].mean(axis=0)``,
+    # bit for bit, a scratch chunk at a time (``x - 0.0`` is ``x``).
+    data_sq = squared_distances(np.zeros(data.shape[1]), data)
     assignment = _assign(data, centroids, data_sq)
     for _ in range(max(0, int(iterations))):
         for c in range(cells):
-            members = data[assignment == c]
-            if members.shape[0]:
-                centroids[c] = members.mean(axis=0)
+            members = np.flatnonzero(assignment == c)
+            if members.size:
+                centroids[c] = column_sums(data, members) / members.size
         assignment = _assign(data, centroids, data_sq)
     return centroids, assignment.astype(np.int64)
 
@@ -89,8 +92,11 @@ def scalar_quantize(
     offset = data.min(axis=0)
     scale = (data.max(axis=0) - offset) / 255.0
     safe = np.where(scale > 0.0, scale, 1.0)
-    codes = np.clip(np.rint((data - offset[None, :]) / safe[None, :]), 0, 255)
-    return codes.astype(np.uint8), scale, offset
+    codes = np.empty(data.shape, dtype=np.uint8)
+    for start, stop, scratch in scan_chunks(*data.shape):
+        np.divide(np.subtract(data[start:stop], offset, out=scratch), safe, out=scratch)
+        codes[start:stop] = np.clip(np.rint(scratch, out=scratch), 0, 255, out=scratch)
+    return codes, scale, offset
 
 
 def quantize_queries(

@@ -121,29 +121,30 @@ def _resolve_weights(weights) -> tuple[float, float]:
 _SCRATCH = threading.local()
 
 
-def _scan_chunks(count: int, width: int):
+def scan_chunks(count: int, width: int, carry: int = 0):
     """``(start, stop, scratch)`` over ``count`` rows of ``width`` columns.
 
     ``scratch`` is a ``(stop - start, width)`` view of this thread's
-    reused buffer; the chunks evaluated are counted into
-    :data:`KERNEL_STATS`.
+    reused buffer (``carry`` rows longer after the first chunk, for the
+    caller's own use); the chunks are counted into :data:`KERNEL_STATS`.
     """
-    size = max(SCAN_SCRATCH_ELEMS, width)
-    step = max(1, size // max(width, 1))
+    size = max(SCAN_SCRATCH_ELEMS, (carry + 1) * width)
+    step = max(1, size // max(width, 1) - carry)
     buffer = getattr(_SCRATCH, "buffer", None)
     if buffer is None or buffer.size < size:
         buffer = _SCRATCH.buffer = np.empty(size)
     KERNEL_STATS.chunks += -(-count // step)
     for start in range(0, count, step):
         stop = min(start + step, count)
-        yield start, stop, buffer[: (stop - start) * width].reshape(-1, width)
+        rows = stop - start + (carry if start else 0)
+        yield start, stop, buffer[: rows * width].reshape(-1, width)
 
 
 def _min_sums(query: np.ndarray, matrix: np.ndarray, rows) -> np.ndarray:
     """``sum_k min(query_k, row_k)`` per row of ``matrix`` (or of ``rows``)."""
     count = matrix.shape[0] if rows is None else rows.shape[0]
     out = np.empty(count, dtype=np.float64)
-    for start, stop, scratch in _scan_chunks(count, matrix.shape[1]):
+    for start, stop, scratch in scan_chunks(count, matrix.shape[1]):
         if rows is None:
             mins = np.minimum(query, matrix[start:stop], out=scratch)
         else:
@@ -153,11 +154,11 @@ def _min_sums(query: np.ndarray, matrix: np.ndarray, rows) -> np.ndarray:
     return out
 
 
-def _squared_distances(query: np.ndarray, matrix: np.ndarray, rows) -> np.ndarray:
+def squared_distances(query: np.ndarray, matrix: np.ndarray, rows=None) -> np.ndarray:
     """``sum_k (row_k - query_k)^2`` per row of ``matrix`` (or of ``rows``)."""
     count = matrix.shape[0] if rows is None else rows.shape[0]
     out = np.empty(count, dtype=np.float64)
-    for start, stop, scratch in _scan_chunks(count, matrix.shape[1]):
+    for start, stop, scratch in scan_chunks(count, matrix.shape[1]):
         if rows is None:
             diff = np.subtract(matrix[start:stop], query, out=scratch)
         else:
@@ -167,12 +168,40 @@ def _squared_distances(query: np.ndarray, matrix: np.ndarray, rows) -> np.ndarra
     return out
 
 
+def column_sums(matrix: np.ndarray, rows=None, center=None) -> np.ndarray:
+    """Column sums of ``matrix`` (or of its ``rows``), or of ``(row - center)²``.
+
+    Bit for bit ``np.add.reduce(x, axis=0)``: NumPy adds a C-ordered
+    block's rows one after another (a single column it sums pairwise), and
+    so does this, a chunk at a time, carrying the total in as a chunk's
+    first row.
+    """
+    count = matrix.shape[0] if rows is None else rows.shape[0]
+    total = np.zeros(matrix.shape[1])
+    for start, stop, scratch in scan_chunks(count, matrix.shape[1], carry=1):
+        body = scratch[1:] if start else scratch
+        body[...] = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
+        if center is not None:
+            np.subtract(body, center, out=body)
+            np.square(body, out=body)
+        if start:
+            scratch[0] = total
+        np.add.reduce(scratch, axis=0, out=total)
+    return total
+
+
+def column_variances(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.var(axis=0)``, bit for bit, with no temporary beyond a chunk."""
+    count = matrix.shape[0]
+    return column_sums(matrix, center=matrix.sum(axis=0) / count) / count
+
+
 def _stsim_rows(q_hist, q_tex, hists, texs, weights, rows) -> np.ndarray:
     """Eq. (1) of one shot against ``hists``/``texs`` rows (or ``rows`` of them)."""
     wc, wt = _resolve_weights(weights)
     color = _min_sums(q_hist, hists, rows)
     KERNEL_STATS.pair_evals += color.shape[0]
-    texture_term = np.maximum(1.0 - _squared_distances(q_tex, texs, rows), 0.0)
+    texture_term = np.maximum(1.0 - squared_distances(q_tex, texs, rows), 0.0)
     return wc * color + wt * texture_term
 
 

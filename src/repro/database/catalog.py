@@ -12,6 +12,7 @@ from __future__ import annotations
 import mmap
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.database.index import (
     combine_features,
 )
 from repro.database.query import QueryResult, search_hierarchical
-from repro.database.scene_search import SceneIndex, corpus_scenes
+from repro.database.scene_search import SceneIndex, corpus_scenes, scene_count
 from repro.errors import DatabaseError, UnknownVideoError
 from repro.types import EventKind
 
@@ -433,9 +434,14 @@ class VideoDatabase:
 
     @property
     def scene_index(self) -> SceneIndex:
-        """Scene-centroid search over the corpus's kept scenes."""
+        """Scene-centroid search over the corpus's kept scenes; the first
+        scene search builds its table from the leaves and records as they
+        are when this is read (a snapshot that gets none holds none)."""
         if self._scenes is None:
-            self._scenes = SceneIndex(corpus_scenes(self.leaves.values(), self._videos))
+            leaves = list(self.leaves.values())
+            self._scenes = SceneIndex(
+                partial(corpus_scenes, leaves, dict(self._videos)), count=scene_count(leaves)
+            )
         return self._scenes
 
     def search(

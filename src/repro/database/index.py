@@ -23,7 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.kernels import combined_stsim_to_many, intersection_to_many
+from repro.core.kernels import (
+    column_sums,
+    column_variances,
+    combined_stsim_to_many,
+    intersection_to_many,
+    squared_distances,
+)
 from repro.core.similarity import SimilarityWeights
 from repro.database.hierarchy import ConceptLevel, ConceptNode
 from repro.errors import DatabaseError
@@ -155,7 +161,7 @@ def discriminating_dimensions(
     actually vary inside the node are worth comparing there.
     """
     features = np.atleast_2d(features)
-    variances = features.var(axis=0)
+    variances = column_variances(features)
     keep = min(keep, features.shape[1])
     return np.sort(np.argsort(variances)[::-1][:keep])
 
@@ -277,10 +283,10 @@ class LeafHashIndex:
         the routing — :func:`leaf_routing` of the block unless the
         caller pins stored or full-corpus values;
     ``reduced``
-        ``(N, |dims|)`` float64 — every row restricted to the leaf's
+        ``(N, |dims|)`` C-ordered float64 (what the ANN tier trains on and
+        the catalog stores, uncopied) — every row restricted to the leaf's
         discriminating dimensions, the only feature bytes an exact scan
-        touches (the paper's per-node reduced features, stored rather
-        than gathered per query);
+        touches (the paper's per-node reduced features, stored);
     ``signatures`` / ``buckets``
         each row's hash signature, and the ascending row indices of
         every non-empty bucket.
@@ -328,12 +334,13 @@ class LeafHashIndex:
     def _derive(self) -> None:
         """Routing (unless pinned) and hash state: what the source gave
         stays, the rest is made from the block, which may be a read-only
-        mmap (only ``reduced`` copies out of it)."""
+        mmap (only ``reduced`` copies out of it, and no temporary is)."""
         block, given = self.block, self.__dict__
         if "dims" not in given:
             self.centers, self.dims = leaf_routing(block) if len(self) else (None, None)
         if "reduced" not in given:
-            self.reduced = block if self.dims is None or not len(self) else block[:, self.dims]
+            dims = self.dims if len(self) else None
+            self.reduced = block if dims is None else np.asarray(block).take(dims, axis=1)
         if "signatures" not in given:
             self.signatures = leaf_signatures(block)
         self.buckets = rows_by_signature(self.signatures)
@@ -446,7 +453,8 @@ class IndexNode:
 
         The catalog never mutates a built tree in place — registration
         invalidates and rebuilds — so the cache lives as long as the
-        node.  A snapshot build pre-warms it for the serving hot path.
+        node.  A snapshot build pre-warms it, and only it, for the
+        serving hot path (:func:`~repro.serving.snapshot.build_snapshot`).
         """
         if self._center_block is None:
             populated = tuple(
@@ -465,38 +473,30 @@ class IndexNode:
         return self._center_block
 
 
-def _squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``out[i, c] = ‖features_i − centers_c‖²``, one centre at a time.
-
-    The same bits as the ``(N, c, 266)`` broadcast, whose temporaries
-    (2 x 25 MB for a 3 000-shot leaf) used to be the largest transient
-    of an index build.
-    """
-    return np.stack(
-        [((features - center) ** 2).sum(axis=1) for center in centers], axis=1
-    )
-
-
 def _kcenters(features: np.ndarray, k: int) -> np.ndarray:
     """Greedy k-centre selection (farthest-point), then mean refinement.
 
     Deterministic and adequate for routing; the paper only requires
-    "multiple centres", not an optimal clustering.
+    "multiple centres", not an optimal clustering.  Distances and member
+    means stream through the kernels' scratch, bit for bit.
     """
     features = np.atleast_2d(features)
     n = features.shape[0]
     k = max(1, min(k, n))
     chosen = [0]
-    for _ in range(1, k):
-        distances = np.min(_squared_distances(features, features[chosen]), axis=1)
-        chosen.append(int(np.argmax(distances)))
-    centers = features[chosen].copy()
+    nearest = np.full(n, np.inf)
+    while len(chosen) < k:
+        np.minimum(nearest, squared_distances(features[chosen[-1]], features), out=nearest)
+        chosen.append(int(np.argmax(nearest)))
+    centers = features[chosen]
     # One Lloyd step: assign and average.
-    assignment = np.argmin(_squared_distances(features, centers), axis=1)
+    assignment = np.argmin(
+        np.stack([squared_distances(center, features) for center in centers], axis=1), axis=1
+    )
     for c in range(k):
-        members = features[assignment == c]
-        if members.shape[0]:
-            centers[c] = members.mean(axis=0)
+        members = np.flatnonzero(assignment == c)
+        if members.size:
+            centers[c] = column_sums(features, members) / members.size
     return centers
 
 

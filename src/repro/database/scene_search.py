@@ -107,46 +107,49 @@ def corpus_scenes(
         return _NO_SCENES
     scenes = sorted(members.items())
     events = []
-    for (title, scene_id), _ in scenes:
+    centroids = np.empty((len(scenes), scenes[0][1][0].shape[1]))
+    for row, ((title, scene_id), (block, rows)) in enumerate(scenes):
         record = records.get(title)
         events.append(
             EventKind(record.events.get(scene_id, EventKind.UNKNOWN.value))
             if record
             else EventKind.UNKNOWN
         )
+        block[rows].mean(axis=0, out=centroids[row])
     return SceneTable(
         titles=np.array([title for (title, _), _ in scenes], dtype=object),
         scene_ids=np.array([scene_id for (_, scene_id), _ in scenes], dtype=np.int64),
         events=np.array(events, dtype=object),
         shot_counts=np.array([len(rows) for _, (_, rows) in scenes], dtype=np.int64),
-        centroids=np.stack([block[rows].mean(axis=0) for _, (block, rows) in scenes]),
+        centroids=centroids,
     )
+
+
+def scene_count(leaves: "Iterable[LeafHashIndex]") -> int:
+    """How many scenes :func:`corpus_scenes` finds, read off the row columns."""
+    pairs = (zip(leaf.titles.tolist(), leaf.scene_ids.tolist()) for leaf in leaves)
+    return len({pair for rows in pairs for pair in rows if pair[1] >= 0})
 
 
 class SceneIndex:
     """Flat index of scene centroids with optional event filtering.
 
-    One :class:`SceneTable` — the columns themselves, or a callable
-    that loads them on the first search (an opened store; once, under a
-    lock) — plus each event's row indices.  A search is one blocked
-    kernel call over the centroid matrix and only the ``k`` winners
-    become :class:`RankedScene` objects.
+    ``count`` scenes behind a callable that makes their
+    :class:`SceneTable` on the first search, once, under a lock — an
+    opened store maps its stored centroid block, a registered corpus runs
+    :func:`corpus_scenes` — plus each event's row indices.  A search is
+    one blocked kernel call over the centroid matrix and only the ``k``
+    winners become :class:`RankedScene` objects.
     """
 
     def __init__(
-        self,
-        table: "SceneTable | Callable[[], SceneTable]" = _NO_SCENES,
-        count: int | None = None,
+        self, table: "Callable[[], SceneTable]" = lambda: _NO_SCENES, count: int = 0
     ) -> None:
-        if callable(table):
-            self._count = count
-            self._source = table
-            self._load_lock = threading.Lock()
-        else:
-            self._install(table)
+        self._count = count
+        self._source = table
+        self._load_lock = threading.Lock()
 
     def _install(self, table: SceneTable) -> None:
-        self._count = table.titles.shape[0]
         grouped: dict[EventKind, list[int]] = {}
         for row, event in enumerate(table.events.tolist()):
             grouped.setdefault(event, []).append(row)
@@ -156,9 +159,8 @@ class SceneIndex:
         self.table = table
 
     def __getattr__(self, name: str):
-        # Reached only while ``table`` is not set: the first touch of an
-        # index whose columns are still behind their source.
-        if name != "table" or "_source" not in self.__dict__:
+        # Reached only while ``table`` is not set: its first touch.
+        if name != "table":
             raise AttributeError(name)
         with self._load_lock:
             if "table" not in self.__dict__:

@@ -39,18 +39,22 @@ and the exactness argument behind the merge.
 """
 
 from repro._lazy import lazy_exports
-from repro.net.client import HttpFront
-from repro.net.cluster import RestartReport, ShardCluster
-from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
-from repro.net.gateway import GatewayConfig, HttpGateway
-from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
-from repro.net.shard import ShardSpec, build_shards, load_manifest
 
-# ``ShardWorker`` is exported lazily (PEP 562): ``python -m
-# repro.net.worker`` imports this package before it runs the module as
-# ``__main__``, and an eager import here would execute the module body
-# twice (runpy's "found in sys.modules" RuntimeWarning).
-__getattr__, __dir__ = lazy_exports(__name__, {"repro.net.worker": ("ShardWorker",)})
+# Exported lazily (PEP 562): ``python -m repro.net.worker`` imports this
+# package first, and a shard worker must neither load the fronts and the
+# fleet it never calls nor run its own module body twice (runpy warns).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.net.client": ("HttpFront",),
+        "repro.net.cluster": ("RestartReport", "ShardCluster"),
+        "repro.net.coordinator": ("CoordinatorConfig", "ShardedQueryService"),
+        "repro.net.gateway": ("GatewayConfig", "HttpGateway"),
+        "repro.net.protocol": ("ShardEndpoint", "pack_array", "unpack_array"),
+        "repro.net.shard": ("ShardSpec", "build_shards", "load_manifest"),
+        "repro.net.worker": ("ShardWorker",),
+    },
+)
 
 __all__ = [
     "CoordinatorConfig",

@@ -196,6 +196,8 @@ class ShardCluster:
                 "--shard-id",
                 str(shard_id),
             ],
+            # Never written to: the worker drains when it ends (this process died).
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=self._stderr,
             env=_worker_env(),

@@ -45,13 +45,17 @@ the ``sample`` op's pool.
 The worker runs threaded (one thread per coordinator connection) and
 can be embedded in-process for tests or launched as
 ``python -m repro.net.worker SHARD_DIR`` — the subprocess prints
-``READY <port>`` on stdout once it accepts connections.
+``READY <port>`` on stdout once it accepts connections, and drains when
+a stdin pipe nothing writes to ends (the cluster that started it died).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import select
+import stat
 import sys
 import threading
 import time
@@ -508,6 +512,15 @@ class _PrefixWriter:
         return getattr(self._stream, name)
 
 
+def _drain_at_end_of_stdin(worker: ShardWorker) -> None:
+    """Drain ``worker`` once stdin ends: a pipe nothing writes to, from the
+    :class:`~repro.net.cluster.ShardCluster` that started it, ends when that
+    parent closes it or dies — even by SIGKILL.  (A worker started by hand
+    has a terminal, ``/dev/null`` or a pipe with something to read.)"""
+    sys.stdin.buffer.read()
+    worker._op_drain({})
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro.net.worker``."""
     parser = argparse.ArgumentParser(description="classminer shard worker")
@@ -527,6 +540,8 @@ def main(argv: list[str] | None = None) -> int:
         args.shard_dir, host=args.host, port=args.port, shard_id=args.shard_id
     )
     sys.stderr = _PrefixWriter(sys.stderr, f"[shard {worker.shard_id}] ")
+    if sys.stdin and stat.S_ISFIFO(os.fstat(0).st_mode) and not select.select([0], [], [], 0)[0]:
+        threading.Thread(target=_drain_at_end_of_stdin, args=(worker,), daemon=True).start()
     print(f"READY {worker.port}", flush=True)
     print(
         f"shard worker serving {args.shard_dir} on {args.host}:{worker.port} "
@@ -538,8 +553,8 @@ def main(argv: list[str] | None = None) -> int:
         worker.serve_forever()
     except KeyboardInterrupt:
         pass
-    # serve_forever returns when a ``drain`` op shut the server down;
-    # let the drain finish quiescing, then exit cleanly.
+    # serve_forever returns when a drain (the op, or the end of stdin)
+    # shut the server down; let it finish quiescing, then exit cleanly.
     if worker.draining:
         worker.join_drained(timeout=15.0)
     worker._close_database()

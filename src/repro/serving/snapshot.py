@@ -193,12 +193,12 @@ def warm_ann_indexes(snapshot: Snapshot) -> int:
 def build_snapshot(database: VideoDatabase, generation: int) -> Snapshot:
     """Freeze the database's current state as one generation.
 
-    Raises :class:`~repro.errors.ServingError` for an empty database —
-    a server has nothing to serve.  Nothing is copied: the index tree,
-    the flat view and the scene index are the database's own, all three
-    over leaves that are never written to once built (a registration
-    seals *new* leaves), so the snapshot keeps answering from its rows
-    while the database moves on.
+    Raises :class:`~repro.errors.ServingError` for an empty database.
+    Nothing is copied: the index tree, the flat view and the scene index
+    are the database's own, over leaves never written once built (a
+    registration seals *new* leaves), so the snapshot answers from its
+    rows while the database moves on.  Only the routing centres are
+    pre-warmed: the first scene search makes the scene table, once.
     """
     if not database.videos:
         raise ServingError("cannot snapshot an empty database")

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,26 @@ def test_sigterm_unwinds_sharded_serve_and_its_workers(tmp_path):
             assert len(workers) == 2
             serve.send_signal(signal.SIGTERM)
             assert serve.wait(timeout=10.0) == 0
+            assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkill_of_sharded_serve_leaves_no_worker_behind(tmp_path):
+    # No handler runs on SIGKILL; the workers see their stdin pipe end.
+    workers: list[int] = []
+    try:
+        with _live_serve(tmp_path, "--shards", "2") as (serve, _url):
+            workers = _children(serve.pid)
+            assert len(workers) == 2
+            serve.kill()
+            serve.wait()
+            deadline = time.monotonic() + 2.0
+            while [pid for pid in workers if _alive(pid)] and time.monotonic() < deadline:
+                time.sleep(0.02)
             assert not [pid for pid in workers if _alive(pid)]
     finally:
         for pid in workers:

@@ -149,7 +149,36 @@ PUBLIC_NAMES = {
         "run_jobs",
         "store_for",
     ],
+    "repro.net": [
+        "CoordinatorConfig",
+        "GatewayConfig",
+        "HttpFront",
+        "HttpGateway",
+        "RestartReport",
+        "ShardCluster",
+        "ShardEndpoint",
+        "ShardSpec",
+        "ShardWorker",
+        "ShardedQueryService",
+        "build_shards",
+        "load_manifest",
+        "pack_array",
+        "unpack_array",
+    ],
 }
+
+#: What a shard worker serves without: the fronts above it, the fleet that
+#: spawns it, the load generator and an HTTP client stack (~50 modules).
+WORKER_FORBIDDEN = (
+    "repro.net.gateway",
+    "repro.net.client",
+    "repro.net.coordinator",
+    "repro.net.cluster",
+    "repro.serving.loadgen",
+    "http.client",
+    "ssl",
+    "email",
+)
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -167,6 +196,12 @@ def test_serving_module_imports_no_mining_code(module):
     done = _python("-c", _LEAK_SCRIPT, module, *FORBIDDEN)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], f"import {module} loaded mining modules"
+
+
+def test_a_shard_worker_imports_only_what_it_serves():
+    done = _python("-c", _LEAK_SCRIPT, "repro.net.worker", *FORBIDDEN, *WORKER_FORBIDDEN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], "import repro.net.worker loaded what it does not serve"
 
 
 def test_no_module_inside_the_query_stack_imports_mining_code():

@@ -3,14 +3,25 @@
 An in-RAM server used to hold every 266-d vector four times (the entry,
 one stacked block per hash bucket, one all-entries block per leaf, the
 flat matrix) and every flat scan left an un-chunked ``(N, 256)``
-temporary in its worker thread's malloc arena.  Now a snapshot adds one
-flat matrix plus the leaves' 64-d reduced blocks, and no scan allocates
-more than one chunk.  Both are measured in a fresh interpreter — the
+temporary in its worker thread's malloc arena.  Now a snapshot adds the
+leaves' 64-d reduced blocks and their hash state (the flat index is a
+view of the leaves), and no scan allocates more than one chunk.  Both are measured in a fresh interpreter — the
 ndarray bytes a snapshot pins beyond the database it was built from
 (tracemalloc, NumPy's domain), and the peak-RSS growth of building it and
 serving shot / shot_flat / scene queries from two threads — with bounds
 the commit before the array-native leaves fails (measured there: 3.5 x
-and 5.7 x the raw feature bytes; now 0.51 x and 0.89 x).
+and 5.7 x the raw feature bytes; 0.51 x and 0.89-1.0 x while a snapshot
+built its scene table eagerly and the routing derive made leaf-sized
+temporaries; now 0.28 x and 0.66-0.76 x).
+
+A cold start keeps what it builds and nothing more: building a snapshot,
+training every leaf's ANN tier and answering a first shot query peak
+(tracemalloc, every domain) within one MiB of what they leave behind —
+every derive-time temporary is at most a scratch chunk, whatever the leaf
+size (the gap was 6.9 MB at 3,000-row leaves while the routing derive
+allocated ``(n, 266)`` differences).  A registered corpus builds its
+scene table on the first scene search, from the leaves and records its
+snapshot was taken over.
 
 An opened store has a third: open a saved catalog and serve shot and
 scene probes — no flat scan — from two threads.  ``VmHWM`` may grow by
@@ -43,13 +54,16 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
-#: Snapshot-held ndarray bytes / raw feature bytes: one flat matrix (1.0),
-#: reduced leaf blocks (64/266 = 0.24), scene centroids as entries and as
-#: one matrix (2 x 0.25 at four shots a scene), routing centres.
-HELD_BOUND = 2.2
-#: Peak-RSS growth / raw feature bytes over build + two serving threads:
-#: the above plus Python objects, allocator slack and one scan chunk a thread.
-GROWN_BOUND = 3.0
+#: Snapshot-held ndarray bytes / raw feature bytes: the reduced leaf blocks
+#: (64/266 = 0.24), row signatures, hash buckets and routing centres —
+#: measured 0.28 — plus 0.05 (1.3 MB) of margin.  No scene table: the
+#: snapshot builds none until a scene search (0.25 at four shots a scene).
+HELD_BOUND = 0.33
+#: Peak-RSS growth / raw feature bytes over build + two serving threads: the
+#: above, the scene table, Python objects, allocator slack and one scan chunk
+#: a thread — measured 0.66-0.76 — plus 0.15 (3.8 MB) for allocator and
+#: thread-stack noise between runs.
+GROWN_BOUND = 0.9
 
 _SCRIPT = r"""
 import json, re, sys, threading, tracemalloc
@@ -131,6 +145,81 @@ def test_building_and_serving_grow_rss_by_a_bounded_multiple():
     """``VmHWM`` growth over build + shot / shot_flat / scene queries, 2 threads."""
     figures = _measure("grown")
     assert figures["grown"] <= GROWN_BOUND * figures["raw"], figures
+
+
+#: Peak over retained bytes of a cold start: measured 0.58 MB (6.9 MB while
+#: the routing derive made ``(n, 266)`` temporaries at 3,000-row leaves).
+TRANSIENT_BOUND = 1 << 20
+
+_COLD_START_SCRIPT = r"""
+import json, tracemalloc
+import numpy as np
+from repro.serving import build_snapshot
+from repro.serving.snapshot import warm_ann_indexes
+from repro.storage import build_synthetic_database
+
+database = build_synthetic_database(videos=1000, shots_per_video=12, seed=5)
+probe = np.roll(database.flat_index.entries_at([97])[0].features, 3)  # novel
+tracemalloc.start()
+snapshot = build_snapshot(database, 1)
+warm_ann_indexes(snapshot)
+assert snapshot.search(probe, k=10).hits
+retained, peak = tracemalloc.get_traced_memory()
+print(json.dumps({"retained": retained, "peak": peak}))
+"""
+
+
+def test_a_cold_start_peaks_within_a_chunk_of_what_it_keeps():
+    """Snapshot + every leaf's ANN tier + a first shot query on the 12k corpus:
+    no derive-time temporary the size of a leaf."""
+    figures = _measure(script=_COLD_START_SCRIPT)
+    assert figures["peak"] - figures["retained"] <= TRANSIENT_BOUND, figures
+
+
+def _scene_hits(hits) -> list:
+    return [(h.entry.video_title, h.entry.scene_id, h.entry.event, h.score.hex()) for h in hits]
+
+
+def test_a_registered_snapshot_builds_its_scene_table_on_the_first_scene_search():
+    """No centroid matrix until a scene search reads it; then the same answers
+    as an eagerly built table — also for a snapshot taken before 20 more
+    videos were registered."""
+    from repro.database.scene_search import SceneIndex, corpus_scenes
+    from repro.serving import build_snapshot
+    from repro.storage import build_synthetic_database
+    from repro.types import EventKind
+
+    def eager(database) -> SceneIndex:
+        table = corpus_scenes(database.leaves.values(), database.videos)
+        index = SceneIndex(lambda: table, len(table.titles))
+        assert index.table is table
+        return index
+
+    database = build_synthetic_database(videos=40, shots_per_video=12, seed=7)
+    before = build_snapshot(database, 1)
+    assert "table" not in vars(before.scenes)  # nothing built...
+    assert len(before.scenes) == len(eager(database))  # ...and yet counted
+    rng = np.random.default_rng(11)
+    for v in range(20):
+        database.register_entries(
+            f"later_{v:02d}", [(0, EventKind.DIALOG, list(rng.random((4, 266))))]
+        )
+    after = build_snapshot(database, 2)
+    assert "table" not in vars(before.scenes) and "table" not in vars(after.scenes)
+    probes = rng.random((6, 266))
+    for snapshot, reference in (
+        (before, eager(build_synthetic_database(videos=40, shots_per_video=12, seed=7))),
+        (after, eager(database)),
+    ):
+        assert len(snapshot.scenes) == len(reference)
+        for probe in probes:
+            for event in (None, EventKind.DIALOG):
+                assert _scene_hits(snapshot.search_scenes(probe, k=10, event=event)) == (
+                    _scene_hits(reference.search(probe, k=10, event=event))
+                )
+        table = vars(snapshot.scenes)["table"]
+        assert np.array_equal(table.centroids, reference.table.centroids)
+        assert table.titles.tolist() == reference.table.titles.tolist()
 
 
 #: An opened store serving non-flat traffic: ``VmHWM`` growth / raw feature
