@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.audio.waveform import Waveform
+from repro.audio.waveform import AudioSource, Waveform
 from repro.errors import AudioError
 
 #: Paper clip length.
@@ -39,7 +39,7 @@ class AudioClip:
 
 
 def segment_clips(
-    audio: Waveform,
+    audio: AudioSource,
     start: float,
     stop: float,
     clip_seconds: float = CLIP_SECONDS,

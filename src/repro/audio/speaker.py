@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.audio.bic import DEFAULT_PENALTY, BicResult, bic_speaker_change
-from repro.audio.clips import CLIP_SECONDS, AudioClip, segment_clips
+from repro.audio.clips import CLIP_SECONDS, segment_clips
 from repro.audio.features import clip_features
 from repro.audio.gmm import GmmClassifier
 from repro.audio.mfcc import mfcc
@@ -32,7 +32,7 @@ from repro.audio.synthesis import (
     synthesize_music,
     synthesize_speech,
 )
-from repro.audio.waveform import Waveform
+from repro.audio.waveform import DEFAULT_SAMPLE_RATE, AudioSource, Waveform
 from repro.errors import AudioError
 
 SPEECH_LABEL = "speech"
@@ -41,26 +41,29 @@ NON_SPEECH_LABEL = "non_speech"
 
 @dataclass
 class ShotAudio:
-    """Audio analysis result for one shot.
+    """Audio analysis result for one shot: its clip's window and MFCCs, not samples.
 
     Attributes
     ----------
     shot_id:
         Shot index within the video.
-    representative_clip:
-        The clip most like clean speech, or ``None`` when the shot is
-        shorter than 2 s or contains no speech-like clip.
+    clip_window:
+        ``(start, stop)`` seconds of the clip most like clean speech, or
+        ``None`` when the shot is shorter than 2 s.
     has_speech:
         Whether any clip classified as clean speech.
     mfcc_vectors:
         MFCC sequence of the representative clip (``(N, 14)``), or an
         empty array when there is none.
+    sample_rate:
+        Sample rate of the clip the MFCCs were computed from.
     """
 
     shot_id: int
-    representative_clip: AudioClip | None
+    clip_window: tuple[float, float] | None
     has_speech: bool
     mfcc_vectors: np.ndarray
+    sample_rate: int = DEFAULT_SAMPLE_RATE
 
 
 @lru_cache(maxsize=1)
@@ -104,30 +107,27 @@ class SpeakerAnalyzer:
         self._clip_seconds = clip_seconds
 
     def analyze_shot(
-        self, audio: Waveform, shot_id: int, start: float, stop: float
+        self, audio: AudioSource, shot_id: int, start: float, stop: float
     ) -> ShotAudio:
         """Analyse one shot's audio window ``[start, stop)`` seconds."""
         clips = segment_clips(audio, start, stop, clip_seconds=self._clip_seconds)
         if not clips:
             return ShotAudio(
                 shot_id=shot_id,
-                representative_clip=None,
+                clip_window=None,
                 has_speech=False,
                 mfcc_vectors=np.zeros((0, 14)),
             )
         features = np.array([clip_features(clip.waveform) for clip in clips])
         predictions = self._classifier.predict(features)
         margins = self._classifier.score_margin(features, SPEECH_LABEL)
-        has_speech = SPEECH_LABEL in predictions
-
-        best = int(np.argmax(margins))
-        representative = clips[best]
-        vectors = mfcc(representative.waveform)
+        representative = clips[int(np.argmax(margins))]
         return ShotAudio(
             shot_id=shot_id,
-            representative_clip=representative,
-            has_speech=has_speech,
-            mfcc_vectors=vectors,
+            clip_window=(representative.start, representative.stop),
+            has_speech=SPEECH_LABEL in predictions,
+            mfcc_vectors=mfcc(representative.waveform),
+            sample_rate=representative.waveform.sample_rate,
         )
 
     def speaker_change(self, a: ShotAudio, b: ShotAudio) -> BicResult | None:
@@ -151,7 +151,7 @@ class SpeakerAnalyzer:
 
 
 def analyze_shots(
-    audio: Waveform,
+    audio: AudioSource,
     shot_windows: list[tuple[float, float]],
     analyzer: SpeakerAnalyzer | None = None,
 ) -> list[ShotAudio]:

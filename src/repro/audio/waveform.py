@@ -8,6 +8,7 @@ analysis while keeping feature extraction fast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -15,6 +16,26 @@ from repro.errors import AudioError
 
 #: Default sample rate of the synthetic corpus.
 DEFAULT_SAMPLE_RATE = 8000
+
+
+class AudioSource(Protocol):
+    """What the speaker analysis reads: a held :class:`Waveform`, or a
+    track that renders a window when it is asked for one."""
+
+    def slice_seconds(self, start: float, stop: float) -> "Waveform":
+        """The samples in the window ``[start, stop)`` seconds."""
+
+
+def sample_window(start: float, stop: float, sample_rate: int, size: int) -> tuple[int, int]:
+    """``(i0, i1)``: a ``size``-sample track's samples in ``[start, stop)`` seconds."""
+    if start < 0 or stop <= start:
+        raise AudioError(f"invalid window [{start}, {stop})")
+    i0 = int(round(start * sample_rate))
+    if i0 >= size:
+        raise AudioError(
+            f"window starts at {start:.2f}s but audio is {size / sample_rate:.2f}s"
+        )
+    return i0, min(int(round(stop * sample_rate)), size)
 
 
 @dataclass
@@ -52,15 +73,7 @@ class Waveform:
 
     def slice_seconds(self, start: float, stop: float) -> "Waveform":
         """Return samples in the time window ``[start, stop)`` seconds."""
-        if start < 0 or stop <= start:
-            raise AudioError(f"invalid window [{start}, {stop})")
-        i0 = int(round(start * self.sample_rate))
-        i1 = int(round(stop * self.sample_rate))
-        i1 = min(i1, self.samples.size)
-        if i0 >= self.samples.size:
-            raise AudioError(
-                f"window starts at {start:.2f}s but audio is {self.duration:.2f}s"
-            )
+        i0, i1 = sample_window(start, stop, self.sample_rate, self.samples.size)
         return Waveform(samples=self.samples[i0:i1].copy(), sample_rate=self.sample_rate)
 
     def rms(self) -> float:

@@ -103,14 +103,15 @@ class _LeafBuffer:
         capacity = self._columns[0].shape[0]
         if end > capacity:  # also the first append over a stored leaf's mmap
             capacity = max(end, 2 * capacity, 4096)
-            grown = [np.empty((capacity, *c.shape[1:]), c.dtype) for c in self._columns]
             # The block goes on plain anonymous pages, sized generously
             # (they cost nothing until written): NumPy hints MADV_HUGEPAGE
             # on allocations of 4 MiB and up, and faulting 2 MiB pages in
             # at every doubling made the corpus build 40 % slower.
             width = self._columns[0].shape[1]
             pages = mmap.mmap(-1, 8 * capacity * width, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-            grown[0] = np.frombuffer(pages).reshape(capacity, width)
+            grown = [np.frombuffer(pages).reshape(capacity, width)] + [
+                np.empty((capacity, *c.shape[1:]), c.dtype) for c in self._columns[1:]
+            ]
             for new, column in zip(grown, self._columns):
                 new[: self._count] = column[: self._count]
             self._columns = grown

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.audio.speaker import ShotAudio, SpeakerAnalyzer
-from repro.audio.waveform import Waveform
+from repro.audio.waveform import AudioSource
 from repro.core.features import Shot
 from repro.core.scenes import Scene
 from repro.errors import EventMiningError
@@ -57,7 +57,7 @@ class EventMiner:
         return {shot.shot_id: self._cue_cache[shot.shot_id] for shot in shots}
 
     def shot_audio(
-        self, shots: list[Shot], audio: Waveform | None
+        self, shots: list[Shot], audio: AudioSource | None
     ) -> dict[int, ShotAudio]:
         """Analyse (and cache) each shot's audio window.
 
@@ -72,7 +72,7 @@ class EventMiner:
                 if audio is None:
                     self._audio_cache[shot.shot_id] = ShotAudio(
                         shot_id=shot.shot_id,
-                        representative_clip=None,
+                        clip_window=None,
                         has_speech=False,
                         mfcc_vectors=np.zeros((0, 14)),
                     )
@@ -87,7 +87,7 @@ class EventMiner:
     def mine(
         self,
         scenes: list[Scene],
-        audio: Waveform | None = None,
+        audio: AudioSource | None = None,
     ) -> EventMiningResult:
         """Classify every scene's event.
 

@@ -7,15 +7,17 @@ losslessly to one directory per cache key::
 
     <root>/<key[:2]>/<key>/
         meta.json     relational structure, cues, events, bookkeeping
-        arrays.npz    frames, histograms, textures, MFCCs, waveforms
+        arrays.npz    frames, histograms, textures, MFCCs, signals
 
 Numeric payloads live in the ``.npz`` (exact float64/uint8 round-trip);
 everything relational — which shots form which groups, which groups
-form which scenes, rule evidence, detections — lives in ``meta.json``.
-The audio members (``clip_*``, ``mfcc_*``: nearly all of the bytes, and
-incompressible) are stored, the rest deflated; a catalog rebuild reads
-``meta.json`` plus the ``histograms`` and ``textures`` members only
-(:meth:`ArtifactStore.load_columns`).
+form which scenes, rule evidence, detections, each representative
+audio clip's window — lives in ``meta.json``.  A shot's audio is its
+MFCC matrix (``mfcc_*``, incompressible, so stored; the rest is
+deflated): the clip's samples are not kept (format 1 stored them as
+``clip_*`` members, which a format-2 reader ignores).  A catalog rebuild
+reads ``meta.json`` plus the ``histograms`` and ``textures`` members
+only (:meth:`ArtifactStore.load_columns`).
 Objects are written to a temporary directory first and moved into place
 atomically, so concurrent workers racing on the same key cannot leave a
 half-written artifact behind.
@@ -43,9 +45,8 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.audio.clips import AudioClip
 from repro.audio.speaker import ShotAudio
-from repro.audio.waveform import Waveform
+from repro.audio.waveform import DEFAULT_SAMPLE_RATE
 from repro.core.clustering import ClusteredScene, SceneClusteringResult
 from repro.core.features import Shot
 from repro.core.groups import Group, GroupKind
@@ -55,6 +56,7 @@ from repro.core.shots import ShotDetectionResult
 from repro.core.structure import ContentStructure
 from repro.errors import IngestError, IntegrityError
 from repro.events.miner import EventMiningResult
+from repro.ingest.jobs import ARTIFACT_FORMAT
 from repro.obs.registry import get_registry
 from repro.events.model import SceneEvent
 from repro.events.rules import SceneEvidence
@@ -73,8 +75,9 @@ from repro.vision.frames import SpecialFrameKind
 from repro.vision.regions import Region
 from repro.vision.skin import SkinDetection
 
-#: On-disk format version; readers reject anything else.
-FORMAT_VERSION = 1
+#: Formats a reader decodes (every other one is rejected): 1 differs from
+#: 2 only by the ``clip_*`` members, which nothing reads.
+READABLE_FORMATS = (1, ARTIFACT_FORMAT)
 
 _META_NAME = "meta.json"
 _ARRAYS_NAME = "arrays.npz"
@@ -166,7 +169,7 @@ def encode_result(result: ClassMinerResult) -> tuple[dict, dict[str, np.ndarray]
         "textures": np.stack([s.texture for s in shots]),
     }
     meta: dict = {
-        "format": FORMAT_VERSION,
+        "format": ARTIFACT_FORMAT,
         "title": structure.title,
         "degraded_stages": list(result.degraded_stages),
         "fps": shots[0].fps if shots else 0.0,
@@ -243,22 +246,20 @@ def encode_result(result: ClassMinerResult) -> tuple[dict, dict[str, np.ndarray]
 
     audio_meta: dict[str, dict] = {}
     for sid, shot_audio in result.audio.items():
-        clip = shot_audio.representative_clip
+        window = shot_audio.clip_window
         audio_meta[str(sid)] = {
             "has_speech": shot_audio.has_speech,
             "clip": (
                 None
-                if clip is None
+                if window is None
                 else {
-                    "start": clip.start,
-                    "stop": clip.stop,
-                    "sample_rate": clip.waveform.sample_rate,
+                    "start": window[0],
+                    "stop": window[1],
+                    "sample_rate": shot_audio.sample_rate,
                 }
             ),
         }
         arrays[f"mfcc_{sid}"] = shot_audio.mfcc_vectors
-        if clip is not None:
-            arrays[f"clip_{sid}"] = clip.waveform.samples
     meta["audio"] = audio_meta
 
     events = result.events
@@ -400,22 +401,13 @@ def decode_result(meta: dict, arrays: dict[str, np.ndarray]) -> ClassMinerResult
     audio: dict[int, ShotAudio] = {}
     for sid_text, raw in meta["audio"].items():
         sid = int(sid_text)
-        clip_raw = raw["clip"]
-        clip = None
-        if clip_raw is not None:
-            clip = AudioClip(
-                waveform=Waveform(
-                    samples=arrays[f"clip_{sid}"],
-                    sample_rate=int(clip_raw["sample_rate"]),
-                ),
-                start=float(clip_raw["start"]),
-                stop=float(clip_raw["stop"]),
-            )
+        clip = raw["clip"] or {}
         audio[sid] = ShotAudio(
             shot_id=sid,
-            representative_clip=clip,
+            clip_window=(float(clip["start"]), float(clip["stop"])) if clip else None,
             has_speech=bool(raw["has_speech"]),
             mfcc_vectors=arrays[f"mfcc_{sid}"],
+            sample_rate=int(clip.get("sample_rate", DEFAULT_SAMPLE_RATE)),
         )
 
     events = None
@@ -499,13 +491,13 @@ def catalog_columns(meta: dict, arrays: Mapping[str, np.ndarray]) -> CatalogColu
 def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
     """``np.savez`` with the compression chosen member by member.
 
-    Waveform clips and MFCC matrices deflate to 0.96 of their size for
-    most of the write time, so they are stored; the rest is deflated.
+    MFCC matrices deflate to 0.96 of their size for most of the write
+    time, so they are stored; the rest is deflated.
     """
     with zipfile.ZipFile(path, "w") as archive:
         for name, value in arrays.items():
             member = zipfile.ZipInfo(f"{name}.npy")
-            if not name.startswith(("clip_", "mfcc_")):
+            if not name.startswith("mfcc_"):
                 member.compress_type = zipfile.ZIP_DEFLATED
             with archive.open(member, "w", force_zip64=True) as handle:
                 np.lib.format.write_array(handle, np.asanyarray(value), allow_pickle=False)
@@ -603,10 +595,14 @@ class ArtifactStore:
 
         The checksum manifest is verified first; a failing artifact is
         quarantined and :class:`IntegrityError` raised.  Other missing
-        or corrupt artifacts raise :class:`IngestError`.
+        or corrupt artifacts raise :class:`IngestError`.  A format-1
+        artifact's ``clip_*`` members are left unread.
         """
         return self._read(
-            key, lambda meta, data: decode_result(meta, {name: data[name] for name in data.files})
+            key,
+            lambda meta, data: decode_result(
+                meta, {name: data[name] for name in data.files if not name.startswith("clip_")}
+            ),
         )
 
     def load_columns(self, key: str) -> CatalogColumns:
@@ -630,10 +626,10 @@ class ArtifactStore:
             raise
         try:
             meta = json.loads((path / _META_NAME).read_text())
-            if int(meta.get("format", -1)) != FORMAT_VERSION:
+            if int(meta.get("format", -1)) not in READABLE_FORMATS:
                 raise IngestError(
                     f"artifact {key[:12]}… has format {meta.get('format')!r}, "
-                    f"expected {FORMAT_VERSION}"
+                    f"expected one of {READABLE_FORMATS}"
                 )
             with np.load(path / _ARRAYS_NAME, allow_pickle=False) as data:
                 return decode(meta, data)

@@ -29,8 +29,9 @@ from repro.video.synthesis import (
 )
 
 #: Bumped whenever the artifact layout changes; part of every cache key
-#: so old artifacts are never misread by newer code.
-ARTIFACT_FORMAT = 1
+#: so old artifacts are never misread by newer code.  2: a shot's
+#: representative audio clip is stored as its window, not its samples.
+ARTIFACT_FORMAT = 2
 
 
 def screenplay_fingerprint(screenplay: Screenplay) -> dict:

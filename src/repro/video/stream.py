@@ -19,12 +19,12 @@ from repro.errors import VideoError
 from repro.video.frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.audio.waveform import Waveform
+    from repro.audio.waveform import AudioSource
 
 
 @dataclass
 class FrameStream:
-    """A video read front to back: frames from any iterable, audio whole.
+    """A video read front to back: frames from any iterable, audio by window.
 
     Attributes
     ----------
@@ -37,13 +37,15 @@ class FrameStream:
     title:
         Human-readable name (e.g. ``"laparoscopy"``).
     audio:
-        Optional synchronised audio track.
+        Optional synchronised audio track: anything that cuts a window
+        out of it (``slice_seconds``) — a held :class:`Waveform`, or a
+        source that renders each window as it is asked for.
     """
 
     frames: Iterable[Frame]
     fps: float = 10.0
     title: str = "untitled"
-    audio: Optional["Waveform"] = field(default=None, repr=False)
+    audio: Optional["AudioSource"] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.fps <= 0:

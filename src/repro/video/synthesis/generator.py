@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.audio.synthesis import VOICE_BANK, synthesize_ambient, synthesize_speech
-from repro.audio.waveform import DEFAULT_SAMPLE_RATE, Waveform
+from repro.audio.waveform import DEFAULT_SAMPLE_RATE, Waveform, sample_window
 from repro.errors import VideoError
 from repro.video.frame import Frame
 from repro.video.ground_truth import GroundTruth, SceneSpan, ShotSpan
@@ -107,20 +107,58 @@ def render_frames(screenplay: Screenplay, seed: int = 0) -> Iterator[Frame]:
             yield Frame(pixels=canvas, index=index, timestamp=index / fps)
 
 
-def _render_audio(screenplay: Screenplay, seed: int, sample_rate: int) -> Waveform:
-    """The soundtrack, each shot's samples clipped straight into one buffer."""
-    spans = list(_shot_spans(screenplay))
-    samples = np.empty(int(round(spans[-1][-1] / screenplay.fps * sample_rate)))
-    cursor = 0
-    for scene_index, local_index, shot, _, stop in spans:
-        next_sample = int(round(stop / screenplay.fps * sample_rate))
-        audio_seed = _stable_seed(screenplay.title, seed, "audio", scene_index, local_index)
-        np.clip(
-            _shot_audio(shot.speaker, next_sample - cursor, audio_seed, sample_rate),
-            -1.0, 1.0, out=samples[cursor:next_sample],
-        )
-        cursor = next_sample
-    return Waveform(samples=samples, sample_rate=sample_rate)
+class Soundtrack:
+    """The screenplay's audio track, rendered a window at a time.
+
+    Every scripted shot's samples come from its own seed, so a window is
+    the scripted shots it overlaps, each rendered whole and clipped, cut
+    to the window: :meth:`slice_seconds` answers sample for sample what
+    the same window of :meth:`render` would, holding only those shots.
+    The last shot rendered is kept: a long shot's ~2 s clips are asked
+    for one at a time, and each would otherwise render it again.
+    """
+
+    def __init__(self, screenplay: Screenplay, seed: int, sample_rate: int) -> None:
+        self.sample_rate = sample_rate
+        #: ``(speaker, audio seed, first sample, stop sample)`` per scripted shot.
+        self._shots: list[tuple[str | None, int, int, int]] = []
+        cursor = 0
+        for scene_index, local_index, shot, _, stop in _shot_spans(screenplay):
+            next_sample = int(round(stop / screenplay.fps * sample_rate))
+            audio_seed = _stable_seed(screenplay.title, seed, "audio", scene_index, local_index)
+            self._shots.append((shot.speaker, audio_seed, cursor, next_sample))
+            cursor = next_sample
+        self._size = cursor
+        self._last: tuple[int, np.ndarray] = (-1, np.empty(0))
+
+    @property
+    def duration(self) -> float:
+        """Length in seconds."""
+        return self._size / self.sample_rate
+
+    def _shot_samples(self, index: int) -> np.ndarray:
+        """Scripted shot ``index``'s samples, clipped to ``[-1, 1]``."""
+        last_index, samples = self._last
+        if last_index != index:
+            speaker, audio_seed, first, stop = self._shots[index]
+            samples = _shot_audio(speaker, stop - first, audio_seed, self.sample_rate)
+            samples = np.clip(samples, -1.0, 1.0)
+            self._last = (index, samples)
+        return samples
+
+    def slice_seconds(self, start: float, stop: float) -> Waveform:
+        """The window ``[start, stop)`` seconds, cut as :meth:`Waveform.slice_seconds` cuts."""
+        i0, i1 = sample_window(start, stop, self.sample_rate, self._size)
+        samples = np.empty(i1 - i0)
+        for index, (_, _, first, end) in enumerate(self._shots):
+            if first < i1 and end > i0:
+                lo, hi = max(first, i0), min(end, i1)
+                samples[lo - i0 : hi - i0] = self._shot_samples(index)[lo - first : hi - first]
+        return Waveform(samples=samples, sample_rate=self.sample_rate)
+
+    def render(self) -> Waveform:
+        """The whole track as one waveform."""
+        return self.slice_seconds(0.0, self.duration)
 
 
 def _ground_truth(screenplay: Screenplay) -> GroundTruth:
@@ -164,14 +202,15 @@ def stream_video(
 ) -> FrameStream:
     """The video as a read-once stream: frames are rendered as they are consumed.
 
-    The soundtrack is rendered whole (64 KB/s against 154 KB/s of pixels,
-    and the speaker analysis needs each detected shot's whole window).
+    The audio is a :class:`Soundtrack`: the speaker analysis asks it for
+    one detected shot's window at a time and it renders just the scripted
+    shots under that window, so no part of the track is held whole.
     """
     return FrameStream(
         frames=render_frames(screenplay, seed),
         fps=screenplay.fps,
         title=screenplay.title,
-        audio=_render_audio(screenplay, seed, sample_rate) if with_audio else None,
+        audio=Soundtrack(screenplay, seed, sample_rate) if with_audio else None,
     )
 
 
@@ -183,12 +222,12 @@ def generate_video(
 ) -> GeneratedVideo:
     """Render a screenplay into frames, audio and ground truth.
 
-    Determinism: the result depends only on ``(screenplay, seed)``.
+    Determinism: the result depends only on ``(screenplay, seed)``.  The
+    frames and the soundtrack are :func:`stream_video`'s, held whole.
     """
     source = stream_video(screenplay, seed, sample_rate, with_audio)
-    stream = VideoStream(
-        frames=list(source), fps=source.fps, title=source.title, audio=source.audio
-    )
+    audio = None if source.audio is None else source.audio.render()
+    stream = VideoStream(frames=list(source), fps=source.fps, title=source.title, audio=audio)
     truth = _ground_truth(screenplay)
     truth.validate(len(stream))
     return GeneratedVideo(stream=stream, truth=truth, screenplay=screenplay)

@@ -1,7 +1,9 @@
 """Tests for per-shot speaker analysis."""
 
+import numpy as np
 import pytest
 
+from repro.audio.mfcc import mfcc
 from repro.audio.speaker import (
     NON_SPEECH_LABEL,
     SPEECH_LABEL,
@@ -53,13 +55,14 @@ class TestAnalyzeShot:
         audio = synthesize_speech(VOICE_BANK["dr_adams"], 4.0, seed=1)
         shot = analyzer.analyze_shot(audio, 0, 0.0, 4.0)
         assert shot.has_speech
-        assert shot.representative_clip is not None
+        assert shot.clip_window in [(0.0, 2.0), (2.0, 4.0)]
+        assert shot.sample_rate == audio.sample_rate
         assert shot.mfcc_vectors.shape[1] == 14
 
     def test_short_shot_discarded(self, analyzer):
         audio = synthesize_speech(VOICE_BANK["dr_adams"], 4.0, seed=1)
         shot = analyzer.analyze_shot(audio, 0, 0.0, 1.0)
-        assert shot.representative_clip is None
+        assert shot.clip_window is None
         assert not shot.has_speech
 
     def test_ambient_shot_has_no_speech(self, analyzer):
@@ -77,7 +80,10 @@ class TestAnalyzeShot:
         )
         shot = analyzer.analyze_shot(track, 0, 0.0, 4.0)
         assert shot.has_speech
-        assert shot.representative_clip.start == pytest.approx(2.0)
+        assert shot.clip_window == pytest.approx((2.0, 4.0))
+        # The window is what is kept: its samples, cut again, give the MFCCs.
+        clip = track.slice_seconds(*shot.clip_window)
+        assert np.array_equal(mfcc(clip), shot.mfcc_vectors)
 
 
 class TestSpeakerChange:

@@ -5,9 +5,10 @@ members; ``VideoDatabase.register_shots`` is the filing rule
 ``register`` itself uses.  Held here to the full path
 (``register_bulk(store.load(key) ...)``) by the stored bytes: every
 catalog table row and every feature-block digest.  Also: the writer's
-mixed zip (audio stored, the rest deflated) and what it costs nobody —
-old all-deflated artifacts load, a corrupt entry is still quarantined
-and skipped.
+mixed zip (MFCCs stored, the rest deflated, no clip samples) and what it
+costs nobody — old all-deflated artifacts load, a store still holding a
+format-1 artifact re-mines once and files the title once, a corrupt
+entry is still quarantined and skipped.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import pytest
 from repro.database.catalog import VideoDatabase
 from repro.errors import IngestError, IntegrityError
 from repro.ingest.artifacts import ArtifactStore, encode_result, results_equal
-from repro.ingest.jobs import IngestJob
-from repro.ingest.runner import rebuild_database, store_for
+from repro.ingest.jobs import ARTIFACT_FORMAT, IngestJob
+from repro.ingest.runner import publish_catalog, rebuild_database, store_for
 from repro.resilience.integrity import write_checksums
 from repro.storage import save_database
 from tests.storage.test_lazy_equivalence import stored_state
@@ -133,15 +134,77 @@ def test_unverifiable_garbage_is_a_typed_error_on_the_column_path(store):
 
 
 def test_audio_members_are_stored_and_the_rest_deflated(store, demo_result):
+    """A shot's audio is its MFCC matrix (stored); no clip's samples are written."""
     with zipfile.ZipFile(store.path_for(DEMO_KEY) / "arrays.npz") as archive:
         kinds = {info.filename: info.compress_type for info in archive.infolist()}
     _, arrays = encode_result(demo_result)
     assert set(kinds) == {f"{name}.npy" for name in arrays}
     for name, kind in kinds.items():
-        audio = name.startswith(("clip_", "mfcc_"))
+        audio = name.startswith("mfcc_")
         assert kind == (zipfile.ZIP_STORED if audio else zipfile.ZIP_DEFLATED), name
-    assert any(name.startswith("clip_") for name in kinds)
+    assert not any(name.startswith("clip_") for name in kinds)
+    assert {f"mfcc_{sid}.npy" for sid in demo_result.audio} <= set(kinds)
+    meta = store.read_meta(DEMO_KEY)
+    assert meta["format"] == ARTIFACT_FORMAT == 2
+    windows = {sid: audio.clip_window for sid, audio in demo_result.audio.items()}
+    assert any(windows.values())  # the windows are still recorded
+    for sid, raw in meta["audio"].items():
+        clip = raw["clip"]
+        assert windows[int(sid)] == (None if clip is None else (clip["start"], clip["stop"]))
     assert results_equal(store.load(DEMO_KEY), demo_result)
+
+
+def _write_format_1(store: ArtifactStore, key: str, meta: dict, arrays: dict, soundtrack) -> None:
+    """An artifact as format 1 wrote it: the same members plus every
+    representative clip's samples as ``clip_<shot>``."""
+    arrays = dict(arrays)
+    for sid, raw in meta["audio"].items():
+        if raw["clip"] is not None:
+            window = soundtrack.slice_seconds(raw["clip"]["start"], raw["clip"]["stop"])
+            arrays[f"clip_{sid}"] = window.samples
+    directory = store.path_for(key)
+    directory.mkdir(parents=True)
+    (directory / "meta.json").write_text(json.dumps(dict(meta, format=1, key=key)))
+    np.savez(directory / "arrays.npz", **arrays)
+    write_checksums(directory, ("meta.json", "arrays.npz"))
+
+
+def test_a_mixed_store_re_mines_once_and_registers_the_title_once(tmp_path, monkeypatch):
+    """A store holding a format-1 ``face_repair`` artifact: the job's key has
+    moved, so ingest mines once under the new key; the old artifact still
+    decodes, and the catalog files the title once, from the new artifact."""
+    import repro.ingest.jobs as jobs
+    from repro.ingest import ingest_corpus
+    from repro.video.synthesis import stream_video
+
+    fresh = ingest_corpus(["face_repair"], tmp_path / "fresh")
+    [job] = jobs.jobs_for_titles(["face_repair"])
+    assert [outcome.key for outcome in fresh.mined] == [job.key]
+    with monkeypatch.context() as patch:
+        patch.setattr(jobs, "ARTIFACT_FORMAT", 1)
+        old_key = jobs.cache_key(job.screenplay, job.seed, job.config, job.mine_events)
+    assert old_key != job.key
+
+    meta, arrays = encode_result(store_for(tmp_path / "fresh").load(job.key))
+    # A marker: were the old artifact's rows the ones filed, the catalog would show it.
+    arrays["histograms"] = np.zeros_like(arrays["histograms"])
+    mixed = store_for(tmp_path / "mixed")
+    _write_format_1(mixed, old_key, meta, arrays, stream_video(job.screenplay).audio)
+    old = mixed.load(old_key)  # decodes, ``clip_*`` members unread
+    assert old.title == "face_repair" and not np.any(old.structure.shots[0].histogram)
+    assert encode_result(old)[0]["audio"] == meta["audio"]
+
+    report = ingest_corpus(["face_repair"], tmp_path / "mixed")
+    assert [outcome.key for outcome in report.mined] == [job.key]
+    assert report.registered == ["face_repair"] and report.skipped == []
+    assert {info.key for info in mixed.list()} == {old_key, job.key}
+    want = stored_state(tmp_path / "fresh")
+    assert stored_state(tmp_path / "mixed") == want
+    # ``classminer migrate`` over the same store (no outcomes: newest artifact first).
+    for path in (tmp_path / "mixed").glob("catalog.sqlite*"):
+        path.unlink()
+    assert publish_catalog(tmp_path / "mixed").registered == ["face_repair"]
+    assert stored_state(tmp_path / "mixed") == want
 
 
 def test_an_all_deflated_artifact_still_loads(tmp_path, demo_result):

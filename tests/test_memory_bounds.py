@@ -37,7 +37,9 @@ The write path has its own bound: one ingest worker's job — render a
 corpus title, mine it, save the artifact — in a fresh interpreter, by
 ``VmHWM``.  It was 157 MiB while ``scipy.signal`` rode along for two
 filter calls, ~91 MiB on numpy alone with the video held as a frame
-list, and is ~67 MiB now that mining reads the frames as a stream.
+list, ~67 MiB once mining read the frames as a stream, and is ~53 MiB
+now that the soundtrack is rendered a shot's window at a time and a
+mined shot keeps its clip's window, not its samples.
 """
 
 from __future__ import annotations
@@ -373,10 +375,12 @@ def test_a_shard_worker_keeps_the_rows_it_never_scores_on_disk(tmp_path):
 
 
 #: ``VmHWM`` of one ingest job on ``face_repair`` (1 365 frames): the
-#: interpreter with numpy and the mining stack (~42 MiB), the soundtrack
-#: (8.7 MB, whole) and the miner's scratch.  The frames are streamed —
-#: held whole they were another 21 MB and the job peaked at ~91 MiB.
-JOB_RSS_BOUND_MIB = 80
+#: interpreter with numpy and the mining stack (~42 MiB), the miner's
+#: scratch and one shot's audio — measured 52.7.  The soundtrack is
+#: rendered a window at a time and no clip's samples are kept: rendered
+#: whole (8.7 MB) with every representative clip kept (7.7 MB) the job
+#: peaked at ~67 MiB, and with the frames held too at ~91.
+JOB_RSS_BOUND_MIB = 56
 
 _JOB_SCRIPT = r"""
 import json, re, sys, tempfile

@@ -45,7 +45,7 @@ def test_generate_video_is_the_materialised_stream(demo_video):
     assert (source.fps, source.title) == (demo_video.stream.fps, demo_video.stream.title)
     assert list(source) == demo_video.stream.frames
     assert list(source) == []  # read once
-    assert np.array_equal(source.audio.samples, demo_video.stream.audio.samples)
+    assert np.array_equal(source.audio.render().samples, demo_video.stream.audio.samples)
     assert stream_video(demo_screenplay(), with_audio=False).audio is None
 
 
