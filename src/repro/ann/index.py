@@ -11,8 +11,8 @@ restricted to the leaf's discriminating sub-space:
 * ``codes`` + ``scale``/``offset`` — per-dim scalar-quantized uint8
   codes of the reduced rows;
 * ``sigs`` — each row's leaf-hash signature: the leaf's own
-  ``signatures`` array (stored once, shared by an opened store), so the
-  bucket row sets rebuild without touching the float block.
+  ``signatures`` array (stored once, shared by an opened store); the
+  bucket row sets are the leaf's ``buckets``, not a second table.
 
 Bit-identity contract
 ---------------------
@@ -45,9 +45,8 @@ from repro.core.kernels import (
     intersection_to_many,
     quantized_intersection_to_many,
 )
-from repro.database.index import leaf_signature, leaf_signatures, rows_by_signature
+from repro.database.index import leaf_signatures
 from repro.errors import (
-    DatabaseError,
     FaultInjectedError,
     IntegrityError,
     StorageError,
@@ -60,8 +59,6 @@ DEFAULT_NPROBE = 8
 
 #: Default exact-re-rank tail length (None would mean "all survivors").
 DEFAULT_RERANK_K = 32
-
-_EMPTY_ROWS = np.empty(0, dtype=np.intp)
 
 
 class AnnLeafIndex:
@@ -77,8 +74,6 @@ class AnnLeafIndex:
         "offset_total",
         "sigs",
         "seed",
-        "_bucket_rows",
-        "_all_rows",
     )
 
     def __init__(
@@ -101,9 +96,7 @@ class AnnLeafIndex:
         self.offset_total = float(self.offset.sum())
         self.sigs = np.atleast_2d(np.asarray(sigs, dtype=np.int64))
         self.seed = int(seed)
-        self._bucket_rows: dict[tuple[int, ...], np.ndarray] | None = None
         rows, width = self.codes.shape
-        self._all_rows = np.arange(rows, dtype=np.intp)
         if (
             self.assign.shape != (rows,)
             or self.sigs.shape[0] != rows
@@ -133,41 +126,21 @@ class AnnLeafIndex:
             hasher.update(np.ascontiguousarray(array).tobytes())
         return hasher.hexdigest()
 
-    def bucket_rows(self, signature: tuple[int, ...]) -> np.ndarray:
-        """Row indices of one hash bucket, ascending (empty when absent)."""
-        if self._bucket_rows is None:
-            self._bucket_rows = rows_by_signature(self.sigs)
-        return self._bucket_rows.get(tuple(signature), _EMPTY_ROWS)
-
-    def _base_rows(self, features: np.ndarray, mode: str) -> np.ndarray:
-        if mode == "all":
-            return self._all_rows
-        rows = self.bucket_rows(leaf_signature(features))
-        if mode == "bucket":
-            return rows
-        if mode != "auto":
-            raise DatabaseError(f"unknown ANN scan mode {mode!r}")
-        # Mirrors candidate_rows: an empty bucket falls back to all rows.
-        return rows if rows.size else self._all_rows
-
     def search_rows(
         self,
         features: np.ndarray,
+        rows: np.ndarray,
         nprobe: int,
         rerank_k: int | None = None,
-        mode: str = "auto",
     ) -> tuple[np.ndarray, int]:
-        """Surviving candidate rows for one query, in ascending row order.
+        """The survivors among ``rows`` for one query, in ascending row order.
 
-        Returns ``(rows, approx_evals)``: the rows the exact re-rank
+        ``rows`` are the ascending rows the caller would scan exactly:
+        the query's bucket, or every row.  Returns ``(rows, approx_evals)``: the rows the exact re-rank
         tail must score, plus the number of quantized-code evaluations
         performed (0 when the uint8 scan could not prune anything and
-        was skipped).  ``mode`` picks the base row set: ``auto`` mirrors
-        :meth:`~repro.database.index.LeafHashIndex.candidate_rows`
-        (bucket, else all rows), ``bucket``/``all`` serve the sharded
-        probe/scan phases, whose empty-bucket decision is global.
+        was skipped).
         """
-        rows = self._base_rows(features, mode)
         if rows.size == 0:
             return rows, 0
         nprobe = max(1, int(nprobe))

@@ -17,11 +17,12 @@ arithmetic.  This module packs shots into contiguous arrays
   evaluations per broadcast) and the one-to-many scans evaluate the
   ``min``-sum in row chunks of :data:`SCAN_SCRATCH_ELEMS` elements into
   one reused per-thread scratch, so no call allocates more than a few
-  hundred KB however many rows are packed.  Rows are independent, so a
-  chunked scan is bit-identical to an unchunked one.  The exception is
-  :func:`quantized_intersection_to_many`: its BLAS matvec is *not*
-  row-independent in the last bit, so it stays one block (its input is
-  one leaf's candidates, never the corpus).
+  hundred KB however many rows are packed (nor keeps more than a chunk
+  and a 2 MiB run of a stored leaf block resident: :func:`_stsim_rows`).
+  Rows are independent, so a chunked scan is bit-identical to an
+  unchunked one.  The exception is :func:`quantized_intersection_to_many`:
+  its BLAS matvec is *not* row-independent in the last bit, so it stays
+  one block (its input is one leaf's candidates, never the corpus).
 
 The scalar implementations in :mod:`repro.core.similarity` remain the
 reference oracle; every kernel here matches them to ``<= 1e-9``
@@ -140,30 +141,13 @@ def scan_chunks(count: int, width: int, carry: int = 0):
         yield start, stop, buffer[: rows * width].reshape(-1, width)
 
 
-def _min_sums(query: np.ndarray, matrix: np.ndarray, rows) -> np.ndarray:
-    """``sum_k min(query_k, row_k)`` per row of ``matrix`` (or of ``rows``)."""
-    count = matrix.shape[0] if rows is None else rows.shape[0]
-    out = np.empty(count, dtype=np.float64)
-    for start, stop, scratch in scan_chunks(count, matrix.shape[1]):
-        if rows is None:
-            mins = np.minimum(query, matrix[start:stop], out=scratch)
-        else:
-            mins = matrix[rows[start:stop]]
-            np.minimum(query, mins, out=mins)
-        mins.sum(axis=1, out=out[start:stop])
-    return out
-
-
 def squared_distances(query: np.ndarray, matrix: np.ndarray, rows=None) -> np.ndarray:
     """``sum_k (row_k - query_k)^2`` per row of ``matrix`` (or of ``rows``)."""
     count = matrix.shape[0] if rows is None else rows.shape[0]
     out = np.empty(count, dtype=np.float64)
     for start, stop, scratch in scan_chunks(count, matrix.shape[1]):
-        if rows is None:
-            diff = np.subtract(matrix[start:stop], query, out=scratch)
-        else:
-            diff = matrix[rows[start:stop]]
-            diff -= query
+        pick = slice(start, stop) if rows is None else rows[start:stop]
+        diff = np.subtract(matrix[pick], query, out=scratch)
         np.multiply(diff, diff, out=diff).sum(axis=1, out=out[start:stop])
     return out
 
@@ -197,12 +181,32 @@ def column_variances(matrix: np.ndarray) -> np.ndarray:
 
 
 def _stsim_rows(q_hist, q_tex, hists, texs, weights, rows) -> np.ndarray:
-    """Eq. (1) of one shot against ``hists``/``texs`` rows (or ``rows`` of them)."""
+    """Eq. (1) of one shot against ``hists``/``texs`` rows (or ``rows`` of them).
+
+    One chunk loop scores both terms.  A scan of every row of a block whose
+    mapping can give pages back (a stored leaf's: ``release_pages``) hands
+    it each chunk once scored, so it holds a chunk and a 2 MiB run of them.
+    """
     wc, wt = _resolve_weights(weights)
-    color = _min_sums(q_hist, hists, rows)
-    KERNEL_STATS.pair_evals += color.shape[0]
-    texture_term = np.maximum(1.0 - squared_distances(q_tex, texs, rows), 0.0)
-    return wc * color + wt * texture_term
+    count = hists.shape[0] if rows is None else rows.shape[0]
+    color, distance = np.empty(count), np.empty(count)
+    owner = hists
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    release = getattr(owner, "release_pages", None) if rows is None else None
+    diffs = None  # the texture term's (chunk, width) scratch, made on the first chunk
+    for start, stop, mins in scan_chunks(count, hists.shape[1]):
+        pick = slice(start, stop) if rows is None else rows[start:stop]
+        np.minimum(q_hist, hists[pick], out=mins)
+        np.add.reduce(mins, axis=1, out=color[start:stop])
+        if diffs is None:
+            diffs = np.empty((stop - start, texs.shape[1]))
+        diff = np.subtract(texs[pick], q_tex, out=diffs[: stop - start])
+        np.add.reduce(np.multiply(diff, diff, out=diff), axis=1, out=distance[start:stop])
+        if release is not None:
+            release(hists[pick])
+    KERNEL_STATS.pair_evals += count
+    return wc * color + wt * np.maximum(1.0 - distance, 0.0)
 
 
 class FeatureMatrix:
@@ -242,19 +246,6 @@ class FeatureMatrix:
             np.stack([np.asarray(shot.histogram, dtype=np.float64) for shot in shots]),
             np.stack([np.asarray(shot.texture, dtype=np.float64) for shot in shots]),
         )
-
-    @classmethod
-    def from_combined(
-        cls, features: np.ndarray, histogram_dim: int = HISTOGRAM_DIM
-    ) -> "FeatureMatrix":
-        """Split stacked ``(N, 266)`` combined vectors back into views."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if features.shape[1] <= histogram_dim:
-            raise MiningError(
-                f"combined features need > {histogram_dim} dimensions, "
-                f"got {features.shape[1]}"
-            )
-        return cls(features[:, :histogram_dim], features[:, histogram_dim:])
 
     @classmethod
     def concatenate(cls, matrices: Sequence["FeatureMatrix"]) -> "FeatureMatrix":
@@ -397,15 +388,6 @@ def banded_stsim(fm: FeatureMatrix, offset: int, weights=None) -> np.ndarray:
     return wc * color + wt * texture_term
 
 
-def shot_group_stsim(
-    histogram: np.ndarray, texture: np.ndarray, group: FeatureMatrix, weights=None
-) -> float:
-    """StGpSim of Eq. (8): the shot's best match inside the group."""
-    if len(group) == 0:
-        raise MiningError("cannot compare a shot against an empty group")
-    return float(stsim_to_many(histogram, texture, group, weights).max())
-
-
 def group_stsim(a: FeatureMatrix, b: FeatureMatrix, weights=None) -> float:
     """GpSim of Eq. (9): benchmark-averaged best-match similarity.
 
@@ -542,8 +524,12 @@ def intersection_to_many(
     """
     query = np.asarray(query, dtype=np.float64)
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    out = _min_sums(query, matrix, rows)
-    KERNEL_STATS.pair_evals += out.shape[0]
+    count = matrix.shape[0] if rows is None else rows.shape[0]
+    out = np.empty(count, dtype=np.float64)
+    for start, stop, scratch in scan_chunks(count, matrix.shape[1]):
+        pick = slice(start, stop) if rows is None else rows[start:stop]
+        np.minimum(query, matrix[pick], out=scratch).sum(axis=1, out=out[start:stop])
+    KERNEL_STATS.pair_evals += count
     return out
 
 

@@ -24,10 +24,12 @@ class FlatIndex:
     A view over the corpus's leaves, not a second copy of it: the scan
     walks the leaf blocks — one blocked kernel call per leaf, RAM array
     or mmap alike — and scatters each block's scores into one vector by
-    flat ordinal.  Every row still counts as one logical comparison,
-    exactly the Eq. (24) cost, but only the ``k`` winners become
-    :class:`RankedShot` objects.  ``leaves`` must carry ordinals that
-    together cover ``range(total)``.
+    flat ordinal; over an opened store the kernel gives the pages back
+    as it moves on, so a scan holds a 2 MiB run of the 266-d rows
+    resident, not the corpus.  Every row still counts as one logical
+    comparison, exactly the Eq. (24) cost, but only the ``k`` winners
+    become :class:`RankedShot` objects.  ``leaves`` must carry ordinals
+    that together cover ``range(total)``.
     """
 
     def __init__(self, leaves: Sequence[LeafHashIndex] = ()) -> None:

@@ -229,14 +229,13 @@ def search_hierarchical(
             ann, degraded = resolve_ann(node)
             if degraded:
                 stats.ann_degraded = True
-        if ann is None:
-            rows = leaf.candidate_rows(features)
-        else:
+        rows = leaf.candidate_rows(features)
+        if ann is not None:
             # Survivors arrive in ascending row order — the sequence the
             # exact probe visits — so with nothing pruned (``nprobe >=
             # cells``, unbounded tail) the ANN path is the exact path.
             rows, approx_evals = ann.search_rows(
-                features, nprobe=nprobe, rerank_k=rerank_k, mode="auto"
+                features, np.arange(len(leaf)) if rows is None else rows, nprobe, rerank_k
             )
             stats.approx_comparisons += approx_evals
         rows = _unseen(leaf, rows, seen)

@@ -359,14 +359,8 @@ class ShardWorker:
                     ann_degraded = ann_degraded or degraded
                     if ann is not None:
                         with tracer.span("ann.prune") as prune_span:
-                            rows, evals = ann.search_rows(
-                                features,
-                                nprobe=int(nprobe),
-                                rerank_k=(
-                                    None if rerank_k is None else int(rerank_k)
-                                ),
-                                mode="all" if fallback else "bucket",
-                            )
+                            base = np.arange(len(leaf)) if rows is None else rows
+                            rows, evals = ann.search_rows(features, base, nprobe, rerank_k)
                             prune_span.set(evals=evals, survivors=len(rows))
                         approx_comparisons += evals
                 leaf_span.set(bucket=bucket_size)

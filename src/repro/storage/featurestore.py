@@ -13,19 +13,23 @@ the file *name* is the checksum, computed with the same streaming
 :func:`~repro.resilience.integrity.file_digest` the PR-5 artifact
 checksums use, so :meth:`FeatureStore.verify` needs no side manifest.
 
-Blocks are opened with ``np.load(..., mmap_mode="r")`` — the OS pages
-rows in on demand, so a cold-started process touches only the blocks
-its queries actually route into, and resident memory stays independent
-of corpus size.  A small LRU bounds the number of simultaneously open
-mmaps; hit/miss counters and an open-handle gauge publish through the
-process metrics registry, and the ``storage.mmap_truncated`` fault
-point lets chaos runs inject read failures here.
+Blocks open as read-only ndarrays over a read-only ``mmap`` of the file
+— the OS pages rows in on demand (and a flat scan gives a leaf's back,
+:meth:`FeatureStore.open`), so a cold-started process touches only the
+blocks its queries actually route into, and resident memory stays
+independent of corpus size.  A small LRU bounds the number of
+simultaneously open mmaps; hit/miss counters and an open-handle gauge
+publish through the process metrics registry, and the
+``storage.mmap_truncated`` fault point lets chaos runs inject read
+failures here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
+import mmap
 import os
 import tempfile
 import threading
@@ -42,6 +46,7 @@ from repro.resilience.integrity import file_digest
 
 #: Default bound on simultaneously open mmap handles.
 DEFAULT_MAX_OPEN = 32
+_RUN = 1 << 21  # the address-aligned unit ``release_pages`` gives back
 
 
 @dataclass(frozen=True)
@@ -60,11 +65,48 @@ class BlockRef:
         return self.rows * self.cols * 8
 
 
+class _ScanMapping(mmap.mmap):
+    """A block file's read-only mapping, where ``MADV_DONTNEED`` only unmaps:
+    the next read faults the same bytes back in.  (On a registered corpus's
+    anonymous pages it zeroes the rows: kernels look for this method, not mmap.)"""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.address = np.frombuffer(self, np.uint8).__array_interface__["data"][0]
+
+    def release_pages(self, rows: np.ndarray) -> None:
+        """Unmap the whole 2 MiB runs behind ``rows``, which a forward scan
+        just scored (the run they share with earlier rows goes, the one
+        with later rows stays; the file's tail goes with the last rows).
+        Runs, not pages: releasing part of a 2 MiB page-cache folio splits
+        the one PMD entry that maps it (see docs/STORAGE.md)."""
+        first = rows.__array_interface__["data"][0]
+        end = first + rows.shape[0] * rows.strides[0]
+        start = max(first - first % _RUN - self.address, 0)
+        stop = len(self) if end - self.address >= len(self) else end - end % _RUN - self.address
+        if stop > start:
+            self.madvise(mmap.MADV_DONTNEED, start, stop - start)
+
+
+def _map_block(path: Path, mapping_type: type[mmap.mmap]) -> np.ndarray:
+    """A read-only ndarray over the ``.npy`` file :meth:`FeatureStore.put`
+    wrote at ``path`` (``ValueError`` for any other header or size)."""
+    with open(path, "rb") as handle:
+        if np.lib.format.read_magic(handle) != (1, 0):
+            raise ValueError("not a version 1.0 .npy header")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+        offset = handle.tell()
+        mapping = mapping_type(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    cells = len(mapping) - offset
+    if fortran or dtype.hasobject or cells != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"{cells} data bytes for a {shape} {dtype} block")
+    return np.ndarray(shape, dtype, buffer=mapping, offset=offset)
+
+
 class FeatureStore:
     """Content-addressed ``.npy`` blocks with a bounded mmap cache.
 
     Thread-safe: serving workers share one store; the LRU and its
-    counters serialise on an internal lock, while the returned memmap
+    counters serialise on an internal lock, while the returned mapped
     arrays themselves are read-only and safe to share.
     """
 
@@ -140,12 +182,14 @@ class FeatureStore:
             Path(tmp_name).unlink(missing_ok=True)
         return ref
 
-    def open(self, sha: str) -> np.ndarray:
+    def open(self, sha: str, resident: bool = True) -> np.ndarray:
         """Memory-map the block addressed by ``sha`` (read-only).
 
         Served from the LRU when already mapped; otherwise the file is
         mapped and the least recently used handle beyond the bound is
-        dropped.  A missing block raises
+        dropped.  ``resident=False`` is for a block only a full scan reads
+        whole (a leaf's 266-d rows): the kernels' chunk loop gives its
+        pages back as it moves on.  A missing block raises
         :class:`~repro.errors.StorageError`; a truncated or unparsable
         one raises :class:`~repro.errors.IntegrityError`, matching the
         artifact store's corruption contract.
@@ -161,7 +205,7 @@ class FeatureStore:
         if not path.exists():
             raise StorageError(f"no feature block {sha[:12]}… in {self._root}")
         try:
-            block = np.load(path, mmap_mode="r", allow_pickle=False)
+            block = _map_block(path, mmap.mmap if resident else _ScanMapping)
         except (OSError, ValueError) as exc:
             raise IntegrityError(
                 f"feature block {sha[:12]}… is corrupt or truncated: {exc}"

@@ -10,7 +10,8 @@ stored catalog behind them, and nothing else:
   ``reduced`` block a leaf scan reads and the row signatures.
   :class:`~repro.database.index.LeafHashIndex` runs it on the first
   touch of the leaf, once, under a lock; no per-row object is built and
-  no 266-d row is read — those page in for winners and flat scans only.
+  no 266-d row is read — those page in for winners and flat scans only,
+  and a flat scan gives them back as it moves on.
 * :func:`_stored_scenes` — the scene table: the stored centroid block
   (the mmap *is* the centroid matrix) plus its bookkeeping rows, loaded
   on the first scene search.
@@ -65,7 +66,7 @@ def _stored_rows(
     stored = {}
     fresh = (block_sha, reduced_sha) == (info.block.sha, info.reduced_sha)
     if fresh:
-        block = catalog.features.open(block_sha)
+        block = catalog.features.open(block_sha, resident=False)
         if reduced_sha is not None:
             stored["reduced"] = catalog.features.open(reduced_sha)
         if signatures is not None:

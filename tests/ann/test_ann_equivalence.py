@@ -190,24 +190,6 @@ class TestResolveAnn:
         b = build_leaf_ann(matrix, leaf.dims)
         assert a.digest() == b.digest()
 
-    def test_bucket_rows_match_hash_index(self, ann_db, probes):
-        leaf = next(
-            node
-            for node in _iter_leaves(ann_db.index_root)
-            if node.leaf is not None and len(node.leaf) > 2
-        )
-        index, _ = resolve_ann(leaf)
-        entries = leaf.leaf.entries
-        from repro.database.index import leaf_signature
-
-        for probe in probes:
-            sig = leaf_signature(probe)
-            expected = [
-                entries[int(r)].key for r in leaf.leaf.bucket_rows(probe)
-            ]
-            got = [entries[int(r)].key for r in index.bucket_rows(sig)]
-            assert got == expected
-
 
 def _iter_leaves(node):
     if node.is_leaf:

@@ -24,7 +24,6 @@ from repro.core.kernels import (
     group_stsim_row,
     intersection_to_many,
     pairwise_stsim,
-    shot_group_stsim,
     stsim_to_many,
 )
 from repro.core.similarity import (
@@ -32,7 +31,6 @@ from repro.core.similarity import (
     group_similarity,
     group_similarity_matrix,
     group_similarity_to_many,
-    shot_group_similarity,
     shot_similarity,
     similarity_matrix,
 )
@@ -211,20 +209,6 @@ class TestGroupStSim:
         with pytest.raises(MiningError):
             group_stsim(empty, a)
 
-    def test_shot_group_matches_scalar(self, rng):
-        shot = _random_shots(rng, 1)[0]
-        group = _random_shots(rng, 6)
-        expected = shot_group_similarity(shot, group)
-        value = shot_group_stsim(
-            shot.histogram, shot.texture, FeatureMatrix.from_shots(group)
-        )
-        assert value == pytest.approx(expected, abs=TOLERANCE)
-
-    def test_shot_empty_group_raises(self, rng):
-        shot = _random_shots(rng, 1)[0]
-        with pytest.raises(MiningError):
-            shot_group_stsim(shot.histogram, shot.texture, FeatureMatrix.from_shots([]))
-
 
 class TestGroupBatches:
     def test_row_matches_scalar_both_orders(self, rng):
@@ -325,19 +309,11 @@ class TestFeatureMatrix:
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.histograms[0], shots[1].histogram)
 
-    def test_from_combined_round_trip(self, rng):
-        stacked = rng.random((4, 266))
-        fm = FeatureMatrix.from_combined(stacked)
-        np.testing.assert_array_equal(fm.histograms, stacked[:, :256])
-        np.testing.assert_array_equal(fm.textures, stacked[:, 256:])
-
     def test_shape_validation(self, rng):
         with pytest.raises(MiningError):
             FeatureMatrix(np.zeros((3, 256)), np.zeros((2, 10)))
         with pytest.raises(MiningError):
             FeatureMatrix(np.zeros(256), np.zeros(10))
-        with pytest.raises(MiningError):
-            FeatureMatrix.from_combined(np.zeros((2, 100)))
 
     def test_concatenate_empty(self):
         fm = FeatureMatrix.concatenate([])
@@ -393,10 +369,10 @@ class TestBlockedScans:
         matrix, query = block
         before = KERNEL_STATS.chunks
         combined_stsim_to_many(query, matrix)
-        # One pass of 256-row chunks over the histograms, one of 6553-row
-        # chunks over the 10-d textures.
-        color, texture = SCAN_SCRATCH_ELEMS // 256, SCAN_SCRATCH_ELEMS // 10
-        assert KERNEL_STATS.chunks - before == -(-self.ROWS // color) + -(-self.ROWS // texture)
+        # One pass of 256-row chunks scores both terms (there was a second
+        # pass of 6553-row chunks over the 10-d textures).
+        rows = SCAN_SCRATCH_ELEMS // 256
+        assert KERNEL_STATS.chunks - before == -(-self.ROWS // rows)
         before = KERNEL_STATS.chunks
         intersection_to_many(query[:64], matrix[:100, :64])
         assert KERNEL_STATS.chunks - before == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ class TestOpen:
         with pytest.raises(IntegrityError):
             store.open(ref.sha)
 
+    @pytest.mark.parametrize("cut", [8, 1, -8], ids=["short-row", "short-cell", "long"])
+    def test_truncated_cells_are_typed(self, store, cut):
+        """The header parses, but the file holds more or fewer cell bytes
+        than it declares."""
+        ref = store.put(_block(4))
+        path = store.path_for(ref.sha)
+        payload = path.read_bytes()
+        path.write_bytes(payload[:-cut] if cut > 0 else payload + bytes(-cut))
+        with pytest.raises(IntegrityError, match="data bytes"):
+            store.open(ref.sha)
+
     def test_injected_read_fault_is_typed_and_the_next_read_recovers(self, lazy_db, probes):
         # The scan maps the blocks of leaves nothing has touched yet.
         with inject(FaultPlan([FaultSpec("storage.mmap_truncated")])) as plan:
@@ -108,12 +121,53 @@ class TestOpen:
     def test_open_returns_readonly_mmap(self, store):
         ref = store.put(_block(5))
         block = store.open(ref.sha)
-        assert isinstance(block, np.memmap)
-        assert not block.flags.writeable
+        assert type(block) is np.ndarray  # no np.memmap subclass on every row view
+        assert isinstance(block.base, mmap.mmap) and not block.flags.writeable
+        assert len(block.base) == store.path_for(ref.sha).stat().st_size
 
     def test_cache_hit_returns_same_object(self, store):
         ref = store.put(_block(6))
         assert store.open(ref.sha) is store.open(ref.sha)
+
+
+def _resident_bytes(path) -> int:
+    """``Rss`` of this process's mappings of ``path``, from ``/proc/self/smaps``."""
+    rss, ours = 0, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split()
+            if "-" in head[0] and not head[0].endswith(":"):
+                ours = len(head) > 5 and head[-1] == str(path)
+            elif ours and head[0] == "Rss:":
+                rss += 1024 * int(head[1])
+    return rss
+
+
+class TestScanRelease:
+    """A block opened ``resident=False`` gives the pages a whole-block Eq. (1)
+    scan has scored back; what it reads never changes."""
+
+    ROWS = 3_000  # twelve 256-row chunks, 6.4 MB
+
+    def test_a_scan_holds_no_page_of_a_released_block(self, store):
+        from repro.core.kernels import combined_stsim_to_many
+
+        rng = np.random.default_rng(3)
+        matrix, query = rng.random((self.ROWS, 266)), rng.random(266)
+        scanned_path = store.path_for(store.put(matrix).sha)
+        scanned = store.open(scanned_path.stem, resident=False)
+        kept_path = store.path_for(store.put(matrix[::-1]).sha)
+        kept = store.open(kept_path.stem)
+        expected = combined_stsim_to_many(query, matrix)
+        for _ in range(2):  # the second scan faults the pages back in
+            assert combined_stsim_to_many(query, scanned).tobytes() == expected.tobytes()
+            assert combined_stsim_to_many(query, kept).tobytes() == expected[::-1].tobytes()
+            assert _resident_bytes(scanned_path) == 0
+            assert _resident_bytes(kept_path) >= matrix.nbytes
+        assert np.array_equal(scanned, matrix)
+        # A gathered row subset is not a forward scan: it releases nothing.
+        combined_stsim_to_many(query, scanned, rows=np.arange(self.ROWS))
+        assert _resident_bytes(scanned_path) >= matrix.nbytes
 
 
 class TestLRU:

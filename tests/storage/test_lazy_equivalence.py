@@ -11,6 +11,7 @@ register into.
 
 from __future__ import annotations
 
+import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -35,6 +36,11 @@ def shot_hits(result):
 
 def scene_hits(hits):
     return [(h.entry.video_title, h.entry.scene_id, h.score) for h in hits]
+
+
+def flat_hits(result):
+    """:func:`shot_hits` plus each winner's row, read after the scan."""
+    return [(*hit, h.entry.features.tobytes()) for hit, h in zip(shot_hits(result), result.hits)]
 
 
 class TestFlatEquivalence:
@@ -136,24 +142,28 @@ class TestConcurrentColdProbes:
         Serving workers share the lazy leaf/scene indexes through an
         out-of-core snapshot; a barrier lines threads up on a cold view
         so they race the materialisation, and every one must still get
-        the eager path's exact results.
+        the eager path's exact results.  Flat scans race too: each gives
+        back the pages of the blocks the others are reading, and the
+        winners' rows, read after the scan, are still the stored rows.
         """
-        expected_shots = shot_hits(source_db.search(probes[0], k=10))
-        expected_scenes = scene_hits(
-            source_db.scene_index.search(probes[1], k=5)
-        )
-        workers = 8
+        expected = {
+            "shot": shot_hits(source_db.search(probes[0], k=10)),
+            "scene": scene_hits(source_db.scene_index.search(probes[1], k=5)),
+            "flat": flat_hits(source_db.search_flat(probes[3], k=10)),
+        }
+        workers = 9
         for _round in range(3):  # fresh cold view each round
             lazy = SQLVideoDatabase.open(stored_dir)
             barrier = threading.Barrier(workers)
 
             def probe(i: int):
                 barrier.wait(timeout=30)
-                if i % 2:
-                    return "scene", scene_hits(
-                        lazy.scene_index.search(probes[1], k=5)
-                    )
-                return "shot", shot_hits(lazy.search(probes[0], k=10))
+                kind = ("shot", "scene", "flat")[i % 3]
+                if kind == "scene":
+                    return kind, scene_hits(lazy.scene_index.search(probes[1], k=5))
+                if kind == "flat":
+                    return kind, flat_hits(lazy.search_flat(probes[3], k=10))
+                return kind, shot_hits(lazy.search(probes[0], k=10))
 
             try:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -161,8 +171,62 @@ class TestConcurrentColdProbes:
             finally:
                 lazy.close()
             for kind, hits in results:
-                expected = expected_scenes if kind == "scene" else expected_shots
-                assert hits == expected
+                assert hits == expected[kind]
+
+
+def _block_owner(block: np.ndarray):
+    """What a leaf block's memory belongs to, under its ndarray views."""
+    while isinstance(block, np.ndarray):
+        block = block.base
+    return block
+
+
+class TestScanRelease:
+    """A flat scan gives back the pages of the stored 266-d blocks it read,
+    and only those: a registered corpus's blocks are anonymous ``mmap``
+    pages, where ``MADV_DONTNEED`` would zero the rows."""
+
+    def test_registered_blocks_are_never_released(self):
+        from repro.core.kernels import combined_stsim_to_many
+
+        database = build_synthetic_database(videos=24, shots_per_video=8, seed=0)
+        leaves = list(database.leaves.values())
+        for leaf in leaves:  # the hazard is present: anonymous mmap pages
+            assert isinstance(_block_owner(leaf.block).obj, mmap.mmap)
+        copies = [np.array(leaf.block) for leaf in leaves]  # RAM, before any scan
+        probes = [copies[0][0], np.random.default_rng(7).random(266)]
+        for _ in range(3):
+            for probe in probes:
+                scores = database.flat_index.scores(probe)
+                for leaf, rows in zip(leaves, copies):
+                    expected = combined_stsim_to_many(probe, rows)
+                    assert scores[leaf.ordinals].tobytes() == expected.tobytes()
+        for leaf, rows in zip(leaves, copies):
+            assert np.array_equal(leaf.block, rows)
+
+    def test_stored_blocks_are_released_and_read_back_unchanged(
+        self, source_db, lazy_db, probes, monkeypatch
+    ):
+        from repro.storage.featurestore import _ScanMapping
+
+        released = []
+        release = _ScanMapping.release_pages
+        monkeypatch.setattr(
+            _ScanMapping,
+            "release_pages",
+            lambda mapping, rows: released.append(rows.shape[0]) or release(mapping, rows),
+        )
+        for _ in range(2):
+            for probe in probes:
+                assert flat_hits(lazy_db.search_flat(probe, k=10)) == flat_hits(
+                    source_db.search_flat(probe, k=10)
+                )
+        assert sum(released) == 2 * len(probes) * lazy_db.shot_count
+        for name, leaf in lazy_db.leaves.items():
+            assert isinstance(_block_owner(leaf.block), _ScanMapping)
+            assert not isinstance(_block_owner(leaf.reduced), _ScanMapping)
+            assert np.array_equal(leaf.block, source_db.leaves[name].block)
+        assert not isinstance(_block_owner(lazy_db.scene_index.table.centroids), _ScanMapping)
 
 
 class TestSnapshotIntegration:

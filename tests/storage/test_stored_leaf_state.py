@@ -13,6 +13,7 @@ row count.
 
 from __future__ import annotations
 
+import mmap
 import sqlite3
 
 import numpy as np
@@ -50,7 +51,7 @@ def _assert_stored_state_is_the_derived_state(db_dir, probe) -> int:
         for name, leaf in opened.leaves.items():
             # The oracle: the same columns and routing, nothing given.
             derived = LeafHashIndex(leaf.rows, leaf.centers, leaf.dims)
-            assert isinstance(leaf.reduced, np.memmap), name
+            assert isinstance(leaf.reduced.base, mmap.mmap), name  # the stored block
             assert leaf.reduced.flags["C_CONTIGUOUS"] and not leaf.reduced.flags["WRITEABLE"]
             _same_array(leaf.reduced, derived.reduced)
             _same_array(leaf.signatures, derived.signatures)
@@ -128,7 +129,7 @@ def test_v2_catalog_opens_upgrades_and_derives(source_db, probes, tmp_path):
         assert all(info.reduced_sha is None for info in catalog.leaf_infos())
         assert _answers(opened, probes) == _answers(source_db, probes)
         for leaf in opened.leaves.values():
-            assert not isinstance(leaf.reduced, np.memmap)  # the derive path
+            assert not isinstance(leaf.reduced.base, mmap.mmap)  # the derive path
             _same_array(np.ascontiguousarray(leaf.reduced), np.asarray(leaf.block)[:, leaf.dims])
         # The next save writes the v3 column, and the very blocks a v3 writer does.
         save_database(opened, tmp_path)
