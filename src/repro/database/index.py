@@ -382,18 +382,16 @@ class LeafHashIndex:
         ]
 
     def bucket_rows(self, features: np.ndarray) -> np.ndarray:
-        """Rows of the query's signature bucket, ascending (maybe none).
-
-        A sharded probe must decide *globally* whether the bucket is
-        empty — one shard's empty bucket may be populated on another —
-        so shard workers report this and scan every row only when the
-        coordinator found the bucket empty on *every* shard.
-        """
+        """Rows of the query's signature bucket, ascending (maybe none)."""
         return self.buckets.get(leaf_signature(features), _NO_ROWS)
 
     def candidate_rows(self, features: np.ndarray) -> np.ndarray | None:
         """Rows an exact probe ranks: the query's bucket, or ``None``
-        (every row, in insertion order) when that bucket is empty."""
+        (every row, in insertion order) when that bucket is empty.
+
+        A shard worker applies it to its local rows, and the coordinator
+        to the shards' bucket sizes: a shard's rows count where its
+        bucket is non-empty, or where every shard's is empty."""
         rows = self.bucket_rows(features)
         return rows if rows.size else None
 

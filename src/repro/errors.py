@@ -183,11 +183,11 @@ class DeadlineExpiredError(ServingError):
 
 
 class NoShardAnsweredError(ServingError):
-    """A scatter phase got no response from any shard.
+    """A scatter got no response from any shard.
 
-    A multi-phase query can straddle a rolling restart — the first
-    phase answered by a shard that drained before the second phase ran,
-    while the restarted shard is healthy again by then.  The
+    A query can straddle a rolling restart — every shard it reached was
+    draining or breaker-blocked, while the restarted shard is healthy
+    again by the time the scatter returns.  The
     coordinator therefore re-executes the query once (deadline
     permitting) before letting this propagate; a genuine full outage
     fails identically on the second pass.

@@ -14,18 +14,19 @@ the single-process path (ids, scores, tie-break order):
   tree rebuilt from the manifest's full-corpus leaf metadata
   (:func:`~repro.net.shard.build_routing_tree`), so the visited node
   sequence and descent comparisons match the unsharded server.
-* Shards only execute leaf-level work.  A probe first returns each
-  leaf's *signature bucket* candidates; only when a leaf's bucket is
-  empty on **every** responding shard does the coordinator ask for that
-  leaf's all-entries scan — reproducing
-  :meth:`~repro.database.index.LeafHashIndex.candidate_rows`'s per-leaf
-  fallback decision at global scope.
-* Candidates carry global flat ordinals; within each leaf the shards'
-  sub-lists are merged by ascending ordinal, which reconstructs the
-  unsharded bucket/insertion order because hash-by-title sharding makes
-  every within-shard order an order-preserving subset of the global
-  one.  The final stable sort by descending score then ties off exactly
-  like the single-process ranking.
+* Shards only execute leaf-level work, in one ``probe`` round.  Each
+  leaf scans its local bucket, or every local row when that bucket is
+  empty, and returns its true bucket size, its scan counts and its
+  ``k`` best candidates.  The merge keeps, per leaf, the shards whose
+  bucket is non-empty, or every shard when all are empty —
+  :meth:`~repro.database.index.LeafHashIndex.candidate_rows`'s rule at
+  global scope.
+* Candidates carry global flat ordinals and rank by (−score, leaf
+  position, ordinal): the unsharded visit order, because hash-by-title
+  sharding makes every within-shard order an order-preserving subset
+  of the global one.  That comparator restricted to one shard's leaf
+  *is* the shard's local order, so its local top-k holds every global
+  winner it has.
 * A candidate on the wire is an identity and a score — no 266-d row,
   no scene centroid — and so is a merged hit: its ``entry.features`` /
   ``entry.centroid`` is ``None``, the contract
@@ -33,8 +34,9 @@ the single-process path (ids, scores, tie-break order):
   crossed a wire.
 
 **QueryStats aggregation** (documented contract, asserted by tests):
-``shot`` comparisons = coordinator descent comparisons + Σ per-leaf
-deduplicated candidates; ``shot_flat`` = Σ shard entry counts;
+``shot`` comparisons = coordinator descent comparisons + Σ ``count``
+of the kept shards per leaf (``approx_comparisons`` / ``reranked``
+likewise); ``shot_flat`` = Σ shard entry counts;
 ``scene`` = Σ shard scene counts; ``event`` = 0.
 
 **Degradation.**  Each shard sits behind a circuit breaker; a shard
@@ -613,12 +615,12 @@ class ShardedQueryService:
         try:
             answer = _dispatch()
         except NoShardAnsweredError as exc:
-            # A multi-phase query can straddle a rolling restart: its
-            # first scatter answered by the shard that drained before
-            # the second scatter ran, while the restarted shard is
-            # healthy again *now*.  One fresh execution observes the
-            # current cluster (endpoints re-pointed at respawned
-            # workers); a genuine full outage fails identically here.
+            # A query can straddle a rolling restart: every shard it
+            # reached was draining or breaker-blocked, while the
+            # restarted shard is healthy again *now*.  One fresh
+            # execution observes the current cluster (endpoints
+            # re-pointed at respawned workers); a genuine full outage
+            # fails identically here.
             if deadline is not None and time.perf_counter() >= deadline:
                 # Out of budget, not out of shards: typed so the gateway
                 # answers 504, as the in-process front does.
@@ -674,88 +676,47 @@ class ShardedQueryService:
                 return BackendAnswer((), stats.comparisons)
             raise DatabaseError("descent reached no populated leaf")
         names = [leaf.name for leaf in leaves]
-        base = {"features": pack_array(request.features), "leaves": names}
+        message = {
+            "op": "probe",
+            "features": pack_array(request.features),
+            "leaves": names,
+            "k": int(request.k),
+        }
         if ann_active:
-            base["nprobe"] = int(request.nprobe)
+            message["nprobe"] = int(request.nprobe)
             if request.rerank_k is not None:
-                base["rerank_k"] = int(request.rerank_k)
+                message["rerank_k"] = int(request.rerank_k)
         with _Phase("probe", explain):
-            probe, missing = self._scatter(
-                dict(base, op="probe"), deadline, sink=explain
-            )
-        self._require_responses(probe, missing)
-
-        # Per-leaf fallback decision at *global* scope: a leaf scans all
-        # entries only when its signature bucket is empty on every
-        # responding shard — the sharded equivalent of candidate_rows.
-        empty = [
-            name
-            for name in names
-            if all(
-                response["leaves"][name]["bucket"] == 0
-                for response in probe.values()
-            )
-        ]
-        scan: dict[int, dict] = {}
-        if empty:
-            with _Phase("scan", explain):
-                scan, scan_missing = self._scatter(
-                    dict(base, op="scan", leaves=empty),
-                    deadline,
-                    shard_ids=sorted(probe),
-                    sink=explain,
-                )
-            missing |= scan_missing
-            # Keep the per-leaf view consistent: only shards that
-            # answered both phases contribute candidates.
-            probe = {sid: probe[sid] for sid in probe if sid in scan}
-            self._require_responses(probe, missing)
+            responses, missing = self._scatter(message, deadline, sink=explain)
+        self._require_responses(responses, missing)
 
         with _Phase("merge", explain):
-            approx_comparisons = 0
-            ann_degraded = False
-            for source in (probe, scan):
-                for response in source.values():
-                    approx_comparisons += int(
-                        response.get("approx_comparisons", 0)
-                    )
-                    ann_degraded = ann_degraded or bool(
-                        response.get("ann_degraded", False)
-                    )
-
-            merged: list[list] = []
-            seen: set[tuple[str, int]] = set()
             comparisons = stats.comparisons
-            for name in names:
-                source = scan if name in empty else probe
-                candidates: list[list] = []
-                for response in source.values():
-                    candidates.extend(response["leaves"][name]["candidates"])
-                # Ascending global ordinal == the unsharded bucket/
-                # insertion order (within-shard orders are
-                # order-preserving subsets).
-                candidates.sort(key=lambda item: item[0])
-                kept = 0
-                for item in candidates:
-                    shot_key = (item[1], int(item[2]))
-                    if shot_key in seen:
-                        continue
-                    seen.add(shot_key)
-                    merged.append(item)
-                    kept += 1
-                comparisons += kept
-            merged.sort(key=lambda item: item[4], reverse=True)  # stable
-            hits = self._ranked_shots(merged[: request.k])
-        # ``reranked`` is computed at merge (deduplicated kept
-        # candidates = the exact tail's scored rows), matching the
-        # single-process QueryStats contract.
-        reranked = comparisons - stats.comparisons if ann_active else 0
+            approx_comparisons = 0
+            merged: list[tuple] = []
+            for position, name in enumerate(names):
+                answers = [response["leaves"][name] for response in responses.values()]
+                # candidate_rows at global scope: a leaf ranks the shards
+                # whose bucket is non-empty, or every shard when all are.
+                kept = [answer for answer in answers if answer["bucket"]] or answers
+                for answer in kept:
+                    comparisons += answer["count"]
+                    approx_comparisons += answer["approx"]
+                    merged.extend(
+                        (-item[4], position, item[0], item)
+                        for item in answer["candidates"]
+                    )
+            # Visit order ties off equal scores: leaf by leaf, then
+            # ascending global ordinal (each shard's rows are an
+            # order-preserving subset of the unsharded leaf).
+            merged.sort()
+            hits = self._ranked_shots([ranked[3] for ranked in merged[: request.k]])
         return BackendAnswer(
             hits,
             comparisons,
             approx_comparisons,
-            reranked,
-            ann_degraded,
+            comparisons - stats.comparisons if ann_active else 0,
+            any(response["ann_degraded"] for response in responses.values()),
             tuple(sorted(missing)),
         )
 

@@ -9,8 +9,7 @@ op          semantics
 ========== =========================================================
 ``ping``    liveness probe
 ``records`` the shard's registration records (coordinator metadata)
-``probe``   per-leaf *bucket-only* candidates for a query vector
-``scan``    per-leaf *all-entries* candidates (global bucket fallback)
+``probe``   per-leaf local top-k candidates + bucket and scan counts
 ``flat``    local Eq. (24) top-k under global ordinals
 ``scene``   local scene-centroid top-k
 ``sample``  evenly spaced feature vectors (loadgen pools)
@@ -38,9 +37,12 @@ which the ``metrics`` op exposes for cluster-wide scraping.
 Candidates always carry **global** identities (flat ordinal, title,
 shot/scene ids) and kernel-exact scores, and nothing else: no 266-d row
 or scene centroid crosses the shard wire in an answer, so a stored
-probe's ``probe`` / ``scan`` / ``scene`` reads no 266-d block (see
+probe's ``probe`` / ``scene`` reads no 266-d block (see
 ``docs/SHARDING.md``).  Arrays cross it only as a *query* vector and as
-the ``sample`` op's pool.
+the ``sample`` op's pool.  A ``probe`` leaf scans the local bucket, or
+every local row when that bucket is empty, and ships only its ``k``
+best: the coordinator applies the global empty-bucket rule to the
+reported bucket sizes, so a shot query is one round.
 
 The worker runs threaded (one thread per coordinator connection) and
 can be embedded in-process for tests or launched as
@@ -64,8 +66,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.ann.index import resolve_ann
+from repro.core.kernels import top_k
 from repro.database.index import IndexNode
-from repro.errors import DatabaseError, ReproError
+from repro.errors import BadRequestError, DatabaseError, ReproError
 from repro.resilience.faults import fault_point
 from repro.net.protocol import (
     pack_array,
@@ -311,49 +314,40 @@ class ShardWorker:
         return {"ok": True, "generation": self._generation, "records": records}
 
     def _op_probe(self, request: dict, tracer=NULL_TRACER) -> dict:
-        return self._leaf_candidates(request, fallback=False, tracer=tracer)
+        """Each requested leaf's ``k`` best local candidates, in one round.
 
-    def _op_scan(self, request: dict, tracer=NULL_TRACER) -> dict:
-        return self._leaf_candidates(request, fallback=True, tracer=tracer)
-
-    def _leaf_candidates(
-        self, request: dict, fallback: bool, tracer=NULL_TRACER
-    ) -> dict:
-        """Per-leaf candidates: global identities and kernel-exact scores.
-
-        Each leaf's candidates come in ascending global ordinal (the
-        natural local order), which is what the coordinator's per-leaf
-        merge relies on.
-
-        When the request carries ``nprobe``, the per-shard ANN tier
-        prunes the candidate set before exact scoring.  The reported
-        ``bucket`` stays the *true* bucket size (not the survivor
-        count) so the coordinator's global empty-bucket fallback
-        decision is unchanged, and survivors keep their kernel-exact
-        scores — with ``nprobe`` covering every cell and no re-rank
-        cap, the response is byte-identical to the exact one.  A leaf
-        whose ANN state cannot load answers exactly with
-        ``ann_degraded`` set.
+        A leaf scans the query's local bucket, or every local row when
+        that bucket is empty; whether the coordinator keeps those rows
+        depends on the other shards' buckets, so each leaf reports its
+        true ``bucket`` size beside ``count`` (rows scored exactly) and
+        ``approx`` (ANN evaluations).  When the request carries
+        ``nprobe``, the per-shard ANN tier prunes the rows before exact
+        scoring; with ``nprobe`` covering every cell and no re-rank cap
+        the answer is the exact one.  A leaf whose ANN state cannot load
+        answers exactly with ``ann_degraded`` set.  Candidates come best
+        first, ties by ascending global ordinal (``core.kernels.top_k``
+        over rows in local order).
         """
+        if "k" not in request:
+            raise BadRequestError("probe needs k")
+        k = int(request["k"])
         state = self._state
         features = unpack_array(request["features"])
         nprobe = request.get("nprobe")
         rerank_k = request.get("rerank_k")
-        approx_comparisons = 0
         ann_degraded = False
         per_leaf: dict[str, dict] = {}
         for name in request.get("leaves", []):
             node = state.leaves.get(name)
             if node is None:
-                per_leaf[name] = {"bucket": 0, "candidates": []}
+                per_leaf[name] = {"bucket": 0, "count": 0, "approx": 0, "candidates": []}
                 continue
             with tracer.span("worker.leaf", leaf=name) as leaf_span:
                 leaf = node.leaf
                 assert leaf is not None
-                # None scans every row: the coordinator found the
-                # query's bucket empty on every shard.
-                rows = None if fallback else leaf.bucket_rows(features)
-                bucket_size = len(leaf) if rows is None else int(rows.size)
+                rows = leaf.candidate_rows(features)
+                bucket = 0 if rows is None else int(rows.size)
+                evals = 0
                 if nprobe is not None:
                     ann, degraded = resolve_ann(node)
                     ann_degraded = ann_degraded or degraded
@@ -362,32 +356,29 @@ class ShardWorker:
                             base = np.arange(len(leaf)) if rows is None else rows
                             rows, evals = ann.search_rows(features, base, nprobe, rerank_k)
                             prune_span.set(evals=evals, survivors=len(rows))
-                        approx_comparisons += evals
-                leaf_span.set(bucket=bucket_size)
+                leaf_span.set(bucket=bucket)
                 count = len(leaf) if rows is None else int(rows.size)
+                answer = {"bucket": bucket, "count": count, "approx": evals, "candidates": []}
+                per_leaf[name] = answer
                 if not count:
-                    per_leaf[name] = {"bucket": bucket_size, "candidates": []}
                     continue
                 with tracer.span("score.exact", rows=count):
                     scores = leaf.scan(features, rows)
-                pick = slice(None) if rows is None else rows
-                per_leaf[name] = {
-                    "bucket": bucket_size,
-                    "candidates": list(
-                        zip(
-                            state.global_ords[leaf.ordinals[pick]].tolist(),
-                            leaf.titles[pick].tolist(),
-                            leaf.shot_ids[pick].tolist(),
-                            leaf.scene_ids[pick].tolist(),
-                            scores.tolist(),
-                        )
-                    ),
-                }
+                best = top_k(scores, k)
+                picked = best if rows is None else rows[best]
+                answer["candidates"] = list(
+                    zip(
+                        state.global_ords[leaf.ordinals[picked]].tolist(),
+                        leaf.titles[picked].tolist(),
+                        leaf.shot_ids[picked].tolist(),
+                        leaf.scene_ids[picked].tolist(),
+                        scores[best].tolist(),
+                    )
+                )
         return {
             "ok": True,
             "generation": self._generation,
             "leaves": per_leaf,
-            "approx_comparisons": approx_comparisons,
             "ann_degraded": ann_degraded,
         }
 

@@ -1,10 +1,10 @@
-"""RPC batching contract: one framed request per shard per phase.
+"""RPC batching contract: one framed request per shard, one round.
 
 The coordinator must never fan out per *leaf* — a beam-2 descent
-visiting several leaves still costs exactly one ``probe`` round-trip
-per shard, plus (only when some leaf's bucket is empty on every shard)
-one ``scan`` round-trip per shard.  The ANN knobs ride inside the same
-frames.  These tests wrap the live endpoints and count.
+visiting several leaves costs exactly one ``probe`` round-trip per
+shard, also when some leaf's bucket is empty on every shard.  The ANN
+knobs and ``k`` ride inside the same frame.  These tests wrap the live
+endpoints and count.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def record_calls(service):
 
 
 def feature_ops(calls):
-    """The probe/scan subset of a call record, as (shard_id, op) pairs."""
-    return [(sid, op) for sid, op, _req in calls if op in ("probe", "scan")]
+    """Every op of a call record but ``records``, as (shard_id, op) pairs."""
+    return [(sid, op) for sid, op, _req in calls if op != "records"]
 
 
 def test_bucket_hit_costs_one_probe_per_shard(make_harness, probes):
@@ -58,18 +58,18 @@ def test_bucket_hit_costs_one_probe_per_shard(make_harness, probes):
     assert len(leaf_counts) == 1  # every shard got the identical leaf list
 
 
-def test_empty_buckets_add_one_scan_per_shard(make_harness, probes):
+def test_empty_buckets_cost_no_second_round(make_harness, probes):
     harness = make_harness(3)
     unseen = probes[-1]  # misses every bucket: global fallback fires
     with record_calls(harness.service) as calls:
         result = harness.service.query(
-            QueryRequest(kind="shot", features=unseen)
+            QueryRequest(kind="shot", features=unseen, k=7)
         )
     assert result.hits
     ops = feature_ops(calls)
     assert sorted(sid for sid, op in ops if op == "probe") == [0, 1, 2]
-    assert sorted(sid for sid, op in ops if op == "scan") == [0, 1, 2]
-    assert len(ops) == 6  # one round-trip per shard per phase, no more
+    assert len(ops) == 3  # one round-trip per shard, no more
+    assert all(req["k"] == 7 for _sid, op, req in calls if op == "probe")
 
 
 def test_ann_query_stays_one_round_trip_per_shard_per_phase(
@@ -89,5 +89,4 @@ def test_ann_query_stays_one_round_trip_per_shard_per_phase(
         if op == "probe":
             assert req["nprobe"] == 4
             assert req["rerank_k"] == 8
-    scan_ops = [pair for pair in ops if pair[1] == "scan"]
-    assert len(scan_ops) in (0, 2)  # absent, or once per shard
+    assert len(ops) == 2  # nothing but the probes

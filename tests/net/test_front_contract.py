@@ -116,7 +116,7 @@ def test_shard_answers_carry_no_feature_payload(harness, reference):
     probe = reference.sample_features(1)[0]
     worker = harness.workers[0]
     leaves = list(worker._state.leaves)  # noqa: SLF001
-    for op in ("probe", "scan", "flat", "scene"):
+    for op in ("probe", "flat", "scene"):
         request = {"op": op, "features": pack_array(probe), "k": 10, "leaves": leaves}
         response = worker._dispatch(request)  # noqa: SLF001
         assert response["ok"] and (response.get("candidates") or response["leaves"])

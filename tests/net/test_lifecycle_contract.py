@@ -88,6 +88,9 @@ class TestLifecycleContract:
         explicit = front.query(
             QueryRequest(kind="shot", features=probes[2], nprobe=4, rerank_k=8)
         )
+        # A transient answer is never cached: name the shard error behind one.
+        last_errors = getattr(front, "_last_errors", {})
+        assert not implicit.degraded and not implicit.shards_missing, last_errors
         assert explicit.cache_hit  # same resolved identity
         assert keys(explicit) == keys(implicit)
         assert len(front.cache) == 1

@@ -31,7 +31,7 @@ resident — and still not resident after a flat scan has read every one
 of them, because the scan gives the pages back as it moves on
 (they were all resident while it did not).  The same script over an
 embedded two-worker fleet — the probes go through ``ShardedQueryService``
-as ``probe`` / ``scan`` / ``scene`` / ``flat`` ops — must read the same: a
+as ``probe`` / ``scene`` / ``flat`` ops — must read the same: a
 shard answer carries identities and scores, so a worker reads no 266-d
 row but for its flat scan, which gives them back too.
 
@@ -323,7 +323,7 @@ figures["blocks_after_flat"] = resident(blocks)
 if mode == "fleet":
     figures["ops"] = {
         op: sum(worker._op_requests.labels(op=op).value for worker in workers)
-        for op in ("probe", "scan", "scene", "flat")
+        for op in ("probe", "scene", "flat")
     }
 print(json.dumps(figures))
 """
@@ -363,8 +363,8 @@ def test_an_opened_store_keeps_the_rows_it_never_scores_on_disk(tmp_path):
 
 
 def test_a_shard_worker_keeps_the_rows_it_never_scores_on_disk(tmp_path):
-    """The same probes through two embedded workers: ``probe`` / ``scan`` /
-    ``scene`` answers ship no row, so none is read (100 % resident while the
+    """The same probes through two embedded workers: ``probe`` / ``scene``
+    answers ship no row, so none is read (100 % resident while the
     local top-k's 266-d rows were packed into every answer), and the ``flat``
     op's scan gives back what it read."""
     from repro.net.shard import build_shards
@@ -376,7 +376,7 @@ def test_a_shard_worker_keeps_the_rows_it_never_scores_on_disk(tmp_path):
     del database
     figures = _measure(str(tmp_path), "fleet", script=_STORED_SCRIPT)
     ops = figures["ops"]
-    assert ops["probe"] and ops["scan"] and ops["scene"] and ops["flat"], figures
+    assert ops["probe"] and ops["scene"] and ops["flat"], figures
     _assert_266d_rows_stayed_on_disk(figures)
 
 
