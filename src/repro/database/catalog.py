@@ -10,6 +10,7 @@ access controller.
 from __future__ import annotations
 
 import mmap
+import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -460,3 +461,13 @@ class VideoDatabase:
     def search_flat(self, features: np.ndarray, k: int = 10) -> QueryResult:
         """Baseline linear scan (no hierarchy, no access filter)."""
         return self.flat_index.search(features, k=k)
+
+
+def close_when_released(database: VideoDatabase, holder: object | None) -> None:
+    """Close a superseded ``database`` now (``holder`` None: nothing pinned
+    it) or as ``holder`` — what readers pin its generation through, a
+    snapshot or a shard's state, in no reference cycle — is freed."""
+    if holder is None:
+        database.close()
+    else:
+        weakref.finalize(holder, database.close)

@@ -14,7 +14,7 @@ op          semantics
 ``scene``   local scene-centroid top-k
 ``sample``  evenly spaced feature vectors (loadgen pools)
 ``metrics`` the worker registry's wire dump (cluster-metrics scrape)
-``reload``  reopen the shard database (new generation on disk)
+``reload``  reopen the shard database; the old one closes once no request holds it
 ``drain``   finish in-flight requests, refuse new ones, exit cleanly
 ========== =========================================================
 
@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.ann.index import resolve_ann
 from repro.core.kernels import top_k
+from repro.database.catalog import close_when_released
 from repro.database.index import IndexNode
 from repro.errors import BadRequestError, DatabaseError, ReproError
 from repro.resilience.faults import fault_point
@@ -139,7 +140,6 @@ class ShardWorker:
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._inflight_idle = threading.Condition(self._inflight_lock)
-        self._db_closed = False
         self._server = ConnectionServer((host, port), self._serve_connection)
         self._thread: threading.Thread | None = None
 
@@ -211,14 +211,7 @@ class ShardWorker:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        self._close_database()
-
-    def _close_database(self) -> None:
-        with self._state_lock:
-            if self._db_closed:
-                return
-            self._db_closed = True
-        self._state.database.close()
+        self._state.database.close()  # idempotent: a drain may have closed it
 
     # -- graceful drain ------------------------------------------------
 
@@ -242,7 +235,7 @@ class ShardWorker:
                     break  # grace exhausted: sever what is left
                 self._inflight_idle.wait(timeout=min(remaining, 0.1))
         self._server.server_close()
-        self._close_database()
+        self._state.database.close()
         self._drained.set()
 
     # -- dispatch ------------------------------------------------------
@@ -307,9 +300,9 @@ class ShardWorker:
         }
 
     def _op_records(self, request: dict, tracer=NULL_TRACER) -> dict:
+        state = self._state  # pinned: a reload closes what no request holds
         records = {
-            title: record.to_json()
-            for title, record in self._state.database.videos.items()
+            title: record.to_json() for title, record in state.database.videos.items()
         }
         return {"ok": True, "generation": self._generation, "records": records}
 
@@ -438,7 +431,8 @@ class ShardWorker:
         }
 
     def _op_sample(self, request: dict, tracer=NULL_TRACER) -> dict:
-        sample = self._state.database.flat_index.sample(max(1, int(request.get("n", 16))))
+        state = self._state
+        sample = state.database.flat_index.sample(max(1, int(request.get("n", 16))))
         return {"ok": True, "features": [pack_array(features) for features in sample]}
 
     def _op_reload(self, request: dict, tracer=NULL_TRACER) -> dict:
@@ -447,10 +441,9 @@ class ShardWorker:
             previous = self._state
             self._state = fresh
             self._generation += 1
-        # In-flight requests on other threads may still read the old
-        # state object; its handles are released when they finish and
-        # the reference drops.  Closing eagerly would race them.
-        del previous
+        # A request in flight holds the old state for its whole answer: the
+        # old database closes as the last of them lets go (none: right here).
+        close_when_released(previous.database, previous)
         return {"ok": True, "generation": self._generation}
 
     def _op_drain(self, request: dict, tracer=NULL_TRACER) -> dict:
@@ -542,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     # shut the server down; let it finish quiescing, then exit cleanly.
     if worker.draining:
         worker.join_drained(timeout=15.0)
-    worker._close_database()
+    worker._state.database.close()
     return 0
 
 

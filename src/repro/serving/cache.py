@@ -129,6 +129,7 @@ class ResultCache:
         self._misses = 0
         self._evictions = 0
         self._stale_evictions = 0
+        self._generation = 0  # the newest one evict_other_generations kept
 
     @property
     def capacity(self) -> int:
@@ -160,8 +161,11 @@ class ResultCache:
             return self._entries.get(key)
 
     def put(self, key: CacheKey, value: Any) -> None:
-        """Insert (or refresh) an entry, evicting the LRU tail if full."""
+        """Insert (or refresh) an entry, evicting the LRU tail if full; an
+        answer whose generation was superseded while it ran is not kept."""
         with self._lock:
+            if key.generation < self._generation:
+                return  # it can never hit, and would pin that generation's rows
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
@@ -176,6 +180,7 @@ class ResultCache:
         correctness never depends on it.  Returns entries removed.
         """
         with self._lock:
+            self._generation = generation
             stale = [key for key in self._entries if key.generation != generation]
             for key in stale:
                 del self._entries[key]

@@ -220,7 +220,8 @@ class QueryServer:
 
     def sample_features(self, n: int = 16) -> list[np.ndarray]:
         """Evenly spaced stored feature vectors (loadgen pools)."""
-        return self._manager.current().flat.sample(n)
+        snapshot = self._manager.current()  # pinned: sampling may load leaves
+        return snapshot.flat.sample(n)
 
     def metrics_text(self) -> str:
         """Prometheus exposition of this server's registry."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.database.access import AccessController, User
-from repro.database.catalog import RegisteredVideo, VideoDatabase
+from repro.database.catalog import RegisteredVideo, VideoDatabase, close_when_released
 from repro.database.events_query import EventHit, query_event_records
 from repro.database.flat import FlatIndex
 from repro.database.index import IndexNode
@@ -214,14 +214,6 @@ def build_snapshot(database: VideoDatabase, generation: int) -> Snapshot:
     )
 
 
-def _close_quietly(database: VideoDatabase) -> None:
-    """Close a database's storage handles; never raise."""
-    try:
-        database.close()
-    except Exception:  # pragma: no cover - best-effort cleanup
-        _LOGGER.warning("retired database close failed", exc_info=True)
-
-
 #: Callback invoked with the freshly installed snapshot after a swap.
 SnapshotListener = Callable[[Snapshot], None]
 
@@ -260,9 +252,14 @@ class SnapshotManager:
     to that.  A catalog rewritten on disk (``classminer migrate``, an
     external ingest) is therefore actually picked up — reusing stale
     mmap views of superseded feature blocks is exactly the headroom
-    ROADMAP item 1 left open.  The immediately superseded database is
-    kept open until the *next* successful swap (in-flight queries may
-    still hold its lazy loaders); anything older is closed.
+    ROADMAP item 1 left open.
+
+    A superseded database closes as the last query pinning its snapshot
+    lets go (a query pins one for its whole request, lazy leaf, scene
+    and ANN loads after the swap included): inside the swap when none
+    does, else on that query's thread as it returns, never under a lock
+    ``close()`` takes.  The price: a long query pins its generation's
+    memory until it returns.
     """
 
     def __init__(
@@ -274,7 +271,6 @@ class SnapshotManager:
         self._lock = threading.RLock()  # current() re-enters through refresh()
         self._state = _ManagerState(database=database)
         self._reopen = reopen
-        self._retired: list[VideoDatabase] = []
         self._breaker = (
             breaker
             if breaker is not None
@@ -326,49 +322,28 @@ class SnapshotManager:
         """Build the next generation from the live database and swap it in.
 
         With a ``reopen`` callable configured, the generation is built
-        against freshly opened handles instead; the superseded database
-        is retired (see :meth:`_retire`).  A failed build closes the
-        fresh handles and leaves everything as it was.
+        against freshly opened handles instead.  A failed build closes
+        the fresh handles and leaves everything as it was.
         """
         with self._lock:
             if self._reopen is None:
                 return self._swap(self._state.database)
             fresh = self._reopen()
-            previous = self._state.database
             try:
-                snapshot = self._swap(fresh)
+                return self._swap(fresh)
             except BaseException:
-                if fresh is not previous:
-                    _close_quietly(fresh)
+                if fresh is not self._state.database:
+                    fresh.close()
                 raise
-            self._state.database = fresh
-            if fresh is not previous:
-                self._retire(previous)
-            return snapshot
 
     def install(self, database: VideoDatabase) -> Snapshot:
-        """Replace the backing database (ingest rebuilds one) and refresh."""
-        with self._lock:
-            previous = self._state.database
-            self._state.database = database
-            snapshot = self._swap(database)
-            # Only after a successful swap: a failed one leaves readers
-            # on the previous generation, whose handles must stay open.
-            if self._reopen is not None and database is not previous:
-                self._retire(previous)
-            return snapshot
+        """Replace the backing database (ingest rebuilds one) and refresh.
 
-    def _retire(self, database: VideoDatabase) -> None:
-        """Queue a superseded database's handles for closing.
-
-        The most recently retired database stays open — query threads
-        racing the swap may still resolve lazy loaders against it —
-        and is closed on the following retirement, by which point no
-        reader can still reach its snapshot.
+        A failed build leaves everything as it was; ``database`` stays
+        the caller's to close.
         """
-        self._retired.append(database)
-        while len(self._retired) > 1:
-            _close_quietly(self._retired.pop(0))
+        with self._lock:
+            return self._swap(database)
 
     def _swap(self, database: VideoDatabase) -> Snapshot:
         if not self._breaker.allow():
@@ -392,9 +367,12 @@ class SnapshotManager:
                 raise
             raise ServingError(f"snapshot rebuild failed: {exc}") from exc
         self._breaker.record_success()
-        self._state.last_error = None
+        previous, superseded = self._state.database, self._state.snapshot
+        self._state.database, self._state.last_error = database, None
         self._state.generation = snapshot.generation
         self._state.snapshot = snapshot  # the atomic publish
+        if self._reopen is not None and database is not previous:
+            close_when_released(previous, superseded)  # see the class docstring
         listeners = list(self._state.listeners)
         for listener in listeners:
             listener(snapshot)

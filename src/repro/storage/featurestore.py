@@ -128,7 +128,7 @@ class FeatureStore:
         )
         self._gauge = registry.gauge(
             "storage_block_open_mmaps",
-            "Feature blocks currently memory-mapped.",
+            "Feature blocks held open by every feature store in the process.",
         )
 
     @property
@@ -212,11 +212,12 @@ class FeatureStore:
             ) from exc
         with self._lock:
             self._misses.inc()
+            held = len(self._open)
             self._open[sha] = block
             self._open.move_to_end(sha)
             while len(self._open) > self._max_open:
                 self._open.popitem(last=False)
-            self._gauge.set(len(self._open))
+            self._gauge.inc(len(self._open) - held)
         return block
 
     def verify(self, sha: str) -> None:
@@ -245,8 +246,8 @@ class FeatureStore:
     def delete(self, sha: str) -> bool:
         """Drop one block (and any open handle); True when removed."""
         with self._lock:
-            self._open.pop(sha, None)
-            self._gauge.set(len(self._open))
+            if self._open.pop(sha, None) is not None:
+                self._gauge.inc(-1)
         path = self.path_for(sha)
         if not path.exists():
             return False
@@ -256,8 +257,8 @@ class FeatureStore:
     def close(self) -> None:
         """Release every open mmap handle."""
         with self._lock:
+            self._gauge.inc(-len(self._open))
             self._open.clear()
-            self._gauge.set(0)
 
     @property
     def open_count(self) -> int:

@@ -68,6 +68,14 @@ class TestGenerations:
         assert cache.get(_key(3, generation=2)) == "new"
         assert cache.stats().stale_evictions == 2
 
+    def test_an_answer_finished_after_its_generation_is_not_kept(self):
+        cache = ResultCache(capacity=8)
+        cache.evict_other_generations(2)
+        cache.put(_key(1, generation=1), "in flight across the swap")
+        cache.put(_key(2, generation=2), "current")
+        assert len(cache) == 1
+        assert cache.get(_key(2, generation=2)) == "current"
+
 
 class TestScopeTokens:
     def test_anonymous_token(self):

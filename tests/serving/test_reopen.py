@@ -4,12 +4,20 @@
 against freshly opened handles (new SQLite connection, new mmaps) —
 not against the stale views of the superseded files.  This is the
 ``classminer migrate``/external-reingest scenario.
+
+A superseded generation stays open exactly as long as a query holds its
+snapshot: it answers bit for bit after the swap, lazy first touches
+included, and its catalog closes the moment the last holder lets go —
+by reference count alone, with the cycle collector off.
 """
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.errors import StorageError
 from repro.serving.server import QueryRequest, QueryServer, ServerConfig
 from repro.serving.snapshot import SnapshotManager
 from repro.storage import SQLVideoDatabase, build_synthetic_database, save_database
@@ -84,3 +92,57 @@ class TestGenerationalReopen:
             (h.entry.video_title, h.entry.shot_id, h.score)
             for h in baseline.hits
         ]
+
+
+def _shots(result) -> list:
+    return [(h.entry.video_title, h.entry.shot_id, h.score) for h in result.hits]
+
+
+def _scenes(hits) -> list:
+    return [(h.entry.video_title, h.entry.scene_id, h.score) for h in hits]
+
+
+class TestRetirement:
+    def test_a_held_generation_answers_then_closes_when_let_go(
+        self, stored, reopening_server
+    ):
+        reference = SQLVideoDatabase.open(stored)
+        try:
+            probe = reference.flat_index.entries[5].features
+            shots = _shots(reference.search(probe, k=5))
+            flat = _shots(reference.search_flat(probe, k=5))
+            scenes = _scenes(reference.scene_index.search(probe, k=3))
+        finally:
+            reference.close()
+        manager = reopening_server.manager
+        held = manager.current()
+        catalog = manager.database.catalog
+        assert catalog.features.open_count == 0  # no leaf nor scene touched yet
+
+        assert manager.refresh().generation == held.generation + 1
+        # The first touches of leaves and of the scene table happen
+        # after the swap, against the superseded generation's handles.
+        assert _shots(held.search(probe, k=5)) == shots
+        assert _scenes(held.search_scenes(probe, k=3)) == scenes
+        assert _shots(held.search_flat(probe, k=5)) == flat
+        assert catalog.features.open_count > 0
+
+        gc.disable()
+        try:
+            del held  # the last holder: refcount alone closes the catalog
+            with pytest.raises(StorageError, match="closed"):
+                catalog.meta("schema_version")
+            assert catalog.features.open_count == 0
+        finally:
+            gc.enable()
+
+    def test_a_generation_no_query_holds_closes_inside_the_swap(
+        self, reopening_server
+    ):
+        manager = reopening_server.manager
+        manager.current()
+        catalog = manager.database.catalog
+        manager.refresh()
+        with pytest.raises(StorageError, match="closed"):
+            catalog.meta("schema_version")
+        manager.database.catalog.meta("schema_version")  # the live one answers

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IntegrityError, ReproError, StorageError
+from repro.obs.registry import get_registry
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.integrity import file_digest
 from repro.storage import FeatureStore
@@ -191,6 +192,30 @@ class TestLRU:
         store.open(ref.sha)
         store.close()
         assert store.open_count == 0
+
+    def test_the_open_mmaps_gauge_counts_every_store(self, tmp_path):
+        """Stores share one process-wide gauge (a reader beside a writer,
+        two generations, in-process shards): each moves it by what its own
+        LRU gains and loses, so a retired store's close leaves the live
+        store's count standing."""
+        gauge = get_registry().gauge("storage_block_open_mmaps")
+        base = gauge.value
+        retired, live = FeatureStore(tmp_path / "a", max_open=2), FeatureStore(tmp_path / "b")
+        retired_refs = [retired.put(_block(seed)) for seed in range(3)]
+        live_refs = [live.put(_block(seed)) for seed in range(3, 6)]
+        for ref in retired_refs:  # the third open evicts the first
+            retired.open(ref.sha)
+        for ref in live_refs:
+            live.open(ref.sha)
+        live.open(live_refs[0].sha)  # a hit maps nothing
+        assert gauge.value == base + 5
+        assert live.delete(live_refs[1].sha)
+        retired.delete(retired_refs[0].sha)  # evicted already: not counted twice
+        assert gauge.value == base + 4
+        retired.close()
+        assert gauge.value == base + live.open_count == base + 2
+        live.close()
+        assert gauge.value == base
 
 
 class TestVerifyDelete:

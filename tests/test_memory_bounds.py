@@ -35,6 +35,12 @@ as ``probe`` / ``scene`` / ``flat`` ops — must read the same: a
 shard answer carries identities and scores, so a worker reads no 266-d
 row but for its flat scan, which gives them back too.
 
+A refreshing reader holds one generation, not two: a superseded
+generation's blocks leave ``/proc/self/smaps`` as the last query on it
+returns, with the cycle collector off (they stayed mapped and resident
+until the next swap while the manager retired a generation one publish
+late).
+
 The write path has its own bound: one ingest worker's job — render a
 corpus title, mine it, save the artifact — in a fresh interpreter, by
 ``VmHWM``.  It was 157 MiB while ``scipy.signal`` rode along for two
@@ -378,6 +384,93 @@ def test_a_shard_worker_keeps_the_rows_it_never_scores_on_disk(tmp_path):
     ops = figures["ops"]
     assert ops["probe"] and ops["scene"] and ops["flat"], figures
     _assert_266d_rows_stayed_on_disk(figures)
+
+
+_REFRESH_SCRIPT = r"""
+import gc, json, sys, threading, time
+from pathlib import Path
+import numpy as np
+from repro.serving import QueryServer, SnapshotManager
+from repro.serving.engine import QueryRequest
+from repro.storage import SQLVideoDatabase, build_synthetic_database, save_database
+
+gc.disable()  # a superseded generation must go by reference count alone
+root = Path(sys.argv[1])
+dirs = [root / f"generation-{n}" for n in range(4)]
+
+
+def publish(n):
+    database = build_synthetic_database(videos=40 + 10 * n, shots_per_video=8, seed=n)
+    save_database(database, dirs[n])
+    return database
+
+
+probes = [e.features for e in publish(0).flat_index.entries[::7]]
+published = [0]
+manager = SnapshotManager(
+    SQLVideoDatabase.open(dirs[0]), reopen=lambda: SQLVideoDatabase.open(dirs[published[-1]])
+)
+server = QueryServer(manager=manager).start()
+manager.current()  # generation 1, over dirs[0]
+answered = [0]  # generation of the reader's last answer
+stop = threading.Event()
+
+
+def read():
+    turn = 0
+    while not stop.is_set():
+        kind = ("shot", "scene", "shot_flat")[turn % 3]
+        probe = np.roll(probes[turn % len(probes)], turn // len(probes))  # mostly novel
+        answered[0] = server.query(QueryRequest(kind, probe, k=5)).generation
+        turn += 1
+
+
+def resident(directory):
+    # (mapped, resident) bytes of the feature-block files under ``directory``.
+    size = rss = 0
+    ours = False
+    prefix = str(directory / "features") + "/"
+    for line in open("/proc/self/smaps"):
+        head = line.split()
+        if "-" in head[0] and not head[0].endswith(":"):
+            ours = len(head) > 5 and head[5].startswith(prefix)
+        elif ours and head[0] == "Size:":
+            size += 1024 * int(head[1])
+        elif ours and head[0] == "Rss:":
+            rss += 1024 * int(head[1])
+    return size, rss
+
+
+reader = threading.Thread(target=read)
+reader.start()
+for n in range(1, 4):
+    while answered[0] < manager.generation and reader.is_alive():  # it reads the live one
+        time.sleep(0.01)
+    publish(n)
+    published.append(n)
+    server.refresh()
+deadline = time.monotonic() + 60
+while answered[0] < manager.generation and time.monotonic() < deadline:
+    time.sleep(0.01)  # ...and has moved on from the last superseded one
+figures = {"generation": answered[0], "dirs": [resident(d) for d in dirs]}
+stop.set()
+reader.join(60)
+server.stop()
+print(json.dumps(figures))
+"""
+
+
+def test_a_superseded_generation_leaves_nothing_resident_once_readers_move_on(tmp_path):
+    """A reader thread beside three publishes, each into a fresh directory
+    followed by ``refresh()``: once the reader answers from the newest
+    generation, ``/proc/self/smaps`` shows no resident byte of any older
+    generation's block files (the previous one stayed open, mapped and
+    resident, while a swap retired it only at the next swap)."""
+    figures = _measure(str(tmp_path), script=_REFRESH_SCRIPT)
+    assert figures["generation"] == 4, figures
+    *superseded, (_, live) = figures["dirs"]
+    assert live > 0, figures  # the measurement sees what the live one reads
+    assert [rss for _, rss in superseded] == [0, 0, 0], figures
 
 
 #: ``VmHWM`` of one ingest job on ``face_repair`` (1 365 frames): the
