@@ -129,14 +129,6 @@ class TransitionGraph:
         """Directed edges ``(u, v)``, grouped by source in insertion order."""
         return [(u, v) for u, targets in self._successors.items() for v in targets]
 
-    def number_of_nodes(self) -> int:
-        """Node count."""
-        return len(self._successors)
-
-    def number_of_edges(self) -> int:
-        """Directed edge count."""
-        return sum(len(targets) for targets in self._successors.values())
-
 
 def build_transition_graph(
     shots: list[Shot], clusters: list[list[Shot]]

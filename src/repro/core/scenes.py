@@ -66,11 +66,6 @@ class Scene:
         return len(self.shots)
 
     @property
-    def group_count(self) -> int:
-        """Number of member groups."""
-        return len(self.groups)
-
-    @property
     def duration(self) -> float:
         """Total duration in seconds."""
         return sum(group.duration for group in self.groups)

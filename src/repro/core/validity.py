@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.groups import Group
 from repro.core.similarity import (
     SimilarityWeights,
-    group_similarity,
     group_similarity_matrix,
     group_similarity_to_many,
 )
@@ -66,15 +65,6 @@ def intra_cluster_distance(
         group_first=False,
     )
     return float((1.0 - similarities).mean())
-
-
-def inter_cluster_distance(
-    centroid_a: Group,
-    centroid_b: Group,
-    weights: SimilarityWeights = SimilarityWeights(),
-) -> float:
-    """xi_ij of Eq. (15): ``1 - GpSim`` between two centroids."""
-    return 1.0 - group_similarity(centroid_a.shots, centroid_b.shots, weights)
 
 
 def validity_index(

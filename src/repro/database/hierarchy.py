@@ -107,15 +107,6 @@ class ConceptNode:
             return [self]
         return [leaf for child in self.children for leaf in child.leaves()]
 
-    def is_ancestor_of(self, other: "ConceptNode") -> bool:
-        """True when ``other`` lies strictly below this node."""
-        node = other.parent
-        while node is not None:
-            if node is self:
-                return True
-            node = node.parent
-        return False
-
 
 #: Subject-area cluster for each corpus video (how a curator would shelve
 #: them under Fig. 2's "Medical Education" branch).

@@ -210,23 +210,3 @@ class SceneIndex:
             row = position if rows is None else int(rows[position])
             hits.append(RankedScene(entry=self.entry(row), score=float(scores[position])))
         return hits
-
-    def similar_scenes(
-        self, video_title: str, scene_id: int, k: int = 5
-    ) -> list[RankedScene]:
-        """Scenes most similar to an indexed scene (itself excluded)."""
-        table = self.table
-        found = np.flatnonzero(
-            (table.titles == video_title) & (table.scene_ids == scene_id)
-        )
-        if not found.size:
-            raise DatabaseError(f"scene {video_title}/{scene_id} is not indexed")
-        hits = self.search(table.centroids[found[0]], k=k + 1)
-        return [
-            hit
-            for hit in hits
-            if not (
-                hit.entry.video_title == video_title
-                and hit.entry.scene_id == scene_id
-            )
-        ][:k]

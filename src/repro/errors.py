@@ -39,8 +39,7 @@ fans out by subsystem:
     │   │   during a shard call).  *Not* transient: there is no budget
     │   │   left to retry with; the gateway maps the *type* to 504.
     │   └── ``NoShardAnsweredError`` — a scatter phase got no response
-    │       from any shard; the coordinator re-executes the query once
-    │       before letting it propagate.
+    │       from any shard; the query fails with it.
     ├── ``FaultInjectedError`` — raised only by an armed
     │   :class:`repro.resilience.FaultPlan`; production code never
     │   raises it, but must contain it like any other failure.
@@ -185,12 +184,10 @@ class DeadlineExpiredError(ServingError):
 class NoShardAnsweredError(ServingError):
     """A scatter got no response from any shard.
 
-    A query can straddle a rolling restart — every shard it reached was
-    draining or breaker-blocked, while the restarted shard is healthy
-    again by the time the scatter returns.  The
-    coordinator therefore re-executes the query once (deadline
-    permitting) before letting this propagate; a genuine full outage
-    fails identically on the second pass.
+    Each shard call has already spent its retry budget and every
+    breaker-blocked shard has had its last-resort attempt, so the query
+    fails; past its deadline the coordinator raises
+    :class:`DeadlineExpiredError` instead.
     """
 
 

@@ -30,7 +30,6 @@ __getattr__, __dir__ = lazy_exports(
             "ArtifactStore",
             "decode_result",
             "encode_result",
-            "results_equal",
         ),
         "repro.ingest.executor": ("JobOutcome", "run_jobs"),
         "repro.ingest.jobs": ("IngestJob", "cache_key", "jobs_for_titles"),
@@ -65,7 +64,6 @@ __all__ = [
     "ingest_jobs",
     "jobs_for_titles",
     "load_database",
-    "results_equal",
     "run_jobs",
     "store_for",
 ]

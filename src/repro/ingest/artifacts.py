@@ -732,14 +732,6 @@ class ArtifactStore:
         infos.sort(key=lambda info: info.modified, reverse=True)
         return infos
 
-    def remove(self, key: str) -> bool:
-        """Delete one artifact; returns whether anything was removed."""
-        path = self.path_for(key)
-        if not path.exists():
-            return False
-        shutil.rmtree(path)
-        return True
-
     def clear(self) -> int:
         """Delete every artifact; returns how many were removed."""
         count = len(self.list())
@@ -747,14 +739,3 @@ class ArtifactStore:
             shutil.rmtree(self._root)
         self._root.mkdir(parents=True, exist_ok=True)
         return count
-
-
-def results_equal(a: ClassMinerResult, b: ClassMinerResult) -> bool:
-    """Deep equality of two mined results (used to verify round-trips)."""
-    meta_a, arrays_a = encode_result(a)
-    meta_b, arrays_b = encode_result(b)
-    if meta_a != meta_b:
-        return False
-    if set(arrays_a) != set(arrays_b):
-        return False
-    return all(np.array_equal(arrays_a[name], arrays_b[name]) for name in arrays_a)

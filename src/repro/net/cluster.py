@@ -100,7 +100,6 @@ class ShardCluster:
         self.endpoints: list[ShardEndpoint] = []
         self._watchdog: Watchdog | None = None
         self._running = False
-        self._respawns = 0
         self._respawn_counts: dict[int, int] = {}
         self._restarts = 0
         # Spawn decisions (watchdog repair vs deliberate restart)
@@ -284,7 +283,6 @@ class ShardCluster:
                     continue  # booting may fail transiently; retry next tick
                 endpoint.reset(self._host, port)
                 repaired += 1
-                self._respawns += 1
                 self._respawn_counts[endpoint.shard_id] = (
                     self._respawn_counts.get(endpoint.shard_id, 0) + 1
                 )
@@ -408,11 +406,6 @@ class ShardCluster:
         return self._running
 
     @property
-    def respawns(self) -> int:
-        """Workers respawned by the watchdog so far."""
-        return self._respawns
-
-    @property
     def restarts(self) -> int:
         """Deliberate (drain-based) worker restarts so far."""
         return self._restarts
@@ -443,16 +436,12 @@ class ShardCluster:
         proc.send_signal(signal.SIGKILL)
         proc.wait()
 
-    def poke(self) -> int:
-        """Run one repair check synchronously (tests)."""
-        return self._repair()
-
     def describe(self) -> str:
         """Human-readable cluster status."""
         alive = set(self.alive())
         lines = [
             f"shard cluster: {len(alive)}/{self.spec.num_shards} workers "
-            f"alive, {self._respawns} respawns, {self._restarts} restarts"
+            f"alive, {sum(self._respawn_counts.values())} respawns, {self._restarts} restarts"
         ]
         for endpoint in self.endpoints:
             host, port = endpoint.address

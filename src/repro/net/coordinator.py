@@ -50,13 +50,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeout,
-    wait as wait_futures,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +109,6 @@ class CoordinatorConfig(ServerConfig):
         decorrelated jitter, every sleep bounded by the query's
         remaining deadline; only an exhausted budget charges the
         shard's circuit breaker.
-    hedge_after_ms:
-        Opt-in tail-latency hedge: when a shard call is still pending
-        after this many milliseconds, launch one backup request to the
-        same shard and take the first valid answer (both compute the
-        same bytes, so results stay bit-identical to the unhedged
-        path).  ``None`` (the default) disables hedging and skips its
-        executor entirely — the disarmed path is the plain direct call.
     """
 
     beam: int = 2
@@ -130,7 +117,6 @@ class CoordinatorConfig(ServerConfig):
     rpc_retries: int = 2
     rpc_backoff: float = 0.02
     rpc_max_delay: float = 0.25
-    hedge_after_ms: float | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -140,8 +126,6 @@ class CoordinatorConfig(ServerConfig):
             raise ServingError("rpc_retries must be >= 0")
         if self.rpc_backoff <= 0 or self.rpc_max_delay <= 0:
             raise ServingError("rpc backoff/max delay must be > 0")
-        if self.hedge_after_ms is not None and self.hedge_after_ms < 0:
-            raise ServingError("hedge_after_ms must be >= 0 (or None to disable)")
 
 
 class _Phase:
@@ -232,25 +216,18 @@ class ShardedQueryService:
             "Transient shard-call failures retried, by op.",
             labelnames=("op",),
         )
-        self._rpc_hedges_total = self._metrics.registry.counter(
-            "net_rpc_hedges_total",
-            "Backup shard calls launched against slow primaries, by op.",
-            labelnames=("op",),
-        )
+        self._shard_failures_total = self._metrics.registry.counter(
+            "net_shard_failures_total",
+            "Shard calls that failed or were skipped by a breaker.",
+        ).labels()  # listed at 0 before the first failure
+        self._degraded_responses_total = self._metrics.registry.counter(
+            "net_degraded_responses_total",
+            "Answers computed with at least one shard missing.",
+        ).labels()
         self._shard_up = self._metrics.registry.gauge(
             "net_shard_up",
             "1 when the shard's metrics scrape succeeded.",
             labelnames=("shard",),
-        )
-        # The hedge pool exists only when hedging is armed, so the
-        # default path stays a plain direct call (no future, no queue).
-        self._hedge_pool = (
-            ThreadPoolExecutor(
-                max_workers=max(4, 2 * len(endpoints)),
-                thread_name_prefix="hedge",
-            )
-            if self.config.hedge_after_ms is not None
-            else None
         )
         self._generation = 1
         self._records_lock = threading.Lock()
@@ -273,8 +250,6 @@ class ShardedQueryService:
         """Drain the engine, then shut the pools down (endpoints are the caller's)."""
         self._engine.close()
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._hedge_pool is not None:
-            self._hedge_pool.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "ShardedQueryService":
         return self
@@ -313,11 +288,6 @@ class ShardedQueryService:
     def cache_breaker(self) -> CircuitBreaker:
         """The breaker guarding result-cache access."""
         return self._engine.cache_breaker
-
-    @property
-    def breakers(self) -> dict[int, CircuitBreaker]:
-        """Per-shard circuit breakers, by shard id."""
-        return dict(self._breakers)
 
     def records(self) -> dict[str, RegisteredVideo]:
         """Merged registration records of every reachable shard."""
@@ -358,14 +328,22 @@ class ShardedQueryService:
         """
         tracer = active_tracer()
         op = str(request.get("op"))
+        endpoint = self._endpoints[shard_id]
+        # Trace kwargs ride only on traced calls, so an untraced scatter
+        # exercises the exact historic endpoint.call shape (and
+        # duck-typed call wrappers keep working).
+        traced = (
+            {}
+            if trace_id is None
+            else {"trace_id": trace_id, "parent_span": trace_parent}
+        )
         attempt = 0
         previous_delay = 0.0
         while True:
             started = time.perf_counter()
             try:
-                response, hedged = self._attempt_call(
-                    shard_id, request, deadline, trace_parent, trace_id, op
-                )
+                response = endpoint.call(request, deadline, **traced)
+                break
             except RpcTransportError as exc:
                 elapsed = time.perf_counter() - started
                 if sink is not None:
@@ -394,14 +372,12 @@ class ShardedQueryService:
                 self._rpc_retries_total.labels(op=op).inc()
                 time.sleep(delay)
                 previous_delay = delay
-                continue
             except Exception:
                 if sink is not None:
                     sink.record_op(
                         shard_id, op, time.perf_counter() - started, ok=False
                     )
                 raise
-            break
         elapsed = time.perf_counter() - started
         if sink is not None:
             sink.record_op(shard_id, op, elapsed, ok=True)
@@ -410,8 +386,6 @@ class ShardedQueryService:
             attrs: dict = {"shard": shard_id}
             if attempt:
                 attrs["retries"] = attempt
-            if hedged:
-                attrs["hedged"] = True
             rpc_span = tracer.add_span_at(
                 f"rpc.{op}",
                 start_rel,
@@ -427,66 +401,6 @@ class ShardedQueryService:
                     start_rel,
                 )
         return response
-
-    def _attempt_call(
-        self,
-        shard_id: int,
-        request: dict,
-        deadline: float | None,
-        trace_parent: int | None,
-        trace_id: str | None,
-        op: str,
-    ) -> tuple[dict, bool]:
-        """One attempt at a shard, hedged when configured.
-
-        Returns ``(response, hedged)``.  With hedging disarmed (the
-        default) this is a plain direct call.  Armed, the primary runs
-        on the hedge pool; if it is still pending after
-        ``hedge_after_ms`` one backup request goes to the *same* shard
-        and the first valid answer wins — both compute the same bytes,
-        so the result is bit-identical either way.
-        """
-        endpoint = self._endpoints[shard_id]
-        # Trace kwargs ride only on traced calls, so an untraced scatter
-        # exercises the exact historic endpoint.call shape (and
-        # duck-typed call wrappers keep working).
-        traced = (
-            {}
-            if trace_id is None
-            else {"trace_id": trace_id, "parent_span": trace_parent}
-        )
-        hedge_after = self.config.hedge_after_ms
-        if hedge_after is None or self._hedge_pool is None:
-            # Disarmed fast path: call directly, no closure, no future —
-            # this is every RPC in the default config.
-            return endpoint.call(request, deadline, **traced), False
-
-        def once() -> dict:
-            return endpoint.call(request, deadline, **traced)
-
-        primary = self._hedge_pool.submit(once)
-        try:
-            return primary.result(timeout=hedge_after / 1e3), False
-        except FutureTimeout:
-            pass  # primary is slow, not failed: hedge it
-        self._rpc_hedges_total.labels(op=op).inc()
-        backup = self._hedge_pool.submit(once)
-        pending = {primary, backup}
-        failure: BaseException | None = None
-        while pending:
-            done, pending = wait_futures(
-                pending, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                exc = future.exception()
-                if exc is None:
-                    # The loser keeps its pooled connection until its
-                    # own (deadline-bounded) call returns, then releases
-                    # it; nothing waits on its result.
-                    return future.result(), True
-                failure = exc
-        assert failure is not None
-        raise failure
 
     def _scatter(
         self,
@@ -527,10 +441,7 @@ class ShardedQueryService:
                     breaker.record_failure()
                     missing.add(shard_id)
                     self._last_errors[shard_id] = str(exc)
-                    self._metrics.registry.counter(
-                        "net_shard_failures_total",
-                        "Shard calls that failed or were skipped by a breaker.",
-                    ).inc()
+                    self._shard_failures_total.inc()
                 else:
                     breaker.record_success()
                     missing.discard(shard_id)
@@ -602,35 +513,23 @@ class ShardedQueryService:
         explain: ExplainSink | None,
     ) -> BackendAnswer:
         """Scatter one request to the shards and merge per its kind."""
-
-        def _dispatch():
-            if request.kind == "shot":
-                return self._shot(request, leaves, deadline, explain)
-            if request.kind == "shot_flat":
-                return self._flat(request, deadline, explain)
-            if request.kind == "scene":
-                return self._scene(request, leaves, deadline, explain)
-            return self._event(request, deadline, explain)
-
         try:
-            answer = _dispatch()
+            if request.kind == "shot":
+                answer = self._shot(request, leaves, deadline, explain)
+            elif request.kind == "shot_flat":
+                answer = self._flat(request, deadline, explain)
+            elif request.kind == "scene":
+                answer = self._scene(request, leaves, deadline, explain)
+            else:
+                answer = self._event(request, deadline, explain)
         except NoShardAnsweredError as exc:
-            # A query can straddle a rolling restart: every shard it
-            # reached was draining or breaker-blocked, while the
-            # restarted shard is healthy again *now*.  One fresh
-            # execution observes the current cluster (endpoints
-            # re-pointed at respawned workers); a genuine full outage
-            # fails identically here.
             if deadline is not None and time.perf_counter() >= deadline:
                 # Out of budget, not out of shards: typed so the gateway
                 # answers 504, as the in-process front does.
                 raise DeadlineExpiredError(str(exc)) from exc
-            answer = _dispatch()
+            raise
         if answer.shards_missing:
-            self._metrics.registry.counter(
-                "net_degraded_responses_total",
-                "Answers computed with at least one shard missing.",
-            ).inc()
+            self._degraded_responses_total.inc()
         return answer
 
     def explain_fragment(

@@ -59,6 +59,7 @@ Contract details the tests pin down:
 from __future__ import annotations
 
 import json
+import math
 import socket
 import sys
 import threading
@@ -376,7 +377,7 @@ class HttpGateway:
         ctx = _RequestContext()
         # The front is called on this thread, so its spans nest under the
         # gateway span by the tracer's own stack; only the id is adopted.
-        with tracer.adopt(None, trace_id), tracer.span(
+        with tracer.adopt(trace_id), tracer.span(
             "gateway.request", method=method, path=path, trace_id=trace_id
         ) as span:
             status, payload, extra = self._route(
@@ -509,7 +510,9 @@ class HttpGateway:
         try:
             deadline_ms = float(raw)
         except ValueError:
-            raise BadRequestError(f"invalid X-Deadline-Ms: {raw!r}") from None
+            deadline_ms = math.nan
+        if not math.isfinite(deadline_ms):
+            raise BadRequestError(f"invalid X-Deadline-Ms: {raw!r}")
         if deadline_ms <= 0:
             raise DeadlineExpiredError("deadline expired on arrival")
         return deadline_ms / 1000.0

@@ -229,7 +229,7 @@ class RpcClient:
                 raise
             except TimeoutError as exc:
                 # Not transient: the in-flight call already consumed its
-                # socket budget — hedging, not retrying, covers slowness.
+                # socket budget; the query's deadline bounds slowness.
                 self._drop_locked()
                 raise ServingError(f"shard rpc timed out: {exc}") from exc
             except OSError as exc:

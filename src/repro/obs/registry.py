@@ -261,14 +261,6 @@ class MetricsRegistry:
             self._collectors.append(collector)
         return collector
 
-    def unregister_collector(self, collector: Collector) -> None:
-        """Remove a collector (missing ones are a no-op)."""
-        with self._lock:
-            try:
-                self._collectors.remove(collector)
-            except ValueError:
-                pass
-
     def families(self) -> list[MetricFamily]:
         """Registered families, name-sorted (exporter input)."""
         with self._lock:

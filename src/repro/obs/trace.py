@@ -36,6 +36,7 @@ import json
 import threading
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,45 +160,6 @@ class _NullHandle:
 _NULL_HANDLE = _NullHandle()
 
 
-class _AdoptHandle:
-    """Context manager that adopts a foreign span id / trace id.
-
-    Pushing an existing span id onto the calling thread's stack makes
-    subsequent spans on this thread nest under it — the glue that keeps
-    a trace connected when work changes threads.
-    """
-
-    __slots__ = ("_tracer", "_parent_id", "_trace_id", "_pushed", "_previous")
-
-    def __init__(
-        self, tracer: "Tracer", parent_id: int | None, trace_id: str | None
-    ) -> None:
-        self._tracer = tracer
-        self._parent_id = parent_id
-        self._trace_id = trace_id
-        self._pushed = False
-        self._previous: str | None = None
-
-    def __enter__(self) -> "_AdoptHandle":
-        tracer = self._tracer
-        if self._parent_id is not None:
-            tracer._stack().append(self._parent_id)
-            self._pushed = True
-        if self._trace_id is not None:
-            self._previous = getattr(tracer._local, "trace_id", None)
-            tracer._local.trace_id = self._trace_id
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        tracer = self._tracer
-        if self._trace_id is not None:
-            tracer._local.trace_id = self._previous
-        if self._pushed:
-            stack = tracer._stack()
-            if stack and stack[-1] == self._parent_id:
-                stack.pop()
-
-
 class Tracer:
     """Collects spans from any thread; monotonic clock; JSONL output."""
 
@@ -259,7 +221,7 @@ class Tracer:
         return self._clock() - self._epoch
 
     def current_span_id(self) -> int | None:
-        """The calling thread's innermost open (or adopted) span id."""
+        """The calling thread's innermost open span id."""
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
@@ -267,14 +229,20 @@ class Tracer:
         """The trace id adopted on the calling thread, if any."""
         return getattr(self._local, "trace_id", None)
 
-    def adopt(self, parent_id: int | None, trace_id: str | None = None):
-        """Continue an existing span/trace on the calling thread.
+    @contextmanager
+    def adopt(self, trace_id: str | None):
+        """Continue an existing trace on the calling thread.
 
-        Context manager: while active, spans opened on this thread nest
-        under ``parent_id`` and :meth:`current_trace_id` reports
-        ``trace_id``. Either may be ``None`` to adopt only the other.
+        Context manager: while active, :meth:`current_trace_id` reports
+        ``trace_id`` (``None`` adopts nothing).
         """
-        return _AdoptHandle(self, parent_id, trace_id)
+        previous = self.current_trace_id()
+        if trace_id is not None:
+            self._local.trace_id = trace_id
+        try:
+            yield
+        finally:
+            self._local.trace_id = previous
 
     def add_span_at(
         self,
@@ -379,7 +347,7 @@ class NullTracer:
         """No trace context while disabled."""
         return None
 
-    def adopt(self, _parent_id=None, _trace_id=None) -> _NullHandle:
+    def adopt(self, _trace_id=None) -> _NullHandle:
         """A shared no-op context (nothing to adopt)."""
         return _NULL_HANDLE
 

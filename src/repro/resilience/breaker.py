@@ -96,12 +96,6 @@ class CircuitBreaker:
             self._maybe_half_open()
             return self._state
 
-    @property
-    def trips(self) -> int:
-        """Times the breaker has tripped open."""
-        with self._lock:
-            return self._trips
-
     def _maybe_half_open(self) -> None:
         if (
             self._state is BreakerState.OPEN

@@ -37,20 +37,12 @@ class Watchdog:
         self._name = name
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._repairs = 0
-        self._lock = threading.Lock()
 
     @property
     def running(self) -> bool:
         """True while the watchdog thread is alive."""
         thread = self._thread
         return thread is not None and thread.is_alive()
-
-    @property
-    def repairs(self) -> int:
-        """Total repairs reported by the check."""
-        with self._lock:
-            return self._repairs
 
     def start(self) -> "Watchdog":
         """Start the loop (idempotent while running)."""
@@ -71,20 +63,9 @@ class Watchdog:
             thread.join()
             self._thread = None
 
-    def poke(self) -> int:
-        """Run one check synchronously (tests, explicit health probes)."""
-        return self._run_check()
-
-    def _run_check(self) -> int:
-        try:
-            repaired = int(self._check())
-        except Exception:
-            return 0
-        if repaired:
-            with self._lock:
-                self._repairs += repaired
-        return repaired
-
     def _loop(self) -> None:
         while not self._stop.wait(self._interval):
-            self._run_check()
+            try:
+                self._check()
+            except Exception:
+                pass  # a raising check must not kill the watchdog

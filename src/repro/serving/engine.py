@@ -26,6 +26,7 @@ else, so the two fronts cannot account for them differently.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -33,6 +34,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 import numpy as np
 
+from repro.core.kernels import HISTOGRAM_DIM, TEXTURE_DIM
 from repro.database.access import User
 from repro.errors import (
     BadRequestError,
@@ -155,6 +157,11 @@ def validate_request(request: QueryRequest) -> None:
             raise BadRequestError("event queries need an EventKind")
     elif request.features is None:
         raise BadRequestError(f"{request.kind} queries need a feature vector")
+    elif np.shape(request.features) != (HISTOGRAM_DIM + TEXTURE_DIM,):
+        raise BadRequestError(
+            f"{request.kind} queries need a ({HISTOGRAM_DIM + TEXTURE_DIM},) "
+            f"feature vector, not shape {np.shape(request.features)}"
+        )
     if request.kind == "shot_flat" and request.user is not None:
         # The flat baseline has no concept structure to filter on;
         # silently post-filtering would apply access control after
@@ -164,6 +171,10 @@ def validate_request(request: QueryRequest) -> None:
         )
     if request.k < 1:
         raise BadRequestError("k must be >= 1")
+    if request.timeout is not None and not math.isfinite(request.timeout):
+        raise BadRequestError(f"timeout must be finite, not {request.timeout}")
+    if request.video_title is not None and not isinstance(request.video_title, str):
+        raise BadRequestError("video_title must be a string")
     if request.nprobe is not None or request.rerank_k is not None:
         if request.kind != "shot":
             raise BadRequestError(
@@ -444,7 +455,7 @@ class QueryEngine:
                 if tracer.enabled
                 else None
             )
-            with tracer.adopt(None, trace_id):
+            with tracer.adopt(trace_id):
                 result = self.execute(request, deadline)
             if deadline is not None and time.perf_counter() > deadline:
                 raise DeadlineExpiredError(

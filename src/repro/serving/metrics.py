@@ -101,18 +101,6 @@ class ServingMetrics:
         """One counter's current value (0 when never touched)."""
         return int(self._counters.labels(event=name).value)
 
-    @property
-    def uptime_seconds(self) -> float:
-        """Monotonic seconds since the metrics were created/reset.
-
-        ``_started`` is read under the registry lock: :meth:`reset`
-        rewrites it from another thread, and an unsynchronised read
-        could otherwise observe the pre-reset epoch mid-reset.
-        """
-        with self._lock:
-            started = self._started
-        return time.perf_counter() - started
-
     def reset(self) -> None:
         """Zero everything and restart the uptime clock.
 

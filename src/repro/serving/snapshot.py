@@ -150,13 +150,6 @@ class Snapshot:
             self.records, self.controller, kind, user=user, video_title=video_title
         )
 
-    def event_of(self, video_title: str, scene_id: int) -> str:
-        """Mined event value of a registered scene (``unknown`` fallback)."""
-        record = self.records.get(video_title)
-        if record is None:
-            return EventKind.UNKNOWN.value
-        return record.events.get(scene_id, EventKind.UNKNOWN.value)
-
 
 def _warm_center_blocks(root: IndexNode) -> None:
     """Pre-stack the routing centres of every non-leaf node.

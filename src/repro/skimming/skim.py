@@ -54,11 +54,6 @@ class ScalableSkim:
             raise SkimmingError(f"no such skim level: {level}")
         self.current_level = level
 
-    def coarser(self) -> int:
-        """Up arrow: move toward level 4; returns the new level."""
-        self.current_level = min(self.current_level + 1, max(SKIM_LEVELS))
-        return self.current_level
-
     def finer(self) -> int:
         """Down arrow: move toward level 1; returns the new level."""
         self.current_level = max(self.current_level - 1, min(SKIM_LEVELS))

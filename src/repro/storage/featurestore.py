@@ -259,9 +259,3 @@ class FeatureStore:
         with self._lock:
             self._gauge.inc(-len(self._open))
             self._open.clear()
-
-    @property
-    def open_count(self) -> int:
-        """Number of currently mapped blocks."""
-        with self._lock:
-            return len(self._open)

@@ -104,16 +104,3 @@ class Frame:
 
     def __hash__(self) -> int:
         return hash((self.index, self.timestamp, self.pixels.tobytes()))
-
-
-def blank_frame(
-    height: int = DEFAULT_HEIGHT,
-    width: int = DEFAULT_WIDTH,
-    color: tuple[int, int, int] = (0, 0, 0),
-    index: int = 0,
-    timestamp: float = 0.0,
-) -> Frame:
-    """Create a solid-colour frame (used for black frames and test fixtures)."""
-    pixels = np.empty((height, width, 3), dtype=np.uint8)
-    pixels[:, :] = np.asarray(color, dtype=np.uint8)
-    return Frame(pixels=pixels, index=index, timestamp=timestamp)

@@ -172,9 +172,3 @@ class GroundTruth:
     def event_of_shot(self, shot_id: int) -> EventKind:
         """Ground-truth event of the scene containing ``shot_id``."""
         return self.scene_of_shot(shot_id).event
-
-    def speaker_of_shot(self, shot_id: int) -> str | None:
-        """Annotated speaker of ``shot_id`` (``None`` = no speech)."""
-        if not 0 <= shot_id < len(self.shots):
-            raise VideoError(f"shot id {shot_id} out of range")
-        return self.shots[shot_id].speaker

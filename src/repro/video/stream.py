@@ -9,7 +9,7 @@ resident whole.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -124,13 +124,3 @@ class VideoStream(FrameStream):
     def pixel_stack(self) -> np.ndarray:
         """Return all frames as one ``(N, H, W, 3)`` uint8 array."""
         return np.stack([frame.pixels for frame in self.frames])
-
-
-def stream_from_arrays(
-    arrays: Iterable[np.ndarray] | Sequence[np.ndarray],
-    fps: float = 10.0,
-    title: str = "untitled",
-) -> VideoStream:
-    """Build a stream from raw pixel arrays (convenience for tests)."""
-    frames = [Frame(pixels=a, index=i) for i, a in enumerate(arrays)]
-    return VideoStream(frames=frames, fps=fps, title=title)

@@ -11,7 +11,7 @@ from repro.baselines.visual_clustering import (
 )
 from repro.core.features import Shot
 from repro.errors import MiningError
-from repro.video.frame import blank_frame
+from tests.helpers import blank_frame
 
 
 def _shot(shot_id: int, bin_index: int, length: int = 30) -> Shot:

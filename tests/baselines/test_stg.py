@@ -12,7 +12,7 @@ from repro.baselines.stg import (
 )
 from repro.core.features import Shot
 from repro.errors import MiningError
-from repro.video.frame import blank_frame
+from tests.helpers import blank_frame
 
 
 def _shot(shot_id: int, bin_index: int, length: int = 30) -> Shot:
@@ -64,7 +64,7 @@ class TestTransitionGraph:
         shots = _pattern("ABABAB")
         clusters = time_constrained_clusters(shots, similarity_threshold=0.5)
         graph = build_transition_graph(shots, clusters)
-        assert graph.number_of_nodes() == 2
+        assert len(graph.nodes) == 2
         assert graph.has_edge(0, 1) and graph.has_edge(1, 0)
         assert graph[0][1]["weight"] >= 2
 
@@ -72,7 +72,7 @@ class TestTransitionGraph:
         shots = _pattern("AABBCC")
         clusters = time_constrained_clusters(shots, similarity_threshold=0.5)
         graph = build_transition_graph(shots, clusters)
-        assert graph.number_of_edges() == 2
+        assert len(graph.edges) == 2
 
 
 class TestStoryUnits:

@@ -9,7 +9,7 @@ from repro.core.scenes import Scene
 from repro.core.features import Shot
 from repro.core.validity import search_range, validity_index
 from repro.errors import MiningError
-from repro.video.frame import blank_frame
+from tests.helpers import blank_frame
 
 
 def _shot(shot_id: int, bin_index: int) -> Shot:

@@ -14,7 +14,7 @@ from repro.core.groups import (
     separation_factors,
 )
 from repro.errors import MiningError
-from repro.video.frame import blank_frame
+from tests.helpers import blank_frame
 
 
 def _shot_with_bin(shot_id: int, bin_index: int, length: int = 10) -> Shot:

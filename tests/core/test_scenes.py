@@ -10,7 +10,7 @@ from repro.core.scenes import (
     select_representative_group,
 )
 from repro.errors import MiningError
-from repro.video.frame import blank_frame
+from tests.helpers import blank_frame
 
 
 def _shot(shot_id: int, spectrum: dict[int, float], length: int = 10) -> Shot:
@@ -83,7 +83,6 @@ class TestDetectScenes:
         assert scene.shot_count == 6
         assert scene.duration == pytest.approx(6.0)
         assert scene.frame_span == (0, 60)
-        assert scene.group_count == len(scene.groups)
 
 
 class TestRepresentativeGroup:

@@ -11,8 +11,8 @@ from repro.core.shots import (
     shots_from_ground_truth,
 )
 from repro.errors import MiningError
-from repro.video.frame import blank_frame
 from repro.video.stream import VideoStream
+from tests.helpers import blank_frame
 
 
 def _cut_stream(segment_colors, frames_per_segment=12):

@@ -14,7 +14,7 @@ from repro.core.similarity import (
     similarity_matrix,
 )
 from repro.errors import MiningError
-from repro.video.frame import blank_frame
+from tests.helpers import blank_frame
 
 
 def _shot(shot_id: int, histogram: np.ndarray, texture: np.ndarray) -> Shot:

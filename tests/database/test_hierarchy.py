@@ -37,15 +37,6 @@ class TestConceptNode:
         leaves = root.leaves()
         assert all(not leaf.children for leaf in leaves)
 
-    def test_is_ancestor_of(self):
-        root = build_medical_hierarchy()
-        surgery = root.find("surgery")
-        leaf = root.find("surgery/presentation")
-        assert root.is_ancestor_of(leaf)
-        assert surgery.is_ancestor_of(leaf)
-        assert not leaf.is_ancestor_of(surgery)
-        assert not surgery.is_ancestor_of(surgery)
-
 
 class TestMedicalHierarchy:
     def test_fig2_clusters(self):

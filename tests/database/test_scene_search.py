@@ -58,20 +58,3 @@ class TestSearch:
     def test_empty_index_raises(self):
         with pytest.raises(DatabaseError):
             SceneIndex().search(np.zeros(266))
-
-
-class TestSimilarScenes:
-    def test_excludes_query_scene(self, index, demo_result):
-        scene = demo_result.structure.scenes[0]
-        hits = index.similar_scenes("demo", scene.scene_id, k=3)
-        assert all(hit.entry.scene_id != scene.scene_id for hit in hits)
-
-    def test_unknown_scene_raises(self, index):
-        with pytest.raises(DatabaseError):
-            index.similar_scenes("demo", 999)
-
-    def test_scores_sorted(self, index, demo_result):
-        scene = demo_result.structure.scenes[0]
-        hits = index.similar_scenes("demo", scene.scene_id, k=5)
-        scores = [hit.score for hit in hits]
-        assert scores == sorted(scores, reverse=True)

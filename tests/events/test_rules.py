@@ -10,12 +10,12 @@ from repro.errors import EventMiningError
 from repro.events import rules as event_rules
 from repro.events.rules import SceneEvidence, classify_scene
 from repro.types import EventKind
-from repro.video.frame import blank_frame
 from repro.vision.blood import BloodDetection
 from repro.vision.face import FaceDetection
 from repro.vision.frames import SpecialFrameKind
 from repro.vision.skin import SkinDetection
 from repro.vision.cues import VisualCues
+from tests.helpers import blank_frame
 
 # Local aliases: the rule functions are named test_* in the library
 # (after the paper's wording), so they must not be imported under those

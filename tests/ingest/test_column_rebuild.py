@@ -21,11 +21,12 @@ import pytest
 
 from repro.database.catalog import VideoDatabase
 from repro.errors import IngestError, IntegrityError
-from repro.ingest.artifacts import ArtifactStore, encode_result, results_equal
+from repro.ingest.artifacts import ArtifactStore, encode_result
 from repro.ingest.jobs import ARTIFACT_FORMAT, IngestJob
 from repro.ingest.runner import publish_catalog, rebuild_database, store_for
 from repro.resilience.integrity import write_checksums
 from repro.storage import save_database
+from tests.helpers import results_equal
 from tests.storage.test_lazy_equivalence import stored_state
 
 DEMO_KEY = IngestJob.for_title("demo").key

@@ -98,7 +98,7 @@ def test_metrics_survive_worker_respawn(tmp_path_factory, net_db, probes):
             assert 'net_shard_up{shard="1"} 1.0' in text
 
             cluster.kill(0)
-            assert cluster.poke() == 1  # respawned on a fresh port
+            assert cluster._repair() == 1  # respawned on a fresh port
 
             deadline = time.perf_counter() + 20.0
             while time.perf_counter() < deadline:

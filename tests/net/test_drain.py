@@ -137,7 +137,7 @@ class TestClusterRestart:
     ):
         cluster, service = restart_cluster
         old_pid = cluster._procs[0].pid
-        respawns_before = cluster.respawns
+        respawns_before = cluster.respawn_counts()
         report = cluster.restart(0, graceful=True, drain_timeout=20.0)
         assert isinstance(report, RestartReport)
         assert report.shard_id == 0
@@ -146,7 +146,7 @@ class TestClusterRestart:
         assert cluster._procs[0].pid != old_pid
         # A deliberate restart counts as a restart, not a crash: the
         # watchdog stays fenced off and spawns no second replacement.
-        assert cluster.respawns == respawns_before
+        assert cluster.respawn_counts() == respawns_before
         assert cluster.restarts >= 1
         assert _pingable(cluster, 0)
 

@@ -206,9 +206,15 @@ class TestProtocolEdges:
             (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", "exceeds"),
             (b"GET /health HTTP/1.1\r\n" + b"X-Pad: a\r\n" * 500 + b"\r\n", "header lines"),
             (b"GET /health\r\n\r\n", "malformed request line"),
+            (
+                b"POST /query HTTP/1.1\r\nX-Deadline-Ms: nan\r\n"
+                b"Connection: close\r\nContent-Length: 2\r\n\r\n{}",
+                "invalid X-Deadline-Ms",
+            ),
         ],
         ids=["negative-length", "non-numeric-length", "long-header-line",
-             "long-request-line", "too-many-headers", "two-part-request-line"],
+             "long-request-line", "too-many-headers", "two-part-request-line",
+             "nan-deadline"],
     )
     def test_malformed_framing_is_a_typed_400(self, gw, capfd, payload, message):
         head, _, body = raw_exchange(gw.port, payload).partition(b"\r\n\r\n")

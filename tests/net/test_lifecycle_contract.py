@@ -67,12 +67,20 @@ MALFORMED = [
     (dict(kind="shot_flat", rerank_k=2), "nprobe/rerank_k only apply"),
     (dict(kind="shot", nprobe=0), r"nprobe must be >= 1 \(or None for exact\)"),
     (dict(kind="shot", rerank_k=0), r"rerank_k must be >= 1 \(or None for all\)"),
+    (dict(kind="shot_flat", features=np.zeros(10)), r"need a \(266,\) feature vector"),
+    (dict(kind="shot", features=np.zeros(0)), r"need a \(266,\) feature vector"),
+    (dict(kind="shot", timeout=float("inf")), "timeout must be finite"),
+    (dict(kind="shot", timeout=float("nan")), "timeout must be finite"),
+    (
+        dict(kind="event", event=EventKind.DIALOG, video_title=["a"]),
+        "video_title must be a string",
+    ),
 ]
 
 
 class TestLifecycleContract:
     def test_malformed_is_bad_request(self, make_front, probes):
-        front, _ = make_front()
+        front, harness = make_front()
         for fields, message in MALFORMED:
             fields = {"features": probes[0], **fields}
             with pytest.raises(BadRequestError, match=message):
@@ -80,6 +88,9 @@ class TestLifecycleContract:
         # Rejected at admission: nothing executed, nothing was cached.
         assert front.metrics.counter("queries_total") == 0
         assert len(front.cache) == 0
+        if harness is not None:  # and no shard call charged a breaker
+            gauges = front.metrics.registry.snapshot()
+            assert [gauges[f"circuit_breaker_state{{breaker=shard-{i}}}"] for i in (0, 1)] == [0, 0]
 
     def test_ann_default_shares_cache(self, make_front, probes):
         front, _ = make_front(ann_nprobe=4, ann_rerank_k=8)
@@ -124,7 +135,6 @@ class TestLifecycleContract:
         assert all(r.hits for r in results)
         assert not any(r.cache_hit for r in results)  # cache never engaged
         assert front.cache_breaker.state is BreakerState.OPEN
-        assert front.cache_breaker.trips >= 1
         # Queries still answer fine with the breaker open.
         assert front.query(request).hits
 

@@ -111,13 +111,6 @@ class TestCollectors:
         assert registry.snapshot()["hot_path_total"] == 7.0
         assert registry.collect() == {"hot_path_total": 7.0}
 
-    def test_unregister(self):
-        registry = MetricsRegistry()
-        collector = registry.register_collector(lambda: {"x": 1.0})
-        registry.unregister_collector(collector)
-        assert registry.collect() == {}
-        registry.unregister_collector(collector)  # second removal is a no-op
-
 
 class TestGlobalRegistry:
     def test_singleton_with_default_collectors(self):

@@ -18,7 +18,7 @@ class TestTraceIds:
     def test_adopt_exposes_trace_id_per_thread(self):
         tracer = Tracer()
         assert tracer.current_trace_id() is None
-        with tracer.adopt(None, "cafe0123cafe0123"):
+        with tracer.adopt("cafe0123cafe0123"):
             assert tracer.current_trace_id() == "cafe0123cafe0123"
             seen = []
             thread = threading.Thread(
@@ -31,28 +31,16 @@ class TestTraceIds:
 
     def test_adopt_restores_previous_trace_id(self):
         tracer = Tracer()
-        with tracer.adopt(None, "outer"):
-            with tracer.adopt(None, "inner"):
+        with tracer.adopt("outer"):
+            with tracer.adopt("inner"):
                 assert tracer.current_trace_id() == "inner"
             assert tracer.current_trace_id() == "outer"
 
 
 class TestAdoptParent:
-    def test_adopted_parent_nests_new_spans(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            parent = tracer.current_span_id()
-        assert parent is not None
-        # A different logical context (e.g. a queue worker) adopts it.
-        with tracer.adopt(parent):
-            with tracer.span("child"):
-                pass
-        child = next(sp for sp in tracer.spans() if sp.name == "child")
-        assert child.parent_id == parent
-
     def test_adopt_none_parent_is_harmless(self):
         tracer = Tracer()
-        with tracer.adopt(None, None):
+        with tracer.adopt(None):
             with tracer.span("orphanless"):
                 pass
         (span,) = tracer.spans()
@@ -158,7 +146,7 @@ class TestNullTracerPropagation:
         assert NULL_TRACER.now() == 0.0
         assert NULL_TRACER.current_span_id() is None
         assert NULL_TRACER.current_trace_id() is None
-        with NULL_TRACER.adopt(5, "deadbeefdeadbeef"):
+        with NULL_TRACER.adopt("deadbeefdeadbeef"):
             assert NULL_TRACER.current_trace_id() is None
         assert NULL_TRACER.add_span_at("x", 0.0, 1.0) is None
         remote = [

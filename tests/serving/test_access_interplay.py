@@ -27,7 +27,7 @@ def _hit_concepts(server, result):
     concepts = set()
     for hit in result.hits:
         entry = hit.entry
-        event = EventKind(snapshot.event_of(entry.video_title, entry.scene_id))
+        event = EventKind(snapshot.records[entry.video_title].events[entry.scene_id])
         concepts.add(event_concept(entry.video_title, event))
     return concepts
 

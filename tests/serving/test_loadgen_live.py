@@ -102,7 +102,7 @@ class TestLiveGenerationBump:
                         for hit in result.hits:
                             entry = hit.entry
                             event = EventKind(
-                                snap.event_of(entry.video_title, entry.scene_id)
+                                snap.records[entry.video_title].events[entry.scene_id]
                             )
                             concept = event_concept(entry.video_title, event)
                             assert event is EventKind.PRESENTATION, (

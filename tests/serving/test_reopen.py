@@ -117,7 +117,7 @@ class TestRetirement:
         manager = reopening_server.manager
         held = manager.current()
         catalog = manager.database.catalog
-        assert catalog.features.open_count == 0  # no leaf nor scene touched yet
+        assert len(catalog.features._open) == 0  # no leaf nor scene touched yet
 
         assert manager.refresh().generation == held.generation + 1
         # The first touches of leaves and of the scene table happen
@@ -125,14 +125,14 @@ class TestRetirement:
         assert _shots(held.search(probe, k=5)) == shots
         assert _scenes(held.search_scenes(probe, k=3)) == scenes
         assert _shots(held.search_flat(probe, k=5)) == flat
-        assert catalog.features.open_count > 0
+        assert len(catalog.features._open) > 0
 
         gc.disable()
         try:
             del held  # the last holder: refcount alone closes the catalog
             with pytest.raises(StorageError, match="closed"):
                 catalog.meta("schema_version")
-            assert catalog.features.open_count == 0
+            assert len(catalog.features._open) == 0
         finally:
             gc.enable()
 

@@ -38,11 +38,6 @@ class TestSnapshot:
         for kind in EventKind:
             assert snapshot.query_events(kind) == query_events(serving_db, kind)
 
-    def test_event_of_falls_back_to_unknown(self, serving_db):
-        snapshot = build_snapshot(serving_db, generation=1)
-        assert snapshot.event_of("demo", -1) == "unknown"
-        assert snapshot.event_of("nope", 0) == "unknown"
-
 
 class TestSnapshotManager:
     def test_generations_increase(self, serving_db):

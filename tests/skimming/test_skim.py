@@ -48,7 +48,6 @@ class TestScalableSkim:
     def test_switching(self, skim):
         skim.switch_level(4)
         assert skim.current_level == 4
-        assert skim.coarser() == 4  # clamped at the top
         assert skim.finer() == 3
         skim.switch_level(1)
         assert skim.finer() == 1  # clamped at the bottom

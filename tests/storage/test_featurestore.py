@@ -183,7 +183,7 @@ class TestLRU:
         store.open(refs[1].sha)
         store.open(refs[0].sha)  # refresh: ref 1 is now the LRU victim
         store.open(refs[2].sha)
-        assert store.open_count == 2
+        assert len(store._open) == 2
         first = store.open(refs[0].sha)
         assert first is store.open(refs[0].sha)  # survived as a cache hit
 
@@ -191,7 +191,7 @@ class TestLRU:
         ref = store.put(_block(7))
         store.open(ref.sha)
         store.close()
-        assert store.open_count == 0
+        assert len(store._open) == 0
 
     def test_the_open_mmaps_gauge_counts_every_store(self, tmp_path):
         """Stores share one process-wide gauge (a reader beside a writer,
@@ -213,7 +213,7 @@ class TestLRU:
         retired.delete(retired_refs[0].sha)  # evicted already: not counted twice
         assert gauge.value == base + 4
         retired.close()
-        assert gauge.value == base + live.open_count == base + 2
+        assert gauge.value == base + len(live._open) == base + 2
         live.close()
         assert gauge.value == base
 
@@ -240,6 +240,6 @@ class TestVerifyDelete:
         ref = store.put(_block(10))
         store.open(ref.sha)
         assert store.delete(ref.sha)
-        assert store.open_count == 0
+        assert len(store._open) == 0
         assert not store.delete(ref.sha)
         assert store.list_blocks() == []

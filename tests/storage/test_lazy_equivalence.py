@@ -127,10 +127,8 @@ class TestSceneEquivalence:
         assert scene_hits(eager.search(probes[0], k=5, event=kind)) == scene_hits(
             lazy.search(probes[0], k=5, event=kind)
         )
-        anchor = eager.entries[0]
-        assert scene_hits(
-            eager.similar_scenes(anchor.video_title, anchor.scene_id, k=3)
-        ) == scene_hits(lazy.similar_scenes(anchor.video_title, anchor.scene_id, k=3))
+        anchor = eager.entries[0].centroid  # a search from an indexed scene
+        assert scene_hits(eager.search(anchor, k=3)) == scene_hits(lazy.search(anchor, k=3))
 
 
 class TestConcurrentColdProbes:

@@ -15,13 +15,17 @@ every name resolves, star imports work.  No linter runs here (neither
 an import nothing in its module uses — in ``src/``, the tests, the
 examples and the paper benchmarks alike — and a module nothing that runs
 imports: every file under ``src/repro/`` must be reachable from the CLI,
-a ``python -m`` entry point, a benchmark or an example.
+a ``python -m`` entry point, a benchmark or an example.  One level down,
+every ``def`` and ``class`` must be named by code those reach (or by the
+tutorial), unless ``UNREACHED`` says why it stays.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,7 +149,6 @@ PUBLIC_NAMES = {
         "ingest_jobs",
         "jobs_for_titles",
         "load_database",
-        "results_equal",
         "run_jobs",
         "store_for",
     ],
@@ -454,3 +457,189 @@ def test_every_module_feeds_something_that_runs():
     modules, reached = _reachable_modules()
     assert len(modules) > 100 and "repro.net.worker" in reached
     assert modules - reached == FEEDS_NOTHING
+
+
+#: Definitions nothing that runs references, each kept for one of three
+#: reasons: a scalar oracle a test holds a kernel to, a seam a test
+#: substitutes through, or a name ROADMAP gives its next item.  Like
+#: ``FEEDS_NOTHING``, this list may only shrink.
+_NEXT = "ROADMAP item 10 deletes it next, with its tests"
+UNREACHED: dict[str, str] = {
+    # Scalar oracles.
+    "repro.ann.index.build_leaf_ann": "oracle: the from-rows build the stored and trained ANN tiers are held to",
+    "repro.core.shots.boundary_spans": "oracle: the spans test_color_kernel holds detect_shots' streamed shots to",
+    "repro.core.shots.detect_boundaries": "oracle: the whole-signal run detect_shots' boundaries are held to",
+    "repro.core.similarity.group_similarity": "oracle: scalar Eq. (9) test_kernels holds the group kernels to",
+    "repro.core.similarity.shot_group_similarity": "oracle: scalar Eq. (8) inside group_similarity",
+    "repro.core.similarity.shot_similarity": "oracle: scalar Eq. (1) test_kernels holds the batched kernels to",
+    "repro.vision.difference.difference_signal": "oracle: the whole-matrix signal the streamed differences are held to",
+    "repro.vision.difference.histogram_difference": "oracle: the per-pair difference test_color_kernel holds the signal to",
+    "repro.vision.histogram.histogram_intersection": "oracle: the colour term of scalar Eq. (1)",
+    "repro.vision.texture.texture_distance_squared": "oracle: the texture term of scalar Eq. (1)",
+    # Seams a test substitutes through.
+    "repro.obs.export.validate_prometheus_text": "seam: the line-format check every /metrics test reads through",
+    "repro.resilience.faults.active_plan": "seam: the armed plan the fault-injection tests read back",
+    # Named by ROADMAP for its next item.
+    "repro.database.catalog.VideoDatabase.unregister": "ROADMAP item 3(a): delta publish",
+    "repro.database.hierarchy.hierarchy_from_dict": "ROADMAP item 8: the subject-area hierarchy",
+    "repro.database.hierarchy.hierarchy_to_dict": "ROADMAP item 8: the subject-area hierarchy",
+    "repro.audio.diarization.Diarization.recurring_speakers": _NEXT,
+    "repro.audio.speaker.SpeakerAnalyzer.is_speaker_change": _NEXT,
+    "repro.audio.speaker.analyze_shots": _NEXT,
+    "repro.audio.waveform.Waveform.silence": _NEXT,
+    "repro.core.features.build_shot": _NEXT,
+    "repro.core.similarity.similarity_matrix": _NEXT,
+    "repro.core.structure.ContentStructure.cluster_of_scene": _NEXT,
+    "repro.core.structure.MiningConfig.from_dict": _NEXT,
+    "repro.obs.export.check_prometheus_text": _NEXT,
+    "repro.database.access.AccessController.add_rule": _NEXT,
+    "repro.database.access.AccessController.require": _NEXT,
+    "repro.evaluation.event_eval.EventBenchmarkCase.correct": _NEXT,
+    "repro.events.model.SceneEvent.is_known": _NEXT,
+    "repro.skimming.browser.BrowseLevel.coarser": _NEXT,
+    "repro.skimming.browser.HierarchyBrowser.up": _NEXT,
+    "repro.skimming.colorbar.ColorBarSpan.color_name": _NEXT,
+    "repro.skimming.poster.read_ppm": _NEXT,
+    "repro.skimming.quality.best_level": _NEXT,
+    "repro.skimming.skim.ScalableSkim.play": _NEXT,
+    "repro.skimming.skim.ScalableSkim.scroll_position": _NEXT,
+    "repro.types.EventKind.from_label": _NEXT,
+    "repro.video.io.load_stream": _NEXT,
+    "repro.video.stream.VideoStream.timestamp_of": _NEXT,
+    "repro.vision.compressed.dc_difference": _NEXT,
+    "repro.vision.compressed.dc_difference_signal": _NEXT,
+    "repro.vision.difference.pixel_difference": _NEXT,
+    "repro.vision.frames.dominant_color_fraction": _NEXT,
+    "repro.vision.frames.histogram_entropy": _NEXT,
+    "repro.vision.histogram.histogram_l1_distance": _NEXT,
+}
+
+
+def _tutorial_trees() -> list[ast.Module]:
+    text = (Path(SRC).parent / "docs" / "TUTORIAL.md").read_text()
+    return [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", text, re.S)]
+
+
+def _references(nodes) -> set[str]:
+    """Names a piece of code references, not counting nested definitions' bodies.
+
+    A name, an attribute, an imported name and ``getattr(x, "name")``
+    count; so does ``_op_X`` for a ``{"op": "X"}`` / ``dict(op="X")``
+    request, which is how a shard worker's handler is reached
+    (``getattr(self, f"_op_{op}")``).
+    """
+    found, stack = set(), list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += [*node.decorator_list, node.args, *filter(None, [node.returns])]
+            continue
+        if isinstance(node, ast.ClassDef):
+            stack += [*node.decorator_list, *node.bases, *node.keywords]
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Dict):
+            found.update(
+                f"_op_{value.value}"
+                for key, value in zip(node.keys, node.values)
+                if isinstance(key, ast.Constant) and key.value == "op" and isinstance(value, ast.Constant)
+            )
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr"):
+            if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                found.add(node.args[1].value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            found.update(
+                f"_op_{kw.value.value}"
+                for kw in node.keywords
+                if kw.arg == "op" and isinstance(kw.value, ast.Constant)
+            )
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _overrides_a_stdlib_method(module: str, owner: str, name: str) -> bool:
+    """Whether ``module.owner.name`` overrides a method a non-``repro`` base defines."""
+    target = importlib.import_module(module)
+    for part in owner.split("."):
+        target = getattr(target, part, None)
+    return isinstance(target, type) and any(
+        name in vars(base) for base in target.__mro__[1:] if not base.__module__.startswith("repro")
+    )
+
+
+def _unreached_definitions() -> set[str]:
+    """Every ``module.qualname`` under ``src/repro`` no running code names.
+
+    Reached code starts as the roots ``_reachable_modules`` starts from,
+    the tutorial's Python blocks, and every reached module's top level; a
+    definition is reached when its parent is and reached code names it,
+    and its body then joins the reached code, until nothing changes.  A
+    package ``__init__``'s re-exports and ``__all__`` name nothing;
+    dunders and overrides of a standard-library base method are reached
+    with their parent.
+    """
+    root = Path(SRC).parent
+    _, reached_modules = _reachable_modules()
+    scripts = [*root.glob("benchmarks/**/*.py"), *root.glob("examples/**/*.py")]
+    roots = [ast.parse(path.read_text()) for path in scripts] + _tutorial_trees()
+    references = set().union(*(_references(ast.walk(tree)) for tree in roots))
+    pending = []  # (qualified name, parent qualified name, node, exempt)
+    for path in Path(SRC).rglob("*.py"):
+        module = _module_name(path)
+        if module not in reached_modules:
+            continue
+        tree = ast.parse(path.read_text())
+        top = tree.body
+        if path.name == "__init__.py":
+            public = {
+                element.value
+                for node in top
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+                for element in node.value.elts
+            }
+            top = [
+                node
+                for node in top
+                if not (isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__")
+                and not (isinstance(node, ast.ImportFrom) and all(a.name in public for a in node.names))
+            ]
+        references |= _references(top)
+
+        def collect(body, parent: str, owner: str | None) -> None:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    qualname = f"{parent}.{node.name}"
+                    dunder = node.name.startswith("__") and node.name.endswith("__")
+                    exempt = dunder or (
+                        owner is not None and _overrides_a_stdlib_method(module, owner, node.name)
+                    )
+                    pending.append((qualname, parent, node, exempt))
+                    importable = isinstance(node, ast.ClassDef) and (owner or parent == module)
+                    collect(node.body, qualname, qualname[len(module) + 1 :] if importable else None)
+                elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
+                    collect(list(ast.iter_child_nodes(node)), parent, owner)
+
+        collect(tree.body, module, None)
+    reached = set(reached_modules)
+    changed = True
+    while changed:
+        changed = False
+        for qualname, parent, node, exempt in pending:
+            name = qualname.rpartition(".")[2]
+            if qualname in reached or parent not in reached or not (exempt or name in references):
+                continue
+            reached.add(qualname)
+            changed = True
+            references |= _references(node.body)
+    return {qualname for qualname, *_ in pending if qualname not in reached}
+
+
+def test_every_definition_is_reached_from_something_that_runs():
+    unreached = _unreached_definitions()
+    assert sorted(unreached - set(UNREACHED)) == []
+    assert sorted(set(UNREACHED) - unreached) == [], "reached now: drop it from UNREACHED"

@@ -20,7 +20,7 @@ from repro.core.shots import boundary_spans, detect_boundaries
 from repro.core.similarity import group_similarity, shot_similarity
 from repro.database.access import AccessController, User
 from repro.database.hierarchy import build_medical_hierarchy
-from repro.video.frame import blank_frame
+from tests.helpers import blank_frame
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VideoError
-from repro.video.frame import Frame, blank_frame, validate_pixels
+from repro.video.frame import Frame, validate_pixels
+from tests.helpers import blank_frame
 
 
 class TestValidatePixels:

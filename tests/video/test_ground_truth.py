@@ -87,10 +87,8 @@ class TestGroundTruth:
     def test_event_and_speaker_lookup(self):
         truth = _simple_truth()
         assert truth.event_of_shot(0) is EventKind.DIALOG
-        assert truth.speaker_of_shot(1) == "b"
-        assert truth.speaker_of_shot(2) is None
-        with pytest.raises(VideoError):
-            truth.speaker_of_shot(5)
+        assert truth.shots[1].speaker == "b"
+        assert truth.shots[2].speaker is None
 
 
 class TestGeneratedTruth:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import VideoError
-from repro.video.frame import blank_frame
-from repro.video.stream import VideoStream, stream_from_arrays
+from repro.video.stream import VideoStream
+from tests.helpers import blank_frame
 
 
 def _frames(n, height=4, width=5):
@@ -61,9 +61,3 @@ class TestVideoStream:
         stream = VideoStream(frames=_frames(4, 6, 7), fps=10.0)
         stack = stream.pixel_stack()
         assert stack.shape == (4, 6, 7, 3)
-
-    def test_stream_from_arrays(self):
-        arrays = [np.zeros((3, 3, 3), dtype=np.uint8) for _ in range(3)]
-        stream = stream_from_arrays(arrays, fps=2.0, title="t")
-        assert stream.title == "t"
-        assert stream.duration == pytest.approx(1.5)

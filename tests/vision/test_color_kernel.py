@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.core.features import representative_frame_index
 from repro.core.shots import boundary_spans, detect_boundaries, detect_shots
 from repro.errors import VisionError
-from repro.video.frame import blank_frame
 from repro.vision.color import (
     FRAME_CHUNK,
     TOTAL_BINS,
@@ -27,6 +26,7 @@ from repro.vision.color import (
 )
 from repro.vision.difference import difference_signal, histogram_difference
 from repro.vision.histogram import frame_histograms, hsv_histogram
+from tests.helpers import blank_frame
 from tests.vision.oracles import quantize_hsv, rgb_to_hsv
 
 

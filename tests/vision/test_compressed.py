@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.shots import detect_shots
 from repro.errors import MiningError, VisionError
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
 from repro.video.stream import VideoStream
 from repro.vision.compressed import dc_difference, dc_difference_signal, dc_image
+from tests.helpers import blank_frame
 
 
 class TestDcImage:

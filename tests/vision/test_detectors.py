@@ -8,7 +8,7 @@ conditions (with scenery, not just flat patches).
 import numpy as np
 import pytest
 
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
 from repro.video.synthesis.compositions import ShotParams, render_composition
 from repro.vision.blood import detect_blood
 from repro.vision.cues import extract_cues
@@ -22,6 +22,7 @@ from repro.vision.frames import (
 )
 from repro.vision.regions import label_regions
 from repro.vision.skin import detect_skin
+from tests.helpers import blank_frame
 
 
 def _frame(composition: str, **params) -> Frame:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import VisionError
-from repro.video.frame import blank_frame
 from repro.video.stream import VideoStream
 from repro.vision.difference import (
     difference_signal,
     histogram_difference,
     pixel_difference,
 )
+from tests.helpers import blank_frame
 
 
 class TestPairwise:

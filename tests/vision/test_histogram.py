@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VisionError
-from repro.video.frame import blank_frame
 from repro.vision.histogram import (
     histogram_intersection,
     histogram_l1_distance,
     hsv_histogram,
 )
+from tests.helpers import blank_frame
 
 
 class TestHsvHistogram:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import VisionError
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
 from repro.video.synthesis.compositions import ShotParams, render_composition
 from repro.vision.roi import (
     background_mask,
@@ -12,6 +12,7 @@ from repro.vision.roi import (
     match_rois,
     roi_similarity,
 )
+from tests.helpers import blank_frame
 
 
 def _frame_with_blobs() -> Frame:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import VisionError
-from repro.video.frame import Frame, blank_frame
+from repro.video.frame import Frame
 from repro.video.stream import VideoStream
 from repro.video.synthesis.compositions import ShotParams, render_composition
 from repro.vision.motion import MotionProfile, motion_profile, shot_motion_profiles
 from repro.vision.text import detect_text_lines, has_video_text, text_coverage
+from tests.helpers import blank_frame
 
 
 def _frame(composition: str, t: float = 0.3, **params) -> Frame:
