@@ -21,8 +21,8 @@ Bit-identity contract
 ``nprobe >= cells`` no cell is pruned, and with an unbounded re-rank
 tail (``rerank_k=None``) no approximate score is even computed: the
 survivors are precisely the rows the exact scan would visit, in the
-same order, so downstream dedup, exact scoring and the global stable
-sort reproduce the exact path bit for bit.  The uint8 scan runs only
+same order, so exact scoring and the global stable sort reproduce the
+exact path bit for bit.  The uint8 scan runs only
 when it can prune (a finite ``rerank_k`` below the candidate count);
 its evaluations are reported so ``QueryStats.approx_comparisons`` stays
 honest.

@@ -11,7 +11,6 @@ from repro.audio.speaker import (
     SPEECH_LABEL,
     ShotAudio,
     SpeakerAnalyzer,
-    analyze_shots,
     default_speech_classifier,
 )
 from repro.audio.synthesis import (
@@ -40,7 +39,6 @@ __all__ = [
     "SpeakerVoice",
     "VOICE_BANK",
     "Waveform",
-    "analyze_shots",
     "bic_speaker_change",
     "clip_features",
     "diarize_shots",

@@ -43,13 +43,6 @@ class Diarization:
             shot_id for shot_id, label in self.labels.items() if label == speaker
         )
 
-    def recurring_speakers(self) -> list[int]:
-        """Speakers appearing in more than one shot (the dialog cue)."""
-        counts: dict[int, int] = {}
-        for label in self.labels.values():
-            counts[label] = counts.get(label, 0) + 1
-        return sorted(label for label, count in counts.items() if count > 1)
-
 
 class _UnionFind:
     def __init__(self, items: list[int]) -> None:

@@ -33,7 +33,6 @@ from repro.audio.synthesis import (
     synthesize_speech,
 )
 from repro.audio.waveform import DEFAULT_SAMPLE_RATE, AudioSource, Waveform
-from repro.errors import AudioError
 
 SPEECH_LABEL = "speech"
 NON_SPEECH_LABEL = "non_speech"
@@ -143,24 +142,3 @@ class SpeakerAnalyzer:
         return bic_speaker_change(
             a.mfcc_vectors, b.mfcc_vectors, penalty_factor=self._penalty
         )
-
-    def is_speaker_change(self, a: ShotAudio, b: ShotAudio) -> bool:
-        """Convenience wrapper: True only on a confident change verdict."""
-        result = self.speaker_change(a, b)
-        return result is not None and result.is_change
-
-
-def analyze_shots(
-    audio: AudioSource,
-    shot_windows: list[tuple[float, float]],
-    analyzer: SpeakerAnalyzer | None = None,
-) -> list[ShotAudio]:
-    """Analyse every shot window of a video in one call."""
-    if analyzer is None:
-        analyzer = SpeakerAnalyzer()
-    results = []
-    for shot_id, (start, stop) in enumerate(shot_windows):
-        if stop <= start:
-            raise AudioError(f"shot {shot_id} has an empty window")
-        results.append(analyzer.analyze_shot(audio, shot_id, start, stop))
-    return results

@@ -95,11 +95,3 @@ class Waveform:
             samples=np.concatenate([part.samples for part in parts]),
             sample_rate=rate,
         )
-
-    @staticmethod
-    def silence(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE) -> "Waveform":
-        """A silent waveform of ``duration`` seconds."""
-        if duration < 0:
-            raise AudioError("duration must be >= 0")
-        count = int(round(duration * sample_rate))
-        return Waveform(samples=np.zeros(count), sample_rate=sample_rate)

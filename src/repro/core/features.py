@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.errors import MiningError
 from repro.video.frame import Frame
-from repro.video.stream import VideoStream
 from repro.vision.histogram import hsv_histogram
 from repro.vision.texture import tamura_coarseness
 
@@ -103,11 +102,3 @@ def shot_from_frame(
         histogram=hsv_histogram(frame) if histogram is None else histogram.copy(),
         texture=tamura_coarseness(frame),
     )
-
-
-def build_shot(stream: VideoStream, shot_id: int, start: int, stop: int) -> Shot:
-    """Construct a :class:`Shot` with features from a span of an indexable stream."""
-    if stop > len(stream):
-        raise MiningError(f"shot span [{start}, {stop}) exceeds stream length")
-    frame = stream[representative_frame_index(start, stop)]
-    return shot_from_frame(frame, shot_id, start, stop, stream.fps)

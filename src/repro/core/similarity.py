@@ -25,7 +25,6 @@ from repro.core.kernels import (
     FeatureMatrix,
     group_pairwise_matrix,
     group_stsim_row,
-    pairwise_stsim,
 )
 from repro.errors import MiningError
 
@@ -91,22 +90,6 @@ def group_similarity(
         benchmark, other = group_b, group_a
     total = sum(shot_group_similarity(shot, other, weights) for shot in benchmark)
     return total / len(benchmark)
-
-
-def similarity_matrix(
-    shots: Sequence[Shot], weights: SimilarityWeights = SimilarityWeights()
-) -> np.ndarray:
-    """Symmetric StSim matrix over a shot sequence (diagonal = 1-ish).
-
-    Used by group classification and by the baselines.  Computed by the
-    vectorized kernel (:func:`repro.core.kernels.pairwise_stsim`); the
-    diagonal is filled analytically — ``StSim(s, s)`` is exactly
-    ``W_C * ΣH + W_T`` — instead of spending a full Eq. (1) evaluation
-    per shot.
-    """
-    if not shots:
-        return np.zeros((0, 0), dtype=np.float64)
-    return pairwise_stsim(FeatureMatrix.from_shots(shots), weights)
 
 
 def group_similarity_to_many(

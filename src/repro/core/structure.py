@@ -147,13 +147,6 @@ class ContentStructure:
                 return scene
         return None
 
-    def cluster_of_scene(self, scene_id: int) -> ClusteredScene | None:
-        """The cluster containing scene ``scene_id``."""
-        for cluster in self.clustered_scenes:
-            if scene_id in cluster.scene_ids:
-                return cluster
-        return None
-
     def level_sizes(self) -> dict[str, int]:
         """Node counts per hierarchy level (used by docs and benches)."""
         return {

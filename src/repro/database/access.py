@@ -102,10 +102,6 @@ class AccessController:
         """All recorded decisions, oldest first."""
         return list(self._audit)
 
-    def add_rule(self, rule: FilterRule) -> None:
-        """Attach a database-wide filtering rule."""
-        self._global_rules.append(rule)
-
     def _node(self, concept: str) -> ConceptNode:
         node = self._root.find(concept)
         if node is None:

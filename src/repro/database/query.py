@@ -107,26 +107,6 @@ def _child_scores(
     ]
 
 
-def _unseen(
-    leaf: LeafHashIndex, rows: np.ndarray | None, seen: list[np.ndarray]
-) -> np.ndarray | None:
-    """``rows`` minus the shots an earlier leaf already ranked.
-
-    Dedup runs on flat ordinals (first-visited leaf wins); a leaf
-    without ordinals shares no shot with any other leaf.
-    """
-    if leaf.ordinals is None:
-        return rows
-    ordinals = leaf.ordinals if rows is None else leaf.ordinals[rows]
-    if seen:
-        fresh = ~np.isin(ordinals, np.concatenate(seen))
-        if not fresh.all():
-            rows = np.flatnonzero(fresh) if rows is None else rows[fresh]
-            ordinals = ordinals[fresh]
-    seen.append(ordinals)
-    return rows
-
-
 #: One scanned leaf: ``(leaf, rows or None for every row, their scores)``.
 ScannedLeaf = tuple[LeafHashIndex, np.ndarray | None, np.ndarray]
 
@@ -218,7 +198,6 @@ def search_hierarchical(
         raise DatabaseError("descent reached no populated leaf")
 
     scanned: list[ScannedLeaf] = []
-    seen: list[np.ndarray] = []
     for node in leaves:
         leaf = node.leaf
         assert leaf is not None
@@ -238,7 +217,6 @@ def search_hierarchical(
                 features, np.arange(len(leaf)) if rows is None else rows, nprobe, rerank_k
             )
             stats.approx_comparisons += approx_evals
-        rows = _unseen(leaf, rows, seen)
         scores = leaf.scan(features, rows)
         stats.comparisons += scores.size
         if ann is not None:

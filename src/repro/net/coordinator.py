@@ -87,45 +87,42 @@ from repro.serving.engine import (
 from repro.serving.metrics import ServingMetrics
 from repro.types import EventKind
 
+#: Seconds: the first retry's backoff and the cap on any one retry sleep.
+RPC_BACKOFF = 0.02
+RPC_MAX_DELAY = 0.25
+
 
 @dataclass(frozen=True)
 class CoordinatorConfig(ServerConfig):
     """:class:`~repro.serving.engine.ServerConfig` plus the fleet's knobs.
 
+    Both fronts descend with :mod:`repro.database.query`'s default beam
+    (2), so a sharded descent visits the nodes an in-process one does.
+
     Attributes
     ----------
-    beam:
-        Descent width (must match the single-process server for
-        bit-identical results; both default to 2).
     breaker_threshold / breaker_reset:
         Per-shard circuit breaker: consecutive failures to open, and
         seconds until a half-open retry.  The reset is deliberately
         short — a respawned worker should be folded back in quickly.
-    rpc_retries / rpc_backoff / rpc_max_delay:
+    rpc_retries:
         Retry budget for *transient* shard-call failures
         (:class:`~repro.errors.RpcTransportError`: reset, refused
         connect, truncated/corrupt frame, draining worker).  Attempts
         beyond the first back off with the ingest layer's seeded
-        decorrelated jitter, every sleep bounded by the query's
-        remaining deadline; only an exhausted budget charges the
-        shard's circuit breaker.
+        decorrelated jitter (:data:`RPC_BACKOFF`, :data:`RPC_MAX_DELAY`),
+        every sleep bounded by the query's remaining deadline; only an
+        exhausted budget charges the shard's circuit breaker.
     """
 
-    beam: int = 2
     breaker_threshold: int = 3
     breaker_reset: float = 1.0
     rpc_retries: int = 2
-    rpc_backoff: float = 0.02
-    rpc_max_delay: float = 0.25
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.beam < 1:
-            raise ServingError("beam must be >= 1")
         if self.rpc_retries < 0:
             raise ServingError("rpc_retries must be >= 0")
-        if self.rpc_backoff <= 0 or self.rpc_max_delay <= 0:
-            raise ServingError("rpc backoff/max delay must be > 0")
 
 
 class _Phase:
@@ -205,8 +202,8 @@ class ShardedQueryService:
         )
         self._retry_policy = RetryPolicy(
             retries=self.config.rpc_retries,
-            backoff=self.config.rpc_backoff,
-            max_delay=self.config.rpc_max_delay,
+            backoff=RPC_BACKOFF,
+            max_delay=RPC_MAX_DELAY,
         )
         # One seeded stream for the decorrelated jitter: replayable in
         # chaos runs, and never the process-global random state.
@@ -567,7 +564,7 @@ class ShardedQueryService:
         allowed = set(scope_leaves) if scope_leaves is not None else None
         with _Phase("descend", explain):
             leaves = descend_to_leaves(
-                self._root, request.features, stats, allowed, self.config.beam
+                self._root, request.features, stats, allowed
             )
         ann_active = request.nprobe is not None
         if not leaves:

@@ -81,6 +81,7 @@ from repro.net.shard import GLOBAL_ORDS_NAME
 from repro.net.tcpserver import ConnectionServer
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.storage.featurestore import map_block
 from repro.storage.lazy import SQLVideoDatabase
 from repro.types import EventKind
 
@@ -92,7 +93,7 @@ class _ShardState:
         self.database = SQLVideoDatabase.open(shard_dir)
         ords_path = shard_dir / GLOBAL_ORDS_NAME
         if ords_path.exists():
-            self.global_ords = np.load(ords_path)
+            self.global_ords = map_block(ords_path)
         else:  # an unsharded dir served as a single "shard"
             self.global_ords = np.arange(self.database.shot_count, dtype=np.int64)
         self.leaves: dict[str, IndexNode] = {}

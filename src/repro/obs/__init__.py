@@ -39,7 +39,6 @@ which is a no-op while no tracer is installed.
 
 from repro.obs.bridge import JobEventBridge, register_default_collectors
 from repro.obs.export import (
-    check_prometheus_text,
     render_prometheus,
     render_prometheus_dumps,
     validate_prometheus_text,
@@ -82,7 +81,6 @@ __all__ = [
     "Span",
     "Tracer",
     "active_tracer",
-    "check_prometheus_text",
     "current_trace_id",
     "format_seconds",
     "get_registry",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 
-from repro.errors import ObservabilityError
 from repro.obs.metrics import BUCKET_BOUNDS, LatencyHistogram
 from repro.obs.registry import MetricsRegistry
 
@@ -201,12 +200,3 @@ def validate_prometheus_text(text: str) -> list[str]:
             except ValueError:
                 errors.append(f"line {number}: non-numeric value {value!r}")
     return errors
-
-
-def check_prometheus_text(text: str) -> None:
-    """Raise :class:`ObservabilityError` when the exposition is malformed."""
-    errors = validate_prometheus_text(text)
-    if errors:
-        raise ObservabilityError(
-            "invalid Prometheus exposition: " + "; ".join(errors[:5])
-        )

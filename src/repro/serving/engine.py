@@ -162,6 +162,9 @@ def validate_request(request: QueryRequest) -> None:
             f"{request.kind} queries need a ({HISTOGRAM_DIM + TEXTURE_DIM},) "
             f"feature vector, not shape {np.shape(request.features)}"
         )
+    elif not np.isfinite(request.features).all():
+        # A NaN score fails every ``top_k`` comparison, and each kind drops a different set.
+        raise BadRequestError(f"{request.kind} queries need finite feature values")
     if request.kind == "shot_flat" and request.user is not None:
         # The flat baseline has no concept structure to filter on;
         # silently post-filtering would apply access control after
@@ -191,7 +194,7 @@ class ServerConfig:
     """The knobs of one query front — what :class:`QueryEngine` reads.
 
     :class:`~repro.net.coordinator.CoordinatorConfig` extends it with
-    the fleet's knobs; these five mean the same thing on both fronts.
+    the fleet's knobs; these four mean the same thing on both fronts.
 
     Attributes
     ----------
@@ -201,8 +204,6 @@ class ServerConfig:
     default_timeout:
         Per-query deadline in seconds when the request carries none
         (``None``: no deadline unless the request sets one).
-    cache_capacity:
-        Resident entries in the LRU result cache.
     ann_nprobe:
         Default coarse cells probed per leaf for ``shot`` queries that
         carry no ``nprobe`` of their own; ``None`` (the default) keeps
@@ -218,7 +219,6 @@ class ServerConfig:
 
     queue_depth: int = 64
     default_timeout: float | None = 5.0
-    cache_capacity: int = 512
     ann_nprobe: int | None = None
     ann_rerank_k: int | None = None
 
@@ -368,7 +368,7 @@ class QueryEngine:
         self._pin = pin
         self._config = config
         self.metrics = metrics
-        self.cache = ResultCache(config.cache_capacity)
+        self.cache = ResultCache()
         metrics.registry.register_collector(self.cache.metrics_snapshot)
         # A flaky cache must not take queries down with it: get/put run
         # through this breaker and an open breaker simply bypasses the

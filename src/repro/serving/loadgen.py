@@ -44,6 +44,8 @@ DEFAULT_MIX: tuple[tuple[str, float], ...] = (
     ("scene", 0.2),
     ("event", 0.1),
 )
+#: Seconds a client waits after an overload rejection or an error.
+BACKOFF = 0.002
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,10 @@ class LoadgenConfig:
     duration: float = 2.0
     requests_per_client: int | None = None
     k: int = 5
-    mix: tuple[tuple[str, float], ...] = DEFAULT_MIX
     timeout: float | None = 2.0
     pool_size: int = 32
     unique_fraction: float = 0.25
     seed: int = 0
-    backoff: float = 0.002
     nprobe: int | None = None
     rerank_k: int | None = None
 
@@ -142,8 +142,8 @@ def build_query_pool(
     if not len(stored):
         raise ServingError("cannot build a workload over an empty corpus")
     rng = np.random.default_rng(config.seed)
-    kinds = [kind for kind, _ in config.mix]
-    weights = np.asarray([weight for _, weight in config.mix], dtype=np.float64)
+    kinds = [kind for kind, _ in DEFAULT_MIX]
+    weights = np.asarray([weight for _, weight in DEFAULT_MIX], dtype=np.float64)
     weights = weights / weights.sum()
     event_kinds = list(EventKind)
     requests: list[QueryRequest] = []
@@ -221,7 +221,7 @@ def run_load(
                 result = front.query(request)
             except OverloadedError:
                 rejected += 1
-                time.sleep(config.backoff)
+                time.sleep(BACKOFF)
                 continue
             except DeadlineExpiredError:
                 timeouts += 1
@@ -231,7 +231,7 @@ def run_load(
                 text = f"client {client_id}: {type(exc).__name__}: {exc}"
                 if text not in failures:  # a dead front fails every attempt alike
                     failures.append(text)
-                time.sleep(config.backoff)
+                time.sleep(BACKOFF)
                 continue
             latencies.append(time.perf_counter() - start)
             completed += 1

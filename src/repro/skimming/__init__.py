@@ -3,7 +3,6 @@
 from repro.skimming.browser import BrowseEntry, BrowseLevel, HierarchyBrowser
 from repro.skimming.colorbar import (
     ColorBarSpan,
-    EVENT_COLORS,
     EVENT_GLYPHS,
     build_color_bar,
     event_at_frame,
@@ -14,7 +13,6 @@ from repro.skimming.poster import compose_poster, read_ppm, save_poster, write_p
 from repro.skimming.report_html import encode_bmp, render_report, save_report
 from repro.skimming.quality import (
     QualityScores,
-    best_level,
     evaluate_all_levels,
     objective_scores,
     panel_scores,
@@ -33,14 +31,12 @@ __all__ = [
     "BrowseLevel",
     "ColorBarSpan",
     "HierarchyBrowser",
-    "EVENT_COLORS",
     "EVENT_GLYPHS",
     "QualityScores",
     "SKIM_LEVELS",
     "ScalableSkim",
     "SkimSegment",
     "StoryboardCell",
-    "best_level",
     "build_color_bar",
     "build_level_shots",
     "build_skim",

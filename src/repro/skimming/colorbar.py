@@ -15,14 +15,6 @@ from repro.errors import SkimmingError
 from repro.events.model import SceneEvent
 from repro.types import EventKind
 
-#: Display colour per event (name + ANSI 256-colour code).
-EVENT_COLORS: dict[EventKind, tuple[str, int]] = {
-    EventKind.PRESENTATION: ("blue", 33),
-    EventKind.DIALOG: ("green", 40),
-    EventKind.CLINICAL_OPERATION: ("red", 160),
-    EventKind.UNKNOWN: ("gray", 244),
-}
-
 #: One-character glyph per event for plain-text rendering.
 EVENT_GLYPHS: dict[EventKind, str] = {
     EventKind.PRESENTATION: "P",
@@ -39,11 +31,6 @@ class ColorBarSpan:
     start: int
     stop: int
     event: EventKind
-
-    @property
-    def color_name(self) -> str:
-        """Human-readable colour of the span."""
-        return EVENT_COLORS[self.event][0]
 
 
 def build_color_bar(

@@ -146,10 +146,3 @@ def evaluate_all_levels(
         panel_scores(skim, truth, level, viewers=viewers, seed=seed)
         for level in sorted(skim.levels)
     ]
-
-
-def best_level(scores: list[QualityScores]) -> int:
-    """The level with the best overall score (the paper finds level 3)."""
-    if not scores:
-        raise SkimmingError("no scores to compare")
-    return max(scores, key=lambda s: s.overall).level

@@ -87,13 +87,23 @@ class _ScanMapping(mmap.mmap):
             self.madvise(mmap.MADV_DONTNEED, start, stop - start)
 
 
-def _map_block(path: Path, mapping_type: type[mmap.mmap]) -> np.ndarray:
-    """A read-only ndarray over the ``.npy`` file :meth:`FeatureStore.put`
-    wrote at ``path`` (``ValueError`` for any other header or size)."""
+#: numpy parses a ``.npy`` header with ``ast.literal_eval``, and CPython
+#: 3.11 keeps the ``ast`` recursion counter per interpreter, not per
+#: thread: two threads parsing at once can fail with ``SystemError: AST
+#: constructor recursion depth mismatch``.  Every :func:`map_block` parse
+#: holds this.
+_HEADER_LOCK = threading.Lock()
+
+
+def map_block(path: Path, mapping_type: type[mmap.mmap] = mmap.mmap) -> np.ndarray:
+    """A read-only ndarray over the version 1.0 ``.npy`` file at ``path``, as
+    :meth:`FeatureStore.put` or ``np.save`` write it (``ValueError`` for any
+    other header or size)."""
     with open(path, "rb") as handle:
         if np.lib.format.read_magic(handle) != (1, 0):
             raise ValueError("not a version 1.0 .npy header")
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+        with _HEADER_LOCK:
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
         offset = handle.tell()
         mapping = mapping_type(handle.fileno(), 0, access=mmap.ACCESS_READ)
     cells = len(mapping) - offset
@@ -205,7 +215,7 @@ class FeatureStore:
         if not path.exists():
             raise StorageError(f"no feature block {sha[:12]}… in {self._root}")
         try:
-            block = _map_block(path, mmap.mmap if resident else _ScanMapping)
+            block = map_block(path, mmap.mmap if resident else _ScanMapping)
         except (OSError, ValueError) as exc:
             raise IntegrityError(
                 f"feature block {sha[:12]}… is corrupt or truncated: {exc}"

@@ -7,7 +7,6 @@ from repro.vision.cues import VisualCues, extract_cues
 from repro.vision.difference import (
     difference_signal,
     histogram_difference,
-    pixel_difference,
 )
 from repro.vision.face import FaceDetection, detect_faces
 from repro.vision.frames import SpecialFrameKind, classify_special_frame
@@ -17,7 +16,7 @@ from repro.vision.histogram import (
     histogram_l1_distance,
     hsv_histogram,
 )
-from repro.vision.compressed import dc_difference, dc_difference_signal, dc_image
+from repro.vision.compressed import dc_image
 from repro.vision.morphology import close_mask, dilate, erode, open_mask
 from repro.vision.motion import MotionProfile, motion_profile, shot_motion_profiles
 from repro.vision.roi import (
@@ -45,8 +44,6 @@ __all__ = [
     "chromaticity",
     "classify_special_frame",
     "close_mask",
-    "dc_difference",
-    "dc_difference_signal",
     "dc_image",
     "detect_blood",
     "detect_faces",
@@ -70,7 +67,6 @@ __all__ = [
     "match_rois",
     "motion_profile",
     "open_mask",
-    "pixel_difference",
     "roi_similarity",
     "shot_motion_profiles",
     "tamura_coarseness",

@@ -48,13 +48,6 @@ def dc_image(frame: Frame | np.ndarray, block: int = DEFAULT_BLOCK) -> np.ndarra
     return padded.reshape(out_h, block, out_w, block).mean(axis=(1, 3))
 
 
-def dc_difference(a: Frame, b: Frame, block: int = DEFAULT_BLOCK) -> float:
-    """Mean absolute DC-image difference between two frames, in [0, 1]."""
-    if a.shape != b.shape:
-        raise VisionError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    return float(np.abs(dc_image(a, block) - dc_image(b, block)).mean())
-
-
 def dc_images(frames: Iterable[Frame], block: int = DEFAULT_BLOCK) -> np.ndarray:
     """``(N, h, w)`` stack of the frames' DC images."""
     return np.stack([dc_image(frame, block) for frame in frames])
@@ -63,15 +56,3 @@ def dc_images(frames: Iterable[Frame], block: int = DEFAULT_BLOCK) -> np.ndarray
 def signal_from_dc_images(images: np.ndarray) -> np.ndarray:
     """Mean absolute difference between each DC image and the next."""
     return np.array([float(np.abs(a - b).mean()) for a, b in zip(images[:-1], images[1:])])
-
-
-def dc_difference_signal(
-    stream: Iterable[Frame], block: int = DEFAULT_BLOCK
-) -> np.ndarray:
-    """Inter-frame DC difference signal (compressed-domain Fig. 5 input).
-
-    Computing this touches ``1 / block**2`` of the pixels the full-frame
-    histogram signal needs, which is the whole point of compressed-
-    domain detection.
-    """
-    return signal_from_dc_images(dc_images(stream, block))

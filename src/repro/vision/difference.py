@@ -12,17 +12,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import VisionError
 from repro.video.frame import Frame
 from repro.video.stream import VideoStream
 from repro.vision.histogram import frame_histograms
-
-
-def pixel_difference(a: Frame, b: Frame) -> float:
-    """Mean absolute intensity difference between two frames, in [0, 1]."""
-    if a.shape != b.shape:
-        raise VisionError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    return float(np.abs(a.as_float() - b.as_float()).mean())
 
 
 def histogram_difference(a: Frame, b: Frame) -> float:

@@ -62,16 +62,6 @@ def _entropy(histogram: np.ndarray) -> float:
     return float(-(nonzero * np.log2(nonzero)).sum())
 
 
-def histogram_entropy(frame: Frame) -> float:
-    """Shannon entropy (bits) of the 256-bin HSV histogram."""
-    return _entropy(hsv_histogram(frame))
-
-
-def dominant_color_fraction(frame: Frame) -> float:
-    """Fraction of pixels in the single most common HSV bin."""
-    return float(hsv_histogram(frame).max())
-
-
 def text_band_count(frame: Frame, dark_threshold: float = 0.5) -> int:
     """Count horizontal dark text bands on a bright background.
 

@@ -47,9 +47,8 @@ class TestDiarizeShots:
         track = _dialog_track("aba")
         analyses = _analyses(analyzer, track, 3)
         result = diarize_shots(analyses, analyzer)
-        recurring = result.recurring_speakers()
-        assert result.labels[0] in recurring
-        assert result.labels[1] not in recurring
+        assert result.shots_of_speaker(result.labels[0]) == [0, 2]
+        assert result.shots_of_speaker(result.labels[1]) == [1]
 
     def test_monologue(self, analyzer):
         track = _dialog_track("aaa")

@@ -12,6 +12,7 @@ from repro.audio.synthesis import (
 )
 from repro.audio.waveform import Waveform
 from repro.errors import AudioError
+from tests.helpers import silence
 
 
 def _index(name: str) -> int:
@@ -34,7 +35,7 @@ class TestClipFeatures:
             clip_features(Waveform(samples=np.zeros(100)))
 
     def test_silence_features(self):
-        quiet = Waveform.silence(2.0)
+        quiet = silence(2.0)
         features = clip_features(quiet)
         assert features[_index("volume_mean")] == 0.0
         assert features[_index("non_silence_ratio")] == 0.0

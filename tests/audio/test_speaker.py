@@ -8,7 +8,6 @@ from repro.audio.speaker import (
     NON_SPEECH_LABEL,
     SPEECH_LABEL,
     SpeakerAnalyzer,
-    analyze_shots,
     default_speech_classifier,
 )
 from repro.audio.synthesis import (
@@ -91,7 +90,7 @@ class TestSpeakerChange:
         audio = synthesize_speech(VOICE_BANK["dr_adams"], 8.0, seed=3)
         a = analyzer.analyze_shot(audio, 0, 0.0, 4.0)
         b = analyzer.analyze_shot(audio, 1, 4.0, 8.0)
-        assert analyzer.is_speaker_change(a, b) is False
+        assert not analyzer.speaker_change(a, b).is_change
 
     def test_different_voice(self, analyzer):
         track = _track(
@@ -102,7 +101,7 @@ class TestSpeakerChange:
         )
         a = analyzer.analyze_shot(track, 0, 0.0, 4.0)
         b = analyzer.analyze_shot(track, 1, 4.0, 8.0)
-        assert analyzer.is_speaker_change(a, b) is True
+        assert analyzer.speaker_change(a, b).is_change
 
     def test_untestable_pair_returns_none(self, analyzer):
         audio = _track(
@@ -114,16 +113,10 @@ class TestSpeakerChange:
         a = analyzer.analyze_shot(audio, 0, 0.0, 4.0)
         b = analyzer.analyze_shot(audio, 1, 4.0, 8.0)
         assert analyzer.speaker_change(a, b) is None
-        assert analyzer.is_speaker_change(a, b) is False
 
 
 class TestAnalyzeShots:
-    def test_batch(self, analyzer):
-        audio = synthesize_speech(VOICE_BANK["narrator"], 6.0, seed=4)
-        results = analyze_shots(audio, [(0.0, 3.0), (3.0, 6.0)], analyzer)
-        assert [r.shot_id for r in results] == [0, 1]
-
     def test_rejects_empty_window(self, analyzer):
         audio = synthesize_ambient(4.0)
         with pytest.raises(AudioError):
-            analyze_shots(audio, [(2.0, 2.0)], analyzer)
+            analyzer.analyze_shot(audio, 0, 2.0, 2.0)

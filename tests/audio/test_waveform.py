@@ -65,10 +65,3 @@ class TestWaveform:
     def test_concatenate_rejects_empty_list(self):
         with pytest.raises(AudioError):
             Waveform.concatenate([])
-
-    def test_silence(self):
-        quiet = Waveform.silence(0.5, sample_rate=8000)
-        assert len(quiet) == 4000
-        assert quiet.rms() == 0.0
-        with pytest.raises(AudioError):
-            Waveform.silence(-1.0)

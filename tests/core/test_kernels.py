@@ -32,7 +32,6 @@ from repro.core.similarity import (
     group_similarity_matrix,
     group_similarity_to_many,
     shot_similarity,
-    similarity_matrix,
 )
 from repro.database.index import feature_similarity, feature_similarity_batch
 from repro.errors import MiningError
@@ -86,16 +85,9 @@ class TestPairwiseStSim:
             pairwise_stsim(fm, weights), expected, atol=TOLERANCE, rtol=0
         )
 
-    def test_similarity_matrix_wrapper(self, rng):
-        shots = _random_shots(rng, 11)
-        expected = _scalar_matrix(shots, SimilarityWeights())
-        np.testing.assert_allclose(
-            similarity_matrix(shots), expected, atol=TOLERANCE, rtol=0
-        )
-
     def test_analytic_diagonal(self, rng):
         shots = _random_shots(rng, 5)
-        matrix = similarity_matrix(shots)
+        matrix = pairwise_stsim(FeatureMatrix.from_shots(shots))
         for i, shot in enumerate(shots):
             assert matrix[i, i] == pytest.approx(
                 shot_similarity(shot, shot), abs=TOLERANCE
@@ -111,7 +103,7 @@ class TestPairwiseStSim:
         np.testing.assert_allclose(whole, chunked, atol=1e-12, rtol=0)
 
     def test_empty_input(self):
-        assert similarity_matrix([]).shape == (0, 0)
+        assert pairwise_stsim(FeatureMatrix.from_shots([])).shape == (0, 0)
 
 
 class TestCrossStSim:

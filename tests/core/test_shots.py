@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.features import build_shot, representative_frame_index
+from repro.core.features import representative_frame_index
 from repro.core.shots import (
     boundary_spans,
     detect_boundaries,
@@ -87,7 +87,7 @@ class TestBoundarySpans:
 class TestShotFeatures:
     def test_build_shot_extracts_features(self):
         stream = _cut_stream([(200, 30, 30)])
-        shot = build_shot(stream, 0, 0, 12)
+        (shot,) = shots_from_ground_truth(stream, [(0, 12)])
         assert shot.histogram.shape == (256,)
         assert shot.texture.shape == (10,)
         assert shot.duration == pytest.approx(1.2)
@@ -96,7 +96,7 @@ class TestShotFeatures:
     def test_build_shot_rejects_overrun(self):
         stream = _cut_stream([(200, 30, 30)])
         with pytest.raises(MiningError):
-            build_shot(stream, 0, 0, 99)
+            shots_from_ground_truth(stream, [(0, 99)])
 
     def test_shots_from_ground_truth(self):
         stream = _cut_stream([(200, 30, 30), (30, 200, 30)])

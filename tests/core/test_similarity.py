@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.features import Shot
+from repro.core.kernels import FeatureMatrix, pairwise_stsim
 from repro.core.similarity import (
     SimilarityWeights,
     group_similarity,
     shot_group_similarity,
     shot_similarity,
-    similarity_matrix,
 )
 from repro.errors import MiningError
 from tests.helpers import blank_frame
@@ -120,7 +120,7 @@ class TestGroupSimilarity:
 class TestSimilarityMatrix:
     def test_symmetric_with_unit_diagonal(self, rng):
         shots = [_random_shot(rng, i) for i in range(5)]
-        matrix = similarity_matrix(shots)
+        matrix = pairwise_stsim(FeatureMatrix.from_shots(shots))
         assert matrix.shape == (5, 5)
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 1.0)

@@ -46,10 +46,12 @@ class TestMineContentStructure:
 
     def test_cluster_of_scene(self, demo_structure):
         for scene in demo_structure.scenes:
-            cluster = demo_structure.cluster_of_scene(scene.scene_id)
-            assert cluster is not None
-            assert scene.scene_id in cluster.scene_ids
-        assert demo_structure.cluster_of_scene(9999) is None
+            clusters = [
+                cluster
+                for cluster in demo_structure.clustered_scenes
+                if scene.scene_id in cluster.scene_ids
+            ]
+            assert len(clusters) == 1
 
     def test_oracle_spans_bypass_detection(self, demo_video):
         spans = [(s.start, s.stop) for s in demo_video.truth.shots]

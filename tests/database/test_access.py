@@ -87,8 +87,11 @@ class TestRules:
         )
         assert not controller.check(user, "surgery/dialog")
 
-    def test_global_rules(self, controller):
-        controller.add_rule(FilterRule("clinical_operation", Permission.DENY))
+    def test_global_rules(self):
+        controller = AccessController(
+            build_medical_hierarchy(),
+            global_rules=[FilterRule("clinical_operation", Permission.DENY)],
+        )
         chief = User(name="chief", clearance=9)
         assert not controller.check(chief, "surgery/clinical_operation")
         assert not controller.check(chief, "imaging/clinical_operation")

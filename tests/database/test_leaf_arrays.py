@@ -1,10 +1,8 @@
 """The array-native leaf scan against its scalar references.
 
-Three pieces replaced per-row Python work: vectorised hash signatures,
-``top_k`` and ordinal dedup across leaves.  Each is held here to the
-scalar code it replaced — ``leaf_signature`` row by row, the stable
-``list.sort`` and the key-set dedup of the pre-batch search (the oracle
-``tests/database/test_query_batched.py`` keeps verbatim).
+Two pieces replaced per-row Python work: vectorised hash signatures and
+``top_k``.  Each is held here to the scalar code it replaced —
+``leaf_signature`` row by row and the stable ``list.sort``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.database.index import (
     leaf_signatures,
     rows_by_signature,
 )
-from repro.database.query import search_hierarchical
 from repro.storage import (
     SQLCatalog,
     SQLVideoDatabase,
@@ -32,7 +29,6 @@ from repro.storage import (
     save_database,
 )
 from tests.database.oracles import probe
-from tests.database.test_query_batched import _scalar_search
 
 #: Super-bin masses around the 0.1 threshold, with exact repeats so two
 #: or more super-bins tie; 0.125 and 0.25 are dyadic, so 64 equal bins
@@ -122,40 +118,7 @@ def _entry(rng, shot_id: int, quadrant: int) -> ShotEntry:
     return ShotEntry("v", shot_id, 0, combine_features(histogram, rng.random(10) * 0.3))
 
 
-class TestCrossLeafDedup:
-    def test_shared_entry_ranks_once_with_the_first_leafs_score(self, rng):
-        """One ShotEntry filed under both visited leaves (hand-built, with ordinals)."""
-        shared = _entry(rng, 100, 0)
-        first = [_entry(rng, i, 0) for i in range(6)] + [shared]
-        second = [shared] + [_entry(rng, 10 + i, 0) for i in range(6)]
-        # Different populations: the two leaves score `shared` in different sub-spaces.
-        leaves = [
-            build_node("first", 1, entries=first, reduced_dim=16,
-                       ordinals=np.array([0, 1, 2, 3, 4, 5, 100])),
-            build_node("second", 1, entries=second, reduced_dim=16,
-                       ordinals=np.array([100, 10, 11, 12, 13, 14, 15])),
-        ]
-        root = build_node("root", 0, children=leaves)
-        query = shared.features
-        result = search_hierarchical(root, query, k=20, beam=2)
-        oracle_hits, oracle_stats = _scalar_search(root, query, k=20, beam=2)
-
-        assert result.stats.visited_path == oracle_stats.visited_path
-        assert result.stats.comparisons == oracle_stats.comparisons
-        assert result.stats.ranked == oracle_stats.ranked == 13
-        assert [hit.entry.key for hit in result.hits] == [
-            hit.entry.key for hit in oracle_hits
-        ]
-        assert [hit.score for hit in result.hits] == [hit.score for hit in oracle_hits]
-        keys = [hit.entry.key for hit in result.hits]
-        assert keys.count(shared.key) == 1
-        first_visited = next(
-            leaf for leaf in leaves if leaf.name == result.stats.visited_path[1]
-        )
-        (shared_hit,) = [hit for hit in result.hits if hit.entry.key == shared.key]
-        row = first_visited.leaf.entries.index(shared)
-        assert shared_hit.score == first_visited.leaf.scan(query, np.array([row]))[0]
-
+class TestLeafScan:
     def test_leaf_scan_matches_the_scalar_oracle_on_any_row_subset(self, rng):
         from repro.database.index import feature_similarity
 

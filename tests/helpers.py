@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.audio.waveform import DEFAULT_SAMPLE_RATE, Waveform
 from repro.core.pipeline import ClassMinerResult
 from repro.ingest.artifacts import encode_result
 from repro.video.frame import DEFAULT_HEIGHT, DEFAULT_WIDTH, Frame
@@ -20,6 +21,11 @@ def blank_frame(
     pixels = np.empty((height, width, 3), dtype=np.uint8)
     pixels[:, :] = np.asarray(color, dtype=np.uint8)
     return Frame(pixels=pixels, index=index, timestamp=timestamp)
+
+
+def silence(duration: float) -> Waveform:
+    """``duration`` seconds of zeros at the default sample rate."""
+    return Waveform(samples=np.zeros(int(round(duration * DEFAULT_SAMPLE_RATE))))
 
 
 def results_equal(a: ClassMinerResult, b: ClassMinerResult) -> bool:

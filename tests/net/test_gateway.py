@@ -189,6 +189,7 @@ class TestProtocolEdges:
             ({"nprobe": 0}, "nprobe must be >= 1"),
             ({"rerank_k": 0}, "rerank_k must be >= 1"),
             ({"kind": "scene", "nprobe": 2}, "nprobe/rerank_k only apply"),
+            ({"features": [float("nan"), *features[1:]]}, "need finite feature values"),
         ):
             status, body, _ = post_query(
                 gw.url, {"kind": "shot", "features": features, **fields}

@@ -69,6 +69,9 @@ MALFORMED = [
     (dict(kind="shot", rerank_k=0), r"rerank_k must be >= 1 \(or None for all\)"),
     (dict(kind="shot_flat", features=np.zeros(10)), r"need a \(266,\) feature vector"),
     (dict(kind="shot", features=np.zeros(0)), r"need a \(266,\) feature vector"),
+    (dict(kind="shot", features=np.r_[np.nan, np.zeros(265)]), "need finite feature values"),
+    (dict(kind="shot_flat", features=np.r_[np.zeros(265), np.nan]), "need finite feature values"),
+    (dict(kind="scene", features=np.r_[np.zeros(265), np.inf]), "need finite feature values"),
     (dict(kind="shot", timeout=float("inf")), "timeout must be finite"),
     (dict(kind="shot", timeout=float("nan")), "timeout must be finite"),
     (

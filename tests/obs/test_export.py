@@ -5,10 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ObservabilityError
 from repro.obs import (
     MetricsRegistry,
-    check_prometheus_text,
     render_prometheus,
     validate_prometheus_text,
 )
@@ -66,7 +64,6 @@ class TestPrometheus:
     def test_render_validates(self):
         text = render_prometheus(_sample_registry())
         assert validate_prometheus_text(text) == []
-        check_prometheus_text(text)  # must not raise
 
     def test_empty_registry_renders_empty(self):
         assert render_prometheus(MetricsRegistry()) == ""
@@ -97,5 +94,5 @@ class TestValidator:
         assert validate_prometheus_text(line + "\n")
 
     def test_check_raises_with_line_numbers(self):
-        with pytest.raises(ObservabilityError, match="line 1"):
-            check_prometheus_text("bad line here\n")
+        (error,) = validate_prometheus_text("bad line here\n")
+        assert error.startswith("line 1:")

@@ -13,12 +13,12 @@ from repro.obs import (
     Span,
     Tracer,
     active_tracer,
-    check_prometheus_text,
     get_registry,
     install_tracer,
     load_trace,
     render_prometheus,
     render_spans,
+    validate_prometheus_text,
 )
 from repro.obs import trace as trace_module
 
@@ -127,7 +127,7 @@ class TestJsonl:
         assert "mine.shots" in render_spans(loaded)
         # The mine fed the process-wide registry, and what it exports parses.
         assert get_registry().snapshot()["kernel_packs_total"] > 0
-        check_prometheus_text(render_prometheus(get_registry()))
+        assert validate_prometheus_text(render_prometheus(get_registry())) == []
 
     def test_empty_trace_round_trip(self, tmp_path):
         path = Tracer().write_jsonl(tmp_path / "empty.jsonl")

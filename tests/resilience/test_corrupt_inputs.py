@@ -17,6 +17,7 @@ from repro.core.structure import mine_content_structure
 from repro.errors import ReproError
 from repro.video.frame import Frame
 from repro.video.stream import VideoStream
+from tests.helpers import silence
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +68,7 @@ class TestCorruptedFrames:
 
 class TestDegenerateAudio:
     def test_pure_silence_shot(self, analyzer):
-        silence = Waveform.silence(6.0)
-        shot = analyzer.analyze_shot(silence, 0, 0.0, 6.0)
+        shot = analyzer.analyze_shot(silence(6.0), 0, 0.0, 6.0)
         assert not shot.has_speech
 
     def test_clipped_audio_does_not_crash(self, analyzer):

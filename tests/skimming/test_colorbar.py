@@ -52,7 +52,3 @@ class TestColorBar:
     def test_render_empty_raises(self):
         with pytest.raises(SkimmingError):
             render_text_bar([])
-
-    def test_span_color_names(self, bar):
-        names = {span.color_name for span in bar}
-        assert names <= {"blue", "green", "red", "gray"}

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SkimmingError
 from repro.skimming.quality import (
-    best_level,
     evaluate_all_levels,
     objective_scores,
     panel_scores,
@@ -79,13 +78,9 @@ class TestQualityPanel:
     def test_evaluate_all_levels(self, skim, demo_truth):
         scores = evaluate_all_levels(skim, demo_truth)
         assert [s.level for s in scores] == [1, 2, 3, 4]
-        winner = best_level(scores)
+        winner = max(scores, key=lambda s: s.overall).level
         assert winner in (2, 3)  # paper finds the mid levels optimal
 
     def test_zero_viewers_rejected(self, skim, demo_truth):
         with pytest.raises(SkimmingError):
             panel_scores(skim, demo_truth, 3, viewers=0)
-
-    def test_best_level_requires_scores(self):
-        with pytest.raises(SkimmingError):
-            best_level([])

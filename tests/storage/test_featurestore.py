@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import mmap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +131,39 @@ class TestOpen:
     def test_cache_hit_returns_same_object(self, store):
         ref = store.put(_block(6))
         assert store.open(ref.sha) is store.open(ref.sha)
+
+    def test_header_parses_never_overlap(self, store, monkeypatch):
+        """numpy parses a header with ``ast.literal_eval``, whose recursion
+        counter CPython 3.11 shares between threads: one parse at a time."""
+        parse = np.lib.format.read_array_header_1_0
+        inside, most, count = [0], [0], threading.Lock()
+
+        def slow_parse(handle):
+            with count:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+            time.sleep(0.02)
+            try:
+                return parse(handle)
+            finally:
+                with count:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", slow_parse)
+        shas = [store.put(_block(seed)).sha for seed in (7, 8)]
+        start, opened = threading.Barrier(len(shas)), []
+
+        def open_block(sha):
+            start.wait(timeout=10.0)
+            opened.append(store.open(sha))
+
+        threads = [threading.Thread(target=open_block, args=(sha,)) for sha in shas]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(opened) == 2 and most[0] == 1
 
 
 def _resident_bytes(path) -> int:

@@ -107,7 +107,6 @@ PUBLIC_NAMES = {
         "adaptive_local_threshold",
         "banded_stsim",
         "boundary_spans",
-        "build_shot",
         "classify_group",
         "cluster_scenes",
         "cross_stsim",
@@ -130,7 +129,6 @@ PUBLIC_NAMES = {
         "shot_group_similarity",
         "shot_similarity",
         "shots_from_ground_truth",
-        "similarity_matrix",
         "validity_index",
     ],
     "repro.ingest": [
@@ -483,34 +481,18 @@ UNREACHED: dict[str, str] = {
     "repro.database.catalog.VideoDatabase.unregister": "ROADMAP item 3(a): delta publish",
     "repro.database.hierarchy.hierarchy_from_dict": "ROADMAP item 8: the subject-area hierarchy",
     "repro.database.hierarchy.hierarchy_to_dict": "ROADMAP item 8: the subject-area hierarchy",
-    "repro.audio.diarization.Diarization.recurring_speakers": _NEXT,
-    "repro.audio.speaker.SpeakerAnalyzer.is_speaker_change": _NEXT,
-    "repro.audio.speaker.analyze_shots": _NEXT,
-    "repro.audio.waveform.Waveform.silence": _NEXT,
-    "repro.core.features.build_shot": _NEXT,
-    "repro.core.similarity.similarity_matrix": _NEXT,
-    "repro.core.structure.ContentStructure.cluster_of_scene": _NEXT,
     "repro.core.structure.MiningConfig.from_dict": _NEXT,
-    "repro.obs.export.check_prometheus_text": _NEXT,
-    "repro.database.access.AccessController.add_rule": _NEXT,
     "repro.database.access.AccessController.require": _NEXT,
     "repro.evaluation.event_eval.EventBenchmarkCase.correct": _NEXT,
     "repro.events.model.SceneEvent.is_known": _NEXT,
     "repro.skimming.browser.BrowseLevel.coarser": _NEXT,
     "repro.skimming.browser.HierarchyBrowser.up": _NEXT,
-    "repro.skimming.colorbar.ColorBarSpan.color_name": _NEXT,
     "repro.skimming.poster.read_ppm": _NEXT,
-    "repro.skimming.quality.best_level": _NEXT,
     "repro.skimming.skim.ScalableSkim.play": _NEXT,
     "repro.skimming.skim.ScalableSkim.scroll_position": _NEXT,
     "repro.types.EventKind.from_label": _NEXT,
     "repro.video.io.load_stream": _NEXT,
     "repro.video.stream.VideoStream.timestamp_of": _NEXT,
-    "repro.vision.compressed.dc_difference": _NEXT,
-    "repro.vision.compressed.dc_difference_signal": _NEXT,
-    "repro.vision.difference.pixel_difference": _NEXT,
-    "repro.vision.frames.dominant_color_fraction": _NEXT,
-    "repro.vision.frames.histogram_entropy": _NEXT,
     "repro.vision.histogram.histogram_l1_distance": _NEXT,
 }
 

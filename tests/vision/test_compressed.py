@@ -7,7 +7,7 @@ from repro.core.shots import detect_shots
 from repro.errors import MiningError, VisionError
 from repro.video.frame import Frame
 from repro.video.stream import VideoStream
-from repro.vision.compressed import dc_difference, dc_difference_signal, dc_image
+from repro.vision.compressed import dc_image, dc_images, signal_from_dc_images
 from tests.helpers import blank_frame
 
 
@@ -50,21 +50,13 @@ class TestDcSignal:
         return VideoStream(frames=list(frames), fps=10)
 
     def test_cut_produces_spike(self):
-        signal = dc_difference_signal(self._stream())
+        signal = signal_from_dc_images(dc_images(self._stream()))
         assert np.argmax(signal) == 5
         assert signal[5] > 10 * (np.delete(signal, 5).max() + 1e-9)
 
-    def test_pairwise_difference(self):
-        red = blank_frame(32, 32, (255, 0, 0))
-        blue = blank_frame(32, 32, (0, 0, 255))
-        assert dc_difference(red, red) == 0.0
-        assert dc_difference(red, blue) > 0.1
-        with pytest.raises(VisionError):
-            dc_difference(red, blank_frame(16, 16))
-
     def test_single_frame_stream(self):
         stream = VideoStream(frames=[blank_frame(8, 8)], fps=10)
-        assert dc_difference_signal(stream).size == 0
+        assert signal_from_dc_images(dc_images(stream)).size == 0
 
 
 class TestDcDetectionMode:

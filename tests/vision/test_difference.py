@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import VisionError
 from repro.video.stream import VideoStream
 from repro.vision.difference import (
     difference_signal,
     histogram_difference,
-    pixel_difference,
 )
 from tests.helpers import blank_frame
 
@@ -16,13 +14,11 @@ from tests.helpers import blank_frame
 class TestPairwise:
     def test_identical_frames_zero(self):
         frame = blank_frame(8, 8, (10, 20, 30))
-        assert pixel_difference(frame, frame) == 0.0
         assert histogram_difference(frame, frame) == 0.0
 
     def test_opposite_frames_large(self):
         black = blank_frame(8, 8, (0, 0, 0))
         white = blank_frame(8, 8, (255, 255, 255))
-        assert pixel_difference(black, white) == pytest.approx(1.0)
         assert histogram_difference(black, white) == pytest.approx(1.0)
 
     def test_histogram_difference_bounded(self, rng):
@@ -32,10 +28,6 @@ class TestPairwise:
         b = Frame(pixels=rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
         value = histogram_difference(a, b)
         assert 0.0 <= value <= 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(VisionError):
-            pixel_difference(blank_frame(4, 4), blank_frame(5, 4))
 
 
 class TestSignal:
