@@ -548,9 +548,10 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     if k < count:
         cut = np.partition(scores, count - k)[count - k]
-        above = np.flatnonzero(scores > cut)
-        tied = np.flatnonzero(scores == cut)[: k - above.size]
-        keep = np.sort(np.concatenate([above, tied]))
+        keep = np.flatnonzero(scores >= cut)
+        if keep.size > k:  # ties at the cut: the lowest indices win
+            tied = np.flatnonzero(scores[keep] == cut)
+            keep = np.delete(keep, tied[k - (keep.size - tied.size) :])
     else:
         keep = np.arange(count)
     return keep[np.argsort(-scores[keep], kind="stable")]

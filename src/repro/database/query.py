@@ -9,10 +9,12 @@ cost model can be verified against the implementation.
 
 from __future__ import annotations
 
-import bisect
 import time
-from collections.abc import Set as AbstractSet
+from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from operator import neg
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +22,11 @@ from repro.core.kernels import top_k
 from repro.database.index import (
     INDEX_STATS,
     IndexNode,
-    LeafHashIndex,
     ShotEntry,
     feature_similarity_batch,
 )
 from repro.errors import DatabaseError
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
 @dataclass(frozen=True)
@@ -107,33 +109,94 @@ def _child_scores(
     ]
 
 
-#: One scanned leaf: ``(leaf, rows or None for every row, their scores)``.
-ScannedLeaf = tuple[LeafHashIndex, np.ndarray | None, np.ndarray]
+class LeafProbe(NamedTuple):
+    """One source's ``k`` best of one leaf, and the work behind them.
 
-
-def top_candidates(
-    scanned: list[ScannedLeaf], k: int
-) -> list[tuple[LeafHashIndex, int, float]]:
-    """The ``k`` best ``(leaf, row, score)`` of the scanned leaves.
-
-    Candidates rank in visit order (leaf by leaf, row by row), so the
-    stable :func:`~repro.core.kernels.top_k` reproduces the tie order of
-    sorting one object per candidate.
+    A source is a whole leaf in process, a shard's share of one, or a
+    shard's whole flat or scene index (``bucket`` 0).  ``keys`` order
+    ties: leaf rows in process, global ordinals (scenes: ``[title,
+    scene_id]``) on the wire, where ``items`` carry the hits' identities.
     """
+
+    bucket: int
+    count: int
+    approx: int = 0
+    reranked: int = 0
+    degraded: bool = False
+    keys: Sequence = ()
+    scores: Sequence[float] = ()
+    items: Sequence = ()
+
+
+def probe_leaf(
+    node: IndexNode,
+    features: np.ndarray,
+    k: int,
+    nprobe: int | None = None,
+    rerank_k: int | None = None,
+    tracer: Tracer | NullTracer = NULL_TRACER,
+) -> LeafProbe:
+    """Rank one leaf for a shot query, in process and on a shard worker.
+
+    The leaf scans :meth:`~repro.database.index.LeafHashIndex.candidate_rows`
+    and reports its bucket's true size, so a merge over shards can apply
+    that rule at global scope.  With ``nprobe`` the ANN tier prunes those
+    rows first; survivors keep ascending row order, so with nothing pruned
+    the ANN path is the exact path.  A leaf whose ANN state cannot load
+    scans exactly and reports ``degraded``.
+    """
+    leaf = node.leaf
+    assert leaf is not None
+    rows = leaf.candidate_rows(features)
+    bucket = 0 if rows is None else int(rows.size)
+    ann, degraded, approx = None, False, 0
+    if nprobe is not None:
+        from repro.ann.index import resolve_ann
+
+        ann, degraded = resolve_ann(node)
+        if ann is not None:
+            with tracer.span("ann.prune") as prune_span:
+                base = np.arange(len(leaf)) if rows is None else rows
+                rows, approx = ann.search_rows(features, base, nprobe, rerank_k)
+                prune_span.set(evals=approx, survivors=len(rows))
+    scanned = len(leaf) if rows is None else int(rows.size)
     if not scanned:
-        return []
-    scores = np.concatenate([part[2] for part in scanned])
-    starts = [0]
-    for part in scanned:
-        starts.append(starts[-1] + part[2].size)
-    best = []
-    for position in top_k(scores, k).tolist():
-        index = bisect.bisect_right(starts, position) - 1
-        leaf, rows, _scores = scanned[index]
-        local = position - starts[index]
-        row = local if rows is None else int(rows[local])
-        best.append((leaf, row, float(scores[position])))
-    return best
+        return LeafProbe(bucket, 0, approx, 0, degraded)
+    with tracer.span("score.exact", rows=scanned):
+        scores = leaf.scan(features, rows)
+    best = top_k(scores, k)
+    keys = (best if rows is None else rows[best]).tolist()
+    reranked = scanned if ann is not None else 0
+    return LeafProbe(bucket, scanned, approx, reranked, degraded, keys, scores[best].tolist())
+
+
+def merge_probes(
+    answers: Sequence[Sequence[LeafProbe]], k: int, stats: QueryStats
+) -> list[tuple[int, LeafProbe, int]]:
+    """The ``k`` best ``(leaf position, probe, index into it)`` of all answers.
+
+    ``answers[position]`` holds every source's probe of that leaf.  Per
+    leaf the sources with a non-empty bucket are kept, or all when none
+    has one (``candidate_rows``'s rule at global scope), and their work
+    sums into ``stats``.  Hits rank by (−score, leaf position, key): one
+    unsharded scan's visit order, as each source's keys are an
+    order-preserving subset of its leaf's — so its ``k`` best hold every
+    winner it has.
+    """
+    ranked: list[tuple] = []
+    for position, probes in enumerate(answers):
+        stats.ann_degraded = stats.ann_degraded or any(p.degraded for p in probes)
+        for probe in [p for p in probes if p.bucket] or probes:
+            stats.comparisons += probe.count
+            stats.ranked += probe.count
+            stats.approx_comparisons += probe.approx
+            stats.reranked += probe.reranked
+            # (−score, position, key) is unique, so the sort never looks further.
+            ranked += zip(
+                map(neg, probe.scores), repeat(position), probe.keys, count(), repeat(probe)
+            )
+    ranked.sort()
+    return [(position, probe, index) for _, position, _, index, probe in ranked[:k]]
 
 
 def search_hierarchical(
@@ -197,37 +260,12 @@ def search_hierarchical(
             return QueryResult(hits=[], stats=stats)
         raise DatabaseError("descent reached no populated leaf")
 
-    scanned: list[ScannedLeaf] = []
-    for node in leaves:
-        leaf = node.leaf
-        assert leaf is not None
-        ann = None
-        if nprobe is not None:
-            from repro.ann.index import resolve_ann
-
-            ann, degraded = resolve_ann(node)
-            if degraded:
-                stats.ann_degraded = True
-        rows = leaf.candidate_rows(features)
-        if ann is not None:
-            # Survivors arrive in ascending row order — the sequence the
-            # exact probe visits — so with nothing pruned (``nprobe >=
-            # cells``, unbounded tail) the ANN path is the exact path.
-            rows, approx_evals = ann.search_rows(
-                features, np.arange(len(leaf)) if rows is None else rows, nprobe, rerank_k
-            )
-            stats.approx_comparisons += approx_evals
-        scores = leaf.scan(features, rows)
-        stats.comparisons += scores.size
-        if ann is not None:
-            stats.reranked += scores.size
-        scanned.append((leaf, rows, scores))
+    probes = [[probe_leaf(node, features, k, nprobe, rerank_k)] for node in leaves]
     # Only the winners become objects.
     hits = [
-        RankedShot(entry=leaf.entry(row), score=score)
-        for leaf, row, score in top_candidates(scanned, k)
+        RankedShot(leaves[position].leaf.entry(probe.keys[index]), probe.scores[index])
+        for position, probe, index in merge_probes(probes, k, stats)
     ]
-    stats.ranked = sum(part[2].size for part in scanned)
     stats.elapsed_seconds = time.perf_counter() - start
     return QueryResult(hits=hits, stats=stats)
 

@@ -11,13 +11,14 @@ by Eq. (1)-style similarity to that centroid.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Set as AbstractSet
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core.kernels import combined_stsim_to_many, top_k
+from repro.database.events_query import event_concept
 from repro.database.index import LeafHashIndex
 from repro.errors import DatabaseError
 from repro.types import EventKind
@@ -72,6 +73,8 @@ class SceneTable(NamedTuple):
     shot_counts: np.ndarray
     centroids: np.ndarray
 
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 _NO_SCENES = SceneTable(
     np.empty(0, dtype=object), np.empty(0, dtype=np.int64),
@@ -150,11 +153,17 @@ class SceneIndex:
         self._load_lock = threading.Lock()
 
     def _install(self, table: SceneTable) -> None:
-        grouped: dict[EventKind, list[int]] = {}
-        for row, event in enumerate(table.events.tolist()):
-            grouped.setdefault(event, []).append(row)
+        by_event: dict[EventKind, list[int]] = {}
+        by_concept: dict[str, list[int]] = {}
+        pairs = zip(table.titles.tolist(), table.events.tolist())
+        for row, (title, event) in enumerate(pairs):
+            by_event.setdefault(event, []).append(row)
+            by_concept.setdefault(event_concept(title, event), []).append(row)
         self._event_rows = {
-            kind: np.asarray(rows, dtype=np.intp) for kind, rows in grouped.items()
+            kind: np.asarray(rows, dtype=np.intp) for kind, rows in by_event.items()
+        }
+        self._concept_rows = {
+            concept: np.asarray(rows, dtype=np.intp) for concept, rows in by_concept.items()
         }
         self.table = table
 
@@ -191,19 +200,27 @@ class SceneIndex:
         features: np.ndarray,
         k: int = 5,
         event: EventKind | None = None,
+        allowed: AbstractSet[str] | None = None,
     ) -> list[RankedScene]:
         """Rank scenes by centroid similarity, optionally within an event.
 
-        Raises :class:`DatabaseError` when the index is empty.
+        ``allowed`` is an access scope: only scenes whose
+        :func:`~repro.database.events_query.event_concept` it names are
+        ranked, so a scoped search still returns its ``k`` best.  Raises
+        :class:`DatabaseError` when the index is empty.
         """
         if not len(self):
             raise DatabaseError("scene index is empty")
         table = self.table
         rows = None
         if event is not None:
-            rows = self._event_rows.get(event)
-            if rows is None:
-                return []
+            rows = self._event_rows.get(event, _NO_ROWS)
+        if allowed is not None:
+            permitted = [own for name, own in self._concept_rows.items() if name in allowed]
+            scoped = np.sort(np.concatenate(permitted)) if permitted else _NO_ROWS
+            rows = scoped if rows is None else np.intersect1d(rows, scoped)
+        if rows is not None and not rows.size:
+            return []
         scores = combined_stsim_to_many(features, table.centroids, rows=rows)
         hits = []
         for position in top_k(scores, k).tolist():

@@ -14,30 +14,27 @@ the single-process path (ids, scores, tie-break order):
   tree rebuilt from the manifest's full-corpus leaf metadata
   (:func:`~repro.net.shard.build_routing_tree`), so the visited node
   sequence and descent comparisons match the unsharded server.
-* Shards only execute leaf-level work, in one ``probe`` round.  Each
-  leaf scans its local bucket, or every local row when that bucket is
-  empty, and returns its true bucket size, its scan counts and its
-  ``k`` best candidates.  The merge keeps, per leaf, the shards whose
-  bucket is non-empty, or every shard when all are empty —
-  :meth:`~repro.database.index.LeafHashIndex.candidate_rows`'s rule at
-  global scope.
-* Candidates carry global flat ordinals and rank by (−score, leaf
-  position, ordinal): the unsharded visit order, because hash-by-title
-  sharding makes every within-shard order an order-preserving subset
-  of the global one.  That comparator restricted to one shard's leaf
-  *is* the shard's local order, so its local top-k holds every global
-  winner it has.
+* Shards only execute leaf-level work, in one ``probe`` round: each
+  runs the in-process leaf step, :func:`~repro.database.query.probe_leaf`,
+  on its share of every leaf; ``flat`` and ``scene`` answer the shard's
+  whole index as one probe.  Every answer merges through
+  :func:`~repro.database.query.merge_probes`, as ``search_hierarchical``
+  does: per leaf it keeps the shards whose bucket is non-empty, or all
+  when none is, and ranks by (−score, leaf position, key).  Keys are
+  global flat ordinals (scenes: ``[title, scene_id]``) and hash-by-title
+  sharding keeps every within-shard order an order-preserving subset of
+  the global one, so that is the unsharded visit order.
 * A candidate on the wire is an identity and a score — no 266-d row,
   no scene centroid — and so is a merged hit: its ``entry.features`` /
   ``entry.centroid`` is ``None``, the contract
   :class:`~repro.serving.engine.QueryFront` states for every hit that
   crossed a wire.
 
-**QueryStats aggregation** (documented contract, asserted by tests):
-``shot`` comparisons = coordinator descent comparisons + Σ ``count``
-of the kept shards per leaf (``approx_comparisons`` / ``reranked``
-likewise); ``shot_flat`` = Σ shard entry counts;
-``scene`` = Σ shard scene counts; ``event`` = 0.
+**QueryStats aggregation** is ``merge_probes``' for every kind: the kept
+probes' ``count`` / ``approx`` / ``reranked`` sum into ``comparisons`` /
+``approx_comparisons`` / ``reranked`` (plus the descent's comparisons
+for ``shot``; a flat or scene probe counts the shard's entries or
+scenes), and a degraded probe sets ``ann_degraded``; ``event`` = 0.
 
 **Degradation.**  Each shard sits behind a circuit breaker; a shard
 that fails or is skipped by an open breaker is reported in
@@ -57,9 +54,15 @@ import numpy as np
 
 from repro.database.access import User
 from repro.database.catalog import RegisteredVideo
-from repro.database.events_query import event_concept, query_event_records
+from repro.database.events_query import query_event_records
 from repro.database.index import ShotEntry
-from repro.database.query import QueryStats, RankedShot, descend_to_leaves
+from repro.database.query import (
+    LeafProbe,
+    QueryStats,
+    RankedShot,
+    descend_to_leaves,
+    merge_probes,
+)
 from repro.database.scene_search import RankedScene, SceneEntry
 from repro.errors import (
     DatabaseError,
@@ -123,6 +126,23 @@ class CoordinatorConfig(ServerConfig):
         super().__post_init__()
         if self.rpc_retries < 0:
             raise ServingError("rpc_retries must be >= 0")
+
+
+def _per_leaf(responses: dict[int, dict]) -> list[tuple[LeafProbe, ...]]:
+    """The shards' ``leaves`` answers regrouped per leaf position."""
+    per_shard = [
+        [LeafProbe(**probe) for probe in response["leaves"]]
+        for response in responses.values()
+    ]
+    return list(zip(*per_shard))
+
+
+def _merged_shots(responses: dict[int, dict], k: int, stats: QueryStats) -> tuple:
+    """The ``k`` best shot hits of the shards' probes (``stats`` summed)."""
+    return tuple(
+        RankedShot(ShotEntry(*probe.items[index], features=None), probe.scores[index])
+        for _position, probe, index in merge_probes(_per_leaf(responses), k, stats)
+    )
 
 
 class _Phase:
@@ -566,19 +586,17 @@ class ShardedQueryService:
             leaves = descend_to_leaves(
                 self._root, request.features, stats, allowed
             )
-        ann_active = request.nprobe is not None
         if not leaves:
             if allowed is not None:
                 return BackendAnswer((), stats.comparisons)
             raise DatabaseError("descent reached no populated leaf")
-        names = [leaf.name for leaf in leaves]
         message = {
             "op": "probe",
             "features": pack_array(request.features),
-            "leaves": names,
+            "leaves": [leaf.name for leaf in leaves],
             "k": int(request.k),
         }
-        if ann_active:
+        if request.nprobe is not None:
             message["nprobe"] = int(request.nprobe)
             if request.rerank_k is not None:
                 message["rerank_k"] = int(request.rerank_k)
@@ -587,32 +605,13 @@ class ShardedQueryService:
         self._require_responses(responses, missing)
 
         with _Phase("merge", explain):
-            comparisons = stats.comparisons
-            approx_comparisons = 0
-            merged: list[tuple] = []
-            for position, name in enumerate(names):
-                answers = [response["leaves"][name] for response in responses.values()]
-                # candidate_rows at global scope: a leaf ranks the shards
-                # whose bucket is non-empty, or every shard when all are.
-                kept = [answer for answer in answers if answer["bucket"]] or answers
-                for answer in kept:
-                    comparisons += answer["count"]
-                    approx_comparisons += answer["approx"]
-                    merged.extend(
-                        (-item[4], position, item[0], item)
-                        for item in answer["candidates"]
-                    )
-            # Visit order ties off equal scores: leaf by leaf, then
-            # ascending global ordinal (each shard's rows are an
-            # order-preserving subset of the unsharded leaf).
-            merged.sort()
-            hits = self._ranked_shots([ranked[3] for ranked in merged[: request.k]])
+            hits = _merged_shots(responses, request.k, stats)
         return BackendAnswer(
             hits,
-            comparisons,
-            approx_comparisons,
-            comparisons - stats.comparisons if ann_active else 0,
-            any(response["ann_degraded"] for response in responses.values()),
+            stats.comparisons,
+            stats.approx_comparisons,
+            stats.reranked,
+            stats.ann_degraded,
             tuple(sorted(missing)),
         )
 
@@ -633,16 +632,9 @@ class ShardedQueryService:
                 sink=explain,
             )
         self._require_responses(responses, missing)
-        candidates: list[list] = []
-        total = 0
-        for response in responses.values():
-            candidates.extend(response["candidates"])
-            total += int(response["total"])
-        # The flat baseline's stable sort over registration order is
-        # exactly (-score, global ordinal).
-        candidates.sort(key=lambda item: (-item[4], item[0]))
-        hits = self._ranked_shots(candidates[: request.k])
-        return BackendAnswer(hits, total, shards_missing=tuple(sorted(missing)))
+        stats = QueryStats()
+        hits = _merged_shots(responses, request.k, stats)
+        return BackendAnswer(hits, stats.comparisons, shards_missing=tuple(sorted(missing)))
 
     def _scene(
         self,
@@ -658,38 +650,22 @@ class ShardedQueryService:
         }
         if request.event is not None:
             message["event"] = request.event.value
+        if scope_leaves is not None:
+            message["allowed"] = sorted(scope_leaves)
         with _Phase("scatter", explain):
             responses, missing = self._scatter(message, deadline, sink=explain)
         self._require_responses(responses, missing)
-        candidates: list[list] = []
-        count = 0
-        for response in responses.values():
-            candidates.extend(response["candidates"])
-            count += int(response["count"])
-        if count == 0 and not missing:
+        stats = QueryStats()
+        winners = merge_probes(_per_leaf(responses), request.k, stats)
+        if stats.comparisons == 0 and not missing:
             raise DatabaseError("scene index is empty")
-        # Scene insertion order is sorted (title, scene_id) on every
-        # path, so the stable tie-break is (-score, (title, scene_id)).
-        candidates.sort(key=lambda item: (-item[4], (item[0], int(item[1]))))
         hits = []
-        for item in candidates[: request.k]:
-            entry = SceneEntry(
-                video_title=item[0],
-                scene_id=int(item[1]),
-                event=EventKind(item[2]),
-                shot_count=int(item[3]),
-                centroid=None,
-            )
-            hits.append(RankedScene(entry=entry, score=float(item[4])))
-        if scope_leaves is not None:
-            hits = [
-                hit
-                for hit in hits
-                if event_concept(hit.entry.video_title, hit.entry.event)
-                in scope_leaves
-            ]
+        for _position, probe, index in winners:
+            (title, scene_id), (event, shot_count) = probe.keys[index], probe.items[index]
+            entry = SceneEntry(title, scene_id, EventKind(event), shot_count, centroid=None)
+            hits.append(RankedScene(entry=entry, score=probe.scores[index]))
         return BackendAnswer(
-            tuple(hits), count, shards_missing=tuple(sorted(missing))
+            tuple(hits), stats.comparisons, shards_missing=tuple(sorted(missing))
         )
 
     def _event(
@@ -712,17 +688,6 @@ class ShardedQueryService:
             )
         )
         return BackendAnswer(hits, shards_missing=tuple(sorted(missing)))
-
-    @staticmethod
-    def _ranked_shots(winners: list[list]) -> tuple[RankedShot, ...]:
-        """Wire candidates ``[ordinal, title, shot, scene, score]`` -> hits."""
-        return tuple(
-            RankedShot(
-                ShotEntry(title, int(shot_id), int(scene_id), features=None),
-                float(score),
-            )
-            for _ordinal, title, shot_id, scene_id, score in winners
-        )
 
     # -- maintenance ---------------------------------------------------
 

@@ -9,9 +9,9 @@ op          semantics
 ========== =========================================================
 ``ping``    liveness probe
 ``records`` the shard's registration records (coordinator metadata)
-``probe``   per-leaf local top-k candidates + bucket and scan counts
-``flat``    local Eq. (24) top-k under global ordinals
-``scene``   local scene-centroid top-k
+``probe``   one :class:`~repro.database.query.LeafProbe` per requested leaf
+``flat``    the local Eq. (24) top-k as one probe, keys global ordinals
+``scene``   the local scoped scene-centroid top-k as one probe
 ``sample``  evenly spaced feature vectors (loadgen pools)
 ``metrics`` the worker registry's wire dump (cluster-metrics scrape)
 ``reload``  reopen the shard database; the old one closes once no request holds it
@@ -34,15 +34,16 @@ coordinator to stitch.  Dispatch also counts every op into the worker
 registry (``net_worker_requests_total`` / ``net_worker_op_seconds``),
 which the ``metrics`` op exposes for cluster-wide scraping.
 
-Candidates always carry **global** identities (flat ordinal, title,
-shot/scene ids) and kernel-exact scores, and nothing else: no 266-d row
-or scene centroid crosses the shard wire in an answer, so a stored
-probe's ``probe`` / ``scene`` reads no 266-d block (see
+Every query op answers ``leaves``, a list of probes the coordinator
+merges with :func:`~repro.database.query.merge_probes`.  A probe carries
+**global** identities and kernel-exact scores, and nothing else: no
+266-d row or scene centroid crosses the shard wire in an answer, so a
+stored probe's ``probe`` / ``scene`` reads no 266-d block (see
 ``docs/SHARDING.md``).  Arrays cross it only as a *query* vector and as
-the ``sample`` op's pool.  A ``probe`` leaf scans the local bucket, or
-every local row when that bucket is empty, and ships only its ``k``
-best: the coordinator applies the global empty-bucket rule to the
-reported bucket sizes, so a shot query is one round.
+the ``sample`` op's pool.  A ``probe`` leaf runs the in-process leaf
+step, :func:`~repro.database.query.probe_leaf`, on the local rows: the
+coordinator applies the global empty-bucket rule to the reported bucket
+sizes, so a shot query is one round.
 
 The worker runs threaded (one thread per coordinator connection) and
 can be embedded in-process for tests or launched as
@@ -65,10 +66,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ann.index import resolve_ann
-from repro.core.kernels import top_k
 from repro.database.catalog import close_when_released
 from repro.database.index import IndexNode
+from repro.database.query import LeafProbe, probe_leaf
 from repro.errors import BadRequestError, DatabaseError, ReproError
 from repro.resilience.faults import fault_point
 from repro.net.protocol import (
@@ -308,128 +308,83 @@ class ShardWorker:
         return {"ok": True, "generation": self._generation, "records": records}
 
     def _op_probe(self, request: dict, tracer=NULL_TRACER) -> dict:
-        """Each requested leaf's ``k`` best local candidates, in one round.
+        """Each requested leaf's :func:`~repro.database.query.probe_leaf`, in order.
 
-        A leaf scans the query's local bucket, or every local row when
-        that bucket is empty; whether the coordinator keeps those rows
-        depends on the other shards' buckets, so each leaf reports its
-        true ``bucket`` size beside ``count`` (rows scored exactly) and
-        ``approx`` (ANN evaluations).  When the request carries
-        ``nprobe``, the per-shard ANN tier prunes the rows before exact
-        scoring; with ``nprobe`` covering every cell and no re-rank cap
-        the answer is the exact one.  A leaf whose ANN state cannot load
-        answers exactly with ``ann_degraded`` set.  Candidates come best
-        first, ties by ascending global ordinal (``core.kernels.top_k``
-        over rows in local order).
+        Keys become global ordinals (order-preserving, so ties keep the
+        unsharded visit order) and ``items`` ``[title, shot_id,
+        scene_id]``; a leaf this shard does not hold answers an empty probe.
         """
         if "k" not in request:
             raise BadRequestError("probe needs k")
         k = int(request["k"])
         state = self._state
         features = unpack_array(request["features"])
-        nprobe = request.get("nprobe")
-        rerank_k = request.get("rerank_k")
-        ann_degraded = False
-        per_leaf: dict[str, dict] = {}
+        nprobe, rerank_k = request.get("nprobe"), request.get("rerank_k")
+        probes = []
         for name in request.get("leaves", []):
             node = state.leaves.get(name)
             if node is None:
-                per_leaf[name] = {"bucket": 0, "count": 0, "approx": 0, "candidates": []}
+                probes.append(LeafProbe(0, 0)._asdict())
                 continue
             with tracer.span("worker.leaf", leaf=name) as leaf_span:
-                leaf = node.leaf
-                assert leaf is not None
-                rows = leaf.candidate_rows(features)
-                bucket = 0 if rows is None else int(rows.size)
-                evals = 0
-                if nprobe is not None:
-                    ann, degraded = resolve_ann(node)
-                    ann_degraded = ann_degraded or degraded
-                    if ann is not None:
-                        with tracer.span("ann.prune") as prune_span:
-                            base = np.arange(len(leaf)) if rows is None else rows
-                            rows, evals = ann.search_rows(features, base, nprobe, rerank_k)
-                            prune_span.set(evals=evals, survivors=len(rows))
-                leaf_span.set(bucket=bucket)
-                count = len(leaf) if rows is None else int(rows.size)
-                answer = {"bucket": bucket, "count": count, "approx": evals, "candidates": []}
-                per_leaf[name] = answer
-                if not count:
-                    continue
-                with tracer.span("score.exact", rows=count):
-                    scores = leaf.scan(features, rows)
-                best = top_k(scores, k)
-                picked = best if rows is None else rows[best]
-                answer["candidates"] = list(
-                    zip(
-                        state.global_ords[leaf.ordinals[picked]].tolist(),
-                        leaf.titles[picked].tolist(),
-                        leaf.shot_ids[picked].tolist(),
-                        leaf.scene_ids[picked].tolist(),
-                        scores[best].tolist(),
-                    )
-                )
-        return {
-            "ok": True,
-            "generation": self._generation,
-            "leaves": per_leaf,
-            "ann_degraded": ann_degraded,
-        }
+                probe = probe_leaf(node, features, k, nprobe, rerank_k, tracer)
+                leaf_span.set(bucket=probe.bucket)
+            leaf, rows = node.leaf, np.asarray(probe.keys, dtype=np.intp)
+            columns = (leaf.titles[rows], leaf.shot_ids[rows], leaf.scene_ids[rows])
+            probe = probe._replace(
+                keys=state.global_ords[leaf.ordinals[rows]].tolist(),
+                items=list(zip(*(column.tolist() for column in columns))),
+            )
+            probes.append(probe._asdict())
+        return {"ok": True, "generation": self._generation, "leaves": probes}
 
     def _op_flat(self, request: dict, tracer=NULL_TRACER) -> dict:
+        """The local Eq. (24) top-k as one probe under global ordinals."""
         state = self._state
         features = unpack_array(request["features"])
-        k = int(request.get("k", 10))
         flat = state.database.flat_index
-        total = len(flat)
-        with tracer.span("score.exact", rows=total):
-            top, scores = flat.rank(features, k)
-        candidates = [
-            [
-                int(state.global_ords[ordinal]),
-                entry.video_title,
-                entry.shot_id,
-                entry.scene_id,
-                float(scores[ordinal]),
-            ]
-            for ordinal, entry in zip(top, flat.entries_at(top))
-        ]
-        return {
-            "ok": True,
-            "generation": self._generation,
-            "total": total,
-            "candidates": candidates,
-        }
+        with tracer.span("score.exact", rows=len(flat)):
+            top, scores = flat.rank(features, int(request.get("k", 10)))
+        probe = LeafProbe(
+            0,
+            len(flat),
+            keys=state.global_ords[top].tolist(),
+            scores=scores[top].tolist(),
+            items=[
+                (entry.video_title, entry.shot_id, entry.scene_id)
+                for entry in flat.entries_at(top)
+            ],
+        )
+        return {"ok": True, "generation": self._generation, "leaves": [probe._asdict()]}
 
     def _op_scene(self, request: dict, tracer=NULL_TRACER) -> dict:
+        """The local scene-centroid top-k as one probe keyed ``[title, scene_id]``.
+
+        ``allowed`` is the caller's access scope, applied before ranking;
+        ``count`` is the local scene count whatever the filters.
+        """
         state = self._state
-        features = unpack_array(request["features"])
-        k = int(request.get("k", 5))
         event = request.get("event")
-        kind = EventKind(event) if event is not None else None
+        allowed = request.get("allowed")
         index = state.database.scene_index
-        count = len(index)
         try:
-            with tracer.span("scene.search", scenes=count):
-                hits = index.search(features, k=k, event=kind)
+            with tracer.span("scene.search", scenes=len(index)):
+                hits = index.search(
+                    unpack_array(request["features"]),
+                    k=int(request.get("k", 5)),
+                    event=EventKind(event) if event is not None else None,
+                    allowed=frozenset(allowed) if allowed is not None else None,
+                )
         except DatabaseError:
             hits = []  # an empty local index is not an error under sharding
-        candidates = [
-            [
-                hit.entry.video_title,
-                hit.entry.scene_id,
-                hit.entry.event.value,
-                hit.entry.shot_count,
-                float(hit.score),
-            ]
-            for hit in hits
-        ]
-        return {
-            "ok": True,
-            "generation": self._generation,
-            "count": count,
-            "candidates": candidates,
-        }
+        probe = LeafProbe(
+            0,
+            len(index),
+            keys=[(hit.entry.video_title, hit.entry.scene_id) for hit in hits],
+            scores=[hit.score for hit in hits],
+            items=[(hit.entry.event.value, hit.entry.shot_count) for hit in hits],
+        )
+        return {"ok": True, "generation": self._generation, "leaves": [probe._asdict()]}
 
     def _op_sample(self, request: dict, tracer=NULL_TRACER) -> dict:
         state = self._state

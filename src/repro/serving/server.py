@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.database.access import User
 from repro.database.catalog import RegisteredVideo, VideoDatabase
-from repro.database.events_query import event_concept
 from repro.errors import ServingError
 from repro.obs.export import render_prometheus
 from repro.resilience.breaker import BreakerState, CircuitBreaker
@@ -100,16 +99,8 @@ class SnapshotBackend:
             return BackendAnswer(tuple(result.hits), result.stats.comparisons)
         if request.kind == "scene":
             scenes = snapshot.search_scenes(
-                request.features, k=request.k, event=request.event
+                request.features, k=request.k, event=request.event, allowed=leaves
             )
-            if leaves is not None:
-                # Scope resolved before the cache key: filtering here is
-                # part of computing the answer, not a post-cache patch.
-                scenes = [
-                    hit
-                    for hit in scenes
-                    if event_concept(hit.entry.video_title, hit.entry.event) in leaves
-                ]
             return BackendAnswer(tuple(scenes), len(snapshot.scenes))
         events = snapshot.query_events(
             request.event, user=request.user, video_title=request.video_title

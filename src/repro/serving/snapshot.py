@@ -135,9 +135,10 @@ class Snapshot:
         features: np.ndarray,
         k: int = 5,
         event: EventKind | None = None,
+        allowed: frozenset[str] | None = None,
     ) -> list[RankedScene]:
-        """Scene-centroid search against this generation."""
-        return self.scenes.search(features, k=k, event=event)
+        """Scene-centroid search against this generation, within ``allowed``'s concepts."""
+        return self.scenes.search(features, k=k, event=event, allowed=allowed)
 
     def query_events(
         self,

@@ -119,7 +119,7 @@ def test_shard_answers_carry_no_feature_payload(harness, reference):
     for op in ("probe", "flat", "scene"):
         request = {"op": op, "features": pack_array(probe), "k": 10, "leaves": leaves}
         response = worker._dispatch(request)  # noqa: SLF001
-        assert response["ok"] and (response.get("candidates") or response["leaves"])
+        assert response["ok"] and response["leaves"]
         assert "features" not in response and "centroids" not in response
 
 

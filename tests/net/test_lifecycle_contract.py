@@ -204,6 +204,33 @@ class TestShardedOnly:
         assert keys(healed) == keys(reference.query(request))
 
 
+class TestFrontsAgree:
+    """One query, both fronts at once: the work each reports must match."""
+
+    def test_ann_degraded_stats_match(self, make_harness, single_dir, probes):
+        # Fresh fronts, so no leaf's ANN state was loaded before the fault.
+        database = SQLVideoDatabase.open(single_dir)
+        server = QueryServer(database, ServerConfig()).start()
+        pair = make_harness(2)
+        request = QueryRequest(kind="shot", features=probes[0], k=5, nprobe=NPROBE_ALL)
+        plan = FaultPlan(
+            [FaultSpec(point="storage.ann_block_missing", kind="error")], seed=0
+        )
+        try:
+            with inject(plan):
+                single, sharded = server.query(request), pair.service.query(request)
+        finally:
+            server.stop()
+            database.close()
+        assert single.degraded and sharded.degraded and not sharded.shards_missing
+        assert keys(sharded) == keys(single)
+        stats = ("comparisons", "approx_comparisons", "reranked", "degraded")
+        assert [getattr(sharded, name) for name in stats] == [
+            getattr(single, name) for name in stats
+        ]
+        assert single.reranked == 0  # no leaf's ANN tier ran
+
+
 class TestRecordsRace:
     def test_healing_records_race_queries(self, make_harness, net_db):
         """``_ensure_records`` merging a healed shard's records must not

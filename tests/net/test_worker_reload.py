@@ -65,4 +65,4 @@ def test_a_request_in_flight_across_reload_answers_then_the_old_catalog_closes(
         worker.stop()
     (answer,) = answers
     assert answer["leaves"] == fresh["leaves"]
-    assert any(leaf["candidates"] for leaf in answer["leaves"].values())
+    assert any(leaf["keys"] for leaf in answer["leaves"])
