@@ -34,7 +34,7 @@ from repro.database.index import (
     combine_features,
 )
 from repro.database.query import QueryResult, search_hierarchical
-from repro.database.scene_search import SceneIndex, corpus_scenes, scene_count
+from repro.database.scene_search import SceneIndex, SceneTable, corpus_scenes, scene_runs
 from repro.errors import DatabaseError, UnknownVideoError
 from repro.types import EventKind
 
@@ -175,8 +175,12 @@ class VideoDatabase:
     def close(self) -> None:
         """Release storage handles (a registered corpus holds none)."""
 
-    def _file(self, leaf: str, title: str, features, shot_ids: list[int], scene_id: int) -> None:
-        """Append one scene's shots to a leaf, in flat-ordinal order."""
+    def _file(self, title: str, event: EventKind, features, shot_ids, scene_id: int) -> None:
+        """Append one scene's shots to its event's leaf, in flat-ordinal order (the
+        leaf is looked up even for no shots: the first lookup creates the subject area)."""
+        leaf = scene_node_for(self._hierarchy, title, event).name
+        if not len(shot_ids):
+            return
         if leaf not in self._buffers:
             if leaf in self._leaves:
                 rows = self._leaves[leaf].rows
@@ -233,20 +237,14 @@ class VideoDatabase:
             degraded_stages=tuple(degraded_stages),
         )
         assigned: set[int] = set()
-
-        def file(event: EventKind, members: "Sequence[int]", scene_id: int) -> None:
-            # Looked up even for no members: the first lookup creates the subject area.
-            leaf = scene_node_for(self._hierarchy, title, event).name
-            if members:
-                rows = features[[row_of[shot_id] for shot_id in members]]
-                self._file(leaf, title, rows, list(members), scene_id)
-                assigned.update(members)
-
         for scene_id, event, members in scenes:
             record.scene_count += 1
             record.events[scene_id] = event.value
-            file(event, members, scene_id)
-        file(EventKind.UNKNOWN, [s for s in shot_ids if s not in assigned], -1)
+            rows = features[[row_of[shot_id] for shot_id in members]]
+            self._file(title, event, rows, list(members), scene_id)
+            assigned.update(members)
+        orphans = [s for s in shot_ids if s not in assigned]
+        self._file(title, EventKind.UNKNOWN, features[[row_of[s] for s in orphans]], orphans, -1)
 
         self._videos[title] = record
         self._changed()
@@ -276,34 +274,34 @@ class VideoDatabase:
     def register_entries(
         self,
         title: str,
-        scenes: "Iterable[tuple[int, EventKind, Iterable[np.ndarray]]]",
+        scenes: "Iterable[tuple[int, EventKind, np.ndarray | Sequence[np.ndarray]]]",
         degraded_stages: tuple[str, ...] = (),
     ) -> RegisteredVideo:
         """Register pre-featurised shots directly, bypassing the miner.
 
-        ``scenes`` yields ``(scene_id, event, feature_vectors)``; shots
+        ``scenes`` yields ``(scene_id, event, features)``: a scene's
+        ``(m, 266)`` rows or a list of them, filed in one slice; shots
         receive sequential ids in iteration order and are filed exactly
-        as :meth:`register` files mined scenes.  Used by the synthetic
-        corpus builder (``storage/synthetic.py``); re-registering a
-        title raises :class:`DatabaseError`.
+        as :meth:`register` files mined scenes.  Re-registering a title
+        or listing a scene id twice raises :class:`DatabaseError`.
         """
         if title in self._videos:
             raise DatabaseError(f"video {title!r} already registered")
+        scenes = list(scenes)
+        if len({int(scene_id) for scene_id, _, _ in scenes}) < len(scenes):
+            raise DatabaseError(f"video {title!r} lists a scene id twice")
         record = RegisteredVideo(
             title=title,
             shot_count=0,
             scene_count=0,
             degraded_stages=tuple(degraded_stages),
         )
-        for scene_id, event, feature_vectors in scenes:
+        for scene_id, event, features in scenes:
             record.scene_count += 1
             record.events[int(scene_id)] = event.value
-            node = scene_node_for(self._hierarchy, title, event)
-            features = list(feature_vectors)
-            if features:
-                shot_ids = range(record.shot_count, record.shot_count + len(features))
-                self._file(node.name, title, features, shot_ids, int(scene_id))
-                record.shot_count += len(features)
+            shot_ids = range(record.shot_count, record.shot_count + len(features))
+            self._file(title, event, features, shot_ids, int(scene_id))
+            record.shot_count += len(features)
         self._videos[title] = record
         self._changed()
         return record
@@ -322,43 +320,42 @@ class VideoDatabase:
         self._unsealed = {}
         return self._leaves
 
-    def ordinals_of(self, titles: "Iterable[str]") -> np.ndarray:
-        """Flat ordinals of the given videos' shots, ascending."""
-        wanted = set(titles)
-        found = [np.empty(0, dtype=np.int64)]
-        for leaf in self.leaves.values():
-            mask = np.fromiter(
-                map(wanted.__contains__, leaf.titles.tolist()), bool, len(leaf)
-            )
-            found.append(leaf.ordinals[mask])
-        return np.sort(np.concatenate(found))
-
     def _keep(
         self, titles: "Iterable[str]", pin_routing: bool
-    ) -> tuple[dict[str, LeafHashIndex], int]:
-        """The leaves restricted to the given videos, and how many rows that is.
+    ) -> tuple[dict[str, LeafHashIndex], np.ndarray]:
+        """The leaves restricted to the given videos, and the flat ordinals
+        their rows had here (ascending).
 
         Relative order is preserved, within each leaf and across the
         corpus (ordinals are renumbered by rank); emptied leaves are
         dropped.  A leaf that loses no row keeps its arrays, its routing
         and its persisted ANN tier; one that loses some keeps its routing
         only when ``pin_routing`` says so (a shard routes like the corpus
-        it was cut from).
+        it was cut from), and with it its rows' reduced features and
+        signatures, which follow from the row and the routing.
         """
-        kept = self.ordinals_of(titles)
+        wanted = set(titles)
+        keeps = {
+            name: np.fromiter(map(wanted.__contains__, leaf.titles.tolist()), bool, len(leaf))
+            for name, leaf in self.leaves.items()
+        }
+        found = [self._leaves[name].ordinals[keep] for name, keep in keeps.items()]
+        kept = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *found]))
         leaves: dict[str, LeafHashIndex] = {}
-        for name, leaf in self.leaves.items():
-            keep = np.isin(leaf.ordinals, kept)
+        for name, keep in keeps.items():
             if not keep.any():
                 continue
-            whole = bool(keep.all())
-            rows = leaf.rows if whole else LeafRows(*(column[keep] for column in leaf.rows))
-            leaves[name] = LeafHashIndex(
+            leaf, whole = self._leaves[name], bool(keep.all())
+            keep = slice(None) if whole else keep
+            rows = LeafRows(*(column[keep] for column in leaf.rows))
+            leaves[name] = cut = LeafHashIndex(
                 rows._replace(ordinals=np.searchsorted(kept, rows.ordinals)),
                 *((leaf.centers, leaf.dims) if whole or pin_routing else ()),
                 ann=leaf.ann if whole else None,
             )
-        return leaves, int(kept.size)
+            if whole or pin_routing:
+                cut.reduced, cut.signatures = leaf.reduced[keep], leaf.signatures[keep]
+        return leaves, kept
 
     def unregister(self, title: str) -> int:
         """Remove a video and all its shots; returns entries removed.
@@ -370,7 +367,8 @@ class VideoDatabase:
             raise UnknownVideoError(f"video {title!r} is not registered")
         before = self._total
         del self._videos[title]
-        self._leaves, self._total = self._keep(self._videos, pin_routing=False)
+        self._leaves, kept = self._keep(self._videos, pin_routing=False)
+        self._total = int(kept.size)
         self._buffers = {}  # the kept rows are new arrays
         self._changed()
         return before - self._total
@@ -379,8 +377,9 @@ class VideoDatabase:
         """Shot counts per scene-concept leaf (catalog statistics)."""
         return {name: len(leaf) for name, leaf in sorted(self.leaves.items())}
 
-    def clone_subset(self, titles: "Iterable[str]") -> "VideoDatabase":
-        """A new database holding only the given videos.
+    def clone_subset(self, titles: "Iterable[str]") -> tuple["VideoDatabase", np.ndarray]:
+        """A new database holding only the given videos, and ``ordinals``:
+        the clone's flat ordinal ``i`` is this database's ``ordinals[i]``.
 
         The shard builder's partitioning primitive.  Orderings are
         preserved, not recomputed: each leaf keeps its surviving rows
@@ -391,7 +390,7 @@ class VideoDatabase:
         Leaves keep the routing of the full corpus, so the clone's index
         descends, and scores in the same sub-spaces, as this one.
         Unknown titles raise :class:`DatabaseError`; registration
-        records (events, degradation flags) are copied.
+        records (events, degradation flags) and scene rows are copied.
         """
         wanted = set(titles)
         missing = wanted - set(self._videos)
@@ -400,14 +399,20 @@ class VideoDatabase:
                 f"cannot clone unregistered videos: {sorted(missing)}"
             )
         clone = VideoDatabase()
-        clone._leaves, clone._total = self._keep(wanted, pin_routing=True)
+        clone._leaves, kept = self._keep(wanted, pin_routing=True)
+        clone._total = int(kept.size)
         for leaf in clone._leaves:
             if "/" in leaf:
                 ensure_subject_area(clone._hierarchy, leaf.split("/", 1)[0])
         for title, record in self._videos.items():
             if title in wanted:
                 clone._videos[title] = replace(record, events=dict(record.events))
-        return clone
+        # A scene's rows go with its video, so its centroid is the same mean.
+        table = self.scene_index.table
+        mask = np.fromiter(map(wanted.__contains__, table.titles.tolist()), bool, len(table.titles))
+        scenes = SceneTable(*(column[mask] for column in table))
+        clone._scenes = SceneIndex(lambda: scenes, count=len(scenes.titles))
+        return clone, kept
 
     def build_index(self) -> IndexNode:
         """(Re)build the hierarchical index mirroring the concept tree."""
@@ -442,7 +447,8 @@ class VideoDatabase:
         if self._scenes is None:
             leaves = list(self.leaves.values())
             self._scenes = SceneIndex(
-                partial(corpus_scenes, leaves, dict(self._videos)), count=scene_count(leaves)
+                partial(corpus_scenes, leaves, dict(self._videos)),
+                count=sum(scene_runs(leaf)[0].size for leaf in leaves),
             )
         return self._scenes
 

@@ -481,16 +481,16 @@ def _kcenters(features: np.ndarray, k: int) -> np.ndarray:
     features = np.atleast_2d(features)
     n = features.shape[0]
     k = max(1, min(k, n))
-    chosen = [0]
-    nearest = np.full(n, np.inf)
+    chosen, nearest = [0], np.full(n, np.inf)
+    distances = []  # to each chosen centre: the walk makes k - 1, the Lloyd step reuses them
     while len(chosen) < k:
-        np.minimum(nearest, squared_distances(features[chosen[-1]], features), out=nearest)
+        distances.append(squared_distances(features[chosen[-1]], features))
+        np.minimum(nearest, distances[-1], out=nearest)
         chosen.append(int(np.argmax(nearest)))
     centers = features[chosen]
+    distances.append(squared_distances(centers[-1], features))
     # One Lloyd step: assign and average.
-    assignment = np.argmin(
-        np.stack([squared_distances(center, features) for center in centers], axis=1), axis=1
-    )
+    assignment = np.argmin(np.stack(distances), axis=0)
     for c in range(k):
         members = np.flatnonzero(assignment == c)
         if members.size:

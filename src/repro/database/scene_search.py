@@ -82,56 +82,55 @@ _NO_SCENES = SceneTable(
 )
 
 
+def scene_runs(leaf: LeafHashIndex) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, stops)``: the rows ``[start, stop)`` of each kept scene in ``leaf``.
+
+    A scene is filed whole, by one append, so its shots are one run of
+    one leaf's rows (cutting or saving a corpus keeps rows in order);
+    shots of an eliminated scene (``scene_id == -1``) are skipped.
+    """
+    titles, scene_ids = leaf.titles, leaf.scene_ids
+    edges = np.ones(scene_ids.size + 1, dtype=bool)  # row 0 and the end close runs too
+    edges[1:-1] = (titles[1:] != titles[:-1]) | (scene_ids[1:] != scene_ids[:-1])
+    bounds = np.flatnonzero(edges)
+    kept = scene_ids[bounds[:-1]] >= 0
+    return bounds[:-1][kept], bounds[1:][kept]
+
+
 def corpus_scenes(
     leaves: "Iterable[LeafHashIndex]", records: "Mapping[str, RegisteredVideo]"
 ) -> SceneTable:
     """Scene centroids of a corpus, from its leaves' rows.
 
-    The one place a scene centroid is computed.  The catalog indexes
-    shots, not scenes; grouping a leaf's rows by ``(title, scene_id)``
-    recovers each kept scene's member shots (a scene is filed whole
-    under one leaf, its shots in flat-ordinal order), the centroid is
-    the mean of their ``(m, 266)`` rows, and the registration record
-    supplies the mined event.  Shots of an eliminated scene
-    (``scene_id == -1``) carry no scene identity and are skipped.
-    Scenes come out sorted by ``(title, scene_id)`` — the stored row
-    order.
+    The one place a scene centroid is computed: the sum of the scene's
+    run of ``m`` leaf rows (:func:`scene_runs`) over ``m`` — bit for bit
+    ``block[rows].mean(axis=0)``.  The registration record supplies the
+    mined event.  Scenes come out sorted by ``(title, scene_id)`` — the
+    stored row order.
     """
-    members: dict[tuple[str, int], tuple[np.ndarray, list[int]]] = {}
-    for leaf in leaves:
-        kept = np.flatnonzero(leaf.scene_ids >= 0)
-        for row, title, scene_id in zip(
-            kept.tolist(), leaf.titles[kept].tolist(), leaf.scene_ids[kept].tolist()
-        ):
-            if (title, scene_id) not in members:
-                members[title, scene_id] = (leaf.block, [])
-            members[title, scene_id][1].append(row)
-    if not members:
+    # Runs stay columns: a Python tuple per scene, alive while the centroid
+    # block is allocated, raised a served corpus's peak RSS by ~0.3 MiB.
+    leaves = [leaf for leaf in leaves if len(leaf)]
+    runs = [scene_runs(leaf) for leaf in leaves]
+    which = np.repeat(np.arange(len(leaves)), [starts.size for starts, _ in runs])
+    if not which.size:
         return _NO_SCENES
-    scenes = sorted(members.items())
-    events = []
-    centroids = np.empty((len(scenes), scenes[0][1][0].shape[1]))
-    for row, ((title, scene_id), (block, rows)) in enumerate(scenes):
-        record = records.get(title)
-        events.append(
-            EventKind(record.events.get(scene_id, EventKind.UNKNOWN.value))
-            if record
-            else EventKind.UNKNOWN
-        )
-        block[rows].mean(axis=0, out=centroids[row])
-    return SceneTable(
-        titles=np.array([title for (title, _), _ in scenes], dtype=object),
-        scene_ids=np.array([scene_id for (_, scene_id), _ in scenes], dtype=np.int64),
-        events=np.array(events, dtype=object),
-        shot_counts=np.array([len(rows) for _, (_, rows) in scenes], dtype=np.int64),
-        centroids=centroids,
+    columns = [(leaf.titles[a], leaf.scene_ids[a], a, b) for leaf, (a, b) in zip(leaves, runs)]
+    titles, scene_ids, starts, stops = (np.concatenate(column) for column in zip(*columns))
+    order = np.lexsort((scene_ids, titles))
+    titles, scene_ids, starts, stops, which = (
+        column[order] for column in (titles, scene_ids, starts, stops, which)
     )
-
-
-def scene_count(leaves: "Iterable[LeafHashIndex]") -> int:
-    """How many scenes :func:`corpus_scenes` finds, read off the row columns."""
-    pairs = (zip(leaf.titles.tolist(), leaf.scene_ids.tolist()) for leaf in leaves)
-    return len({pair for rows in pairs for pair in rows if pair[1] >= 0})
+    centroids = np.empty((which.size, leaves[0].block.shape[1]))
+    for row in range(which.size):
+        block = leaves[which[row]].block
+        np.add.reduce(block[starts[row] : stops[row]], axis=0, out=centroids[row])
+    shot_counts = (stops - starts).astype(np.int64)
+    centroids /= shot_counts[:, None]
+    unknown = EventKind.UNKNOWN
+    events = [EventKind(records[t].events.get(s, unknown.value)) if t in records else unknown
+              for t, s in zip(titles.tolist(), scene_ids.tolist())]
+    return SceneTable(titles, scene_ids, np.array(events, dtype=object), shot_counts, centroids)
 
 
 class SceneIndex:

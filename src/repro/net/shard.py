@@ -251,8 +251,8 @@ def build_shards(
         members = assignment[sid]
         directory = f"shard-{sid:04d}"
         shard_dir = out_dir / directory
-        save_database(database.clone_subset(members), shard_dir)
-        global_ords = database.ordinals_of(members)
+        shard, global_ords = database.clone_subset(members)
+        save_database(shard, shard_dir)
         np.save(shard_dir / GLOBAL_ORDS_NAME, global_ords)
         infos.append(
             ShardInfo(

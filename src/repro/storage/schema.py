@@ -94,7 +94,6 @@ SCHEMA_STATEMENTS = (
     )
     """,
     "CREATE INDEX IF NOT EXISTS idx_entries_leaf ON entries (leaf, row)",
-    "CREATE INDEX IF NOT EXISTS idx_entries_video ON entries (video_title)",
     """
     CREATE TABLE IF NOT EXISTS scenes (
         row         INTEGER PRIMARY KEY,
@@ -105,7 +104,6 @@ SCHEMA_STATEMENTS = (
         UNIQUE (video_title, scene_id)
     )
     """,
-    "CREATE INDEX IF NOT EXISTS idx_scenes_event ON scenes (event)",
     """
     CREATE TABLE IF NOT EXISTS scene_block (
         id        INTEGER PRIMARY KEY CHECK (id = 1),

@@ -11,7 +11,8 @@ so every downstream structure (leaf buckets, routing centres, flat
 ordinals, scene centroids) is built by the production code paths.
 
 Deterministic per seed: the same arguments always produce the same
-database, and therefore the same stored catalog bytes.
+database, and therefore the same stored catalog bytes; a corpus of
+``n`` videos is the first ``n`` videos of every longer one.
 """
 
 from __future__ import annotations
@@ -26,24 +27,6 @@ _HIST_DIMS = 256
 _TEXTURE_DIMS = 10
 
 
-def synthetic_features(
-    rng: np.random.Generator, concentration: int
-) -> np.ndarray:
-    """One plausible 266-d combined feature vector.
-
-    ``concentration`` biases which coarse histogram quadrant carries the
-    mass, so leaf hash signatures spread across buckets the way real
-    footage does instead of collapsing into one.
-    """
-    histogram = rng.random(_HIST_DIMS) * 0.2
-    quarter = _HIST_DIMS // 4
-    start = (concentration % 4) * quarter
-    histogram[start : start + quarter] += rng.random(quarter) + 0.5
-    histogram /= histogram.sum()
-    texture = rng.random(_TEXTURE_DIMS) * 0.3
-    return np.concatenate([histogram, texture])
-
-
 def build_synthetic_database(
     videos: int = 100,
     shots_per_video: int = 12,
@@ -54,25 +37,38 @@ def build_synthetic_database(
 
     Titles are ``synthetic_00000`` …; events cycle through the three
     mineable kinds plus ``unknown`` so every scene-concept leaf of the
-    on-demand ``general`` subject area is populated.
+    on-demand ``general`` subject area is populated.  Each scene but the
+    last holds ``shots_per_video // scenes_per_video`` shots (at least
+    one), the last what is left.  Shot ``i`` of scene ``s`` of video
+    ``v`` has its histogram mass in quadrant ``(v + s + i) % 4``, so leaf
+    hash signatures spread across buckets the way real footage does.
+    A video is one draw: per shot, 256 histogram, 64 quadrant and 10
+    texture uniforms.
     """
     rng = np.random.default_rng(seed)
     kinds = EventKind.known_kinds() + (EventKind.UNKNOWN,)
+    quarter = _HIST_DIMS // 4
+    per_scene = max(1, shots_per_video // scenes_per_video)
+    counts = [per_scene] * (scenes_per_video - 1)
+    counts.append(max(0, shots_per_video - sum(counts)))
+    bounds = np.cumsum([0] + counts)
+    shot = np.arange(bounds[-1])[:, None]
+    scene = np.repeat(np.arange(scenes_per_video), counts)[:, None]
+    rank = scene + shot - bounds[scene]  # s + i, per shot
     database = VideoDatabase()
     for v in range(videos):
-        scenes = []
-        per_scene = max(1, shots_per_video // scenes_per_video)
-        shots_left = shots_per_video
-        for s in range(scenes_per_video):
-            count = per_scene if s < scenes_per_video - 1 else shots_left
-            shots_left -= count
-            kind = kinds[(v + s) % len(kinds)]
-            scenes.append(
-                (
-                    s,
-                    kind,
-                    [synthetic_features(rng, v + s + shot) for shot in range(count)],
-                )
-            )
-        database.register_entries(f"synthetic_{v:05d}", scenes)
+        draws = rng.random((shot.size, _HIST_DIMS + quarter + _TEXTURE_DIMS))
+        features = np.empty((shot.size, _HIST_DIMS + _TEXTURE_DIMS))
+        histogram = np.multiply(draws[:, :_HIST_DIMS], 0.2, out=features[:, :_HIST_DIMS])
+        columns = (v + rank) % 4 * quarter + np.arange(quarter)
+        histogram[shot, columns] += draws[:, _HIST_DIMS:-_TEXTURE_DIMS] + 0.5
+        histogram /= histogram.sum(axis=1, keepdims=True)
+        np.multiply(draws[:, -_TEXTURE_DIMS:], 0.3, out=features[:, _HIST_DIMS:])
+        database.register_entries(
+            f"synthetic_{v:05d}",
+            [
+                (s, kinds[(v + s) % len(kinds)], features[bounds[s] : bounds[s + 1]])
+                for s in range(scenes_per_video)
+            ],
+        )
     return database

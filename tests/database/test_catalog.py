@@ -35,6 +35,14 @@ class TestRegistration:
         with pytest.raises(DatabaseError):
             database.register(demo_result)
 
+    def test_a_scene_listed_twice_is_refused_before_filing(self):
+        database = VideoDatabase()
+        rows = np.random.default_rng(1).random((4, 266))
+        scenes = [(0, EventKind.DIALOG, rows[:2]), (0, EventKind.DIALOG, rows[2:])]
+        with pytest.raises(DatabaseError, match="scene id twice"):
+            database.register_entries("twice", scenes)
+        assert database.shot_count == 0 and not database.videos
+
     def test_empty_database_cannot_index(self):
         with pytest.raises(DatabaseError):
             VideoDatabase().build_index()

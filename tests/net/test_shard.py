@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sqlite3
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from repro.net.shard import (
     shard_of,
 )
 from repro.storage.lazy import SQLVideoDatabase
+from repro.storage.schema import catalog_path
+from repro.storage.sqlcatalog import SQLCatalog
 from repro.storage.synthetic import build_synthetic_database
 
 
@@ -132,3 +136,104 @@ class TestShardDirectories:
         for leaf in spec.leaves:
             assert leaf.centers.ndim == 2
             assert leaf.dims.ndim == 1
+
+
+# -- what a 2-shard cut stores ------------------------------------------------
+
+#: Per shard of ``build_shards(build_synthetic_database(1000, 12, seed=13), d, 2)``:
+#: the ``(block, reduced, ANN codes)`` content addresses of each leaf, the
+#: scene-centroid block's address, and a sha256 over the shard's
+#: ``videos`` / ``video_events`` / ``entries`` / ``scenes`` / ``search_docs``
+#: rows — as cut by the last commit that derived every shard's reduced
+#: rows, signatures and scene table again from its own rows.
+PINNED_SHARDS = (
+    (
+        {
+            "general/presentation": (
+                "aa7c6f27d71f3356b2b98b3206868c489e83a21635626b5839b055ec8e614758",
+                "8c929ea529361972739f04574b82224f22f50713def5503af80e99d18e0712d6",
+                "51f2f3a690d03598752b077679bbd3ca77cc5c776e2bb40884a59d5b733358ca",
+            ),
+            "general/dialog": (
+                "4561242b86f20c7f17542a9ada345b2ed66c96c39bc4275b83b3585c320334c3",
+                "346c70a9926e1963679b94c88d47d2c5b1b756d6d693a4b46192aa1ef7ca4744",
+                "b79934a9271064e8b15dd9a5ba0eb7f5521684c6f1b2cf94982ed432331978e4",
+            ),
+            "general/clinical_operation": (
+                "cdc0a14043de9a35fe9bdd86f2a68825a74f91eafaf8c3c250e0ba90950742a3",
+                "c485e79cb410462506dbaf69963f7b49b536536e8eba5a98b05ef955e75437e4",
+                "4190026161b2be4dee70a32a03710f95a697146965ac3e2e658537a06176cfee",
+            ),
+            "general/unknown": (
+                "a60c20322ddbc9239682dd59f07f34f71ac49d482eee7625ba5e8f0dd0f53452",
+                "4f094e7e951b22e955e3d748bd7897b04a62e9a5955a7390924b7a26db5b85b8",
+                "f8f567b7088bff84ff397c3641502025f53bdec53d3f513ede6b2c16eaa27bb6",
+            ),
+        },
+        "37fbee42390c94abfcda3f31d754fc2c1085f40c82d171a61750c784ca5e8759",
+        "cc54d8250c0830a1875a09c991ab21cc433364d8b98504057999f7aaf8394ba9",
+    ),
+    (
+        {
+            "general/presentation": (
+                "12bff3b42ec840b0b14c546e7804cb9c08daab63f1007a5c3963b1b414490534",
+                "c2dfaa7f047822297ca9692791b7d1fd3a0e0ed13b70b044e6ad474376926b4b",
+                "c469687a061199db3b37633b27e4caf1ea236ace3f9680219b14c0757f4edce5",
+            ),
+            "general/dialog": (
+                "a6a8b4a61555db088a3fa3095b9374d1a0960e18c45910a1de2113149735c4f4",
+                "355e706276a74cc21eb375e20cab4ec328ad0566e784d24f8fc7e50be8038749",
+                "14d154338ca457eb14474d8e9850b5235f293827400e0c84fa85a2ff9fe9c46d",
+            ),
+            "general/clinical_operation": (
+                "a0f6ec6f4a6f029f48fe49f5c55e0b8849b13b40459234a760d7513d08b28d1a",
+                "696dc4110bb4b5893eb291ce4f2211314930a3efe543078f5b2a0402d3f10981",
+                "a43052509b069a4b4e06f8acf15303281478ffae67432bcebf953ea483235935",
+            ),
+            "general/unknown": (
+                "c769a2da16e342443a3013a61a2f06ffe563632e878b882f1fbc355cd03f20b0",
+                "3f3ea447f2cc9b34559b66222e158582ebe6accee5021e849591f8d728ba314a",
+                "f892a8b61983f849d7aa00401c07a0d807b2dea6c42c513d26bd1f7afcfe0819",
+            ),
+        },
+        "46b6aa408d53bef8c38340fe7854f7936bc9d7c9107ec0c823522b29e9e4793a",
+        "e6619bd0eb4520023aa473ff271350cf56e7ec15387bee46ea420c949364e0d1",
+    ),
+)
+#: Each table's rows in a stable order (``search_docs`` has no key column).
+_PINNED_TABLES = {
+    "videos": "title",
+    "video_events": "title, scene_id",
+    "entries": "ord",
+    "scenes": "row",
+    "search_docs": "kind, title",
+}
+
+
+def _stored_shard(shard_dir) -> tuple[dict, str, str]:
+    catalog = SQLCatalog(shard_dir)
+    try:
+        leaves = {}
+        for info in catalog.leaf_infos():
+            ann = catalog.ann_leaf_row(info.name)
+            leaves[info.name] = (info.block.sha, info.reduced_sha, ann.code_sha)
+        scene_sha = catalog.scene_columns()[0]
+    finally:
+        catalog.close()
+    rows = hashlib.sha256()
+    conn = sqlite3.connect(catalog_path(shard_dir))
+    try:
+        for table, order in _PINNED_TABLES.items():
+            for row in conn.execute(f"SELECT * FROM {table} ORDER BY {order}"):
+                rows.update(repr(row).encode())
+    finally:
+        conn.close()
+    return leaves, scene_sha, rows.hexdigest()
+
+
+def test_a_two_shard_cut_stores_the_same_bytes(tmp_path):
+    spec = build_shards(build_synthetic_database(1000, 12, seed=13), tmp_path, 2)
+    stored = tuple(
+        _stored_shard(spec.shard_dir(tmp_path, info.shard_id)) for info in spec.shards
+    )
+    assert stored == PINNED_SHARDS
