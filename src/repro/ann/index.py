@@ -30,8 +30,6 @@ honest.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from repro.ann.quantizer import (
@@ -117,6 +115,7 @@ class AnnLeafIndex:
 
     def digest(self) -> str:
         """Content digest over every stored array (determinism probe)."""
+        import hashlib  # here, not at module level: a shard worker hashes nothing
         hasher = hashlib.sha256()
         for array in (
             self.dims, self.centroids, self.assign,

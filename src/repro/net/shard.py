@@ -26,7 +26,6 @@ tie-breaking.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -57,6 +56,7 @@ GLOBAL_ORDS_NAME = "global_ords.npy"
 
 def shard_of(title: str, num_shards: int) -> int:
     """Deterministic shard id of a video title (stable across processes)."""
+    import hashlib  # here, not at module level: a shard worker hashes nothing
     digest = hashlib.sha256(title.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % num_shards
 

@@ -25,7 +25,6 @@ off.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -44,6 +43,7 @@ QUARANTINE_DIR = ".quarantine"
 
 def file_digest(path: str | Path, chunk_size: int = 1 << 20) -> str:
     """Streaming sha256 of one file's content (hex)."""
+    import hashlib  # here, not at module level: a shard worker hashes nothing
     hasher = hashlib.sha256()
     with open(path, "rb") as handle:
         while True:

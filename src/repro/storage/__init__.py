@@ -4,10 +4,10 @@ A single file holding every feature vector would force a cold start to
 parse the whole corpus before the first query.  This subsystem splits
 durable state into two pieces sized for their access patterns:
 
-* :class:`SQLCatalog` — everything *relational* (videos, events, leaf
-  metadata, entry rows, scene bookkeeping, full-text search documents)
+* :class:`SQLCatalog` — everything per video and per leaf (videos,
+  events, leaf metadata and routing, ANN state, full-text documents)
   in one WAL-mode SQLite file with a versioned schema;
-* :class:`FeatureStore` — the bulky packed feature matrices as
+* :class:`FeatureStore` — every per-row array (features, ids, codes) as
   content-addressed, memory-mapped ``.npy`` blocks behind a bounded
   LRU of open handles.
 

@@ -1,8 +1,8 @@
 """Content-addressed, memory-mapped feature-block store.
 
-The catalog's bulky payload — packed ``(N, 266)`` float64 feature
-matrices, one block per scene-concept leaf plus one block of scene
-centroids — lives outside SQLite as plain ``.npy`` files addressed by
+The catalog's per-row payload — packed ``(N, 266)`` float64 feature
+matrices and their int64 id blocks, per scene-concept leaf and for the
+scene centroids — lives outside SQLite as plain ``.npy`` files addressed by
 the sha256 of their bytes::
 
     <db_dir>/features/<sha[:2]>/<sha>.npy
@@ -26,7 +26,6 @@ failures here.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 import mmap
@@ -175,6 +174,7 @@ class FeatureStore:
         np.lib.format.write_array_header_1_0(
             header, np.lib.format.header_data_from_array_1_0(matrix)
         )
+        import hashlib  # here, not at module level: a shard worker hashes nothing
         hasher = hashlib.sha256(header.getvalue())
         hasher.update(matrix.reshape(-1).data)
         ref = BlockRef(sha=hasher.hexdigest(), rows=int(matrix.shape[0]), cols=int(matrix.shape[1]))

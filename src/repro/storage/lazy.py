@@ -5,16 +5,16 @@ whose rows are columns.  This module supplies the *sources* that put a
 stored catalog behind them, and nothing else:
 
 * :func:`_stored_rows` — a leaf's :class:`~repro.database.index.LeafRows`
-  (its memory-mapped feature block plus one columnar SQL read of the row
-  identities) and the derived arrays the catalog stores: the mapped
+  (its memory-mapped feature block and the columns of its mapped id
+  block) and the derived arrays the catalog stores: the mapped
   ``reduced`` block a leaf scan reads and the row signatures.
   :class:`~repro.database.index.LeafHashIndex` runs it on the first
   touch of the leaf, once, under a lock; no per-row object is built and
   no 266-d row is read — those page in for winners and flat scans only,
   and a flat scan gives them back as it moves on.
 * :func:`_stored_scenes` — the scene table: the stored centroid block
-  (the mmap *is* the centroid matrix) plus its bookkeeping rows, loaded
-  on the first scene search.
+  (the mmap *is* the centroid matrix) plus the columns of its id block,
+  loaded on the first scene search.
 * :func:`_ann_index_for` — a leaf's persisted ANN tier.
 * :class:`SQLVideoDatabase` — a :class:`VideoDatabase` whose leaves,
   records and scene table start out as those sources.  It overrides no
@@ -52,52 +52,53 @@ from repro.types import EventKind
 
 
 def _stored_rows(
-    catalog: SQLCatalog, info: LeafInfo
+    catalog: SQLCatalog, info: LeafInfo, titles: np.ndarray
 ) -> tuple[LeafRows, dict[str, np.ndarray]]:
     """Load one stored leaf: its columns and the derived arrays stored with it.
 
-    Every block stays a read-only mmap.  The generation the directory
-    holds *now* is checked against the one ``info`` was read from before
-    a block is opened, so a block a re-save collected reads as that
-    re-save, not as a missing file.
+    Every block stays a read-only mmap; the id block's columns are views
+    of it, and ``titles`` (the opened generation's, in code order) turns
+    title codes into one shared ``str`` per video.  The generation the
+    directory holds *now* is checked against the one ``info`` was read
+    from before a block is opened, so a block a re-save collected reads
+    as that re-save, not as a missing file.
     """
-    ordinals, titles, shot_ids, scene_ids = catalog.leaf_columns(info.name)
-    block_sha, reduced_sha, signatures = catalog.leaf_stored(info.name)
-    stored = {}
-    fresh = (block_sha, reduced_sha) == (info.block.sha, info.reduced_sha)
-    if fresh:
-        block = catalog.features.open(block_sha, resident=False)
-        if reduced_sha is not None:
-            stored["reduced"] = catalog.features.open(reduced_sha)
-        if signatures is not None:
-            stored["signatures"] = signatures
-        fresh = {len(a) for a in (ordinals, block, *stored.values())} == {info.entry_count}
-    if not fresh:
+    opened = (info.block.sha, info.reduced_sha, info.ids_sha)
+    if catalog.leaf_digests(info.name) != opened:
         raise StorageError(
             f"leaf {info.name!r} changed generation under this reader: opened "
             f"with {info.entry_count} entries in block {info.block.sha[:12]}…, "
-            f"the catalog now lists {ordinals.shape[0]} in "
-            f"{str(block_sha)[:12]}… — the directory was re-saved; reopen it"
+            f"the catalog now lists another — the directory was re-saved; reopen it"
         )
-    rows = LeafRows(block, ordinals, np.array(titles, dtype=object), shot_ids, scene_ids)
+    ids = catalog.features.open(info.ids_sha)
+    block = catalog.features.open(info.block.sha, resident=False)
+    stored = {"signatures": ids[:, 4:]}
+    if info.reduced_sha is not None:
+        stored["reduced"] = catalog.features.open(info.reduced_sha)
+    if {len(a) for a in (ids, block, *stored.values())} != {info.entry_count}:
+        raise StorageError(f"leaf {info.name!r}: its blocks disagree on its row count")
+    rows = LeafRows(block, ids[:, 0], titles[ids[:, 1]], ids[:, 2], ids[:, 3])
     return rows, stored
 
 
-def _stored_scenes(catalog: SQLCatalog) -> SceneTable:
-    """Load the stored scene table, in stored row order."""
-    sha, (titles, scene_ids, events, shot_counts) = catalog.scene_columns()
-    block = np.empty((0, 0)) if sha is None else catalog.features.open(sha)
-    if len(titles) != block.shape[0]:
+def _stored_scenes(catalog: SQLCatalog, titles: np.ndarray, opened: tuple) -> SceneTable:
+    """Load the stored scene table, in stored row order, from the
+    generation this reader opened (``opened``: its ``scene_block`` row)."""
+    if catalog.scene_block() != opened:
         raise StorageError(
-            f"the scene table lists {len(titles)} rows over a centroid block of "
-            f"{block.shape[0]} — the directory was re-saved; reopen it"
+            "the scene table changed generation under this reader — the "
+            "directory was re-saved; reopen it"
         )
+    sha, (scene_titles, scene_ids, events, shot_counts) = catalog.scene_columns(titles)
+    block = catalog.features.open(sha)
+    if not len(scene_titles) == block.shape[0] == opened[2]:
+        raise StorageError(f"the scene table's blocks disagree on its {opened[2]} rows")
     kinds = {kind.value: kind for kind in EventKind}
     return SceneTable(
-        titles=np.array(titles, dtype=object),
-        scene_ids=np.array(scene_ids, dtype=np.int64),
+        titles=scene_titles,
+        scene_ids=scene_ids,
         events=np.array([kinds[event] for event in events], dtype=object),
-        shot_counts=np.array(shot_counts, dtype=np.int64),
+        shot_counts=shot_counts,
         # Rows are stored in table order: the mmap block *is* the
         # centroid matrix, no stacked copy.
         centroids=block,
@@ -151,9 +152,10 @@ class SQLVideoDatabase(VideoDatabase):
         for area in catalog.subject_areas():
             ensure_subject_area(self._hierarchy, area)
         self._videos = catalog.videos()
+        titles = np.array(list(self._videos), dtype=object)  # in code order
         for info in catalog.leaf_infos():
             self._leaves[info.name] = LeafHashIndex(
-                partial(_stored_rows, catalog, info),
+                partial(_stored_rows, catalog, info, titles),
                 info.centers,
                 info.dims,
                 count=info.entry_count,
@@ -163,8 +165,10 @@ class SQLVideoDatabase(VideoDatabase):
                 ann=partial(_ann_index_for, catalog, info),
             )
             self._total += info.entry_count
-        self._scenes = SceneIndex(
-            partial(_stored_scenes, catalog), count=catalog.scene_count()
+        scenes = catalog.scene_block()
+        self._scenes = SceneIndex() if scenes is None else SceneIndex(
+            partial(_stored_scenes, catalog, titles, scenes),
+            count=scenes[2],
         )
 
     @classmethod

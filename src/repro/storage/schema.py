@@ -7,14 +7,18 @@ One database directory gains two durable pieces::
         features/        content-addressed mmap feature blocks
                          (:mod:`repro.storage.featurestore`)
 
-The catalog holds everything *relational* about a registered corpus —
-videos, scene events, leaf metadata, per-shot entry rows, scene
-centroid bookkeeping and a full-text search surface — while the bulky
-``(N, 266)`` float64 feature matrices live outside SQLite as
-memory-mapped ``.npy`` blocks referenced by sha256.
+The catalog holds what is *per video* and *per leaf* — videos, scene
+events, leaf metadata and routing, ANN quantizer state, scene-table
+bookkeeping and a full-text search surface.  Everything *per row* lives
+outside SQLite as memory-mapped ``.npy`` blocks referenced by sha256:
+a leaf's ``(N, 266)`` float64 rows, its reduced block and ANN codes, and
+its ``(N, 6)`` int64 id block (flat ordinal, title code, shot id, scene
+id, two signature columns); the scene table's centroid block and its
+``(S, 3)`` id block (title code, scene id, shot count).  A title code is
+the video's position in ``videos`` rowid order.
 
-Schema versioning uses ``PRAGMA user_version``: :func:`connect` upgrades
-an older catalog additively and refuses a newer one with a typed
+Schema versioning uses ``PRAGMA user_version``: :func:`connect` converts
+an older catalog in place and refuses a newer one with a typed
 :class:`~repro.errors.StorageError` instead of misreading it.  WAL mode
 keeps concurrent readers from blocking the (single) writer.
 
@@ -29,14 +33,18 @@ from __future__ import annotations
 import sqlite3
 from pathlib import Path
 
-from repro.errors import StorageError
+import numpy as np
+
+from repro.errors import IntegrityError, StorageError
 
 #: Current on-disk schema generation (``PRAGMA user_version``).
-#: v2 added the additive ``ann_leaves`` table (per-leaf IVF quantizer
-#: state), v3 the ``leaves.reduced_sha`` column (the leaf's reduced
-#: block, what a leaf scan reads); older catalogs are upgraded in place
-#: on open.
-SCHEMA_VERSION = 3
+#: v2 added the ``ann_leaves`` table (per-leaf IVF quantizer state), v3
+#: the ``leaves.reduced_sha`` column (the leaf's reduced block, what a
+#: leaf scan reads), v4 the id blocks (``leaves.ids_sha``,
+#: ``scene_block.ids_sha``) that replaced the ``entries`` and ``scenes``
+#: rows and the ``ann_leaves.sigs`` BLOB; older catalogs are converted in
+#: place on open (:func:`_upgrade`).
+SCHEMA_VERSION = 4
 
 #: File name of the SQL catalog inside a database directory.
 CATALOG_NAME = "catalog.sqlite"
@@ -80,28 +88,8 @@ SCHEMA_STATEMENTS = (
         centers_rows INTEGER NOT NULL,
         dims         BLOB NOT NULL,
         dims_count   INTEGER NOT NULL,
-        reduced_sha  TEXT
-    )
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS entries (
-        ord         INTEGER PRIMARY KEY,
-        leaf        TEXT NOT NULL,
-        row         INTEGER NOT NULL,
-        video_title TEXT NOT NULL,
-        shot_id     INTEGER NOT NULL,
-        scene_id    INTEGER NOT NULL
-    )
-    """,
-    "CREATE INDEX IF NOT EXISTS idx_entries_leaf ON entries (leaf, row)",
-    """
-    CREATE TABLE IF NOT EXISTS scenes (
-        row         INTEGER PRIMARY KEY,
-        video_title TEXT NOT NULL,
-        scene_id    INTEGER NOT NULL,
-        event       TEXT NOT NULL,
-        shot_count  INTEGER NOT NULL,
-        UNIQUE (video_title, scene_id)
+        reduced_sha  TEXT,
+        ids_sha      TEXT
     )
     """,
     """
@@ -109,7 +97,8 @@ SCHEMA_STATEMENTS = (
         id        INTEGER PRIMARY KEY CHECK (id = 1),
         block_sha TEXT NOT NULL,
         rows      INTEGER NOT NULL,
-        cols      INTEGER NOT NULL
+        cols      INTEGER NOT NULL,
+        ids_sha   TEXT
     )
     """,
     """
@@ -134,27 +123,16 @@ SCHEMA_STATEMENTS = (
         centroids BLOB NOT NULL,
         "assign"  BLOB NOT NULL,
         scale     BLOB NOT NULL,
-        "offset"  BLOB NOT NULL,
-        sigs      BLOB NOT NULL
+        "offset"  BLOB NOT NULL
     )
     """,
 )
-
-#: DDL added by each schema generation after its predecessor, applied
-#: additively when :func:`connect` opens an older catalog.
-_UPGRADE_STATEMENTS: dict[int, tuple[str, ...]] = {
-    2: (SCHEMA_STATEMENTS[-1],),
-    # NULL until the next save: such a leaf derives its reduced block.
-    3: ("ALTER TABLE leaves ADD COLUMN reduced_sha TEXT",),
-}
 
 #: Every data table, in deletion order for a full catalog replace.
 DATA_TABLES = (
     "videos",
     "video_events",
     "leaves",
-    "entries",
-    "scenes",
     "scene_block",
     "search_docs",
     "ann_leaves",
@@ -227,18 +205,13 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
                 )
                 conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
         elif 0 < version < SCHEMA_VERSION:
-            # Forward upgrades are purely additive: apply each newer
-            # generation's DDL in order and stamp the new version.  An
-            # older catalog keeps serving (leaves without ann_leaves rows
-            # or a reduced block make them in process, deterministically).
             # Two processes may open the same old catalog at once: take
-            # the write lock, then see what is still left to apply.
+            # the write lock, then see what is still left to convert.
             conn.execute("BEGIN IMMEDIATE")
             version = int(conn.execute("PRAGMA user_version").fetchone()[0])
-            for target in range(version + 1, SCHEMA_VERSION + 1):
-                for statement in _UPGRADE_STATEMENTS.get(target, ()):
-                    conn.execute(statement)
-            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            if version < SCHEMA_VERSION:
+                _upgrade(conn, version, path.parent / FEATURES_DIR)
+                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             conn.commit()
         elif version != SCHEMA_VERSION:
             raise StorageError(
@@ -246,10 +219,60 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
                 f"this build reads version {SCHEMA_VERSION} — "
                 f"re-run `classminer migrate`"
             )
-    except sqlite3.Error as exc:
+    except (sqlite3.Error, KeyError) as exc:
         conn.close()
         raise StorageError(f"cannot initialise catalog {path}: {exc}") from exc
-    except StorageError:
+    except (StorageError, IntegrityError):  # a block the conversion reads
         conn.close()
         raise
     return conn
+
+
+def _upgrade(conn: sqlite3.Connection, version: int, features: Path) -> None:
+    """Convert a v1-v3 catalog to v4 inside the caller's write transaction.
+
+    The older generations' DDL lands first (v2's ``ann_leaves``; v3's
+    ``reduced_sha``, NULL until the next save: such a leaf derives its
+    reduced block).  Then each leaf's ``entries`` rows and signatures
+    (``ann_leaves.sigs``, or derived from its rows where a v1 writer
+    stored none) become its id block, and the ``scenes`` rows the scene
+    id block; the blocks are written before the rows that name them, and
+    are content-addressed, so an opener that raced this one wrote the
+    same files.  An unknown title raises ``KeyError``.
+    """
+    from repro.database.index import leaf_signatures
+    from repro.storage.featurestore import FeatureStore
+
+    store = FeatureStore(features)
+    if version < 2:
+        conn.execute(SCHEMA_STATEMENTS[-1])
+    if version < 3:
+        conn.execute("ALTER TABLE leaves ADD COLUMN reduced_sha TEXT")
+    titles = conn.execute("SELECT title FROM videos ORDER BY rowid").fetchall()
+    code = {title: position for position, (title,) in enumerate(titles)}
+    sigs = dict(conn.execute("SELECT leaf, sigs FROM ann_leaves")) if version >= 2 else {}
+    conn.execute("ALTER TABLE leaves ADD COLUMN ids_sha TEXT")
+    for name, block_sha in conn.execute("SELECT name, block_sha FROM leaves").fetchall():
+        rows = conn.execute(
+            "SELECT ord, video_title, shot_id, scene_id FROM entries WHERE leaf = ? "
+            "ORDER BY row", (name,),
+        ).fetchall()
+        ids = np.array([(o, code[t], s, c) for o, t, s, c in rows], np.int64).reshape(-1, 4)
+        signatures = (
+            np.frombuffer(sigs[name], np.int64).reshape(-1, 2) if name in sigs
+            else leaf_signatures(store.open(block_sha))
+        )
+        ref = store.put(np.hstack([ids, signatures]), dtype=np.int64)
+        conn.execute("UPDATE leaves SET ids_sha = ? WHERE name = ?", (ref.sha, name))
+    scenes = conn.execute(
+        "SELECT video_title, scene_id, shot_count FROM scenes ORDER BY row"
+    ).fetchall()
+    conn.execute("ALTER TABLE scene_block ADD COLUMN ids_sha TEXT")
+    if scenes:
+        ids = np.array([(code[t], s, n) for t, s, n in scenes], np.int64)
+        conn.execute("UPDATE scene_block SET ids_sha = ?", (store.put(ids, dtype=np.int64).sha,))
+    conn.execute("DROP TABLE entries")
+    conn.execute("DROP TABLE scenes")
+    if version >= 2:
+        conn.execute("ALTER TABLE ann_leaves DROP COLUMN sigs")
+    store.close()

@@ -9,8 +9,8 @@ Write model
 -----------
 The artifact store remains the corpus's source of truth, so the catalog
 is rebuilt by *full replace*: :func:`save_database` serialises an
-in-memory :class:`~repro.database.catalog.VideoDatabase` — leaf blocks,
-routing centres, discriminating dims, scene centroids, FTS documents —
+in-memory :class:`~repro.database.catalog.VideoDatabase` — leaf and id
+blocks, routing, scene centroids and their ids, FTS documents —
 inside **one** ``BEGIN IMMEDIATE`` transaction.  A failure mid-write
 rolls the relational state back to the previous generation and deletes
 any feature blocks the aborted write introduced; readers never see a
@@ -24,7 +24,7 @@ transaction.
 Determinism contract
 --------------------
 Nothing is derived here.  The writer stores what the database hands
-it — each leaf's block, columns and routing ``(centers, dims)``
+it — each leaf's blocks (rows, reduced, ids) and routing ``(centers, dims)``
 (:func:`~repro.database.index.leaf_routing`, computed once per leaf),
 the scene table (:func:`~repro.database.scene_search.corpus_scenes`) —
 so an opened store (:mod:`repro.storage.lazy`) answers from the very
@@ -41,7 +41,6 @@ lands in the ``storage_catalog_query_seconds`` histogram.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sqlite3
 import threading
@@ -54,6 +53,7 @@ import numpy as np
 from repro.ann.index import train_leaf_ann
 from repro.ann.quantizer import ANN_SEED
 from repro.database.catalog import RegisteredVideo, VideoDatabase
+from repro.database.scene_search import SceneTable
 from repro.errors import FaultInjectedError, StorageError
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
@@ -69,6 +69,7 @@ from repro.storage.schema import (
     connect,
     features_path,
 )
+from repro.types import EventKind
 
 #: Locked-database retry budget and base backoff.
 LOCK_RETRIES = 5
@@ -102,12 +103,15 @@ class LeafInfo:
     dims: np.ndarray
     #: The ``(n, |dims|)`` reduced block (None: written before schema v3).
     reduced_sha: str | None
+    #: The ``(n, 6)`` int64 id block: flat ordinal, title code, shot id,
+    #: scene id and the two signature columns, in block-row order.
+    ids_sha: str
 
 
 @dataclass(frozen=True)
 class AnnLeafRow:
     """Stored ANN quantizer state of one leaf (codes live in a block; the
-    row signatures are the leaf's, see :meth:`SQLCatalog.leaf_stored`)."""
+    row signatures are the leaf's, in its id block)."""
 
     leaf: str
     cells: int
@@ -282,17 +286,20 @@ class SQLCatalog:
         """Total indexed shots."""
         return int(
             self._run(lambda conn: conn.execute(
-                "SELECT COUNT(*) FROM entries"
+                "SELECT COALESCE(SUM(entry_count), 0) FROM leaves"
             ).fetchone()[0])
         )
 
     def scene_count(self) -> int:
         """Total indexed scene centroids."""
-        return int(
-            self._run(lambda conn: conn.execute(
-                "SELECT COUNT(*) FROM scenes"
-            ).fetchone()[0])
-        )
+        return 0 if (stored := self.scene_block()) is None else stored[2]
+
+    def _titles(self) -> np.ndarray:
+        """Every video title in ``videos`` rowid order: what a title code names."""
+        rows = self._run(lambda conn: conn.execute(
+            "SELECT title FROM videos ORDER BY rowid"
+        ).fetchall())
+        return np.array([title for (title,) in rows], dtype=object)
 
     def leaf_infos(self) -> list[LeafInfo]:
         """Every stored leaf, in hierarchy creation order."""
@@ -300,10 +307,10 @@ class SQLCatalog:
             infos = []
             for (
                 name, position, entry_count, sha, rows, cols,
-                centers, centers_rows, dims, dims_count, reduced_sha,
+                centers, centers_rows, dims, dims_count, reduced_sha, ids_sha,
             ) in conn.execute(
                 "SELECT name, position, entry_count, block_sha, rows, cols, "
-                "centers, centers_rows, dims, dims_count, reduced_sha "
+                "centers, centers_rows, dims, dims_count, reduced_sha, ids_sha "
                 "FROM leaves ORDER BY position"
             ):
                 infos.append(
@@ -315,6 +322,7 @@ class SQLCatalog:
                         centers=_unpack_f64(centers, int(centers_rows), int(cols)),
                         dims=_unpack_i64(dims, int(dims_count)),
                         reduced_sha=reduced_sha,
+                        ids_sha=str(ids_sha),
                     )
                 )
             return infos
@@ -353,83 +361,51 @@ class SQLCatalog:
             offset=np.frombuffer(offset, dtype=np.float64).copy(),
         )
 
-    def leaf_stored(self, name: str) -> tuple[str | None, str | None, np.ndarray | None]:
-        """What the catalog holds of a leaf *now*, in one statement.
-
-        ``(block digest, reduced-block digest, row signatures)``: the
-        digests say which generation the directory is at (a reader
-        compares them with the :class:`LeafInfo` it opened), and the
-        ``(n, 2)`` int64 signatures are ``LeafHashIndex.signatures`` —
-        stored once, in the leaf's ``ann_leaves`` row, for the hash
-        table and the ANN tier alike.  A part that is not stored (no
-        such leaf, a pre-v3 or pre-v2 catalog) is None.
-        """
-        def op(conn: sqlite3.Connection):
-            return conn.execute(
-                "SELECT l.block_sha, l.reduced_sha, a.sigs FROM leaves l "
-                "LEFT JOIN ann_leaves a ON a.leaf = l.name WHERE l.name = ?",
-                (name,),
-            ).fetchone()
-
-        block_sha, reduced_sha, sigs = self._run(op) or (None, None, None)
-        if sigs is not None:
-            sigs = np.frombuffer(sigs, dtype=np.int64).reshape(-1, 2)
-        return block_sha, reduced_sha, sigs
+    def leaf_digests(self, name: str) -> tuple[str, str | None, str] | None:
+        """What the catalog lists for a leaf *now*, in one statement:
+        ``(block, reduced block, id block)`` digests (None: no such leaf).
+        A reader compares them with the :class:`LeafInfo` it opened, to
+        tell a re-save apart from the generation it is serving."""
+        return self._run(lambda conn: conn.execute(
+            "SELECT block_sha, reduced_sha, ids_sha FROM leaves WHERE name = ?", (name,)
+        ).fetchone())
 
     def leaf_rows(self, name: str) -> list[EntryRow]:
-        """A leaf's entries in block-row order."""
-        def op(conn: sqlite3.Connection):
-            return [
-                EntryRow(
-                    ord=int(ordinal), leaf=name, row=int(row),
-                    video_title=str(title), shot_id=int(shot), scene_id=int(scene),
-                )
-                for ordinal, row, title, shot, scene in conn.execute(
-                    "SELECT ord, row, video_title, shot_id, scene_id "
-                    "FROM entries WHERE leaf = ? ORDER BY row",
-                    (name,),
-                )
-            ]
+        """A leaf's entries in block-row order, one object per row, read off
+        its id block (a reader over a whole leaf; queries never call it)."""
+        stored = self.leaf_digests(name)
+        if stored is None:
+            return []
+        titles = self._titles()
+        return [
+            EntryRow(ord=o, leaf=name, row=row, video_title=titles[t], shot_id=s, scene_id=c)
+            for row, (o, t, s, c) in enumerate(self._features.open(stored[2])[:, :4].tolist())
+        ]
 
-        return self._run(op)
+    def scene_block(self) -> tuple[str, str, int] | None:
+        """The scene table *now*: ``(centroid block, id block, rows)``
+        (None: no scenes)."""
+        return self._run(lambda conn: conn.execute(
+            "SELECT block_sha, ids_sha, rows FROM scene_block"
+        ).fetchone())
 
-    def leaf_columns(
-        self, name: str
-    ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
-        """A leaf's entries in block-row order, as columns.
-
-        ``(flat ordinals, titles, shot ids, scene ids)`` — what an
-        array-backed leaf holds per row; no per-row objects are built.
-        """
-        def op(conn: sqlite3.Connection):
-            return conn.execute(
-                "SELECT ord, video_title, shot_id, scene_id "
-                "FROM entries WHERE leaf = ? ORDER BY row",
-                (name,),
-            ).fetchall()
-
-        rows = self._run(op)
-        ords, titles, shots, scenes = zip(*rows) if rows else ((), (), (), ())
-        shared: dict[str, str] = {}  # one str per title, not one per row
-        return (
-            np.array(ords, dtype=np.int64),
-            [shared.setdefault(title, title) for title in titles],
-            np.array(shots, dtype=np.int64),
-            np.array(scenes, dtype=np.int64),
-        )
-
-    def scene_columns(self) -> tuple[str | None, list[tuple]]:
+    def scene_columns(self, titles: np.ndarray | None = None) -> tuple[str | None, list]:
         """The scene table: its centroid block's digest (None when there are
         no scenes) and ``[titles, scene ids, event values, shot counts]``,
-        as columns in block-row order."""
-        def op(conn: sqlite3.Connection):
-            block = conn.execute("SELECT block_sha FROM scene_block").fetchone()
-            rows = conn.execute(
-                "SELECT video_title, scene_id, event, shot_count FROM scenes ORDER BY row"
-            ).fetchall()
-            return (block[0] if block else None), (list(zip(*rows)) or [()] * 4)
-
-        return self._run(op)
+        as columns in block-row order — the id block's columns, the titles
+        its codes name (in ``titles``, the caller's array in code order, or
+        read now) and each scene's event off the ``video_events`` rows."""
+        stored = self.scene_block()
+        if stored is None:
+            return None, [()] * 4
+        ids = self._features.open(stored[1])
+        titles = (self._titles() if titles is None else titles)[ids[:, 0]]
+        events = {(t, s): e for t, s, e in self._run(lambda conn: conn.execute(
+            "SELECT title, scene_id, event FROM video_events"
+        ).fetchall())}
+        unknown = EventKind.UNKNOWN.value
+        values = [events.get(key, unknown) for key in zip(titles.tolist(), ids[:, 1].tolist())]
+        return stored[0], [titles, ids[:, 1], values, ids[:, 2]]
 
     def search_text(self, text: str, k: int = 10) -> list[SearchHit]:
         """Full-text search over video/scene/concept metadata.
@@ -552,17 +528,23 @@ class SQLCatalog:
                 new_blocks.add(ref.sha)
             return ref
 
-        # Leaf blocks, columns and routing, in leaf creation order,
-        # straight from the arrays the leaves hold.
+        # Leaf blocks and routing, in leaf creation order, straight from
+        # the arrays the leaves hold.  A title code is the title's position
+        # in ``records``, the order the ``videos`` rows are written in.
+        records = database.videos
+        code = {title: position for position, title in enumerate(records)}
         leaves = database.leaves
         leaves_payload = []
-        entry_payload = []
         ann_payload = []
         for position, (name, leaf) in enumerate(leaves.items()):
             ref = put(leaf.block)
             # What a leaf scan reads, so an opened store maps it instead
             # of paging every 266-d row in to gather it again.
             reduced_ref = put(leaf.reduced)
+            ids = np.column_stack((
+                leaf.ordinals, [code[title] for title in leaf.titles.tolist()],
+                leaf.shot_ids, leaf.scene_ids, leaf.signatures,
+            ))
             leaves_payload.append(
                 (
                     name, position, len(leaf), ref.sha, ref.rows, ref.cols,
@@ -570,13 +552,7 @@ class SQLCatalog:
                     int(leaf.centers.shape[0]),
                     _pack(np.asarray(leaf.dims, dtype=np.int64)),
                     int(leaf.dims.shape[0]),
-                    reduced_ref.sha,
-                )
-            )
-            entry_payload.extend(
-                zip(
-                    leaf.ordinals.tolist(), itertools.repeat(name), range(len(leaf)),
-                    leaf.titles.tolist(), leaf.shot_ids.tolist(), leaf.scene_ids.tolist(),
+                    reduced_ref.sha, put(ids, dtype=np.int64).sha,
                 )
             )
             # ANN tier: train this leaf's quantizer here so every saved
@@ -591,21 +567,22 @@ class SQLCatalog:
                     name, ann.n_cells, ANN_SEED, code_ref.sha,
                     code_ref.rows, code_ref.cols,
                     _pack(ann.centroids), _pack(ann.assign),
-                    _pack(ann.scale), _pack(ann.offset), _pack(ann.sigs),
+                    _pack(ann.scale), _pack(ann.offset),
                 )
             )
 
-        records = database.videos
         scenes = database.scene_index.table
-        scene_payload = list(
-            zip(
-                range(len(scenes.titles)), scenes.titles.tolist(),
-                scenes.scene_ids.tolist(),
-                [event.value for event in scenes.events.tolist()],
-                scenes.shot_counts.tolist(),
+        scene_payload = None
+        if len(scenes.titles):
+            scene_ids = np.column_stack((
+                [code[title] for title in scenes.titles.tolist()],
+                scenes.scene_ids, scenes.shot_counts,
+            ))
+            scene_ref = put(scenes.centroids)
+            scene_payload = (
+                scene_ref.sha, scene_ref.rows, scene_ref.cols,
+                put(scene_ids, dtype=np.int64).sha,
             )
-        )
-        scene_ref = put(scenes.centroids) if scene_payload else None
 
         video_payload = [
             (
@@ -621,7 +598,7 @@ class SQLCatalog:
         ]
         education = database.hierarchy.find("medical_education")
         areas = [child.name for child in education.children] if education else []
-        docs = _search_documents(records, scene_payload, leaves)
+        docs = _search_documents(records, scenes, leaves)
 
         def op(conn: sqlite3.Connection):
             conn.execute("BEGIN IMMEDIATE")
@@ -643,29 +620,19 @@ class SQLCatalog:
                 conn.executemany(
                     "INSERT INTO leaves (name, position, entry_count, block_sha, "
                     "rows, cols, centers, centers_rows, dims, dims_count, "
-                    "reduced_sha) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    "reduced_sha, ids_sha) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     leaves_payload,
                 )
-                conn.executemany(
-                    "INSERT INTO entries (ord, leaf, row, video_title, shot_id, "
-                    "scene_id) VALUES (?, ?, ?, ?, ?, ?)",
-                    entry_payload,
-                )
-                conn.executemany(
-                    "INSERT INTO scenes (row, video_title, scene_id, event, "
-                    "shot_count) VALUES (?, ?, ?, ?, ?)",
-                    scene_payload,
-                )
-                if scene_ref is not None:
+                if scene_payload is not None:
                     conn.execute(
-                        "INSERT INTO scene_block (id, block_sha, rows, cols) "
-                        "VALUES (1, ?, ?, ?)",
-                        (scene_ref.sha, scene_ref.rows, scene_ref.cols),
+                        "INSERT INTO scene_block (id, block_sha, rows, cols, ids_sha) "
+                        "VALUES (1, ?, ?, ?, ?)",
+                        scene_payload,
                     )
                 conn.executemany(
                     "INSERT INTO ann_leaves (leaf, cells, seed, code_sha, "
-                    'rows, cols, centroids, "assign", scale, "offset", sigs) '
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    'rows, cols, centroids, "assign", scale, "offset") '
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     ann_payload,
                 )
                 conn.executemany(
@@ -688,11 +655,10 @@ class SQLCatalog:
                 conn.execute("ROLLBACK")
                 raise
 
-        with obs_span(
-            "storage.replace", entries=len(entry_payload), leaves=len(leaves_payload)
-        ):
+        count = sum(map(len, leaves.values()))
+        with obs_span("storage.replace", entries=count, leaves=len(leaves_payload)):
             self._run(op)
-        return len(entry_payload)
+        return count
 
     def register_bulk(self, results, skip_registered: bool = False) -> list[RegisteredVideo]:
         """Transactionally register mined results into the stored catalog.
@@ -718,7 +684,8 @@ class SQLCatalog:
             return conn.execute(
                 "SELECT block_sha FROM leaves UNION "
                 "SELECT reduced_sha FROM leaves WHERE reduced_sha IS NOT NULL UNION "
-                "SELECT block_sha FROM scene_block UNION SELECT code_sha FROM ann_leaves"
+                "SELECT ids_sha FROM leaves UNION SELECT block_sha FROM scene_block "
+                "UNION SELECT ids_sha FROM scene_block UNION SELECT code_sha FROM ann_leaves"
             ).fetchall()
 
         return {str(row[0]) for row in self._run(op)}
@@ -726,7 +693,7 @@ class SQLCatalog:
 
 def _search_documents(
     records: dict[str, RegisteredVideo],
-    scene_payload: list[tuple],
+    scenes: SceneTable,
     leaves: dict,
 ) -> list[tuple[str, str, str]]:
     """Flatten the corpus into (kind, title, body) FTS documents."""
@@ -739,12 +706,15 @@ def _search_documents(
             + [f"degraded {stage}" for stage in record.degraded_stages]
         )
         docs.append(("video", title, body))
-    for _row, title, scene_id, value, shot_count in scene_payload:
+    for title, scene_id, event, shot_count in zip(
+        scenes.titles.tolist(), scenes.scene_ids.tolist(),
+        scenes.events.tolist(), scenes.shot_counts.tolist(),
+    ):
         docs.append(
             (
                 "scene",
                 f"{title}/scene-{scene_id}",
-                f"{title.replace('_', ' ')} scene {scene_id} {value} "
+                f"{title.replace('_', ' ')} scene {scene_id} {event.value} "
                 f"{shot_count} shots",
             )
         )

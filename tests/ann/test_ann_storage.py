@@ -10,8 +10,6 @@ in-process build.
 
 from __future__ import annotations
 
-import sqlite3
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from repro.database.query import search_hierarchical
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.storage import SCHEMA_VERSION, SQLVideoDatabase, save_database
 from repro.storage.lazy import _ann_index_for
-from repro.storage.schema import catalog_path
+from tests.storage.test_id_blocks import rewind
 
 from .test_ann_equivalence import NPROBE_ALL, hits
 
@@ -130,14 +128,9 @@ class TestDegradeAndRecover:
 class TestPreAnnCatalog:
     def test_v1_catalog_upgrades_and_serves_ann(self, ann_db, probes, tmp_path):
         save_database(ann_db, tmp_path)
-        # Rewind the catalog to its v1 shape: no ann_leaves table, old
-        # user_version stamp.
-        conn = sqlite3.connect(catalog_path(tmp_path))
-        with conn:
-            conn.execute("DROP TABLE ann_leaves")
-            conn.execute("ALTER TABLE leaves DROP COLUMN reduced_sha")
-            conn.execute("PRAGMA user_version = 1")
-        conn.close()
+        # Rewind the catalog to its v1 layout: per-row tables, no
+        # ann_leaves table, old user_version stamp.
+        rewind(tmp_path, 1)
         lazy = SQLVideoDatabase.open(tmp_path)
         try:
             version = lazy.catalog._run(

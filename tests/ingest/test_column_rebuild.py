@@ -71,7 +71,7 @@ def test_columns_file_the_same_catalog_as_full_results(store, tmp_path):
     save_database(rebuilt, tmp_path / "rebuilt")
 
     want = stored_state(tmp_path / "full")
-    assert want["entries"] and want["blocks"]
+    assert want["leaves"] and want["blocks"]
     assert stored_state(tmp_path / "columns") == want
     assert stored_state(tmp_path / "rebuilt") == want
     assert skipped == []

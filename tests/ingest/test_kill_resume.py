@@ -103,7 +103,7 @@ def test_kill_at_every_step_then_resume(tmp_path, mined, capsys):
     assert {"ingest.mine", "ingest.artifact.write", "ingest.rebuild",
             "ingest.artifact.read", "storage.db_locked"} <= set(steps)
     want = stored_state(reference)
-    assert want["entries"] and want["blocks"]
+    assert want["leaves"] and want["blocks"]
 
     for step, point in enumerate(steps, start=1):
         db_dir = tmp_path / f"killed-at-{step}"

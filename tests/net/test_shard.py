@@ -142,10 +142,13 @@ class TestShardDirectories:
 
 #: Per shard of ``build_shards(build_synthetic_database(1000, 12, seed=13), d, 2)``:
 #: the ``(block, reduced, ANN codes)`` content addresses of each leaf, the
-#: scene-centroid block's address, and a sha256 over the shard's
-#: ``videos`` / ``video_events`` / ``entries`` / ``scenes`` / ``search_docs``
-#: rows — as cut by the last commit that derived every shard's reduced
-#: rows, signatures and scene table again from its own rows.
+#: scene-centroid block's address, and a sha256 over what the catalog's
+#: readers return — ``videos()``, ``leaf_rows`` of every leaf,
+#: ``scene_columns()`` — and the ``search_docs`` rows.  The addresses are
+#: those of the last commit that derived every shard's reduced rows,
+#: signatures and scene table again from its own rows; the reader digest
+#: was recorded at the last commit that stored identities as SQL rows, so
+#: it holds any later storage layout to the same rows.
 PINNED_SHARDS = (
     (
         {
@@ -171,7 +174,7 @@ PINNED_SHARDS = (
             ),
         },
         "37fbee42390c94abfcda3f31d754fc2c1085f40c82d171a61750c784ca5e8759",
-        "cc54d8250c0830a1875a09c991ab21cc433364d8b98504057999f7aaf8394ba9",
+        "211d0e8bf7393c66efd89af13b05d63a135c1411d8bb60bd01485aa4618b6a87",
     ),
     (
         {
@@ -197,35 +200,37 @@ PINNED_SHARDS = (
             ),
         },
         "46b6aa408d53bef8c38340fe7854f7936bc9d7c9107ec0c823522b29e9e4793a",
-        "e6619bd0eb4520023aa473ff271350cf56e7ec15387bee46ea420c949364e0d1",
+        "c58599523ac5aeeab5c0d4a4f80744398f5b8b770e268e64af619b6646e0e4fa",
     ),
 )
-#: Each table's rows in a stable order (``search_docs`` has no key column).
-_PINNED_TABLES = {
-    "videos": "title",
-    "video_events": "title, scene_id",
-    "entries": "ord",
-    "scenes": "row",
-    "search_docs": "kind, title",
-}
 
 
 def _stored_shard(shard_dir) -> tuple[dict, str, str]:
+    rows = hashlib.sha256()
+
+    def add(*values) -> None:
+        rows.update(repr(values).encode())
+
     catalog = SQLCatalog(shard_dir)
     try:
+        for title, record in catalog.videos().items():
+            add(title, record.shot_count, record.scene_count,
+                record.degraded_stages, sorted(record.events.items()))
         leaves = {}
         for info in catalog.leaf_infos():
             ann = catalog.ann_leaf_row(info.name)
             leaves[info.name] = (info.block.sha, info.reduced_sha, ann.code_sha)
-        scene_sha = catalog.scene_columns()[0]
+            for row in catalog.leaf_rows(info.name):
+                add(row.ord, row.leaf, row.row, row.video_title, row.shot_id, row.scene_id)
+        scene_sha, columns = catalog.scene_columns()
+        for title, scene_id, event, shot_count in zip(*columns):
+            add(str(title), int(scene_id), str(event), int(shot_count))
     finally:
         catalog.close()
-    rows = hashlib.sha256()
     conn = sqlite3.connect(catalog_path(shard_dir))
     try:
-        for table, order in _PINNED_TABLES.items():
-            for row in conn.execute(f"SELECT * FROM {table} ORDER BY {order}"):
-                rows.update(repr(row).encode())
+        for row in conn.execute("SELECT * FROM search_docs ORDER BY kind, title"):
+            add(*row)
     finally:
         conn.close()
     return leaves, scene_sha, rows.hexdigest()

@@ -1,0 +1,252 @@
+"""Schema v4: a stored leaf is its blocks.
+
+Every per-row fact of a leaf — flat ordinal, title code, shot id, scene
+id, the two signature columns — is one ``(n, 6)`` int64 id block beside
+its feature blocks, and the scene table's ``(S, 3)`` id block sits beside
+its centroids; SQLite keeps per-video and per-leaf rows only.  Held here:
+a v1, v2 or v3 catalog — its real older layout, rebuilt from what the
+readers return — converts once on open, to the very blocks a v4 writer
+stores, and answers bit for bit (ids, scores, ``QueryStats``); a second
+opener, later or racing, writes nothing of its own; a missing, truncated
+or unreadable id block is a typed error on first touch.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sqlite3
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro.errors import IntegrityError, ReproError, StorageError
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.storage import (
+    SCHEMA_VERSION,
+    SQLCatalog,
+    SQLVideoDatabase,
+    catalog_path,
+    save_database,
+)
+from tests.storage.test_lazy_equivalence import stored_state
+
+#: The per-row tables every writer before v4 kept, as it declared them.
+_PRE_V4_TABLES = (
+    """
+    CREATE TABLE entries (
+        ord         INTEGER PRIMARY KEY,
+        leaf        TEXT NOT NULL,
+        row         INTEGER NOT NULL,
+        video_title TEXT NOT NULL,
+        shot_id     INTEGER NOT NULL,
+        scene_id    INTEGER NOT NULL
+    )
+    """,
+    "CREATE INDEX idx_entries_leaf ON entries (leaf, row)",
+    """
+    CREATE TABLE scenes (
+        row         INTEGER PRIMARY KEY,
+        video_title TEXT NOT NULL,
+        scene_id    INTEGER NOT NULL,
+        event       TEXT NOT NULL,
+        shot_count  INTEGER NOT NULL,
+        UNIQUE (video_title, scene_id)
+    )
+    """,
+)
+
+
+def rewind(db_dir, version: int) -> None:
+    """Give the v4 catalog in ``db_dir`` the layout a v``version`` writer left.
+
+    Built from what the readers return, not only by dropping what v4
+    added: the ``entries`` and ``scenes`` rows, ``ann_leaves.sigs`` (v2
+    and v3; a v1 catalog has no ``ann_leaves``) and ``leaves.reduced_sha``
+    (v3) — and none of the blocks that writer did not write (the id
+    blocks; the reduced blocks before v3).
+    """
+    opened = SQLVideoDatabase.open(db_dir)
+    try:
+        catalog = opened.catalog
+        infos = catalog.leaf_infos()
+        entries = [
+            (row.ord, row.leaf, row.row, row.video_title, row.shot_id, row.scene_id)
+            for info in infos
+            for row in catalog.leaf_rows(info.name)
+        ]
+        _, (titles, scene_ids, events, shot_counts) = catalog.scene_columns()
+        scenes = [
+            (row, str(title), int(scene), event, int(count))
+            for row, (title, scene, event, count) in enumerate(
+                zip(titles, scene_ids, events, shot_counts)
+            )
+        ]
+        sigs = [
+            (np.ascontiguousarray(leaf.signatures).tobytes(), name)
+            for name, leaf in opened.leaves.items()
+        ]
+        unwritten = {info.ids_sha for info in infos} | {catalog.scene_block()[1]}
+        if version < 3:
+            unwritten |= {info.reduced_sha for info in infos}
+        for sha in unwritten:
+            assert catalog.features.delete(sha)
+    finally:
+        opened.close()
+    conn = sqlite3.connect(catalog_path(db_dir))
+    with conn:
+        for statement in _PRE_V4_TABLES:
+            conn.execute(statement)
+        conn.executemany("INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?)", entries)
+        conn.executemany("INSERT INTO scenes VALUES (?, ?, ?, ?, ?)", scenes)
+        conn.execute("ALTER TABLE leaves DROP COLUMN ids_sha")
+        conn.execute("ALTER TABLE scene_block DROP COLUMN ids_sha")
+        if version < 2:
+            conn.execute("DROP TABLE ann_leaves")
+        else:
+            conn.execute("ALTER TABLE ann_leaves ADD COLUMN sigs BLOB NOT NULL DEFAULT x''")
+            conn.executemany("UPDATE ann_leaves SET sigs = ? WHERE leaf = ?", sigs)
+        if version < 3:
+            conn.execute("ALTER TABLE leaves DROP COLUMN reduced_sha")
+        conn.execute(f"PRAGMA user_version = {version}")
+    conn.close()
+
+
+def _tables(db_dir) -> set[str]:
+    with sqlite3.connect(catalog_path(db_dir)) as conn:
+        return {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
+
+
+def _id_digests(catalog: SQLCatalog) -> list[str]:
+    return [info.ids_sha for info in catalog.leaf_infos()] + [catalog.scene_block()[1]]
+
+
+def _version(catalog: SQLCatalog) -> int:
+    return int(catalog._run(lambda c: c.execute("PRAGMA user_version").fetchone()[0]))
+
+
+def _answers(database, probes) -> list:
+    """Ids, scores and work accounting of shot, flat and scene queries."""
+    out = []
+    for probe in probes:
+        for result in (database.search(probe, k=10), database.search_flat(probe, k=10)):
+            out.append([(hit.entry.key, hit.score) for hit in result.hits])
+            out.append(dataclasses.replace(result.stats, elapsed_seconds=0.0))
+        out.append([
+            (hit.entry.video_title, hit.entry.scene_id, hit.entry.event, hit.score)
+            for hit in database.scene_index.search(probe, k=10)
+        ])
+    return out
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_an_older_catalog_converts_once_and_answers_the_same_bits(
+    source_db, probes, tmp_path, version
+):
+    save_database(source_db, tmp_path)
+    written = stored_state(tmp_path)
+    with SQLCatalog(tmp_path) as catalog:
+        ids = _id_digests(catalog)
+    rewind(tmp_path, version)
+    assert {"entries", "idx_entries_leaf", "scenes"} <= _tables(tmp_path)
+    opened = SQLVideoDatabase.open(tmp_path)
+    try:
+        assert _version(opened.catalog) == SCHEMA_VERSION
+        assert not {"entries", "idx_entries_leaf", "scenes"} & _tables(tmp_path)
+        # The id blocks a v4 writer stores, signatures derived from the
+        # rows where a v1 writer stored none.
+        assert _id_digests(opened.catalog) == ids
+        for sha in ids:
+            opened.catalog.features.verify(sha)
+        if version == 3:
+            assert stored_state(tmp_path) == written  # every row and block
+        assert _answers(opened, probes) == _answers(source_db, probes)
+        save_database(opened, tmp_path)  # a v1/v2 leaf gains its reduced block
+    finally:
+        opened.close()
+    assert stored_state(tmp_path) == written
+
+
+def _files(db_dir) -> dict:
+    names = ("catalog.sqlite", "catalog.sqlite-wal")
+    state = {name: (db_dir / name).read_bytes() for name in names if (db_dir / name).exists()}
+    state["blocks"] = sorted(p.name for p in (db_dir / "features").rglob("*"))
+    return state
+
+
+def test_a_second_opener_sees_v4_and_writes_nothing(source_db, tmp_path):
+    save_database(source_db, tmp_path)
+    rewind(tmp_path, 3)
+    with SQLCatalog(tmp_path) as first:
+        assert _version(first) == SCHEMA_VERSION
+        converted = _files(tmp_path)
+        with SQLCatalog(tmp_path) as second:
+            assert _version(second) == SCHEMA_VERSION
+            assert second.entry_count() == source_db.shot_count
+        assert _files(tmp_path) == converted
+
+
+def test_racing_openers_convert_once_and_agree(source_db, probes, tmp_path):
+    save_database(source_db, tmp_path)
+    written = stored_state(tmp_path)
+    rewind(tmp_path, 3)
+    start = threading.Barrier(4)
+
+    def open_after_the_others(_):
+        start.wait()
+        return SQLVideoDatabase.open(tmp_path)
+
+    with ThreadPoolExecutor(4) as pool:
+        opened = list(pool.map(open_after_the_others, range(4)))
+    try:
+        want = _answers(source_db, probes[:2])
+        for database in opened:
+            assert _answers(database, probes[:2]) == want
+    finally:
+        for database in opened:
+            database.close()
+    assert stored_state(tmp_path) == written
+
+
+@pytest.mark.parametrize(
+    "damage, error, message",
+    [("deleted", StorageError, "no feature block"), ("truncated", IntegrityError, "data bytes")],
+)
+def test_a_damaged_id_block_is_a_typed_error_on_first_touch(
+    source_db, probes, tmp_path, damage, error, message
+):
+    save_database(source_db, tmp_path)
+    opened = SQLVideoDatabase.open(tmp_path)
+    try:
+        catalog = opened.catalog
+        for sha in _id_digests(catalog):
+            path = catalog.features.path_for(sha)
+            if damage == "deleted":
+                path.unlink()
+            else:
+                path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(error, match=message):
+            opened.search(probes[0], k=10)
+        with pytest.raises(error, match=message):
+            opened.search_flat(probes[0], k=10)
+        with pytest.raises(error, match=message):
+            opened.scene_index.search(probes[0], k=10)
+    finally:
+        opened.close()
+
+
+def test_an_injected_read_fault_on_the_id_block_is_typed_and_the_next_touch_recovers(
+    source_db, probes, tmp_path
+):
+    save_database(source_db, tmp_path)
+    opened = SQLVideoDatabase.open(tmp_path)
+    try:
+        # A leaf's first touch opens its id block before any other block.
+        with inject(FaultPlan([FaultSpec("storage.mmap_truncated", limit=1)])) as plan:
+            with pytest.raises(ReproError, match="storage.mmap_truncated"):
+                opened.search(probes[0], k=10)
+        assert plan.fired("storage.mmap_truncated") == 1
+        assert _answers(opened, probes) == _answers(source_db, probes)
+    finally:
+        opened.close()

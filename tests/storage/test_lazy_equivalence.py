@@ -340,34 +340,36 @@ class TestPicksBuildOnlyThePickedRows:
     ``leaf_rows`` read per leaf) to keep one, or sixteen."""
 
     @pytest.fixture()
-    def counted(self, monkeypatch):
+    def counted(self, monkeypatch, stored_dir):
         from repro.database.index import LeafHashIndex
-        from repro.storage import SQLCatalog
+        from repro.storage import FeatureStore, SQLCatalog
 
-        calls = {"entry": 0, "leaf_rows": 0, "columns": 0}
-        entry, columns = LeafHashIndex.entry, SQLCatalog.leaf_columns
+        with SQLCatalog(stored_dir) as catalog:
+            ids = {info.ids_sha for info in catalog.leaf_infos()}
+        calls = {"entry": 0, "leaf_rows": 0, "ids": 0}
+        entry, open_block = LeafHashIndex.entry, FeatureStore.open
 
         def counting_entry(self, row):
             calls["entry"] += 1
             return entry(self, row)
 
-        def counting_columns(self, name):
-            calls["columns"] += 1
-            return columns(self, name)
+        def counting_open(self, sha, *args, **kwargs):
+            calls["ids"] += sha in ids  # a leaf's id block: its rows' identities
+            return open_block(self, sha, *args, **kwargs)
 
         def no_leaf_rows(self, name):
             calls["leaf_rows"] += 1
             raise AssertionError("per-row read of a whole leaf")
 
         monkeypatch.setattr(LeafHashIndex, "entry", counting_entry)
-        monkeypatch.setattr(SQLCatalog, "leaf_columns", counting_columns)
+        monkeypatch.setattr(FeatureStore, "open", counting_open)
         monkeypatch.setattr(SQLCatalog, "leaf_rows", no_leaf_rows)
         return calls
 
     def test_first_row_loads_one_leaf_and_builds_one_entry(self, lazy_db, counted):
         (entry,) = lazy_db.flat_index.entries_at([0])
         assert entry.key == ("synthetic_00000", 0)
-        assert counted == {"entry": 1, "leaf_rows": 0, "columns": 1}
+        assert counted == {"entry": 1, "leaf_rows": 0, "ids": 1}
 
     def test_serve_canary(self, stored_dir, counted, capsys):
         from repro.cli import main

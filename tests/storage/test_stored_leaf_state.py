@@ -1,8 +1,8 @@
 """A stored leaf starts from what the catalog stores, not from its rows.
 
 ``save_database`` writes each leaf's ``reduced`` block beside the 266-d
-one and the row signatures in the leaf's ``ann_leaves`` row; an opened
-leaf maps the first and reads the second, and derives only its buckets.
+one and the row signatures in the leaf's id block; an opened leaf maps
+both, and derives only its buckets.
 Held here: the stored arrays are the derived ones array for array (a
 12 k-shot corpus and a 2-shard cut), a v2 catalog — no ``reduced_sha`` —
 still opens, derives and answers the same bits, the feature store holds
@@ -14,7 +14,6 @@ row count.
 from __future__ import annotations
 
 import mmap
-import sqlite3
 
 import numpy as np
 import pytest
@@ -29,9 +28,9 @@ from repro.storage import (
     SQLCatalog,
     SQLVideoDatabase,
     build_synthetic_database,
-    catalog_path,
     save_database,
 )
+from tests.storage.test_id_blocks import rewind
 
 
 @pytest.fixture(scope="module")
@@ -88,19 +87,6 @@ def test_shard_catalogs_store_their_own_reduced_blocks(corpus, tmp_path):
     assert sum(counts) == 12_000 and all(counts)
 
 
-def _rewind_to_v2(db_dir) -> None:
-    """Give the catalog the shape a v2 writer left: no ``reduced_sha``."""
-    with SQLCatalog(db_dir) as catalog:
-        reduced = {info.reduced_sha for info in catalog.leaf_infos()}
-        for sha in reduced:
-            assert catalog.features.delete(sha)
-    conn = sqlite3.connect(catalog_path(db_dir))
-    with conn:
-        conn.execute("ALTER TABLE leaves DROP COLUMN reduced_sha")
-        conn.execute("PRAGMA user_version = 2")
-    conn.close()
-
-
 def _answers(database, probes):
     out = []
     for probe in probes:
@@ -120,12 +106,12 @@ def test_v2_catalog_opens_upgrades_and_derives(source_db, probes, tmp_path):
     save_database(source_db, tmp_path)
     with SQLCatalog(tmp_path) as catalog:
         v3_blocks = catalog.features.list_blocks()
-    _rewind_to_v2(tmp_path)
+    rewind(tmp_path, 2)  # no reduced_sha, no reduced blocks
     opened = SQLVideoDatabase.open(tmp_path)
     try:
         catalog = opened.catalog
         version = catalog._run(lambda c: c.execute("PRAGMA user_version").fetchone()[0])
-        assert int(version) == SCHEMA_VERSION  # upgraded additively on open
+        assert int(version) == SCHEMA_VERSION  # converted on open
         assert all(info.reduced_sha is None for info in catalog.leaf_infos())
         assert _answers(opened, probes) == _answers(source_db, probes)
         for leaf in opened.leaves.values():
@@ -151,8 +137,8 @@ def test_feature_store_holds_exactly_the_referenced_blocks(tmp_path):
     save_database(grown, tmp_path)
     with SQLCatalog(tmp_path) as catalog:
         second = catalog._referenced_blocks()
-        # leaf + reduced + ANN codes per leaf, and the scene centroids
-        assert len(second) == 3 * len(catalog.leaf_infos()) + 1
+        # leaf + reduced + ANN codes + ids per leaf, the scene centroids and ids
+        assert len(second) == 4 * len(catalog.leaf_infos()) + 2
         assert catalog.features.list_blocks() == sorted(second)  # no orphan, nothing live deleted
         for sha in second:
             catalog.features.verify(sha)

@@ -205,6 +205,32 @@ def test_a_shard_worker_imports_only_what_it_serves():
     assert done.stdout.split() == [], "import repro.net.worker loaded what it does not serve"
 
 
+_WORKER_PROBE_SCRIPT = """
+import sys
+import numpy as np
+from repro.net.protocol import pack_array
+from repro.net.worker import ShardWorker
+worker = ShardWorker(sys.argv[1])
+request = {"op": "probe", "features": pack_array(np.full(266, 1 / 266)), "k": 5,
+           "leaves": list(worker._state.leaves)}
+assert worker._dispatch(request)["ok"]
+print(sorted(name for name in ("_hashlib", "hashlib") if name in sys.modules))
+"""
+
+
+def test_a_shard_worker_answers_without_openssl(tmp_path):
+    """No worker op hashes: ``hashlib`` would map ``libcrypto`` (~3.3 MiB
+    resident) into every worker, so the modules that hash import it where
+    they do."""
+    from repro.net import build_shards
+    from repro.storage import build_synthetic_database
+
+    spec = build_shards(build_synthetic_database(videos=8, shots_per_video=8, seed=1), tmp_path, 1)
+    done = _python("-c", _WORKER_PROBE_SCRIPT, str(spec.shard_dir(tmp_path, 0)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"], "a shard worker loaded hashlib"
+
+
 def test_no_module_inside_the_query_stack_imports_mining_code():
     # Every module of those packages, not only the roots a server starts from.
     packages = [m for m in SERVING_MODULES if m.count(".") == 1 and m != "repro.cli"]
