@@ -10,7 +10,7 @@ Installed as the ``classminer`` console script::
     classminer render demo -o demo.npz      # snapshot the rendered stream
     classminer ingest all --db-dir db/      # mine the corpus into a database
     classminer migrate --db-dir db/         # artifacts -> SQL catalog
-    classminer search "laser surgery" --db-dir db/  # full-text metadata search
+    classminer search "laser surgery" --db-dir db/  # text search over metadata
     classminer cache list --db-dir db/      # inspect the artifact cache
     classminer serve --db-dir db/           # serving health check + metrics
     classminer health --db-dir db/          # liveness/readiness/degradation
@@ -277,16 +277,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 1
     with SQLCatalog(args.db_dir) as catalog:
         hits = catalog.search_text(args.text, k=args.k)
-        surface = "fts5" if catalog.fts_enabled else "LIKE fallback"
     if not hits:
-        print(f"no matches for {args.text!r} ({surface})")
+        print(f"no matches for {args.text!r}")
         return 0
     rows = [[hit.kind, hit.title, hit.body] for hit in hits]
-    print(
-        render_table(
-            ["kind", "title", "matched text"], rows, title=f"search ({surface})"
-        )
-    )
+    print(render_table(["kind", "title", "matched text"], rows, title="search"))
     return 0
 
 
@@ -590,6 +585,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -722,17 +725,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser(
         "search",
-        help="full-text search over catalog metadata (videos/scenes/concepts)",
+        help="text search over catalog metadata (videos/scenes/concepts)",
         description=(
-            "Query the SQL catalog's FTS5 surface (bm25-ranked; degrades to "
-            "a LIKE scan when the linked SQLite lacks FTS5) over video "
-            "titles, scene events and concept names."
+            "Search the SQL catalog's video titles, scene events and concept "
+            "names: a hit contains every term as a case-insensitive "
+            "substring; hits come in catalog order (videos, scenes, concepts)."
         ),
     )
     search.add_argument("text", help="search text (all terms must match)")
     search.add_argument("--db-dir", required=True, help="database directory")
     search.add_argument(
-        "-k", type=int, default=10, help="maximum hits (default: 10)"
+        "-k", type=_at_least_one, default=10, help="maximum hits (default: 10)"
     )
     search.set_defaults(func=_cmd_search)
 

@@ -5,8 +5,8 @@ parse the whole corpus before the first query.  This subsystem splits
 durable state into two pieces sized for their access patterns:
 
 * :class:`SQLCatalog` — everything per video and per leaf (videos,
-  events, leaf metadata and routing, ANN state, full-text documents)
-  in one WAL-mode SQLite file with a versioned schema;
+  events, leaf metadata and routing, ANN state) in one WAL-mode SQLite
+  file with a versioned schema;
 * :class:`FeatureStore` — every per-row array (features, ids, codes) as
   content-addressed, memory-mapped ``.npy`` blocks behind a bounded
   LRU of open handles.
@@ -30,7 +30,6 @@ from repro.storage.schema import (
     SCHEMA_VERSION,
     catalog_path,
     features_path,
-    fts5_available,
 )
 from repro.storage.sqlcatalog import (
     EntryRow,
@@ -56,7 +55,6 @@ __all__ = [
     "build_synthetic_database",
     "catalog_path",
     "features_path",
-    "fts5_available",
     "load_database",
     "save_database",
 ]

@@ -8,9 +8,9 @@ One database directory gains two durable pieces::
                          (:mod:`repro.storage.featurestore`)
 
 The catalog holds what is *per video* and *per leaf* — videos, scene
-events, leaf metadata and routing, ANN quantizer state, scene-table
-bookkeeping and a full-text search surface.  Everything *per row* lives
-outside SQLite as memory-mapped ``.npy`` blocks referenced by sha256:
+events, leaf metadata and routing, ANN quantizer state and scene-table
+bookkeeping.  Everything *per row* lives outside SQLite as
+memory-mapped ``.npy`` blocks referenced by sha256:
 a leaf's ``(N, 266)`` float64 rows, its reduced block and ANN codes, and
 its ``(N, 6)`` int64 id block (flat ordinal, title code, shot id, scene
 id, two signature columns); the scene table's centroid block and its
@@ -21,11 +21,6 @@ Schema versioning uses ``PRAGMA user_version``: :func:`connect` converts
 an older catalog in place and refuses a newer one with a typed
 :class:`~repro.errors.StorageError` instead of misreading it.  WAL mode
 keeps concurrent readers from blocking the (single) writer.
-
-FTS5 is probed once per process: when the linked SQLite lacks it, the
-``search_fts`` virtual table is skipped and text search degrades to a
-``LIKE`` scan over the plain ``search_docs`` table (recorded in the
-``meta`` table so readers know which surface they got).
 """
 
 from __future__ import annotations
@@ -42,9 +37,11 @@ from repro.errors import IntegrityError, StorageError
 #: the ``leaves.reduced_sha`` column (the leaf's reduced block, what a
 #: leaf scan reads), v4 the id blocks (``leaves.ids_sha``,
 #: ``scene_block.ids_sha``) that replaced the ``entries`` and ``scenes``
-#: rows and the ``ann_leaves.sigs`` BLOB; older catalogs are converted in
-#: place on open (:func:`_upgrade`).
-SCHEMA_VERSION = 4
+#: rows and the ``ann_leaves.sigs`` BLOB; v5 dropped the stored text-search
+#: documents (``search_docs`` and the index over them), which text search
+#: now derives from the catalog at query time.  Older catalogs are
+#: converted in place on open (:func:`_upgrade`).
+SCHEMA_VERSION = 5
 
 #: File name of the SQL catalog inside a database directory.
 CATALOG_NAME = "catalog.sqlite"
@@ -101,14 +98,6 @@ SCHEMA_STATEMENTS = (
         ids_sha   TEXT
     )
     """,
-    """
-    CREATE TABLE IF NOT EXISTS search_docs (
-        doc_id INTEGER PRIMARY KEY,
-        kind   TEXT NOT NULL,
-        title  TEXT NOT NULL,
-        body   TEXT NOT NULL
-    )
-    """,
     # Per-leaf ANN tier (schema v2).  The small trained arrays live
     # inline as BLOBs; the bulky uint8 code matrix is a content-addressed
     # feature-store block referenced by code_sha, GC'd like any other.
@@ -134,26 +123,8 @@ DATA_TABLES = (
     "video_events",
     "leaves",
     "scene_block",
-    "search_docs",
     "ann_leaves",
 )
-
-_FTS_PROBED: bool | None = None
-
-
-def fts5_available() -> bool:
-    """Whether the linked SQLite can create FTS5 virtual tables."""
-    global _FTS_PROBED
-    if _FTS_PROBED is None:
-        probe = sqlite3.connect(":memory:")
-        try:
-            probe.execute("CREATE VIRTUAL TABLE probe USING fts5(body)")
-            _FTS_PROBED = True
-        except sqlite3.OperationalError:
-            _FTS_PROBED = False
-        finally:
-            probe.close()
-    return _FTS_PROBED
 
 
 def catalog_path(db_dir: str | Path) -> Path:
@@ -194,15 +165,6 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
             with conn:
                 for statement in SCHEMA_STATEMENTS:
                     conn.execute(statement)
-                if fts5_available():
-                    conn.execute(
-                        "CREATE VIRTUAL TABLE IF NOT EXISTS search_fts "
-                        "USING fts5(kind, title, body)"
-                    )
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES ('fts', ?)",
-                    ("1" if fts5_available() else "0",),
-                )
                 conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
         elif 0 < version < SCHEMA_VERSION:
             # Two processes may open the same old catalog at once: take
@@ -229,17 +191,31 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
 
 
 def _upgrade(conn: sqlite3.Connection, version: int, features: Path) -> None:
-    """Convert a v1-v3 catalog to v4 inside the caller's write transaction.
+    """Convert a v1-v4 catalog to v5 inside the caller's write transaction.
 
-    The older generations' DDL lands first (v2's ``ann_leaves``; v3's
-    ``reduced_sha``, NULL until the next save: such a leaf derives its
-    reduced block).  Then each leaf's ``entries`` rows and signatures
+    Every older catalog loses its stored text-search copy: the
+    ``search_docs`` rows, the FTS5 table ``search_fts`` over them and the
+    ``meta`` row ``fts``.  A linked SQLite without the FTS5 module cannot
+    drop ``search_fts``; that inert table stays, as nothing reads it.
+
+    A v1-v3 catalog then gains its id blocks.  The older generations'
+    DDL lands first (v2's ``ann_leaves``; v3's ``reduced_sha``, NULL
+    until the next save: such a leaf derives its reduced block).  Then
+    each leaf's ``entries`` rows and signatures
     (``ann_leaves.sigs``, or derived from its rows where a v1 writer
     stored none) become its id block, and the ``scenes`` rows the scene
     id block; the blocks are written before the rows that name them, and
     are content-addressed, so an opener that raced this one wrote the
     same files.  An unknown title raises ``KeyError``.
     """
+    try:
+        conn.execute("DROP TABLE IF EXISTS search_fts")
+    except sqlite3.OperationalError:  # no FTS5 module to drop it with
+        pass
+    conn.execute("DROP TABLE IF EXISTS search_docs")
+    conn.execute("DELETE FROM meta WHERE key = 'fts'")
+    if version >= 4:
+        return
     from repro.database.index import leaf_signatures
     from repro.storage.featurestore import FeatureStore
 

@@ -10,7 +10,7 @@ Write model
 The artifact store remains the corpus's source of truth, so the catalog
 is rebuilt by *full replace*: :func:`save_database` serialises an
 in-memory :class:`~repro.database.catalog.VideoDatabase` — leaf and id
-blocks, routing, scene centroids and their ids, FTS documents —
+blocks, routing, scene centroids and their ids —
 inside **one** ``BEGIN IMMEDIATE`` transaction.  A failure mid-write
 rolls the relational state back to the previous generation and deletes
 any feature blocks the aborted write introduced; readers never see a
@@ -46,6 +46,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,6 @@ import numpy as np
 from repro.ann.index import train_leaf_ann
 from repro.ann.quantizer import ANN_SEED
 from repro.database.catalog import RegisteredVideo, VideoDatabase
-from repro.database.scene_search import SceneTable
 from repro.errors import FaultInjectedError, StorageError
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
@@ -139,12 +139,11 @@ class EntryRow:
 
 @dataclass(frozen=True)
 class SearchHit:
-    """One full-text search result."""
+    """One text search result: a matching document."""
 
     kind: str
     title: str
     body: str
-    rank: float
 
 
 class SQLCatalog:
@@ -246,11 +245,6 @@ class SQLCatalog:
             return None if row is None else str(row[0])
 
         return self._run(op)
-
-    @property
-    def fts_enabled(self) -> bool:
-        """Whether this catalog carries an FTS5 search surface."""
-        return self.meta("fts") == "1"
 
     def subject_areas(self) -> list[str]:
         """Subject-area subclusters, in hierarchy creation order."""
@@ -408,61 +402,46 @@ class SQLCatalog:
         return stored[0], [titles, ids[:, 1], values, ids[:, 2]]
 
     def search_text(self, text: str, k: int = 10) -> list[SearchHit]:
-        """Full-text search over video/scene/concept metadata.
+        """Text search over video/scene/concept metadata.
 
-        Uses the FTS5 surface (bm25-ranked) when the catalog has one;
-        otherwise falls back to an all-tokens ``LIKE`` scan over the
-        plain ``search_docs`` table.  Tokens are quoted before matching,
-        so user text cannot inject FTS query syntax.
+        A hit is a document (:meth:`_search_documents`) in which every
+        whitespace-separated token of ``text`` is a case-insensitive
+        substring of its title or body.  Tokens match literally (no
+        character is a wildcard); hits come in document order, at most
+        ``k`` of them.
         """
-        tokens = [t for t in text.split() if t.strip('"')]
+        tokens = [t.lower() for t in text.split() if t.strip('"')]
         if not tokens:
             return []
         with obs_span("storage.search_text", tokens=len(tokens)):
-            if self.fts_enabled:
-                query = " ".join('"' + t.replace('"', "") + '"' for t in tokens)
+            hits = (
+                SearchHit(kind, title, body)
+                for kind, title, body in self._search_documents()
+                if all(t in body.lower() or t in title.lower() for t in tokens)
+            )
+            return list(islice(hits, k))
 
-                def op(conn: sqlite3.Connection):
-                    return conn.execute(
-                        "SELECT kind, title, body, bm25(search_fts) "
-                        "FROM search_fts WHERE search_fts MATCH ? "
-                        "ORDER BY bm25(search_fts) LIMIT ?",
-                        (query, int(k)),
-                    ).fetchall()
-
-            else:
-                clause = " AND ".join(
-                    "(body LIKE ? ESCAPE '\\' OR title LIKE ? ESCAPE '\\')"
-                    for _ in tokens
-                )
-                params: list[object] = []
-                for token in tokens:
-                    # % and _ are LIKE wildcards: escape them (and the
-                    # escape char itself) so tokens match literally,
-                    # mirroring the FTS surface's quoted-token matching.
-                    escaped = (
-                        token.replace("\\", "\\\\")
-                        .replace("%", "\\%")
-                        .replace("_", "\\_")
-                    )
-                    like = f"%{escaped}%"
-                    params.extend((like, like))
-                params.append(int(k))
-
-                def op(conn: sqlite3.Connection):
-                    return conn.execute(
-                        "SELECT kind, title, body, 0.0 FROM search_docs "
-                        f"WHERE {clause} ORDER BY doc_id LIMIT ?",
-                        params,
-                    ).fetchall()
-
-            return [
-                SearchHit(
-                    kind=str(kind), title=str(title),
-                    body=str(body), rank=float(rank),
-                )
-                for kind, title, body, rank in self._run(op)
-            ]
+    def _search_documents(self) -> list[tuple[str, str, str]]:
+        """The catalog as ``(kind, title, body)`` text documents: one per
+        video in rowid order, per scene in block-row order, then per
+        concept leaf in position order."""
+        docs = []
+        for title, record in self.videos().items():
+            body = " ".join(
+                [title.replace("_", " ")]
+                + sorted(set(record.events.values()))
+                + [f"degraded {stage}" for stage in record.degraded_stages]
+            )
+            docs.append(("video", title, body))
+        for title, scene_id, event, shot_count in zip(*self.scene_columns()[1]):
+            docs.append((
+                "scene",
+                f"{title}/scene-{scene_id}",
+                f"{title.replace('_', ' ')} scene {scene_id} {event} {shot_count} shots",
+            ))
+        for info in self.leaf_infos():
+            docs.append(("concept", info.name, info.name.replace("/", " ").replace("_", " ")))
+        return docs
 
     # -- writer --------------------------------------------------------
 
@@ -598,15 +577,12 @@ class SQLCatalog:
         ]
         education = database.hierarchy.find("medical_education")
         areas = [child.name for child in education.children] if education else []
-        docs = _search_documents(records, scenes, leaves)
 
         def op(conn: sqlite3.Connection):
             conn.execute("BEGIN IMMEDIATE")
             try:
                 for table in DATA_TABLES:
                     conn.execute(f"DELETE FROM {table}")
-                if self.fts_enabled:
-                    conn.execute("DELETE FROM search_fts")
                 conn.executemany(
                     "INSERT INTO videos (title, shot_count, scene_count, "
                     "degraded_stages) VALUES (?, ?, ?, ?)",
@@ -635,16 +611,6 @@ class SQLCatalog:
                     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     ann_payload,
                 )
-                conn.executemany(
-                    "INSERT INTO search_docs (kind, title, body) VALUES (?, ?, ?)",
-                    docs,
-                )
-                if self.fts_enabled:
-                    conn.executemany(
-                        "INSERT INTO search_fts (kind, title, body) "
-                        "VALUES (?, ?, ?)",
-                        docs,
-                    )
                 conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value) "
                     "VALUES ('subject_areas', ?)",
@@ -689,38 +655,6 @@ class SQLCatalog:
             ).fetchall()
 
         return {str(row[0]) for row in self._run(op)}
-
-
-def _search_documents(
-    records: dict[str, RegisteredVideo],
-    scenes: SceneTable,
-    leaves: dict,
-) -> list[tuple[str, str, str]]:
-    """Flatten the corpus into (kind, title, body) FTS documents."""
-    docs: list[tuple[str, str, str]] = []
-    for title, record in records.items():
-        events = sorted(set(record.events.values()))
-        body = " ".join(
-            [title.replace("_", " ")]
-            + events
-            + [f"degraded {stage}" for stage in record.degraded_stages]
-        )
-        docs.append(("video", title, body))
-    for title, scene_id, event, shot_count in zip(
-        scenes.titles.tolist(), scenes.scene_ids.tolist(),
-        scenes.events.tolist(), scenes.shot_counts.tolist(),
-    ):
-        docs.append(
-            (
-                "scene",
-                f"{title}/scene-{scene_id}",
-                f"{title.replace('_', ' ')} scene {scene_id} {event.value} "
-                f"{shot_count} shots",
-            )
-        )
-    for leaf in leaves:
-        docs.append(("concept", leaf, leaf.replace("/", " ").replace("_", " ")))
-    return docs
 
 
 def save_database(database: VideoDatabase, db_dir: str | Path) -> Path:

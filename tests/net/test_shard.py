@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sqlite3
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from repro.net.shard import (
     shard_of,
 )
 from repro.storage.lazy import SQLVideoDatabase
-from repro.storage.schema import catalog_path
 from repro.storage.sqlcatalog import SQLCatalog
 from repro.storage.synthetic import build_synthetic_database
 
@@ -144,11 +142,14 @@ class TestShardDirectories:
 #: the ``(block, reduced, ANN codes)`` content addresses of each leaf, the
 #: scene-centroid block's address, and a sha256 over what the catalog's
 #: readers return — ``videos()``, ``leaf_rows`` of every leaf,
-#: ``scene_columns()`` — and the ``search_docs`` rows.  The addresses are
-#: those of the last commit that derived every shard's reduced rows,
-#: signatures and scene table again from its own rows; the reader digest
-#: was recorded at the last commit that stored identities as SQL rows, so
-#: it holds any later storage layout to the same rows.
+#: ``scene_columns()`` — and the text-search documents, in the
+#: ``(doc_id, kind, title, body)`` rows a ``search_docs`` table held until
+#: schema v5 (``doc_id`` counts from 1 in derivation order; sorted by kind,
+#: title).  The addresses are those of the last commit that derived every
+#: shard's reduced rows, signatures and scene table again from its own
+#: rows; the reader digest was recorded at the last commit that stored
+#: identities as SQL rows, so it holds any later storage layout — and the
+#: documents text search now derives — to the same rows.
 PINNED_SHARDS = (
     (
         {
@@ -225,14 +226,13 @@ def _stored_shard(shard_dir) -> tuple[dict, str, str]:
         scene_sha, columns = catalog.scene_columns()
         for title, scene_id, event, shot_count in zip(*columns):
             add(str(title), int(scene_id), str(event), int(shot_count))
+        # The text-search documents, as the stored ``search_docs`` rows
+        # were: numbered from 1 in derivation order, sorted by kind, title.
+        docs = enumerate(catalog._search_documents(), start=1)
+        for doc_id, (kind, title, body) in sorted(docs, key=lambda doc: doc[1][:2]):
+            add(doc_id, kind, title, body)
     finally:
         catalog.close()
-    conn = sqlite3.connect(catalog_path(shard_dir))
-    try:
-        for row in conn.execute("SELECT * FROM search_docs ORDER BY kind, title"):
-            add(*row)
-    finally:
-        conn.close()
     return leaves, scene_sha, rows.hexdigest()
 
 

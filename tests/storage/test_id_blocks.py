@@ -1,12 +1,14 @@
-"""Schema v4: a stored leaf is its blocks.
+"""Schema v4 and v5: a stored leaf is its blocks, and no text is stored.
 
 Every per-row fact of a leaf — flat ordinal, title code, shot id, scene
 id, the two signature columns — is one ``(n, 6)`` int64 id block beside
 its feature blocks, and the scene table's ``(S, 3)`` id block sits beside
-its centroids; SQLite keeps per-video and per-leaf rows only.  Held here:
-a v1, v2 or v3 catalog — its real older layout, rebuilt from what the
-readers return — converts once on open, to the very blocks a v4 writer
-stores, and answers bit for bit (ids, scores, ``QueryStats``); a second
+its centroids; SQLite keeps per-video and per-leaf rows only, and text
+search derives its documents from them.  Held here: a v1-v4 catalog —
+its real older layout, rebuilt from what the readers return — converts
+once on open, to the very blocks and rows a v5 writer stores, and
+answers bit for bit (ids, scores, ``QueryStats``) and text search hit
+for hit with the ``LIKE`` scan over its stored documents; a second
 opener, later or racing, writes nothing of its own; a missing, truncated
 or unreadable id block is a typed error on first touch.
 """
@@ -57,19 +59,46 @@ _PRE_V4_TABLES = (
     """,
 )
 
+#: The text-search tables every writer before v5 kept, as it declared them.
+_PRE_V5_TABLES = (
+    """
+    CREATE TABLE search_docs (
+        doc_id INTEGER PRIMARY KEY,
+        kind   TEXT NOT NULL,
+        title  TEXT NOT NULL,
+        body   TEXT NOT NULL
+    )
+    """,
+    "CREATE VIRTUAL TABLE search_fts USING fts5(kind, title, body)",
+)
+
+
+def _has_fts5() -> bool:
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute(_PRE_V5_TABLES[1])
+        return True
+    except sqlite3.OperationalError:
+        return False
+    finally:
+        conn.close()
+
 
 def rewind(db_dir, version: int) -> None:
-    """Give the v4 catalog in ``db_dir`` the layout a v``version`` writer left.
+    """Give the v5 catalog in ``db_dir`` the layout a v``version`` writer left.
 
-    Built from what the readers return, not only by dropping what v4
-    added: the ``entries`` and ``scenes`` rows, ``ann_leaves.sigs`` (v2
-    and v3; a v1 catalog has no ``ann_leaves``) and ``leaves.reduced_sha``
-    (v3) — and none of the blocks that writer did not write (the id
-    blocks; the reduced blocks before v3).
+    Built from what the readers return, not only by dropping what later
+    schemas added: the text-search documents as ``search_docs`` rows, in
+    ``search_fts`` too where this host's SQLite has FTS5, and the ``meta``
+    row ``fts`` saying which (v1-v4); the ``entries`` and ``scenes`` rows,
+    ``ann_leaves.sigs`` (v2 and v3; a v1 catalog has no ``ann_leaves``)
+    and ``leaves.reduced_sha`` (v3) — and none of the blocks that writer
+    did not write (the id blocks before v4; the reduced blocks before v3).
     """
     opened = SQLVideoDatabase.open(db_dir)
     try:
         catalog = opened.catalog
+        docs = catalog._search_documents()
         infos = catalog.leaf_infos()
         entries = [
             (row.ord, row.leaf, row.row, row.video_title, row.shot_id, row.scene_id)
@@ -87,24 +116,34 @@ def rewind(db_dir, version: int) -> None:
             (np.ascontiguousarray(leaf.signatures).tobytes(), name)
             for name, leaf in opened.leaves.items()
         ]
-        unwritten = {info.ids_sha for info in infos} | {catalog.scene_block()[1]}
+        unwritten = set()
+        if version < 4:
+            unwritten |= {info.ids_sha for info in infos} | {catalog.scene_block()[1]}
         if version < 3:
             unwritten |= {info.reduced_sha for info in infos}
         for sha in unwritten:
             assert catalog.features.delete(sha)
     finally:
         opened.close()
+    fts = _has_fts5()
     conn = sqlite3.connect(catalog_path(db_dir))
     with conn:
-        for statement in _PRE_V4_TABLES:
-            conn.execute(statement)
-        conn.executemany("INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?)", entries)
-        conn.executemany("INSERT INTO scenes VALUES (?, ?, ?, ?, ?)", scenes)
-        conn.execute("ALTER TABLE leaves DROP COLUMN ids_sha")
-        conn.execute("ALTER TABLE scene_block DROP COLUMN ids_sha")
+        conn.execute(_PRE_V5_TABLES[0])
+        conn.executemany("INSERT INTO search_docs (kind, title, body) VALUES (?, ?, ?)", docs)
+        if fts:
+            conn.execute(_PRE_V5_TABLES[1])
+            conn.executemany("INSERT INTO search_fts (kind, title, body) VALUES (?, ?, ?)", docs)
+        conn.execute("INSERT INTO meta (key, value) VALUES ('fts', ?)", ("1" if fts else "0",))
+        if version < 4:
+            for statement in _PRE_V4_TABLES:
+                conn.execute(statement)
+            conn.executemany("INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?)", entries)
+            conn.executemany("INSERT INTO scenes VALUES (?, ?, ?, ?, ?)", scenes)
+            conn.execute("ALTER TABLE leaves DROP COLUMN ids_sha")
+            conn.execute("ALTER TABLE scene_block DROP COLUMN ids_sha")
         if version < 2:
             conn.execute("DROP TABLE ann_leaves")
-        else:
+        elif version < 4:
             conn.execute("ALTER TABLE ann_leaves ADD COLUMN sigs BLOB NOT NULL DEFAULT x''")
             conn.executemany("UPDATE ann_leaves SET sigs = ? WHERE leaf = ?", sigs)
         if version < 3:
@@ -140,7 +179,11 @@ def _answers(database, probes) -> list:
     return out
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+def _text_tables(db_dir) -> set[str]:
+    return {name for name in _tables(db_dir) if name.startswith("search_")}
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_an_older_catalog_converts_once_and_answers_the_same_bits(
     source_db, probes, tmp_path, version
 ):
@@ -149,23 +192,91 @@ def test_an_older_catalog_converts_once_and_answers_the_same_bits(
     with SQLCatalog(tmp_path) as catalog:
         ids = _id_digests(catalog)
     rewind(tmp_path, version)
-    assert {"entries", "idx_entries_leaf", "scenes"} <= _tables(tmp_path)
+    rows = {"entries", "idx_entries_leaf", "scenes"} if version < 4 else set()
+    assert rows <= _tables(tmp_path)
+    assert "search_docs" in _text_tables(tmp_path)
     opened = SQLVideoDatabase.open(tmp_path)
     try:
         assert _version(opened.catalog) == SCHEMA_VERSION
-        assert not {"entries", "idx_entries_leaf", "scenes"} & _tables(tmp_path)
+        assert not rows & _tables(tmp_path)
+        assert not _text_tables(tmp_path)
+        assert opened.catalog.meta("fts") is None
         # The id blocks a v4 writer stores, signatures derived from the
         # rows where a v1 writer stored none.
         assert _id_digests(opened.catalog) == ids
         for sha in ids:
             opened.catalog.features.verify(sha)
-        if version == 3:
+        if version >= 3:
             assert stored_state(tmp_path) == written  # every row and block
         assert _answers(opened, probes) == _answers(source_db, probes)
         save_database(opened, tmp_path)  # a v1/v2 leaf gains its reduced block
     finally:
         opened.close()
     assert stored_state(tmp_path) == written
+
+
+def _stored_like_hits(db_dir, text: str, k: int) -> list[tuple]:
+    """The reference: the all-tokens ``LIKE`` scan over ``search_docs``
+    that answered text search on a catalog without FTS5 before v5."""
+    tokens = [t for t in text.split() if t.strip('"')]
+    if not tokens:
+        return []
+    clause = " AND ".join(
+        "(body LIKE ? ESCAPE '\\' OR title LIKE ? ESCAPE '\\')" for _ in tokens
+    )
+    params: list[object] = []
+    for token in tokens:
+        escaped = token.replace("\\", "\\\\").replace("%", "\\%").replace("_", "\\_")
+        params.extend((f"%{escaped}%", f"%{escaped}%"))
+    params.append(int(k))
+    conn = sqlite3.connect(catalog_path(db_dir))
+    try:
+        return conn.execute(
+            f"SELECT kind, title, body FROM search_docs WHERE {clause} ORDER BY doc_id LIMIT ?",
+            params,
+        ).fetchall()
+    finally:
+        conn.close()
+
+
+def test_text_search_answers_what_the_stored_documents_did(source_db, tmp_path):
+    save_database(source_db, tmp_path)
+    rewind(tmp_path, 4)
+    queries = [
+        "synthetic", "presentation", "clinical operation", "s_nthetic", "%", '"', " \t ",
+    ]
+    cases = [(text, k) for text in queries for k in (1, 5, 50)]
+    want = [_stored_like_hits(tmp_path, text, k) for text, k in cases]
+    with SQLCatalog(tmp_path) as catalog:
+        assert not _text_tables(tmp_path)
+        got = [
+            [(hit.kind, hit.title, hit.body) for hit in catalog.search_text(text, k)]
+            for text, k in cases
+        ]
+    assert got == want
+    # Empty answers, answers cut at every k, and one exhausted below k.
+    assert {len(hits) for hits in want} == {0, 1, 5, 37, 50}
+
+
+def test_a_text_table_this_sqlite_cannot_drop_stays_inert(source_db, tmp_path):
+    """A catalog written where SQLite had FTS5, opened where it has not."""
+    save_database(source_db, tmp_path)
+    rewind(tmp_path, 4)
+    conn = sqlite3.connect(catalog_path(tmp_path))
+    with conn:
+        conn.execute("DROP TABLE IF EXISTS search_fts")
+        conn.execute("PRAGMA writable_schema = ON")
+        conn.execute(
+            "INSERT INTO sqlite_master (type, name, tbl_name, rootpage, sql) VALUES "
+            "('table', 'search_fts', 'search_fts', 0, "
+            "'CREATE VIRTUAL TABLE search_fts USING no_such_module(kind, title, body)')"
+        )
+    conn.close()
+    with SQLCatalog(tmp_path) as catalog:
+        assert _version(catalog) == SCHEMA_VERSION
+        assert _text_tables(tmp_path) == {"search_fts"}
+        assert catalog.meta("fts") is None
+        assert catalog.search_text("synthetic", k=5)
 
 
 def _files(db_dir) -> dict:
@@ -175,7 +286,7 @@ def _files(db_dir) -> dict:
     return state
 
 
-def test_a_second_opener_sees_v4_and_writes_nothing(source_db, tmp_path):
+def test_a_second_opener_sees_v5_and_writes_nothing(source_db, tmp_path):
     save_database(source_db, tmp_path)
     rewind(tmp_path, 3)
     with SQLCatalog(tmp_path) as first:

@@ -404,7 +404,7 @@ def stored_state(db_dir) -> dict:
             for (name,) in conn.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
             )
-            if not name.startswith(("search_fts_", "sqlite_"))
+            if not name.startswith("sqlite_")
         ]
         state = {t: conn.execute(f"SELECT * FROM {t}").fetchall() for t in tables}
     finally:

@@ -47,6 +47,13 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert out.count("synthetic_") <= 4  # 2 rows, title + body columns
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_a_usage_error(self, catalog_dir, capsys, k):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "synthetic", "--db-dir", str(catalog_dir), "-k", k])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_no_matches_is_still_success(self, catalog_dir, capsys):
         assert main(["search", "xyzzy", "--db-dir", str(catalog_dir)]) == 0
         assert "no matches" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import sqlite3
 import pytest
 
 import repro.storage.sqlcatalog as sqlcatalog_module
+from repro.ann.index import train_leaf_ann
 from repro.database.catalog import VideoDatabase
 from repro.errors import StorageError
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
@@ -90,7 +91,7 @@ class TestReaders:
 
 
 class TestSearchText:
-    def test_fts_surface_ranks_hits(self, catalog):
+    def test_hits_respect_k(self, catalog):
         hits = catalog.search_text("synthetic", k=5)
         assert hits
         assert len(hits) <= 5
@@ -102,24 +103,17 @@ class TestSearchText:
     def test_unmatched_query_returns_nothing(self, catalog):
         assert catalog.search_text("laparoscopic unicorn") == []
 
-    def test_like_fallback_without_fts(self, writable_dir):
-        with sqlite3.connect(catalog_path(writable_dir)) as conn:
-            conn.execute("UPDATE meta SET value = '0' WHERE key = 'fts'")
-        with SQLCatalog(writable_dir) as catalog:
-            assert not catalog.fts_enabled
-            hits = catalog.search_text("synthetic presentation", k=5)
+    def test_like_fallback_without_fts(self, catalog):
+        hits = catalog.search_text("synthetic presentation", k=5)
         assert hits
         assert all("presentation" in hit.body for hit in hits)
 
-    def test_like_fallback_escapes_wildcards(self, writable_dir):
-        with sqlite3.connect(catalog_path(writable_dir)) as conn:
-            conn.execute("UPDATE meta SET value = '0' WHERE key = 'fts'")
-        with SQLCatalog(writable_dir) as catalog:
-            assert catalog.search_text("synthetic")  # literal tokens still hit
-            # LIKE wildcards in the query must match literally, not as
-            # any-char / match-all patterns.
-            assert catalog.search_text("s_nthetic") == []
-            assert catalog.search_text("%") == []
+    def test_like_fallback_escapes_wildcards(self, catalog):
+        assert catalog.search_text("synthetic")  # literal tokens still hit
+        # SQL LIKE wildcards in the query match literally, not as
+        # any-char / match-all patterns.
+        assert catalog.search_text("s_nthetic") == []
+        assert catalog.search_text("%") == []
 
 
 class TestWriter:
@@ -158,16 +152,22 @@ class TestWriter:
         self, writable_dir, monkeypatch
     ):
         other = build_synthetic_database(videos=6, shots_per_video=4, seed=99)
+        trained = []
 
-        def boom(*_args, **_kwargs):
-            raise RuntimeError("doc build exploded")
+        def boom_on_the_second_leaf(leaf):
+            trained.append(set(catalog.features.list_blocks()))
+            if len(trained) == 2:
+                raise RuntimeError("ANN training exploded")
+            return train_leaf_ann(leaf)
 
-        monkeypatch.setattr(sqlcatalog_module, "_search_documents", boom)
+        monkeypatch.setattr(sqlcatalog_module, "train_leaf_ann", boom_on_the_second_leaf)
         with SQLCatalog(writable_dir) as catalog:
             old_videos = sorted(catalog.videos())
             old_blocks = catalog.features.list_blocks()
             with pytest.raises(RuntimeError):
                 catalog.replace_from(other)
+            # Blocks of this write were on disk when it failed.
+            assert trained[1] - set(old_blocks)
             # Previous generation intact, aborted blocks cleaned up.
             assert sorted(catalog.videos()) == old_videos
             assert catalog.features.list_blocks() == old_blocks
