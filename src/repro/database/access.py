@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.database.hierarchy import ConceptNode
-from repro.errors import AccessDeniedError, DatabaseError
+from repro.errors import DatabaseError
 from repro.types import EventKind
 
 
@@ -161,11 +161,6 @@ class AccessController:
             AuditRecord(user=user.name, concept=concept, granted=decision, reason=reason)
         )
         return decision
-
-    def require(self, user: User, concept: str) -> None:
-        """Like :meth:`check` but raises :class:`AccessDeniedError`."""
-        if not self.check(user, concept):
-            raise AccessDeniedError(f"{user.name} may not access {concept}")
 
     def permitted_leaves(self, user: User) -> set[str]:
         """Names of all scene-level leaf concepts the user may enter."""

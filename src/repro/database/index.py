@@ -286,7 +286,8 @@ class LeafHashIndex:
         ``(N, |dims|)`` C-ordered float64 (what the ANN tier trains on and
         the catalog stores, uncopied) — every row restricted to the leaf's
         discriminating dimensions, the only feature bytes an exact scan
-        touches (the paper's per-node reduced features, stored);
+        touches (the paper's per-node reduced features, stored; a save
+        swaps a derived one for the map of the block it wrote, :meth:`adopt`);
     ``signatures`` / ``buckets``
         each row's hash signature, and the ascending row indices of
         every non-empty bucket.
@@ -360,6 +361,11 @@ class LeafHashIndex:
 
     def __len__(self) -> int:
         return self._count
+
+    def adopt(self, reduced: np.ndarray) -> None:
+        """Read ``reduced``, a save's read-only map of the block it stored from ours."""
+        with self._load_lock:
+            self.reduced = reduced
 
     def entry(self, row: int) -> ShotEntry:
         """The shot stored at ``row`` (its features a view of the block)."""

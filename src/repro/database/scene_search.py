@@ -178,6 +178,12 @@ class SceneIndex:
     def __len__(self) -> int:
         return self._count
 
+    def adopt(self, centroids: np.ndarray) -> None:
+        """Read ``centroids``, a save's read-only map of the block it stored from ours."""
+        table = self.table
+        with self._load_lock:
+            self.table = table._replace(centroids=centroids)
+
     def entry(self, row: int) -> SceneEntry:
         """The scene stored at ``row``."""
         table = self.table

@@ -61,11 +61,6 @@ class EventBenchmarkCase:
     truth_event: EventKind
     mined_event: EventKind
 
-    @property
-    def correct(self) -> bool:
-        """True when the miner matched the benchmark label."""
-        return self.truth_event is self.mined_event
-
 
 @dataclass
 class EventTable:

@@ -32,7 +32,3 @@ class SceneEvent:
     scene_index: int
     kind: EventKind
     evidence: tuple[str, ...] = ()
-
-    def is_known(self) -> bool:
-        """True when the miner assigned one of the three paper categories."""
-        return self.kind is not EventKind.UNKNOWN

@@ -8,7 +8,6 @@ whose position maps to shot positions in the full video.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.core.features import Shot
@@ -62,10 +61,6 @@ class ScalableSkim:
     def segments(self, level: int | None = None) -> list[SkimSegment]:
         """Skim segments of a level (default: the current one)."""
         return list(self.levels[level if level is not None else self.current_level])
-
-    def play(self, level: int | None = None) -> Iterator[SkimSegment]:
-        """Iterate the skim shots in playback order, skipping the rest."""
-        yield from self.segments(level)
 
     def frame_count(self, level: int | None = None) -> int:
         """Frames shown at a level."""

@@ -179,7 +179,9 @@ class FeatureStore:
         hasher.update(matrix.reshape(-1).data)
         ref = BlockRef(sha=hasher.hexdigest(), rows=int(matrix.shape[0]), cols=int(matrix.shape[1]))
         final = self.path_for(ref.sha)
-        if final.exists():
+        # The name alone does not vouch for the file: one of another size
+        # (truncated, say) is rewritten, so saving again repairs it.
+        if final.exists() and final.stat().st_size == len(header.getvalue()) + matrix.nbytes:
             return ref
         final.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(prefix=".tmp-block-", suffix=".npy", dir=self._root)

@@ -28,7 +28,8 @@ it — each leaf's blocks (rows, reduced, ids) and routing ``(centers, dims)``
 (:func:`~repro.database.index.leaf_routing`, computed once per leaf),
 the scene table (:func:`~repro.database.scene_search.corpus_scenes`) —
 so an opened store (:mod:`repro.storage.lazy`) answers from the very
-arrays the saved corpus answered from, bit for bit.
+arrays the saved corpus answered from, bit for bit; the saved corpus
+then reads maps of the reduced and centroid blocks it wrote (``adopt``).
 
 Resilience + observability
 --------------------------
@@ -62,6 +63,7 @@ from repro.storage.featurestore import (
     DEFAULT_MAX_OPEN,
     BlockRef,
     FeatureStore,
+    map_block,
 )
 from repro.storage.schema import (
     DATA_TABLES,
@@ -507,6 +509,9 @@ class SQLCatalog:
                 new_blocks.add(ref.sha)
             return ref
 
+        def stored(ref: BlockRef) -> np.ndarray:  # a map of its own, not an LRU slot
+            return map_block(self._features.path_for(ref.sha))
+
         # Leaf blocks and routing, in leaf creation order, straight from
         # the arrays the leaves hold.  A title code is the title's position
         # in ``records``, the order the ``videos`` rows are written in.
@@ -541,6 +546,9 @@ class SQLCatalog:
             # the same codes block and content addressing dedups it.
             ann = train_leaf_ann(leaf)
             code_ref = put(ann.codes, dtype=np.uint8)
+            # Training read the RAM copy (a map here would page it back in);
+            # nothing later in this save does, so the leaf reads the stored one.
+            leaf.adopt(stored(reduced_ref))
             ann_payload.append(
                 (
                     name, ann.n_cells, ANN_SEED, code_ref.sha,
@@ -558,6 +566,7 @@ class SQLCatalog:
                 scenes.scene_ids, scenes.shot_counts,
             ))
             scene_ref = put(scenes.centroids)
+            database.scene_index.adopt(stored(scene_ref))
             scene_payload = (
                 scene_ref.sha, scene_ref.rows, scene_ref.cols,
                 put(scene_ids, dtype=np.int64).sha,

@@ -115,12 +115,6 @@ class VideoStream(FrameStream):
             title=f"{self.title}[{start}:{stop}]",
         )
 
-    def timestamp_of(self, frame_index: int) -> float:
-        """Presentation time of ``frame_index`` in seconds."""
-        if not 0 <= frame_index < len(self.frames):
-            raise VideoError(f"frame index {frame_index} out of range")
-        return frame_index / self.fps
-
     def pixel_stack(self) -> np.ndarray:
         """Return all frames as one ``(N, H, W, 3)`` uint8 array."""
         return np.stack([frame.pixels for frame in self.frames])

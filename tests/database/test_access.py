@@ -9,7 +9,7 @@ from repro.database.access import (
     User,
 )
 from repro.database.hierarchy import build_medical_hierarchy
-from repro.errors import AccessDeniedError, DatabaseError
+from repro.errors import DatabaseError
 
 
 @pytest.fixture()
@@ -98,12 +98,6 @@ class TestRules:
 
 
 class TestApi:
-    def test_require_raises(self, controller):
-        public = User(name="student", clearance=0)
-        with pytest.raises(AccessDeniedError):
-            controller.require(public, "surgery/clinical_operation")
-        controller.require(public, "surgery/presentation")  # no raise
-
     def test_unknown_concept_raises(self, controller):
         with pytest.raises(DatabaseError):
             controller.check(User(name="u"), "no/such/concept")

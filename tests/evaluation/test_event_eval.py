@@ -70,12 +70,6 @@ class TestTabulate:
         assert table.average.selected == 5
         assert table.average.true == 3
 
-    def test_correct_flag(self):
-        case = EventBenchmarkCase(0, EventKind.DIALOG, EventKind.DIALOG)
-        assert case.correct
-        case = EventBenchmarkCase(0, EventKind.DIALOG, EventKind.UNKNOWN)
-        assert not case.correct
-
     def test_rejects_empty(self):
         with pytest.raises(EvaluationError):
             tabulate_events([])

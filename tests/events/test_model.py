@@ -28,12 +28,6 @@ class TestEventKind:
 
 
 class TestSceneEvent:
-    def test_is_known(self):
-        known = SceneEvent(scene_index=0, kind=EventKind.DIALOG)
-        unknown = SceneEvent(scene_index=1, kind=EventKind.UNKNOWN)
-        assert known.is_known()
-        assert not unknown.is_known()
-
     def test_evidence_tuple(self):
         event = SceneEvent(
             scene_index=0, kind=EventKind.DIALOG, evidence=("a", "b")

@@ -57,11 +57,6 @@ class TestScalableSkim:
         with pytest.raises(SkimmingError):
             skim.switch_level(9)
 
-    def test_play_yields_segments_in_order(self, skim):
-        segments = list(skim.play(level=2))
-        starts = [s.shot.start for s in segments]
-        assert starts == sorted(starts)
-
     def test_events_attached(self, skim):
         kinds = {segment.event for segment in skim.segments(1)}
         assert kinds & set(EventKind.known_kinds())

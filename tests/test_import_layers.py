@@ -508,17 +508,12 @@ UNREACHED: dict[str, str] = {
     "repro.database.hierarchy.hierarchy_from_dict": "ROADMAP item 8: the subject-area hierarchy",
     "repro.database.hierarchy.hierarchy_to_dict": "ROADMAP item 8: the subject-area hierarchy",
     "repro.core.structure.MiningConfig.from_dict": _NEXT,
-    "repro.database.access.AccessController.require": _NEXT,
-    "repro.evaluation.event_eval.EventBenchmarkCase.correct": _NEXT,
-    "repro.events.model.SceneEvent.is_known": _NEXT,
     "repro.skimming.browser.BrowseLevel.coarser": _NEXT,
     "repro.skimming.browser.HierarchyBrowser.up": _NEXT,
     "repro.skimming.poster.read_ppm": _NEXT,
-    "repro.skimming.skim.ScalableSkim.play": _NEXT,
     "repro.skimming.skim.ScalableSkim.scroll_position": _NEXT,
     "repro.types.EventKind.from_label": _NEXT,
     "repro.video.io.load_stream": _NEXT,
-    "repro.video.stream.VideoStream.timestamp_of": _NEXT,
     "repro.vision.histogram.histogram_l1_distance": _NEXT,
 }
 

@@ -473,6 +473,64 @@ def test_a_superseded_generation_leaves_nothing_resident_once_readers_move_on(tm
     assert [rss for _, rss in superseded] == [0, 0, 0], figures
 
 
+_SAVE_SCRIPT = r"""
+import json, sys, tracemalloc
+from pathlib import Path
+import numpy as np
+from repro.storage import SQLCatalog, build_synthetic_database, save_database
+
+db_dir = Path(sys.argv[1])
+
+
+def array_bytes():
+    numpy_only = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    traced = tracemalloc.take_snapshot().filter_traces([numpy_only])
+    return sum(trace.size for trace in traced.traces)
+
+
+def resident(shas):
+    # (mapped, resident) bytes of the block files under ``db_dir`` named by ``shas``.
+    size = rss = 0
+    ours = False
+    prefix = str(db_dir / "features") + "/"
+    for line in open("/proc/self/smaps"):
+        head = line.split()
+        if "-" in head[0] and not head[0].endswith(":"):
+            ours = (
+                len(head) > 5 and head[5].startswith(prefix)
+                and head[5].rsplit("/", 1)[-1].removesuffix(".npy") in shas
+            )
+        elif ours and head[0] == "Size:":
+            size += 1024 * int(head[1])
+        elif ours and head[0] == "Rss:":
+            rss += 1024 * int(head[1])
+    return size, rss
+
+
+database = build_synthetic_database(videos=1000, shots_per_video=12, seed=5)
+tracemalloc.start()
+derived = sum(leaf.reduced.nbytes for leaf in database.leaves.values())
+derived += database.scene_index.table.centroids.nbytes
+before = array_bytes()
+save_database(database, db_dir)
+after = array_bytes()
+with SQLCatalog(db_dir) as catalog:
+    shas = {info.reduced_sha for info in catalog.leaf_infos()} | {catalog.scene_block()[0]}
+print(json.dumps({"derived": derived, "freed": before - after, "blocks": resident(shas)}))
+"""
+
+
+def test_a_save_leaves_its_corpus_on_the_blocks_it_wrote(tmp_path):
+    """Derive a 12k corpus's reduced blocks and scene table, then save it: the
+    save frees their RAM (numpy's tracemalloc domain), and the writer maps the
+    blocks it wrote with nothing resident (they stayed in RAM, unmapped, while
+    a save left its derived arrays cached on the corpus)."""
+    figures = _measure(str(tmp_path / "db"), script=_SAVE_SCRIPT)
+    assert figures["freed"] >= figures["derived"] > 0, figures
+    mapped, in_ram = figures["blocks"]
+    assert mapped >= figures["derived"] and in_ram == 0, figures
+
+
 #: ``VmHWM`` of one ingest job on ``face_repair`` (1 365 frames): the
 #: interpreter with numpy and the mining stack (~42 MiB), the miner's
 #: scratch and one shot's audio — measured 52.7.  The soundtrack is

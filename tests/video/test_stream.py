@@ -51,12 +51,6 @@ class TestVideoStream:
         with pytest.raises(VideoError):
             stream.slice(0, 99)
 
-    def test_timestamp_of(self):
-        stream = VideoStream(frames=_frames(5), fps=5.0)
-        assert stream.timestamp_of(4) == pytest.approx(0.8)
-        with pytest.raises(VideoError):
-            stream.timestamp_of(5)
-
     def test_pixel_stack_shape(self):
         stream = VideoStream(frames=_frames(4, 6, 7), fps=10.0)
         stack = stream.pixel_stack()
