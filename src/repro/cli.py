@@ -242,17 +242,28 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.errors import StorageError
+    from repro.errors import SchemaVersionError, StorageError
     from repro.ingest.runner import publish_catalog, store_for
-    from repro.storage import SQLCatalog
+    from repro.storage import SQLCatalog, catalog_path
+    from repro.storage.schema import connect
 
     db_dir, artifacts = args.db_dir, store_for(args.db_dir).root
     if not artifacts.exists():
         raise StorageError(f"nothing to migrate in {db_dir}: no {artifacts.name}/ store")
+    path, refused = catalog_path(db_dir), False
+    if path.exists():
+        try:
+            connect(path).close()
+        except SchemaVersionError:  # a version this build cannot open: rebuilt whole
+            refused = True
+            for suffix in ("", "-wal", "-shm"):
+                path.with_name(path.name + suffix).unlink(missing_ok=True)
     report = publish_catalog(db_dir)
     if report.database_path is None:
         raise StorageError(f"{db_dir} migration found no registered videos")
     with SQLCatalog(db_dir) as catalog:
+        if refused:  # and so do the blocks only the refused catalog named
+            catalog._drop_unreferenced(set(catalog.features.list_blocks()))
         entries, blocks = catalog.entry_count(), len(catalog.features.list_blocks())
     print(f"migrated {db_dir} from artifacts:")
     print(f"  catalog: {report.database_path}")
@@ -715,7 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="rebuild a database directory's SQL catalog from its artifacts",
         description=(
             "Rebuild the catalog of a directory that holds an artifact "
-            "store but no (or a lost) SQL catalog: write catalog.sqlite "
+            "store but no (or a lost) SQL catalog, or one whose schema "
+            "version this build does not read: write catalog.sqlite "
             "plus the content-addressed feature blocks under features/. "
             "Idempotent."
         ),

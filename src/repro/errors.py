@@ -15,6 +15,9 @@ fans out by subsystem:
     │   │   video; the HTTP gateway maps the *type* to 404.
     │   └── ``StorageError`` — the durable storage subsystem (SQL
     │       catalog schema/locking, feature-store bookkeeping).
+    │       └── ``SchemaVersionError`` — a catalog version this build
+    │           neither reads nor converts; ``classminer migrate``
+    │           rebuilds it.
     ├── ``IngestError`` — the corpus ingestion runtime.
     │   └── ``IntegrityError`` — a stored artifact failed checksum
     │       verification (corrupt on disk; quarantined by the store).
@@ -100,6 +103,11 @@ class StorageError(DatabaseError):
     blocks (truncated or checksum-failing mmaps) raise
     :class:`IntegrityError` instead, matching the artifact store.
     """
+
+
+class SchemaVersionError(StorageError):
+    """The catalog's schema version is neither this build's nor the one
+    before it, which converts on open; ``classminer migrate`` rebuilds it."""
 
 
 class IngestError(ReproError):

@@ -30,6 +30,7 @@ import io
 import math
 import mmap
 import os
+import re
 import tempfile
 import threading
 from collections import OrderedDict
@@ -86,29 +87,46 @@ class _ScanMapping(mmap.mmap):
             self.madvise(mmap.MADV_DONTNEED, start, stop - start)
 
 
-#: numpy parses a ``.npy`` header with ``ast.literal_eval``, and CPython
-#: 3.11 keeps the ``ast`` recursion counter per interpreter, not per
-#: thread: two threads parsing at once can fail with ``SystemError: AST
-#: constructor recursion depth mismatch``.  Every :func:`map_block` parse
-#: holds this.
-_HEADER_LOCK = threading.Lock()
+def _header(shape: tuple[int, ...], dtype: np.dtype) -> bytes:
+    """The version 1.0 ``.npy`` header ``np.save`` writes ahead of a C-order
+    ``shape`` block of ``dtype``: what :meth:`FeatureStore.put` hashes and
+    writes, and the only header :func:`map_block` maps."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape,
+    })
+    return out.getvalue()
+
+
+#: The fields of a header :func:`_header` renders for a 1-D or 2-D block of
+#: a dtype the store writes; the match only finds the shape and dtype that
+#: :func:`map_block` renders back and compares byte for byte.
+_FIELDS = re.compile(
+    rb"\{'descr': '(<f8|<i8|\|u1)', 'fortran_order': False, 'shape': \((\d+),(?: (\d+))?\), \}"
+)
 
 
 def map_block(path: Path, mapping_type: type[mmap.mmap] = mmap.mmap) -> np.ndarray:
-    """A read-only ndarray over the version 1.0 ``.npy`` file at ``path``, as
-    :meth:`FeatureStore.put` or ``np.save`` write it (``ValueError`` for any
-    other header or size)."""
+    """A read-only ndarray over the ``.npy`` file at ``path`` whose header is
+    byte for byte the one :meth:`FeatureStore.put` or ``np.save`` write for
+    a C-order 1-D or 2-D ``<f8``, ``<i8`` or ``|u1`` block (``ValueError``
+    for any other header or size).  Nothing is parsed: the header is found
+    by its fields, rendered back and compared."""
     with open(path, "rb") as handle:
-        if np.lib.format.read_magic(handle) != (1, 0):
-            raise ValueError("not a version 1.0 .npy header")
-        with _HEADER_LOCK:
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-        offset = handle.tell()
+        header = handle.read(10)  # magic, version, little-endian header length
+        header += handle.read(int.from_bytes(header[8:10], "little"))
+        fields = _FIELDS.match(header, 10)
+        if fields is None:
+            raise ValueError("not a header FeatureStore.put writes")
+        descr, *dims = fields.groups()
+        shape, dtype = tuple(int(n) for n in dims if n is not None), np.dtype(descr.decode())
+        if _header(shape, dtype) != header:
+            raise ValueError("not a header FeatureStore.put writes")
         mapping = mapping_type(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    cells = len(mapping) - offset
-    if fortran or dtype.hasobject or cells != math.prod(shape) * dtype.itemsize:
+    cells = len(mapping) - len(header)
+    if cells != math.prod(shape) * dtype.itemsize:
         raise ValueError(f"{cells} data bytes for a {shape} {dtype} block")
-    return np.ndarray(shape, dtype, buffer=mapping, offset=offset)
+    return np.ndarray(shape, dtype, buffer=mapping, offset=len(header))
 
 
 class FeatureStore:
@@ -162,32 +180,30 @@ class FeatureStore:
         are renamed into place — so a crash can never leave a
         half-written block under a valid digest name.
         ``dtype`` defaults to the float64 feature-matrix layout; the ANN
-        tier stores uint8 code blocks through the same path (``np.save``
-        records the dtype, so :meth:`open` needs no hint).
+        tier stores uint8 code blocks and the id blocks int64 through the
+        same path (the header records the dtype, so :meth:`open` needs no
+        hint).
         """
         matrix = np.ascontiguousarray(matrix, dtype=dtype)
         if matrix.ndim != 2:
             raise StorageError(
                 f"feature blocks are 2-D, got shape {matrix.shape}"
             )
-        header = io.BytesIO()  # what np.save writes ahead of the cells
-        np.lib.format.write_array_header_1_0(
-            header, np.lib.format.header_data_from_array_1_0(matrix)
-        )
+        header = _header(matrix.shape, matrix.dtype)
         import hashlib  # here, not at module level: a shard worker hashes nothing
-        hasher = hashlib.sha256(header.getvalue())
+        hasher = hashlib.sha256(header)
         hasher.update(matrix.reshape(-1).data)
         ref = BlockRef(sha=hasher.hexdigest(), rows=int(matrix.shape[0]), cols=int(matrix.shape[1]))
         final = self.path_for(ref.sha)
         # The name alone does not vouch for the file: one of another size
         # (truncated, say) is rewritten, so saving again repairs it.
-        if final.exists() and final.stat().st_size == len(header.getvalue()) + matrix.nbytes:
+        if final.exists() and final.stat().st_size == len(header) + matrix.nbytes:
             return ref
         final.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(prefix=".tmp-block-", suffix=".npy", dir=self._root)
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(header.getvalue())
+                handle.write(header)
                 matrix.tofile(handle)
             os.replace(tmp_name, final)
         finally:
@@ -202,9 +218,10 @@ class FeatureStore:
         dropped.  ``resident=False`` is for a block only a full scan reads
         whole (a leaf's 266-d rows): the kernels' chunk loop gives its
         pages back as it moves on.  A missing block raises
-        :class:`~repro.errors.StorageError`; a truncated or unparsable
-        one raises :class:`~repro.errors.IntegrityError`, matching the
-        artifact store's corruption contract.
+        :class:`~repro.errors.StorageError`; a truncated one, or one whose
+        header :meth:`put` would not write, raises
+        :class:`~repro.errors.IntegrityError`, matching the artifact
+        store's corruption contract.
         """
         fault_point("storage.mmap_truncated")
         with self._lock:

@@ -18,9 +18,11 @@ id, two signature columns); the scene table's centroid block and its
 the video's position in ``videos`` rowid order.
 
 Schema versioning uses ``PRAGMA user_version``: :func:`connect` converts
-an older catalog in place and refuses a newer one with a typed
-:class:`~repro.errors.StorageError` instead of misreading it.  WAL mode
-keeps concurrent readers from blocking the (single) writer.
+a catalog of the previous version in place and refuses any other with a
+typed :class:`~repro.errors.SchemaVersionError` instead of misreading it;
+``classminer migrate`` rebuilds a refused catalog from its ingest
+artifacts.  WAL mode keeps concurrent readers from blocking the (single)
+writer.
 """
 
 from __future__ import annotations
@@ -28,19 +30,13 @@ from __future__ import annotations
 import sqlite3
 from pathlib import Path
 
-import numpy as np
-
-from repro.errors import IntegrityError, StorageError
+from repro.errors import SchemaVersionError, StorageError
 
 #: Current on-disk schema generation (``PRAGMA user_version``).
-#: v2 added the ``ann_leaves`` table (per-leaf IVF quantizer state), v3
-#: the ``leaves.reduced_sha`` column (the leaf's reduced block, what a
-#: leaf scan reads), v4 the id blocks (``leaves.ids_sha``,
-#: ``scene_block.ids_sha``) that replaced the ``entries`` and ``scenes``
-#: rows and the ``ann_leaves.sigs`` BLOB; v5 dropped the stored text-search
-#: documents (``search_docs`` and the index over them), which text search
-#: now derives from the catalog at query time.  Older catalogs are
-#: converted in place on open (:func:`_upgrade`).
+#: v5 dropped the stored text-search documents (``search_docs`` and the
+#: index over them), which text search now derives from the catalog at
+#: query time.  A v4 catalog converts in place on open (:func:`_upgrade`);
+#: each bump replaces that step with its own.
 SCHEMA_VERSION = 5
 
 #: File name of the SQL catalog inside a database directory.
@@ -146,8 +142,10 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
     access on its own lock instead of sqlite3's thread check.
 
     Raises :class:`~repro.errors.StorageError` when the file is missing
-    (without ``create``), unreadable, or carries a newer
-    ``user_version`` than :data:`SCHEMA_VERSION`.
+    (without ``create``) or unreadable, and its
+    :class:`~repro.errors.SchemaVersionError` — before anything is
+    written — for a ``user_version`` other than :data:`SCHEMA_VERSION`
+    or the one before it, which converts in place.
     """
     path = Path(path)
     if not create and not path.exists():
@@ -157,56 +155,45 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
     except sqlite3.Error as exc:
         raise StorageError(f"cannot open catalog {path}: {exc}") from exc
     try:
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA foreign_keys=ON")
         version = int(conn.execute("PRAGMA user_version").fetchone()[0])
-        if version == 0 and create:
-            with conn:
-                for statement in SCHEMA_STATEMENTS:
-                    conn.execute(statement)
-                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-        elif 0 < version < SCHEMA_VERSION:
-            # Two processes may open the same old catalog at once: take
-            # the write lock, then see what is still left to convert.
-            conn.execute("BEGIN IMMEDIATE")
-            version = int(conn.execute("PRAGMA user_version").fetchone()[0])
-            if version < SCHEMA_VERSION:
-                _upgrade(conn, version, path.parent / FEATURES_DIR)
-                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-            conn.commit()
-        elif version != SCHEMA_VERSION:
-            raise StorageError(
+        if version not in (SCHEMA_VERSION - 1, SCHEMA_VERSION) and not (version == 0 and create):
+            raise SchemaVersionError(
                 f"catalog {path} has schema version {version}, "
                 f"this build reads version {SCHEMA_VERSION} — "
                 f"re-run `classminer migrate`"
             )
-    except (sqlite3.Error, KeyError) as exc:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute("PRAGMA foreign_keys=ON")
+        if version == 0:
+            with conn:
+                for statement in SCHEMA_STATEMENTS:
+                    conn.execute(statement)
+                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+        elif version < SCHEMA_VERSION:
+            # Two processes may open the same old catalog at once: take
+            # the write lock, then see whether it is still left to convert.
+            conn.execute("BEGIN IMMEDIATE")
+            if int(conn.execute("PRAGMA user_version").fetchone()[0]) < SCHEMA_VERSION:
+                _upgrade(conn)
+                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            conn.commit()
+    except sqlite3.Error as exc:
         conn.close()
         raise StorageError(f"cannot initialise catalog {path}: {exc}") from exc
-    except (StorageError, IntegrityError):  # a block the conversion reads
+    except StorageError:
         conn.close()
         raise
     return conn
 
 
-def _upgrade(conn: sqlite3.Connection, version: int, features: Path) -> None:
-    """Convert a v1-v4 catalog to v5 inside the caller's write transaction.
+def _upgrade(conn: sqlite3.Connection) -> None:
+    """Convert a v4 catalog to v5 inside the caller's write transaction.
 
-    Every older catalog loses its stored text-search copy: the
-    ``search_docs`` rows, the FTS5 table ``search_fts`` over them and the
-    ``meta`` row ``fts``.  A linked SQLite without the FTS5 module cannot
-    drop ``search_fts``; that inert table stays, as nothing reads it.
-
-    A v1-v3 catalog then gains its id blocks.  The older generations'
-    DDL lands first (v2's ``ann_leaves``; v3's ``reduced_sha``, NULL
-    until the next save: such a leaf derives its reduced block).  Then
-    each leaf's ``entries`` rows and signatures
-    (``ann_leaves.sigs``, or derived from its rows where a v1 writer
-    stored none) become its id block, and the ``scenes`` rows the scene
-    id block; the blocks are written before the rows that name them, and
-    are content-addressed, so an opener that raced this one wrote the
-    same files.  An unknown title raises ``KeyError``.
+    The catalog loses its stored text-search copy: the ``search_docs``
+    rows, the FTS5 table ``search_fts`` over them and the ``meta`` row
+    ``fts``.  A linked SQLite without the FTS5 module cannot drop
+    ``search_fts``; that inert table stays, as nothing reads it.
     """
     try:
         conn.execute("DROP TABLE IF EXISTS search_fts")
@@ -214,41 +201,3 @@ def _upgrade(conn: sqlite3.Connection, version: int, features: Path) -> None:
         pass
     conn.execute("DROP TABLE IF EXISTS search_docs")
     conn.execute("DELETE FROM meta WHERE key = 'fts'")
-    if version >= 4:
-        return
-    from repro.database.index import leaf_signatures
-    from repro.storage.featurestore import FeatureStore
-
-    store = FeatureStore(features)
-    if version < 2:
-        conn.execute(SCHEMA_STATEMENTS[-1])
-    if version < 3:
-        conn.execute("ALTER TABLE leaves ADD COLUMN reduced_sha TEXT")
-    titles = conn.execute("SELECT title FROM videos ORDER BY rowid").fetchall()
-    code = {title: position for position, (title,) in enumerate(titles)}
-    sigs = dict(conn.execute("SELECT leaf, sigs FROM ann_leaves")) if version >= 2 else {}
-    conn.execute("ALTER TABLE leaves ADD COLUMN ids_sha TEXT")
-    for name, block_sha in conn.execute("SELECT name, block_sha FROM leaves").fetchall():
-        rows = conn.execute(
-            "SELECT ord, video_title, shot_id, scene_id FROM entries WHERE leaf = ? "
-            "ORDER BY row", (name,),
-        ).fetchall()
-        ids = np.array([(o, code[t], s, c) for o, t, s, c in rows], np.int64).reshape(-1, 4)
-        signatures = (
-            np.frombuffer(sigs[name], np.int64).reshape(-1, 2) if name in sigs
-            else leaf_signatures(store.open(block_sha))
-        )
-        ref = store.put(np.hstack([ids, signatures]), dtype=np.int64)
-        conn.execute("UPDATE leaves SET ids_sha = ? WHERE name = ?", (ref.sha, name))
-    scenes = conn.execute(
-        "SELECT video_title, scene_id, shot_count FROM scenes ORDER BY row"
-    ).fetchall()
-    conn.execute("ALTER TABLE scene_block ADD COLUMN ids_sha TEXT")
-    if scenes:
-        ids = np.array([(code[t], s, n) for t, s, n in scenes], np.int64)
-        conn.execute("UPDATE scene_block SET ids_sha = ?", (store.put(ids, dtype=np.int64).sha,))
-    conn.execute("DROP TABLE entries")
-    conn.execute("DROP TABLE scenes")
-    if version >= 2:
-        conn.execute("ALTER TABLE ann_leaves DROP COLUMN sigs")
-    store.close()

@@ -103,7 +103,8 @@ class LeafInfo:
     block: BlockRef
     centers: np.ndarray
     dims: np.ndarray
-    #: The ``(n, |dims|)`` reduced block (None: written before schema v3).
+    #: The ``(n, |dims|)`` reduced block (None: a leaf an earlier build
+    #: converted from a v1 or v2 catalog; it derives its reduced rows).
     reduced_sha: str | None
     #: The ``(n, 6)`` int64 id block: flat ordinal, title code, shot id,
     #: scene id and the two signature columns, in block-row order.
@@ -328,9 +329,8 @@ class SQLCatalog:
     def ann_leaf_row(self, name: str) -> AnnLeafRow | None:
         """One leaf's stored ANN quantizer state (None when absent).
 
-        Catalogs written before schema v2 (or whose write predates the
-        ANN tier) simply have no row; callers fall back to an in-process
-        deterministic build.
+        A leaf of a catalog an earlier build converted from v1 has no
+        row; callers fall back to an in-process deterministic build.
         """
         def op(conn: sqlite3.Connection):
             return conn.execute(

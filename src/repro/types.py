@@ -23,12 +23,3 @@ class EventKind(str, Enum):
     def known_kinds(cls) -> tuple["EventKind", ...]:
         """The three categories the paper's miner can assign."""
         return (cls.PRESENTATION, cls.DIALOG, cls.CLINICAL_OPERATION)
-
-    @classmethod
-    def from_label(cls, label: str) -> "EventKind":
-        """Parse a label string, tolerating spaces, dashes and case."""
-        normalised = label.strip().lower().replace(" ", "_").replace("-", "_")
-        for kind in cls:
-            if kind.value == normalised:
-                return kind
-        raise ValueError(f"unknown event label: {label!r}")

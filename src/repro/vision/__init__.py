@@ -13,7 +13,6 @@ from repro.vision.frames import SpecialFrameKind, classify_special_frame
 from repro.vision.histogram import (
     frame_histograms,
     histogram_intersection,
-    histogram_l1_distance,
     hsv_histogram,
 )
 from repro.vision.compressed import dc_image
@@ -59,7 +58,6 @@ __all__ = [
     "has_video_text",
     "histogram_difference",
     "histogram_intersection",
-    "histogram_l1_distance",
     "hsv_bins",
     "hsv_histogram",
     "hsv_histograms",

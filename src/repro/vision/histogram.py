@@ -46,12 +46,3 @@ def histogram_intersection(h1: np.ndarray, h2: np.ndarray) -> float:
     if h1.ndim != 1:
         raise VisionError(f"histograms must be 1-D, got {h1.ndim}-D")
     return float(np.minimum(h1, h2).sum())
-
-
-def histogram_l1_distance(h1: np.ndarray, h2: np.ndarray) -> float:
-    """L1 distance between two histograms (used by frame differencing)."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    if h1.shape != h2.shape:
-        raise VisionError(f"histogram shapes differ: {h1.shape} vs {h2.shape}")
-    return float(np.abs(h1 - h2).sum())

@@ -3,12 +3,14 @@
 A saved catalog carries each leaf's trained quantizer; the lazy view
 must answer ANN queries bit-identically to the eager path, a missing
 or fault-injected code block must *degrade* to the exact scan (and
-recover once the block is back), and a pre-v2 catalog with no
-``ann_leaves`` rows must still serve ANN queries via the deterministic
-in-process build.
+recover once the block is back), and a catalog with no ``ann_leaves``
+rows — what an earlier build's conversion of a v1 catalog left — must
+still serve ANN queries via the deterministic in-process build.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import numpy as np
 import pytest
@@ -16,9 +18,8 @@ import pytest
 from repro.ann.index import build_leaf_ann
 from repro.database.query import search_hierarchical
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
-from repro.storage import SCHEMA_VERSION, SQLVideoDatabase, save_database
+from repro.storage import SQLCatalog, SQLVideoDatabase, catalog_path, save_database
 from repro.storage.lazy import _ann_index_for
-from tests.storage.test_id_blocks import rewind
 
 from .test_ann_equivalence import NPROBE_ALL, hits
 
@@ -128,15 +129,20 @@ class TestDegradeAndRecover:
 class TestPreAnnCatalog:
     def test_v1_catalog_upgrades_and_serves_ann(self, ann_db, probes, tmp_path):
         save_database(ann_db, tmp_path)
-        # Rewind the catalog to its v1 layout: per-row tables, no
-        # ann_leaves table, old user_version stamp.
-        rewind(tmp_path, 1)
+        # What converting a v1 catalog left: no quantizer rows, no code blocks.
+        with SQLCatalog(tmp_path) as catalog:
+            for info in catalog.leaf_infos():
+                assert catalog.features.delete(catalog.ann_leaf_row(info.name).code_sha)
+        conn = sqlite3.connect(catalog_path(tmp_path))
+        with conn:
+            conn.execute("DELETE FROM ann_leaves")
+        conn.close()
         lazy = SQLVideoDatabase.open(tmp_path)
         try:
-            version = lazy.catalog._run(
-                lambda c: c.execute("PRAGMA user_version").fetchone()[0]
+            assert all(
+                lazy.catalog.ann_leaf_row(info.name) is None
+                for info in lazy.catalog.leaf_infos()
             )
-            assert int(version) == SCHEMA_VERSION  # upgraded in place on open
             exact = search_hierarchical(ann_db.index_root, probes[0], k=10)
             # No stored rows: resolve_ann falls through to the eager
             # deterministic build, not a degrade.

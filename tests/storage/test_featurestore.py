@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import mmap
 import threading
-import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, ReproError, StorageError
 from repro.obs.registry import get_registry
@@ -132,30 +134,23 @@ class TestOpen:
         ref = store.put(_block(6))
         assert store.open(ref.sha) is store.open(ref.sha)
 
-    def test_header_parses_never_overlap(self, store, monkeypatch):
-        """numpy parses a header with ``ast.literal_eval``, whose recursion
-        counter CPython 3.11 shares between threads: one parse at a time."""
-        parse = np.lib.format.read_array_header_1_0
-        inside, most, count = [0], [0], threading.Lock()
+    def test_concurrent_opens_parse_no_header(self, store, monkeypatch):
+        """A block maps by comparing its header with the one ``put`` writes:
+        numpy's parser (``ast.literal_eval``, whose recursion counter CPython
+        3.11 shares between threads) is never called, so opens overlap."""
 
-        def slow_parse(handle):
-            with count:
-                inside[0] += 1
-                most[0] = max(most[0], inside[0])
-            time.sleep(0.02)
-            try:
-                return parse(handle)
-            finally:
-                with count:
-                    inside[0] -= 1
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a feature-block open parsed a .npy header")
 
-        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", slow_parse)
-        shas = [store.put(_block(seed)).sha for seed in (7, 8)]
-        start, opened = threading.Barrier(len(shas)), []
+        monkeypatch.setattr(np.lib.format, "read_magic", no_parse)
+        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", no_parse)
+        matrices = [_block(seed, rows=seed + 1) for seed in range(8)]
+        shas = [store.put(matrix).sha for matrix in matrices]
+        start, opened = threading.Barrier(len(shas)), {}
 
         def open_block(sha):
             start.wait(timeout=10.0)
-            opened.append(store.open(sha))
+            opened[sha] = store.open(sha)
 
         threads = [threading.Thread(target=open_block, args=(sha,)) for sha in shas]
         for thread in threads:
@@ -163,7 +158,87 @@ class TestOpen:
         for thread in threads:
             thread.join(timeout=10.0)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(opened) == 2 and most[0] == 1
+        assert len(opened) == len(shas)
+        for sha, matrix in zip(shas, matrices):
+            np.testing.assert_array_equal(opened[sha], matrix)
+
+
+def _npy(array: np.ndarray, **kwargs) -> bytes:
+    out = io.BytesIO()
+    np.lib.format.write_array(out, array, **kwargs)
+    return out.getvalue()
+
+
+def _repadded(stored: bytes) -> bytes:
+    """The stored header, its closing ``, }`` written ``,} ``."""
+    return stored.replace(b"), }", b"),} ", 1)
+
+
+def _longer(stored: bytes) -> bytes:
+    """The stored header with 64 more bytes of padding, and a length field
+    that says so."""
+    length = int.from_bytes(stored[8:10], "little")
+    header = stored[: 10 + length]
+    return (
+        header[:8] + (length + 64).to_bytes(2, "little") + header[10:-1]
+        + 64 * b" " + b"\n" + stored[10 + length:]
+    )
+
+
+class TestHeader:
+    """A block maps only when its header is byte for byte the one ``put``
+    writes; numpy's reader accepts many more."""
+
+    MATRIX = _block(4)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda stored: _npy(np.asfortranarray(TestHeader.MATRIX)),
+            lambda stored: _npy(TestHeader.MATRIX.astype(">f8")),
+            lambda stored: _npy(TestHeader.MATRIX.astype(object)),
+            lambda stored: _npy(TestHeader.MATRIX.reshape(2, 2, 6)),
+            lambda stored: _npy(TestHeader.MATRIX, version=(2, 0)),
+            _repadded,
+            _longer,
+        ],
+        ids=["fortran-order", "big-endian", "object", "3-d", "version-2.0", "padding", "length+64"],
+    )
+    def test_a_header_put_never_writes_is_typed(self, store, variant):
+        ref = store.put(self.MATRIX)
+        path = store.path_for(ref.sha)
+        path.write_bytes(variant(path.read_bytes()))
+        accepted = np.load(path, allow_pickle=True)  # numpy reads it
+        assert accepted.size == self.MATRIX.size
+        with pytest.raises(IntegrityError, match="not a header"):
+            store.open(ref.sha)
+
+    @given(at=st.integers(0, 127), value=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_a_one_byte_header_edit_maps_the_same_array_or_is_typed(
+        self, tmp_path_factory, at, value
+    ):
+        """The header slice of fuzzing the byte parsers.  The one edit a
+        header match cannot see swaps ``<f8`` and ``<i8``, the two 8-byte
+        dtypes the store writes: that maps the same bytes as the other
+        one (only :meth:`FeatureStore.verify` tells)."""
+        store = FeatureStore(tmp_path_factory.mktemp("edits"))
+        ref = store.put(self.MATRIX)
+        path = store.path_for(ref.sha)
+        stored = path.read_bytes()
+        assert int.from_bytes(stored[8:10], "little") + 10 == 128
+        edited = bytearray(stored)
+        edited[at] = value
+        path.write_bytes(bytes(edited))
+        try:
+            mapped = store.open(ref.sha)
+        except IntegrityError:
+            return
+        if stored[at:at + 1] + bytes([value]) == b"fi":
+            assert at == stored.index(b"<f8") + 1 and mapped.dtype == np.int64
+            mapped = mapped.view(np.float64)
+        assert mapped.dtype == self.MATRIX.dtype and mapped.shape == self.MATRIX.shape
+        np.testing.assert_array_equal(mapped, self.MATRIX)
 
 
 def _resident_bytes(path) -> int:

@@ -4,13 +4,14 @@ Every per-row fact of a leaf — flat ordinal, title code, shot id, scene
 id, the two signature columns — is one ``(n, 6)`` int64 id block beside
 its feature blocks, and the scene table's ``(S, 3)`` id block sits beside
 its centroids; SQLite keeps per-video and per-leaf rows only, and text
-search derives its documents from them.  Held here: a v1-v4 catalog —
-its real older layout, rebuilt from what the readers return — converts
-once on open, to the very blocks and rows a v5 writer stores, and
-answers bit for bit (ids, scores, ``QueryStats``) and text search hit
-for hit with the ``LIKE`` scan over its stored documents; a second
-opener, later or racing, writes nothing of its own; a missing, truncated
-or unreadable id block is a typed error on first touch.
+search derives its documents from them.  Held here: a v4 catalog — the
+one older schema that still converts, its text-search copy rebuilt from
+what the readers return — converts once on open, to the very rows a v5
+writer stores, and answers bit for bit (ids, scores, ``QueryStats``) and
+text search hit for hit with the ``LIKE`` scan over its stored
+documents; a second opener, later or racing, writes nothing of its own;
+a missing, truncated or unreadable id block is a typed error on first
+touch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro.errors import IntegrityError, ReproError, StorageError
@@ -33,31 +33,6 @@ from repro.storage import (
     save_database,
 )
 from tests.storage.test_lazy_equivalence import stored_state
-
-#: The per-row tables every writer before v4 kept, as it declared them.
-_PRE_V4_TABLES = (
-    """
-    CREATE TABLE entries (
-        ord         INTEGER PRIMARY KEY,
-        leaf        TEXT NOT NULL,
-        row         INTEGER NOT NULL,
-        video_title TEXT NOT NULL,
-        shot_id     INTEGER NOT NULL,
-        scene_id    INTEGER NOT NULL
-    )
-    """,
-    "CREATE INDEX idx_entries_leaf ON entries (leaf, row)",
-    """
-    CREATE TABLE scenes (
-        row         INTEGER PRIMARY KEY,
-        video_title TEXT NOT NULL,
-        scene_id    INTEGER NOT NULL,
-        event       TEXT NOT NULL,
-        shot_count  INTEGER NOT NULL,
-        UNIQUE (video_title, scene_id)
-    )
-    """,
-)
 
 #: The text-search tables every writer before v5 kept, as it declared them.
 _PRE_V5_TABLES = (
@@ -84,47 +59,16 @@ def _has_fts5() -> bool:
         conn.close()
 
 
-def rewind(db_dir, version: int) -> None:
-    """Give the v5 catalog in ``db_dir`` the layout a v``version`` writer left.
+def rewind(db_dir) -> None:
+    """Give the v5 catalog in ``db_dir`` the layout a v4 writer left.
 
-    Built from what the readers return, not only by dropping what later
-    schemas added: the text-search documents as ``search_docs`` rows, in
+    Built from what the readers return, not only by stamping an older
+    version: the text-search documents as ``search_docs`` rows, in
     ``search_fts`` too where this host's SQLite has FTS5, and the ``meta``
-    row ``fts`` saying which (v1-v4); the ``entries`` and ``scenes`` rows,
-    ``ann_leaves.sigs`` (v2 and v3; a v1 catalog has no ``ann_leaves``)
-    and ``leaves.reduced_sha`` (v3) — and none of the blocks that writer
-    did not write (the id blocks before v4; the reduced blocks before v3).
+    row ``fts`` saying which.
     """
-    opened = SQLVideoDatabase.open(db_dir)
-    try:
-        catalog = opened.catalog
+    with SQLCatalog(db_dir) as catalog:
         docs = catalog._search_documents()
-        infos = catalog.leaf_infos()
-        entries = [
-            (row.ord, row.leaf, row.row, row.video_title, row.shot_id, row.scene_id)
-            for info in infos
-            for row in catalog.leaf_rows(info.name)
-        ]
-        _, (titles, scene_ids, events, shot_counts) = catalog.scene_columns()
-        scenes = [
-            (row, str(title), int(scene), event, int(count))
-            for row, (title, scene, event, count) in enumerate(
-                zip(titles, scene_ids, events, shot_counts)
-            )
-        ]
-        sigs = [
-            (np.ascontiguousarray(leaf.signatures).tobytes(), name)
-            for name, leaf in opened.leaves.items()
-        ]
-        unwritten = set()
-        if version < 4:
-            unwritten |= {info.ids_sha for info in infos} | {catalog.scene_block()[1]}
-        if version < 3:
-            unwritten |= {info.reduced_sha for info in infos}
-        for sha in unwritten:
-            assert catalog.features.delete(sha)
-    finally:
-        opened.close()
     fts = _has_fts5()
     conn = sqlite3.connect(catalog_path(db_dir))
     with conn:
@@ -134,21 +78,7 @@ def rewind(db_dir, version: int) -> None:
             conn.execute(_PRE_V5_TABLES[1])
             conn.executemany("INSERT INTO search_fts (kind, title, body) VALUES (?, ?, ?)", docs)
         conn.execute("INSERT INTO meta (key, value) VALUES ('fts', ?)", ("1" if fts else "0",))
-        if version < 4:
-            for statement in _PRE_V4_TABLES:
-                conn.execute(statement)
-            conn.executemany("INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?)", entries)
-            conn.executemany("INSERT INTO scenes VALUES (?, ?, ?, ?, ?)", scenes)
-            conn.execute("ALTER TABLE leaves DROP COLUMN ids_sha")
-            conn.execute("ALTER TABLE scene_block DROP COLUMN ids_sha")
-        if version < 2:
-            conn.execute("DROP TABLE ann_leaves")
-        elif version < 4:
-            conn.execute("ALTER TABLE ann_leaves ADD COLUMN sigs BLOB NOT NULL DEFAULT x''")
-            conn.executemany("UPDATE ann_leaves SET sigs = ? WHERE leaf = ?", sigs)
-        if version < 3:
-            conn.execute("ALTER TABLE leaves DROP COLUMN reduced_sha")
-        conn.execute(f"PRAGMA user_version = {version}")
+        conn.execute("PRAGMA user_version = 4")
     conn.close()
 
 
@@ -183,7 +113,7 @@ def _text_tables(db_dir) -> set[str]:
     return {name for name in _tables(db_dir) if name.startswith("search_")}
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [4])
 def test_an_older_catalog_converts_once_and_answers_the_same_bits(
     source_db, probes, tmp_path, version
 ):
@@ -191,25 +121,22 @@ def test_an_older_catalog_converts_once_and_answers_the_same_bits(
     written = stored_state(tmp_path)
     with SQLCatalog(tmp_path) as catalog:
         ids = _id_digests(catalog)
-    rewind(tmp_path, version)
-    rows = {"entries", "idx_entries_leaf", "scenes"} if version < 4 else set()
-    assert rows <= _tables(tmp_path)
+    rewind(tmp_path)
+    conn = sqlite3.connect(catalog_path(tmp_path))
+    assert conn.execute("PRAGMA user_version").fetchone()[0] == version
+    conn.close()
     assert "search_docs" in _text_tables(tmp_path)
     opened = SQLVideoDatabase.open(tmp_path)
     try:
         assert _version(opened.catalog) == SCHEMA_VERSION
-        assert not rows & _tables(tmp_path)
         assert not _text_tables(tmp_path)
         assert opened.catalog.meta("fts") is None
-        # The id blocks a v4 writer stores, signatures derived from the
-        # rows where a v1 writer stored none.
         assert _id_digests(opened.catalog) == ids
         for sha in ids:
             opened.catalog.features.verify(sha)
-        if version >= 3:
-            assert stored_state(tmp_path) == written  # every row and block
+        assert stored_state(tmp_path) == written  # every row and block
         assert _answers(opened, probes) == _answers(source_db, probes)
-        save_database(opened, tmp_path)  # a v1/v2 leaf gains its reduced block
+        save_database(opened, tmp_path)
     finally:
         opened.close()
     assert stored_state(tmp_path) == written
@@ -241,7 +168,7 @@ def _stored_like_hits(db_dir, text: str, k: int) -> list[tuple]:
 
 def test_text_search_answers_what_the_stored_documents_did(source_db, tmp_path):
     save_database(source_db, tmp_path)
-    rewind(tmp_path, 4)
+    rewind(tmp_path)
     queries = [
         "synthetic", "presentation", "clinical operation", "s_nthetic", "%", '"', " \t ",
     ]
@@ -261,7 +188,7 @@ def test_text_search_answers_what_the_stored_documents_did(source_db, tmp_path):
 def test_a_text_table_this_sqlite_cannot_drop_stays_inert(source_db, tmp_path):
     """A catalog written where SQLite had FTS5, opened where it has not."""
     save_database(source_db, tmp_path)
-    rewind(tmp_path, 4)
+    rewind(tmp_path)
     conn = sqlite3.connect(catalog_path(tmp_path))
     with conn:
         conn.execute("DROP TABLE IF EXISTS search_fts")
@@ -288,7 +215,7 @@ def _files(db_dir) -> dict:
 
 def test_a_second_opener_sees_v5_and_writes_nothing(source_db, tmp_path):
     save_database(source_db, tmp_path)
-    rewind(tmp_path, 3)
+    rewind(tmp_path)
     with SQLCatalog(tmp_path) as first:
         assert _version(first) == SCHEMA_VERSION
         converted = _files(tmp_path)
@@ -301,7 +228,7 @@ def test_a_second_opener_sees_v5_and_writes_nothing(source_db, tmp_path):
 def test_racing_openers_convert_once_and_agree(source_db, probes, tmp_path):
     save_database(source_db, tmp_path)
     written = stored_state(tmp_path)
-    rewind(tmp_path, 3)
+    rewind(tmp_path)
     start = threading.Barrier(4)
 
     def open_after_the_others(_):

@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import argparse
+import sqlite3
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.storage import build_synthetic_database, catalog_path, save_database
+from repro.storage import (
+    FeatureStore,
+    SQLVideoDatabase,
+    build_synthetic_database,
+    catalog_path,
+    features_path,
+    save_database,
+)
+from tests.storage.test_id_blocks import _answers
+from tests.storage.test_lazy_equivalence import stored_state
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +40,36 @@ class TestMigrateCommand:
         assert catalog_path(tmp_path).exists()
         assert "migrated" in out and "from artifacts" in out
         assert "1 videos" in out
+
+    @pytest.mark.parametrize("stamp", [3, 99])
+    def test_migrate_rebuilds_a_catalog_this_build_refuses(
+        self, tmp_path, demo_result, capsys, stamp
+    ):
+        from repro.ingest.jobs import IngestJob
+        from repro.ingest.runner import store_for
+
+        fresh, refused = tmp_path / "fresh", tmp_path / "refused"
+        for db_dir in (fresh, refused):
+            store_for(db_dir).save(IngestJob.for_title("demo").key, demo_result)
+            assert main(["migrate", "--db-dir", str(db_dir)]) == 0
+        # An older or newer writer's catalog, and a block only it names.
+        conn = sqlite3.connect(catalog_path(refused))
+        conn.execute(f"PRAGMA user_version = {stamp}")
+        conn.close()
+        FeatureStore(features_path(refused)).put(np.zeros((2, 3)))
+        capsys.readouterr()
+        assert main(["migrate", "--db-dir", str(refused)]) == 0
+        assert "migrated" in capsys.readouterr().out
+        assert stored_state(refused) == stored_state(fresh)
+        answers = []
+        for db_dir in (fresh, refused):
+            database = SQLVideoDatabase.open(db_dir)
+            try:
+                probes = [entry.features for entry in database.flat_index.entries[::7]]
+                answers.append(_answers(database, probes))
+            finally:
+                database.close()
+        assert answers[0] == answers[1]
 
     def test_empty_dir_exits_nonzero(self, tmp_path, capsys):
         assert main(["migrate", "--db-dir", str(tmp_path)]) == 1

@@ -10,7 +10,7 @@ import pytest
 import repro.storage.sqlcatalog as sqlcatalog_module
 from repro.ann.index import train_leaf_ann
 from repro.database.catalog import VideoDatabase
-from repro.errors import StorageError
+from repro.errors import SchemaVersionError, StorageError
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.storage import (
     SQLCatalog,
@@ -40,10 +40,26 @@ class TestSchema:
             SQLCatalog(tmp_path)
 
     def test_version_mismatch_points_at_migrate(self, writable_dir):
-        with sqlite3.connect(catalog_path(writable_dir)) as conn:
-            conn.execute("PRAGMA user_version = 99")
-        with pytest.raises(StorageError, match="classminer migrate"):
-            SQLCatalog(writable_dir)
+        """Older than the one version that converts, or newer: refused
+        before anything is written."""
+        path = catalog_path(writable_dir)
+        wal = path.with_name(path.name + "-wal")
+
+        def state():
+            return (
+                path.read_bytes(),
+                wal.read_bytes() if wal.exists() else None,
+                sorted(p.name for p in (writable_dir / "features").rglob("*")),
+            )
+
+        for version in (1, 2, 3, 99):
+            conn = sqlite3.connect(path)
+            conn.execute(f"PRAGMA user_version = {version}")
+            conn.close()
+            before = state()
+            with pytest.raises(SchemaVersionError, match="classminer migrate"):
+                SQLCatalog(writable_dir)
+            assert state() == before, version
 
 
 class TestReaders:

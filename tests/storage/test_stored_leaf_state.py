@@ -4,8 +4,9 @@
 one and the row signatures in the leaf's id block; an opened leaf maps
 both, and derives only its buckets.
 Held here: the stored arrays are the derived ones array for array (a
-12 k-shot corpus and a 2-shard cut), a v2 catalog — no ``reduced_sha`` —
-still opens, derives and answers the same bits, the feature store holds
+12 k-shot corpus and a 2-shard cut), a leaf with no ``reduced_sha`` — what
+an earlier build's conversion of a v2 catalog left — still opens, derives
+and answers the same bits, the feature store holds
 exactly the blocks the catalog references, and a re-save between
 ``open`` and a leaf's first touch is told apart by digest, not only by
 row count.
@@ -14,6 +15,7 @@ row count.
 from __future__ import annotations
 
 import mmap
+import sqlite3
 
 import numpy as np
 import pytest
@@ -24,13 +26,12 @@ from repro.database.query import search_hierarchical
 from repro.errors import StorageError
 from repro.net import build_shards
 from repro.storage import (
-    SCHEMA_VERSION,
     SQLCatalog,
     SQLVideoDatabase,
     build_synthetic_database,
+    catalog_path,
     save_database,
 )
-from tests.storage.test_id_blocks import rewind
 
 
 @pytest.fixture(scope="module")
@@ -103,21 +104,26 @@ def _answers(database, probes):
 
 
 def test_v2_catalog_opens_upgrades_and_derives(source_db, probes, tmp_path):
+    """A catalog converted from v2 by an earlier build: v5, but no leaf
+    names a reduced block, and none is stored."""
     save_database(source_db, tmp_path)
     with SQLCatalog(tmp_path) as catalog:
         v3_blocks = catalog.features.list_blocks()
-    rewind(tmp_path, 2)  # no reduced_sha, no reduced blocks
+        for info in catalog.leaf_infos():
+            assert catalog.features.delete(info.reduced_sha)
+    conn = sqlite3.connect(catalog_path(tmp_path))
+    with conn:
+        conn.execute("UPDATE leaves SET reduced_sha = NULL")
+    conn.close()
     opened = SQLVideoDatabase.open(tmp_path)
     try:
         catalog = opened.catalog
-        version = catalog._run(lambda c: c.execute("PRAGMA user_version").fetchone()[0])
-        assert int(version) == SCHEMA_VERSION  # converted on open
         assert all(info.reduced_sha is None for info in catalog.leaf_infos())
         assert _answers(opened, probes) == _answers(source_db, probes)
         for leaf in opened.leaves.values():
             assert not isinstance(leaf.reduced.base, mmap.mmap)  # the derive path
             _same_array(np.ascontiguousarray(leaf.reduced), np.asarray(leaf.block)[:, leaf.dims])
-        # The next save writes the v3 column, and the very blocks a v3 writer does.
+        # The next save writes the column, and the very blocks a v3 writer does.
         save_database(opened, tmp_path)
     finally:
         opened.close()

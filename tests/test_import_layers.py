@@ -512,9 +512,7 @@ UNREACHED: dict[str, str] = {
     "repro.skimming.browser.HierarchyBrowser.up": _NEXT,
     "repro.skimming.poster.read_ppm": _NEXT,
     "repro.skimming.skim.ScalableSkim.scroll_position": _NEXT,
-    "repro.types.EventKind.from_label": _NEXT,
     "repro.video.io.load_stream": _NEXT,
-    "repro.vision.histogram.histogram_l1_distance": _NEXT,
 }
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import VisionError
 from repro.vision.histogram import (
     histogram_intersection,
-    histogram_l1_distance,
     hsv_histogram,
 )
 from tests.helpers import blank_frame
@@ -54,20 +53,6 @@ class TestIntersection:
     def test_non_1d_raises(self):
         with pytest.raises(VisionError):
             histogram_intersection(np.ones((2, 2)) / 4, np.ones((2, 2)) / 4)
-
-
-class TestL1:
-    def test_l1_complements_intersection(self, rng):
-        h1 = hsv_histogram(rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
-        h2 = hsv_histogram(rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
-        # For normalised histograms: L1 = 2 * (1 - intersection).
-        assert histogram_l1_distance(h1, h2) == pytest.approx(
-            2.0 * (1.0 - histogram_intersection(h1, h2))
-        )
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(VisionError):
-            histogram_l1_distance(np.ones(4), np.ones(3))
 
 
 @given(seed=st.integers(0, 10_000))
