@@ -11,7 +11,7 @@ restricted to the leaf's discriminating sub-space:
 * ``codes`` + ``scale``/``offset`` — per-dim scalar-quantized uint8
   codes of the reduced rows;
 * ``sigs`` — each row's leaf-hash signature: the leaf's own
-  ``signatures`` array (stored once, shared by an opened store); the
+  ``signatures`` array (shared, not copied); the
   bucket row sets are the leaf's ``buckets``, not a second table.
 
 Bit-identity contract
@@ -44,11 +44,6 @@ from repro.core.kernels import (
     quantized_intersection_to_many,
 )
 from repro.database.index import leaf_signatures
-from repro.errors import (
-    FaultInjectedError,
-    IntegrityError,
-    StorageError,
-)
 
 #: Default cells probed per leaf when a query enables the ANN tier.
 #: Half the trained cells: recall@10 on the synthetic corpus is ~0.97 here
@@ -71,7 +66,6 @@ class AnnLeafIndex:
         "offset",
         "offset_total",
         "sigs",
-        "seed",
     )
 
     def __init__(
@@ -83,7 +77,6 @@ class AnnLeafIndex:
         scale: np.ndarray,
         offset: np.ndarray,
         sigs: np.ndarray,
-        seed: int = ANN_SEED,
     ) -> None:
         self.dims = np.asarray(dims, dtype=np.int64)
         self.centroids = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
@@ -93,20 +86,6 @@ class AnnLeafIndex:
         self.offset = np.asarray(offset, dtype=np.float64)
         self.offset_total = float(self.offset.sum())
         self.sigs = np.atleast_2d(np.asarray(sigs, dtype=np.int64))
-        self.seed = int(seed)
-        rows, width = self.codes.shape
-        if (
-            self.assign.shape != (rows,)
-            or self.sigs.shape[0] != rows
-            or self.centroids.shape[1] != width
-            or self.scale.shape != (width,)
-            or self.offset.shape != (width,)
-            or self.dims.shape != (width,)
-        ):
-            raise IntegrityError(
-                "ANN leaf index state is inconsistent (truncated or mismatched "
-                f"arrays for {rows} rows x {width} dims)"
-            )
 
     @property
     def n_cells(self) -> int:
@@ -114,7 +93,7 @@ class AnnLeafIndex:
         return int(self.centroids.shape[0])
 
     def digest(self) -> str:
-        """Content digest over every stored array (determinism probe)."""
+        """Content digest over every array (determinism probe)."""
         import hashlib  # here, not at module level: a shard worker hashes nothing
         hasher = hashlib.sha256()
         for array in (
@@ -200,7 +179,6 @@ def _train(
         scale=scale,
         offset=offset,
         sigs=sigs,
-        seed=seed,
     )
 
 
@@ -217,41 +195,19 @@ def train_leaf_ann(leaf) -> AnnLeafIndex:
     )
 
 
-def resolve_ann(node) -> tuple[AnnLeafIndex | None, bool]:
-    """The leaf node's ANN index: ``(index or None, degraded)``.
+def resolve_ann(node) -> AnnLeafIndex | None:
+    """The leaf node's ANN index, or None when the leaf has no rows.
 
     The tier lives on the leaf (``node.leaf.ann``), so it outlives the
-    tree.  Resolution order:
-
-    * an already-resolved :class:`AnnLeafIndex`;
-    * a loader (an opened store's persisted tier) — a storage failure
-      (missing/truncated code block, or the
-      ``storage.ann_block_missing`` fault point) returns
-      ``(None, True)`` and *keeps* the loader so a later query can
-      recover once the block is restored;
-    * a populated leaf with no persisted index builds one
-      deterministically on first use and caches it (a concurrent build
-      races benignly — both produce identical state).
-
-    ``(None, False)`` means the leaf simply has no ANN tier (empty
-    leaf, routing-metadata tree); the caller scans exactly.
+    tree: a cached :class:`AnnLeafIndex`, else one trained from what the
+    leaf holds (:func:`train_leaf_ann`) and cached.  A concurrent build
+    races benignly — both produce identical state.  Nothing is stored,
+    so the tier fails only where the leaf's own blocks do, with their
+    typed errors.
     """
     leaf = node.leaf
-    if leaf is None:
-        return None, False
-    if isinstance(leaf.ann, AnnLeafIndex):
-        return leaf.ann, False
-    index = None
-    if leaf.ann is not None:
-        try:
-            index = leaf.ann(leaf)
-        except (StorageError, IntegrityError, FaultInjectedError):
-            return None, True
-    if index is None:
-        # No persisted tier (a registered corpus, or a catalog written
-        # before the ANN schema): the deterministic build.
-        if leaf.dims is None or len(leaf) == 0:
-            return None, False
-        index = train_leaf_ann(leaf)
-    leaf.ann = index
-    return index, False
+    if leaf is None or len(leaf) == 0:
+        return None
+    if leaf.ann is None:
+        leaf.ann = train_leaf_ann(leaf)
+    return leaf.ann

@@ -29,7 +29,7 @@ from repro.errors import DatabaseError
 #: Coarse cells trained per leaf (clamped to the leaf population).
 DEFAULT_ANN_CELLS = 16
 
-#: Seed of every quantizer training run (persisted per leaf).
+#: Seed of every quantizer training run.
 ANN_SEED = 0
 
 #: Lloyd iterations; few suffice for a routing-quality clustering.
@@ -102,7 +102,7 @@ def scalar_quantize(
 def quantize_queries(
     data: np.ndarray, scale: np.ndarray, offset: np.ndarray
 ) -> np.ndarray:
-    """Encode query rows with a stored quantizer's scale/offset.
+    """Encode query rows with a trained quantizer's scale/offset.
 
     Values outside the training range clip to the code range ends —
     the monotone ``min`` decomposition stays valid because clipping can

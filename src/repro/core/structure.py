@@ -64,45 +64,6 @@ class MiningConfig:
             "cluster_target": self.cluster_target,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MiningConfig":
-        """Rebuild a config serialised by :meth:`to_dict`.
-
-        Unknown keys raise :class:`MiningError` so typos in experiment
-        manifests fail loudly rather than silently using defaults.
-        """
-        known = {
-            "weights",
-            "shot_window",
-            "min_scene_shots",
-            "merge_threshold",
-            "group_thresholds",
-            "cluster_target",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise MiningError(f"unknown MiningConfig keys: {sorted(unknown)}")
-        weights_data = data.get("weights")
-        weights = (
-            SimilarityWeights(**weights_data)
-            if weights_data is not None
-            else SimilarityWeights()
-        )
-        thresholds_data = data.get("group_thresholds")
-        thresholds = (
-            GroupThresholds(**thresholds_data)
-            if thresholds_data is not None
-            else None
-        )
-        return cls(
-            weights=weights,
-            shot_window=data.get("shot_window", DEFAULT_WINDOW),
-            min_scene_shots=data.get("min_scene_shots", 3),
-            merge_threshold=data.get("merge_threshold"),
-            group_thresholds=thresholds,
-            cluster_target=data.get("cluster_target"),
-        )
-
 
 @dataclass
 class ContentStructure:

@@ -329,7 +329,7 @@ class VideoDatabase:
         Relative order is preserved, within each leaf and across the
         corpus (ordinals are renumbered by rank); emptied leaves are
         dropped.  A leaf that loses no row keeps its arrays, its routing
-        and its persisted ANN tier; one that loses some keeps its routing
+        and the ANN tier it trained; one that loses some keeps its routing
         only when ``pin_routing`` says so (a shard routes like the corpus
         it was cut from), and with it its rows' reduced features and
         signatures, which follow from the row and the routing.

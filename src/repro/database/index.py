@@ -270,10 +270,9 @@ class LeafHashIndex:
     """One scene-concept leaf of the corpus: rows, routing, hash table.
 
     ``len()`` is known from construction, and so is ``ann`` — the leaf's
-    approximate tier: an ``AnnLeafIndex``, the loader of a persisted one
-    (called with the leaf, whose ``signatures`` the tier shares), or
-    ``None`` (resolved through ``repro.ann.index.resolve_ann``; untyped
-    so this layer does not import the ANN package).  Everything else is
+    approximate tier: an ``AnnLeafIndex`` or ``None`` until
+    ``repro.ann.index.resolve_ann`` trains one over this leaf (untyped so
+    this layer does not import the ANN package).  Everything else is
     an array in insertion order, read-only once set:
 
     ``rows``: ``block`` / ``ordinals`` / ``titles`` / ``shot_ids`` / ``scene_ids``
@@ -315,7 +314,7 @@ class LeafHashIndex:
         centers: np.ndarray | None = None,
         dims: np.ndarray | None = None,
         count: int | None = None,
-        ann: Callable[["LeafHashIndex"], object] | None = None,
+        ann: object | None = None,
     ) -> None:
         self.ann = ann
         self._load_lock = threading.Lock()

@@ -59,9 +59,6 @@ class QueryStats:
         (0 whenever ``nprobe`` is off or the scan could not prune).
     reranked:
         Leaf candidates the ANN tier's exact re-rank tail scored.
-    ann_degraded:
-        True when at least one leaf's ANN state failed to load and the
-        query fell back to that leaf's exact scan.
     """
 
     comparisons: int = 0
@@ -70,7 +67,6 @@ class QueryStats:
     elapsed_seconds: float = 0.0
     approx_comparisons: int = 0
     reranked: int = 0
-    ann_degraded: bool = False
 
 
 @dataclass
@@ -122,7 +118,6 @@ class LeafProbe(NamedTuple):
     count: int
     approx: int = 0
     reranked: int = 0
-    degraded: bool = False
     keys: Sequence = ()
     scores: Sequence[float] = ()
     items: Sequence = ()
@@ -142,18 +137,17 @@ def probe_leaf(
     and reports its bucket's true size, so a merge over shards can apply
     that rule at global scope.  With ``nprobe`` the ANN tier prunes those
     rows first; survivors keep ascending row order, so with nothing pruned
-    the ANN path is the exact path.  A leaf whose ANN state cannot load
-    scans exactly and reports ``degraded``.
+    the ANN path is the exact path.
     """
     leaf = node.leaf
     assert leaf is not None
     rows = leaf.candidate_rows(features)
     bucket = 0 if rows is None else int(rows.size)
-    ann, degraded, approx = None, False, 0
+    ann, approx = None, 0
     if nprobe is not None:
         from repro.ann.index import resolve_ann
 
-        ann, degraded = resolve_ann(node)
+        ann = resolve_ann(node)
         if ann is not None:
             with tracer.span("ann.prune") as prune_span:
                 base = np.arange(len(leaf)) if rows is None else rows
@@ -161,13 +155,13 @@ def probe_leaf(
                 prune_span.set(evals=approx, survivors=len(rows))
     scanned = len(leaf) if rows is None else int(rows.size)
     if not scanned:
-        return LeafProbe(bucket, 0, approx, 0, degraded)
+        return LeafProbe(bucket, 0, approx, 0)
     with tracer.span("score.exact", rows=scanned):
         scores = leaf.scan(features, rows)
     best = top_k(scores, k)
     keys = (best if rows is None else rows[best]).tolist()
     reranked = scanned if ann is not None else 0
-    return LeafProbe(bucket, scanned, approx, reranked, degraded, keys, scores[best].tolist())
+    return LeafProbe(bucket, scanned, approx, reranked, keys, scores[best].tolist())
 
 
 def merge_probes(
@@ -185,7 +179,6 @@ def merge_probes(
     """
     ranked: list[tuple] = []
     for position, probes in enumerate(answers):
-        stats.ann_degraded = stats.ann_degraded or any(p.degraded for p in probes)
         for probe in [p for p in probes if p.bucket] or probes:
             stats.comparisons += probe.count
             stats.ranked += probe.count
@@ -235,9 +228,7 @@ def search_hierarchical(
         ``nprobe`` coarse cells are considered per leaf, and survivors
         are re-ranked with the exact kernel.  ``nprobe >= cells``
         prunes nothing, so (with ``rerank_k=None``) results are
-        bit-identical to the exact path.  A leaf whose ANN state cannot
-        load falls back to its exact scan and flags
-        ``stats.ann_degraded``.
+        bit-identical to the exact path.
     rerank_k:
         Length of the exact re-rank tail per leaf.  None re-ranks every
         surviving candidate exactly — which makes the final ranking the

@@ -34,7 +34,7 @@ the single-process path (ids, scores, tie-break order):
 probes' ``count`` / ``approx`` / ``reranked`` sum into ``comparisons`` /
 ``approx_comparisons`` / ``reranked`` (plus the descent's comparisons
 for ``shot``; a flat or scene probe counts the shard's entries or
-scenes), and a degraded probe sets ``ann_degraded``; ``event`` = 0.
+scenes); ``event`` = 0.
 
 **Degradation.**  Each shard sits behind a circuit breaker; a shard
 that fails or is skipped by an open breaker is reported in
@@ -611,7 +611,6 @@ class ShardedQueryService:
             stats.comparisons,
             stats.approx_comparisons,
             stats.reranked,
-            stats.ann_degraded,
             tuple(sorted(missing)),
         )
 

@@ -93,7 +93,7 @@ class _ShardState:
         self.database = SQLVideoDatabase.open(shard_dir)
         ords_path = shard_dir / GLOBAL_ORDS_NAME
         if ords_path.exists():
-            self.global_ords = map_block(ords_path)
+            self.global_ords = map_block(ords_path, np.int64)
         else:  # an unsharded dir served as a single "shard"
             self.global_ords = np.arange(self.database.shot_count, dtype=np.int64)
         self.leaves: dict[str, IndexNode] = {}

@@ -62,7 +62,6 @@ KNOWN_FAULT_POINTS = (
     "serve.cache",
     "storage.db_locked",
     "storage.mmap_truncated",
-    "storage.ann_block_missing",
     "net.rpc",
     "net.connect_refused",
     "net.frame_corrupt",

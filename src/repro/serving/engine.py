@@ -108,10 +108,10 @@ class ServingResult:
     ``degraded`` is True when the answer comes from a weakened
     position: the last snapshot rebuild failed (so the generation is
     stale), the corpus contains videos whose mining fell back
-    somewhere, an ANN leaf fell back to its exact scan, or a shard
-    could not contribute.  The answer is still correct for the data it
-    covers — the flag tells the caller the evidence is not at full
-    strength.  It is recomputed on every answer, cache hits included.
+    somewhere, or a shard could not contribute.  The answer is still
+    correct for the data it covers — the flag tells the caller the
+    evidence is not at full strength.  It is recomputed on every answer,
+    cache hits included.
 
     ``shards_missing`` is only ever non-empty on answers produced by
     the sharded scatter-gather backend: it lists the shard ids whose
@@ -267,16 +267,15 @@ class ExplainSink:
 class BackendAnswer(NamedTuple):
     """What :meth:`QueryBackend.run` computed for one request.
 
-    ``ann_degraded`` and ``shards_missing`` describe *this execution*
-    only (they may heal on the very next query), which is why an answer
-    carrying either is never cached.
+    ``shards_missing`` describes *this execution* only (a lost shard may
+    heal on the very next query), which is why an answer carrying it is
+    never cached.
     """
 
     hits: tuple
     comparisons: int = 0
     approx_comparisons: int = 0
     reranked: int = 0
-    ann_degraded: bool = False
     shards_missing: tuple[int, ...] = ()
 
 
@@ -550,10 +549,10 @@ class QueryEngine:
         answer = backend.run(request, leaves, deadline, sink)
         if sink is not None:
             sink.phases["search"] = time.perf_counter() - search_start
-        # Weakness of this execution only — a fallback scan or a lost
-        # shard may heal on the very next query, so caching the answer
-        # would pin the weakened result for a whole generation.
-        transient = answer.ann_degraded or bool(answer.shards_missing)
+        # Weakness of this execution only — a lost shard may heal on the
+        # very next query, so caching the answer would pin the weakened
+        # result for a whole generation.
+        transient = bool(answer.shards_missing)
         result = ServingResult(
             kind=request.kind,
             hits=answer.hits,

@@ -92,7 +92,6 @@ class SnapshotBackend:
                 stats.comparisons,
                 stats.approx_comparisons,
                 stats.reranked,
-                stats.ann_degraded,
             )
         if request.kind == "shot_flat":
             result = snapshot.search_flat(request.features, k=request.k)

@@ -167,20 +167,22 @@ def _warm_center_blocks(root: IndexNode) -> None:
 
 
 def warm_ann_indexes(snapshot: Snapshot) -> int:
-    """Resolve (load or build) every leaf's ANN index ahead of queries.
+    """Build every leaf's ANN index ahead of queries.
 
     Called by servers configured with a default ``nprobe`` so the first
-    ANN query after a generation swap pays no loading cost.  A leaf
-    whose persisted state cannot load right now is skipped — the query
-    path degrades (and retries) per leaf.  Returns the number of leaves
-    with a ready index.
+    ANN query after a generation swap pays no training cost.  A leaf
+    whose blocks cannot load right now is skipped — its queries raise
+    the same typed error.  Returns the number of leaves with a ready
+    index.
     """
     from repro.ann.index import resolve_ann
 
     ready = 0
     for node in snapshot.index_root.iter_leaves():
-        index, _degraded = resolve_ann(node)
-        ready += index is not None
+        try:
+            ready += resolve_ann(node) is not None
+        except ReproError:
+            pass
     return ready
 
 

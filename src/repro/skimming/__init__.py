@@ -9,7 +9,7 @@ from repro.skimming.colorbar import (
     render_text_bar,
 )
 from repro.skimming.levels import SKIM_LEVELS, build_level_shots
-from repro.skimming.poster import compose_poster, read_ppm, save_poster, write_ppm
+from repro.skimming.poster import compose_poster, save_poster, write_ppm
 from repro.skimming.report_html import encode_bmp, render_report, save_report
 from repro.skimming.quality import (
     QualityScores,
@@ -49,7 +49,6 @@ __all__ = [
     "objective_scores",
     "panel_scores",
     "pictorial_summary",
-    "read_ppm",
     "render_report",
     "render_storyboard",
     "save_poster",

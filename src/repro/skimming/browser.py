@@ -33,12 +33,6 @@ class BrowseLevel(str, Enum):
         index = order.index(self)
         return order[min(index + 1, len(order) - 1)]
 
-    def coarser(self) -> "BrowseLevel":
-        """The next level up (clamped at clusters)."""
-        order = list(BrowseLevel)
-        index = order.index(self)
-        return order[max(index - 1, 0)]
-
 
 @dataclass(frozen=True)
 class BrowseEntry:
@@ -154,14 +148,6 @@ class HierarchyBrowser:
         self._path.append(self._cursor)
         self._level = self._level.finer()
         self._cursor = 0
-        return self._level
-
-    def up(self) -> BrowseLevel:
-        """Return to the parent listing."""
-        if self._level is BrowseLevel.CLUSTERS:
-            raise SkimmingError("already at the top level")
-        self._cursor = self._path.pop()
-        self._level = self._level.coarser()
         return self._level
 
     def breadcrumb(self) -> str:

@@ -87,25 +87,6 @@ def write_ppm(image: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(header + image.tobytes())
 
 
-def read_ppm(path: str | Path) -> np.ndarray:
-    """Read back a binary PPM written by :func:`write_ppm`."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(b"P6"):
-        raise SkimmingError(f"{path} is not a binary PPM")
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4:
-        raise SkimmingError(f"{path} has a truncated PPM header")
-    try:
-        width, height = (int(x) for x in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as exc:
-        raise SkimmingError(f"{path} has a malformed PPM header: {exc}") from exc
-    if maxval != 255:
-        raise SkimmingError("only 8-bit PPM is supported")
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=height * width * 3)
-    return pixels.reshape(height, width, 3).copy()
-
-
 def save_poster(
     skim: ScalableSkim,
     path: str | Path,

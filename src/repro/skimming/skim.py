@@ -68,17 +68,6 @@ class ScalableSkim:
             segment.shot.length for segment in self.segments(level)
         )
 
-    def scroll_position(self, segment_index: int, level: int | None = None) -> float:
-        """Scroll-bar position in [0, 1] of a skim segment.
-
-        Mirrors the tool's scroll bar: the position of the current
-        skimming shot among all shots in the video.
-        """
-        segments = self.segments(level)
-        if not 0 <= segment_index < len(segments):
-            raise SkimmingError(f"segment index {segment_index} out of range")
-        return segments[segment_index].shot.start / max(self.total_frames - 1, 1)
-
     def seek(self, position: float, level: int | None = None) -> SkimSegment:
         """Drag the scroll bar: the skim segment nearest ``position``."""
         if not 0.0 <= position <= 1.0:

@@ -5,9 +5,9 @@ parse the whole corpus before the first query.  This subsystem splits
 durable state into two pieces sized for their access patterns:
 
 * :class:`SQLCatalog` — everything per video and per leaf (videos,
-  events, leaf metadata and routing, ANN state) in one WAL-mode SQLite
-  file with a versioned schema;
-* :class:`FeatureStore` — every per-row array (features, ids, codes) as
+  events, leaf metadata and routing) in one WAL-mode SQLite file with a
+  versioned schema;
+* :class:`FeatureStore` — every per-row array (features, ids) as
   content-addressed, memory-mapped ``.npy`` blocks behind a bounded
   LRU of open handles.
 

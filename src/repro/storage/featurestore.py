@@ -59,9 +59,8 @@ class BlockRef:
 
     @property
     def nbytes(self) -> int:
-        """Payload size of the block at float64 width (the feature-matrix
-        common case; quantized uint8 code blocks are 8x smaller on disk,
-        which the ANN docs quote from file sizes, not this property)."""
+        """Payload size of the block (both dtypes the store writes are
+        8 bytes wide)."""
         return self.rows * self.cols * 8
 
 
@@ -99,29 +98,28 @@ def _header(shape: tuple[int, ...], dtype: np.dtype) -> bytes:
 
 
 #: The fields of a header :func:`_header` renders for a 1-D or 2-D block of
-#: a dtype the store writes; the match only finds the shape and dtype that
+#: a dtype the store writes; the match only finds the shape that
 #: :func:`map_block` renders back and compares byte for byte.
 _FIELDS = re.compile(
-    rb"\{'descr': '(<f8|<i8|\|u1)', 'fortran_order': False, 'shape': \((\d+),(?: (\d+))?\), \}"
+    rb"\{'descr': '(?:<f8|<i8)', 'fortran_order': False, 'shape': \((\d+),(?: (\d+))?\), \}"
 )
 
 
-def map_block(path: Path, mapping_type: type[mmap.mmap] = mmap.mmap) -> np.ndarray:
+def map_block(path: Path, dtype, mapping_type: type[mmap.mmap] = mmap.mmap) -> np.ndarray:
     """A read-only ndarray over the ``.npy`` file at ``path`` whose header is
     byte for byte the one :meth:`FeatureStore.put` or ``np.save`` write for
-    a C-order 1-D or 2-D ``<f8``, ``<i8`` or ``|u1`` block (``ValueError``
-    for any other header or size).  Nothing is parsed: the header is found
-    by its fields, rendered back and compared."""
+    a C-order 1-D or 2-D block of ``dtype`` (``<f8`` or ``<i8``; the caller
+    knows which it stores there).  ``ValueError`` for any other header or
+    size.  Nothing is parsed: the shape is found by its field, the header
+    rendered back for ``dtype`` and compared."""
+    dtype = np.dtype(dtype)
     with open(path, "rb") as handle:
         header = handle.read(10)  # magic, version, little-endian header length
         header += handle.read(int.from_bytes(header[8:10], "little"))
         fields = _FIELDS.match(header, 10)
-        if fields is None:
-            raise ValueError("not a header FeatureStore.put writes")
-        descr, *dims = fields.groups()
-        shape, dtype = tuple(int(n) for n in dims if n is not None), np.dtype(descr.decode())
-        if _header(shape, dtype) != header:
-            raise ValueError("not a header FeatureStore.put writes")
+        shape = () if fields is None else tuple(int(n) for n in fields.groups() if n is not None)
+        if fields is None or _header(shape, dtype) != header:
+            raise ValueError(f"not a header FeatureStore.put writes for a {dtype} block")
         mapping = mapping_type(handle.fileno(), 0, access=mmap.ACCESS_READ)
     cells = len(mapping) - len(header)
     if cells != math.prod(shape) * dtype.itemsize:
@@ -179,10 +177,8 @@ class FeatureStore:
         The write is atomic — the bytes land in a temp file first and
         are renamed into place — so a crash can never leave a
         half-written block under a valid digest name.
-        ``dtype`` defaults to the float64 feature-matrix layout; the ANN
-        tier stores uint8 code blocks and the id blocks int64 through the
-        same path (the header records the dtype, so :meth:`open` needs no
-        hint).
+        ``dtype`` defaults to the float64 feature-matrix layout; the id
+        blocks are int64, and :meth:`open` is told which it reads.
         """
         matrix = np.ascontiguousarray(matrix, dtype=dtype)
         if matrix.ndim != 2:
@@ -210,23 +206,28 @@ class FeatureStore:
             Path(tmp_name).unlink(missing_ok=True)
         return ref
 
-    def open(self, sha: str, resident: bool = True) -> np.ndarray:
+    def open(self, sha: str, resident: bool = True, dtype=np.float64) -> np.ndarray:
         """Memory-map the block addressed by ``sha`` (read-only).
 
         Served from the LRU when already mapped; otherwise the file is
         mapped and the least recently used handle beyond the bound is
         dropped.  ``resident=False`` is for a block only a full scan reads
         whole (a leaf's 266-d rows): the kernels' chunk loop gives its
-        pages back as it moves on.  A missing block raises
-        :class:`~repro.errors.StorageError`; a truncated one, or one whose
-        header :meth:`put` would not write, raises
-        :class:`~repro.errors.IntegrityError`, matching the artifact
-        store's corruption contract.
+        pages back as it moves on.  ``dtype`` is the one the catalog
+        stored there (an id block's ``np.int64``).  A missing block raises
+        :class:`~repro.errors.StorageError`; a truncated one, one whose
+        header :meth:`put` would not write for ``dtype``, or a cached map
+        of another dtype raises :class:`~repro.errors.IntegrityError`,
+        matching the artifact store's corruption contract.
         """
         fault_point("storage.mmap_truncated")
         with self._lock:
             cached = self._open.get(sha)
             if cached is not None:
+                if cached.dtype != dtype:
+                    raise IntegrityError(
+                        f"feature block {sha[:12]}… is {cached.dtype}, not {np.dtype(dtype)}"
+                    )
                 self._open.move_to_end(sha)
                 self._hits.inc()
                 return cached
@@ -234,7 +235,7 @@ class FeatureStore:
         if not path.exists():
             raise StorageError(f"no feature block {sha[:12]}… in {self._root}")
         try:
-            block = map_block(path, mmap.mmap if resident else _ScanMapping)
+            block = map_block(path, dtype, mmap.mmap if resident else _ScanMapping)
         except (OSError, ValueError) as exc:
             raise IntegrityError(
                 f"feature block {sha[:12]}… is corrupt or truncated: {exc}"

@@ -15,7 +15,6 @@ stored catalog behind them, and nothing else:
 * :func:`_stored_scenes` — the scene table: the stored centroid block
   (the mmap *is* the centroid matrix) plus the columns of its id block,
   loaded on the first scene search.
-* :func:`_ann_index_for` — a leaf's persisted ANN tier.
 * :class:`SQLVideoDatabase` — a :class:`VideoDatabase` whose leaves,
   records and scene table start out as those sources.  It overrides no
   query, build or mutation method: registering or unregistering on an
@@ -44,7 +43,6 @@ from repro.database.hierarchy import ensure_subject_area
 from repro.database.index import LeafHashIndex, LeafRows
 from repro.database.scene_search import SceneIndex, SceneTable
 from repro.errors import IngestError, StorageError
-from repro.resilience.faults import fault_point
 from repro.storage.featurestore import DEFAULT_MAX_OPEN
 from repro.storage.schema import catalog_path
 from repro.storage.sqlcatalog import LeafInfo, SQLCatalog
@@ -70,7 +68,7 @@ def _stored_rows(
             f"with {info.entry_count} entries in block {info.block.sha[:12]}…, "
             f"the catalog now lists another — the directory was re-saved; reopen it"
         )
-    ids = catalog.features.open(info.ids_sha)
+    ids = catalog.features.open(info.ids_sha, dtype=np.int64)
     block = catalog.features.open(info.block.sha, resident=False)
     stored = {"signatures": ids[:, 4:]}
     if info.reduced_sha is not None:
@@ -105,36 +103,6 @@ def _stored_scenes(catalog: SQLCatalog, titles: np.ndarray, opened: tuple) -> Sc
     )
 
 
-def _ann_index_for(catalog: SQLCatalog, info: LeafInfo, leaf: LeafHashIndex):
-    """Load one leaf's persisted ANN index out-of-core (None when absent).
-
-    The small trained arrays come from the catalog row and the row
-    signatures are the leaf's own (one array, stored once); the uint8 code
-    matrix stays a read-only mmap from the feature store, so enabling
-    the ANN tier adds ~1/8th of a leaf block's bytes to the working
-    set, paged in on demand.  The ``storage.ann_block_missing`` fault
-    point (and any real missing/truncated code block) surfaces as the
-    store's typed errors, which the query layer degrades on.
-    """
-    from repro.ann.index import AnnLeafIndex
-
-    fault_point("storage.ann_block_missing")
-    row = catalog.ann_leaf_row(info.name)
-    if row is None:
-        return None
-    codes = catalog.features.open(row.code_sha)
-    return AnnLeafIndex(
-        dims=info.dims,
-        centroids=row.centroids,
-        assign=row.assign,
-        codes=codes,
-        scale=row.scale,
-        offset=row.offset,
-        sigs=leaf.signatures,
-        seed=row.seed,
-    )
-
-
 class SQLVideoDatabase(VideoDatabase):
     """A :class:`VideoDatabase` opened from a SQL catalog.
 
@@ -159,10 +127,6 @@ class SQLVideoDatabase(VideoDatabase):
                 info.centers,
                 info.dims,
                 count=info.entry_count,
-                # Resolved (and cached on the leaf) by the first ANN query,
-                # which hands the loader the leaf; a load failure keeps the
-                # loader so a later query recovers.
-                ann=partial(_ann_index_for, catalog, info),
             )
             self._total += info.entry_count
         scenes = catalog.scene_block()

@@ -8,11 +8,10 @@ One database directory gains two durable pieces::
                          (:mod:`repro.storage.featurestore`)
 
 The catalog holds what is *per video* and *per leaf* — videos, scene
-events, leaf metadata and routing, ANN quantizer state and scene-table
-bookkeeping.  Everything *per row* lives outside SQLite as
-memory-mapped ``.npy`` blocks referenced by sha256:
-a leaf's ``(N, 266)`` float64 rows, its reduced block and ANN codes, and
-its ``(N, 6)`` int64 id block (flat ordinal, title code, shot id, scene
+events, leaf metadata and routing, and scene-table bookkeeping.
+Everything *per row* lives outside SQLite as memory-mapped ``.npy``
+blocks referenced by sha256: a leaf's ``(N, 266)`` float64 rows, its
+reduced block and its ``(N, 6)`` int64 id block (flat ordinal, title code, shot id, scene
 id, two signature columns); the scene table's centroid block and its
 ``(S, 3)`` id block (title code, scene id, shot count).  A title code is
 the video's position in ``videos`` rowid order.
@@ -31,13 +30,14 @@ import sqlite3
 from pathlib import Path
 
 from repro.errors import SchemaVersionError, StorageError
+from repro.storage.featurestore import FeatureStore
 
 #: Current on-disk schema generation (``PRAGMA user_version``).
-#: v5 dropped the stored text-search documents (``search_docs`` and the
-#: index over them), which text search now derives from the catalog at
-#: query time.  A v4 catalog converts in place on open (:func:`_upgrade`);
-#: each bump replaces that step with its own.
-SCHEMA_VERSION = 5
+#: v6 dropped the stored ANN tier (its quantizer rows and uint8 code
+#: blocks), which a process now trains from the leaf it opened.  A v5
+#: catalog converts in place on open (:func:`_upgrade`); each bump
+#: replaces that step with its own.
+SCHEMA_VERSION = 6
 
 #: File name of the SQL catalog inside a database directory.
 CATALOG_NAME = "catalog.sqlite"
@@ -94,23 +94,6 @@ SCHEMA_STATEMENTS = (
         ids_sha   TEXT
     )
     """,
-    # Per-leaf ANN tier (schema v2).  The small trained arrays live
-    # inline as BLOBs; the bulky uint8 code matrix is a content-addressed
-    # feature-store block referenced by code_sha, GC'd like any other.
-    """
-    CREATE TABLE IF NOT EXISTS ann_leaves (
-        leaf      TEXT PRIMARY KEY,
-        cells     INTEGER NOT NULL,
-        seed      INTEGER NOT NULL,
-        code_sha  TEXT NOT NULL,
-        rows      INTEGER NOT NULL,
-        cols      INTEGER NOT NULL,
-        centroids BLOB NOT NULL,
-        "assign"  BLOB NOT NULL,
-        scale     BLOB NOT NULL,
-        "offset"  BLOB NOT NULL
-    )
-    """,
 )
 
 #: Every data table, in deletion order for a full catalog replace.
@@ -119,7 +102,6 @@ DATA_TABLES = (
     "video_events",
     "leaves",
     "scene_block",
-    "ann_leaves",
 )
 
 
@@ -145,7 +127,8 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
     (without ``create``) or unreadable, and its
     :class:`~repro.errors.SchemaVersionError` — before anything is
     written — for a ``user_version`` other than :data:`SCHEMA_VERSION`
-    or the one before it, which converts in place.
+    or the one before it, which converts in place; the feature blocks
+    only the old version referenced are deleted once it has.
     """
     path = Path(path)
     if not create and not path.exists():
@@ -174,10 +157,14 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
             # Two processes may open the same old catalog at once: take
             # the write lock, then see whether it is still left to convert.
             conn.execute("BEGIN IMMEDIATE")
+            dropped: list[str] = []
             if int(conn.execute("PRAGMA user_version").fetchone()[0]) < SCHEMA_VERSION:
-                _upgrade(conn)
+                dropped = _upgrade(conn)
                 conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             conn.commit()
+            store = FeatureStore(features_path(path.parent))
+            for sha in dropped:
+                store.delete(sha)
     except sqlite3.Error as exc:
         conn.close()
         raise StorageError(f"cannot initialise catalog {path}: {exc}") from exc
@@ -187,17 +174,14 @@ def connect(path: str | Path, create: bool = False) -> sqlite3.Connection:
     return conn
 
 
-def _upgrade(conn: sqlite3.Connection) -> None:
-    """Convert a v4 catalog to v5 inside the caller's write transaction.
+def _upgrade(conn: sqlite3.Connection) -> list[str]:
+    """Convert a v5 catalog to v6 inside the caller's write transaction.
 
-    The catalog loses its stored text-search copy: the ``search_docs``
-    rows, the FTS5 table ``search_fts`` over them and the ``meta`` row
-    ``fts``.  A linked SQLite without the FTS5 module cannot drop
-    ``search_fts``; that inert table stays, as nothing reads it.
+    The catalog loses its stored ANN tier, the ``ann_leaves`` rows; the
+    digests of their uint8 code blocks are returned for the caller to
+    delete once the conversion commits.  A code block's ``|u1`` header
+    differs from every float64 or int64 block's, so no row left names it.
     """
-    try:
-        conn.execute("DROP TABLE IF EXISTS search_fts")
-    except sqlite3.OperationalError:  # no FTS5 module to drop it with
-        pass
-    conn.execute("DROP TABLE IF EXISTS search_docs")
-    conn.execute("DELETE FROM meta WHERE key = 'fts'")
+    codes = [sha for (sha,) in conn.execute("SELECT code_sha FROM ann_leaves")]
+    conn.execute("DROP TABLE ann_leaves")
+    return codes

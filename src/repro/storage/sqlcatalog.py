@@ -52,8 +52,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ann.index import train_leaf_ann
-from repro.ann.quantizer import ANN_SEED
 from repro.database.catalog import RegisteredVideo, VideoDatabase
 from repro.errors import FaultInjectedError, StorageError
 from repro.obs.registry import get_registry
@@ -109,23 +107,6 @@ class LeafInfo:
     #: The ``(n, 6)`` int64 id block: flat ordinal, title code, shot id,
     #: scene id and the two signature columns, in block-row order.
     ids_sha: str
-
-
-@dataclass(frozen=True)
-class AnnLeafRow:
-    """Stored ANN quantizer state of one leaf (codes live in a block; the
-    row signatures are the leaf's, in its id block)."""
-
-    leaf: str
-    cells: int
-    seed: int
-    code_sha: str
-    rows: int
-    cols: int
-    centroids: np.ndarray
-    assign: np.ndarray
-    scale: np.ndarray
-    offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -326,37 +307,6 @@ class SQLCatalog:
 
         return self._run(op)
 
-    def ann_leaf_row(self, name: str) -> AnnLeafRow | None:
-        """One leaf's stored ANN quantizer state (None when absent).
-
-        A leaf of a catalog an earlier build converted from v1 has no
-        row; callers fall back to an in-process deterministic build.
-        """
-        def op(conn: sqlite3.Connection):
-            return conn.execute(
-                "SELECT cells, seed, code_sha, rows, cols, centroids, "
-                '"assign", scale, "offset" FROM ann_leaves WHERE leaf = ?',
-                (name,),
-            ).fetchone()
-
-        row = self._run(op)
-        if row is None:
-            return None
-        cells, seed, code_sha, rows, cols, centroids, assign, scale, offset = row
-        rows, cols, cells = int(rows), int(cols), int(cells)
-        return AnnLeafRow(
-            leaf=name,
-            cells=cells,
-            seed=int(seed),
-            code_sha=str(code_sha),
-            rows=rows,
-            cols=cols,
-            centroids=_unpack_f64(centroids, cells, cols),
-            assign=_unpack_i64(assign, rows),
-            scale=np.frombuffer(scale, dtype=np.float64).copy(),
-            offset=np.frombuffer(offset, dtype=np.float64).copy(),
-        )
-
     def leaf_digests(self, name: str) -> tuple[str, str | None, str] | None:
         """What the catalog lists for a leaf *now*, in one statement:
         ``(block, reduced block, id block)`` digests (None: no such leaf).
@@ -375,7 +325,7 @@ class SQLCatalog:
         titles = self._titles()
         return [
             EntryRow(ord=o, leaf=name, row=row, video_title=titles[t], shot_id=s, scene_id=c)
-            for row, (o, t, s, c) in enumerate(self._features.open(stored[2])[:, :4].tolist())
+            for row, (o, t, s, c) in enumerate(self._features.open(stored[2], dtype=np.int64)[:, :4].tolist())
         ]
 
     def scene_block(self) -> tuple[str, str, int] | None:
@@ -394,7 +344,7 @@ class SQLCatalog:
         stored = self.scene_block()
         if stored is None:
             return None, [()] * 4
-        ids = self._features.open(stored[1])
+        ids = self._features.open(stored[1], dtype=np.int64)
         titles = (self._titles() if titles is None else titles)[ids[:, 0]]
         events = {(t, s): e for t, s, e in self._run(lambda conn: conn.execute(
             "SELECT title, scene_id, event FROM video_events"
@@ -510,7 +460,7 @@ class SQLCatalog:
             return ref
 
         def stored(ref: BlockRef) -> np.ndarray:  # a map of its own, not an LRU slot
-            return map_block(self._features.path_for(ref.sha))
+            return map_block(self._features.path_for(ref.sha), np.float64)
 
         # Leaf blocks and routing, in leaf creation order, straight from
         # the arrays the leaves hold.  A title code is the title's position
@@ -519,12 +469,13 @@ class SQLCatalog:
         code = {title: position for position, title in enumerate(records)}
         leaves = database.leaves
         leaves_payload = []
-        ann_payload = []
         for position, (name, leaf) in enumerate(leaves.items()):
             ref = put(leaf.block)
             # What a leaf scan reads, so an opened store maps it instead
-            # of paging every 266-d row in to gather it again.
+            # of paging every 266-d row in to gather it again; the leaf
+            # reads the stored copy from here on.
             reduced_ref = put(leaf.reduced)
+            leaf.adopt(stored(reduced_ref))
             ids = np.column_stack((
                 leaf.ordinals, [code[title] for title in leaf.titles.tolist()],
                 leaf.shot_ids, leaf.scene_ids, leaf.signatures,
@@ -537,24 +488,6 @@ class SQLCatalog:
                     _pack(np.asarray(leaf.dims, dtype=np.int64)),
                     int(leaf.dims.shape[0]),
                     reduced_ref.sha, put(ids, dtype=np.int64).sha,
-                )
-            )
-            # ANN tier: train this leaf's quantizer here so every saved
-            # catalog (including each shard's, which trains over its own
-            # rows) carries a ready index.  Deterministic in the leaf
-            # population, so re-saving an unchanged corpus re-derives
-            # the same codes block and content addressing dedups it.
-            ann = train_leaf_ann(leaf)
-            code_ref = put(ann.codes, dtype=np.uint8)
-            # Training read the RAM copy (a map here would page it back in);
-            # nothing later in this save does, so the leaf reads the stored one.
-            leaf.adopt(stored(reduced_ref))
-            ann_payload.append(
-                (
-                    name, ann.n_cells, ANN_SEED, code_ref.sha,
-                    code_ref.rows, code_ref.cols,
-                    _pack(ann.centroids), _pack(ann.assign),
-                    _pack(ann.scale), _pack(ann.offset),
                 )
             )
 
@@ -614,12 +547,6 @@ class SQLCatalog:
                         "VALUES (1, ?, ?, ?, ?)",
                         scene_payload,
                     )
-                conn.executemany(
-                    "INSERT INTO ann_leaves (leaf, cells, seed, code_sha, "
-                    'rows, cols, centroids, "assign", scale, "offset") '
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    ann_payload,
-                )
                 conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value) "
                     "VALUES ('subject_areas', ?)",
@@ -660,7 +587,7 @@ class SQLCatalog:
                 "SELECT block_sha FROM leaves UNION "
                 "SELECT reduced_sha FROM leaves WHERE reduced_sha IS NOT NULL UNION "
                 "SELECT ids_sha FROM leaves UNION SELECT block_sha FROM scene_block "
-                "UNION SELECT ids_sha FROM scene_block UNION SELECT code_sha FROM ann_leaves"
+                "UNION SELECT ids_sha FROM scene_block"
             ).fetchall()
 
         return {str(row[0]) for row in self._run(op)}

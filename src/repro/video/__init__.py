@@ -2,7 +2,7 @@
 
 from repro.video.frame import DEFAULT_HEIGHT, DEFAULT_WIDTH, Frame
 from repro.video.ground_truth import GroundTruth, SceneSpan, ShotSpan
-from repro.video.io import load_stream, save_stream
+from repro.video.io import save_stream
 from repro.video.stream import FrameStream, VideoStream
 
 __all__ = [
@@ -14,6 +14,5 @@ __all__ = [
     "SceneSpan",
     "ShotSpan",
     "VideoStream",
-    "load_stream",
     "save_stream",
 ]

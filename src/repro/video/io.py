@@ -1,9 +1,9 @@
-"""Persistence for generated videos: save/load streams with audio.
+"""Persistence for generated videos: save a stream with its audio.
 
 The synthetic generator is deterministic, but rendering a corpus video
 still costs a couple of seconds; pipelines that iterate on mining
 parameters can snapshot the rendered stream (npz: frames + audio + fps)
-and reload it instantly.
+and read the members back with ``np.load``.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.audio.waveform import Waveform
-from repro.errors import VideoError
-from repro.video.frame import Frame
 from repro.video.stream import VideoStream
 
 #: Format marker written into every snapshot.
@@ -35,37 +32,3 @@ def save_stream(stream: VideoStream, path: str | Path) -> None:
         payload["audio_rate"] = np.array(stream.audio.sample_rate)
     np.savez_compressed(path, **payload)
 
-
-def load_stream(path: str | Path) -> VideoStream:
-    """Reload a stream written by :func:`save_stream`.
-
-    Raises :class:`VideoError` for missing files, foreign formats, or
-    corrupted payloads.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise VideoError(f"no such snapshot: {path}")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["version"])
-            if version != FORMAT_VERSION:
-                raise VideoError(
-                    f"snapshot version {version} not supported "
-                    f"(expected {FORMAT_VERSION})"
-                )
-            frames_array = data["frames"]
-            fps = float(data["fps"])
-            title = str(data["title"])
-            audio = None
-            if "audio_samples" in data:
-                audio = Waveform(
-                    samples=data["audio_samples"],
-                    sample_rate=int(data["audio_rate"]),
-                )
-    except VideoError:
-        raise
-    except Exception as exc:  # corrupt zip / missing keys / bad dtype
-        raise VideoError(f"cannot load snapshot {path}: {exc}") from exc
-
-    frames = [Frame(pixels=frames_array[i]) for i in range(frames_array.shape[0])]
-    return VideoStream(frames=frames, fps=fps, title=title, audio=audio)

@@ -45,7 +45,6 @@ class TestBitIdenticalAtFullProbe:
             # No cell pruned and no tail bound: the uint8 scan never ran.
             assert ann.stats.approx_comparisons == 0
             assert ann.stats.reranked == ann.stats.ranked
-            assert not ann.stats.ann_degraded
 
     def test_k_sweep_matches_exact(self, ann_db, probes):
         for k in (1, 3, 1000):
@@ -173,10 +172,9 @@ class TestResolveAnn:
             if node.leaf is not None and len(node.leaf) > 0
         )
         leaf.leaf.ann = None
-        first, degraded = resolve_ann(leaf)
+        first = resolve_ann(leaf)
         assert isinstance(first, AnnLeafIndex)
-        assert not degraded
-        again, _ = resolve_ann(leaf)
+        again = resolve_ann(leaf)
         assert again is first
 
     def test_rebuild_is_deterministic(self, ann_db):

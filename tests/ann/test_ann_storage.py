@@ -1,27 +1,30 @@
-"""The persisted ANN tier: round-trip fidelity and degrade paths.
+"""The ANN tier over an opened catalog: built from the leaf, never stored.
 
-A saved catalog carries each leaf's trained quantizer; the lazy view
-must answer ANN queries bit-identically to the eager path, a missing
-or fault-injected code block must *degrade* to the exact scan (and
-recover once the block is back), and a catalog with no ``ann_leaves``
-rows — what an earlier build's conversion of a v1 catalog left — must
-still serve ANN queries via the deterministic in-process build.
+A saved catalog holds no quantizer state; the first ANN query on an
+opened leaf trains the tier from the leaf's mapped reduced block and its
+stored signatures.  Held here: an opened catalog, and each shard of a
+2-shard cut, answers ANN queries bit-identically to the in-RAM tier, at
+full probe and pruning; the tier built over an opened leaf is the
+from-rows oracle's, sharing the leaf's signatures; and a damaged leaf
+block is the same typed error on an ANN query as on an exact one.
 """
 
 from __future__ import annotations
 
-import sqlite3
+import shutil
 
 import numpy as np
 import pytest
 
-from repro.ann.index import build_leaf_ann
+from repro.ann.index import AnnLeafIndex, build_leaf_ann, resolve_ann
 from repro.database.query import search_hierarchical
-from repro.resilience.faults import FaultPlan, FaultSpec, inject
-from repro.storage import SQLCatalog, SQLVideoDatabase, catalog_path, save_database
-from repro.storage.lazy import _ann_index_for
+from repro.errors import IntegrityError
+from repro.net import build_shards
+from repro.storage import SQLVideoDatabase, save_database
 
 from .test_ann_equivalence import NPROBE_ALL, hits
+
+KNOBS = [dict(nprobe=NPROBE_ALL), dict(nprobe=2, rerank_k=8)]
 
 
 @pytest.fixture(scope="module")
@@ -38,118 +41,63 @@ def lazy_db(ann_dir):
     database.close()
 
 
+def _answers(database, probes, knobs) -> list:
+    """Hits and the work behind them, for every probe."""
+    out = []
+    for probe in probes:
+        result = search_hierarchical(database.index_root, probe, k=10, **knobs)
+        stats = result.stats
+        out.append((hits(result), stats.comparisons, stats.approx_comparisons, stats.reranked))
+    return out
+
+
 class TestPersistedRoundTrip:
     def test_lazy_ann_matches_eager_exact(self, ann_db, lazy_db, probes):
-        for probe in probes:
-            exact = search_hierarchical(ann_db.index_root, probe, k=10)
-            lazy_ann = search_hierarchical(
-                lazy_db.index_root, probe, k=10, nprobe=NPROBE_ALL
-            )
-            assert hits(lazy_ann) == hits(exact)
-            assert lazy_ann.stats.comparisons == exact.stats.comparisons
-            assert not lazy_ann.stats.ann_degraded
+        full = _answers(lazy_db, probes, KNOBS[0])
+        assert full == _answers(ann_db, probes, KNOBS[0])
+        # Every cell probed and every survivor re-ranked: the exact path.
+        assert [a[:2] for a in full] == [a[:2] for a in _answers(lazy_db, probes, {})]
 
     def test_lazy_and_eager_ann_agree_when_pruning(self, ann_db, lazy_db, probes):
-        for probe in probes[:3]:
-            eager = search_hierarchical(
-                ann_db.index_root, probe, k=10, nprobe=2, rerank_k=8
-            )
-            lazy = search_hierarchical(
-                lazy_db.index_root, probe, k=10, nprobe=2, rerank_k=8
-            )
-            assert hits(lazy) == hits(eager)
-            assert lazy.stats.approx_comparisons == eager.stats.approx_comparisons
-
-    def test_every_leaf_has_a_stored_quantizer(self, ann_db, lazy_db):
-        catalog = lazy_db.catalog
-        for info in catalog.leaf_infos():
-            row = catalog.ann_leaf_row(info.name)
-            assert row is not None
-            assert row.rows == info.block.rows
-            # The stored state reproduces a fresh build bit for bit.
-            population = catalog.features.open(info.block.sha)
-            rebuilt = build_leaf_ann(np.asarray(population), info.dims)
-            leaf = lazy_db.leaves[info.name]
-            loaded = _ann_index_for(catalog, info, leaf)
-            assert loaded.digest() == rebuilt.digest()
-            # The signatures are the leaf's: stored once, loaded once.
-            assert loaded.sigs is leaf.signatures
-
-    def test_code_blocks_are_uint8_and_gc_protected(self, lazy_db):
-        catalog = lazy_db.catalog
-        info = catalog.leaf_infos()[0]
-        row = catalog.ann_leaf_row(info.name)
-        codes = catalog.features.open(row.code_sha)
-        assert codes.dtype == np.uint8
-        assert row.code_sha in catalog._referenced_blocks()
+        assert _answers(lazy_db, probes, KNOBS[1]) == _answers(ann_db, probes, KNOBS[1])
 
 
-class TestDegradeAndRecover:
-    def test_fault_injection_degrades_to_exact(self, ann_dir, ann_db, probes):
-        lazy = SQLVideoDatabase.open(ann_dir)
+@pytest.mark.parametrize("knobs", KNOBS, ids=["full-probe", "pruning"])
+def test_each_shard_answers_like_its_in_ram_tier(ann_db, probes, tmp_path, knobs):
+    spec = build_shards(ann_db, tmp_path, 2)
+    for info in spec.shards:
+        in_ram, _ = ann_db.clone_subset(info.titles)
+        opened = SQLVideoDatabase.open(spec.shard_dir(tmp_path, info.shard_id))
         try:
-            exact = search_hierarchical(ann_db.index_root, probes[0], k=10)
-            plan = FaultPlan(
-                [FaultSpec(point="storage.ann_block_missing", kind="error")],
-                seed=1,
-            )
-            with inject(plan):
-                degraded = search_hierarchical(
-                    lazy.index_root, probes[0], k=10, nprobe=NPROBE_ALL
-                )
-            assert degraded.stats.ann_degraded
-            assert hits(degraded) == hits(exact)
-            # Fault cleared: the kept thunk resolves and the flag drops.
-            recovered = search_hierarchical(
-                lazy.index_root, probes[0], k=10, nprobe=NPROBE_ALL
-            )
-            assert not recovered.stats.ann_degraded
-            assert hits(recovered) == hits(exact)
+            assert _answers(opened, probes, knobs) == _answers(in_ram, probes, knobs)
         finally:
-            lazy.close()
-
-    def test_missing_code_block_degrades_to_exact(self, ann_db, probes, tmp_path):
-        save_database(ann_db, tmp_path)
-        lazy = SQLVideoDatabase.open(tmp_path)
-        try:
-            catalog = lazy.catalog
-            for info in catalog.leaf_infos():
-                row = catalog.ann_leaf_row(info.name)
-                catalog.features.path_for(row.code_sha).unlink()
-            exact = search_hierarchical(ann_db.index_root, probes[0], k=10)
-            result = search_hierarchical(
-                lazy.index_root, probes[0], k=10, nprobe=NPROBE_ALL
-            )
-            assert result.stats.ann_degraded
-            assert hits(result) == hits(exact)
-        finally:
-            lazy.close()
+            opened.close()
 
 
-class TestPreAnnCatalog:
-    def test_v1_catalog_upgrades_and_serves_ann(self, ann_db, probes, tmp_path):
-        save_database(ann_db, tmp_path)
-        # What converting a v1 catalog left: no quantizer rows, no code blocks.
-        with SQLCatalog(tmp_path) as catalog:
-            for info in catalog.leaf_infos():
-                assert catalog.features.delete(catalog.ann_leaf_row(info.name).code_sha)
-        conn = sqlite3.connect(catalog_path(tmp_path))
-        with conn:
-            conn.execute("DELETE FROM ann_leaves")
-        conn.close()
-        lazy = SQLVideoDatabase.open(tmp_path)
-        try:
-            assert all(
-                lazy.catalog.ann_leaf_row(info.name) is None
-                for info in lazy.catalog.leaf_infos()
-            )
-            exact = search_hierarchical(ann_db.index_root, probes[0], k=10)
-            # No stored rows: resolve_ann falls through to the eager
-            # deterministic build, not a degrade.
-            result = search_hierarchical(
-                lazy.index_root, probes[0], k=10, nprobe=NPROBE_ALL
-            )
-            assert not result.stats.ann_degraded
-            assert hits(result) == hits(exact)
-        finally:
-            lazy.close()
+def test_the_tier_over_an_opened_leaf_is_the_oracles(lazy_db):
+    for node in lazy_db.index_root.iter_leaves():
+        leaf = node.leaf
+        if leaf is None or not len(leaf):
+            continue
+        assert leaf.ann is None  # nothing stored, nothing trained yet
+        tier = resolve_ann(node)
+        assert isinstance(tier, AnnLeafIndex) and resolve_ann(node) is tier
+        oracle = build_leaf_ann(np.asarray(leaf.block), leaf.dims)
+        assert tier.digest() == oracle.digest()
+        assert tier.sigs is leaf.signatures  # the leaf's, not a copy
+
+
+def test_a_truncated_reduced_block_is_typed_on_an_ann_query(ann_dir, probes, tmp_path):
+    # A copy: the saved corpus reads maps of the blocks in ``ann_dir``.
+    shutil.copytree(ann_dir, tmp_path / "copy")
+    opened = SQLVideoDatabase.open(tmp_path / "copy")
+    try:
+        store = opened.catalog.features
+        for info in opened.catalog.leaf_infos():
+            path = store.path_for(info.reduced_sha)
+            path.write_bytes(path.read_bytes()[:-4096])
+        for knobs in ({}, *KNOBS):
+            with pytest.raises(IntegrityError, match="data bytes"):
+                search_hierarchical(opened.index_root, probes[0], k=10, **knobs)
+    finally:
+        opened.close()

@@ -1,49 +1,8 @@
-"""Tests for MiningConfig serialisation and pipeline logging."""
+"""Tests for the mining pipeline's progress logging."""
 
 import logging
 
-import pytest
-
-from repro.core.groups import GroupThresholds
-from repro.core.similarity import SimilarityWeights
-from repro.core.structure import MiningConfig, mine_content_structure
-from repro.errors import MiningError
-
-
-class TestConfigSerialisation:
-    def test_default_round_trip(self):
-        config = MiningConfig()
-        rebuilt = MiningConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-
-    def test_custom_round_trip(self):
-        config = MiningConfig(
-            weights=SimilarityWeights(color=0.5, texture=0.5),
-            shot_window=20,
-            min_scene_shots=2,
-            merge_threshold=0.3,
-            group_thresholds=GroupThresholds(t1=1.2, t2=0.4),
-            cluster_target=3,
-        )
-        rebuilt = MiningConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-
-    def test_partial_dict_uses_defaults(self):
-        config = MiningConfig.from_dict({"shot_window": 45})
-        assert config.shot_window == 45
-        assert config.weights == SimilarityWeights()
-        assert config.merge_threshold is None
-
-    def test_unknown_key_fails_loudly(self):
-        with pytest.raises(MiningError):
-            MiningConfig.from_dict({"shot_windw": 45})  # typo
-
-    def test_json_round_trip(self):
-        import json
-
-        config = MiningConfig(cluster_target=2)
-        text = json.dumps(config.to_dict())
-        assert MiningConfig.from_dict(json.loads(text)) == config
+from repro.core.structure import mine_content_structure
 
 
 class TestLogging:

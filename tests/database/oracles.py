@@ -59,7 +59,6 @@ def rows_probe(
     rows: Sequence[tuple[int, float, bool]],
     k: int,
     ann: bool = False,
-    degraded: bool = False,
 ) -> LeafProbe:
     """One source's probe of its ``(key, score, in_bucket)`` rows.
 
@@ -77,7 +76,6 @@ def rows_probe(
         len(scanned),
         work,
         work,
-        degraded,
         [key for key, _score, _in_bucket in best],
         [score for _key, score, _in_bucket in best],
     )

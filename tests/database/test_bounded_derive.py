@@ -25,8 +25,8 @@ from repro.database.index import (
     leaf_routing,
 )
 from repro.database.scene_search import corpus_scenes
-from repro.storage import build_synthetic_database, save_database
-from repro.storage.sqlcatalog import SQLCatalog
+from repro.storage import SQLVideoDatabase, build_synthetic_database, save_database
+from tests.helpers import ann_tiers, code_address
 
 WIDTH = 266
 #: Rows of a 266-d block one chunk of :func:`column_sums` holds (a scratch
@@ -175,6 +175,9 @@ def test_scene_centroids_keep_their_bits(corpus):
 #: Content addresses ``(block, reduced, ANN codes)`` per leaf, and of the
 #: scene-centroid block, of ``build_synthetic_database(1000, 12, seed=13)``
 #: saved by the last commit whose derive allocated leaf-sized temporaries.
+#: Since schema v6 the codes are no block: their address is the one ``put``
+#: would give the codes of the tier ``resolve_ann`` builds over the opened
+#: leaf, so the pin holds that tier to what schema v5 stored.
 PINNED_BLOCKS = {
     "general/presentation": (
         "99956ca75361329ec4a7c6d472b9d3434cbb29b754b0dac715e52a61dc35b6b9",
@@ -198,23 +201,24 @@ PINNED_BLOCKS = {
     ),
 }
 PINNED_CENTROIDS = "322d77416c8abf09b07764d168e73340284c6ed637233f80c4065588ca7be6e9"
-#: sha256 over every leaf's stored centres, dims, ANN cells, assignment,
-#: scale and offset, in leaf order.
+#: sha256 over every leaf's stored centres and dims and its opened tier's
+#: ANN cells, assignment, scale and offset, in leaf order.
 PINNED_ROUTING = "f65cfc81f694820087c6b55356f93b6e6722605dee94f1cb9013ee6d8cfef87d"
 
 
 def test_a_saved_catalog_stores_the_same_bytes(tmp_path):
     save_database(build_synthetic_database(videos=1000, shots_per_video=12, seed=13), tmp_path)
-    catalog = SQLCatalog(tmp_path)
+    opened = SQLVideoDatabase.open(tmp_path)
     try:
+        catalog, tiers = opened.catalog, ann_tiers(opened)
         blocks, routing = {}, hashlib.sha256()
         for info in catalog.leaf_infos():
-            ann = catalog.ann_leaf_row(info.name)
-            blocks[info.name] = (info.block.sha, info.reduced_sha, ann.code_sha)
+            ann = tiers[info.name]
+            blocks[info.name] = (info.block.sha, info.reduced_sha, code_address(ann.codes))
             for array in (info.centers, info.dims, ann.centroids, ann.assign, ann.scale, ann.offset):
                 routing.update(np.ascontiguousarray(array).tobytes())
         assert blocks == PINNED_BLOCKS
         assert catalog.scene_columns()[0] == PINNED_CENTROIDS
         assert routing.hexdigest() == PINNED_ROUTING
     finally:
-        catalog.close()
+        opened.close()

@@ -24,9 +24,9 @@ _SCORES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 def split_leaves(draw):
     """Leaves of ``(key, score, in_bucket)`` rows, each cut into subsets.
 
-    Returns ``(leaves, k)``; a leaf is ``(rows, subsets, ann, degraded)``
-    where ``subsets`` keep the rows' order and may be empty (a shard
-    holding none of the leaf) and ``degraded`` flags each subset.
+    Returns ``(leaves, k)``; a leaf is ``(rows, subsets, ann)`` where
+    ``subsets`` keep the rows' order and may be empty (a shard holding
+    none of the leaf).
     """
     leaves = []
     for _ in range(draw(st.integers(1, 4))):
@@ -39,8 +39,7 @@ def split_leaves(draw):
         subsets = [
             [row for row, at in zip(rows, owner) if at == part] for part in range(cuts)
         ]
-        degraded = draw(st.lists(st.booleans(), min_size=cuts, max_size=cuts))
-        leaves.append((rows, subsets, draw(st.booleans()), degraded))
+        leaves.append((rows, subsets, draw(st.booleans())))
     return leaves, draw(st.integers(1, 15))
 
 
@@ -57,13 +56,10 @@ def _merged(answers, k):
 @settings(max_examples=300, deadline=None)
 def test_merge_over_any_split_equals_merge_over_whole_leaves(case):
     leaves, k = case
-    whole = [
-        [rows_probe(rows, k, ann, any(degraded))]
-        for rows, _subsets, ann, degraded in leaves
-    ]
+    whole = [[rows_probe(rows, k, ann)] for rows, _subsets, ann in leaves]
     split = [
-        [rows_probe(subset, k, ann, flag) for subset, flag in zip(subsets, degraded)]
-        for _rows, subsets, ann, degraded in leaves
+        [rows_probe(subset, k, ann) for subset in subsets]
+        for _rows, subsets, ann in leaves
     ]
     assert _merged(split, k) == _merged(whole, k)
 

@@ -151,24 +151,6 @@ class TestLifecycleContract:
                     front.query(request)
         assert front.query(request).hits
 
-    def test_ann_degraded_is_not_cached(self, make_front, probes):
-        front, _ = make_front()
-        request = QueryRequest(kind="shot", features=probes[0], nprobe=NPROBE_ALL)
-        plan = FaultPlan(
-            [FaultSpec(point="storage.ann_block_missing", kind="error")], seed=0
-        )
-        with inject(plan):
-            degraded = front.query(request)
-        assert degraded.degraded
-        assert len(front.cache) == 0
-        healthy = front.query(request)
-        # Not served from cache: the degraded answer was never stored,
-        # and the healed path drops the flag.
-        assert not healthy.cache_hit
-        assert not healthy.degraded
-        assert keys(healthy) == keys(degraded)
-        assert front.query(request).cache_hit  # the healthy answer was
-
     def test_degraded_recomputed_on_hit(self, make_front, probes):
         front, harness = make_front()
         request = QueryRequest(kind="shot", features=probes[3], k=4)
@@ -207,28 +189,24 @@ class TestShardedOnly:
 class TestFrontsAgree:
     """One query, both fronts at once: the work each reports must match."""
 
-    def test_ann_degraded_stats_match(self, make_harness, single_dir, probes):
-        # Fresh fronts, so no leaf's ANN state was loaded before the fault.
+    def test_ann_stats_match(self, make_harness, single_dir, probes):
+        # Fresh fronts: each trains its leaves' (or shares') tiers on this query.
         database = SQLVideoDatabase.open(single_dir)
         server = QueryServer(database, ServerConfig()).start()
         pair = make_harness(2)
         request = QueryRequest(kind="shot", features=probes[0], k=5, nprobe=NPROBE_ALL)
-        plan = FaultPlan(
-            [FaultSpec(point="storage.ann_block_missing", kind="error")], seed=0
-        )
         try:
-            with inject(plan):
-                single, sharded = server.query(request), pair.service.query(request)
+            single, sharded = server.query(request), pair.service.query(request)
         finally:
             server.stop()
             database.close()
-        assert single.degraded and sharded.degraded and not sharded.shards_missing
+        assert not single.degraded and not sharded.degraded and not sharded.shards_missing
         assert keys(sharded) == keys(single)
-        stats = ("comparisons", "approx_comparisons", "reranked", "degraded")
+        stats = ("comparisons", "approx_comparisons", "reranked")
         assert [getattr(sharded, name) for name in stats] == [
             getattr(single, name) for name in stats
         ]
-        assert single.reranked == 0  # no leaf's ANN tier ran
+        assert single.reranked > 0  # the tier ran on both fronts
 
 
 class TestRecordsRace:

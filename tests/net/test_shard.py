@@ -18,8 +18,8 @@ from repro.net.shard import (
     shard_of,
 )
 from repro.storage.lazy import SQLVideoDatabase
-from repro.storage.sqlcatalog import SQLCatalog
 from repro.storage.synthetic import build_synthetic_database
+from tests.helpers import ann_tiers, code_address
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,9 @@ class TestShardDirectories:
 # -- what a 2-shard cut stores ------------------------------------------------
 
 #: Per shard of ``build_shards(build_synthetic_database(1000, 12, seed=13), d, 2)``:
-#: the ``(block, reduced, ANN codes)`` content addresses of each leaf, the
+#: the ``(block, reduced, ANN codes)`` content addresses of each leaf (the
+#: codes' since schema v6 being the address ``put`` would give the codes of
+#: the tier ``resolve_ann`` builds over the opened shard's leaf), the
 #: scene-centroid block's address, and a sha256 over what the catalog's
 #: readers return — ``videos()``, ``leaf_rows`` of every leaf,
 #: ``scene_columns()`` — and the text-search documents, in the
@@ -212,15 +214,16 @@ def _stored_shard(shard_dir) -> tuple[dict, str, str]:
     def add(*values) -> None:
         rows.update(repr(values).encode())
 
-    catalog = SQLCatalog(shard_dir)
+    opened = SQLVideoDatabase.open(shard_dir)
     try:
+        catalog, tiers = opened.catalog, ann_tiers(opened)
         for title, record in catalog.videos().items():
             add(title, record.shot_count, record.scene_count,
                 record.degraded_stages, sorted(record.events.items()))
         leaves = {}
         for info in catalog.leaf_infos():
-            ann = catalog.ann_leaf_row(info.name)
-            leaves[info.name] = (info.block.sha, info.reduced_sha, ann.code_sha)
+            codes = code_address(tiers[info.name].codes)
+            leaves[info.name] = (info.block.sha, info.reduced_sha, codes)
             for row in catalog.leaf_rows(info.name):
                 add(row.ord, row.leaf, row.row, row.video_title, row.shot_id, row.scene_id)
         scene_sha, columns = catalog.scene_columns()
@@ -232,7 +235,7 @@ def _stored_shard(shard_dir) -> tuple[dict, str, str]:
         for doc_id, (kind, title, body) in sorted(docs, key=lambda doc: doc[1][:2]):
             add(doc_id, kind, title, body)
     finally:
-        catalog.close()
+        opened.close()
     return leaves, scene_sha, rows.hexdigest()
 
 

@@ -24,19 +24,6 @@ class TestNavigation:
         with pytest.raises(SkimmingError):
             browser.enter()
 
-    def test_up_restores_cursor(self, browser):
-        browser.next()
-        position = browser.cursor
-        browser.enter()
-        assert browser.cursor == 0
-        browser.up()
-        assert browser.cursor == position
-        assert browser.level is BrowseLevel.CLUSTERS
-
-    def test_up_from_top_raises(self, browser):
-        with pytest.raises(SkimmingError):
-            browser.up()
-
     def test_cursor_clamps(self, browser):
         for _ in range(100):
             browser.next()
@@ -77,5 +64,3 @@ class TestLevels:
     def test_level_stepping(self):
         assert BrowseLevel.CLUSTERS.finer() is BrowseLevel.SCENES
         assert BrowseLevel.SHOTS.finer() is BrowseLevel.SHOTS
-        assert BrowseLevel.SHOTS.coarser() is BrowseLevel.GROUPS
-        assert BrowseLevel.CLUSTERS.coarser() is BrowseLevel.CLUSTERS

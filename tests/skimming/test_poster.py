@@ -9,11 +9,11 @@ from repro.skimming.poster import (
     BORDER_COLORS,
     GUTTER,
     compose_poster,
-    read_ppm,
     save_poster,
     write_ppm,
 )
 from repro.skimming.skim import build_skim
+from tests.helpers import read_ppm
 
 
 @pytest.fixture(scope="module")
@@ -71,18 +71,6 @@ class TestPpm:
     def test_write_rejects_bad_dtype(self, tmp_path):
         with pytest.raises(SkimmingError):
             write_ppm(np.zeros((2, 2, 3)), tmp_path / "x.ppm")
-
-    def test_read_rejects_non_ppm(self, tmp_path):
-        bad = tmp_path / "bad.ppm"
-        bad.write_bytes(b"GIF89a...")
-        with pytest.raises(SkimmingError):
-            read_ppm(bad)
-
-    def test_read_rejects_truncated(self, tmp_path):
-        bad = tmp_path / "trunc.ppm"
-        bad.write_bytes(b"P6")
-        with pytest.raises(SkimmingError):
-            read_ppm(bad)
 
     def test_save_poster(self, skim, tmp_path):
         path = tmp_path / "poster.ppm"

@@ -64,16 +64,6 @@ class TestScalableSkim:
     def test_frame_count_decreases_with_level(self, skim):
         assert skim.frame_count(4) <= skim.frame_count(3) <= skim.frame_count(1)
 
-    def test_scroll_position_monotone(self, skim):
-        segments = skim.segments(2)
-        positions = [skim.scroll_position(i, 2) for i in range(len(segments))]
-        assert positions == sorted(positions)
-        assert all(0.0 <= p <= 1.0 for p in positions)
-
-    def test_scroll_position_bounds(self, skim):
-        with pytest.raises(SkimmingError):
-            skim.scroll_position(999, 2)
-
     def test_seek(self, skim):
         first = skim.seek(0.0, level=1)
         last = skim.seek(1.0, level=1)

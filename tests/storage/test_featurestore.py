@@ -72,12 +72,12 @@ class TestPut:
         "matrix, dtype",
         [
             (_block(6, 37, 64), np.float64),
-            ((_block(7, 9, 5) * 255).astype(np.uint8), np.uint8),
+            ((_block(7, 9, 5) * 2**40).astype(np.int64), np.int64),
             (_block(8, 50, 266)[:, ::4], np.float64),  # strided view
             (_block(9, 50, 266)[:, np.arange(0, 266, 5)], np.float64),  # F-ordered gather
             (np.empty((0, 6)), np.float64),
         ],
-        ids=["float64", "uint8", "strided", "gathered", "empty"],
+        ids=["float64", "int64", "strided", "gathered", "empty"],
     )
     def test_digest_is_the_file_digest_of_np_save(self, store, tmp_path, matrix, dtype):
         """The address is computed from memory, and ``verify`` (which
@@ -87,7 +87,7 @@ class TestPut:
         assert ref.sha == file_digest(tmp_path / "oracle.npy")
         assert store.path_for(ref.sha).read_bytes() == (tmp_path / "oracle.npy").read_bytes()
         store.verify(ref.sha)
-        loaded = store.open(ref.sha)
+        loaded = store.open(ref.sha, dtype=dtype)
         assert loaded.dtype == dtype
         np.testing.assert_array_equal(loaded, matrix)
 
@@ -122,6 +122,16 @@ class TestOpen:
                 lazy_db.search_flat(probes[0], k=3)
         assert plan.fired("storage.mmap_truncated") >= 1
         assert lazy_db.search_flat(probes[0], k=3).hits
+
+    def test_a_block_opened_as_the_other_dtype_is_typed(self, store):
+        """The caller names the dtype it stored; the header must say the
+        same, whether the block is mapped now or already cached."""
+        ref = store.put(_block(4))
+        with pytest.raises(IntegrityError, match="not a header"):
+            store.open(ref.sha, dtype=np.int64)
+        store.open(ref.sha)
+        with pytest.raises(IntegrityError, match="is float64, not int64"):
+            store.open(ref.sha, dtype=np.int64)
 
     def test_open_returns_readonly_mmap(self, store):
         ref = store.put(_block(5))
@@ -218,27 +228,24 @@ class TestHeader:
     def test_a_one_byte_header_edit_maps_the_same_array_or_is_typed(
         self, tmp_path_factory, at, value
     ):
-        """The header slice of fuzzing the byte parsers.  The one edit a
-        header match cannot see swaps ``<f8`` and ``<i8``, the two 8-byte
-        dtypes the store writes: that maps the same bytes as the other
-        one (only :meth:`FeatureStore.verify` tells)."""
-        store = FeatureStore(tmp_path_factory.mktemp("edits"))
-        ref = store.put(self.MATRIX)
-        path = store.path_for(ref.sha)
-        stored = path.read_bytes()
-        assert int.from_bytes(stored[8:10], "little") + 10 == 128
-        edited = bytearray(stored)
-        edited[at] = value
-        path.write_bytes(bytes(edited))
-        try:
-            mapped = store.open(ref.sha)
-        except IntegrityError:
-            return
-        if stored[at:at + 1] + bytes([value]) == b"fi":
-            assert at == stored.index(b"<f8") + 1 and mapped.dtype == np.int64
-            mapped = mapped.view(np.float64)
-        assert mapped.dtype == self.MATRIX.dtype and mapped.shape == self.MATRIX.shape
-        np.testing.assert_array_equal(mapped, self.MATRIX)
+        """The header slice of fuzzing the byte parsers, on a float64 and an
+        int64 block: the reader names the dtype it stored, so an edit that
+        swaps ``<f8`` and ``<i8`` is caught like any other."""
+        for matrix in (self.MATRIX, (self.MATRIX * 2**40).astype(np.int64)):
+            store = FeatureStore(tmp_path_factory.mktemp("edits"))
+            ref = store.put(matrix, dtype=matrix.dtype)
+            path = store.path_for(ref.sha)
+            stored = path.read_bytes()
+            assert int.from_bytes(stored[8:10], "little") + 10 == 128
+            edited = bytearray(stored)
+            edited[at] = value
+            path.write_bytes(bytes(edited))
+            try:
+                mapped = store.open(ref.sha, dtype=matrix.dtype)
+            except IntegrityError:
+                continue
+            assert mapped.dtype == matrix.dtype and mapped.shape == matrix.shape
+            np.testing.assert_array_equal(mapped, matrix)
 
 
 def _resident_bytes(path) -> int:

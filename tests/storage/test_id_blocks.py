@@ -1,16 +1,18 @@
-"""Schema v4 and v5: a stored leaf is its blocks, and no text is stored.
+"""Schema v4 to v6: a stored leaf is its blocks, and no text or ANN tier is stored.
 
 Every per-row fact of a leaf — flat ordinal, title code, shot id, scene
 id, the two signature columns — is one ``(n, 6)`` int64 id block beside
 its feature blocks, and the scene table's ``(S, 3)`` id block sits beside
-its centroids; SQLite keeps per-video and per-leaf rows only, and text
-search derives its documents from them.  Held here: a v4 catalog — the
-one older schema that still converts, its text-search copy rebuilt from
-what the readers return — converts once on open, to the very rows a v5
-writer stores, and answers bit for bit (ids, scores, ``QueryStats``) and
-text search hit for hit with the ``LIKE`` scan over its stored
-documents; a second opener, later or racing, writes nothing of its own;
-a missing, truncated or unreadable id block is a typed error on first
+its centroids; SQLite keeps per-video and per-leaf rows only, text
+search derives its documents from them and the ANN tier is trained from
+the opened leaf.  Held here: a v5 catalog — the one older schema that
+still converts, its ``ann_leaves`` rows and uint8 code blocks built from
+the tier a process trains over the opened leaves — converts once on
+open, to the very rows and blocks a v6 writer stores, and answers bit
+for bit (ids, scores, ``QueryStats``, exact and ANN); text search
+answers hit for hit what the ``LIKE`` scan over the stored documents
+did; a second opener, later or racing, writes nothing of its own; a
+missing, truncated or unreadable id block is a typed error on first
 touch.
 """
 
@@ -21,8 +23,12 @@ import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from repro.ann.index import train_leaf_ann
+from repro.ann.quantizer import ANN_SEED
+from repro.database.query import search_hierarchical
 from repro.errors import IntegrityError, ReproError, StorageError
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.storage import (
@@ -34,51 +40,50 @@ from repro.storage import (
 )
 from tests.storage.test_lazy_equivalence import stored_state
 
-#: The text-search tables every writer before v5 kept, as it declared them.
-_PRE_V5_TABLES = (
-    """
-    CREATE TABLE search_docs (
-        doc_id INTEGER PRIMARY KEY,
-        kind   TEXT NOT NULL,
-        title  TEXT NOT NULL,
-        body   TEXT NOT NULL
+#: The ANN tier every writer before v6 stored, as it declared it.
+_V5_ANN_TABLE = """
+    CREATE TABLE ann_leaves (
+        leaf      TEXT PRIMARY KEY,
+        cells     INTEGER NOT NULL,
+        seed      INTEGER NOT NULL,
+        code_sha  TEXT NOT NULL,
+        rows      INTEGER NOT NULL,
+        cols      INTEGER NOT NULL,
+        centroids BLOB NOT NULL,
+        "assign"  BLOB NOT NULL,
+        scale     BLOB NOT NULL,
+        "offset"  BLOB NOT NULL
     )
-    """,
-    "CREATE VIRTUAL TABLE search_fts USING fts5(kind, title, body)",
-)
-
-
-def _has_fts5() -> bool:
-    conn = sqlite3.connect(":memory:")
-    try:
-        conn.execute(_PRE_V5_TABLES[1])
-        return True
-    except sqlite3.OperationalError:
-        return False
-    finally:
-        conn.close()
+"""
 
 
 def rewind(db_dir) -> None:
-    """Give the v5 catalog in ``db_dir`` the layout a v4 writer left.
+    """Give the v6 catalog in ``db_dir`` the layout a v5 writer left.
 
     Built from what the readers return, not only by stamping an older
-    version: the text-search documents as ``search_docs`` rows, in
-    ``search_fts`` too where this host's SQLite has FTS5, and the ``meta``
-    row ``fts`` saying which.
+    version: each leaf's ANN tier as a v5 save trained it — over the
+    leaf's reduced block and signatures, which is what training the
+    opened leaf reads — its uint8 codes as a feature block, the rest as
+    an ``ann_leaves`` row.
     """
-    with SQLCatalog(db_dir) as catalog:
-        docs = catalog._search_documents()
-    fts = _has_fts5()
+    opened = SQLVideoDatabase.open(db_dir)
+    try:
+        rows = []
+        for name, leaf in opened.leaves.items():
+            ann = train_leaf_ann(leaf)
+            code = opened.catalog.features.put(ann.codes, dtype=np.uint8)
+            rows.append((
+                name, ann.n_cells, ANN_SEED, code.sha, code.rows, code.cols,
+                *(np.ascontiguousarray(a).tobytes()
+                  for a in (ann.centroids, ann.assign, ann.scale, ann.offset)),
+            ))
+    finally:
+        opened.close()
     conn = sqlite3.connect(catalog_path(db_dir))
     with conn:
-        conn.execute(_PRE_V5_TABLES[0])
-        conn.executemany("INSERT INTO search_docs (kind, title, body) VALUES (?, ?, ?)", docs)
-        if fts:
-            conn.execute(_PRE_V5_TABLES[1])
-            conn.executemany("INSERT INTO search_fts (kind, title, body) VALUES (?, ?, ?)", docs)
-        conn.execute("INSERT INTO meta (key, value) VALUES ('fts', ?)", ("1" if fts else "0",))
-        conn.execute("PRAGMA user_version = 4")
+        conn.execute(_V5_ANN_TABLE)
+        conn.executemany("INSERT INTO ann_leaves VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", rows)
+        conn.execute("PRAGMA user_version = 5")
     conn.close()
 
 
@@ -96,10 +101,16 @@ def _version(catalog: SQLCatalog) -> int:
 
 
 def _answers(database, probes) -> list:
-    """Ids, scores and work accounting of shot, flat and scene queries."""
+    """Ids, scores and work accounting of shot (exact and ANN), flat and
+    scene queries."""
     out = []
     for probe in probes:
-        for result in (database.search(probe, k=10), database.search_flat(probe, k=10)):
+        for result in (
+            database.search(probe, k=10),
+            database.search_flat(probe, k=10),
+            search_hierarchical(database.index_root, probe, k=10, nprobe=8, rerank_k=32),
+            search_hierarchical(database.index_root, probe, k=10, nprobe=1_000_000),
+        ):
             out.append([(hit.entry.key, hit.score) for hit in result.hits])
             out.append(dataclasses.replace(result.stats, elapsed_seconds=0.0))
         out.append([
@@ -109,11 +120,7 @@ def _answers(database, probes) -> list:
     return out
 
 
-def _text_tables(db_dir) -> set[str]:
-    return {name for name in _tables(db_dir) if name.startswith("search_")}
-
-
-@pytest.mark.parametrize("version", [4])
+@pytest.mark.parametrize("version", [5])
 def test_an_older_catalog_converts_once_and_answers_the_same_bits(
     source_db, probes, tmp_path, version
 ):
@@ -125,15 +132,17 @@ def test_an_older_catalog_converts_once_and_answers_the_same_bits(
     conn = sqlite3.connect(catalog_path(tmp_path))
     assert conn.execute("PRAGMA user_version").fetchone()[0] == version
     conn.close()
-    assert "search_docs" in _text_tables(tmp_path)
+    assert "ann_leaves" in _tables(tmp_path)
+    assert len(stored_state(tmp_path)["blocks"]) > len(written["blocks"])  # code blocks
     opened = SQLVideoDatabase.open(tmp_path)
     try:
-        assert _version(opened.catalog) == SCHEMA_VERSION
-        assert not _text_tables(tmp_path)
-        assert opened.catalog.meta("fts") is None
-        assert _id_digests(opened.catalog) == ids
+        catalog = opened.catalog
+        assert _version(catalog) == SCHEMA_VERSION
+        assert "ann_leaves" not in _tables(tmp_path)
+        assert catalog.features.list_blocks() == sorted(catalog._referenced_blocks())
+        assert _id_digests(catalog) == ids
         for sha in ids:
-            opened.catalog.features.verify(sha)
+            catalog.features.verify(sha)
         assert stored_state(tmp_path) == written  # every row and block
         assert _answers(opened, probes) == _answers(source_db, probes)
         save_database(opened, tmp_path)
@@ -142,9 +151,10 @@ def test_an_older_catalog_converts_once_and_answers_the_same_bits(
     assert stored_state(tmp_path) == written
 
 
-def _stored_like_hits(db_dir, text: str, k: int) -> list[tuple]:
-    """The reference: the all-tokens ``LIKE`` scan over ``search_docs``
-    that answered text search on a catalog without FTS5 before v5."""
+def _stored_like_hits(docs: list[tuple], text: str, k: int) -> list[tuple]:
+    """The reference: the all-tokens ``LIKE`` scan over a ``search_docs``
+    table of ``docs`` that answered text search on a catalog without FTS5
+    before v5."""
     tokens = [t for t in text.split() if t.strip('"')]
     if not tokens:
         return []
@@ -156,8 +166,13 @@ def _stored_like_hits(db_dir, text: str, k: int) -> list[tuple]:
         escaped = token.replace("\\", "\\\\").replace("%", "\\%").replace("_", "\\_")
         params.extend((f"%{escaped}%", f"%{escaped}%"))
     params.append(int(k))
-    conn = sqlite3.connect(catalog_path(db_dir))
+    conn = sqlite3.connect(":memory:")
     try:
+        conn.execute(
+            "CREATE TABLE search_docs (doc_id INTEGER PRIMARY KEY, kind TEXT NOT NULL, "
+            "title TEXT NOT NULL, body TEXT NOT NULL)"
+        )
+        conn.executemany("INSERT INTO search_docs (kind, title, body) VALUES (?, ?, ?)", docs)
         return conn.execute(
             f"SELECT kind, title, body FROM search_docs WHERE {clause} ORDER BY doc_id LIMIT ?",
             params,
@@ -168,42 +183,21 @@ def _stored_like_hits(db_dir, text: str, k: int) -> list[tuple]:
 
 def test_text_search_answers_what_the_stored_documents_did(source_db, tmp_path):
     save_database(source_db, tmp_path)
-    rewind(tmp_path)
     queries = [
         "synthetic", "presentation", "clinical operation", "s_nthetic", "%", '"', " \t ",
     ]
     cases = [(text, k) for text in queries for k in (1, 5, 50)]
-    want = [_stored_like_hits(tmp_path, text, k) for text, k in cases]
     with SQLCatalog(tmp_path) as catalog:
-        assert not _text_tables(tmp_path)
+        # The documents a v4 writer stored as ``search_docs`` rows.
+        docs = catalog._search_documents()
         got = [
             [(hit.kind, hit.title, hit.body) for hit in catalog.search_text(text, k)]
             for text, k in cases
         ]
+    want = [_stored_like_hits(docs, text, k) for text, k in cases]
     assert got == want
     # Empty answers, answers cut at every k, and one exhausted below k.
     assert {len(hits) for hits in want} == {0, 1, 5, 37, 50}
-
-
-def test_a_text_table_this_sqlite_cannot_drop_stays_inert(source_db, tmp_path):
-    """A catalog written where SQLite had FTS5, opened where it has not."""
-    save_database(source_db, tmp_path)
-    rewind(tmp_path)
-    conn = sqlite3.connect(catalog_path(tmp_path))
-    with conn:
-        conn.execute("DROP TABLE IF EXISTS search_fts")
-        conn.execute("PRAGMA writable_schema = ON")
-        conn.execute(
-            "INSERT INTO sqlite_master (type, name, tbl_name, rootpage, sql) VALUES "
-            "('table', 'search_fts', 'search_fts', 0, "
-            "'CREATE VIRTUAL TABLE search_fts USING no_such_module(kind, title, body)')"
-        )
-    conn.close()
-    with SQLCatalog(tmp_path) as catalog:
-        assert _version(catalog) == SCHEMA_VERSION
-        assert _text_tables(tmp_path) == {"search_fts"}
-        assert catalog.meta("fts") is None
-        assert catalog.search_text("synthetic", k=5)
 
 
 def _files(db_dir) -> dict:
@@ -213,7 +207,7 @@ def _files(db_dir) -> dict:
     return state
 
 
-def test_a_second_opener_sees_v5_and_writes_nothing(source_db, tmp_path):
+def test_a_second_opener_sees_the_current_schema_and_writes_nothing(source_db, tmp_path):
     save_database(source_db, tmp_path)
     rewind(tmp_path)
     with SQLCatalog(tmp_path) as first:

@@ -8,7 +8,6 @@ import sqlite3
 import pytest
 
 import repro.storage.sqlcatalog as sqlcatalog_module
-from repro.ann.index import train_leaf_ann
 from repro.database.catalog import VideoDatabase
 from repro.errors import SchemaVersionError, StorageError
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
@@ -18,6 +17,7 @@ from repro.storage import (
     catalog_path,
     save_database,
 )
+from repro.storage.featurestore import map_block
 
 
 @pytest.fixture()
@@ -52,7 +52,7 @@ class TestSchema:
                 sorted(p.name for p in (writable_dir / "features").rglob("*")),
             )
 
-        for version in (1, 2, 3, 99):
+        for version in (1, 2, 3, 4, 99):
             conn = sqlite3.connect(path)
             conn.execute(f"PRAGMA user_version = {version}")
             conn.close()
@@ -168,22 +168,23 @@ class TestWriter:
         self, writable_dir, monkeypatch
     ):
         other = build_synthetic_database(videos=6, shots_per_video=4, seed=99)
-        trained = []
+        mapped = []
 
-        def boom_on_the_second_leaf(leaf):
-            trained.append(set(catalog.features.list_blocks()))
-            if len(trained) == 2:
-                raise RuntimeError("ANN training exploded")
-            return train_leaf_ann(leaf)
+        def boom_on_the_second_leaf(path, dtype):
+            # The writer maps each leaf's reduced block right after writing it.
+            mapped.append(set(catalog.features.list_blocks()))
+            if len(mapped) == 2:
+                raise RuntimeError("mapping a written block failed")
+            return map_block(path, dtype)
 
-        monkeypatch.setattr(sqlcatalog_module, "train_leaf_ann", boom_on_the_second_leaf)
+        monkeypatch.setattr(sqlcatalog_module, "map_block", boom_on_the_second_leaf)
         with SQLCatalog(writable_dir) as catalog:
             old_videos = sorted(catalog.videos())
             old_blocks = catalog.features.list_blocks()
             with pytest.raises(RuntimeError):
                 catalog.replace_from(other)
             # Blocks of this write were on disk when it failed.
-            assert trained[1] - set(old_blocks)
+            assert mapped[1] - set(old_blocks)
             # Previous generation intact, aborted blocks cleaned up.
             assert sorted(catalog.videos()) == old_videos
             assert catalog.features.list_blocks() == old_blocks

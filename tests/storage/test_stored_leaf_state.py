@@ -143,8 +143,8 @@ def test_feature_store_holds_exactly_the_referenced_blocks(tmp_path):
     save_database(grown, tmp_path)
     with SQLCatalog(tmp_path) as catalog:
         second = catalog._referenced_blocks()
-        # leaf + reduced + ANN codes + ids per leaf, the scene centroids and ids
-        assert len(second) == 4 * len(catalog.leaf_infos()) + 2
+        # leaf + reduced + ids per leaf, the scene centroids and ids
+        assert len(second) == 3 * len(catalog.leaf_infos()) + 2
         assert catalog.features.list_blocks() == sorted(second)  # no orphan, nothing live deleted
         for sha in second:
             catalog.features.verify(sha)

@@ -487,10 +487,9 @@ def test_every_module_feeds_something_that_runs():
 #: reasons: a scalar oracle a test holds a kernel to, a seam a test
 #: substitutes through, or a name ROADMAP gives its next item.  Like
 #: ``FEEDS_NOTHING``, this list may only shrink.
-_NEXT = "ROADMAP item 10 deletes it next, with its tests"
 UNREACHED: dict[str, str] = {
     # Scalar oracles.
-    "repro.ann.index.build_leaf_ann": "oracle: the from-rows build the stored and trained ANN tiers are held to",
+    "repro.ann.index.build_leaf_ann": "oracle: the from-rows build the trained ANN tier is held to",
     "repro.core.shots.boundary_spans": "oracle: the spans test_color_kernel holds detect_shots' streamed shots to",
     "repro.core.shots.detect_boundaries": "oracle: the whole-signal run detect_shots' boundaries are held to",
     "repro.core.similarity.group_similarity": "oracle: scalar Eq. (9) test_kernels holds the group kernels to",
@@ -507,12 +506,6 @@ UNREACHED: dict[str, str] = {
     "repro.database.catalog.VideoDatabase.unregister": "ROADMAP item 3(a): delta publish",
     "repro.database.hierarchy.hierarchy_from_dict": "ROADMAP item 8: the subject-area hierarchy",
     "repro.database.hierarchy.hierarchy_to_dict": "ROADMAP item 8: the subject-area hierarchy",
-    "repro.core.structure.MiningConfig.from_dict": _NEXT,
-    "repro.skimming.browser.BrowseLevel.coarser": _NEXT,
-    "repro.skimming.browser.HierarchyBrowser.up": _NEXT,
-    "repro.skimming.poster.read_ppm": _NEXT,
-    "repro.skimming.skim.ScalableSkim.scroll_position": _NEXT,
-    "repro.video.io.load_stream": _NEXT,
 }
 
 
