@@ -378,7 +378,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.net import (
-        CoordinatorConfig,
         GatewayConfig,
         HttpGateway,
         ShardCluster,
@@ -388,7 +387,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     )
     from repro.net.shard import MANIFEST_NAME
     from repro.obs import get_registry
-    from repro.serving import ServingMetrics
+    from repro.serving import ServerConfig, ServingMetrics
 
     def _interrupt(_signum, _frame):
         raise KeyboardInterrupt
@@ -436,7 +435,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             backend = ShardedQueryService(
                 spec,
                 cluster.endpoints,
-                config=CoordinatorConfig(**_front_knobs(args)),
+                config=ServerConfig(**_front_knobs(args)),
                 metrics=ServingMetrics(registry=get_registry()),
             )
             stack.callback(backend.close)
@@ -512,8 +511,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
     else:
         _require_db_dir(args)
         with _serving_server(args) as server:
-            # Exercise the snapshot build so readiness reflects reality.
-            server.manager.current()
             report = server.health_report()
     print(report.render())
     return report.exit_code

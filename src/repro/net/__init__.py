@@ -27,8 +27,8 @@ item 2) using nothing but the standard library:
   ``/scene_search``, ``/skim/{id}``, ``/health``, ``/metrics``), an
   HTTP codec over whichever :class:`~repro.serving.engine.QueryFront`
   it was handed, called on the connection's own thread: deadline
-  propagation, bounded admission mapped to 503 + ``Retry-After``,
-  token auth resolved before the cache, one error-type -> status table;
+  propagation, token auth resolved before the cache, one error-type ->
+  status table (the front's own overload answers 503 + ``Retry-After``);
 * :mod:`repro.net.client` — :class:`HttpFront`, the same codec from the
   other end and the program's only HTTP client: a running gateway
   called like the front behind it (so
@@ -48,7 +48,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.net.client": ("HttpFront",),
         "repro.net.cluster": ("RestartReport", "ShardCluster"),
-        "repro.net.coordinator": ("CoordinatorConfig", "ShardedQueryService"),
+        "repro.net.coordinator": ("ShardedQueryService",),
         "repro.net.gateway": ("GatewayConfig", "HttpGateway"),
         "repro.net.protocol": ("ShardEndpoint", "pack_array", "unpack_array"),
         "repro.net.shard": ("ShardSpec", "build_shards", "load_manifest"),
@@ -57,7 +57,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "CoordinatorConfig",
     "GatewayConfig",
     "HttpFront",
     "HttpGateway",

@@ -82,7 +82,6 @@ class ShardCluster:
         root: str | Path,
         spec: ShardSpec | None = None,
         host: str = "127.0.0.1",
-        pool_size: int = 4,
         default_timeout: float = 5.0,
         spawn_timeout: float = 30.0,
         watchdog_interval: float | None = 0.2,
@@ -91,7 +90,6 @@ class ShardCluster:
         self._root = Path(root)
         self.spec = spec if spec is not None else load_manifest(self._root)
         self._host = host
-        self._pool_size = pool_size
         self._default_timeout = default_timeout
         self._spawn_timeout = spawn_timeout
         self._watchdog_interval = watchdog_interval
@@ -129,7 +127,6 @@ class ShardCluster:
                         shard_id=shard_id,
                         host=self._host,
                         port=self._await_ready(proc, shard_id, deadline),
-                        pool_size=self._pool_size,
                         default_timeout=self._default_timeout,
                     )
                 )

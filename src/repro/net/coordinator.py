@@ -48,7 +48,6 @@ import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,42 +89,21 @@ from repro.serving.engine import (
 from repro.serving.metrics import ServingMetrics
 from repro.types import EventKind
 
-#: Seconds: the first retry's backoff and the cap on any one retry sleep.
+#: Per-shard circuit breaker: consecutive failures to open, and seconds
+#: until a half-open retry.  The reset is deliberately short — a
+#: respawned worker should be folded back in quickly.
+SHARD_BREAKER_THRESHOLD = 3
+SHARD_BREAKER_RESET = 1.0
+#: Retry budget for *transient* shard-call failures
+#: (:class:`~repro.errors.RpcTransportError`: reset, refused connect,
+#: truncated/corrupt frame, draining worker).  Attempts beyond the first
+#: back off with the ingest layer's seeded decorrelated jitter, starting
+#: at :data:`RPC_BACKOFF` seconds and capped at :data:`RPC_MAX_DELAY`,
+#: every sleep bounded by the query's remaining deadline; only an
+#: exhausted budget charges the shard's circuit breaker.
+RPC_RETRIES = 2
 RPC_BACKOFF = 0.02
 RPC_MAX_DELAY = 0.25
-
-
-@dataclass(frozen=True)
-class CoordinatorConfig(ServerConfig):
-    """:class:`~repro.serving.engine.ServerConfig` plus the fleet's knobs.
-
-    Both fronts descend with :mod:`repro.database.query`'s default beam
-    (2), so a sharded descent visits the nodes an in-process one does.
-
-    Attributes
-    ----------
-    breaker_threshold / breaker_reset:
-        Per-shard circuit breaker: consecutive failures to open, and
-        seconds until a half-open retry.  The reset is deliberately
-        short — a respawned worker should be folded back in quickly.
-    rpc_retries:
-        Retry budget for *transient* shard-call failures
-        (:class:`~repro.errors.RpcTransportError`: reset, refused
-        connect, truncated/corrupt frame, draining worker).  Attempts
-        beyond the first back off with the ingest layer's seeded
-        decorrelated jitter (:data:`RPC_BACKOFF`, :data:`RPC_MAX_DELAY`),
-        every sleep bounded by the query's remaining deadline; only an
-        exhausted budget charges the shard's circuit breaker.
-    """
-
-    breaker_threshold: int = 3
-    breaker_reset: float = 1.0
-    rpc_retries: int = 2
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.rpc_retries < 0:
-            raise ServingError("rpc_retries must be >= 0")
 
 
 def _per_leaf(responses: dict[int, dict]) -> list[tuple[LeafProbe, ...]]:
@@ -193,7 +171,7 @@ class ShardedQueryService:
         self,
         spec: ShardSpec,
         endpoints: list[ShardEndpoint],
-        config: CoordinatorConfig | None = None,
+        config: ServerConfig | None = None,
         metrics: ServingMetrics | None = None,
     ) -> None:
         if len(endpoints) != spec.num_shards:
@@ -202,7 +180,7 @@ class ShardedQueryService:
                 f"{len(endpoints)} endpoints were given"
             )
         self.spec = spec
-        self.config = config if config is not None else CoordinatorConfig()
+        self.config = config if config is not None else ServerConfig()
         self._endpoints = {ep.shard_id: ep for ep in endpoints}
         self._metrics = metrics if metrics is not None else ServingMetrics()
         self._hierarchy, self._root, self._controller = build_routing_tree(spec)
@@ -210,8 +188,8 @@ class ShardedQueryService:
         self._breakers = {
             ep.shard_id: CircuitBreaker(
                 name=f"shard-{ep.shard_id}",
-                failure_threshold=self.config.breaker_threshold,
-                reset_timeout=self.config.breaker_reset,
+                failure_threshold=SHARD_BREAKER_THRESHOLD,
+                reset_timeout=SHARD_BREAKER_RESET,
                 registry=self._metrics.registry,
             )
             for ep in endpoints
@@ -221,7 +199,7 @@ class ShardedQueryService:
             thread_name_prefix="scatter",
         )
         self._retry_policy = RetryPolicy(
-            retries=self.config.rpc_retries,
+            retries=RPC_RETRIES,
             backoff=RPC_BACKOFF,
             max_delay=RPC_MAX_DELAY,
         )
@@ -301,11 +279,6 @@ class ShardedQueryService:
         """The result cache."""
         return self._engine.cache
 
-    @property
-    def cache_breaker(self) -> CircuitBreaker:
-        """The breaker guarding result-cache access."""
-        return self._engine.cache_breaker
-
     def records(self) -> dict[str, RegisteredVideo]:
         """Merged registration records of every reachable shard."""
         self._ensure_records(self._deadline())
@@ -331,7 +304,7 @@ class ShardedQueryService:
         """One shard RPC on a scatter thread: retry + trace + stitch.
 
         Transient failures (:class:`~repro.errors.RpcTransportError`)
-        retry up to ``rpc_retries`` times with seeded decorrelated
+        retry up to :data:`RPC_RETRIES` times with seeded decorrelated
         jitter, every backoff sleep bounded by the query's remaining
         deadline; each retried attempt records an ``rpc.retry.<op>``
         span and counts into ``net_rpc_retries_total``.  Only an
@@ -376,7 +349,7 @@ class ShardedQueryService:
                         error=str(exc),
                     )
                 attempt += 1
-                if attempt > self.config.rpc_retries:
+                if attempt > self._retry_policy.retries:
                     raise
                 delay = self._retry_policy.next_delay(
                     attempt, previous_delay, self._retry_rng
@@ -549,9 +522,7 @@ class ShardedQueryService:
             self._degraded_responses_total.inc()
         return answer
 
-    def explain_fragment(
-        self, sink: ExplainSink, result: ServingResult, cache_breaker: str
-    ) -> dict:
+    def explain_fragment(self, sink: ExplainSink, result: ServingResult) -> dict:
         """Per-shard RPC evidence and the fleet's breaker states."""
         return {
             "shards": sink.ops(),

@@ -36,11 +36,12 @@ Contract details the tests pin down:
   (error type -> status), whether the gateway or the front raised it;
   the client rebuilds the type by reading the same table backwards.
 * ``X-Deadline-Ms`` propagates a per-request deadline (without it the
-  front's own default applies); a request whose deadline is already
-  spent on arrival gets 504 without executing.
-* Admission is bounded (``max_inflight``); beyond it the gateway sheds
-  load with 503 + ``Retry-After`` instead of queueing unboundedly.
-  The front's :class:`~repro.errors.OverloadedError` maps to the same 503.
+  front's own default applies); the front answers a deadline already
+  spent on arrival with :class:`~repro.errors.DeadlineExpiredError`
+  (504) without executing, and counts it.
+* Admission is the front's own (``queue_depth`` in flight); beyond it
+  the front's :class:`~repro.errors.OverloadedError` is a 503 +
+  ``Retry-After``, counted by the front like every refusal it answers.
 * ``X-Auth-Token`` resolves to a :class:`~repro.database.access.User`
   *before* any cache interaction (the scope is part of the front's
   cache key, so cached results can never cross tokens).  Unknown
@@ -130,12 +131,9 @@ class GatewayConfig:
     port: int = 0
     tokens: dict[str, User] = field(default_factory=dict)
     max_body: int = 1024 * 1024
-    max_inflight: int = 64
     access_log: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ServingError("max_inflight must be >= 1")
         if self.max_body < 1:
             raise ServingError("max_body must be >= 1")
 
@@ -227,7 +225,6 @@ class HttpGateway:
         self._server: ConnectionServer | None = None
         self._thread: threading.Thread | None = None
         self._port: int | None = None
-        self._inflight = threading.BoundedSemaphore(self.config.max_inflight)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -453,7 +450,7 @@ class HttpGateway:
                 return self._ep_health()
             if path == "/metrics":
                 self._require_method(method, "GET")
-                return 200, self._admit(self._front.metrics_text), {}
+                return 200, self._front.metrics_text(), {}
             if path == "/debug/slow":
                 self._require_method(method, "GET")
                 return self._ep_slow()
@@ -513,24 +510,7 @@ class HttpGateway:
             deadline_ms = math.nan
         if not math.isfinite(deadline_ms):
             raise BadRequestError(f"invalid X-Deadline-Ms: {raw!r}")
-        if deadline_ms <= 0:
-            raise DeadlineExpiredError("deadline expired on arrival")
         return deadline_ms / 1000.0
-
-    def _admit(self, fn, *args):
-        """Run a front call on this thread, inside the in-flight bound.
-
-        Beyond ``max_inflight`` the gateway sheds load (503) rather than
-        queueing the connection's thread behind the others.
-        """
-        if not self._inflight.acquire(blocking=False):
-            raise OverloadedError(
-                f"gateway at capacity ({self.config.max_inflight} in flight)"
-            )
-        try:
-            return fn(*args)
-        finally:
-            self._inflight.release()
 
     # -- endpoints -----------------------------------------------------
 
@@ -554,8 +534,6 @@ class HttpGateway:
                 features = np.asarray(payload["features"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise BadRequestError(f"invalid features: {exc}") from None
-            if features.ndim != 1:
-                raise BadRequestError("features must be a flat number list")
         event = None
         if payload.get("event") is not None:
             try:
@@ -591,7 +569,7 @@ class HttpGateway:
             explain=bool(payload.get("explain", False)),
         )
         ctx.fanout = self._front.fanout
-        result = self._admit(self._front.query, request)
+        result = self._front.query(request)
         return 200, _serialize_result(result), {}
 
     def _ep_skim(
@@ -601,7 +579,7 @@ class HttpGateway:
         # expose only registration metadata, never feature content.
         if not video_id:
             raise UnknownVideoError("missing video id")
-        records = self._admit(self._front.records)
+        records = self._front.records()
         record = records.get(video_id)
         if record is None:
             raise UnknownVideoError(f"video {video_id!r} is not registered")
@@ -648,13 +626,11 @@ class HttpGateway:
         if rolling and shard is not None:
             raise BadRequestError("rolling and shard are mutually exclusive")
 
-        def work():
-            if rolling:
-                return self._cluster.restart_rolling(graceful=graceful)
-            return [self._cluster.restart(int(shard), graceful=graceful)]
-
         try:
-            reports = self._admit(work)
+            if rolling:
+                reports = self._cluster.restart_rolling(graceful=graceful)
+            else:
+                reports = [self._cluster.restart(int(shard), graceful=graceful)]
         except (TypeError, ValueError) as exc:
             raise BadRequestError(f"invalid shard id: {exc}") from None
         return (
@@ -692,7 +668,7 @@ class HttpGateway:
         return report
 
     def _ep_health(self) -> tuple[int, dict, dict]:
-        report = self._admit(self._front.health_report)
+        report = self._front.health_report()
         if self._cluster is not None:
             report = self._augment_cluster_health(report)
         status_code = {"ok": 200, "degraded": 207, "down": 503}[report.status]
@@ -720,7 +696,7 @@ class HttpGateway:
                     n = max(1, min(int(part[2:]), 512))
                 except ValueError:
                     raise BadRequestError("n must be an integer") from None
-        pool = self._admit(self._front.sample_features, n)
+        pool = self._front.sample_features(n)
         return (
             200,
             {"features": [[float(x) for x in vector] for vector in pool]},

@@ -59,7 +59,6 @@ KNOWN_FAULT_POINTS = (
     "ingest.rebuild",
     "serve.rebuild",
     "serve.query",
-    "serve.cache",
     "storage.db_locked",
     "storage.mmap_truncated",
     "net.rpc",

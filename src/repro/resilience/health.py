@@ -9,8 +9,7 @@ into the three answers an orchestrator asks:
   and indexes at least one shot.
 * **degraded** — is it answering from a weakened position?  True when
   the last snapshot rebuild failed (answers come from the previous good
-  generation), a circuit breaker is not closed, the result cache has
-  been bypassed, or the corpus contains degraded mine results.
+  generation) or the corpus contains degraded mine results.
 
 The report also folds in the process-wide count of quarantined
 artifacts so ``classminer health`` gives one combined view.  Exit-code
@@ -80,7 +79,7 @@ def server_health(server) -> HealthReport:
     """Build a :class:`HealthReport` for one query server.
 
     Reads only cheap state: the engine's admission state, the current
-    snapshot's bookkeeping, breaker states and registry gauges — never
+    snapshot's bookkeeping, the rebuild breaker and registry gauges — never
     executes a query, so it is safe to call from a tight probe loop.
     """
     checks: list[HealthCheck] = []
@@ -120,9 +119,6 @@ def server_health(server) -> HealthReport:
         )
     )
 
-    cache_ok = server.cache_breaker.state.value == "closed"
-    checks.append(HealthCheck("cache", cache_ok, server.cache_breaker.describe()))
-
     corpus_ok = not degraded_videos
     checks.append(
         HealthCheck(
@@ -146,6 +142,6 @@ def server_health(server) -> HealthReport:
     return HealthReport(
         live=live,
         ready=ready,
-        degraded=stale or not cache_ok or not corpus_ok,
+        degraded=stale or not corpus_ok,
         checks=checks,
     )

@@ -9,7 +9,7 @@ alike, and runs all of it on the thread that called
     validate -> admission (queue_depth in flight, else OverloadedError)
       -> absolute deadline; already spent = DeadlineExpiredError
       -> fold ANN defaults -> resolve + memoise scope -> CacheKey
-      -> breaker-guarded cache lookup (explain bypasses)
+      -> cache lookup (explain bypasses)
       -> backend.run(request, leaves, deadline, explain sink)
       -> assemble ServingResult -> cache-put policy -> metrics
       -> slow log -> explain envelope
@@ -18,8 +18,8 @@ alike, and runs all of it on the thread that called
 The only variable is the :class:`QueryBackend` seam — *where* the
 leaves are scanned.  Access scope is resolved **before** the cache
 lookup and is part of the key, so a cached result can never cross a
-clearance boundary; answers weakened by a missing shard or an ANN
-fallback are never cached, and neither are explain executions.
+clearance boundary; answers weakened by a missing shard are never
+cached, and neither are explain executions.
 Rejections, missed deadlines and errors are counted here and nowhere
 else, so the two fronts cannot account for them differently.
 """
@@ -50,7 +50,6 @@ from repro.obs.trace import (
     new_trace_id,
     span as obs_span,
 )
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_point
 from repro.serving.cache import CacheKey, ResultCache, request_digest, scope_token
 from repro.serving.metrics import QUERY_KINDS, ServingMetrics
@@ -193,8 +192,7 @@ def validate_request(request: QueryRequest) -> None:
 class ServerConfig:
     """The knobs of one query front — what :class:`QueryEngine` reads.
 
-    :class:`~repro.net.coordinator.CoordinatorConfig` extends it with
-    the fleet's knobs; these four mean the same thing on both fronts.
+    Both fronts take it; each knob means the same thing on either.
 
     Attributes
     ----------
@@ -304,9 +302,7 @@ class QueryBackend(Protocol):
     ) -> BackendAnswer:
         """Execute the (validated, ANN-folded) request inside ``leaves``."""
 
-    def explain_fragment(
-        self, sink: ExplainSink, result: ServingResult, cache_breaker: str
-    ) -> dict:
+    def explain_fragment(self, sink: ExplainSink, result: ServingResult) -> dict:
         """Backend-specific explain keys (``breakers``, ``shards``, …)."""
 
 
@@ -328,7 +324,6 @@ class QueryFront(Protocol):
     generation: int
     metrics: ServingMetrics
     cache: ResultCache
-    cache_breaker: CircuitBreaker
 
     def query(self, request: QueryRequest) -> ServingResult:
         """Answer one request, blocking; typed errors on every failure."""
@@ -369,12 +364,6 @@ class QueryEngine:
         self.metrics = metrics
         self.cache = ResultCache()
         metrics.registry.register_collector(self.cache.metrics_snapshot)
-        # A flaky cache must not take queries down with it: get/put run
-        # through this breaker and an open breaker simply bypasses the
-        # cache (answers recompute against the backend).
-        self.cache_breaker = CircuitBreaker(
-            name="result-cache", registry=metrics.registry
-        )
         self._scope_lock = threading.Lock()
         self._scopes: dict[tuple[User, int], frozenset[str]] = {}
         self._slow_log = get_slow_log()
@@ -532,7 +521,7 @@ class QueryEngine:
         # carrying explain metadata must never be served to a caller
         # that did not ask for it.
         sink = ExplainSink() if request.explain else None
-        cached = self._cache_call(self.cache.get, key) if sink is None else None
+        cached = self.cache.get(key) if sink is None else None
         if cached is not None:
             result = replace(
                 cached,
@@ -570,7 +559,7 @@ class QueryEngine:
                 result, explain=self._explain(backend, request, key, result, sink)
             )
         elif not transient:
-            self._cache_call(self.cache.put, key, result)
+            self.cache.put(key, result)
         self._account(backend, result)
         return result
 
@@ -617,23 +606,6 @@ class QueryEngine:
             with self._scope_lock:
                 self._scopes[memo_key] = leaves
         return leaves, scope_token(user, leaves)
-
-    def _cache_call(self, operation, *args):
-        """One cache get/put through the breaker.
-
-        An open breaker or a failing cache reads as a miss and drops
-        the store — queries recompute instead of failing.
-        """
-        if not self.cache_breaker.allow():
-            return None
-        try:
-            fault_point("serve.cache")
-            value = operation(*args)
-        except Exception:
-            self.cache_breaker.record_failure()
-            return None
-        self.cache_breaker.record_success()
-        return value
 
     def _account(self, backend: QueryBackend, result: ServingResult) -> None:
         """Metrics and slow log for one finished query (hit or miss)."""
@@ -686,7 +658,5 @@ class QueryEngine:
             "ann": {"nprobe": request.nprobe, "rerank_k": request.rerank_k},
             "trace_id": current_trace_id(),
         }
-        payload.update(
-            backend.explain_fragment(sink, result, self.cache_breaker.state.value)
-        )
+        payload.update(backend.explain_fragment(sink, result))
         return payload

@@ -9,7 +9,8 @@ deadline, scope, cache, execution, accounting — is
 :meth:`QueryEngine.query <repro.serving.engine.QueryEngine.query>`,
 the same call the sharded front makes:
 
-* **Lifecycle** — :meth:`QueryServer.start` opens the engine;
+* **Lifecycle** — :meth:`QueryServer.start` builds the first snapshot
+  generation and opens the engine;
   :meth:`QueryServer.stop` closes it and returns once the queries in
   flight have finished, so the database may be closed afterwards.
 * **Generations** — results carry the snapshot generation they were
@@ -27,7 +28,6 @@ from repro.database.access import User
 from repro.database.catalog import RegisteredVideo, VideoDatabase
 from repro.errors import ServingError
 from repro.obs.export import render_prometheus
-from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.health import HealthReport, server_health
 from repro.serving.cache import ResultCache
 from repro.serving.engine import (
@@ -106,16 +106,9 @@ class SnapshotBackend:
         )
         return BackendAnswer(tuple(events))
 
-    def explain_fragment(
-        self, sink: ExplainSink, result: ServingResult, cache_breaker: str
-    ) -> dict:
-        """The two breakers an in-process answer can sit behind."""
-        return {
-            "breakers": {
-                "result-cache": cache_breaker,
-                "snapshot": self._manager.breaker.state.value,
-            }
-        }
+    def explain_fragment(self, sink: ExplainSink, result: ServingResult) -> dict:
+        """The breaker an in-process answer can sit behind."""
+        return {"breakers": {"snapshot": self._manager.breaker.state.value}}
 
 
 class QueryServer:
@@ -146,7 +139,12 @@ class QueryServer:
     # ------------------------------------------------------------------
 
     def start(self) -> "QueryServer":
-        """Start accepting queries (idempotent once running)."""
+        """Build the first generation, then accept queries (idempotent).
+
+        A started front is ready: health reads a generation before the
+        first query, not after it.
+        """
+        self._manager.current()
         self.engine.open()
         return self
 
@@ -183,11 +181,6 @@ class QueryServer:
     def cache(self) -> ResultCache:
         """The result cache."""
         return self.engine.cache
-
-    @property
-    def cache_breaker(self) -> CircuitBreaker:
-        """The breaker guarding result-cache access."""
-        return self.engine.cache_breaker
 
     @property
     def generation(self) -> int:
@@ -247,7 +240,7 @@ class QueryServer:
     def describe(self) -> str:
         """One-stop plain-text status: snapshot, cache, metrics."""
         snapshot = self._manager.current()
-        cache, cache_breaker = self.engine.cache, self.engine.cache_breaker
+        cache = self.engine.cache
         stats = cache.stats()
         degraded_videos = snapshot.degraded_videos
         lines = [
@@ -267,14 +260,8 @@ class QueryServer:
             ),
             f"  cache: {len(cache)}/{cache.capacity} entries, "
             f"hit rate {stats.hit_rate * 100:.1f}%, "
-            f"{stats.stale_evictions} stale evicted"
-            + (
-                ""
-                if cache_breaker.state is BreakerState.CLOSED
-                else f" [{cache_breaker.describe()}]"
-            ),
-            f"  breakers: {self._manager.breaker.describe()}; "
-            f"{cache_breaker.describe()}",
+            f"{stats.stale_evictions} stale evicted",
+            f"  breakers: {self._manager.breaker.describe()}",
             self._metrics.render(),
         ]
         return "\n".join(lines)

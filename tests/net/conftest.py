@@ -8,11 +8,14 @@ the equivalence and degradation tests pay no subprocess spawn cost;
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
+from repro.net import coordinator
+from repro.net.coordinator import ShardedQueryService
 from repro.net.protocol import ShardEndpoint
 from repro.net.shard import build_shards
 from repro.net.worker import ShardWorker
@@ -51,8 +54,30 @@ def reference(single_dir):
     database.close()
 
 
+#: Harness keywords that set a coordinator constant while the service is
+#: built (its breakers and retry policy read them once, at construction).
+COORDINATOR_CONSTANTS = {
+    "breaker_threshold": "SHARD_BREAKER_THRESHOLD",
+    "breaker_reset": "SHARD_BREAKER_RESET",
+    "rpc_retries": "RPC_RETRIES",
+}
+
+
+def coordinator_constants(**knobs):
+    """Patch the named coordinator constants (keywords as in
+    :data:`COORDINATOR_CONSTANTS`) for the duration of a ``with``."""
+    names = {COORDINATOR_CONSTANTS[name]: value for name, value in knobs.items()}
+    # Attribute by attribute: patch.dict would empty the module's globals
+    # for an instant on exit, under other services' scatter threads.
+    return mock.patch.multiple(coordinator, **names) if names else nullcontext()
+
+
 class NetHarness:
-    """One sharded deployment: spec + in-process workers + coordinator."""
+    """One sharded deployment: spec + in-process workers + coordinator.
+
+    Keywords are ``ServerConfig`` fields, or a coordinator constant named
+    in :data:`COORDINATOR_CONSTANTS`.
+    """
 
     def __init__(self, net_db, root, num_shards, **config_kwargs):
         self.spec = build_shards(net_db, root, num_shards)
@@ -70,11 +95,15 @@ class NetHarness:
             ShardEndpoint(info.shard_id, "127.0.0.1", worker.port)
             for info, worker in zip(self.spec.shards, self.workers)
         ]
-        self.service = ShardedQueryService(
-            self.spec,
-            self.endpoints,
-            config=CoordinatorConfig(**config_kwargs),
-        )
+        constants = {
+            name: config_kwargs.pop(name)
+            for name in COORDINATOR_CONSTANTS
+            if name in config_kwargs
+        }
+        with coordinator_constants(**constants):
+            self.service = ShardedQueryService(
+                self.spec, self.endpoints, config=ServerConfig(**config_kwargs)
+            )
 
     def close(self):
         self.service.close()

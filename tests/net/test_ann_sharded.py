@@ -13,7 +13,7 @@ import pytest
 
 from repro.database.access import User
 from repro.errors import ServingError
-from repro.serving.server import QueryRequest
+from repro.serving.server import QueryRequest, ServerConfig
 
 from .test_equivalence import keys
 
@@ -125,9 +125,7 @@ class TestCoordinatorKnobs:
                 QueryRequest(kind="scene", features=probes[0], nprobe=2)
             )
         with pytest.raises(ServingError, match="ann_nprobe"):
-            from repro.net.coordinator import CoordinatorConfig
-
-            CoordinatorConfig(ann_nprobe=0)
+            ServerConfig(ann_nprobe=0)
 
     def test_exact_and_ann_have_distinct_cache_identities(
         self, ann_harness, probes

@@ -10,9 +10,10 @@ import pytest
 
 from repro.errors import ServingError
 from repro.net.cluster import ShardCluster
-from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
+from repro.net.coordinator import ShardedQueryService
 from repro.net.shard import build_shards
 from repro.serving.server import QueryRequest
+from tests.net.conftest import coordinator_constants
 from tests.net.test_equivalence import keys
 
 
@@ -21,11 +22,8 @@ def live_cluster(tmp_path_factory, net_db):
     root = tmp_path_factory.mktemp("cluster")
     spec = build_shards(net_db, root, 2)
     cluster = ShardCluster(root, spec=spec, watchdog_interval=0.1).start()
-    service = ShardedQueryService(
-        spec,
-        cluster.endpoints,
-        config=CoordinatorConfig(breaker_threshold=2, breaker_reset=0.2),
-    )
+    with coordinator_constants(breaker_threshold=2, breaker_reset=0.2):
+        service = ShardedQueryService(spec, cluster.endpoints)
     yield cluster, service
     service.close()
     cluster.stop()

@@ -7,12 +7,13 @@ import time
 import pytest
 
 from repro.net.cluster import ShardCluster
-from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
+from repro.net.coordinator import ShardedQueryService
 from repro.net.gateway import GatewayConfig, HttpGateway
 from repro.net.shard import build_shards
 from repro.obs.export import render_prometheus_dumps, validate_prometheus_text
 from repro.serving.server import QueryRequest
 
+from .conftest import coordinator_constants
 from .test_gateway import request
 
 
@@ -86,11 +87,8 @@ def test_metrics_survive_worker_respawn(tmp_path_factory, net_db, probes):
     root = tmp_path_factory.mktemp("metrics-respawn")
     spec = build_shards(net_db, root, 2)
     with ShardCluster(root, spec=spec, watchdog_interval=None) as cluster:
-        service = ShardedQueryService(
-            spec,
-            cluster.endpoints,
-            config=CoordinatorConfig(breaker_threshold=100),
-        )
+        with coordinator_constants(breaker_threshold=100):
+            service = ShardedQueryService(spec, cluster.endpoints)
         try:
             _query(service, probes)
             text = render_prometheus_dumps(service.metrics_dumps())

@@ -18,13 +18,14 @@ import pytest
 
 from repro.errors import RpcTransportError, ServingError, WorkerDrainingError
 from repro.net.cluster import RestartReport, ShardCluster
-from repro.net.coordinator import CoordinatorConfig, ShardedQueryService
+from repro.net.coordinator import ShardedQueryService
 from repro.net.protocol import ShardEndpoint
 from repro.net.shard import build_shards
 from repro.net.worker import ShardWorker
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving.server import QueryRequest
+from tests.net.conftest import coordinator_constants
 from tests.net.test_equivalence import keys
 
 
@@ -105,13 +106,8 @@ def restart_cluster(tmp_path_factory, net_db):
     root = tmp_path_factory.mktemp("restart-cluster")
     spec = build_shards(net_db, root, 2)
     cluster = ShardCluster(root, spec=spec, watchdog_interval=0.1).start()
-    service = ShardedQueryService(
-        spec,
-        cluster.endpoints,
-        config=CoordinatorConfig(
-            rpc_retries=3, breaker_threshold=3, breaker_reset=0.2
-        ),
-    )
+    with coordinator_constants(rpc_retries=3, breaker_threshold=3, breaker_reset=0.2):
+        service = ShardedQueryService(spec, cluster.endpoints)
     yield cluster, service
     service.close()
     cluster.stop()

@@ -14,7 +14,6 @@ import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -34,11 +33,12 @@ from repro.net.protocol import pack_array
 from repro.obs.export import validate_prometheus_text
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving.loadgen import LoadgenConfig, run_load
-from repro.serving.server import QueryRequest
+from repro.serving.server import QueryRequest, QueryServer, ServerConfig
+from repro.storage.lazy import SQLVideoDatabase
 from repro.types import EventKind
 
 from .test_equivalence import keys
-from .test_gateway import _StallBackend
+from .test_gateway import held_query
 from .test_lifecycle_contract import MALFORMED
 
 
@@ -63,12 +63,6 @@ def sharded(harness):
 def front(request, reference, sharded, gateway):
     if request.param == "http":
         return HttpFront(gateway.url)
-    return reference if request.param == "single" else sharded
-
-
-@pytest.fixture(scope="module", params=["single", "sharded"])
-def serving_front(request, reference, sharded):
-    """The fronts that hold an engine (the remote one is a client half)."""
     return reference if request.param == "single" else sharded
 
 
@@ -152,17 +146,44 @@ def test_typed_errors_are_the_same_type(front, reference):
         front.query(replace(answered, timeout=1e-9))
 
 
-def test_errors_and_spent_deadlines_are_counted_once(serving_front, reference):
+@pytest.fixture(params=["single", "sharded"])
+def narrow_front(request, make_harness, single_dir):
+    """A front that holds an engine (the remote one is a client half) and
+    admits one query at a time, with that engine."""
+    if request.param == "sharded":
+        service = make_harness(2, queue_depth=1).service
+        yield service, service._engine  # noqa: SLF001
+        return
+    database = SQLVideoDatabase.open(single_dir)
+    with QueryServer(database, ServerConfig(queue_depth=1)) as server:
+        yield server, server.engine
+    database.close()
+
+
+def test_errors_and_spent_deadlines_are_counted_once(narrow_front, reference):
+    """Whoever refuses a query — the front itself or a gateway over it —
+    the front's engine counts the refusal, once."""
+    front, engine = narrow_front
     request = QueryRequest(kind="shot", features=reference.sample_features(1)[0])
-    counter = serving_front.metrics.counter
-    errors, timeouts = counter("errors"), counter("deadline_timeouts")
-    with inject(FaultPlan([FaultSpec(point="serve.query", kind="error", limit=1)])):
-        with pytest.raises(FaultInjectedError):
-            serving_front.query(request)
-    with pytest.raises(DeadlineExpiredError):
-        serving_front.query(replace(request, timeout=1e-9))
-    assert counter("errors") == errors + 1
-    assert counter("deadline_timeouts") == timeouts + 1
+    counter = front.metrics.counter
+    with HttpGateway(front) as gateway:
+        for client in (front, HttpFront(gateway.url)):
+            errors, timeouts = counter("errors"), counter("deadline_timeouts")
+            rejected = counter("rejected_overload")
+            with inject(FaultPlan([FaultSpec(point="serve.query", kind="error", limit=1)])):
+                # Over HTTP the untyped-for-the-wire fault is a 500.
+                with pytest.raises(FaultInjectedError if client is front else ServingError):
+                    client.query(request)
+            # ``X-Deadline-Ms: 0.0`` over HTTP: spent on arrival.
+            with pytest.raises(DeadlineExpiredError, match="spent on arrival"):
+                client.query(replace(request, timeout=0.0))
+            with held_query(engine, request) as held:
+                with pytest.raises(OverloadedError, match="1 queries in flight"):
+                    client.query(request)
+            assert held.result(timeout=5.0).hits
+            assert counter("errors") == errors + 1
+            assert counter("deadline_timeouts") == timeouts + 1
+            assert counter("rejected_overload") == rejected + 1
 
 
 def test_an_untyped_backend_failure_is_a_serving_error(
@@ -274,24 +295,15 @@ def test_http_front_rebuilds_the_type_from_the_status():
         server.server_close()
 
 
-def test_saturated_gateway_is_overloaded():
-    stalled = _StallBackend()
-    with HttpGateway(stalled, GatewayConfig(max_inflight=1)) as gateway:
-        front = HttpFront(gateway.url)
-        request = QueryRequest(kind="shot", features=np.zeros(1))
-        occupant = threading.Thread(target=front.query, args=(request,), daemon=True)
-        occupant.start()
-        try:
-            for _ in range(200):  # until the stalled request holds the only slot
-                if gateway._inflight._value == 0:  # noqa: SLF001
-                    break
-                threading.Event().wait(0.01)
-            with pytest.raises(OverloadedError, match="capacity"):
-                front.query(request)
-        finally:
-            stalled.release.set()
-            occupant.join(timeout=5.0)
-        assert not occupant.is_alive()
+def test_saturated_gateway_is_overloaded(net_db, reference):
+    request = QueryRequest(kind="shot", features=reference.sample_features(1)[0])
+    with QueryServer(net_db, ServerConfig(queue_depth=1)) as server, HttpGateway(
+        server
+    ) as gateway:
+        with held_query(server.engine, request) as held:
+            with pytest.raises(OverloadedError, match="HTTP 503: 1 queries in flight"):
+                HttpFront(gateway.url).query(request)
+        assert held.result(timeout=5.0).hits
 
 
 def test_one_load_generator_drives_every_front(front):

@@ -9,6 +9,8 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -23,7 +25,8 @@ from repro.errors import (
 from repro.net.client import HttpFront
 from repro.net.gateway import GatewayConfig, HttpGateway
 from repro.obs.export import validate_prometheus_text
-from repro.serving.server import QueryRequest, ServingResult
+from repro.serving.server import QueryRequest, QueryServer, ServerConfig, ServingResult
+from repro.storage.lazy import SQLVideoDatabase
 
 TOKENS = {
     "tok-public": User(name="public", clearance=0),
@@ -116,6 +119,15 @@ class TestEndpoints:
         assert status == 200
         assert body["video_id"] == title
         assert len(body["scenes"]) == body["scene_count"]
+
+    def test_a_fresh_front_is_healthy_before_its_first_query(self, single_dir):
+        database = SQLVideoDatabase.open(single_dir)
+        try:
+            with QueryServer(database) as server, HttpGateway(server) as gateway:
+                status, body, _ = request(f"{gateway.url}/health")
+        finally:
+            database.close()
+        assert (status, body["status"], body["ready"]) == (200, "ok", True)
 
     def test_health_and_metrics(self, gw):
         status, body, _ = request(f"{gw.url}/health")
@@ -337,59 +349,47 @@ class TestAuthScoping:
             ] == [(h.entry.video_title, h.entry.shot_id) for h in direct.hits]
 
 
-class _StallBackend:
-    """Front whose queries park until released (saturation tests)."""
+@contextmanager
+def held_query(engine, request):
+    """Hold ``request`` inside ``engine.execute`` on a helper thread — an
+    admitted query the front is busy with — until the block exits.
 
-    fanout = 1
+    Yields the future of the held query's answer.
+    """
+    gate, entered = threading.Event(), threading.Event()
+    execute = engine.execute
 
-    def __init__(self):
-        self.release = threading.Event()
+    def held(*args):
+        entered.set()
+        gate.wait(10.0)
+        return execute(*args)
 
-    def query(self, request):
-        self.release.wait(10.0)
-        return ServingResult(
-            kind=request.kind,
-            hits=(),
-            generation=1,
-            cache_hit=False,
-            elapsed_seconds=0.0,
-        )
+    engine.execute = held
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        answer = pool.submit(engine.query, request)
+        try:
+            assert entered.wait(5.0), "the held query never reached execute"
+            yield answer
+        finally:
+            gate.set()
+            del engine.execute
 
 
 class TestSaturation:
-    def test_admission_overflow_is_503_with_retry_after(self):
-        backend = _StallBackend()
-        gateway = HttpGateway(
-            backend, GatewayConfig(max_inflight=1)
-        ).start()
-        try:
-            first = {}
-
-            def occupy():
-                first["response"] = post_query(
-                    gateway.url, {"kind": "shot", "features": [0.0]}
+    def test_admission_overflow_is_503_with_retry_after(self, net_db, probes):
+        request = QueryRequest(kind="shot", features=probes[0])
+        with QueryServer(net_db, ServerConfig(queue_depth=1)) as server, HttpGateway(
+            server
+        ) as gateway:
+            with held_query(server.engine, request) as held:
+                status, body, headers = post_query(
+                    gateway.url, {"kind": "shot", "features": [float(x) for x in probes[0]]}
                 )
-
-            thread = threading.Thread(target=occupy, daemon=True)
-            thread.start()
-            deadline = threading.Event()
-            # Wait until the stalled request holds the only slot.
-            for _ in range(100):
-                if gateway._inflight._value == 0:  # noqa: SLF001
-                    break
-                deadline.wait(0.02)
-            status, body, headers = post_query(
-                gateway.url, {"kind": "shot", "features": [0.0]}
-            )
-            assert status == 503
-            assert headers.get("Retry-After") is not None
-            assert "capacity" in body["error"]
-            backend.release.set()
-            thread.join(timeout=5.0)
-            assert first["response"][0] == 200
-        finally:
-            backend.release.set()
-            gateway.stop()
+            assert held.result(timeout=5.0).hits
+            assert server.metrics.counter("rejected_overload") == 1
+        assert status == 503
+        assert headers.get("Retry-After") == "1"
+        assert "1 queries in flight; back off and retry" in body["error"]
 
 
 class _RaisingBackend:

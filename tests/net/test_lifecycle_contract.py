@@ -3,7 +3,7 @@
 Every case runs against the in-process :class:`QueryServer` *and* a
 2-shard in-process cluster.  Both fronts hand their queries to the same
 :class:`~repro.serving.engine.QueryEngine`, so validation, ANN-default
-folding, cache identity, explain bypass, the cache breaker and the
+folding, cache identity, explain bypass and the
 never-cache-a-weakened-answer policy must read the same on each.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from repro.database.access import User
 from repro.errors import BadRequestError, FaultInjectedError
-from repro.resilience.breaker import BreakerState
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving.server import QueryRequest, QueryServer, ServerConfig
 from repro.storage.lazy import SQLVideoDatabase
@@ -33,8 +32,8 @@ def make_front(request, make_harness, single_dir):
     """Factory for a fresh query front of the parametrised backend.
 
     ``make_front(**knobs)`` returns ``(front, harness)``; ``harness`` is
-    None for the in-process server.  Knobs are the config fields both
-    ``ServerConfig`` and ``CoordinatorConfig`` carry.
+    None for the in-process server.  Knobs are ``ServerConfig`` fields,
+    the one config type both fronts take.
     """
     opened = []
 
@@ -128,18 +127,6 @@ class TestLifecycleContract:
         assert third.explain["cache"]["would_hit"] is True
         assert keys(third) == keys(plain)
         assert third.comparisons == plain.comparisons
-
-    def test_cache_faults_open_the_breaker(self, make_front, probes):
-        front, _ = make_front()
-        request = QueryRequest(kind="shot", features=probes[1], k=3)
-        plan = FaultPlan([FaultSpec(point="serve.cache", kind="error")])
-        with inject(plan):
-            results = [front.query(request) for _ in range(4)]
-        assert all(r.hits for r in results)
-        assert not any(r.cache_hit for r in results)  # cache never engaged
-        assert front.cache_breaker.state is BreakerState.OPEN
-        # Queries still answer fine with the breaker open.
-        assert front.query(request).hits
 
     def test_query_fault_is_survivable(self, make_front, probes):
         front, _ = make_front()

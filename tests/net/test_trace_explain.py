@@ -178,7 +178,7 @@ class TestExplain:
         explain = result.explain
         assert explain["backend"] == "single"
         assert set(explain["phases_ms"]) == {"scope", "search", "total"}
-        assert set(explain["breakers"]) == {"result-cache", "snapshot"}
+        assert set(explain["breakers"]) == {"snapshot"}
         assert explain["counts"]["comparisons"] == result.comparisons
         assert explain["cache"]["disposition"] == "bypassed (explain)"
 

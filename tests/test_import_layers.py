@@ -151,7 +151,6 @@ PUBLIC_NAMES = {
         "store_for",
     ],
     "repro.net": [
-        "CoordinatorConfig",
         "GatewayConfig",
         "HttpFront",
         "HttpGateway",
