@@ -895,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Load an ingested database, start the query server, and print "
             "the combined health report: worker liveness, snapshot "
-            "readiness, circuit-breaker states, degraded corpus entries "
+            "readiness, shard circuit-breaker states, degraded corpus entries "
             "and quarantine history.  Exit code 0 ok, 1 degraded, 2 down."
         ),
     )

@@ -251,25 +251,15 @@ class VideoDatabase:
         return record
 
     def register_bulk(
-        self,
-        results: "Iterable[ClassMinerResult]",
-        skip_registered: bool = False,
+        self, results: "Iterable[ClassMinerResult]"
     ) -> list[RegisteredVideo]:
-        """Register many mined videos (the ingest bulk path).
+        """Register many mined videos, returning their records.
 
         Accepts any iterable — e.g. a generator lazily deserialising
         artifacts from an :class:`~repro.ingest.artifacts.ArtifactStore`
-        — so only one result needs to be in memory at a time.  With
-        ``skip_registered`` an already-present title is skipped instead
-        of raising; the returned records cover only the videos added by
-        this call.
+        — so only one result needs to be in memory at a time.
         """
-        records: list[RegisteredVideo] = []
-        for result in results:
-            if skip_registered and result.title in self._videos:
-                continue
-            records.append(self.register(result))
-        return records
+        return [self.register(result) for result in results]
 
     def register_entries(
         self,

@@ -27,9 +27,6 @@ fans out by subsystem:
     │   │   gateway maps the *type* to 400.
     │   ├── ``OverloadedError`` — ``queue_depth`` queries are already in
     │   │   flight; shed and retry instead of queueing without bound.
-    │   ├── ``CircuitOpenError`` — a circuit breaker is open; the
-    │   │   protected operation was not attempted (fail fast, retry
-    │   │   after the breaker's reset timeout).
     │   ├── ``RpcTransportError`` — a shard RPC failed in transit
     │   │   (reset, refused connect, truncated frame).  Transient and
     │   │   retry-safe: every shard op is idempotent.
@@ -141,15 +138,6 @@ class BadRequestError(ServingError):
 
 class OverloadedError(ServingError):
     """Bounded admission refused the request: too many queries in flight."""
-
-
-class CircuitOpenError(ServingError):
-    """A circuit breaker is open: the protected call was not attempted.
-
-    Carries no partial result — the caller should fall back to the last
-    good value (the serving layer keeps answering from the previous
-    snapshot generation) or retry after the breaker's reset timeout.
-    """
 
 
 class RpcTransportError(ServingError):

@@ -54,6 +54,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Frame header: payload length, then CRC32 of the payload bytes.
 FRAME_HEADER = struct.Struct("!II")
 
+#: Connections one :class:`ShardEndpoint` keeps to its worker at most.
+POOL_SIZE = 4
+
 
 def pack_array(array: np.ndarray) -> dict:
     """Encode an array as base64 of its contiguous float64 bytes.
@@ -254,7 +257,7 @@ class RpcClient:
 class ShardEndpoint:
     """Address + bounded connection pool for one shard.
 
-    Connections are created lazily up to ``pool_size`` and reused LIFO;
+    Connections are created lazily up to :data:`POOL_SIZE` and reused LIFO;
     when every connection is busy a caller waits (bounded by its
     deadline) rather than opening more.  :meth:`reset` re-points the
     endpoint after the cluster respawns a worker on a new port, closing
@@ -266,20 +269,16 @@ class ShardEndpoint:
         shard_id: int,
         host: str,
         port: int,
-        pool_size: int = 4,
         default_timeout: float = 5.0,
     ) -> None:
-        if pool_size < 1:
-            raise ServingError("endpoint pool size must be >= 1")
         self.shard_id = shard_id
         self._host = host
         self._port = port
-        self._pool_size = pool_size
         self._default_timeout = default_timeout
         self._lock = threading.Lock()
         self._idle: list[RpcClient] = []
         self._created = 0
-        self._available = threading.Semaphore(pool_size)
+        self._available = threading.Semaphore(POOL_SIZE)
         self._epoch = 0
 
     @property
@@ -312,7 +311,7 @@ class ShardEndpoint:
                 )
             raise ServingError(
                 "shard connection pool exhausted "
-                f"({self._pool_size} connections busy)"
+                f"({POOL_SIZE} connections busy)"
             )
         with self._lock:
             if self._idle:

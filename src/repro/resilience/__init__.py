@@ -9,8 +9,8 @@ injectable, contained, observable and recoverable by design:
   executor, artifact store, snapshot rebuild and query engine;
   zero-cost when disarmed (the :data:`NULL_PLAN` default).
 * :mod:`repro.resilience.breaker` — closed/open/half-open
-  :class:`CircuitBreaker` guarding snapshot rebuilds (failing fast with
-  :class:`~repro.errors.CircuitOpenError`) and each shard of a sharded front.
+  :class:`CircuitBreaker` guarding the calls to each shard of a sharded
+  front (a failed snapshot rebuild is simply retried by its caller).
 * :mod:`repro.resilience.watchdog` — :class:`Watchdog` repair loop the
   shard cluster uses to respawn dead worker processes.
 * :mod:`repro.resilience.integrity` — per-artifact content checksums,

@@ -1,15 +1,14 @@
-"""Circuit breaker: fail fast while a dependency is known-bad.
+"""Circuit breaker: stop calling a shard while it is known-bad.
 
-A :class:`CircuitBreaker` wraps an operation that can fail repeatedly
-(snapshot rebuilds, the result cache) and walks the classic three-state
-machine:
+Each shard of a sharded front
+(:class:`~repro.net.coordinator.ShardedQueryService`) sits behind one
+:class:`CircuitBreaker`, which walks the classic three-state machine:
 
 * **closed** — calls pass through; ``failure_threshold`` consecutive
   failures trip the breaker open.
-* **open** — calls are refused immediately with
-  :class:`~repro.errors.CircuitOpenError` (no work attempted), so a
-  broken dependency cannot pile up latency.  After ``reset_timeout``
-  seconds the breaker lets one probe through.
+* **open** — :meth:`~CircuitBreaker.allow` refuses, so the shard is
+  skipped (reported missing) instead of piling up latency.  After
+  ``reset_timeout`` seconds the breaker lets one probe through.
 * **half-open** — exactly one in-flight probe is allowed; its success
   closes the breaker (counters reset), its failure re-opens it and
   restarts the cooldown.
@@ -17,7 +16,7 @@ machine:
 The clock is injectable so tests drive transitions without sleeping.
 When a registry is supplied the breaker publishes its state as the
 ``circuit_breaker_state{breaker=…}`` gauge (0 closed, 1 open,
-2 half-open) and trips/resets as counters — the health CLI reads these.
+2 half-open) and its trips as a counter — the health CLI reads these.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from __future__ import annotations
 import threading
 import time
 from enum import Enum
-
-from repro.errors import CircuitOpenError
 
 
 class BreakerState(str, Enum):
@@ -60,7 +57,6 @@ class CircuitBreaker:
             raise ValueError("failure_threshold must be >= 1")
         if reset_timeout < 0:
             raise ValueError("reset_timeout must be >= 0")
-        self.name = name
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
         self._clock = clock
@@ -69,7 +65,6 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._probe_inflight = False
-        self._trips = 0
         self._gauge = None
         self._trip_counter = None
         if registry is not None:
@@ -147,49 +142,6 @@ class CircuitBreaker:
         self._state = BreakerState.OPEN
         self._opened_at = now
         self._failures = 0
-        self._trips += 1
         if self._trip_counter is not None:
             self._trip_counter.inc()
         self._publish()
-
-    def call(self, fn, *args, **kwargs):
-        """Run ``fn`` through the breaker.
-
-        Raises :class:`~repro.errors.CircuitOpenError` without calling
-        ``fn`` while the breaker refuses traffic; otherwise records the
-        outcome and re-raises any failure.
-        """
-        if not self.allow():
-            with self._lock:
-                remaining = max(
-                    0.0, self.reset_timeout - (self._clock() - self._opened_at)
-                )
-            raise CircuitOpenError(
-                f"circuit {self.name!r} is {self._state.value}; "
-                f"retry in {remaining:.1f}s"
-            )
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
-    def reset(self) -> None:
-        """Force the breaker closed and clear its counters (tests, ops)."""
-        with self._lock:
-            self._state = BreakerState.CLOSED
-            self._failures = 0
-            self._probe_inflight = False
-            self._publish()
-
-    def describe(self) -> str:
-        """One-line status for health reports."""
-        with self._lock:
-            self._maybe_half_open()
-            return (
-                f"{self.name}: {self._state.value} "
-                f"({self._failures}/{self.failure_threshold} failures, "
-                f"{self._trips} trips)"
-            )

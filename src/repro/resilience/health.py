@@ -79,8 +79,8 @@ def server_health(server) -> HealthReport:
     """Build a :class:`HealthReport` for one query server.
 
     Reads only cheap state: the engine's admission state, the current
-    snapshot's bookkeeping, the rebuild breaker and registry gauges — never
-    executes a query, so it is safe to call from a tight probe loop.
+    snapshot's bookkeeping, the last rebuild error and registry gauges —
+    never executes a query, so it is safe to call from a tight probe loop.
     """
     checks: list[HealthCheck] = []
 
@@ -114,8 +114,8 @@ def server_health(server) -> HealthReport:
         HealthCheck(
             "rebuild",
             not stale,
-            manager.breaker.describe()
-            + (f"; last error: {manager.last_error}" if stale else ""),
+            f"generation {generation}"
+            + (f", last error: {manager.last_error}" if stale else ""),
         )
     )
 

@@ -123,9 +123,9 @@ class ServingResult:
 
     ``explain`` is populated only on ``explain=True`` requests: a plain
     dict of per-phase timings, comparison counts, cache disposition and
-    breaker states.  It is metadata *about* the execution — the other
-    fields are bit-identical to what the same request would return
-    without explain.
+    (sharded) per-shard breaker states.  It is metadata *about* the
+    execution — the other fields are bit-identical to what the same
+    request would return without explain.
     """
 
     kind: str

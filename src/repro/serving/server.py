@@ -107,8 +107,8 @@ class SnapshotBackend:
         return BackendAnswer(tuple(events))
 
     def explain_fragment(self, sink: ExplainSink, result: ServingResult) -> dict:
-        """The breaker an in-process answer can sit behind."""
-        return {"breakers": {"snapshot": self._manager.breaker.state.value}}
+        """No keys of its own: an in-process answer sits behind no breaker."""
+        return {}
 
 
 class QueryServer:
@@ -261,7 +261,6 @@ class QueryServer:
             f"  cache: {len(cache)}/{cache.capacity} entries, "
             f"hit rate {stats.hit_rate * 100:.1f}%, "
             f"{stats.stale_evictions} stale evicted",
-            f"  breakers: {self._manager.breaker.describe()}",
             self._metrics.render(),
         ]
         return "\n".join(lines)

@@ -38,9 +38,8 @@ from repro.database.flat import FlatIndex
 from repro.database.index import IndexNode
 from repro.database.query import QueryResult, search_hierarchical
 from repro.database.scene_search import RankedScene, SceneIndex
-from repro.errors import CircuitOpenError, ReproError, ServingError
+from repro.errors import ReproError, ServingError
 from repro.obs.registry import get_registry
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_point
 from repro.types import EventKind
 
@@ -236,11 +235,9 @@ class SnapshotManager:
     Self-healing: a failed rebuild never disturbs the published
     snapshot — readers keep answering from the last good generation
     while :attr:`degraded` turns True and :attr:`last_error` names the
-    failure.  Rebuild attempts run through a
-    :class:`~repro.resilience.breaker.CircuitBreaker`, so a dependency
-    that keeps failing stops being hammered
-    (:class:`~repro.errors.CircuitOpenError`) until its cooldown lets a
-    probe through.
+    failure.  Nothing is retried here: the caller that asked for the
+    generation gets the typed error, and its next :meth:`refresh` simply
+    builds again.
 
     When ``reopen`` is given, :meth:`refresh` does not rebuild from the
     held database object: it calls ``reopen()`` for a *freshly opened*
@@ -261,27 +258,16 @@ class SnapshotManager:
     def __init__(
         self,
         database: VideoDatabase,
-        breaker: CircuitBreaker | None = None,
         reopen: Callable[[], VideoDatabase] | None = None,
     ) -> None:
         self._lock = threading.RLock()  # current() re-enters through refresh()
         self._state = _ManagerState(database=database)
         self._reopen = reopen
-        self._breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(name="snapshot-rebuild", registry=get_registry())
-        )
 
     @property
     def database(self) -> VideoDatabase:
         """The live database backing new generations."""
         return self._state.database
-
-    @property
-    def breaker(self) -> CircuitBreaker:
-        """The breaker guarding rebuild attempts."""
-        return self._breaker
 
     @property
     def last_error(self) -> str | None:
@@ -342,17 +328,12 @@ class SnapshotManager:
             return self._swap(database)
 
     def _swap(self, database: VideoDatabase) -> Snapshot:
-        if not self._breaker.allow():
-            raise CircuitOpenError(
-                f"snapshot rebuild suppressed — {self._breaker.describe()}"
-            )
         try:
             fault_point("serve.rebuild")
             snapshot = build_snapshot(database, self._state.generation + 1)
         except Exception as exc:
             # The published snapshot is untouched: readers keep serving
             # the last good generation while we report degraded.
-            self._breaker.record_failure()
             self._state.last_error = f"{type(exc).__name__}: {exc}"
             get_registry().counter(
                 "serving_rebuild_failures_total",
@@ -362,7 +343,6 @@ class SnapshotManager:
             if isinstance(exc, ReproError):
                 raise
             raise ServingError(f"snapshot rebuild failed: {exc}") from exc
-        self._breaker.record_success()
         previous, superseded = self._state.database, self._state.snapshot
         self._state.database, self._state.last_error = database, None
         self._state.generation = snapshot.generation

@@ -43,7 +43,6 @@ from repro.database.hierarchy import ensure_subject_area
 from repro.database.index import LeafHashIndex, LeafRows
 from repro.database.scene_search import SceneIndex, SceneTable
 from repro.errors import IngestError, StorageError
-from repro.storage.featurestore import DEFAULT_MAX_OPEN
 from repro.storage.schema import catalog_path
 from repro.storage.sqlcatalog import LeafInfo, SQLCatalog
 from repro.types import EventKind
@@ -136,11 +135,9 @@ class SQLVideoDatabase(VideoDatabase):
         )
 
     @classmethod
-    def open(
-        cls, db_dir: str | Path, max_open: int = DEFAULT_MAX_OPEN
-    ) -> "SQLVideoDatabase":
+    def open(cls, db_dir: str | Path) -> "SQLVideoDatabase":
         """Open the catalog stored in ``db_dir``."""
-        return cls(SQLCatalog(db_dir, max_open=max_open))
+        return cls(SQLCatalog(db_dir))
 
     @property
     def catalog(self) -> SQLCatalog:

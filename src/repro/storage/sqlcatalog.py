@@ -17,9 +17,9 @@ any feature blocks the aborted write introduced; readers never see a
 half-replaced catalog.  A successful commit garbage-collects the
 blocks only the superseded generation referenced (both cleanup paths
 re-check the live catalog's references before unlinking, so a block a
-concurrent writer just committed stays).  :meth:`SQLCatalog.register_bulk`
-layers the incremental API on top: open, register, replace — still one
-transaction.
+concurrent writer just committed stays).  The one writer of a corpus is
+:func:`repro.ingest.runner.publish_catalog`, which rebuilds the database
+from the artifacts and replaces the catalog with it.
 
 Determinism contract
 --------------------
@@ -57,12 +57,7 @@ from repro.errors import FaultInjectedError, StorageError
 from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
 from repro.resilience.faults import fault_point
-from repro.storage.featurestore import (
-    DEFAULT_MAX_OPEN,
-    BlockRef,
-    FeatureStore,
-    map_block,
-)
+from repro.storage.featurestore import BlockRef, FeatureStore, map_block
 from repro.storage.schema import (
     DATA_TABLES,
     catalog_path,
@@ -142,14 +137,13 @@ class SQLCatalog:
         self,
         db_dir: str | Path,
         create: bool = False,
-        max_open: int = DEFAULT_MAX_OPEN,
     ) -> None:
         if create:
             Path(db_dir).mkdir(parents=True, exist_ok=True)
         self._conn = connect(catalog_path(db_dir), create=create)
         self._conn.isolation_level = None  # explicit transactions only
         self._lock = threading.RLock()
-        self._features = FeatureStore(features_path(db_dir), max_open=max_open)
+        self._features = FeatureStore(features_path(db_dir))
         registry = get_registry()
         self._queries = registry.counter(
             "storage_catalog_queries_total",
@@ -561,24 +555,6 @@ class SQLCatalog:
         with obs_span("storage.replace", entries=count, leaves=len(leaves_payload)):
             self._run(op)
         return count
-
-    def register_bulk(self, results, skip_registered: bool = False) -> list[RegisteredVideo]:
-        """Transactionally register mined results into the stored catalog.
-
-        Opens the current catalog as a database over this connection,
-        registers the new results (leaves they do not touch stay on
-        their mmaps), then replaces the stored catalog in one
-        transaction — a failure anywhere leaves the previous generation
-        untouched.  Returns the records added by this call (mirroring
-        :meth:`VideoDatabase.register_bulk`).
-        """
-        from repro.storage.lazy import SQLVideoDatabase
-
-        staging = SQLVideoDatabase(self) if self.entry_count() else VideoDatabase()
-        added = staging.register_bulk(results, skip_registered=skip_registered)
-        if added:
-            self.replace_from(staging)
-        return added
 
     def _referenced_blocks(self) -> set[str]:
         """Digests the current catalog generation refers to."""

@@ -19,6 +19,7 @@ from repro.errors import (
 from repro.net.protocol import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
+    POOL_SIZE,
     ShardEndpoint,
     pack_array,
     recv_frame,
@@ -183,11 +184,12 @@ class TestShardEndpoint:
             endpoint.close()
 
     def test_connections_are_pooled_and_reused(self, echo):
-        endpoint = ShardEndpoint(0, "127.0.0.1", echo.port, pool_size=2)
+        endpoint = ShardEndpoint(0, "127.0.0.1", echo.port)
         try:
             for _ in range(8):
                 endpoint.call({"op": "ping"})
-            assert len(endpoint._idle) <= 2
+            assert len(endpoint._idle) <= POOL_SIZE
+            assert endpoint._created == 1  # one connection served all eight
         finally:
             endpoint.close()
 
@@ -201,10 +203,6 @@ class TestShardEndpoint:
             assert endpoint.address == ("127.0.0.1", echo.port)
         finally:
             endpoint.close()
-
-    def test_pool_size_must_be_positive(self):
-        with pytest.raises(ServingError):
-            ShardEndpoint(0, "127.0.0.1", 1234, pool_size=0)
 
     def test_expired_deadline_raises_typed_error_up_front(self, echo):
         endpoint = ShardEndpoint(0, "127.0.0.1", echo.port)

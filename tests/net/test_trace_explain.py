@@ -178,7 +178,7 @@ class TestExplain:
         explain = result.explain
         assert explain["backend"] == "single"
         assert set(explain["phases_ms"]) == {"scope", "search", "total"}
-        assert set(explain["breakers"]) == {"snapshot"}
+        assert "breakers" not in explain  # no breaker guards an in-process answer
         assert explain["counts"]["comparisons"] == result.comparisons
         assert explain["cache"]["disposition"] == "bypassed (explain)"
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CircuitOpenError
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 
@@ -89,39 +88,6 @@ class TestTransitions:
         clock.advance(1.0)
         assert breaker.state is BreakerState.HALF_OPEN
 
-    def test_reset_forces_closed(self, breaker):
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.reset()
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allow()
-
-
-class TestCall:
-    def test_call_passes_through_when_closed(self, breaker):
-        assert breaker.call(lambda: 42) == 42
-
-    def test_call_records_failures_and_reraises(self, breaker):
-        def boom():
-            raise RuntimeError("organic failure")
-
-        with pytest.raises(RuntimeError):
-            breaker.call(boom)
-        with pytest.raises(RuntimeError):
-            breaker.call(boom)
-        assert breaker.state is BreakerState.OPEN
-
-    def test_call_raises_circuit_open_without_running(self, breaker, clock):
-        breaker.record_failure()
-        breaker.record_failure()
-        calls = []
-        with pytest.raises(CircuitOpenError, match="retry in"):
-            breaker.call(calls.append, "never")
-        assert calls == []
-        clock.advance(10.0)
-        assert breaker.call(lambda: "healed") == "healed"
-        assert breaker.state is BreakerState.CLOSED
-
 
 class TestValidationAndIntrospection:
     def test_rejects_bad_parameters(self):
@@ -129,14 +95,6 @@ class TestValidationAndIntrospection:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(reset_timeout=-1.0)
-
-    def test_describe_names_state_and_counters(self, breaker):
-        assert "test: closed" in breaker.describe()
-        breaker.record_failure()
-        breaker.record_failure()
-        description = breaker.describe()
-        assert "open" in description
-        assert "1 trips" in description
 
     def test_registry_gauge_tracks_state(self, clock):
         registry = MetricsRegistry()

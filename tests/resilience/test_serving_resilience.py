@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.errors import CircuitOpenError, FaultInjectedError, ReproError
+from repro.errors import FaultInjectedError
+from repro.obs.registry import get_registry
 from repro.resilience import server_health
-from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.serving.server import QueryRequest, QueryServer, ServerConfig
-from repro.serving.snapshot import SnapshotManager
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 
 _CONFIG = ServerConfig(default_timeout=10.0)
@@ -69,39 +68,32 @@ class TestRebuildResilience:
             assert not after.degraded
             assert server.manager.last_error is None
 
-    def test_breaker_opens_after_threshold_and_recovers(self, serving_db):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            name="snapshot-rebuild",
-            failure_threshold=2,
-            reset_timeout=10.0,
-            clock=lambda: clock[0],
+    def test_next_refresh_builds_at_once(self, serving_db):
+        # Nothing suppresses a rebuild after failures: each failed
+        # refresh raises the fault's typed error while the published
+        # generation keeps answering, and the first refresh after the
+        # fault is gone publishes the next generation immediately.
+        failures = get_registry().counter(
+            "serving_rebuild_failures_total", "Snapshot rebuild attempts that failed."
         )
-        manager = SnapshotManager(serving_db, breaker=breaker)
-        with QueryServer(manager=manager, config=_CONFIG) as server:
+        with QueryServer(serving_db, _CONFIG) as server:
             request = _request(server)
+            before = failures.value
             plan = FaultPlan([FaultSpec(point="serve.rebuild", kind="error")])
             with inject(plan):
-                errors = []
                 for _ in range(3):
-                    try:
+                    with pytest.raises(FaultInjectedError):
                         server.refresh()
-                    except ReproError as exc:
-                        errors.append(type(exc))
-            assert errors == [FaultInjectedError, FaultInjectedError, CircuitOpenError]
-            assert breaker.state is BreakerState.OPEN
+                    stale = server.query(request)
+                    assert stale.generation == 1 and stale.degraded and stale.hits
+            assert failures.value - before == 3
+            assert plan.fired("serve.rebuild", "error") == 3
 
-            # While open, even a healthy rebuild is refused...
-            with pytest.raises(CircuitOpenError):
-                server.refresh()
-            # ...but queries keep flowing from the last good generation.
-            assert server.query(request).hits
-
-            clock[0] += 10.0  # cooldown elapses; the probe heals it
             healed = server.refresh()
-            assert breaker.state is BreakerState.CLOSED
-            assert healed.generation >= 2
-            assert not server.query(request).degraded
+            assert healed.generation == 2
+            assert not server.manager.degraded
+            after = server.query(request)
+            assert after.generation == 2 and not after.degraded
 
 
 class TestHealth:

@@ -459,17 +459,19 @@ class TestMutation:
     def test_catalog_register_bulk_reads_columns_not_rows(
         self, tmp_path, demo_result
     ):
-        """``SQLCatalog.register_bulk`` registers on the opened catalog itself:
-        no per-row read, and the same stored state as registering in RAM."""
+        """Registering on a database opened over the catalog and replacing
+        the catalog with it reads no per-row block, and stores the same
+        state as registering in RAM."""
         from repro.storage import SQLCatalog
 
         in_ram = build_synthetic_database(videos=6, shots_per_video=8, seed=4)
         save_database(in_ram, tmp_path / "bulk")
         with SQLCatalog(tmp_path / "bulk") as catalog:
             catalog.leaf_rows = None  # the per-row reader: calling it would raise
-            added = catalog.register_bulk([demo_result])
+            opened = SQLVideoDatabase(catalog)
+            added = opened.register_bulk([demo_result])
             assert [record.title for record in added] == [demo_result.title]
-            assert catalog.register_bulk([demo_result], skip_registered=True) == []
+            catalog.replace_from(opened)
         in_ram.register(demo_result)
         save_database(in_ram, tmp_path / "ram")
         assert stored_state(tmp_path / "bulk") == stored_state(tmp_path / "ram")
