@@ -385,9 +385,7 @@ class VideoDatabase:
         wanted = set(titles)
         missing = wanted - set(self._videos)
         if missing:
-            raise DatabaseError(
-                f"cannot clone unregistered videos: {sorted(missing)}"
-            )
+            raise DatabaseError(f"cannot clone unregistered videos: {sorted(missing)}")
         clone = VideoDatabase()
         clone._leaves, kept = self._keep(wanted, pin_routing=True)
         clone._total = int(kept.size)
@@ -401,7 +399,7 @@ class VideoDatabase:
         table = self.scene_index.table
         mask = np.fromiter(map(wanted.__contains__, table.titles.tolist()), bool, len(table.titles))
         scenes = SceneTable(*(column[mask] for column in table))
-        clone._scenes = SceneIndex(lambda: scenes, count=len(scenes.titles))
+        clone._scenes = SceneIndex(scenes)
         return clone, kept
 
     def build_index(self) -> IndexNode:

@@ -28,6 +28,7 @@ from repro.core.kernels import (
     column_variances,
     combined_stsim_to_many,
     intersection_to_many,
+    scan_chunks,
     squared_distances,
 )
 from repro.core.similarity import SimilarityWeights
@@ -67,10 +68,7 @@ class IndexStats:
 
     def snapshot(self) -> dict[str, int]:
         """Point-in-time copy of the counters."""
-        return {
-            "descents": self.descents,
-            "center_block_builds": self.center_block_builds,
-        }
+        return {"descents": self.descents, "center_block_builds": self.center_block_builds}
 
 
 #: Process-wide index counters (exported via the obs registry).
@@ -211,10 +209,7 @@ def rows_by_signature(signatures: np.ndarray) -> dict[tuple[int, ...], np.ndarra
     inverse = inverse.ravel()
     order = np.argsort(inverse, kind="stable")
     bounds = np.cumsum(np.bincount(inverse, minlength=keys.shape[0]))[:-1]
-    return {
-        tuple(int(v) for v in key): rows
-        for key, rows in zip(keys, np.split(order, bounds))
-    }
+    return {tuple(int(v) for v in key): rows for key, rows in zip(keys, np.split(order, bounds))}
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
@@ -285,8 +280,9 @@ class LeafHashIndex:
         ``(N, |dims|)`` C-ordered float64 (what the ANN tier trains on and
         the catalog stores, uncopied) — every row restricted to the leaf's
         discriminating dimensions, the only feature bytes an exact scan
-        touches (the paper's per-node reduced features, stored; a save
-        swaps a derived one for the map of the block it wrote, :meth:`adopt`);
+        touches (the paper's per-node reduced features, stored); made on its
+        own first read, not on one of ``dims`` or ``signatures``, and a save
+        that finds it unmade streams it into the block it writes (:meth:`adopt`);
     ``signatures`` / ``buckets``
         each row's hash signature, and the ascending row indices of
         every non-empty bucket.
@@ -331,19 +327,20 @@ class LeafHashIndex:
         self.rows = rows
         self.block, self.ordinals, self.titles, self.shot_ids, self.scene_ids = rows
 
-    def _derive(self) -> None:
-        """Routing (unless pinned) and hash state: what the source gave
-        stays, the rest is made from the block, which may be a read-only
-        mmap (only ``reduced`` copies out of it, and no temporary is)."""
+    def _derive(self, name: str) -> None:
+        """Routing (unless pinned), hash state, and ``reduced`` only when it
+        is what was read: what the source gave stays, the rest is made from
+        the block, which may be a read-only mmap (only ``reduced`` copies
+        out of it, and no temporary is)."""
         block, given = self.block, self.__dict__
         if "dims" not in given:
             self.centers, self.dims = leaf_routing(block) if len(self) else (None, None)
-        if "reduced" not in given:
-            dims = self.dims if len(self) else None
-            self.reduced = block if dims is None else np.asarray(block).take(dims, axis=1)
+        if name == "reduced":
+            self.reduced = np.asarray(block).take(self.dims, axis=1) if len(self) else block
         if "signatures" not in given:
             self.signatures = leaf_signatures(block)
-        self.buckets = rows_by_signature(self.signatures)
+        if "buckets" not in given:
+            self.buckets = rows_by_signature(self.signatures)
 
     def __getattr__(self, name: str):
         # Reached only while ``name`` is not set: its first touch.
@@ -355,16 +352,25 @@ class LeafHashIndex:
                 self._set_columns(rows)
                 self.__dict__.update(stored)
             if name not in self.__dict__:
-                self._derive()
+                self._derive(name)
         return self.__dict__[name]
 
     def __len__(self) -> int:
         return self._count
 
-    def adopt(self, reduced: np.ndarray) -> None:
-        """Read ``reduced``, a save's read-only map of the block it stored from ours."""
+    def adopt(self, store) -> None:
+        """Hand ``reduced`` to ``store(rows, shape)`` — a save's — and read the
+        read-only block it returns from here on; one not set yet goes as row
+        chunks gathered into the kernels' per-thread scratch, never whole."""
+        block, dims = self.block, self.dims
         with self._load_lock:
-            self.reduced = reduced
+            rows = self.__dict__.get("reduced")
+            if rows is None:  # "clip": dims are in range, and ``out`` is written unbuffered
+                rows = (
+                    np.take(block[start:stop], dims, axis=1, out=scratch, mode="clip")
+                    for start, stop, scratch in scan_chunks(len(self), dims.size)
+                )
+            self.reduced = store(rows, (len(self), dims.size))
 
     def entry(self, row: int) -> ShotEntry:
         """The shot stored at ``row`` (its features a view of the block)."""
@@ -460,9 +466,7 @@ class IndexNode:
         serving hot path (:func:`~repro.serving.snapshot.build_snapshot`).
         """
         if self._center_block is None:
-            populated = tuple(
-                child for child in self.children if child.centers is not None
-            )
+            populated = tuple(child for child in self.children if child.centers is not None)
             if not populated:
                 return None
             INDEX_STATS.center_block_builds += 1

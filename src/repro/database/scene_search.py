@@ -13,11 +13,12 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterable, Mapping, Set as AbstractSet
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.core.kernels import combined_stsim_to_many, top_k
+from repro.core.kernels import combined_stsim_to_many, scan_chunks, top_k
 from repro.database.events_query import event_concept
 from repro.database.index import LeafHashIndex
 from repro.errors import DatabaseError
@@ -98,15 +99,15 @@ def scene_runs(leaf: LeafHashIndex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def corpus_scenes(
-    leaves: "Iterable[LeafHashIndex]", records: "Mapping[str, RegisteredVideo]"
+    leaves: "Iterable[LeafHashIndex]", records: "Mapping[str, RegisteredVideo]", store=None
 ) -> SceneTable:
     """Scene centroids of a corpus, from its leaves' rows.
 
-    The one place a scene centroid is computed: the sum of the scene's
-    run of ``m`` leaf rows (:func:`scene_runs`) over ``m`` — bit for bit
-    ``block[rows].mean(axis=0)``.  The registration record supplies the
-    mined event.  Scenes come out sorted by ``(title, scene_id)`` — the
-    stored row order.
+    The registration record supplies the mined event.  Scenes come out
+    sorted by ``(title, scene_id)`` — the stored row order — and their
+    centroids are :func:`centroid_rows`, summed into a RAM array, or, given
+    ``store(rows, shape)`` (a save's), handed over a scratch chunk at a time
+    and read from the block it returns.
     """
     # Runs stay columns: a Python tuple per scene, alive while the centroid
     # block is allocated, raised a served corpus's peak RSS by ~0.3 MiB.
@@ -121,37 +122,55 @@ def corpus_scenes(
     titles, scene_ids, starts, stops, which = (
         column[order] for column in (titles, scene_ids, starts, stops, which)
     )
-    centroids = np.empty((which.size, leaves[0].block.shape[1]))
-    for row in range(which.size):
-        block = leaves[which[row]].block
-        np.add.reduce(block[starts[row] : stops[row]], axis=0, out=centroids[row])
     shot_counts = (stops - starts).astype(np.int64)
-    centroids /= shot_counts[:, None]
+    rows = centroid_rows([leaves[w].block for w in which.tolist()], starts, shot_counts)
+    shape = (which.size, leaves[0].block.shape[1])
+    if store is None:  # copied out of the scratch row by row, into one RAM array
+        centroids = np.fromiter(chain.from_iterable(rows), np.dtype((float, shape[1])), shape[0])
+    else:
+        centroids = store(rows, shape)
     unknown = EventKind.UNKNOWN
     events = [EventKind(records[t].events.get(s, unknown.value)) if t in records else unknown
               for t, s in zip(titles.tolist(), scene_ids.tolist())]
     return SceneTable(titles, scene_ids, np.array(events, dtype=object), shot_counts, centroids)
 
 
+def centroid_rows(blocks: "list[np.ndarray]", starts: np.ndarray, counts: np.ndarray):
+    """Scene ``i``'s centroid is the sum of ``blocks[i][starts[i]:][:counts[i]]``
+    (its run of leaf rows, :func:`scene_runs`) over ``counts[i]`` — bit for
+    bit ``block[run].mean(axis=0)``.  The one place a scene centroid is
+    computed; yielded a chunk of rows at a time in the kernels' per-thread
+    scratch, which the next chunk overwrites."""
+    for first, last, scratch in scan_chunks(len(blocks), blocks[0].shape[1]):
+        for row in range(first, last):
+            run = blocks[row][starts[row] : starts[row] + counts[row]]
+            np.add.reduce(run, axis=0, out=scratch[row - first])
+        scratch /= counts[first:last, None]
+        yield scratch
+
+
 class SceneIndex:
     """Flat index of scene centroids with optional event filtering.
 
-    ``count`` scenes behind a callable that makes their
-    :class:`SceneTable` on the first search, once, under a lock — an
-    opened store maps its stored centroid block, a registered corpus runs
-    :func:`corpus_scenes` — plus each event's row indices.  A search is
-    one blocked kernel call over the centroid matrix and only the ``k``
+    A :class:`SceneTable` (a shard cut's), or ``count`` scenes behind a
+    callable that makes theirs on the first search, once, under a lock —
+    an opened store maps its stored centroid block, a registered corpus
+    runs :func:`corpus_scenes`; either takes a save's ``store`` too
+    (:meth:`adopt`) — plus each event's row indices.  A search is one
+    blocked kernel call over the centroid matrix and only the ``k``
     winners become :class:`RankedScene` objects.
     """
 
     def __init__(
-        self, table: "Callable[[], SceneTable]" = lambda: _NO_SCENES, count: int = 0
+        self, table: "SceneTable | Callable[..., SceneTable]" = _NO_SCENES, count: int = 0
     ) -> None:
-        self._count = count
-        self._source = table
         self._load_lock = threading.Lock()
+        self._count, self._source = count, table
+        if not callable(table):
+            self._install(table)
 
     def _install(self, table: SceneTable) -> None:
+        self._count = len(table.titles)
         by_event: dict[EventKind, list[int]] = {}
         by_concept: dict[str, list[int]] = {}
         pairs = zip(table.titles.tolist(), table.events.tolist())
@@ -178,11 +197,17 @@ class SceneIndex:
     def __len__(self) -> int:
         return self._count
 
-    def adopt(self, centroids: np.ndarray) -> None:
-        """Read ``centroids``, a save's read-only map of the block it stored from ours."""
-        table = self.table
+    def adopt(self, store) -> SceneTable:
+        """Hand the centroids to ``store(rows, shape)`` — a save's — and read
+        the read-only block it returns from here on.  A table not built yet
+        has its source stream them, a scratch chunk at a time."""
         with self._load_lock:
-            self.table = table._replace(centroids=centroids)
+            table = self.__dict__.get("table")
+            if table is None:
+                self._install(self._source(store))
+            else:
+                self.table = table._replace(centroids=store(table.centroids, None))
+        return self.table
 
     def entry(self, row: int) -> SceneEntry:
         """The scene stored at ``row``."""

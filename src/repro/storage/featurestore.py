@@ -165,46 +165,59 @@ class FeatureStore:
         """File a block with digest ``sha`` lives in (may not exist)."""
         return self._root / sha[:2] / f"{sha}.npy"
 
-    def put(self, matrix: np.ndarray, dtype=np.float64) -> BlockRef:
-        """Store one 2-D block; returns its content address.
-
-        Idempotent: a block whose bytes are already stored is not
-        rewritten (content addressing deduplicates identical leaf
-        populations for free) — the digest is taken over the ``.npy``
-        header and the array's own buffer, which is byte for byte what
-        :func:`~repro.resilience.integrity.file_digest` reads back from
-        the file, so an unchanged block costs one hash and no write.
-        The write is atomic — the bytes land in a temp file first and
-        are renamed into place — so a crash can never leave a
-        half-written block under a valid digest name.
-        ``dtype`` defaults to the float64 feature-matrix layout; the id
-        blocks are int64, and :meth:`open` is told which it reads.
+    def put(self, rows, dtype=np.float64, shape: tuple[int, int] | None = None) -> BlockRef:
+        """Store one 2-D block — ``rows``, or with its ``shape`` an iterable of
+        its row chunks in order, each read before the next is asked for —
+        and return its content address: the sha256 of the ``.npy`` header
+        and rows, which :func:`~repro.resilience.integrity.file_digest`
+        reads back from the file, however the rows were chunked.  A whole
+        array is hashed first, so an unchanged block costs one hash and no
+        write; chunks are hashed as they are written, in one pass, and the
+        temp file goes when that digest is stored already.  The temp file
+        is renamed into place, so no crash or raising producer leaves a
+        half-written block under a valid name.  ``dtype``: float64 feature
+        rows by default, int64 id blocks (:meth:`open` is told which).
         """
-        matrix = np.ascontiguousarray(matrix, dtype=dtype)
-        if matrix.ndim != 2:
-            raise StorageError(
-                f"feature blocks are 2-D, got shape {matrix.shape}"
-            )
-        header = _header(matrix.shape, matrix.dtype)
+        dtype = np.dtype(dtype)
+        whole = isinstance(rows, np.ndarray) or shape is None
+        if whole:
+            rows = np.ascontiguousarray(rows, dtype=dtype)
+            shape = rows.shape
+        if len(shape) != 2:
+            raise StorageError(f"feature blocks are 2-D, got shape {shape}")
+        header = _header(tuple(shape), dtype)
         import hashlib  # here, not at module level: a shard worker hashes nothing
         hasher = hashlib.sha256(header)
-        hasher.update(matrix.reshape(-1).data)
-        ref = BlockRef(sha=hasher.hexdigest(), rows=int(matrix.shape[0]), cols=int(matrix.shape[1]))
-        final = self.path_for(ref.sha)
-        # The name alone does not vouch for the file: one of another size
-        # (truncated, say) is rewritten, so saving again repairs it.
-        if final.exists() and final.stat().st_size == len(header) + matrix.nbytes:
-            return ref
-        final.parent.mkdir(parents=True, exist_ok=True)
+        size = len(header) + math.prod(shape) * dtype.itemsize
+
+        def stored() -> bool:  # by name and size: a truncated file is rewritten, repaired
+            path = self.path_for(hasher.hexdigest())
+            return path.exists() and path.stat().st_size == size
+
+        if whole:
+            hasher.update(rows.reshape(-1).data)
+            if stored():
+                return BlockRef(hasher.hexdigest(), *shape)
+            rows = (rows,)
+        if not self._root.is_dir():  # a stat: ``mkdir`` on a directory that exists costs more
+            self._root.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(prefix=".tmp-block-", suffix=".npy", dir=self._root)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(header)
-                matrix.tofile(handle)
-            os.replace(tmp_name, final)
+                for chunk in rows:
+                    data = np.ascontiguousarray(chunk, dtype=dtype).reshape(-1).data
+                    if not whole:
+                        hasher.update(data)
+                    handle.write(data)
+                if handle.tell() != size:
+                    raise StorageError(f"rows of {handle.tell() - len(header)} bytes for {shape}")
+            if not stored():
+                self.path_for(hasher.hexdigest()).parent.mkdir(exist_ok=True)
+                os.replace(tmp_name, self.path_for(hasher.hexdigest()))
         finally:
             Path(tmp_name).unlink(missing_ok=True)
-        return ref
+        return BlockRef(hasher.hexdigest(), *shape)
 
     def open(self, sha: str, resident: bool = True, dtype=np.float64) -> np.ndarray:
         """Memory-map the block addressed by ``sha`` (read-only).

@@ -78,9 +78,10 @@ def _stored_rows(
     return rows, stored
 
 
-def _stored_scenes(catalog: SQLCatalog, titles: np.ndarray, opened: tuple) -> SceneTable:
+def _stored_scenes(catalog: SQLCatalog, titles: np.ndarray, opened, store=None) -> SceneTable:
     """Load the stored scene table, in stored row order, from the
-    generation this reader opened (``opened``: its ``scene_block`` row)."""
+    generation this reader opened (``opened``: its ``scene_block`` row);
+    ``store`` is a save's (:meth:`~repro.database.scene_search.SceneIndex.adopt`)."""
     if catalog.scene_block() != opened:
         raise StorageError(
             "the scene table changed generation under this reader — the "
@@ -98,7 +99,7 @@ def _stored_scenes(catalog: SQLCatalog, titles: np.ndarray, opened: tuple) -> Sc
         shot_counts=shot_counts,
         # Rows are stored in table order: the mmap block *is* the
         # centroid matrix, no stacked copy.
-        centroids=block,
+        centroids=block if store is None else store(block, None),
     )
 
 

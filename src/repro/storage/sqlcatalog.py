@@ -23,13 +23,16 @@ from the artifacts and replaces the catalog with it.
 
 Determinism contract
 --------------------
-Nothing is derived here.  The writer stores what the database hands
-it — each leaf's blocks (rows, reduced, ids) and routing ``(centers, dims)``
-(:func:`~repro.database.index.leaf_routing`, computed once per leaf),
-the scene table (:func:`~repro.database.scene_search.corpus_scenes`) —
-so an opened store (:mod:`repro.storage.lazy`) answers from the very
-arrays the saved corpus answered from, bit for bit; the saved corpus
-then reads maps of the reduced and centroid blocks it wrote (``adopt``).
+Nothing is derived here.  The writer stores what the database hands it —
+each leaf's blocks (rows, ids) and routing ``(centers, dims)``
+(:func:`~repro.database.index.leaf_routing`, computed once per leaf), its
+``reduced`` block and the scene centroids
+(:func:`~repro.database.scene_search.centroid_rows`) — so an opened store
+(:mod:`repro.storage.lazy`) answers from the very arrays the saved corpus
+answered from, bit for bit.  The two derived blocks go through ``adopt``:
+one the corpus has not made yet streams into its block a scratch chunk at
+a time, one it holds goes whole, and either way the corpus then reads a
+map of the block written, so a save holds no whole derived block in RAM.
 
 Resilience + observability
 --------------------------
@@ -58,32 +61,12 @@ from repro.obs.registry import get_registry
 from repro.obs.trace import span as obs_span
 from repro.resilience.faults import fault_point
 from repro.storage.featurestore import BlockRef, FeatureStore, map_block
-from repro.storage.schema import (
-    DATA_TABLES,
-    catalog_path,
-    connect,
-    features_path,
-)
+from repro.storage.schema import DATA_TABLES, catalog_path, connect, features_path
 from repro.types import EventKind
 
 #: Locked-database retry budget and base backoff.
 LOCK_RETRIES = 5
 LOCK_BACKOFF = 0.01
-
-
-def _pack(array: np.ndarray) -> bytes:
-    """Serialise a contiguous array's cells for a BLOB column."""
-    return np.ascontiguousarray(array).tobytes()
-
-
-def _unpack_f64(blob: bytes, rows: int, cols: int) -> np.ndarray:
-    """Rebuild a float64 matrix packed by :func:`_pack`."""
-    return np.frombuffer(blob, dtype=np.float64).reshape(rows, cols).copy()
-
-
-def _unpack_i64(blob: bytes, count: int) -> np.ndarray:
-    """Rebuild an int64 vector packed by :func:`_pack`."""
-    return np.frombuffer(blob, dtype=np.int64).reshape(count).copy()
 
 
 @dataclass(frozen=True)
@@ -133,11 +116,7 @@ class SQLCatalog:
     worker threads).
     """
 
-    def __init__(
-        self,
-        db_dir: str | Path,
-        create: bool = False,
-    ) -> None:
+    def __init__(self, db_dir: str | Path, create: bool = False) -> None:
         if create:
             Path(db_dir).mkdir(parents=True, exist_ok=True)
         self._conn = connect(catalog_path(db_dir), create=create)
@@ -216,13 +195,10 @@ class SQLCatalog:
 
     def meta(self, key: str) -> str | None:
         """One ``meta`` table value (None when absent)."""
-        def op(conn: sqlite3.Connection):
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key = ?", (key,)
-            ).fetchone()
-            return None if row is None else str(row[0])
-
-        return self._run(op)
+        row = self._run(lambda conn: conn.execute(
+            "SELECT value FROM meta WHERE key = ?", (key,)
+        ).fetchone())
+        return None if row is None else str(row[0])
 
     def subject_areas(self) -> list[str]:
         """Subject-area subclusters, in hierarchy creation order."""
@@ -256,11 +232,9 @@ class SQLCatalog:
 
     def entry_count(self) -> int:
         """Total indexed shots."""
-        return int(
-            self._run(lambda conn: conn.execute(
-                "SELECT COALESCE(SUM(entry_count), 0) FROM leaves"
-            ).fetchone()[0])
-        )
+        return int(self._run(lambda conn: conn.execute(
+            "SELECT COALESCE(SUM(entry_count), 0) FROM leaves"
+        ).fetchone()[0]))
 
     def scene_count(self) -> int:
         """Total indexed scene centroids."""
@@ -291,8 +265,8 @@ class SQLCatalog:
                         position=int(position),
                         entry_count=int(entry_count),
                         block=BlockRef(sha=str(sha), rows=int(rows), cols=int(cols)),
-                        centers=_unpack_f64(centers, int(centers_rows), int(cols)),
-                        dims=_unpack_i64(dims, int(dims_count)),
+                        centers=np.frombuffer(centers).reshape(int(centers_rows), int(cols)).copy(),
+                        dims=np.frombuffer(dims, np.int64).reshape(int(dims_count)).copy(),
                         reduced_sha=reduced_sha,
                         ids_sha=str(ids_sha),
                     )
@@ -392,25 +366,13 @@ class SQLCatalog:
     # -- writer --------------------------------------------------------
 
     def replace_from(self, database: VideoDatabase) -> int:
-        """Replace the whole catalog with ``database``'s state.
+        """Replace the whole catalog with ``database``'s state (the module's
+        write model) and return the number of shot entries stored.
 
-        Feature blocks are written (content-addressed, so re-saving an
-        unchanged corpus writes nothing new) before one ``BEGIN
-        IMMEDIATE`` transaction swaps every relational table.  On any
-        failure the transaction rolls back and blocks this call
-        introduced are deleted — the previous catalog generation stays
-        intact.  After a successful commit, blocks only the superseded
-        generation referenced are deleted, so the feature store does
-        not grow without bound across repeated replaces.  Both cleanup
-        paths re-query the *live* catalog before unlinking, so a block
-        a concurrent writer just published and committed a reference to
-        is never removed.  Returns the number of shot entries stored.
-
-        Each leaf is stored with the routing it carries — a shard cut
-        by :meth:`~repro.database.catalog.VideoDatabase.clone_subset`
-        carries the *full-corpus* ``(centers, dims)``, so its index
-        tree routes, and scores leaves in the same discriminating
-        sub-space, exactly like the unsharded catalog.
+        Each leaf is stored with the routing it carries — a shard cut by
+        :meth:`~repro.database.catalog.VideoDatabase.clone_subset` carries
+        the *full-corpus* ``(centers, dims)``, so its index tree routes, and
+        scores leaves in the same sub-space, exactly like the unsharded one.
         """
         if not database.shot_count:
             raise StorageError("cannot store an empty database")
@@ -447,14 +409,18 @@ class SQLCatalog:
             self._features.delete(sha)
 
     def _replace_from(self, database, before, new_blocks) -> int:
-        def put(matrix: np.ndarray, **kwargs) -> BlockRef:
-            ref = self._features.put(matrix, **kwargs)
-            if ref.sha not in before:
-                new_blocks.add(ref.sha)
-            return ref
+        refs: list[BlockRef] = []  # in put order: after an ``adopt``, the block it stored
 
-        def stored(ref: BlockRef) -> np.ndarray:  # a map of its own, not an LRU slot
-            return map_block(self._features.path_for(ref.sha), np.float64)
+        def put(rows, dtype=np.float64, shape=None) -> BlockRef:
+            refs.append(self._features.put(rows, dtype, shape))
+            if refs[-1].sha not in before:
+                new_blocks.add(refs[-1].sha)
+            return refs[-1]
+
+        def store(rows, shape) -> np.ndarray:
+            """A derived block's ``adopt``: put it, and a map of what was
+            stored (of its own, not an LRU slot) for the corpus to read."""
+            return map_block(self._features.path_for(put(rows, shape=shape).sha), np.float64)
 
         # Leaf blocks and routing, in leaf creation order, straight from
         # the arrays the leaves hold.  A title code is the title's position
@@ -465,39 +431,32 @@ class SQLCatalog:
         leaves_payload = []
         for position, (name, leaf) in enumerate(leaves.items()):
             ref = put(leaf.block)
-            # What a leaf scan reads, so an opened store maps it instead
-            # of paging every 266-d row in to gather it again; the leaf
-            # reads the stored copy from here on.
-            reduced_ref = put(leaf.reduced)
-            leaf.adopt(stored(reduced_ref))
+            # What a leaf scan reads: an opened store maps it, not the 266-d rows.
+            leaf.adopt(store)
+            reduced = refs[-1]
             ids = np.column_stack((
                 leaf.ordinals, [code[title] for title in leaf.titles.tolist()],
                 leaf.shot_ids, leaf.scene_ids, leaf.signatures,
             ))
-            leaves_payload.append(
-                (
-                    name, position, len(leaf), ref.sha, ref.rows, ref.cols,
-                    _pack(np.asarray(leaf.centers, dtype=np.float64)),
-                    int(leaf.centers.shape[0]),
-                    _pack(np.asarray(leaf.dims, dtype=np.int64)),
-                    int(leaf.dims.shape[0]),
-                    reduced_ref.sha, put(ids, dtype=np.int64).sha,
-                )
-            )
+            leaves_payload.append((
+                name, position, len(leaf), ref.sha, ref.rows, ref.cols,
+                np.ascontiguousarray(leaf.centers, np.float64).tobytes(),
+                int(leaf.centers.shape[0]),
+                np.ascontiguousarray(leaf.dims, np.int64).tobytes(),
+                int(leaf.dims.shape[0]),
+                reduced.sha, put(ids, dtype=np.int64).sha,
+            ))
 
-        scenes = database.scene_index.table
         scene_payload = None
-        if len(scenes.titles):
+        if len(database.scene_index):
+            scenes = database.scene_index.adopt(store)
+            scene_ref = refs[-1]
             scene_ids = np.column_stack((
                 [code[title] for title in scenes.titles.tolist()],
                 scenes.scene_ids, scenes.shot_counts,
             ))
-            scene_ref = put(scenes.centroids)
-            database.scene_index.adopt(stored(scene_ref))
-            scene_payload = (
-                scene_ref.sha, scene_ref.rows, scene_ref.cols,
-                put(scene_ids, dtype=np.int64).sha,
-            )
+            ids_ref = put(scene_ids, dtype=np.int64)
+            scene_payload = (scene_ref.sha, scene_ref.rows, scene_ref.cols, ids_ref.sha)
 
         video_payload = [
             (
@@ -558,15 +517,12 @@ class SQLCatalog:
 
     def _referenced_blocks(self) -> set[str]:
         """Digests the current catalog generation refers to."""
-        def op(conn: sqlite3.Connection):
-            return conn.execute(
-                "SELECT block_sha FROM leaves UNION "
-                "SELECT reduced_sha FROM leaves WHERE reduced_sha IS NOT NULL UNION "
-                "SELECT ids_sha FROM leaves UNION SELECT block_sha FROM scene_block "
-                "UNION SELECT ids_sha FROM scene_block"
-            ).fetchall()
-
-        return {str(row[0]) for row in self._run(op)}
+        return {str(row[0]) for row in self._run(lambda conn: conn.execute(
+            "SELECT block_sha FROM leaves UNION "
+            "SELECT reduced_sha FROM leaves WHERE reduced_sha IS NOT NULL UNION "
+            "SELECT ids_sha FROM leaves UNION SELECT block_sha FROM scene_block "
+            "UNION SELECT ids_sha FROM scene_block"
+        ).fetchall())}
 
 
 def save_database(database: VideoDatabase, db_dir: str | Path) -> Path:

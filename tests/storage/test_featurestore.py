@@ -68,6 +68,44 @@ class TestPut:
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
         assert store.list_blocks() == [ref.sha]
 
+    def test_row_chunks_store_what_the_whole_array_does(self, store, tmp_path):
+        """Uneven chunks (an empty one too), handed out in one reused buffer
+        as a streaming producer does: same address, same bytes, ``verify``
+        passes; put again into a store that holds it, nothing is replaced."""
+        matrix = _block(11, 37, 6)
+        scratch = np.empty((16, 6))
+
+        def chunks():
+            for start, stop in ((0, 1), (1, 17), (17, 30), (30, 30), (30, 37)):
+                scratch[: stop - start] = matrix[start:stop]
+                yield scratch[: stop - start]
+
+        whole = store.put(matrix)
+        chunked = FeatureStore(tmp_path / "chunked")
+        ref = chunked.put(chunks(), shape=matrix.shape)
+        assert ref == whole
+        assert chunked.path_for(ref.sha).read_bytes() == store.path_for(whole.sha).read_bytes()
+        chunked.verify(ref.sha)
+        before = store.path_for(whole.sha).stat()
+        assert store.put(chunks(), shape=matrix.shape) == whole
+        after = store.path_for(whole.sha).stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        for kept in (store, chunked):
+            assert not list(kept.root.glob(".tmp-*"))
+            assert len(kept.list_blocks()) == 1
+
+    def test_a_producer_that_raises_or_falls_short_leaves_nothing(self, store):
+        def failing():
+            yield _block(12, 3, 6)
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            store.put(failing(), shape=(6, 6))
+        with pytest.raises(StorageError, match="rows of"):
+            store.put(iter([_block(13, 5, 6)]), shape=(6, 6))
+        assert not list(store.root.glob(".tmp-*"))
+        assert store.list_blocks() == []
+
     @pytest.mark.parametrize(
         "matrix, dtype",
         [

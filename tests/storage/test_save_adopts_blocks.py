@@ -1,16 +1,20 @@
-"""A save leaves its corpus backed by the blocks it wrote.
+"""A save leaves its corpus backed by the blocks it wrote, and streams them.
 
-``save_database`` derives each leaf's reduced block and the scene-centroid
-table, stores them, and then swaps the corpus's RAM arrays for read-only
-maps of the stored blocks (``LeafHashIndex.adopt`` / ``SceneIndex.adopt``).
+``save_database`` hands each leaf's reduced block and the scene centroids
+to the feature store and swaps the corpus's arrays for read-only maps of
+the stored blocks (``LeafHashIndex.adopt`` / ``SceneIndex.adopt``).  One
+the corpus has not made yet — an unserved corpus's — goes a scratch chunk
+at a time into the block's temp file and is never whole in RAM (the save
+used to derive both whole, hash and write them, then swap them for maps).
 Held here: every answer is the same bits before and after — ids, scores,
 tie order and ``QueryStats`` for shot, flat and scene queries, exact and
 through the ANN tier — also when the commit fails and the blocks the save
-wrote are unlinked under the maps, after which a re-save succeeds; and a
-save followed by a shard cut derives routing and scene centroids no more
-often than it did while the corpus kept its RAM copies.  The feature
-store rewrites a block whose file disagrees with its content's size, so
-re-saving repairs a truncated block instead of trusting its name.
+wrote are unlinked under the maps, after which a re-save succeeds; a save
+followed by a shard cut runs routing once a leaf and the centroid
+producer (``centroid_rows``) once; and a save of an unserved corpus makes
+no whole reduced block or centroid table.  The feature store rewrites a
+block whose file disagrees with its content's size, so re-saving repairs
+a truncated block instead of trusting its name.
 """
 
 from __future__ import annotations
@@ -22,14 +26,17 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-import repro.database.catalog as catalog_module
 import repro.database.index as index_module
+import repro.database.scene_search as scene_search_module
 import repro.storage.sqlcatalog as sqlcatalog_module
+from repro.core.kernels import SCAN_SCRATCH_ELEMS
 from repro.database.query import search_hierarchical
 from repro.errors import StorageError
 from repro.net import build_shards
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
-from repro.storage import SQLCatalog, SQLVideoDatabase, build_synthetic_database, save_database
+from repro.storage import (
+    FeatureStore, SQLCatalog, SQLVideoDatabase, build_synthetic_database, save_database,
+)
 from repro.types import EventKind
 
 #: Larger than any leaf's trained cell count: prunes nothing.
@@ -154,9 +161,9 @@ def test_a_save_that_fails_at_its_commit_changes_no_answer(tmp_path, monkeypatch
 
 
 def test_a_save_then_a_cut_derives_once(tmp_path, monkeypatch):
-    """``leaf_routing`` once a leaf and ``corpus_scenes`` once, for the save
+    """``leaf_routing`` once a leaf and ``centroid_rows`` once, for the save
     and the two-shard cut after it together."""
-    calls = {"leaf_routing": 0, "corpus_scenes": 0}
+    calls = {"leaf_routing": 0, "centroid_rows": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -168,11 +175,52 @@ def test_a_save_then_a_cut_derives_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, count)
 
     counted(index_module, "leaf_routing")
-    counted(catalog_module, "corpus_scenes")
+    counted(scene_search_module, "centroid_rows")
     database = _corpus()
     save_database(database, tmp_path / "db")
     build_shards(database, tmp_path / "shards", 2)
-    assert calls == {"leaf_routing": len(database.leaves), "corpus_scenes": 1}
+    assert calls == {"leaf_routing": len(database.leaves), "centroid_rows": 1}
+
+
+def test_a_save_of_an_unserved_corpus_makes_no_whole_derived_block(tmp_path, monkeypatch):
+    """Every block the save puts, by how it reaches the store: the leaf and
+    id blocks whole, each leaf's reduced rows and the centroids as row
+    chunks no larger than the kernels' scratch — yet the corpus then reads
+    maps of blocks that hold the bits an in-RAM derive makes."""
+    whole, streamed, put = [], [], FeatureStore.put
+
+    def recorded(store, rows, dtype=np.float64, shape=None):
+        if isinstance(rows, np.ndarray):
+            whole.append((np.dtype(dtype).name, rows.shape[1]))
+            return put(store, rows, dtype, shape)
+        sizes = []
+        streamed.append((np.dtype(dtype).name, shape[1], sizes))
+
+        def counted():
+            for chunk in rows:
+                sizes.append(chunk.size)
+                yield chunk
+
+        return put(store, counted(), dtype, shape)
+
+    monkeypatch.setattr(FeatureStore, "put", recorded)
+    database = _corpus()
+    save_database(database, tmp_path)
+    monkeypatch.undo()
+    leaves = len(database.leaves)
+    # Leaf blocks, leaf id blocks and the scene id block.
+    assert sorted(whole) == sorted(
+        [("float64", 266)] * leaves + [("int64", 6)] * leaves + [("int64", 3)]
+    )
+    # Reduced blocks and the centroids.
+    assert sorted(cols for _, cols, _ in streamed) == sorted([64] * leaves + [266])
+    assert {dtype for dtype, _, _ in streamed} == {"float64"}
+    assert all(sizes and max(sizes) <= SCAN_SCRATCH_ELEMS for _, _, sizes in streamed), streamed
+    assert _reads_stored_blocks(database)
+    served = _corpus()
+    for name, leaf in database.leaves.items():
+        assert np.array_equal(leaf.reduced, served.leaves[name].reduced)
+    assert np.array_equal(database.scene_index.table.centroids, served.scene_index.table.centroids)
 
 
 def test_a_resave_repairs_a_truncated_block(tmp_path):
