@@ -12,10 +12,6 @@ from repro.baselines.rui_toc import (
     rui_detect_scenes,
     rui_group_shots,
 )
-from repro.baselines.visual_clustering import (
-    visual_cluster_shots,
-    visual_clustering_scenes,
-)
 
 __all__ = [
     "BaselineScenes",
@@ -27,6 +23,4 @@ __all__ = [
     "story_units_from_graph",
     "build_transition_graph",
     "time_constrained_clusters",
-    "visual_cluster_shots",
-    "visual_clustering_scenes",
 ]

@@ -382,6 +382,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         HttpGateway,
         ShardCluster,
         ShardedQueryService,
+        ShardSpec,
         build_shards,
         load_manifest,
     )
@@ -401,16 +402,19 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         if sharded:
             shards_dir = Path(args.shards_dir) if args.shards_dir else None
             if shards_dir is None:
+                # The published catalog itself: a republish is what the
+                # next refresh or restart serves, and D gains no file.
                 _require_db_dir(args)
-                shards_dir = Path(args.db_dir) / f"shards-{args.shards}"
-            if (shards_dir / MANIFEST_NAME).exists():
+                shards_dir = Path(args.db_dir)
+                spec = ShardSpec(args.shards, shards_dir)
+                print(f"serving {args.db_dir} as {args.shards} shards")
+            elif (shards_dir / MANIFEST_NAME).exists():
                 spec = load_manifest(shards_dir)
                 if args.shards and spec.num_shards != args.shards:
                     raise ReproError(
                         f"{shards_dir} holds {spec.num_shards} shards but "
                         f"--shards {args.shards} was requested; pick a "
-                        "different --shards-dir or rebuild with "
-                        "'classminer shard build'"
+                        "different --shards-dir"
                     )
                 print(f"loaded {spec.num_shards}-shard manifest from {shards_dir}")
             else:
@@ -421,7 +425,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
                 spec = build_shards(
                     load_database(args.db_dir), shards_dir, num_shards
                 )
-                print(f"built {num_shards} shards under {shards_dir}")
+                print(f"published {args.db_dir} into {shards_dir} for {num_shards} shards")
             cluster = stack.enter_context(
                 ShardCluster(
                     shards_dir,
@@ -471,16 +475,8 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 def _cmd_shard(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.net import build_shards, load_manifest
+    from repro.net import ShardSpec, load_manifest
 
-    if args.shard_command == "build":
-        from repro.storage import load_database
-
-        spec = build_shards(
-            load_database(args.db_dir), Path(args.out), args.num
-        )
-        print(spec.describe())
-        return 0
     if args.shard_command == "restart":
         from repro.net import HttpFront
 
@@ -499,7 +495,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 f"in {entry.get('seconds')}s"
             )
         return 0
-    print(load_manifest(Path(args.dir)).describe())
+    spec = ShardSpec(args.shards, Path(args.dir)) if args.shards else load_manifest(args.dir)
+    print(spec.describe())
     return 0
 
 
@@ -812,15 +809,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="partition the catalog into N shard worker processes and "
-        "answer via scatter-gather (requires --http)",
+        help="serve --db-dir's catalog from N shard worker processes, each "
+        "opening it and serving its own leaves, and answer via "
+        "scatter-gather (requires --http)",
     )
     serve.add_argument(
         "--shards-dir",
         default=None,
         metavar="DIR",
-        help="shard directory to serve from (built on demand from "
-        "--db-dir when no manifest exists yet)",
+        help="serve the catalog published into DIR with its manifest "
+        "instead (published there from --db-dir when no manifest exists yet)",
     )
     serve.add_argument(
         "--access-log",
@@ -833,29 +831,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     shard = sub.add_parser(
         "shard",
-        help="partition a database into shared-nothing shard directories",
+        help="inspect or restart the shards serving a catalog",
         description=(
-            "Build or inspect the shard layout used by "
-            "'classminer serve --http --shards'.  Each shard directory is "
-            "a complete out-of-core database holding a hash-partitioned "
-            "subset of the videos, plus a manifest.json describing the "
-            "full-corpus routing tree."
+            "Shards are views of one published catalog: each worker of "
+            "'classminer serve --http --shards N' opens it and serves the "
+            "leaves a greedy pack by row count gives it."
         ),
     )
     shard_sub = shard.add_subparsers(dest="shard_command", required=True)
-    shard_build = shard_sub.add_parser(
-        "build", help="partition --db-dir into N shard directories"
-    )
-    shard_build.add_argument("--db-dir", required=True, help="source database")
-    shard_build.add_argument("--out", required=True, help="output directory")
-    shard_build.add_argument(
-        "--num", type=int, required=True, help="number of shards"
-    )
-    shard_build.set_defaults(func=_cmd_shard)
     shard_inspect = shard_sub.add_parser(
-        "inspect", help="describe an existing shard manifest"
+        "inspect", help="print which leaves and scene rows each shard serves"
     )
-    shard_inspect.add_argument("--dir", required=True, help="shard directory")
+    shard_inspect.add_argument("--dir", required=True, help="catalog directory")
+    shard_inspect.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        metavar="N",
+        help="shard count (default: the directory's manifest)",
+    )
     shard_inspect.set_defaults(func=_cmd_shard)
     shard_restart = shard_sub.add_parser(
         "restart",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import mmap
 import weakref
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -23,7 +23,6 @@ from repro.database.flat import FlatIndex
 from repro.database.hierarchy import (
     ConceptNode,
     build_medical_hierarchy,
-    ensure_subject_area,
     scene_node_for,
 )
 from repro.database.index import (
@@ -34,7 +33,7 @@ from repro.database.index import (
     combine_features,
 )
 from repro.database.query import QueryResult, search_hierarchical
-from repro.database.scene_search import SceneIndex, SceneTable, corpus_scenes, scene_runs
+from repro.database.scene_search import SceneIndex, corpus_scenes, scene_runs
 from repro.errors import DatabaseError, UnknownVideoError
 from repro.types import EventKind
 
@@ -62,27 +61,6 @@ class RegisteredVideo:
     def degraded(self) -> bool:
         """True when any mining stage fell back for this video."""
         return bool(self.degraded_stages)
-
-    def to_json(self) -> dict:
-        """The record without its title (the ``records`` wire op keys
-        it by title)."""
-        return {
-            "shot_count": self.shot_count,
-            "scene_count": self.scene_count,
-            "events": {str(scene_id): event for scene_id, event in self.events.items()},
-            "degraded_stages": list(self.degraded_stages),
-        }
-
-    @classmethod
-    def from_json(cls, title: str, payload: dict) -> "RegisteredVideo":
-        """Inverse of :meth:`to_json`."""
-        return cls(
-            title=title,
-            shot_count=int(payload["shot_count"]),
-            scene_count=int(payload["scene_count"]),
-            events={int(k): str(v) for k, v in payload.get("events", {}).items()},
-            degraded_stages=tuple(payload.get("degraded_stages", ())),
-        )
 
 
 class _LeafBuffer:
@@ -310,23 +288,23 @@ class VideoDatabase:
         self._unsealed = {}
         return self._leaves
 
-    def _keep(
-        self, titles: "Iterable[str]", pin_routing: bool
-    ) -> tuple[dict[str, LeafHashIndex], np.ndarray]:
-        """The leaves restricted to the given videos, and the flat ordinals
-        their rows had here (ascending).
+    def unregister(self, title: str) -> int:
+        """Remove a video and all its shots; returns entries removed.
 
-        Relative order is preserved, within each leaf and across the
-        corpus (ordinals are renumbered by rank); emptied leaves are
-        dropped.  A leaf that loses no row keeps its arrays, its routing
-        and the ANN tier it trained; one that loses some keeps its routing
-        only when ``pin_routing`` says so (a shard routes like the corpus
-        it was cut from), and with it its rows' reduced features and
-        signatures, which follow from the row and the routing.
+        Raises :class:`UnknownVideoError` for unknown titles.  Relative
+        order is preserved, within each leaf and across the corpus
+        (ordinals are renumbered by rank); emptied leaves are dropped.  A
+        leaf that loses no row keeps its arrays, its routing and the ANN
+        tier it trained; one that loses some derives its routing again
+        from the rows it kept.  The hierarchical index is invalidated and
+        rebuilt on next use.
         """
-        wanted = set(titles)
+        if title not in self._videos:
+            raise UnknownVideoError(f"video {title!r} is not registered")
+        before = self._total
+        del self._videos[title]
         keeps = {
-            name: np.fromiter(map(wanted.__contains__, leaf.titles.tolist()), bool, len(leaf))
+            name: np.fromiter(map(self._videos.__contains__, leaf.titles.tolist()), bool, len(leaf))
             for name, leaf in self.leaves.items()
         }
         found = [self._leaves[name].ordinals[keep] for name, keep in keeps.items()]
@@ -340,25 +318,12 @@ class VideoDatabase:
             rows = LeafRows(*(column[keep] for column in leaf.rows))
             leaves[name] = cut = LeafHashIndex(
                 rows._replace(ordinals=np.searchsorted(kept, rows.ordinals)),
-                *((leaf.centers, leaf.dims) if whole or pin_routing else ()),
+                *((leaf.centers, leaf.dims) if whole else ()),
                 ann=leaf.ann if whole else None,
             )
-            if whole or pin_routing:
-                cut.reduced, cut.signatures = leaf.reduced[keep], leaf.signatures[keep]
-        return leaves, kept
-
-    def unregister(self, title: str) -> int:
-        """Remove a video and all its shots; returns entries removed.
-
-        Raises :class:`UnknownVideoError` for unknown titles.  The
-        hierarchical index is invalidated and rebuilt on next use.
-        """
-        if title not in self._videos:
-            raise UnknownVideoError(f"video {title!r} is not registered")
-        before = self._total
-        del self._videos[title]
-        self._leaves, kept = self._keep(self._videos, pin_routing=False)
-        self._total = int(kept.size)
+            if whole:
+                cut.reduced, cut.signatures = leaf.reduced, leaf.signatures
+        self._leaves, self._total = leaves, int(kept.size)
         self._buffers = {}  # the kept rows are new arrays
         self._changed()
         return before - self._total
@@ -366,41 +331,6 @@ class VideoDatabase:
     def describe(self) -> dict[str, int]:
         """Shot counts per scene-concept leaf (catalog statistics)."""
         return {name: len(leaf) for name, leaf in sorted(self.leaves.items())}
-
-    def clone_subset(self, titles: "Iterable[str]") -> tuple["VideoDatabase", np.ndarray]:
-        """A new database holding only the given videos, and ``ordinals``:
-        the clone's flat ordinal ``i`` is this database's ``ordinals[i]``.
-
-        The shard builder's partitioning primitive.  Orderings are
-        preserved, not recomputed: each leaf keeps its surviving rows
-        in the original creation order and flat ordinals keep the
-        original registration order, so within-shard relative order
-        always equals the unsharded relative order — the invariant the
-        scatter-gather merge relies on for bit-identical tie-breaks.
-        Leaves keep the routing of the full corpus, so the clone's index
-        descends, and scores in the same sub-spaces, as this one.
-        Unknown titles raise :class:`DatabaseError`; registration
-        records (events, degradation flags) and scene rows are copied.
-        """
-        wanted = set(titles)
-        missing = wanted - set(self._videos)
-        if missing:
-            raise DatabaseError(f"cannot clone unregistered videos: {sorted(missing)}")
-        clone = VideoDatabase()
-        clone._leaves, kept = self._keep(wanted, pin_routing=True)
-        clone._total = int(kept.size)
-        for leaf in clone._leaves:
-            if "/" in leaf:
-                ensure_subject_area(clone._hierarchy, leaf.split("/", 1)[0])
-        for title, record in self._videos.items():
-            if title in wanted:
-                clone._videos[title] = replace(record, events=dict(record.events))
-        # A scene's rows go with its video, so its centroid is the same mean.
-        table = self.scene_index.table
-        mask = np.fromiter(map(wanted.__contains__, table.titles.tolist()), bool, len(table.titles))
-        scenes = SceneTable(*(column[mask] for column in table))
-        clone._scenes = SceneIndex(scenes)
-        return clone, kept
 
     def build_index(self) -> IndexNode:
         """(Re)build the hierarchical index mirroring the concept tree."""

@@ -252,8 +252,8 @@ def leaf_routing(
     """A leaf's routing ``(centers, dims)`` from its ``(n, 266)`` rows.
 
     The one place a leaf population is clustered and reduced: the index
-    build, the SQL writer, the shard manifest and the coordinator's
-    routing tree all read what this returned, off the leaf.
+    build, the SQL writer and, through the catalog, every shard worker's
+    and the coordinator's view read what this returned, off the leaf.
     """
     return (
         _kcenters(block, num_centers),
@@ -285,7 +285,8 @@ class LeafHashIndex:
         that finds it unmade streams it into the block it writes (:meth:`adopt`);
     ``signatures`` / ``buckets``
         each row's hash signature, and the ascending row indices of
-        every non-empty bucket.
+        every non-empty bucket (``buckets`` is made on its own first read:
+        a save stores signatures, never buckets).
 
     Whatever was not given is made on its first read, once, under a
     lock, while racing readers wait: the columns by running ``rows``
@@ -328,10 +329,10 @@ class LeafHashIndex:
         self.block, self.ordinals, self.titles, self.shot_ids, self.scene_ids = rows
 
     def _derive(self, name: str) -> None:
-        """Routing (unless pinned), hash state, and ``reduced`` only when it
-        is what was read: what the source gave stays, the rest is made from
-        the block, which may be a read-only mmap (only ``reduced`` copies
-        out of it, and no temporary is)."""
+        """Routing (unless pinned) and signatures, and ``reduced`` or
+        ``buckets`` only when it is what was read: what the source gave
+        stays, the rest is made from the block, which may be a read-only
+        mmap (only ``reduced`` copies out of it, and no temporary is)."""
         block, given = self.block, self.__dict__
         if "dims" not in given:
             self.centers, self.dims = leaf_routing(block) if len(self) else (None, None)
@@ -339,7 +340,7 @@ class LeafHashIndex:
             self.reduced = np.asarray(block).take(self.dims, axis=1) if len(self) else block
         if "signatures" not in given:
             self.signatures = leaf_signatures(block)
-        if "buckets" not in given:
+        if name == "buckets":
             self.buckets = rows_by_signature(self.signatures)
 
     def __getattr__(self, name: str):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterable, Mapping, Set as AbstractSet
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -99,15 +100,20 @@ def scene_runs(leaf: LeafHashIndex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def corpus_scenes(
-    leaves: "Iterable[LeafHashIndex]", records: "Mapping[str, RegisteredVideo]", store=None
+    leaves: "Iterable[LeafHashIndex]",
+    records: "Mapping[str, RegisteredVideo]",
+    store=None,
+    centroids: np.ndarray | None = None,
 ) -> SceneTable:
     """Scene centroids of a corpus, from its leaves' rows.
 
     The registration record supplies the mined event.  Scenes come out
     sorted by ``(title, scene_id)`` — the stored row order — and their
-    centroids are :func:`centroid_rows`, summed into a RAM array, or, given
-    ``store(rows, shape)`` (a save's), handed over a scratch chunk at a time
-    and read from the block it returns.
+    centroids are ``centroids`` when given (a block a save stored) or
+    :func:`centroid_rows`, summed into a RAM array.  Given
+    ``store(rows, shape)`` (a save's), they are handed over instead, a
+    scratch chunk at a time, and the table comes back with the block it
+    returns and no events: a save stores none.
     """
     # Runs stay columns: a Python tuple per scene, alive while the centroid
     # block is allocated, raised a served corpus's peak RSS by ~0.3 MiB.
@@ -123,12 +129,13 @@ def corpus_scenes(
         column[order] for column in (titles, scene_ids, starts, stops, which)
     )
     shot_counts = (stops - starts).astype(np.int64)
-    rows = centroid_rows([leaves[w].block for w in which.tolist()], starts, shot_counts)
     shape = (which.size, leaves[0].block.shape[1])
-    if store is None:  # copied out of the scratch row by row, into one RAM array
-        centroids = np.fromiter(chain.from_iterable(rows), np.dtype((float, shape[1])), shape[0])
-    else:
-        centroids = store(rows, shape)
+    if centroids is None:
+        centroids = centroid_rows([leaves[w].block for w in which.tolist()], starts, shot_counts)
+        if store is None:  # copied out of the scratch row by row, into one RAM array
+            centroids = np.fromiter(chain.from_iterable(centroids), np.dtype((float, shape[1])), shape[0])
+    if store is not None:
+        return SceneTable(titles, scene_ids, None, shot_counts, store(centroids, shape))
     unknown = EventKind.UNKNOWN
     events = [EventKind(records[t].events.get(s, unknown.value)) if t in records else unknown
               for t, s in zip(titles.tolist(), scene_ids.tolist())]
@@ -152,22 +159,21 @@ def centroid_rows(blocks: "list[np.ndarray]", starts: np.ndarray, counts: np.nda
 class SceneIndex:
     """Flat index of scene centroids with optional event filtering.
 
-    A :class:`SceneTable` (a shard cut's), or ``count`` scenes behind a
-    callable that makes theirs on the first search, once, under a lock —
-    an opened store maps its stored centroid block, a registered corpus
-    runs :func:`corpus_scenes`; either takes a save's ``store`` too
-    (:meth:`adopt`) — plus each event's row indices.  A search is one
-    blocked kernel call over the centroid matrix and only the ``k``
-    winners become :class:`RankedScene` objects.
+    ``count`` scenes behind a callable that makes their
+    :class:`SceneTable` on the first search, once, under a lock (none: no
+    scenes) — an opened store maps its stored centroid block, a registered
+    corpus runs :func:`corpus_scenes`, a shard worker cuts its share of
+    the catalog's; the first two also take a save's ``store`` and the
+    ``centroids`` it stored (:meth:`adopt`) — plus each event's row
+    indices.  A search is one blocked kernel call over the centroid
+    matrix and only the ``k`` winners become :class:`RankedScene` objects.
     """
 
     def __init__(
-        self, table: "SceneTable | Callable[..., SceneTable]" = _NO_SCENES, count: int = 0
+        self, source: "Callable[..., SceneTable]" = lambda **_: _NO_SCENES, count: int = 0
     ) -> None:
         self._load_lock = threading.Lock()
-        self._count, self._source = count, table
-        if not callable(table):
-            self._install(table)
+        self._count, self._source = count, source
 
     def _install(self, table: SceneTable) -> None:
         self._count = len(table.titles)
@@ -199,15 +205,19 @@ class SceneIndex:
 
     def adopt(self, store) -> SceneTable:
         """Hand the centroids to ``store(rows, shape)`` — a save's — and read
-        the read-only block it returns from here on.  A table not built yet
-        has its source stream them, a scratch chunk at a time."""
+        the read-only block it returns from here on; return the table the
+        save writes.  A table not built yet stays unbuilt: its source
+        streams them, a scratch chunk at a time, and is pointed at the
+        block stored, so the table and its event rows are made on the
+        first search."""
         with self._load_lock:
             table = self.__dict__.get("table")
-            if table is None:
-                self._install(self._source(store))
-            else:
+            if table is not None:
                 self.table = table._replace(centroids=store(table.centroids, None))
-        return self.table
+                return self.table
+            saved = self._source(store=store)
+            self._source = partial(self._source, centroids=saved.centroids)
+            return saved
 
     def entry(self, row: int) -> SceneEntry:
         """The scene stored at ``row``."""

@@ -6,18 +6,21 @@ item 2) using nothing but the standard library:
 * :mod:`repro.net.protocol` — length-prefixed JSON frames over local
   TCP sockets, with a bit-exact base64 codec for float64 feature
   vectors and a small pooled RPC client;
-* :mod:`repro.net.shard` — partitions a catalog into N shared-nothing
-  shard directories under a ``ShardSpec`` manifest that also replicates
-  the full-corpus routing metadata, so every shard's index tree routes
-  exactly like the unsharded one;
+* :mod:`repro.net.shard` — a shard is a view of the one published
+  catalog: ``pack_leaves`` maps each leaf to its owning shard from the
+  catalog's ``leaves`` rows, and a ``ShardSpec`` names the catalog and
+  the shard count (``manifest.json`` when ``build_shards`` wrote one);
 * :mod:`repro.net.worker` — one process (or thread, in tests) per
-  shard, serving leaf probes, scans, flat scans and scene searches over
-  its own out-of-core :class:`~repro.storage.lazy.SQLVideoDatabase`;
+  shard, opening the catalog as an out-of-core
+  :class:`~repro.storage.lazy.SQLVideoDatabase` and serving leaf probes
+  and flat scans over its own leaves and scene searches over its share
+  of the scene rows;
 * :mod:`repro.net.cluster` — spawns/respawns worker subprocesses and
   watches them;
-* :mod:`repro.net.coordinator` — the scatter-gather front: it runs the
-  hierarchical descent itself, fans leaf probes out to every shard,
-  and merges top-k **bit-identically** to the single-process
+* :mod:`repro.net.coordinator` — the scatter-gather front: it opens
+  the same catalog, runs the hierarchical descent itself, sends each
+  leaf probe to that leaf's owner only, and merges top-k
+  **bit-identically** to the single-process
   :class:`~repro.serving.server.QueryServer`, degrading per-shard via
   circuit breakers instead of failing;
 * :mod:`repro.net.tcpserver` — the one server shape of this package:
@@ -34,8 +37,8 @@ item 2) using nothing but the standard library:
   called like the front behind it (so
   :func:`repro.serving.loadgen.run_load` drives it over real sockets).
 
-See ``docs/SHARDING.md`` for the wire protocol, the manifest format
-and the exactness argument behind the merge.
+See ``docs/SHARDING.md`` for the wire protocol, the leaf map and the
+exactness argument behind the merge.
 """
 
 from repro._lazy import lazy_exports

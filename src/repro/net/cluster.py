@@ -1,9 +1,10 @@
 """Shard cluster: spawn, watch and respawn worker subprocesses.
 
-:class:`ShardCluster` turns a shard root (the directory holding
-``manifest.json`` and the ``shard-NNNN`` catalogs) into a set of live
-worker processes, one per shard, each bound to an ephemeral localhost
-port.  Every worker announces itself with a ``READY <port>`` line on
+:class:`ShardCluster` turns a :class:`~repro.net.shard.ShardSpec` (a
+catalog and a shard count, read from the ``manifest.json`` of a
+directory :func:`~repro.net.shard.build_shards` wrote unless given) into
+a set of live worker processes, one per shard, each opening that catalog
+and bound to an ephemeral localhost port.  Every worker announces itself with a ``READY <port>`` line on
 stdout; the cluster wraps each one in a
 :class:`~repro.net.protocol.ShardEndpoint`.  :meth:`ShardCluster.start`
 launches every worker before it waits for any of them, so a cluster
@@ -87,8 +88,7 @@ class ShardCluster:
         watchdog_interval: float | None = 0.2,
         inherit_stderr: bool = False,
     ) -> None:
-        self._root = Path(root)
-        self.spec = spec if spec is not None else load_manifest(self._root)
+        self.spec = spec if spec is not None else load_manifest(root)
         self._host = host
         self._default_timeout = default_timeout
         self._spawn_timeout = spawn_timeout
@@ -118,8 +118,8 @@ class ShardCluster:
             # their catalogs side by side under one shared deadline.
             deadline = time.perf_counter() + self._spawn_timeout
             launched = [
-                (info.shard_id, self._launch(info.shard_id))
-                for info in self.spec.shards
+                (shard_id, self._launch(shard_id))
+                for shard_id in range(self.spec.num_shards)
             ]
             for shard_id, proc in launched:
                 self.endpoints.append(
@@ -178,19 +178,20 @@ class ShardCluster:
         Registered at once, so :meth:`stop` reaps it even when it never
         reports ready.
         """
-        shard_dir = self.spec.shard_dir(self._root, shard_id)
         proc = subprocess.Popen(
             [
                 sys.executable,
                 "-m",
                 "repro.net.worker",
-                str(shard_dir),
+                str(self.spec.catalog),
                 "--host",
                 self._host,
                 "--port",
                 "0",
                 "--shard-id",
                 str(shard_id),
+                "--num-shards",
+                str(self.spec.num_shards),
             ],
             # Never written to: the worker drains when it ends (this process died).
             stdin=subprocess.PIPE,

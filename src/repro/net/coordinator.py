@@ -4,26 +4,29 @@
 in-process :class:`~repro.serving.server.QueryServer`: the same
 :class:`~repro.serving.engine.QueryEngine` lifecycle (validation,
 scope, cache, accounting, explain) — but the service is the engine's
-scatter-gather :class:`~repro.serving.engine.QueryBackend`: the corpus
-lives in N shard worker processes and every feature query fans out.
+scatter-gather :class:`~repro.serving.engine.QueryBackend`: N shard
+worker processes each serve a view of the one published catalog, and
+every feature query fans out to the shards it needs.
 
 **Exactness.**  With all shards healthy, results are bit-identical to
 the single-process path (ids, scores, tie-break order):
 
-* The coordinator itself runs the Eq. (25) beam descent over a routing
-  tree rebuilt from the manifest's full-corpus leaf metadata
-  (:func:`~repro.net.shard.build_routing_tree`), so the visited node
-  sequence and descent comparisons match the unsharded server.
-* Shards only execute leaf-level work, in one ``probe`` round: each
-  runs the in-process leaf step, :func:`~repro.database.query.probe_leaf`,
-  on its share of every leaf; ``flat`` and ``scene`` answer the shard's
-  whole index as one probe.  Every answer merges through
-  :func:`~repro.database.query.merge_probes`, as ``search_hierarchical``
-  does: per leaf it keeps the shards whose bucket is non-empty, or all
-  when none is, and ranks by (−score, leaf position, key).  Keys are
-  global flat ordinals (scenes: ``[title, scene_id]``) and hash-by-title
-  sharding keeps every within-shard order an order-preserving subset of
-  the global one, so that is the unsharded visit order.
+* The coordinator opens the same catalog and runs the Eq. (25) beam
+  descent itself over the tree
+  :func:`~repro.database.index.build_index_tree` builds from the
+  catalog's ``leaves`` rows, so the visited node sequence and descent
+  comparisons match the unsharded server.
+* Shards only execute leaf-level work.  A shot query is one ``probe``
+  round to the owners of the leaves the descent reached
+  (:func:`~repro.net.shard.pack_leaves`), each running the in-process
+  leaf step, :func:`~repro.database.query.probe_leaf`, on its whole
+  leaves; ``flat`` answers each served leaf and ``scene`` a shard's
+  contiguous share of the scene rows, from every shard.  Every answer
+  merges through :func:`~repro.database.query.merge_probes`, as
+  ``search_hierarchical`` does, ranked by (−score, leaf position, key).
+  Keys are the catalog's flat ordinals (scenes: ``[title, scene_id]``,
+  the scene table's row order), ascending with the rows of a leaf, so
+  that is the unsharded visit order.
 * A candidate on the wire is an identity and a score — no 266-d row,
   no scene centroid — and so is a merged hit: its ``entry.features`` /
   ``entry.centroid`` is ``None``, the contract
@@ -33,26 +36,30 @@ the single-process path (ids, scores, tie-break order):
 **QueryStats aggregation** is ``merge_probes``' for every kind: the kept
 probes' ``count`` / ``approx`` / ``reranked`` sum into ``comparisons`` /
 ``approx_comparisons`` / ``reranked`` (plus the descent's comparisons
-for ``shot``; a flat or scene probe counts the shard's entries or
-scenes); ``event`` = 0.
+for ``shot``; a flat probe counts a leaf's rows, a scene probe a
+share's scenes); ``event`` = 0.
 
-**Degradation.**  Each shard sits behind a circuit breaker; a shard
-that fails or is skipped by an open breaker is reported in
+**Degradation.**  Each shard sits behind a circuit breaker; a shard an
+answer needed that fails or is skipped by an open breaker is reported in
 ``ServingResult.shards_missing`` with ``degraded=True`` and the answer
-covers the reachable shards.  The engine never caches such an answer.
+covers the reachable shards — for a shot, the owners that answered, so
+one whose owners are all lost is answered empty.  A flat or scene query
+no shard answered raises :class:`~repro.errors.NoShardAnsweredError`.
+The engine never caches a degraded answer.  Event queries and skims read
+the catalog's records and need no shard.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
 from repro.database.access import User
-from repro.database.catalog import RegisteredVideo
+from repro.database.catalog import RegisteredVideo, close_when_released
 from repro.database.events_query import query_event_records
 from repro.database.index import ShotEntry
 from repro.database.query import (
@@ -71,7 +78,7 @@ from repro.errors import (
     ServingError,
 )
 from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
-from repro.net.shard import ShardSpec, build_routing_tree
+from repro.net.shard import ShardSpec, pack_leaves
 from repro.obs.export import render_prometheus_dumps
 from repro.obs.trace import Span, active_tracer, span as obs_span
 from repro.resilience.breaker import CircuitBreaker
@@ -87,6 +94,7 @@ from repro.serving.engine import (
     ServingResult,
 )
 from repro.serving.metrics import ServingMetrics
+from repro.storage.lazy import SQLVideoDatabase
 from repro.types import EventKind
 
 #: Per-shard circuit breaker: consecutive failures to open, and seconds
@@ -106,21 +114,32 @@ RPC_BACKOFF = 0.02
 RPC_MAX_DELAY = 0.25
 
 
-def _per_leaf(responses: dict[int, dict]) -> list[tuple[LeafProbe, ...]]:
-    """The shards' ``leaves`` answers regrouped per leaf position."""
-    per_shard = [
-        [LeafProbe(**probe) for probe in response["leaves"]]
-        for response in responses.values()
-    ]
-    return list(zip(*per_shard))
+def _pooled(responses: dict[int, dict]) -> list[list[LeafProbe]]:
+    """Every probe the shards answered, as the sources of one position
+    (``flat``'s leaves and ``scene``'s shares rank by key alone)."""
+    return [[LeafProbe(**probe) for response in responses.values() for probe in response["leaves"]]]
 
 
-def _merged_shots(responses: dict[int, dict], k: int, stats: QueryStats) -> tuple:
-    """The ``k`` best shot hits of the shards' probes (``stats`` summed)."""
+def _ranked_shots(answers: list[list[LeafProbe]], k: int, stats: QueryStats) -> tuple:
+    """The ``k`` best shot hits of the probes (``stats`` summed)."""
     return tuple(
         RankedShot(ShotEntry(*probe.items[index], features=None), probe.scores[index])
-        for _position, probe, index in merge_probes(_per_leaf(responses), k, stats)
+        for _position, probe, index in merge_probes(answers, k, stats)
     )
+
+
+class _Routing:
+    """One opened generation of the catalog, as the coordinator reads it:
+    the routing tree, the access rules, the records and each leaf's owner."""
+
+    def __init__(self, spec: ShardSpec) -> None:
+        self.database = SQLVideoDatabase.open(spec.catalog)
+        leaves = self.database.leaves
+        counts = [len(leaf) for leaf in leaves.values()]
+        self.owners = dict(zip(leaves, pack_leaves(counts, spec.num_shards)))
+        self.root = self.database.index_root
+        self.records = self.database.videos
+        self.degraded = any(record.degraded_stages for record in self.records.values())
 
 
 class _Phase:
@@ -183,7 +202,7 @@ class ShardedQueryService:
         self.config = config if config is not None else ServerConfig()
         self._endpoints = {ep.shard_id: ep for ep in endpoints}
         self._metrics = metrics if metrics is not None else ServingMetrics()
-        self._hierarchy, self._root, self._controller = build_routing_tree(spec)
+        self._routing = _Routing(spec)
         self._engine = QueryEngine(lambda: self, self.config, self._metrics)
         self._breakers = {
             ep.shard_id: CircuitBreaker(
@@ -225,26 +244,17 @@ class ShardedQueryService:
             labelnames=("shard",),
         )
         self._generation = 1
-        self._records_lock = threading.Lock()
-        self._records: dict[str, RegisteredVideo] = {}
-        self._records_missing: set[int] = set(self._endpoints)
-        # Maintained under ``_records_lock`` where records are merged,
-        # so query threads read a flag instead of iterating a dict that
-        # another thread's ``_ensure_records`` may be growing.
-        self._degraded_videos = False
         self._last_errors: dict[int, str] = {}
-        # Prime registration records (event queries, skims, degradation
-        # flags).  Per-shard failures are tolerated here — the fetch
-        # retries lazily once the shard comes back.
-        self._ensure_records(self._deadline())
         self._engine.open()
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Drain the engine, then shut the pools down (endpoints are the caller's)."""
+        """Drain the engine, then shut the pools and the catalog down
+        (endpoints are the caller's)."""
         self._engine.close()
         self._executor.shutdown(wait=False, cancel_futures=True)
+        self._routing.database.close()
 
     def __enter__(self) -> "ShardedQueryService":
         return self
@@ -261,8 +271,8 @@ class ShardedQueryService:
 
     @property
     def degraded(self) -> bool:
-        """Whether any known video's mining fell back somewhere."""
-        return self._degraded_videos
+        """Whether any video's mining fell back somewhere."""
+        return self._routing.degraded
 
     @property
     def fanout(self) -> int:
@@ -280,15 +290,13 @@ class ShardedQueryService:
         return self._engine.cache
 
     def records(self) -> dict[str, RegisteredVideo]:
-        """Merged registration records of every reachable shard."""
-        self._ensure_records(self._deadline())
-        with self._records_lock:
-            return dict(self._records)
+        """The catalog's registration records, by title."""
+        return dict(self._routing.records)
 
     # -- scatter plumbing ----------------------------------------------
 
     def _deadline(self) -> float | None:
-        """When a maintenance scatter (records, reload, ping) gives up."""
+        """When a maintenance scatter (reload, ping, metrics) gives up."""
         timeout = self.config.default_timeout
         return None if timeout is None else time.perf_counter() + timeout
 
@@ -396,11 +404,12 @@ class ShardedQueryService:
         self,
         request: dict,
         deadline: float | None,
-        shard_ids: "list[int] | None" = None,
         sink: ExplainSink | None = None,
+        leaves: Mapping[int, list[str]] | None = None,
     ) -> tuple[dict[int, dict], set[int]]:
-        """Send one op to shards; returns (responses, missing shard ids)."""
-        targets = sorted(self._endpoints) if shard_ids is None else shard_ids
+        """Send one op to every shard, or to the keys of ``leaves`` with
+        their own ``leaves`` list each; returns (responses, missing shard ids)."""
+        targets = sorted(self._endpoints) if leaves is None else sorted(leaves)
         responses: dict[int, dict] = {}
         missing: set[int] = set()
         # Trace context is read on the calling thread (the phase span)
@@ -413,7 +422,7 @@ class ShardedQueryService:
                 shard_id: self._executor.submit(
                     self._shard_call,
                     shard_id,
-                    dict(request),
+                    dict(request) if leaves is None else {**request, "leaves": leaves[shard_id]},
                     deadline,
                     trace_parent,
                     trace_id,
@@ -455,34 +464,6 @@ class ShardedQueryService:
             _collect(_submit(skipped))
         return responses, missing
 
-    def _ensure_records(self, deadline: float | None) -> set[int]:
-        """Fetch registration records from shards still missing them.
-
-        Returns the shard ids whose records are (still) missing.  Heals
-        automatically: the next event/skim query after a dead worker
-        respawns re-fetches just that shard's records.
-        """
-        with self._records_lock:
-            wanted = sorted(self._records_missing)
-        if not wanted:
-            return set()
-        responses, _failed = self._scatter(
-            {"op": "records"}, deadline, shard_ids=wanted
-        )
-        if responses:
-            with self._records_lock:
-                for shard_id, response in responses.items():
-                    for title, payload in response["records"].items():
-                        self._records[title] = RegisteredVideo.from_json(
-                            title, payload
-                        )
-                    self._records_missing.discard(shard_id)
-                self._degraded_videos = any(
-                    record.degraded_stages for record in self._records.values()
-                )
-        with self._records_lock:
-            return set(self._records_missing)
-
     # -- the public query path -----------------------------------------
 
     def query(self, request: QueryRequest) -> ServingResult:
@@ -492,8 +473,8 @@ class ShardedQueryService:
     # -- the engine's backend seam -------------------------------------
 
     def permitted_leaves(self, user: User) -> frozenset[str]:
-        """Leaf concepts ``user`` may enter (the routing tree's rules)."""
-        return frozenset(self._controller.permitted_leaves(user))
+        """Leaf concepts ``user`` may enter (the catalog's access rules)."""
+        return frozenset(self._routing.database.controller.permitted_leaves(user))
 
     def run(
         self,
@@ -553,18 +534,21 @@ class ShardedQueryService:
     ) -> BackendAnswer:
         stats = QueryStats()
         allowed = set(scope_leaves) if scope_leaves is not None else None
+        routing = self._routing
         with _Phase("descend", explain):
             leaves = descend_to_leaves(
-                self._root, request.features, stats, allowed
+                routing.root, request.features, stats, allowed
             )
         if not leaves:
             if allowed is not None:
                 return BackendAnswer((), stats.comparisons)
             raise DatabaseError("descent reached no populated leaf")
+        owned: dict[int, list[str]] = {}
+        for leaf in leaves:
+            owned.setdefault(routing.owners[leaf.name], []).append(leaf.name)
         message = {
             "op": "probe",
             "features": pack_array(request.features),
-            "leaves": [leaf.name for leaf in leaves],
             "k": int(request.k),
         }
         if request.nprobe is not None:
@@ -572,11 +556,17 @@ class ShardedQueryService:
             if request.rerank_k is not None:
                 message["rerank_k"] = int(request.rerank_k)
         with _Phase("probe", explain):
-            responses, missing = self._scatter(message, deadline, sink=explain)
-        self._require_responses(responses, missing)
-
+            responses, missing = self._scatter(message, deadline, explain, owned)
         with _Phase("merge", explain):
-            hits = _merged_shots(responses, request.k, stats)
+            # One source per leaf, its owner's.  A missing owner's leaves
+            # rank nothing: the answer covers the owners that answered,
+            # none at all when every owner it asked is lost.
+            position = {leaf.name: index for index, leaf in enumerate(leaves)}
+            answers: list[list[LeafProbe]] = [[] for _ in leaves]
+            for shard_id, response in responses.items():
+                for name, probe in zip(owned[shard_id], response["leaves"]):
+                    answers[position[name]].append(LeafProbe(**probe))
+            hits = _ranked_shots(answers, request.k, stats)
         return BackendAnswer(
             hits,
             stats.comparisons,
@@ -603,7 +593,7 @@ class ShardedQueryService:
             )
         self._require_responses(responses, missing)
         stats = QueryStats()
-        hits = _merged_shots(responses, request.k, stats)
+        hits = _ranked_shots(_pooled(responses), request.k, stats)
         return BackendAnswer(hits, stats.comparisons, shards_missing=tuple(sorted(missing)))
 
     def _scene(
@@ -626,7 +616,7 @@ class ShardedQueryService:
             responses, missing = self._scatter(message, deadline, sink=explain)
         self._require_responses(responses, missing)
         stats = QueryStats()
-        winners = merge_probes(_per_leaf(responses), request.k, stats)
+        winners = merge_probes(_pooled(responses), request.k, stats)
         if stats.comparisons == 0 and not missing:
             raise DatabaseError("scene index is empty")
         hits = []
@@ -644,40 +634,34 @@ class ShardedQueryService:
         deadline: float | None,
         explain: ExplainSink | None = None,
     ) -> BackendAnswer:
-        with _Phase("records", explain):
-            missing = self._ensure_records(deadline)
-        with self._records_lock:
-            records = dict(self._records)
+        routing = self._routing
         hits = tuple(
             query_event_records(
-                records,
-                self._controller,
+                routing.records,
+                routing.database.controller,
                 request.event,
                 user=request.user,
                 video_title=request.video_title,
             )
         )
-        return BackendAnswer(hits, shards_missing=tuple(sorted(missing)))
+        return BackendAnswer(hits)
 
     # -- maintenance ---------------------------------------------------
 
     def refresh(self) -> int:
-        """Reload every shard's database and bump the generation.
+        """Reopen the catalog on every shard and here, and bump the generation.
 
         The sharded analogue of :meth:`QueryServer.refresh
-        <repro.serving.server.QueryServer>`: shards reopen their SQL
-        catalogs, the coordinator's cache drops the old generation, and
-        registration records are re-fetched.
+        <repro.serving.server.QueryServer>`: shards reopen the catalog,
+        the coordinator reopens it for its routing tree and records, and
+        its cache drops the old generation.  The superseded catalog
+        closes once no query holds it.
         """
-        deadline = self._deadline()
-        responses, missing = self._scatter({"op": "reload"}, deadline)
+        responses, missing = self._scatter({"op": "reload"}, self._deadline())
         self._require_responses(responses, missing)
+        previous, self._routing = self._routing, _Routing(self.spec)
+        close_when_released(previous.database, previous)
         self._generation += 1
-        with self._records_lock:
-            self._records = {}
-            self._records_missing = set(self._endpoints)
-            self._degraded_videos = False
-        self._ensure_records(deadline)
         self._engine.advance(self._generation)
         return self._generation
 
@@ -758,8 +742,8 @@ class ShardedQueryService:
                     shard_id, "breaker open"
                 )
             checks.append(HealthCheck(name=f"shard-{shard_id}", ok=ok, detail=detail))
-        with self._records_lock:
-            known, degraded_videos = len(self._records), self._degraded_videos
+        routing = self._routing
+        known, degraded_videos = len(routing.records), routing.degraded
         checks.append(
             HealthCheck(
                 name="corpus",

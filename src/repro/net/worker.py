@@ -1,20 +1,21 @@
-"""Shard worker: serves one shard's database over local TCP.
+"""Shard worker: serves one shard's view of the catalog over local TCP.
 
-A worker owns one opened
-:class:`~repro.storage.lazy.SQLVideoDatabase` (plus the shard's
-``global_ords.npy`` sidecar) and answers framed JSON requests:
+A worker opens the one published catalog as a
+:class:`~repro.storage.lazy.SQLVideoDatabase` and serves the leaves
+:func:`~repro.net.shard.pack_leaves` gives its shard, and a contiguous
+share of the scene rows (:func:`~repro.net.shard.scene_share`); it
+answers framed JSON requests:
 
 ========== =========================================================
 op          semantics
 ========== =========================================================
 ``ping``    liveness probe
-``records`` the shard's registration records (coordinator metadata)
 ``probe``   one :class:`~repro.database.query.LeafProbe` per requested leaf
-``flat``    the local Eq. (24) top-k as one probe, keys global ordinals
-``scene``   the local scoped scene-centroid top-k as one probe
-``sample``  evenly spaced feature vectors (loadgen pools)
+``flat``    each served leaf's Eq. (24) top-k, keys global ordinals
+``scene``   the scoped scene-centroid top-k of the share as one probe
+``sample``  evenly spaced feature vectors of the served leaves (loadgen pools)
 ``metrics`` the worker registry's wire dump (cluster-metrics scrape)
-``reload``  reopen the shard database; the old one closes once no request holds it
+``reload``  reopen the catalog; the old one closes once no request holds it
 ``drain``   finish in-flight requests, refuse new ones, exit cleanly
 ========== =========================================================
 
@@ -36,18 +37,21 @@ which the ``metrics`` op exposes for cluster-wide scraping.
 
 Every query op answers ``leaves``, a list of probes the coordinator
 merges with :func:`~repro.database.query.merge_probes`.  A probe carries
-**global** identities and kernel-exact scores, and nothing else: no
+global identities (the ordinals in each leaf's id block) and kernel-exact
+scores, and nothing else: no
 266-d row or scene centroid crosses the shard wire in an answer, so a
 stored probe's ``probe`` / ``scene`` reads no 266-d block (see
 ``docs/SHARDING.md``).  Arrays cross it only as a *query* vector and as
 the ``sample`` op's pool.  A ``probe`` leaf runs the in-process leaf
-step, :func:`~repro.database.query.probe_leaf`, on the local rows: the
-coordinator applies the global empty-bucket rule to the reported bucket
-sizes, so a shot query is one round.
+step, :func:`~repro.database.query.probe_leaf`, on the whole leaf, which
+only this shard serves, so a shot query is one round to the owners of
+the leaves its descent reached.
 
 The worker runs threaded (one thread per coordinator connection) and
 can be embedded in-process for tests or launched as
-``python -m repro.net.worker SHARD_DIR`` — the subprocess prints
+``python -m repro.net.worker CATALOG --shard-id I --num-shards N`` (or on
+a ``shard-NNNN`` directory :func:`~repro.net.shard.build_shards` made) —
+the subprocess prints
 ``READY <port>`` on stdout once it accepts connections, and drains when
 a stdin pipe nothing writes to ends (the cluster that started it died).
 """
@@ -56,19 +60,23 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import select
+import signal
 import stat
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from repro.database.catalog import close_when_released
-from repro.database.index import IndexNode
+from repro.core.kernels import top_k
+from repro.database.catalog import VideoDatabase, close_when_released
+from repro.database.hierarchy import ConceptLevel
+from repro.database.index import IndexNode, LeafHashIndex, feature_similarity_batch, leaf_node
 from repro.database.query import LeafProbe, probe_leaf
+from repro.database.scene_search import SceneIndex, SceneTable
 from repro.errors import BadRequestError, DatabaseError, ReproError
 from repro.resilience.faults import fault_point
 from repro.net.protocol import (
@@ -77,48 +85,60 @@ from repro.net.protocol import (
     send_frame,
     unpack_array,
 )
-from repro.net.shard import GLOBAL_ORDS_NAME
+from repro.net.shard import pack_leaves, scene_share, worker_view
 from repro.net.tcpserver import ConnectionServer
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.storage.featurestore import map_block
 from repro.storage.lazy import SQLVideoDatabase
 from repro.types import EventKind
 
 
-class _ShardState:
-    """One opened generation of the shard database (immutable once built)."""
+def _scene_rows(database: VideoDatabase, rows: range) -> SceneTable:
+    """The catalog's scene table cut to ``rows`` (views: the share's pages only are read)."""
+    return SceneTable(*(column[rows.start : rows.stop] for column in database.scene_index.table))
 
-    def __init__(self, shard_dir: Path) -> None:
-        self.database = SQLVideoDatabase.open(shard_dir)
-        ords_path = shard_dir / GLOBAL_ORDS_NAME
-        if ords_path.exists():
-            self.global_ords = map_block(ords_path, np.int64)
-        else:  # an unsharded dir served as a single "shard"
-            self.global_ords = np.arange(self.database.shot_count, dtype=np.int64)
-        self.leaves: dict[str, IndexNode] = {}
-        if self.database.videos:
-            self.leaves = {
-                node.name: node for node in self.database.index_root.iter_leaves()
-            }
+
+def _identities(leaf: LeafHashIndex, rows: np.ndarray) -> list:
+    """``[title, shot_id, scene_id]`` of each of ``rows``."""
+    columns = (leaf.titles[rows], leaf.shot_ids[rows], leaf.scene_ids[rows])
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+class _ShardState:
+    """One opened generation of the catalog, seen as one shard (immutable once built)."""
+
+    def __init__(self, catalog_dir: Path, shard_id: int, num_shards: int) -> None:
+        self.database = SQLVideoDatabase.open(catalog_dir)
+        leaves = self.database.leaves
+        owners = pack_leaves([len(leaf) for leaf in leaves.values()], num_shards)
+        depth = ConceptLevel.SCENE.depth
+        self.leaves: dict[str, IndexNode] = {
+            name: leaf_node(name, depth, leaf)
+            for (name, leaf), owner in zip(leaves.items(), owners)
+            if owner == shard_id
+        }
+        rows = scene_share(len(self.database.scene_index), shard_id, num_shards)
+        self.scenes = SceneIndex(partial(_scene_rows, self.database, rows), count=len(rows))
 
 
 class ShardWorker:
-    """Threaded TCP server answering shard RPCs for one shard directory."""
+    """Threaded TCP server answering one shard's RPCs over the catalog.
+
+    ``path`` is the catalog directory (serve shard ``shard_id`` of
+    ``num_shards``, default 0 of 1) or a ``shard-NNNN`` directory
+    :func:`~repro.net.shard.build_shards` made (:func:`~repro.net.shard.worker_view`).
+    """
 
     def __init__(
         self,
-        shard_dir: str | Path,
+        path: str | Path,
         host: str = "127.0.0.1",
         port: int = 0,
         shard_id: int | None = None,
         registry: MetricsRegistry | None = None,
+        num_shards: int | None = None,
     ) -> None:
-        self._shard_dir = Path(shard_dir)
-        if shard_id is None:
-            match = re.fullmatch(r"shard-(\d+)", self._shard_dir.name)
-            shard_id = int(match.group(1)) if match else 0
-        self.shard_id = shard_id
+        self._catalog_dir, self.shard_id, self.num_shards = worker_view(path, shard_id, num_shards)
         # Subprocess workers report into their process-global registry
         # (so storage/kernel metrics ride along in the scrape); embedded
         # test workers pass a private registry to stay distinguishable.
@@ -133,7 +153,7 @@ class ShardWorker:
             "Shard worker RPC handler latency, by op.",
             labelnames=("op",),
         )
-        self._state = _ShardState(self._shard_dir)
+        self._state = _ShardState(self._catalog_dir, self.shard_id, self.num_shards)
         self._generation = 1
         self._state_lock = threading.Lock()
         self._draining = False
@@ -300,19 +320,13 @@ class ShardWorker:
             "metrics": self._registry.dump(),
         }
 
-    def _op_records(self, request: dict, tracer=NULL_TRACER) -> dict:
-        state = self._state  # pinned: a reload closes what no request holds
-        records = {
-            title: record.to_json() for title, record in state.database.videos.items()
-        }
-        return {"ok": True, "generation": self._generation, "records": records}
-
     def _op_probe(self, request: dict, tracer=NULL_TRACER) -> dict:
         """Each requested leaf's :func:`~repro.database.query.probe_leaf`, in order.
 
-        Keys become global ordinals (order-preserving, so ties keep the
-        unsharded visit order) and ``items`` ``[title, shot_id,
-        scene_id]``; a leaf this shard does not hold answers an empty probe.
+        Keys become the rows' global ordinals (ascending with the rows, so
+        ties keep the in-process visit order) and ``items`` ``[title,
+        shot_id, scene_id]``.  A leaf this shard does not serve is an error:
+        the coordinator routed by another generation's leaf map.
         """
         if "k" not in request:
             raise BadRequestError("probe needs k")
@@ -324,49 +338,47 @@ class ShardWorker:
         for name in request.get("leaves", []):
             node = state.leaves.get(name)
             if node is None:
-                probes.append(LeafProbe(0, 0)._asdict())
-                continue
+                raise DatabaseError(f"shard {self.shard_id} does not serve leaf {name!r}")
             with tracer.span("worker.leaf", leaf=name) as leaf_span:
                 probe = probe_leaf(node, features, k, nprobe, rerank_k, tracer)
                 leaf_span.set(bucket=probe.bucket)
             leaf, rows = node.leaf, np.asarray(probe.keys, dtype=np.intp)
-            columns = (leaf.titles[rows], leaf.shot_ids[rows], leaf.scene_ids[rows])
             probe = probe._replace(
-                keys=state.global_ords[leaf.ordinals[rows]].tolist(),
-                items=list(zip(*(column.tolist() for column in columns))),
+                keys=leaf.ordinals[rows].tolist(), items=_identities(leaf, rows)
             )
             probes.append(probe._asdict())
         return {"ok": True, "generation": self._generation, "leaves": probes}
 
     def _op_flat(self, request: dict, tracer=NULL_TRACER) -> dict:
-        """The local Eq. (24) top-k as one probe under global ordinals."""
-        state = self._state
+        """Each served leaf's Eq. (24) top-k as a probe under global ordinals."""
+        k = int(request.get("k", 10))
         features = unpack_array(request["features"])
-        flat = state.database.flat_index
-        with tracer.span("score.exact", rows=len(flat)):
-            top, scores = flat.rank(features, int(request.get("k", 10)))
-        probe = LeafProbe(
-            0,
-            len(flat),
-            keys=state.global_ords[top].tolist(),
-            scores=scores[top].tolist(),
-            items=[
-                (entry.video_title, entry.shot_id, entry.scene_id)
-                for entry in flat.entries_at(top)
-            ],
-        )
-        return {"ok": True, "generation": self._generation, "leaves": [probe._asdict()]}
+        probes = []
+        for node in self._state.leaves.values():
+            leaf = node.leaf
+            with tracer.span("score.exact", rows=len(leaf)):
+                scores = feature_similarity_batch(features, leaf.block)
+            best = top_k(scores, k)
+            probe = LeafProbe(
+                0,
+                len(leaf),
+                keys=leaf.ordinals[best].tolist(),
+                scores=scores[best].tolist(),
+                items=_identities(leaf, best),
+            )
+            probes.append(probe._asdict())
+        return {"ok": True, "generation": self._generation, "leaves": probes}
 
     def _op_scene(self, request: dict, tracer=NULL_TRACER) -> dict:
-        """The local scene-centroid top-k as one probe keyed ``[title, scene_id]``.
+        """The share's scene-centroid top-k as one probe keyed ``[title, scene_id]``.
 
         ``allowed`` is the caller's access scope, applied before ranking;
-        ``count`` is the local scene count whatever the filters.
+        ``count`` is the share's scene count whatever the filters.
         """
         state = self._state
         event = request.get("event")
         allowed = request.get("allowed")
-        index = state.database.scene_index
+        index = state.scenes
         try:
             with tracer.span("scene.search", scenes=len(index)):
                 hits = index.search(
@@ -387,12 +399,17 @@ class ShardWorker:
         return {"ok": True, "generation": self._generation, "leaves": [probe._asdict()]}
 
     def _op_sample(self, request: dict, tracer=NULL_TRACER) -> dict:
-        state = self._state
-        sample = state.database.flat_index.sample(max(1, int(request.get("n", 16))))
-        return {"ok": True, "features": [pack_array(features) for features in sample]}
+        leaves = [node.leaf for node in self._state.leaves.values()]
+        starts = np.cumsum([0] + [len(leaf) for leaf in leaves])
+        picks = np.linspace(0, starts[-1] - 1, min(max(1, int(request.get("n", 16))), starts[-1]))
+        sample = []
+        for pick in sorted({int(pick) for pick in picks}):
+            which = int(np.searchsorted(starts, pick, side="right")) - 1
+            sample.append(pack_array(np.asarray(leaves[which].block[pick - starts[which]])))
+        return {"ok": True, "features": sample}
 
     def _op_reload(self, request: dict, tracer=NULL_TRACER) -> dict:
-        fresh = _ShardState(self._shard_dir)
+        fresh = _ShardState(self._catalog_dir, self.shard_id, self.num_shards)
         with self._state_lock:
             previous = self._state
             self._state = fresh
@@ -455,34 +472,59 @@ def _drain_at_end_of_stdin(worker: ShardWorker) -> None:
     worker._op_drain({})
 
 
+def _interrupt(_signum, _frame) -> None:
+    raise KeyboardInterrupt
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro.net.worker``."""
     parser = argparse.ArgumentParser(description="classminer shard worker")
-    parser.add_argument("shard_dir", help="shard directory (SQL catalog)")
+    parser.add_argument(
+        "shard_dir",
+        help="the catalog directory, or a shard-NNNN directory build_shards made beside one",
+    )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument(
         "--shard-id",
         type=int,
         default=None,
-        help="shard id for log prefixes and span attributes "
-        "(default: parsed from the directory name)",
+        help="which shard's leaves to serve (default: parsed from a "
+        "shard-NNNN directory's name, else 0)",
+    )
+    parser.add_argument(
+        "--num-shards",
+        type=int,
+        default=None,
+        help="how many shards share the catalog (default: a shard-NNNN "
+        "directory's manifest, else 1)",
     )
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    worker = ShardWorker(
-        args.shard_dir, host=args.host, port=args.port, shard_id=args.shard_id
-    )
+    try:
+        worker = ShardWorker(
+            args.shard_dir,
+            host=args.host,
+            port=args.port,
+            shard_id=args.shard_id,
+            num_shards=args.num_shards,
+        )
+    except ReproError as exc:  # no catalog there, or no such shard of it
+        parser.error(str(exc))
     sys.stderr = _PrefixWriter(sys.stderr, f"[shard {worker.shard_id}] ")
     if sys.stdin and stat.S_ISFIFO(os.fstat(0).st_mode) and not select.select([0], [], [], 0)[0]:
         threading.Thread(target=_drain_at_end_of_stdin, args=(worker,), daemon=True).start()
     print(f"READY {worker.port}", flush=True)
     print(
-        f"shard worker serving {args.shard_dir} on {args.host}:{worker.port} "
+        f"shard worker serving shard {worker.shard_id} of {worker.num_shards} over "
+        f"{worker._catalog_dir} on {args.host}:{worker.port} "
         f"(opened in {time.perf_counter() - started:.2f}s)",
         file=sys.stderr,
         flush=True,
     )
+    # SIGTERM (a cluster's stop) unwinds like Ctrl-C: the catalog is closed,
+    # so the last reader leaves no SQLite ``-wal`` / ``-shm`` file behind.
+    signal.signal(signal.SIGTERM, _interrupt)
     try:
         worker.serve_forever()
     except KeyboardInterrupt:

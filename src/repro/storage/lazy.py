@@ -78,17 +78,17 @@ def _stored_rows(
     return rows, stored
 
 
-def _stored_scenes(catalog: SQLCatalog, titles: np.ndarray, opened, store=None) -> SceneTable:
+def _stored_scenes(catalog: SQLCatalog, titles, opened, store=None, centroids=None) -> SceneTable:
     """Load the stored scene table, in stored row order, from the
     generation this reader opened (``opened``: its ``scene_block`` row);
-    ``store`` is a save's (:meth:`~repro.database.scene_search.SceneIndex.adopt`)."""
+    ``store`` is a save's, ``centroids`` the block it stored (``SceneIndex.adopt``)."""
     if catalog.scene_block() != opened:
         raise StorageError(
             "the scene table changed generation under this reader — the "
             "directory was re-saved; reopen it"
         )
     sha, (scene_titles, scene_ids, events, shot_counts) = catalog.scene_columns(titles)
-    block = catalog.features.open(sha)
+    block = catalog.features.open(sha) if centroids is None else centroids
     if not len(scene_titles) == block.shape[0] == opened[2]:
         raise StorageError(f"the scene table's blocks disagree on its {opened[2]} rows")
     kinds = {kind.value: kind for kind in EventKind}

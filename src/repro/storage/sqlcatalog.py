@@ -369,10 +369,9 @@ class SQLCatalog:
         """Replace the whole catalog with ``database``'s state (the module's
         write model) and return the number of shot entries stored.
 
-        Each leaf is stored with the routing it carries — a shard cut by
-        :meth:`~repro.database.catalog.VideoDatabase.clone_subset` carries
-        the *full-corpus* ``(centers, dims)``, so its index tree routes, and
-        scores leaves in the same sub-space, exactly like the unsharded one.
+        Each leaf is stored with the routing it carries, so an opened
+        store's index tree — and a shard worker's or coordinator's view of
+        the catalog — routes and scores leaves exactly like the saved corpus.
         """
         if not database.shot_count:
             raise StorageError("cannot store an empty database")

@@ -17,14 +17,12 @@ from repro.vision.histogram import (
 )
 from repro.vision.compressed import dc_image
 from repro.vision.morphology import close_mask, dilate, erode, open_mask
-from repro.vision.motion import MotionProfile, motion_profile, shot_motion_profiles
 from repro.vision.roi import (
     RegionOfInterest,
     extract_rois,
     match_rois,
     roi_similarity,
 )
-from repro.vision.text import TextLine, detect_text_lines, has_video_text, text_coverage
 from repro.vision.regions import Region, filter_regions, label_regions
 from repro.vision.skin import SkinDetection, detect_skin
 from repro.vision.texture import tamura_coarseness, texture_distance_squared
@@ -33,10 +31,8 @@ __all__ = [
     "BloodDetection",
     "FaceDetection",
     "GaussianColorModel",
-    "MotionProfile",
     "Region",
     "RegionOfInterest",
-    "TextLine",
     "SkinDetection",
     "SpecialFrameKind",
     "VisualCues",
@@ -47,7 +43,6 @@ __all__ = [
     "detect_blood",
     "detect_faces",
     "detect_skin",
-    "detect_text_lines",
     "difference_signal",
     "dilate",
     "erode",
@@ -55,7 +50,6 @@ __all__ = [
     "extract_rois",
     "filter_regions",
     "frame_histograms",
-    "has_video_text",
     "histogram_difference",
     "histogram_intersection",
     "hsv_bins",
@@ -63,11 +57,8 @@ __all__ = [
     "hsv_histograms",
     "label_regions",
     "match_rois",
-    "motion_profile",
     "open_mask",
     "roi_similarity",
-    "shot_motion_profiles",
     "tamura_coarseness",
-    "text_coverage",
     "texture_distance_squared",
 ]

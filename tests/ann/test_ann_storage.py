@@ -2,9 +2,9 @@
 
 A saved catalog holds no quantizer state; the first ANN query on an
 opened leaf trains the tier from the leaf's mapped reduced block and its
-stored signatures.  Held here: an opened catalog, and each shard of a
-2-shard cut, answers ANN queries bit-identically to the in-RAM tier, at
-full probe and pruning; the tier built over an opened leaf is the
+stored signatures.  Held here: an opened catalog, and each shard's view
+of a 2-shard catalog, answers ANN queries bit-identically to the in-RAM
+tier, at full probe and pruning; the tier built over an opened leaf is the
 from-rows oracle's, sharing the leaf's signatures; and a damaged leaf
 block is the same typed error on an ANN query as on an exact one.
 """
@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from repro.ann.index import AnnLeafIndex, build_leaf_ann, resolve_ann
-from repro.database.query import search_hierarchical
+from repro.database.index import leaf_node
+from repro.database.query import probe_leaf, search_hierarchical
 from repro.errors import IntegrityError
 from repro.net import build_shards
+from repro.net.worker import _ShardState
 from repro.storage import SQLVideoDatabase, save_database
 
 from .test_ann_equivalence import NPROBE_ALL, hits
@@ -64,14 +66,20 @@ class TestPersistedRoundTrip:
 
 @pytest.mark.parametrize("knobs", KNOBS, ids=["full-probe", "pruning"])
 def test_each_shard_answers_like_its_in_ram_tier(ann_db, probes, tmp_path, knobs):
+    """Every leaf a shard serves probes as the same leaf of the in-RAM corpus."""
     spec = build_shards(ann_db, tmp_path, 2)
-    for info in spec.shards:
-        in_ram, _ = ann_db.clone_subset(info.titles)
-        opened = SQLVideoDatabase.open(spec.shard_dir(tmp_path, info.shard_id))
+    served = []
+    for shard_id in range(spec.num_shards):
+        state = _ShardState(tmp_path, shard_id, spec.num_shards)
         try:
-            assert _answers(opened, probes, knobs) == _answers(in_ram, probes, knobs)
+            for name, node in state.leaves.items():
+                in_ram = leaf_node(name, node.depth, ann_db.leaves[name])
+                for probe in probes:
+                    assert probe_leaf(node, probe, 10, **knobs) == probe_leaf(in_ram, probe, 10, **knobs)
+                served.append(name)
         finally:
-            opened.close()
+            state.database.close()
+    assert sorted(served) == sorted(ann_db.leaves)
 
 
 def test_the_tier_over_an_opened_leaf_is_the_oracles(lazy_db):

@@ -1,14 +1,10 @@
-"""Tests for the reimplemented comparison methods (B, C, visual)."""
+"""Tests for the reimplemented comparison methods (B, C)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.lin_grouping import coherence_signal, lin_detect_scenes
 from repro.baselines.rui_toc import rui_detect_scenes, rui_group_shots
-from repro.baselines.visual_clustering import (
-    visual_cluster_shots,
-    visual_clustering_scenes,
-)
 from repro.core.features import Shot
 from repro.errors import MiningError
 from tests.helpers import blank_frame
@@ -85,23 +81,6 @@ class TestLinMethod:
     def test_rejects_empty(self):
         with pytest.raises(MiningError):
             lin_detect_scenes([])
-
-
-class TestVisualClustering:
-    def test_clusters_ignore_time(self):
-        shots = _pattern("AABBAA")
-        clusters = visual_cluster_shots(shots, threshold=0.5)
-        memberships = sorted(sorted(s.shot_id for s in c) for c in clusters)
-        assert memberships == [[0, 1, 4, 5], [2, 3]]
-
-    def test_scene_wrapper(self):
-        result = visual_clustering_scenes(_pattern("AABB"), threshold=0.5)
-        assert result.method == "visual"
-        assert len(result.scenes) == 2
-
-    def test_rejects_empty(self):
-        with pytest.raises(MiningError):
-            visual_cluster_shots([])
 
 
 class TestPaperOrderingOnDemo:

@@ -243,8 +243,9 @@ class TestLeafContractBothSources:
 
 
 def test_routing_has_one_owner_and_runs_once_per_leaf(registered, tmp_path, monkeypatch):
-    """``(centers, dims)`` of a hand ``build_node``, the stored ``LeafInfo`` and
-    ``ShardSpec.leaves`` are the same arrays, and nothing clusters a leaf twice."""
+    """``(centers, dims)`` of a hand ``build_node`` and the ``LeafInfo`` a save
+    and a shard publish store are the same arrays, and nothing clusters a
+    leaf twice."""
     import repro.database.index as index_module
     from repro.net import build_shards
     from repro.serving import build_snapshot
@@ -260,7 +261,7 @@ def test_routing_has_one_owner_and_runs_once_per_leaf(registered, tmp_path, monk
     monkeypatch.setattr(index_module, "_kcenters", spy)
     build_snapshot(fresh, 1)
     save_database(fresh, tmp_path / "db")
-    spec = build_shards(fresh, tmp_path / "shards", 2)
+    build_shards(fresh, tmp_path / "shards", 2)
     monkeypatch.undo()
 
     sizes = [len(leaf) for leaf in fresh.leaves.values()]
@@ -269,18 +270,14 @@ def test_routing_has_one_owner_and_runs_once_per_leaf(registered, tmp_path, monk
 
     with SQLCatalog(tmp_path / "db") as catalog:
         stored = {info.name: info for info in catalog.leaf_infos()}
-    manifest = {leaf.name: leaf for leaf in spec.leaves}
+    with SQLCatalog(tmp_path / "shards") as catalog:
+        published = {info.name: info for info in catalog.leaf_infos()}
     for name, leaf in registered.leaves.items():
         by_hand = build_node(name, 3, entries=leaf.entries)
         for centers, dims in (
             (by_hand.centers, by_hand.dims),
             (stored[name].centers, stored[name].dims),
-            (manifest[name].centers, manifest[name].dims),
+            (published[name].centers, published[name].dims),
         ):
             assert np.array_equal(centers, leaf.centers)
             assert np.array_equal(dims, leaf.dims)
-    for info in spec.shards:  # every shard catalog stores the full-corpus routing
-        with SQLCatalog(spec.shard_dir(tmp_path / "shards", info.shard_id)) as catalog:
-            for shard_leaf in catalog.leaf_infos():
-                assert np.array_equal(shard_leaf.centers, manifest[shard_leaf.name].centers)
-                assert np.array_equal(shard_leaf.dims, manifest[shard_leaf.name].dims)

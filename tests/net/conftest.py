@@ -80,20 +80,18 @@ class NetHarness:
     """
 
     def __init__(self, net_db, root, num_shards, **config_kwargs):
+        self.root = root
         self.spec = build_shards(net_db, root, num_shards)
         # Each in-process worker gets a private registry — subprocess
         # workers get this isolation for free, and the merged /metrics
         # tests need per-shard counters to stay distinguishable.
         self.workers = [
-            ShardWorker(
-                self.spec.shard_dir(root, info.shard_id),
-                registry=MetricsRegistry(),
-            ).start()
-            for info in self.spec.shards
+            ShardWorker(self.spec.shard_dir(root, shard_id), registry=MetricsRegistry()).start()
+            for shard_id in range(num_shards)
         ]
         self.endpoints = [
-            ShardEndpoint(info.shard_id, "127.0.0.1", worker.port)
-            for info, worker in zip(self.spec.shards, self.workers)
+            ShardEndpoint(worker.shard_id, "127.0.0.1", worker.port)
+            for worker in self.workers
         ]
         constants = {
             name: config_kwargs.pop(name)

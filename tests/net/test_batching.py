@@ -1,16 +1,17 @@
-"""RPC batching contract: one framed request per shard, one round.
+"""RPC batching contract: one framed request per owning shard, one round.
 
 The coordinator must never fan out per *leaf* — a beam-2 descent
-visiting several leaves costs exactly one ``probe`` round-trip per
-shard, also when some leaf's bucket is empty on every shard.  The ANN
-knobs and ``k`` ride inside the same frame.  These tests wrap the live
-endpoints and count.
+visiting several leaves costs exactly one ``probe`` round-trip per shard
+that owns one of them, carrying that shard's leaves, also when some
+leaf's bucket is empty.  The ANN knobs and ``k`` ride inside the same
+frame.  These tests wrap the live endpoints and count.
 """
 
 from __future__ import annotations
 
 import contextlib
 
+from repro.database.query import QueryStats, descend_to_leaves
 from repro.serving.server import QueryRequest
 
 
@@ -36,8 +37,17 @@ def record_calls(service):
 
 
 def feature_ops(calls):
-    """Every op of a call record but ``records``, as (shard_id, op) pairs."""
-    return [(sid, op) for sid, op, _req in calls if op != "records"]
+    """Every op of a call record, as (shard_id, op) pairs."""
+    return [(sid, op) for sid, op, _req in calls]
+
+
+def owned_leaves(service, features) -> dict[int, list[str]]:
+    """Each owning shard's share of the leaves a shot query descends to."""
+    routing = service._routing
+    owned: dict[int, list[str]] = {}
+    for leaf in descend_to_leaves(routing.root, features, QueryStats()):
+        owned.setdefault(routing.owners[leaf.name], []).append(leaf.name)
+    return owned
 
 
 def test_bucket_hit_costs_one_probe_per_shard(make_harness, probes):
@@ -48,14 +58,13 @@ def test_bucket_hit_costs_one_probe_per_shard(make_harness, probes):
         )
     assert result.hits
     ops = feature_ops(calls)
+    owned = owned_leaves(harness.service, probes[0])
     probe_shards = sorted(sid for sid, op in ops if op == "probe")
-    assert probe_shards == [0, 1, 2]  # exactly once per shard
-    # The beam-2 descent visits multiple leaves, yet they all travel in
-    # the same frame.
-    probe_requests = [req for _sid, op, req in calls if op == "probe"]
-    assert all(len(req["leaves"]) >= 1 for req in probe_requests)
-    leaf_counts = {len(req["leaves"]) for req in probe_requests}
-    assert len(leaf_counts) == 1  # every shard got the identical leaf list
+    assert probe_shards == sorted(owned)  # exactly once per owning shard
+    # The beam-2 descent visits multiple leaves, yet each owner's travel
+    # in one frame.
+    sent = {sid: req["leaves"] for sid, op, req in calls if op == "probe"}
+    assert sent == owned and sum(map(len, sent.values())) >= 2
 
 
 def test_empty_buckets_cost_no_second_round(make_harness, probes):
@@ -67,8 +76,9 @@ def test_empty_buckets_cost_no_second_round(make_harness, probes):
         )
     assert result.hits
     ops = feature_ops(calls)
-    assert sorted(sid for sid, op in ops if op == "probe") == [0, 1, 2]
-    assert len(ops) == 3  # one round-trip per shard, no more
+    owned = owned_leaves(harness.service, unseen)
+    assert sorted(sid for sid, op in ops if op == "probe") == sorted(owned)
+    assert len(ops) == len(owned)  # one round-trip per owning shard, no more
     assert all(req["k"] == 7 for _sid, op, req in calls if op == "probe")
 
 
@@ -83,10 +93,11 @@ def test_ann_query_stays_one_round_trip_per_shard_per_phase(
             )
         )
     ops = feature_ops(calls)
-    assert sorted(sid for sid, op in ops if op == "probe") == [0, 1]
+    owned = owned_leaves(harness.service, probes[0])
+    assert sorted(sid for sid, op in ops if op == "probe") == sorted(owned)
     # The knobs travel inside the probe frame itself, not as extra RPCs.
     for _sid, op, req in calls:
         if op == "probe":
             assert req["nprobe"] == 4
             assert req["rerank_k"] == 8
-    assert len(ops) == 2  # nothing but the probes
+    assert len(ops) == len(owned)  # nothing but the probes

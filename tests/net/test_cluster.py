@@ -68,18 +68,20 @@ class TestCluster:
 # A stand-in for ``repro.net.worker``: the cluster runs ``python -m
 # repro.net.worker`` with the PYTHONPATH of ``_worker_env``, so a stub
 # ``repro`` package placed first on that path is what gets executed.  It
-# records its pid, then either stays silent forever or reports READY
-# once every sibling shard has been launched too.
+# records its pid beside the catalog it was started on, then either stays
+# silent forever or reports READY once every sibling shard has been
+# launched too.
 _STAND_IN_WORKER = """
 import os, sys, time
 from pathlib import Path
 
-shard_dir = Path(sys.argv[1])
-(shard_dir / "pid").write_text(str(os.getpid()))
-if (shard_dir.parent / "silent").exists():
+catalog = Path(sys.argv[1])
+shard = int(sys.argv[sys.argv.index("--shard-id") + 1])
+count = int(sys.argv[sys.argv.index("--num-shards") + 1])
+(catalog / f"pid-{shard}").write_text(str(os.getpid()))
+if (catalog / "silent").exists():
     time.sleep(600)
-siblings = [d for d in shard_dir.parent.iterdir() if d.name.startswith("shard-")]
-while not all((d / "pid").exists() for d in siblings):
+while not all((catalog / f"pid-{sibling}").exists() for sibling in range(count)):
     time.sleep(0.01)
 print("READY 1", flush=True)
 time.sleep(600)
@@ -104,8 +106,8 @@ def stand_in_root(tmp_path, net_db, monkeypatch):
 
 def _worker_pids(root, spec) -> list[int]:
     return [
-        int((spec.shard_dir(root, info.shard_id) / "pid").read_text())
-        for info in spec.shards
+        int((root / f"pid-{shard_id}").read_text())
+        for shard_id in range(spec.num_shards)
     ]
 
 

@@ -18,8 +18,10 @@ from .test_gateway import request
 
 
 def _query(service, probes):
+    """A shot (its leaves' owners answer) and a flat scan (every shard does)."""
     result = service.query(QueryRequest(kind="shot", features=probes[0], k=5))
     assert result.hits
+    assert service.query(QueryRequest(kind="shot_flat", features=probes[0], k=5)).hits
     return result
 
 
@@ -33,8 +35,8 @@ def test_merged_metrics_labels_every_shard(make_harness, probes, num_shards):
     text = raw.decode("utf-8")
     assert validate_prometheus_text(text) == []
     for shard_id in range(num_shards):
-        # Every worker served the probe fan-out at least once.
-        assert f'net_worker_requests_total{{shard="{shard_id}",op="probe"}}' in text
+        # Every worker served the flat fan-out at least once.
+        assert f'net_worker_requests_total{{shard="{shard_id}",op="flat"}}' in text
         assert f'net_shard_up{{shard="{shard_id}"}} 1.0' in text
     assert f'shard="{num_shards}"' not in text
     # Coordinator-side families ride along unlabelled.
@@ -48,8 +50,8 @@ def test_worker_histograms_merge_per_shard(make_harness, probes):
     text = render_prometheus_dumps(harness.service.metrics_dumps())
     assert validate_prometheus_text(text) == []
     for shard_id in (0, 1):
-        assert f'net_worker_op_seconds_count{{shard="{shard_id}",op="probe"}}' in text
-        assert f'net_worker_op_seconds_bucket{{shard="{shard_id}",op="probe",le=' in text
+        assert f'net_worker_op_seconds_count{{shard="{shard_id}",op="flat"}}' in text
+        assert f'net_worker_op_seconds_bucket{{shard="{shard_id}",op="flat",le=' in text
 
 
 def test_dead_shard_degrades_scrape_without_failing(make_harness, probes):
@@ -64,8 +66,8 @@ def test_dead_shard_degrades_scrape_without_failing(make_harness, probes):
     assert 'net_shard_up{shard="0"} 1.0' in text
     assert 'net_shard_up{shard="1"} 0.0' in text
     # The live shard's families are still there; the dead one's are not.
-    assert 'net_worker_requests_total{shard="0",op="probe"}' in text
-    assert 'net_worker_requests_total{shard="1",op="probe"}' not in text
+    assert 'net_worker_requests_total{shard="0",op="flat"}' in text
+    assert 'net_worker_requests_total{shard="1",op="flat"}' not in text
 
 
 def test_scrape_reports_missing_shards(make_harness, probes):
@@ -92,7 +94,7 @@ def test_metrics_survive_worker_respawn(tmp_path_factory, net_db, probes):
         try:
             _query(service, probes)
             text = render_prometheus_dumps(service.metrics_dumps())
-            assert 'net_worker_requests_total{shard="0",op="probe"}' in text
+            assert 'net_worker_requests_total{shard="0",op="flat"}' in text
             assert 'net_shard_up{shard="1"} 1.0' in text
 
             cluster.kill(0)

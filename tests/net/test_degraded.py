@@ -1,8 +1,9 @@
 """Graceful degradation: shard loss, circuit breakers, recovery.
 
-Killing a shard must yield flagged partial answers — never errors —
-and the service must return to full-strength, bit-identical answers
-once the shard is back, without being restarted itself.
+Killing a shard must yield flagged partial answers — never errors — to
+the queries that needed it, leave the queries that did not need it
+whole, and the service must return to full-strength, bit-identical
+answers once the shard is back, without being restarted itself.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.database.query import QueryStats, descend_to_leaves
 from repro.errors import ServingError
 from repro.net.worker import ShardWorker
 from repro.serving.server import QueryRequest
@@ -23,10 +25,22 @@ def pair(make_harness):
     return make_harness(2, breaker_threshold=2, breaker_reset=0.2)
 
 
-def fresh_probe(harness, seed):
+def fresh_probe(harness, seed, needs=None):
+    """A novel probe (the first of ``seed``'s stream whose shot query asks
+    exactly the shards ``needs``, when given)."""
     rng = np.random.default_rng(seed)
     shape = harness.service.sample_features(1)[0].shape
-    return rng.random(shape)
+    while True:
+        probe = rng.random(shape)
+        if needs is None or owners(harness, probe) == set(needs):
+            return probe
+
+
+def owners(harness, probe) -> set[int]:
+    """The shards a shot query for ``probe`` asks: its descended leaves' owners."""
+    routing = harness.service._routing
+    leaves = descend_to_leaves(routing.root, probe, QueryStats())
+    return {routing.owners[leaf.name] for leaf in leaves}
 
 
 def keys(result):
@@ -41,15 +55,19 @@ class TestShardLoss:
         victim = 0
         pair.workers[victim].stop()
         result = pair.service.query(
-            QueryRequest(kind="shot", features=fresh_probe(pair, 1), k=10)
+            QueryRequest(kind="shot", features=fresh_probe(pair, 1, needs={0, 1}), k=10)
         )
         assert result.degraded
         assert victim in result.shards_missing
         assert result.hits  # the surviving shard still answers
 
-    def test_surviving_hits_are_the_survivors_subset(self, pair, reference):
+    def test_surviving_hits_are_the_survivors_subset(self, pair, reference, net_db):
         victim, survivor = 0, 1
-        survivor_titles = set(pair.spec.shards[survivor].titles)
+        survivor_shots = {
+            key
+            for name in pair.workers[survivor]._state.leaves
+            for key in zip(net_db.leaves[name].titles.tolist(), net_db.leaves[name].shot_ids.tolist())
+        }
         pair.workers[victim].stop()
         probe = fresh_probe(pair, 2)
         partial = pair.service.query(
@@ -59,9 +77,18 @@ class TestShardLoss:
             QueryRequest(kind="shot_flat", features=probe, k=1000)
         )
         expected = [
-            key for key in keys(full) if key[0] in survivor_titles
+            key for key in keys(full) if key[:2] in survivor_shots
         ]
         assert keys(partial) == expected
+
+    def test_a_query_on_the_survivors_leaves_is_answered_in_full(self, pair, reference):
+        probe = fresh_probe(pair, 3, needs={0})  # every leaf it reaches lives on shard 0
+        pair.workers[1].stop()
+        request = QueryRequest(kind="shot", features=probe, k=10)
+        whole = pair.service.query(request)
+        assert not whole.degraded and not whole.shards_missing
+        assert keys(whole) == keys(reference.query(request))
+        assert whole.comparisons == reference.query(request).comparisons
 
     def test_breaker_open_skips_dead_shard_without_waiting(self, pair):
         victim = 0
@@ -72,7 +99,7 @@ class TestShardLoss:
             )
         started = time.perf_counter()
         result = pair.service.query(
-            QueryRequest(kind="shot", features=fresh_probe(pair, 99), k=5)
+            QueryRequest(kind="shot", features=fresh_probe(pair, 99, needs={0, 1}), k=5)
         )
         elapsed = time.perf_counter() - started
         assert victim in result.shards_missing
@@ -82,8 +109,14 @@ class TestShardLoss:
         probe = fresh_probe(pair, 9)
         for worker in pair.workers:
             worker.stop()
-        with pytest.raises(ServingError, match="no shard responded"):
-            pair.service.query(QueryRequest(kind="shot", features=probe, k=5))
+        for kind in ("shot_flat", "scene"):  # the kinds every shard answers
+            with pytest.raises(ServingError, match="no shard responded"):
+                pair.service.query(QueryRequest(kind=kind, features=probe, k=5))
+        # A shot asks its leaves' owners only: with all of them lost it is
+        # answered, empty, and says which shards it lacked.
+        shot = pair.service.query(QueryRequest(kind="shot", features=probe, k=5))
+        assert shot.degraded and not shot.hits
+        assert set(shot.shards_missing) == owners(pair, probe)
 
     def test_health_report_degrades_then_downs(self, pair):
         pair.workers[0].stop()
@@ -98,7 +131,7 @@ class TestShardLoss:
     def test_recovery_restores_bit_identical_answers(self, pair, reference):
         victim = 0
         pair.workers[victim].stop()
-        probe = fresh_probe(pair, 10)
+        probe = fresh_probe(pair, 10, needs={0, 1})
         request = QueryRequest(kind="shot", features=probe, k=10)
         assert pair.service.query(request).shards_missing
         self._revive(pair, victim)
@@ -113,10 +146,7 @@ class TestShardLoss:
     def _revive(pair, shard_id):
         """Restart the shard's worker on a new port (what the cluster
         watchdog does for subprocess workers) and re-point its endpoint."""
-        root = pair.spec.shard_dir(
-            pair.workers[shard_id]._shard_dir.parent, shard_id
-        )
-        worker = ShardWorker(root).start()
+        worker = ShardWorker(pair.spec.shard_dir(pair.root, shard_id)).start()
         pair.workers[shard_id] = worker
         pair.endpoints[shard_id].reset("127.0.0.1", worker.port)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.gateway import GatewayConfig, HttpGateway
+from repro.net.shard import pack_leaves
 from repro.obs import Tracer, get_slow_log, install_tracer, render_spans
 from repro.serving.server import QueryRequest
 
@@ -27,15 +28,25 @@ def _by_name(spans):
     return grouped
 
 
+def _owners(harness, net_db, features) -> set[int]:
+    """The shards a shot query for ``features`` asks: its leaves' owners."""
+    owner = dict(zip(net_db.leaves, pack_leaves(
+        [len(leaf) for leaf in net_db.leaves.values()], harness.spec.num_shards
+    )))
+    hits = net_db.search(features, k=1).stats.visited_path
+    return {owner[name] for name in hits if name in owner}
+
+
 def _features(probes, i):
     return [float(x) for x in probes[i]]
 
 
 class TestStitchedFlame:
     def test_three_shard_query_builds_one_flame_tree(
-        self, make_harness, probes, tracer
+        self, make_harness, probes, tracer, net_db
     ):
         harness = make_harness(3)
+        asked = _owners(harness, net_db, probes[0])
         result = harness.service.query(
             QueryRequest(kind="shot", features=probes[0], k=5)
         )
@@ -48,9 +59,9 @@ class TestStitchedFlame:
         assert len(trace_id) == 16
         int(trace_id, 16)
 
-        # One RPC span per shard, parented under the probe phase.
+        # One RPC span per shard asked, parented under the probe phase.
         rpcs = grouped["rpc.probe"]
-        assert {sp.attributes["shard"] for sp in rpcs} == {0, 1, 2}
+        assert sorted(sp.attributes["shard"] for sp in rpcs) == sorted(asked)
         (probe_phase,) = grouped["coord.probe"]
         assert all(sp.parent_id == probe_phase.span_id for sp in rpcs)
         assert probe_phase.parent_id == net_query.span_id
@@ -59,7 +70,7 @@ class TestStitchedFlame:
         # Each worker's spans came back over the wire with the same
         # trace id and got re-parented under that shard's RPC span.
         workers = grouped["worker.probe"]
-        assert {sp.attributes["shard"] for sp in workers} == {0, 1, 2}
+        assert {sp.attributes["shard"] for sp in workers} == asked
         rpc_by_shard = {sp.attributes["shard"]: sp.span_id for sp in rpcs}
         for span in workers:
             assert span.attributes["trace_id"] == trace_id
@@ -152,7 +163,7 @@ class TestExplain:
         assert explained.explain["cache"]["would_hit"] is True
         assert explained.explain["cache"]["disposition"] == "bypassed (explain)"
 
-    def test_sharded_explain_payload_shape(self, make_harness, probes):
+    def test_sharded_explain_payload_shape(self, make_harness, probes, net_db):
         harness = make_harness(3)
         result = harness.service.query(
             QueryRequest(kind="shot", features=probes[5], k=5, explain=True)
@@ -161,7 +172,7 @@ class TestExplain:
         assert explain["backend"] == "sharded"
         assert explain["kind"] == "shot"
         assert explain["phases_ms"]["total"] > 0.0
-        assert {op["shard"] for op in explain["shards"]} == {0, 1, 2}
+        assert {op["shard"] for op in explain["shards"]} == _owners(harness, net_db, probes[5])
         assert all(op["ok"] for op in explain["shards"])
         assert explain["breakers"] == {
             "0": "closed", "1": "closed", "2": "closed"

@@ -10,9 +10,10 @@ Held here: every answer is the same bits before and after — ids, scores,
 tie order and ``QueryStats`` for shot, flat and scene queries, exact and
 through the ANN tier — also when the commit fails and the blocks the save
 wrote are unlinked under the maps, after which a re-save succeeds; a save
-followed by a shard cut runs routing once a leaf and the centroid
-producer (``centroid_rows``) once; and a save of an unserved corpus makes
-no whole reduced block or centroid table.  The feature store rewrites a
+followed by a shard publish runs routing once a leaf and the centroid
+producer (``centroid_rows``) once; a save of an unserved corpus makes
+no whole reduced block or centroid table, and builds none of the serving
+state it does not store (signature buckets, the scene table's event rows).  The feature store rewrites a
 block whose file disagrees with its content's size, so re-saving repairs
 a truncated block instead of trusting its name.
 """
@@ -162,7 +163,7 @@ def test_a_save_that_fails_at_its_commit_changes_no_answer(tmp_path, monkeypatch
 
 def test_a_save_then_a_cut_derives_once(tmp_path, monkeypatch):
     """``leaf_routing`` once a leaf and ``centroid_rows`` once, for the save
-    and the two-shard cut after it together."""
+    and the two-shard publish after it together."""
     calls = {"leaf_routing": 0, "centroid_rows": 0}
 
     def counted(module, name):
@@ -180,6 +181,32 @@ def test_a_save_then_a_cut_derives_once(tmp_path, monkeypatch):
     save_database(database, tmp_path / "db")
     build_shards(database, tmp_path / "shards", 2)
     assert calls == {"leaf_routing": len(database.leaves), "centroid_rows": 1}
+
+
+def test_a_save_of_an_unserved_corpus_builds_no_serving_state(tmp_path, monkeypatch):
+    """A save derives only what it stores: no leaf's signature buckets
+    (``rows_by_signature``), no scene table installed (``SceneIndex._install``:
+    its event and concept rows) — and the corpus's first queries afterwards,
+    scene queries included, answer bit for bit."""
+    calls = {"rows_by_signature": 0, "_install": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, count)
+
+    counted(index_module, "rows_by_signature")
+    counted(scene_search_module.SceneIndex, "_install")
+    database = _corpus()
+    save_database(database, tmp_path)
+    assert calls == {"rows_by_signature": 0, "_install": 0}
+    probes = _probes(database)
+    assert _answers(database, probes) == _answers(_corpus(), probes)
+    assert calls["_install"] == 2  # each corpus's scene table, on its first scene search
 
 
 def test_a_save_of_an_unserved_corpus_makes_no_whole_derived_block(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@
 one and the row signatures in the leaf's id block; an opened leaf maps
 both, and derives only its buckets.
 Held here: the stored arrays are the derived ones array for array (a
-12 k-shot corpus and a 2-shard cut), a leaf with no ``reduced_sha`` — what
+12 k-shot corpus, saved and published for 2 shards), a leaf with no ``reduced_sha`` — what
 an earlier build's conversion of a v2 catalog left — still opens, derives
 and answers the same bits, the feature store holds
 exactly the blocks the catalog references, and a re-save between
@@ -79,13 +79,10 @@ def test_stored_arrays_equal_derived_arrays(corpus, tmp_path):
 
 
 def test_shard_catalogs_store_their_own_reduced_blocks(corpus, tmp_path):
-    spec = build_shards(corpus, tmp_path, 2)
+    """A shard publish is one catalog the shards share, holding every leaf's state."""
+    build_shards(corpus, tmp_path, 2)
     probe = np.roll(corpus.flat_index.entries_at([7])[0].features, 3)
-    counts = [
-        _assert_stored_state_is_the_derived_state(tmp_path / shard.directory, probe)
-        for shard in spec.shards
-    ]
-    assert sum(counts) == 12_000 and all(counts)
+    assert _assert_stored_state_is_the_derived_state(tmp_path, probe) == 12_000
 
 
 def _answers(database, probes):

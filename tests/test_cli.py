@@ -163,12 +163,14 @@ def _alive(pid: int) -> bool:
 
 
 @contextlib.contextmanager
-def _live_serve(db_dir, *extra: str):
-    """``classminer serve --http 0`` over a small saved corpus: ``(process, url)``."""
+def _live_serve(db_dir, *extra: str, videos: int | None = 6):
+    """``classminer serve --http 0`` over a small corpus saved into ``db_dir``
+    (``videos`` None: the catalog already there): ``(process, url)``."""
     from repro.storage.sqlcatalog import save_database
     from repro.storage.synthetic import build_synthetic_database
 
-    save_database(build_synthetic_database(videos=6, shots_per_video=4, seed=3), db_dir)
+    if videos is not None:
+        save_database(build_synthetic_database(videos=videos, shots_per_video=4, seed=3), db_dir)
     serve = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--db-dir", str(db_dir),
          "--http", "0", *extra],
@@ -225,6 +227,54 @@ def test_sigkill_of_sharded_serve_leaves_no_worker_behind(tmp_path):
         for pid in workers:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+def _tree(directory: Path) -> list[str]:
+    return sorted(str(path.relative_to(directory)) for path in directory.rglob("*"))
+
+
+def _identity(hit) -> tuple:
+    entry = getattr(hit, "entry", hit)  # an event hit is its own entry
+    return (entry.video_title, getattr(entry, "shot_id", None), entry.scene_id)
+
+
+def test_a_sharded_serve_serves_the_catalog_published_now(tmp_path):
+    """``serve --shards 2`` over a catalog, then the catalog republished with
+    more videos and served again: skims, events and flat scans answer from
+    the catalog as published now (a cut built on the first serve kept
+    answering from 8 videos), and serving leaves the directory as it was."""
+    from repro.net import HttpFront
+    from repro.serving import QueryServer
+    from repro.serving.engine import QueryRequest
+    from repro.storage import load_database
+    from repro.storage.sqlcatalog import save_database
+    from repro.storage.synthetic import build_synthetic_database
+    from repro.types import EventKind
+
+    for videos in (8, 20):
+        save_database(build_synthetic_database(videos=videos, shots_per_video=4, seed=3), tmp_path)
+        published = _tree(tmp_path)
+        database = load_database(tmp_path)
+        reference = QueryServer(database).start()
+        try:
+            requests = [QueryRequest("shot_flat", probe, k=10) for probe in reference.sample_features(3)]
+            requests += [QueryRequest("event", event=event) for event in EventKind.known_kinds()]
+            with _live_serve(tmp_path, "--shards", "2", videos=None) as (serve, url):
+                front = HttpFront(url)
+                for request in requests:
+                    mine, theirs = front.query(request), reference.query(request)
+                    assert [_identity(hit) for hit in mine.hits] == [_identity(hit) for hit in theirs.hits]
+                    assert not mine.degraded
+                titles = sorted(reference.records())
+                assert len(titles) == videos
+                for title in titles:  # every record, through the skim endpoint
+                    assert front._call("GET", f"/skim/{title}")["video_id"] == title
+                serve.send_signal(signal.SIGTERM)
+                assert serve.wait(timeout=10.0) == 0
+        finally:
+            reference.stop()
+            database.close()
+        assert _tree(tmp_path) == published
 
 
 def test_obs_slow_lists_what_a_live_gateway_answered(tmp_path, capsys):

@@ -388,13 +388,8 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 #: Modules that feed no command, entry point, benchmark or example (a
 #: package ``__init__`` re-exporting them is a shop window, not a use).
-#: ROADMAP item 6 decides whether each is wired in or deleted; this list
-#: may only shrink.
-FEEDS_NOTHING = {
-    "repro.vision.motion",
-    "repro.vision.text",
-    "repro.baselines.visual_clustering",
-}
+#: Empty: a module that feeds nothing is deleted, not listed.
+FEEDS_NOTHING: set[str] = set()
 
 
 def _module_name(path: Path) -> str:

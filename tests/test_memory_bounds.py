@@ -285,7 +285,7 @@ if mode == "store":
     shot = lambda probe: database.search(probe, k=10).hits
     scene = lambda probe: database.scene_index.search(probe, k=10)
     flat = lambda probe: database.search_flat(probe, k=10).hits
-else:  # the same store cut in two, each half behind an embedded shard worker
+else:  # the same store behind two embedded shard workers, each serving its leaves
     from repro.net.coordinator import ShardedQueryService
     from repro.net.protocol import ShardEndpoint
     from repro.net.shard import load_manifest
@@ -295,8 +295,8 @@ else:  # the same store cut in two, each half behind an embedded shard worker
 
     spec = load_manifest(db_dir)
     workers = [
-        ShardWorker(spec.shard_dir(db_dir, info.shard_id), registry=MetricsRegistry()).start()
-        for info in spec.shards
+        ShardWorker(spec.shard_dir(db_dir, shard_id), registry=MetricsRegistry()).start()
+        for shard_id in range(spec.num_shards)
     ]
     service = ShardedQueryService(
         spec,
@@ -325,8 +325,8 @@ for thread in threads:
 for thread in threads:
     thread.join(120)
 assert not any(thread.is_alive() for thread in threads)
-figures = {
-    "raw": sum(store.shot_count for store in stores) * 266 * 8,
+figures = {  # the workers open one catalog: each leaf counts once
+    "raw": sum({info.name: info.entry_count for info in infos}.values()) * 266 * 8,
     "grown": hwm_bytes() - before,
     "blocks": resident(blocks),
     "reduced": resident(reduced),
@@ -376,10 +376,10 @@ def test_an_opened_store_keeps_the_rows_it_never_scores_on_disk(tmp_path):
 
 
 def test_a_shard_worker_keeps_the_rows_it_never_scores_on_disk(tmp_path):
-    """The same probes through two embedded workers: ``probe`` / ``scene``
-    answers ship no row, so none is read (100 % resident while the
-    local top-k's 266-d rows were packed into every answer), and the ``flat``
-    op's scan gives back what it read."""
+    """The same probes through two embedded workers over one catalog:
+    ``probe`` / ``scene`` answers ship no row, so none is read (100 %
+    resident while the local top-k's 266-d rows were packed into every
+    answer), and the ``flat`` op's scan gives back what it read."""
     from repro.net.shard import build_shards
     from repro.storage import build_synthetic_database
 
