@@ -10,8 +10,14 @@ from repro.errors import ServingError, StorageError
 from repro.net.protocol import pack_array
 from repro.net.shard import MANIFEST_NAME, build_shards, load_manifest, pack_leaves, worker_view
 from repro.net.worker import _ShardState
-from repro.serving.server import QueryRequest
+from repro.serving.server import QueryRequest, QueryServer
+from repro.storage.lazy import SQLVideoDatabase
+from repro.storage.sqlcatalog import save_database
 from repro.storage.synthetic import build_synthetic_database
+from repro.types import EventKind
+
+from .conftest import NetHarness
+from .test_equivalence import keys
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +158,36 @@ def test_a_leaf_another_shard_serves_is_a_typed_error(make_harness, net_db, prob
     request = {"op": "probe", "features": pack_array(probes[0]), "leaves": [foreign], "k": 3}
     with pytest.raises(ServingError, match="does not serve leaf"):
         harness.endpoints[0].call(request)
+
+
+@pytest.fixture(scope="module")
+def tied_corpus():
+    """The synthetic corpus plus one row filed under every leaf, so equal
+    scores sit on every shard."""
+    database = build_synthetic_database(videos=24, shots_per_video=6, scenes_per_video=3, seed=5)
+    row = database.flat_index.entries_at([7])[0].features
+    for number, event in enumerate(EventKind):
+        database.register_entries(f"tie-{number}", [(0, event, [row])])
+    return database, row
+
+
+@pytest.mark.parametrize("num_shards", (2, 3))
+def test_ties_across_shards_break_as_in_process(tied_corpus, tmp_path, num_shards):
+    database, row = tied_corpus
+    save_database(database, tmp_path / "single")
+    single = SQLVideoDatabase.open(tmp_path / "single")
+    reference = QueryServer(single).start()
+    harness = NetHarness(database, tmp_path / "shards", num_shards)
+    try:
+        for kind in ("shot", "shot_flat"):
+            for k in (1, 3, 10, 1000):
+                request = QueryRequest(kind=kind, features=row, k=k)
+                mine, theirs = harness.service.query(request), reference.query(request)
+                assert keys(mine) == keys(theirs) and mine.comparisons == theirs.comparisons
+        flat = harness.service.query(QueryRequest(kind="shot_flat", features=row, k=10))
+        tied = [hit.entry.video_title for hit in flat.hits if hit.score == flat.hits[0].score]
+        assert [title for title in tied if title.startswith("tie-")] == [f"tie-{n}" for n in range(4)]
+    finally:
+        harness.close()
+        reference.stop()
+        single.close()
