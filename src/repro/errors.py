@@ -38,8 +38,8 @@ fans out by subsystem:
     │   │   (spent on arrival, answer ready too late, before or
     │   │   during a shard call).  *Not* transient: there is no budget
     │   │   left to retry with; the gateway maps the *type* to 504.
-    │   └── ``NoShardAnsweredError`` — a scatter phase got no response
-    │       from any shard; the query fails with it.
+    │   └── ``NoShardAnsweredError`` — a flat or scene scatter got no
+    │       response from any shard; the query fails with it.
     ├── ``FaultInjectedError`` — raised only by an armed
     │   :class:`repro.resilience.FaultPlan`; production code never
     │   raises it, but must contain it like any other failure.
@@ -178,7 +178,7 @@ class DeadlineExpiredError(ServingError):
 
 
 class NoShardAnsweredError(ServingError):
-    """A scatter got no response from any shard.
+    """A ``flat`` or ``scene`` scatter got no response from any shard.
 
     Each shard call has already spent its retry budget and every
     breaker-blocked shard has had its last-resort attempt, so the query
