@@ -458,13 +458,13 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             )
         )
         mode = f"{spec.num_shards} shards" if sharded else "single process"
-        print(f"serving on {gateway.url} ({mode})")
-        print(
-            "endpoints: POST /query /scene_search"
-            + (" /admin/restart" if sharded else "")
-            + "; GET /skim/{video_id} /health /metrics /debug/slow /workload"
-        )
-        try:
+        try:  # from the banner on, a SIGTERM is a clean shutdown
+            print(f"serving on {gateway.url} ({mode})")
+            print(
+                "endpoints: POST /query /scene_search"
+                + (" /admin/restart" if sharded else "")
+                + "; GET /skim/{video_id} /health /metrics /debug/slow /workload"
+            )
             while True:
                 _time.sleep(3600)
         except KeyboardInterrupt:
