@@ -142,14 +142,6 @@ def test_a_shot_query_asks_the_owners_of_its_leaves_only(make_harness, net_db, p
         assert fewer == len(probes)
 
 
-def test_a_probe_without_k_is_a_typed_error(make_harness, probes):
-    endpoint = make_harness(2).endpoints[0]
-    request = {"op": "probe", "features": pack_array(probes[0]), "leaves": []}
-    with pytest.raises(ServingError, match="shard error: probe needs k"):
-        endpoint.call(request)
-    assert endpoint.call(dict(request, k=3))["ok"] is True
-
-
 def test_a_leaf_another_shard_serves_is_a_typed_error(make_harness, net_db, probes):
     """A probe routed by another generation's leaf map is refused, never
     answered empty: the coordinator then reports the shard missing."""
