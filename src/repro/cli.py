@@ -473,9 +473,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.net import ShardSpec, load_manifest
+    from repro.net import load_manifest
 
     if args.shard_command == "restart":
         from repro.net import HttpFront
@@ -495,8 +493,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 f"in {entry.get('seconds')}s"
             )
         return 0
-    spec = ShardSpec(args.shards, Path(args.dir)) if args.shards else load_manifest(args.dir)
-    print(spec.describe())
+    print(load_manifest(args.dir).describe())
     return 0
 
 
@@ -824,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--access-log",
         action="store_true",
         help="emit one structured JSON access-log line per HTTP request "
-        "on stderr (trace id, path, status, shard fan-out, latency)",
+        "on stderr (trace id, path, status, fleet shard count, latency)",
     )
     _trace_arg(serve)
     serve.set_defaults(func=_cmd_serve)
@@ -842,13 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
     shard_inspect = shard_sub.add_parser(
         "inspect", help="print which leaves and scene rows each shard serves"
     )
-    shard_inspect.add_argument("--dir", required=True, help="catalog directory")
     shard_inspect.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count (default: the directory's manifest)",
+        "--dir", required=True, help="shard directory (its manifest.json)"
     )
     shard_inspect.set_defaults(func=_cmd_shard)
     shard_restart = shard_sub.add_parser(

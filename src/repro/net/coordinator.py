@@ -43,8 +43,9 @@ share's scenes); ``event`` = 0.
 answer needed that fails or is skipped by an open breaker is reported in
 ``ServingResult.shards_missing`` with ``degraded=True`` and the answer
 covers the reachable shards — for a shot, the owners that answered, so
-one whose owners are all lost is answered empty.  A flat or scene query
-no shard answered raises :class:`~repro.errors.NoShardAnsweredError`.
+one whose owners are all lost is answered empty while any other shard
+still answers a ``ping``.  A query no shard answers raises
+:class:`~repro.errors.NoShardAnsweredError`.
 The engine never caches a degraded answer.  Event queries and skims read
 the catalog's records and need no shard.
 """
@@ -276,7 +277,8 @@ class ShardedQueryService:
 
     @property
     def fanout(self) -> int:
-        """The fleet width queries scatter across."""
+        """The fleet width: every shard for ``shot_flat`` and ``scene``;
+        a shot asks only its descended leaves' owners."""
         return self.spec.num_shards
 
     @property
@@ -557,10 +559,14 @@ class ShardedQueryService:
                 message["rerank_k"] = int(request.rerank_k)
         with _Phase("probe", explain):
             responses, missing = self._scatter(message, deadline, explain, owned)
+        if not responses:
+            # Every owner asked is lost.  While another shard answers (a
+            # rolling restart) the answer is empty and degraded; a fleet
+            # that is down altogether is the typed error.
+            self._require_responses(*self._scatter({"op": "ping"}, deadline))
         with _Phase("merge", explain):
             # One source per leaf, its owner's.  A missing owner's leaves
-            # rank nothing: the answer covers the owners that answered,
-            # none at all when every owner it asked is lost.
+            # rank nothing: the answer covers the owners that answered.
             position = {leaf.name: index for index, leaf in enumerate(leaves)}
             answers: list[list[LeafProbe]] = [[] for _ in leaves]
             for shard_id, response in responses.items():

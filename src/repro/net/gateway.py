@@ -156,7 +156,7 @@ class _RequestContext:
     __slots__ = ("fanout",)
 
     def __init__(self) -> None:
-        self.fanout = 0  # shards the request fanned out to (access log)
+        self.fanout = 0  # the front's shard count (access log)
 
 
 def _serialize_hit(kind: str, hit) -> dict:

@@ -43,9 +43,9 @@ scores, and nothing else: no
 stored probe's ``probe`` / ``scene`` reads no 266-d block (see
 ``docs/SHARDING.md``).  Arrays cross it only as a *query* vector and as
 the ``sample`` op's pool.  A ``probe`` leaf runs the in-process leaf
-step, :func:`~repro.database.query.probe_leaf`, on the whole leaf, which
-only this shard serves, so a shot query is one round to the owners of
-the leaves its descent reached.
+step, :func:`~repro.database.query.probe_leaf`, on the whole leaf; the
+coordinator asks a leaf's owner for it, so a shot query is one round to
+the owners of the leaves its descent reached.
 
 The worker runs threaded (one thread per coordinator connection) and
 can be embedded in-process for tests or launched as
@@ -119,6 +119,13 @@ class _ShardState:
         }
         rows = scene_share(len(self.database.scene_index), shard_id, num_shards)
         self.scenes = SceneIndex(partial(_scene_rows, self.database, rows), count=len(rows))
+
+    def node(self, name: str) -> IndexNode:
+        """The index node of any leaf of the catalog, served here or not."""
+        leaf = self.database.leaves.get(name)
+        if leaf is None:
+            raise DatabaseError(f"the catalog has no leaf {name!r}")
+        return leaf_node(name, ConceptLevel.SCENE.depth, leaf)
 
 
 class ShardWorker:
@@ -325,8 +332,10 @@ class ShardWorker:
 
         Keys become the rows' global ordinals (ascending with the rows, so
         ties keep the in-process visit order) and ``items`` ``[title,
-        shot_id, scene_id]``.  A leaf this shard does not serve is an error:
-        the coordinator routed by another generation's leaf map.
+        shot_id, scene_id]``.  Any leaf of the opened catalog is answered:
+        across a republish the coordinator may route by the other
+        generation's leaf map, and ownership only decides what ``flat``,
+        ``scene`` and ``sample`` cover.
         """
         if "k" not in request:
             raise BadRequestError("probe needs k")
@@ -336,9 +345,7 @@ class ShardWorker:
         nprobe, rerank_k = request.get("nprobe"), request.get("rerank_k")
         probes = []
         for name in request.get("leaves", []):
-            node = state.leaves.get(name)
-            if node is None:
-                raise DatabaseError(f"shard {self.shard_id} does not serve leaf {name!r}")
+            node = state.leaves.get(name) or state.node(name)
             with tracer.span("worker.leaf", leaf=name) as leaf_span:
                 probe = probe_leaf(node, features, k, nprobe, rerank_k, tracer)
                 leaf_span.set(bucket=probe.bucket)

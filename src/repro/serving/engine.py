@@ -320,7 +320,7 @@ class QueryFront(Protocol):
     ``entry.centroid`` ``None``, an in-process hit a lazy view of the row.
     """
 
-    fanout: int  #: shards one query scatters to (1 in process)
+    fanout: int  #: shards the front scatters across (1 in process)
     generation: int
     metrics: ServingMetrics
     cache: ResultCache

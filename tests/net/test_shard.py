@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.database.query import QueryStats, descend_to_leaves
 from repro.errors import ServingError, StorageError
 from repro.net.protocol import pack_array
@@ -77,6 +78,13 @@ class TestManifest:
         with pytest.raises(StorageError, match="publish the catalog there again"):
             load_manifest(tmp_path)
 
+    def test_shard_inspect_prints_the_map_at_the_manifests_count(self, shard_root, net_db, capsys):
+        root, _spec = shard_root
+        assert main(["shard", "inspect", "--dir", str(root)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"3 shards over {root}: {net_db.shot_count} shots in 4 leaves")
+        assert [line.split(":")[0].strip() for line in lines[1:]] == ["shard 0", "shard 1", "shard 2"]
+
     def test_build_writes_one_catalog_and_names_each_worker(self, shard_root):
         root, spec = shard_root
         names = sorted(path.name for path in root.iterdir())
@@ -142,14 +150,16 @@ def test_a_shot_query_asks_the_owners_of_its_leaves_only(make_harness, net_db, p
         assert fewer == len(probes)
 
 
-def test_a_leaf_another_shard_serves_is_a_typed_error(make_harness, net_db, probes):
-    """A probe routed by another generation's leaf map is refused, never
-    answered empty: the coordinator then reports the shard missing."""
+def test_a_leaf_another_shard_serves_is_answered_as_its_owner_would(make_harness, net_db, probes):
+    """A probe routed by another generation's leaf map is answered from the
+    catalog the worker opened; a leaf the catalog lacks is a typed error."""
     harness = make_harness(2)
     foreign = next(name for name in net_db.leaves if name not in harness.workers[0]._state.leaves)
     request = {"op": "probe", "features": pack_array(probes[0]), "leaves": [foreign], "k": 3}
-    with pytest.raises(ServingError, match="does not serve leaf"):
-        harness.endpoints[0].call(request)
+    answered = harness.endpoints[0].call(request)["leaves"]
+    assert answered == harness.endpoints[1].call(request)["leaves"] and answered[0]["keys"]
+    with pytest.raises(ServingError, match="has no leaf"):
+        harness.endpoints[0].call({**request, "leaves": ["general/nowhere"]})
 
 
 @pytest.fixture(scope="module")
