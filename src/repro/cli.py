@@ -461,7 +461,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         try:  # from the banner on, a SIGTERM is a clean shutdown
             print(f"serving on {gateway.url} ({mode})")
             print(
-                "endpoints: POST /query /scene_search"
+                "endpoints: POST /query"
                 + (" /admin/restart" if sharded else "")
                 + "; GET /skim/{video_id} /health /metrics /debug/slow /workload"
             )

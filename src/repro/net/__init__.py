@@ -17,9 +17,10 @@ item 2) using nothing but the standard library:
   of the scene rows;
 * :mod:`repro.net.cluster` — spawns/respawns worker subprocesses and
   watches them;
-* :mod:`repro.net.coordinator` — the scatter-gather front: it opens
-  the same catalog, runs the hierarchical descent itself, sends each
-  leaf probe to that leaf's owner only, and merges top-k
+* :mod:`repro.net.coordinator` — the scatter-gather front, a
+  :class:`~repro.serving.server.QueryServer` whose leaf work runs on the
+  workers: it runs the hierarchical descent on its pinned snapshot,
+  sends each leaf probe to that leaf's owner only, and merges top-k
   **bit-identically** to the single-process
   :class:`~repro.serving.server.QueryServer`, degrading per-shard via
   circuit breakers instead of failing;
@@ -27,7 +28,7 @@ item 2) using nothing but the standard library:
   a thread per accepted connection, live connections tracked so a stop
   can sever them (the worker's RPC server and the gateway both);
 * :mod:`repro.net.gateway` — the HTTP/1.1 JSON API (``/query``,
-  ``/scene_search``, ``/skim/{id}``, ``/health``, ``/metrics``), an
+  ``/skim/{id}``, ``/health``, ``/metrics``), an
   HTTP codec over whichever :class:`~repro.serving.engine.QueryFront`
   it was handed, called on the connection's own thread: deadline
   propagation, token auth resolved before the cache, one error-type ->

@@ -1,28 +1,29 @@
 """Scatter-gather coordinator over shard workers.
 
-:class:`ShardedQueryService` is the sharded counterpart of the
-in-process :class:`~repro.serving.server.QueryServer`: the same
-:class:`~repro.serving.engine.QueryEngine` lifecycle (validation,
-scope, cache, accounting, explain) — but the service is the engine's
-scatter-gather :class:`~repro.serving.engine.QueryBackend`: N shard
-worker processes each serve a view of the one published catalog, and
-every feature query fans out to the shards it needs.
+:class:`ShardedQueryService` is a :class:`~repro.serving.server.QueryServer`
+whose leaf work runs on shard workers.  It opens the published catalog
+behind a :class:`~repro.serving.snapshot.SnapshotManager` as the
+in-process front does, so the generation a query pins, the scope, the
+cache, event queries, the records, ``degraded``, a failed rebuild
+(stale but serving) and the health checks are the in-process code's.
+Its per-query backend, a :class:`~repro.serving.server.SnapshotBackend`,
+sends only the leaf work to N worker processes, each serving a view of
+the same catalog.
 
 **Exactness.**  With all shards healthy, results are bit-identical to
 the single-process path (ids, scores, tie-break order):
 
-* The coordinator opens the same catalog and runs the Eq. (25) beam
-  descent itself over the tree
-  :func:`~repro.database.index.build_index_tree` builds from the
-  catalog's ``leaves`` rows, so the visited node sequence and descent
+* The coordinator runs the Eq. (25) beam descent itself over the pinned
+  snapshot's ``index_root``, so the visited node sequence and descent
   comparisons match the unsharded server.
 * Shards only execute leaf-level work.  A shot query is one ``probe``
   round to the owners of the leaves the descent reached
-  (:func:`~repro.net.shard.pack_leaves`), each running the in-process
-  leaf step, :func:`~repro.database.query.probe_leaf`, on its whole
-  leaves; ``flat`` answers each served leaf and ``scene`` a shard's
-  contiguous share of the scene rows, from every shard.  Every answer
-  merges through :func:`~repro.database.query.merge_probes`, as
+  (:func:`~repro.net.shard.pack_leaves` over the snapshot's ``leaves``),
+  each running the in-process leaf step,
+  :func:`~repro.database.query.probe_leaf`, on its whole leaves;
+  ``flat`` answers each served leaf and ``scene`` a shard's contiguous
+  share of the scene rows, from every shard.  Every answer merges
+  through :func:`~repro.database.query.merge_probes`, as
   ``search_hierarchical`` does, ranked by (−score, leaf position, key).
   Keys are the catalog's flat ordinals (scenes: ``[title, scene_id]``,
   the scene table's row order), ascending with the rows of a leaf, so
@@ -31,7 +32,8 @@ the single-process path (ids, scores, tie-break order):
   no scene centroid — and so is a merged hit: its ``entry.features`` /
   ``entry.centroid`` is ``None``, the contract
   :class:`~repro.serving.engine.QueryFront` states for every hit that
-  crossed a wire.
+  crossed a wire.  The coordinator itself maps no feature block and
+  trains no ANN tier.
 
 **QueryStats aggregation** is ``merge_probes``' for every kind: the kept
 probes' ``count`` / ``approx`` / ``reranked`` sum into ``comparisons`` /
@@ -47,7 +49,7 @@ one whose owners are all lost is answered empty while any other shard
 still answers a ``ping``.  A query no shard answers raises
 :class:`~repro.errors.NoShardAnsweredError`.
 The engine never caches a degraded answer.  Event queries and skims read
-the catalog's records and need no shard.
+the snapshot's records and need no shard.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
-from repro.database.access import User
-from repro.database.catalog import RegisteredVideo, close_when_released
-from repro.database.events_query import query_event_records
 from repro.database.index import ShotEntry
 from repro.database.query import (
     LeafProbe,
@@ -83,18 +82,18 @@ from repro.net.shard import ShardSpec, pack_leaves
 from repro.obs.export import render_prometheus_dumps
 from repro.obs.trace import Span, active_tracer, span as obs_span
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.health import HealthCheck, HealthReport
+from repro.resilience.health import HealthCheck, HealthReport, server_health
 from repro.resilience.retry import RetryPolicy
-from repro.serving.cache import ResultCache
 from repro.serving.engine import (
     BackendAnswer,
     ExplainSink,
-    QueryEngine,
     QueryRequest,
     ServerConfig,
     ServingResult,
 )
 from repro.serving.metrics import ServingMetrics
+from repro.serving.server import QueryServer, SnapshotBackend
+from repro.serving.snapshot import Snapshot, SnapshotManager
 from repro.storage.lazy import SQLVideoDatabase
 from repro.types import EventKind
 
@@ -129,20 +128,6 @@ def _ranked_shots(answers: list[list[LeafProbe]], k: int, stats: QueryStats) -> 
     )
 
 
-class _Routing:
-    """One opened generation of the catalog, as the coordinator reads it:
-    the routing tree, the access rules, the records and each leaf's owner."""
-
-    def __init__(self, spec: ShardSpec) -> None:
-        self.database = SQLVideoDatabase.open(spec.catalog)
-        leaves = self.database.leaves
-        counts = [len(leaf) for leaf in leaves.values()]
-        self.owners = dict(zip(leaves, pack_leaves(counts, spec.num_shards)))
-        self.root = self.database.index_root
-        self.records = self.database.videos
-        self.degraded = any(record.degraded_stages for record in self.records.values())
-
-
 class _Phase:
     """One coordinator query phase: a trace span + explain timing.
 
@@ -171,21 +156,172 @@ class _Phase:
             )
 
 
-class ShardedQueryService:
-    """Scatter-gather query front over a set of shard endpoints.
+class _ShardedBackend(SnapshotBackend):
+    """One query's pinned snapshot, its leaf work sent to the shards.
 
-    Also the :class:`~repro.serving.engine.QueryBackend` its own engine
-    runs: ``generation`` / ``degraded`` / :meth:`permitted_leaves` /
-    :meth:`run` / :meth:`explain_fragment` are that seam.
+    The descent runs here, on the snapshot's ``index_root``; ``probe``,
+    ``flat`` and ``scene`` run on the workers.  Event queries, the scope
+    and ``degraded`` are the in-process backend's.
+    """
 
+    __slots__ = ("_front",)
+
+    name = "sharded"
+    span = "net.query"
+
+    def __init__(self, front: "ShardedQueryService") -> None:
+        super().__init__(front.manager)
+        self._front = front
+
+    def run(
+        self,
+        request: QueryRequest,
+        leaves: frozenset[str] | None,
+        deadline: float | None,
+        explain: ExplainSink | None,
+    ) -> BackendAnswer:
+        """Scatter one request to the shards and merge per its kind."""
+        if request.kind == "event":
+            return super().run(request, leaves, deadline, explain)
+        try:
+            if request.kind == "shot":
+                answer = self._shot(request, leaves, deadline, explain)
+            elif request.kind == "shot_flat":
+                answer = self._flat(request, deadline, explain)
+            else:
+                answer = self._scene(request, leaves, deadline, explain)
+        except NoShardAnsweredError as exc:
+            if deadline is not None and time.perf_counter() >= deadline:
+                # Out of budget, not out of shards: typed so the gateway
+                # answers 504, as the in-process front does.
+                raise DeadlineExpiredError(str(exc)) from exc
+            raise
+        if answer.shards_missing:
+            self._front._degraded_responses_total.inc()
+        return answer
+
+    def explain_fragment(self, sink: ExplainSink, result: ServingResult) -> dict:
+        """Per-shard RPC evidence and the fleet's breaker states."""
+        breakers = self._front._breakers
+        return {
+            "shards": sink.ops(),
+            "breakers": {str(sid): breakers[sid].state.value for sid in sorted(breakers)},
+            "shards_missing": sorted(result.shards_missing),
+        }
+
+    # -- kind executors ------------------------------------------------
+
+    def _shot(
+        self,
+        request: QueryRequest,
+        scope_leaves: frozenset[str] | None,
+        deadline: float | None,
+        explain: ExplainSink | None,
+    ) -> BackendAnswer:
+        stats = QueryStats()
+        allowed = set(scope_leaves) if scope_leaves is not None else None
+        front, snapshot = self._front, self._snapshot
+        with _Phase("descend", explain):
+            leaves = descend_to_leaves(
+                snapshot.index_root, request.features, stats, allowed
+            )
+        if not leaves:
+            if allowed is not None:
+                return BackendAnswer((), stats.comparisons)
+            raise DatabaseError("descent reached no populated leaf")
+        owners = front._owners(snapshot)
+        owned: dict[int, list[str]] = {}
+        for leaf in leaves:
+            owned.setdefault(owners[leaf.name], []).append(leaf.name)
+        message = {
+            "op": "probe",
+            "features": pack_array(request.features),
+            "k": int(request.k),
+        }
+        if request.nprobe is not None:
+            message["nprobe"] = int(request.nprobe)
+            if request.rerank_k is not None:
+                message["rerank_k"] = int(request.rerank_k)
+        with _Phase("probe", explain):
+            responses, missing = front._scatter(message, deadline, explain, owned)
+        if not responses:
+            # Every owner asked is lost.  While another shard answers (a
+            # rolling restart) the answer is empty and degraded; a fleet
+            # that is down altogether is the typed error.
+            front._require_responses(*front._scatter({"op": "ping"}, deadline))
+        with _Phase("merge", explain):
+            # One source per leaf, its owner's.  A missing owner's leaves
+            # rank nothing: the answer covers the owners that answered.
+            position = {leaf.name: index for index, leaf in enumerate(leaves)}
+            answers: list[list[LeafProbe]] = [[] for _ in leaves]
+            for shard_id, response in responses.items():
+                for name, probe in zip(owned[shard_id], response["leaves"]):
+                    answers[position[name]].append(LeafProbe(**probe))
+            hits = _ranked_shots(answers, request.k, stats)
+        return BackendAnswer(
+            hits,
+            stats.comparisons,
+            stats.approx_comparisons,
+            stats.reranked,
+            tuple(sorted(missing)),
+        )
+
+    def _flat(
+        self, request: QueryRequest, deadline: float | None, explain: ExplainSink | None
+    ) -> BackendAnswer:
+        message = {"op": "flat", "features": pack_array(request.features), "k": int(request.k)}
+        with _Phase("scatter", explain):
+            responses, missing = self._front._scatter(message, deadline, explain)
+        self._front._require_responses(responses, missing)
+        stats = QueryStats()
+        hits = _ranked_shots(_pooled(responses), request.k, stats)
+        return BackendAnswer(hits, stats.comparisons, shards_missing=tuple(sorted(missing)))
+
+    def _scene(
+        self,
+        request: QueryRequest,
+        scope_leaves: frozenset[str] | None,
+        deadline: float | None,
+        explain: ExplainSink | None,
+    ) -> BackendAnswer:
+        message = {
+            "op": "scene",
+            "features": pack_array(request.features),
+            "k": int(request.k),
+        }
+        if request.event is not None:
+            message["event"] = request.event.value
+        if scope_leaves is not None:
+            message["allowed"] = sorted(scope_leaves)
+        with _Phase("scatter", explain):
+            responses, missing = self._front._scatter(message, deadline, explain)
+        self._front._require_responses(responses, missing)
+        stats = QueryStats()
+        winners = merge_probes(_pooled(responses), request.k, stats)
+        if stats.comparisons == 0 and not missing:
+            raise DatabaseError("scene index is empty")
+        hits = []
+        for _position, probe, index in winners:
+            (title, scene_id), (event, shot_count) = probe.keys[index], probe.items[index]
+            entry = SceneEntry(title, scene_id, EventKind(event), shot_count, centroid=None)
+            hits.append(RankedScene(entry=entry, score=probe.scores[index]))
+        return BackendAnswer(
+            tuple(hits), stats.comparisons, shards_missing=tuple(sorted(missing))
+        )
+
+
+class ShardedQueryService(QueryServer):
+    """A :class:`~repro.serving.server.QueryServer` whose leaf work runs
+    on shard workers.
+
+    Built open: the constructor builds generation 1 and admits queries;
+    :meth:`close` stops it and releases the scatter pool and the catalog
+    (leaving a ``with`` block only stops it, as for any ``QueryServer``).
     The service does not own the worker processes — pass a
     :class:`~repro.net.cluster.ShardCluster`'s ``endpoints`` (or any
     other list of live :class:`~repro.net.protocol.ShardEndpoint`\\ s)
     and manage their lifecycle outside.
     """
-
-    name = "sharded"
-    span = "net.query"
 
     def __init__(
         self,
@@ -200,17 +336,24 @@ class ShardedQueryService:
                 f"{len(endpoints)} endpoints were given"
             )
         self.spec = spec
-        self.config = config if config is not None else ServerConfig()
         self._endpoints = {ep.shard_id: ep for ep in endpoints}
-        self._metrics = metrics if metrics is not None else ServingMetrics()
-        self._routing = _Routing(spec)
-        self._engine = QueryEngine(lambda: self, self.config, self._metrics)
+
+        def open_catalog() -> SQLVideoDatabase:
+            return SQLVideoDatabase.open(spec.catalog)
+
+        super().__init__(
+            config=config,
+            manager=SnapshotManager(open_catalog(), reopen=open_catalog),
+            metrics=metrics,
+        )
+        self._owner_map: tuple[int, dict[str, int]] = (0, {})
+        registry = self._metrics.registry
         self._breakers = {
             ep.shard_id: CircuitBreaker(
                 name=f"shard-{ep.shard_id}",
                 failure_threshold=SHARD_BREAKER_THRESHOLD,
                 reset_timeout=SHARD_BREAKER_RESET,
-                registry=self._metrics.registry,
+                registry=registry,
             )
             for ep in endpoints
         }
@@ -226,74 +369,74 @@ class ShardedQueryService:
         # One seeded stream for the decorrelated jitter: replayable in
         # chaos runs, and never the process-global random state.
         self._retry_rng = random.Random(0x5EED)
-        self._rpc_retries_total = self._metrics.registry.counter(
+        self._rpc_retries_total = registry.counter(
             "net_rpc_retries_total",
             "Transient shard-call failures retried, by op.",
             labelnames=("op",),
         )
-        self._shard_failures_total = self._metrics.registry.counter(
+        self._shard_failures_total = registry.counter(
             "net_shard_failures_total",
             "Shard calls that failed or were skipped by a breaker.",
         ).labels()  # listed at 0 before the first failure
-        self._degraded_responses_total = self._metrics.registry.counter(
+        self._degraded_responses_total = registry.counter(
             "net_degraded_responses_total",
             "Answers computed with at least one shard missing.",
         ).labels()
-        self._shard_up = self._metrics.registry.gauge(
+        self._shard_up = registry.gauge(
             "net_shard_up",
             "1 when the shard's metrics scrape succeeded.",
             labelnames=("shard",),
         )
-        self._generation = 1
         self._last_errors: dict[int, str] = {}
-        self._engine.open()
+        try:
+            self.start()
+        except BaseException:
+            self.close()
+            raise
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
         """Drain the engine, then shut the pools and the catalog down
         (endpoints are the caller's)."""
-        self._engine.close()
+        self.stop()
         self._executor.shutdown(wait=False, cancel_futures=True)
-        self._routing.database.close()
+        self.manager.database.close()
 
-    def __enter__(self) -> "ShardedQueryService":
-        return self
+    def refresh(self) -> int:
+        """Reopen the catalog on every shard, then here; returns the new
+        generation.
 
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        Here is :meth:`QueryServer.refresh
+        <repro.serving.server.QueryServer.refresh>`: a failed rebuild
+        raises and leaves the last good generation answering, flagged
+        ``degraded``.
+        """
+        responses, missing = self._scatter({"op": "reload"}, self._deadline())
+        self._require_responses(responses, missing)
+        return super().refresh().generation
 
-    # -- state ---------------------------------------------------------
+    def _pin(self) -> _ShardedBackend:
+        return _ShardedBackend(self)
 
-    @property
-    def generation(self) -> int:
-        """Coordinator generation (bumped by :meth:`refresh`)."""
-        return self._generation
+    def _on_snapshot(self, snapshot: Snapshot) -> None:
+        # Only the engine moves: the leaves' ANN tiers are the workers'.
+        self.engine.advance(snapshot.generation)
 
-    @property
-    def degraded(self) -> bool:
-        """Whether any video's mining fell back somewhere."""
-        return self._routing.degraded
+    def _owners(self, snapshot: Snapshot) -> dict[str, int]:
+        """Each leaf's owning shard in ``snapshot``, packed once a generation."""
+        generation, owners = self._owner_map
+        if generation != snapshot.generation:
+            counts = [len(leaf) for leaf in snapshot.leaves.values()]
+            owners = dict(zip(snapshot.leaves, pack_leaves(counts, self.spec.num_shards)))
+            self._owner_map = (snapshot.generation, owners)
+        return owners
 
     @property
     def fanout(self) -> int:
         """The fleet width: every shard for ``shot_flat`` and ``scene``;
         a shot asks only its descended leaves' owners."""
         return self.spec.num_shards
-
-    @property
-    def metrics(self) -> ServingMetrics:
-        """Live serving metrics."""
-        return self._metrics
-
-    @property
-    def cache(self) -> ResultCache:
-        """The result cache."""
-        return self._engine.cache
-
-    def records(self) -> dict[str, RegisteredVideo]:
-        """The catalog's registration records, by title."""
-        return dict(self._routing.records)
 
     # -- scatter plumbing ----------------------------------------------
 
@@ -466,56 +609,6 @@ class ShardedQueryService:
             _collect(_submit(skipped))
         return responses, missing
 
-    # -- the public query path -----------------------------------------
-
-    def query(self, request: QueryRequest) -> ServingResult:
-        """Answer one request on the calling thread (see the engine)."""
-        return self._engine.query(request)
-
-    # -- the engine's backend seam -------------------------------------
-
-    def permitted_leaves(self, user: User) -> frozenset[str]:
-        """Leaf concepts ``user`` may enter (the catalog's access rules)."""
-        return frozenset(self._routing.database.controller.permitted_leaves(user))
-
-    def run(
-        self,
-        request: QueryRequest,
-        leaves: frozenset[str] | None,
-        deadline: float | None,
-        explain: ExplainSink | None,
-    ) -> BackendAnswer:
-        """Scatter one request to the shards and merge per its kind."""
-        try:
-            if request.kind == "shot":
-                answer = self._shot(request, leaves, deadline, explain)
-            elif request.kind == "shot_flat":
-                answer = self._flat(request, deadline, explain)
-            elif request.kind == "scene":
-                answer = self._scene(request, leaves, deadline, explain)
-            else:
-                answer = self._event(request, deadline, explain)
-        except NoShardAnsweredError as exc:
-            if deadline is not None and time.perf_counter() >= deadline:
-                # Out of budget, not out of shards: typed so the gateway
-                # answers 504, as the in-process front does.
-                raise DeadlineExpiredError(str(exc)) from exc
-            raise
-        if answer.shards_missing:
-            self._degraded_responses_total.inc()
-        return answer
-
-    def explain_fragment(self, sink: ExplainSink, result: ServingResult) -> dict:
-        """Per-shard RPC evidence and the fleet's breaker states."""
-        return {
-            "shards": sink.ops(),
-            "breakers": {
-                str(sid): self._breakers[sid].state.value
-                for sid in sorted(self._breakers)
-            },
-            "shards_missing": sorted(result.shards_missing),
-        }
-
     def _require_responses(self, responses: dict, missing: set[int]) -> None:
         if responses:
             return
@@ -525,151 +618,7 @@ class ShardedQueryService:
         )
         raise NoShardAnsweredError(f"no shard responded ({detail})")
 
-    # -- kind executors ------------------------------------------------
-
-    def _shot(
-        self,
-        request: QueryRequest,
-        scope_leaves: frozenset[str] | None,
-        deadline: float | None,
-        explain: ExplainSink | None = None,
-    ) -> BackendAnswer:
-        stats = QueryStats()
-        allowed = set(scope_leaves) if scope_leaves is not None else None
-        routing = self._routing
-        with _Phase("descend", explain):
-            leaves = descend_to_leaves(
-                routing.root, request.features, stats, allowed
-            )
-        if not leaves:
-            if allowed is not None:
-                return BackendAnswer((), stats.comparisons)
-            raise DatabaseError("descent reached no populated leaf")
-        owned: dict[int, list[str]] = {}
-        for leaf in leaves:
-            owned.setdefault(routing.owners[leaf.name], []).append(leaf.name)
-        message = {
-            "op": "probe",
-            "features": pack_array(request.features),
-            "k": int(request.k),
-        }
-        if request.nprobe is not None:
-            message["nprobe"] = int(request.nprobe)
-            if request.rerank_k is not None:
-                message["rerank_k"] = int(request.rerank_k)
-        with _Phase("probe", explain):
-            responses, missing = self._scatter(message, deadline, explain, owned)
-        if not responses:
-            # Every owner asked is lost.  While another shard answers (a
-            # rolling restart) the answer is empty and degraded; a fleet
-            # that is down altogether is the typed error.
-            self._require_responses(*self._scatter({"op": "ping"}, deadline))
-        with _Phase("merge", explain):
-            # One source per leaf, its owner's.  A missing owner's leaves
-            # rank nothing: the answer covers the owners that answered.
-            position = {leaf.name: index for index, leaf in enumerate(leaves)}
-            answers: list[list[LeafProbe]] = [[] for _ in leaves]
-            for shard_id, response in responses.items():
-                for name, probe in zip(owned[shard_id], response["leaves"]):
-                    answers[position[name]].append(LeafProbe(**probe))
-            hits = _ranked_shots(answers, request.k, stats)
-        return BackendAnswer(
-            hits,
-            stats.comparisons,
-            stats.approx_comparisons,
-            stats.reranked,
-            tuple(sorted(missing)),
-        )
-
-    def _flat(
-        self,
-        request: QueryRequest,
-        deadline: float | None,
-        explain: ExplainSink | None = None,
-    ) -> BackendAnswer:
-        with _Phase("scatter", explain):
-            responses, missing = self._scatter(
-                {
-                    "op": "flat",
-                    "features": pack_array(request.features),
-                    "k": int(request.k),
-                },
-                deadline,
-                sink=explain,
-            )
-        self._require_responses(responses, missing)
-        stats = QueryStats()
-        hits = _ranked_shots(_pooled(responses), request.k, stats)
-        return BackendAnswer(hits, stats.comparisons, shards_missing=tuple(sorted(missing)))
-
-    def _scene(
-        self,
-        request: QueryRequest,
-        scope_leaves: frozenset[str] | None,
-        deadline: float | None,
-        explain: ExplainSink | None = None,
-    ) -> BackendAnswer:
-        message = {
-            "op": "scene",
-            "features": pack_array(request.features),
-            "k": int(request.k),
-        }
-        if request.event is not None:
-            message["event"] = request.event.value
-        if scope_leaves is not None:
-            message["allowed"] = sorted(scope_leaves)
-        with _Phase("scatter", explain):
-            responses, missing = self._scatter(message, deadline, sink=explain)
-        self._require_responses(responses, missing)
-        stats = QueryStats()
-        winners = merge_probes(_pooled(responses), request.k, stats)
-        if stats.comparisons == 0 and not missing:
-            raise DatabaseError("scene index is empty")
-        hits = []
-        for _position, probe, index in winners:
-            (title, scene_id), (event, shot_count) = probe.keys[index], probe.items[index]
-            entry = SceneEntry(title, scene_id, EventKind(event), shot_count, centroid=None)
-            hits.append(RankedScene(entry=entry, score=probe.scores[index]))
-        return BackendAnswer(
-            tuple(hits), stats.comparisons, shards_missing=tuple(sorted(missing))
-        )
-
-    def _event(
-        self,
-        request: QueryRequest,
-        deadline: float | None,
-        explain: ExplainSink | None = None,
-    ) -> BackendAnswer:
-        routing = self._routing
-        hits = tuple(
-            query_event_records(
-                routing.records,
-                routing.database.controller,
-                request.event,
-                user=request.user,
-                video_title=request.video_title,
-            )
-        )
-        return BackendAnswer(hits)
-
-    # -- maintenance ---------------------------------------------------
-
-    def refresh(self) -> int:
-        """Reopen the catalog on every shard and here, and bump the generation.
-
-        The sharded analogue of :meth:`QueryServer.refresh
-        <repro.serving.server.QueryServer>`: shards reopen the catalog,
-        the coordinator reopens it for its routing tree and records, and
-        its cache drops the old generation.  The superseded catalog
-        closes once no query holds it.
-        """
-        responses, missing = self._scatter({"op": "reload"}, self._deadline())
-        self._require_responses(responses, missing)
-        previous, self._routing = self._routing, _Routing(self.spec)
-        close_when_released(previous.database, previous)
-        self._generation += 1
-        self._engine.advance(self._generation)
-        return self._generation
+    # -- fleet views ---------------------------------------------------
 
     def sample_features(self, n: int = 16) -> list[np.ndarray]:
         """Corpus feature vectors sampled across shards (loadgen pools)."""
@@ -726,40 +675,27 @@ class ShardedQueryService:
         return render_prometheus_dumps(self.metrics_dumps())
 
     def health_report(self) -> HealthReport:
-        """Live/ready/degraded verdict over the shard fleet."""
-        if not self._engine.is_open:  # the scatter pool went with close()
-            stopped = [HealthCheck("front", False, "stopped")]
-            return HealthReport(live=False, ready=False, degraded=False, checks=stopped)
+        """The in-process checks plus one ``shard-N`` check per worker.
+
+        Ready also needs one shard to answer a ping, and a missing shard
+        degrades; a stopped front reports without a ping.
+        """
+        report = server_health(self)
+        if not report.live:  # the scatter pool went with close()
+            return report
         responses, missing = self._scatter({"op": "ping"}, self._deadline())
-        checks = []
         for shard_id in sorted(self._endpoints):
-            endpoint = self._endpoints[shard_id]
-            host, port = endpoint.address
+            host, port = self._endpoints[shard_id].address
             breaker_state = self._breakers[shard_id].state.value
             ok = shard_id in responses
             if ok:
                 generation = responses[shard_id].get("generation")
-                detail = (
-                    f"{host}:{port} generation {generation}, "
-                    f"breaker {breaker_state}"
-                )
+                detail = f"{host}:{port} generation {generation}, breaker {breaker_state}"
             else:
                 detail = f"breaker {breaker_state}: " + self._last_errors.get(
                     shard_id, "breaker open"
                 )
-            checks.append(HealthCheck(name=f"shard-{shard_id}", ok=ok, detail=detail))
-        routing = self._routing
-        known, degraded_videos = len(routing.records), routing.degraded
-        checks.append(
-            HealthCheck(
-                name="corpus",
-                ok=not degraded_videos,
-                detail=f"{known} videos known",
-            )
-        )
-        return HealthReport(
-            live=True,
-            ready=bool(responses),
-            degraded=bool(missing) or degraded_videos,
-            checks=checks,
-        )
+            report.checks.append(HealthCheck(f"shard-{shard_id}", ok, detail))
+        report.ready = report.ready and bool(responses)
+        report.degraded = report.degraded or bool(missing)
+        return report

@@ -17,7 +17,6 @@ Endpoints (all JSON):
                                ``features``, ``k``, ``event``,
                                ``video_title``, ANN knobs ``nprobe``
                                and ``rerank_k``, ``explain``)
-``POST /scene_search``         shorthand for ``kind: scene``
 ``GET  /skim/{video_id}``      a video's scene/event outline
 ``GET  /health``               200 ok / 207 degraded / 503 down
 ``GET  /metrics``              Prometheus text; a sharded front
@@ -460,9 +459,9 @@ class HttpGateway:
             if path.startswith("/skim/"):
                 self._require_method(method, "GET")
                 return self._ep_skim(path[len("/skim/") :], headers)
-            if path in ("/query", "/scene_search"):
+            if path == "/query":
                 self._require_method(method, "POST")
-                return self._ep_query(path, headers, body, ctx)
+                return self._ep_query(headers, body, ctx)
             if path == "/admin/restart":
                 self._require_method(method, "POST")
                 return self._ep_admin_restart(headers, body)
@@ -516,7 +515,6 @@ class HttpGateway:
 
     def _ep_query(
         self,
-        path: str,
         headers: dict[str, str],
         body: bytes,
         ctx: _RequestContext,
@@ -526,8 +524,6 @@ class HttpGateway:
         timeout = self._resolve_timeout(headers)
 
         kind = payload.get("kind", "shot")
-        if path == "/scene_search":
-            kind = "scene"
         features = None
         if payload.get("features") is not None:
             try:

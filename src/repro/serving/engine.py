@@ -310,10 +310,10 @@ class QueryFront(Protocol):
     """What everything *above* a query front is written against.
 
     The engine's other seam: :class:`QueryBackend` is where the leaves
-    are scanned, this is who answers.  The in-process ``QueryServer`` and
-    the sharded ``ShardedQueryService`` implement all of it, so the
-    gateway, the load generator and the health command call whichever
-    they were handed; :class:`~repro.net.client.HttpFront` is the client
+    are scanned, this is who answers.  ``QueryServer`` implements all of
+    it, and so does its subclass ``ShardedQueryService`` (leaf work on
+    shard workers), so the gateway, the load generator and the health
+    command call whichever they were handed; :class:`~repro.net.client.HttpFront` is the client
     half (``query`` / ``health_report`` / ``sample_features``) over a
     running gateway.  A hit is an identity and a score: one that crossed
     a wire (sharded or HTTP) carries ``entry.features`` /

@@ -68,14 +68,11 @@ class ServingMetrics:
         comparisons: int = 0,
         cache_hit: bool = False,
     ) -> None:
-        """Account one completed query."""
+        """Account one completed query (the cache counts its own lookups)."""
         with self._lock:
             self._inc("queries_total")
             self._inc(f"queries_{kind}")
-            if cache_hit:
-                self._inc("cache_hits")
-            else:
-                self._inc("cache_misses")
+            if not cache_hit:
                 self._inc("executed_queries")
                 self._inc("comparisons_total", comparisons)
             self._latency.record(seconds)
@@ -122,13 +119,9 @@ class ServingMetrics:
             }
             elapsed = max(time.perf_counter() - self._started, 1e-9)
             queries = self.counter("queries_total")
-            lookups = self.counter("cache_hits") + self.counter("cache_misses")
             executed = self.counter("executed_queries")
             view["uptime_seconds"] = elapsed
             view["qps"] = queries / elapsed
-            view["cache_hit_rate"] = (
-                self.counter("cache_hits") / lookups if lookups else 0.0
-            )
             view["comparisons_per_query"] = (
                 self.counter("comparisons_total") / executed if executed else 0.0
             )
@@ -147,9 +140,6 @@ class ServingMetrics:
             f"  uptime           {view['uptime_seconds']:.2f}s",
             f"  queries          {int(view.get('queries_total', 0))}"
             f" ({view['qps']:.1f} qps)",
-            f"  cache hit rate   {view['cache_hit_rate'] * 100:.1f}%"
-            f" ({int(view.get('cache_hits', 0))} hits /"
-            f" {int(view.get('cache_misses', 0))} misses)",
             f"  comparisons/q    {view['comparisons_per_query']:.1f} (executed only)",
             f"  rejected         {int(view.get('rejected_overload', 0))} overload,"
             f" {int(view.get('deadline_timeouts', 0))} deadline,"

@@ -2,25 +2,24 @@
 
 :class:`QueryServer` is what is left of a server once a query runs on
 the thread that brought it: the :class:`SnapshotManager` it reads, the
-:class:`SnapshotBackend` that pins one generation per request, the
-ingest hook, and the health / describe / metrics views.  It owns no
-thread and no queue.  Everything a query does — validation, admission,
-deadline, scope, cache, execution, accounting — is
-:meth:`QueryEngine.query <repro.serving.engine.QueryEngine.query>`,
-the same call the sharded front makes:
+:class:`SnapshotBackend` that :meth:`QueryServer._pin` pins for one
+generation per request, and the health / describe / metrics views.  It
+owns no thread and no queue.  Everything a query does — validation,
+admission, deadline, scope, cache, execution, accounting — is
+:meth:`QueryEngine.query <repro.serving.engine.QueryEngine.query>`.
+The sharded front, :class:`~repro.net.coordinator.ShardedQueryService`,
+is this class with a backend whose leaf work runs on shard workers.
 
 * **Lifecycle** — :meth:`QueryServer.start` builds the first snapshot
   generation and opens the engine;
   :meth:`QueryServer.stop` closes it and returns once the queries in
   flight have finished, so the database may be closed afterwards.
 * **Generations** — results carry the snapshot generation they were
-  computed against; a generation swap (manual ``refresh`` or the ingest
-  hook) invalidates the cache structurally.
+  computed against; a generation swap (``refresh`` or
+  ``manager.install``) invalidates the cache structurally.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -129,9 +128,7 @@ class QueryServer:
         # never mix counts.  ``classminer serve`` passes the process-wide
         # one, so its ``GET /metrics`` carries these numbers too.
         self._metrics = metrics if metrics is not None else ServingMetrics()
-        self.engine = QueryEngine(
-            partial(SnapshotBackend, self._manager), self.config, self._metrics
-        )
+        self.engine = QueryEngine(self._pin, self.config, self._metrics)
         self._manager.subscribe(self._on_snapshot)
 
     # ------------------------------------------------------------------
@@ -209,6 +206,10 @@ class QueryServer:
     def metrics_text(self) -> str:
         """Prometheus exposition of this server's registry."""
         return render_prometheus(self._metrics.registry)
+
+    def _pin(self) -> SnapshotBackend:
+        """The backend one query runs on: the current snapshot, pinned."""
+        return SnapshotBackend(self._manager)
 
     def _on_snapshot(self, snapshot: Snapshot) -> None:
         if self.config.ann_nprobe is not None:

@@ -28,6 +28,7 @@ import logging
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from repro.database.access import AccessController, User
 from repro.database.catalog import RegisteredVideo, VideoDatabase, close_when_released
 from repro.database.events_query import EventHit, query_event_records
 from repro.database.flat import FlatIndex
-from repro.database.index import IndexNode
+from repro.database.index import IndexNode, LeafHashIndex
 from repro.database.query import QueryResult, search_hierarchical
 from repro.database.scene_search import RankedScene, SceneIndex
 from repro.errors import ReproError, ServingError
@@ -58,6 +59,9 @@ class Snapshot:
         The hierarchical index tree of this generation.  The catalog
         never mutates a built tree in place (registration invalidates
         and rebuilds), so holding the root pins the whole structure.
+    leaves:
+        The leaf name -> leaf mapping, in catalog order, the tree and the
+        flat view were built over (a sharded front packs owners from it).
     flat:
         The Eq. (24) linear-scan baseline over this generation's leaves.
     scenes:
@@ -70,6 +74,7 @@ class Snapshot:
 
     generation: int
     index_root: IndexNode
+    leaves: dict[str, LeafHashIndex]
     flat: FlatIndex
     scenes: SceneIndex
     records: dict[str, RegisteredVideo]
@@ -81,9 +86,9 @@ class Snapshot:
         """Registered titles, sorted."""
         return tuple(sorted(self.records))
 
-    @property
+    @cached_property
     def degraded_videos(self) -> tuple[str, ...]:
-        """Titles whose mining fell back somewhere (sorted)."""
+        """Titles whose mining fell back somewhere (sorted; read per query)."""
         return tuple(
             sorted(
                 title
@@ -201,6 +206,7 @@ def build_snapshot(database: VideoDatabase, generation: int) -> Snapshot:
     return Snapshot(
         generation=generation,
         index_root=database.index_root,
+        leaves=dict(database.leaves),
         flat=database.flat_index,
         scenes=database.scene_index,
         records=database.videos,
@@ -260,7 +266,7 @@ class SnapshotManager:
         database: VideoDatabase,
         reopen: Callable[[], VideoDatabase] | None = None,
     ) -> None:
-        self._lock = threading.RLock()  # current() re-enters through refresh()
+        self._lock = threading.RLock()  # held while listeners run; they may refresh
         self._state = _ManagerState(database=database)
         self._reopen = reopen
 
@@ -292,31 +298,23 @@ class SnapshotManager:
         return listener
 
     def current(self) -> Snapshot:
-        """The current snapshot, building generation 1 on first use."""
+        """The current snapshot; the first use builds generation 1 over ``database``."""
         snapshot = self._state.snapshot
         if snapshot is not None:
             return snapshot
         with self._lock:  # callers racing the first use build it once
             snapshot = self._state.snapshot
-            return snapshot if snapshot is not None else self.refresh()
+            return snapshot if snapshot is not None else self._swap(self._state.database)
 
     def refresh(self) -> Snapshot:
         """Build the next generation from the live database and swap it in.
 
         With a ``reopen`` callable configured, the generation is built
-        against freshly opened handles instead.  A failed build closes
-        the fresh handles and leaves everything as it was.
+        against freshly opened handles instead.  A failed reopen or build
+        closes the fresh handles and leaves everything as it was.
         """
         with self._lock:
-            if self._reopen is None:
-                return self._swap(self._state.database)
-            fresh = self._reopen()
-            try:
-                return self._swap(fresh)
-            except BaseException:
-                if fresh is not self._state.database:
-                    fresh.close()
-                raise
+            return self._swap(None if self._reopen is not None else self._state.database)
 
     def install(self, database: VideoDatabase) -> Snapshot:
         """Replace the backing database (ingest rebuilds one) and refresh.
@@ -327,11 +325,19 @@ class SnapshotManager:
         with self._lock:
             return self._swap(database)
 
-    def _swap(self, database: VideoDatabase) -> Snapshot:
+    def _swap(self, database: VideoDatabase | None) -> Snapshot:
+        """Publish the next generation over ``database`` (None: reopen one)."""
+        fresh = None
         try:
             fault_point("serve.rebuild")
+            if database is None:
+                database = fresh = self._reopen()
             snapshot = build_snapshot(database, self._state.generation + 1)
-        except Exception as exc:
+        except BaseException as exc:
+            if fresh is not None and fresh is not self._state.database:
+                fresh.close()
+            if not isinstance(exc, Exception):
+                raise
             # The published snapshot is untouched: readers keep serving
             # the last good generation while we report degraded.
             self._state.last_error = f"{type(exc).__name__}: {exc}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 
 from repro.database.query import QueryStats, descend_to_leaves
+from repro.net.shard import pack_leaves
 from repro.serving.server import QueryRequest
 
 
@@ -42,11 +43,14 @@ def feature_ops(calls):
 
 
 def owned_leaves(service, features) -> dict[int, list[str]]:
-    """Each owning shard's share of the leaves a shot query descends to."""
-    routing = service._routing
+    """Each owning shard's share of the leaves a shot query descends to:
+    the current snapshot's descent, its leaves packed as the workers pack them."""
+    snapshot = service.manager.current()
+    counts = [len(leaf) for leaf in snapshot.leaves.values()]
+    owners = dict(zip(snapshot.leaves, pack_leaves(counts, service.spec.num_shards)))
     owned: dict[int, list[str]] = {}
-    for leaf in descend_to_leaves(routing.root, features, QueryStats()):
-        owned.setdefault(routing.owners[leaf.name], []).append(leaf.name)
+    for leaf in descend_to_leaves(snapshot.index_root, features, QueryStats()):
+        owned.setdefault(owners[leaf.name], []).append(leaf.name)
     return owned
 
 

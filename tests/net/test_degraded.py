@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.database.query import QueryStats, descend_to_leaves
 from repro.errors import ServingError
 from repro.net.worker import ShardWorker
 from repro.serving.server import QueryRequest
+
+from .test_batching import owned_leaves
 
 
 @pytest.fixture()
@@ -38,9 +39,7 @@ def fresh_probe(harness, seed, needs=None):
 
 def owners(harness, probe) -> set[int]:
     """The shards a shot query for ``probe`` asks: its descended leaves' owners."""
-    routing = harness.service._routing
-    leaves = descend_to_leaves(routing.root, probe, QueryStats())
-    return {routing.owners[leaf.name] for leaf in leaves}
+    return set(owned_leaves(harness.service, probe))
 
 
 def keys(result):

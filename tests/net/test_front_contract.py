@@ -152,7 +152,7 @@ def narrow_front(request, make_harness, single_dir):
     admits one query at a time, with that engine."""
     if request.param == "sharded":
         service = make_harness(2, queue_depth=1).service
-        yield service, service._engine  # noqa: SLF001
+        yield service, service.engine
         return
     database = SQLVideoDatabase.open(single_dir)
     with QueryServer(database, ServerConfig(queue_depth=1)) as server:
@@ -189,7 +189,7 @@ def test_errors_and_spent_deadlines_are_counted_once(narrow_front, reference):
 def test_an_untyped_backend_failure_is_a_serving_error(
     front, reference, sharded, monkeypatch
 ):
-    engine = sharded._engine if front is sharded else reference.engine  # noqa: SLF001
+    engine = (sharded if front is sharded else reference).engine
     pin = engine._pin  # noqa: SLF001
 
     class Broken:

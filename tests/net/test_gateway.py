@@ -101,17 +101,16 @@ class TestEndpoints:
         assert body["kind"] == "shot"
         assert not body["degraded"] and not body["shards_missing"]
 
-    def test_scene_search_forces_scene_kind(self, gw, probes):
+    def test_a_scene_query_answers_scenes(self, gw, probes):
         features = [float(x) for x in probes[0]]
-        status, body, _ = request(
-            f"{gw.url}/scene_search",
-            "POST",
-            json.dumps({"features": features, "k": 3}).encode(),
-            {"Content-Type": "application/json"},
-        )
+        payload = json.dumps({"kind": "scene", "features": features, "k": 3}).encode()
+        headers = {"Content-Type": "application/json"}
+        status, body, _ = request(f"{gw.url}/query", "POST", payload, headers)
         assert status == 200
         assert body["kind"] == "scene"
         assert all("event" in hit for hit in body["hits"])
+        # One route per query: there is no per-kind alias.
+        assert request(f"{gw.url}/scene_search", "POST", payload, headers)[0] == 404
 
     def test_skim_lists_scenes(self, gw, reference):
         title = next(iter(reference.manager.current().records))

@@ -137,17 +137,14 @@ class TestLifecycleContract:
         assert front.query(request).hits
 
     def test_degraded_recomputed_on_hit(self, make_front, probes):
-        front, harness = make_front()
+        front, _ = make_front()
         request = QueryRequest(kind="shot", features=probes[3], k=4)
         assert not front.query(request).degraded
         # A standing weakness appearing *after* the answer was cached
         # must show on the hit, not be replayed from the entry.
-        if harness is None:
-            plan = FaultPlan([FaultSpec(point="serve.rebuild", kind="error", limit=1)])
-            with inject(plan), pytest.raises(FaultInjectedError):
-                front.refresh()
-        else:
-            front._routing.degraded = True
+        plan = FaultPlan([FaultSpec(point="serve.rebuild", kind="error", limit=1)])
+        with inject(plan), pytest.raises(FaultInjectedError):
+            front.refresh()
         hit = front.query(request)
         assert hit.cache_hit and hit.degraded
 

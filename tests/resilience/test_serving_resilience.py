@@ -6,7 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import FaultInjectedError
-from repro.obs.registry import get_registry
+from repro.net import ShardEndpoint, ShardedQueryService, ShardWorker, build_shards
+from repro.obs.registry import MetricsRegistry, get_registry
 from repro.resilience import server_health
 from repro.serving.server import QueryRequest, QueryServer, ServerConfig
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
@@ -15,8 +16,29 @@ _CONFIG = ServerConfig(default_timeout=10.0)
 
 
 def _request(server, k=3) -> QueryRequest:
-    features = server.manager.current().flat.entries[0].features
-    return QueryRequest(kind="shot", features=features, k=k)
+    return QueryRequest(kind="shot", features=server.sample_features(1)[0], k=k)
+
+
+@pytest.fixture(params=["single", "sharded"])
+def front(request, serving_db, tmp_path):
+    """A started front over ``serving_db``: in process, or a coordinator
+    over two in-process shard workers of its published catalog."""
+    if request.param == "single":
+        with QueryServer(serving_db, _CONFIG) as server:
+            yield server
+        return
+    spec = build_shards(serving_db, tmp_path, 2)
+    workers = [
+        ShardWorker(spec.shard_dir(tmp_path, shard_id), registry=MetricsRegistry()).start()
+        for shard_id in range(2)
+    ]
+    endpoints = [ShardEndpoint(w.shard_id, "127.0.0.1", w.port) for w in workers]
+    service = ShardedQueryService(spec, endpoints, _CONFIG)
+    yield service
+    service.close()
+    for worker, endpoint in zip(workers, endpoints):
+        worker.stop()
+        endpoint.close()
 
 
 class TestQueryFaults:
@@ -45,30 +67,31 @@ class TestQueryFaults:
 
 
 class TestRebuildResilience:
-    def test_failed_rebuild_serves_stale_and_degraded(self, serving_db):
-        with QueryServer(serving_db, _CONFIG) as server:
-            request = _request(server)
-            baseline = server.query(request)
-            assert not baseline.degraded
+    """Both fronts: the sharded one rebuilds through the same manager."""
 
-            plan = FaultPlan([FaultSpec(point="serve.rebuild", kind="error", limit=1)])
-            with inject(plan):
-                with pytest.raises(FaultInjectedError):
-                    server.refresh()
-                during = server.query(request)
-            assert during.generation == baseline.generation  # stale but serving
-            assert during.degraded
-            assert during.hits
-            assert server.manager.degraded
-            assert "FaultInjectedError" in server.manager.last_error
+    def test_failed_rebuild_serves_stale_and_degraded(self, front):
+        request = _request(front)
+        baseline = front.query(request)
+        assert not baseline.degraded
 
-            healed = server.refresh()
-            after = server.query(request)
-            assert healed.generation > baseline.generation
-            assert not after.degraded
-            assert server.manager.last_error is None
+        plan = FaultPlan([FaultSpec(point="serve.rebuild", kind="error", limit=1)])
+        with inject(plan):
+            with pytest.raises(FaultInjectedError):
+                front.refresh()
+            during = front.query(request)
+        assert during.generation == baseline.generation  # stale but serving
+        assert during.degraded
+        assert during.hits
+        assert front.manager.degraded
+        assert "FaultInjectedError" in front.manager.last_error
 
-    def test_next_refresh_builds_at_once(self, serving_db):
+        front.refresh()
+        after = front.query(request)
+        assert front.generation > baseline.generation
+        assert not after.degraded
+        assert front.manager.last_error is None
+
+    def test_next_refresh_builds_at_once(self, front):
         # Nothing suppresses a rebuild after failures: each failed
         # refresh raises the fault's typed error while the published
         # generation keeps answering, and the first refresh after the
@@ -76,24 +99,23 @@ class TestRebuildResilience:
         failures = get_registry().counter(
             "serving_rebuild_failures_total", "Snapshot rebuild attempts that failed."
         )
-        with QueryServer(serving_db, _CONFIG) as server:
-            request = _request(server)
-            before = failures.value
-            plan = FaultPlan([FaultSpec(point="serve.rebuild", kind="error")])
-            with inject(plan):
-                for _ in range(3):
-                    with pytest.raises(FaultInjectedError):
-                        server.refresh()
-                    stale = server.query(request)
-                    assert stale.generation == 1 and stale.degraded and stale.hits
-            assert failures.value - before == 3
-            assert plan.fired("serve.rebuild", "error") == 3
+        request = _request(front)
+        before = failures.value
+        plan = FaultPlan([FaultSpec(point="serve.rebuild", kind="error")])
+        with inject(plan):
+            for _ in range(3):
+                with pytest.raises(FaultInjectedError):
+                    front.refresh()
+                stale = front.query(request)
+                assert stale.generation == 1 and stale.degraded and stale.hits
+        assert failures.value - before == 3
+        assert plan.fired("serve.rebuild", "error") == 3
 
-            healed = server.refresh()
-            assert healed.generation == 2
-            assert not server.manager.degraded
-            after = server.query(request)
-            assert after.generation == 2 and not after.degraded
+        front.refresh()
+        assert front.generation == 2
+        assert not front.manager.degraded
+        after = front.query(request)
+        assert after.generation == 2 and not after.degraded
 
 
 class TestHealth:

@@ -65,7 +65,7 @@ class TestCorrectness:
         warm = server.query(request)
         assert not cold.cache_hit and warm.cache_hit
         assert [h.entry.key for h in warm.hits] == [h.entry.key for h in cold.hits]
-        assert server.metrics.counter("cache_hits") == 1
+        assert server.cache.stats().hits == 1
 
     def test_eight_caller_threads_match_direct_search_across_a_refresh(
         self, server, serving_db
