@@ -326,9 +326,11 @@ def _require_db_dir(args: argparse.Namespace) -> None:
         )
 
 
-def _front_knobs(args: argparse.Namespace) -> dict:
-    """The ``ServerConfig`` fields the serving flags set, on either front."""
-    return dict(
+def _front_config(args: argparse.Namespace):
+    """The ``ServerConfig`` the serving flags set, on either front."""
+    from repro.serving import ServerConfig
+
+    return ServerConfig(
         queue_depth=args.queue_depth,
         default_timeout=args.timeout,
         ann_nprobe=args.nprobe,
@@ -338,14 +340,13 @@ def _front_knobs(args: argparse.Namespace) -> dict:
 
 def _serving_server(args: argparse.Namespace):
     from repro.obs import get_registry
-    from repro.serving import QueryServer, ServerConfig, ServingMetrics
+    from repro.serving import QueryServer
     from repro.storage import load_database
 
-    database = load_database(args.db_dir)
+    config = _front_config(args)
     # CLI servers report through the process-global registry, so the
     # Prometheus text (``GET /metrics``) covers storage and kernels too.
-    metrics = ServingMetrics(registry=get_registry())
-    return QueryServer(database, ServerConfig(**_front_knobs(args)), metrics=metrics)
+    return QueryServer(load_database(args.db_dir), config, registry=get_registry())
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -388,7 +389,9 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     )
     from repro.net.shard import MANIFEST_NAME
     from repro.obs import get_registry
-    from repro.serving import ServerConfig, ServingMetrics
+
+    # A bad serving flag fails here, before a shard worker is spawned.
+    config = _front_config(args)
 
     def _interrupt(_signum, _frame):
         raise KeyboardInterrupt
@@ -439,8 +442,8 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             backend = ShardedQueryService(
                 spec,
                 cluster.endpoints,
-                config=ServerConfig(**_front_knobs(args)),
-                metrics=ServingMetrics(registry=get_registry()),
+                config=config,
+                registry=get_registry(),
             )
             stack.callback(backend.close)
         else:
@@ -540,10 +543,10 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         text = report.render(f"loadtest against {target}")
         print(text)
         if not args.http:
-            metrics = front.metrics.render()
+            status = front.describe()
             print()
-            print(metrics)
-            text += "\n" + metrics
+            print(status)
+            text += "\n" + status
         if args.output:
             from pathlib import Path
 

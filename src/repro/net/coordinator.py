@@ -32,7 +32,8 @@ the single-process path (ids, scores, tie-break order):
   no scene centroid — and so is a merged hit: its ``entry.features`` /
   ``entry.centroid`` is ``None``, the contract
   :class:`~repro.serving.engine.QueryFront` states for every hit that
-  crossed a wire.  The coordinator itself maps no feature block and
+  crossed a wire.  The coordinator maps no feature block to answer a
+  query (``sample_features``, the in-process sampler, reads rows) and
   trains no ANN tier.
 
 **QueryStats aggregation** is ``merge_probes``' for every kind: the kept
@@ -48,7 +49,7 @@ covers the reachable shards — for a shot, the owners that answered, so
 one whose owners are all lost is answered empty while any other shard
 still answers a ``ping``.  A query no shard answers raises
 :class:`~repro.errors.NoShardAnsweredError`.
-The engine never caches a degraded answer.  Event queries and skims read
+The front never caches a degraded answer.  Event queries and skims read
 the snapshot's records and need no shard.
 """
 
@@ -58,8 +59,6 @@ import random
 import time
 from collections.abc import Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
-
-import numpy as np
 
 from repro.database.index import ShotEntry
 from repro.database.query import (
@@ -77,9 +76,10 @@ from repro.errors import (
     RpcTransportError,
     ServingError,
 )
-from repro.net.protocol import ShardEndpoint, pack_array, unpack_array
+from repro.net.protocol import ShardEndpoint, pack_array
 from repro.net.shard import ShardSpec, pack_leaves
 from repro.obs.export import render_prometheus_dumps
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span, active_tracer, span as obs_span
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.health import HealthCheck, HealthReport, server_health
@@ -91,7 +91,6 @@ from repro.serving.engine import (
     ServerConfig,
     ServingResult,
 )
-from repro.serving.metrics import ServingMetrics
 from repro.serving.server import QueryServer, SnapshotBackend
 from repro.serving.snapshot import Snapshot, SnapshotManager
 from repro.storage.lazy import SQLVideoDatabase
@@ -328,7 +327,7 @@ class ShardedQueryService(QueryServer):
         spec: ShardSpec,
         endpoints: list[ShardEndpoint],
         config: ServerConfig | None = None,
-        metrics: ServingMetrics | None = None,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         if len(endpoints) != spec.num_shards:
             raise ServingError(
@@ -344,10 +343,10 @@ class ShardedQueryService(QueryServer):
         super().__init__(
             config=config,
             manager=SnapshotManager(open_catalog(), reopen=open_catalog),
-            metrics=metrics,
+            registry=registry,
         )
         self._owner_map: tuple[int, dict[str, int]] = (0, {})
-        registry = self._metrics.registry
+        registry = self.registry
         self._breakers = {
             ep.shard_id: CircuitBreaker(
                 name=f"shard-{ep.shard_id}",
@@ -397,15 +396,15 @@ class ShardedQueryService(QueryServer):
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Drain the engine, then shut the pools and the catalog down
-        (endpoints are the caller's)."""
+        """Drain the queries in flight, then shut the pools and the catalog
+        down (endpoints are the caller's)."""
         self.stop()
         self._executor.shutdown(wait=False, cancel_futures=True)
         self.manager.database.close()
 
-    def refresh(self) -> int:
+    def refresh(self) -> Snapshot:
         """Reopen the catalog on every shard, then here; returns the new
-        generation.
+        snapshot.
 
         Here is :meth:`QueryServer.refresh
         <repro.serving.server.QueryServer.refresh>`: a failed rebuild
@@ -414,14 +413,13 @@ class ShardedQueryService(QueryServer):
         """
         responses, missing = self._scatter({"op": "reload"}, self._deadline())
         self._require_responses(responses, missing)
-        return super().refresh().generation
+        return super().refresh()
 
     def _pin(self) -> _ShardedBackend:
         return _ShardedBackend(self)
 
-    def _on_snapshot(self, snapshot: Snapshot) -> None:
-        # Only the engine moves: the leaves' ANN tiers are the workers'.
-        self.engine.advance(snapshot.generation)
+    def _warm(self, snapshot: Snapshot) -> None:
+        """Nothing to build: the leaves' ANN tiers are the workers'."""
 
     def _owners(self, snapshot: Snapshot) -> dict[str, int]:
         """Each leaf's owning shard in ``snapshot``, packed once a generation."""
@@ -620,24 +618,6 @@ class ShardedQueryService(QueryServer):
 
     # -- fleet views ---------------------------------------------------
 
-    def sample_features(self, n: int = 16) -> list[np.ndarray]:
-        """Corpus feature vectors sampled across shards (loadgen pools)."""
-        per_shard = max(1, -(-n // max(1, len(self._endpoints))))
-        responses, _missing = self._scatter(
-            {"op": "sample", "n": per_shard}, self._deadline()
-        )
-        pools = [
-            [unpack_array(packed) for packed in response["features"]]
-            for _, response in sorted(responses.items())
-        ]
-        merged: list[np.ndarray] = []
-        while pools and len(merged) < n:
-            for pool in pools:
-                if pool:
-                    merged.append(pool.pop(0))
-            pools = [pool for pool in pools if pool]
-        return merged[:n]
-
     def scrape_metrics(self) -> tuple[dict[int, dict], set[int]]:
         """Scrape every worker's registry via the ``metrics`` wire op.
 
@@ -662,7 +642,7 @@ class ShardedQueryService(QueryServer):
         scraped worker's dump under ``shard="<id>"``.
         """
         dumps, _missing = self.scrape_metrics()
-        return [({}, self._metrics.registry.dump())] + [
+        return [({}, self.registry.dump())] + [
             ({"shard": str(shard_id)}, dumps[shard_id]) for shard_id in sorted(dumps)
         ]
 

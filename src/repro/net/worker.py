@@ -13,7 +13,6 @@ op          semantics
 ``probe``   one :class:`~repro.database.query.LeafProbe` per requested leaf
 ``flat``    each served leaf's Eq. (24) top-k, keys global ordinals
 ``scene``   the scoped scene-centroid top-k of the share as one probe
-``sample``  evenly spaced feature vectors of the served leaves (loadgen pools)
 ``metrics`` the worker registry's wire dump (cluster-metrics scrape)
 ``reload``  reopen the catalog; the old one closes once no request holds it
 ``drain``   finish in-flight requests, refuse new ones, exit cleanly
@@ -41,8 +40,8 @@ global identities (the ordinals in each leaf's id block) and kernel-exact
 scores, and nothing else: no
 266-d row or scene centroid crosses the shard wire in an answer, so a
 stored probe's ``probe`` / ``scene`` reads no 266-d block (see
-``docs/SHARDING.md``).  Arrays cross it only as a *query* vector and as
-the ``sample`` op's pool.  A ``probe`` leaf runs the in-process leaf
+``docs/SHARDING.md``).  An array crosses it only as a *query* vector.
+A ``probe`` leaf runs the in-process leaf
 step, :func:`~repro.database.query.probe_leaf`, on the whole leaf; the
 coordinator asks a leaf's owner for it, so a shot query is one round to
 the owners of the leaves its descent reached.
@@ -79,12 +78,7 @@ from repro.database.query import LeafProbe, probe_leaf
 from repro.database.scene_search import SceneIndex, SceneTable
 from repro.errors import BadRequestError, DatabaseError, ReproError
 from repro.resilience.faults import fault_point
-from repro.net.protocol import (
-    pack_array,
-    recv_frame,
-    send_frame,
-    unpack_array,
-)
+from repro.net.protocol import recv_frame, send_frame, unpack_array
 from repro.net.shard import pack_leaves, scene_share, worker_view
 from repro.net.tcpserver import ConnectionServer
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -334,8 +328,8 @@ class ShardWorker:
         ties keep the in-process visit order) and ``items`` ``[title,
         shot_id, scene_id]``.  Any leaf of the opened catalog is answered:
         across a republish the coordinator may route by the other
-        generation's leaf map, and ownership only decides what ``flat``,
-        ``scene`` and ``sample`` cover.
+        generation's leaf map, and ownership only decides what ``flat``
+        and ``scene`` cover.
         """
         if "k" not in request:
             raise BadRequestError("probe needs k")
@@ -404,16 +398,6 @@ class ShardWorker:
             items=[(hit.entry.event.value, hit.entry.shot_count) for hit in hits],
         )
         return {"ok": True, "generation": self._generation, "leaves": [probe._asdict()]}
-
-    def _op_sample(self, request: dict, tracer=NULL_TRACER) -> dict:
-        leaves = [node.leaf for node in self._state.leaves.values()]
-        starts = np.cumsum([0] + [len(leaf) for leaf in leaves])
-        picks = np.linspace(0, starts[-1] - 1, min(max(1, int(request.get("n", 16))), starts[-1]))
-        sample = []
-        for pick in sorted({int(pick) for pick in picks}):
-            which = int(np.searchsorted(starts, pick, side="right")) - 1
-            sample.append(pack_array(np.asarray(leaves[which].block[pick - starts[which]])))
-        return {"ok": True, "features": sample}
 
     def _op_reload(self, request: dict, tracer=NULL_TRACER) -> dict:
         fresh = _ShardState(self._catalog_dir, self.shard_id, self.num_shards)

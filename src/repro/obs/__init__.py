@@ -8,8 +8,7 @@ reports through one surface:
   default and zero-cost when disabled; ``classminer … --trace PATH``
   installs a real tracer for one run.
 * :mod:`repro.obs.metrics` — the shared :class:`LatencyHistogram`
-  (promoted from :mod:`repro.serving.metrics`) and
-  :func:`format_seconds`.
+  and :func:`format_seconds`.
 * :mod:`repro.obs.registry` — named counter / gauge / histogram
   families under one lock, plus read-time collectors for the lock-free
   kernel and index hot-path stats.  :func:`get_registry` is the

@@ -1,7 +1,7 @@
 """Shared metric primitives: latency histograms and duration formatting.
 
-Promoted out of :mod:`repro.serving.metrics` so every subsystem
-(serving, ingest, mining, kernels) records through one implementation.
+Every subsystem (serving, ingest, mining, kernels) records through
+this one implementation.
 Latencies go into fixed geometric buckets (1 µs .. ~67 s, doubling per
 bucket), so percentile estimation is O(buckets) with a bounded memory
 footprint no matter how many observations flow through — the usual

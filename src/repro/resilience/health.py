@@ -3,8 +3,8 @@
 :func:`server_health` distils one :class:`~repro.serving.server.QueryServer`
 into the three answers an orchestrator asks:
 
-* **live** — is the front accepting queries?  Its engine is open
-  (started, not stopped); the same test the sharded front applies.
+* **live** — is the front accepting queries?  It is running (started,
+  not stopped); the same test the sharded front applies.
 * **ready** — can it answer correctly?  A snapshot generation exists
   and indexes at least one shot.
 * **degraded** — is it answering from a weakened position?  True when
@@ -78,15 +78,15 @@ def _registry_value(name: str) -> float:
 def server_health(server) -> HealthReport:
     """Build a :class:`HealthReport` for one query server.
 
-    Reads only cheap state: the engine's admission state, the current
+    Reads only cheap state: the front's admission state, the current
     snapshot's bookkeeping, the last rebuild error and registry gauges —
     never executes a query, so it is safe to call from a tight probe loop.
     """
     checks: list[HealthCheck] = []
 
-    live = server.engine.is_open
+    live = server.running
     accepting = (
-        f"accepting queries, {server.engine.in_flight} of "
+        f"accepting queries, {server.in_flight} of "
         f"{server.config.queue_depth} in flight"
     )
     checks.append(HealthCheck("front", live, accepting if live else "stopped"))
@@ -135,7 +135,7 @@ def server_health(server) -> HealthReport:
             "history",
             True,
             f"{int(quarantined)} artifacts quarantined, "
-            f"{server.metrics.counter('errors')} query errors",
+            f"{server.count('errors')} query errors",
         )
     )
 

@@ -8,16 +8,16 @@ access" requirement at many-user scale):
 * :mod:`repro.serving.cache` — bounded LRU result cache keyed on query
   digest, principal scope and generation (access resolved *before*
   lookup, never after);
-* :mod:`repro.serving.engine` — the one request lifecycle (validate,
-  admit, deadline, scope, cache, execute, account, explain), run on the
-  caller's thread and shared with the sharded front in
-  :mod:`repro.net.coordinator`; ``ServerConfig``, the knobs it reads;
-  and ``QueryFront``, the one surface everything above a front
-  (gateway, load generator, health) is written against;
-* :mod:`repro.serving.server` — the in-process front: snapshot manager,
-  per-request generation pinning, ingest hook, health and describe;
-* :mod:`repro.serving.metrics` — counters and latency histograms with
-  a plain-text dump;
+* :mod:`repro.serving.engine` — the types of the one request
+  lifecycle: request, result, ``ServerConfig`` (the knobs it reads),
+  the backend seam, and ``QueryFront``, the one surface everything
+  above a front (gateway, load generator, health) is written against;
+* :mod:`repro.serving.server` — ``QueryServer``, the front: it runs
+  that lifecycle (validate, admit, deadline, scope, cache, execute,
+  account, explain) on the caller's thread, pins one generation per
+  request, registers its metric families and reports health and
+  status; the sharded front in :mod:`repro.net.coordinator` is its
+  subclass;
 * :mod:`repro.serving.loadgen` — the closed-loop multi-threaded load
   generator behind ``classminer loadtest``; drives any front, a remote
   one (:class:`repro.net.client.HttpFront`) included.
@@ -40,12 +40,12 @@ from repro.serving.loadgen import (
     run_load,
 )
 from repro.serving.engine import (
+    QUERY_KINDS,
     QueryFront,
     QueryRequest,
     ServerConfig,
     ServingResult,
 )
-from repro.serving.metrics import QUERY_KINDS, ServingMetrics
 from repro.serving.server import QueryServer
 from repro.serving.snapshot import (
     Snapshot,
@@ -66,7 +66,6 @@ __all__ = [
     "QueryServer",
     "ResultCache",
     "ServerConfig",
-    "ServingMetrics",
     "ServingResult",
     "Snapshot",
     "SnapshotManager",

@@ -122,6 +122,10 @@ def test_samples_health_records_and_metrics(front, reference, net_db):
     sample = front.sample_features(8)
     assert len(sample) == 8
     assert all(v.shape == (266,) and v.tobytes() in corpus for v in sample)
+    # One sampler: every front hands out the in-process front's vectors.
+    assert [v.tobytes() for v in sample] == [
+        v.tobytes() for v in reference.sample_features(8)
+    ]
     report = front.health_report()
     assert report.exit_code == 0, report.render()
     if not isinstance(front, HttpFront):  # the serving half of the surface
@@ -148,24 +152,23 @@ def test_typed_errors_are_the_same_type(front, reference):
 
 @pytest.fixture(params=["single", "sharded"])
 def narrow_front(request, make_harness, single_dir):
-    """A front that holds an engine (the remote one is a client half) and
-    admits one query at a time, with that engine."""
+    """A front that runs its own queries (the remote one is a client half)
+    and admits one at a time."""
     if request.param == "sharded":
-        service = make_harness(2, queue_depth=1).service
-        yield service, service.engine
+        yield make_harness(2, queue_depth=1).service
         return
     database = SQLVideoDatabase.open(single_dir)
     with QueryServer(database, ServerConfig(queue_depth=1)) as server:
-        yield server, server.engine
+        yield server
     database.close()
 
 
 def test_errors_and_spent_deadlines_are_counted_once(narrow_front, reference):
     """Whoever refuses a query — the front itself or a gateway over it —
-    the front's engine counts the refusal, once."""
-    front, engine = narrow_front
+    the front counts the refusal, once."""
+    front = narrow_front
     request = QueryRequest(kind="shot", features=reference.sample_features(1)[0])
-    counter = front.metrics.counter
+    counter = front.count
     with HttpGateway(front) as gateway:
         for client in (front, HttpFront(gateway.url)):
             errors, timeouts = counter("errors"), counter("deadline_timeouts")
@@ -177,7 +180,7 @@ def test_errors_and_spent_deadlines_are_counted_once(narrow_front, reference):
             # ``X-Deadline-Ms: 0.0`` over HTTP: spent on arrival.
             with pytest.raises(DeadlineExpiredError, match="spent on arrival"):
                 client.query(replace(request, timeout=0.0))
-            with held_query(engine, request) as held:
+            with held_query(front, request) as held:
                 with pytest.raises(OverloadedError, match="1 queries in flight"):
                     client.query(request)
             assert held.result(timeout=5.0).hits
@@ -189,8 +192,8 @@ def test_errors_and_spent_deadlines_are_counted_once(narrow_front, reference):
 def test_an_untyped_backend_failure_is_a_serving_error(
     front, reference, sharded, monkeypatch
 ):
-    engine = (sharded if front is sharded else reference).engine
-    pin = engine._pin  # noqa: SLF001
+    server = sharded if front is sharded else reference
+    pin = server._pin  # noqa: SLF001
 
     class Broken:
         """The pinned backend, except that its scan raises a bare KeyError."""
@@ -204,7 +207,7 @@ def test_an_untyped_backend_failure_is_a_serving_error(
         def run(self, *_args):
             raise KeyError("leaf-7")
 
-    monkeypatch.setattr(engine, "_pin", Broken)
+    monkeypatch.setattr(server, "_pin", Broken)
     probe = reference.sample_features(2)[1] * 0.25  # nothing cached answers it
     # Over HTTP this is a 500 with a JSON body, not a dropped connection.
     prefix = "HTTP 500: " if isinstance(front, HttpFront) else ""
@@ -229,7 +232,7 @@ def test_a_shard_silent_past_the_deadline_fails_the_query(sharded, reference):
     """The partial merge is ready at the deadline's far side: late, so refused."""
     probe = reference.sample_features(3)[2] * 0.5  # nothing cached answers it
     request = QueryRequest(kind="shot_flat", features=probe, timeout=0.2)
-    counter = sharded.metrics.counter
+    counter = sharded.count
     timeouts, errors = counter("deadline_timeouts"), counter("errors")
     slow = FaultSpec("net.slow_shard", kind="latency", delay=0.6, limit=1)
     with inject(FaultPlan([slow])) as plan:
@@ -300,7 +303,7 @@ def test_saturated_gateway_is_overloaded(net_db, reference):
     with QueryServer(net_db, ServerConfig(queue_depth=1)) as server, HttpGateway(
         server
     ) as gateway:
-        with held_query(server.engine, request) as held:
+        with held_query(server, request) as held:
             with pytest.raises(OverloadedError, match="HTTP 503: 1 queries in flight"):
                 HttpFront(gateway.url).query(request)
         assert held.result(timeout=5.0).hits

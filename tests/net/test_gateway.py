@@ -349,29 +349,29 @@ class TestAuthScoping:
 
 
 @contextmanager
-def held_query(engine, request):
-    """Hold ``request`` inside ``engine.execute`` on a helper thread — an
+def held_query(front, request):
+    """Hold ``request`` inside ``front.execute`` on a helper thread — an
     admitted query the front is busy with — until the block exits.
 
     Yields the future of the held query's answer.
     """
     gate, entered = threading.Event(), threading.Event()
-    execute = engine.execute
+    execute = front.execute
 
     def held(*args):
         entered.set()
         gate.wait(10.0)
         return execute(*args)
 
-    engine.execute = held
+    front.execute = held
     with ThreadPoolExecutor(max_workers=1) as pool:
-        answer = pool.submit(engine.query, request)
+        answer = pool.submit(front.query, request)
         try:
             assert entered.wait(5.0), "the held query never reached execute"
             yield answer
         finally:
             gate.set()
-            del engine.execute
+            del front.execute
 
 
 class TestSaturation:
@@ -380,12 +380,12 @@ class TestSaturation:
         with QueryServer(net_db, ServerConfig(queue_depth=1)) as server, HttpGateway(
             server
         ) as gateway:
-            with held_query(server.engine, request) as held:
+            with held_query(server, request) as held:
                 status, body, headers = post_query(
                     gateway.url, {"kind": "shot", "features": [float(x) for x in probes[0]]}
                 )
             assert held.result(timeout=5.0).hits
-            assert server.metrics.counter("rejected_overload") == 1
+            assert server.count("rejected_overload") == 1
         assert status == 503
         assert headers.get("Retry-After") == "1"
         assert "1 queries in flight; back off and retry" in body["error"]

@@ -1,8 +1,8 @@
-"""One request lifecycle, two backends: the engine's contract.
+"""One request lifecycle, two backends: the front's contract.
 
 Every case runs against the in-process :class:`QueryServer` *and* a
-2-shard in-process cluster.  Both fronts hand their queries to the same
-:class:`~repro.serving.engine.QueryEngine`, so validation, ANN-default
+2-shard in-process cluster.  The sharded front is a ``QueryServer``
+whose backend scans on shard workers, so validation, ANN-default
 folding, cache identity, explain bypass and the
 never-cache-a-weakened-answer policy must read the same on each.
 """
@@ -86,10 +86,10 @@ class TestLifecycleContract:
             with pytest.raises(BadRequestError, match=message):
                 front.query(QueryRequest(**fields))
         # Rejected at admission: nothing executed, nothing was cached.
-        assert front.metrics.counter("queries_total") == 0
+        assert front.count("queries_total") == 0
         assert len(front.cache) == 0
         if harness is not None:  # and no shard call charged a breaker
-            gauges = front.metrics.registry.snapshot()
+            gauges = front.registry.snapshot()
             assert [gauges[f"circuit_breaker_state{{breaker=shard-{i}}}"] for i in (0, 1)] == [0, 0]
 
     def test_ann_default_shares_cache(self, make_front, probes):

@@ -28,7 +28,7 @@ def _counter_total(registry: MetricsRegistry, name: str) -> float:
 
 
 def _retries(service) -> float:
-    return _counter_total(service._metrics.registry, "net_rpc_retries_total")
+    return _counter_total(service.registry, "net_rpc_retries_total")
 
 
 class TestTransientFaultsAreAbsorbed:

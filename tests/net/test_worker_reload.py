@@ -131,7 +131,7 @@ def test_a_republish_that_moves_leaves_keeps_every_shot_whole_across_refresh(tmp
             harness.service.refresh()
             assert worker.generation == 1
             ask_each(2)
-        assert harness.service.refresh() == 3
+        assert harness.service.refresh().generation == 3
     finally:
         running.set()
         background.join(30)

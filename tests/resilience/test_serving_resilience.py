@@ -85,9 +85,9 @@ class TestRebuildResilience:
         assert front.manager.degraded
         assert "FaultInjectedError" in front.manager.last_error
 
-        front.refresh()
+        generation = front.refresh().generation
         after = front.query(request)
-        assert front.generation > baseline.generation
+        assert after.generation == generation > baseline.generation
         assert not after.degraded
         assert front.manager.last_error is None
 
@@ -111,8 +111,7 @@ class TestRebuildResilience:
         assert failures.value - before == 3
         assert plan.fired("serve.rebuild", "error") == 3
 
-        front.refresh()
-        assert front.generation == 2
+        assert front.refresh().generation == 2
         assert not front.manager.degraded
         after = front.query(request)
         assert after.generation == 2 and not after.degraded

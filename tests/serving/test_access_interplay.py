@@ -158,13 +158,13 @@ class TestIngestInvalidation:
             server.query(
                 QueryRequest(kind="shot", features=demo_features(0), k=5, user=surgeon)
             )
-            assert (surgeon, 1) in server.engine._scopes
+            assert (surgeon, 1) in server._scopes
             serving_db.register(retitle("demo2"))
             server.refresh()
-            assert (surgeon, 1) not in server.engine._scopes
+            assert (surgeon, 1) not in server._scopes
             # The new generation resolves the scope afresh and still serves.
             result = server.query(
                 QueryRequest(kind="shot", features=demo_features(0), k=5, user=surgeon)
             )
             assert result.generation == 2
-            assert (surgeon, 2) in server.engine._scopes
+            assert (surgeon, 2) in server._scopes

@@ -1,11 +1,19 @@
-"""Latency histograms and the serving metrics aggregator."""
+"""Latency histograms and the metric families a query front registers."""
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import pytest
 
+from repro.errors import DeadlineExpiredError, FaultInjectedError, OverloadedError
 from repro.obs.metrics import LatencyHistogram, format_seconds
-from repro.serving.metrics import ServingMetrics
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.serving.server import QueryRequest, QueryServer, ServerConfig
+from repro.types import EventKind
+
+from .test_server import _block_execution
 
 
 class TestLatencyHistogram:
@@ -53,46 +61,54 @@ class TestLatencyHistogram:
 
 
 class TestServingMetrics:
-    def test_query_accounting(self):
-        metrics = ServingMetrics()
-        metrics.record_query("shot", 1e-3, comparisons=40, cache_hit=False)
-        metrics.record_query("shot", 1e-5, cache_hit=True)
-        metrics.record_query("event", 2e-4, comparisons=0, cache_hit=False)
-        view = metrics.snapshot()
-        assert view["queries_total"] == 3
-        assert view["queries_shot"] == 2
-        assert view["executed_queries"] == 2
-        assert "cache_hits" not in view and "cache_hit_rate" not in view  # the cache's
-        # Comparisons average over executed (non-cached) queries only.
-        assert view["comparisons_per_query"] == pytest.approx(20.0)
-        assert view["qps"] > 0
+    def test_query_accounting(self, serving_db, demo_features):
+        with QueryServer(serving_db) as server:
+            shot = QueryRequest(kind="shot", features=demo_features(0), k=5)
+            cold = server.query(shot)
+            assert server.query(shot).cache_hit
+            server.query(QueryRequest(kind="event", event=EventKind.DIALOG))
+            assert server.count("queries_total") == 3
+            assert server.count("queries_shot") == 2
+            assert server.count("executed_queries") == 2
+            # Comparisons add up over executed (non-cached) queries only.
+            assert server.count("comparisons_total") == cold.comparisons > 0
+            events = {labels[0][1] for labels, _ in server._events.samples()}
+            assert "cache_hits" not in events  # the cache counts its own lookups
 
-    def test_rejections_timeouts_errors(self):
-        metrics = ServingMetrics()
-        metrics.record_rejection()
-        metrics.record_timeout()
-        metrics.record_timeout()
-        metrics.record_error()
-        assert metrics.counter("rejected_overload") == 1
-        assert metrics.counter("deadline_timeouts") == 2
-        assert metrics.counter("errors") == 1
+    def test_rejections_timeouts_errors(self, serving_db, demo_features):
+        config = ServerConfig(queue_depth=1)
+        with QueryServer(serving_db, config) as server:
+            request = QueryRequest(kind="shot", features=demo_features(1))
+            for _ in range(2):
+                with pytest.raises(DeadlineExpiredError):
+                    server.query(replace(request, timeout=0.0))
+            with inject(FaultPlan([FaultSpec(point="serve.query", kind="error", limit=1)])):
+                with pytest.raises(FaultInjectedError):
+                    server.query(request)
+            gate, entered = _block_execution(server)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                answer = pool.submit(server.query, request)
+                assert entered.wait(5.0)
+                with pytest.raises(OverloadedError):
+                    server.query(request)
+                gate.set()
+                assert answer.result(timeout=5.0).hits
+            assert server.count("rejected_overload") == 1
+            assert server.count("deadline_timeouts") == 2
+            assert server.count("errors") == 1
 
-    def test_reset(self):
-        metrics = ServingMetrics()
-        metrics.record_query("shot", 1e-3)
-        metrics.reset()
-        assert metrics.counter("queries_total") == 0
-
-    def test_render_is_a_plain_text_dump(self):
-        metrics = ServingMetrics()
-        metrics.record_query("shot", 1.5e-3, comparisons=12)
-        metrics.record_query("scene", 4e-4, cache_hit=True)
-        metrics.record_generation_swap()
-        text = metrics.render()
+    def test_render_is_a_plain_text_dump(self, serving_db, demo_features):
+        with QueryServer(serving_db) as server:
+            server.query(QueryRequest(kind="shot", features=demo_features(0)))
+            server.query(QueryRequest(kind="scene", features=demo_features(0)))
+            swaps = server.count("generation_swaps")
+            server.refresh()
+            text = server.describe()
         assert "serving metrics" in text
         assert "p50" in text and "p95" in text and "p99" in text
-        assert "shot" in text and "scene" in text
-        assert "generation swaps 1" in text
+        assert "    shot " in text and "    scene " in text
+        assert "queries          2 (" in text
+        assert f"generation swaps {swaps + 1}" in text
 
 
 class TestFormatSeconds:
@@ -107,12 +123,12 @@ class TestFormatSeconds:
 
 
 class TestRegistryIntegration:
-    def test_metrics_publish_through_a_shared_registry(self):
+    def test_metrics_publish_through_a_shared_registry(self, serving_db, demo_features):
         from repro.obs import MetricsRegistry, render_prometheus
 
         registry = MetricsRegistry()
-        metrics = ServingMetrics(registry=registry)
-        metrics.record_query("shot", 1e-3, comparisons=10)
+        with QueryServer(serving_db, registry=registry) as server:
+            server.query(QueryRequest(kind="shot", features=demo_features(0)))
         view = registry.snapshot()
         assert view["serving_events_total{event=queries_total}"] == 1.0
         assert view["serving_latency_seconds_count"] == 1.0
@@ -120,7 +136,7 @@ class TestRegistryIntegration:
         text = render_prometheus(registry)
         assert 'serving_events_total{event="queries_total"} 1.0' in text
 
-    def test_independent_servers_do_not_share_counts(self):
-        a, b = ServingMetrics(), ServingMetrics()
-        a.record_query("shot", 1e-3)
-        assert b.counter("queries_total") == 0
+    def test_independent_servers_do_not_share_counts(self, serving_db, demo_features):
+        with QueryServer(serving_db) as a, QueryServer(serving_db) as b:
+            a.query(QueryRequest(kind="shot", features=demo_features(0)))
+            assert (a.count("queries_total"), b.count("queries_total")) == (1, 0)

@@ -70,7 +70,7 @@ class TestCorrectness:
     def test_eight_caller_threads_match_direct_search_across_a_refresh(
         self, server, serving_db
     ):
-        """The engine's shared state under callers that bring their own thread."""
+        """The front's shared state under callers that bring their own thread."""
         entries = serving_db.flat_index.entries
         rng = np.random.default_rng(7)
         probes = [
@@ -105,8 +105,8 @@ class TestCorrectness:
             ]
             assert served.comparisons == direct.stats.comparisons
         assert {served.generation for served in answers.values()} == {1, 2}
-        assert server.metrics.counter("queries_total") == len(probes)
-        assert server.engine.in_flight == 0
+        assert server.count("queries_total") == len(probes)
+        assert server.in_flight == 0
 
 
 class TestValidation:
@@ -150,6 +150,17 @@ class TestValidation:
         with pytest.raises(ServingError):
             ServerConfig(queue_depth=0)
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+    def test_default_deadline_must_be_finite_and_positive(self, timeout):
+        # A spent default refuses every query while health reads ok; nan
+        # and inf switch deadlines off.  Neither builds a front.
+        with pytest.raises(ServingError, match="default_timeout must be finite and > 0"):
+            ServerConfig(default_timeout=timeout)
+
+    def test_unset_default_deadline_is_no_deadline(self, serving_db, demo_features):
+        with QueryServer(serving_db, ServerConfig(default_timeout=None)) as server:
+            assert server.query(QueryRequest(kind="shot", features=demo_features(0))).hits
+
 
 class TestLifecycle:
     def test_stopped_server_rejects(self, serving_db, demo_features):
@@ -167,7 +178,7 @@ class TestLifecycle:
         with pytest.raises(FutureTimeout):  # stop() waits for the query in flight
             stopping.result(timeout=0.2)
         # ...refusing new ones meanwhile, and still counting the one it waits for.
-        assert not server.running and server.engine.in_flight == 1
+        assert not server.running and server.in_flight == 1
         assert server.health_report().status == "down"
         gate.set()
         stopping.result(timeout=5)
@@ -192,14 +203,14 @@ def _block_execution(server):
     """Patch the server so every query blocks until the gate opens."""
     gate = threading.Event()
     entered = threading.Event()
-    original = server.engine.execute
+    original = server.execute
 
     def blocked(request, deadline=None):
         entered.set()
         assert gate.wait(timeout=10), "test gate never opened"
         return original(request, deadline)
 
-    server.engine.execute = blocked
+    server.execute = blocked
     return gate, entered
 
 
@@ -214,7 +225,7 @@ class TestAdmissionControl:
             assert entered.wait(timeout=5)  # holds the only permit
             with pytest.raises(OverloadedError):
                 server.query(request)
-            assert server.metrics.counter("rejected_overload") == 1
+            assert server.count("rejected_overload") == 1
             gate.set()
             assert in_flight.result(timeout=5).hits
 
@@ -234,8 +245,8 @@ class TestAdmissionControl:
             gate.set()
             with pytest.raises(DeadlineExpiredError, match="deadline"):
                 late.result(timeout=5)
-            assert server.metrics.counter("deadline_timeouts") == 1
-            assert server.metrics.counter("errors") == 0
+            assert server.count("deadline_timeouts") == 1
+            assert server.count("errors") == 0
 
 
 class TestGenerationSwap:
@@ -251,4 +262,4 @@ class TestGenerationSwap:
         assert not again.cache_hit  # prior entry is unreachable and evicted
         assert again.generation == first.generation + 1
         assert server.cache.stats().stale_evictions >= 1
-        assert server.metrics.counter("generation_swaps") >= 1
+        assert server.count("generation_swaps") >= 1

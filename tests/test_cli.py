@@ -141,6 +141,18 @@ class TestBlasThreads:
         assert self._threads(env) == self.UNTOUCHED
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_a_bad_serving_deadline_spawns_no_worker(timeout, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        pytest.fail("a shard worker was spawned")
+
+    monkeypatch.setattr("repro.net.ShardCluster", refuse)
+    monkeypatch.setattr(os, "environ", {})  # a sharded serve sets BLAS defaults
+    argv = ["serve", "--http", "0", "--db-dir", str(tmp_path), "--shards", "2"]
+    assert main(argv + ["--timeout", timeout]) == 1
+    assert "default_timeout must be finite and > 0" in capsys.readouterr().err
+
+
 def _stat(pid) -> list[str] | None:
     """``/proc/<pid>/stat`` after the command name (which may hold spaces): state, ppid, ..."""
     try:
