@@ -43,7 +43,8 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.core.pipeline": ("ClassMiner", "ClassMinerResult"),
-        "repro.core.structure": ("ContentStructure", "MiningConfig"),
+        "repro.core.config": ("MiningConfig",),
+        "repro.core.structure": ("ContentStructure",),
         "repro.database.catalog": ("VideoDatabase",),
         "repro.skimming.skim": ("ScalableSkim", "build_skim"),
     },

@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from repro.core.config import GroupThresholds
 from repro.core.features import Shot
 from repro.core.kernels import FeatureMatrix, banded_stsim, pairwise_stsim
 from repro.core.similarity import SimilarityWeights
@@ -85,14 +86,6 @@ class Group:
     def is_temporal(self) -> bool:
         """True for temporally related groups."""
         return self.kind is GroupKind.TEMPORAL
-
-
-@dataclass(frozen=True)
-class GroupThresholds:
-    """The two automatic thresholds of the detection procedure."""
-
-    t1: float
-    t2: float
 
 
 def _side_similarities(

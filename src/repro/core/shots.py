@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.config import DEFAULT_WINDOW
 from repro.core.features import (
     REPRESENTATIVE_FRAME_OFFSET,
     Shot,
@@ -38,9 +39,6 @@ from repro.vision.color import FRAME_CHUNK
 from repro.vision.compressed import dc_images, signal_from_dc_images
 from repro.vision.difference import signal_from_histograms
 from repro.vision.histogram import frame_histograms
-
-#: Paper window size: "a small window (e.g., 30 frames in our current work)".
-DEFAULT_WINDOW = 30
 
 #: Minimum frames per shot; spikes closer together than this are merged.
 MIN_SHOT_LENGTH = 5

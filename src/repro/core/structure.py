@@ -19,50 +19,19 @@ from repro.core.clustering import (
     SceneClusteringResult,
     cluster_scenes,
 )
+from repro.core.config import MiningConfig
 from repro.core.features import Shot
-from repro.core.groups import Group, GroupKind, GroupThresholds, detect_groups
+from repro.core.groups import Group, GroupKind, detect_groups
 from repro.core.scenes import Scene, SceneDetectionResult, detect_scenes
 from repro.core.shots import (
-    DEFAULT_WINDOW,
     ShotDetectionResult,
     detect_shots,
     shots_from_ground_truth,
 )
-from repro.core.similarity import SimilarityWeights
 from repro.errors import DegradedResultWarning, MiningError
 from repro.obs.trace import span as obs_span
 from repro.resilience.faults import fault_point
 from repro.video.stream import FrameStream
-
-
-@dataclass(frozen=True)
-class MiningConfig:
-    """Tunable parameters of the content-structure miner.
-
-    Defaults are the paper's choices; benches vary them for ablations.
-    """
-
-    weights: SimilarityWeights = field(default_factory=SimilarityWeights)
-    shot_window: int = DEFAULT_WINDOW
-    min_scene_shots: int = 3
-    merge_threshold: float | None = None
-    group_thresholds: GroupThresholds | None = None
-    cluster_target: int | None = None
-
-    def to_dict(self) -> dict:
-        """Serialise to plain data (for experiment manifests)."""
-        return {
-            "weights": {"color": self.weights.color, "texture": self.weights.texture},
-            "shot_window": self.shot_window,
-            "min_scene_shots": self.min_scene_shots,
-            "merge_threshold": self.merge_threshold,
-            "group_thresholds": (
-                None
-                if self.group_thresholds is None
-                else {"t1": self.group_thresholds.t1, "t2": self.group_thresholds.t2}
-            ),
-            "cluster_target": self.cluster_target,
-        }
 
 
 @dataclass

@@ -1,25 +1,1 @@
 """Event mining: presentation / dialog / clinical-operation detection."""
-
-from repro.events.miner import EventMiner, EventMiningResult
-from repro.events.model import EventKind, SceneEvent
-from repro.events.rules import (
-    SceneEvidence,
-    classify_scene,
-    gather_evidence,
-    test_clinical_operation,
-    test_dialog,
-    test_presentation,
-)
-
-__all__ = [
-    "EventKind",
-    "EventMiner",
-    "EventMiningResult",
-    "SceneEvent",
-    "SceneEvidence",
-    "classify_scene",
-    "gather_evidence",
-    "test_clinical_operation",
-    "test_dialog",
-    "test_presentation",
-]

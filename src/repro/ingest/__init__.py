@@ -19,9 +19,8 @@ straight line, jobs → artifacts → catalog directory:
 
 from repro._lazy import lazy_exports
 
-# Exported lazily (PEP 562): the executor and runner import the miners,
-# and ``from repro.ingest import load_database`` (the serving entry
-# points' historical spelling) must not pay for them.
+# Exported lazily (PEP 562): ``from repro.ingest import load_database``
+# (the serving entry points' historical spelling) loads no ingest module.
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {

@@ -41,25 +41,13 @@ import zipfile
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
-from repro.audio.speaker import ShotAudio
-from repro.audio.waveform import DEFAULT_SAMPLE_RATE
-from repro.core.clustering import ClusteredScene, SceneClusteringResult
-from repro.core.features import Shot
-from repro.core.groups import Group, GroupKind
-from repro.core.pipeline import ClassMinerResult
-from repro.core.scenes import Scene, SceneDetectionResult
-from repro.core.shots import ShotDetectionResult
-from repro.core.structure import ContentStructure
 from repro.errors import IngestError, IntegrityError
-from repro.events.miner import EventMiningResult
 from repro.ingest.jobs import ARTIFACT_FORMAT
 from repro.obs.registry import get_registry
-from repro.events.model import SceneEvent
-from repro.events.rules import SceneEvidence
 from repro.resilience.faults import corrupt_payload, fault_point
 from repro.resilience.integrity import (
     QUARANTINE_DIR,
@@ -67,13 +55,11 @@ from repro.resilience.integrity import (
     write_checksums,
 )
 from repro.types import EventKind
-from repro.video.frame import Frame
-from repro.vision.blood import BloodDetection
-from repro.vision.cues import VisualCues
-from repro.vision.face import FaceDetection
-from repro.vision.frames import SpecialFrameKind
-from repro.vision.regions import Region
-from repro.vision.skin import SkinDetection
+
+if TYPE_CHECKING:  # the codec imports the result types where it decodes them
+    from repro.core.pipeline import ClassMinerResult
+    from repro.vision.cues import VisualCues
+    from repro.vision.regions import Region
 
 #: Formats a reader decodes (every other one is rejected): 1 differs from
 #: 2 only by the ``clip_*`` members, which nothing reads.
@@ -95,15 +81,6 @@ def _region_to_data(region: Region) -> dict:
         "bbox": list(region.bbox),
         "centroid": list(region.centroid),
     }
-
-
-def _region_from_data(data: dict) -> Region:
-    return Region(
-        label=int(data["label"]),
-        area=int(data["area"]),
-        bbox=tuple(int(v) for v in data["bbox"]),
-        centroid=tuple(float(v) for v in data["centroid"]),
-    )
 
 
 def _cues_to_data(cues: VisualCues) -> dict:
@@ -132,26 +109,42 @@ def _cues_to_data(cues: VisualCues) -> dict:
 
 
 def _cues_from_data(data: dict) -> VisualCues:
+    from repro.vision.blood import BloodDetection
+    from repro.vision.cues import VisualCues
+    from repro.vision.face import FaceDetection
+    from repro.vision.frames import SpecialFrameKind
+    from repro.vision.regions import Region
+    from repro.vision.skin import SkinDetection
+
+    def regions(raw: list[dict]) -> tuple[Region, ...]:
+        return tuple(
+            Region(
+                int(r["label"]), int(r["area"]),
+                tuple(map(int, r["bbox"])), tuple(map(float, r["centroid"])),
+            )
+            for r in raw
+        )
+
     face = data["face"]
     skin = data["skin"]
     blood = data["blood"]
     return VisualCues(
         special=SpecialFrameKind(data["special"]),
         face=FaceDetection(
-            faces=tuple(_region_from_data(r) for r in face["faces"]),
+            faces=regions(face["faces"]),
             has_face=bool(face["has_face"]),
             has_closeup=bool(face["has_closeup"]),
             largest_fraction=float(face["largest_fraction"]),
         ),
         skin=SkinDetection(
-            regions=tuple(_region_from_data(r) for r in skin["regions"]),
+            regions=regions(skin["regions"]),
             mask_fraction=float(skin["mask_fraction"]),
             largest_fraction=float(skin["largest_fraction"]),
             has_skin=bool(skin["has_skin"]),
             has_closeup=bool(skin["has_closeup"]),
         ),
         blood=BloodDetection(
-            regions=tuple(_region_from_data(r) for r in blood["regions"]),
+            regions=regions(blood["regions"]),
             mask_fraction=float(blood["mask_fraction"]),
             largest_fraction=float(blood["largest_fraction"]),
             has_blood=bool(blood["has_blood"]),
@@ -296,6 +289,20 @@ def encode_result(result: ClassMinerResult) -> tuple[dict, dict[str, np.ndarray]
 
 def decode_result(meta: dict, arrays: dict[str, np.ndarray]) -> ClassMinerResult:
     """Rebuild a :class:`ClassMinerResult` from its serialised form."""
+    from repro.audio.speaker import ShotAudio
+    from repro.audio.waveform import DEFAULT_SAMPLE_RATE
+    from repro.core.clustering import ClusteredScene, SceneClusteringResult
+    from repro.core.features import Shot
+    from repro.core.groups import Group, GroupKind
+    from repro.core.pipeline import ClassMinerResult
+    from repro.core.scenes import Scene, SceneDetectionResult
+    from repro.core.shots import ShotDetectionResult
+    from repro.core.structure import ContentStructure
+    from repro.events.miner import EventMiningResult
+    from repro.events.model import SceneEvent
+    from repro.events.rules import SceneEvidence
+    from repro.video.frame import Frame
+
     fps = float(meta["fps"])
     shots: list[Shot] = []
     for i, raw in enumerate(meta["shots"]):

@@ -34,16 +34,17 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.core import ClassMiner
-from repro.core.pipeline import ClassMinerResult
 from repro.ingest.artifacts import ArtifactStore
 from repro.ingest.jobs import IngestJob
 from repro.ingest.progress import JobEvent, ProgressCallback
 from repro.obs.registry import get_registry
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
-from repro.video.synthesis import stream_video
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import ClassMinerResult
 
 
 @dataclass
@@ -89,7 +90,11 @@ def _mine_job(job: IngestJob) -> ClassMinerResult:
     """Render and mine one job's video (the fault-injection choke point).
 
     The frames are rendered as the miner reads them, never held whole.
+    The renderer and the miners load here, on a process's first mined job.
     """
+    from repro.core.pipeline import ClassMiner
+    from repro.video.synthesis.generator import stream_video
+
     fault_point("ingest.mine")
     stream = stream_video(job.screenplay, seed=job.seed, with_audio=job.mine_events)
     return ClassMiner(config=job.config).mine(stream, mine_events=job.mine_events)

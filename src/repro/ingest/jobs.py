@@ -19,29 +19,15 @@ import json
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from repro.core.structure import MiningConfig
+from repro.core.config import MiningConfig
 from repro.errors import IngestError
-from repro.video.synthesis import (
-    CORPUS_TITLES,
-    Screenplay,
-    build_screenplay,
-    demo_screenplay,
-)
+from repro.video.synthesis.corpus import CORPUS_TITLES, build_screenplay, demo_screenplay
+from repro.video.synthesis.script import Screenplay
 
 #: Bumped whenever the artifact layout changes; part of every cache key
 #: so old artifacts are never misread by newer code.  2: a shot's
 #: representative audio clip is stored as its window, not its samples.
 ARTIFACT_FORMAT = 2
-
-
-def screenplay_fingerprint(screenplay: Screenplay) -> dict:
-    """Plain-data description of a screenplay, suitable for hashing.
-
-    Uses :func:`dataclasses.asdict`, which recurses through scenes,
-    shots and shot parameters — every field that influences rendering
-    lands in the fingerprint.
-    """
-    return asdict(screenplay)
 
 
 def cache_key(
@@ -50,10 +36,14 @@ def cache_key(
     config: MiningConfig,
     mine_events: bool = True,
 ) -> str:
-    """Deterministic SHA-256 cache key for one mining run."""
+    """Deterministic SHA-256 cache key for one mining run.
+
+    :func:`dataclasses.asdict` recurses through scenes, shots and shot
+    parameters, so every field that influences rendering is hashed.
+    """
     payload = {
         "format": ARTIFACT_FORMAT,
-        "screenplay": screenplay_fingerprint(screenplay),
+        "screenplay": asdict(screenplay),
         "seed": int(seed),
         "config": config.to_dict(),
         "mine_events": bool(mine_events),
@@ -68,9 +58,7 @@ def screenplay_for_title(title: str) -> Screenplay:
         return demo_screenplay()
     if title in CORPUS_TITLES:
         return build_screenplay(title)
-    raise IngestError(
-        f"unknown title {title!r}; known: demo, {', '.join(CORPUS_TITLES)}"
-    )
+    raise IngestError(f"unknown title {title!r}; known: demo, {', '.join(CORPUS_TITLES)}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.structure import MiningConfig
+from repro.core.config import MiningConfig
 from repro.database.catalog import VideoDatabase
 from repro.errors import IngestError
 from repro.ingest.executor import JobOutcome, RetryPolicy, run_jobs

@@ -128,20 +128,34 @@ class MetricFamily:
         self._lock = lock
         self._children: dict[tuple[str, ...], object] = {}
 
-    def labels(self, **labelvalues: str):
-        """The child metric for one label set (created on first use)."""
+    def _key(self, labelvalues: dict[str, str]) -> tuple[str, ...]:
         if set(labelvalues) != set(self.labelnames):
             raise ObservabilityError(
                 f"{self.name} expects labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        key = tuple(str(labelvalues[label]) for label in self.labelnames)
+        return tuple(str(labelvalues[label]) for label in self.labelnames)
+
+    def labels(self, **labelvalues: str):
+        """The child metric for one label set (created on first use)."""
+        key = self._key(labelvalues)
         with self._lock:
             child = self._children.get(key)
             if child is None:
                 child = _KINDS[self.kind](self._lock)
                 self._children[key] = child
             return child
+
+    def peek(self, **labelvalues: str) -> float:
+        """A counter or gauge child's value, 0 for a label set never touched.
+
+        Unlike :meth:`labels` it creates no child, so reading a count
+        (a health check does, on every probe) changes no exposition.
+        """
+        key = self._key(labelvalues)
+        with self._lock:
+            child = self._children.get(key)
+            return 0.0 if child is None else child.value  # type: ignore[attr-defined]
 
     def samples(self) -> list[tuple[tuple[tuple[str, str], ...], object]]:
         """Every (label pairs, child metric) of the family."""

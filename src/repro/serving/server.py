@@ -239,8 +239,8 @@ class QueryServer:
     fanout = 1  #: one process answers; nothing scatters
 
     def count(self, event: str) -> int:
-        """One ``serving_events_total`` count (0 when never touched)."""
-        return int(self._events.labels(event=event).value)
+        """One ``serving_events_total`` count (0 when never touched; none is created)."""
+        return int(self._events.peek(event=event))
 
     def records(self) -> dict[str, RegisteredVideo]:
         """Registration records of the current snapshot, by title."""

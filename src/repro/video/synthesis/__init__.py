@@ -1,36 +1,41 @@
 """Synthetic medical-video generator: screenplays, compositions, corpus."""
 
-from repro.video.synthesis.compositions import (
-    COMPOSITION_REGISTRY,
-    ShotParams,
-    render_composition,
-)
-from repro.video.synthesis.corpus import (
-    CORPUS_TITLES,
-    build_screenplay,
-    demo_screenplay,
-    load_corpus,
-    load_video,
-)
-from repro.video.synthesis.generator import (
-    GeneratedVideo,
-    generate_video,
-    render_frames,
-    stream_video,
-)
-from repro.video.synthesis.script import (
-    SceneSpec,
-    Screenplay,
-    ShotSpec,
-    clinical_scene,
-    dialog_scene,
-    filler_scene,
-    presentation_scene,
-    separator_scene,
+from repro._lazy import lazy_exports
+
+# Exported lazily (PEP 562): planning an ingest reads the titles and
+# screenplays from here and must not load the renderer (nor, with it,
+# the audio substrate) to do so.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.video.synthesis.corpus": (
+            "CORPUS_TITLES",
+            "build_screenplay",
+            "demo_screenplay",
+            "load_corpus",
+            "load_video",
+        ),
+        "repro.video.synthesis.generator": (
+            "GeneratedVideo",
+            "generate_video",
+            "render_frames",
+            "stream_video",
+        ),
+        "repro.video.synthesis.script": (
+            "SceneSpec",
+            "Screenplay",
+            "ShotParams",
+            "ShotSpec",
+            "clinical_scene",
+            "dialog_scene",
+            "filler_scene",
+            "presentation_scene",
+            "separator_scene",
+        ),
+    },
 )
 
 __all__ = [
-    "COMPOSITION_REGISTRY",
     "CORPUS_TITLES",
     "GeneratedVideo",
     "SceneSpec",
@@ -46,7 +51,6 @@ __all__ = [
     "load_corpus",
     "load_video",
     "presentation_scene",
-    "render_composition",
     "render_frames",
     "separator_scene",
     "stream_video",

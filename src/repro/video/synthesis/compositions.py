@@ -10,39 +10,14 @@ and sensor noise on top.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import VideoError
 from repro.video.synthesis import actors, slides
 from repro.video.synthesis.draw import fill_rect, new_canvas
+from repro.video.synthesis.script import COMPOSITION_NAMES, ShotParams
 from repro.video.synthesis.sets import render_set
-
-
-@dataclass(frozen=True)
-class ShotParams:
-    """Free parameters of one composition instance.
-
-    Attributes
-    ----------
-    actor / actor_b:
-        Wardrobe/skin indices into the actor tables (person A and B).
-    slide_id / variant:
-        Content selectors for slides, clip art, sets.
-    coverage:
-        Skin coverage for surgical/dermatology close-ups.
-    talking:
-        Whether mouths animate (drives tiny intra-shot variation).
-    """
-
-    actor: int = 0
-    actor_b: int = 1
-    slide_id: int = 0
-    variant: int = 0
-    coverage: float = 0.55
-    talking: bool = True
-
 
 Renderer = Callable[[np.ndarray, np.random.Generator, ShotParams, float], None]
 
@@ -233,6 +208,9 @@ COMPOSITION_REGISTRY: dict[str, Renderer] = {
     "limb_exam": _limb_exam,
     "corridor_walk": _corridor_walk,
 }
+if set(COMPOSITION_REGISTRY) != COMPOSITION_NAMES:
+    differ = sorted(COMPOSITION_NAMES ^ set(COMPOSITION_REGISTRY))
+    raise VideoError(f"script.COMPOSITION_NAMES and the registry differ: {differ}")
 
 
 def render_composition(

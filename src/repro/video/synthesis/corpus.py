@@ -12,9 +12,9 @@ seconds rather than hours.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from repro.errors import VideoError
-from repro.video.synthesis.generator import GeneratedVideo, generate_video
 from repro.video.synthesis.script import (
     SceneSpec,
     Screenplay,
@@ -28,6 +28,9 @@ from repro.video.synthesis.script import (
     separator_scene,
     voiceover_interview_scene,
 )
+
+if TYPE_CHECKING:  # the renderer loads where a video is rendered, not with the titles
+    from repro.video.synthesis.generator import GeneratedVideo
 
 #: The five paper video subjects.
 CORPUS_TITLES = (
@@ -237,6 +240,8 @@ def build_screenplay(title: str) -> Screenplay:
 @lru_cache(maxsize=8)
 def load_video(title: str, seed: int = 0, with_audio: bool = True) -> GeneratedVideo:
     """Render (and cache) one corpus video."""
+    from repro.video.synthesis.generator import generate_video
+
     return generate_video(build_screenplay(title), seed=seed, with_audio=with_audio)
 
 

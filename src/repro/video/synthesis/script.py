@@ -13,7 +13,39 @@ from dataclasses import dataclass, field
 
 from repro.errors import VideoError
 from repro.types import EventKind
-from repro.video.synthesis.compositions import COMPOSITION_REGISTRY, ShotParams
+
+#: The camera setups a shot may name: ``compositions.COMPOSITION_REGISTRY``
+#: renders exactly these, so a screenplay is checked without the renderer.
+COMPOSITION_NAMES = frozenset({
+    "podium_speaker", "podium_wide", "slide_fullscreen", "clipart_fullscreen",
+    "sketch_fullscreen", "black", "interview_a", "interview_b", "two_shot",
+    "surgeon_face_a", "surgeon_face_b", "surgical_closeup", "surgical_zoom",
+    "surgical_wide", "organ_still", "scan_display", "limb_exam", "corridor_walk",
+})
+
+
+@dataclass(frozen=True)
+class ShotParams:
+    """Free parameters of one composition instance.
+
+    Attributes
+    ----------
+    actor / actor_b:
+        Wardrobe/skin indices into the actor tables (person A and B).
+    slide_id / variant:
+        Content selectors for slides, clip art, sets.
+    coverage:
+        Skin coverage for surgical/dermatology close-ups.
+    talking:
+        Whether mouths animate (drives tiny intra-shot variation).
+    """
+
+    actor: int = 0
+    actor_b: int = 1
+    slide_id: int = 0
+    variant: int = 0
+    coverage: float = 0.55
+    talking: bool = True
 
 
 @dataclass(frozen=True)
@@ -44,7 +76,7 @@ class ShotSpec:
     camera_id: str | None = None
 
     def __post_init__(self) -> None:
-        if self.composition not in COMPOSITION_REGISTRY:
+        if self.composition not in COMPOSITION_NAMES:
             raise VideoError(f"unknown composition {self.composition!r}")
         if self.seconds <= 0:
             raise VideoError("shot duration must be positive")

@@ -136,6 +136,19 @@ class TestRegistryIntegration:
         text = render_prometheus(registry)
         assert 'serving_events_total{event="queries_total"} 1.0' in text
 
+    def test_a_health_probe_changes_no_exposition(self, serving_db):
+        # Reading a count (the health ``history`` check reads ``errors``)
+        # must not create the sample it reads.
+        from repro.obs import MetricsRegistry, render_prometheus
+
+        registry = MetricsRegistry()
+        with QueryServer(serving_db, registry=registry) as server:
+            before = render_prometheus(registry)
+            assert server.health_report().status == "ok"
+            assert server.count("errors") == 0
+            assert render_prometheus(registry) == before
+            assert 'event="errors"' not in before
+
     def test_independent_servers_do_not_share_counts(self, serving_db, demo_features):
         with QueryServer(serving_db) as a, QueryServer(serving_db) as b:
             a.query(QueryRequest(kind="shot", features=demo_features(0)))

@@ -1,13 +1,17 @@
 """The import graph follows the architecture (DESIGN.md §3).
 
 A serving process — the gateway, a shard worker, ``classminer serve`` —
-must not load the mining stack to start: ~60 modules it never calls
-(0.15 s and ~5 MiB a process now; 1.3 s and ~70 MiB while ``scipy``
+must not load the mining stack to start: ~70 modules it never calls
+(~0.08 s and ~8 MiB a process now; 1.3 s and ~70 MiB while ``scipy``
 came with them).  Each query-stack module is imported in a fresh
 interpreter here and must leave ``sys.modules`` free of the miners,
 ``networkx`` and ``asyncio`` (the gateway ran on a loop until PR 21; it
 cost every serving process, shard workers included, ~1.5 MiB and ~35 ms
-to import).  ``scipy`` is forbidden to the whole
+to import).  The ingest front — planning jobs, their keys, the artifact
+cache checks and the catalog publish — is held to the same rule: a warm
+ingest loads no miner (it loaded 63 more modules, ~0.12 s and ~5 MiB,
+while the job keys came from the miner's own modules); only a process
+that mines a job imports it.  ``scipy`` is forbidden to the whole
 program, miners included: numpy is the only runtime dependency.  The
 lazily exporting packages keep their public surface: same ``__all__``,
 every name resolves, star imports work.  No linter runs here (neither
@@ -74,7 +78,9 @@ print("\\n".join(sorted(
 )))
 """
 
-#: The public surfaces as they were while these packages imported eagerly.
+#: The lazily exporting packages' public surfaces: the first four as they
+#: were while they imported eagerly; the substrates' less what nothing
+#: imported through them.
 PUBLIC_NAMES = {
     "repro": [
         "ClassMiner",
@@ -165,6 +171,39 @@ PUBLIC_NAMES = {
         "pack_array",
         "unpack_array",
     ],
+    "repro.audio": ["SpeakerAnalyzer", "diarize_shots"],
+    "repro.video": [
+        "DEFAULT_HEIGHT",
+        "DEFAULT_WIDTH",
+        "Frame",
+        "FrameStream",
+        "GroundTruth",
+        "SceneSpan",
+        "ShotSpan",
+        "VideoStream",
+        "save_stream",
+    ],
+    "repro.video.synthesis": [
+        "CORPUS_TITLES",
+        "GeneratedVideo",
+        "SceneSpec",
+        "Screenplay",
+        "ShotParams",
+        "ShotSpec",
+        "build_screenplay",
+        "clinical_scene",
+        "demo_screenplay",
+        "dialog_scene",
+        "filler_scene",
+        "generate_video",
+        "load_corpus",
+        "load_video",
+        "presentation_scene",
+        "render_frames",
+        "separator_scene",
+        "stream_video",
+    ],
+    "repro.vision": ["VisualCues", "extract_cues"],
 }
 
 #: What a shard worker serves without: the fronts above it, the fleet that
@@ -296,6 +335,55 @@ def test_old_homes_of_moved_names_stay_cheap():
     done = _python("-c", script, "repro.ingest", *FORBIDDEN)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+#: What the ingest front — planning, cache checks, a warm ingest and its
+#: publish — runs without: only a process that mines loads these.
+MINING_STACK = (
+    "repro.vision",
+    "repro.audio",
+    "repro.events",
+    "repro.core.pipeline",
+    "repro.core.shots",
+    "repro.video.synthesis.generator",
+    "repro.video.synthesis.compositions",
+)
+
+_INGEST_FRONT_SCRIPT = """
+import sys
+import repro.ingest.runner
+from repro.ingest.jobs import jobs_for_titles
+from repro.ingest.runner import ingest_corpus, store_for
+store = store_for(sys.argv[1])
+for job in jobs_for_titles(["all"]):
+    assert store.has_valid(job.key), job.title
+    assert store.load_columns(job.key).title == job.title
+report = ingest_corpus(["all"], sys.argv[1], workers=2)
+assert [outcome.state for outcome in report.outcomes] == ["cached"] * 6, report.outcomes
+assert len(report.registered) == 6 and report.database_path is not None
+print("\\n".join(sorted(
+    name for name in sys.modules
+    if any(name == f or name.startswith(f + ".") for f in sys.argv[2:])
+)))
+"""
+
+
+def test_the_ingest_front_loads_no_miner(tmp_path, demo_result):
+    # The cache is built here, one artifact per title (the demo's result
+    # under each title's key); the fresh interpreter only plans, checks
+    # and publishes.
+    import dataclasses
+
+    from repro.ingest.jobs import jobs_for_titles
+    from repro.ingest.runner import store_for
+
+    store = store_for(tmp_path)
+    for job in jobs_for_titles(["all"]):
+        structure = dataclasses.replace(demo_result.structure, title=job.title)
+        store.save(job.key, dataclasses.replace(demo_result, structure=structure))
+    done = _python("-c", _INGEST_FRONT_SCRIPT, str(tmp_path), *MINING_STACK)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], "the ingest front loaded the miner"
 
 
 def test_worker_module_runs_once_under_dash_m():

@@ -9,11 +9,16 @@ from repro.video.synthesis.compositions import (
     ShotParams,
     render_composition,
 )
+from repro.video.synthesis.script import COMPOSITION_NAMES
 from repro.video.synthesis.sets import SET_REGISTRY, render_set
 from repro.video.synthesis.draw import new_canvas
 
 
 class TestCompositionRegistry:
+    def test_renders_exactly_the_names_a_screenplay_may_use(self):
+        # A screenplay is checked against the names alone, without the renderer.
+        assert set(COMPOSITION_REGISTRY) == COMPOSITION_NAMES
+
     @pytest.mark.parametrize("name", sorted(COMPOSITION_REGISTRY))
     def test_renders_in_range(self, name):
         canvas = render_composition(name, 64, 80, seed=5, params=ShotParams(), t=0.5)
